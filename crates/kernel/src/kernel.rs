@@ -1011,18 +1011,7 @@ impl KernelSim {
                 return;
             }
             // An eligible worker that is free *now*.
-            let Some(pe) = self
-                .machine
-                .worker_pes(cluster)
-                .into_iter()
-                .filter(|&pe| {
-                    self.machine
-                        .pe(pe)
-                        .map(|p| p.available(now))
-                        .unwrap_or(false)
-                })
-                .min_by_key(|pe| pe.index)
-            else {
+            let Some(pe) = self.machine.free_worker(cluster, now) else {
                 return;
             };
             let task = self.clusters[cluster as usize]

@@ -374,6 +374,17 @@ impl MachineConfig {
             }
             Topology::Bus | Topology::Ring | Topology::Crossbar => {}
         }
+        // Routes hold link ids as `u32`; nothing else caps `clusters`.
+        let links = crate::network::link_id_space(&self.topology, self.clusters);
+        if links > u64::from(u32::MAX) {
+            return Err(format!(
+                "{} topology over {} clusters needs {} link ids, more than the {} supported",
+                self.topology.name(),
+                self.clusters,
+                links,
+                u32::MAX
+            ));
+        }
         Ok(())
     }
 
@@ -519,6 +530,25 @@ mod tests {
         assert!(c.validate().unwrap_err().contains(">= 2"));
         c.topology = Topology::FatTree { radix: 0 };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_link_id_space_beyond_u32() {
+        let mut c = MachineConfig::fem2_default();
+        c.topology = Topology::Crossbar;
+        c.clusters = 65_535; // n² = 4 294 836 225 still fits
+        c.validate().unwrap();
+        c.clusters = 70_000; // n² = 4.9e9 does not
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("crossbar"), "{err}");
+        assert!(err.contains("4900000000"), "{err}");
+        // The same cluster count is fine where ids grow linearly.
+        c.topology = Topology::Ring;
+        c.validate().unwrap();
+        // 4n ids overflow only past 2³⁰ clusters.
+        c.topology = Topology::FatTree { radix: 2 };
+        c.clusters = 1 << 30;
+        assert!(c.validate().unwrap_err().contains("link ids"));
     }
 
     #[test]

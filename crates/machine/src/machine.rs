@@ -4,7 +4,7 @@
 use crate::config::MachineConfig;
 use crate::memory::{ClusterMemory, OutOfMemory};
 use crate::network::Network;
-use crate::pe::{CostClass, Pe, PeId};
+use crate::pe::{best_worker, CostClass, Pe, PeId};
 use crate::stats::Stats;
 use crate::{Cycles, Words};
 use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
@@ -187,7 +187,9 @@ impl Machine {
     }
 
     /// PEs of cluster `c` eligible for user work at any time: alive, and not
-    /// the kernel PE when the configuration dedicates one.
+    /// the kernel PE when the configuration dedicates one. For tests and
+    /// inspection; dispatch goes through [`Machine::pick_worker`] and
+    /// [`Machine::free_worker`], which do not allocate.
     pub fn worker_pes(&self, c: u32) -> Vec<PeId> {
         let dedicated = self.config.dedicated_kernel_pe && self.alive_count(c) > 1;
         self.cluster_pes(c)
@@ -214,9 +216,24 @@ impl Machine {
     /// Earliest-free eligible worker PE of cluster `c` ("assigns available
     /// PE's to process them"). `None` if the cluster is dead.
     pub fn pick_worker(&self, c: u32) -> Option<PeId> {
-        self.worker_pes(c)
-            .into_iter()
-            .min_by_key(|&pe| (self.pe_state(pe).free_at, pe.index))
+        self.best_worker(c, |p| Some(p.free_at))
+    }
+
+    /// Lowest-indexed eligible worker PE of cluster `c` that is free at
+    /// `now`. `None` if every worker is busy or the cluster is dead.
+    pub fn free_worker(&self, c: u32, now: Cycles) -> Option<PeId> {
+        self.best_worker(c, |p| p.available(now).then_some(()))
+    }
+
+    fn best_worker<K: Ord + Copy>(&self, c: u32, key: impl Fn(&Pe) -> Option<K>) -> Option<PeId> {
+        best_worker(
+            self.lanes[c as usize].as_deref(),
+            self.config.pes_per_cluster,
+            self.kernel_pe[c as usize],
+            self.config.dedicated_kernel_pe,
+            key,
+        )
+        .map(|i| PeId::new(c, i))
     }
 
     /// Charge `count` units of `class` to `pe`, starting no earlier than

@@ -27,62 +27,146 @@
 //! map over *touched* pairs, not an `n²` table. The hot paths —
 //! [`Network::try_transmit`] per packet and [`Network::estimate`] per
 //! retransmission-timeout computation — then serve routes out of the cache
-//! instead of re-deriving and re-allocating the path per message. Cached
-//! and uncached runs are bitwise identical: the cache stores exactly what
+//! instead of re-deriving and re-allocating the path per message. A cached
+//! route starts as link ids; the first *transmit* of the pair rewrites it in
+//! place to slab slots, so every later message walks link records directly
+//! with no per-hop lookup (see [`Route`]). Cached and uncached runs are
+//! bitwise identical: the cache stores exactly what
 //! [`Network::compute_route`] would return.
 
 use crate::config::{MachineConfig, Topology};
 use crate::{Cycles, Words};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-/// Per-link hot state, allocated on first touch (traffic or fault).
+/// One allocated link: everything the contention loop reads or writes for
+/// a hop, so a hop touches one record.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    /// Next-free time.
+    free: Cycles,
+    /// Cumulative busy cycles (for utilization reports).
+    busy: Cycles,
+    /// Occupancy multiplier (1 = healthy).
+    degrade: u32,
+    /// The link's id, so a slot-resolved route can still answer in ids.
+    id: u32,
+}
+
+/// Per-link state, allocated on first touch (traffic or fault).
 ///
-/// Structure-of-arrays over slab slots: the transmit inner loop walks
-/// `free`/`busy`/`degrade` by slot index after one id→slot resolution per
-/// route, so packet contention never pays a map lookup.
+/// Slots are never freed or reordered, which is what lets a cached
+/// [`Route`] hold slots instead of ids for as long as it lives.
 #[derive(Clone, Debug, Default)]
 struct LinkSlab {
     /// Link id → slot index. A `BTreeMap` keeps iteration deterministic
     /// (the determinism lint bans hashed collections in the engine).
-    index: BTreeMap<usize, usize>,
-    /// Next-free time per slot.
-    free: Vec<Cycles>,
-    /// Cumulative busy cycles per slot (for utilization reports).
-    busy: Vec<Cycles>,
+    index: BTreeMap<u32, u32>,
+    links: Vec<Link>,
     /// Dead links (packets cannot traverse; routes detour where possible).
+    /// Beside `links`, not in it: only route selection reads it.
     dead: Vec<bool>,
-    /// Per-link occupancy multiplier (1 = healthy).
-    degrade: Vec<u32>,
 }
 
 impl LinkSlab {
     /// Slot for `link`, allocating a healthy idle record on first touch.
-    fn ensure(&mut self, link: usize) -> usize {
-        if let Some(&slot) = self.index.get(&link) {
-            return slot;
+    fn ensure(&mut self, link: u32) -> u32 {
+        match self.index.entry(link) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let slot = self.links.len() as u32;
+                e.insert(slot);
+                self.links.push(Link {
+                    free: 0,
+                    busy: 0,
+                    degrade: 1,
+                    id: link,
+                });
+                self.dead.push(false);
+                slot
+            }
         }
-        let slot = self.free.len();
-        self.index.insert(link, slot);
-        self.free.push(0);
-        self.busy.push(0);
-        self.dead.push(false);
-        self.degrade.push(1);
-        slot
     }
 
     /// Read-only probes: untouched links are healthy and idle.
-    fn is_dead(&self, link: usize) -> bool {
-        self.index.get(&link).is_some_and(|&s| self.dead[s])
+    fn is_dead(&self, link: u32) -> bool {
+        self.index
+            .get(&link)
+            .is_some_and(|&s| self.dead[s as usize])
     }
 
-    fn degrade_of(&self, link: usize) -> u32 {
-        self.index.get(&link).map_or(1, |&s| self.degrade[s])
+    fn degrade_of(&self, link: u32) -> u32 {
+        self.index
+            .get(&link)
+            .map_or(1, |&s| self.links[s as usize].degrade)
     }
 
     /// Number of allocated link records (the O(active) memory proxy).
     fn len(&self) -> usize {
-        self.free.len()
+        self.links.len()
+    }
+}
+
+/// A route as the cache holds it: one `u32` per hop.
+///
+/// The hops are link ids when the route is computed. The first transmit
+/// over the route rewrites them in place to slab slots (`resolved`), after
+/// which the contention loop indexes link records directly. Slots stay
+/// valid because the slab never frees or reorders records, and a fault
+/// transition — the only thing that changes which links a pair uses —
+/// drops the whole cache. Read-only probes ([`Network::estimate`],
+/// [`Network::route_links`], [`Network::min_delivery_latency`]) never
+/// resolve: resolving allocates link records, and a probe must leave
+/// [`Network::allocated_link_records`] alone.
+#[derive(Clone, Debug)]
+struct Route {
+    hops: Box<[u32]>,
+    /// Whether this is a detour around a dead link.
+    rerouted: bool,
+    resolved: bool,
+}
+
+impl Route {
+    fn of_links(path: Vec<u32>, rerouted: bool) -> Self {
+        Route {
+            hops: path.into_boxed_slice(),
+            rerouted,
+            resolved: false,
+        }
+    }
+
+    /// Rewrite link ids to slab slots, allocating records for links this
+    /// is the first traffic on.
+    fn resolve(&mut self, slab: &mut LinkSlab) {
+        if !self.resolved {
+            for hop in self.hops.iter_mut() {
+                *hop = slab.ensure(*hop);
+            }
+            self.resolved = true;
+        }
+    }
+
+    /// Occupancy multiplier of each hop, in route order.
+    fn degrades<'a>(&'a self, slab: &'a LinkSlab) -> impl Iterator<Item = Cycles> + 'a {
+        let resolved = self.resolved;
+        self.hops.iter().map(move |&hop| {
+            Cycles::from(if resolved {
+                slab.links[hop as usize].degrade
+            } else {
+                slab.degrade_of(hop)
+            })
+        })
+    }
+
+    fn link_ids(&self, slab: &LinkSlab) -> Vec<usize> {
+        let id = |&hop: &u32| {
+            if self.resolved {
+                slab.links[hop as usize].id as usize
+            } else {
+                hop as usize
+            }
+        };
+        self.hops.iter().map(id).collect()
     }
 }
 
@@ -107,12 +191,7 @@ pub struct Network {
     /// `from << 32 | to`; `None` = no live route under the current fault
     /// state. Cleared wholesale on fault transitions. Interior-mutable so
     /// `&self` estimators can fill it.
-    #[allow(clippy::type_complexity)]
-    cache: RefCell<BTreeMap<u64, Option<(Vec<usize>, bool)>>>,
-    /// Reusable path buffer for the transmit/estimate loops.
-    scratch: RefCell<Vec<usize>>,
-    /// Reusable route-slot buffer for the transmit contention loop.
-    scratch_slots: Vec<usize>,
+    cache: RefCell<BTreeMap<u64, Option<Route>>>,
     /// Remote messages transmitted.
     pub messages: u64,
     /// Packets transmitted (after segmentation).
@@ -125,14 +204,17 @@ pub struct Network {
     pub header_words_moved: u64,
 }
 
-/// Size of the link-id space for `topology` over `n` clusters.
-pub(crate) fn link_id_space(topology: &Topology, n: usize) -> usize {
+/// Size of the link-id space for `topology` over `clusters` clusters.
+/// Routes store link ids as `u32`, so [`MachineConfig::validate`] rejects
+/// a configuration whose space exceeds `u32::MAX`.
+pub(crate) fn link_id_space(topology: &Topology, clusters: u32) -> u64 {
+    let n = u64::from(clusters);
     match topology {
         Topology::Bus => 1,
         Topology::Ring => 2 * n,
         Topology::Mesh2D { .. } => 4 * n,
         Topology::Crossbar => n * n,
-        Topology::Torus { dims } => n * 2 * dims.len(),
+        Topology::Torus { dims } => (2 * n).saturating_mul(dims.len() as u64),
         Topology::FatTree { .. } => 4 * n,
     }
 }
@@ -141,8 +223,13 @@ impl Network {
     /// Build the network for a machine configuration. Allocation is
     /// O(1) in the cluster count: link records and route-cache entries
     /// appear only as traffic (or faults) touch them.
+    ///
+    /// # Panics
+    /// Panics if the topology's link ids do not fit `u32`, which
+    /// [`MachineConfig::validate`] rejects.
     pub fn new(cfg: &MachineConfig) -> Self {
-        let n = cfg.clusters as usize;
+        let links = u32::try_from(link_id_space(&cfg.topology, cfg.clusters))
+            .expect("link-id space exceeds u32::MAX");
         Network {
             topology: cfg.topology.clone(),
             clusters: cfg.clusters,
@@ -150,12 +237,10 @@ impl Network {
             words_per_cycle: cfg.words_per_cycle,
             max_packet_words: cfg.max_packet_words,
             header_words: cfg.header_words,
-            links: link_id_space(&cfg.topology, n),
+            links: links as usize,
             slab: LinkSlab::default(),
             cache_enabled: cfg.route_cache,
             cache: RefCell::new(BTreeMap::new()),
-            scratch: RefCell::new(Vec::new()),
-            scratch_slots: Vec::new(),
             messages: 0,
             packets: 0,
             rerouted_packets: 0,
@@ -167,42 +252,40 @@ impl Network {
     /// Kill a link: packets can no longer traverse it; routes that used it
     /// detour where the topology allows.
     pub fn fail_link(&mut self, link: usize) {
-        assert!(link < self.links, "link out of range");
-        let slot = self.slab.ensure(link);
+        let slot = self.fault_slot(link);
         self.slab.dead[slot] = true;
-        self.invalidate_routes();
     }
 
     /// Degrade a link: its occupancy is multiplied by `factor` (≥ 1).
     pub fn degrade_link(&mut self, link: usize, factor: u32) {
-        assert!(link < self.links, "link out of range");
-        let slot = self.slab.ensure(link);
-        self.slab.degrade[slot] = factor.max(1);
-        self.invalidate_routes();
+        let slot = self.fault_slot(link);
+        self.slab.links[slot].degrade = factor.max(1);
     }
 
     /// Restore a link to full health: revive it if dead and clear any
     /// degradation. Routes that detoured around it snap back to the
     /// primary path.
     pub fn recover_link(&mut self, link: usize) {
-        assert!(link < self.links, "link out of range");
-        let slot = self.slab.ensure(link);
+        let slot = self.fault_slot(link);
         self.slab.dead[slot] = false;
-        self.slab.degrade[slot] = 1;
-        self.invalidate_routes();
+        self.slab.links[slot].degrade = 1;
     }
 
-    /// Invalidate every cached route at once (fault-state change).
-    fn invalidate_routes(&mut self) {
+    /// The record of a link whose fault state is about to change. Every
+    /// cached route is dropped with it: a fault transition can change which
+    /// links any pair uses.
+    fn fault_slot(&mut self, link: usize) -> usize {
+        assert!(link < self.links, "link out of range");
         self.cache.get_mut().clear();
+        self.slab.ensure(link as u32) as usize
     }
 
     /// Whether `link` is dead.
     pub fn link_is_dead(&self, link: usize) -> bool {
-        self.slab.is_dead(link)
+        u32::try_from(link).is_ok_and(|l| self.slab.is_dead(l))
     }
 
-    fn path_alive(&self, path: &[usize]) -> bool {
+    fn path_alive(&self, path: &[u32]) -> bool {
         path.iter().all(|&l| !self.slab.is_dead(l))
     }
 
@@ -262,19 +345,18 @@ impl Network {
 
     /// Forward ring path from `from` to `to` (link out of `cur` has id
     /// `cur`); backward uses ids `n + cur`.
-    fn ring_path(&self, from: u32, to: u32, forward: bool) -> Vec<usize> {
+    fn ring_path(&self, from: u32, to: u32, forward: bool) -> Vec<u32> {
         let nc = self.clusters;
-        let n = nc as usize;
         let mut path = Vec::new();
         let mut cur = from;
         if forward {
             while cur != to {
-                path.push(cur as usize);
+                path.push(cur);
                 cur = (cur + 1) % nc;
             }
         } else {
             while cur != to {
-                path.push(n + cur as usize);
+                path.push(nc + cur);
                 cur = (cur + nc - 1) % nc;
             }
         }
@@ -283,13 +365,13 @@ impl Network {
 
     /// Mesh path with dimension order: x-then-y (XY routing) or y-then-x.
     /// Link ids: node*4 + {0:+x, 1:-x, 2:+y, 3:-y}.
-    fn mesh_path(&self, width: u32, from: u32, to: u32, x_first: bool) -> Vec<usize> {
+    fn mesh_path(&self, width: u32, from: u32, to: u32, x_first: bool) -> Vec<u32> {
         let mut path = Vec::new();
         let (mut cx, mut cy) = (from % width, from / width);
         let (tx, ty) = (to % width, to / width);
-        let step_x = |path: &mut Vec<usize>, cx: &mut u32, cy: u32| {
+        let step_x = |path: &mut Vec<u32>, cx: &mut u32, cy: u32| {
             while *cx != tx {
-                let node = (cy * width + *cx) as usize;
+                let node = cy * width + *cx;
                 if *cx < tx {
                     path.push(node * 4);
                     *cx += 1;
@@ -299,9 +381,9 @@ impl Network {
                 }
             }
         };
-        let step_y = |path: &mut Vec<usize>, cx: u32, cy: &mut u32| {
+        let step_y = |path: &mut Vec<u32>, cx: u32, cy: &mut u32| {
             while *cy != ty {
-                let node = (*cy * width + cx) as usize;
+                let node = *cy * width + cx;
                 if *cy < ty {
                     path.push(node * 4 + 2);
                     *cy += 1;
@@ -327,11 +409,17 @@ impl Network {
     /// dimension. The primary route is `(rev: false, anti: false)`: lowest
     /// dimension first, shorter wrap direction (ties go forward), which is
     /// hop-minimal.
-    fn torus_path(&self, dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<usize> {
+    fn torus_path(&self, dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<u32> {
         let nd = dims.len();
         let mut cur = torus_coords(dims, from);
         let tgt = torus_coords(dims, to);
-        let mut path = Vec::new();
+        // Shortest-wrap paths are hop-minimal in either dimension order, so
+        // their length is known up front: allocate once, at the final size.
+        let mut path = Vec::with_capacity(if anti {
+            0
+        } else {
+            self.hops(from, to) as usize
+        });
         for i in 0..nd {
             let d = if rev { nd - 1 - i } else { i };
             let dim = dims[d];
@@ -343,8 +431,8 @@ impl Network {
             let forward = (fwd <= bwd) != anti;
             let steps = if forward { fwd } else { bwd };
             for _ in 0..steps {
-                let node = torus_index(dims, &cur) as usize;
-                path.push(node * 2 * nd + 2 * d + usize::from(!forward));
+                let node = torus_index(dims, &cur);
+                path.push(node * 2 * nd as u32 + 2 * d as u32 + u32::from(!forward));
                 cur[d] = if forward {
                     (cur[d] + 1) % dim
                 } else {
@@ -360,30 +448,29 @@ impl Network {
     /// `n` leaves, radix `r`, `p = n/r` pods: leaf-up = `node`, leaf-down =
     /// `n + node`, edge-up(pod, core) = `2n + pod·r + core`, core-down(core,
     /// pod) = `2n + p·r + pod·r + core`.
-    fn fat_tree_path(&self, radix: u32, from: u32, to: u32, core: u32) -> Vec<usize> {
-        let n = self.clusters as usize;
-        let r = radix as usize;
-        let (pod_a, pod_b) = ((from / radix) as usize, (to / radix) as usize);
-        let up = from as usize;
-        let down = n + to as usize;
+    fn fat_tree_path(&self, radix: u32, from: u32, to: u32, core: u32) -> Vec<u32> {
+        let n = self.clusters;
+        let (pod_a, pod_b) = (from / radix, to / radix);
+        let up = from;
+        let down = n + to;
         if pod_a == pod_b {
             return vec![up, down];
         }
-        let pods = n / r;
-        let edge_up = 2 * n + pod_a * r + core as usize;
-        let core_down = 2 * n + pods * r + pod_b * r + core as usize;
+        let pods = n / radix;
+        let edge_up = 2 * n + pod_a * radix + core;
+        let core_down = 2 * n + pods * radix + pod_b * radix + core;
         vec![up, edge_up, core_down, down]
     }
 
     /// The healthy-path route (ignores link faults).
-    fn primary_route(&self, from: u32, to: u32) -> Vec<usize> {
+    fn primary_route(&self, from: u32, to: u32) -> Vec<u32> {
         if from == to {
             return Vec::new();
         }
-        let n = self.clusters as usize;
+        let n = self.clusters;
         match &self.topology {
             Topology::Bus => vec![0],
-            Topology::Crossbar => vec![from as usize * n + to as usize],
+            Topology::Crossbar => vec![from * n + to],
             Topology::Ring => {
                 let nc = self.clusters;
                 let fwd = (to + nc - from) % nc;
@@ -405,19 +492,19 @@ impl Network {
     /// Detour candidates are checked whole (`path_alive`), in a fixed
     /// order, so a chosen detour never crosses — and never revisits — a
     /// dead link, and the choice depends only on the fault state.
-    fn compute_route(&self, from: u32, to: u32) -> Option<(Vec<usize>, bool)> {
+    fn compute_route(&self, from: u32, to: u32) -> Option<Route> {
         let primary = self.primary_route(from, to);
         if self.path_alive(&primary) {
-            return Some((primary, false));
+            return Some(Route::of_links(primary, false));
         }
-        let n = self.clusters as usize;
+        let n = self.clusters;
         let alt = match &self.topology {
             Topology::Bus => None,
             Topology::Crossbar => {
                 // Two-hop detour via the lowest-indexed live intermediate.
                 (0..self.clusters)
                     .filter(|&k| k != from && k != to)
-                    .map(|k| vec![from as usize * n + k as usize, k as usize * n + to as usize])
+                    .map(|k| vec![from * n + k, k * n + to])
                     .find(|p| self.path_alive(p))
             }
             Topology::Ring => {
@@ -451,28 +538,22 @@ impl Network {
                     .find(|p| self.path_alive(p))
             }
         };
-        alt.map(|p| (p, true))
+        alt.map(|p| Route::of_links(p, true))
     }
 
-    /// Copy the current route for `(from, to)` into `buf`, computing and
-    /// caching it if this epoch has not seen the pair yet. Returns whether
-    /// the route is a detour, or `None` when no live route exists (also
-    /// cached, so repeated unreachable probes stay cheap).
-    fn route_into(&self, from: u32, to: u32, buf: &mut Vec<usize>) -> Option<bool> {
-        buf.clear();
+    /// Run `f` on the current route for `(from, to)` (`None` when no live
+    /// route exists), computing and caching it if this epoch has not seen
+    /// the pair yet; unreachable pairs are cached too, so repeated probes
+    /// stay cheap. `f` must not look up another route.
+    fn with_route<R>(&self, from: u32, to: u32, f: impl FnOnce(Option<&Route>) -> R) -> R {
         if !self.cache_enabled {
-            let (path, rerouted) = self.compute_route(from, to)?;
-            buf.extend_from_slice(&path);
-            return Some(rerouted);
+            return f(self.compute_route(from, to).as_ref());
         }
         let mut cache = self.cache.borrow_mut();
-        let key = (u64::from(from) << 32) | u64::from(to);
-        let slot = cache
-            .entry(key)
+        let route = cache
+            .entry(pair_key(from, to))
             .or_insert_with(|| self.compute_route(from, to));
-        let (path, rerouted) = slot.as_ref()?;
-        buf.extend_from_slice(path);
-        Some(*rerouted)
+        f(route.as_ref())
     }
 
     /// The link ids a message from `from` to `to` would traverse right now,
@@ -482,9 +563,7 @@ impl Network {
         if from == to {
             return Some(Vec::new());
         }
-        let mut buf = Vec::new();
-        self.route_into(from, to, &mut buf)?;
-        Some(buf)
+        self.with_route(from, to, |route| Some(route?.link_ids(&self.slab)))
     }
 
     /// Transmit `words` of payload from cluster `from` to cluster `to`,
@@ -515,20 +594,24 @@ impl Network {
         if from == to {
             return Some(now + words.div_ceil(self.words_per_cycle as Words).max(1));
         }
-        // Borrow the reusable path buffer out of its cell so the contention
-        // loop below can mutate link state without aliasing it.
-        let mut route = self.scratch.take();
-        let Some(rerouted) = self.route_into(from, to, &mut route) else {
-            self.scratch.replace(route);
-            return None;
+        // The route stays where it lives (the cache entry, or a local when
+        // caching is off): the cache and the slab are disjoint fields, so
+        // the contention loop below mutates link records while reading it.
+        let mut uncached;
+        let mut cache;
+        let route = if self.cache_enabled {
+            cache = self.cache.borrow_mut();
+            cache
+                .entry(pair_key(from, to))
+                .or_insert_with(|| self.compute_route(from, to))
+                .as_mut()?
+        } else {
+            uncached = self.compute_route(from, to)?;
+            &mut uncached
         };
+        route.resolve(&mut self.slab);
         self.messages += 1;
         self.payload_words += words;
-        // Resolve link ids to slab slots once per call; the per-packet
-        // contention loop below then indexes the slab vectors directly.
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        slots.clear();
-        slots.extend(route.iter().map(|&l| self.slab.ensure(l)));
         let mut remaining = words;
         let mut arrival = now;
         // Segment; a zero-word message still sends one header-only packet.
@@ -542,18 +625,19 @@ impl Network {
             remaining -= chunk;
             let packet_words = chunk + self.header_words;
             self.packets += 1;
-            if rerouted {
+            if route.rerouted {
                 self.rerouted_packets += 1;
             }
             self.header_words_moved += self.header_words;
             let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
             // Store-and-forward over the route with per-link FIFO contention.
             let mut t = inject_at;
-            for (hop, slot) in slots.iter().enumerate() {
-                let link_occ = occ * self.slab.degrade[*slot] as Cycles;
-                let start = t.max(self.slab.free[*slot]);
-                self.slab.free[*slot] = start + link_occ;
-                self.slab.busy[*slot] += link_occ;
+            for (hop, &slot) in route.hops.iter().enumerate() {
+                let link = &mut self.slab.links[slot as usize];
+                let link_occ = occ * link.degrade as Cycles;
+                let start = t.max(link.free);
+                link.free = start + link_occ;
+                link.busy += link_occ;
                 t = start + link_occ + self.link_latency;
                 if hop == 0 {
                     // The next packet can be injected once the first link
@@ -563,8 +647,6 @@ impl Network {
             }
             arrival = arrival.max(t);
         }
-        self.scratch_slots = slots;
-        self.scratch.replace(route);
         Some(arrival)
     }
 
@@ -577,10 +659,15 @@ impl Network {
         if from == to {
             return words.div_ceil(self.words_per_cycle as Words).max(1);
         }
-        let mut path = self.scratch.take();
-        if self.route_into(from, to, &mut path).is_none() {
-            path = self.primary_route(from, to);
-        }
+        self.with_route(from, to, |route| match route {
+            Some(route) => self.estimate_over(route, words),
+            None => {
+                self.estimate_over(&Route::of_links(self.primary_route(from, to), false), words)
+            }
+        })
+    }
+
+    fn estimate_over(&self, route: &Route, words: Words) -> Cycles {
         let mut remaining = words;
         let mut first = true;
         let mut inject_at = 0;
@@ -592,8 +679,8 @@ impl Network {
             let packet_words = chunk + self.header_words;
             let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
             let mut t = inject_at;
-            for (hop, link) in path.iter().enumerate() {
-                let link_occ = occ * self.slab.degrade_of(*link) as Cycles;
+            for (hop, degrade) in route.degrades(&self.slab).enumerate() {
+                let link_occ = occ * degrade;
                 t += link_occ + self.link_latency;
                 if hop == 0 {
                     inject_at += link_occ;
@@ -601,7 +688,6 @@ impl Network {
             }
             arrival = arrival.max(t);
         }
-        self.scratch.replace(path);
         arrival
     }
 
@@ -621,17 +707,13 @@ impl Network {
             // Local transfers cost at least one memory-pass cycle.
             return Some(1);
         }
-        let mut path = self.scratch.take();
-        if self.route_into(from, to, &mut path).is_none() {
-            self.scratch.replace(path);
-            return None;
-        }
-        let mut bound: Cycles = 0;
-        for &link in path.iter() {
-            bound += self.slab.degrade_of(link) as Cycles + self.link_latency;
-        }
-        self.scratch.replace(path);
-        Some(bound.max(1))
+        self.with_route(from, to, |route| {
+            let bound: Cycles = route?
+                .degrades(&self.slab)
+                .map(|degrade| degrade + self.link_latency)
+                .sum();
+            Some(bound.max(1))
+        })
     }
 
     /// A machine-wide lower bound on remote delivery latency under a
@@ -647,12 +729,12 @@ impl Network {
 
     /// Highest per-link busy-cycle count (the bottleneck link).
     pub fn max_link_busy(&self) -> Cycles {
-        self.slab.busy.iter().copied().max().unwrap_or(0)
+        self.slab.links.iter().map(|l| l.busy).max().unwrap_or(0)
     }
 
     /// Total busy cycles across all links.
     pub fn total_link_busy(&self) -> Cycles {
-        self.slab.busy.iter().sum()
+        self.slab.links.iter().map(|l| l.busy).sum()
     }
 
     /// Total words moved including headers.
@@ -664,8 +746,10 @@ impl Network {
     /// Link fault state (dead/degraded) is hardware, not traffic, and is
     /// preserved.
     pub fn reset(&mut self) {
-        self.slab.free.fill(0);
-        self.slab.busy.fill(0);
+        for link in &mut self.slab.links {
+            link.free = 0;
+            link.busy = 0;
+        }
         self.messages = 0;
         self.packets = 0;
         self.rerouted_packets = 0;
@@ -677,6 +761,11 @@ impl Network {
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
+}
+
+/// Route-cache key of an ordered cluster pair.
+fn pair_key(from: u32, to: u32) -> u64 {
+    (u64::from(from) << 32) | u64::from(to)
 }
 
 /// Row-major coordinates of `node` in a torus of the given extents

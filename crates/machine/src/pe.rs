@@ -127,6 +127,48 @@ impl Pe {
     }
 }
 
+/// The eligible worker PE of one cluster with the smallest `key`, found in
+/// one allocation-free pass over the cluster's lane; ties go to the lowest
+/// index. This runs once per dispatched task.
+///
+/// A PE is eligible when it is alive and is not the kernel PE — unless the
+/// configuration dedicates none, or the kernel PE is the only survivor and
+/// runs user work too. `key` returns `None` for a PE the caller cannot use.
+/// The alive count is only known at the end of the pass, so the scan keeps
+/// the best candidate both with and without the kernel PE. An
+/// unmaterialized lane (`None`) reads as `pes` idle PEs.
+pub(crate) fn best_worker<K: Ord + Copy>(
+    lane: Option<&[Pe]>,
+    pes: u32,
+    kernel: u32,
+    dedicated_kernel_pe: bool,
+    key: impl Fn(&Pe) -> Option<K>,
+) -> Option<u32> {
+    let mut alive = 0u32;
+    let mut best_any: Option<(K, u32)> = None;
+    let mut best_worker: Option<(K, u32)> = None;
+    for i in 0..pes {
+        let p = lane.map_or(Pe::IDLE, |l| l[i as usize]);
+        if p.failed {
+            continue;
+        }
+        alive += 1;
+        let Some(k) = key(&p) else { continue };
+        if best_any.is_none_or(|(b, _)| k < b) {
+            best_any = Some((k, i));
+        }
+        if i != kernel && best_worker.is_none_or(|(b, _)| k < b) {
+            best_worker = Some((k, i));
+        }
+    }
+    let pick = if dedicated_kernel_pe && alive > 1 {
+        best_worker
+    } else {
+        best_any
+    };
+    pick.map(|(_, i)| i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,7 @@
 use crate::budget::{AbortCause, BudgetMeter, RunAborted};
 use crate::config::{DesQueue, MachineConfig};
 use crate::network::Network;
-use crate::pe::{CostClass, Pe, PeId};
+use crate::pe::{best_worker, CostClass, Pe, PeId};
 use crate::sim::EventQueue;
 use crate::stats::PhaseCounters;
 use crate::{machine::trace_cost_kind, Cycles, MachineError};
@@ -529,39 +529,18 @@ impl<'m> ShardSection<'m> {
         PeId::new(c, self.kernel_pe[c as usize])
     }
 
-    /// Earliest-free eligible worker PE of cluster `c`; mirrors
-    /// `Machine::pick_worker` exactly. `None` if the cluster is dead.
-    ///
-    /// This runs once per dispatched task, so it is a single allocation-free
-    /// pass over the cluster's lane: one scan yields the alive count (which
-    /// decides whether the kernel PE is excluded) and the earliest-free
-    /// candidate both with and without the kernel PE. An unmaterialized
-    /// lane reads as all-idle without allocating.
+    /// Earliest-free eligible worker PE of cluster `c`: the same scan as
+    /// `Machine::pick_worker`. `None` if the cluster is dead.
     pub fn pick_worker(&self, c: u32) -> Option<PeId> {
-        let ppc = self.config.pes_per_cluster as usize;
         let local = c.wrapping_sub(self.first_cluster) as usize;
-        let lane = self.lanes[local].as_deref();
-        let kernel = self.kernel_pe[c as usize];
-        let mut alive = 0u32;
-        let mut best_any: Option<(Cycles, u32)> = None;
-        let mut best_worker: Option<(Cycles, u32)> = None;
-        for i in 0..ppc {
-            let p = lane.map_or(Pe::IDLE, |l| l[i]);
-            if p.failed {
-                continue;
-            }
-            alive += 1;
-            let key = (p.free_at, i as u32);
-            if best_any.is_none_or(|b| key < b) {
-                best_any = Some(key);
-            }
-            if i as u32 != kernel && best_worker.is_none_or(|b| key < b) {
-                best_worker = Some(key);
-            }
-        }
-        let dedicated = self.config.dedicated_kernel_pe && alive > 1;
-        let pick = if dedicated { best_worker } else { best_any };
-        pick.map(|(_, i)| PeId::new(c, i))
+        best_worker(
+            self.lanes[local].as_deref(),
+            self.config.pes_per_cluster,
+            self.kernel_pe[c as usize],
+            self.config.dedicated_kernel_pe,
+            |p| Some(p.free_at),
+        )
+        .map(|i| PeId::new(c, i))
     }
 
     /// Charge `count` units of `class` to `pe`; mirrors `Machine::charge`.

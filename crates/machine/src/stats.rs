@@ -9,8 +9,6 @@
 //! *phases* (e.g. `assembly`, `solve`, `stress`) so per-phase requirement
 //! tables can be printed.
 
-use std::collections::BTreeMap;
-
 /// Counters for one phase of an application.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCounters {
@@ -49,21 +47,15 @@ impl PhaseCounters {
 pub const STARTUP_PHASE: &str = "startup";
 
 /// Phase-grouped measurement counters for one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Stats {
-    phases: BTreeMap<String, PhaseCounters>,
+    /// Phase names in first-use order; `counters` runs parallel to it.
     order: Vec<String>,
-    current: String,
-}
-
-impl Default for Stats {
-    fn default() -> Self {
-        Stats {
-            phases: BTreeMap::new(),
-            order: Vec::new(),
-            current: STARTUP_PHASE.to_string(),
-        }
-    }
+    counters: Vec<PhaseCounters>,
+    /// Index of the current phase. `None` is the implicit
+    /// [`STARTUP_PHASE`] before anything has been counted in it: a run
+    /// that names a phase first never lists a startup row.
+    current: Option<usize>,
 }
 
 impl Stats {
@@ -73,26 +65,40 @@ impl Stats {
         Self::default()
     }
 
+    /// Index of phase `name`, entering it into the table on first use.
+    fn index_of(&mut self, name: &str) -> usize {
+        self.order
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| {
+                self.order.push(name.to_string());
+                self.counters.push(PhaseCounters::default());
+                self.order.len() - 1
+            })
+    }
+
     /// Switch the current phase; counters accrue to it until the next call.
     pub fn phase(&mut self, name: impl Into<String>) {
-        let name = name.into();
-        if !self.phases.contains_key(&name) {
-            self.order.push(name.clone());
-            self.phases.insert(name.clone(), PhaseCounters::default());
-        }
-        self.current = name;
+        self.current = Some(self.index_of(&name.into()));
     }
 
     /// The current phase name.
     pub fn current_phase(&self) -> &str {
-        &self.current
+        self.current.map_or(STARTUP_PHASE, |i| &self.order[i])
     }
 
+    /// Counters of the current phase. Every charge and message lands
+    /// here, so it is an index, not a lookup by name.
     fn cur(&mut self) -> &mut PhaseCounters {
-        if !self.phases.contains_key(&self.current) {
-            self.order.push(self.current.clone());
-        }
-        self.phases.entry(self.current.clone()).or_default()
+        let i = match self.current {
+            Some(i) => i,
+            None => {
+                let i = self.index_of(STARTUP_PHASE);
+                self.current = Some(i);
+                i
+            }
+        };
+        &mut self.counters[i]
     }
 
     /// Record `n` floating-point operations.
@@ -136,7 +142,8 @@ impl Stats {
 
     /// Counters for a phase, if it exists.
     pub fn get(&self, phase: &str) -> Option<&PhaseCounters> {
-        self.phases.get(phase)
+        let i = self.order.iter().position(|n| n == phase)?;
+        Some(&self.counters[i])
     }
 
     /// Phase names in first-use order.
@@ -147,7 +154,7 @@ impl Stats {
     /// Sum of all phases.
     pub fn total(&self) -> PhaseCounters {
         let mut t = PhaseCounters::default();
-        for c in self.phases.values() {
+        for c in &self.counters {
             t.add(c);
         }
         t
@@ -170,8 +177,8 @@ impl Stats {
                 name, c.flops, c.int_ops, c.mem_words, c.messages, c.msg_words, c.tasks_created
             );
         };
-        for name in &self.order {
-            render(name, &self.phases[name]);
+        for (name, c) in self.order.iter().zip(&self.counters) {
+            render(name, c);
         }
         render("TOTAL", &self.total());
         out

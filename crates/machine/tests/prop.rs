@@ -1,7 +1,7 @@
 //! Property tests for the hardware simulator: conservation, determinism,
 //! and topology invariants under random traffic.
 
-use fem2_machine::{Machine, MachineConfig, Network, PeId, Topology};
+use fem2_machine::{CostClass, Machine, MachineConfig, Network, PeId, Topology};
 use proptest::prelude::*;
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
@@ -16,6 +16,36 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
         }),
         Just(Topology::FatTree { radix: 2 }),
         Just(Topology::FatTree { radix: 4 }),
+    ]
+}
+
+/// Topologies with multi-hop routes and detours for the route-cache
+/// interleaving test, with their cluster counts.
+fn cached_topo_strategy() -> impl Strategy<Value = (u32, Topology)> {
+    prop_oneof![
+        Just((8, Topology::Crossbar)),
+        Just((12, Topology::Torus { dims: vec![3, 4] })),
+        Just((
+            18,
+            Topology::Torus {
+                dims: vec![3, 3, 2]
+            }
+        )),
+        Just((12, Topology::FatTree { radix: 4 })),
+    ]
+}
+
+/// Everything a caller can observe about a network after a run.
+fn observe(net: &Network) -> [u64; 8] {
+    [
+        net.messages,
+        net.packets,
+        net.rerouted_packets,
+        net.payload_words,
+        net.header_words_moved,
+        net.max_link_busy(),
+        net.total_link_busy(),
+        net.allocated_link_records() as u64,
     ]
 }
 
@@ -208,6 +238,115 @@ proptest! {
         }
     }
 
+    /// The route cache — entries that start as link ids and are rewritten
+    /// to slab slots by the first transmit — is invisible: any interleaving
+    /// of transmits, read-only probes, fault transitions and resets gives
+    /// the same answers, counters, link-busy aggregates and allocated link
+    /// records as recomputing every route.
+    #[test]
+    fn route_cache_is_invisible_under_interleaved_probes_and_faults(
+        machine in cached_topo_strategy(),
+        ops in proptest::collection::vec((0u8..12, 0u32..64, 0u32..64, 0u64..700), 1..120),
+    ) {
+        let (n, topo) = machine;
+        let run = |route_cache: bool| {
+            let mut cfg = MachineConfig::clustered(n, 2, topo.clone());
+            cfg.route_cache = route_cache;
+            cfg.max_packet_words = 256;
+            let mut net = Network::new(&cfg);
+            let links = net.link_count();
+            let mut log = Vec::new();
+            let mut now = 0;
+            for &(op, a, b, x) in &ops {
+                let (from, to) = (a % n, b % n);
+                let link = (u64::from(a) * 64 + u64::from(b)) as usize % links;
+                match op {
+                    // Transmits dominate so routes get resolved and reused.
+                    0..=4 => {
+                        let arrive = net.try_transmit(now, from, to, x);
+                        now += x / 4;
+                        log.push(arrive);
+                    }
+                    5 => log.push(Some(net.estimate(from, to, x))),
+                    6 => log.push(net.route_links(from, to).map(|r| {
+                        r.iter().fold(r.len() as u64, |h, &l| h * 31 + l as u64)
+                    })),
+                    7 => log.push(net.min_delivery_latency(from, to)),
+                    8 => net.fail_link(link),
+                    9 => net.degrade_link(link, 1 + (x % 5) as u32),
+                    10 => net.recover_link(link),
+                    _ => net.reset(),
+                }
+                log.push(Some(net.allocated_link_records() as u64));
+            }
+            (log, observe(&net))
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// Probes never allocate link records, however large the machine, and
+    /// a route reads the same in link ids before and after its first
+    /// transmit rewrites the cached entry to slab slots.
+    #[test]
+    fn probes_leave_a_4096_cluster_torus_unallocated(
+        pairs in proptest::collection::vec((0u32..4096, 0u32..4096), 1..12),
+    ) {
+        let cfg = MachineConfig::clustered(4096, 2, Topology::Torus { dims: vec![64, 64] });
+        let mut net = Network::new(&cfg);
+        let mut before = Vec::new();
+        for &(a, b) in &pairs {
+            before.push(net.route_links(a, b).expect("healthy torus is connected"));
+            net.estimate(a, b, 300);
+            net.min_delivery_latency(a, b);
+        }
+        prop_assert_eq!(net.allocated_link_records(), 0);
+        for (&(a, b), ids) in pairs.iter().zip(&before) {
+            let est = net.estimate(a, b, 300);
+            let bound = net.min_delivery_latency(a, b);
+            net.transmit(0, a, b, 300);
+            prop_assert_eq!(&net.route_links(a, b).unwrap(), ids);
+            prop_assert_eq!(net.estimate(a, b, 300), est);
+            prop_assert_eq!(net.min_delivery_latency(a, b), bound);
+        }
+        let used: std::collections::BTreeSet<usize> = before.into_iter().flatten().collect();
+        prop_assert_eq!(net.allocated_link_records(), used.len());
+    }
+
+    /// The fused worker scan picks what the straightforward definition
+    /// picks — filter the eligible workers, then take the minimum — under
+    /// random PE failures (which move the kernel PE and can leave it the
+    /// only survivor, when it becomes eligible) and random load.
+    #[test]
+    fn worker_scan_matches_filter_then_min(
+        dedicated in prop_oneof![Just(true), Just(false)],
+        kills in proptest::collection::vec((0u32..2, 0u32..4), 0..8),
+        survivor in 0u32..4,
+        work in proptest::collection::vec((0u32..3, 0u32..4, 1u64..400), 0..24),
+        now in 0u64..3000,
+    ) {
+        let mut cfg = MachineConfig::clustered(3, 4, Topology::Crossbar);
+        cfg.dedicated_kernel_pe = dedicated;
+        let mut m = Machine::new(cfg);
+        // Clusters 0 and 1 lose random PEs (a dead cluster is a case too);
+        // cluster 2 is always down to one survivor.
+        let lone = (0..4).filter(|&p| p != survivor).map(|p| (2, p));
+        for (c, p) in kills.iter().copied().chain(lone) {
+            let _ = m.fail_pe(PeId::new(c, p));
+        }
+        for &(c, p, flops) in &work {
+            let _ = m.charge(0, PeId::new(c, p), CostClass::Flop, flops);
+        }
+        for c in 0..3 {
+            let free_at = |pe: &PeId| m.pe(*pe).unwrap().free_at;
+            let earliest = m.worker_pes(c).into_iter().min_by_key(|pe| (free_at(pe), pe.index));
+            prop_assert_eq!(m.pick_worker(c), earliest);
+            let free_now = m.worker_pes(c).into_iter().find(|pe| free_at(pe) <= now);
+            prop_assert_eq!(m.free_worker(c, now), free_now);
+        }
+        prop_assert_eq!(m.pick_worker(2), Some(PeId::new(2, survivor)));
+        prop_assert_eq!(m.kernel_pe(2), PeId::new(2, survivor));
+    }
+
     /// Charging random work to random PEs keeps busy-cycle accounting
     /// consistent with the makespan.
     #[test]
@@ -216,7 +355,7 @@ proptest! {
     ) {
         let mut m = Machine::new(MachineConfig::clustered(4, 4, Topology::Crossbar));
         for &(c, p, flops) in &work {
-            let _ = m.charge(0, PeId::new(c, p), fem2_machine::CostClass::Flop, flops);
+            let _ = m.charge(0, PeId::new(c, p), CostClass::Flop, flops);
         }
         let total_flops: u64 = work.iter().map(|&(_, _, f)| f).sum();
         prop_assert_eq!(m.stats.total().flops, total_flops);

@@ -162,16 +162,22 @@ impl SimState {
         let mut t = at;
         let mut attempt = 0u32;
         loop {
-            let route = self.machine.network.route_links(from, to);
             let arrive = self
                 .machine
                 .try_transmit(t, from, to, words)
                 .expect("no live route for window exchange");
+            // Only a planned fault due during the flight can lose the
+            // packet, so the links it crossed are looked up just then; the
+            // fault state, and with it the route, has not changed since
+            // the transmit.
+            let route = self
+                .faults
+                .next_at()
+                .filter(|&due| due <= arrive)
+                .and_then(|_| self.machine.network.route_links(from, to));
             let fired = self.apply_faults_through(arrive);
             let lost = fired
-                && route
-                    .as_deref()
-                    .is_some_and(|ls| ls.iter().any(|&l| self.machine.network.link_is_dead(l)));
+                && route.is_some_and(|ls| ls.iter().any(|&l| self.machine.network.link_is_dead(l)));
             if !lost {
                 return arrive;
             }

@@ -1128,6 +1128,15 @@ mod tests {
         assert_eq!(status, 422, "{resp}");
         assert!(resp.contains("fat-tree radix"), "{resp}");
         assert!(resp.contains("does not divide"), "{resp}");
+        // A crossbar with more link ids (n²) than a route's u32 hops can
+        // name is refused the same way, not left to overflow or panic.
+        let xbar = body
+            .replace(r#"{"Torus":{"dims":[3,5]}}"#, r#""Crossbar""#)
+            .replace(r#""clusters":16"#, r#""clusters":70000"#);
+        let (status, resp) = client::request(addr, "POST", "/jobs", Some(&xbar)).unwrap();
+        assert_eq!(status, 422, "{resp}");
+        assert!(resp.contains("field `machine`"), "{resp}");
+        assert!(resp.contains("link ids"), "{resp}");
         // The factoring variant of the same submission is admitted.
         let good = body.replace("[3,5]", "[4,4]");
         let (status, resp) = client::request(addr, "POST", "/jobs", Some(&good)).unwrap();
