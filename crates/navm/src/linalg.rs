@@ -5,10 +5,19 @@
 //! computes real values *and* charges the simulated machine when the VM
 //! runs on the simulated plane.
 //!
-//! Reductions use a fixed chunk size ([`REDUCE_GRAIN`]) with partials folded
-//! in chunk order on **both** planes, so native and simulated runs produce
-//! bitwise-identical floating-point results — the plane-equivalence property
-//! the integration tests check.
+//! The host arithmetic of each operation is **one slice kernel** (the free
+//! functions below) that the sequential arm, the pooled arm of a sharded
+//! simulation and the native plane all call, so every plane rounds the same
+//! way — the plane-equivalence property the integration tests check. Two
+//! contracts fix the bits:
+//!
+//! * **Reductions.** One partial per [`REDUCE_GRAIN`] chunk, each summed
+//!   left to right from `0.0`; partials are folded in chunk order from
+//!   `0.0`. The combination tree depends only on `n`. How many chunks a
+//!   kernel advances together is an implementation detail no result depends
+//!   on.
+//! * **Stencil.** Every point is `4·c − l − r − u − d`, subtracted in that
+//!   order, with the terms of out-of-grid neighbours skipped.
 
 use crate::runtime::{ArrayId, NaVm, Plane};
 use crate::task::TaskHandle;
@@ -19,41 +28,144 @@ use fem2_trace::{EventKind, TraceEvent, WindowStage, NO_PE};
 /// Chunk size for deterministic reductions, elements.
 pub const REDUCE_GRAIN: usize = 1024;
 
-/// Fold `f` over `[0, n)` in chunks of [`REDUCE_GRAIN`], combining chunk
-/// partials in order. The combination tree depends only on `n`.
-fn chunked_fold_seq(n: usize, f: impl Fn(usize) -> f64) -> f64 {
-    let mut total = 0.0;
-    let mut start = 0;
-    while start < n {
-        let end = (start + REDUCE_GRAIN).min(n);
-        let mut acc = 0.0;
-        for i in start..end {
-            acc += f(i);
+/// Chunks one pooled work item of a reduction covers: the widest step of
+/// [`dot_partials`].
+const REDUCE_SPAN: usize = 8;
+
+/// Advance `L` whole chunks together for as long as `L` remain: `L`
+/// independent left-to-right add chains whose latencies overlap. Each
+/// partial is exactly the sum a chunk-at-a-time loop produces. Returns the
+/// number of chunks consumed.
+fn dot_lanes<const L: usize>(
+    x: &[[f64; REDUCE_GRAIN]],
+    y: &[[f64; REDUCE_GRAIN]],
+    out: &mut [f64],
+) -> usize {
+    let (xl, _) = x.as_chunks::<L>();
+    let (yl, _) = y.as_chunks::<L>();
+    let (ol, _) = out.as_chunks_mut::<L>();
+    for ((x, y), o) in xl.iter().zip(yl).zip(ol) {
+        let mut acc = [0.0; L];
+        for i in 0..REDUCE_GRAIN {
+            for l in 0..L {
+                acc[l] += x[l][i] * y[l][i];
+            }
         }
-        total += acc;
-        start = end;
+        *o = acc;
     }
-    total
+    xl.len() * L
 }
 
-/// Disjoint mutable access to two arrays of the registry.
-fn two_arrays(
-    arrays: &mut [crate::runtime::DArray],
-    a: ArrayId,
-    b: ArrayId,
-) -> (&mut crate::runtime::DArray, &mut crate::runtime::DArray) {
-    let (i, j) = (a.0 as usize, b.0 as usize);
-    assert_ne!(i, j, "aliasing arrays");
-    if i < j {
-        let (lo, hi) = arrays.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = arrays.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
+/// The reduction kernel: `out[c] = Σ x[i]·y[i]` over chunk `c` of
+/// [`REDUCE_GRAIN`] elements, summed left to right from `0.0`. Whole chunks
+/// advance 8, then 4, then 1 at a time; the short tail chunk comes last.
+fn dot_partials(x: &[f64], y: &[f64], out: &mut [f64]) {
+    assert_eq!(
+        out.len(),
+        x.len().div_ceil(REDUCE_GRAIN),
+        "one partial per chunk"
+    );
+    let (xc, xt) = x.as_chunks::<REDUCE_GRAIN>();
+    let (yc, yt) = y.as_chunks::<REDUCE_GRAIN>();
+    let mut c = dot_lanes::<REDUCE_SPAN>(xc, yc, out);
+    c += dot_lanes::<4>(&xc[c..], &yc[c..], &mut out[c..]);
+    c += dot_lanes::<1>(&xc[c..], &yc[c..], &mut out[c..]);
+    if let Some(tail) = out.get_mut(c) {
+        *tail = dot_row(xt, yt);
+    }
+}
+
+/// `y ← y + alpha·x`.
+fn axpy_slice(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for (y, x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
+    }
+}
+
+/// `y ← x + beta·y`.
+fn xpby_slice(x: &[f64], beta: f64, y: &mut [f64]) {
+    for (y, x) in y.iter_mut().zip(x) {
+        *y = x + beta * *y;
+    }
+}
+
+/// `x ← alpha·x`.
+fn scale_slice(alpha: f64, x: &mut [f64]) {
+    for v in x {
+        *v *= alpha;
+    }
+}
+
+/// `Σ row[c]·x[c]`, left to right from `0.0`.
+fn dot_row(row: &[f64], x: &[f64]) -> f64 {
+    row.iter().zip(x).fold(0.0, |acc, (a, b)| acc + a * b)
+}
+
+/// One grid row of the 5-point stencil: `out[i] = 4·c[i] − c[i−1] − c[i+1]
+/// − up[i] − down[i]`, subtracted in that order, absent neighbours skipped.
+/// `up`/`down` are the neighbouring rows, `None` at the grid edge.
+fn stencil_row(out: &mut [f64], c: &[f64], up: Option<&[f64]>, down: Option<&[f64]>) {
+    let nx = c.len();
+    let point = |i: usize| {
+        let mut v = 4.0 * c[i];
+        if i > 0 {
+            v -= c[i - 1];
+        }
+        if i + 1 < nx {
+            v -= c[i + 1];
+        }
+        if let Some(u) = up {
+            v -= u[i];
+        }
+        if let Some(d) = down {
+            v -= d[i];
+        }
+        v
+    };
+    if nx < 3 {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = point(i);
+        }
+        return;
+    }
+    // Two peeled end points, then an interior of equal-length windows with
+    // no edge test left in the loop.
+    out[0] = point(0);
+    out[nx - 1] = point(nx - 1);
+    let horizontal = out[1..nx - 1]
+        .iter_mut()
+        .zip(&c[1..nx - 1])
+        .zip(c[..nx - 2].iter().zip(&c[2..]));
+    match (up, down) {
+        (Some(u), Some(d)) => {
+            let vertical = u[1..nx - 1].iter().zip(&d[1..nx - 1]);
+            for (((o, c), (l, r)), (u, d)) in horizontal.zip(vertical) {
+                *o = 4.0 * c - l - r - u - d;
+            }
+        }
+        (Some(v), None) | (None, Some(v)) => {
+            for (((o, c), (l, r)), v) in horizontal.zip(&v[1..nx - 1]) {
+                *o = 4.0 * c - l - r - v;
+            }
+        }
+        (None, None) => {
+            for ((o, c), (l, r)) in horizontal {
+                *o = 4.0 * c - l - r;
+            }
+        }
     }
 }
 
 impl NaVm {
+    /// The elements of `src` (shared) beside those of `dst` (mutable).
+    fn src_dst(&mut self, src: ArrayId, dst: ArrayId) -> (&[f64], &mut [f64]) {
+        let [s, d] = self
+            .arrays
+            .get_disjoint_mut([src.0 as usize, dst.0 as usize])
+            .expect("aliasing arrays");
+        (&s.data, &mut d.data)
+    }
+
     fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
         if let Plane::Sim(_) = self.plane {
             let work: Vec<(TaskHandle, WorkProfile)> = self
@@ -93,26 +205,19 @@ impl NaVm {
             let pool = self.pool().cloned();
             let xd = &self.arrays[x.0 as usize].data;
             let yd = &self.arrays[y.0 as usize].data;
+            let mut partials = vec![0.0; n.div_ceil(REDUCE_GRAIN)];
             match pool {
-                // Partials are combined in chunk order, so the pooled fold
-                // rounds identically to `chunked_fold_seq`.
-                Some(pool) => pool.map_reduce_index(
-                    0..n.div_ceil(REDUCE_GRAIN),
-                    1,
-                    |chunk| {
-                        let s = chunk * REDUCE_GRAIN;
-                        let e = (s + REDUCE_GRAIN).min(n);
-                        let mut acc = 0.0;
-                        for i in s..e {
-                            acc += xd[i] * yd[i];
-                        }
-                        acc
-                    },
-                    |a, b| a + b,
-                    0.0,
-                ),
-                None => chunked_fold_seq(n, |i| xd[i] * yd[i]),
+                Some(pool) => {
+                    fem2_par::chunks_mut(&pool, &mut partials, REDUCE_SPAN, |s, out| {
+                        let lo = s * REDUCE_SPAN * REDUCE_GRAIN;
+                        let hi = (lo + REDUCE_SPAN * REDUCE_GRAIN).min(n);
+                        dot_partials(&xd[lo..hi], &yd[lo..hi], out);
+                    });
+                }
+                None => dot_partials(xd, yd, &mut partials),
             }
+            // Folded in chunk order, whichever arm filled them.
+            partials.iter().fold(0.0, |total, p| total + p)
         };
         self.charge_elementwise(
             n,
@@ -137,23 +242,14 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         {
             let pool = self.pool().cloned();
-            let (xa, ya) = two_arrays(&mut self.arrays, x, y);
-            let xd = &xa.data;
-            let yd = &mut ya.data;
+            let (xd, yd) = self.src_dst(x, y);
             match pool {
                 Some(pool) => {
                     fem2_par::chunks_mut(&pool, yd, REDUCE_GRAIN, |c, piece| {
-                        let base = c * REDUCE_GRAIN;
-                        for (k, v) in piece.iter_mut().enumerate() {
-                            *v += alpha * xd[base + k];
-                        }
+                        axpy_slice(alpha, &xd[c * REDUCE_GRAIN..][..piece.len()], piece);
                     });
                 }
-                None => {
-                    for i in 0..n {
-                        yd[i] += alpha * xd[i];
-                    }
-                }
+                None => axpy_slice(alpha, xd, yd),
             }
         }
         self.charge_elementwise(
@@ -172,23 +268,14 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         {
             let pool = self.pool().cloned();
-            let (xa, ya) = two_arrays(&mut self.arrays, x, y);
-            let xd = &xa.data;
-            let yd = &mut ya.data;
+            let (xd, yd) = self.src_dst(x, y);
             match pool {
                 Some(pool) => {
                     fem2_par::chunks_mut(&pool, yd, REDUCE_GRAIN, |c, piece| {
-                        let base = c * REDUCE_GRAIN;
-                        for (k, v) in piece.iter_mut().enumerate() {
-                            *v = xd[base + k] + beta * *v;
-                        }
+                        xpby_slice(&xd[c * REDUCE_GRAIN..][..piece.len()], beta, piece);
                     });
                 }
-                None => {
-                    for i in 0..n {
-                        yd[i] = xd[i] + beta * yd[i];
-                    }
-                }
+                None => xpby_slice(xd, beta, yd),
             }
         }
         self.charge_elementwise(
@@ -209,16 +296,10 @@ impl NaVm {
         match pool {
             Some(pool) => {
                 fem2_par::chunks_mut(&pool, xd, REDUCE_GRAIN, |_, piece| {
-                    for v in piece.iter_mut() {
-                        *v *= alpha;
-                    }
+                    scale_slice(alpha, piece);
                 });
             }
-            None => {
-                for v in xd.iter_mut() {
-                    *v *= alpha;
-                }
-            }
+            None => scale_slice(alpha, xd),
         }
         self.charge_elementwise(
             n,
@@ -235,8 +316,8 @@ impl NaVm {
         let n = self.len(x);
         assert_eq!(n, self.len(y), "length mismatch");
         {
-            let (xa, ya) = two_arrays(&mut self.arrays, x, y);
-            ya.data.copy_from_slice(&xa.data);
+            let (xd, yd) = self.src_dst(x, y);
+            yd.copy_from_slice(xd);
         }
         self.charge_elementwise(
             n,
@@ -275,31 +356,19 @@ impl NaVm {
             }
         }
         // Compute: y[r] = Σ_c A[r][c] x[c].
-        let xd = self.arrays[x.0 as usize].data.clone();
         {
             let pool = self.pool().cloned();
-            let (aa, ya) = two_arrays(&mut self.arrays, a, y);
-            let ad = &aa.data;
-            let yd = &mut ya.data;
+            let [aa, xa, ya] = self
+                .arrays
+                .get_disjoint_mut([a.0 as usize, x.0 as usize, y.0 as usize])
+                .expect("aliasing arrays");
+            let (ad, xd, yd) = (&aa.data, &xa.data, &mut ya.data);
+            let row = |r: usize| dot_row(&ad[r * ncols..(r + 1) * ncols], xd);
             match pool {
-                Some(pool) => {
-                    fem2_par::chunks_mut(&pool, yd, 1, |r, out| {
-                        let row = &ad[r * ncols..(r + 1) * ncols];
-                        let mut acc = 0.0;
-                        for (c, &v) in row.iter().enumerate() {
-                            acc += v * xd[c];
-                        }
-                        out[0] = acc;
-                    });
-                }
+                Some(pool) => fem2_par::chunks_mut(&pool, yd, 1, |r, out| out[0] = row(r)),
                 None => {
-                    for r in 0..m {
-                        let row = &ad[r * ncols..(r + 1) * ncols];
-                        let mut acc = 0.0;
-                        for (c, &v) in row.iter().enumerate() {
-                            acc += v * xd[c];
-                        }
-                        yd[r] = acc;
+                    for (r, out) in yd.iter_mut().enumerate() {
+                        *out = row(r);
                     }
                 }
             }
@@ -401,37 +470,20 @@ impl NaVm {
             }
         }
         // Compute.
-        let xd = self.arrays[x.0 as usize].data.clone();
         {
             let pool = self.pool().cloned();
-            let ya = &mut self.arrays[y.0 as usize];
-            let yd = &mut ya.data;
-            let stencil_row = |j: usize, out: &mut [f64]| {
-                for (i, o) in out.iter_mut().enumerate() {
-                    let idx = j * nx + i;
-                    let mut v = 4.0 * xd[idx];
-                    if i > 0 {
-                        v -= xd[idx - 1];
-                    }
-                    if i + 1 < nx {
-                        v -= xd[idx + 1];
-                    }
-                    if j > 0 {
-                        v -= xd[idx - nx];
-                    }
-                    if j + 1 < ny {
-                        v -= xd[idx + nx];
-                    }
-                    *o = v;
-                }
+            let (xd, yd) = self.src_dst(x, y);
+            let grid_row = |j: usize| &xd[j * nx..(j + 1) * nx];
+            let row = |j: usize, out: &mut [f64]| {
+                let up = (j > 0).then(|| grid_row(j - 1));
+                let down = (j + 1 < ny).then(|| grid_row(j + 1));
+                stencil_row(out, grid_row(j), up, down);
             };
             match pool {
-                Some(pool) => {
-                    fem2_par::chunks_mut(&pool, yd, nx, |j, out| stencil_row(j, out));
-                }
+                Some(pool) => fem2_par::chunks_mut(&pool, yd, nx, row),
                 None => {
                     for (j, out) in yd.chunks_mut(nx).enumerate() {
-                        stencil_row(j, out);
+                        row(j, out);
                     }
                 }
             }
@@ -452,6 +504,7 @@ mod tests {
     use super::*;
     use fem2_machine::MachineConfig;
     use fem2_par::Pool;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn sim(ntasks: u32) -> NaVm {
@@ -460,6 +513,182 @@ mod tests {
 
     fn native() -> NaVm {
         NaVm::native(Arc::new(Pool::new(4)), 4)
+    }
+
+    /// Every way a kernel is reached: the sequential simulated plane, the
+    /// native plane on 1 and on 4 threads, and the pooled arm of a sharded
+    /// simulation.
+    fn planes() -> Vec<NaVm> {
+        let mut sharded = MachineConfig::fem2_default();
+        sharded.des_shards = 4;
+        vec![
+            sim(4),
+            NaVm::native(Arc::new(Pool::new(1)), 4),
+            native(),
+            NaVm::simulated(sharded, 4),
+        ]
+    }
+
+    fn vector_of(vm: &mut NaVm, data: &[f64]) -> ArrayId {
+        let id = vm.vector(data.len());
+        vm.fill(id, |i, _| data[i]);
+        id
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// `n` values of mixed sign and magnitude (2⁻³⁰…2³⁰), one in sixteen a
+    /// signed zero, from a SplitMix64 stream.
+    fn mixed_values(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
+                if (z >> 1) & 15 == 0 {
+                    return sign * 0.0;
+                }
+                let exponent = ((z >> 5) % 61) as i32 - 30;
+                let mantissa = 1.0 + (z >> 12) as f64 / (1u64 << 52) as f64;
+                sign * mantissa * 2f64.powi(exponent)
+            })
+            .collect()
+    }
+
+    /// Oracle: the element-by-element chunk fold `inner` ran before the
+    /// slice kernels — the reduction contract written out.
+    fn inner_oracle(x: &[f64], y: &[f64]) -> f64 {
+        let n = x.len();
+        let mut total = 0.0;
+        let mut start = 0;
+        while start < n {
+            let end = (start + REDUCE_GRAIN).min(n);
+            let mut acc = 0.0;
+            for i in start..end {
+                acc += x[i] * y[i];
+            }
+            total += acc;
+            start = end;
+        }
+        total
+    }
+
+    /// Oracle: the per-point stencil with its four edge tests.
+    fn stencil_oracle(x: &[f64], nx: usize, ny: usize) -> Vec<f64> {
+        let mut y = vec![0.0; nx * ny];
+        for j in 0..ny {
+            for i in 0..nx {
+                let idx = j * nx + i;
+                let mut v = 4.0 * x[idx];
+                if i > 0 {
+                    v -= x[idx - 1];
+                }
+                if i + 1 < nx {
+                    v -= x[idx + 1];
+                }
+                if j > 0 {
+                    v -= x[idx - nx];
+                }
+                if j + 1 < ny {
+                    v -= x[idx + nx];
+                }
+                y[idx] = v;
+            }
+        }
+        y
+    }
+
+    fn assert_inner_matches_oracle(seed: u64, n: usize) {
+        let x = mixed_values(seed, n);
+        let y = mixed_values(seed ^ 0x5bd1_e995, n);
+        let want = inner_oracle(&x, &y);
+        let want_norm = inner_oracle(&x, &x);
+        for (p, mut vm) in planes().into_iter().enumerate() {
+            let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
+            let got = vm.inner(xa, ya);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "n {n} plane {p}: {got} vs {want}"
+            );
+            let got = vm.inner(xa, xa);
+            assert_eq!(got.to_bits(), want_norm.to_bits(), "n {n} plane {p}: x·x");
+        }
+    }
+
+    #[test]
+    fn inner_matches_chunk_fold_oracle_at_lane_boundaries() {
+        let g = REDUCE_GRAIN;
+        let sizes = [
+            1,
+            g - 1,
+            g,
+            g + 1,
+            4 * g - 1,
+            4 * g + 1,
+            8 * g - 1,
+            8 * g + 1,
+            12 * g + 7,
+            25_600,
+        ];
+        for (k, n) in sizes.into_iter().enumerate() {
+            assert_inner_matches_oracle(1983 + k as u64, n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn inner_matches_chunk_fold_oracle(n in 1usize..=40_000, seed in any::<u64>()) {
+            assert_inner_matches_oracle(seed, n);
+        }
+    }
+
+    #[test]
+    fn stencil5_matches_per_point_oracle() {
+        let grids = (1..=6usize)
+            .flat_map(|nx| (1..=6usize).map(move |ny| (nx, ny)))
+            .chain([(131, 125)]);
+        for (nx, ny) in grids {
+            let x = mixed_values((nx * 1000 + ny) as u64, nx * ny);
+            let want = stencil_oracle(&x, nx, ny);
+            for (p, mut vm) in planes().into_iter().enumerate() {
+                let xa = vector_of(&mut vm, &x);
+                let ya = vm.vector(nx * ny);
+                vm.stencil5(xa, ya, nx, ny);
+                assert_bits_eq(&vm.snapshot(ya), &want, &format!("{nx}x{ny} plane {p}"));
+            }
+        }
+    }
+
+    #[test]
+    fn vector_updates_match_per_element_oracle() {
+        let n = 3 * REDUCE_GRAIN + 517;
+        let x = mixed_values(7, n);
+        let y = mixed_values(11, n);
+        let (alpha, beta) = (-1.375e-3, 0.8125);
+        let axpy: Vec<f64> = x.iter().zip(&y).map(|(x, y)| y + alpha * x).collect();
+        let xpby: Vec<f64> = x.iter().zip(&axpy).map(|(x, y)| x + beta * y).collect();
+        let scaled: Vec<f64> = xpby.iter().map(|y| y * alpha).collect();
+        for (p, mut vm) in planes().into_iter().enumerate() {
+            let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
+            vm.axpy(alpha, xa, ya);
+            assert_bits_eq(&vm.snapshot(ya), &axpy, &format!("axpy plane {p}"));
+            vm.xpby(xa, beta, ya);
+            assert_bits_eq(&vm.snapshot(ya), &xpby, &format!("xpby plane {p}"));
+            vm.scale(ya, alpha);
+            assert_bits_eq(&vm.snapshot(ya), &scaled, &format!("scale plane {p}"));
+        }
     }
 
     #[test]
@@ -534,6 +763,14 @@ mod tests {
         let mut vm = sim(2);
         let x = vm.vector(4);
         vm.axpy(1.0, x, x);
+    }
+
+    #[test]
+    #[should_panic(expected = "aliasing arrays")]
+    fn stencil5_aliasing_rejected() {
+        let mut vm = sim(2);
+        let x = vm.vector(16);
+        vm.stencil5(x, x, 4, 4);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Native plane ≡ simulated plane: the same NA-VM program produces
 //! bitwise-identical numbers on host threads and on the simulated FEM-2.
 
+use fem2_core::scenario::plate_cg;
 use fem2_machine::MachineConfig;
 use fem2_navm::{NaVm, TaskHandle, WorkProfile};
 use fem2_par::Pool;
@@ -42,6 +43,42 @@ fn window_writes_round_trip_identically() {
     vs.write_window(TaskHandle(2), &w_s, &vals);
     vn.write_window(TaskHandle(2), &w_n, &vals);
     assert_eq!(vs.snapshot(a), vn.snapshot(b));
+}
+
+/// A whole CG solve, not one operation: every iteration feeds the rounding
+/// of `stencil5`, `inner`, `axpy` and `xpby` into the next, so one differing
+/// bit anywhere changes the iteration count or the residual. The 101×93
+/// grid is not square and spans ten reduction chunks (nine whole ones and a
+/// tail), so the reduction takes its widest step, single chunks and the tail.
+#[test]
+fn plate_cg_agrees_across_planes() {
+    let (nx, ny) = (101, 93);
+    let mut sharded = MachineConfig::fem2_default();
+    sharded.des_shards = 4;
+    let vms = [
+        NaVm::simulated(MachineConfig::fem2_default(), 8),
+        NaVm::native(Arc::new(Pool::new(1)), 8),
+        NaVm::native(Arc::new(Pool::new(4)), 8),
+        NaVm::simulated(sharded, 8),
+    ];
+    let runs: Vec<(usize, u64, Vec<u64>)> = vms
+        .into_iter()
+        .map(|mut vm| {
+            let (iters, res, x) = plate_cg(&mut vm, nx, ny, 1e-8, 2000);
+            let bits = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
+            (iters, res.to_bits(), bits)
+        })
+        .collect();
+    assert!(
+        runs[0].0 > 100 && runs[0].0 < 2000,
+        "CG converged: {}",
+        runs[0].0
+    );
+    for (p, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(run.0, runs[0].0, "plane {p}: iterations");
+        assert_eq!(run.1, runs[0].1, "plane {p}: residual bits");
+        assert!(run.2 == runs[0].2, "plane {p}: solution bits");
+    }
 }
 
 proptest! {
