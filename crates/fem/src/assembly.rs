@@ -24,9 +24,9 @@ pub fn element_dofs(nodes: &[usize]) -> Vec<usize> {
 /// Compute one element's stiffness and dof map.
 pub fn element_matrix(mesh: &Mesh, elem: usize, mat: &Material) -> ElementMatrix {
     let e = &mesh.elements[elem];
-    let coords: Vec<_> = e.nodes.iter().map(|&n| mesh.nodes[n]).collect();
+    let (coords, nodes) = mesh.element_coords(elem);
     ElementMatrix {
-        k: stiffness(e.kind, &coords, mat),
+        k: stiffness(e.kind, &coords[..nodes], mat),
         dofs: element_dofs(&e.nodes),
     }
 }

@@ -109,17 +109,39 @@ pub(crate) fn tri3_geometry(coords: &[Node]) -> (f64, [f64; 3], [f64; 3]) {
     (area2 / 2.0, b, c)
 }
 
-/// Build the 3×n strain-displacement matrix from per-dof (b, c) rows and
-/// form `t·w·Bᵀ·D·B`.
-fn btdb(b_mat: &DenseMatrix, mat: &Material, tw: f64) -> DenseMatrix {
+/// A 3×`N` strain-displacement matrix (`N` element dofs), on the stack.
+pub(crate) type StrainDisp<const N: usize> = [[f64; N]; 3];
+
+/// `t·w·Bᵀ·D·B` for the plane-stress `D` of `mat`.
+///
+/// The order of operations is fixed: row `i` of `BᵀD`, then of `(BᵀD)·B`,
+/// is summed from 0.0 over the three strain components in order, a
+/// component whose factor is exactly zero adds nothing (not even a signed
+/// zero), and `tw` multiplies each finished entry.
+fn btdb<const N: usize>(b: &StrainDisp<N>, mat: &Material, tw: f64) -> [[f64; N]; N] {
     let (d11, d12, d33) = mat.plane_stress_d();
-    let d = DenseMatrix::from_rows(3, 3, &[d11, d12, 0.0, d12, d11, 0.0, 0.0, 0.0, d33]);
-    let bt = b_mat.transpose();
-    let mut k = bt.matmul(&d).matmul(b_mat);
-    let n = k.rows();
-    for i in 0..n {
-        for j in 0..n {
-            k[(i, j)] *= tw;
+    let d = [[d11, d12, 0.0], [d12, d11, 0.0], [0.0, 0.0, d33]];
+    let mut k = [[0.0; N]; N];
+    for (i, ki) in k.iter_mut().enumerate() {
+        let mut btd = [0.0; 3];
+        for (bc, dc) in b.iter().zip(&d) {
+            if bc[i] == 0.0 {
+                continue;
+            }
+            for (o, dcj) in btd.iter_mut().zip(dc) {
+                *o += bc[i] * dcj;
+            }
+        }
+        for (f, bc) in btd.iter().zip(b) {
+            if *f == 0.0 {
+                continue;
+            }
+            for (o, bcj) in ki.iter_mut().zip(bc) {
+                *o += f * bcj;
+            }
+        }
+        for o in ki.iter_mut() {
+            *o *= tw;
         }
     }
     k
@@ -128,19 +150,20 @@ fn btdb(b_mat: &DenseMatrix, mat: &Material, tw: f64) -> DenseMatrix {
 fn tri3(coords: &[Node], mat: &Material) -> DenseMatrix {
     let (area, b, c) = tri3_geometry(coords);
     let f = 1.0 / (2.0 * area);
-    let mut bm = DenseMatrix::zeros(3, 6);
+    let mut bm: StrainDisp<6> = [[0.0; 6]; 3];
     for i in 0..3 {
-        bm[(0, 2 * i)] = f * b[i];
-        bm[(1, 2 * i + 1)] = f * c[i];
-        bm[(2, 2 * i)] = f * c[i];
-        bm[(2, 2 * i + 1)] = f * b[i];
+        bm[0][2 * i] = f * b[i];
+        bm[1][2 * i + 1] = f * c[i];
+        bm[2][2 * i] = f * c[i];
+        bm[2][2 * i + 1] = f * b[i];
     }
-    btdb(&bm, mat, mat.thickness * area)
+    let k = btdb(&bm, mat, mat.thickness * area);
+    DenseMatrix::from_rows(6, 6, k.as_flattened())
 }
 
 /// Quad4 strain-displacement matrix and Jacobian determinant at natural
 /// coordinates `(xi, eta)`.
-pub(crate) fn quad4_b_at(coords: &[Node], xi: f64, eta: f64) -> (DenseMatrix, f64) {
+pub(crate) fn quad4_b_at(coords: &[Node], xi: f64, eta: f64) -> (StrainDisp<8>, f64) {
     // Shape function derivatives w.r.t. natural coordinates.
     let dn_dxi = [
         -(1.0 - eta) / 4.0,
@@ -165,14 +188,14 @@ pub(crate) fn quad4_b_at(coords: &[Node], xi: f64, eta: f64) -> (DenseMatrix, f6
     let det = j11 * j22 - j12 * j21;
     assert!(det > 0.0, "quad Jacobian not positive (bad node order?)");
     let inv = [j22 / det, -j12 / det, -j21 / det, j11 / det];
-    let mut bm = DenseMatrix::zeros(3, 8);
+    let mut bm: StrainDisp<8> = [[0.0; 8]; 3];
     for i in 0..4 {
         let dn_dx = inv[0] * dn_dxi[i] + inv[1] * dn_deta[i];
         let dn_dy = inv[2] * dn_dxi[i] + inv[3] * dn_deta[i];
-        bm[(0, 2 * i)] = dn_dx;
-        bm[(1, 2 * i + 1)] = dn_dy;
-        bm[(2, 2 * i)] = dn_dy;
-        bm[(2, 2 * i + 1)] = dn_dx;
+        bm[0][2 * i] = dn_dx;
+        bm[1][2 * i + 1] = dn_dy;
+        bm[2][2 * i] = dn_dy;
+        bm[2][2 * i + 1] = dn_dx;
     }
     (bm, det)
 }
@@ -180,25 +203,111 @@ pub(crate) fn quad4_b_at(coords: &[Node], xi: f64, eta: f64) -> (DenseMatrix, f6
 fn quad4(coords: &[Node], mat: &Material) -> DenseMatrix {
     let g = 1.0 / 3.0f64.sqrt();
     let points = [(-g, -g), (g, -g), (g, g), (-g, g)];
-    let mut k = DenseMatrix::zeros(8, 8);
+    let mut k = [[0.0; 8]; 8];
     for (xi, eta) in points {
         let (bm, det) = quad4_b_at(coords, xi, eta);
         let kg = btdb(&bm, mat, mat.thickness * det); // weight = 1
-        for i in 0..8 {
-            for j in 0..8 {
-                k[(i, j)] += kg[(i, j)];
+        for (row, grow) in k.iter_mut().zip(&kg) {
+            for (o, g) in row.iter_mut().zip(grow) {
+                *o += g;
             }
         }
     }
-    k
+    DenseMatrix::from_rows(8, 8, k.as_flattened())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::testmat::assert_bits_eq;
 
     fn n(x: f64, y: f64) -> Node {
         Node { x, y }
+    }
+
+    /// Oracle: `t·w·Bᵀ·D·B` as three `DenseMatrix` products — the order of
+    /// operations the stack form keeps (`matmul` skips exact-zero factors).
+    fn btdb_oracle(b_mat: &DenseMatrix, mat: &Material, tw: f64) -> DenseMatrix {
+        let (d11, d12, d33) = mat.plane_stress_d();
+        let d = DenseMatrix::from_rows(3, 3, &[d11, d12, 0.0, d12, d11, 0.0, 0.0, 0.0, d33]);
+        let mut k = b_mat.transpose().matmul(&d).matmul(b_mat);
+        for i in 0..k.rows() {
+            for j in 0..k.cols() {
+                k[(i, j)] *= tw;
+            }
+        }
+        k
+    }
+
+    /// Oracle: Tri3 and Quad4 stiffness through `btdb_oracle`, one heap
+    /// matrix per product per Gauss point.
+    fn stiffness_oracle(kind: ElementKind, coords: &[Node], mat: &Material) -> DenseMatrix {
+        match kind {
+            ElementKind::Bar2 => bar2(coords, mat),
+            ElementKind::Tri3 => {
+                let (area, b, c) = tri3_geometry(coords);
+                let f = 1.0 / (2.0 * area);
+                let mut bm = DenseMatrix::zeros(3, 6);
+                for i in 0..3 {
+                    bm[(0, 2 * i)] = f * b[i];
+                    bm[(1, 2 * i + 1)] = f * c[i];
+                    bm[(2, 2 * i)] = f * c[i];
+                    bm[(2, 2 * i + 1)] = f * b[i];
+                }
+                btdb_oracle(&bm, mat, mat.thickness * area)
+            }
+            ElementKind::Quad4 => {
+                let g = 1.0 / 3.0f64.sqrt();
+                let mut k = DenseMatrix::zeros(8, 8);
+                for (xi, eta) in [(-g, -g), (g, -g), (g, g), (-g, g)] {
+                    let (bm, det) = quad4_b_at(coords, xi, eta);
+                    let bm = DenseMatrix::from_rows(3, 8, bm.as_flattened());
+                    let kg = btdb_oracle(&bm, mat, mat.thickness * det);
+                    for i in 0..8 {
+                        for j in 0..8 {
+                            k[(i, j)] += kg[(i, j)];
+                        }
+                    }
+                }
+                k
+            }
+        }
+    }
+
+    #[test]
+    fn stiffness_matches_dense_product_oracle_bitwise() {
+        let (s, c) = (0.6, 0.8); // an exact rotation: 0.36 + 0.64 = 1
+        let turn = |p: &[Node]| -> Vec<Node> {
+            p.iter()
+                .map(|q| n(c * q.x - s * q.y, s * q.x + c * q.y))
+                .collect()
+        };
+        // Axis-aligned elements give `B` and `BᵀD` the exact zeros the
+        // zero-factor skip sees; distorted and rotated ones give none.
+        let tris = [
+            vec![n(0.0, 0.0), n(1.0, 0.0), n(0.0, 1.0)],
+            vec![n(2.0, 1.0), n(4.5, 1.0), n(2.0, 2.25)],
+            vec![n(0.0, 0.0), n(1.0, 0.1), n(0.2, 1.3)],
+            vec![n(-3.1, 0.7), n(1.9, -0.45), n(0.33, 2.71)],
+        ];
+        let quads = [
+            unit_square(),
+            vec![n(1.0, 2.0), n(3.5, 2.0), n(3.5, 2.75), n(1.0, 2.75)],
+            vec![n(0.0, 0.0), n(1.2, 0.1), n(1.1, 1.0), n(-0.1, 0.9)],
+            vec![n(0.3, -0.2), n(2.9, 0.4), n(2.2, 1.9), n(-0.4, 1.1)],
+        ];
+        for mat in [Material::steel(), Material::aluminum(), Material::unit()] {
+            for (kind, shapes) in [(ElementKind::Tri3, &tris), (ElementKind::Quad4, &quads)] {
+                for shape in shapes {
+                    for coords in [shape.clone(), turn(shape)] {
+                        let k = stiffness(kind, &coords, &mat);
+                        let want = stiffness_oracle(kind, &coords, &mat);
+                        assert_eq!((k.rows(), k.cols()), (want.rows(), want.cols()));
+                        assert_bits_eq(k.data(), want.data(), &format!("{kind:?} {coords:?}"));
+                    }
+                }
+            }
+        }
     }
 
     fn unit_square() -> Vec<Node> {

@@ -16,6 +16,9 @@ pub struct Node {
     pub y: f64,
 }
 
+/// The most nodes any [`ElementKind`] connects.
+pub(crate) const MAX_ELEMENT_NODES: usize = 4;
+
 /// An element: a kind plus its node connectivity (indices into the mesh's
 /// node list, counter-clockwise for areal elements).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -49,6 +52,17 @@ impl Mesh {
     /// Number of elements.
     pub fn element_count(&self) -> usize {
         self.elements.len()
+    }
+
+    /// Coordinates of element `elem`'s nodes in connectivity order: a
+    /// fixed buffer and how many of its entries are the element's.
+    pub(crate) fn element_coords(&self, elem: usize) -> ([Node; MAX_ELEMENT_NODES], usize) {
+        let nodes = &self.elements[elem].nodes;
+        let mut buf = [Node { x: 0.0, y: 0.0 }; MAX_ELEMENT_NODES];
+        for (slot, &n) in buf[..nodes.len()].iter_mut().zip(nodes) {
+            *slot = self.nodes[n];
+        }
+        (buf, nodes.len())
     }
 
     /// A chain of `n ≥ 1` bar elements along the x axis, total length

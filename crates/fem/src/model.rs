@@ -155,13 +155,15 @@ impl StructuralModel {
             .load_sets
             .get(load_set)
             .ok_or_else(|| format!("no load set {load_set}"))?;
-        let k = assemble(&self.mesh, &self.material);
         let f_full = ls.to_vector(self.dof_count());
         let free = self.constraints.free_dofs(self.dof_count());
-        let kr = k.submatrix(&free);
         let fr = self.constraints.restrict(&f_full);
+        // The reduced stiffness, for the solvers that read one; the
+        // unreduced K is dropped as soon as it has been reduced.
+        let reduced = || assemble(&self.mesh, &self.material).submatrix(&free);
         let (ur, log) = match choice {
             SolverChoice::Skyline => {
+                let kr = reduced();
                 let x = solver::skyline::solve(&kr, &fr)?;
                 let res = solver::residual_norm(&kr, &x, &fr);
                 let n = kr.order() as u64;
@@ -176,7 +178,7 @@ impl StructuralModel {
                 )
             }
             SolverChoice::Cg { tol } => solver::cg::solve(
-                &kr,
+                &reduced(),
                 &fr,
                 IterControls {
                     rel_tol: tol,
@@ -185,7 +187,7 @@ impl StructuralModel {
                 false,
             ),
             SolverChoice::PreconditionedCg { tol } => solver::cg::solve(
-                &kr,
+                &reduced(),
                 &fr,
                 IterControls {
                     rel_tol: tol,
@@ -194,7 +196,7 @@ impl StructuralModel {
                 true,
             ),
             SolverChoice::Jacobi { tol } => solver::jacobi::solve(
-                &kr,
+                &reduced(),
                 &fr,
                 IterControls {
                     rel_tol: tol,
@@ -202,7 +204,7 @@ impl StructuralModel {
                 },
             ),
             SolverChoice::Sor { omega, tol } => solver::sor::solve(
-                &kr,
+                &reduced(),
                 &fr,
                 omega,
                 IterControls {
@@ -214,7 +216,7 @@ impl StructuralModel {
                 let pool = Pool::new(threads);
                 solver::parallel_cg::solve(
                     &pool,
-                    &kr,
+                    &reduced(),
                     &fr,
                     IterControls {
                         rel_tol: tol,
@@ -463,6 +465,25 @@ mod tests {
         let scale = direct.max_displacement();
         for (a, b) in ebe.displacements.iter().zip(&direct.displacements) {
             assert!((a - b).abs() < 1e-5 * scale);
+        }
+    }
+
+    #[test]
+    fn ebe_cg_matches_assembled_cg_through_analyze() {
+        // The matrix-free arm assembles no global K, yet walks the path
+        // the assembled CG walks: the same operator summed in another
+        // order.
+        let m = cantilever_plate(9, 4, -2e4);
+        let tol = 1e-10;
+        let cg = m.analyze(0, SolverChoice::Cg { tol }).unwrap();
+        let ebe = m
+            .analyze(0, SolverChoice::ElementByElement { tol })
+            .unwrap();
+        assert!(cg.log.converged && ebe.log.converged);
+        assert!(cg.log.iterations.abs_diff(ebe.log.iterations) <= 2);
+        let scale = cg.max_displacement();
+        for (a, b) in ebe.displacements.iter().zip(&cg.displacements) {
+            assert!((a - b).abs() < 1e-7 * scale, "{a} vs {b}");
         }
     }
 

@@ -90,6 +90,54 @@ pub(crate) mod testmat {
     pub fn rhs(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 31 + 7) % 17) as f64 - 8.0).collect()
     }
+
+    /// SplitMix64: the generator behind the bitwise-oracle tests' inputs.
+    pub fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `n` values of either sign with full mantissas and exponents spread
+    /// over 2⁻⁶…2⁶, so that a sum taken in another order rounds differently.
+    pub fn values(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                let z = splitmix(&mut state);
+                let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
+                let exponent = ((z >> 1) % 13) as i32 - 6;
+                let mantissa = 1.0 + (z >> 12) as f64 / (1u64 << 52) as f64;
+                sign * mantissa * 2f64.powi(exponent)
+            })
+            .collect()
+    }
+
+    /// `got` and `want` equal bit for bit, entry by entry.
+    pub fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: entry {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    /// The reduced stiffness and load vector of `cantilever_plate(nx, ny)`:
+    /// the plane-stress system `analyze` hands its solvers.
+    pub fn reduced_cantilever(nx: usize, ny: usize) -> (Csr, Vec<f64>) {
+        let m = crate::model::cantilever_plate(nx, ny, -1e4);
+        let free = m.constraints.free_dofs(m.dof_count());
+        let kr = crate::assembly::assemble(&m.mesh, &m.material).submatrix(&free);
+        let fr = m
+            .constraints
+            .restrict(&m.load_sets[0].to_vector(m.dof_count()));
+        (kr, fr)
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use fem2_par::Pool;
 
 /// Coordinate-format builder: accumulate `(row, col, value)` triplets during
-//  assembly, then compress to CSR (duplicates summed).
+/// assembly, then compress to CSR (duplicates summed).
 #[derive(Clone, Debug, Default)]
 pub struct Coo {
     n: usize,
@@ -169,18 +169,23 @@ impl Csr {
         d
     }
 
-    /// `y ← A·x`, sequential.
+    /// `y ← A·x`, sequential. Every `y[r]` is summed from 0.0 over row
+    /// `r`'s stored entries, left to right.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         let n = self.order();
         assert_eq!(x.len(), n, "x length");
         assert_eq!(y.len(), n, "y length");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.rowptr[r]..self.rowptr[r + 1] {
-                acc += self.vals[k] * x[self.colidx[k]];
-            }
-            *yr = acc;
-        }
+        self.rows_times::<false>(x, 0, y);
+    }
+
+    /// `y ← A·x` as [`Csr::matvec`] computes it, returning `x·y` summed
+    /// from 0.0 in row order — CG's `p·Kp` without a second walk over
+    /// both vectors.
+    pub fn matvec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        let n = self.order();
+        assert_eq!(x.len(), n, "x length");
+        assert_eq!(y.len(), n, "y length");
+        self.rows_times::<true>(x, 0, y)
     }
 
     /// `y ← A·x` with rows in parallel on `pool`.
@@ -188,21 +193,62 @@ impl Csr {
         let n = self.order();
         assert_eq!(x.len(), n, "x length");
         assert_eq!(y.len(), n, "y length");
-        let rowptr = &self.rowptr;
-        let colidx = &self.colidx;
-        let vals = &self.vals;
         let grain = (n / (pool.threads() * 8)).max(64);
         fem2_par::chunks_mut(pool, y, grain, |chunk, piece| {
-            let base = chunk * grain;
-            for (i, out) in piece.iter_mut().enumerate() {
-                let r = base + i;
-                let mut acc = 0.0;
-                for k in rowptr[r]..rowptr[r + 1] {
-                    acc += vals[k] * x[colidx[k]];
-                }
-                *out = acc;
-            }
+            self.rows_times::<false>(x, chunk * grain, piece);
         });
+    }
+
+    /// Rows `base..base + y.len()` of `A·x` into `y`; with `DOT`, also
+    /// `Σ x[r]·y[r]` over those rows in row order from 0.0 (else 0.0).
+    ///
+    /// Four rows advance together over as many entries as the shortest
+    /// has, then each finishes alone: four independent add chains in
+    /// flight instead of one, and no chain reordered.
+    fn rows_times<const DOT: bool>(&self, x: &[f64], base: usize, y: &mut [f64]) -> f64 {
+        let (vals, colidx) = (&self.vals[..], &self.colidx[..]);
+        // Stored entries `from..to` of one row, added to `acc` in order.
+        let tail = |mut acc: f64, from: usize, to: usize| {
+            for (v, c) in vals[from..to].iter().zip(&colidx[from..to]) {
+                acc += v * x[*c];
+            }
+            acc
+        };
+        let mut dot = 0.0;
+        let mut r = base;
+        let mut blocks = y.chunks_exact_mut(4);
+        for out in &mut blocks {
+            let p = &self.rowptr[r..r + 5];
+            let m = (p[1] - p[0])
+                .min(p[2] - p[1])
+                .min(p[3] - p[2])
+                .min(p[4] - p[3]);
+            let head = |q: usize| vals[p[q]..][..m].iter().zip(&colidx[p[q]..][..m]);
+            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+            for ((((v0, c0), (v1, c1)), (v2, c2)), (v3, c3)) in
+                head(0).zip(head(1)).zip(head(2)).zip(head(3))
+            {
+                a0 += v0 * x[*c0];
+                a1 += v1 * x[*c1];
+                a2 += v2 * x[*c2];
+                a3 += v3 * x[*c3];
+            }
+            for (q, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
+                out[q] = tail(acc, p[q] + m, p[q + 1]);
+                if DOT {
+                    dot += x[r + q] * out[q];
+                }
+            }
+            r += 4;
+        }
+        for out in blocks.into_remainder() {
+            *out = tail(0.0, self.rowptr[r], self.rowptr[r + 1]);
+            if DOT {
+                dot += x[r] * *out;
+            }
+            r += 1;
+        }
+        dot
     }
 
     /// Structural + numerical symmetry check within `tol`. O(nnz): builds
@@ -294,6 +340,133 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::testmat::{assert_bits_eq, reduced_cantilever, splitmix, values};
+    use proptest::prelude::*;
+
+    /// Oracle: one row at a time, each summed from 0.0 left to right.
+    fn matvec_oracle(a: &Csr, x: &[f64]) -> Vec<f64> {
+        (0..a.order())
+            .map(|r| {
+                let mut acc = 0.0;
+                for k in a.rowptr[r]..a.rowptr[r + 1] {
+                    acc += a.vals[k] * x[a.colidx[k]];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Oracle: `x·y` from 0.0 in index order.
+    fn dot_oracle(x: &[f64], y: &[f64]) -> f64 {
+        let mut dot = 0.0;
+        for (a, b) in x.iter().zip(y) {
+            dot += a * b;
+        }
+        dot
+    }
+
+    /// `n` rows of 0..=`longest` stored entries each (unsorted columns,
+    /// repeats allowed — `matvec` reads them as stored), about one value
+    /// in eight an explicit signed zero; and an `x` with signed zeros too.
+    fn ragged(n: usize, longest: usize, seed: u64) -> (Csr, Vec<f64>) {
+        let mut state = seed;
+        let spiked = |mut v: Vec<f64>, state: &mut u64| {
+            for e in &mut v {
+                match splitmix(state) % 8 {
+                    0 => *e = 0.0,
+                    1 => *e = -0.0,
+                    _ => {}
+                }
+            }
+            v
+        };
+        let mut rowptr = vec![0];
+        let mut colidx = Vec::new();
+        for _ in 0..n {
+            let len = splitmix(&mut state) as usize % (longest + 1);
+            colidx.extend((0..len).map(|_| splitmix(&mut state) as usize % n));
+            rowptr.push(colidx.len());
+        }
+        let vals = spiked(values(seed ^ 1, colidx.len()), &mut state);
+        let x = spiked(values(seed ^ 2, n), &mut state);
+        (
+            Csr {
+                rowptr,
+                colidx,
+                vals,
+            },
+            x,
+        )
+    }
+
+    /// `matvec`, `matvec_dot` and `matvec_par` (1 and 4 threads) against
+    /// the one-row loop, bit for bit.
+    fn assert_matches_oracle(a: &Csr, x: &[f64], what: &str) {
+        let n = a.order();
+        let want = matvec_oracle(a, x);
+        let mut y = vec![f64::NAN; n];
+        a.matvec(x, &mut y);
+        assert_bits_eq(&y, &want, &format!("{what}: matvec"));
+        y.fill(f64::NAN);
+        let dot = a.matvec_dot(x, &mut y);
+        assert_bits_eq(&y, &want, &format!("{what}: matvec_dot"));
+        assert_eq!(
+            dot.to_bits(),
+            dot_oracle(x, &want).to_bits(),
+            "{what}: the dot of matvec_dot"
+        );
+        for threads in [1, 4] {
+            y.fill(f64::NAN);
+            a.matvec_par(&Pool::new(threads), x, &mut y);
+            assert_bits_eq(&y, &want, &format!("{what}: matvec_par({threads})"));
+        }
+    }
+
+    #[test]
+    fn matvec_family_matches_one_row_oracle() {
+        // Every n mod 4, rows from empty to longer than a block is wide,
+        // and sizes that give `matvec_par` chunks starting off a multiple
+        // of four.
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 37, 130, 4003] {
+            for longest in [0usize, 1, 3, 9, 24] {
+                let (a, x) = ragged(n, longest, (n * 100 + longest) as u64);
+                assert_matches_oracle(&a, &x, &format!("n {n} longest {longest}"));
+            }
+        }
+        let (kr, fr) = reduced_cantilever(12, 7);
+        assert_matches_oracle(&kr, &fr, "cantilever 12x7");
+    }
+
+    #[test]
+    fn row_sums_start_from_positive_zero() {
+        // Four rows whose every product is -0.0, and an empty one: a sum
+        // started from 0.0 is +0.0, one started from its first term is not.
+        let a = Csr {
+            rowptr: vec![0, 2, 3, 3, 5, 6],
+            colidx: vec![0, 1, 2, 3, 4, 0],
+            vals: vec![-1.0, -2.0, 3.0, -0.0, -0.0, -5.0],
+        };
+        let x = [0.0, 0.0, -0.0, 1.0, 2.0];
+        let mut y = vec![f64::NAN; 5];
+        let dot = a.matvec_dot(&x, &mut y);
+        assert_bits_eq(&y, &[0.0; 5], "rows of negative zeros");
+        assert_eq!(dot.to_bits(), 0.0f64.to_bits());
+        assert_matches_oracle(&a, &x, "negative zeros");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn matvec_family_matches_one_row_oracle_prop(
+            n in 1usize..=300,
+            longest in 0usize..=30,
+            seed in any::<u64>(),
+        ) {
+            let (a, x) = ragged(n, longest, seed);
+            assert_matches_oracle(&a, &x, &format!("n {n} longest {longest} seed {seed}"));
+        }
+    }
 
     fn sample() -> Csr {
         // [2 1 0]

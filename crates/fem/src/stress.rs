@@ -50,7 +50,8 @@ fn gather(u: &[f64], nodes: &[usize]) -> Vec<f64> {
 /// * Quad4 — stress at the element centre (ξ = η = 0).
 pub fn element_stress(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> Stress {
     let e = &mesh.elements[elem];
-    let coords: Vec<_> = e.nodes.iter().map(|&n| mesh.nodes[n]).collect();
+    let (coords, nodes) = mesh.element_coords(elem);
+    let coords = &coords[..nodes];
     let ue = gather(u, &e.nodes);
     match e.kind {
         ElementKind::Bar2 => {
@@ -65,7 +66,7 @@ pub fn element_stress(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> St
             }
         }
         ElementKind::Tri3 => {
-            let (area, b, c) = tri3_geometry(&coords);
+            let (area, b, c) = tri3_geometry(coords);
             let f = 1.0 / (2.0 * area);
             // Strains.
             let mut ex = 0.0;
@@ -79,11 +80,11 @@ pub fn element_stress(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> St
             strain_to_stress(mat, ex, ey, gxy)
         }
         ElementKind::Quad4 => {
-            let (bm, _) = quad4_b_at(&coords, 0.0, 0.0);
+            let (bm, _) = quad4_b_at(coords, 0.0, 0.0);
             let mut eps = [0.0; 3];
-            for (row, e_out) in eps.iter_mut().enumerate() {
-                for (j, &uj) in ue.iter().enumerate() {
-                    *e_out += bm[(row, j)] * uj;
+            for (e_out, row) in eps.iter_mut().zip(&bm) {
+                for (b, uj) in row.iter().zip(&ue) {
+                    *e_out += b * uj;
                 }
             }
             strain_to_stress(mat, eps[0], eps[1], eps[2])
@@ -111,6 +112,64 @@ pub fn all_stresses(mesh: &Mesh, mat: &Material, u: &[f64]) -> Vec<Stress> {
 mod tests {
     use super::*;
     use crate::mesh::Node;
+    use crate::solver::testmat::values;
+
+    /// Oracle: element stress from gathered `Vec`s and a heap `B`.
+    fn element_stress_oracle(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> Stress {
+        let e = &mesh.elements[elem];
+        let coords: Vec<_> = e.nodes.iter().map(|&n| mesh.nodes[n]).collect();
+        let ue = gather(u, &e.nodes);
+        match e.kind {
+            ElementKind::Bar2 => element_stress(mesh, elem, mat, u),
+            ElementKind::Tri3 => {
+                let (area, b, c) = tri3_geometry(&coords);
+                let f = 1.0 / (2.0 * area);
+                let (mut ex, mut ey, mut gxy) = (0.0, 0.0, 0.0);
+                for i in 0..3 {
+                    ex += f * b[i] * ue[2 * i];
+                    ey += f * c[i] * ue[2 * i + 1];
+                    gxy += f * (c[i] * ue[2 * i] + b[i] * ue[2 * i + 1]);
+                }
+                strain_to_stress(mat, ex, ey, gxy)
+            }
+            ElementKind::Quad4 => {
+                let (bm, _) = quad4_b_at(&coords, 0.0, 0.0);
+                let bm = crate::dense::DenseMatrix::from_rows(3, 8, bm.as_flattened());
+                let mut eps = [0.0; 3];
+                for (row, e_out) in eps.iter_mut().enumerate() {
+                    for (j, &uj) in ue.iter().enumerate() {
+                        *e_out += bm[(row, j)] * uj;
+                    }
+                }
+                strain_to_stress(mat, eps[0], eps[1], eps[2])
+            }
+        }
+    }
+
+    #[test]
+    fn all_stresses_match_gathered_oracle_bitwise() {
+        // Sheared grids: no element is axis-aligned, no strain term exact.
+        for mut mesh in [
+            Mesh::grid_tri(5, 4, 2.0, 1.5),
+            Mesh::grid_quad(5, 4, 2.0, 1.5),
+        ] {
+            for p in &mut mesh.nodes {
+                *p = Node {
+                    x: p.x + 0.13 * p.y,
+                    y: p.y + 0.07 * p.x,
+                };
+            }
+            let mat = Material::aluminum();
+            let u = values(41, 2 * mesh.node_count());
+            let got = all_stresses(&mesh, &mat, &u);
+            for (e, s) in got.iter().enumerate() {
+                let want = element_stress_oracle(&mesh, e, &mat, &u);
+                for (g, w) in [(s.sx, want.sx), (s.sy, want.sy), (s.txy, want.txy)] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "element {e}: {s:?} vs {want:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn bar_axial_stress_from_stretch() {
