@@ -35,7 +35,9 @@ pub fn solve(k: &Csr, f: &[f64], ctl: IterControls, jacobi_precond: bool) -> (Ve
     let mut iters = 0;
     let mut res = fnorm;
 
-    while iters < ctl.max_iter && res > target {
+    // `res > target` already ends the loop on NaN; `is_finite` ends it on
+    // an overflowed r·r too, one step before the NaN it would turn into.
+    while iters < ctl.max_iter && res > target && res.is_finite() {
         let pkp = k.matvec_dot(&p, &mut kp);
         flops += 2 * k.nnz() as u64;
         flops += 2 * n as u64;

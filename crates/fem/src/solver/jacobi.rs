@@ -9,6 +9,11 @@ use crate::sparse::Csr;
 
 /// Solve `K·u = f` by Jacobi iteration from a zero initial guess.
 ///
+/// Jacobi diverges when `D⁻¹K` has an eigenvalue above 2 (a Quad4
+/// plane-stress plate does this). The solve then returns at the first
+/// non-finite residual: `converged` is false, `residual` is the ∞ or NaN it
+/// reached, and `iterations` is the sweep that produced it.
+///
 /// # Panics
 /// Panics if the matrix has a zero diagonal entry.
 pub fn solve(k: &Csr, f: &[f64], ctl: IterControls) -> (Vec<f64>, SolveLog) {
@@ -27,7 +32,9 @@ pub fn solve(k: &Csr, f: &[f64], ctl: IterControls) -> (Vec<f64>, SolveLog) {
     let mut res = fnorm;
     let mut iters = 0;
     while iters < ctl.max_iter {
-        if res <= target {
+        // A non-finite residual never compares `<= target`: a diverged
+        // iteration stops here, at the sweep that overflowed, not at the cap.
+        if res <= target || !res.is_finite() {
             break;
         }
         k.matvec(&u, &mut ku);
@@ -58,7 +65,7 @@ pub fn solve(k: &Csr, f: &[f64], ctl: IterControls) -> (Vec<f64>, SolveLog) {
 mod tests {
     use super::*;
     use crate::solver::residual_norm;
-    use crate::solver::testmat::{laplacian_2d, rhs};
+    use crate::solver::testmat::{laplacian_2d, reduced_cantilever, rhs};
 
     #[test]
     fn converges_on_spd_system() {
@@ -90,6 +97,32 @@ mod tests {
         let (_, log) = solve(&a, &f, ctl);
         assert_eq!(log.iterations, 5);
         assert!(!log.converged);
+    }
+
+    #[test]
+    fn divergence_stops_at_the_first_non_finite_residual() {
+        // The Quad4 cantilever's D⁻¹K has eigenvalues above 2: the iterate
+        // grows geometrically and overflows within a few thousand sweeps.
+        let (k, f) = reduced_cantilever(12, 7);
+        let ctl = IterControls {
+            rel_tol: 1e-8,
+            max_iter: 500_000,
+        };
+        let (_, log) = solve(&k, &f, ctl);
+        assert!(!log.converged, "{log:?}");
+        assert!(!log.residual.is_finite(), "{log:?}");
+        assert!(
+            log.iterations > 0 && log.iterations < 20_000,
+            "stopped at the overflow, not the cap: {log:?}"
+        );
+        // The log says which sweep: one fewer still had a finite residual.
+        let before = IterControls {
+            max_iter: log.iterations - 1,
+            ..ctl
+        };
+        let (_, earlier) = solve(&k, &f, before);
+        assert!(earlier.residual.is_finite(), "{earlier:?}");
+        assert_eq!(earlier.iterations, log.iterations - 1);
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub fn solve(k: &Csr, f: &[f64], omega: f64, ctl: IterControls) -> (Vec<f64>, So
     let mut iters = 0;
     let mut res = fnorm;
     while iters < ctl.max_iter {
-        if res <= target {
+        // As in Jacobi: a diverged sweep (ω too large for this matrix)
+        // stops at its first non-finite residual, not at the cap.
+        if res <= target || !res.is_finite() {
             break;
         }
         // One forward sweep.
@@ -81,6 +83,24 @@ mod tests {
             sor.iterations,
             gs.iterations
         );
+    }
+
+    #[test]
+    fn divergence_stops_at_the_first_non_finite_residual() {
+        // Not positive definite (eigenvalues 4 and -2): Gauss-Seidel's
+        // iteration matrix has spectral radius 9, so the iterate overflows
+        // after a few hundred sweeps.
+        let mut coo = crate::sparse::Coo::new(2);
+        for (r, c, v) in [(0, 0, 1.0), (0, 1, 3.0), (1, 0, 3.0), (1, 1, 1.0)] {
+            coo.add(r, c, v);
+        }
+        let ctl = IterControls {
+            rel_tol: 1e-8,
+            max_iter: 500_000,
+        };
+        let (_, log) = solve(&coo.to_csr(), &[1.0, 1.0], 1.0, ctl);
+        assert!(!log.converged && !log.residual.is_finite(), "{log:?}");
+        assert!(log.iterations > 0 && log.iterations < 1_000, "{log:?}");
     }
 
     #[test]

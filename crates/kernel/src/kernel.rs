@@ -25,7 +25,13 @@
 //! wire-level ack, before decode), and the sender arms a retransmission
 //! timeout derived from the network's contention-free latency estimate.
 //! A message whose route loses a link mid-flight is dropped at arrival
-//! time; the timeout fires, and the sender retransmits (over the current —
+//! time: each attempt carries the [`Flight`] its transmit returned, and the
+//! packet is lost when [`fem2_machine::Network::flight_lost`] says so — the
+//! network's fault epoch moved since the send *and* a link slot of the route
+//! taken is dead at arrival (a link killed and repaired in between loses
+//! nothing; an unchanged epoch is "not lost" without looking at any link).
+//! Acknowledgements are checked the same way on their way back. The timeout
+//! fires, and the sender retransmits (over the current —
 //! possibly rerouted — path) with exponential backoff, up to
 //! [`KernelConfig::max_retransmits`] attempts. Receivers deduplicate by
 //! sequence number, so a retried delivery is acknowledged but not
@@ -40,7 +46,7 @@ use crate::codeblock::{CodeBlock, CodeId, CodeStore};
 use crate::message::{KernelMessage, MessageKind};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
-    BudgetMeter, CostClass, Cycles, EventQueue, Machine, PeId, RunAborted, ShardMap, Words,
+    BudgetMeter, CostClass, Cycles, EventQueue, Flight, Machine, PeId, RunAborted, ShardMap, Words,
 };
 use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -127,18 +133,18 @@ pub struct KernelStats {
 #[derive(Clone, Debug)]
 enum KEvent {
     /// A message arrives in `to`'s input queue (`from` is the sender, kept
-    /// for receive-side tracing). `seq` is 0 for local (unreliable)
-    /// delivery; `links` records the route taken so a link death mid-flight
-    /// can be recognized at arrival time.
+    /// for receive-side tracing). `seq` is 0 and `flight` is `None` for
+    /// local (unreliable) delivery; a remote message carries the route it
+    /// took so a link death mid-flight can be recognized at arrival time.
     Arrive {
         from: u32,
         to: u32,
         msg: Rc<KernelMessage>,
         seq: u64,
-        links: Vec<usize>,
+        flight: Option<Flight>,
     },
     /// A reliable-delivery acknowledgement arrives back at the sender.
-    AckArrive { seq: u64, links: Vec<usize> },
+    AckArrive { seq: u64, flight: Flight },
     /// A reliable message's retransmission timeout fires.
     Timeout { seq: u64 },
     /// Cluster `cluster`'s kernel PE finished decoding the message at the
@@ -171,6 +177,126 @@ struct PendingMsg {
     attempts: u32,
 }
 
+/// Which task each PE is running: one slot per PE, cluster-major, so slot
+/// order is `PeId` order.
+#[derive(Debug)]
+struct RunningTable {
+    pes_per_cluster: u32,
+    slots: Vec<Option<TaskId>>,
+}
+
+impl RunningTable {
+    fn new(clusters: u32, pes_per_cluster: u32) -> Self {
+        RunningTable {
+            pes_per_cluster,
+            slots: vec![None; clusters as usize * pes_per_cluster as usize],
+        }
+    }
+
+    /// `pe`'s slot; `None` for a PE the machine does not have (a fault
+    /// plan may name one).
+    fn slot(&mut self, pe: PeId) -> Option<&mut Option<TaskId>> {
+        if pe.index >= self.pes_per_cluster {
+            return None;
+        }
+        let i = pe.cluster as usize * self.pes_per_cluster as usize + pe.index as usize;
+        self.slots.get_mut(i)
+    }
+
+    fn insert(&mut self, pe: PeId, task: TaskId) {
+        *self.slot(pe).expect("dispatch picks PEs the machine has") = Some(task);
+    }
+
+    fn remove(&mut self, pe: PeId) -> Option<TaskId> {
+        self.slot(pe)?.take()
+    }
+
+    /// Drop `task` from every PE it is recorded on.
+    fn remove_task(&mut self, task: TaskId) {
+        for slot in &mut self.slots {
+            if *slot == Some(task) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Running tasks in `PeId` order.
+    fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+}
+
+/// Unacknowledged messages by sequence number. Sequence numbers are handed
+/// out densely and in order, so the table is a window `[base, base + len)`
+/// over them: a send appends, an acknowledgement (or dead letter) empties
+/// its slot, and the emptied prefix is dropped — memory follows the
+/// messages in flight, not the messages ever sent.
+#[derive(Debug)]
+struct PendingTable {
+    base: u64,
+    slots: VecDeque<Option<PendingMsg>>,
+}
+
+impl PendingTable {
+    fn new(first_seq: u64) -> Self {
+        PendingTable {
+            base: first_seq,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Record the message with the next sequence number.
+    fn push(&mut self, seq: u64, msg: PendingMsg) {
+        debug_assert_eq!(seq, self.base + self.slots.len() as u64);
+        self.slots.push_back(Some(msg));
+    }
+
+    /// `seq`'s slot; `None` below the window (long acknowledged) or above
+    /// it (never sent).
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<PendingMsg>> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut PendingMsg> {
+        self.slot(seq)?.as_mut()
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<PendingMsg> {
+        let msg = self.slot(seq)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        msg
+    }
+}
+
+/// A set of densely numbered ids (sequence numbers, task ids), one bit
+/// each, growing to the largest id inserted.
+#[derive(Debug, Default)]
+struct DenseBits {
+    words: Vec<u64>,
+}
+
+impl DenseBits {
+    /// Add `id`; `false` if it was already in the set.
+    fn insert(&mut self, id: u64) -> bool {
+        let (word, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        let word = self.words.get((id / 64) as usize);
+        word.is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+    }
+}
+
 /// Per-cluster kernel state.
 #[derive(Debug, Default)]
 struct ClusterState {
@@ -194,7 +320,7 @@ pub struct KernelSim {
     code: CodeStore,
     tasks: Vec<ActivationRecord>,
     /// Which task each PE is currently running.
-    running: BTreeMap<PeId, TaskId>,
+    running: RunningTable,
     /// (task, completion time) in completion order.
     completions: Vec<(TaskId, Cycles)>,
     /// Parent notifications delivered: (child task, arrival time).
@@ -203,15 +329,21 @@ pub struct KernelSim {
     rpc_returns: BTreeMap<u64, Cycles>,
     /// RPC worker tasks: task -> (call_id, reply cluster).
     rpc_tasks: BTreeMap<TaskId, (u64, u32)>,
+    /// Every task that was ever an RPC worker: the one-bit answer that
+    /// spares each ordinary completion a search of `rpc_tasks`.
+    rpc_workers: DenseBits,
     /// Messages processed, by kind.
     msg_counts: BTreeMap<MessageKind, u64>,
     /// Next reliable-delivery sequence number (0 is reserved for local
     /// unreliable sends).
     next_seq: u64,
-    /// Remote messages sent but not yet acknowledged.
-    pending: BTreeMap<u64, PendingMsg>,
-    /// Sequence numbers already delivered (receiver-side dedup).
-    delivered: BTreeSet<u64>,
+    /// Remote messages sent but not yet acknowledged (a window over the
+    /// sequence numbers in flight).
+    pending: PendingTable,
+    /// Sequence numbers already delivered (receiver-side dedup). A
+    /// retransmission can arrive long after its first copy, so no prefix is
+    /// ever safe to drop: one bit per remote message for the life of the sim.
+    delivered: DenseBits,
     /// Cluster-to-shard partition from `MachineConfig::des_shards`, used
     /// for cross-shard message accounting.
     shards: ShardMap,
@@ -220,6 +352,10 @@ pub struct KernelSim {
 }
 
 impl KernelSim {
+    /// Bytes of one kernel DES event as the queue stores it (the calendar
+    /// queue moves whole entries when it inserts into a bucket).
+    pub const EVENT_BYTES: usize = std::mem::size_of::<KEvent>();
+
     /// A kernel over `machine` with default policy.
     pub fn new(machine: Machine) -> Self {
         let clusters = (0..machine.config.clusters)
@@ -227,6 +363,7 @@ impl KernelSim {
             .collect();
         let queue = EventQueue::with_backend(machine.config.des_queue);
         let shards = ShardMap::for_config(&machine.config);
+        let running = RunningTable::new(machine.config.clusters, machine.config.pes_per_cluster);
         KernelSim {
             machine,
             config: KernelConfig::default(),
@@ -234,15 +371,16 @@ impl KernelSim {
             clusters,
             code: CodeStore::new(),
             tasks: Vec::new(),
-            running: BTreeMap::new(),
+            running,
             completions: Vec::new(),
             notifications: Vec::new(),
             rpc_returns: BTreeMap::new(),
             rpc_tasks: BTreeMap::new(),
+            rpc_workers: DenseBits::default(),
             msg_counts: BTreeMap::new(),
             next_seq: 1,
-            pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            pending: PendingTable::new(1),
+            delivered: DenseBits::default(),
             shards,
             stats: KernelStats::default(),
         }
@@ -297,7 +435,7 @@ impl KernelSim {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(
+        self.pending.push(
             seq,
             PendingMsg {
                 from,
@@ -307,16 +445,6 @@ impl KernelSim {
             },
         );
         self.transmit_message(at, from, to, msg, seq, 0);
-    }
-
-    /// Round-trip-based retransmission timeout for one attempt.
-    fn rto(&self, from: u32, to: u32, wire: Words) -> Cycles {
-        let fwd = self.machine.network.estimate(from, to, wire);
-        let back = self
-            .machine
-            .network
-            .estimate(to, from, self.config.ack_words);
-        (fwd + back) * 2 + self.config.rto_slack
     }
 
     /// One transmission attempt (`attempt` 0 is the original send; the
@@ -361,15 +489,21 @@ impl KernelSim {
                     to,
                     msg,
                     seq: 0,
-                    links: Vec::new(),
+                    flight: None,
                 },
             );
             return;
         }
-        let rto = self.rto(from, to, wire);
-        let links = self.machine.network.route_links(from, to);
-        match self.machine.try_transmit(send_done, from, to, wire) {
-            Ok(arrival) => {
+        // One route lookup carries the message and prices its forward leg;
+        // a second prices the acknowledgement's way back.
+        let sent = self.machine.transmit_tracked(send_done, from, to, wire);
+        let back = self
+            .machine
+            .network
+            .estimate(to, from, self.config.ack_words);
+        let rto = (sent.estimate + back) * 2 + self.config.rto_slack;
+        match sent.arrival {
+            Some((arrival, flight)) => {
                 // The conservative-simulation invariant a sharded engine
                 // leans on: no remote message beats the network's minimum
                 // delivery latency, so that latency is a safe lookahead.
@@ -401,11 +535,11 @@ impl KernelSim {
                         to,
                         msg,
                         seq,
-                        links: links.unwrap_or_default(),
+                        flight: Some(flight),
                     },
                 );
             }
-            Err(_) => {
+            None => {
                 // No live route right now; the timeout below retries (a
                 // detour may appear) or eventually dead-letters.
                 self.stats.lost_in_flight += 1;
@@ -534,12 +668,6 @@ impl KernelSim {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Whether a packet that traveled `links` was lost to a link that died
-    /// while it was in flight.
-    fn route_lost(&self, links: &[usize]) -> bool {
-        links.iter().any(|&l| self.machine.network.link_is_dead(l))
-    }
-
     fn handle(&mut self, now: Cycles, ev: KEvent) {
         match ev {
             KEvent::Arrive {
@@ -547,31 +675,24 @@ impl KernelSim {
                 to,
                 msg,
                 seq,
-                links,
+                flight,
             } => {
-                if seq != 0 {
-                    if self.route_lost(&links) {
+                if let Some(flight) = flight {
+                    if self.machine.network.flight_lost(&flight) {
                         self.stats.lost_in_flight += 1;
                         return; // sender's timeout recovers
                     }
                     // Wire-level ack, sent on arrival before decode. It rides
                     // the raw network (no kernel message accounting) so
                     // healthy-path stats are untouched.
-                    let ack_route = self.machine.network.route_links(to, from);
-                    match self
-                        .machine
-                        .network
-                        .try_transmit(now, to, from, self.config.ack_words)
-                    {
-                        Some(t) => {
+                    let ack =
+                        self.machine
+                            .network
+                            .transmit_tracked(now, to, from, self.config.ack_words);
+                    match ack.arrival {
+                        Some((t, flight)) => {
                             self.stats.acks += 1;
-                            self.queue.schedule(
-                                t,
-                                KEvent::AckArrive {
-                                    seq,
-                                    links: ack_route.unwrap_or_default(),
-                                },
-                            );
+                            self.queue.schedule(t, KEvent::AckArrive { seq, flight });
                         }
                         None => self.stats.lost_in_flight += 1,
                     }
@@ -582,12 +703,12 @@ impl KernelSim {
                 self.clusters[to as usize].input.push_back((from, msg));
                 self.pump(now, to);
             }
-            KEvent::AckArrive { seq, links } => {
-                if self.route_lost(&links) {
+            KEvent::AckArrive { seq, flight } => {
+                if self.machine.network.flight_lost(&flight) {
                     self.stats.lost_in_flight += 1;
                     return; // sender retransmits; receiver dedups
                 }
-                self.pending.remove(&seq);
+                self.pending.remove(seq);
             }
             KEvent::Timeout { seq } => {
                 self.timeout(now, seq);
@@ -655,12 +776,13 @@ impl KernelSim {
     /// A reliable message's retransmission timeout fired: retransmit with
     /// backoff, or dead-letter it once the budget is spent.
     fn timeout(&mut self, now: Cycles, seq: u64) {
-        let Some(p) = self.pending.get(&seq) else {
+        let max_retransmits = self.config.max_retransmits;
+        let Some(p) = self.pending.get_mut(seq) else {
             return; // acknowledged; stale timer
         };
         let (from, to) = (p.from, p.to);
-        if p.attempts >= self.config.max_retransmits {
-            let p = self.pending.remove(&seq).expect("checked present above");
+        if p.attempts >= max_retransmits {
+            let p = self.pending.remove(seq).expect("checked present above");
             self.stats.drops.dead_letter += 1;
             let kind = p.msg.kind().trace_kind();
             self.machine.trace.emit(|| {
@@ -681,12 +803,9 @@ impl KernelSim {
             }
             return;
         }
-        let attempt = p.attempts + 1;
+        p.attempts += 1;
+        let attempt = p.attempts;
         let msg = Rc::clone(&p.msg); // shares the pending slot's allocation
-        self.pending
-            .get_mut(&seq)
-            .expect("checked present above")
-            .attempts = attempt;
         self.stats.retransmits += 1;
         let kind = msg.kind().trace_kind();
         self.machine.trace.emit(|| {
@@ -716,7 +835,7 @@ impl KernelSim {
                 rec.epoch += 1;
                 rec.transition(TaskState::Ready);
                 let c = rec.cluster;
-                self.running.retain(|_, t| *t != task);
+                self.running.remove_task(task);
                 self.clusters[c as usize].ready.push_back(task);
                 self.queue.schedule(
                     now + self.config.reconfig_cycles,
@@ -738,7 +857,7 @@ impl KernelSim {
             return;
         }
         let mut victims: Vec<TaskId> = Vec::new();
-        for (_, &t) in self.running.iter() {
+        for t in self.running.tasks() {
             let rec = &self.tasks[t.0 as usize];
             if rec.cluster == cluster && rec.locals_held && rec.locals_words > 0 {
                 victims.push(t);
@@ -876,7 +995,7 @@ impl KernelSim {
                     rec.epoch += 1; // invalidate the in-flight completion
                     rec.transition(TaskState::Paused);
                     // Free the PE's association (its charged time stands).
-                    self.running.retain(|_, t| *t != task);
+                    self.running.remove_task(task);
                     let parent = rec.parent;
                     self.notify_parent(now, cluster, task, parent);
                 } else {
@@ -916,7 +1035,7 @@ impl KernelSim {
                         if state == TaskState::Ready {
                             self.clusters[c as usize].ready.retain(|t| *t != task);
                         }
-                        self.running.retain(|_, t| *t != task);
+                        self.running.remove_task(task);
                         if held {
                             self.machine.free_at(now, c, locals);
                         }
@@ -964,6 +1083,7 @@ impl KernelSim {
                     )
                 });
                 self.rpc_tasks.insert(id, (call_id, reply_cluster));
+                self.rpc_workers.insert(id.0);
                 self.clusters[cluster as usize].ready.push_back(id);
                 self.queue
                     .schedule(create_done, KEvent::Dispatch { cluster });
@@ -1097,7 +1217,7 @@ impl KernelSim {
         let parent = rec.parent;
         let held = rec.locals_held;
         rec.locals_held = false;
-        self.running.remove(&pe);
+        self.running.remove(pe);
         if held {
             self.machine.free_at(now, cluster, locals);
         }
@@ -1114,16 +1234,18 @@ impl KernelSim {
         });
         self.completions.push((task, now));
         self.notify_parent(now, cluster, task, parent);
-        if let Some((call_id, reply_cluster)) = self.rpc_tasks.remove(&task) {
-            self.send(
-                now,
-                cluster,
-                reply_cluster,
-                KernelMessage::RemoteReturn {
-                    call_id,
-                    result_words: self.config.notify_words,
-                },
-            );
+        if self.rpc_workers.contains(task.0) {
+            if let Some((call_id, reply_cluster)) = self.rpc_tasks.remove(&task) {
+                self.send(
+                    now,
+                    cluster,
+                    reply_cluster,
+                    KernelMessage::RemoteReturn {
+                        call_id,
+                        result_words: self.config.notify_words,
+                    },
+                );
+            }
         }
         self.queue.schedule(now, KEvent::Dispatch { cluster });
     }
@@ -1136,7 +1258,7 @@ impl KernelSim {
                 self.stats.drops.dead_pe += 1;
             }
         }
-        if let Some(task) = self.running.remove(&pe) {
+        if let Some(task) = self.running.remove(pe) {
             self.machine.trace.emit(|| {
                 TraceEvent::instant(
                     now,
@@ -1499,5 +1621,118 @@ mod tests {
         }
         let t_four = k4.run();
         assert!(t_four < t_one, "spread {t_four} < single {t_one}");
+    }
+
+    fn pending_msg(tag: u32) -> PendingMsg {
+        PendingMsg {
+            from: tag,
+            to: tag + 1,
+            msg: Rc::new(KernelMessage::LoadCode { code: CodeId(0) }),
+            attempts: 0,
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat `running` table against the `BTreeMap<PeId, TaskId>` it
+        /// replaced: assignments (the same task may sit on two PEs),
+        /// per-PE removal (including PEs the machine does not have),
+        /// `retain(|_, t| *t != task)`, and iteration in `PeId` order — the
+        /// order `mem_fault` picks its victims in.
+        #[test]
+        fn running_table_matches_btreemap(
+            ops in proptest::collection::vec((0u8..8, 0u32..5, 0u32..4, 0u64..6), 1..200),
+        ) {
+            let (clusters, ppc) = (4u32, 3u32);
+            let mut table = RunningTable::new(clusters, ppc);
+            let mut oracle: BTreeMap<PeId, TaskId> = BTreeMap::new();
+            for &(op, c, i, t) in &ops {
+                let (pe, task) = (PeId::new(c, i), TaskId(t));
+                match op {
+                    0..=3 if c < clusters && i < ppc => {
+                        table.insert(pe, task);
+                        oracle.insert(pe, task);
+                    }
+                    0..=5 => proptest::prop_assert_eq!(table.remove(pe), oracle.remove(&pe)),
+                    _ => {
+                        table.remove_task(task);
+                        oracle.retain(|_, t| *t != task);
+                    }
+                }
+                let want: Vec<TaskId> = oracle.values().copied().collect();
+                proptest::prop_assert_eq!(table.tasks().collect::<Vec<_>>(), want);
+            }
+        }
+
+        /// The sequence-indexed `pending` window and the `delivered` bitset
+        /// against the `BTreeMap<u64, _>` / `BTreeSet<u64>` they replaced:
+        /// sends in sequence order; acks, timeouts and dead letters in any
+        /// order, repeated (a duplicate delivery, an ack after the dead
+        /// letter), or for sequence numbers never sent.
+        #[test]
+        fn pending_window_and_delivered_bits_match_btree(
+            ops in proptest::collection::vec((0u8..8, 0u64..40), 1..300),
+        ) {
+            let mut table = PendingTable::new(1);
+            let mut oracle: BTreeMap<u64, PendingMsg> = BTreeMap::new();
+            let mut bits = DenseBits::default();
+            let mut set: BTreeSet<u64> = BTreeSet::new();
+            let mut next_seq = 1u64;
+            for &(op, pick) in &ops {
+                // Mostly sequence numbers near the live window.
+                let seq = if op % 2 == 0 { pick } else { next_seq.saturating_sub(pick % 6) };
+                match op {
+                    0..=2 => {
+                        table.push(next_seq, pending_msg(next_seq as u32));
+                        oracle.insert(next_seq, pending_msg(next_seq as u32));
+                        next_seq += 1;
+                    }
+                    3 => {
+                        // A timeout that retransmits.
+                        let got = table.get_mut(seq).map(|p| { p.attempts += 1; (p.from, p.attempts) });
+                        let want = oracle.get_mut(&seq).map(|p| { p.attempts += 1; (p.from, p.attempts) });
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    4 | 5 => {
+                        // An ack, or a dead letter.
+                        let got = table.remove(seq).map(|p| (p.from, p.attempts));
+                        let want = oracle.remove(&seq).map(|p| (p.from, p.attempts));
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(bits.contains(seq), set.contains(&seq));
+                        proptest::prop_assert_eq!(bits.insert(seq), set.insert(seq));
+                        proptest::prop_assert!(bits.contains(seq));
+                    }
+                }
+                // The window never outgrows what is unacknowledged plus the
+                // acknowledged holes between them.
+                let oldest = oracle.keys().next().copied().unwrap_or(next_seq);
+                proptest::prop_assert_eq!(table.base, oldest);
+                proptest::prop_assert_eq!(table.slots.len() as u64, next_seq - oldest);
+            }
+        }
+    }
+
+    /// A memory-bank fault sheds running tasks in PE order — the order the
+    /// flat table iterates in — and stops as soon as the survivors fit.
+    #[test]
+    fn mem_fault_victims_fall_in_pe_order() {
+        let mut cfg = MachineConfig::clustered(1, 4, Topology::Crossbar);
+        cfg.memory_per_cluster = 1000;
+        let mut k = KernelSim::new(Machine::new(cfg));
+        // 64 words of code + 5 tasks x 100 words of locals = 564 in use;
+        // tasks 0, 1, 2 run on worker PEs 1, 2, 3 and two wait.
+        let code = k.register_code(CodeBlock::new("w", 64, WorkProfile::flops(100_000), 100));
+        k.initiate(0, 0, code, 5, None, 0);
+        // 500 words survive. Shedding PE 1's task leaves 464 in use but no
+        // room to re-home it; shedding PE 2's as well leaves 364 and room
+        // for 100: PE 3's task keeps its locals and completes on schedule.
+        // In any other order it would be a victim.
+        k.inject_faults(&FaultPlan::none().fail_memory(5_000, 0, 500));
+        k.run();
+        assert!(k.all_done());
+        assert_eq!(k.completions().len(), 5);
+        assert_eq!(k.stats.stale_completions, 2, "tasks 0 and 1 re-ran");
+        assert_eq!(k.completions()[0].0, TaskId(2), "PE 3's task survived");
     }
 }

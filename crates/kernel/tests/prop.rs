@@ -2,9 +2,10 @@
 //! simulation is deterministic, and accounting balances — under random
 //! workloads, placements, and fault plans.
 
-use fem2_kernel::{CodeBlock, KernelSim, TaskState, WorkProfile};
+use fem2_kernel::{CodeBlock, KernelMessage, KernelSim, TaskId, TaskState, WorkProfile};
 use fem2_machine::fault::{FaultEvent, FaultPlan};
-use fem2_machine::{Machine, MachineConfig, PeId, Topology};
+use fem2_machine::{DesQueue, Machine, MachineConfig, PeId, Topology};
+use fem2_trace::TraceHandle;
 use proptest::prelude::*;
 
 fn sim(clusters: u32, pes: u32) -> KernelSim {
@@ -15,7 +16,7 @@ fn sim(clusters: u32, pes: u32) -> KernelSim {
     )))
 }
 
-/// Topologies for the 8-cluster shard-identity matrix, including the
+/// Topologies for the 8-cluster engine-identity matrix, including the
 /// multi-hop torus and fat-tree networks.
 fn topo_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
@@ -119,19 +120,30 @@ proptest! {
         prop_assert!(faulted >= healthy, "faults cannot speed the batch up");
     }
 
-    /// The sharded kernel is bitwise-identical to the sequential engine on
-    /// every topology — including the torus and fat-tree networks — at
-    /// several shard counts: same makespan, completion stream, machine
-    /// statistics, and event count.
+    /// Two different executions of one simulation: the default engine
+    /// (route cache, calendar queue — flights loss-checked by fault epoch
+    /// out of cached, slot-resolved routes) against the oracle configuration
+    /// (every route recomputed, binary-heap queue), on every topology, with
+    /// remote calls and returns in flight while links are killed, degraded
+    /// and recovered under them. Everything observable must agree, down to
+    /// the bytes of the traced event stream.
     #[test]
-    fn sharded_kernel_matches_sequential_on_every_topology(
+    fn default_engine_matches_oracle_config_under_link_faults(
         topo in topo_strategy(),
-        batches in proptest::collection::vec((0u32..8, 1u32..6, 1u64..2000), 1..5),
+        batches in proptest::collection::vec((0u32..8, 1u32..6, 1u64..2000), 1..4),
+        calls in proptest::collection::vec((0u64..6000, 0u32..8, 1u32..8, 1u64..600), 4..24),
+        faults in proptest::collection::vec((0u64..8000, 0usize..1024, 0u32..4), 2..10),
+        heal_at in prop_oneof![Just(9_000u64), Just(400_000u64)],
     ) {
-        let run = |shards: u32| {
+        let run = |oracle: bool| {
             let mut cfg = MachineConfig::clustered(8, 3, topo.clone());
-            cfg.des_shards = shards;
+            if oracle {
+                cfg.route_cache = false;
+                cfg.des_queue = DesQueue::Heap;
+            }
             let mut k = KernelSim::new(Machine::new(cfg));
+            let (trace, recorder) = TraceHandle::ring(1 << 16);
+            k.set_trace(trace);
             let code = k.register_code(CodeBlock::new(
                 "w",
                 16,
@@ -141,18 +153,61 @@ proptest! {
             for &(cluster, reps, at) in &batches {
                 k.initiate(at, cluster, code, reps, None, 4);
             }
+            for (i, &(at, from, hop, args_words)) in calls.iter().enumerate() {
+                k.send(
+                    at,
+                    from,
+                    (from + hop) % 8,
+                    KernelMessage::RemoteCall {
+                        call_id: i as u64,
+                        code,
+                        args_words,
+                        caller: TaskId(0),
+                        reply_cluster: from,
+                    },
+                );
+            }
+            // Kill / degrade / recover, each aimed at a link some earlier
+            // fault already touched about half the time, so recoveries
+            // land on dead links and kills on degraded ones.
+            let links = k.machine.network.link_count();
+            let mut plan = FaultPlan::none();
+            let mut touched: Vec<usize> = Vec::new();
+            for &(at, pick, kind) in &faults {
+                let link = match touched.get(pick % (2 * touched.len().max(1))) {
+                    Some(&seen) => seen,
+                    None => pick % links,
+                };
+                touched.push(link);
+                plan = match kind {
+                    0 | 1 => plan.kill_link(at, link),
+                    2 => plan.degrade_link(at, link, 3),
+                    _ => plan.recover_link(at, link),
+                };
+            }
+            // Whatever died is repaired in the end: soon enough for the
+            // retransmissions to get through, or after they have given up
+            // and dead-lettered.
+            for &link in &touched {
+                plan = plan.recover_link(heal_at, link);
+            }
+            k.inject_faults(&plan);
             let makespan = k.run();
+            let bytes = recorder.lock().expect("recorder lock").encode();
             (
                 makespan,
                 k.completions().to_vec(),
+                k.rpc_returns().clone(),
+                k.stats,
                 k.machine.stats.total(),
                 k.machine.events,
+                k.events_processed(),
+                bytes,
             )
         };
-        let oracle = run(1);
-        for shards in [2u32, 4, 8] {
-            prop_assert_eq!(&run(shards), &oracle, "shards={}", shards);
-        }
+        let (default, oracle) = (run(false), run(true));
+        prop_assert!(default.7.len() > 16, "the run was traced");
+        prop_assert_eq!(default, oracle);
     }
 
     /// Completion timestamps are non-decreasing in completion order, and no

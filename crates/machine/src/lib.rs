@@ -55,7 +55,7 @@ pub use budget::{AbortCause, BudgetMeter, RunAborted, RunBudget};
 pub use config::{CostModel, DesQueue, MachineConfig, Topology};
 pub use machine::{trace_cost_kind, Machine, MachineError};
 pub use memory::ClusterMemory;
-pub use network::Network;
+pub use network::{Flight, Network, Tracked};
 pub use pe::{CostClass, Pe, PeId};
 pub use shard::{lookahead_horizon, ShardCtx, ShardMap, ShardSection, ShardedSim};
 pub use sim::{EventQueue, Simulator};

@@ -3,7 +3,7 @@
 
 use crate::config::MachineConfig;
 use crate::memory::{ClusterMemory, OutOfMemory};
-use crate::network::Network;
+use crate::network::{Network, Tracked};
 use crate::pe::{best_worker, CostClass, Pe, PeId};
 use crate::stats::Stats;
 use crate::{Cycles, Words};
@@ -339,24 +339,52 @@ impl Machine {
             .try_transmit(now, from, to, words)
             .ok_or(MachineError::ClusterUnreachable { from, to })?;
         if from != to {
-            self.stats.message(words);
-            let packets = (self.network.packets - packets_before) as u32;
-            self.trace.emit(|| {
-                TraceEvent::span(
-                    now,
-                    t - now,
-                    from,
-                    NO_PE,
-                    EventKind::LinkTransfer {
-                        to_cluster: to,
-                        words,
-                        packets,
-                    },
-                )
-            });
-            self.events += 1;
+            self.record_transfer(now, t, from, to, words, packets_before);
         }
         Ok(t)
+    }
+
+    /// [`Machine::try_transmit`] through [`Network::transmit_tracked`]: the
+    /// same stats, trace span and event count, plus the forward-leg
+    /// estimate and the flight a reliable layer loss-checks at arrival.
+    ///
+    /// # Panics
+    /// Panics if `from == to` (see [`Network::transmit_tracked`]).
+    pub fn transmit_tracked(&mut self, now: Cycles, from: u32, to: u32, words: Words) -> Tracked {
+        let packets_before = self.network.packets;
+        let sent = self.network.transmit_tracked(now, from, to, words);
+        if let Some((t, _)) = sent.arrival {
+            self.record_transfer(now, t, from, to, words, packets_before);
+        }
+        sent
+    }
+
+    /// Account one remote transfer that arrived at `t`.
+    fn record_transfer(
+        &mut self,
+        now: Cycles,
+        t: Cycles,
+        from: u32,
+        to: u32,
+        words: Words,
+        packets_before: u64,
+    ) {
+        self.stats.message(words);
+        let packets = (self.network.packets - packets_before) as u32;
+        self.trace.emit(|| {
+            TraceEvent::span(
+                now,
+                t - now,
+                from,
+                NO_PE,
+                EventKind::LinkTransfer {
+                    to_cluster: to,
+                    words,
+                    packets,
+                },
+            )
+        });
+        self.events += 1;
     }
 
     /// Run `f` over per-shard mutable sections of this machine's PEs,

@@ -33,11 +33,19 @@
 //! with no per-hop lookup (see [`Route`]). Cached and uncached runs are
 //! bitwise identical: the cache stores exactly what
 //! [`Network::compute_route`] would return.
+//!
+//! A reliable layer that must know, at arrival time, whether a message's
+//! route lost a link while it was in flight sends through
+//! [`Network::transmit_tracked`]: the same single cache lookup also yields
+//! the contention-free estimate and a [`Flight`] — the fault epoch at send
+//! time plus the route's slab slots — which [`Network::flight_lost`] later
+//! checks without touching the cache or the link-id index.
 
 use crate::config::{MachineConfig, Topology};
 use crate::{Cycles, Words};
 use std::cell::RefCell;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::rc::Rc;
 
 /// One allocated link: everything the contention loop reads or writes for
 /// a hop, so a hop touches one record.
@@ -107,49 +115,80 @@ impl LinkSlab {
     }
 }
 
-/// A route as the cache holds it: one `u32` per hop.
+/// A route as the cache holds it: one `u32` per hop, in one of three
+/// states.
 ///
-/// The hops are link ids when the route is computed. The first transmit
-/// over the route rewrites them in place to slab slots (`resolved`), after
-/// which the contention loop indexes link records directly. Slots stay
-/// valid because the slab never frees or reorders records, and a fault
-/// transition — the only thing that changes which links a pair uses —
-/// drops the whole cache. Read-only probes ([`Network::estimate`],
-/// [`Network::route_links`], [`Network::min_delivery_latency`]) never
-/// resolve: resolving allocates link records, and a probe must leave
+/// The hops are link ids when the route is computed (`Links`). The first
+/// transmit over the route rewrites them in place to slab slots (`Slots`),
+/// after which the contention loop indexes link records directly. Slots
+/// stay valid because the slab never frees or reorders records, and a
+/// fault transition — the only thing that changes which links a pair uses
+/// — drops the whole cache. The first *tracked* transmit moves the slots
+/// into a shared slice (`Shared`) that its [`Flight`] and every later one
+/// hold a reference to; routes that never carry a tracked message never
+/// pay for the second allocation. Read-only probes
+/// ([`Network::estimate`], [`Network::route_links`],
+/// [`Network::min_delivery_latency`]) never resolve: resolving allocates
+/// link records, and a probe must leave
 /// [`Network::allocated_link_records`] alone.
+///
+/// One enum rather than a struct with flags: every variant is a fat
+/// pointer and a `bool`, so the tag shares their last word and a cache
+/// entry stays 24 bytes — cold-route workloads are bound by that table.
 #[derive(Clone, Debug)]
-struct Route {
-    hops: Box<[u32]>,
-    /// Whether this is a detour around a dead link.
-    rerouted: bool,
-    resolved: bool,
+enum Route {
+    Links { hops: Box<[u32]>, rerouted: bool },
+    Slots { hops: Box<[u32]>, rerouted: bool },
+    Shared { hops: Rc<[u32]>, rerouted: bool },
 }
 
 impl Route {
     fn of_links(path: Vec<u32>, rerouted: bool) -> Self {
-        Route {
+        Route::Links {
             hops: path.into_boxed_slice(),
             rerouted,
-            resolved: false,
         }
+    }
+
+    /// Link ids before [`Route::resolve`], slab slots after.
+    fn hops(&self) -> &[u32] {
+        match self {
+            Route::Links { hops, .. } | Route::Slots { hops, .. } => hops,
+            Route::Shared { hops, .. } => hops,
+        }
+    }
+
+    /// Whether this is a detour around a dead link.
+    fn rerouted(&self) -> bool {
+        match *self {
+            Route::Links { rerouted, .. }
+            | Route::Slots { rerouted, .. }
+            | Route::Shared { rerouted, .. } => rerouted,
+        }
+    }
+
+    fn resolved(&self) -> bool {
+        !matches!(self, Route::Links { .. })
     }
 
     /// Rewrite link ids to slab slots, allocating records for links this
     /// is the first traffic on.
     fn resolve(&mut self, slab: &mut LinkSlab) {
-        if !self.resolved {
-            for hop in self.hops.iter_mut() {
+        if let Route::Links { hops, rerouted } = self {
+            for hop in hops.iter_mut() {
                 *hop = slab.ensure(*hop);
             }
-            self.resolved = true;
+            *self = Route::Slots {
+                hops: std::mem::take(hops),
+                rerouted: *rerouted,
+            };
         }
     }
 
     /// Occupancy multiplier of each hop, in route order.
     fn degrades<'a>(&'a self, slab: &'a LinkSlab) -> impl Iterator<Item = Cycles> + 'a {
-        let resolved = self.resolved;
-        self.hops.iter().map(move |&hop| {
+        let resolved = self.resolved();
+        self.hops().iter().map(move |&hop| {
             Cycles::from(if resolved {
                 slab.links[hop as usize].degrade
             } else {
@@ -158,16 +197,57 @@ impl Route {
         })
     }
 
+    /// The slab slots of a resolved route, shared rather than copied.
+    fn shared_slots(&mut self) -> Rc<[u32]> {
+        debug_assert!(self.resolved(), "slots exist only after resolve");
+        match self {
+            Route::Shared { hops, .. } => Rc::clone(hops),
+            Route::Links { hops, rerouted } | Route::Slots { hops, rerouted } => {
+                let rerouted = *rerouted;
+                let shared: Rc<[u32]> = Rc::from(std::mem::take(hops));
+                *self = Route::Shared {
+                    hops: Rc::clone(&shared),
+                    rerouted,
+                };
+                shared
+            }
+        }
+    }
+
     fn link_ids(&self, slab: &LinkSlab) -> Vec<usize> {
+        let resolved = self.resolved();
         let id = |&hop: &u32| {
-            if self.resolved {
+            if resolved {
                 slab.links[hop as usize].id as usize
             } else {
                 hop as usize
             }
         };
-        self.hops.iter().map(id).collect()
+        self.hops().iter().map(id).collect()
     }
+}
+
+/// The route a tracked message took, kept by the sender's reliable layer
+/// until the message (or its acknowledgement) arrives: the network's fault
+/// epoch at send time and the slab slots of the links traversed. Slots
+/// outlive the route cache — the slab never frees or reorders records — so
+/// a flight stays checkable after the fault that dropped its cache entry.
+#[derive(Clone, Debug)]
+pub struct Flight {
+    epoch: u64,
+    slots: Rc<[u32]>,
+}
+
+/// The result of [`Network::transmit_tracked`].
+#[derive(Clone, Debug)]
+pub struct Tracked {
+    /// Contention-free latency of the message over the route it took —
+    /// what [`Network::estimate`] returns for the same arguments (the
+    /// healthy-path shape when no live route exists).
+    pub estimate: Cycles,
+    /// Arrival time of the last packet and the route taken, or `None`
+    /// (nothing charged) when dead links leave no route.
+    pub arrival: Option<(Cycles, Flight)>,
 }
 
 /// The inter-cluster network: topology, per-link reservation times, and
@@ -192,6 +272,9 @@ pub struct Network {
     /// state. Cleared wholesale on fault transitions. Interior-mutable so
     /// `&self` estimators can fill it.
     cache: RefCell<BTreeMap<u64, Option<Route>>>,
+    /// Count of link-fault transitions (kill, degrade, recover) so far: the
+    /// cache generation, and the stamp a [`Flight`] is checked against.
+    fault_epoch: u64,
     /// Remote messages transmitted.
     pub messages: u64,
     /// Packets transmitted (after segmentation).
@@ -241,6 +324,7 @@ impl Network {
             slab: LinkSlab::default(),
             cache_enabled: cfg.route_cache,
             cache: RefCell::new(BTreeMap::new()),
+            fault_epoch: 0,
             messages: 0,
             packets: 0,
             rerouted_packets: 0,
@@ -277,6 +361,7 @@ impl Network {
     fn fault_slot(&mut self, link: usize) -> usize {
         assert!(link < self.links, "link out of range");
         self.cache.get_mut().clear();
+        self.fault_epoch += 1;
         self.slab.ensure(link as u32) as usize
     }
 
@@ -594,6 +679,73 @@ impl Network {
         if from == to {
             return Some(now + words.div_ceil(self.words_per_cycle as Words).max(1));
         }
+        self.carry(now, from, to, words, |_, _| ())
+            .map(|(arrival, ())| arrival)
+    }
+
+    /// [`Network::try_transmit`] for a remote pair, plus what a reliable
+    /// layer needs to arm a timeout and to loss-check the message when it
+    /// arrives — from the one route lookup the transmit does anyway: the
+    /// forward-leg [`Network::estimate`] and the [`Flight`] to hand to
+    /// [`Network::flight_lost`]. Charges and allocates exactly what
+    /// `try_transmit` does.
+    ///
+    /// # Panics
+    /// Panics if `from == to`: a local transfer uses no links, so there is
+    /// nothing to track.
+    pub fn transmit_tracked(&mut self, now: Cycles, from: u32, to: u32, words: Words) -> Tracked {
+        assert!(
+            from < self.clusters && to < self.clusters,
+            "cluster out of range"
+        );
+        assert!(from != to, "a local transfer has no route to track");
+        let sent = self.carry(now, from, to, words, |net, route| {
+            let flight = Flight {
+                epoch: net.fault_epoch,
+                slots: route.shared_slots(),
+            };
+            (net.estimate_over(route, words), flight)
+        });
+        match sent {
+            Some((arrival, (estimate, flight))) => Tracked {
+                estimate,
+                arrival: Some((arrival, flight)),
+            },
+            None => Tracked {
+                estimate: self.estimate(from, to, words),
+                arrival: None,
+            },
+        }
+    }
+
+    /// Whether a link of the route `flight` took has died since it was
+    /// sent and is still dead now — the arrival-time loss rule. A live
+    /// route whose network saw no fault transition since cannot have lost
+    /// a link, so an unchanged epoch answers without looking; otherwise the
+    /// route's own slots are checked, which is the same predicate as
+    /// [`Network::link_is_dead`] over the link ids it traversed (a link
+    /// killed and repaired before arrival does not lose the message).
+    pub fn flight_lost(&self, flight: &Flight) -> bool {
+        let any_dead = || flight.slots.iter().any(|&s| self.slab.dead[s as usize]);
+        debug_assert!(
+            flight.epoch != self.fault_epoch || !any_dead(),
+            "a route lost a link with no fault transition"
+        );
+        flight.epoch != self.fault_epoch && any_dead()
+    }
+
+    /// Carry one remote message over its current route, reserving links.
+    /// `track` sees the resolved route before any link is reserved; its
+    /// result rides along with the arrival time. `None` (nothing charged,
+    /// `track` not called) when no live route exists.
+    fn carry<T>(
+        &mut self,
+        now: Cycles,
+        from: u32,
+        to: u32,
+        words: Words,
+        track: impl FnOnce(&Self, &mut Route) -> T,
+    ) -> Option<(Cycles, T)> {
         // The route stays where it lives (the cache entry, or a local when
         // caching is off): the cache and the slab are disjoint fields, so
         // the contention loop below mutates link records while reading it.
@@ -610,6 +762,8 @@ impl Network {
             &mut uncached
         };
         route.resolve(&mut self.slab);
+        let tracked = track(self, route);
+        let (hops, rerouted) = (route.hops(), route.rerouted());
         self.messages += 1;
         self.payload_words += words;
         let mut remaining = words;
@@ -625,14 +779,14 @@ impl Network {
             remaining -= chunk;
             let packet_words = chunk + self.header_words;
             self.packets += 1;
-            if route.rerouted {
+            if rerouted {
                 self.rerouted_packets += 1;
             }
             self.header_words_moved += self.header_words;
             let occ = packet_words.div_ceil(self.words_per_cycle as Words).max(1);
             // Store-and-forward over the route with per-link FIFO contention.
             let mut t = inject_at;
-            for (hop, &slot) in route.hops.iter().enumerate() {
+            for (hop, &slot) in hops.iter().enumerate() {
                 let link = &mut self.slab.links[slot as usize];
                 let link_occ = occ * link.degrade as Cycles;
                 let start = t.max(link.free);
@@ -647,7 +801,7 @@ impl Network {
             }
             arrival = arrival.max(t);
         }
-        Some(arrival)
+        Some((arrival, tracked))
     }
 
     /// Contention-free latency estimate for `words` from `from` to `to`
@@ -802,6 +956,16 @@ mod tests {
         c.topology = topology;
         c.clusters = clusters;
         c
+    }
+
+    /// `net_cold` is bound by the route table: a cache entry must not grow
+    /// past the fat pointer and flags it held before routes could be shared
+    /// with flights.
+    #[test]
+    fn cached_route_stays_three_words() {
+        let words = 3 * std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<Route>(), words);
+        assert_eq!(std::mem::size_of::<Option<Route>>(), words);
     }
 
     #[test]

@@ -284,6 +284,75 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
+    /// The tracked transmit against the calls it replaces, on a twin network
+    /// driven the old way (`estimate`, `route_links`, `try_transmit` — three
+    /// lookups): same estimate, same arrival, same counters and link
+    /// records, with and without the route cache. And the loss rule: after
+    /// every send and every fault transition, every message sent so far
+    /// reads `flight_lost` exactly when a link id of the route it took is
+    /// dead now — killed-then-recovered links included.
+    #[test]
+    fn tracked_transmit_matches_probe_then_transmit(
+        machine in prop_oneof![
+            cached_topo_strategy(),
+            Just((8, Topology::Ring)),
+            Just((4, Topology::Bus)),
+        ],
+        route_cache in prop_oneof![Just(true), Just(false)],
+        ops in proptest::collection::vec((0u8..10, 0u32..64, 0u32..64, 0u64..700), 1..120),
+    ) {
+        let (n, topo) = machine;
+        let mut cfg = MachineConfig::clustered(n, 2, topo);
+        cfg.route_cache = route_cache;
+        cfg.max_packet_words = 256;
+        let mut net = Network::new(&cfg);
+        let mut twin = Network::new(&cfg);
+        let links = net.link_count();
+        let mut in_flight = Vec::new();
+        let mut now = 0;
+        for &(op, a, b, x) in &ops {
+            let (from, to) = (a % n, (a % n + 1 + b % (n - 1)) % n);
+            let link = (u64::from(a) * 64 + u64::from(b)) as usize % links;
+            match op {
+                0..=5 => {
+                    let estimate = twin.estimate(from, to, x);
+                    let route = twin.route_links(from, to);
+                    let arrival = twin.try_transmit(now, from, to, x);
+                    let sent = net.transmit_tracked(now, from, to, x);
+                    prop_assert_eq!(sent.estimate, estimate);
+                    prop_assert_eq!(sent.arrival.as_ref().map(|(t, _)| *t), arrival);
+                    prop_assert_eq!(arrival.is_some(), route.is_some());
+                    let records = net.allocated_link_records();
+                    prop_assert_eq!(records, twin.allocated_link_records());
+                    // The reliable layer's back-leg probe allocates nothing.
+                    prop_assert_eq!(net.estimate(to, from, 2), twin.estimate(to, from, 2));
+                    prop_assert_eq!(net.allocated_link_records(), records);
+                    if let (Some((_, flight)), Some(route)) = (sent.arrival, route) {
+                        in_flight.push((flight, route));
+                    }
+                    now += x / 4;
+                }
+                6 | 7 => {
+                    net.fail_link(link);
+                    twin.fail_link(link);
+                }
+                8 => {
+                    net.degrade_link(link, 1 + (x % 5) as u32);
+                    twin.degrade_link(link, 1 + (x % 5) as u32);
+                }
+                _ => {
+                    net.recover_link(link);
+                    twin.recover_link(link);
+                }
+            }
+            for (flight, route) in &in_flight {
+                let dead_now = route.iter().any(|&l| twin.link_is_dead(l));
+                prop_assert_eq!(net.flight_lost(flight), dead_now, "route {:?}", route);
+            }
+        }
+        prop_assert_eq!(observe(&net), observe(&twin));
+    }
+
     /// Probes never allocate link records, however large the machine, and
     /// a route reads the same in link ids before and after its first
     /// transmit rewrites the cached entry to slab slots.
