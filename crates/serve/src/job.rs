@@ -142,6 +142,46 @@ pub struct JobOutcome {
     pub value: Value,
 }
 
+/// One parsed submission on its way from admission to the registry: the
+/// spec, the content hash taken once at admission, and the static cost
+/// report from whichever station needed it first (the quota gate, else
+/// the run budget), reused for the registry record's `predicted` object.
+#[derive(Debug)]
+pub(crate) struct Admitted {
+    pub(crate) spec: JobSpec,
+    pub(crate) hash: String,
+    cost: Option<CostReport>,
+}
+
+impl Admitted {
+    pub(crate) fn new(spec: JobSpec) -> Self {
+        let hash = spec.content_hash();
+        Admitted {
+            spec,
+            hash,
+            cost: None,
+        }
+    }
+
+    /// The spec's static cost report, computed on first use.
+    pub(crate) fn cost(&mut self) -> &CostReport {
+        self.cost.get_or_insert_with(|| self.spec.cost_report())
+    }
+
+    /// The budget the supervisor arms for this job, plus whether any cap
+    /// was auto-derived: [`PlateJob::effective_budget`] off the carried
+    /// cost report for plates; scripts never simulate and run unlimited.
+    pub(crate) fn effective_budget(&mut self, slack_percent: u64) -> (RunBudget, bool) {
+        match &self.spec {
+            JobSpec::Plate(p) => {
+                let cost = self.cost.get_or_insert_with(|| self.spec.cost_report());
+                p.effective_budget(cost, slack_percent)
+            }
+            JobSpec::Script(_) => (RunBudget::unlimited(), false),
+        }
+    }
+}
+
 fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
     match v {
         Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
@@ -513,6 +553,14 @@ impl JobSpec {
         match self {
             JobSpec::Plate(p) => &p.name,
             JobSpec::Script(s) => &s.name,
+        }
+    }
+
+    /// Wire name of the job kind (`plate` / `script`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            JobSpec::Plate(_) => "plate",
+            JobSpec::Script(_) => "script",
         }
     }
 
@@ -1032,5 +1080,157 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.pass == "deadlock" && d.message.contains("'east'")));
+    }
+
+    /// A submission body drawn from a small parameter vector, so that one
+    /// more on any parameter is a different value of one *hashed* field.
+    /// Plates: `[nx-2, ny-2, log2(memory)-10, tasks, seed, allow, cap]`;
+    /// scripts: `[deadlock, terminate, alloc, words, seed, allow]`. The
+    /// three remaining arguments change nothing the hash covers: the
+    /// display name, the operational `wall_ms`, and the key order.
+    fn body(plate: bool, p: &[u64], name: &str, wall_ms: Option<u64>, order: u64) -> String {
+        let machine = |memory: u64| {
+            format!(
+                r#"{{"clusters":4,"pes_per_cluster":8,"memory_per_cluster":{memory},
+                "topology":"Crossbar","link_latency":20,"words_per_cycle":1,
+                "max_packet_words":256,"header_words":4,"cost":{{"flop":4,"int_op":1,
+                "mem_word":2,"msg_send":60,"msg_dispatch":80,"task_create":120,
+                "context_switch":40}},"dedicated_kernel_pe":true,"route_cache":true,
+                "des_queue":"Calendar"}}"#
+            )
+        };
+        let mut fields = vec![("name", format!("\"{name}\""))];
+        let mut budget: Vec<String> = wall_ms.iter().map(|w| format!("\"wall_ms\":{w}")).collect();
+        if plate {
+            fields.push(("nx", (2 + p[0]).to_string()));
+            fields.push(("ny", (2 + p[1]).to_string()));
+            fields.push(("machine", machine(1 << (10 + p[2]))));
+            fields.push(("tasks", p[3].to_string()));
+            fields.push(("seed", p[4].to_string()));
+            fields.push(("allow_warnings", (p[5] % 2 == 1).to_string()));
+            if p[6] > 0 {
+                budget.push(format!("\"max_sim_cycles\":{}", p[6] * 100_000));
+            }
+        } else {
+            let (deadlock, terminate) = (p[0] % 2 == 1, p[1] % 2 == 1);
+            let mut ops = vec![
+                r#"{"op":"initiate","task":"a"}"#.to_string(),
+                r#"{"op":"initiate","task":"b","cluster":1}"#.to_string(),
+            ];
+            if p[2] > 0 {
+                // 3 Mwords fit the default 4 Mword arena; 6 Mwords do not.
+                let words = p[2] * (3 << 20);
+                ops.push(format!(
+                    r#"{{"op":"alloc","cluster":0,"words":{words},"what":"buf"}}"#
+                ));
+            }
+            ops.push(r#"{"op":"window_open","task":"a","window":"w"}"#.into());
+            ops.push(r#"{"op":"window_open","task":"b","window":"w"}"#.into());
+            let send = |from: &str, to: &str| {
+                format!(
+                    r#"{{"op":"window_send","from":"{from}","to":"{to}","window":"w","words":{}}}"#,
+                    p[3]
+                )
+            };
+            let recv = |task: &str, from: &str| {
+                format!(r#"{{"op":"window_recv","task":"{task}","from":"{from}","window":"w"}}"#)
+            };
+            // Head to head (both send before either receives) deadlocks.
+            let exchange = if deadlock {
+                [
+                    send("a", "b"),
+                    send("b", "a"),
+                    recv("b", "a"),
+                    recv("a", "b"),
+                ]
+            } else {
+                [
+                    send("a", "b"),
+                    recv("b", "a"),
+                    send("b", "a"),
+                    recv("a", "b"),
+                ]
+            };
+            ops.extend(exchange);
+            ops.push(r#"{"op":"window_close","task":"a","window":"w"}"#.into());
+            ops.push(r#"{"op":"window_close","task":"b","window":"w"}"#.into());
+            if terminate {
+                ops.push(r#"{"op":"terminate","task":"a"}"#.into());
+                ops.push(r#"{"op":"terminate","task":"b"}"#.into());
+            }
+            fields.push(("kind", "\"script\"".into()));
+            fields.push(("ops", format!("[{}]", ops.join(","))));
+            fields.push(("seed", p[4].to_string()));
+            fields.push(("allow_warnings", (p[5] % 2 == 1).to_string()));
+        }
+        if !budget.is_empty() {
+            fields.push(("budget", format!("{{{}}}", budget.join(","))));
+        }
+        let at = (order % fields.len() as u64) as usize;
+        fields.rotate_left(at);
+        if order % 2 == 1 {
+            fields.reverse();
+        }
+        let pairs: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", pairs.join(","))
+    }
+
+    fn blocks(spec: &JobSpec) -> bool {
+        spec.verify().blocks(spec.allow_warnings())
+    }
+
+    #[test]
+    fn generated_bodies_cover_both_verdicts_of_both_kinds() {
+        let verdict =
+            |plate, p: &[u64]| blocks(&JobSpec::parse(&body(plate, p, "x", None, 0)).unwrap());
+        assert!(!verdict(true, &[10, 10, 12, 0, 0, 0, 0]), "roomy plate");
+        assert!(verdict(true, &[40, 40, 0, 0, 0, 0, 0]), "storage overflow");
+        assert!(!verdict(false, &[0, 1, 0, 8, 0, 0]), "clean ping-pong");
+        assert!(verdict(false, &[1, 1, 0, 8, 0, 0]), "deadlock");
+        assert!(verdict(false, &[0, 1, 2, 8, 0, 0]), "alloc past the arena");
+        // Unterminated tasks are warnings: the hashed `allow_warnings`
+        // alone flips the verdict.
+        assert!(verdict(false, &[0, 0, 0, 8, 0, 0]));
+        assert!(!verdict(false, &[0, 0, 0, 8, 0, 1]));
+    }
+
+    proptest::proptest! {
+        /// What lets the server look a hash up *before* verifying: the
+        /// admission verdict is a function of what the content hash
+        /// covers. `name`, `budget.wall_ms` and key order change neither;
+        /// a different value of any hashed field changes the hash, so two
+        /// specs with different verdicts can never share one.
+        #[test]
+        fn verdict_is_a_function_of_the_hashed_content(
+            plate in proptest::prelude::any::<bool>(),
+            raw in proptest::collection::vec(0u64..1000, 7),
+            which in 0usize..42,
+            name in 0u64..1000,
+            wall_ms in 1u64..100_000,
+            order in 0u64..64,
+        ) {
+            let ranges: &[u64] = if plate {
+                &[40, 40, 13, 6, 4, 2, 4]
+            } else {
+                &[2, 2, 3, 64, 4, 2]
+            };
+            let base: Vec<u64> = raw.iter().zip(ranges).map(|(r, n)| r % n).collect();
+            let spec = JobSpec::parse(&body(plate, &base, "base", None, 0)).unwrap();
+            let same = JobSpec::parse(&body(
+                plate,
+                &base,
+                &format!("tenant-{name}"),
+                Some(wall_ms),
+                order,
+            ))
+            .unwrap();
+            proptest::prop_assert_eq!(spec.content_hash(), same.content_hash());
+            proptest::prop_assert_eq!(blocks(&spec), blocks(&same));
+
+            let mut other = base.clone();
+            other[which % base.len()] += 1;
+            let other = JobSpec::parse(&body(plate, &other, "base", None, 0)).unwrap();
+            proptest::prop_assert_ne!(spec.content_hash(), other.content_hash());
+        }
     }
 }

@@ -3,12 +3,13 @@
 //! The library behind the `fem2-serve` binary. Submissions are JSON job
 //! specs ([`job::JobSpec`]); every one is:
 //!
-//! 1. **gated** through the fem2-verify static analyzer — scenarios that
-//!    would deadlock or overflow cluster memory are rejected with a 422
-//!    carrying the structured diagnostics, before any cycle is simulated;
-//! 2. **content-hashed** over the fully resolved (scenario, machine,
+//! 1. **content-hashed** over the fully resolved (scenario, machine,
 //!    seed) document via [`fem2_core::hash`] — identical submissions,
 //!    however spelled, hit the result cache instead of re-simulating;
+//! 2. **gated**, when the cache has never seen that content, through the
+//!    fem2-verify static analyzer — scenarios that would deadlock or
+//!    overflow cluster memory are rejected with a 422 carrying the
+//!    structured diagnostics, before any cycle is simulated;
 //! 3. **scheduled** across a bounded `fem2-par` worker pool — submissions
 //!    past the queue cap are shed with a 503;
 //! 4. **persisted** to an append-only, crash-safe JSONL registry

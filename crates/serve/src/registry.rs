@@ -8,9 +8,15 @@
 //!   `"kind"`: completed job runs (`"plate"` / `"script"`) and ingested
 //!   bench records (`"bench"`).
 //! * `index.json` — a derived summary (counts, hashes, names, statuses)
-//!   rewritten via temp-file + rename after every append. Purely a
-//!   convenience for humans and the report generator; the log is the
-//!   source of truth and the index is rebuilt from it on every open.
+//!   for humans and shell tools; nothing in the repo reads it back. It is
+//!   rewritten via temp-file + rename on every open, whenever the record
+//!   count (`runs + benches`) reaches a power of two, once per bench-suite
+//!   ingest, and on clean close — amortised O(1) per append instead of
+//!   O(registry). Between those points it lags the log
+//!   ([`Registry::index_records`] says by how much), and after a kill it
+//!   stays behind until the next open. The log is the only source of
+//!   truth: a failed index write is reported, never fails the append, and
+//!   is made good at the next scheduled point or on close.
 //!
 //! Schema rev 2 adds a `status` field (`ok` / `failed` / `aborted`), an
 //! optional `error` message, and (for aborted runs) a structured
@@ -48,7 +54,7 @@ use serde::json::Value;
 
 use crate::util::{json_compact, json_pretty};
 
-use crate::job::{JobOutcome, JobSpec, RunStatus};
+use crate::job::{Admitted, JobOutcome, JobSpec, RunStatus};
 
 /// Registry log schema identifier, stamped on every record.
 pub const SCHEMA: &str = "fem2-registry/4";
@@ -150,6 +156,8 @@ pub struct Registry {
     /// Hashes whose *latest* record quarantines, maintained incrementally
     /// on load and append so `quarantine_size` is O(1) per probe.
     poisoned: HashSet<String>,
+    /// Records (`runs + benches`) the on-disk `index.json` covers.
+    index_records: usize,
 }
 
 /// Truncate a torn trailing record (no final newline) left by a crash
@@ -332,7 +340,7 @@ impl Registry {
                 poisoned.remove(&r.hash);
             }
         }
-        let reg = Registry {
+        let mut reg = Registry {
             dir: dir.to_path_buf(),
             log,
             runs,
@@ -341,6 +349,7 @@ impl Registry {
             writes: 0,
             fail_writes: Vec::new(),
             poisoned,
+            index_records: 0,
         };
         reg.write_index()?;
         Ok(reg)
@@ -403,8 +412,19 @@ impl Registry {
         self.benches.len()
     }
 
+    /// Records of either kind in the log.
+    fn record_count(&self) -> usize {
+        self.runs.len() + self.benches.len()
+    }
+
+    /// Number of records the on-disk `index.json` covers; equals
+    /// `run_count() + bench_count()` when the index is fresh.
+    pub fn index_records(&self) -> usize {
+        self.index_records
+    }
+
     /// Record a successfully completed job run: append to the log
-    /// (flushed before returning) and rewrite the index.
+    /// (flushed before returning).
     pub fn record_run(
         &mut self,
         spec: &JobSpec,
@@ -432,36 +452,58 @@ impl Registry {
         wall_ns: u64,
         shards: u32,
     ) -> Result<&RunRecord, String> {
-        let kind = match spec {
-            JobSpec::Plate(_) => "plate",
-            JobSpec::Script(_) => "script",
-        };
+        self.record(
+            &mut Admitted::new(spec.clone()),
+            status,
+            outcome,
+            error,
+            abort_cause,
+            wall_ns,
+            shards,
+        )
+    }
+
+    /// [`record_result`](Self::record_result) for a job the server
+    /// admitted: the record takes the hash computed at admission and the
+    /// cost report whichever station computed first, instead of deriving
+    /// both from the spec again.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn record(
+        &mut self,
+        job: &mut Admitted,
+        status: RunStatus,
+        outcome: Option<&JobOutcome>,
+        error: Option<&str>,
+        abort_cause: Option<&str>,
+        wall_ns: u64,
+        shards: u32,
+    ) -> Result<&RunRecord, String> {
         // Rev 3: stamp plate records with the static cost bounds the
         // admission pass predicted, so the report site can plot
         // predicted-vs-actual tightness. Scripts never simulate, so a
         // prediction would have nothing to be compared against.
-        let predicted = match spec {
-            JobSpec::Plate(_) => {
-                let cost = spec.cost_report();
-                cost.is_bounded().then(|| {
-                    Value::Obj(vec![
-                        ("sim_cycles".into(), Value::UInt(cost.sim_cycles)),
-                        ("des_events".into(), Value::UInt(cost.des_events)),
-                        ("messages".into(), Value::UInt(cost.messages)),
-                        (
-                            "peak_memory_words".into(),
-                            Value::UInt(cost.peak_memory_words),
-                        ),
-                    ])
-                })
-            }
-            JobSpec::Script(_) => None,
+        let predicted = if matches!(job.spec, JobSpec::Plate(_)) {
+            let cost = job.cost();
+            cost.is_bounded().then(|| {
+                Value::Obj(vec![
+                    ("sim_cycles".into(), Value::UInt(cost.sim_cycles)),
+                    ("des_events".into(), Value::UInt(cost.des_events)),
+                    ("messages".into(), Value::UInt(cost.messages)),
+                    (
+                        "peak_memory_words".into(),
+                        Value::UInt(cost.peak_memory_words),
+                    ),
+                ])
+            })
+        } else {
+            None
         };
+        let spec = &job.spec;
         let rec = RunRecord {
             seq: self.next_seq,
-            hash: spec.content_hash(),
+            hash: job.hash.clone(),
             name: spec.name().to_string(),
-            kind: kind.to_string(),
+            kind: spec.kind().to_string(),
             spec: spec.to_value(),
             outcome: outcome.map_or(Value::Null, |o| o.value.clone()),
             wall_ns,
@@ -500,12 +542,18 @@ impl Registry {
         }
         self.next_seq += 1;
         self.runs.push(rec);
-        self.write_index()?;
+        self.index_on_schedule();
         Ok(self.runs.last().expect("just pushed"))
     }
 
     /// Ingest one bench record (already parsed from `fem2-bench --json`).
-    pub fn record_bench(&mut self, mut rec: BenchRecord) -> Result<(), String> {
+    pub fn record_bench(&mut self, rec: BenchRecord) -> Result<(), String> {
+        self.append_bench(rec)?;
+        self.index_on_schedule();
+        Ok(())
+    }
+
+    fn append_bench(&mut self, mut rec: BenchRecord) -> Result<(), String> {
         rec.seq = self.next_seq;
         let doc = Value::Obj(vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
@@ -522,11 +570,12 @@ impl Registry {
         self.append_line(&doc)?;
         self.next_seq += 1;
         self.benches.push(rec);
-        self.write_index()
+        Ok(())
     }
 
-    /// Ingest every record of a `fem2-bench --json` suite document.
-    /// Returns the number of records ingested.
+    /// Ingest every record of a `fem2-bench --json` suite document, then
+    /// bring the index up to date once. Returns the number of records
+    /// ingested.
     pub fn ingest_bench_suite(&mut self, doc: &Value) -> Result<usize, String> {
         let schema = str_field(doc, "schema").unwrap_or_default();
         if !schema.starts_with("fem2-bench/") {
@@ -543,8 +592,8 @@ impl Registry {
             let Some(name) = str_field(r, "name") else {
                 continue;
             };
-            self.record_bench(BenchRecord {
-                seq: 0, // assigned by record_bench
+            self.append_bench(BenchRecord {
+                seq: 0, // assigned by append_bench
                 name,
                 commit: commit.clone(),
                 plan_hash: plan_hash.clone(),
@@ -557,6 +606,7 @@ impl Registry {
             })?;
             n += 1;
         }
+        self.refresh_index();
         Ok(n)
     }
 
@@ -577,9 +627,40 @@ impl Registry {
             .map_err(|e| format!("append runs.jsonl: {e}"))
     }
 
+    /// Bring `index.json` up to date if it is behind the log. Clean
+    /// shutdown calls this; `Drop` does too, but cannot report a failure.
+    pub fn flush_index(&mut self) -> Result<(), String> {
+        if self.index_records == self.record_count() {
+            return Ok(());
+        }
+        self.write_index()
+    }
+
+    /// [`flush_index`](Self::flush_index) for the append path: the index
+    /// is derived, so a failed rewrite is reported and left for the next
+    /// scheduled point or close — it never fails the append that is
+    /// already durable in the log.
+    fn refresh_index(&mut self) {
+        if let Err(e) = self.flush_index() {
+            eprintln!(
+                "fem2-serve: index.json left at {} records: {e}",
+                self.index_records
+            );
+        }
+    }
+
+    /// After an append: rewrite the index when the record count reaches a
+    /// power of two, so the whole-file rewrite is amortised O(1) per
+    /// record however large the registry grows.
+    fn index_on_schedule(&mut self) {
+        if self.record_count().is_power_of_two() {
+            self.refresh_index();
+        }
+    }
+
     /// Rewrite `index.json` from the in-memory state, atomically
     /// (temp file + rename) so readers never see a torn index.
-    fn write_index(&self) -> Result<(), String> {
+    fn write_index(&mut self) -> Result<(), String> {
         let runs: Vec<Value> = self
             .runs
             .iter()
@@ -622,7 +703,17 @@ impl Registry {
         let mut text = json_pretty(&index);
         text.push('\n');
         fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        fs::rename(&tmp, &final_path).map_err(|e| format!("rename index.json: {e}"))
+        fs::rename(&tmp, &final_path).map_err(|e| format!("rename index.json: {e}"))?;
+        self.index_records = self.record_count();
+        Ok(())
+    }
+}
+
+impl Drop for Registry {
+    /// Clean close: leave `index.json` covering the whole log. Best
+    /// effort — after a kill the next open rebuilds it instead.
+    fn drop(&mut self) {
+        let _ = self.flush_index();
     }
 }
 
@@ -800,6 +891,10 @@ mod tests {
         fs::remove_dir_all(&dir3).unwrap();
     }
 
+    fn index_on_disk(dir: &Path) -> Value {
+        serde_json::parse_value(&fs::read_to_string(dir.join("index.json")).unwrap()).unwrap()
+    }
+
     #[test]
     fn index_json_reflects_the_log() {
         let dir = temp_dir("index");
@@ -807,12 +902,156 @@ mod tests {
         let outcome = spec.execute();
         let mut reg = Registry::open(&dir).unwrap();
         reg.record_run(&spec, &outcome, 1).unwrap();
-        let text = fs::read_to_string(dir.join("index.json")).unwrap();
-        let v = serde_json::parse_value(&text).unwrap();
+        let v = index_on_disk(&dir);
         assert_eq!(u64_field(&v, "run_count"), Some(1));
         assert_eq!(u64_field(&v, "bench_count"), Some(0));
         assert_eq!(str_field(&v, "schema").as_deref(), Some(SCHEMA));
+        // The live index is rewritten when the record count reaches a
+        // power of two: after five appends it covers four, and says so.
+        for wall_ns in 2..=5 {
+            reg.record_run(&spec, &outcome, wall_ns).unwrap();
+        }
+        assert_eq!(reg.run_count(), 5);
+        assert_eq!(reg.index_records(), 4);
+        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(4));
+        // Clean close catches it up, to exactly what a fresh open of the
+        // same log writes.
+        drop(reg);
+        let closed = fs::read(dir.join("index.json")).unwrap();
+        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(5));
+        let reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.index_records(), 5);
+        assert_eq!(fs::read(dir.join("index.json")).unwrap(), closed);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_index_rewrite_never_fails_or_duplicates_the_append() {
+        let dir = temp_dir("index-blocked");
+        let spec = sample_spec();
+        let outcome = spec.execute();
+        let mut reg = Registry::open(&dir).unwrap();
+        // A directory where the temp file goes: every rewrite fails.
+        fs::create_dir(dir.join("index.json.tmp")).unwrap();
+        reg.record_run(&spec, &outcome, 1).unwrap();
+        reg.record_run(&spec, &outcome, 2).unwrap();
+        assert_eq!(reg.run_count(), 2);
+        assert_eq!(reg.index_records(), 0, "the index is behind and says so");
+        assert!(reg.flush_index().is_err());
+        let log = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        assert_eq!(log.lines().count(), 2, "one line per run, no duplicate");
+        fs::remove_dir(dir.join("index.json.tmp")).unwrap();
+        drop(reg);
+        let reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.run_count(), 2);
+        assert_eq!(reg.index_records(), 2);
+        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(2));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn carried_and_recomputing_paths_write_the_same_bytes() {
+        let plate = sample_spec();
+        let outcome = plate.execute();
+        let capped =
+            JobSpec::parse(r#"{"nx":12,"ny":12,"budget":{"max_sim_cycles":10000}}"#).unwrap();
+        let script = JobSpec::parse(
+            r#"{"kind":"script","ops":[
+                {"op":"initiate","task":"a"},{"op":"terminate","task":"a"}]}"#,
+        )
+        .unwrap();
+        let script_outcome = script.execute();
+        let abort = "run aborted (cycles_exceeded) at 10020 sim cycles, 0 DES events";
+        type Call<'a> = (
+            &'a JobSpec,
+            RunStatus,
+            Option<&'a JobOutcome>,
+            Option<&'a str>,
+            Option<&'a str>,
+            u64,
+            u32,
+        );
+        let calls: [Call; 5] = [
+            (&plate, RunStatus::Ok, Some(&outcome), None, None, 11, 1),
+            (
+                &capped,
+                RunStatus::Aborted,
+                None,
+                Some(abort),
+                Some("cycles_exceeded"),
+                12,
+                1,
+            ),
+            (
+                &script,
+                RunStatus::Ok,
+                Some(&script_outcome),
+                None,
+                None,
+                13,
+                1,
+            ),
+            (
+                &plate,
+                RunStatus::Failed,
+                None,
+                Some("job panicked: boom"),
+                None,
+                14,
+                4,
+            ),
+            (&plate, RunStatus::Ok, Some(&outcome), None, None, 15, 1),
+        ];
+        // What the server does: one `Admitted` per job, its cost report
+        // filled before the record is built (or never, for a script).
+        let carried = temp_dir("bytes-carried");
+        let mut reg = Registry::open(&carried).unwrap();
+        for (spec, status, outcome, error, cause, wall_ns, shards) in calls {
+            let mut job = Admitted::new(spec.clone());
+            job.effective_budget(150);
+            reg.record(&mut job, status, outcome, error, cause, wall_ns, shards)
+                .unwrap();
+        }
+        drop(reg);
+        // The public entry points, which derive hash and cost again.
+        let recomputed = temp_dir("bytes-recomputed");
+        let mut reg = Registry::open(&recomputed).unwrap();
+        for (i, (spec, status, outcome, error, cause, wall_ns, shards)) in
+            calls.into_iter().enumerate()
+        {
+            if i == 4 {
+                reg.record_run(spec, outcome.unwrap(), wall_ns).unwrap();
+            } else {
+                reg.record_result(spec, status, outcome, error, cause, wall_ns, shards)
+                    .unwrap();
+            }
+        }
+        drop(reg);
+        let log = fs::read_to_string(carried.join("runs.jsonl")).unwrap();
+        assert_eq!(
+            log,
+            fs::read_to_string(recomputed.join("runs.jsonl")).unwrap()
+        );
+        assert_eq!(
+            fs::read(carried.join("index.json")).unwrap(),
+            fs::read(recomputed.join("index.json")).unwrap()
+        );
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 5);
+        assert!(
+            lines[0].contains("\"predicted\":{\"sim_cycles\":"),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"abort_cause\":\"cycles_exceeded\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[1].contains("\"predicted\":"), "{}", lines[1]);
+        assert!(!lines[2].contains("\"predicted\""), "{}", lines[2]);
+        fs::remove_dir_all(&carried).unwrap();
+        fs::remove_dir_all(&recomputed).unwrap();
     }
 
     #[test]
@@ -1018,7 +1257,7 @@ mod tests {
         /// rebuilt index agrees with the replay; and the repaired log
         /// accepts appends cleanly.
         #[test]
-        fn torn_tail_recovery_at_any_offset(cut_back in 0usize..400, runs in 2usize..5) {
+        fn torn_tail_recovery_at_any_offset(cut_back in 0usize..400, runs in 2usize..8) {
             let dir = temp_dir("prop-torn");
             let specs: Vec<JobSpec> = (0..runs)
                 .map(|i| {
@@ -1046,15 +1285,17 @@ mod tests {
                 proptest::prop_assert!(reg.lookup(&spec.content_hash()).is_some());
             }
             // index.json agrees with the replay.
-            let idx = serde_json::parse_value(&fs::read_to_string(dir.join("index.json")).unwrap()).unwrap();
-            proptest::prop_assert_eq!(u64_field(&idx, "run_count"), Some(complete as u64));
-            // And the repaired log accepts a fresh append that survives.
+            proptest::prop_assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(complete as u64));
+            // And the repaired log accepts a fresh append that survives,
+            // and that the index covers once the registry is closed —
+            // whether or not the new count is one the live schedule writes.
             drop(reg);
             let extra = JobSpec::parse(r#"{"nx":4,"ny":4,"seed":999}"#).unwrap();
             {
                 let mut reg = Registry::open(&dir).unwrap();
                 reg.record_run(&extra, &outcome, 1).unwrap();
             }
+            proptest::prop_assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(complete as u64 + 1));
             let reg = Registry::open(&dir).unwrap();
             proptest::prop_assert_eq!(reg.run_count(), complete + 1);
             proptest::prop_assert!(reg.lookup(&extra.content_hash()).is_some());
@@ -1071,13 +1312,18 @@ mod tests {
                 "params":"route_cache=on des_queue=Calendar repeat=3 threads=4",
                 "results":[
                   {"name":"plate-16","wall_ns_median":100,"sim_cycles":200,"events_per_sec":5.0},
-                  {"name":"plate-32","wall_ns_median":400,"sim_cycles":800,"events_per_sec":6.0}
+                  {"name":"plate-32","wall_ns_median":400,"sim_cycles":800,"events_per_sec":6.0},
+                  {"name":"plate-64","wall_ns_median":900,"sim_cycles":1800,"events_per_sec":7.0}
                 ]}"#,
         )
         .unwrap();
         let n = reg.ingest_bench_suite(&doc).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(reg.bench_count(), 2);
+        assert_eq!(n, 3);
+        assert_eq!(reg.bench_count(), 3);
+        // One index rewrite per ingest, covering all of it — three is not
+        // a count the per-append schedule would have written.
+        assert_eq!(reg.index_records(), 3);
+        assert_eq!(u64_field(&index_on_disk(&dir), "bench_count"), Some(3));
         let b = &reg.benches()[0];
         assert_eq!(b.commit, "abc1234");
         assert_eq!(b.plan_hash, "deadbeef00000000");

@@ -1,21 +1,29 @@
-//! The fem2-serve server: admission → cache → scheduler → registry.
+//! The fem2-serve server: parse → hash → cache → verify → quota →
+//! scheduler → registry.
 //!
-//! Every submission walks the same four stations, in order:
+//! Every submission walks the same stations, in order:
 //!
-//! 1. **Admission** — the body parses into a resolved [`JobSpec`] (400 on
-//!    malformed input), then runs through the fem2-verify passes; a
-//!    blocking report is returned as a 422 whose body is the structured
-//!    diagnostics document. Nothing rejected here ever touches a worker.
-//! 2. **Cache** — the resolved spec's content hash is looked up in the
-//!    registry (completed runs, including previous server lifetimes) and
-//!    in the in-flight table (submitted but not finished). A registry hit
-//!    answers 200 immediately with the stored outcome; an in-flight hit
-//!    coalesces onto the running job instead of queuing a duplicate.
-//! 3. **Scheduler** — admitted misses are handed to a dedicated scheduler
+//! 1. **Parse and hash** — the body parses into a resolved [`JobSpec`]
+//!    (400 on malformed input) and its content hash is taken, once.
+//! 2. **Cache** — the hash is looked up in the registry (completed runs,
+//!    including previous server lifetimes) and in the in-flight table
+//!    (submitted but not finished). A registry hit answers 200 with the
+//!    stored outcome; an in-flight hit coalesces onto the running job
+//!    instead of queuing a duplicate.
+//! 3. **Admission** — *only a miss* runs through the fem2-verify passes;
+//!    a blocking report is returned as a 422 whose body is the structured
+//!    diagnostics document. Verification gates execution, and a hit, a
+//!    coalesce and a quarantine replay execute nothing: the verdict is a
+//!    function of exactly what the hash covers, and a record or in-flight
+//!    entry exists under a hash only if that content passed the gate
+//!    (DESIGN.md §8). An operator quota is server state, not spec state,
+//!    so it is enforced on hits and misses alike. Nothing rejected here
+//!    ever touches a worker.
+//! 4. **Scheduler** — admitted misses are handed to a dedicated scheduler
 //!    thread that spawns each job onto a bounded `fem2-par` pool. Queue
 //!    depth is capped; submissions past the cap are shed with a 503 so an
 //!    overloaded server degrades by refusing work, not by drowning.
-//! 4. **Registry** — completed runs are appended to the crash-safe JSONL
+//! 5. **Registry** — completed runs are appended to the crash-safe JSONL
 //!    log before the job is marked done, so a result the server ever
 //!    reported is a result it can serve again after a restart.
 //!
@@ -47,8 +55,8 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::http::{
     read_request_deadline, write_response, ParseError, Request, Response, REQUEST_DEADLINE,
 };
-use crate::job::{self, JobOutcome, JobSpec, RunStatus};
-use crate::registry::Registry;
+use crate::job::{self, Admitted, JobOutcome, JobSpec, RunStatus};
+use crate::registry::{Registry, RunRecord};
 use crate::util::{json_compact, json_pretty};
 
 /// Backoff before the single registry-write retry.
@@ -144,19 +152,72 @@ struct JobEntry {
     outcome: Option<Value>,
     wall_ns: u64,
     error: Option<String>,
+    /// Host-side stage times of a scheduled job, beside `wall_ns` in the
+    /// job detail: accept of the POST → enqueue, enqueue → worker entry,
+    /// and the registry append. Never hashed, never persisted.
+    admit_ns: u64,
+    queue_ns: u64,
+    persist_ns: u64,
 }
 
 /// Mutable tables: the job list and the in-flight coalescing index.
 #[derive(Default)]
 struct Tables {
+    /// Every submission ever tracked; job `id` lives at `jobs[id - 1]`.
     jobs: Vec<JobEntry>,
     /// hash → job id for submitted-but-unfinished work.
     in_flight: HashMap<String, u64>,
 }
 
+impl Tables {
+    /// Track one more submission. Ids are handed out under the same lock
+    /// that pushes the entry, which is what makes them indices.
+    fn push(&mut self, job: &Admitted, status: JobStatus, cached: bool) -> &mut JobEntry {
+        self.jobs.push(JobEntry {
+            id: self.jobs.len() as u64 + 1,
+            hash: job.hash.clone(),
+            name: job.spec.name().to_string(),
+            kind: job.spec.kind(),
+            status,
+            cached,
+            outcome: None,
+            wall_ns: 0,
+            error: None,
+            admit_ns: 0,
+            queue_ns: 0,
+            persist_ns: 0,
+        });
+        self.jobs.last_mut().expect("just pushed")
+    }
+
+    fn slot(id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(1)?).ok()
+    }
+
+    fn job(&self, id: u64) -> Option<&JobEntry> {
+        let e = self.jobs.get(Self::slot(id)?)?;
+        assert_eq!(e.id, id, "job ids index the job table");
+        Some(e)
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut JobEntry> {
+        let e = self.jobs.get_mut(Self::slot(id)?)?;
+        assert_eq!(e.id, id, "job ids index the job table");
+        Some(e)
+    }
+}
+
 enum SchedMsg {
-    Run(u64, Box<JobSpec>),
+    Run {
+        id: u64,
+        job: Box<Admitted>,
+        enqueued: Instant,
+    },
     Stop,
+}
+
+fn ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Shared server state.
@@ -192,7 +253,9 @@ pub struct State {
     /// Armed chaos plan, if any.
     chaos: Option<Arc<ChaosState>>,
     request_deadline: Duration,
-    next_id: AtomicU64,
+    /// Test hook: how many submissions ran the verifier.
+    #[cfg(test)]
+    verify_calls: AtomicU64,
     stop: AtomicBool,
     capacity: usize,
     workers: usize,
@@ -247,6 +310,15 @@ impl State {
             if e.status == JobStatus::Done {
                 pairs.push(("wall_ns", Value::UInt(e.wall_ns)));
             }
+            if !e.cached {
+                pairs.push(("admit_ns", Value::UInt(e.admit_ns)));
+                if e.status != JobStatus::Queued {
+                    pairs.push(("queue_ns", Value::UInt(e.queue_ns)));
+                }
+                if !matches!(e.status, JobStatus::Queued | JobStatus::Running) {
+                    pairs.push(("persist_ns", Value::UInt(e.persist_ns)));
+                }
+            }
             if let Some(err) = &e.error {
                 pairs.push(("error", Value::Str(err.clone())));
             }
@@ -254,9 +326,24 @@ impl State {
         obj(pairs)
     }
 
-    /// POST /jobs: the full admission → cache → schedule walk.
-    fn submit(self: &Arc<Self>, body: &str) -> Response {
-        // Station 1: parse + static verification.
+    /// The record a submission of `hash` is answered from, if any. Latest
+    /// record wins, with one carve-out: an *operational* ending (wall
+    /// deadline, cancel) is a host fact, not a spec fact — and `wall_ms`
+    /// is hash-neutral, so replaying it would poison the identical
+    /// unbudgeted spec for every tenant, permanently. Such a record never
+    /// quarantines: an earlier ok record (same hash) still serves, and
+    /// with none the spec simply re-runs.
+    fn cached_record<'r>(registry: &'r Registry, hash: &str) -> Option<&'r RunRecord> {
+        match registry.lookup(hash) {
+            Some(rec) if !rec.status.is_ok() && !rec.quarantines() => registry.lookup_ok(hash),
+            other => other,
+        }
+    }
+
+    /// POST /jobs: the full parse → cache → admission → schedule walk.
+    /// `accepted` is when the connection was accepted.
+    fn submit(self: &Arc<Self>, body: &str, accepted: Instant) -> Response {
+        // Station 1: parse and hash.
         let spec = match JobSpec::parse(body) {
             Ok(s) => s,
             // A machine config that parsed but describes an impossible
@@ -268,52 +355,63 @@ impl State {
             }
             Err(e) => return Response::json(400, error_body(&e)),
         };
-        let report = spec.verify();
-        if report.blocks(spec.allow_warnings()) {
-            let mut doc = report.to_value();
-            if let Value::Obj(pairs) = &mut doc {
-                pairs.insert(
-                    0,
-                    (
-                        "error".into(),
-                        Value::Str("rejected by static verification".into()),
-                    ),
-                );
+        let mut job = Admitted::new(spec);
+
+        // Station 2, first look: has this content been through the gate
+        // before? The verdict is a function of what the hash covers, and a
+        // record or in-flight entry exists under a hash only if that
+        // content passed. The look decides nothing else — both locks are
+        // released again before `verify()`, and the walk below re-reads
+        // the tables — so one gone stale costs at most a redundant
+        // verification.
+        let known = {
+            let registry = self.registry.lock();
+            let tables = self.tables.lock();
+            Self::cached_record(&registry, &job.hash).is_some()
+                || tables.in_flight.contains_key(&job.hash)
+        };
+        // Station 3: static verification, for content never seen.
+        if !known {
+            #[cfg(test)]
+            self.verify_calls.fetch_add(1, Ordering::Relaxed);
+            let report = job.spec.verify();
+            if report.blocks(job.spec.allow_warnings()) {
+                let mut doc = report.to_value();
+                if let Value::Obj(pairs) = &mut doc {
+                    pairs.insert(
+                        0,
+                        (
+                            "error".into(),
+                            Value::Str("rejected by static verification".into()),
+                        ),
+                    );
+                }
+                return Response::json(422, json_pretty(&doc));
             }
-            return Response::json(422, json_pretty(&doc));
         }
-        // Station 1b: predictive admission. When the operator armed a
+        // Station 3b: predictive admission. When the operator armed a
         // quota, the static cost pass upper-bounds the run before any
         // cycle is simulated; a plate whose *bound* already exceeds the
-        // quota is refused here, before it can touch the cache, the
-        // queue, or a worker. The check is conservative by construction
-        // (the bound is sound, so it can over- but never under-estimate),
-        // which is the correct polarity for admission. Script jobs never
-        // simulate, so quotas do not apply to them.
-        if matches!(spec, JobSpec::Plate(_)) && self.has_quota() {
-            if let Some(resp) = self.enforce_quota(&spec) {
+        // quota is refused here, before it can be served from the cache
+        // or touch the queue or a worker — the quota is operator state,
+        // so a cached result does not exempt a spec from it. The check is
+        // conservative by construction (the bound is sound, so it can
+        // over- but never under-estimate), which is the correct polarity
+        // for admission. Script jobs never simulate, so quotas do not
+        // apply to them.
+        if matches!(job.spec, JobSpec::Plate(_)) && self.has_quota() {
+            if let Some(resp) = self.enforce_quota(&mut job) {
                 self.cost_rejections.fetch_add(1, Ordering::Relaxed);
                 return resp;
             }
         }
-        let hash = spec.content_hash();
 
-        // Station 2: the result cache (registry, then in-flight work).
-        // Both tables stay locked through the capacity check and enqueue so
-        // two identical concurrent submissions cannot both miss.
+        // Station 2, the walk: the result cache (registry, then in-flight
+        // work). Both tables stay locked through the capacity check and
+        // enqueue so two identical concurrent submissions cannot both miss.
         let registry = self.registry.lock();
         let mut tables = self.tables.lock();
-        // Latest record wins, with one carve-out: an *operational* ending
-        // (wall deadline, cancel) is a host fact, not a spec fact — and
-        // `wall_ms` is hash-neutral, so replaying it would poison the
-        // identical unbudgeted spec for every tenant, permanently. Such a
-        // record never quarantines: an earlier ok record (same hash) still
-        // serves, and with none the spec simply re-runs.
-        let cached = match registry.lookup(&hash) {
-            Some(rec) if !rec.status.is_ok() && !rec.quarantines() => registry.lookup_ok(&hash),
-            other => other,
-        };
-        if let Some(rec) = cached {
+        if let Some(rec) = Self::cached_record(&registry, &job.hash) {
             // Poison quarantine: a spec whose latest record ended
             // *deterministically* badly (panic, cycle/event budget)
             // replays that recorded fate — structured error, no worker
@@ -328,61 +426,28 @@ impl State {
                     .error
                     .clone()
                     .unwrap_or_else(|| format!("job previously {}", rec.status.name()));
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let entry = JobEntry {
-                    id,
-                    hash: hash.clone(),
-                    name: spec.name().to_string(),
-                    kind: if matches!(spec, JobSpec::Plate(_)) {
-                        "plate"
-                    } else {
-                        "script"
-                    },
-                    status: entry_status,
-                    cached: true,
-                    outcome: None,
-                    wall_ns: rec.wall_ns,
-                    error: Some(err.clone()),
-                };
-                tables.jobs.push(entry);
+                let entry = tables.push(&job, entry_status, true);
+                entry.wall_ns = rec.wall_ns;
+                entry.error = Some(err.clone());
                 let body = obj(vec![
                     ("error", Value::Str(err)),
                     ("status", Value::Str(rec.status.name().to_string())),
                     ("quarantined", Value::Bool(true)),
-                    ("id", Value::UInt(id)),
-                    ("hash", Value::Str(hash)),
+                    ("id", Value::UInt(entry.id)),
+                    ("hash", Value::Str(job.hash)),
                 ]);
                 return Response::json(code, json_compact(&body));
             }
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let entry = JobEntry {
-                id,
-                hash: hash.clone(),
-                name: spec.name().to_string(),
-                kind: if matches!(spec, JobSpec::Plate(_)) {
-                    "plate"
-                } else {
-                    "script"
-                },
-                status: JobStatus::Done,
-                cached: true,
-                outcome: Some(rec.outcome.clone()),
-                wall_ns: rec.wall_ns,
-                error: None,
-            };
-            let resp = Self::entry_value(&entry, true);
-            tables.jobs.push(entry);
-            return Response::json(200, json_compact(&resp));
+            let entry = tables.push(&job, JobStatus::Done, true);
+            entry.outcome = Some(rec.outcome.clone());
+            entry.wall_ns = rec.wall_ns;
+            return Response::json(200, json_compact(&Self::entry_value(entry, true)));
         }
         drop(registry);
-        if let Some(&id) = tables.in_flight.get(&hash) {
+        if let Some(&id) = tables.in_flight.get(&job.hash) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let entry = tables
-                .jobs
-                .iter()
-                .find(|e| e.id == id)
-                .expect("in-flight ids index the job table");
+            let entry = tables.job(id).expect("in-flight ids index the job table");
             let mut v = Self::entry_value(entry, false);
             if let Value::Obj(pairs) = &mut v {
                 pairs.push(("coalesced".into(), Value::Bool(true)));
@@ -390,7 +455,7 @@ impl State {
             return Response::json(200, json_compact(&v));
         }
 
-        // Station 3: bounded scheduling with shedding.
+        // Station 4: bounded scheduling with shedding.
         let depth = self.queue_depth.load(Ordering::Acquire);
         if depth as usize >= self.capacity {
             self.shed.fetch_add(1, Ordering::Relaxed);
@@ -404,37 +469,25 @@ impl State {
             );
         }
         self.queue_depth.fetch_add(1, Ordering::AcqRel);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let entry = JobEntry {
-            id,
-            hash: hash.clone(),
-            name: spec.name().to_string(),
-            kind: if matches!(spec, JobSpec::Plate(_)) {
-                "plate"
-            } else {
-                "script"
-            },
-            status: JobStatus::Queued,
-            cached: false,
-            outcome: None,
-            wall_ns: 0,
-            error: None,
-        };
-        let resp = Self::entry_value(&entry, false);
-        tables.in_flight.insert(hash, id);
-        tables.jobs.push(entry);
+        let enqueued = Instant::now();
+        let entry = tables.push(&job, JobStatus::Queued, false);
+        entry.admit_ns = ns(enqueued.duration_since(accepted));
+        let id = entry.id;
+        let resp = Self::entry_value(entry, false);
+        tables.in_flight.insert(job.hash.clone(), id);
         drop(tables);
-        if self
-            .sched
-            .lock()
-            .send(SchedMsg::Run(id, Box::new(spec)))
-            .is_err()
-        {
+        let msg = SchedMsg::Run {
+            id,
+            job: Box::new(job),
+            enqueued,
+        };
+        if self.sched.lock().send(msg).is_err() {
             // Scheduler gone (shutdown race): fail the entry honestly.
             self.finish(
                 id,
                 JobStatus::Failed,
                 None,
+                0,
                 0,
                 Some("scheduler stopped".into()),
             );
@@ -455,8 +508,8 @@ impl State {
     /// diagnostics — each violation names the bound and the limit it
     /// broke — plus the full cost report, so a rejected tenant can size
     /// the job down without guessing.
-    fn enforce_quota(&self, spec: &JobSpec) -> Option<Response> {
-        let cost = spec.cost_report();
+    fn enforce_quota(&self, job: &mut Admitted) -> Option<Response> {
+        let cost = job.cost();
         let mut violations: Vec<(String, Option<u32>)> = Vec::new();
         match &cost.verdict {
             fem2_verify::CostVerdict::Unbounded { reason, span } => {
@@ -517,12 +570,11 @@ impl State {
     /// caught and recorded as failures, budget aborts surface as aborted,
     /// and every ending — ok, failed, aborted — is persisted before the
     /// job is published.
-    fn run_job(self: &Arc<Self>, id: u64, spec: &JobSpec) {
-        {
-            let mut tables = self.tables.lock();
-            if let Some(e) = tables.jobs.iter_mut().find(|e| e.id == id) {
-                e.status = JobStatus::Running;
-            }
+    fn run_job(self: &Arc<Self>, id: u64, job: &mut Admitted, enqueued: Instant) {
+        let queue_ns = ns(enqueued.elapsed());
+        if let Some(e) = self.tables.lock().job_mut(id) {
+            e.status = JobStatus::Running;
+            e.queue_ns = queue_ns;
         }
         let (chaos_panic, chaos_stall) = self
             .chaos
@@ -533,25 +585,18 @@ impl State {
         // Soundness (bound ≥ actual) means the derived cap only ever
         // fires on a run that violates its own static bound — a
         // cost-model or simulator bug, which *should* abort loudly.
-        let budget = match spec {
-            JobSpec::Plate(p) => {
-                let (budget, auto) =
-                    p.effective_budget(&spec.cost_report(), self.budget_slack_percent);
-                if auto {
-                    self.auto_budgeted.fetch_add(1, Ordering::Relaxed);
-                }
-                budget
-            }
-            JobSpec::Script(_) => fem2_machine::RunBudget::unlimited(),
-        };
+        let (budget, auto) = job.effective_budget(self.budget_slack_percent);
+        if auto {
+            self.auto_budgeted.fetch_add(1, Ordering::Relaxed);
+        }
         // Execute with the server's shard setting (a spec-level
         // `des_shards` wins). Sharding is bitwise-invisible, so the
         // override lives only in the executed copy — the submitted spec
         // (and its cache key) is persisted untouched, and the shard
         // count rides along on the registry record instead.
-        let shards = spec.effective_shards(self.shards);
-        let sharded = (shards != 1).then(|| spec.with_exec_shards(shards));
-        let exec_spec = sharded.as_ref().unwrap_or(spec);
+        let shards = job.spec.effective_shards(self.shards);
+        let sharded = (shards != 1).then(|| job.spec.with_exec_shards(shards));
+        let exec_spec = sharded.as_ref().unwrap_or(&job.spec);
         let t0 = Instant::now();
         // The unwind boundary: a panic in the scenario (or an injected
         // one) must not cross into the pool scope, where it would poison
@@ -565,44 +610,22 @@ impl State {
             }
             exec_spec.execute_with_budget(budget)
         }));
-        let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if matches!(spec, JobSpec::Plate(_)) {
+        let wall_ns = ns(t0.elapsed());
+        if matches!(job.spec, JobSpec::Plate(_)) {
             self.sims_run.fetch_add(1, Ordering::Relaxed);
         }
-        match result {
-            Ok(Ok(outcome)) => {
-                // Station 4: persist before publishing, so a result a
-                // tenant saw is a result the next lifetime can serve.
-                match self.persist(
-                    spec,
-                    RunStatus::Ok,
-                    Some(&outcome),
-                    None,
-                    None,
-                    wall_ns,
-                    shards,
-                ) {
-                    Ok(()) => self.finish(id, JobStatus::Done, Some(outcome.value), wall_ns, None),
-                    Err(e) => self.finish(id, JobStatus::Failed, None, wall_ns, Some(e)),
-                }
-            }
+        let (status, outcome, error, abort_cause) = match result {
+            Ok(Ok(outcome)) => (RunStatus::Ok, Some(outcome), None, None),
             Ok(Err(abort)) => {
                 self.aborts.fetch_add(1, Ordering::Relaxed);
-                let msg = abort.to_string();
-                // Persist the abort with its structured cause — the cause
-                // decides whether quarantine replays it; if even the
-                // record fails, the in-memory entry still tells the truth.
-                let cause = abort.cause.name();
-                let _ = self.persist(
-                    spec,
+                // The structured cause decides whether quarantine replays
+                // the abort.
+                (
                     RunStatus::Aborted,
                     None,
-                    Some(&msg),
-                    Some(cause),
-                    wall_ns,
-                    shards,
-                );
-                self.finish(id, JobStatus::Aborted, None, wall_ns, Some(msg));
+                    Some(abort.to_string()),
+                    Some(abort.cause.name()),
+                )
             }
             Err(payload) => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
@@ -610,28 +633,42 @@ impl State {
                 // `&payload` would coerce the Box into the trait object and
                 // make every downcast miss.
                 let msg = format!("job panicked: {}", panic_message(&*payload));
-                let _ = self.persist(
-                    spec,
-                    RunStatus::Failed,
-                    None,
-                    Some(&msg),
-                    None,
-                    wall_ns,
-                    shards,
-                );
-                self.finish(id, JobStatus::Failed, None, wall_ns, Some(msg));
+                (RunStatus::Failed, None, Some(msg), None)
             }
-        }
+        };
+        // Station 5: persist before publishing, so a result a tenant saw
+        // is a result the next lifetime can serve.
+        let t_persist = Instant::now();
+        let persisted = self.persist(
+            job,
+            status,
+            outcome.as_ref(),
+            error.as_deref(),
+            abort_cause,
+            wall_ns,
+            shards,
+        );
+        let persist_ns = ns(t_persist.elapsed());
+        let (status, outcome, error) = match (status, persisted) {
+            (RunStatus::Ok, Ok(())) => (JobStatus::Done, outcome.map(|o| o.value), None),
+            (RunStatus::Ok, Err(e)) => (JobStatus::Failed, None, Some(e)),
+            // If even the failure record fails, the in-memory entry still
+            // tells the truth.
+            (RunStatus::Aborted, _) => (JobStatus::Aborted, None, error),
+            (RunStatus::Failed, _) => (JobStatus::Failed, None, error),
+        };
+        self.finish(id, status, outcome, wall_ns, persist_ns, error);
     }
 
     /// Append one result record, retrying once after a short backoff: a
     /// failed write is infrastructure trouble (disk hiccup, injected
     /// fault), not a property of the scenario, so one retry is cheap and
-    /// absorbs transients without masking a dead disk.
+    /// absorbs transients without masking a dead disk. An append that
+    /// failed wrote nothing, so the retry cannot duplicate a record.
     #[allow(clippy::too_many_arguments)]
     fn persist(
         &self,
-        spec: &JobSpec,
+        job: &mut Admitted,
         status: RunStatus,
         outcome: Option<&JobOutcome>,
         error: Option<&str>,
@@ -639,10 +676,10 @@ impl State {
         wall_ns: u64,
         shards: u32,
     ) -> Result<(), String> {
-        let attempt = || {
+        let mut attempt = || {
             self.registry
                 .lock()
-                .record_result(spec, status, outcome, error, abort_cause, wall_ns, shards)
+                .record(job, status, outcome, error, abort_cause, wall_ns, shards)
                 .map(|_| ())
         };
         let first = match attempt() {
@@ -674,13 +711,15 @@ impl State {
         status: JobStatus,
         outcome: Option<Value>,
         wall_ns: u64,
+        persist_ns: u64,
         error: Option<String>,
     ) {
         let mut tables = self.tables.lock();
-        if let Some(e) = tables.jobs.iter_mut().find(|e| e.id == id) {
+        if let Some(e) = tables.job_mut(id) {
             e.status = status;
             e.outcome = outcome;
             e.wall_ns = wall_ns;
+            e.persist_ns = persist_ns;
             e.error = error;
             let hash = e.hash.clone();
             tables.in_flight.remove(&hash);
@@ -738,6 +777,10 @@ impl State {
                 "registry_benches",
                 Value::UInt(registry.bench_count() as u64),
             ),
+            (
+                "index_records",
+                Value::UInt(registry.index_records() as u64),
+            ),
         ]);
         Response::json(200, json_pretty(&doc))
     }
@@ -778,7 +821,7 @@ impl State {
 
     fn job_detail(&self, id: u64) -> Response {
         let tables = self.tables.lock();
-        match tables.jobs.iter().find(|e| e.id == id) {
+        match tables.job(id) {
             Some(e) => Response::json(200, json_compact(&Self::entry_value(e, true))),
             None => Response::json(404, error_body(&format!("no job {id}"))),
         }
@@ -786,7 +829,7 @@ impl State {
 
     fn job_result(&self, id: u64) -> Response {
         let tables = self.tables.lock();
-        match tables.jobs.iter().find(|e| e.id == id) {
+        match tables.job(id) {
             Some(e) => match (&e.status, &e.outcome) {
                 (JobStatus::Done, Some(outcome)) => {
                     let doc = obj(vec![
@@ -854,11 +897,11 @@ impl State {
         }
     }
 
-    /// Route one parsed request.
-    fn dispatch(self: &Arc<Self>, req: &Request) -> Response {
+    /// Route one parsed request; `accepted` is when its connection was.
+    fn dispatch(self: &Arc<Self>, req: &Request, accepted: Instant) -> Response {
         let path = req.path.split('?').next().unwrap_or("");
         match (req.method.as_str(), path) {
-            ("POST", "/jobs") => self.submit(&req.body),
+            ("POST", "/jobs") => self.submit(&req.body, accepted),
             ("POST", "/ingest/bench") => self.ingest_bench(&req.body),
             ("GET", "/jobs") => self.job_list(),
             ("GET", "/stats") => self.stats(),
@@ -912,6 +955,13 @@ impl ServerHandle {
         if let Some(t) = self.sched_thread.take() {
             let _ = t.join();
         }
+        // Clean close: every admitted job has been persisted by now, so
+        // leave `index.json` covering the whole log. (`Drop for Registry`
+        // would, but only once the last connection thread lets go of the
+        // state.)
+        if let Err(e) = self.state.registry.lock().flush_index() {
+            eprintln!("fem2-serve: index.json not rewritten at shutdown: {e}");
+        }
     }
 }
 
@@ -956,7 +1006,8 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         last_registry_write_ok: AtomicBool::new(true),
         chaos,
         request_deadline: opts.request_deadline,
-        next_id: AtomicU64::new(1),
+        #[cfg(test)]
+        verify_calls: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         capacity: opts.queue_capacity.max(1),
         workers: opts.workers.max(1),
@@ -977,9 +1028,13 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         pool.scope(|s| {
             while let Ok(msg) = rx.recv() {
                 match msg {
-                    SchedMsg::Run(id, spec) => {
+                    SchedMsg::Run {
+                        id,
+                        mut job,
+                        enqueued,
+                    } => {
                         let state = Arc::clone(&sched_state);
-                        s.spawn(move || state.run_job(id, &spec));
+                        s.spawn(move || state.run_job(id, &mut job, enqueued));
                     }
                     SchedMsg::Stop => break,
                 }
@@ -996,10 +1051,11 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
+            let accepted = Instant::now();
             let state = Arc::clone(&accept_state);
             thread::spawn(move || {
                 let resp = match read_request_deadline(&mut stream, state.request_deadline) {
-                    Ok(Some(req)) => state.dispatch(&req),
+                    Ok(Some(req)) => state.dispatch(&req, accepted),
                     Ok(None) => return,
                     Err(ParseError::TooLarge) => Response::text(413, "body too large"),
                     Err(ParseError::Malformed(m)) => Response::text(400, m),
@@ -1502,6 +1558,293 @@ mod tests {
             "{stats}"
         );
         assert_eq!(sv.get_field("registry_runs").unwrap(), &Value::UInt(1));
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// 2048² on the default machine: the storage pass must reject.
+    const OVERFLOW: &str = r#"{"nx":2048,"ny":2048}"#;
+
+    fn stat(addr: std::net::SocketAddr, name: &str) -> u64 {
+        let (_, stats) = client::request(addr, "GET", "/stats", None).unwrap();
+        match serde_json::parse_value(&stats).unwrap().get_field(name) {
+            Ok(Value::UInt(u)) => *u,
+            other => panic!("/stats field {name}: {other:?} in {stats}"),
+        }
+    }
+
+    #[test]
+    fn a_rejected_spec_is_rejected_again_and_leaves_no_trace() {
+        let dir = temp_dir("reject-twice");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let addr = handle.addr();
+        let (status, first) = client::request(addr, "POST", "/jobs", Some(OVERFLOW)).unwrap();
+        assert_eq!(status, 422, "{first}");
+        assert!(first.contains("rejected by static verification"), "{first}");
+        let (status, second) = client::request(addr, "POST", "/jobs", Some(OVERFLOW)).unwrap();
+        assert_eq!(status, 422);
+        assert_eq!(first, second);
+        // A refusal is not content the cache has seen: nothing to look up
+        // next time, so the gate runs again.
+        assert_eq!(handle.state.verify_calls.load(Ordering::Relaxed), 2);
+        assert!(handle.state.registry.lock().runs().is_empty());
+        let tables = handle.state.tables.lock();
+        assert!(tables.in_flight.is_empty() && tables.jobs.is_empty());
+        drop(tables);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hit_coalesce_and_quarantine_replay_answer_the_pinned_bytes() {
+        let dir = temp_dir("pinned");
+        let ok = JobSpec::parse(r#"{"nx":12,"ny":12}"#).unwrap();
+        let poisoned = JobSpec::parse(r#"{"nx":10,"ny":10}"#).unwrap();
+        {
+            let mut reg = Registry::open(&dir).unwrap();
+            reg.record_run(&ok, &ok.execute(), 42).unwrap();
+            reg.record_result(
+                &poisoned,
+                RunStatus::Failed,
+                None,
+                Some("job panicked: boom"),
+                None,
+                7,
+                1,
+            )
+            .unwrap();
+        }
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.chaos = Some(ChaosPlan::parse(r#"{"stall_ms_on_run":[[1,400]]}"#).unwrap());
+        let handle = start(&opts).unwrap();
+        let addr = handle.addr();
+
+        let (status, body) = client::request(
+            addr,
+            "POST",
+            "/jobs",
+            Some(r#"{"ny":12,"nx":12,"name":"again"}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(
+            body,
+            r#"{"id":1,"hash":"4c03826862c12ea7","name":"again","kind":"plate","status":"done","cached":true,"wall_ns":42}"#
+        );
+
+        let (status, body) =
+            client::request(addr, "POST", "/jobs", Some(r#"{"nx":10,"ny":10}"#)).unwrap();
+        assert_eq!(status, 500);
+        assert_eq!(
+            body,
+            format!(
+                r#"{{"error":"job panicked: boom","status":"failed","quarantined":true,"id":2,"hash":"{}"}}"#,
+                poisoned.content_hash()
+            )
+        );
+
+        // A job held in its worker by the stall, then the same content
+        // again: coalesced onto it.
+        let id = submit_id(addr, r#"{"nx":8,"ny":8,"name":"first"}"#);
+        assert_eq!(id, 3);
+        loop {
+            let (_, state) = client::request(addr, "GET", "/jobs/3", None).unwrap();
+            if state.contains(r#""status":"running""#) {
+                break;
+            }
+            assert!(state.contains(r#""status":"queued""#), "{state}");
+            thread::yield_now();
+        }
+        let (status, body) = client::request(
+            addr,
+            "POST",
+            "/jobs",
+            Some(r#"{"ny":8,"nx":8,"name":"second"}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(
+            body,
+            format!(
+                r#"{{"id":3,"hash":"{}","name":"first","kind":"plate","status":"running","cached":false,"coalesced":true}}"#,
+                JobSpec::parse(r#"{"nx":8,"ny":8}"#).unwrap().content_hash()
+            )
+        );
+        assert_eq!(client::wait_settled(addr, 3).unwrap(), "done");
+        // Only the one miss went through the gate.
+        assert_eq!(handle.state.verify_calls.load(Ordering::Relaxed), 1);
+        assert_eq!(stat(addr, "cache_hits"), 2);
+        assert_eq!(stat(addr, "quarantine_hits"), 1);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_armed_quota_is_enforced_on_a_cached_spec_too() {
+        let body = r#"{"nx":16,"ny":16}"#;
+        let quota_reply = |tag: &str, cached: bool| {
+            let dir = temp_dir(tag);
+            if cached {
+                let spec = JobSpec::parse(body).unwrap();
+                let mut reg = Registry::open(&dir).unwrap();
+                reg.record_run(&spec, &spec.execute(), 1).unwrap();
+            }
+            let mut opts = ServeOptions::new(dir.clone());
+            opts.quota_cycles = Some(1_000);
+            let handle = start(&opts).unwrap();
+            let addr = handle.addr();
+            let (status, reply) = client::request(addr, "POST", "/jobs", Some(body)).unwrap();
+            assert_eq!(status, 422, "{reply}");
+            assert!(reply.contains("rejected by cost quota"), "{reply}");
+            assert_eq!(stat(addr, "cost_rejections"), 1);
+            assert_eq!(stat(addr, "cache_hits"), 0);
+            // A spec that fails the gate *and* the quota hears from the
+            // verifier: on a miss the gate still comes first.
+            let (status, refused) = client::request(addr, "POST", "/jobs", Some(OVERFLOW)).unwrap();
+            assert_eq!(status, 422);
+            assert!(
+                refused.contains("rejected by static verification"),
+                "{refused}"
+            );
+            assert_eq!(stat(addr, "cost_rejections"), 1);
+            handle.stop();
+            fs::remove_dir_all(&dir).unwrap();
+            reply
+        };
+        // Same diagnostics, same `cost` document, cached or not.
+        assert_eq!(
+            quota_reply("quota-cold", false),
+            quota_reply("quota-hit", true)
+        );
+    }
+
+    #[test]
+    fn the_gate_runs_once_per_cold_spec_and_never_for_a_hit() {
+        let dir = temp_dir("verify-count");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let addr = handle.addr();
+        let colds = [
+            r#"{"nx":6,"ny":6}"#,
+            r#"{"nx":7,"ny":7}"#,
+            r#"{"nx":8,"ny":8}"#,
+        ];
+        for body in colds {
+            let id = submit_id(addr, body);
+            assert_eq!(client::wait_settled(addr, id).unwrap(), "done");
+        }
+        for round in 0..2 {
+            for body in colds {
+                let named = body.replace('}', &format!(r#","name":"round {round}"}}"#));
+                let (status, reply) = client::request(addr, "POST", "/jobs", Some(&named)).unwrap();
+                assert_eq!(status, 200, "{reply}");
+            }
+        }
+        assert_eq!(stat(addr, "sims_run"), 3);
+        assert_eq!(stat(addr, "cache_hits"), 6);
+        assert_eq!(handle.state.verify_calls.load(Ordering::Relaxed), 3);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn job_detail_splits_a_scheduled_job_into_host_side_stages() {
+        let dir = temp_dir("stages");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let addr = handle.addr();
+        let id = submit_id(addr, r#"{"nx":10,"ny":10}"#);
+        assert_eq!(client::wait_settled(addr, id).unwrap(), "done");
+        let (_, detail) = client::request(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        let v = serde_json::parse_value(&detail).unwrap();
+        for stage in ["wall_ns", "admit_ns", "queue_ns", "persist_ns"] {
+            assert!(
+                matches!(v.get_field(stage), Ok(Value::UInt(ns)) if *ns > 0),
+                "{stage} in {detail}"
+            );
+        }
+        // A cached answer ran no stage here: it carries the stored
+        // `wall_ns` and nothing else.
+        let (_, hit) =
+            client::request(addr, "POST", "/jobs", Some(r#"{"nx":10,"ny":10}"#)).unwrap();
+        assert!(hit.contains("\"wall_ns\":"), "{hit}");
+        assert!(
+            !hit.contains("admit_ns") && !hit.contains("persist_ns"),
+            "{hit}"
+        );
+        // None of it is persisted.
+        let log = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        assert!(
+            !log.contains("admit_ns") && !log.contains("queue_ns"),
+            "{log}"
+        );
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn job_ids_index_the_job_table_under_concurrent_submission() {
+        let dir = temp_dir("ids");
+        let hit = JobSpec::parse(r#"{"nx":5,"ny":5}"#).unwrap();
+        let poisoned = JobSpec::parse(r#"{"nx":5,"ny":6}"#).unwrap();
+        {
+            let mut reg = Registry::open(&dir).unwrap();
+            reg.record_run(&hit, &hit.execute(), 1).unwrap();
+            reg.record_result(&poisoned, RunStatus::Failed, None, Some("boom"), None, 1, 1)
+                .unwrap();
+        }
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.queue_capacity = 64;
+        let handle = start(&opts).unwrap();
+        let state = &handle.state;
+        let start_line = std::sync::Barrier::new(8);
+        // Every thread: two cold specs of its own, the cached one, the
+        // quarantined one, and one all eight share (scheduled once, then
+        // coalesced or hit, whichever the race gives).
+        let replies: Vec<(String, String)> = thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|t| {
+                    let start_line = &start_line;
+                    s.spawn(move || {
+                        let bodies = [
+                            format!(r#"{{"nx":4,"ny":4,"seed":{t}}}"#),
+                            r#"{"nx":5,"ny":5}"#.to_string(),
+                            r#"{"nx":6,"ny":6,"seed":99}"#.to_string(),
+                            r#"{"nx":5,"ny":6}"#.to_string(),
+                            format!(r#"{{"nx":4,"ny":5,"seed":{t}}}"#),
+                        ];
+                        start_line.wait();
+                        bodies
+                            .map(|body| (state.submit(&body, Instant::now()).body, body))
+                            .to_vec()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        assert_eq!(replies.len(), 40);
+        let tables = state.tables.lock();
+        // 8 × (2 cold + hit + quarantined) entries, one for the shared
+        // spec, and one more per thread that met it already finished.
+        assert!(
+            (33..=40).contains(&tables.jobs.len()),
+            "{}",
+            tables.jobs.len()
+        );
+        for (slot, e) in tables.jobs.iter().enumerate() {
+            assert_eq!(e.id, slot as u64 + 1);
+        }
+        // Each reply names an id, and that id's entry is that content.
+        for (reply, body) in &replies {
+            let v = serde_json::parse_value(reply).unwrap();
+            let Ok(Value::UInt(id)) = v.get_field("id") else {
+                panic!("no id in {reply}")
+            };
+            let entry = tables.job(*id).expect("the id a reply names exists");
+            assert_eq!(entry.hash, JobSpec::parse(body).unwrap().content_hash());
+        }
+        drop(tables);
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
     }
