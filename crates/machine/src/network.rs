@@ -13,26 +13,27 @@
 //!
 //! Link state is *sparse*: the topology defines a link-id space (up to
 //! `n²` ids for a crossbar), but per-link records (reservation time, busy
-//! cycles, fault state) live in a slab allocated on first touch, so memory
-//! scales with the links that actually carry traffic or carry a fault —
-//! not with the topology size. Links without a record behave as healthy
-//! and idle. Slab order never influences results: every behavior is keyed
-//! by link id, and the aggregate reports (max/total busy) are
-//! order-independent, so allocation history is invisible to outcomes.
+//! cycles, fault state) live in a slab allocated on first touch and found
+//! through a paged index (see `LinkSlab`), so memory scales with the
+//! links that carry traffic or a fault, not with the topology. Links
+//! without a record behave as healthy and idle. Slab order never influences
+//! results: every behavior is keyed by link id, and the aggregate reports
+//! (max/total busy) are order-independent.
 //!
 //! Route selection is cached: the route for a `(from, to)` pair is computed
 //! once and reused until the link-fault state changes
-//! ([`Network::fail_link`], [`Network::degrade_link`], and
-//! [`Network::recover_link`] clear the table wholesale). The cache is a
-//! map over *touched* pairs, not an `n²` table. The hot paths —
-//! [`Network::try_transmit`] per packet and [`Network::estimate`] per
-//! retransmission-timeout computation — then serve routes out of the cache
-//! instead of re-deriving and re-allocating the path per message. A cached
-//! route starts as link ids; the first *transmit* of the pair rewrites it in
-//! place to slab slots, so every later message walks link records directly
-//! with no per-hop lookup (see [`Route`]). Cached and uncached runs are
-//! bitwise identical: the cache stores exactly what
-//! [`Network::compute_route`] would return.
+//! ([`Network::fail_link`], [`Network::degrade_link`] and
+//! [`Network::recover_link`] empty the table, which keeps its memory). The
+//! table (`RouteTable`) holds *touched* pairs, not `n²`, and is reached by
+//! key only. A cached route starts as link ids; the first *transmit* of the
+//! pair rewrites it in place to slab slots, so every later message walks
+//! link records directly with no per-hop lookup (see [`Route`]). A fresh
+//! machine sees only first transmits, so one stays within a few times a
+//! later one: with no dead link (a count the fault calls maintain) route
+//! selection checks no hop, resolving a hop is two loads, and filing the
+//! route is one probe of a flat table. Cached and uncached runs are bitwise
+//! identical: the cache stores exactly what [`Network::compute_route`]
+//! would return.
 //!
 //! A reliable layer that must know, at arrival time, whether a message's
 //! route lost a link while it was in flight sends through
@@ -44,7 +45,6 @@
 use crate::config::{MachineConfig, Topology};
 use crate::{Cycles, Words};
 use std::cell::RefCell;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 /// One allocated link: everything the contention loop reads or writes for
@@ -61,52 +61,83 @@ struct Link {
     id: u32,
 }
 
+/// Link ids per page of the slab's index.
+const PAGE: usize = 256;
+
 /// Per-link state, allocated on first touch (traffic or fault).
 ///
 /// Slots are never freed or reordered, which is what lets a cached
 /// [`Route`] hold slots instead of ids for as long as it lives.
+///
+/// Link id → slot is a two-level table: `pages[id / 256][id % 256]` holds
+/// `slot + 1`, 0 for a link with no record, so a lookup is two loads. A
+/// page exists once a link on it has a record and the directory reaches
+/// the highest such page, so the index is O(touched) — a fully swept
+/// 4096-cluster torus or fat tree is 64–128 one-KiB pages — except on a
+/// crossbar, the one `n²` id space: a source that talks to everyone
+/// touches ⌈n/256⌉ pages, each mostly empty. Crossbars here stop at 64
+/// clusters (16 pages in all).
 #[derive(Clone, Debug, Default)]
 struct LinkSlab {
-    /// Link id → slot index. A `BTreeMap` keeps iteration deterministic
-    /// (the determinism lint bans hashed collections in the engine).
-    index: BTreeMap<u32, u32>,
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
     links: Vec<Link>,
     /// Dead links (packets cannot traverse; routes detour where possible).
     /// Beside `links`, not in it: only route selection reads it.
     dead: Vec<bool>,
+    /// How many of `dead` are set: zero lets route selection skip the
+    /// per-hop check.
+    dead_links: usize,
 }
 
 impl LinkSlab {
     /// Slot for `link`, allocating a healthy idle record on first touch.
     fn ensure(&mut self, link: u32) -> u32 {
-        match self.index.entry(link) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let slot = self.links.len() as u32;
-                e.insert(slot);
-                self.links.push(Link {
-                    free: 0,
-                    busy: 0,
-                    degrade: 1,
-                    id: link,
-                });
-                self.dead.push(false);
-                slot
-            }
+        let page = link as usize / PAGE;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
         }
+        let cell =
+            &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[link as usize % PAGE];
+        if *cell == 0 {
+            self.links.push(Link {
+                free: 0,
+                busy: 0,
+                degrade: 1,
+                id: link,
+            });
+            self.dead.push(false);
+            // At most `u32::MAX` ids, so `slot + 1` fits.
+            *cell = self.links.len() as u32;
+        }
+        *cell - 1
+    }
+
+    fn slot(&self, link: u32) -> Option<usize> {
+        let page = self.pages.get(link as usize / PAGE)?.as_ref()?;
+        (page[link as usize % PAGE] as usize).checked_sub(1)
     }
 
     /// Read-only probes: untouched links are healthy and idle.
     fn is_dead(&self, link: u32) -> bool {
-        self.index
-            .get(&link)
-            .is_some_and(|&s| self.dead[s as usize])
+        self.slot(link).is_some_and(|s| self.dead[s])
     }
 
     fn degrade_of(&self, link: u32) -> u32 {
-        self.index
-            .get(&link)
-            .map_or(1, |&s| self.links[s as usize].degrade)
+        self.slot(link).map_or(1, |s| self.links[s].degrade)
+    }
+
+    /// Kill or revive the link in `slot`; a link already in that state
+    /// leaves the count alone.
+    fn set_dead(&mut self, slot: usize, dead: bool) {
+        if self.dead[slot] != dead {
+            self.dead[slot] = dead;
+            if dead {
+                self.dead_links += 1;
+            } else {
+                self.dead_links -= 1;
+            }
+        }
+        debug_assert_eq!(self.dead_links, self.dead.iter().filter(|d| **d).count());
     }
 
     /// Number of allocated link records (the O(active) memory proxy).
@@ -123,7 +154,7 @@ impl LinkSlab {
 /// after which the contention loop indexes link records directly. Slots
 /// stay valid because the slab never frees or reorders records, and a
 /// fault transition — the only thing that changes which links a pair uses
-/// — drops the whole cache. The first *tracked* transmit moves the slots
+/// — empties the table. The first *tracked* transmit moves the slots
 /// into a shared slice (`Shared`) that its [`Flight`] and every later one
 /// hold a reference to; routes that never carry a tracked message never
 /// pay for the second allocation. Read-only probes
@@ -133,8 +164,9 @@ impl LinkSlab {
 /// [`Network::allocated_link_records`] alone.
 ///
 /// One enum rather than a struct with flags: every variant is a fat
-/// pointer and a `bool`, so the tag shares their last word and a cache
-/// entry stays 24 bytes — cold-route workloads are bound by that table.
+/// pointer and a `bool`, so the tag shares their last word, a route is 24
+/// bytes and a [`RouteTable`] entry 32 with its key — cold-route workloads
+/// are bound by that table.
 #[derive(Clone, Debug)]
 enum Route {
     Links { hops: Box<[u32]>, rerouted: bool },
@@ -227,6 +259,75 @@ impl Route {
     }
 }
 
+/// The routes of touched `(from, to)` pairs: entries in first-touch order
+/// and an open-addressed index over them (entry number + 1, 0 = free; a
+/// power of two long, at most half full, linear probing). Lookup by key is
+/// the only access — nothing iterates it — so its layout cannot reach an
+/// outcome, and the hash is fixed, so the layout itself repeats from run to
+/// run.
+#[derive(Clone, Debug, Default)]
+struct RouteTable {
+    /// `None` = no live route under the current fault state.
+    entries: Vec<(u64, Option<Route>)>,
+    index: Vec<u32>,
+}
+
+impl RouteTable {
+    /// The entry number of `key`, or else the free index cell its probe
+    /// sequence ends at.
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let bits = self.index.len().trailing_zeros();
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        loop {
+            match self.index[at] as usize {
+                0 => return Err(at),
+                e if self.entries[e - 1].0 == key => return Ok(e - 1),
+                _ => at = (at + 1) & (self.index.len() - 1),
+            }
+        }
+    }
+
+    /// The entry for `key`, filled by `compute` on first touch.
+    fn entry(&mut self, key: u64, compute: impl FnOnce() -> Option<Route>) -> &mut Option<Route> {
+        let entry = match self.find(key) {
+            Ok(entry) => entry,
+            Err(mut free) => {
+                if (self.entries.len() + 1) * 2 > self.index.len() {
+                    self.grow();
+                    free = self.find(key).expect_err("growing adds no key");
+                }
+                self.entries.push((key, compute()));
+                self.index[free] = self.entries.len() as u32;
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[entry].1
+    }
+
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(16);
+        self.index.clear();
+        self.index.resize(len, 0);
+        for entry in 0..self.entries.len() {
+            let free = self
+                .find(self.entries[entry].0)
+                .expect_err("keys are distinct");
+            self.index[free] = entry as u32 + 1;
+        }
+    }
+
+    /// Drop every route, keeping the memory.
+    fn clear(&mut self) {
+        if !self.entries.is_empty() {
+            self.entries.clear();
+            self.index.fill(0);
+        }
+    }
+}
+
 /// The route a tracked message took, kept by the sender's reliable layer
 /// until the message (or its acknowledgement) arrives: the network's fault
 /// epoch at send time and the slab slots of the links traversed. Slots
@@ -268,10 +369,9 @@ pub struct Network {
     /// reference path that recomputes every route, for determinism tests).
     cache_enabled: bool,
     /// Memoized routes for touched `(from, to)` pairs, keyed
-    /// `from << 32 | to`; `None` = no live route under the current fault
-    /// state. Cleared wholesale on fault transitions. Interior-mutable so
+    /// `from << 32 | to`. Emptied on fault transitions. Interior-mutable so
     /// `&self` estimators can fill it.
-    cache: RefCell<BTreeMap<u64, Option<Route>>>,
+    cache: RefCell<RouteTable>,
     /// Count of link-fault transitions (kill, degrade, recover) so far: the
     /// cache generation, and the stamp a [`Flight`] is checked against.
     fault_epoch: u64,
@@ -323,7 +423,7 @@ impl Network {
             links: links as usize,
             slab: LinkSlab::default(),
             cache_enabled: cfg.route_cache,
-            cache: RefCell::new(BTreeMap::new()),
+            cache: RefCell::default(),
             fault_epoch: 0,
             messages: 0,
             packets: 0,
@@ -337,7 +437,7 @@ impl Network {
     /// detour where the topology allows.
     pub fn fail_link(&mut self, link: usize) {
         let slot = self.fault_slot(link);
-        self.slab.dead[slot] = true;
+        self.slab.set_dead(slot, true);
     }
 
     /// Degrade a link: its occupancy is multiplied by `factor` (≥ 1).
@@ -351,7 +451,7 @@ impl Network {
     /// primary path.
     pub fn recover_link(&mut self, link: usize) {
         let slot = self.fault_slot(link);
-        self.slab.dead[slot] = false;
+        self.slab.set_dead(slot, false);
         self.slab.links[slot].degrade = 1;
     }
 
@@ -371,7 +471,7 @@ impl Network {
     }
 
     fn path_alive(&self, path: &[u32]) -> bool {
-        path.iter().all(|&l| !self.slab.is_dead(l))
+        self.slab.dead_links == 0 || path.iter().all(|&l| !self.slab.is_dead(l))
     }
 
     /// Number of links in the topology (the id space, not the allocated
@@ -496,8 +596,12 @@ impl Network {
     /// hop-minimal.
     fn torus_path(&self, dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<u32> {
         let nd = dims.len();
-        let mut cur = torus_coords(dims, from);
+        let cur = torus_coords(dims, from);
         let tgt = torus_coords(dims, to);
+        let mut strides = [1u32; 4];
+        for d in 1..nd {
+            strides[d] = strides[d - 1] * dims[d - 1];
+        }
         // Shortest-wrap paths are hop-minimal in either dimension order, so
         // their length is known up front: allocate once, at the final size.
         let mut path = Vec::with_capacity(if anti {
@@ -505,9 +609,12 @@ impl Network {
         } else {
             self.hops(from, to) as usize
         });
+        // The node index is carried along the walk: one stride per step,
+        // back across the whole dimension at a wrap.
+        let mut node = from;
         for i in 0..nd {
             let d = if rev { nd - 1 - i } else { i };
-            let dim = dims[d];
+            let (dim, stride) = (dims[d], strides[d]);
             let fwd = (tgt[d] + dim - cur[d]) % dim;
             if fwd == 0 {
                 continue;
@@ -515,14 +622,18 @@ impl Network {
             let bwd = dim - fwd;
             let forward = (fwd <= bwd) != anti;
             let steps = if forward { fwd } else { bwd };
+            let port = 2 * d as u32 + u32::from(!forward);
+            let wrap = (dim - 1) * stride;
+            let mut at = cur[d];
             for _ in 0..steps {
-                let node = torus_index(dims, &cur);
-                path.push(node * 2 * nd as u32 + 2 * d as u32 + u32::from(!forward));
-                cur[d] = if forward {
-                    (cur[d] + 1) % dim
+                path.push(node * 2 * nd as u32 + port);
+                if forward {
+                    at = if at + 1 == dim { 0 } else { at + 1 };
+                    node = if at == 0 { node - wrap } else { node + stride };
                 } else {
-                    (cur[d] + dim - 1) % dim
-                };
+                    node = if at == 0 { node + wrap } else { node - stride };
+                    at = if at == 0 { dim - 1 } else { at - 1 };
+                }
             }
         }
         path
@@ -635,9 +746,7 @@ impl Network {
             return f(self.compute_route(from, to).as_ref());
         }
         let mut cache = self.cache.borrow_mut();
-        let route = cache
-            .entry(pair_key(from, to))
-            .or_insert_with(|| self.compute_route(from, to));
+        let route = cache.entry(pair_key(from, to), || self.compute_route(from, to));
         f(route.as_ref())
     }
 
@@ -754,8 +863,7 @@ impl Network {
         let route = if self.cache_enabled {
             cache = self.cache.borrow_mut();
             cache
-                .entry(pair_key(from, to))
-                .or_insert_with(|| self.compute_route(from, to))
+                .entry(pair_key(from, to), || self.compute_route(from, to))
                 .as_mut()?
         } else {
             uncached = self.compute_route(from, to)?;
@@ -935,21 +1043,21 @@ fn torus_coords(dims: &[u32], node: u32) -> [u32; 4] {
     c
 }
 
-/// Inverse of [`torus_coords`].
-fn torus_index(dims: &[u32], coords: &[u32; 4]) -> u32 {
-    let mut idx = 0;
-    let mut stride = 1;
-    for (d, &dim) in dims.iter().enumerate() {
-        idx += coords[d] * stride;
-        stride *= dim;
-    }
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+
+    /// Inverse of [`torus_coords`].
+    fn torus_index(dims: &[u32], coords: &[u32; 4]) -> u32 {
+        let mut idx = 0;
+        let mut stride = 1;
+        for (d, &dim) in dims.iter().enumerate() {
+            idx += coords[d] * stride;
+            stride *= dim;
+        }
+        idx
+    }
 
     fn cfg(topology: Topology, clusters: u32) -> MachineConfig {
         let mut c = MachineConfig::fem2_default();
@@ -958,14 +1066,115 @@ mod tests {
         c
     }
 
-    /// `net_cold` is bound by the route table: a cache entry must not grow
-    /// past the fat pointer and flags it held before routes could be shared
-    /// with flights.
+    /// `net_cold` is bound by the route table: a route must not grow past
+    /// the fat pointer and flags it held before routes could be shared with
+    /// flights, so a table entry is 32 bytes with its key.
     #[test]
     fn cached_route_stays_three_words() {
         let words = 3 * std::mem::size_of::<usize>();
         assert_eq!(std::mem::size_of::<Route>(), words);
         assert_eq!(std::mem::size_of::<Option<Route>>(), words);
+        assert_eq!(std::mem::size_of::<(u64, Option<Route>)>(), 32);
+    }
+
+    fn pages(n: &Network) -> usize {
+        n.slab.pages.iter().flatten().count()
+    }
+
+    /// (entries, entry capacity, index length) of the route table.
+    fn table(n: &Network) -> (usize, usize, usize) {
+        let t = n.cache.borrow();
+        (t.entries.len(), t.entries.capacity(), t.index.len())
+    }
+
+    /// The memory contract of the link index and the route table on a
+    /// 4096-cluster 2-D torus swept the way `net_cold` sweeps it.
+    #[test]
+    fn index_pages_and_route_table_follow_the_traffic() {
+        let c = torus(&[64, 64]);
+        let mut n = Network::new(&c);
+        assert_eq!((pages(&n), n.slab.pages.capacity()), (0, 0));
+        assert_eq!(
+            (table(&n), n.cache.borrow().index.capacity()),
+            ((0, 0, 0), 0)
+        );
+
+        // Read-only probes fill the route table and leave the slab alone.
+        for from in 0..4096 {
+            let to = (from + 2048) % 4096;
+            n.estimate(from, to, 64);
+            n.route_links(from, to).unwrap();
+            n.min_delivery_latency(from, to).unwrap();
+        }
+        assert_eq!((pages(&n), n.allocated_link_records()), (0, 0));
+        assert_eq!(table(&n).0, 4096);
+
+        for from in 0..4096 {
+            n.transmit(0, from, (from + 1) % 4096, 64);
+            n.transmit(0, from, (from + 2048) % 4096, 64);
+        }
+        // Every cluster's +dim0 and +dim1 link, and no other.
+        assert_eq!(n.allocated_link_records(), 8192);
+        assert!(pages(&n) <= n.link_count() / PAGE);
+        let swept = table(&n);
+        assert_eq!(swept, (8192, 8192, 16384), "at most half full");
+
+        // A fault on a link with a record: the table is emptied in place,
+        // the slab is as it was.
+        n.fail_link(0);
+        n.degrade_link(2, 3);
+        n.recover_link(0);
+        assert_eq!(table(&n), (0, swept.1, swept.2));
+        assert_eq!((pages(&n), n.allocated_link_records()), (64, 8192));
+        // A fault on an untouched link pins one record, on a page of its own
+        // if need be.
+        let mut xbar = Network::new(&cfg(Topology::Crossbar, 64));
+        xbar.fail_link(4095);
+        assert_eq!((pages(&xbar), xbar.slab.pages.len()), (1, 16));
+        assert_eq!(xbar.allocated_link_records(), 1);
+    }
+
+    /// The torus walk that recomputes the node index from its coordinates
+    /// at every hop, kept as the reference for the one that carries it.
+    fn torus_path_by_coords(dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<u32> {
+        let nd = dims.len();
+        let mut cur = torus_coords(dims, from);
+        let tgt = torus_coords(dims, to);
+        let mut path = Vec::new();
+        for i in 0..nd {
+            let d = if rev { nd - 1 - i } else { i };
+            let dim = dims[d];
+            let fwd = (tgt[d] + dim - cur[d]) % dim;
+            let forward = (fwd <= dim - fwd) != anti;
+            let steps = if forward { fwd } else { (dim - fwd) % dim };
+            for _ in 0..steps {
+                let node = torus_index(dims, &cur);
+                path.push(node * 2 * nd as u32 + 2 * d as u32 + u32::from(!forward));
+                cur[d] = (cur[d] + if forward { 1 } else { dim - 1 }) % dim;
+            }
+        }
+        path
+    }
+
+    proptest::proptest! {
+        /// Extent 2 is where forward and backward tie; odd extents are
+        /// where they never do.
+        #[test]
+        fn torus_walk_by_stride_matches_walk_by_coordinates(
+            dims in proptest::collection::vec(2u32..=9, 2..5),
+            from in proptest::prelude::any::<u32>(),
+            to in proptest::prelude::any::<u32>(),
+            rev in proptest::prelude::any::<bool>(),
+            anti in proptest::prelude::any::<bool>(),
+        ) {
+            let c = torus(&dims);
+            let n = Network::new(&c);
+            let (from, to) = (from % c.clusters, to % c.clusters);
+            proptest::prop_assert_eq!(
+                n.torus_path(&dims, from, to, rev, anti),
+                torus_path_by_coords(&dims, from, to, rev, anti)
+            );
+        }
     }
 
     #[test]

@@ -20,19 +20,48 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
 }
 
 /// Topologies with multi-hop routes and detours for the route-cache
-/// interleaving test, with their cluster counts.
+/// interleaving tests, with their cluster counts: small machines, where
+/// faults sever pairs, and large ones, whose link ids span many pages of
+/// the link index (one page holds 256 ids).
 fn cached_topo_strategy() -> impl Strategy<Value = (u32, Topology)> {
+    let torus = |dims: &[u32]| {
+        let dims = dims.to_vec();
+        Just((dims.iter().product(), Topology::Torus { dims }))
+    };
     prop_oneof![
         Just((8, Topology::Crossbar)),
-        Just((12, Topology::Torus { dims: vec![3, 4] })),
-        Just((
-            18,
-            Topology::Torus {
-                dims: vec![3, 3, 2]
-            }
-        )),
+        torus(&[3, 4]),
+        torus(&[3, 3, 2]),
         Just((12, Topology::FatTree { radix: 4 })),
+        torus(&[64, 64]),
+        torus(&[16, 16, 16]),
+        torus(&[8, 8, 8, 8]),
+        Just((4096, Topology::FatTree { radix: 64 })),
+        Just((1024, Topology::Mesh2D { width: 32 })),
+        Just((64, Topology::Crossbar)),
+        Just((4096, Topology::Ring)),
     ]
+}
+
+/// A cluster operand for machines of up to 4096 clusters (reduce it mod
+/// the cluster count): anywhere in the machine, or one of eight hubs
+/// spread across it, so that pairs also repeat — warm routes, and faults
+/// that land on a route in use.
+fn cluster_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..4096, (0u32..8).prop_map(|hub| hub * 585)]
+}
+
+/// The link a fault operation names: any id, or — every other time — one
+/// from `from`'s block of the id space (its own out-links on a torus, a
+/// mesh or a crossbar), where routes out of a hub run.
+fn fault_link(net: &Network, n: u32, from: u32, a: u32, b: u32, x: u64) -> usize {
+    let links = net.link_count();
+    if x.is_multiple_of(2) {
+        (a as usize * 64 + b as usize) % links
+    } else {
+        let block = (links / n as usize).max(1);
+        (from as usize * block + b as usize % block) % links
+    }
 }
 
 /// Everything a caller can observe about a network after a run.
@@ -238,6 +267,13 @@ proptest! {
         }
     }
 
+}
+
+// The identity tests of the route table and the link index: eleven machine
+// shapes, so more cases than the default 32.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
     /// The route cache — entries that start as link ids and are rewritten
     /// to slab slots by the first transmit — is invisible: any interleaving
     /// of transmits, read-only probes, fault transitions and resets gives
@@ -246,7 +282,10 @@ proptest! {
     #[test]
     fn route_cache_is_invisible_under_interleaved_probes_and_faults(
         machine in cached_topo_strategy(),
-        ops in proptest::collection::vec((0u8..12, 0u32..64, 0u32..64, 0u64..700), 1..120),
+        ops in proptest::collection::vec(
+            (0u8..12, cluster_strategy(), cluster_strategy(), 0u64..700),
+            1..300,
+        ),
     ) {
         let (n, topo) = machine;
         let run = |route_cache: bool| {
@@ -254,22 +293,26 @@ proptest! {
             cfg.route_cache = route_cache;
             cfg.max_packet_words = 256;
             let mut net = Network::new(&cfg);
-            let links = net.link_count();
             let mut log = Vec::new();
             let mut now = 0;
             for &(op, a, b, x) in &ops {
                 let (from, to) = (a % n, b % n);
-                let link = (u64::from(a) * 64 + u64::from(b)) as usize % links;
+                let link = fault_link(&net, n, from, a, b, x);
                 match op {
-                    // Transmits dominate so routes get resolved and reused.
+                    // Transmits dominate so routes get resolved and reused,
+                    // and come as a fan of up to 48 out of `from`, so the
+                    // route table doubles several times between the fault
+                    // transitions that empty it.
                     0..=4 => {
-                        let arrive = net.try_transmit(now, from, to, x);
-                        now += x / 4;
-                        log.push(arrive);
+                        for i in 0..=(x % 48) as u32 {
+                            let arrive = net.try_transmit(now, from, (to + i * 37) % n, x);
+                            now += x / 4;
+                            log.push(arrive);
+                        }
                     }
                     5 => log.push(Some(net.estimate(from, to, x))),
                     6 => log.push(net.route_links(from, to).map(|r| {
-                        r.iter().fold(r.len() as u64, |h, &l| h * 31 + l as u64)
+                        r.iter().fold(r.len() as u64, |h, &l| h.wrapping_mul(31).wrapping_add(l as u64))
                     })),
                     7 => log.push(net.min_delivery_latency(from, to)),
                     8 => net.fail_link(link),
@@ -299,7 +342,10 @@ proptest! {
             Just((4, Topology::Bus)),
         ],
         route_cache in prop_oneof![Just(true), Just(false)],
-        ops in proptest::collection::vec((0u8..10, 0u32..64, 0u32..64, 0u64..700), 1..120),
+        ops in proptest::collection::vec(
+            (0u8..10, cluster_strategy(), cluster_strategy(), 0u64..700),
+            1..120,
+        ),
     ) {
         let (n, topo) = machine;
         let mut cfg = MachineConfig::clustered(n, 2, topo);
@@ -307,12 +353,11 @@ proptest! {
         cfg.max_packet_words = 256;
         let mut net = Network::new(&cfg);
         let mut twin = Network::new(&cfg);
-        let links = net.link_count();
         let mut in_flight = Vec::new();
         let mut now = 0;
         for &(op, a, b, x) in &ops {
             let (from, to) = (a % n, (a % n + 1 + b % (n - 1)) % n);
-            let link = (u64::from(a) * 64 + u64::from(b)) as usize % links;
+            let link = fault_link(&net, n, from, a, b, x);
             match op {
                 0..=5 => {
                     let estimate = twin.estimate(from, to, x);
@@ -353,6 +398,79 @@ proptest! {
         prop_assert_eq!(observe(&net), observe(&twin));
     }
 
+    /// The dead-link count that lets route selection skip its per-hop check
+    /// is the size of the dead set, whatever the order of kills, repeated
+    /// kills, degradations, repairs (of dead and of live links) and resets.
+    /// Checked against a model that knows only the set: every link named so
+    /// far reads dead exactly when the set holds it; a pair's route is its
+    /// primary exactly when no link of the primary is in the set, and no
+    /// route crosses a link that is; and every transmit equals the one on a
+    /// twin that recomputes its routes.
+    #[test]
+    fn dead_link_count_tracks_the_dead_set(
+        machine in cached_topo_strategy(),
+        ops in proptest::collection::vec((0u8..9, 0u32..4, 0u32..3, 0u64..700), 1..80),
+    ) {
+        let (n, topo) = machine;
+        let mut cfg = MachineConfig::clustered(n, 2, topo);
+        let healthy = Network::new(&cfg);
+        let mut net = Network::new(&cfg);
+        cfg.route_cache = false;
+        let mut twin = Network::new(&cfg);
+        let mut dead = std::collections::BTreeSet::new();
+        let mut named = std::collections::BTreeSet::new();
+        let mut now = 0;
+        for &(op, a, b, x) in &ops {
+            // Four hubs, so the same few pairs and links come up again.
+            let (from, to) = (a * 1365 % n, (a + 1 + b) % 4 * 1365 % n);
+            prop_assume!(from != to);
+            let primary = healthy.route_links(from, to).expect("healthy network is connected");
+            let link = primary[(x as usize % 2).min(primary.len() - 1)];
+            named.insert(link);
+            match op {
+                // Once, or twice in a row.
+                0 | 1 => {
+                    for _ in 0..=op {
+                        net.fail_link(link);
+                        twin.fail_link(link);
+                    }
+                    dead.insert(link);
+                }
+                2 => {
+                    net.degrade_link(link, 1 + (x % 5) as u32);
+                    twin.degrade_link(link, 1 + (x % 5) as u32);
+                }
+                3 | 4 => {
+                    net.recover_link(link);
+                    twin.recover_link(link);
+                    dead.remove(&link);
+                }
+                5 => {
+                    net.reset();
+                    twin.reset();
+                }
+                _ => {}
+            }
+            for &l in &named {
+                prop_assert_eq!(net.link_is_dead(l), dead.contains(&l), "link {}", l);
+            }
+            let route = net.route_links(from, to);
+            if primary.iter().all(|l| !dead.contains(l)) {
+                prop_assert_eq!(route.as_ref(), Some(&primary));
+            } else if let Some(route) = &route {
+                prop_assert!(route != &primary);
+                prop_assert!(route.iter().all(|l| !dead.contains(l)), "route {:?}", route);
+            }
+            let arrive = net.try_transmit(now, from, to, x);
+            prop_assert_eq!(arrive.is_some(), route.is_some());
+            prop_assert_eq!(arrive, twin.try_transmit(now, from, to, x));
+            now += x / 4;
+        }
+        prop_assert_eq!(observe(&net), observe(&twin));
+    }
+}
+
+proptest! {
     /// Probes never allocate link records, however large the machine, and
     /// a route reads the same in link ids before and after its first
     /// transmit rewrites the cached entry to slab slots.
@@ -448,5 +566,38 @@ proptest! {
         prop_assert_eq!(m.reconfigurations as usize, unique.len());
         let alive: u32 = (0..4).map(|c| m.alive_count(c)).sum();
         prop_assert_eq!(alive as usize, 16 - unique.len());
+    }
+}
+
+/// What a dead-link count that drifted to zero would hide: kill the only
+/// link of a pair, repair it, kill it again — unreachable, reachable,
+/// unreachable — with every other link healthy throughout. Each round
+/// repairs the link a second time, already live, and the last kills it
+/// twice: neither may move the count.
+#[test]
+fn only_link_of_a_pair_killed_recovered_killed() {
+    for route_cache in [true, false] {
+        // A bus is one link; a fat-tree leaf has one uplink (id = the leaf).
+        for (topo, link) in [(Topology::Bus, 0), (Topology::FatTree { radix: 4 }, 5)] {
+            let mut cfg = MachineConfig::clustered(8, 2, topo);
+            cfg.route_cache = route_cache;
+            let mut net = Network::new(&cfg);
+            for round in 0..3 {
+                net.fail_link(link);
+                assert!(net.link_is_dead(link));
+                assert_eq!(net.route_links(5, 2), None, "round {round}");
+                assert_eq!(net.try_transmit(0, 5, 2, 64), None);
+                net.recover_link(link);
+                net.recover_link(link);
+                assert!(!net.link_is_dead(link));
+                assert!(net.route_links(5, 2).is_some(), "round {round}");
+                assert!(net.try_transmit(0, 5, 2, 64).is_some());
+            }
+            net.fail_link(link);
+            net.fail_link(link);
+            assert_eq!(net.try_transmit(0, 5, 2, 64), None);
+            net.recover_link(link);
+            assert!(net.try_transmit(0, 5, 2, 64).is_some());
+        }
     }
 }
