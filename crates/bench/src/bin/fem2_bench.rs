@@ -8,7 +8,6 @@
 //! fem2-bench --repeat 5               # best + median wall times over 5 runs
 //! fem2-bench --budget-cycles 20000    # cap E1 plate runs; overruns record "aborted"
 //! fem2-bench --budget-events 100000   # same, capped on DES events
-//! fem2-bench --shards 4               # run E1 plates on 4 DES shards
 //! fem2-bench                          # run the suite, print the table only
 //! ```
 //!
@@ -23,7 +22,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: fem2-bench [--json <path>] [--validate <path>] \
 [--no-route-cache] [--des-queue calendar|heap] [--repeat <n>] \
-[--budget-cycles <n>] [--budget-events <n>] [--shards <n>]";
+[--budget-cycles <n>] [--budget-events <n>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,20 +83,6 @@ fn main() -> ExitCode {
                 } else {
                     opts.budget_events = Some(parsed);
                 }
-                i += 2;
-            }
-            "--shards" => {
-                let Some(n) = args.get(i + 1) else {
-                    eprintln!("--shards requires a count\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                opts.shards = match n.parse::<u32>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--shards must be a positive integer, got {n:?}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                };
                 i += 2;
             }
             "--json" => {

@@ -5,8 +5,8 @@
 //!
 //! * **E1 plate sweep** — the full simulated plane (DES, kernel, network,
 //!   windows) at n ∈ {8, 16, 32, 48}, with a traced 48×48 run supplying
-//!   events/sec and peak DES queue depth, plus a 64×64 shard sweep
-//!   (1/2/4/8 cluster shards) recording sequential-vs-sharded speedup;
+//!   events/sec and peak DES queue depth, plus a 64×64 plate and the
+//!   32×32 plate on a 1024-cluster torus;
 //! * **E5 network sweep** — the pattern × topology × size message mix on
 //!   the bare [`Network`] (route selection and link contention only);
 //! * **E7 kernel runs** — the traced fault-and-repair DES record plus the
@@ -82,10 +82,6 @@ pub struct BenchOptions {
     pub budget_cycles: Option<u64>,
     /// DES-event budget for the E1 plate runs (`--budget-events N`).
     pub budget_events: Option<u64>,
-    /// Cluster shards the simulated-plane records run with
-    /// (`--shards N`; `MachineConfig::des_shards`). One shard is the
-    /// sequential reference engine.
-    pub shards: u32,
 }
 
 impl Default for BenchOptions {
@@ -96,7 +92,6 @@ impl Default for BenchOptions {
             repeat: 1,
             budget_cycles: None,
             budget_events: None,
-            shards: 1,
         }
     }
 }
@@ -146,13 +141,6 @@ pub struct BenchRecord {
     /// Bound tightness, `predicted_cycles / sim_cycles` (≥ 1 when the
     /// bound is sound; 0.0 when unmodeled or the run did not complete).
     pub tightness: f64,
-    /// Cluster shards the record ran with (schema v6; 1 = sequential
-    /// engine, also recorded for records sharding cannot touch).
-    pub shards: u32,
-    /// Sequential-vs-sharded wall speedup (schema v6): best sequential
-    /// wall over this record's wall, for shard-sweep records; 0.0 when
-    /// not applicable.
-    pub speedup: f64,
     /// Link records the sparse network slab materialized during the run
     /// (schema v7) — the peak-RSS proxy for network state. 0 for records
     /// that do not observe the machine (native solvers, bare-network
@@ -183,8 +171,6 @@ impl BenchRecord {
             predicted_events: 0,
             predicted_cycles: 0,
             tightness: 0.0,
-            shards: 1,
-            speedup: 0.0,
             alloc_links: 0,
             alloc_clusters: 0,
             saturation_clusters: 0,
@@ -235,8 +221,10 @@ impl BenchRecord {
                 Value::UInt(self.predicted_cycles),
             ),
             ("tightness".into(), Value::Float(self.tightness)),
-            ("shards".into(), Value::UInt(u64::from(self.shards))),
-            ("speedup".into(), Value::Float(self.speedup)),
+            // One engine; schema v6's two fields stay as literals until
+            // ROADMAP 3(b) cuts the schema down to one revision.
+            ("shards".into(), Value::UInt(1)),
+            ("speedup".into(), Value::Float(0.0)),
             ("alloc_links".into(), Value::UInt(self.alloc_links)),
             ("alloc_clusters".into(), Value::UInt(self.alloc_clusters)),
             (
@@ -321,7 +309,6 @@ fn e1_config(opts: BenchOptions) -> MachineConfig {
     let mut cfg = MachineConfig::fem2_default();
     cfg.route_cache = opts.route_cache;
     cfg.des_queue = opts.des_queue;
-    cfg.des_shards = opts.shards;
     cfg
 }
 
@@ -332,14 +319,7 @@ fn e1_records(records: &mut Vec<BenchRecord>, opts: BenchOptions, pool: &Pool) {
     let sized = par_sweep(pool, vec![8usize, 16, 32, 48], |n| {
         let scenario = PlateScenario::square(n, e1_config(opts)).with_budget(opts.budget());
         let cost = fem2_core::verify::scenario_cost(&scenario);
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        let mut r =
-            BenchRecord::untraced(format!("e1_plate_{n}"), wall, cycles).with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = opts.shards;
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        r.with_prediction(&cost)
+        plate_record(format!("e1_plate_{n}"), &scenario).with_prediction(&cost)
     });
     records.extend(sized);
     // The traced run: same workload, plus observation.
@@ -365,8 +345,6 @@ fn e1_records(records: &mut Vec<BenchRecord>, opts: BenchOptions, pool: &Pool) {
             predicted_events: 0,
             predicted_cycles: 0,
             tightness: 0.0,
-            shards: opts.shards,
-            speedup: 0.0,
             alloc_links: links,
             alloc_clusters: clusters,
             saturation_clusters: 0,
@@ -392,40 +370,24 @@ fn budgeted(scenario: &PlateScenario) -> (u64, u64, &'static str, u64, u64) {
     }
 }
 
-/// Grid size of the shard-sweep plate — the largest E1 plate in the suite.
-/// Big enough that host math and per-shard charging dominate over epoch
-/// synchronization, so the sweep measures the sharded engine's scaling.
-const SHARD_SWEEP_N: usize = 64;
+/// Grid size of the largest E1 plate in the suite.
+const LARGE_E1_N: usize = 64;
 
-/// The shard sweep: the largest E1 plate run at 1, 2, 4, and 8 shards,
-/// sequentially (each run owns the host pool), recording engine events,
-/// events/sec, and the sequential-vs-sharded wall speedup per record. The
-/// simulated outcome is bitwise-identical across the sweep — only wall
-/// time may move — and the speedup is recomputed from merged best walls
-/// after `--repeat` runs.
-fn e1_shard_sweep(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
-    let mut seq_wall = 0u64;
-    for shards in [1u32, 2, 4, 8] {
-        let sweep_opts = BenchOptions { shards, ..opts };
-        let scenario =
-            PlateScenario::square(SHARD_SWEEP_N, e1_config(sweep_opts)).with_budget(opts.budget());
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        if shards == 1 {
-            seq_wall = wall;
-        }
-        let mut r = BenchRecord::untraced(
-            format!("e1_plate_{SHARD_SWEEP_N}_shards_{shards}"),
-            wall,
-            cycles,
-        )
-        .with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = shards;
-        r.speedup = seq_wall as f64 / (wall as f64).max(1.0);
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        records.push(r);
-    }
+/// The largest E1 plate: engine events and events/sec on the default
+/// machine.
+fn e1_large_plate(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
+    let scenario = PlateScenario::square(LARGE_E1_N, e1_config(opts)).with_budget(opts.budget());
+    records.push(plate_record(format!("e1_plate_{LARGE_E1_N}"), &scenario));
+}
+
+/// Time one budgeted plate run into an untraced record.
+fn plate_record(name: String, scenario: &PlateScenario) -> BenchRecord {
+    let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(scenario));
+    let mut r = BenchRecord::untraced(name, wall, cycles).with_engine_events(events);
+    r.run_status = status.into();
+    r.alloc_links = links;
+    r.alloc_clusters = clusters;
+    r
 }
 
 /// Grid size of the large-machine E1 plate: the fixed plate workload on a
@@ -442,37 +404,21 @@ const TORUS_E1_CLUSTERS: u32 = 1024;
 /// never dispatch work and must never materialize PE records.
 const TORUS_E1_TASKS: u32 = 128;
 
-/// The large-machine E1 rows: the fixed plate at 1 and 4 shards on a
-/// 1024-cluster 32×32 torus. Simulated results are bitwise-identical
-/// across the pair; `refresh_speedups` pairs the rows by name.
-fn e1_torus_sweep(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
-    let mut seq_wall = 0u64;
-    for shards in [1u32, 4] {
-        let side = (TORUS_E1_CLUSTERS as f64).sqrt() as u32;
-        let mut cfg = e1_config(BenchOptions { shards, ..opts });
-        cfg.clusters = TORUS_E1_CLUSTERS;
-        cfg.topology = Topology::Torus {
-            dims: vec![side, side],
-        };
-        let mut scenario = PlateScenario::square(TORUS_E1_N, cfg).with_budget(opts.budget());
-        scenario.tasks = TORUS_E1_TASKS;
-        let (wall, (cycles, events, status, links, clusters)) = wall_of(|| budgeted(&scenario));
-        if shards == 1 {
-            seq_wall = wall;
-        }
-        let mut r = BenchRecord::untraced(
-            format!("e1_plate_{TORUS_E1_N}_torus{TORUS_E1_CLUSTERS}_shards_{shards}"),
-            wall,
-            cycles,
-        )
-        .with_engine_events(events);
-        r.run_status = status.into();
-        r.shards = shards;
-        r.speedup = seq_wall as f64 / (wall as f64).max(1.0);
-        r.alloc_links = links;
-        r.alloc_clusters = clusters;
-        records.push(r);
-    }
+/// The large-machine E1 row: the fixed plate on a 1024-cluster 32×32
+/// torus.
+fn e1_torus_plate(records: &mut Vec<BenchRecord>, opts: BenchOptions) {
+    let side = (TORUS_E1_CLUSTERS as f64).sqrt() as u32;
+    let mut cfg = e1_config(opts);
+    cfg.clusters = TORUS_E1_CLUSTERS;
+    cfg.topology = Topology::Torus {
+        dims: vec![side, side],
+    };
+    let mut scenario = PlateScenario::square(TORUS_E1_N, cfg).with_budget(opts.budget());
+    scenario.tasks = TORUS_E1_TASKS;
+    records.push(plate_record(
+        format!("e1_plate_{TORUS_E1_N}_torus{TORUS_E1_CLUSTERS}"),
+        &scenario,
+    ));
 }
 
 /// Cluster counts of the weak-scaling sweep: fixed work per cluster from
@@ -644,8 +590,6 @@ fn e7_record(opts: BenchOptions) -> BenchRecord {
         predicted_events: 0,
         predicted_cycles: 0,
         tightness: 0.0,
-        shards: 1,
-        speedup: 0.0,
         alloc_links: 0,
         alloc_clusters: 0,
         saturation_clusters: 0,
@@ -688,32 +632,12 @@ fn e9_records(records: &mut Vec<BenchRecord>) {
     records.push(BenchRecord::untraced("e9_skyline_32", wall, 0));
 }
 
-/// Recompute the shard-sweep speedups from (possibly repeat-merged) best
-/// walls: each `*_shards_N` record's speedup is the matching `*_shards_1`
-/// wall over its own.
-fn refresh_speedups(mut records: Vec<BenchRecord>) -> Vec<BenchRecord> {
-    let bases: Vec<(String, u64)> = records
-        .iter()
-        .filter(|r| r.name.ends_with("_shards_1"))
-        .map(|r| (r.name.trim_end_matches('1').to_string(), r.wall_ns))
-        .collect();
-    for r in &mut records {
-        if let Some((_, seq_wall)) = bases
-            .iter()
-            .find(|(prefix, _)| r.name.starts_with(prefix.as_str()))
-        {
-            r.speedup = *seq_wall as f64 / (r.wall_ns as f64).max(1.0);
-        }
-    }
-    records
-}
-
 /// One pass over the fixed mix.
 fn run_mix(opts: BenchOptions, pool: &Pool) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     e1_records(&mut records, opts, pool);
-    e1_shard_sweep(&mut records, opts);
-    e1_torus_sweep(&mut records, opts);
+    e1_large_plate(&mut records, opts);
+    e1_torus_plate(&mut records, opts);
     ws_records(&mut records, opts);
     records.push(e5_record(opts, pool));
     records.push(e7_record(opts));
@@ -765,7 +689,6 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
             merged
         })
         .collect();
-    let records = refresh_speedups(records);
     let mut machine = MachineConfig::fem2_default().describe();
     if !opts.route_cache {
         machine.push_str(" [route cache off]");
@@ -773,12 +696,9 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
     if opts.des_queue == DesQueue::Heap {
         machine.push_str(" [des queue heap]");
     }
-    if opts.shards > 1 {
-        machine.push_str(&format!(" [des shards {}]", opts.shards));
-    }
     let plan = e1_config(opts);
     let mut params = format!(
-        "route_cache={} des_queue={} repeat={} threads={} shards={}",
+        "route_cache={} des_queue={} repeat={} threads={}",
         if opts.route_cache { "on" } else { "off" },
         match opts.des_queue {
             DesQueue::Calendar => "calendar",
@@ -786,7 +706,6 @@ pub fn run_suite_opts(opts: BenchOptions) -> BenchSuite {
         },
         repeat,
         pool.threads(),
-        opts.shards,
     );
     if let Some(c) = opts.budget_cycles {
         params.push_str(&format!(" budget_cycles={c}"));
@@ -1069,8 +988,6 @@ mod tests {
                     predicted_events: 12,
                     predicted_cycles: 9,
                     tightness: 9.0 / 7.0,
-                    shards: 4,
-                    speedup: 2.5,
                     alloc_links: 12,
                     alloc_clusters: 4,
                     saturation_clusters: 0,
@@ -1289,17 +1206,12 @@ mod tests {
     }
 
     #[test]
-    fn torus_e1_rows_are_shard_invariant_and_o_active() {
+    fn torus_e1_row_is_o_active() {
         let mut records = Vec::new();
-        e1_torus_sweep(&mut records, BenchOptions::default());
-        assert_eq!(records.len(), 2);
-        let (s1, s4) = (&records[0], &records[1]);
-        assert_eq!(s1.name, "e1_plate_32_torus1024_shards_1");
-        assert_eq!(s4.name, "e1_plate_32_torus1024_shards_4");
-        assert_eq!(s1.sim_cycles, s4.sim_cycles, "bitwise across shards");
-        assert_eq!(s1.events, s4.events);
-        assert_eq!(s1.alloc_links, s4.alloc_links);
-        assert_eq!(s1.alloc_clusters, s4.alloc_clusters);
+        e1_torus_plate(&mut records, BenchOptions::default());
+        assert_eq!(records.len(), 1);
+        let s1 = &records[0];
+        assert_eq!(s1.name, "e1_plate_32_torus1024");
         assert_eq!(s1.run_status, "ok");
         let n = u64::from(TORUS_E1_CLUSTERS);
         assert!(
@@ -1315,22 +1227,6 @@ mod tests {
             s1.alloc_clusters,
             TORUS_E1_TASKS
         );
-    }
-
-    #[test]
-    fn refresh_speedups_ignores_weak_scaling_records() {
-        let mut records = vec![
-            BenchRecord::untraced("e1_plate_64_shards_1", 1_000, 5),
-            BenchRecord::untraced("e1_plate_64_shards_4", 500, 5),
-            BenchRecord::untraced("ws_torus_1024", 700, 9),
-            BenchRecord::untraced("ws_fattree_4096", 900, 9),
-        ];
-        records[2].saturation_clusters = 2048;
-        let out = refresh_speedups(records);
-        assert_eq!(out[1].speedup, 2.0, "shard rows keep pairing");
-        assert_eq!(out[2].speedup, 0.0, "weak-scaling rows have no base");
-        assert_eq!(out[3].speedup, 0.0);
-        assert_eq!(out[2].saturation_clusters, 2048, "fields pass through");
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub const STRESS_PROFILE_PER_ELEMENT: WorkProfile = WorkProfile {
 };
 
 /// Conjugate gradients on the 5-point-stencil operator, written entirely in
-/// NA-VM operations, so the same function runs on the native plane (real
-/// threads) and the simulated plane (cost accounting). Solves `A·x = b`
+/// NA-VM operations, so the same function runs on the native plane (no
+/// charges) and the simulated plane (cost accounting). Solves `A·x = b`
 /// with `b ≡ 1`, `x₀ = 0`. Returns `(iterations, final residual, x)`.
 pub fn plate_cg(
     vm: &mut NaVm,
@@ -352,7 +352,6 @@ impl ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fem2_par::Pool;
     use std::sync::Arc;
 
     #[test]
@@ -409,7 +408,7 @@ mod tests {
     fn plate_cg_identical_on_both_planes() {
         let mut sim = NaVm::simulated(MachineConfig::fem2_default(), 8);
         let (it_s, res_s, xs) = plate_cg(&mut sim, 12, 12, 1e-8, 2000);
-        let mut native = NaVm::native(Arc::new(Pool::new(4)), 8);
+        let mut native = NaVm::native(8);
         let (it_n, res_n, xn) = plate_cg(&mut native, 12, 12, 1e-8, 2000);
         assert_eq!(it_s, it_n, "same iteration path");
         assert_eq!(res_s.to_bits(), res_n.to_bits(), "bitwise-equal residuals");
@@ -422,7 +421,7 @@ mod tests {
 
     #[test]
     fn plate_cg_actually_solves_the_system() {
-        let mut vm = NaVm::native(Arc::new(Pool::new(4)), 4);
+        let mut vm = NaVm::native(4);
         let (_, res, x) = plate_cg(&mut vm, 10, 10, 1e-10, 5000);
         assert!(res < 1e-8);
         // Verify A·x ≈ 1 directly.

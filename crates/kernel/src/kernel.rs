@@ -46,7 +46,7 @@ use crate::codeblock::{CodeBlock, CodeId, CodeStore};
 use crate::message::{KernelMessage, MessageKind};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
-    BudgetMeter, CostClass, Cycles, EventQueue, Flight, Machine, PeId, RunAborted, ShardMap, Words,
+    BudgetMeter, CostClass, Cycles, EventQueue, Flight, Machine, PeId, RunAborted, Words,
 };
 use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -121,12 +121,6 @@ pub struct KernelStats {
     pub acks: u64,
     /// Packets (messages or acks) lost to a link that died in flight.
     pub lost_in_flight: u64,
-    /// Kernel messages whose sender and receiver clusters map to different
-    /// shards under the machine's `des_shards` partition. These are the
-    /// messages a sharded engine exchanges at epoch boundaries; with one
-    /// shard the count is always zero. Counted per logical message, not per
-    /// retransmission attempt.
-    pub cross_shard_msgs: u64,
 }
 
 /// Kernel events on the discrete-event queue.
@@ -344,9 +338,6 @@ pub struct KernelSim {
     /// retransmission can arrive long after its first copy, so no prefix is
     /// ever safe to drop: one bit per remote message for the life of the sim.
     delivered: DenseBits,
-    /// Cluster-to-shard partition from `MachineConfig::des_shards`, used
-    /// for cross-shard message accounting.
-    shards: ShardMap,
     /// Reliability and drop accounting.
     pub stats: KernelStats,
 }
@@ -362,7 +353,6 @@ impl KernelSim {
             .map(|_| ClusterState::default())
             .collect();
         let queue = EventQueue::with_backend(machine.config.des_queue);
-        let shards = ShardMap::for_config(&machine.config);
         let running = RunningTable::new(machine.config.clusters, machine.config.pes_per_cluster);
         KernelSim {
             machine,
@@ -381,14 +371,8 @@ impl KernelSim {
             next_seq: 1,
             pending: PendingTable::new(1),
             delivered: DenseBits::default(),
-            shards,
             stats: KernelStats::default(),
         }
-    }
-
-    /// The cluster-to-shard partition this kernel accounts against.
-    pub fn shard_map(&self) -> ShardMap {
-        self.shards
     }
 
     /// Attach a trace sink: machine-level events, DES queue events, kernel
@@ -429,9 +413,6 @@ impl KernelSim {
         if from == to {
             self.transmit_message(at, from, to, msg, 0, 0);
             return;
-        }
-        if self.shards.shard_of(from) != self.shards.shard_of(to) {
-            self.stats.cross_shard_msgs += 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -504,15 +485,14 @@ impl KernelSim {
         let rto = (sent.estimate + back) * 2 + self.config.rto_slack;
         match sent.arrival {
             Some((arrival, flight)) => {
-                // The conservative-simulation invariant a sharded engine
-                // leans on: no remote message beats the network's minimum
-                // delivery latency, so that latency is a safe lookahead.
+                // No remote message beats the network's minimum delivery
+                // latency for its route.
                 debug_assert!(
                     self.machine
                         .network
                         .min_delivery_latency(from, to)
                         .is_none_or(|bound| arrival >= send_done + bound),
-                    "remote delivery beat the lookahead bound"
+                    "remote delivery beat the minimum delivery latency"
                 );
                 let kind = msg.kind().trace_kind();
                 self.machine.trace.emit(|| {
@@ -1342,49 +1322,6 @@ mod tests {
         assert!(
             t1 >= t3 + 900,
             "serial {t1} should trail parallel {t3} by two task bodies"
-        );
-    }
-
-    #[test]
-    fn cross_shard_messages_follow_the_shard_partition() {
-        let run = |des_shards: u32| {
-            let mut cfg = MachineConfig::clustered(4, 4, Topology::Crossbar);
-            cfg.des_shards = des_shards;
-            let mut k = KernelSim::new(Machine::new(cfg));
-            let code = small_code(&mut k);
-            // Parent on cluster 0, children on cluster 3: initiate, load,
-            // and terminate-notify traffic all cross the partition when
-            // the clusters live in different shards.
-            k.initiate(0, 0, code, 1, None, 0);
-            k.run();
-            k.send(
-                k.now(),
-                0,
-                3,
-                KernelMessage::InitiateTask {
-                    code,
-                    replications: 2,
-                    parent: Some(TaskId(0)),
-                    args_words: 0,
-                },
-            );
-            k.run();
-            (k.shard_map(), k.stats)
-        };
-        let (map1, one) = run(1);
-        assert!(!map1.is_sharded());
-        assert_eq!(one.cross_shard_msgs, 0, "one shard never crosses");
-        let (map2, two) = run(2);
-        assert!(map2.is_sharded());
-        assert_ne!(map2.shard_of(0), map2.shard_of(3));
-        assert!(two.cross_shard_msgs > 0, "0↔3 traffic crosses the cut");
-        // Sharding is pure accounting: everything else is untouched.
-        assert_eq!(
-            KernelStats {
-                cross_shard_msgs: 0,
-                ..two
-            },
-            one
         );
     }
 

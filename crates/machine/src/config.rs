@@ -123,17 +123,7 @@ impl Default for CostModel {
 }
 
 /// A complete machine configuration.
-///
-/// Serde note: serialization is hand-written (not derived) so the
-/// `des_shards` knob stays backward compatible — configurations written
-/// before the knob existed deserialize with `des_shards = 1`, and a
-/// config running single-sharded serializes to exactly the same document
-/// it did before the knob, keeping content hashes and cached results
-/// stable. Sharded execution is bitwise-identical to sequential, so the
-/// knob is an execution-mode choice, not a result-identity one; tenants
-/// that do pin `des_shards > 1` partition caches the same way
-/// `des_queue = Heap` does.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Number of clusters.
     pub clusters: u32,
@@ -166,77 +156,6 @@ pub struct MachineConfig {
     /// (identical pop order, slower) for determinism tests and the A4
     /// ablation.
     pub des_queue: DesQueue,
-    /// Number of cluster-group shards the simulated plane is advanced on.
-    /// `1` (the default) is the sequential reference path; `N > 1`
-    /// partitions the clusters into `N` contiguous groups advanced
-    /// concurrently on the `fem2-par` pool, synchronized at the
-    /// conservative lookahead horizon derived from the network's link
-    /// latencies. Results are bitwise-identical for every shard count.
-    pub des_shards: u32,
-}
-
-impl Serialize for MachineConfig {
-    fn to_value(&self) -> serde::json::Value {
-        use serde::json::Value;
-        let mut fields = vec![
-            ("clusters".to_string(), self.clusters.to_value()),
-            (
-                "pes_per_cluster".to_string(),
-                self.pes_per_cluster.to_value(),
-            ),
-            (
-                "memory_per_cluster".to_string(),
-                self.memory_per_cluster.to_value(),
-            ),
-            ("topology".to_string(), self.topology.to_value()),
-            ("link_latency".to_string(), self.link_latency.to_value()),
-            (
-                "words_per_cycle".to_string(),
-                self.words_per_cycle.to_value(),
-            ),
-            (
-                "max_packet_words".to_string(),
-                self.max_packet_words.to_value(),
-            ),
-            ("header_words".to_string(), self.header_words.to_value()),
-            ("cost".to_string(), self.cost.to_value()),
-            (
-                "dedicated_kernel_pe".to_string(),
-                self.dedicated_kernel_pe.to_value(),
-            ),
-            ("route_cache".to_string(), self.route_cache.to_value()),
-            ("des_queue".to_string(), self.des_queue.to_value()),
-        ];
-        // Omit the default so pre-knob documents and content hashes are
-        // byte-for-byte unchanged.
-        if self.des_shards != 1 {
-            fields.push(("des_shards".to_string(), self.des_shards.to_value()));
-        }
-        Value::Obj(fields)
-    }
-}
-
-impl Deserialize for MachineConfig {
-    fn from_value(v: &serde::json::Value) -> Result<Self, serde::Error> {
-        Ok(MachineConfig {
-            clusters: u32::from_value(v.get_field("clusters")?)?,
-            pes_per_cluster: u32::from_value(v.get_field("pes_per_cluster")?)?,
-            memory_per_cluster: Words::from_value(v.get_field("memory_per_cluster")?)?,
-            topology: Topology::from_value(v.get_field("topology")?)?,
-            link_latency: Cycles::from_value(v.get_field("link_latency")?)?,
-            words_per_cycle: u32::from_value(v.get_field("words_per_cycle")?)?,
-            max_packet_words: Words::from_value(v.get_field("max_packet_words")?)?,
-            header_words: Words::from_value(v.get_field("header_words")?)?,
-            cost: CostModel::from_value(v.get_field("cost")?)?,
-            dedicated_kernel_pe: bool::from_value(v.get_field("dedicated_kernel_pe")?)?,
-            route_cache: bool::from_value(v.get_field("route_cache")?)?,
-            des_queue: DesQueue::from_value(v.get_field("des_queue")?)?,
-            des_shards: match v.get_field("des_shards") {
-                Ok(f) => u32::from_value(f)?,
-                Err(_) => 1,
-            },
-        })
-    }
 }
 
 impl MachineConfig {
@@ -257,7 +176,6 @@ impl MachineConfig {
             dedicated_kernel_pe: true,
             route_cache: true,
             des_queue: DesQueue::Calendar,
-            des_shards: 1,
         }
     }
 
@@ -278,7 +196,6 @@ impl MachineConfig {
             dedicated_kernel_pe: false,
             route_cache: true,
             des_queue: DesQueue::Calendar,
-            des_shards: 1,
         }
     }
 
@@ -327,9 +244,6 @@ impl MachineConfig {
         }
         if self.max_packet_words == 0 {
             return Err("max_packet_words must be >= 1".into());
-        }
-        if self.des_shards == 0 {
-            return Err("des_shards must be >= 1".into());
         }
         match &self.topology {
             Topology::Mesh2D { width } => {
@@ -628,39 +542,18 @@ mod tests {
         assert_eq!(back, cfg);
     }
 
+    /// The serialized default is part of every content hash, and documents
+    /// written while `des_shards` was a field must still load.
     #[test]
-    fn des_shards_defaults_and_validates() {
-        assert_eq!(MachineConfig::fem2_default().des_shards, 1);
-        assert_eq!(MachineConfig::fem1_style(4).des_shards, 1);
-        let mut c = MachineConfig::fem2_default();
-        c.des_shards = 0;
-        assert!(c.validate().is_err());
-        c.des_shards = 4;
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn des_shards_round_trips_through_serde() {
-        let mut cfg = MachineConfig::fem2_default();
-        cfg.des_shards = 4;
-        let json = serde_json::to_string(&cfg).unwrap();
-        assert!(json.contains("des_shards"));
-        let back: MachineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.des_shards, 4);
-        assert_eq!(back, cfg);
-    }
-
-    /// Documents written before the `des_shards` knob (no such field) must
-    /// keep deserializing, defaulting to the sequential path — and a
-    /// single-sharded config must serialize without the field so pre-knob
-    /// content hashes are unchanged.
-    #[test]
-    fn des_shards_is_backward_compatible_in_serde() {
+    fn default_bytes_are_pinned_and_a_des_shards_field_is_ignored() {
+        const DEFAULT: &str = r#"{"clusters":4,"pes_per_cluster":8,"memory_per_cluster":4194304,"topology":"Crossbar","link_latency":20,"words_per_cycle":1,"max_packet_words":256,"header_words":4,"cost":{"flop":4,"int_op":1,"mem_word":2,"msg_send":60,"msg_dispatch":80,"task_create":120,"context_switch":40},"dedicated_kernel_pe":true,"route_cache":true,"des_queue":"Calendar"}"#;
         let cfg = MachineConfig::fem2_default();
-        let json = serde_json::to_string(&cfg).unwrap();
-        assert!(!json.contains("des_shards"), "default omits the knob");
-        let back: MachineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.des_shards, 1);
+        assert_eq!(serde_json::to_string(&cfg).unwrap(), DEFAULT);
+        let old = format!(
+            r#"{},"des_shards":4}}"#,
+            DEFAULT.strip_suffix('}').expect("an object")
+        );
+        let back: MachineConfig = serde_json::from_str(&old).unwrap();
         assert_eq!(back, cfg);
     }
 }

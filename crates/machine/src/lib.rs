@@ -23,10 +23,6 @@
 //!   segmentation;
 //! * [`sim`] — a generic discrete-event engine with deterministic
 //!   tie-breaking;
-//! * [`shard`] — a cluster-sharded conservative parallel DES backend:
-//!   per-cluster-group calendar queues advanced concurrently on the
-//!   `fem2-par` pool, synchronized at a lookahead horizon derived from the
-//!   network's link latencies, bitwise-identical to the sequential engine;
 //! * [`fault`] — PE fault injection and isolation ("reconfigurability to
 //!   isolate faulty hardware components");
 //! * [`stats`] — cycle/flop/message/byte/storage counters, grouped into
@@ -45,7 +41,6 @@ pub mod fault;
 pub mod memory;
 pub mod network;
 pub mod pe;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 
@@ -57,7 +52,6 @@ pub use machine::{trace_cost_kind, Machine, MachineError};
 pub use memory::ClusterMemory;
 pub use network::{Flight, Network, Tracked};
 pub use pe::{CostClass, Pe, PeId};
-pub use shard::{lookahead_horizon, ShardCtx, ShardMap, ShardSection, ShardedSim};
 pub use sim::{EventQueue, Simulator};
 pub use stats::{PhaseCounters, Stats};
 

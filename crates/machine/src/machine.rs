@@ -387,63 +387,6 @@ impl Machine {
         self.events += 1;
     }
 
-    /// Run `f` over per-shard mutable sections of this machine's PEs,
-    /// merging results back deterministically.
-    ///
-    /// The PE array is cluster-major, and [`ShardMap`] shards are
-    /// contiguous cluster ranges, so each [`ShardSection`] is a disjoint
-    /// subslice — `f` may advance all of them concurrently (e.g. via
-    /// [`fem2_par::each_mut`]). Afterwards the sections' scratch state is
-    /// folded back in shard order: counters into the current stats phase,
-    /// buffered trace events in shard order (ascending cluster order — the
-    /// order the sequential path emits), and the event counter summed.
-    /// Since all merges are order-fixed, the outcome is byte-identical for
-    /// every thread count.
-    ///
-    /// The network, memories, and fault state are *not* exposed to
-    /// sections: cross-cluster traffic and reconfiguration stay in
-    /// sequential code between sections, which is exactly the epoch-barrier
-    /// discipline of the sharded DES backend.
-    ///
-    /// # Panics
-    /// Panics if `map` was built for a different cluster count.
-    pub fn run_sharded<R>(
-        &mut self,
-        map: &crate::shard::ShardMap,
-        f: impl FnOnce(&mut [crate::shard::ShardSection<'_>]) -> R,
-    ) -> R {
-        assert_eq!(
-            map.clusters(),
-            self.config.clusters,
-            "shard map does not match this machine"
-        );
-        let trace_on = self.trace.is_enabled();
-        let mut sections = Vec::with_capacity(map.shards() as usize);
-        let mut rest: &mut [Option<Box<[Pe]>>] = &mut self.lanes;
-        for shard in 0..map.shards() {
-            let range = map.clusters_of(shard);
-            let count = (range.end - range.start) as usize;
-            let (head, tail) = rest.split_at_mut(count);
-            rest = tail;
-            sections.push(crate::shard::ShardSection::new(
-                head,
-                range.start,
-                &self.config,
-                &self.kernel_pe,
-                trace_on,
-            ));
-        }
-        let out = f(&mut sections);
-        for section in sections {
-            self.stats.absorb(&section.counters);
-            self.events += section.events;
-            for ev in section.trace_buf {
-                self.trace.emit(move || ev);
-            }
-        }
-        out
-    }
-
     /// Peak memory usage across clusters, in words.
     pub fn peak_memory(&self) -> Words {
         self.memories
@@ -818,122 +761,6 @@ mod tests {
         assert_eq!(lost, 100);
         assert_eq!(m.memory(0).capacity(), cap - 200);
         assert_eq!(m.reconfigurations, 1);
-    }
-
-    /// One deterministic charge script, three executions — sequential
-    /// facade, sharded sections advanced in-order, sharded sections
-    /// advanced concurrently on a pool — must agree bitwise: same PE
-    /// states, same stats, same recorded trace, same event count.
-    #[test]
-    fn run_sharded_matches_sequential_charging() {
-        use crate::shard::ShardMap;
-        use fem2_trace::{RingRecorder, TraceHandle};
-        use std::sync::{Arc, Mutex};
-
-        let clusters = 6u32;
-        // Per-cluster scripts, processed cluster-ascending like the plate
-        // path's task order: (now, class, count) per step.
-        let script: Vec<Vec<(Cycles, CostClass, u64)>> = (0..clusters)
-            .map(|c| {
-                (0..10u64)
-                    .map(|i| {
-                        let class = match (c as u64 + i) % 4 {
-                            0 => CostClass::Flop,
-                            1 => CostClass::IntOp,
-                            2 => CostClass::MemWord,
-                            _ => CostClass::TaskCreate,
-                        };
-                        (i * 13 + c as u64 * 7, class, 1 + (i + c as u64) % 5)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let build = || {
-            let mut m = Machine::new(MachineConfig::clustered(clusters, 4, Topology::Crossbar));
-            let rec = Arc::new(Mutex::new(RingRecorder::new(4096)));
-            m.set_trace(TraceHandle::new(rec.clone()));
-            m.stats.phase("plate");
-            (m, rec)
-        };
-        let snapshot = |m: &Machine, rec: &Arc<Mutex<RingRecorder>>| {
-            let pes: Vec<Pe> = (0..clusters)
-                .flat_map(|c| m.cluster_pes(c))
-                .map(|pe| *m.pe(pe).unwrap())
-                .collect();
-            let events: Vec<fem2_trace::TraceEvent> =
-                rec.lock().unwrap().events().copied().collect();
-            (pes, m.stats.total(), events, m.events, m.makespan())
-        };
-
-        // Sequential reference.
-        let (mut seq, seq_rec) = build();
-        for (c, steps) in script.iter().enumerate() {
-            for &(now, class, count) in steps {
-                let pe = seq.pick_worker(c as u32).unwrap();
-                seq.charge(now, pe, class, count).unwrap();
-            }
-        }
-        let expected = snapshot(&seq, &seq_rec);
-        assert!(expected.3 > 0, "events counter advanced");
-        assert!(!expected.2.is_empty(), "trace recorded");
-
-        for shards in [1u32, 2, 3, 6] {
-            let map = ShardMap::new(clusters, shards);
-            // In-order sections.
-            let (mut m, rec) = build();
-            m.run_sharded(&map, |sections| {
-                for sec in sections.iter_mut() {
-                    for c in sec.first_cluster()..sec.first_cluster() + sec.cluster_count() {
-                        for &(now, class, count) in &script[c as usize] {
-                            let pe = sec.pick_worker(c).unwrap();
-                            sec.charge(now, pe, class, count).unwrap();
-                        }
-                    }
-                }
-            });
-            assert_eq!(snapshot(&m, &rec), expected, "in-order, shards={shards}");
-
-            // Pool-concurrent sections.
-            let (mut m, rec) = build();
-            let pool = fem2_par::Pool::new(4);
-            m.run_sharded(&map, |sections| {
-                fem2_par::each_mut(&pool, sections, |_, sec| {
-                    for c in sec.first_cluster()..sec.first_cluster() + sec.cluster_count() {
-                        for &(now, class, count) in &script[c as usize] {
-                            let pe = sec.pick_worker(c).unwrap();
-                            sec.charge(now, pe, class, count).unwrap();
-                        }
-                    }
-                });
-            });
-            assert_eq!(snapshot(&m, &rec), expected, "pooled, shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_sections_mirror_worker_policy() {
-        use crate::shard::ShardMap;
-        let mut m = machine(); // 2 clusters x 4 PEs, dedicated kernel PE
-        let map = ShardMap::new(2, 2);
-        m.run_sharded(&map, |sections| {
-            // Kernel PE excluded, earliest-free wins, index tie-break —
-            // the exact Machine::pick_worker policy.
-            assert_eq!(sections[0].pick_worker(0), Some(PeId::new(0, 1)));
-            assert_eq!(sections[1].pick_worker(1), Some(PeId::new(1, 1)));
-            assert_eq!(sections[0].kernel_pe(0), PeId::new(0, 0));
-            sections[0]
-                .charge(0, PeId::new(0, 1), CostClass::Flop, 100)
-                .unwrap();
-            assert_eq!(sections[0].pick_worker(0), Some(PeId::new(0, 2)));
-            // Out-of-section PEs are rejected, not silently charged.
-            assert!(matches!(
-                sections[0].charge(0, PeId::new(1, 0), CostClass::Flop, 1),
-                Err(MachineError::NoSuchPe(_))
-            ));
-        });
-        assert_eq!(m.stats.total().flops, 100);
-        assert_eq!(m.events, 1);
     }
 
     #[test]

@@ -961,9 +961,9 @@ impl Network {
     /// (scaled by the link's degradation factor) and then pays the link
     /// latency, so the bound is `Σ (degrade + link_latency)` over the
     /// current route — independent of message size, contention, and
-    /// injection time. This is the conservative lookahead the sharded DES
-    /// backend derives its epoch horizon from; it is only valid until the
-    /// next fault-state change, which recomputes routes.
+    /// injection time. The kernel's debug build checks every remote
+    /// delivery against it; it is only valid until the next fault-state
+    /// change, which recomputes routes.
     pub fn min_delivery_latency(&self, from: u32, to: u32) -> Option<Cycles> {
         if from == to {
             // Local transfers cost at least one memory-pass cycle.
@@ -976,17 +976,6 @@ impl Network {
                 .sum();
             Some(bound.max(1))
         })
-    }
-
-    /// A machine-wide lower bound on remote delivery latency under a
-    /// *healthy* network: the cheapest possible cross-cluster hop costs at
-    /// least `hops × (1 + link_latency)` cycles. Faults only lengthen
-    /// routes (detours add links, degradation scales occupancy), so the
-    /// bound stays conservative without inspecting per-pair fault state —
-    /// which is what lets the sharded lookahead avoid the O(n²) pair scan
-    /// on large machines.
-    pub fn healthy_latency_floor(&self, min_hops: u32) -> Cycles {
-        (Cycles::from(min_hops) * (1 + self.link_latency)).max(1)
     }
 
     /// Highest per-link busy-cycle count (the bottleneck link).
@@ -1659,7 +1648,7 @@ mod tests {
     }
 
     #[test]
-    fn healthy_latency_floor_is_conservative() {
+    fn min_delivery_latency_never_dips_below_one_healthy_hop() {
         let mut c = cfg(Topology::Ring, 8);
         c.link_latency = 20;
         let mut n = Network::new(&c);
@@ -1667,7 +1656,7 @@ mod tests {
         // delivery latency may dip below the healthy single-hop floor.
         n.degrade_link(0, 7);
         n.fail_link(3);
-        let floor = n.healthy_latency_floor(1);
+        let floor = 1 + c.link_latency;
         for from in 0..8 {
             for to in 0..8 {
                 if from == to {

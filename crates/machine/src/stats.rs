@@ -29,9 +29,7 @@ pub struct PhaseCounters {
 }
 
 impl PhaseCounters {
-    /// Fold another set of counters into this one (plain `u64` sums, so
-    /// folding per-shard counters in any fixed order is exact).
-    pub fn add(&mut self, other: &PhaseCounters) {
+    fn add(&mut self, other: &PhaseCounters) {
         self.flops += other.flops;
         self.int_ops += other.int_ops;
         self.mem_words += other.mem_words;
@@ -131,13 +129,6 @@ impl Stats {
     /// Record one kernel message processed.
     pub fn kernel_msg(&mut self) {
         self.cur().kernel_msgs += 1;
-    }
-
-    /// Fold a block of counters into the current phase — how the sharded
-    /// plate path merges per-shard scratch counters back after a parallel
-    /// section.
-    pub fn absorb(&mut self, delta: &PhaseCounters) {
-        self.cur().add(delta);
     }
 
     /// Counters for a phase, if it exists.

@@ -18,8 +18,9 @@
 //!
 //! Every program runs on either plane with **identical numerical results**:
 //!
-//! * [`NaVm::native`] — host threads via `fem2-par`: real wall-clock
-//!   parallelism for the solver benchmarks;
+//! * [`NaVm::native`] — the same program on the calling thread with no
+//!   cost accounting: the second, charge-free execution the plane-identity
+//!   tests compare the simulated plane against;
 //! * [`NaVm::simulated`] — the `fem2-machine` cost model: every forall,
 //!   window access, broadcast, and RPC charges cycles, messages, and words
 //!   to the simulated FEM-2 hardware, producing the processing / storage /

@@ -6,9 +6,8 @@
 //! runs on the simulated plane.
 //!
 //! The host arithmetic of each operation is **one slice kernel** (the free
-//! functions below) that the sequential arm, the pooled arm of a sharded
-//! simulation and the native plane all call, so every plane rounds the same
-//! way — the plane-equivalence property the integration tests check. Two
+//! functions below) that both planes call, so they round the same way —
+//! the plane-equivalence property the integration tests check. Two
 //! contracts fix the bits:
 //!
 //! * **Reductions.** One partial per [`REDUCE_GRAIN`] chunk, each summed
@@ -28,8 +27,7 @@ use fem2_trace::{EventKind, TraceEvent, WindowStage, NO_PE};
 /// Chunk size for deterministic reductions, elements.
 pub const REDUCE_GRAIN: usize = 1024;
 
-/// Chunks one pooled work item of a reduction covers: the widest step of
-/// [`dot_partials`].
+/// Chunks the widest step of [`dot_partials`] advances together.
 const REDUCE_SPAN: usize = 8;
 
 /// Advance `L` whole chunks together for as long as `L` remain: `L`
@@ -202,21 +200,11 @@ impl NaVm {
         let n = self.len(x);
         assert_eq!(n, self.len(y), "length mismatch");
         let result = {
-            let pool = self.pool().cloned();
             let xd = &self.arrays[x.0 as usize].data;
             let yd = &self.arrays[y.0 as usize].data;
             let mut partials = vec![0.0; n.div_ceil(REDUCE_GRAIN)];
-            match pool {
-                Some(pool) => {
-                    fem2_par::chunks_mut(&pool, &mut partials, REDUCE_SPAN, |s, out| {
-                        let lo = s * REDUCE_SPAN * REDUCE_GRAIN;
-                        let hi = (lo + REDUCE_SPAN * REDUCE_GRAIN).min(n);
-                        dot_partials(&xd[lo..hi], &yd[lo..hi], out);
-                    });
-                }
-                None => dot_partials(xd, yd, &mut partials),
-            }
-            // Folded in chunk order, whichever arm filled them.
+            dot_partials(xd, yd, &mut partials);
+            // Folded in chunk order.
             partials.iter().fold(0.0, |total, p| total + p)
         };
         self.charge_elementwise(
@@ -240,18 +228,8 @@ impl NaVm {
     pub fn axpy(&mut self, alpha: f64, x: ArrayId, y: ArrayId) {
         let n = self.len(x);
         assert_eq!(n, self.len(y), "length mismatch");
-        {
-            let pool = self.pool().cloned();
-            let (xd, yd) = self.src_dst(x, y);
-            match pool {
-                Some(pool) => {
-                    fem2_par::chunks_mut(&pool, yd, REDUCE_GRAIN, |c, piece| {
-                        axpy_slice(alpha, &xd[c * REDUCE_GRAIN..][..piece.len()], piece);
-                    });
-                }
-                None => axpy_slice(alpha, xd, yd),
-            }
-        }
+        let (xd, yd) = self.src_dst(x, y);
+        axpy_slice(alpha, xd, yd);
         self.charge_elementwise(
             n,
             WorkProfile {
@@ -266,18 +244,8 @@ impl NaVm {
     pub fn xpby(&mut self, x: ArrayId, beta: f64, y: ArrayId) {
         let n = self.len(x);
         assert_eq!(n, self.len(y), "length mismatch");
-        {
-            let pool = self.pool().cloned();
-            let (xd, yd) = self.src_dst(x, y);
-            match pool {
-                Some(pool) => {
-                    fem2_par::chunks_mut(&pool, yd, REDUCE_GRAIN, |c, piece| {
-                        xpby_slice(&xd[c * REDUCE_GRAIN..][..piece.len()], beta, piece);
-                    });
-                }
-                None => xpby_slice(xd, beta, yd),
-            }
-        }
+        let (xd, yd) = self.src_dst(x, y);
+        xpby_slice(xd, beta, yd);
         self.charge_elementwise(
             n,
             WorkProfile {
@@ -291,16 +259,7 @@ impl NaVm {
     /// `x ← alpha·x`.
     pub fn scale(&mut self, x: ArrayId, alpha: f64) {
         let n = self.len(x);
-        let pool = self.pool().cloned();
-        let xd = &mut self.arrays[x.0 as usize].data;
-        match pool {
-            Some(pool) => {
-                fem2_par::chunks_mut(&pool, xd, REDUCE_GRAIN, |_, piece| {
-                    scale_slice(alpha, piece);
-                });
-            }
-            None => scale_slice(alpha, xd),
-        }
+        scale_slice(alpha, &mut self.arrays[x.0 as usize].data);
         self.charge_elementwise(
             n,
             WorkProfile {
@@ -357,20 +316,13 @@ impl NaVm {
         }
         // Compute: y[r] = Σ_c A[r][c] x[c].
         {
-            let pool = self.pool().cloned();
             let [aa, xa, ya] = self
                 .arrays
                 .get_disjoint_mut([a.0 as usize, x.0 as usize, y.0 as usize])
                 .expect("aliasing arrays");
             let (ad, xd, yd) = (&aa.data, &xa.data, &mut ya.data);
-            let row = |r: usize| dot_row(&ad[r * ncols..(r + 1) * ncols], xd);
-            match pool {
-                Some(pool) => fem2_par::chunks_mut(&pool, yd, 1, |r, out| out[0] = row(r)),
-                None => {
-                    for (r, out) in yd.iter_mut().enumerate() {
-                        *out = row(r);
-                    }
-                }
+            for (r, out) in yd.iter_mut().enumerate() {
+                *out = dot_row(&ad[r * ncols..(r + 1) * ncols], xd);
             }
         }
         self.charge_elementwise(
@@ -471,21 +423,12 @@ impl NaVm {
         }
         // Compute.
         {
-            let pool = self.pool().cloned();
             let (xd, yd) = self.src_dst(x, y);
             let grid_row = |j: usize| &xd[j * nx..(j + 1) * nx];
-            let row = |j: usize, out: &mut [f64]| {
+            for (j, out) in yd.chunks_mut(nx).enumerate() {
                 let up = (j > 0).then(|| grid_row(j - 1));
                 let down = (j + 1 < ny).then(|| grid_row(j + 1));
                 stencil_row(out, grid_row(j), up, down);
-            };
-            match pool {
-                Some(pool) => fem2_par::chunks_mut(&pool, yd, nx, row),
-                None => {
-                    for (j, out) in yd.chunks_mut(nx).enumerate() {
-                        row(j, out);
-                    }
-                }
             }
         }
         self.charge_elementwise(
@@ -503,30 +446,14 @@ impl NaVm {
 mod tests {
     use super::*;
     use fem2_machine::MachineConfig;
-    use fem2_par::Pool;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
     }
 
     fn native() -> NaVm {
-        NaVm::native(Arc::new(Pool::new(4)), 4)
-    }
-
-    /// Every way a kernel is reached: the sequential simulated plane, the
-    /// native plane on 1 and on 4 threads, and the pooled arm of a sharded
-    /// simulation.
-    fn planes() -> Vec<NaVm> {
-        let mut sharded = MachineConfig::fem2_default();
-        sharded.des_shards = 4;
-        vec![
-            sim(4),
-            NaVm::native(Arc::new(Pool::new(1)), 4),
-            native(),
-            NaVm::simulated(sharded, 4),
-        ]
+        NaVm::native(4)
     }
 
     fn vector_of(vm: &mut NaVm, data: &[f64]) -> ArrayId {
@@ -612,7 +539,7 @@ mod tests {
         let y = mixed_values(seed ^ 0x5bd1_e995, n);
         let want = inner_oracle(&x, &y);
         let want_norm = inner_oracle(&x, &x);
-        for (p, mut vm) in planes().into_iter().enumerate() {
+        for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
             let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
             let got = vm.inner(xa, ya);
             assert_eq!(
@@ -662,7 +589,7 @@ mod tests {
         for (nx, ny) in grids {
             let x = mixed_values((nx * 1000 + ny) as u64, nx * ny);
             let want = stencil_oracle(&x, nx, ny);
-            for (p, mut vm) in planes().into_iter().enumerate() {
+            for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
                 let xa = vector_of(&mut vm, &x);
                 let ya = vm.vector(nx * ny);
                 vm.stencil5(xa, ya, nx, ny);
@@ -680,7 +607,7 @@ mod tests {
         let axpy: Vec<f64> = x.iter().zip(&y).map(|(x, y)| y + alpha * x).collect();
         let xpby: Vec<f64> = x.iter().zip(&axpy).map(|(x, y)| x + beta * y).collect();
         let scaled: Vec<f64> = xpby.iter().map(|y| y * alpha).collect();
-        for (p, mut vm) in planes().into_iter().enumerate() {
+        for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
             let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
             vm.axpy(alpha, xa, ya);
             assert_bits_eq(&vm.snapshot(ya), &axpy, &format!("axpy plane {p}"));

@@ -13,13 +13,10 @@ use crate::task::{TaskHandle, TaskSet};
 use fem2_kernel::WorkProfile;
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
-    BudgetMeter, CostClass, Cycles, Machine, MachineConfig, PeId, RunAborted, RunBudget, ShardMap,
-    Words,
+    BudgetMeter, CostClass, Cycles, Machine, MachineConfig, PeId, RunAborted, RunBudget, Words,
 };
-use fem2_par::Pool;
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Identifier of an array owned by a [`NaVm`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -28,7 +25,7 @@ pub struct ArrayId(pub(crate) u32);
 /// Which execution plane a VM runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlaneKind {
-    /// Host threads (`fem2-par`): real parallelism, no cost accounting.
+    /// The calling host thread: the same program, no cost accounting.
     Native,
     /// The `fem2-machine` cost model: deterministic cycle/message charging.
     Simulated,
@@ -41,7 +38,7 @@ pub(crate) struct DArray {
 }
 
 pub(crate) enum Plane {
-    Native { pool: Arc<Pool> },
+    Native,
     Sim(Box<SimState>),
 }
 
@@ -73,15 +70,6 @@ pub(crate) struct SimState {
     pub(crate) window_words_scratch: Vec<Option<u64>>,
     /// Started run budget, checked as `now` advances. Unlimited by default.
     pub(crate) budget: BudgetMeter,
-    /// Cluster-to-shard mapping (`MachineConfig::des_shards`). One shard =
-    /// the sequential reference path.
-    pub(crate) shards: ShardMap,
-    /// Host worker pool for sharded execution; `None` when the machine is
-    /// unsharded. Drives both the per-shard charging of parallel sections
-    /// and the host-side numerical loops (which stay bitwise-identical:
-    /// elementwise ops are row-disjoint and reductions fold in chunk
-    /// order).
-    pub(crate) pool: Option<Arc<Pool>>,
 }
 
 impl SimState {
@@ -220,18 +208,6 @@ impl SimState {
         let mut barrier = start;
         let charge_spawn = self.spawn_overhead && !self.spawned;
         self.spawned = true;
-        // Steady-state sections (no spawn traffic, so no network or kernel
-        // interaction — each task touches only its own cluster's PEs) run
-        // sharded when the machine is configured for it. Faults, budget
-        // checks, and all cross-cluster traffic happen between sections,
-        // which is exactly the epoch-barrier discipline the lookahead
-        // argument needs: within the section, shards cannot interact.
-        if !charge_spawn && self.shards.is_sharded() && self.pool.is_some() {
-            if let Some(b) = self.try_parallel_section_sharded(tasks, work, start) {
-                self.now = b;
-                return b;
-            }
-        }
         for &(t, w) in work {
             let c = tasks.cluster_of(t);
             let mut ready_at = start;
@@ -330,86 +306,6 @@ impl SimState {
         self.now = barrier;
         barrier
     }
-
-    /// The sharded twin of the steady-state `parallel_section` loop: split
-    /// the machine into per-shard [`fem2_machine::ShardSection`]s, charge
-    /// each shard's tasks concurrently on the pool, and let the machine
-    /// fold counters, trace events, and the event count back in shard
-    /// order. Work items are in task order and the block task map is
-    /// monotone, so each shard's items are one contiguous run and the
-    /// merged outcome is byte-identical to the sequential loop.
-    ///
-    /// Returns `None` (caller falls back to the sequential loop) when the
-    /// work list is not shard-monotone — possible only for hand-built
-    /// `pardo` statement lists.
-    fn try_parallel_section_sharded(
-        &mut self,
-        tasks: &TaskSet,
-        work: &[(TaskHandle, WorkProfile)],
-        start: Cycles,
-    ) -> Option<Cycles> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let map = self.shards;
-        let pool = Arc::clone(self.pool.as_ref()?);
-        let shard_of = |t: TaskHandle| map.shard_of(tasks.cluster_of(t));
-        if work.windows(2).any(|w| shard_of(w[0].0) > shard_of(w[1].0)) {
-            return None;
-        }
-        let slices: Vec<&[(TaskHandle, WorkProfile)]> = (0..map.shards())
-            .map(|k| {
-                let lo = work.partition_point(|&(t, _)| shard_of(t) < k);
-                let hi = work.partition_point(|&(t, _)| shard_of(t) <= k);
-                &work[lo..hi]
-            })
-            .collect();
-        let barriers: Vec<AtomicU64> = (0..map.shards()).map(|_| AtomicU64::new(start)).collect();
-        self.machine.run_sharded(&map, |sections| {
-            fem2_par::each_mut(&pool, sections, |k, sec| {
-                let mut local = start;
-                for &(t, w) in slices[k] {
-                    let c = tasks.cluster_of(t);
-                    let Some(pe) = sec.pick_worker(c) else {
-                        continue; // dead cluster: work is lost
-                    };
-                    sec.emit(|| {
-                        TraceEvent::instant(
-                            start,
-                            pe.cluster,
-                            pe.index,
-                            EventKind::Task {
-                                task: t.0,
-                                stage: TaskStage::Dispatched,
-                            },
-                        )
-                    });
-                    let _ = sec.charge(start, pe, CostClass::ContextSwitch, 1);
-                    let _ = sec.charge(start, pe, CostClass::IntOp, w.int_ops);
-                    let _ = sec.charge(start, pe, CostClass::MemWord, w.mem_words);
-                    let done = sec
-                        .charge(start, pe, CostClass::Flop, w.flops)
-                        .unwrap_or(start);
-                    sec.emit(|| {
-                        TraceEvent::instant(
-                            done,
-                            pe.cluster,
-                            pe.index,
-                            EventKind::Task {
-                                task: t.0,
-                                stage: TaskStage::Completed,
-                            },
-                        )
-                    });
-                    local = local.max(done);
-                }
-                barriers[k].store(local, Ordering::Relaxed);
-            });
-        });
-        Some(
-            barriers
-                .iter()
-                .fold(start, |b, a| b.max(a.load(Ordering::Relaxed))),
-        )
-    }
 }
 
 /// The numerical analyst's virtual machine.
@@ -425,10 +321,11 @@ pub struct NaVm {
 }
 
 impl NaVm {
-    /// A VM on the native plane: `ntasks` logical tasks executed by `pool`.
-    pub fn native(pool: Arc<Pool>, ntasks: u32) -> Self {
+    /// A VM on the native plane: `ntasks` logical tasks executed on the
+    /// calling thread.
+    pub fn native(ntasks: u32) -> Self {
         NaVm {
-            plane: Plane::Native { pool },
+            plane: Plane::Native,
             tasks: TaskSet::new(ntasks, 1),
             arrays: Vec::new(),
             window_seq: 0,
@@ -441,8 +338,6 @@ impl NaVm {
     pub fn simulated(config: MachineConfig, ntasks: u32) -> Self {
         let machine = Machine::new(config);
         let clusters = machine.config.clusters;
-        let shards = ShardMap::for_config(&machine.config);
-        let pool = shards.is_sharded().then(|| Arc::new(Pool::from_env()));
         NaVm {
             plane: Plane::Sim(Box::new(SimState {
                 machine,
@@ -455,8 +350,6 @@ impl NaVm {
                 max_retransmits: 4,
                 window_words_scratch: vec![None; clusters as usize],
                 budget: BudgetMeter::default(),
-                shards,
-                pool,
             })),
             tasks: TaskSet::new(ntasks, clusters),
             arrays: Vec::new(),
@@ -468,7 +361,7 @@ impl NaVm {
     /// Which plane this VM runs on.
     pub fn kind(&self) -> PlaneKind {
         match self.plane {
-            Plane::Native { .. } => PlaneKind::Native,
+            Plane::Native => PlaneKind::Native,
             Plane::Sim(_) => PlaneKind::Simulated,
         }
     }
@@ -481,7 +374,7 @@ impl NaVm {
     /// Simulated cycles elapsed (0 on the native plane).
     pub fn elapsed(&self) -> Cycles {
         match &self.plane {
-            Plane::Native { .. } => 0,
+            Plane::Native => 0,
             Plane::Sim(s) => s.now,
         }
     }
@@ -489,7 +382,7 @@ impl NaVm {
     /// The simulated machine, if on the simulated plane.
     pub fn machine(&self) -> Option<&Machine> {
         match &self.plane {
-            Plane::Native { .. } => None,
+            Plane::Native => None,
             Plane::Sim(s) => Some(&s.machine),
         }
     }
@@ -555,7 +448,7 @@ impl NaVm {
     /// deterministic for the cycle/event limits.
     pub fn budget_exceeded(&self) -> Option<RunAborted> {
         match &self.plane {
-            Plane::Native { .. } => None,
+            Plane::Native => None,
             Plane::Sim(s) => s.budget.exceeded(s.now, 0),
         }
     }
@@ -563,7 +456,7 @@ impl NaVm {
     /// Window exchanges retried after an in-flight loss (simulated plane).
     pub fn retransmits(&self) -> u64 {
         match &self.plane {
-            Plane::Native { .. } => 0,
+            Plane::Native => 0,
             Plane::Sim(s) => s.retransmits,
         }
     }
@@ -660,8 +553,8 @@ impl NaVm {
     }
 
     /// Initialize every element: `a[r][c] = f(r, c)`. Runs as a forall over
-    /// rows (parallel on the native plane, charged on the simulated plane).
-    pub fn fill(&mut self, id: ArrayId, f: impl Fn(usize, usize) -> f64 + Sync) {
+    /// rows (charged on the simulated plane).
+    pub fn fill(&mut self, id: ArrayId, f: impl Fn(usize, usize) -> f64) {
         let cols = self.cols(id);
         self.forall_rows(
             id,
@@ -688,58 +581,29 @@ impl NaVm {
     // Parallel control
     // ------------------------------------------------------------------
 
-    /// Forall over the rows of `id`: `f(r, row_slice)` for every row, in
-    /// parallel on the native plane. `cost_per_row` is what one row charges
-    /// on the simulated plane.
+    /// Forall over the rows of `id`: `f(r, row_slice)` for every row.
+    /// `cost_per_row` is what one row charges on the simulated plane.
     pub fn forall_rows(
         &mut self,
         id: ArrayId,
         cost_per_row: WorkProfile,
-        f: impl Fn(usize, &mut [f64]) + Sync,
+        f: impl Fn(usize, &mut [f64]),
     ) {
         let a = &mut self.arrays[id.0 as usize];
         let (rows, cols) = (a.rows, a.cols);
-        match &mut self.plane {
-            Plane::Native { pool } => {
-                let grain_rows = rows.div_ceil(pool.threads() * 4).max(1);
-                fem2_par::chunks_mut(pool, &mut a.data, grain_rows * cols, |chunk_idx, piece| {
-                    let first_row = chunk_idx * grain_rows;
-                    for (k, row) in piece.chunks_mut(cols).enumerate() {
-                        f(first_row + k, row);
-                    }
-                });
-            }
-            Plane::Sim(s) => {
-                // Rows are disjoint, so running them on the shard pool is
-                // bitwise-identical to the sequential loop.
-                if let Some(pool) = s.pool.clone() {
-                    let grain_rows = rows.div_ceil(pool.threads() * 4).max(1);
-                    fem2_par::chunks_mut(
-                        &pool,
-                        &mut a.data,
-                        grain_rows * cols,
-                        |chunk_idx, piece| {
-                            let first_row = chunk_idx * grain_rows;
-                            for (k, row) in piece.chunks_mut(cols).enumerate() {
-                                f(first_row + k, row);
-                            }
-                        },
-                    );
-                } else {
-                    for (r, row) in a.data.chunks_mut(cols).enumerate() {
-                        f(r, row);
-                    }
-                }
-                let work: Vec<(TaskHandle, WorkProfile)> = self
-                    .tasks
-                    .iter()
-                    .map(|t| {
-                        let share = self.tasks.share(rows, t);
-                        (t, cost_per_row.scaled(share.len() as u64))
-                    })
-                    .collect();
-                s.parallel_section(&self.tasks, &work);
-            }
+        for (r, row) in a.data.chunks_mut(cols).enumerate() {
+            f(r, row);
+        }
+        if let Plane::Sim(s) = &mut self.plane {
+            let work: Vec<(TaskHandle, WorkProfile)> = self
+                .tasks
+                .iter()
+                .map(|t| {
+                    let share = self.tasks.share(rows, t);
+                    (t, cost_per_row.scaled(share.len() as u64))
+                })
+                .collect();
+            s.parallel_section(&self.tasks, &work);
         }
     }
 
@@ -749,7 +613,7 @@ impl NaVm {
     /// carry no host computation).
     pub fn pardo(&mut self, statements: &[(TaskHandle, WorkProfile)]) -> Cycles {
         match &mut self.plane {
-            Plane::Native { .. } => 0,
+            Plane::Native => 0,
             Plane::Sim(s) => s.parallel_section(&self.tasks, statements),
         }
     }
@@ -759,7 +623,7 @@ impl NaVm {
     /// the host address space).
     pub fn broadcast(&mut self, from: TaskHandle, words: Words) -> Cycles {
         match &mut self.plane {
-            Plane::Native { .. } => 0,
+            Plane::Native => 0,
             Plane::Sim(s) => {
                 let fc = self.tasks.cluster_of(from);
                 let start = s.now;
@@ -790,7 +654,7 @@ impl NaVm {
         result_words: Words,
     ) -> Cycles {
         match &mut self.plane {
-            Plane::Native { .. } => 0,
+            Plane::Native => 0,
             Plane::Sim(s) => {
                 let start = s.now;
                 s.apply_faults_through(start);
@@ -838,37 +702,22 @@ impl NaVm {
             }
         }
     }
-
-    pub(crate) fn pool(&self) -> Option<&Arc<Pool>> {
-        match &self.plane {
-            Plane::Native { pool } => Some(pool),
-            // A sharded simulated machine carries a host pool: linear-algebra
-            // host math runs on it with chunk layouts whose results are
-            // bitwise-independent of the thread count.
-            Plane::Sim(s) => s.pool.as_ref(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fem2_machine::Topology;
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
     }
 
-    fn native(ntasks: u32) -> NaVm {
-        NaVm::native(Arc::new(Pool::new(4)), ntasks)
-    }
-
     #[test]
     fn plane_kinds() {
         assert_eq!(sim(4).kind(), PlaneKind::Simulated);
-        assert_eq!(native(4).kind(), PlaneKind::Native);
+        assert_eq!(NaVm::native(4).kind(), PlaneKind::Native);
         assert!(sim(4).machine().is_some());
-        assert!(native(4).machine().is_none());
+        assert!(NaVm::native(4).machine().is_none());
     }
 
     #[test]
@@ -936,7 +785,7 @@ mod tests {
     #[test]
     fn fill_native_matches_sim() {
         let mut vs = sim(4);
-        let mut vn = native(4);
+        let mut vn = NaVm::native(4);
         let a = vs.array(13, 5);
         let b = vn.array(13, 5);
         vs.fill(a, |r, c| (r * 31 + c) as f64 * 0.25);
@@ -946,7 +795,7 @@ mod tests {
 
     #[test]
     fn forall_rows_visits_every_row_once() {
-        for mut vm in [sim(3), native(3)] {
+        for mut vm in [sim(3), NaVm::native(3)] {
             let a = vm.array(17, 2);
             vm.forall_rows(a, WorkProfile::default(), |r, row| {
                 for x in row.iter_mut() {
@@ -962,7 +811,7 @@ mod tests {
 
     #[test]
     fn parallel_section_scales_with_tasks() {
-        // More tasks over the same machine: one row-shard each, so the
+        // More tasks over the same machine: one row block each, so the
         // barrier comes down vs a single fat task.
         let mut one = sim(1);
         let a1 = one.array(64, 64);
@@ -988,7 +837,7 @@ mod tests {
         assert!(barrier > 0);
         assert_eq!(vm.machine().unwrap().stats.total().flops, 400);
         // Native pardo is free.
-        let mut vn = native(4);
+        let mut vn = NaVm::native(4);
         assert_eq!(vn.pardo(&[(TaskHandle(0), WorkProfile::flops(5))]), 0);
     }
 
@@ -1012,7 +861,7 @@ mod tests {
         let lat_local = vm.remote_call(TaskHandle(0), TaskHandle(1), WorkProfile::flops(50), 16, 4);
         assert!(lat_local < lat, "local {lat_local} < remote {lat}");
         // Native plane: free.
-        let mut vn = native(8);
+        let mut vn = NaVm::native(8);
         assert_eq!(
             vn.remote_call(TaskHandle(0), TaskHandle(7), WorkProfile::flops(50), 16, 4),
             0
@@ -1065,97 +914,5 @@ mod tests {
         vm.broadcast(TaskHandle(0), 64);
         let t2 = vm.elapsed();
         assert!(t0 <= t1 && t1 <= t2);
-    }
-
-    /// The sharded plate path must be indistinguishable from the
-    /// sequential one: a representative workload (fill, compute foralls,
-    /// pardo, linear algebra, a broadcast, a remote call) run with
-    /// `des_shards` ∈ {2, 3, 4} produces byte-identical array contents,
-    /// elapsed cycles, statistics, event counts, and trace streams to
-    /// `des_shards = 1` — with and without a mid-run fault plan.
-    #[test]
-    fn sharded_vm_is_bitwise_identical_to_sequential() {
-        use fem2_trace::RingRecorder;
-        use std::sync::Mutex;
-
-        let run = |shards: u32, faulted: bool, topology: &Topology| {
-            let mut cfg = MachineConfig::fem2_default();
-            cfg.topology = topology.clone();
-            cfg.des_shards = shards;
-            let mut vm = NaVm::simulated(cfg, 8);
-            let rec = Arc::new(Mutex::new(RingRecorder::new(1 << 14)));
-            vm.set_trace(TraceHandle::new(rec.clone()));
-            if faulted {
-                // Kill a link that leaves a detour on each topology: a
-                // leaf's only uplink (fat tree) would partition the
-                // network, so there the victim is a redundant edge-up
-                // link instead.
-                let victim = match topology {
-                    Topology::FatTree { .. } => 9,
-                    _ => 3,
-                };
-                vm.inject_faults(
-                    &FaultPlan::none()
-                        .kill_pe(5_000, PeId::new(1, 2))
-                        .kill_link(20_000, victim)
-                        .degrade_link(40_000, 7, 4),
-                );
-            }
-            let a = vm.array(96, 16);
-            let b = vm.array(96, 16);
-            vm.fill(a, |r, c| ((r * 17 + c * 3) % 13) as f64 * 0.5 - 2.0);
-            vm.fill(b, |r, c| ((r + c) % 7) as f64 * 0.25);
-            vm.forall_rows(a, WorkProfile::flops(200), |r, row| {
-                for (c, x) in row.iter_mut().enumerate() {
-                    *x = x.mul_add(1.0625, (r as f64 - c as f64) * 1e-3);
-                }
-            });
-            let statements: Vec<(TaskHandle, WorkProfile)> = vm
-                .tasks()
-                .iter()
-                .map(|t| (t, WorkProfile::flops(50 + 10 * t.0 as u64)))
-                .collect();
-            vm.pardo(&statements);
-            let dot = vm.inner(a, b);
-            vm.axpy(0.125, a, b);
-            vm.scale(b, 0.75);
-            vm.broadcast(TaskHandle(0), 64);
-            vm.remote_call(TaskHandle(0), TaskHandle(7), WorkProfile::flops(40), 8, 4);
-            let m = vm.machine().unwrap();
-            let trace: Vec<TraceEvent> = rec.lock().unwrap().events().copied().collect();
-            (
-                vm.snapshot(a),
-                vm.snapshot(b),
-                dot.to_bits(),
-                vm.elapsed(),
-                m.stats.total(),
-                m.events,
-                (0..m.config.clusters)
-                    .map(|c| m.alive_count(c))
-                    .collect::<Vec<_>>(),
-                trace,
-            )
-        };
-
-        // The fault plan's link ids are valid on every topology here: the
-        // 4-cluster crossbar, 2x2 torus, and radix-2 fat tree all have a
-        // 16-id link space.
-        let topologies = [
-            Topology::Crossbar,
-            Topology::Torus { dims: vec![2, 2] },
-            Topology::FatTree { radix: 2 },
-        ];
-        for topology in &topologies {
-            for faulted in [false, true] {
-                let oracle = run(1, faulted, topology);
-                for shards in [2u32, 3, 4] {
-                    let got = run(shards, faulted, topology);
-                    assert_eq!(
-                        got, oracle,
-                        "shards={shards} faulted={faulted} topology={topology:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -371,8 +371,6 @@ impl NaVm {
 mod tests {
     use super::*;
     use fem2_machine::MachineConfig;
-    use fem2_par::Pool;
-    use std::sync::Arc;
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
@@ -508,7 +506,7 @@ mod tests {
 
     #[test]
     fn native_plane_windows_work_without_charges() {
-        let mut vm = NaVm::native(Arc::new(Pool::new(2)), 4);
+        let mut vm = NaVm::native(4);
         let a = vm.array(8, 2);
         vm.fill(a, |r, _| r as f64);
         let w = vm.window(a, 0, 8, 0, 2);

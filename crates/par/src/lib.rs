@@ -1,11 +1,10 @@
 //! # fem2-par — scoped work-crew parallelism
 //!
 //! A small, self-contained data-parallel executor in the spirit of rayon,
-//! built only on `crossbeam` and `parking_lot`. It provides the native
-//! execution plane for the FEM-2 numerical analyst's virtual machine: the
-//! "fast linear algebra operations" requirement of the hardware-architecture
-//! section is met on the host by running forall-loops and reductions over a
-//! fixed crew of worker threads.
+//! built only on `crossbeam` and `parking_lot`: a fixed crew of worker
+//! threads that `fem2-fem`'s pooled assembly and solver paths, the bench
+//! sweeps and `fem2-serve`'s job workers run on. The simulator itself
+//! (`fem2-machine`, `fem2-navm`) is single-threaded.
 //!
 //! Three layers of API:
 //!
@@ -19,8 +18,7 @@
 //!
 //! Reductions are **deterministic**: partial results are combined in chunk
 //! order, so floating-point sums are reproducible run to run for a fixed
-//! grain size (a requirement for the simulated/native plane equivalence
-//! tests in `fem2-navm`).
+//! grain size.
 //!
 //! ```
 //! use fem2_par::Pool;
@@ -33,7 +31,7 @@
 
 mod pool;
 
-pub use pool::{chunks_mut, each_mut, Pool, Scope};
+pub use pool::{chunks_mut, Pool, Scope};
 
 /// The default grain size used by convenience wrappers when the caller does
 /// not specify one: small enough to balance, large enough to amortize

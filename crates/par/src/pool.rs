@@ -375,23 +375,6 @@ where
     });
 }
 
-/// Call `f(index, &mut item)` once per item of `items`, each call its own
-/// pool work item. The epoch-advance primitive of the sharded DES backend:
-/// one item per shard, every shard advanced concurrently, and the scope's
-/// join is the epoch barrier.
-pub fn each_mut<T, F>(pool: &Pool, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let f = &f;
-    pool.scope(|s| {
-        for (i, item) in items.iter_mut().enumerate() {
-            s.spawn(move || f(i, item));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,19 +563,6 @@ mod tests {
         assert_eq!(data[0], 1);
         assert_eq!(data[32], 1);
         assert_eq!(data[33], 2);
-    }
-
-    #[test]
-    fn each_mut_visits_every_item_once_with_its_index() {
-        let p = Pool::new(4);
-        let mut items: Vec<(usize, u64)> = (0..37).map(|i| (i, 0)).collect();
-        each_mut(&p, &mut items, |i, item| {
-            assert_eq!(item.0, i, "index matches slice position");
-            item.1 += 1;
-        });
-        assert!(items.iter().all(|&(_, hits)| hits == 1));
-        // Empty slice is a no-op, not a hang.
-        each_mut(&p, &mut [] as &mut [u8], |_, _| unreachable!());
     }
 
     #[test]

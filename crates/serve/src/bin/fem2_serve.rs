@@ -22,7 +22,7 @@ use fem2_serve::{client, report, ChaosPlan, Registry, ServeOptions};
 const USAGE: &str = "usage: fem2-serve <serve|report|ingest-bench|submit|status|result|list> ...
   serve        --data-dir DIR [--port N] [--workers N] [--queue N] [--chaos PLAN]
                [--quota-cycles N] [--quota-events N] [--quota-memory WORDS]
-               [--budget-slack PCT] [--shards N]
+               [--budget-slack PCT]
                PLAN is inline JSON ('{...}') or a file path; see chaos docs
                quotas reject plates whose static cost bound exceeds them (422);
                --budget-slack pads auto-derived run budgets (default 150 = x1.5)
@@ -46,7 +46,6 @@ struct Args {
     quota_events: Option<u64>,
     quota_memory: Option<u64>,
     budget_slack: u64,
-    shards: u32,
     positional: Vec<String>,
 }
 
@@ -64,7 +63,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         quota_events: None,
         quota_memory: None,
         budget_slack: 150,
-        shards: 1,
         positional: Vec::new(),
     };
     let mut it = args.iter();
@@ -121,13 +119,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--budget-slack {raw}: {e}"))?;
             }
-            "--shards" => {
-                let raw = value("--shards")?;
-                out.shards = raw.parse().map_err(|e| format!("--shards {raw}: {e}"))?;
-                if out.shards == 0 {
-                    return Err("--shards must be a positive integer".into());
-                }
-            }
             "--wait" => out.wait = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => out.positional.push(other.to_string()),
@@ -164,7 +155,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     opts.quota_events = a.quota_events;
     opts.quota_memory_words = a.quota_memory;
     opts.budget_slack_percent = a.budget_slack;
-    opts.shards = a.shards;
     let mut handle = fem2_serve::start(&opts)?;
     let chaos = if opts.chaos.as_ref().is_some_and(ChaosPlan::is_armed) {
         ", CHAOS ARMED"

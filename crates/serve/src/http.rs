@@ -268,7 +268,9 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc;
     use std::thread;
 
     /// Push raw bytes at a socket pair and parse them server-side.
@@ -407,5 +409,53 @@ mod tests {
         );
         drop(stream);
         client.join().unwrap();
+    }
+
+    proptest! {
+        /// Whatever bytes arrive, after whatever plausible start, the reader
+        /// comes back — `Ok`, or an `Err` the server answers with a 4xx or a
+        /// closed connection, never a panic — inside the deadline, whether
+        /// the client half-closes after writing or goes quiet with the
+        /// socket open.
+        #[test]
+        fn arbitrary_bytes_return_inside_the_deadline(
+            raw in proptest::collection::vec(any::<u8>(), 0..600),
+            head in 0usize..4,
+            goes_quiet in any::<bool>(),
+        ) {
+            const DEADLINE: Duration = Duration::from_millis(200);
+            // Reach the header and body loops, not only the request line.
+            let heads: [&[u8]; 4] = [
+                b"",
+                b"POST /jobs HTTP/1.1\r\n",
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 700\r\n\r\n",
+                b"GET / HTTP/1.1\r\nContent-Length: ",
+            ];
+            let bytes = [heads[head], raw.as_slice()].concat();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (answered, wait) = mpsc::channel::<()>();
+            let client = thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                let _ = s.write_all(&bytes);
+                if !goes_quiet {
+                    let _ = s.shutdown(std::net::Shutdown::Write);
+                }
+                // Hold the socket until the server side has returned.
+                let _ = wait.recv();
+            });
+            let (mut stream, _) = listener.accept().unwrap();
+            let started = Instant::now();
+            let out = read_request_deadline(&mut stream, DEADLINE);
+            let waited = started.elapsed();
+            drop(answered);
+            client.join().unwrap();
+            // Scheduling slack on a loaded host; a missed deadline would
+            // show as the 10 s idle timeout or a hang.
+            prop_assert!(waited < DEADLINE + Duration::from_secs(1), "waited {:?}", waited);
+            if let Ok(Some(req)) = out {
+                prop_assert!(req.body.len() <= MAX_BODY);
+            }
+        }
     }
 }

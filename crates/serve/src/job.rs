@@ -564,36 +564,6 @@ impl JobSpec {
         }
     }
 
-    /// The cluster-shard count this job executes with under a server
-    /// configured for `server_shards`: a spec-level `des_shards` wins
-    /// (the tenant asked for a specific engine), otherwise the server's
-    /// setting applies. Sharding is bitwise-invisible to results, so —
-    /// like the run budget — it is an execution harness, never part of
-    /// the content hash.
-    pub fn effective_shards(&self, server_shards: u32) -> u32 {
-        let own = match self {
-            JobSpec::Plate(p) => p.machine.des_shards,
-            JobSpec::Script(s) => s.machine.des_shards,
-        };
-        if own > 1 {
-            own
-        } else {
-            server_shards.max(1)
-        }
-    }
-
-    /// A copy of this spec whose machine runs `shards` cluster shards.
-    /// Used by the server to execute admitted jobs sharded without
-    /// touching the submitted spec (or its hash).
-    pub fn with_exec_shards(&self, shards: u32) -> JobSpec {
-        let mut spec = self.clone();
-        match &mut spec {
-            JobSpec::Plate(p) => p.machine.des_shards = shards,
-            JobSpec::Script(s) => s.machine.des_shards = shards,
-        }
-        spec
-    }
-
     /// Whether warning-severity findings are allowed through admission.
     pub fn allow_warnings(&self) -> bool {
         match self {
@@ -817,6 +787,29 @@ mod tests {
         )
         .unwrap();
         assert_eq!(minimal.content_hash(), spelled.content_hash());
+    }
+
+    /// Content hashes are cache keys in every deployed registry: these two
+    /// are the values every commit since PR 9 computed. A spec that still
+    /// names the removed `des_shards` field parses and is the same job.
+    #[test]
+    fn content_hashes_are_pinned_and_des_shards_is_ignored() {
+        let plate = JobSpec::parse(r#"{"nx":12,"ny":12}"#).unwrap();
+        assert_eq!(plate.content_hash(), "4c03826862c12ea7");
+        let script = JobSpec::parse(
+            r#"{"kind":"script","ops":[{"op":"initiate","task":"a"},{"op":"terminate","task":"a"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(script.content_hash(), "673bb8bbe065fae0");
+        let machine = serde_json::to_string(&MachineConfig::fem2_default()).unwrap();
+        let old = format!(
+            r#"{{"nx":12,"ny":12,"machine":{},"des_shards":4}}}}"#,
+            machine.strip_suffix('}').expect("an object")
+        );
+        assert_eq!(
+            JobSpec::parse(&old).unwrap().content_hash(),
+            plate.content_hash()
+        );
     }
 
     #[test]

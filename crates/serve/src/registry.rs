@@ -33,11 +33,9 @@
 //! report site can plot predicted-vs-actual tightness. Rev 1/2 records
 //! load with no prediction and render without tightness lines.
 //!
-//! Schema rev 4 adds a `shards` field to run records — the cluster-shard
-//! count the run actually executed with — so cached results note their
-//! execution mode. Sharding is bitwise-invisible to outcomes, so the
-//! field is informational and hash-neutral; rev 1–3 records load
-//! unchanged and replay as `shards: 1` (the sequential engine).
+//! Schema rev 4 adds a `shards` field to run records. There is one
+//! engine now: every record is written with `"shards":1`, and the loader
+//! ignores whatever value an older record carries.
 //!
 //! Crash safety: a torn final line (power loss mid-append) is truncated
 //! away on open — before the append handle is created — so every earlier
@@ -96,9 +94,6 @@ pub struct RunRecord {
     /// a bounded verdict only): an object with `sim_cycles`,
     /// `des_events`, `messages`, and `peak_memory_words`.
     pub predicted: Option<Value>,
-    /// Cluster-shard count the run executed with (rev 4); 1 — the
-    /// sequential engine — for records written before the field existed.
-    pub shards: u32,
 }
 
 impl RunRecord {
@@ -310,10 +305,6 @@ impl Registry {
                             predicted: field(&v, "predicted")
                                 .filter(|p| matches!(p, Value::Obj(_)))
                                 .cloned(),
-                            // Rev 1–3 records predate the field; they
-                            // only ever ran the sequential engine.
-                            shards: u64_field(&v, "shards")
-                                .map_or(1, |s| u32::try_from(s).unwrap_or(1).max(1)),
                         };
                         next_seq = next_seq.max(rec.seq + 1);
                         runs.push(rec);
@@ -431,7 +422,7 @@ impl Registry {
         outcome: &JobOutcome,
         wall_ns: u64,
     ) -> Result<&RunRecord, String> {
-        self.record_result(spec, RunStatus::Ok, Some(outcome), None, None, wall_ns, 1)
+        self.record_result(spec, RunStatus::Ok, Some(outcome), None, None, wall_ns)
     }
 
     /// Record how a supervised job run ended — success, failure, or
@@ -439,9 +430,6 @@ impl Registry {
     /// the failure detail in `error`; aborted records additionally carry
     /// the structured `abort_cause`, which decides whether poison
     /// quarantine replays them to later submitters of the same spec.
-    /// `shards` is the cluster-shard count the run executed with (rev 4);
-    /// pass 1 for the sequential engine.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_result(
         &mut self,
         spec: &JobSpec,
@@ -450,7 +438,6 @@ impl Registry {
         error: Option<&str>,
         abort_cause: Option<&str>,
         wall_ns: u64,
-        shards: u32,
     ) -> Result<&RunRecord, String> {
         self.record(
             &mut Admitted::new(spec.clone()),
@@ -459,7 +446,6 @@ impl Registry {
             error,
             abort_cause,
             wall_ns,
-            shards,
         )
     }
 
@@ -467,7 +453,6 @@ impl Registry {
     /// admitted: the record takes the hash computed at admission and the
     /// cost report whichever station computed first, instead of deriving
     /// both from the spec again.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &mut self,
         job: &mut Admitted,
@@ -476,7 +461,6 @@ impl Registry {
         error: Option<&str>,
         abort_cause: Option<&str>,
         wall_ns: u64,
-        shards: u32,
     ) -> Result<&RunRecord, String> {
         // Rev 3: stamp plate records with the static cost bounds the
         // admission pass predicted, so the report site can plot
@@ -511,7 +495,6 @@ impl Registry {
             error: error.map(str::to_string),
             abort_cause: abort_cause.map(str::to_string),
             predicted,
-            shards: shards.max(1),
         };
         let mut doc = vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
@@ -523,7 +506,8 @@ impl Registry {
             ("outcome".into(), rec.outcome.clone()),
             ("wall_ns".into(), Value::UInt(rec.wall_ns)),
             ("status".into(), Value::Str(rec.status.name().into())),
-            ("shards".into(), Value::UInt(u64::from(rec.shards))),
+            // One engine; the field leaves with the revision ROADMAP 3(c) cuts.
+            ("shards".into(), Value::UInt(1)),
         ];
         if let Some(e) = &rec.error {
             doc.push(("error".into(), Value::Str(e.clone())));
@@ -856,39 +840,34 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The `shards` field of a rev-4 record is a written literal and an
+    /// ignored input: logs written by servers that ran sharded still load,
+    /// and so do rev-3 records, which never had the field.
     #[test]
-    fn rev4_records_persist_their_shard_count_and_rev3_load_as_one() {
+    fn rev4_records_write_shards_one_and_load_whatever_they_carry() {
         let dir = temp_dir("shards");
         let spec = sample_spec();
         let outcome = spec.execute();
         {
             let mut reg = Registry::open(&dir).unwrap();
-            reg.record_result(&spec, RunStatus::Ok, Some(&outcome), None, None, 7, 4)
-                .unwrap();
-            assert_eq!(reg.lookup(&spec.content_hash()).unwrap().shards, 4);
+            reg.record_run(&spec, &outcome, 7).unwrap();
         }
-        // The shard count survives the reopen replay.
-        let reg = Registry::open(&dir).unwrap();
-        assert_eq!(reg.lookup(&spec.content_hash()).unwrap().shards, 4);
-        drop(reg);
+        let log = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        assert!(log.contains("\"status\":\"ok\",\"shards\":1"), "{log}");
+        for (rev, extra) in [(4, ",\"shards\":4"), (3, "")] {
+            let line = format!(
+                "{{\"schema\":\"fem2-registry/{rev}\",\"kind\":\"plate\",\"seq\":0,\
+                 \"hash\":\"{}\",\"name\":\"old\",\"spec\":{},\"outcome\":{{\"kind\":\"plate\"}},\
+                 \"wall_ns\":5,\"status\":\"ok\"{extra}}}\n",
+                spec.content_hash(),
+                json_compact(&spec.to_value()),
+            );
+            fs::write(dir.join("runs.jsonl"), line).unwrap();
+            let reg = Registry::open(&dir).unwrap();
+            let rec = reg.lookup(&spec.content_hash()).expect("record loads");
+            assert_eq!(rec.status, RunStatus::Ok, "rev {rev}");
+        }
         fs::remove_dir_all(&dir).unwrap();
-        // A rev-3 record (no `shards` field) loads unchanged and replays
-        // as the sequential engine.
-        let dir3 = temp_dir("shards-rev3");
-        fs::create_dir_all(&dir3).unwrap();
-        let line = format!(
-            "{{\"schema\":\"fem2-registry/3\",\"kind\":\"plate\",\"seq\":0,\
-             \"hash\":\"{}\",\"name\":\"old\",\"spec\":{},\"outcome\":{{\"kind\":\"plate\"}},\
-             \"wall_ns\":5,\"status\":\"ok\"}}\n",
-            spec.content_hash(),
-            json_compact(&spec.to_value()),
-        );
-        fs::write(dir3.join("runs.jsonl"), line).unwrap();
-        let reg = Registry::open(&dir3).unwrap();
-        let rec = reg.lookup(&spec.content_hash()).expect("rev3 record loads");
-        assert_eq!(rec.shards, 1);
-        assert_eq!(rec.status, RunStatus::Ok);
-        fs::remove_dir_all(&dir3).unwrap();
     }
 
     fn index_on_disk(dir: &Path) -> Value {
@@ -969,10 +948,9 @@ mod tests {
             Option<&'a str>,
             Option<&'a str>,
             u64,
-            u32,
         );
         let calls: [Call; 5] = [
-            (&plate, RunStatus::Ok, Some(&outcome), None, None, 11, 1),
+            (&plate, RunStatus::Ok, Some(&outcome), None, None, 11),
             (
                 &capped,
                 RunStatus::Aborted,
@@ -980,7 +958,6 @@ mod tests {
                 Some(abort),
                 Some("cycles_exceeded"),
                 12,
-                1,
             ),
             (
                 &script,
@@ -989,7 +966,6 @@ mod tests {
                 None,
                 None,
                 13,
-                1,
             ),
             (
                 &plate,
@@ -998,31 +974,28 @@ mod tests {
                 Some("job panicked: boom"),
                 None,
                 14,
-                4,
             ),
-            (&plate, RunStatus::Ok, Some(&outcome), None, None, 15, 1),
+            (&plate, RunStatus::Ok, Some(&outcome), None, None, 15),
         ];
         // What the server does: one `Admitted` per job, its cost report
         // filled before the record is built (or never, for a script).
         let carried = temp_dir("bytes-carried");
         let mut reg = Registry::open(&carried).unwrap();
-        for (spec, status, outcome, error, cause, wall_ns, shards) in calls {
+        for (spec, status, outcome, error, cause, wall_ns) in calls {
             let mut job = Admitted::new(spec.clone());
             job.effective_budget(150);
-            reg.record(&mut job, status, outcome, error, cause, wall_ns, shards)
+            reg.record(&mut job, status, outcome, error, cause, wall_ns)
                 .unwrap();
         }
         drop(reg);
         // The public entry points, which derive hash and cost again.
         let recomputed = temp_dir("bytes-recomputed");
         let mut reg = Registry::open(&recomputed).unwrap();
-        for (i, (spec, status, outcome, error, cause, wall_ns, shards)) in
-            calls.into_iter().enumerate()
-        {
+        for (i, (spec, status, outcome, error, cause, wall_ns)) in calls.into_iter().enumerate() {
             if i == 4 {
                 reg.record_run(spec, outcome.unwrap(), wall_ns).unwrap();
             } else {
-                reg.record_result(spec, status, outcome, error, cause, wall_ns, shards)
+                reg.record_result(spec, status, outcome, error, cause, wall_ns)
                     .unwrap();
             }
         }
@@ -1067,7 +1040,6 @@ mod tests {
                 Some("scenario panicked"),
                 None,
                 7,
-                1,
             )
             .unwrap();
         }
@@ -1102,7 +1074,6 @@ mod tests {
                 Some("run aborted (wall_deadline) at 10 sim cycles, 0 DES events"),
                 Some("wall_deadline"),
                 5,
-                1,
             )
             .unwrap();
             assert!(!reg.lookup(&spec.content_hash()).unwrap().quarantines());
@@ -1120,7 +1091,6 @@ mod tests {
             Some("run aborted (cycles_exceeded) at 101 sim cycles, 7 DES events"),
             Some("cycles_exceeded"),
             5,
-            4,
         )
         .unwrap();
         assert!(reg.lookup(&spec.content_hash()).unwrap().quarantines());
@@ -1167,7 +1137,6 @@ mod tests {
             Some("run aborted (wall_deadline) at 2 sim cycles, 0 DES events"),
             Some("wall_deadline"),
             3,
-            1,
         )
         .unwrap();
         // lookup sees the latest (abort); lookup_ok still finds the run.

@@ -91,11 +91,6 @@ pub struct ServeOptions {
     /// cost bound, in percent (150 = bound × 1.5); clamped to ≥ 100 so
     /// the derived cap can never undercut the bound.
     pub budget_slack_percent: u64,
-    /// Cluster shards admitted jobs execute with (`--shards`); 1 runs the
-    /// sequential reference engine. Sharding is bitwise-invisible to
-    /// results, so this never affects cache keys — a spec-level
-    /// `des_shards` > 1 still wins for that job.
-    pub shards: u32,
 }
 
 impl ServeOptions {
@@ -113,7 +108,6 @@ impl ServeOptions {
             quota_events: None,
             quota_memory_words: None,
             budget_slack_percent: 150,
-            shards: 1,
         }
     }
 }
@@ -265,8 +259,6 @@ pub struct State {
     quota_memory_words: Option<u64>,
     /// Slack (percent, ≥ 100) for budgets auto-derived from cost bounds.
     budget_slack_percent: u64,
-    /// Cluster shards admitted jobs execute with (1 = sequential engine).
-    shards: u32,
 }
 
 /// A running server: bound address plus its threads.
@@ -589,14 +581,6 @@ impl State {
         if auto {
             self.auto_budgeted.fetch_add(1, Ordering::Relaxed);
         }
-        // Execute with the server's shard setting (a spec-level
-        // `des_shards` wins). Sharding is bitwise-invisible, so the
-        // override lives only in the executed copy — the submitted spec
-        // (and its cache key) is persisted untouched, and the shard
-        // count rides along on the registry record instead.
-        let shards = job.spec.effective_shards(self.shards);
-        let sharded = (shards != 1).then(|| job.spec.with_exec_shards(shards));
-        let exec_spec = sharded.as_ref().unwrap_or(&job.spec);
         let t0 = Instant::now();
         // The unwind boundary: a panic in the scenario (or an injected
         // one) must not cross into the pool scope, where it would poison
@@ -608,7 +592,7 @@ impl State {
             if chaos_panic {
                 panic!("chaos: injected worker panic");
             }
-            exec_spec.execute_with_budget(budget)
+            job.spec.execute_with_budget(budget)
         }));
         let wall_ns = ns(t0.elapsed());
         if matches!(job.spec, JobSpec::Plate(_)) {
@@ -646,7 +630,6 @@ impl State {
             error.as_deref(),
             abort_cause,
             wall_ns,
-            shards,
         );
         let persist_ns = ns(t_persist.elapsed());
         let (status, outcome, error) = match (status, persisted) {
@@ -665,7 +648,6 @@ impl State {
     /// fault), not a property of the scenario, so one retry is cheap and
     /// absorbs transients without masking a dead disk. An append that
     /// failed wrote nothing, so the retry cannot duplicate a record.
-    #[allow(clippy::too_many_arguments)]
     fn persist(
         &self,
         job: &mut Admitted,
@@ -674,12 +656,11 @@ impl State {
         error: Option<&str>,
         abort_cause: Option<&str>,
         wall_ns: u64,
-        shards: u32,
     ) -> Result<(), String> {
         let mut attempt = || {
             self.registry
                 .lock()
-                .record(job, status, outcome, error, abort_cause, wall_ns, shards)
+                .record(job, status, outcome, error, abort_cause, wall_ns)
                 .map(|_| ())
         };
         let first = match attempt() {
@@ -745,7 +726,8 @@ impl State {
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
             ("workers", Value::UInt(self.workers as u64)),
-            ("shards", Value::UInt(u64::from(self.shards))),
+            // One engine; the key stays until ROADMAP 3(c) re-pins this body.
+            ("shards", Value::UInt(1)),
             ("panics", Value::UInt(self.panics.load(Ordering::Relaxed))),
             ("aborts", Value::UInt(self.aborts.load(Ordering::Relaxed))),
             (
@@ -803,7 +785,8 @@ impl State {
                 Value::UInt(self.queue_depth.load(Ordering::Relaxed)),
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
-            ("shards", Value::UInt(u64::from(self.shards))),
+            // One engine; the key stays until ROADMAP 3(c) re-pins this body.
+            ("shards", Value::UInt(1)),
             ("in_flight", Value::UInt(in_flight as u64)),
             ("quarantine_size", Value::UInt(quarantine as u64)),
             (
@@ -1015,7 +998,6 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         quota_events: opts.quota_events,
         quota_memory_words: opts.quota_memory_words,
         budget_slack_percent: opts.budget_slack_percent.max(100),
-        shards: opts.shards.max(1),
     });
 
     // Scheduler: a long-lived fem2-par scope fed over a channel. Each
@@ -1405,7 +1387,6 @@ mod tests {
                 Some("run aborted (wall_deadline) at 10 sim cycles, 0 DES events"),
                 Some("wall_deadline"),
                 5,
-                1,
             )
             .unwrap();
         }
@@ -1445,7 +1426,6 @@ mod tests {
                 Some("run aborted (wall_deadline) at 3 sim cycles, 0 DES events"),
                 Some("wall_deadline"),
                 2,
-                1,
             )
             .unwrap();
         }
@@ -1509,18 +1489,28 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The bodies' keys and their order are what deployed scrapers read;
+    /// `shards` stays in both, as the one-engine literal.
     #[test]
-    fn stats_and_readyz_expose_configured_shard_count() {
-        let dir = temp_dir("shards");
-        let mut opts = ServeOptions::new(dir.clone());
-        opts.shards = 4;
-        let handle = start(&opts).unwrap();
+    fn stats_and_readyz_keys_keep_their_order() {
+        let dir = temp_dir("body-keys");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
         let addr = handle.addr();
-        for path in ["/stats", "/readyz"] {
+        let stats = "sims_run cache_hits shed queue_depth capacity workers shards panics aborts \
+                     quarantine_hits cost_rejections auto_budgeted infra_retries quarantine_size \
+                     last_registry_write_ok registry_runs registry_benches index_records";
+        let readyz = "ready queue_depth capacity shards in_flight quarantine_size \
+                      cost_rejections auto_budgeted last_registry_write_ok";
+        for (path, want) in [("/stats", stats), ("/readyz", readyz)] {
             let (status, body) = client::request(addr, "GET", path, None).unwrap();
             assert_eq!(status, 200, "{body}");
             let v = serde_json::parse_value(&body).unwrap();
-            assert_eq!(v.get_field("shards").unwrap(), &Value::UInt(4), "{body}");
+            let Value::Obj(fields) = &v else {
+                panic!("{path} is not an object: {body}")
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>(), "{path}");
+            assert_eq!(v.get_field("shards").unwrap(), &Value::UInt(1), "{body}");
         }
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
@@ -1610,7 +1600,6 @@ mod tests {
                 Some("job panicked: boom"),
                 None,
                 7,
-                1,
             )
             .unwrap();
         }
@@ -1788,7 +1777,7 @@ mod tests {
         {
             let mut reg = Registry::open(&dir).unwrap();
             reg.record_run(&hit, &hit.execute(), 1).unwrap();
-            reg.record_result(&poisoned, RunStatus::Failed, None, Some("boom"), None, 1, 1)
+            reg.record_result(&poisoned, RunStatus::Failed, None, Some("boom"), None, 1)
                 .unwrap();
         }
         let mut opts = ServeOptions::new(dir.clone());

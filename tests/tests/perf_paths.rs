@@ -181,120 +181,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded engine vs the sequential calendar/heap oracles
-// ---------------------------------------------------------------------
-
-/// One traced plate run with the DES backend and shard count selected.
-fn plate_run_sharded(q: DesQueue, shards: u32) -> (ScenarioReport, Vec<u8>) {
-    let mut cfg = MachineConfig::fem2_default();
-    cfg.des_queue = q;
-    cfg.des_shards = shards;
-    let (handle, rec) = TraceHandle::ring(1 << 16);
-    let report = PlateScenario::square(16, cfg)
-        .with_trace(handle)
-        .run_unchecked();
-    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
-    (report, bytes)
-}
-
-/// Sharded runs (2 and 4 shards, either backend) of the full plate
-/// scenario match the sequential calendar oracle bit for bit: report
-/// fields down to the residual's bits, engine event counts, and every
-/// trace byte.
-#[test]
-fn sharded_engine_is_invisible_to_plate_scenario() {
-    let (oracle, oracle_bytes) = plate_run_sharded(DesQueue::Calendar, 1);
-    assert!(!oracle_bytes.is_empty(), "the traced run recorded nothing");
-    for (q, shards) in [
-        (DesQueue::Calendar, 2),
-        (DesQueue::Calendar, 4),
-        (DesQueue::Heap, 2),
-        (DesQueue::Heap, 4),
-    ] {
-        let (r, bytes) = plate_run_sharded(q, shards);
-        assert_eq!(r.elapsed, oracle.elapsed, "{q:?}/{shards}");
-        assert_eq!(r.engine_events, oracle.engine_events, "{q:?}/{shards}");
-        assert_eq!(r.iterations, oracle.iterations, "{q:?}/{shards}");
-        assert_eq!(
-            r.residual.to_bits(),
-            oracle.residual.to_bits(),
-            "{q:?}/{shards}"
-        );
-        assert_eq!(r.total_messages, oracle.total_messages, "{q:?}/{shards}");
-        assert_eq!(
-            r.total_words_moved, oracle.total_words_moved,
-            "{q:?}/{shards}"
-        );
-        assert_eq!(r.total_flops, oracle.total_flops, "{q:?}/{shards}");
-        assert_eq!(r.table, oracle.table, "{q:?}/{shards}");
-        assert_eq!(bytes, oracle_bytes, "trace streams diverged {q:?}/{shards}");
-    }
-}
-
-proptest! {
-    /// The acceptance property: any plate size, shard count, backend, and
-    /// (kill, recover) fault timing — which mutates the latency graph and
-    /// therefore the lookahead bound mid-run — produces a solve that is
-    /// bitwise-identical to the sequential calendar oracle: iteration
-    /// path, residual bits, solution vector bits, recovery activity,
-    /// elapsed cycles, and engine event count.
-    #[test]
-    fn sharded_matches_calendar_and_heap_for_faulted_plates(
-        n in 6usize..12,
-        shards in 2u32..6,
-        kill_at in 1_000u64..6_000,
-        repair_delta in 1_000u64..50_000,
-    ) {
-        let run = |q: DesQueue, shards: u32| {
-            let mut cfg = MachineConfig::fem2_default();
-            cfg.des_queue = q;
-            cfg.des_shards = shards;
-            let mut vm = NaVm::simulated(cfg, 8);
-            let plan = FaultPlan::none()
-                .kill_link(kill_at, 1)
-                .recover_link(kill_at + repair_delta, 1);
-            vm.inject_faults(&plan);
-            let (iters, res, x) = plate_cg(&mut vm, n, n, 1e-8, 300);
-            let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
-            let recovery = vm.retransmits()
-                + vm.machine().map_or(0, |m| m.network.rerouted_packets);
-            let events = vm.machine().map_or(0, |m| m.events);
-            (iters, res.to_bits(), bits, recovery, vm.elapsed(), events)
-        };
-        let oracle = run(DesQueue::Calendar, 1);
-        prop_assert_eq!(&run(DesQueue::Calendar, shards), &oracle);
-        prop_assert_eq!(&run(DesQueue::Heap, shards), &oracle);
-    }
-
-    /// Budget aborts stay deterministic under sharding: a cycle budget
-    /// fires with the same structured [`RunAborted`] — cause, observed
-    /// cycles, observed events — whatever the shard count, and repeat
-    /// runs are bitwise-identical.
-    #[test]
-    fn budget_abort_is_deterministic_under_sharding(
-        shards in 2u32..6,
-        divisor in 2u64..8,
-    ) {
-        use fem2_machine::RunBudget;
-        let full = PlateScenario::square(16, MachineConfig::fem2_default())
-            .run_unchecked();
-        let run = |shards: u32| {
-            let mut cfg = MachineConfig::fem2_default();
-            cfg.des_shards = shards;
-            PlateScenario::square(16, cfg)
-                .with_budget(RunBudget::max_cycles(full.elapsed / divisor))
-                .run_budgeted()
-                .expect_err("budget must fire")
-        };
-        let oracle = run(1);
-        let a = run(shards);
-        let b = run(shards);
-        prop_assert_eq!(&a, &oracle, "sharded abort diverged from oracle");
-        prop_assert_eq!(&a, &b, "sharded abort not repeatable");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Counting CSR build vs the sort-based construction it replaced
 // ---------------------------------------------------------------------
 

@@ -1,17 +1,15 @@
 //! Native plane ≡ simulated plane: the same NA-VM program produces
-//! bitwise-identical numbers on host threads and on the simulated FEM-2.
+//! bitwise-identical numbers on the host thread and on the simulated FEM-2.
 
 use fem2_core::scenario::plate_cg;
 use fem2_machine::MachineConfig;
 use fem2_navm::{NaVm, TaskHandle, WorkProfile};
-use fem2_par::Pool;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn both(ntasks: u32) -> (NaVm, NaVm) {
     (
         NaVm::simulated(MachineConfig::fem2_default(), ntasks),
-        NaVm::native(Arc::new(Pool::new(3)), ntasks),
+        NaVm::native(ntasks),
     )
 }
 
@@ -53,13 +51,9 @@ fn window_writes_round_trip_identically() {
 #[test]
 fn plate_cg_agrees_across_planes() {
     let (nx, ny) = (101, 93);
-    let mut sharded = MachineConfig::fem2_default();
-    sharded.des_shards = 4;
     let vms = [
         NaVm::simulated(MachineConfig::fem2_default(), 8),
-        NaVm::native(Arc::new(Pool::new(1)), 8),
-        NaVm::native(Arc::new(Pool::new(4)), 8),
-        NaVm::simulated(sharded, 8),
+        NaVm::native(8),
     ];
     let runs: Vec<(usize, u64, Vec<u64>)> = vms
         .into_iter()

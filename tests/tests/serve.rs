@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use fem2_serve::client;
 use fem2_serve::{start, ChaosPlan, JobSpec, Registry, RunStatus, ServeOptions};
+use proptest::prelude::*;
 use serde_json::Value;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -259,6 +260,87 @@ fn malformed_and_unknown_requests_get_clean_errors() {
     assert_eq!(resp, "{\"ok\":true}");
     handle.stop();
     fs::remove_dir_all(&dir).ok();
+}
+
+/// The JSON parser recurses once per nesting level. A body far below the
+/// size cap but 100 000 levels deep must come back as an ordinary 400 —
+/// unbounded, it overflows the connection thread's stack, which no
+/// `catch_unwind` survives: the whole process aborts.
+#[test]
+fn deeply_nested_body_gets_400_and_the_server_stays_up() {
+    let dir = temp_dir("nesting");
+    let handle = start(&ServeOptions::new(dir.clone())).expect("server starts");
+    let addr = handle.addr();
+    let (status, resp) =
+        client::request(addr, "POST", "/jobs", Some(&"[".repeat(100_000))).expect("send");
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("nesting deeper than 128"), "{resp}");
+    let (status, resp) = client::request(addr, "GET", "/stats", None).expect("send");
+    assert_eq!(status, 200, "{resp}");
+    handle.stop();
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Write `raw` at the server as-is, half-close, and return whatever it
+/// answers (empty when it just drops the connection).
+fn raw_exchange(addr: std::net::SocketAddr, raw: &[u8]) -> String {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    // The server may answer and close before the last byte is written.
+    let _ = s.write_all(raw);
+    let _ = s.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    let _ = s.read_to_end(&mut reply);
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// A valid plate spec for the mutation half of the property below.
+const VALID_SPEC: &[u8] =
+    br#"{"name":"p","nx":12,"ny":12,"tasks":8,"budget":{"max_sim_cycles":90000}}"#;
+
+proptest! {
+    /// Arbitrary bytes never panic the JSON parser or the spec parser, and
+    /// a live server answers them — as a request body or as the whole
+    /// request — with a 4xx or by closing the connection, and keeps
+    /// serving. Mutations of a valid spec (one byte flipped, then cut at
+    /// every offset) go to the parsers only: some are valid specs, and
+    /// submitting those would run them.
+    #[test]
+    fn arbitrary_bytes_never_panic_and_get_a_4xx(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        flip_at in 0..VALID_SPEC.len(),
+        flip_mask in 1u8..=255,
+    ) {
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let _ = serde_json::parse_value(&text);
+        let _ = JobSpec::parse(&text);
+        let mut spec = VALID_SPEC.to_vec();
+        JobSpec::parse(std::str::from_utf8(&spec).unwrap()).expect("the unmutated spec is valid");
+        spec[flip_at] ^= flip_mask;
+        for cut in 0..=spec.len() {
+            let doc = String::from_utf8_lossy(&spec[..cut]);
+            let _ = serde_json::parse_value(&doc);
+            let _ = JobSpec::parse(&doc);
+        }
+
+        let dir = temp_dir("fuzz");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.request_deadline = Duration::from_millis(200);
+        let handle = start(&opts).expect("server starts");
+        let addr = handle.addr();
+        let (status, resp) = client::request(addr, "POST", "/jobs", Some(&text)).expect("send");
+        prop_assert!((400..500).contains(&status), "body {:?}: {} {}", text, status, resp);
+        let reply = raw_exchange(addr, &bytes);
+        prop_assert!(
+            reply.is_empty() || reply.starts_with("HTTP/1.1 4"),
+            "raw {:?}: {}", bytes, reply
+        );
+        let (status, _) = client::request(addr, "GET", "/healthz", None).expect("send");
+        prop_assert_eq!(status, 200);
+        handle.stop();
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ---------------------------------------------------------------------------

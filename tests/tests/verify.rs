@@ -407,7 +407,6 @@ mod cost_soundness {
             max_iters in 1usize..32,
             topology in arb_topology(),
             budget_cycles in arb_budget(),
-            shards in 1u32..5,
         ) {
             // A mesh width must divide the cluster count; degrade invalid
             // draws to a 1-wide (column) mesh rather than rejecting them.
@@ -417,11 +416,7 @@ mod cost_soundness {
                 }
                 t => t,
             };
-            // Sharded execution is bitwise-identical to sequential, so the
-            // static bounds must stay sound whatever `des_shards` says —
-            // the per-shard event counts sum to the sequential total.
-            let mut machine = MachineConfig::clustered(clusters, pes, topology);
-            machine.des_shards = shards;
+            let machine = MachineConfig::clustered(clusters, pes, topology);
             let mut s = PlateScenario::square(nx, machine);
             s.ny = ny;
             s.tasks = tasks;
@@ -432,15 +427,6 @@ mod cost_soundness {
             let bound = scenario_cost(&s);
             prop_assert!(bound.is_bounded(), "{}", bound.render());
             prop_assert_eq!(bound.des_events, 2 * bound.messages);
-            // The shard knob is an execution mode, not a workload change:
-            // the static analysis must not see it.
-            let mut seq = s.clone();
-            seq.machine.des_shards = 1;
-            let seq_bound = scenario_cost(&seq);
-            prop_assert_eq!(seq_bound.sim_cycles, bound.sim_cycles);
-            prop_assert_eq!(seq_bound.messages, bound.messages);
-            prop_assert_eq!(seq_bound.des_events, bound.des_events);
-            prop_assert_eq!(seq_bound.peak_memory_words, bound.peak_memory_words);
             match s.run_budgeted() {
                 Ok(r) => {
                     prop_assert!(
