@@ -7,10 +7,9 @@
 //! (one per model) for persistence across runs.
 
 use fem2_fem::StructuralModel;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct Inner {
     models: BTreeMap<String, StructuralModel>,
@@ -24,6 +23,14 @@ pub struct Database {
 }
 
 impl Database {
+    /// Lock the store whether or not a session panicked while holding it:
+    /// one user's panic must not lock every other user out of the shared
+    /// database. Each update is a single map insert or remove, so the
+    /// store is valid wherever a holder unwound.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A purely in-memory database.
     pub fn in_memory() -> Self {
         Database {
@@ -67,7 +74,7 @@ impl Database {
 
     /// Store (insert or replace) a model under its own name.
     pub fn store(&self, model: &StructuralModel) -> Result<(), String> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         if let Some(dir) = g.dir.clone() {
             let path = dir.join(format!("{}.json", model.name));
             let text = serde_json::to_string_pretty(model).map_err(|e| e.to_string())?;
@@ -79,12 +86,12 @@ impl Database {
 
     /// Retrieve a model by name.
     pub fn retrieve(&self, name: &str) -> Option<StructuralModel> {
-        self.inner.lock().models.get(name).cloned()
+        self.lock().models.get(name).cloned()
     }
 
     /// Delete a model; true if it existed.
     pub fn delete(&self, name: &str) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let existed = g.models.remove(name).is_some();
         if existed {
             if let Some(dir) = &g.dir {
@@ -96,12 +103,12 @@ impl Database {
 
     /// Stored model names, sorted.
     pub fn list(&self) -> Vec<String> {
-        self.inner.lock().models.keys().cloned().collect()
+        self.lock().models.keys().cloned().collect()
     }
 
     /// Number of stored models.
     pub fn len(&self) -> usize {
-        self.inner.lock().models.len()
+        self.lock().models.len()
     }
 
     /// True if the database is empty.
@@ -172,6 +179,27 @@ mod tests {
             assert!(db.is_empty(), "delete removed the file");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_other_handles() {
+        let db = Database::in_memory();
+        let m = cantilever_plate(2, 2, -1.0);
+        db.store(&m).unwrap();
+        let holder = db.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.lock();
+            panic!("session died holding the database lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(
+            db.inner.is_poisoned(),
+            "the panic really was under the lock"
+        );
+        assert_eq!(db.len(), 1);
+        assert!(db.retrieve(&m.name).is_some());
+        assert!(db.delete(&m.name));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The E1–E10 experiment implementations.
+//! The E1–E10 experiment and A1/A2/A6 study implementations.
 //!
 //! Every function is deterministic (fixed seeds, simulated time), so tables
 //! are reproducible run to run; see EXPERIMENTS.md for the paper-claim vs
@@ -11,7 +11,7 @@ use fem2_core::fem::substructure::analyze_substructures;
 use fem2_core::fem::{Material, Mesh};
 use fem2_core::kernel::{CodeBlock, Heap, KernelMessage, KernelSim, TaskId, WorkProfile};
 use fem2_core::machine::fault::FaultPlan;
-use fem2_core::machine::{Machine, MachineConfig, Network, PeId, Topology};
+use fem2_core::machine::{CostClass, Machine, MachineConfig, Network, PeId, Topology};
 use fem2_core::navm::{NaVm, TaskHandle};
 use fem2_core::scenario::{plate_cg, PlateScenario, ScenarioReport};
 use fem2_core::DesignSpace;
@@ -250,13 +250,7 @@ pub fn e4_task_init(ks: &[u32]) -> (String, Vec<TaskInitRow>) {
 // E5 — communication patterns × topologies × message sizes
 // ---------------------------------------------------------------------
 
-pub(crate) fn run_pattern(
-    net: &mut Network,
-    now: u64,
-    pattern: &str,
-    clusters: u32,
-    words: u64,
-) -> u64 {
+fn run_pattern(net: &mut Network, now: u64, pattern: &str, clusters: u32, words: u64) -> u64 {
     let mut done = now;
     match pattern {
         "neighbor" => {
@@ -421,19 +415,12 @@ pub fn e6_levels() -> String {
 // E7 — fault isolation, reliable delivery, and degradation
 // ---------------------------------------------------------------------
 
-/// The E7 kernel workload (48 local tasks plus three staggered
-/// cross-cluster RPCs, so the reliable layer carries real traffic) on an
-/// arbitrary machine configuration with an optional trace sink — shared
-/// between the E7 fault sweep and the `fem2-bench` harness's traced DES
-/// record.
-pub(crate) fn e7_sim(
-    cfg: MachineConfig,
-    plan: &FaultPlan,
-    trace: fem2_trace::TraceHandle,
-) -> (KernelSim, u64) {
-    let machine = Machine::new(cfg);
+/// The E7 kernel workload on its reference machine, a 4x4 crossbar: 48
+/// local tasks plus three staggered cross-cluster RPCs, so the reliable
+/// layer carries real traffic.
+fn e7_run(plan: &FaultPlan) -> (KernelSim, u64) {
+    let machine = Machine::new(MachineConfig::clustered(4, 4, Topology::Crossbar));
     let mut sim = KernelSim::new(machine);
-    sim.set_trace(trace);
     let code = sim.register_code(CodeBlock::new(
         "work",
         32,
@@ -468,19 +455,9 @@ pub(crate) fn e7_sim(
     (sim, makespan)
 }
 
-/// The E7 workload on its reference machine: a 4x4 crossbar, untraced.
-fn e7_run(plan: &FaultPlan) -> (KernelSim, u64) {
-    e7_sim(
-        MachineConfig::clustered(4, 4, Topology::Crossbar),
-        plan,
-        fem2_trace::TraceHandle::disabled(),
-    )
-}
-
 /// The E7 fault mixes. Link ids on the 4-cluster crossbar are
-/// `from * 4 + to`; every dead link leaves a two-hop detour. Shared with
-/// the `fem2-bench` harness's fault-mix sweep.
-pub(crate) fn e7_mixes() -> Vec<(&'static str, FaultPlan)> {
+/// `from * 4 + to`; every dead link leaves a two-hop detour.
+fn e7_mixes() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("healthy", FaultPlan::none()),
         (
@@ -879,6 +856,162 @@ pub fn a2_spawn_ablation() -> String {
     out
 }
 
+// ---------------------------------------------------------------------
+// A6 — weak scaling: torus and fat tree to 4096 clusters
+// ---------------------------------------------------------------------
+
+/// Cluster counts of the weak-scaling sweep: fixed work per cluster from
+/// 32 to 4096 clusters, so perfect weak scaling is a flat makespan.
+const WS_CLUSTERS: [u32; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
+/// Payload words of each weak-scaling message.
+const WS_WORDS: u64 = 64;
+/// Flops charged per cluster per weak-scaling cell.
+const WS_FLOPS: u64 = 64;
+
+/// Side of the large-machine plate's 2-D torus.
+const TORUS_PLATE_SIDE: u32 = 32;
+/// Cluster count of the large-machine plate: the fixed plate workload on
+/// three orders more clusters than the work needs.
+const TORUS_PLATE_CLUSTERS: u32 = TORUS_PLATE_SIDE * TORUS_PLATE_SIDE;
+/// Task count of the large-machine plate: enough parallelism for the
+/// plate, far fewer than the machine's worker count, so most clusters
+/// never dispatch work and must never materialize PE records.
+const TORUS_PLATE_TASKS: u32 = 128;
+
+/// One cell of the weak-scaling sweep. Every field is a simulated
+/// quantity.
+pub struct WeakScalingRow {
+    /// `"torus"` or `"fattree"`.
+    pub topology: &'static str,
+    /// Clusters in the machine.
+    pub clusters: u32,
+    /// Simulated cycles until the last charge or delivery completes.
+    pub makespan: u64,
+    /// Machine events (charges and transfers).
+    pub events: u64,
+    /// Link records the sparse network slab materialized.
+    pub alloc_links: u64,
+    /// Cluster PE lanes materialized.
+    pub alloc_clusters: u64,
+    /// The smallest cluster count at which this row's topology saturates
+    /// its bisection (makespan more than doubles the 32-cluster one); 0
+    /// when it never does within the sweep.
+    pub saturation_clusters: u64,
+}
+
+/// The topology of one weak-scaling cell. Both shapes factor every power
+/// of two in [`WS_CLUSTERS`]: the torus as the near-square 2-D grid, the
+/// fat tree with a `sqrt(n)`-ish radix.
+fn ws_topology(kind: &str, n: u32) -> Topology {
+    let k = n.trailing_zeros();
+    match kind {
+        "torus" => Topology::Torus {
+            dims: vec![1 << (k / 2), 1 << (k - k / 2)],
+        },
+        "fattree" => Topology::FatTree {
+            radix: 1 << (k / 2),
+        },
+        other => unreachable!("unknown weak-scaling topology {other}"),
+    }
+}
+
+/// One weak-scaling cell: every cluster charges [`WS_FLOPS`] flops and
+/// sends two [`WS_WORDS`]-word messages at time zero — one to its ring
+/// neighbor, one to its antipode (the antipodal half crosses the bisection,
+/// so a topology whose bisection bandwidth grows slower than the cluster
+/// count congests as the sweep scales). `saturation_clusters` is left 0
+/// for the sweep to stamp.
+fn ws_cell(topology: &'static str, n: u32) -> WeakScalingRow {
+    let mut m = Machine::new(MachineConfig::clustered(n, 2, ws_topology(topology, n)));
+    let mut makespan = 0u64;
+    for c in 0..n {
+        let pe = m.pick_worker(c).expect("two PEs per cluster");
+        let done = m
+            .charge(0, pe, CostClass::Flop, WS_FLOPS)
+            .expect("healthy machine");
+        let near = m.transmit(0, c, (c + 1) % n, WS_WORDS);
+        let far = m.transmit(0, c, (c + n / 2) % n, WS_WORDS);
+        makespan = makespan.max(done).max(near).max(far);
+    }
+    WeakScalingRow {
+        topology,
+        clusters: n,
+        makespan,
+        events: m.events,
+        alloc_links: m.network.allocated_link_records() as u64,
+        alloc_clusters: m.allocated_cluster_records() as u64,
+        saturation_clusters: 0,
+    }
+}
+
+/// A6: the weak-scaling sweep ([`ws_cell`] per topology per cluster count,
+/// each row stamped with its topology's saturation point) and the 32×32
+/// plate as 128 tasks on a 1024-cluster torus. The allocation columns are
+/// the footprint proxy: a dense machine would grow them with the id space,
+/// the sparse one only with touched state. Reads no clock.
+pub fn a6_weak_scaling() -> (String, Vec<WeakScalingRow>, ScenarioReport) {
+    let mut rows = Vec::new();
+    for topology in ["torus", "fattree"] {
+        let mut cells: Vec<WeakScalingRow> =
+            WS_CLUSTERS.iter().map(|&n| ws_cell(topology, n)).collect();
+        let saturation = cells
+            .iter()
+            .find(|r| r.makespan > 2 * cells[0].makespan)
+            .map_or(0, |r| u64::from(r.clusters));
+        for r in &mut cells {
+            r.saturation_clusters = saturation;
+        }
+        rows.extend(cells);
+    }
+    let mut cfg = MachineConfig::fem2_default();
+    cfg.clusters = TORUS_PLATE_CLUSTERS;
+    cfg.topology = Topology::Torus {
+        dims: vec![TORUS_PLATE_SIDE, TORUS_PLATE_SIDE],
+    };
+    let mut scenario = PlateScenario::square(32, cfg);
+    scenario.tasks = TORUS_PLATE_TASKS;
+    let plate = scenario.run();
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "A6 — weak scaling: one flop charge, a ring-neighbor and an antipodal message per cluster"
+    );
+    let _ = writeln!(
+        out,
+        "{:>16} {:>10} {:>8} {:>13} {:>16} {:>5}",
+        "record", "makespan", "events", "alloc_links", "alloc_clusters", "sat"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "{:>16} {:>10} {:>8} {:>13} {:>16} {:>5}",
+            format!("ws_{}_{}", r.topology, r.clusters),
+            r.makespan,
+            r.events,
+            r.alloc_links,
+            r.alloc_clusters,
+            r.saturation_clusters
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\n32x32 plate, {TORUS_PLATE_TASKS} tasks on a {TORUS_PLATE_SIDE}x{TORUS_PLATE_SIDE} torus \
+         ({TORUS_PLATE_CLUSTERS} clusters):"
+    );
+    let _ = writeln!(
+        out,
+        "{:>12} {:>8} {:>13} {:>16}",
+        "sim_cycles", "events", "alloc_links", "alloc_clusters"
+    );
+    let _ = writeln!(
+        out,
+        "{:>12} {:>8} {:>13} {:>16}",
+        plate.elapsed, plate.engine_events, plate.alloc_link_records, plate.alloc_cluster_records
+    );
+    (out, rows, plate)
+}
+
 /// A quick NA-VM simulated CG probe shared by a couple of benches.
 pub fn quick_sim_cg(n: usize, tasks: u32) -> u64 {
     let mut vm = NaVm::simulated(MachineConfig::fem2_default(), tasks);
@@ -984,6 +1117,71 @@ mod tests {
                 assert!(ratio > 1.0, "{line}");
             }
         }
+    }
+
+    #[test]
+    fn weak_scaling_sweep_is_deterministic_and_sparse() {
+        let (table, rows, _) = a6_weak_scaling();
+        assert_eq!(
+            table,
+            a6_weak_scaling().0,
+            "A6 is a pure simulated quantity"
+        );
+        assert_eq!(
+            rows.len(),
+            2 * WS_CLUSTERS.len(),
+            "both topologies, all sizes"
+        );
+        for r in &rows {
+            let n = u64::from(r.clusters);
+            assert_eq!(r.events, 3 * n, "fixed work per cluster");
+            assert_eq!(r.alloc_clusters, n, "every cluster ran work");
+            assert!(
+                r.alloc_links <= 6 * n,
+                "ws_{}_{}: {} link records is not O(active)",
+                r.topology,
+                r.clusters,
+                r.alloc_links
+            );
+        }
+        // The 2-D torus bisection grows as sqrt(n) against antipodal
+        // traffic that grows as n: the sweep must find its saturation
+        // point. The fat tree's bisection grows with n: it must not.
+        let last = |topology: &str| {
+            rows.iter()
+                .rfind(|r| r.topology == topology)
+                .expect("both topologies swept")
+        };
+        let torus = last("torus");
+        assert_eq!(torus.clusters, 4096);
+        assert!(
+            torus.saturation_clusters > 0,
+            "torus antipodal traffic must saturate, makespan {}",
+            torus.makespan
+        );
+        let fat = last("fattree");
+        assert_eq!(
+            fat.saturation_clusters, 0,
+            "fat-tree bisection keeps up, makespan {}",
+            fat.makespan
+        );
+    }
+
+    #[test]
+    fn torus_e1_row_is_o_active() {
+        let (_, _, plate) = a6_weak_scaling();
+        let n = u64::from(TORUS_PLATE_CLUSTERS);
+        assert!(
+            plate.alloc_link_records < 4 * n,
+            "{} link records on a {n} cluster torus is not O(active)",
+            plate.alloc_link_records
+        );
+        assert!(
+            plate.alloc_cluster_records < n / 2,
+            "{} cluster records: a {TORUS_PLATE_TASKS}-task plate must not touch most of \
+             the {n}-cluster machine",
+            plate.alloc_cluster_records
+        );
     }
 
     #[test]

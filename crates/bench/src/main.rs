@@ -1,7 +1,8 @@
-//! fem2-report: print every experiment table (E1–E10).
+//! fem2-report: print every experiment table (E1–E10, A1, A2, A6).
 //!
 //! Run with: `cargo run --release -p fem2-bench --bin fem2-report`
-//! Optionally pass experiment ids to restrict: `fem2-report e1 e9`.
+//! Optionally pass experiment ids to restrict: `fem2-report e1 e9`; an id
+//! it does not know is a usage error (exit status 2).
 //!
 //! `--trace <path>` instead runs the E1 plate scenario (48 × 48 on the
 //! FEM-2 default machine) with the event recorder attached, writes a
@@ -21,6 +22,26 @@ use fem2_bench::experiments as ex;
 use fem2_core::scenario::PlateScenario;
 use fem2_machine::MachineConfig;
 use fem2_trace::{chrome, TraceHandle};
+
+/// An experiment id and the function that renders its table.
+type Table = (&'static str, fn() -> String);
+
+/// Every experiment, in print order.
+const TABLES: [Table; 13] = [
+    ("e1", || ex::e1_requirements(&[8, 16, 32, 48, 64]).0),
+    ("e2", || ex::e2_speedup(48).0),
+    ("e3", ex::e3_windows),
+    ("e4", || ex::e4_task_init(&[1, 8, 64, 512, 4096]).0),
+    ("e5", ex::e5_network),
+    ("e6", ex::e6_levels),
+    ("e7", || ex::e7_fault().0),
+    ("e8", ex::e8_heap),
+    ("e9", || ex::e9_solvers(&[16, 32])),
+    ("e10", ex::e10_design_iter),
+    ("a1", ex::a1_renumbering),
+    ("a2", ex::a2_spawn_ablation),
+    ("a6", || ex::a6_weak_scaling().0),
+];
 
 /// Events retained by the `--trace` ring (newest win; drops are counted in
 /// the export).
@@ -81,48 +102,23 @@ fn main() {
         ids.push(raw[i].to_lowercase());
         i += 1;
     }
-    let want = |id: &str| ids.is_empty() || ids.iter().any(|a| a == id);
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| !TABLES.iter().any(|(known, _)| known == id))
+    {
+        let known: Vec<&str> = TABLES.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "fem2-report: unknown experiment `{unknown}`; known: {}",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
 
     println!("FEM-2 experiment report (deterministic simulated plane + host wall times)\n");
 
-    if want("e1") {
-        let (table, _) = ex::e1_requirements(&[8, 16, 32, 48, 64]);
-        println!("{table}");
-    }
-    if want("e2") {
-        let (table, _) = ex::e2_speedup(48);
-        println!("{table}");
-    }
-    if want("e3") {
-        println!("{}", ex::e3_windows());
-    }
-    if want("e4") {
-        let (table, _) = ex::e4_task_init(&[1, 8, 64, 512, 4096]);
-        println!("{table}");
-    }
-    if want("e5") {
-        println!("{}", ex::e5_network());
-    }
-    if want("e6") {
-        println!("{}", ex::e6_levels());
-    }
-    if want("e7") {
-        let (table, _) = ex::e7_fault();
-        println!("{table}");
-    }
-    if want("e8") {
-        println!("{}", ex::e8_heap());
-    }
-    if want("e9") {
-        println!("{}", ex::e9_solvers(&[16, 32]));
-    }
-    if want("e10") {
-        println!("{}", ex::e10_design_iter());
-    }
-    if want("a1") {
-        println!("{}", ex::a1_renumbering());
-    }
-    if want("a2") {
-        println!("{}", ex::a2_spawn_ablation());
+    for (id, table) in TABLES {
+        if ids.is_empty() || ids.iter().any(|a| a == id) {
+            println!("{}", table());
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! # fem2-par — scoped work-crew parallelism
 //!
 //! A small, self-contained data-parallel executor in the spirit of rayon,
-//! built only on `crossbeam` and `parking_lot`: a fixed crew of worker
-//! threads that `fem2-fem`'s pooled assembly and solver paths, the bench
-//! sweeps and `fem2-serve`'s job workers run on. The simulator itself
-//! (`fem2-machine`, `fem2-navm`) is single-threaded.
+//! built only on `std`: a fixed crew of worker threads that `fem2-fem`'s
+//! pooled assembly and solver paths and `fem2-serve`'s job workers run
+//! on. The simulator itself (`fem2-machine`, `fem2-navm`) is
+//! single-threaded.
 //!
 //! Three layers of API:
 //!
-//! * [`Pool`] — a fixed crew of workers with a shared injector queue;
+//! * [`Pool`] — a fixed crew of workers with a shared job queue;
 //! * [`Pool::scope`] — structured parallelism: spawn borrows from the
 //!   enclosing stack frame, the scope joins all tasks before returning and
 //!   propagates panics;

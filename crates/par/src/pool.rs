@@ -7,22 +7,30 @@
 //! `std::thread::scope`. While a scope waits it helps execute queued jobs,
 //! so nested scopes on the same pool cannot deadlock.
 
-use crossbeam::deque::{Injector, Steal};
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::mem;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Lock `m` whether or not a thread panicked while holding it. Every job
+/// runs under `catch_unwind` and outside these locks, and each critical
+/// section is a single queue or slot operation, so the data behind a
+/// poisoned lock is still valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared state between the pool handle, its workers, and waiting scopes.
 struct Shared {
-    queue: Injector<Job>,
+    /// FIFO of jobs any thread may push to and pop from.
+    queue: Mutex<VecDeque<Job>>,
     /// Signaled when a job is pushed; workers sleep on it when idle.
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
@@ -35,13 +43,7 @@ struct Shared {
 
 impl Shared {
     fn pop(&self) -> Option<Job> {
-        loop {
-            match self.queue.steal() {
-                Steal::Success(j) => return Some(j),
-                Steal::Empty => return None,
-                Steal::Retry => {}
-            }
-        }
+        lock(&self.queue).pop_front()
     }
 }
 
@@ -61,7 +63,7 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queue: Injector::new(),
+            queue: Mutex::new(VecDeque::new()),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -89,20 +91,6 @@ impl Pool {
             .map(|n| n.get())
             .unwrap_or(4);
         Self::new(n)
-    }
-
-    /// A pool sized from the `FEM2_PAR_THREADS` environment variable, or
-    /// the host's available parallelism when unset/unparsable. Lets bench
-    /// and CI runs pin the crew size (`FEM2_PAR_THREADS=1` serializes)
-    /// without a code change.
-    pub fn from_env() -> Self {
-        match std::env::var("FEM2_PAR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => Self::new(n),
-            _ => Self::with_host_parallelism(),
-        }
     }
 
     /// Number of worker threads.
@@ -136,7 +124,7 @@ impl Pool {
                 std::thread::yield_now();
             }
         }
-        if let Some(p) = state.panic.lock().take() {
+        if let Some(p) = lock(&state.panic).take() {
             panic::resume_unwind(p);
         }
         match result {
@@ -238,11 +226,11 @@ impl Pool {
     }
 
     fn push_job(&self, job: Job) {
-        self.shared.queue.push(job);
+        lock(&self.shared.queue).push_back(job);
         // Wake one sleeping worker — but only pay for the lock if someone
         // is actually parked.
         if self.shared.sleepers.load(Ordering::Acquire) > 0 {
-            let _g = self.shared.sleep_lock.lock();
+            let _g = lock(&self.shared.sleep_lock);
             self.shared.sleep_cv.notify_one();
         }
     }
@@ -252,7 +240,7 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _g = self.shared.sleep_lock.lock();
+            let _g = lock(&self.shared.sleep_lock);
             self.shared.sleep_cv.notify_all();
         }
         for w in self.workers.drain(..) {
@@ -270,16 +258,19 @@ fn worker_loop(shared: &Shared) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let mut guard = shared.sleep_lock.lock();
+        let mut guard = lock(&shared.sleep_lock);
         shared.sleepers.fetch_add(1, Ordering::AcqRel);
         // Re-check under the lock to avoid missing a push that happened
         // between the pop above and taking the lock.
-        if shared.queue.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            shared
+        if lock(&shared.queue).is_empty() && !shared.shutdown.load(Ordering::Acquire) {
+            guard = shared
                 .sleep_cv
-                .wait_for(&mut guard, Duration::from_millis(50));
+                .wait_timeout(guard, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         shared.sleepers.fetch_sub(1, Ordering::AcqRel);
+        drop(guard);
     }
 }
 
@@ -313,7 +304,7 @@ impl<'env, 'state> Scope<'env, 'state> {
             // propagation matches the queued path.
             let result = panic::catch_unwind(AssertUnwindSafe(f));
             if let Err(p) = result {
-                let mut slot = self.state.panic.lock();
+                let mut slot = lock(&self.state.panic);
                 if slot.is_none() {
                     *slot = Some(p);
                 }
@@ -344,7 +335,7 @@ impl<'env, 'state> Scope<'env, 'state> {
             let state = unsafe { &*(state_addr as *const ScopeState) };
             let result = panic::catch_unwind(AssertUnwindSafe(task));
             if let Err(p) = result {
-                let mut slot = state.panic.lock();
+                let mut slot = lock(&state.panic);
                 if slot.is_none() {
                     *slot = Some(p);
                 }
@@ -392,21 +383,6 @@ mod tests {
     fn host_parallelism_pool() {
         let p = Pool::with_host_parallelism();
         assert!(p.threads() >= 1);
-    }
-
-    #[test]
-    fn from_env_honors_thread_override() {
-        // Env mutation is process-global; this is the only test touching
-        // the variable, and it restores the prior state before returning.
-        let prev = std::env::var("FEM2_PAR_THREADS").ok();
-        std::env::set_var("FEM2_PAR_THREADS", "3");
-        assert_eq!(Pool::from_env().threads(), 3);
-        std::env::set_var("FEM2_PAR_THREADS", "not-a-number");
-        assert!(Pool::from_env().threads() >= 1);
-        match prev {
-            Some(v) => std::env::set_var("FEM2_PAR_THREADS", v),
-            None => std::env::remove_var("FEM2_PAR_THREADS"),
-        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The `fem2-serve` binary: run the simulation service, generate the
-//! static report site, ingest bench suites, or act as a thin client.
+//! static report site, or act as a thin client.
 //!
 //! ```text
 //! fem2-serve serve --data-dir DIR [--port N] [--workers N] [--queue N]
 //! fem2-serve report --data-dir DIR --out DIR
-//! fem2-serve ingest-bench --data-dir DIR FILE...
 //! fem2-serve submit --addr HOST:PORT [--wait] FILE
 //! fem2-serve status --addr HOST:PORT ID
 //! fem2-serve result --addr HOST:PORT ID
@@ -17,9 +16,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fem2_serve::{client, report, ChaosPlan, Registry, ServeOptions};
+use fem2_serve::{client, report, ChaosPlan, ServeOptions};
 
-const USAGE: &str = "usage: fem2-serve <serve|report|ingest-bench|submit|status|result|list> ...
+const USAGE: &str = "usage: fem2-serve <serve|report|submit|status|result|list> ...
   serve        --data-dir DIR [--port N] [--workers N] [--queue N] [--chaos PLAN]
                [--quota-cycles N] [--quota-events N] [--quota-memory WORDS]
                [--budget-slack PCT]
@@ -27,7 +26,6 @@ const USAGE: &str = "usage: fem2-serve <serve|report|ingest-bench|submit|status|
                quotas reject plates whose static cost bound exceeds them (422);
                --budget-slack pads auto-derived run budgets (default 150 = x1.5)
   report       --data-dir DIR --out DIR
-  ingest-bench --data-dir DIR FILE...
   submit       --addr HOST:PORT [--wait] FILE
   status       --addr HOST:PORT ID
   result       --addr HOST:PORT ID
@@ -182,23 +180,6 @@ fn cmd_report(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ingest_bench(a: &Args) -> Result<(), String> {
-    if a.positional.is_empty() {
-        return Err("ingest-bench needs at least one fem2-bench --json file".into());
-    }
-    let mut reg = Registry::open(&data_dir(a)?)?;
-    let mut total = 0;
-    for file in &a.positional {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
-        let doc = serde_json::parse_value(&text).map_err(|e| format!("{file}: {e}"))?;
-        let n = reg.ingest_bench_suite(&doc)?;
-        println!("{file}: ingested {n} records");
-        total += n;
-    }
-    println!("total: {total} bench records");
-    Ok(())
-}
-
 fn cmd_submit(a: &Args) -> Result<(), String> {
     let addr = addr(a)?;
     let file = a
@@ -246,7 +227,6 @@ fn main() -> ExitCode {
     let run = parse_args(rest).and_then(|args| match cmd {
         "serve" => cmd_serve(&args),
         "report" => cmd_report(&args),
-        "ingest-bench" => cmd_ingest_bench(&args),
         "submit" => cmd_submit(&args),
         "status" => {
             let id = job_id(&args)?;

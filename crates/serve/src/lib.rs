@@ -31,10 +31,12 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod util {
-    //! The vendored `serde_json` signatures return `Result` even where
-    //! serializing an already-built `Value` tree cannot fail; these
-    //! helpers absorb that so call sites stay infallible.
+    //! Two absorbers that keep call sites infallible: JSON text of an
+    //! already-built `Value` tree (the vendored `serde_json` signatures
+    //! return `Result` even where that cannot fail), and the server's
+    //! state locks.
     use serde::json::Value;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     pub(crate) fn json_compact(v: &Value) -> String {
         serde_json::to_string(v).unwrap_or_else(|e| format!("{{\"error\":\"serialize: {e}\"}}"))
@@ -43,6 +45,15 @@ pub(crate) mod util {
     pub(crate) fn json_pretty(v: &Value) -> String {
         serde_json::to_string_pretty(v)
             .unwrap_or_else(|e| format!("{{\"error\":\"serialize: {e}\"}}"))
+    }
+
+    /// Lock `m` whether or not a thread panicked while holding it. Jobs
+    /// run under `catch_unwind` outside the state locks, so a panic under
+    /// one is a bug in a single request's handler; passing the poison on
+    /// would turn that one failed request into a server that answers
+    /// nothing until it is restarted.
+    pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -56,5 +67,5 @@ pub mod server;
 
 pub use chaos::{ChaosPlan, ChaosState};
 pub use job::{JobOutcome, JobSpec, RunStatus};
-pub use registry::{BenchRecord, Registry, RunRecord};
+pub use registry::{Registry, RunRecord};
 pub use server::{start, ServeOptions, ServerHandle};

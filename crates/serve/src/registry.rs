@@ -4,15 +4,17 @@
 //! Layout (schema `fem2-registry/4`, documented in DESIGN.md):
 //!
 //! * `runs.jsonl` — one JSON object per line, append-only, flushed after
-//!   every record. Two record kinds share the log, discriminated by
-//!   `"kind"`: completed job runs (`"plate"` / `"script"`) and ingested
-//!   bench records (`"bench"`).
+//!   every record: completed job runs, `"kind"` `"plate"` or `"script"`.
+//!   A line of any other kind (logs written before `fem2-serve
+//!   ingest-bench` was removed hold `"bench"` lines) is skipped on load
+//!   and left in the log as it is; its `seq` still counts, so appends
+//!   never reuse one.
 //! * `index.json` — a derived summary (counts, hashes, names, statuses)
 //!   for humans and shell tools; nothing in the repo reads it back. It is
-//!   rewritten via temp-file + rename on every open, whenever the record
-//!   count (`runs + benches`) reaches a power of two, once per bench-suite
-//!   ingest, and on clean close — amortised O(1) per append instead of
-//!   O(registry). Between those points it lags the log
+//!   rewritten via temp-file + rename on every open, whenever the run
+//!   count reaches a power of two, and on clean close — amortised O(1)
+//!   per append instead of O(registry). Between those points it lags the
+//!   log
 //!   ([`Registry::index_records`] says by how much), and after a kill it
 //!   stays behind until the next open. The log is the only source of
 //!   truth: a failed index write is reported, never fails the append, and
@@ -115,33 +117,11 @@ impl RunRecord {
     }
 }
 
-/// An ingested bench record (from `fem2-bench --json` output).
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    /// Total order of the record in the log.
-    pub seq: u64,
-    /// Bench record name, e.g. `plate-conduction-32x32`.
-    pub name: String,
-    /// Source commit the suite ran at.
-    pub commit: String,
-    /// Machine-plan content hash from the suite.
-    pub plan_hash: String,
-    /// Flat parameter summary from the suite.
-    pub params: String,
-    /// Median wall time, nanoseconds.
-    pub wall_ns: u64,
-    /// Simulated cycles.
-    pub sim_cycles: u64,
-    /// DES events per wall second.
-    pub events_per_sec: f64,
-}
-
 /// The registry: in-memory replay of the log plus the open append handle.
 pub struct Registry {
     dir: PathBuf,
     log: File,
     runs: Vec<RunRecord>,
-    benches: Vec<BenchRecord>,
     next_seq: u64,
     /// Appends attempted so far (1-based counter for fault injection).
     writes: u64,
@@ -151,7 +131,7 @@ pub struct Registry {
     /// Hashes whose *latest* record quarantines, maintained incrementally
     /// on load and append so `quarantine_size` is O(1) per probe.
     poisoned: HashSet<String>,
-    /// Records (`runs + benches`) the on-disk `index.json` covers.
+    /// Runs the on-disk `index.json` covers.
     index_records: usize,
 }
 
@@ -200,15 +180,6 @@ fn u64_field(v: &Value, name: &str) -> Option<u64> {
     }
 }
 
-fn f64_field(v: &Value, name: &str) -> Option<f64> {
-    match field(v, name) {
-        Some(Value::Float(f)) => Some(*f),
-        Some(Value::UInt(u)) => Some(*u as f64),
-        Some(Value::Int(i)) => Some(*i as f64),
-        _ => None,
-    }
-}
-
 impl Registry {
     /// Open (creating if absent) the registry under `dir`, replaying the
     /// log into memory and rebuilding `index.json`.
@@ -216,7 +187,6 @@ impl Registry {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let log_path = dir.join("runs.jsonl");
         let mut runs = Vec::new();
-        let mut benches = Vec::new();
         let mut next_seq = 0u64;
         if log_path.exists() {
             repair_torn_tail(&log_path)?;
@@ -242,21 +212,12 @@ impl Registry {
                         continue;
                     }
                 };
+                // Every parsed line owns its `seq`, whether or not it is
+                // loaded below: the next append must not reuse the `seq`
+                // of a line this build skips.
+                let seq = u64_field(&v, "seq").unwrap_or(next_seq);
+                next_seq = next_seq.max(seq + 1);
                 match str_field(&v, "kind").as_deref() {
-                    Some("bench") => {
-                        let rec = BenchRecord {
-                            seq: u64_field(&v, "seq").unwrap_or(next_seq),
-                            name: str_field(&v, "name").unwrap_or_default(),
-                            commit: str_field(&v, "commit").unwrap_or_default(),
-                            plan_hash: str_field(&v, "plan_hash").unwrap_or_default(),
-                            params: str_field(&v, "params").unwrap_or_default(),
-                            wall_ns: u64_field(&v, "wall_ns").unwrap_or(0),
-                            sim_cycles: u64_field(&v, "sim_cycles").unwrap_or(0),
-                            events_per_sec: f64_field(&v, "events_per_sec").unwrap_or(0.0),
-                        };
-                        next_seq = next_seq.max(rec.seq + 1);
-                        benches.push(rec);
-                    }
                     Some(kind @ ("plate" | "script")) => {
                         let (Some(hash), Some(spec), Some(outcome)) = (
                             str_field(&v, "hash"),
@@ -292,7 +253,7 @@ impl Registry {
                             .map(str::to_string)
                         });
                         let rec = RunRecord {
-                            seq: u64_field(&v, "seq").unwrap_or(next_seq),
+                            seq,
                             hash,
                             name: str_field(&v, "name").unwrap_or_default(),
                             kind: kind.to_string(),
@@ -306,7 +267,6 @@ impl Registry {
                                 .filter(|p| matches!(p, Value::Obj(_)))
                                 .cloned(),
                         };
-                        next_seq = next_seq.max(rec.seq + 1);
                         runs.push(rec);
                     }
                     _ => {
@@ -335,7 +295,6 @@ impl Registry {
             dir: dir.to_path_buf(),
             log,
             runs,
-            benches,
             next_seq,
             writes: 0,
             fail_writes: Vec::new(),
@@ -388,28 +347,13 @@ impl Registry {
         &self.runs
     }
 
-    /// All ingested bench records, in log order.
-    pub fn benches(&self) -> &[BenchRecord] {
-        &self.benches
-    }
-
     /// Number of job runs recorded.
     pub fn run_count(&self) -> usize {
         self.runs.len()
     }
 
-    /// Number of bench records ingested.
-    pub fn bench_count(&self) -> usize {
-        self.benches.len()
-    }
-
-    /// Records of either kind in the log.
-    fn record_count(&self) -> usize {
-        self.runs.len() + self.benches.len()
-    }
-
-    /// Number of records the on-disk `index.json` covers; equals
-    /// `run_count() + bench_count()` when the index is fresh.
+    /// Number of runs the on-disk `index.json` covers; equals
+    /// `run_count()` when the index is fresh.
     pub fn index_records(&self) -> usize {
         self.index_records
     }
@@ -530,70 +474,6 @@ impl Registry {
         Ok(self.runs.last().expect("just pushed"))
     }
 
-    /// Ingest one bench record (already parsed from `fem2-bench --json`).
-    pub fn record_bench(&mut self, rec: BenchRecord) -> Result<(), String> {
-        self.append_bench(rec)?;
-        self.index_on_schedule();
-        Ok(())
-    }
-
-    fn append_bench(&mut self, mut rec: BenchRecord) -> Result<(), String> {
-        rec.seq = self.next_seq;
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str(SCHEMA.into())),
-            ("kind".into(), Value::Str("bench".into())),
-            ("seq".into(), Value::UInt(rec.seq)),
-            ("name".into(), Value::Str(rec.name.clone())),
-            ("commit".into(), Value::Str(rec.commit.clone())),
-            ("plan_hash".into(), Value::Str(rec.plan_hash.clone())),
-            ("params".into(), Value::Str(rec.params.clone())),
-            ("wall_ns".into(), Value::UInt(rec.wall_ns)),
-            ("sim_cycles".into(), Value::UInt(rec.sim_cycles)),
-            ("events_per_sec".into(), Value::Float(rec.events_per_sec)),
-        ]);
-        self.append_line(&doc)?;
-        self.next_seq += 1;
-        self.benches.push(rec);
-        Ok(())
-    }
-
-    /// Ingest every record of a `fem2-bench --json` suite document, then
-    /// bring the index up to date once. Returns the number of records
-    /// ingested.
-    pub fn ingest_bench_suite(&mut self, doc: &Value) -> Result<usize, String> {
-        let schema = str_field(doc, "schema").unwrap_or_default();
-        if !schema.starts_with("fem2-bench/") {
-            return Err(format!("not a fem2-bench document (schema `{schema}`)"));
-        }
-        let commit = str_field(doc, "commit").unwrap_or_else(|| "unknown".into());
-        let plan_hash = str_field(doc, "plan_hash").unwrap_or_default();
-        let params = str_field(doc, "params").unwrap_or_default();
-        let Some(Value::Arr(records)) = field(doc, "results") else {
-            return Err("bench document has no results array".into());
-        };
-        let mut n = 0;
-        for r in records {
-            let Some(name) = str_field(r, "name") else {
-                continue;
-            };
-            self.append_bench(BenchRecord {
-                seq: 0, // assigned by append_bench
-                name,
-                commit: commit.clone(),
-                plan_hash: plan_hash.clone(),
-                params: params.clone(),
-                wall_ns: u64_field(r, "wall_ns_median")
-                    .or(u64_field(r, "wall_ns"))
-                    .unwrap_or(0),
-                sim_cycles: u64_field(r, "sim_cycles").unwrap_or(0),
-                events_per_sec: f64_field(r, "events_per_sec").unwrap_or(0.0),
-            })?;
-            n += 1;
-        }
-        self.refresh_index();
-        Ok(n)
-    }
-
     fn append_line(&mut self, doc: &Value) -> Result<(), String> {
         self.writes += 1;
         if let Some(pos) = self.fail_writes.iter().position(|&w| w == self.writes) {
@@ -614,7 +494,7 @@ impl Registry {
     /// Bring `index.json` up to date if it is behind the log. Clean
     /// shutdown calls this; `Drop` does too, but cannot report a failure.
     pub fn flush_index(&mut self) -> Result<(), String> {
-        if self.index_records == self.record_count() {
+        if self.index_records == self.runs.len() {
             return Ok(());
         }
         self.write_index()
@@ -637,7 +517,7 @@ impl Registry {
     /// power of two, so the whole-file rewrite is amortised O(1) per
     /// record however large the registry grows.
     fn index_on_schedule(&mut self) {
-        if self.record_count().is_power_of_two() {
+        if self.runs.len().is_power_of_two() {
             self.refresh_index();
         }
     }
@@ -659,28 +539,14 @@ impl Registry {
                 ])
             })
             .collect();
-        let benches: Vec<Value> = self
-            .benches
-            .iter()
-            .map(|b| {
-                Value::Obj(vec![
-                    ("seq".into(), Value::UInt(b.seq)),
-                    ("name".into(), Value::Str(b.name.clone())),
-                    ("commit".into(), Value::Str(b.commit.clone())),
-                    ("events_per_sec".into(), Value::Float(b.events_per_sec)),
-                ])
-            })
-            .collect();
         let index = Value::Obj(vec![
             ("schema".into(), Value::Str(SCHEMA.into())),
             ("run_count".into(), Value::UInt(self.runs.len() as u64)),
-            ("bench_count".into(), Value::UInt(self.benches.len() as u64)),
             (
                 "quarantine_size".into(),
                 Value::UInt(self.quarantine_size() as u64),
             ),
             ("runs".into(), Value::Arr(runs)),
-            ("benches".into(), Value::Arr(benches)),
         ]);
         let tmp = self.dir.join("index.json.tmp");
         let final_path = self.dir.join("index.json");
@@ -688,7 +554,7 @@ impl Registry {
         text.push('\n');
         fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
         fs::rename(&tmp, &final_path).map_err(|e| format!("rename index.json: {e}"))?;
-        self.index_records = self.record_count();
+        self.index_records = self.runs.len();
         Ok(())
     }
 }
@@ -766,37 +632,53 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A data dir written before `ingest-bench` was removed: `run(0),
+    /// bench(1), bench(2)`. The bench lines are not loaded, keep their
+    /// bytes, and keep their `seq`s.
     #[test]
     fn seq_is_total_and_monotone_across_kinds() {
         let dir = temp_dir("seq");
-        let mut reg = Registry::open(&dir).unwrap();
         let spec = sample_spec();
         let outcome = spec.execute();
-        reg.record_run(&spec, &outcome, 1).unwrap();
-        reg.record_bench(BenchRecord {
-            seq: 0,
-            name: "b".into(),
-            commit: "c".into(),
-            plan_hash: "p".into(),
-            params: "".into(),
-            wall_ns: 10,
-            sim_cycles: 20,
-            events_per_sec: 1.5,
-        })
-        .unwrap();
+        {
+            let mut reg = Registry::open(&dir).unwrap();
+            assert_eq!(reg.record_run(&spec, &outcome, 1).unwrap().seq, 0);
+        }
+        let bench = |seq: u64| {
+            format!(
+                "{{\"schema\":\"fem2-registry/4\",\"kind\":\"bench\",\"seq\":{seq},\
+                 \"name\":\"ws_torus_32\",\"commit\":\"unknown\",\
+                 \"plan_hash\":\"7edc3053a715e4a5\",\
+                 \"params\":\"route_cache=on des_queue=calendar repeat=1 threads=2\",\
+                 \"wall_ns\":18961,\"sim_cycles\":1444,\"events_per_sec\":5062490.0}}\n"
+            )
+        };
+        let log = dir.join("runs.jsonl");
+        let mut f = OpenOptions::new().append(true).open(&log).unwrap();
+        f.write_all((bench(1) + &bench(2)).as_bytes()).unwrap();
+        drop(f);
+        let before = fs::read_to_string(&log).unwrap();
+        let mut reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.run_count(), 1, "the run is served");
+        assert_eq!(reg.index_records(), 1);
+        assert!(reg.lookup(&spec.content_hash()).is_some());
         let spec2 = JobSpec::parse(r#"{"nx":14,"ny":14}"#).unwrap();
         let outcome2 = spec2.execute();
-        reg.record_run(&spec2, &outcome2, 2).unwrap();
-        assert_eq!(reg.runs()[0].seq, 0);
-        assert_eq!(reg.benches()[0].seq, 1);
-        assert_eq!(reg.runs()[1].seq, 2);
-        // And reopen keeps counting from the max.
+        let rec = reg.record_run(&spec2, &outcome2, 2).unwrap();
+        assert_eq!(rec.seq, 3, "above every seq in the log, loaded or not");
         drop(reg);
+        let after = fs::read_to_string(&log).unwrap();
+        assert!(
+            after.starts_with(&before),
+            "append-only: old lines untouched"
+        );
+        assert_eq!(after.lines().count(), 4);
+        // And reopen keeps counting from the max.
         let mut reg = Registry::open(&dir).unwrap();
+        assert_eq!(reg.run_count(), 2);
         let spec3 = JobSpec::parse(r#"{"nx":10,"ny":10}"#).unwrap();
         let outcome3 = spec3.execute();
-        let rec = reg.record_run(&spec3, &outcome3, 3).unwrap();
-        assert_eq!(rec.seq, 3);
+        assert_eq!(reg.record_run(&spec3, &outcome3, 3).unwrap().seq, 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -883,7 +765,6 @@ mod tests {
         reg.record_run(&spec, &outcome, 1).unwrap();
         let v = index_on_disk(&dir);
         assert_eq!(u64_field(&v, "run_count"), Some(1));
-        assert_eq!(u64_field(&v, "bench_count"), Some(0));
         assert_eq!(str_field(&v, "schema").as_deref(), Some(SCHEMA));
         // The live index is rewritten when the record count reaches a
         // power of two: after five appends it covers four, and says so.
@@ -1270,37 +1151,5 @@ mod tests {
             proptest::prop_assert!(reg.lookup(&extra.content_hash()).is_some());
             fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn bench_suite_ingest_pulls_registry_fields() {
-        let dir = temp_dir("ingest");
-        let mut reg = Registry::open(&dir).unwrap();
-        let doc = serde_json::parse_value(
-            r#"{"schema":"fem2-bench/3","commit":"abc1234","plan_hash":"deadbeef00000000",
-                "params":"route_cache=on des_queue=Calendar repeat=3 threads=4",
-                "results":[
-                  {"name":"plate-16","wall_ns_median":100,"sim_cycles":200,"events_per_sec":5.0},
-                  {"name":"plate-32","wall_ns_median":400,"sim_cycles":800,"events_per_sec":6.0},
-                  {"name":"plate-64","wall_ns_median":900,"sim_cycles":1800,"events_per_sec":7.0}
-                ]}"#,
-        )
-        .unwrap();
-        let n = reg.ingest_bench_suite(&doc).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(reg.bench_count(), 3);
-        // One index rewrite per ingest, covering all of it — three is not
-        // a count the per-append schedule would have written.
-        assert_eq!(reg.index_records(), 3);
-        assert_eq!(u64_field(&index_on_disk(&dir), "bench_count"), Some(3));
-        let b = &reg.benches()[0];
-        assert_eq!(b.commit, "abc1234");
-        assert_eq!(b.plan_hash, "deadbeef00000000");
-        assert!(b.params.contains("des_queue=Calendar"));
-        assert_eq!(b.wall_ns, 100);
-        // Non-bench documents refuse cleanly.
-        let bad = serde_json::parse_value(r#"{"schema":"nope/1"}"#).unwrap();
-        assert!(reg.ingest_bench_suite(&bad).is_err());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

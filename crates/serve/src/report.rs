@@ -14,7 +14,7 @@ use std::path::Path;
 
 use serde::json::Value;
 
-use crate::registry::{BenchRecord, Registry, RunRecord};
+use crate::registry::{Registry, RunRecord};
 use crate::util::json_compact;
 
 /// Render `v` as nested markdown list items at `indent` levels.
@@ -111,71 +111,11 @@ fn run_page(run: &RunRecord) -> String {
     out
 }
 
-/// A sparkline-ish trend string for a series of events/sec samples.
-fn trend(samples: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let (min, max) = samples
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
-            (lo.min(s), hi.max(s))
-        });
-    samples
-        .iter()
-        .map(|&s| {
-            let t = if max > min {
-                (s - min) / (max - min)
-            } else {
-                0.5
-            };
-            BARS[((t * 7.0).round() as usize).min(7)]
-        })
-        .collect()
-}
-
-fn bench_section(benches: &[BenchRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## Bench trends (events/sec)");
-    let _ = writeln!(out);
-    if benches.is_empty() {
-        let _ = writeln!(out, "No bench records ingested.");
-        return out;
-    }
-    // Group by record name, keeping log (chronological) order per group
-    // and first-appearance order across groups.
-    let mut names: Vec<&str> = Vec::new();
-    for b in benches {
-        if !names.contains(&b.name.as_str()) {
-            names.push(&b.name);
-        }
-    }
-    let _ = writeln!(out, "| record | samples | latest | trend | commit |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for name in names {
-        let series: Vec<&BenchRecord> = benches.iter().filter(|b| b.name == name).collect();
-        let samples: Vec<f64> = series.iter().map(|b| b.events_per_sec).collect();
-        let latest = series.last().expect("non-empty group");
-        let _ = writeln!(
-            out,
-            "| {name} | {} | {:.1} | {} | {} |",
-            series.len(),
-            latest.events_per_sec,
-            trend(&samples),
-            latest.commit,
-        );
-    }
-    out
-}
-
 fn index_page(reg: &Registry) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# fem2-serve run registry");
     let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{} completed runs, {} bench records.",
-        reg.run_count(),
-        reg.bench_count()
-    );
+    let _ = writeln!(out, "{} completed runs.", reg.run_count());
     let _ = writeln!(out);
     let _ = writeln!(out, "## Runs");
     let _ = writeln!(out);
@@ -197,8 +137,6 @@ fn index_page(reg: &Registry) -> String {
             );
         }
     }
-    let _ = writeln!(out);
-    out.push_str(&bench_section(reg.benches()));
     out
 }
 
@@ -263,15 +201,6 @@ mod tests {
         let outcome = spec.execute();
         let mut reg = Registry::open(dir).unwrap();
         reg.record_run(&spec, &outcome, 12345).unwrap();
-        let suite = serde_json::parse_value(
-            r#"{"schema":"fem2-bench/3","commit":"abc1234","plan_hash":"p","params":"x=1",
-                "results":[
-                  {"name":"plate-16","wall_ns_median":100,"sim_cycles":200,"events_per_sec":5.0},
-                  {"name":"plate-16","wall_ns_median":90,"sim_cycles":200,"events_per_sec":6.0}
-                ]}"#,
-        )
-        .unwrap();
-        reg.ingest_bench_suite(&suite).unwrap();
         spec
     }
 
@@ -284,46 +213,12 @@ mod tests {
         assert_eq!(pages, 3); // index.md, index.html, one run page
         let index = fs::read_to_string(out.join("index.md")).unwrap();
         assert!(index.contains("demo plate"), "{index}");
-        assert!(index.contains("plate-16"), "{index}");
-        assert!(index.contains("abc1234"), "{index}");
         let page = fs::read_to_string(out.join("runs").join(format!("{}.md", spec.content_hash())))
             .unwrap();
         assert!(page.contains("- converged: true"), "{page}");
         assert!(page.contains("- kind: \"plate\""), "{page}");
         let html = fs::read_to_string(out.join("index.html")).unwrap();
         assert!(html.contains("demo plate"));
-        fs::remove_dir_all(&data).unwrap();
-        fs::remove_dir_all(&out).unwrap();
-    }
-
-    #[test]
-    fn weak_scaling_records_join_old_registries_without_breaking_trends() {
-        // A registry seeded by an old fem2-bench/3 suite ingests a new
-        // fem2-bench/7 suite whose weak-scaling record names (ws_*) the
-        // old registry never saw; the trend section renders both groups.
-        let data = temp_dir("ws-data");
-        let out = temp_dir("ws-out");
-        seeded_registry(&data);
-        let mut reg = Registry::open(&data).unwrap();
-        let suite = serde_json::parse_value(
-            r#"{"schema":"fem2-bench/7","commit":"def5678","plan_hash":"p","params":"x=1",
-                "results":[
-                  {"name":"ws_torus_4096","wall_ns_median":70,"sim_cycles":900,
-                   "events_per_sec":8.0,"alloc_links":16384,"alloc_clusters":4096,
-                   "saturation_clusters":2048},
-                  {"name":"ws_fattree_4096","wall_ns_median":60,"sim_cycles":400,
-                   "events_per_sec":9.0,"alloc_links":16384,"alloc_clusters":4096,
-                   "saturation_clusters":0}
-                ]}"#,
-        )
-        .unwrap();
-        assert_eq!(reg.ingest_bench_suite(&suite).unwrap(), 2);
-        drop(reg);
-        generate(&data, &out).unwrap();
-        let index = fs::read_to_string(out.join("index.md")).unwrap();
-        assert!(index.contains("plate-16"), "{index}");
-        assert!(index.contains("ws_torus_4096"), "{index}");
-        assert!(index.contains("ws_fattree_4096"), "{index}");
         fs::remove_dir_all(&data).unwrap();
         fs::remove_dir_all(&out).unwrap();
     }
@@ -371,14 +266,6 @@ mod tests {
         assert!(ratio >= 1.0, "sound bound implies tightness >= 1: {line}");
         fs::remove_dir_all(&data).unwrap();
         fs::remove_dir_all(&out).unwrap();
-    }
-
-    #[test]
-    fn trend_string_scales_between_min_and_max() {
-        let t = trend(&[1.0, 2.0, 3.0]);
-        assert_eq!(t.chars().count(), 3);
-        assert!(t.starts_with('▁') && t.ends_with('█'), "{t}");
-        assert_eq!(trend(&[5.0]), "▅");
     }
 
     #[test]

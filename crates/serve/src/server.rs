@@ -42,12 +42,11 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use fem2_par::Pool;
-use parking_lot::Mutex;
 use serde::json::Value;
 use serde::Serialize as _;
 
@@ -57,7 +56,7 @@ use crate::http::{
 };
 use crate::job::{self, Admitted, JobOutcome, JobSpec, RunStatus};
 use crate::registry::{Registry, RunRecord};
-use crate::util::{json_compact, json_pretty};
+use crate::util::{json_compact, json_pretty, lock};
 
 /// Backoff before the single registry-write retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(50);
@@ -357,8 +356,8 @@ impl State {
         // the tables — so one gone stale costs at most a redundant
         // verification.
         let known = {
-            let registry = self.registry.lock();
-            let tables = self.tables.lock();
+            let registry = lock(&self.registry);
+            let tables = lock(&self.tables);
             Self::cached_record(&registry, &job.hash).is_some()
                 || tables.in_flight.contains_key(&job.hash)
         };
@@ -401,8 +400,8 @@ impl State {
         // Station 2, the walk: the result cache (registry, then in-flight
         // work). Both tables stay locked through the capacity check and
         // enqueue so two identical concurrent submissions cannot both miss.
-        let registry = self.registry.lock();
-        let mut tables = self.tables.lock();
+        let registry = lock(&self.registry);
+        let mut tables = lock(&self.tables);
         if let Some(rec) = Self::cached_record(&registry, &job.hash) {
             // Poison quarantine: a spec whose latest record ended
             // *deterministically* badly (panic, cycle/event budget)
@@ -473,7 +472,7 @@ impl State {
             job: Box::new(job),
             enqueued,
         };
-        if self.sched.lock().send(msg).is_err() {
+        if lock(&self.sched).send(msg).is_err() {
             // Scheduler gone (shutdown race): fail the entry honestly.
             self.finish(
                 id,
@@ -564,7 +563,7 @@ impl State {
     /// job is published.
     fn run_job(self: &Arc<Self>, id: u64, job: &mut Admitted, enqueued: Instant) {
         let queue_ns = ns(enqueued.elapsed());
-        if let Some(e) = self.tables.lock().job_mut(id) {
+        if let Some(e) = lock(&self.tables).job_mut(id) {
             e.status = JobStatus::Running;
             e.queue_ns = queue_ns;
         }
@@ -658,8 +657,7 @@ impl State {
         wall_ns: u64,
     ) -> Result<(), String> {
         let mut attempt = || {
-            self.registry
-                .lock()
+            lock(&self.registry)
                 .record(job, status, outcome, error, abort_cause, wall_ns)
                 .map(|_| ())
         };
@@ -695,7 +693,7 @@ impl State {
         persist_ns: u64,
         error: Option<String>,
     ) {
-        let mut tables = self.tables.lock();
+        let mut tables = lock(&self.tables);
         if let Some(e) = tables.job_mut(id) {
             e.status = status;
             e.outcome = outcome;
@@ -709,7 +707,7 @@ impl State {
     }
 
     fn stats(&self) -> Response {
-        let registry = self.registry.lock();
+        let registry = lock(&self.registry);
         let doc = obj(vec![
             (
                 "sims_run",
@@ -756,10 +754,6 @@ impl State {
             ),
             ("registry_runs", Value::UInt(registry.run_count() as u64)),
             (
-                "registry_benches",
-                Value::UInt(registry.bench_count() as u64),
-            ),
-            (
                 "index_records",
                 Value::UInt(registry.index_records() as u64),
             ),
@@ -772,10 +766,10 @@ impl State {
     /// accepting writes or shutdown has begun, so a balancer drains the
     /// instance while /healthz stays green (the process itself is fine).
     fn readyz(&self) -> Response {
-        let registry = self.registry.lock();
+        let registry = lock(&self.registry);
         let quarantine = registry.quarantine_size();
         drop(registry);
-        let in_flight = self.tables.lock().in_flight.len();
+        let in_flight = lock(&self.tables).in_flight.len();
         let write_ok = self.last_registry_write_ok.load(Ordering::Relaxed);
         let ready = write_ok && !self.stop.load(Ordering::SeqCst);
         let doc = obj(vec![
@@ -803,7 +797,7 @@ impl State {
     }
 
     fn job_detail(&self, id: u64) -> Response {
-        let tables = self.tables.lock();
+        let tables = lock(&self.tables);
         match tables.job(id) {
             Some(e) => Response::json(200, json_compact(&Self::entry_value(e, true))),
             None => Response::json(404, error_body(&format!("no job {id}"))),
@@ -811,7 +805,7 @@ impl State {
     }
 
     fn job_result(&self, id: u64) -> Response {
-        let tables = self.tables.lock();
+        let tables = lock(&self.tables);
         match tables.job(id) {
             Some(e) => match (&e.status, &e.outcome) {
                 (JobStatus::Done, Some(outcome)) => {
@@ -853,7 +847,7 @@ impl State {
     }
 
     fn job_list(&self) -> Response {
-        let tables = self.tables.lock();
+        let tables = lock(&self.tables);
         let jobs: Vec<Value> = tables
             .jobs
             .iter()
@@ -866,26 +860,11 @@ impl State {
         Response::json(200, json_pretty(&doc))
     }
 
-    fn ingest_bench(&self, body: &str) -> Response {
-        let doc = match serde_json::parse_value(body) {
-            Ok(v) => v,
-            Err(e) => return Response::json(400, error_body(&format!("invalid JSON: {e}"))),
-        };
-        match self.registry.lock().ingest_bench_suite(&doc) {
-            Ok(n) => Response::json(
-                200,
-                json_compact(&obj(vec![("ingested", Value::UInt(n as u64))])),
-            ),
-            Err(e) => Response::json(400, error_body(&e)),
-        }
-    }
-
     /// Route one parsed request; `accepted` is when its connection was.
     fn dispatch(self: &Arc<Self>, req: &Request, accepted: Instant) -> Response {
         let path = req.path.split('?').next().unwrap_or("");
         match (req.method.as_str(), path) {
             ("POST", "/jobs") => self.submit(&req.body, accepted),
-            ("POST", "/ingest/bench") => self.ingest_bench(&req.body),
             ("GET", "/jobs") => self.job_list(),
             ("GET", "/stats") => self.stats(),
             ("GET", "/healthz") => Response::json(200, "{\"ok\":true}"),
@@ -930,7 +909,7 @@ impl ServerHandle {
             return;
         }
         // Tell the scheduler to drain, then poke the acceptor awake.
-        let _ = self.state.sched.lock().send(SchedMsg::Stop);
+        let _ = lock(&self.state.sched).send(SchedMsg::Stop);
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -942,7 +921,7 @@ impl ServerHandle {
         // leave `index.json` covering the whole log. (`Drop for Registry`
         // would, but only once the last connection thread lets go of the
         // state.)
-        if let Err(e) = self.state.registry.lock().flush_index() {
+        if let Err(e) = lock(&self.state.registry).flush_index() {
             eprintln!("fem2-serve: index.json not rewritten at shutdown: {e}");
         }
     }
@@ -1498,7 +1477,7 @@ mod tests {
         let addr = handle.addr();
         let stats = "sims_run cache_hits shed queue_depth capacity workers shards panics aborts \
                      quarantine_hits cost_rejections auto_budgeted infra_retries quarantine_size \
-                     last_registry_write_ok registry_runs registry_benches index_records";
+                     last_registry_write_ok registry_runs index_records";
         let readyz = "ready queue_depth capacity shards in_flight quarantine_size \
                       cost_rejections auto_budgeted last_registry_write_ok";
         for (path, want) in [("/stats", stats), ("/readyz", readyz)] {
@@ -1577,10 +1556,37 @@ mod tests {
         // A refusal is not content the cache has seen: nothing to look up
         // next time, so the gate runs again.
         assert_eq!(handle.state.verify_calls.load(Ordering::Relaxed), 2);
-        assert!(handle.state.registry.lock().runs().is_empty());
-        let tables = handle.state.tables.lock();
+        assert!(lock(&handle.state.registry).runs().is_empty());
+        let tables = lock(&handle.state.tables);
         assert!(tables.in_flight.is_empty() && tables.jobs.is_empty());
         drop(tables);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_the_state_locks_does_not_wedge_later_requests() {
+        let dir = temp_dir("poisoned");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let addr = handle.addr();
+        let state = Arc::clone(&handle.state);
+        let panicked = thread::spawn(move || {
+            let _registry = lock(&state.registry);
+            let _tables = lock(&state.tables);
+            panic!("handler died holding both state locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(handle.state.registry.is_poisoned() && handle.state.tables.is_poisoned());
+        for path in ["/stats", "/readyz", "/jobs"] {
+            let (status, body) = client::request(addr, "GET", path, None).unwrap();
+            assert_eq!(status, 200, "{path}: {body}");
+        }
+        let (status, body) =
+            client::request(addr, "POST", "/jobs", Some(r#"{"nx":8,"ny":8}"#)).unwrap();
+        assert_eq!(status, 201, "{body}");
+        client::wait_done(addr, 1).unwrap();
+        assert_eq!(lock(&handle.state.registry).run_count(), 1);
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1813,7 +1819,7 @@ mod tests {
                 .collect()
         });
         assert_eq!(replies.len(), 40);
-        let tables = state.tables.lock();
+        let tables = lock(&state.tables);
         // 8 × (2 cold + hit + quarantined) entries, one for the shared
         // spec, and one more per thread that met it already finished.
         assert!(

@@ -262,14 +262,14 @@ impl Metrics {
         &mut self.phases[idx]
     }
 
-    /// Total events observed across all phases — the numerator of the
-    /// events/sec throughput figure the bench harness reports.
+    /// Total events observed across all phases (`benchmark/` reports it
+    /// as `trace.events_recorded`).
     pub fn total_events(&self) -> u64 {
         self.phases.iter().map(|p| p.events).sum()
     }
 
     /// Largest DES queue depth observed in any phase (at schedule or
-    /// dispatch) — the bench harness's peak-queue-depth figure.
+    /// dispatch; `benchmark/` reports it as `machine.peak_queue_depth`).
     pub fn peak_queue_depth(&self) -> u64 {
         self.phases
             .iter()

@@ -263,4 +263,10 @@ fn kernel_protocol_emits_des_message_and_task_events() {
         tasks >= 9,
         "3 creations x (created+dispatched+completed), got {tasks}"
     );
+    // The kernel schedules through the DES queue, and its dispatches
+    // surface in the metrics table with a throughput figure.
+    assert!(r.metrics().peak_queue_depth() > 0);
+    let table = chrome::phase_table(&r);
+    assert!(table.contains("des: dispatches"), "{table}");
+    assert!(table.contains("evt/Mcyc"), "{table}");
 }
