@@ -233,7 +233,7 @@ impl Session {
                         .ok_or("no load set selected (LOADSET first)")?,
                 };
                 let m = self.workspace.model()?;
-                let a = m.analyze_substructured(idx, parts, 4)?;
+                let a = m.analyze_substructured(idx, parts)?;
                 let msg = format!(
                     "substructured solve ({parts} parts) residual {:.3e}, max displacement {:.6e}",
                     a.log.residual,
@@ -492,6 +492,21 @@ STRESSES";
         let out = s.exec("SOLVE LOADSET dead").unwrap();
         assert!(out.contains("converged"));
         assert!(s.exec("SOLVE LOADSET nope").is_err());
+    }
+
+    #[test]
+    fn solve_with_jacobi_is_refused_by_name() {
+        let mut s = session();
+        s.run_script(CANTILEVER).unwrap();
+        let before = s.workspace.analysis().unwrap().max_displacement();
+        let refused = s.exec("SOLVE WITH JACOBI").unwrap_err();
+        assert_eq!(
+            refused,
+            SessionError::Exec(fem2_fem::JACOBI_ON_PLANE_STRESS.to_string())
+        );
+        // The session goes on, with the analysis it had.
+        assert_eq!(s.workspace.analysis().unwrap().max_displacement(), before);
+        assert!(s.exec("SOLVE WITH SOR").unwrap().contains("converged"));
     }
 
     #[test]

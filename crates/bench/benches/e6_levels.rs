@@ -6,7 +6,6 @@ use fem2_core::fem::bc::{Constraints, LoadSet};
 use fem2_core::fem::partition::Partition;
 use fem2_core::fem::substructure::analyze_substructures;
 use fem2_core::fem::{Material, Mesh};
-use fem2_core::par::Pool;
 
 fn bench(c: &mut Criterion) {
     eprintln!("{}", ex::e6_levels());
@@ -23,11 +22,10 @@ fn bench(c: &mut Criterion) {
         loads.add_node(n, 0.0, 100.0);
     }
     let f = loads.to_vector(mesh.node_count() * 2);
-    let pool = Pool::new(4);
     for parts in [1usize, 4] {
         let part = Partition::strips_x(&mesh, parts);
         g.bench_function(format!("substructure_{parts}parts"), |b| {
-            b.iter(|| analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f).interface_dofs)
+            b.iter(|| analyze_substructures(&mesh, &mat, &cons, &part, &f).interface_dofs)
         });
     }
     g.finish();

@@ -356,7 +356,9 @@ pub fn e6_levels() -> String {
         );
     }
 
-    // (b) substructure parallelism (native plane, wall time).
+    // (b) substructure parallelism: what the partition exposes (the
+    // condensations are independent; the interface system is the serial
+    // remainder). Host time is `benchmark/run.sh`'s business.
     let _ = writeln!(
         out,
         "\n(b) substructure analysis of a 32x4 wing (static condensation):"
@@ -372,21 +374,18 @@ pub fn e6_levels() -> String {
         loads.add_node(n, 0.0, 500.0);
     }
     let f = loads.to_vector(mesh.node_count() * 2);
-    let pool = fem2_core::par::Pool::new(4);
     let _ = writeln!(
         out,
-        "{:>8} {:>12} {:>14} {:>12}",
-        "parts", "iface dofs", "max interior", "wall"
+        "{:>8} {:>12} {:>14}",
+        "parts", "iface dofs", "max interior"
     );
     for parts in [1, 2, 4, 8] {
         let part = Partition::strips_x(&mesh, parts);
-        let t0 = std::time::Instant::now();
-        let sol = analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f);
-        let dt = t0.elapsed();
+        let sol = analyze_substructures(&mesh, &mat, &cons, &part, &f);
         let _ = writeln!(
             out,
-            "{:>8} {:>12} {:>14} {:>12.2?}",
-            parts, sol.interface_dofs, sol.max_interior, dt
+            "{:>8} {:>12} {:>14}",
+            parts, sol.interface_dofs, sol.max_interior
         );
     }
 
@@ -558,7 +557,6 @@ fn heap_trace(label: &str, sizes: impl Fn(&mut XorShift) -> u64, out: &mut Strin
     let mut heap = Heap::new(1 << 20);
     let mut rng = XorShift::new(7);
     let mut live: Vec<fem2_core::kernel::Block> = Vec::new();
-    let t0 = std::time::Instant::now();
     let ops = 200_000;
     for i in 0..ops {
         // 60% alloc / 40% free once warm.
@@ -573,12 +571,10 @@ fn heap_trace(label: &str, sizes: impl Fn(&mut XorShift) -> u64, out: &mut Strin
             heap.free(b).expect("block came from this heap");
         }
     }
-    let dt = t0.elapsed();
     let _ = writeln!(
         out,
-        "{:>10} {:>10.1} {:>12} {:>10} {:>9.3} {:>8} {:>8}",
+        "{:>10} {:>12} {:>10} {:>9.3} {:>8} {:>8}",
         label,
-        ops as f64 / dt.as_secs_f64() / 1e6,
         heap.high_water(),
         heap.fragments(),
         heap.fragmentation(),
@@ -587,7 +583,7 @@ fn heap_trace(label: &str, sizes: impl Fn(&mut XorShift) -> u64, out: &mut Strin
     );
 }
 
-/// E8: heap throughput and fragmentation under three allocation shapes.
+/// E8: heap occupancy and fragmentation under three allocation shapes.
 pub fn e8_heap() -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -596,8 +592,8 @@ pub fn e8_heap() -> String {
     );
     let _ = writeln!(
         out,
-        "{:>10} {:>10} {:>12} {:>10} {:>9} {:>8} {:>8}",
-        "trace", "Mops/s", "high water", "frags", "fragm.", "allocs", "failed"
+        "{:>10} {:>12} {:>10} {:>9} {:>8} {:>8}",
+        "trace", "high water", "frags", "fragm.", "allocs", "failed"
     );
     heap_trace("uniform", |r| 1 + r.below(256), &mut out);
     heap_trace(
@@ -629,14 +625,14 @@ pub fn e8_heap() -> String {
 // E9 — the solver comparison (Adams–Voigt scenario)
 // ---------------------------------------------------------------------
 
-/// E9: iterations / flops / wall time of every solver on plate systems.
+/// E9: iterations / residual / flops of every solver on plate systems.
 pub fn e9_solvers(sizes: &[usize]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "E9 — solver comparison on the 2-D plate system");
     let _ = writeln!(
         out,
-        "{:>6} {:<14} {:>8} {:>13} {:>13} {:>11}",
-        "n", "solver", "iters", "residual", "flops", "wall"
+        "{:>6} {:<14} {:>8} {:>13} {:>13}",
+        "n", "solver", "iters", "residual", "flops"
     );
     for &nx in sizes {
         let a = solver_testmat(nx);
@@ -646,45 +642,23 @@ pub fn e9_solvers(sizes: &[usize]) -> String {
             rel_tol: 1e-8,
             max_iter: 200_000,
         };
-        let run = |name: &str, r: (usize, f64, u64, std::time::Duration), out: &mut String| {
+        let mut row = |name: &str, iters: usize, residual: f64, flops: u64| {
             let _ = writeln!(
                 out,
-                "{:>6} {:<14} {:>8} {:>13.2e} {:>13} {:>11.2?}",
-                n, name, r.0, r.1, r.2, r.3
+                "{n:>6} {name:<14} {iters:>8} {residual:>13.2e} {flops:>13}"
             );
         };
-        let t0 = std::time::Instant::now();
-        let (_, log) = solver::jacobi::solve(&a, &f, ctl);
-        run(
-            "jacobi",
-            (log.iterations, log.residual, log.flops, t0.elapsed()),
-            &mut out,
-        );
-        let t0 = std::time::Instant::now();
-        let (_, log) = solver::sor::solve(&a, &f, 1.7, ctl);
-        run(
-            "sor(1.7)",
-            (log.iterations, log.residual, log.flops, t0.elapsed()),
-            &mut out,
-        );
-        let t0 = std::time::Instant::now();
-        let (_, log) = solver::cg::solve(&a, &f, ctl, false);
-        run(
-            "cg",
-            (log.iterations, log.residual, log.flops, t0.elapsed()),
-            &mut out,
-        );
-        let t0 = std::time::Instant::now();
-        let (_, log) = solver::cg::solve(&a, &f, ctl, true);
-        run(
-            "jacobi-pcg",
-            (log.iterations, log.residual, log.flops, t0.elapsed()),
-            &mut out,
-        );
-        let t0 = std::time::Instant::now();
+        let iterative = [
+            ("jacobi", solver::jacobi::solve(&a, &f, ctl).1),
+            ("sor(1.7)", solver::sor::solve(&a, &f, 1.7, ctl).1),
+            ("cg", solver::cg::solve(&a, &f, ctl, false).1),
+            ("jacobi-pcg", solver::cg::solve(&a, &f, ctl, true).1),
+        ];
+        for (name, log) in iterative {
+            row(name, log.iterations, log.residual, log.flops);
+        }
         let x = solver::skyline::solve(&a, &f).expect("benchmark system is SPD");
-        let res = solver::residual_norm(&a, &x, &f);
-        run("skyline", (1, res, 0, t0.elapsed()), &mut out);
+        row("skyline", 1, solver::residual_norm(&a, &x, &f), 0);
     }
     out
 }
@@ -743,8 +717,8 @@ pub fn e10_design_iter() -> String {
 // A1 — ablation: node numbering vs the skyline envelope
 // ---------------------------------------------------------------------
 
-/// A1: skyline envelope and solve time on a badly-numbered mesh, before
-/// and after RCM renumbering. The design choice under test: direct
+/// A1: skyline envelope on a badly-numbered mesh, before and after RCM
+/// renumbering. The design choice under test: direct
 /// solvers only work on this class of machine if numbering is managed.
 pub fn a1_renumbering() -> String {
     use fem2_core::fem::solver::skyline::Skyline;
@@ -752,8 +726,8 @@ pub fn a1_renumbering() -> String {
     let _ = writeln!(out, "A1 — ablation: RCM renumbering vs skyline envelope");
     let _ = writeln!(
         out,
-        "{:>10} {:>10} {:>12} {:>12} {:>12}",
-        "mesh", "ordering", "half-bw", "envelope", "factor+solve"
+        "{:>10} {:>10} {:>12} {:>12}",
+        "mesh", "ordering", "half-bw", "envelope"
     );
     for (label, nx, ny) in [("plate24x4", 24usize, 4usize), ("plate12x12", 12, 12)] {
         let mesh = Mesh::grid_quad(nx, ny, nx as f64, ny as f64);
@@ -769,29 +743,13 @@ pub fn a1_renumbering() -> String {
         for (ordering, m) in [("scattered", &bad), ("rcm", &good)] {
             let k = fem2_core::fem::assemble(m, &Material::unit());
             let sky = Skyline::from_csr(&k);
-            let f: Vec<f64> = (0..k.order()).map(|i| (i % 5) as f64).collect();
-            // Fix an edge so the reduced system is SPD, then time the
-            // envelope factor + solve.
-            let t0 = std::time::Instant::now();
-            let mut cons = fem2_core::fem::Constraints::new();
-            for n in m.left_edge_nodes(1e-9) {
-                cons.fix_node(n);
-            }
-            let free = cons.free_dofs(k.order());
-            let kr = k.submatrix(&free);
-            let fr = cons.restrict(&f);
-            let x =
-                fem2_core::fem::solver::skyline::solve(&kr, &fr).expect("benchmark system is SPD");
-            let dt = t0.elapsed();
-            let _ = x;
             let _ = writeln!(
                 out,
-                "{:>10} {:>10} {:>12} {:>12} {:>12.2?}",
+                "{:>10} {:>10} {:>12} {:>12}",
                 label,
                 ordering,
                 m.half_bandwidth(),
-                sky.envelope(),
-                dt
+                sky.envelope()
             );
         }
     }

@@ -50,5 +50,4 @@ pub use fem2_hgraph as hgraph;
 pub use fem2_kernel as kernel;
 pub use fem2_machine as machine;
 pub use fem2_navm as navm;
-pub use fem2_par as par;
 pub use fem2_verify as analyzer;

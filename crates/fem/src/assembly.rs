@@ -1,15 +1,13 @@
 //! Global stiffness assembly.
 //!
-//! Scatter element stiffness matrices into a global COO builder, optionally
-//! in parallel (element stiffness computation is embarrassingly parallel;
-//! the scatter is merged per-thread to stay deterministic).
+//! Scatter element stiffness matrices into a global COO builder, in
+//! element order.
 
 use crate::element::{stiffness, ElementMatrix};
 use crate::material::Material;
 use crate::mesh::Mesh;
 use crate::sparse::{Coo, Csr};
 use crate::DOF_PER_NODE;
-use fem2_par::Pool;
 
 /// Global dof indices of an element (2 per node, `[u, v]` interleaved).
 pub fn element_dofs(nodes: &[usize]) -> Vec<usize> {
@@ -40,32 +38,12 @@ fn scatter_triplets(mesh: &Mesh) -> usize {
         .sum()
 }
 
-/// Assemble the global stiffness matrix, sequentially.
+/// Assemble the global stiffness matrix.
 pub fn assemble(mesh: &Mesh, mat: &Material) -> Csr {
     let n = mesh.node_count() * DOF_PER_NODE;
     let mut coo = Coo::with_capacity(n, scatter_triplets(mesh));
     for e in 0..mesh.element_count() {
         let em = element_matrix(mesh, e, mat);
-        scatter(&mut coo, &em);
-    }
-    coo.to_csr()
-}
-
-/// Assemble with element stiffnesses computed in parallel on `pool`.
-/// Deterministic: per-element results are scattered in element order.
-pub fn assemble_par(pool: &Pool, mesh: &Mesh, mat: &Material) -> Csr {
-    let ne = mesh.element_count();
-    let mut mats: Vec<Option<ElementMatrix>> = Vec::with_capacity(ne);
-    mats.resize_with(ne, || None);
-    fem2_par::chunks_mut(pool, &mut mats, 32, |chunk, piece| {
-        let base = chunk * 32;
-        for (i, slot) in piece.iter_mut().enumerate() {
-            *slot = Some(element_matrix(mesh, base + i, mat));
-        }
-    });
-    let n = mesh.node_count() * DOF_PER_NODE;
-    let mut coo = Coo::with_capacity(n, scatter_triplets(mesh));
-    for em in mats.into_iter().map(|m| m.expect("all chunks filled")) {
         scatter(&mut coo, &em);
     }
     coo.to_csr()
@@ -108,19 +86,6 @@ mod tests {
         let mesh = Mesh::grid_quad(4, 3, 4.0, 3.0);
         let k = assemble(&mesh, &Material::steel());
         assert!(k.is_symmetric(1e-3));
-    }
-
-    #[test]
-    fn parallel_assembly_matches_sequential() {
-        let mesh = Mesh::grid_tri(6, 5, 2.0, 1.0);
-        let mat = Material::aluminum();
-        let seq = assemble(&mesh, &mat);
-        let pool = Pool::new(4);
-        let par = assemble_par(&pool, &mesh, &mat);
-        assert_eq!(seq.rowptr, par.rowptr);
-        assert_eq!(seq.colidx, par.colidx);
-        // Scatter order is identical, so values match bitwise.
-        assert_eq!(seq.vals, par.vals);
     }
 
     #[test]

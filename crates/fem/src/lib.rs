@@ -30,7 +30,8 @@
 //! * [`solver::cg`] — conjugate gradients with optional Jacobi
 //!   preconditioning;
 //! * [`solver::parallel_cg`] — CG with matvec, dots and updates on a
-//!   `fem2-par` pool (the native-plane headline solver);
+//!   `fem2-par` pool; no solver choice reaches it, it stays for the repo
+//!   benchmark's `par.cg_*` probe;
 //! * [`solver::ebe`] — element-by-element CG: matrix-free, assembling
 //!   nothing, the variant suited to small-memory PEs.
 
@@ -56,7 +57,9 @@ pub use dense::DenseMatrix;
 pub use element::{ElementKind, ElementMatrix};
 pub use material::Material;
 pub use mesh::{Element, Mesh, Node};
-pub use model::{cantilever_plate, Analysis, SolverChoice, StructuralModel};
+pub use model::{
+    cantilever_plate, Analysis, SolverChoice, StructuralModel, JACOBI_ON_PLANE_STRESS,
+};
 pub use sparse::{Coo, Csr};
 
 /// Degrees of freedom per node in the plane problems this crate solves.

@@ -1,5 +1,14 @@
 //! Conjugate gradients with the matvec, dots, and vector updates on a
-//! `fem2-par` pool — the native-plane headline solver of E2/E9.
+//! `fem2-par` pool.
+//!
+//! No product path calls this: as a `SolverChoice` it ran at 0.33× the
+//! sequential [`crate::solver::cg`] on two threads (EXPERIMENTS.md A7,
+//! PR 15 — a fork per vector operation) and was removed in PR 24. The
+//! module, [`Csr::matvec_par`] and the `fem2-par` crate under them stay,
+//! with their unit tests, solely because the repo benchmark's `par.cg_s` /
+//! `par.cg_speedup` probe (`benchmark/src/fem.rs`) calls [`solve`]; they
+//! go together once a `benchmark` issue moves that probe (ROADMAP 1(c),
+//! (e)).
 //!
 //! Dot products use the pool's deterministic chunk-ordered reduction, so a
 //! parallel solve and [`crate::solver::cg`] with the same inputs walk the

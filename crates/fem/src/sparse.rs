@@ -188,7 +188,9 @@ impl Csr {
         self.rows_times::<true>(x, 0, y)
     }
 
-    /// `y ← A·x` with rows in parallel on `pool`.
+    /// `y ← A·x` with rows in parallel on `pool`. Kept for
+    /// [`crate::solver::parallel_cg`] alone, which is kept for the repo
+    /// benchmark's `par.cg_*` probe alone (see that module).
     pub fn matvec_par(&self, pool: &Pool, x: &[f64], y: &mut [f64]) {
         let n = self.order();
         assert_eq!(x.len(), n, "x length");

@@ -6,7 +6,7 @@
 //! solved, and interior displacements are recovered by back-substitution.
 //! Condensation of distinct substructures is independent — the
 //! substructure-level parallelism of the paper's conclusion — and
-//! [`analyze_substructures`] runs it on a `fem2-par` pool.
+//! [`analyze_substructures`] splits it over two host threads.
 
 use crate::assembly::element_matrix;
 use crate::bc::Constraints;
@@ -15,7 +15,6 @@ use crate::material::Material;
 use crate::mesh::Mesh;
 use crate::partition::Partition;
 use crate::DOF_PER_NODE;
-use fem2_par::Pool;
 use std::collections::BTreeSet;
 
 /// One substructure's condensation product.
@@ -152,13 +151,20 @@ fn condense_one(
     }
 }
 
-/// Solve `K·u = f` by substructuring: condense each part (in parallel on
-/// `pool`), solve the interface system, and back-substitute.
+/// Solve `K·u = f` by substructuring: condense each part, solve the
+/// interface system, and back-substitute.
 ///
 /// `f_full` is the full-length load vector; returns full-length
 /// displacements with zeros at supports.
+///
+/// The parts are condensed on two host threads, this one and one more
+/// (`std::thread::scope`, the same bits as a single loop: each part's
+/// product depends on that part alone and the products are used in part
+/// order). That is the one host-parallel path of this crate that met the
+/// rule of EXPERIMENTS.md A7 "PR 24" — ≥ 1.3× at two threads against the
+/// sequential loop: 1.66× on a 128×16 wing in 8 parts, where condensation
+/// is the whole cost; 1.24× on a 32×4 wing, 0.7 ms either way.
 pub fn analyze_substructures(
-    pool: &Pool,
     mesh: &Mesh,
     mat: &Material,
     cons: &Constraints,
@@ -173,17 +179,16 @@ pub fn analyze_substructures(
     let iface_list: Vec<usize> = iface_dofs.iter().copied().collect();
     let iface_index = |d: usize| iface_list.binary_search(&d).expect("interface dof");
 
-    // Condense every part, in parallel (deterministic: indexed outputs).
-    let parts = part.parts;
-    let mut condensed: Vec<Option<Condensed>> = Vec::with_capacity(parts);
-    condensed.resize_with(parts, || None);
-    fem2_par::chunks_mut(pool, &mut condensed, 1, |p, slot| {
-        slot[0] = Some(condense_one(mesh, mat, cons, part, &iface_dofs, f_full, p));
+    // Condense every part: the back half on one more thread, the front
+    // half here, joined in part order.
+    let condense = |p: usize| condense_one(mesh, mat, cons, part, &iface_dofs, f_full, p);
+    let split = part.parts.div_ceil(2);
+    let condensed: Vec<Condensed> = std::thread::scope(|s| {
+        let back = s.spawn(|| (split..part.parts).map(condense).collect::<Vec<_>>());
+        let mut all: Vec<Condensed> = (0..split).map(condense).collect();
+        all.extend(back.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        all
     });
-    let condensed: Vec<Condensed> = condensed
-        .into_iter()
-        .map(|c| c.expect("chunks_mut visited every part slot"))
-        .collect();
 
     // Assemble the interface system.
     let nb = iface_list.len();
@@ -269,8 +274,7 @@ mod tests {
     fn substructuring_matches_direct_solve() {
         for parts in [2, 4] {
             let (mesh, mat, cons, f, part) = problem(parts);
-            let pool = Pool::new(4);
-            let sol = analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f);
+            let sol = analyze_substructures(&mesh, &mat, &cons, &part, &f);
             let reference = direct_reference(&mesh, &mat, &cons, &f);
             let scale = reference.iter().fold(0.0f64, |m, x| m.max(x.abs()));
             for (a, b) in sol.displacements.iter().zip(&reference) {
@@ -286,8 +290,7 @@ mod tests {
     fn single_part_has_empty_interface() {
         let (mesh, mat, cons, f, _) = problem(2);
         let part = Partition::strips_x(&mesh, 1);
-        let pool = Pool::new(2);
-        let sol = analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f);
+        let sol = analyze_substructures(&mesh, &mat, &cons, &part, &f);
         assert_eq!(sol.interface_dofs, 0);
         let reference = direct_reference(&mesh, &mat, &cons, &f);
         let scale = reference.iter().fold(0.0f64, |m, x| m.max(x.abs()));
@@ -299,23 +302,8 @@ mod tests {
     #[test]
     fn interface_grows_with_parts() {
         let (mesh, mat, cons, f, _) = problem(2);
-        let pool = Pool::new(2);
-        let s2 = analyze_substructures(
-            &pool,
-            &mesh,
-            &mat,
-            &cons,
-            &Partition::strips_x(&mesh, 2),
-            &f,
-        );
-        let s4 = analyze_substructures(
-            &pool,
-            &mesh,
-            &mat,
-            &cons,
-            &Partition::strips_x(&mesh, 4),
-            &f,
-        );
+        let s2 = analyze_substructures(&mesh, &mat, &cons, &Partition::strips_x(&mesh, 2), &f);
+        let s4 = analyze_substructures(&mesh, &mat, &cons, &Partition::strips_x(&mesh, 4), &f);
         assert!(s4.interface_dofs > s2.interface_dofs);
         assert!(s4.max_interior < s2.max_interior);
     }
@@ -323,8 +311,7 @@ mod tests {
     #[test]
     fn supports_inside_a_substructure_are_respected() {
         let (mesh, mat, cons, f, part) = problem(4);
-        let pool = Pool::new(4);
-        let sol = analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f);
+        let sol = analyze_substructures(&mesh, &mat, &cons, &part, &f);
         for n in mesh.left_edge_nodes(1e-9) {
             assert_eq!(sol.displacements[2 * n], 0.0);
             assert_eq!(sol.displacements[2 * n + 1], 0.0);

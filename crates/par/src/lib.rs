@@ -1,20 +1,24 @@
 //! # fem2-par — scoped work-crew parallelism
 //!
-//! A small, self-contained data-parallel executor in the spirit of rayon,
-//! built only on `std`: a fixed crew of worker threads that `fem2-fem`'s
-//! pooled assembly and solver paths and `fem2-serve`'s job workers run
-//! on. The simulator itself (`fem2-machine`, `fem2-navm`) is
-//! single-threaded.
+//! A small data-parallel executor built only on `std`: a fixed crew of
+//! worker threads behind one job queue. What is left of it serves one
+//! caller, `fem2_fem::solver::parallel_cg` (with `Csr::matvec_par` under
+//! it), which no product path reaches and which stays because the repo
+//! benchmark's `par.cg_s` / `par.cg_speedup` probe calls it. Every other
+//! host-parallel path measured slower than the sequential code beside it
+//! and was deleted (EXPERIMENTS.md A5, A7 "PR 22" and "PR 24");
+//! `fem2-serve` runs jobs on its own `std` threads, and the simulator is
+//! single-threaded. The crate goes once that probe moves (ROADMAP 1(e)).
 //!
-//! Three layers of API:
+//! The public surface is what that caller uses:
 //!
-//! * [`Pool`] — a fixed crew of workers with a shared job queue;
-//! * [`Pool::scope`] — structured parallelism: spawn borrows from the
-//!   enclosing stack frame, the scope joins all tasks before returning and
-//!   propagates panics;
-//! * data-parallel helpers — [`Pool::for_each_index`],
-//!   [`Pool::map_reduce_index`], [`Pool::join`], and
-//!   [`chunks_mut`] for disjoint mutable slice chunks.
+//! * [`Pool`] — the crew ([`Pool::new`], [`Pool::threads`]);
+//! * [`Pool::map_reduce_index`] — a chunked fold;
+//! * [`chunks_mut`] — disjoint mutable slice chunks in parallel.
+//!
+//! Both helpers run on a private scope that joins every task before it
+//! returns and propagates panics; the lifetime erasure that lets tasks
+//! borrow from the caller's frame is the workspace's only `unsafe`.
 //!
 //! Reductions are **deterministic**: partial results are combined in chunk
 //! order, so floating-point sums are reproducible run to run for a fixed
@@ -31,29 +35,21 @@
 
 mod pool;
 
-pub use pool::{chunks_mut, Pool, Scope};
-
-/// The default grain size used by convenience wrappers when the caller does
-/// not specify one: small enough to balance, large enough to amortize
-/// scheduling.
-pub const DEFAULT_GRAIN: usize = 1024;
+pub use pool::{chunks_mut, Pool};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn readme_style_smoke() {
         let pool = Pool::new(2);
-        let hits = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
+        let mut squares = [0usize; 8];
+        chunks_mut(&pool, &mut squares, 3, |c, piece| {
+            for (i, x) in piece.iter_mut().enumerate() {
+                *x = (3 * c + i).pow(2);
             }
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
+        assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49]);
     }
 }

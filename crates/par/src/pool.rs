@@ -1,4 +1,5 @@
-//! The worker pool, scopes, and data-parallel helpers.
+//! The worker pool, its (private) scopes, and the two data-parallel
+//! helpers built on them.
 //!
 //! Safety note: [`Scope::spawn`] erases the closure's lifetime to `'static`
 //! so it can sit in the shared queue. This is sound because the scope
@@ -85,14 +86,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized to the host's available parallelism.
-    pub fn with_host_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
@@ -101,7 +94,7 @@ impl Pool {
     /// Run `f` with a [`Scope`] that can spawn borrowing tasks; returns when
     /// every spawned task has finished. The first task panic (or a panic in
     /// `f` itself) is propagated to the caller after the join.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
+    fn scope<'env, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'env, '_>) -> R,
     {
@@ -131,48 +124,6 @@ impl Pool {
             Ok(r) => r,
             Err(p) => panic::resume_unwind(p),
         }
-    }
-
-    /// Run two closures in parallel and return both results.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        let mut ra = None;
-        let mut rb = None;
-        self.scope(|s| {
-            s.spawn(|| ra = Some(a()));
-            rb = Some(b());
-        });
-        (
-            ra.expect("scope joined the spawned half"),
-            rb.expect("closure b ran on the scope's own thread"),
-        )
-    }
-
-    /// Call `f(i)` for every `i` in `range`, in parallel, splitting the
-    /// range into chunks of at most `grain` indices.
-    pub fn for_each_index<F>(&self, range: Range<usize>, grain: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let grain = grain.max(1);
-        let f = &f;
-        self.scope(|s| {
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + grain).min(range.end);
-                s.spawn(move || {
-                    for i in start..end {
-                        f(i);
-                    }
-                });
-                start = end;
-            }
-        });
     }
 
     /// Map every index of `range` through `map` and combine the results with
@@ -280,7 +231,7 @@ struct ScopeState {
 }
 
 /// A structured-parallelism scope tied to a [`Pool`]; see [`Pool::scope`].
-pub struct Scope<'env, 'state> {
+struct Scope<'env, 'state> {
     pool: &'state Pool,
     state: &'state ScopeState,
     _env: std::marker::PhantomData<&'env mut &'env ()>,
@@ -291,7 +242,7 @@ impl<'env, 'state> Scope<'env, 'state> {
     /// scope. The task runs on the pool (or on the scope's own thread while
     /// it joins). Panics inside tasks are captured and re-thrown by
     /// [`Pool::scope`].
-    pub fn spawn<F>(&self, f: F)
+    fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -349,9 +300,8 @@ impl<'env, 'state> Scope<'env, 'state> {
 /// Split `data` into disjoint chunks of at most `chunk` elements and call
 /// `f(chunk_index, chunk)` for each in parallel on `pool`.
 ///
-/// This is the safe mutable-slice counterpart of
-/// [`Pool::for_each_index`]: disjointness comes from `chunks_mut`, so no
-/// synchronization is needed inside `f`.
+/// Disjointness comes from `chunks_mut`, so no synchronization is needed
+/// inside `f`.
 pub fn chunks_mut<T, F>(pool: &Pool, data: &mut [T], chunk: usize, f: F)
 where
     T: Send,
@@ -369,7 +319,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn pool_at_least_one_thread() {
@@ -377,12 +326,6 @@ mod tests {
         assert_eq!(p.threads(), 1);
         let p = Pool::new(3);
         assert_eq!(p.threads(), 3);
-    }
-
-    #[test]
-    fn host_parallelism_pool() {
-        let p = Pool::with_host_parallelism();
-        assert!(p.threads() >= 1);
     }
 
     #[test]
@@ -471,30 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both() {
-        let p = Pool::new(2);
-        let (a, b) = p.join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-
-    #[test]
-    fn for_each_index_covers_range_once() {
-        let p = Pool::new(4);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        p.for_each_index(0..1000, 37, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn for_each_index_empty_range() {
-        let p = Pool::new(2);
-        p.for_each_index(10..10, 8, |_| panic!("must not run"));
-    }
-
-    #[test]
     fn map_reduce_sums_correctly() {
         let p = Pool::new(4);
         for grain in [1, 7, 64, 10_000] {
@@ -559,7 +478,7 @@ mod tests {
     fn drop_shuts_down_cleanly() {
         for _ in 0..10 {
             let p = Pool::new(3);
-            p.for_each_index(0..100, 10, |_| {});
+            chunks_mut(&p, &mut [0u8; 100], 10, |_, _| {});
             drop(p);
         }
     }

@@ -10,8 +10,8 @@
 //!    fem2-verify static analyzer — scenarios that would deadlock or
 //!    overflow cluster memory are rejected with a 422 carrying the
 //!    structured diagnostics, before any cycle is simulated;
-//! 3. **scheduled** across a bounded `fem2-par` worker pool — submissions
-//!    past the queue cap are shed with a 503;
+//! 3. **scheduled** onto a bounded FIFO that the server's own worker
+//!    threads pop — submissions past the queue cap are shed with a 503;
 //! 4. **persisted** to an append-only, crash-safe JSONL registry
 //!    ([`registry`]) that survives restarts and feeds the static report
 //!    site ([`report`]).

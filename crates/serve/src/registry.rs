@@ -47,7 +47,7 @@
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use serde::json::Value;
@@ -190,33 +190,33 @@ impl Registry {
         let mut next_seq = 0u64;
         if log_path.exists() {
             repair_torn_tail(&log_path)?;
-            let reader = BufReader::new(
-                File::open(&log_path).map_err(|e| format!("open {}: {e}", log_path.display()))?,
-            );
-            for (lineno, line) in reader.lines().enumerate() {
-                let line = line.map_err(|e| format!("read {}: {e}", log_path.display()))?;
-                if line.trim().is_empty() {
+            let bytes =
+                fs::read(&log_path).map_err(|e| format!("read {}: {e}", log_path.display()))?;
+            for (lineno, line) in bytes.split(|&b| b == b'\n').enumerate() {
+                if line.trim_ascii().is_empty() {
                     continue;
                 }
-                let v = match serde_json::parse_value(&line) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        // A torn trailing line from a crash mid-append.
-                        // Everything before it is intact; keep going so a
-                        // crash never bricks the registry.
-                        eprintln!(
-                            "fem2-serve: skipping malformed registry line {} in {}",
-                            lineno + 1,
-                            log_path.display()
-                        );
-                        continue;
-                    }
+                // Bytes that are not UTF-8 are one more way for a line to
+                // be malformed, not a reason to refuse the whole log.
+                let parsed = std::str::from_utf8(line)
+                    .ok()
+                    .and_then(|l| serde_json::parse_value(l).ok());
+                let Some(v) = parsed else {
+                    // A line torn by a crash mid-append, or damaged on
+                    // disk. Every other line is intact; keep going so
+                    // neither bricks the registry.
+                    eprintln!(
+                        "fem2-serve: skipping malformed registry line {} in {}",
+                        lineno + 1,
+                        log_path.display()
+                    );
+                    continue;
                 };
                 // Every parsed line owns its `seq`, whether or not it is
                 // loaded below: the next append must not reuse the `seq`
                 // of a line this build skips.
                 let seq = u64_field(&v, "seq").unwrap_or(next_seq);
-                next_seq = next_seq.max(seq + 1);
+                next_seq = next_seq.max(seq.saturating_add(1));
                 match str_field(&v, "kind").as_deref() {
                     Some(kind @ ("plate" | "script")) => {
                         let (Some(hash), Some(spec), Some(outcome)) = (
@@ -1149,6 +1149,69 @@ mod tests {
             let reg = Registry::open(&dir).unwrap();
             proptest::prop_assert_eq!(reg.run_count(), complete + 1);
             proptest::prop_assert!(reg.lookup(&extra.content_hash()).is_some());
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Damage anywhere, not only at the tail: 1–8 arbitrary bytes
+        /// written over any offset of the log, or of the index. The
+        /// registry opens, every line the damage missed is loaded, and the
+        /// next append's `seq` is above every `seq` still legible.
+        #[test]
+        fn overwritten_bytes_at_any_offset_never_brick_the_registry(
+            runs in 2usize..9,
+            at in 0usize..100_000,
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..9),
+            hit_index in proptest::prelude::any::<bool>(),
+        ) {
+            let dir = temp_dir("prop-overwrite");
+            let outcome = JobOutcome { value: Value::Obj(vec![("kind".into(), Value::Str("plate".into()))]) };
+            {
+                let mut reg = Registry::open(&dir).unwrap();
+                for i in 0..runs {
+                    let spec = JobSpec::parse(&format!("{{\"nx\":4,\"ny\":4,\"seed\":{i}}}")).unwrap();
+                    reg.record_run(&spec, &outcome, 1).unwrap();
+                }
+            }
+            let clean_index = fs::read(dir.join("index.json")).unwrap();
+            let clean_log = fs::read(dir.join("runs.jsonl")).unwrap();
+            let target = dir.join(if hit_index { "index.json" } else { "runs.jsonl" });
+            let mut bytes = fs::read(&target).unwrap();
+            let at = at % bytes.len();
+            let end = (at + junk.len()).min(bytes.len());
+            bytes[at..end].copy_from_slice(&junk[..end - at]);
+            fs::write(&target, &bytes).unwrap();
+
+            let mut reg = Registry::open(&dir).unwrap();
+            if hit_index {
+                // The index is derived: rebuilt from the log, never read.
+                proptest::prop_assert_eq!(reg.run_count(), runs);
+                proptest::prop_assert_eq!(fs::read(dir.join("index.json")).unwrap(), clean_index);
+            }
+            // Whole lines the damage missed (the piece after the last
+            // newline is empty or torn, and is truncated away).
+            let clean_lines: Vec<&[u8]> = clean_log.split(|&b| b == b'\n').collect();
+            let on_disk = if hit_index { clean_log.clone() } else { bytes };
+            let mut pieces: Vec<&[u8]> = on_disk.split(|&b| b == b'\n').collect();
+            pieces.pop();
+            let mut legible_seq = 0;
+            for piece in pieces {
+                let v = std::str::from_utf8(piece).ok().and_then(|l| serde_json::parse_value(l).ok());
+                let Some(seq) = v.as_ref().and_then(|v| u64_field(v, "seq")) else { continue };
+                legible_seq = legible_seq.max(seq);
+                if clean_lines.contains(&piece) {
+                    proptest::prop_assert!(reg.runs().iter().any(|r| r.seq == seq), "intact line seq {} not loaded", seq);
+                }
+            }
+            let extra = JobSpec::parse(r#"{"nx":4,"ny":4,"seed":999}"#).unwrap();
+            let appended = reg.record_run(&extra, &outcome, 1).unwrap().seq;
+            proptest::prop_assert!(appended > legible_seq, "seq {} reused (log holds {})", appended, legible_seq);
+            let loaded = reg.run_count();
+            drop(reg);
+            proptest::prop_assert_eq!(Registry::open(&dir).unwrap().run_count(), loaded);
             fs::remove_dir_all(&dir).unwrap();
         }
     }

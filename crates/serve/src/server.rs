@@ -19,10 +19,11 @@
 //!    (DESIGN.md §8). An operator quota is server state, not spec state,
 //!    so it is enforced on hits and misses alike. Nothing rejected here
 //!    ever touches a worker.
-//! 4. **Scheduler** — admitted misses are handed to a dedicated scheduler
-//!    thread that spawns each job onto a bounded `fem2-par` pool. Queue
-//!    depth is capped; submissions past the cap are shed with a 503 so an
-//!    overloaded server degrades by refusing work, not by drowning.
+//! 4. **Scheduler** — admitted misses join one FIFO (`Mutex<VecDeque>` +
+//!    `Condvar`) that the server's own `--workers` named `std` threads
+//!    pop. Queue depth is capped; submissions past the cap are shed with
+//!    a 503 so an overloaded server degrades by refusing work, not by
+//!    drowning.
 //! 5. **Registry** — completed runs are appended to the crash-safe JSONL
 //!    log before the job is marked done, so a result the server ever
 //!    reported is a result it can serve again after a restart.
@@ -37,16 +38,15 @@
 //! Operational endings (wall deadline, cancel) never quarantine: they are
 //! host facts, not spec facts, so those specs re-run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fem2_par::Pool;
 use serde::json::Value;
 use serde::Serialize as _;
 
@@ -68,7 +68,7 @@ pub struct ServeOptions {
     pub data_dir: PathBuf,
     /// Port to bind on 127.0.0.1 (0 picks an ephemeral port).
     pub port: u16,
-    /// Worker threads in the simulation pool.
+    /// Worker threads that run admitted jobs.
     pub workers: usize,
     /// Maximum queued-or-running jobs before submissions shed with 503.
     pub queue_capacity: usize,
@@ -200,13 +200,11 @@ impl Tables {
     }
 }
 
-enum SchedMsg {
-    Run {
-        id: u64,
-        job: Box<Admitted>,
-        enqueued: Instant,
-    },
-    Stop,
+/// One admitted miss waiting for a worker.
+struct Queued {
+    id: u64,
+    job: Box<Admitted>,
+    enqueued: Instant,
 }
 
 fn ns(d: Duration) -> u64 {
@@ -217,7 +215,13 @@ fn ns(d: Duration) -> u64 {
 pub struct State {
     registry: Mutex<Registry>,
     tables: Mutex<Tables>,
-    sched: Mutex<mpsc::Sender<SchedMsg>>,
+    /// Station 4's FIFO. A leaf lock: never held together with
+    /// `registry` or `tables`. `stop` is written and read under it, so a
+    /// submission either lands before shutdown (and is drained) or sees
+    /// `stop` and is refused.
+    queue: Mutex<VecDeque<Queued>>,
+    /// Signalled once per enqueue, and to every worker at shutdown.
+    queue_cv: Condvar,
     /// Simulations actually executed (cache hits never increment this).
     sims_run: AtomicU64,
     /// Submissions answered from the registry or coalesced onto an
@@ -249,6 +253,10 @@ pub struct State {
     /// Test hook: how many submissions ran the verifier.
     #[cfg(test)]
     verify_calls: AtomicU64,
+    /// Test hook: the next job panics in `run_job` *before* its own
+    /// unwind boundary, which only the worker loop can absorb.
+    #[cfg(test)]
+    panic_before_run: AtomicBool,
     stop: AtomicBool,
     capacity: usize,
     workers: usize,
@@ -265,7 +273,7 @@ pub struct ServerHandle {
     addr: std::net::SocketAddr,
     state: Arc<State>,
     accept_thread: Option<JoinHandle<()>>,
-    sched_thread: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
@@ -467,13 +475,11 @@ impl State {
         let resp = Self::entry_value(entry, false);
         tables.in_flight.insert(job.hash.clone(), id);
         drop(tables);
-        let msg = SchedMsg::Run {
-            id,
-            job: Box::new(job),
-            enqueued,
-        };
-        if lock(&self.sched).send(msg).is_err() {
-            // Scheduler gone (shutdown race): fail the entry honestly.
+        let mut queue = lock(&self.queue);
+        if self.stop.load(Ordering::SeqCst) {
+            // Lost the race with shutdown: no worker is promised to look
+            // at the queue again, so fail the entry honestly.
+            drop(queue);
             self.finish(
                 id,
                 JobStatus::Failed,
@@ -484,6 +490,13 @@ impl State {
             );
             return Response::json(503, error_body("server is shutting down"));
         }
+        queue.push_back(Queued {
+            id,
+            job: Box::new(job),
+            enqueued,
+        });
+        drop(queue);
+        self.queue_cv.notify_one();
         Response::json(201, json_compact(&resp))
     }
 
@@ -557,12 +570,64 @@ impl State {
         Some(Response::json(422, json_pretty(&doc)))
     }
 
-    /// Execute one admitted job on a pool worker, supervised: panics are
+    /// Block until a job is queued; `None` once the queue is empty *and*
+    /// shutdown has begun — what was admitted is drained first.
+    fn next_job(&self) -> Option<Queued> {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(q) = queue.pop_front() {
+                return Some(q);
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            queue = self
+                .queue_cv
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// One worker thread: run jobs in arrival order until [`next_job`]
+    /// says the server is done, so every admitted job is persisted before
+    /// `flush_index`.
+    ///
+    /// [`next_job`]: Self::next_job
+    fn worker_loop(self: &Arc<Self>) {
+        while let Some(Queued {
+            id,
+            mut job,
+            enqueued,
+        }) = self.next_job()
+        {
+            // `run_job` catches what the scenario throws. A panic in the
+            // supervision around it must still not cost the server this
+            // worker, nor leave the job counted as queued for ever.
+            let run = catch_unwind(AssertUnwindSafe(|| self.run_job(id, &mut job, enqueued)));
+            if let Err(payload) = run {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                let published = lock(&self.tables)
+                    .job(id)
+                    .is_some_and(|e| !matches!(e.status, JobStatus::Queued | JobStatus::Running));
+                if !published {
+                    let msg = format!("worker panicked: {}", panic_message(&*payload));
+                    self.finish(id, JobStatus::Failed, None, 0, 0, Some(msg));
+                }
+            }
+        }
+    }
+
+    /// Execute one admitted job on a worker thread, supervised: panics are
     /// caught and recorded as failures, budget aborts surface as aborted,
     /// and every ending — ok, failed, aborted — is persisted before the
     /// job is published.
     fn run_job(self: &Arc<Self>, id: u64, job: &mut Admitted, enqueued: Instant) {
         let queue_ns = ns(enqueued.elapsed());
+        #[cfg(test)]
+        assert!(
+            !self.panic_before_run.swap(false, Ordering::SeqCst),
+            "test hook: panic outside run_job's unwind boundary"
+        );
         if let Some(e) = lock(&self.tables).job_mut(id) {
             e.status = JobStatus::Running;
             e.queue_ns = queue_ns;
@@ -582,8 +647,7 @@ impl State {
         }
         let t0 = Instant::now();
         // The unwind boundary: a panic in the scenario (or an injected
-        // one) must not cross into the pool scope, where it would poison
-        // every other tenant's worker.
+        // one) becomes this job's failure record, not the worker's end.
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(ms) = chaos_stall {
                 thread::sleep(Duration::from_millis(ms));
@@ -892,7 +956,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, drain the scheduler, and join all threads.
+    /// Stop accepting, drain the queue, and join all threads.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -905,16 +969,19 @@ impl ServerHandle {
     }
 
     fn shutdown(&mut self) {
-        if self.state.stop.swap(true, Ordering::SeqCst) {
-            return;
+        {
+            let _queue = lock(&self.state.queue);
+            if self.state.stop.swap(true, Ordering::SeqCst) {
+                return;
+            }
         }
-        // Tell the scheduler to drain, then poke the acceptor awake.
-        let _ = lock(&self.state.sched).send(SchedMsg::Stop);
+        // Tell the workers to drain and exit, then poke the acceptor awake.
+        self.state.queue_cv.notify_all();
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.sched_thread.take() {
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         // Clean close: every admitted job has been persisted by now, so
@@ -933,7 +1000,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind, spin up the scheduler and acceptor, and return the handle.
+/// Bind, spin up the workers and acceptor, and return the handle.
 pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
     let mut registry = Registry::open(&opts.data_dir)?;
     let chaos = match &opts.chaos {
@@ -950,11 +1017,11 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    let (tx, rx) = mpsc::channel::<SchedMsg>();
     let state = Arc::new(State {
         registry: Mutex::new(registry),
         tables: Mutex::new(Tables::default()),
-        sched: Mutex::new(tx),
+        queue: Mutex::new(VecDeque::new()),
+        queue_cv: Condvar::new(),
         sims_run: AtomicU64::new(0),
         cache_hits: AtomicU64::new(0),
         shed: AtomicU64::new(0),
@@ -970,6 +1037,8 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         request_deadline: opts.request_deadline,
         #[cfg(test)]
         verify_calls: AtomicU64::new(0),
+        #[cfg(test)]
+        panic_before_run: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         capacity: opts.queue_capacity.max(1),
         workers: opts.workers.max(1),
@@ -979,34 +1048,27 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         budget_slack_percent: opts.budget_slack_percent.max(100),
     });
 
-    // Scheduler: a long-lived fem2-par scope fed over a channel. Each
-    // admitted job becomes one scoped task; `Stop` lets the scope join
-    // whatever is still running and unwind cleanly.
-    let sched_state = Arc::clone(&state);
-    let workers = opts.workers.max(1);
-    let sched_thread = thread::spawn(move || {
-        let pool = Pool::new(workers);
-        pool.scope(|s| {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    SchedMsg::Run {
-                        id,
-                        mut job,
-                        enqueued,
-                    } => {
-                        let state = Arc::clone(&sched_state);
-                        s.spawn(move || state.run_job(id, &mut job, enqueued));
-                    }
-                    SchedMsg::Stop => break,
-                }
-            }
-        });
-    });
+    // The handle exists before its threads do: if a spawn fails, dropping
+    // it stops and joins the workers already started.
+    let mut handle = ServerHandle {
+        addr,
+        state: Arc::clone(&state),
+        accept_thread: None,
+        workers: Vec::with_capacity(state.workers),
+    };
+    for i in 0..state.workers {
+        let state = Arc::clone(&state);
+        let worker = thread::Builder::new()
+            .name(format!("fem2-serve-worker-{i}"))
+            .spawn(move || state.worker_loop())
+            .map_err(|e| format!("spawn worker {i}: {e}"))?;
+        handle.workers.push(worker);
+    }
 
     // Acceptor: one short-lived thread per connection — the API is
     // one-shot request/response and job submissions are small.
-    let accept_state = Arc::clone(&state);
-    let accept_thread = thread::spawn(move || {
+    let accept_state = state;
+    handle.accept_thread = Some(thread::spawn(move || {
         for stream in listener.incoming() {
             if accept_state.stop.load(Ordering::SeqCst) {
                 break;
@@ -1026,14 +1088,8 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
                 let _ = write_response(&mut stream, &resp);
             });
         }
-    });
-
-    Ok(ServerHandle {
-        addr,
-        state,
-        accept_thread: Some(accept_thread),
-        sched_thread: Some(sched_thread),
-    })
+    }));
+    Ok(handle)
 }
 
 #[cfg(test)]
@@ -1840,6 +1896,90 @@ mod tests {
             assert_eq!(entry.hash, JobSpec::parse(body).unwrap().content_hash());
         }
         drop(tables);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shutdown_drains_every_admitted_job_before_the_index_flush() {
+        let dir = temp_dir("drain");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.workers = 1;
+        // The first run stalls, so the other two are still in the queue
+        // when `stop` is called.
+        opts.chaos = Some(ChaosPlan::parse(r#"{"stall_ms_on_run":[[1,500]]}"#).unwrap());
+        let handle = start(&opts).unwrap();
+        let addr = handle.addr();
+        for n in [8, 10, 12] {
+            submit_id(addr, &format!(r#"{{"nx":{n},"ny":{n}}}"#));
+        }
+        assert_eq!(stat(addr, "queue_depth"), 3);
+        assert_eq!(stat(addr, "registry_runs"), 0);
+        handle.stop();
+        // The index is rewritten at power-of-two counts and at clean
+        // shutdown only: one that covers three records was flushed after
+        // the third append.
+        let index = fs::read_to_string(dir.join("index.json")).unwrap();
+        let index = serde_json::parse_value(&index).unwrap();
+        assert_eq!(index.get_field("run_count").unwrap(), &Value::UInt(3));
+        let reg = Registry::open(&dir).unwrap();
+        let names: Vec<&str> = reg.runs().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["plate 8x8", "plate 10x10", "plate 12x12"], "FIFO");
+        assert!(reg.runs().iter().all(|r| r.status.is_ok()));
+        drop(reg);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_submission_that_loses_the_race_with_shutdown_is_refused_honestly() {
+        let dir = temp_dir("late");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let state = Arc::clone(&handle.state);
+        handle.stop();
+        // What a connection thread still inside `dispatch` would do.
+        let resp = state.submit(r#"{"nx":8,"ny":8}"#, Instant::now());
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.body, r#"{"error":"server is shutting down"}"#);
+        let tables = lock(&state.tables);
+        let entry = tables.job(1).unwrap();
+        assert_eq!(entry.status, JobStatus::Failed);
+        assert_eq!(entry.error.as_deref(), Some("scheduler stopped"));
+        assert!(tables.in_flight.is_empty());
+        assert_eq!(state.queue_depth.load(Ordering::SeqCst), 0);
+        assert!(lock(&state.queue).is_empty());
+        drop(tables);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panic_outside_the_job_boundary_leaves_the_worker_serving() {
+        let dir = temp_dir("escape");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.workers = 1;
+        let handle = start(&opts).unwrap();
+        let addr = handle.addr();
+        handle.state.panic_before_run.store(true, Ordering::SeqCst);
+        let id = submit_id(addr, r#"{"nx":8,"ny":8}"#);
+        assert_eq!(client::wait_settled(addr, id).unwrap(), "failed");
+        let (_, detail) = client::request(addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert!(detail.contains("worker panicked: test hook"), "{detail}");
+        assert_eq!(stat(addr, "queue_depth"), 0);
+        assert_eq!(stat(addr, "panics"), 1);
+        assert_eq!(
+            stat(addr, "registry_runs"),
+            0,
+            "nothing ran, nothing recorded"
+        );
+        let (status, ready) = client::request(addr, "GET", "/readyz", None).unwrap();
+        assert_eq!(status, 200, "{ready}");
+        let v = serde_json::parse_value(&ready).unwrap();
+        assert_eq!(v.get_field("queue_depth").unwrap(), &Value::UInt(0));
+        assert_eq!(v.get_field("in_flight").unwrap(), &Value::UInt(0));
+        // The only worker is still there: the same spec, no longer in
+        // flight and never recorded, runs to completion.
+        let id2 = submit_id(addr, r#"{"nx":8,"ny":8}"#);
+        assert_eq!(client::wait_settled(addr, id2).unwrap(), "done");
+        assert_eq!(stat(addr, "queue_depth"), 0);
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -36,7 +36,7 @@ pub use event::{
 };
 pub use metrics::{Histogram, Metrics, PhaseMetrics};
 pub use report::DegradationReport;
-pub use sink::{NoopSink, RingRecorder, SharedRecorder, TraceHandle, TraceSink};
+pub use sink::{RingRecorder, SharedRecorder, TraceHandle};
 
 /// Simulated time in machine cycles (mirrors `fem2_machine::Cycles`; this
 /// crate sits below the machine crate so it declares its own alias).

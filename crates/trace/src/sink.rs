@@ -1,39 +1,15 @@
-//! Sinks: where events go.
+//! The sink: where events go.
 //!
-//! [`TraceSink`] is the recording interface; [`RingRecorder`] is the
-//! bounded in-memory implementation, [`NoopSink`] discards everything.
-//! Instrumented code holds a [`TraceHandle`] — a cheap, cloneable,
-//! optionally-empty reference to a shared sink. A disabled handle makes
-//! every emit a branch on `None`: the event value is never even built.
+//! [`RingRecorder`] is the bounded in-memory recorder. Instrumented code
+//! holds a [`TraceHandle`] — a cheap, cloneable, optionally-empty
+//! reference to a shared recorder. A disabled handle makes every emit a
+//! branch on `None`: the event value is never even built.
 
 use crate::event::TraceEvent;
 use crate::metrics::Metrics;
 use crate::Cycles;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// A consumer of trace events.
-pub trait TraceSink: Send {
-    /// Enter a (possibly already-interned) scenario phase at simulated
-    /// time `at`; returns the phase's interned id.
-    fn begin_phase(&mut self, name: &str, at: Cycles) -> u16;
-
-    /// Record one event. The sink stamps `ev.phase`.
-    fn record(&mut self, ev: TraceEvent);
-}
-
-/// A sink that discards everything (for measuring instrumentation paths or
-/// explicitly opting out while keeping a live handle).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn begin_phase(&mut self, _name: &str, _at: Cycles) -> u16 {
-        0
-    }
-
-    fn record(&mut self, _ev: TraceEvent) {}
-}
 
 /// Name of the implicit phase active before any `begin_phase` call.
 pub const STARTUP_PHASE: &str = "startup";
@@ -136,9 +112,9 @@ impl RingRecorder {
         }
         out
     }
-}
 
-impl TraceSink for RingRecorder {
+    /// Enter a (possibly already-interned) scenario phase at simulated
+    /// time `at`; returns the phase's interned id.
     fn begin_phase(&mut self, name: &str, at: Cycles) -> u16 {
         let id = match self.phases.iter().position(|p| p == name) {
             Some(i) => i as u16,
@@ -152,6 +128,7 @@ impl TraceSink for RingRecorder {
         id
     }
 
+    /// Record one event, stamped with the current phase.
     fn record(&mut self, mut ev: TraceEvent) {
         ev.phase = self.current_phase;
         self.high_water = self.high_water.max(ev.at + ev.dur);
@@ -184,12 +161,12 @@ pub type SharedRecorder = Arc<Mutex<RingRecorder>>;
 
 /// A cheap handle instrumented code holds.
 ///
-/// Cloning shares the underlying sink. The default handle is disabled:
+/// Cloning shares the underlying recorder. The default handle is disabled:
 /// [`TraceHandle::emit`] is then a single `None` check and the closure
 /// building the event is never called.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
-    inner: Option<Arc<Mutex<dyn TraceSink>>>,
+    inner: Option<SharedRecorder>,
 }
 
 impl std::fmt::Debug for TraceHandle {
@@ -206,17 +183,14 @@ impl TraceHandle {
         TraceHandle::default()
     }
 
-    /// A handle over an arbitrary shared sink.
-    pub fn new(sink: Arc<Mutex<dyn TraceSink>>) -> Self {
-        TraceHandle { inner: Some(sink) }
-    }
-
     /// A handle recording into a fresh [`RingRecorder`] of `capacity`
     /// events, plus the shared recorder for later inspection/export.
     pub fn ring(capacity: usize) -> (Self, SharedRecorder) {
         let rec = Arc::new(Mutex::new(RingRecorder::new(capacity)));
-        let sink: Arc<Mutex<dyn TraceSink>> = rec.clone();
-        (TraceHandle { inner: Some(sink) }, rec)
+        let handle = TraceHandle {
+            inner: Some(Arc::clone(&rec)),
+        };
+        (handle, rec)
     }
 
     /// Whether events are being consumed.

@@ -2,18 +2,17 @@
 //!
 //! Builds a clamped plate under a tip load through `fem2-fem` directly,
 //! solves it with every solver in the library (the Adams–Voigt solver
-//! comparison of E9), checks they agree, and shows the parallel CG speedup
-//! on host threads.
+//! comparison of E9) and checks they agree. Speedup curves come from the
+//! *simulated* FEM-2 plane — see the design_space example and
+//! `fem2-report e2`.
 //!
 //! Run with: `cargo run --release --example cantilever_plate`
 
 // Demo binary: unwrap on infallible demo setup keeps the walkthrough readable.
 #![allow(clippy::unwrap_used)]
 
-use fem2_core::fem::solver::{cg, parallel_cg, skyline, IterControls};
+use fem2_core::fem::solver::skyline;
 use fem2_core::fem::{assemble, cantilever_plate, SolverChoice};
-use fem2_core::par::Pool;
-use std::time::Instant;
 
 fn main() {
     let model = cantilever_plate(40, 12, -50e3);
@@ -41,11 +40,8 @@ fn main() {
             },
         ),
         (
-            "parallel cg (4 thr)",
-            SolverChoice::ParallelCg {
-                threads: 4,
-                tol: 1e-8,
-            },
+            "element-by-element cg",
+            SolverChoice::ElementByElement { tol: 1e-8 },
         ),
     ];
     let tip = model.mesh.nearest_node(40.0, 12.0);
@@ -62,54 +58,13 @@ fn main() {
         }
     }
 
-    // ---- Native-plane scaling: parallel CG vs thread count --------------
-    // A larger plate, so each CG iteration has enough work to parallelize.
-    // Wall-clock speedup requires host cores: on a single-core machine this
-    // section only demonstrates that the parallel solver is correct and its
-    // overhead bounded; the *simulated* FEM-2 plane (see the design_space
-    // example and the E2 bench) is where the scaling curves come from.
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let big = cantilever_plate(160, 48, -50e3);
-    println!(
-        "\nparallel CG wall-clock vs threads ({} dofs, {host} host core(s)):",
-        big.dof_count()
-    );
-    if host == 1 {
-        println!("  note: single-core host; expect no wall-clock speedup");
-    }
-    let k = assemble(&big.mesh, &big.material);
-    let free = big.constraints.free_dofs(big.dof_count());
+    let k = assemble(&model.mesh, &model.material);
+    let free = model.constraints.free_dofs(model.dof_count());
     let kr = k.submatrix(&free);
     let f = {
-        let full = big.load_sets[0].to_vector(big.dof_count());
-        big.constraints.restrict(&full)
+        let full = model.load_sets[0].to_vector(model.dof_count());
+        model.constraints.restrict(&full)
     };
-    let ctl = IterControls {
-        rel_tol: 1e-8,
-        max_iter: 50_000,
-    };
-    let t0 = Instant::now();
-    let (_, log_seq) = cg::solve(&kr, &f, ctl, false);
-    let seq = t0.elapsed();
-    println!(
-        "  sequential: {:>9.3?}  ({} iters)",
-        seq, log_seq.iterations
-    );
-    for threads in [1, 2, 4] {
-        let pool = Pool::new(threads);
-        let t0 = Instant::now();
-        let (_, log) = parallel_cg::solve(&pool, &kr, &f, ctl);
-        let dt = t0.elapsed();
-        println!(
-            "  {threads} thread(s): {:>9.3?}  ({} iters, speedup {:.2}x)",
-            dt,
-            log.iterations,
-            seq.as_secs_f64() / dt.as_secs_f64()
-        );
-    }
-
     // Direct solve residual as a cross-check.
     let x = skyline::solve(&kr, &f).expect("SPD system");
     let res = fem2_core::fem::solver::residual_norm(&kr, &x, &f);

@@ -3,8 +3,9 @@
 //! The paper's conclusion names "parallelism in the substructure analysis
 //! of a larger structure" as one of the levels its design method exposes.
 //! This example carves a long plate (a crude wing skin) into substructures,
-//! condenses them in parallel by static condensation, solves the interface
-//! system, and verifies against the monolithic direct solve.
+//! condenses them by static condensation (two host threads share the
+//! parts), solves the interface system, and verifies against the
+//! monolithic direct solve.
 //!
 //! Run with: `cargo run --release --example substructure_wing`
 
@@ -16,7 +17,6 @@ use fem2_core::fem::partition::Partition;
 use fem2_core::fem::solver::skyline;
 use fem2_core::fem::substructure::analyze_substructures;
 use fem2_core::fem::{assemble, Material, Mesh};
-use fem2_core::par::Pool;
 use std::time::Instant;
 
 fn main() {
@@ -53,7 +53,6 @@ fn main() {
     println!("monolithic skyline solve: {t_direct:.2?}");
 
     // ---- Substructured analyses -----------------------------------------
-    let pool = Pool::new(4);
     println!(
         "\n{:>6} {:>12} {:>14} {:>12} {:>12}",
         "parts", "iface dofs", "max interior", "time", "max err"
@@ -61,7 +60,7 @@ fn main() {
     for parts in [2, 4, 8, 12] {
         let part = Partition::strips_x(&mesh, parts);
         let t0 = Instant::now();
-        let sol = analyze_substructures(&pool, &mesh, &mat, &cons, &part, &f);
+        let sol = analyze_substructures(&mesh, &mat, &cons, &part, &f);
         let dt = t0.elapsed();
         let scale = u_ref.iter().fold(0.0f64, |m, x| m.max(x.abs()));
         let err = sol
