@@ -13,8 +13,10 @@
 //! script on stdin for batch use. Errors never end the session (a console
 //! survives typos).
 
+#![forbid(unsafe_code)]
+
 use fem2_appvm::{Database, Session, SessionError};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -49,7 +51,7 @@ fn main() {
 
     let mut session = Session::new(db);
     let stdin = std::io::stdin();
-    let interactive = is_tty();
+    let interactive = stdin.is_terminal();
     if interactive {
         println!("FEM-2 interactive console — type HELP for commands, QUIT to exit.");
     }
@@ -83,20 +85,5 @@ fn main() {
         if session.finished() {
             break;
         }
-    }
-}
-
-fn is_tty() -> bool {
-    // Portable-enough TTY check without extra dependencies.
-    #[cfg(unix)]
-    unsafe {
-        extern "C" {
-            fn isatty(fd: i32) -> i32;
-        }
-        isatty(0) == 1
-    }
-    #[cfg(not(unix))]
-    {
-        false
     }
 }

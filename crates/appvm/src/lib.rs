@@ -36,6 +36,8 @@
 //! assert!(out.contains("converged"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod command;
 pub mod database;
 pub mod display;

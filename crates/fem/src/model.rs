@@ -507,6 +507,62 @@ mod tests {
         );
     }
 
+    /// The constant-stress patch test through `analyze`, on `mesh` (4 m ×
+    /// 3 m on a 1 m lattice) with every interior node moved up to 0.15 m
+    /// off the lattice: left edge on rollers, the bottom-left node pinned
+    /// against vertical movement, a uniform traction `s` on the right edge
+    /// as consistent nodal forces. Every element must carry σxx = s and no
+    /// other stress, and every node sit where plane stress puts it:
+    /// u = s·x/E, v = −ν·s·y/E.
+    fn assert_passes_patch_test(mut mesh: Mesh) {
+        for (i, n) in mesh.nodes.iter_mut().enumerate() {
+            if n.x > 0.0 && n.x < 4.0 && n.y > 0.0 && n.y < 3.0 {
+                n.x += 0.075 * ((i * 7 % 5) as f64 - 2.0);
+                n.y += 0.075 * ((i * 3 % 5) as f64 - 2.0);
+            }
+        }
+        let s = 1e6;
+        let mut m = StructuralModel::new("patch");
+        m.mesh = mesh;
+        for n in m.mesh.left_edge_nodes(1e-12) {
+            m.constraints.fix_component(n, 0);
+        }
+        m.constraints
+            .fix_component(m.mesh.nearest_node(0.0, 0.0), 1);
+        let mut edge = m.mesh.right_edge_nodes(1e-12);
+        edge.sort_by(|&a, &b| m.mesh.nodes[a].y.total_cmp(&m.mesh.nodes[b].y));
+        let mut ls = LoadSet::new("traction");
+        for pair in edge.windows(2) {
+            let h = m.mesh.nodes[pair[1]].y - m.mesh.nodes[pair[0]].y;
+            ls.add_node(pair[0], s * m.material.thickness * h / 2.0, 0.0);
+            ls.add_node(pair[1], s * m.material.thickness * h / 2.0, 0.0);
+        }
+        m.add_load_set(ls);
+
+        let a = m.analyze(0, SolverChoice::Skyline).unwrap();
+        let near = |got: f64, want: f64, scale: f64| (got - want).abs() <= 1e-9 * scale;
+        for (e, st) in a.stresses.iter().enumerate() {
+            let exact = near(st.sx, s, s) && near(st.sy, 0.0, s) && near(st.txy, 0.0, s);
+            assert!(exact, "element {e}: {st:?}");
+        }
+        let (e, nu, scale) = (m.material.e, m.material.nu, s * 4.0 / m.material.e);
+        for (i, n) in m.mesh.nodes.iter().enumerate() {
+            let (u, v) = a.node_displacement(i);
+            let exact = near(u, s * n.x / e, scale) && near(v, -nu * s * n.y / e, scale);
+            assert!(exact, "node {i} at ({}, {}): ({u:e}, {v:e})", n.x, n.y);
+        }
+    }
+
+    #[test]
+    fn quad4_passes_the_constant_stress_patch_test() {
+        assert_passes_patch_test(Mesh::grid_quad(4, 3, 4.0, 3.0));
+    }
+
+    #[test]
+    fn tri3_passes_the_constant_stress_patch_test() {
+        assert_passes_patch_test(Mesh::grid_tri(4, 3, 4.0, 3.0));
+    }
+
     #[test]
     fn model_serde_roundtrip() {
         let m = cantilever_plate(3, 2, -5.0);

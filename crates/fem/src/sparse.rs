@@ -1,6 +1,6 @@
 //! Sparse matrix storage: a COO assembly builder and CSR for solves.
 
-use fem2_par::Pool;
+use std::ops::Range;
 
 /// Coordinate-format builder: accumulate `(row, col, value)` triplets during
 /// assembly, then compress to CSR (duplicates summed).
@@ -188,17 +188,14 @@ impl Csr {
         self.rows_times::<true>(x, 0, y)
     }
 
-    /// `y ← A·x` with rows in parallel on `pool`. Kept for
-    /// [`crate::solver::parallel_cg`] alone, which is kept for the repo
-    /// benchmark's `par.cg_*` probe alone (see that module).
-    pub fn matvec_par(&self, pool: &Pool, x: &[f64], y: &mut [f64]) {
-        let n = self.order();
-        assert_eq!(x.len(), n, "x length");
-        assert_eq!(y.len(), n, "y length");
-        let grain = (n / (pool.threads() * 8)).max(64);
-        fem2_par::chunks_mut(pool, y, grain, |chunk, piece| {
-            self.rows_times::<false>(x, chunk * grain, piece);
-        });
+    /// Rows `rows` of `A·x` into `y`, each row as [`Csr::matvec`] sums
+    /// it — how [`crate::solver::parallel_cg`]'s team members split one
+    /// product.
+    pub(crate) fn matvec_rows(&self, x: &[f64], rows: Range<usize>, y: &mut [f64]) {
+        assert_eq!(x.len(), self.order(), "x length");
+        assert!(rows.end <= self.order(), "rows past the last");
+        assert_eq!(y.len(), rows.len(), "y length");
+        self.rows_times::<false>(x, rows.start, y);
     }
 
     /// Rows `base..base + y.len()` of `A·x` into `y`; with `DOT`, also
@@ -401,8 +398,8 @@ mod tests {
         )
     }
 
-    /// `matvec`, `matvec_dot` and `matvec_par` (1 and 4 threads) against
-    /// the one-row loop, bit for bit.
+    /// `matvec`, `matvec_dot` and `matvec_rows` (two ranges cut at
+    /// several rows) against the one-row loop, bit for bit.
     fn assert_matches_oracle(a: &Csr, x: &[f64], what: &str) {
         let n = a.order();
         let want = matvec_oracle(a, x);
@@ -417,18 +414,19 @@ mod tests {
             dot_oracle(x, &want).to_bits(),
             "{what}: the dot of matvec_dot"
         );
-        for threads in [1, 4] {
+        for cut in [0, 1, 3, n / 3, n / 2 + 1].map(|c| c.min(n)) {
             y.fill(f64::NAN);
-            a.matvec_par(&Pool::new(threads), x, &mut y);
-            assert_bits_eq(&y, &want, &format!("{what}: matvec_par({threads})"));
+            let (head, tail) = y.split_at_mut(cut);
+            a.matvec_rows(x, 0..cut, head);
+            a.matvec_rows(x, cut..n, tail);
+            assert_bits_eq(&y, &want, &format!("{what}: matvec_rows cut at {cut}"));
         }
     }
 
     #[test]
     fn matvec_family_matches_one_row_oracle() {
         // Every n mod 4, rows from empty to longer than a block is wide,
-        // and sizes that give `matvec_par` chunks starting off a multiple
-        // of four.
+        // and row ranges starting off a multiple of four.
         for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 37, 130, 4003] {
             for longest in [0usize, 1, 3, 9, 24] {
                 let (a, x) = ragged(n, longest, (n * 100 + longest) as u64);
@@ -532,29 +530,6 @@ mod tests {
         let mut y = vec![0.0; 3];
         a.matvec(&[1.0, 2.0, 3.0], &mut y);
         assert_eq!(y, vec![4.0, 10.0, 14.0]);
-    }
-
-    #[test]
-    fn matvec_par_matches_seq() {
-        let n = 500;
-        let mut coo = Coo::new(n);
-        for i in 0..n {
-            coo.add(i, i, 4.0);
-            if i > 0 {
-                coo.add(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                coo.add(i, i + 1, -1.0);
-            }
-        }
-        let a = coo.to_csr();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.matvec(&x, &mut y1);
-        let pool = Pool::new(4);
-        a.matvec_par(&pool, &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]

@@ -45,9 +45,7 @@ use crate::activation::{ActivationRecord, TaskId, TaskState};
 use crate::codeblock::{CodeBlock, CodeId, CodeStore};
 use crate::message::{KernelMessage, MessageKind};
 use fem2_machine::fault::{FaultKind, FaultPlan};
-use fem2_machine::{
-    BudgetMeter, CostClass, Cycles, EventQueue, Flight, Machine, PeId, RunAborted, Words,
-};
+use fem2_machine::{CostClass, Cycles, EventQueue, Flight, Machine, PeId, Words};
 use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -592,21 +590,6 @@ impl KernelSim {
             self.handle(now, ev);
         }
         self.machine.makespan()
-    }
-
-    /// Run to quiescence or until `meter` fires, checking before every
-    /// dispatch. A pending event past the cycle budget aborts *before* it
-    /// is popped, so the clock never advances beyond the budget; the
-    /// deterministic limits abort at the same event on every repeat.
-    pub fn run_budgeted(&mut self, meter: &BudgetMeter) -> Result<Cycles, RunAborted> {
-        loop {
-            let Some(next) = self.queue.next_time() else {
-                return Ok(self.machine.makespan());
-            };
-            meter.check(next, self.queue.events_processed() + 1)?;
-            let (now, ev) = self.queue.pop().expect("next_time returned Some");
-            self.handle(now, ev);
-        }
     }
 
     /// Completions in completion order.

@@ -22,15 +22,17 @@
 //! - `hash-collection` — `HashMap` / `HashSet` iterate in seed order.
 //!   Anything that feeds an output must use `BTreeMap` or a `Vec`;
 //!   allowlisted uses must never iterate into observable state.
-//! - `unsafe-code` — `unsafe` lives only in `crates/par` (the scoped
-//!   pool's lifetime transmute) and `crates/appvm` (console TTY ioctl).
-//!   Everywhere else the workspace is safe Rust.
+//! - `unsafe-code` — no `unsafe` anywhere, and no allowlist entry may
+//!   exempt a file: the workspace is safe Rust, and every crate under
+//!   `crates/` also says `forbid(unsafe_code)`.
 //! - `wall-in-hash` — a `wall…`-named value on the same line as a
 //!   `content_hash` call folds host timing into an identity hash. Never
 //!   allowlisted in-tree; wall time is provenance, not identity.
 //!
 //! The pattern constants below are assembled with `concat!` so this
 //! crate's own source does not trip its own scan.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -49,10 +51,6 @@ const PAT_UNSAFE: &str = concat!("un", "safe");
 const PAT_CONTENT_HASH: &str = concat!("content", "_", "hash");
 /// Prefix of wall-time identifiers (`wall_ns`, `wall_ms`, ...).
 const PAT_WALL: &str = concat!("wa", "ll");
-
-/// Directories whose files may use `unsafe` (workspace-relative
-/// prefixes, forward slashes).
-const UNSAFE_ALLOWED: &[&str] = &["crates/par/", "crates/appvm/"];
 
 /// One lint rule; `as_str` is the name used in findings and in
 /// `lint-allow.toml` entries.
@@ -173,6 +171,12 @@ impl Allowlist {
                 "lint-allow.toml: entry ending near line {line} needs path, rule, and reason"
             ));
         }
+        if e.rule == Rule::UnsafeCode.as_str() {
+            return Err(format!(
+                "lint-allow.toml: entry ending near line {line}: {} takes no exemptions",
+                e.rule
+            ));
+        }
         Ok(e)
     }
 
@@ -237,10 +241,8 @@ fn strip_comment(line: &str) -> &str {
 }
 
 /// Scan one file's text. `path` must be workspace-relative with forward
-/// slashes — it is matched against the allowlist and the `unsafe`
-/// directory exemptions.
+/// slashes — it is matched against the allowlist.
 pub fn scan_text(path: &str, text: &str, allow: &Allowlist) -> Vec<Finding> {
-    let unsafe_dir_ok = UNSAFE_ALLOWED.iter().any(|d| path.starts_with(d));
     let mut findings = Vec::new();
     let mut push = |rule: Rule, lineno: usize, raw: &str| {
         if !allow.allows(path, rule) {
@@ -265,7 +267,7 @@ pub fn scan_text(path: &str, text: &str, allow: &Allowlist) -> Vec<Finding> {
         }
         // `unsafe_code` (the forbid attribute) has an identifier
         // character after the keyword, so the word match skips it.
-        if !unsafe_dir_ok && has_word(code, PAT_UNSAFE) {
+        if has_word(code, PAT_UNSAFE) {
             push(Rule::UnsafeCode, i, raw);
         }
         if code.contains(PAT_CONTENT_HASH) && has_word_prefix(code, PAT_WALL) {
@@ -408,19 +410,24 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_flagged_outside_par_and_appvm_only() {
+    fn unsafe_flagged_everywhere() {
         let line = format!("{PAT_UNSAFE} {{ ptr.read() }}\n");
-        assert_eq!(
-            scan_text("crates/core/src/des.rs", &line, &Allowlist::default())[0].rule,
-            Rule::UnsafeCode
-        );
-        assert!(scan_text("crates/par/src/pool.rs", &line, &Allowlist::default()).is_empty());
-        assert!(scan_text(
+        for path in [
+            "crates/core/src/des.rs",
+            "crates/par/src/pool.rs",
             "crates/appvm/src/bin/fem2-console.rs",
-            &line,
-            &Allowlist::default()
-        )
-        .is_empty());
+            "tests/tests/verify.rs",
+        ] {
+            let f = scan_text(path, &line, &Allowlist::default());
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, Rule::UnsafeCode);
+        }
+        // And no allowlist entry can exempt a file from it.
+        let exempt = format!(
+            "[[allow]]\npath = \"crates/par/src/pool.rs\"\nrule = \"{}\"\nreason = \"r\"\n",
+            Rule::UnsafeCode.as_str()
+        );
+        assert!(Allowlist::parse(&exempt).is_err());
         // The forbid attribute names `unsafe_code`, which is a longer
         // identifier — not the keyword.
         let forbid = format!("#![forbid({PAT_UNSAFE}_code)]\n");
@@ -459,7 +466,7 @@ mod tests {
         )
         .expect("well-formed");
         assert!(ok.allows("a.rs", Rule::WallClock));
-        assert!(!ok.allows("a.rs", Rule::UnsafeCode));
+        assert!(!ok.allows("a.rs", Rule::HashCollection));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! warnings), 1 on findings, 2 on usage or I/O errors. See the library
 //! docs for the rules and `lint-allow.toml` for the exemption format.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -52,7 +52,7 @@ pub use machine::{trace_cost_kind, Machine, MachineError};
 pub use memory::ClusterMemory;
 pub use network::{Flight, Network, Tracked};
 pub use pe::{CostClass, Pe, PeId};
-pub use sim::{EventQueue, Simulator};
+pub use sim::EventQueue;
 pub use stats::{PhaseCounters, Stats};
 
 /// Simulation time, in PE clock cycles.

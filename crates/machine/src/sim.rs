@@ -2,9 +2,9 @@
 //!
 //! [`EventQueue`] is a time-ordered priority queue: events scheduled for the
 //! same cycle pop in scheduling order (FIFO), so simulations are
-//! deterministic regardless of payload type. [`Simulator`] adds the standard
-//! run loop: pop, advance the clock, hand the event to a handler which may
-//! schedule more events.
+//! deterministic regardless of payload type. Its user, the kernel's
+//! `KernelSim`, runs the loop itself: pop, advance the clock, handle the
+//! event, which may schedule more.
 //!
 //! Two interchangeable backends implement the queue (selected by
 //! [`DesQueue`], see `MachineConfig::des_queue`):
@@ -25,7 +25,6 @@
 //! keys, so same-cycle FIFO ties and cross-bucket ordering reproduce the
 //! heap bit for bit — the property the oracle tests check.
 
-use crate::budget::{BudgetMeter, RunAborted};
 use crate::config::DesQueue;
 use crate::Cycles;
 use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
@@ -250,26 +249,6 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Earliest pending `(at, seq)` without removing it. A non-mutating
-    /// scan over bucket fronts (bucket minima), used only by peeking run
-    /// loops — the pop path never calls it.
-    fn peek_min_key(&self) -> Option<(Cycles, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let ring = self
-            .days
-            .iter()
-            .filter_map(|b| b.front())
-            .map(|e| (e.at, e.seq))
-            .min();
-        let ladder = self.overflow.peek().map(|Reverse(e)| (e.at, e.seq));
-        match (ring, ladder) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Track inter-event gaps and retune the day width when the observed
     /// scale disagrees with the current one. Deterministic: driven purely
     /// by popped event times.
@@ -470,107 +449,6 @@ impl<E> EventQueue<E> {
             (e.at, e.ev)
         })
     }
-
-    /// Peek at the earliest pending event time without popping.
-    pub fn next_time(&self) -> Option<Cycles> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-            Backend::Calendar(c) => c.peek_min_key().map(|(at, _)| at),
-        }
-    }
-}
-
-/// An event-loop wrapper over [`EventQueue`].
-pub struct Simulator<E> {
-    queue: EventQueue<E>,
-}
-
-impl<E> Default for Simulator<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Simulator<E> {
-    /// A simulator with an empty queue at time zero (calendar backend).
-    pub fn new() -> Self {
-        Self::with_backend(DesQueue::Calendar)
-    }
-
-    /// A simulator on the chosen queue backend.
-    pub fn with_backend(kind: DesQueue) -> Self {
-        Simulator {
-            queue: EventQueue::with_backend(kind),
-        }
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Cycles {
-        self.queue.now()
-    }
-
-    /// Total events handled so far.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.events_processed()
-    }
-
-    /// Schedule an event at absolute time `at`.
-    pub fn schedule(&mut self, at: Cycles, ev: E) {
-        self.queue.schedule(at, ev);
-    }
-
-    /// Schedule an event `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: Cycles, ev: E) {
-        self.queue.schedule_in(delay, ev);
-    }
-
-    /// Run until the queue is empty. The handler receives the simulator (to
-    /// schedule follow-on events), the event time, and the payload.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Self, Cycles, E),
-    {
-        while let Some((at, ev)) = self.queue.pop() {
-            handler(self, at, ev);
-        }
-    }
-
-    /// Run until the queue is empty or the clock passes `deadline`.
-    /// Returns true if the queue drained before the deadline.
-    pub fn run_until<F>(&mut self, deadline: Cycles, mut handler: F) -> bool
-    where
-        F: FnMut(&mut Self, Cycles, E),
-    {
-        loop {
-            match self.queue.next_time() {
-                None => return true,
-                Some(t) if t > deadline => return false,
-                Some(_) => {
-                    let (at, ev) = self.queue.pop().expect("next_time returned Some");
-                    handler(self, at, ev);
-                }
-            }
-        }
-    }
-
-    /// Run until the queue drains or the budget fires, checking the meter
-    /// before every pop. A pending event whose time is past the cycle
-    /// budget aborts *before* dispatch, so the clock never advances beyond
-    /// the budget and the abort point is deterministic for the
-    /// deterministic limits (cycles, events).
-    pub fn run_budgeted<F>(&mut self, meter: &BudgetMeter, mut handler: F) -> Result<(), RunAborted>
-    where
-        F: FnMut(&mut Self, Cycles, E),
-    {
-        loop {
-            let Some(next) = self.queue.next_time() else {
-                return Ok(());
-            };
-            meter.check(next, self.queue.events_processed() + 1)?;
-            let (at, ev) = self.queue.pop().expect("next_time returned Some");
-            handler(self, at, ev);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -703,39 +581,20 @@ mod tests {
     }
 
     #[test]
-    fn simulator_run_drains_and_cascades() {
+    fn drain_loop_cascades() {
         for kind in BACKENDS {
-            let mut sim = Simulator::with_backend(kind);
-            sim.schedule(0, 3u32); // event payload = remaining cascade depth
+            let mut q = EventQueue::with_backend(kind);
+            q.schedule(0, 3u32); // event payload = remaining cascade depth
             let mut log = Vec::new();
-            sim.run(|sim, at, depth| {
+            while let Some((at, depth)) = q.pop() {
                 log.push((at, depth));
                 if depth > 0 {
-                    sim.schedule_in(10, depth - 1);
+                    q.schedule_in(10, depth - 1);
                 }
-            });
-            assert_eq!(log, vec![(0, 3), (10, 2), (20, 1), (30, 0)]);
-            assert_eq!(sim.events_processed(), 4);
-            assert_eq!(sim.now(), 30);
-        }
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        for kind in BACKENDS {
-            let mut sim = Simulator::with_backend(kind);
-            for t in [10u64, 20, 30, 40] {
-                sim.schedule(t, t);
             }
-            let mut seen = Vec::new();
-            let drained = sim.run_until(25, |_, _, ev| seen.push(ev));
-            assert!(!drained);
-            assert_eq!(seen, vec![10, 20]);
-            assert_eq!(sim.now(), 20);
-            // Finish the rest.
-            let drained = sim.run_until(u64::MAX, |_, _, ev| seen.push(ev));
-            assert!(drained);
-            assert_eq!(seen, vec![10, 20, 30, 40]);
+            assert_eq!(log, vec![(0, 3), (10, 2), (20, 1), (30, 0)]);
+            assert_eq!(q.events_processed(), 4);
+            assert_eq!(q.now(), 30);
         }
     }
 
@@ -743,17 +602,17 @@ mod tests {
     fn deterministic_replay() {
         for kind in BACKENDS {
             let run = || {
-                let mut sim = Simulator::with_backend(kind);
+                let mut q = EventQueue::with_backend(kind);
                 for i in 0..50u64 {
-                    sim.schedule((i * 7) % 13, i);
+                    q.schedule((i * 7) % 13, i);
                 }
                 let mut order = Vec::new();
-                sim.run(|sim, _, ev| {
+                while let Some((_, ev)) = q.pop() {
                     order.push(ev);
                     if ev < 1000 && ev % 5 == 0 {
-                        sim.schedule_in(3, ev + 1000);
+                        q.schedule_in(3, ev + 1000);
                     }
-                });
+                }
                 order
             };
             assert_eq!(run(), run());
@@ -795,7 +654,6 @@ mod tests {
                 // Pop on both; streams must match (including clocks).
                 assert_eq!(cal.pop(), heap.pop());
                 assert_eq!(cal.now(), heap.now());
-                assert_eq!(cal.next_time(), heap.next_time());
             } else {
                 // Absolute schedule; past times exercise clamp-to-now.
                 cal.schedule(t, payload);
@@ -817,7 +675,7 @@ mod tests {
         /// Random schedule/pop interleavings (with heavy ties, past
         /// schedules, and far-future outliers) pop identically on the
         /// calendar and heap backends: time order, same-cycle FIFO,
-        /// clamp-to-now, clock, peeks, and depths all agree.
+        /// clamp-to-now, clock and depths all agree.
         #[test]
         fn calendar_matches_heap_oracle(
             ops in proptest::collection::vec(
@@ -831,82 +689,5 @@ mod tests {
         ) {
             oracle_run(&ops);
         }
-
-        /// `run_until` deadline semantics agree across backends for random
-        /// workloads: same handled prefix, same return, same clock.
-        #[test]
-        fn run_until_matches_across_backends(
-            times in proptest::collection::vec(0u64..10_000, 1..80),
-            deadline in 0u64..12_000,
-        ) {
-            let run = |kind: DesQueue| {
-                let mut sim = Simulator::with_backend(kind);
-                for (i, &t) in times.iter().enumerate() {
-                    sim.schedule(t, i);
-                }
-                let mut seen = Vec::new();
-                let drained = sim.run_until(deadline, |_, at, ev| seen.push((at, ev)));
-                (drained, seen, sim.now(), sim.events_processed())
-            };
-            prop_assert_eq!(run(DesQueue::Calendar), run(DesQueue::Heap));
-        }
-
-        /// A cycle-budgeted run aborts at the same event, clock, and pop
-        /// count on every repeat and on both backends — the abort point is
-        /// part of the deterministic contract.
-        #[test]
-        fn budgeted_run_aborts_identically(
-            times in proptest::collection::vec(0u64..10_000, 1..80),
-            max_cycles in 0u64..12_000,
-        ) {
-            let run = |kind: DesQueue| {
-                let mut sim = Simulator::with_backend(kind);
-                for (i, &t) in times.iter().enumerate() {
-                    sim.schedule(t, i);
-                }
-                let meter = crate::budget::RunBudget::max_cycles(max_cycles).start();
-                let mut seen = Vec::new();
-                let out = sim.run_budgeted(&meter, |_, at, ev| seen.push((at, ev)));
-                (out, seen, sim.now(), sim.events_processed())
-            };
-            let a = run(DesQueue::Calendar);
-            prop_assert_eq!(&a, &run(DesQueue::Calendar), "repeat run identical");
-            prop_assert_eq!(&a, &run(DesQueue::Heap), "backend-independent");
-            if let Err(abort) = &a.0 {
-                prop_assert_eq!(abort.cause, crate::budget::AbortCause::CyclesExceeded);
-                prop_assert!(a.2 <= max_cycles, "clock never passes the budget");
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_run_with_unlimited_budget_drains() {
-        let mut sim = Simulator::<u32>::new();
-        sim.schedule(10, 1);
-        sim.schedule(20, 2);
-        let meter = crate::budget::RunBudget::unlimited().start();
-        let mut seen = Vec::new();
-        sim.run_budgeted(&meter, |_, _, ev| seen.push(ev))
-            .expect("unlimited budget cannot abort");
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn event_budget_bounds_the_pop_count() {
-        let mut sim = Simulator::<u32>::new();
-        for i in 0..10 {
-            sim.schedule(u64::from(i), i);
-        }
-        let budget = crate::budget::RunBudget {
-            max_des_events: Some(4),
-            ..Default::default()
-        };
-        let mut seen = 0;
-        let err = sim
-            .run_budgeted(&budget.start(), |_, _, _| seen += 1)
-            .unwrap_err();
-        assert_eq!(err.cause, crate::budget::AbortCause::EventsExceeded);
-        assert_eq!(seen, 4, "exactly the budgeted pops ran");
-        assert_eq!(sim.events_processed(), 4);
     }
 }

@@ -8,9 +8,12 @@
 //! fem2-serve status --addr HOST:PORT ID
 //! fem2-serve result --addr HOST:PORT ID
 //! fem2-serve list --addr HOST:PORT
+//! fem2-serve stats --addr HOST:PORT
 //! ```
 //!
 //! `serve` is the default subcommand when the first argument is a flag.
+
+#![forbid(unsafe_code)]
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -18,7 +21,7 @@ use std::process::ExitCode;
 
 use fem2_serve::{client, report, ChaosPlan, ServeOptions};
 
-const USAGE: &str = "usage: fem2-serve <serve|report|submit|status|result|list> ...
+const USAGE: &str = "usage: fem2-serve <serve|report|submit|status|result|list|stats> ...
   serve        --data-dir DIR [--port N] [--workers N] [--queue N] [--chaos PLAN]
                [--quota-cycles N] [--quota-events N] [--quota-memory WORDS]
                [--budget-slack PCT]
@@ -29,7 +32,8 @@ const USAGE: &str = "usage: fem2-serve <serve|report|submit|status|result|list> 
   submit       --addr HOST:PORT [--wait] FILE
   status       --addr HOST:PORT ID
   result       --addr HOST:PORT ID
-  list         --addr HOST:PORT";
+  list         --addr HOST:PORT
+  stats        --addr HOST:PORT      the server's /stats counters";
 
 struct Args {
     data_dir: Option<PathBuf>,
