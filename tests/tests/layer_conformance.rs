@@ -83,3 +83,19 @@ fn layer_models_catalog_the_whole_design() {
         assert!(doc.contains(l.crate_name()), "missing {}", l.crate_name());
     }
 }
+
+#[test]
+fn design_document_matches_committed_golden_file() {
+    // The design document followed by every layer's grammar as BNF, byte
+    // for byte: the catalog and the grammars are the formal design.
+    let golden = include_str!("../golden/design_document.txt");
+    let stack = LayerStack::fem2();
+    let mut rendered = stack.design_document();
+    for layer in Layer::ALL {
+        rendered.push_str(&stack.model(layer).grammar().to_bnf());
+    }
+    assert_eq!(
+        rendered, golden,
+        "design document drifted from tests/golden/design_document.txt"
+    );
+}
