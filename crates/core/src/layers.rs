@@ -5,13 +5,61 @@
 //! > programmer/numerical analyst's machine …, (3) the systems programmer's
 //! > machine …, and (4) the hardware itself."
 //!
-//! Each [`Layer`] carries a [`VmModel`]: the layer's data-object grammar
-//! (from [`crate::spec`]) plus its feature catalog under the five VM
-//! components. The stack knows which layer implements which — the top-down
-//! refinement chain the design method walks.
+//! Each [`Layer`] carries its formal specification: the data-object grammar
+//! (from [`crate::spec`]) and its feature catalog under the five
+//! [`VmComponent`]s. Each layer knows the layer it is implemented on — the
+//! top-down refinement chain the design method walks — and
+//! [`design_document`] writes the whole design out.
 
 use crate::spec;
-use fem2_hgraph::{VmComponent, VmModel};
+use fem2_hgraph::Grammar;
+use std::fmt;
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// The five components of a virtual machine, as enumerated in the paper.
+///
+/// > "A virtual machine is composed of (1) various types of data objects,
+/// > (2) various operations on those data objects, (3) various sequence
+/// > control mechanisms …, (4) various data control mechanisms …, and (5)
+/// > storage management mechanisms …"
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum VmComponent {
+    /// Types of data objects.
+    DataObjects,
+    /// Operations on those data objects.
+    Operations,
+    /// Mechanisms specifying the order of operations.
+    SequenceControl,
+    /// Mechanisms controlling access to data objects by operations.
+    DataControl,
+    /// Placement and movement of data and code during execution.
+    StorageManagement,
+}
+
+impl VmComponent {
+    /// All five components, in the paper's order.
+    pub const ALL: [VmComponent; 5] = [
+        VmComponent::DataObjects,
+        VmComponent::Operations,
+        VmComponent::SequenceControl,
+        VmComponent::DataControl,
+        VmComponent::StorageManagement,
+    ];
+}
+
+impl fmt::Display for VmComponent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            VmComponent::DataObjects => "data objects",
+            VmComponent::Operations => "operations",
+            VmComponent::SequenceControl => "sequence control",
+            VmComponent::DataControl => "data control",
+            VmComponent::StorageManagement => "storage management",
+        };
+        f.write_str(s)
+    }
+}
 
 /// The four FEM-2 layers, top to bottom.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -64,214 +112,160 @@ impl Layer {
             Layer::Hardware => "fem2-machine",
         }
     }
-}
 
-/// The assembled four-layer design.
-pub struct LayerStack {
-    models: Vec<(Layer, VmModel)>,
-}
-
-impl LayerStack {
-    /// Build the FEM-2 stack with every layer's formal model, feature
-    /// catalogs populated from the paper's component lists.
-    pub fn fem2() -> Self {
-        LayerStack {
-            models: vec![
-                (Layer::ApplicationUser, app_user_model()),
-                (Layer::NumericalAnalyst, numerical_analyst_model()),
-                (Layer::SystemProgrammer, system_programmer_model()),
-                (Layer::Hardware, hardware_model()),
-            ],
+    /// The layer's data-object grammar.
+    pub fn grammar(self) -> Arc<Grammar> {
+        match self {
+            Layer::ApplicationUser => spec::app_grammar(),
+            Layer::NumericalAnalyst => spec::navm_grammar(),
+            Layer::SystemProgrammer => spec::kernel_grammar(),
+            Layer::Hardware => spec::hw_grammar(),
         }
     }
 
-    /// The formal model of one layer.
-    pub fn model(&self, layer: Layer) -> &VmModel {
-        &self
-            .models
+    /// The features the paper lists for this layer under `component`,
+    /// sorted by name.
+    pub fn features(self, component: VmComponent) -> Vec<&'static str> {
+        let catalog = match self {
+            Layer::ApplicationUser => APP_USER_CATALOG,
+            Layer::NumericalAnalyst => NUMERICAL_ANALYST_CATALOG,
+            Layer::SystemProgrammer => SYSTEM_PROGRAMMER_CATALOG,
+            Layer::Hardware => HARDWARE_CATALOG,
+        };
+        let mut names: Vec<&str> = catalog
             .iter()
-            .find(|(l, _)| *l == layer)
-            .expect("all four layers present")
-            .1
+            .filter(|(c, _)| *c == component)
+            .map(|(_, name)| *name)
+            .collect();
+        names.sort_unstable();
+        names
     }
+}
 
-    /// Number of layers (always 4).
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The full design document: every layer's component summary plus the
-    /// refinement chain.
-    pub fn design_document(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "THE FEM-2 DESIGN — four layers of virtual machine\n");
-        for (layer, model) in &self.models {
-            out.push_str(&model.summary());
-            let _ = writeln!(out, "realized by: {}", layer.crate_name());
-            match layer.implemented_on() {
-                Some(lower) => {
-                    let _ = writeln!(
-                        out,
-                        "implemented on: {} ({})\n",
-                        lower.name(),
-                        lower.crate_name()
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "implemented on: (physical machine)\n");
-                }
+/// The full design document: every layer's component catalog and grammar
+/// size, plus the refinement chain.
+pub fn design_document() -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "THE FEM-2 DESIGN — four layers of virtual machine\n");
+    for layer in Layer::ALL {
+        let name = layer.name();
+        let _ = writeln!(out, "{name}\n{}", "=".repeat(name.len()));
+        for c in VmComponent::ALL {
+            let _ = writeln!(out, "{c}:");
+            for feature in layer.features(c) {
+                let _ = writeln!(out, "  {feature}");
             }
         }
-        out
+        let grammar = layer.grammar();
+        let _ = writeln!(
+            out,
+            "grammar: {} ({} productions)",
+            grammar.name(),
+            grammar.rule_count()
+        );
+        let _ = writeln!(out, "realized by: {}", layer.crate_name());
+        match layer.implemented_on() {
+            Some(lower) => {
+                let _ = writeln!(
+                    out,
+                    "implemented on: {} ({})\n",
+                    lower.name(),
+                    lower.crate_name()
+                );
+            }
+            None => {
+                let _ = writeln!(out, "implemented on: (physical machine)\n");
+            }
+        }
     }
+    out
 }
 
-fn app_user_model() -> VmModel {
-    let mut m = VmModel::new(Layer::ApplicationUser.name(), spec::app_grammar());
-    for d in [
-        "structure/substructure model",
-        "grid description",
-        "node/element description",
-        "load set",
-        "displacements of nodes",
-        "stresses on elements",
-    ] {
-        m.declare(d, VmComponent::DataObjects);
-    }
-    for o in [
-        "define structure model",
-        "generate grid",
-        "define elements",
-        "solve for displacements",
-        "calculate stresses",
-        "database store/retrieve",
-    ] {
-        m.declare(o, VmComponent::Operations);
-    }
-    m.declare(
-        "direct interpretation of user commands",
-        VmComponent::SequenceControl,
-    );
-    m.declare("workspace (user local data)", VmComponent::DataControl);
-    m.declare(
-        "data base (long-term storage; shared data)",
-        VmComponent::DataControl,
-    );
-    m.declare(
+use VmComponent::{DataControl, DataObjects, Operations, SequenceControl, StorageManagement};
+
+const APP_USER_CATALOG: &[(VmComponent, &str)] = &[
+    (DataObjects, "structure/substructure model"),
+    (DataObjects, "grid description"),
+    (DataObjects, "node/element description"),
+    (DataObjects, "load set"),
+    (DataObjects, "displacements of nodes"),
+    (DataObjects, "stresses on elements"),
+    (Operations, "define structure model"),
+    (Operations, "generate grid"),
+    (Operations, "define elements"),
+    (Operations, "solve for displacements"),
+    (Operations, "calculate stresses"),
+    (Operations, "database store/retrieve"),
+    (SequenceControl, "direct interpretation of user commands"),
+    (DataControl, "workspace (user local data)"),
+    (DataControl, "data base (long-term storage; shared data)"),
+    (
+        StorageManagement,
         "dynamic storage allocation for models/results/workspaces",
-        VmComponent::StorageManagement,
-    );
-    m.declare(
+    ),
+    (
+        StorageManagement,
         "data movement between data base and workspace",
-        VmComponent::StorageManagement,
-    );
-    m
-}
+    ),
+];
 
-fn numerical_analyst_model() -> VmModel {
-    let mut m = VmModel::new(Layer::NumericalAnalyst.name(), spec::navm_grammar());
-    m.declare(
+const NUMERICAL_ANALYST_CATALOG: &[(VmComponent, &str)] = &[
+    (
+        DataObjects,
         "windows on arrays (row/column/block descriptors)",
-        VmComponent::DataObjects,
-    );
-    for o in [
-        "tasks (programmer-defined parallel procedures)",
-        "window operations: create/access/assign",
-        "broadcast data to a set of tasks",
-        "linear algebra operations",
-    ] {
-        m.declare(o, VmComponent::Operations);
-    }
-    for c in [
-        "forall loops",
-        "pardo ... end",
+    ),
+    (Operations, "tasks (programmer-defined parallel procedures)"),
+    (Operations, "window operations: create/access/assign"),
+    (Operations, "broadcast data to a set of tasks"),
+    (Operations, "linear algebra operations"),
+    (SequenceControl, "forall loops"),
+    (SequenceControl, "pardo ... end"),
+    (
+        SequenceControl,
         "task control: initiate/pause/resume/terminate",
+    ),
+    (
+        SequenceControl,
         "remote procedure call (routed by window location)",
-    ] {
-        m.declare(c, VmComponent::SequenceControl);
-    }
-    for c in [
-        "all data owned by a single task",
-        "non-local access only via windows",
-        "windows transmissible/partitionable/storable",
-    ] {
-        m.declare(c, VmComponent::DataControl);
-    }
-    for s in [
+    ),
+    (DataControl, "all data owned by a single task"),
+    (DataControl, "non-local access only via windows"),
+    (DataControl, "windows transmissible/partitionable/storable"),
+    (
+        StorageManagement,
         "dynamic creation of data objects by a task",
-        "data lifetime = owner task lifetime",
-        "dynamic task replication",
-        "locals retained over pause/resume",
-    ] {
-        m.declare(s, VmComponent::StorageManagement);
-    }
-    m
-}
+    ),
+    (StorageManagement, "data lifetime = owner task lifetime"),
+    (StorageManagement, "dynamic task replication"),
+    (StorageManagement, "locals retained over pause/resume"),
+];
 
-fn system_programmer_model() -> VmModel {
-    let mut m = VmModel::new(Layer::SystemProgrammer.name(), spec::kernel_grammar());
-    for d in [
-        "code blocks/constants blocks",
-        "task/procedure activation records",
-        "window descriptors",
-        "storage representations",
-        "the seven kernel message types",
-    ] {
-        m.declare(d, VmComponent::DataObjects);
-    }
-    for o in [
-        "sequential operations",
-        "linear algebra library routines",
-        "format and send message",
-        "decode and execute message",
-    ] {
-        m.declare(o, VmComponent::Operations);
-    }
-    m.declare(
-        "sequential control structures",
-        VmComponent::SequenceControl,
-    );
-    m.declare("sequential language data control", VmComponent::DataControl);
-    m.declare(
-        "general heap with variable size blocks",
-        VmComponent::StorageManagement,
-    );
-    m
-}
+const SYSTEM_PROGRAMMER_CATALOG: &[(VmComponent, &str)] = &[
+    (DataObjects, "code blocks/constants blocks"),
+    (DataObjects, "task/procedure activation records"),
+    (DataObjects, "window descriptors"),
+    (DataObjects, "storage representations"),
+    (DataObjects, "the seven kernel message types"),
+    (Operations, "sequential operations"),
+    (Operations, "linear algebra library routines"),
+    (Operations, "format and send message"),
+    (Operations, "decode and execute message"),
+    (SequenceControl, "sequential control structures"),
+    (DataControl, "sequential language data control"),
+    (StorageManagement, "general heap with variable size blocks"),
+];
 
-fn hardware_model() -> VmModel {
-    let mut m = VmModel::new(Layer::Hardware.name(), spec::hw_grammar());
-    for d in [
-        "clusters of PEs around a shared memory",
-        "common communication network",
-        "cluster input queues",
-    ] {
-        m.declare(d, VmComponent::DataObjects);
-    }
-    for o in [
-        "kernel PE fields incoming messages",
-        "any available PE processes queued messages",
-        "fault isolation / reconfiguration",
-    ] {
-        m.declare(o, VmComponent::Operations);
-    }
-    m.declare("message-driven dispatch", VmComponent::SequenceControl);
-    m.declare(
-        "cluster-local shared memory access",
-        VmComponent::DataControl,
-    );
-    m.declare(
-        "per-cluster memory capacity",
-        VmComponent::StorageManagement,
-    );
-    m
-}
+const HARDWARE_CATALOG: &[(VmComponent, &str)] = &[
+    (DataObjects, "clusters of PEs around a shared memory"),
+    (DataObjects, "common communication network"),
+    (DataObjects, "cluster input queues"),
+    (Operations, "kernel PE fields incoming messages"),
+    (Operations, "any available PE processes queued messages"),
+    (Operations, "fault isolation / reconfiguration"),
+    (SequenceControl, "message-driven dispatch"),
+    (DataControl, "cluster-local shared memory access"),
+    (StorageManagement, "per-cluster memory capacity"),
+];
 
 #[cfg(test)]
 mod tests {
@@ -279,13 +273,14 @@ mod tests {
 
     #[test]
     fn stack_has_four_layers_in_order() {
-        let s = LayerStack::fem2();
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
-        for layer in Layer::ALL {
-            let m = s.model(layer);
-            assert_eq!(m.name(), layer.name());
-        }
+        // The design document walks the layers top to bottom.
+        let doc = design_document();
+        let at: Vec<usize> = Layer::ALL
+            .iter()
+            .map(|l| doc.find(&format!("{}\n=", l.name())).unwrap())
+            .collect();
+        assert_eq!(at.len(), 4);
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{at:?}");
     }
 
     #[test]
@@ -307,19 +302,58 @@ mod tests {
 
     #[test]
     fn every_layer_declares_all_five_components() {
-        let s = LayerStack::fem2();
         for layer in Layer::ALL {
-            let m = s.model(layer);
-            for c in fem2_hgraph::VmComponent::ALL {
-                assert!(!m.features(c).is_empty(), "{} missing {c}", layer.name());
+            for c in VmComponent::ALL {
+                assert!(
+                    !layer.features(c).is_empty(),
+                    "{} missing {c}",
+                    layer.name()
+                );
             }
         }
     }
 
     #[test]
+    fn catalog_by_component() {
+        // Names come back sorted, whatever the table's order.
+        assert_eq!(
+            Layer::Hardware.features(VmComponent::DataObjects),
+            [
+                "cluster input queues",
+                "clusters of PEs around a shared memory",
+                "common communication network",
+            ]
+        );
+        assert_eq!(
+            Layer::SystemProgrammer.features(VmComponent::SequenceControl),
+            ["sequential control structures"]
+        );
+        // Every catalog entry is listed under exactly one component.
+        for layer in Layer::ALL {
+            let mut all: Vec<&str> = VmComponent::ALL
+                .iter()
+                .flat_map(|&c| layer.features(c))
+                .collect();
+            let n = all.len();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(all.len(), n, "{} lists a feature twice", layer.name());
+        }
+    }
+
+    #[test]
+    fn component_display_strings() {
+        assert_eq!(VmComponent::DataObjects.to_string(), "data objects");
+        assert_eq!(
+            VmComponent::StorageManagement.to_string(),
+            "storage management"
+        );
+        assert_eq!(VmComponent::ALL.len(), 5);
+    }
+
+    #[test]
     fn paper_vocabulary_present() {
-        let s = LayerStack::fem2();
-        let doc = s.design_document();
+        let doc = design_document();
         for phrase in [
             "windows on arrays",
             "forall loops",

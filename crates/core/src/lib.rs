@@ -6,9 +6,9 @@
 //! design to measure storage, processing, and communication, and **iterate**
 //! until hardware and software fit. This crate is that method, executable:
 //!
-//! * [`layers`] — the four-layer stack ([`layers::Layer`]), each layer a
-//!   formally specified [`fem2_hgraph::VmModel`] with the paper's component
-//!   lists, and the implemented-on mapping between layers;
+//! * [`layers`] — the four-layer stack ([`layers::Layer`]), each layer
+//!   carrying its data-object grammar and the paper's component lists, the
+//!   implemented-on mapping between layers, and the design document;
 //! * [`spec`] — H-graph grammars for each layer's data objects plus
 //!   converters from *live* runtime state (a structural model, a window
 //!   descriptor, a machine configuration) into H-graphs, so conformance is
@@ -40,7 +40,7 @@ pub mod spec;
 pub mod verify;
 
 pub use design::{DesignCandidate, DesignSpace, DesignTrace};
-pub use layers::{Layer, LayerStack};
+pub use layers::Layer;
 pub use scenario::{plate_cg, PlateScenario, ScenarioReport};
 
 // The full stack, re-exported for downstream users (examples, benches).

@@ -10,8 +10,8 @@
 //! without simulating a cycle. A scenario that fails is rejected with
 //! diagnostics naming the tasks and clusters involved.
 
+use crate::layers::Layer;
 use crate::scenario::{PlateScenario, ASSEMBLY_PROFILE_PER_ELEMENT, STRESS_PROFILE_PER_ELEMENT};
-use crate::spec;
 use fem2_kernel::WorkProfile;
 use fem2_machine::{CostClass, MachineConfig, Topology};
 use fem2_verify::lower::{solve_script, SolveShape};
@@ -117,12 +117,18 @@ pub fn scenario_cost(s: &PlateScenario) -> CostReport {
 
 /// The four layer grammars, named, in layer order.
 pub fn layer_grammars() -> Vec<(&'static str, std::sync::Arc<fem2_hgraph::Grammar>)> {
-    vec![
-        ("application-user", spec::app_grammar()),
-        ("numerical-analyst", spec::navm_grammar()),
-        ("system-programmer", spec::kernel_grammar()),
-        ("hardware", spec::hw_grammar()),
-    ]
+    Layer::ALL
+        .iter()
+        .map(|&layer| {
+            let name = match layer {
+                Layer::ApplicationUser => "application-user",
+                Layer::NumericalAnalyst => "numerical-analyst",
+                Layer::SystemProgrammer => "system-programmer",
+                Layer::Hardware => "hardware",
+            };
+            (name, layer.grammar())
+        })
+        .collect()
 }
 
 /// Named scenarios mirroring each program under `examples/`: the workload
@@ -322,7 +328,16 @@ mod tests {
     #[test]
     fn layer_grammars_cover_all_four_layers() {
         let gs = layer_grammars();
-        assert_eq!(gs.len(), 4);
+        let names: Vec<&str> = gs.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "application-user",
+                "numerical-analyst",
+                "system-programmer",
+                "hardware"
+            ]
+        );
         for (name, g) in gs {
             assert!(g.rule_count() > 0, "{name} grammar is empty");
             assert!(g.start().is_some(), "{name} grammar has a start symbol");

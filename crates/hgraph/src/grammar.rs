@@ -255,8 +255,6 @@ impl Shape {
 pub enum GrammarError {
     /// A shape references a nonterminal with no production.
     UndefinedReference { in_rule: String, to: String },
-    /// A rule name was defined twice.
-    DuplicateRule(String),
     /// Conformance was requested against an unknown nonterminal.
     UnknownNonterminal(String),
     /// The value does not conform; the message localizes the failure.
@@ -272,7 +270,6 @@ impl fmt::Display for GrammarError {
                     "rule {in_rule:?} references undefined nonterminal {to:?}"
                 )
             }
-            GrammarError::DuplicateRule(r) => write!(f, "rule {r:?} defined twice"),
             GrammarError::UnknownNonterminal(nt) => write!(f, "unknown nonterminal {nt:?}"),
             GrammarError::Mismatch {
                 nonterminal,
@@ -301,7 +298,6 @@ pub struct GrammarBuilder {
     name: String,
     rules: BTreeMap<String, Vec<Shape>>,
     order: Vec<String>,
-    duplicate: Option<String>,
 }
 
 impl Grammar {
@@ -311,7 +307,6 @@ impl Grammar {
             name: name.into(),
             rules: BTreeMap::new(),
             order: Vec::new(),
-            duplicate: None,
         }
     }
 
@@ -357,16 +352,6 @@ impl Grammar {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Nonterminals referenced from alternative `alt` of `nt` (in spec
-    /// order, duplicates preserved). Empty when out of range or undefined.
-    pub fn referenced_by_alternative(&self, nt: &str, alt: usize) -> Vec<&str> {
-        self.rules
-            .get(nt)
-            .and_then(|shapes| shapes.get(alt))
-            .map(Shape::referenced)
-            .unwrap_or_default()
     }
 
     /// Nonterminals that alternative `alt` of `nt` *requires* for finite,
@@ -588,9 +573,6 @@ impl GrammarBuilder {
 
     /// Finish, validating that every referenced nonterminal is defined.
     pub fn build(self) -> Result<Grammar, GrammarError> {
-        if let Some(d) = self.duplicate {
-            return Err(GrammarError::DuplicateRule(d));
-        }
         for (name, shapes) in &self.rules {
             for shape in shapes {
                 for r in shape.referenced() {
@@ -982,9 +964,9 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g.alternative_count("Val"), 2);
-        assert!(g.referenced_by_alternative("Val", 0).is_empty());
-        assert_eq!(g.referenced_by_alternative("Val", 1), vec!["Sub"]);
-        assert!(g.referenced_by_alternative("Val", 2).is_empty());
+        assert!(g.alternative_requires("Val", 0).is_empty());
+        assert_eq!(g.alternative_requires("Val", 1), vec!["Sub"]);
+        assert!(g.alternative_requires("Val", 2).is_empty());
         assert_eq!(g.alternative_requires("Sub", 0), vec!["Leaf"]);
     }
 }

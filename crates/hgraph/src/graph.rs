@@ -150,10 +150,6 @@ impl GraphData {
     pub(crate) fn out_arcs(&self, from: NodeId) -> impl Iterator<Item = &Arc> {
         self.arcs.iter().filter(move |a| a.from == from)
     }
-
-    pub(crate) fn in_arcs(&self, to: NodeId) -> impl Iterator<Item = &Arc> {
-        self.arcs.iter().filter(move |a| a.to == to)
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +207,6 @@ mod tests {
         assert_eq!(g.out_arc(a, &Selector::name("x")).unwrap().to, b);
         assert!(g.out_arc(a, &Selector::name("z")).is_none());
         assert_eq!(g.out_arcs(a).count(), 2);
-        assert_eq!(g.in_arcs(c).count(), 2);
-        assert_eq!(g.in_arcs(a).count(), 0);
+        assert_eq!(g.out_arcs(c).count(), 0);
     }
 }

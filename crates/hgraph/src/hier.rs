@@ -26,13 +26,6 @@ pub enum Atom {
     Sym(String),
 }
 
-impl Atom {
-    /// True if this atom is [`Atom::Empty`].
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Atom::Empty)
-    }
-}
-
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -83,14 +76,6 @@ impl Value {
     /// A nested-graph value.
     pub fn graph(g: GraphId) -> Self {
         Value::Graph(g)
-    }
-
-    /// The contained atom, if any.
-    pub fn as_atom(&self) -> Option<&Atom> {
-        match self {
-            Value::Atom(a) => Some(a),
-            Value::Graph(_) => None,
-        }
     }
 
     /// The contained graph id, if any.
@@ -160,19 +145,9 @@ impl HGraph {
         Self::default()
     }
 
-    /// Number of graphs in the arena.
-    pub fn graph_count(&self) -> usize {
-        self.graphs.len()
-    }
-
     /// Number of nodes (storage locations) in the arena.
     pub fn node_count(&self) -> usize {
         self.values.len()
-    }
-
-    /// Total number of arcs across all graphs.
-    pub fn arc_count(&self) -> usize {
-        self.graphs.iter().map(|g| g.arcs.len()).sum()
     }
 
     /// Create a new, empty graph with a debugging label. The first graph
@@ -194,12 +169,6 @@ impl HGraph {
         self.root
     }
 
-    /// Redesignate the root graph.
-    pub fn set_root(&mut self, g: GraphId) {
-        assert!(g.index() < self.graphs.len(), "root must exist");
-        self.root = Some(g);
-    }
-
     /// The debugging label of a graph.
     pub fn label(&self, g: GraphId) -> &str {
         &self.graphs[g.index()].label
@@ -212,15 +181,6 @@ impl HGraph {
         self.values.push(value);
         self.graphs[g.index()].nodes.push(id);
         id
-    }
-
-    /// Add an existing node to another graph's member set (graphs may
-    /// share storage locations).
-    pub fn adopt_node(&mut self, g: GraphId, n: NodeId) {
-        let gd = &mut self.graphs[g.index()];
-        if !gd.nodes.contains(&n) {
-            gd.nodes.push(n);
-        }
     }
 
     /// The value currently held at storage location `n`.
@@ -292,16 +252,6 @@ impl HGraph {
         Ok(())
     }
 
-    /// Remove the arc labeled `selector` out of `from` in graph `g`, if
-    /// present. Returns whether an arc was removed.
-    pub fn remove_arc(&mut self, g: GraphId, from: NodeId, selector: &Selector) -> bool {
-        let gd = &mut self.graphs[g.index()];
-        let before = gd.arcs.len();
-        gd.arcs
-            .retain(|a| !(a.from == from && a.selector == *selector));
-        gd.arcs.len() != before
-    }
-
     /// Follow one access path: the node reached from `from` via `selector`
     /// in graph `g`.
     pub fn follow(&self, g: GraphId, from: NodeId, selector: &Selector) -> Result<NodeId> {
@@ -314,18 +264,6 @@ impl HGraph {
             })
     }
 
-    /// Follow a chain of access paths from the entry node of `g`.
-    pub fn follow_path<'a, I>(&self, g: GraphId, path: I) -> Result<NodeId>
-    where
-        I: IntoIterator<Item = &'a Selector>,
-    {
-        let mut cur = self.entry(g)?;
-        for sel in path {
-            cur = self.follow(g, cur, sel)?;
-        }
-        Ok(cur)
-    }
-
     /// The nested graph held at node `n`, or an error if `n` holds an atom.
     pub fn nested(&self, n: NodeId) -> Result<GraphId> {
         self.value(n)
@@ -336,11 +274,6 @@ impl HGraph {
     /// Outgoing arcs of `from` within `g`.
     pub fn out_arcs(&self, g: GraphId, from: NodeId) -> impl Iterator<Item = &Arc> {
         self.graphs[g.index()].out_arcs(from)
-    }
-
-    /// Incoming arcs of `to` within `g`.
-    pub fn in_arcs(&self, g: GraphId, to: NodeId) -> impl Iterator<Item = &Arc> {
-        self.graphs[g.index()].in_arcs(to)
     }
 
     /// All graphs reachable from `g` through nested-graph values, including
@@ -362,13 +295,6 @@ impl HGraph {
             }
         }
         order
-    }
-
-    /// Estimated storage occupied by the model, in abstract storage units
-    /// (one unit per node plus one per arc) — used by the design method's
-    /// storage-requirement estimates.
-    pub fn storage_units(&self) -> usize {
-        self.node_count() + self.arc_count()
     }
 
     /// Render graph `g` (not its nested graphs) as a multi-line string for
@@ -412,20 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn set_root_redesignates() {
-        let (mut h, g, _, _) = pair();
-        let g2 = h.new_graph("other");
-        assert_eq!(h.root(), Some(g));
-        h.set_root(g2);
-        assert_eq!(h.root(), Some(g2));
-    }
-
-    #[test]
     fn node_values_read_write() {
         let (mut h, _, a, _) = pair();
         assert_eq!(h.value(a), &Value::int(1));
         h.set_value(a, Value::sym("ready"));
-        assert_eq!(h.value(a).as_atom(), Some(&Atom::Sym("ready".into())));
+        assert_eq!(h.value(a), &Value::Atom(Atom::Sym("ready".into())));
     }
 
     #[test]
@@ -450,15 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn follow_and_follow_path() {
+    fn follow_walks_access_paths() {
         let (mut h, g, a, b) = pair();
         let c = h.add_node(g, Value::int(3));
         h.add_arc(g, a, Selector::name("x"), b).unwrap();
         h.add_arc(g, b, Selector::index(0), c).unwrap();
-        h.set_entry(g, a).unwrap();
         assert_eq!(h.follow(g, a, &Selector::name("x")).unwrap(), b);
-        let path = [Selector::name("x"), Selector::index(0)];
-        assert_eq!(h.follow_path(g, &path).unwrap(), c);
+        assert_eq!(h.follow(g, b, &Selector::index(0)).unwrap(), c);
         assert!(matches!(
             h.follow(g, a, &Selector::name("zz")),
             Err(HGraphError::NoSuchPath { .. })
@@ -466,21 +381,16 @@ mod tests {
     }
 
     #[test]
-    fn remove_arc_works() {
-        let (mut h, g, a, b) = pair();
-        h.add_arc(g, a, Selector::name("x"), b).unwrap();
-        assert!(h.remove_arc(g, a, &Selector::name("x")));
-        assert!(!h.remove_arc(g, a, &Selector::name("x")));
-        assert_eq!(h.arc_count(), 0);
-    }
-
-    #[test]
-    fn entry_required_for_follow_path() {
-        let (h, g, _, _) = pair();
+    fn entry_must_be_set_and_a_member() {
+        let (mut h, g, a, _) = pair();
+        assert!(matches!(h.entry(g), Err(HGraphError::NoEntry { .. })));
+        let g2 = h.new_graph("other");
         assert!(matches!(
-            h.follow_path(g, &[]),
-            Err(HGraphError::NoEntry { .. })
+            h.set_entry(g2, a),
+            Err(HGraphError::NodeNotInGraph { .. })
         ));
+        h.set_entry(g, a).unwrap();
+        assert_eq!(h.entry(g).unwrap(), a);
     }
 
     #[test]
@@ -516,27 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn adopt_node_shares_storage() {
-        let (mut h, g, a, _) = pair();
-        let g2 = h.new_graph("view");
-        h.adopt_node(g2, a);
-        h.adopt_node(g2, a); // idempotent
-        assert!(h.contains(g2, a));
-        assert_eq!(h.nodes(g2).len(), 1);
-        h.set_value(a, Value::int(99));
-        // Both graphs see the same storage location.
-        assert_eq!(h.value(h.nodes(g2)[0]), &Value::int(99));
-        assert_eq!(h.value(h.nodes(g)[0]), &Value::int(99));
-    }
-
-    #[test]
-    fn storage_units_counts_nodes_and_arcs() {
-        let (mut h, g, a, b) = pair();
-        h.add_arc(g, a, Selector::name("x"), b).unwrap();
-        assert_eq!(h.storage_units(), 3);
-    }
-
-    #[test]
     fn render_mentions_entry_and_arcs() {
         let (mut h, g, a, b) = pair();
         h.add_arc(g, a, Selector::name("x"), b).unwrap();
@@ -550,8 +439,7 @@ mod tests {
     fn counts() {
         let (mut h, g, a, b) = pair();
         h.add_arc(g, a, Selector::name("x"), b).unwrap();
-        assert_eq!(h.graph_count(), 1);
         assert_eq!(h.node_count(), 2);
-        assert_eq!(h.arc_count(), 1);
+        assert_eq!(h.arcs(g).len(), 1);
     }
 }

@@ -13,7 +13,7 @@
 //! > transforms,' which are functions defining transformations on the H-graph
 //! > models of data objects."
 //!
-//! The crate provides four pieces:
+//! The crate provides five pieces:
 //!
 //! * [`graph`] — directed graphs whose nodes are abstract storage locations
 //!   and whose arcs are selector-labeled access paths;
@@ -21,12 +21,12 @@
 //!   *value* may itself be a graph;
 //! * [`grammar`] — H-graph grammars: BNF-style productions whose language is
 //!   a set of H-graphs, with a membership (conformance) checker;
-//! * [`transform`] — H-graph transforms: named, pre/post-conditioned
-//!   functions on H-graphs, with a call-hierarchy trace;
-//! * [`model`] — virtual-machine models bundling a grammar and a transform
-//!   registry under the five VM components the paper enumerates (data
-//!   objects, operations, sequence control, data control, storage
-//!   management).
+//! * [`render`] — grammars as BNF text and H-graphs as Graphviz DOT;
+//! * [`transform`] — H-graph transforms: named functions on H-graphs whose
+//!   pre- and postconditions are checked on every application.
+//!
+//! Which layer of the FEM-2 design each grammar specifies, and the layer's
+//! catalog under the paper's five VM components, lives in `fem2-core`.
 //!
 //! # Quick example
 //!
@@ -55,7 +55,6 @@
 pub mod grammar;
 pub mod graph;
 pub mod hier;
-pub mod model;
 pub mod render;
 pub mod transform;
 
@@ -64,13 +63,11 @@ pub mod prelude {
     pub use crate::grammar::{AtomKind, Grammar, GrammarError, Multiplicity, Shape};
     pub use crate::graph::{Arc, GraphId, NodeId, Selector};
     pub use crate::hier::{Atom, HGraph, Value};
-    pub use crate::model::{VmComponent, VmModel};
-    pub use crate::transform::{Transform, TransformError, TransformRegistry};
+    pub use crate::transform::{Transform, TransformError};
 }
 
 pub use grammar::{AtomKind, Grammar, GrammarError, Multiplicity, Shape};
 pub use graph::{Arc, GraphId, NodeId, Selector};
 pub use hier::{Atom, HGraph, Value};
-pub use model::{VmComponent, VmModel};
 pub use render::to_dot;
-pub use transform::{Transform, TransformError, TransformRegistry};
+pub use transform::{Transform, TransformError};

@@ -4,22 +4,18 @@
 //! A [`Transform`] is a named function over an [`HGraph`], optionally guarded
 //! by pre- and postconditions phrased as grammar conformance of the root
 //! graph ("the operation maps data objects of type A to data objects of type
-//! B"). Transforms invoke each other through a [`CallCtx`] "in the usual
-//! manner of subprogram calling hierarchies", and every application records a
-//! call trace, which is how the formal model expresses overall flow of
-//! control.
+//! B"). Transforms invoke each other "in the usual manner of subprogram
+//! calling hierarchies": one transform's body calls another's
+//! [`Transform::apply`].
 
 use crate::grammar::{Grammar, GrammarError};
 use crate::hier::HGraph;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Errors raised while applying transforms.
 #[derive(Clone, Debug)]
 pub enum TransformError {
-    /// No transform with this name is registered.
-    Unknown(String),
     /// The input H-graph violated the transform's precondition.
     Precondition {
         transform: String,
@@ -32,14 +28,11 @@ pub enum TransformError {
     },
     /// The transform body signaled a domain error.
     Body { transform: String, message: String },
-    /// Call depth exceeded the registry's recursion limit.
-    DepthExceeded { transform: String, limit: usize },
 }
 
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransformError::Unknown(n) => write!(f, "unknown transform {n:?}"),
             TransformError::Precondition { transform, source } => {
                 write!(f, "precondition of {transform:?} failed: {source}")
             }
@@ -49,26 +42,20 @@ impl fmt::Display for TransformError {
             TransformError::Body { transform, message } => {
                 write!(f, "transform {transform:?} failed: {message}")
             }
-            TransformError::DepthExceeded { transform, limit } => {
-                write!(f, "call depth limit {limit} exceeded at {transform:?}")
-            }
         }
     }
 }
 
 impl std::error::Error for TransformError {}
 
-/// The function type of a transform body.
-pub type TransformFn =
-    Arc<dyn Fn(&mut HGraph, &mut CallCtx<'_>) -> Result<(), TransformError> + Send + Sync>;
+type Body = Box<dyn Fn(&mut HGraph) -> Result<(), TransformError> + Send + Sync>;
 
 /// A named H-graph transform with optional grammar-phrased pre/postconditions.
-#[derive(Clone)]
 pub struct Transform {
     name: String,
     pre: Option<(Arc<Grammar>, String)>,
     post: Option<(Arc<Grammar>, String)>,
-    body: TransformFn,
+    body: Body,
 }
 
 impl fmt::Debug for Transform {
@@ -85,16 +72,13 @@ impl Transform {
     /// A transform with the given name and body, no conditions.
     pub fn new(
         name: impl Into<String>,
-        body: impl Fn(&mut HGraph, &mut CallCtx<'_>) -> Result<(), TransformError>
-            + Send
-            + Sync
-            + 'static,
+        body: impl Fn(&mut HGraph) -> Result<(), TransformError> + Send + Sync + 'static,
     ) -> Self {
         Transform {
             name: name.into(),
             pre: None,
             post: None,
-            body: Arc::new(body),
+            body: Box::new(body),
         }
     }
 
@@ -114,170 +98,34 @@ impl Transform {
     pub fn name(&self) -> &str {
         &self.name
     }
-}
 
-/// One entry in a call trace: a transform applied at some call depth.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TraceEntry {
-    /// Transform name.
-    pub name: String,
-    /// Nesting depth (0 = outermost application).
-    pub depth: usize,
-}
-
-/// Calling context passed to transform bodies: lets a body invoke other
-/// transforms and accumulates the call trace.
-pub struct CallCtx<'a> {
-    registry: &'a TransformRegistry,
-    trace: Vec<TraceEntry>,
-    depth: usize,
-}
-
-impl<'a> CallCtx<'a> {
-    /// Invoke the named transform on `h` as a sub-call of the current one.
-    pub fn call(&mut self, name: &str, h: &mut HGraph) -> Result<(), TransformError> {
-        if self.depth >= self.registry.depth_limit {
-            return Err(TransformError::DepthExceeded {
-                transform: name.to_string(),
-                limit: self.registry.depth_limit,
-            });
+    /// Apply the transform to `h`: check the precondition, run the body,
+    /// check the postcondition.
+    pub fn apply(&self, h: &mut HGraph) -> Result<(), TransformError> {
+        if let Some((grammar, nt)) = &self.pre {
+            root_conforms(h, grammar, nt).map_err(|source| TransformError::Precondition {
+                transform: self.name.clone(),
+                source,
+            })?;
         }
-        let t = self.registry.get(name)?;
-        self.trace.push(TraceEntry {
-            name: t.name.clone(),
-            depth: self.depth,
-        });
-        self.depth += 1;
-        let result = self.registry.run_checked(&t, h, self);
-        self.depth -= 1;
-        result
-    }
-
-    /// Signal a domain error from within a transform body.
-    pub fn fail(&self, transform: &str, message: impl Into<String>) -> TransformError {
-        TransformError::Body {
-            transform: transform.to_string(),
-            message: message.into(),
-        }
-    }
-
-    /// Current call depth (outermost application is depth 1 inside a body).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-}
-
-/// Registry of transforms for one virtual-machine model.
-#[derive(Clone)]
-pub struct TransformRegistry {
-    map: BTreeMap<String, Arc<Transform>>,
-    /// Whether pre/postconditions are verified on each application.
-    pub checked: bool,
-    /// Maximum call depth before [`TransformError::DepthExceeded`].
-    pub depth_limit: usize,
-}
-
-impl Default for TransformRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for TransformRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TransformRegistry")
-            .field("transforms", &self.map.keys().collect::<Vec<_>>())
-            .field("checked", &self.checked)
-            .finish()
-    }
-}
-
-impl TransformRegistry {
-    /// An empty registry with condition checking on and a depth limit of 256.
-    pub fn new() -> Self {
-        TransformRegistry {
-            map: BTreeMap::new(),
-            checked: true,
-            depth_limit: 256,
-        }
-    }
-
-    /// Register a transform. Re-registering a name replaces the previous
-    /// definition (supporting design iteration).
-    pub fn register(&mut self, t: Transform) {
-        self.map.insert(t.name.clone(), Arc::new(t));
-    }
-
-    /// Number of registered transforms.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no transforms are registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Names of registered transforms (sorted).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.map.keys().map(|s| s.as_str())
-    }
-
-    fn get(&self, name: &str) -> Result<Arc<Transform>, TransformError> {
-        self.map
-            .get(name)
-            .cloned()
-            .ok_or_else(|| TransformError::Unknown(name.to_string()))
-    }
-
-    /// Apply the named transform to `h`, returning the full call trace.
-    pub fn apply(&self, name: &str, h: &mut HGraph) -> Result<Vec<TraceEntry>, TransformError> {
-        let mut ctx = CallCtx {
-            registry: self,
-            trace: Vec::new(),
-            depth: 0,
-        };
-        ctx.call(name, h)?;
-        Ok(ctx.trace)
-    }
-
-    fn run_checked(
-        &self,
-        t: &Transform,
-        h: &mut HGraph,
-        ctx: &mut CallCtx<'_>,
-    ) -> Result<(), TransformError> {
-        if self.checked {
-            if let Some((grammar, nt)) = &t.pre {
-                let root = h.root().ok_or_else(|| TransformError::Body {
-                    transform: t.name.clone(),
-                    message: "precondition on empty H-graph".into(),
-                })?;
-                grammar.graph_conforms(h, root, nt).map_err(|source| {
-                    TransformError::Precondition {
-                        transform: t.name.clone(),
-                        source,
-                    }
-                })?;
-            }
-        }
-        (t.body)(h, ctx)?;
-        if self.checked {
-            if let Some((grammar, nt)) = &t.post {
-                let root = h.root().ok_or_else(|| TransformError::Body {
-                    transform: t.name.clone(),
-                    message: "postcondition on empty H-graph".into(),
-                })?;
-                grammar.graph_conforms(h, root, nt).map_err(|source| {
-                    TransformError::Postcondition {
-                        transform: t.name.clone(),
-                        source,
-                    }
-                })?;
-            }
+        (self.body)(h)?;
+        if let Some((grammar, nt)) = &self.post {
+            root_conforms(h, grammar, nt).map_err(|source| TransformError::Postcondition {
+                transform: self.name.clone(),
+                source,
+            })?;
         }
         Ok(())
     }
+}
+
+/// The root graph of `h` conforms to `nt`; an H-graph with no graph does not.
+fn root_conforms(h: &HGraph, grammar: &Grammar, nt: &str) -> Result<(), GrammarError> {
+    let root = h.root().ok_or_else(|| GrammarError::Mismatch {
+        nonterminal: nt.to_string(),
+        detail: "empty H-graph".into(),
+    })?;
+    grammar.graph_conforms(h, root, nt)
 }
 
 #[cfg(test)]
@@ -285,7 +133,7 @@ mod tests {
     use super::*;
     use crate::grammar::{AtomKind, Shape};
     use crate::graph::Selector;
-    use crate::hier::Value;
+    use crate::hier::{Atom, Value};
 
     fn counter_grammar() -> Arc<Grammar> {
         Arc::new(
@@ -305,196 +153,118 @@ mod tests {
         h
     }
 
+    fn counter_value(h: &HGraph) -> &Value {
+        let g = h.root().unwrap();
+        h.value(h.entry(g).unwrap())
+    }
+
     fn incr() -> Transform {
-        Transform::new("incr", |h, _ctx| {
+        Transform::new("incr", |h| {
             let g = h.root().unwrap();
             let n = h.entry(g).unwrap();
-            let v = match h.value(n) {
-                Value::Atom(crate::hier::Atom::Int(i)) => *i,
-                _ => {
-                    return Err(TransformError::Body {
-                        transform: "incr".into(),
-                        message: "not an int".into(),
-                    })
-                }
+            let &Value::Atom(Atom::Int(v)) = h.value(n) else {
+                return Err(TransformError::Body {
+                    transform: "incr".into(),
+                    message: "not an int".into(),
+                });
             };
             h.set_value(n, Value::int(v + 1));
             Ok(())
         })
     }
 
-    #[test]
-    fn apply_runs_body() {
-        let mut reg = TransformRegistry::new();
-        reg.register(incr());
-        let mut h = counter_hgraph(41);
-        let trace = reg.apply("incr", &mut h).unwrap();
-        let g = h.root().unwrap();
-        let n = h.entry(g).unwrap();
-        assert_eq!(h.value(n), &Value::int(42));
-        assert_eq!(
-            trace,
-            vec![TraceEntry {
-                name: "incr".into(),
-                depth: 0
-            }]
-        );
+    fn corrupt() -> Transform {
+        // Breaks the Counter invariant: writes a string.
+        Transform::new("corrupt", |h| {
+            let g = h.root().unwrap();
+            let n = h.entry(g).unwrap();
+            h.set_value(n, Value::str("broken"));
+            Ok(())
+        })
     }
 
     #[test]
-    fn unknown_transform_errors() {
-        let reg = TransformRegistry::new();
-        let mut h = counter_hgraph(0);
-        assert!(matches!(
-            reg.apply("nope", &mut h),
-            Err(TransformError::Unknown(_))
-        ));
+    fn apply_runs_body() {
+        let t = incr();
+        assert_eq!(t.name(), "incr");
+        let mut h = counter_hgraph(41);
+        t.apply(&mut h).unwrap();
+        assert_eq!(counter_value(&h), &Value::int(42));
     }
 
     #[test]
     fn preconditions_are_enforced() {
-        let gram = counter_grammar();
-        let mut reg = TransformRegistry::new();
-        reg.register(incr().with_pre(gram.clone(), "Counter"));
+        let t = incr().with_pre(counter_grammar(), "Counter");
         // Violate: entry holds a string.
         let mut h = HGraph::new();
         let g = h.new_graph("bad");
         let n = h.add_node(g, Value::str("no"));
         h.set_entry(g, n).unwrap();
         assert!(matches!(
-            reg.apply("incr", &mut h),
+            t.apply(&mut h),
             Err(TransformError::Precondition { .. })
         ));
     }
 
     #[test]
     fn postconditions_are_enforced() {
-        let gram = counter_grammar();
-        let mut reg = TransformRegistry::new();
-        // A transform that breaks the invariant: writes a string.
-        reg.register(
-            Transform::new("corrupt", |h, _| {
-                let g = h.root().unwrap();
-                let n = h.entry(g).unwrap();
-                h.set_value(n, Value::str("broken"));
-                Ok(())
-            })
-            .with_post(gram, "Counter"),
-        );
+        let t = corrupt().with_post(counter_grammar(), "Counter");
         let mut h = counter_hgraph(1);
         assert!(matches!(
-            reg.apply("corrupt", &mut h),
+            t.apply(&mut h),
             Err(TransformError::Postcondition { .. })
         ));
     }
 
     #[test]
-    fn unchecked_registry_skips_conditions() {
-        let gram = counter_grammar();
-        let mut reg = TransformRegistry::new();
-        reg.checked = false;
-        reg.register(
-            Transform::new("corrupt", |h, _| {
-                let g = h.root().unwrap();
-                let n = h.entry(g).unwrap();
-                h.set_value(n, Value::str("broken"));
-                Ok(())
-            })
-            .with_post(gram, "Counter"),
+    fn empty_hgraph_does_not_conform() {
+        let t = incr().with_pre(counter_grammar(), "Counter");
+        let err = t.apply(&mut HGraph::new()).unwrap_err();
+        assert!(matches!(err, TransformError::Precondition { .. }));
+        assert!(err.to_string().contains("empty H-graph"), "{err}");
+    }
+
+    #[test]
+    fn body_applies_another_transform() {
+        // A subprogram calling hierarchy: `twice` calls `incr` twice, and
+        // the callee's conditions are checked on each call.
+        let inner = incr()
+            .with_pre(counter_grammar(), "Counter")
+            .with_post(counter_grammar(), "Counter");
+        let twice = Transform::new("twice", move |h| {
+            inner.apply(h)?;
+            inner.apply(h)
+        });
+        let mut h = counter_hgraph(0);
+        twice.apply(&mut h).unwrap();
+        assert_eq!(counter_value(&h), &Value::int(2));
+        // The callee's failure surfaces from the caller, naming the callee.
+        let mut bad = counter_hgraph(0);
+        corrupt().apply(&mut bad).unwrap();
+        let err = twice.apply(&mut bad).unwrap_err();
+        assert!(
+            matches!(&err, TransformError::Precondition { transform, .. } if transform == "incr"),
+            "{err}"
         );
-        let mut h = counter_hgraph(1);
-        assert!(reg.apply("corrupt", &mut h).is_ok());
-    }
-
-    #[test]
-    fn call_hierarchy_traces_depth() {
-        let mut reg = TransformRegistry::new();
-        reg.register(incr());
-        reg.register(Transform::new("twice", |h, ctx| {
-            ctx.call("incr", h)?;
-            ctx.call("incr", h)
-        }));
-        let mut h = counter_hgraph(0);
-        let trace = reg.apply("twice", &mut h).unwrap();
-        let g = h.root().unwrap();
-        let n = h.entry(g).unwrap();
-        assert_eq!(h.value(n), &Value::int(2));
-        assert_eq!(
-            trace,
-            vec![
-                TraceEntry {
-                    name: "twice".into(),
-                    depth: 0
-                },
-                TraceEntry {
-                    name: "incr".into(),
-                    depth: 1
-                },
-                TraceEntry {
-                    name: "incr".into(),
-                    depth: 1
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn runaway_recursion_hits_depth_limit() {
-        let mut reg = TransformRegistry::new();
-        reg.depth_limit = 16;
-        reg.register(Transform::new("loop", |h, ctx| ctx.call("loop", h)));
-        let mut h = counter_hgraph(0);
-        assert!(matches!(
-            reg.apply("loop", &mut h),
-            Err(TransformError::DepthExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn reregistering_replaces_definition() {
-        let mut reg = TransformRegistry::new();
-        reg.register(incr());
-        reg.register(Transform::new("incr", |h, _| {
-            let g = h.root().unwrap();
-            let n = h.entry(g).unwrap();
-            h.set_value(n, Value::int(1000));
-            Ok(())
-        }));
-        assert_eq!(reg.len(), 1);
-        let mut h = counter_hgraph(0);
-        reg.apply("incr", &mut h).unwrap();
-        let g = h.root().unwrap();
-        let n = h.entry(g).unwrap();
-        assert_eq!(h.value(n), &Value::int(1000));
     }
 
     #[test]
     fn body_failure_propagates() {
-        let mut reg = TransformRegistry::new();
-        reg.register(Transform::new("fails", |_, ctx| {
-            Err(ctx.fail("fails", "nope"))
-        }));
+        let t = Transform::new("fails", |_| {
+            Err(TransformError::Body {
+                transform: "fails".into(),
+                message: "nope".into(),
+            })
+        });
         let mut h = counter_hgraph(0);
-        let err = reg.apply("fails", &mut h).unwrap_err();
+        let err = t.apply(&mut h).unwrap_err();
         assert!(err.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn registry_introspection() {
-        let mut reg = TransformRegistry::new();
-        assert!(reg.is_empty());
-        reg.register(incr());
-        assert_eq!(reg.names().collect::<Vec<_>>(), vec!["incr"]);
-        assert!(!reg.is_empty());
-        // Transform name survives builder chaining.
-        assert_eq!(incr().with_pre(counter_grammar(), "Counter").name(), "incr");
     }
 
     #[test]
     fn add_and_remove_structure_in_transform() {
         // Transforms may restructure the graph, not just rewrite atoms.
-        let mut reg = TransformRegistry::new();
-        reg.register(Transform::new("push", |h, _| {
+        let push = Transform::new("push", |h| {
             let g = h.root().unwrap();
             let entry = h.entry(g).unwrap();
             let n = h.add_node(g, Value::int(0));
@@ -502,10 +272,10 @@ mod tests {
             h.add_arc(g, n, Selector::name("next"), entry).unwrap();
             h.set_entry(g, n).unwrap();
             Ok(())
-        }));
+        });
         let mut h = counter_hgraph(7);
-        reg.apply("push", &mut h).unwrap();
-        reg.apply("push", &mut h).unwrap();
+        push.apply(&mut h).unwrap();
+        push.apply(&mut h).unwrap();
         let g = h.root().unwrap();
         assert_eq!(h.nodes(g).len(), 3);
         let e = h.entry(g).unwrap();

@@ -744,13 +744,6 @@ impl PlateJob {
         }
         (budget, auto)
     }
-
-    /// Whether any budget limit is armed.
-    pub fn has_budget(&self) -> bool {
-        self.budget_cycles.is_some()
-            || self.budget_events.is_some()
-            || self.budget_wall_ms.is_some()
-    }
 }
 
 #[cfg(test)]

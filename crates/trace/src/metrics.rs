@@ -4,7 +4,7 @@
 //! the ring buffer's retention, so per-phase aggregates stay exact even
 //! when the ring wraps.
 
-use crate::event::{EventKind, TaskStage, TraceEvent, WindowStage};
+use crate::event::{EventKind, TaskStage, TraceEvent};
 
 /// Number of log2 buckets: values up to 2^47 − 1 resolve exactly, larger
 /// ones land in the last bucket.
@@ -224,11 +224,6 @@ impl PhaseMetrics {
             || self.stale_tasks != 0
     }
 
-    /// Total words across the four window stages.
-    pub fn window_total(&self) -> u64 {
-        self.window_words.iter().sum()
-    }
-
     /// Trace-based DES throughput for this phase: dispatches per million
     /// simulated cycles over the phase's dispatch span. 0 when the phase
     /// saw fewer than two dispatches (no span to divide by).
@@ -277,23 +272,12 @@ impl Metrics {
             .max()
             .unwrap_or(0)
     }
-
-    /// Used by [`WindowStage`] display code: the four stage names in index
-    /// order.
-    pub fn stage_names() -> [&'static str; 4] {
-        [
-            WindowStage::Request.name(),
-            WindowStage::Gather.name(),
-            WindowStage::Transit.name(),
-            WindowStage::Scatter.name(),
-        ]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CostKind;
+    use crate::event::{CostKind, WindowStage};
 
     #[test]
     fn histogram_buckets_are_log2() {

@@ -12,12 +12,12 @@
 // Demo binary: unwrap on infallible demo setup keeps the walkthrough readable.
 #![allow(clippy::unwrap_used)]
 
-use fem2_core::{DesignSpace, LayerStack};
+use fem2_core::layers::design_document;
+use fem2_core::DesignSpace;
 
 fn main() {
     // ---- The formal design: four layers of virtual machine --------------
-    let stack = LayerStack::fem2();
-    println!("{}", stack.design_document());
+    println!("{}", design_document());
 
     // ---- The iteration loop ---------------------------------------------
     let space = DesignSpace::standard_sweep();

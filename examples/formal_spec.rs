@@ -15,15 +15,14 @@
 use fem2_core::hgraph::prelude::*;
 use fem2_core::hgraph::{to_dot, Transform};
 use fem2_core::spec;
-use fem2_core::{Layer, LayerStack};
+use fem2_core::Layer;
 use fem2_fem::cantilever_plate;
 
 fn main() {
     // ---- 1. Every layer's grammar, as BNF ------------------------------
-    let stack = LayerStack::fem2();
     for layer in Layer::ALL {
         println!("== {} ==", layer.name());
-        println!("{}", stack.model(layer).grammar().to_bnf());
+        println!("{}", layer.grammar().to_bnf());
     }
 
     // ---- 2. A live model as an H-graph ----------------------------------
@@ -39,7 +38,7 @@ fn main() {
     println!();
 
     // ---- 3. Conformance, and corruption detection -----------------------
-    let grammar = stack.model(Layer::ApplicationUser).grammar();
+    let grammar = Layer::ApplicationUser.grammar();
     match grammar.graph_conforms(&h, g, "Model") {
         Ok(()) => println!("conformance: the live model parses as Model — OK"),
         Err(e) => println!("conformance: UNEXPECTED failure: {e}"),
@@ -56,29 +55,25 @@ fn main() {
 
     // ---- 4. An operation as an H-graph transform ------------------------
     // "add a load set" modeled formally: pre Model, post Model.
-    let mut registry = TransformRegistry::new();
-    let gram = grammar.clone();
-    registry.register(
-        Transform::new("add_load_set", |h, _ctx| {
-            let g = h.root().unwrap();
-            let entry = h.entry(g).unwrap();
-            let hub = h.follow(g, entry, &Selector::name("loads")).unwrap();
-            let next_index = h.out_arcs(g, hub).count() as u64;
-            let ls = h.add_node(g, Value::str("gust"));
-            let count = h.add_node(g, Value::int(0));
-            h.add_arc(g, ls, Selector::name("count"), count).unwrap();
-            h.add_arc(g, hub, Selector::index(next_index), ls).unwrap();
-            Ok(())
-        })
-        .with_pre(gram.clone(), "Model")
-        .with_post(gram, "Model"),
-    );
+    let add_load_set = Transform::new("add_load_set", |h| {
+        let g = h.root().unwrap();
+        let entry = h.entry(g).unwrap();
+        let hub = h.follow(g, entry, &Selector::name("loads")).unwrap();
+        let next_index = h.out_arcs(g, hub).count() as u64;
+        let ls = h.add_node(g, Value::str("gust"));
+        let count = h.add_node(g, Value::int(0));
+        h.add_arc(g, ls, Selector::name("count"), count).unwrap();
+        h.add_arc(g, hub, Selector::index(next_index), ls).unwrap();
+        Ok(())
+    })
+    .with_pre(grammar.clone(), "Model")
+    .with_post(grammar, "Model");
     let mut state = h.clone();
-    match registry.apply("add_load_set", &mut state) {
-        Ok(trace) => {
+    match add_load_set.apply(&mut state) {
+        Ok(()) => {
             println!(
-                "transform add_load_set applied; call trace: {:?}",
-                trace.iter().map(|t| t.name.as_str()).collect::<Vec<_>>()
+                "transform {} applied under pre/post Model",
+                add_load_set.name()
             );
             let hub = state
                 .follow(g, state.entry(g).unwrap(), &Selector::name("loads"))

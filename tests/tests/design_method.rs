@@ -5,7 +5,7 @@
 
 use fem2_core::machine::MachineConfig;
 use fem2_core::scenario::PlateScenario;
-use fem2_core::{DesignSpace, Layer, LayerStack};
+use fem2_core::{DesignSpace, Layer};
 
 fn quick_space() -> DesignSpace {
     let mut space = DesignSpace::standard_sweep();
@@ -18,11 +18,10 @@ fn quick_space() -> DesignSpace {
 #[test]
 fn the_method_reaches_the_papers_conclusion() {
     // 1. The formal design exists and is complete.
-    let stack = LayerStack::fem2();
-    assert_eq!(stack.len(), 4);
+    assert_eq!(Layer::ALL.len(), 4);
     for layer in Layer::ALL {
         // Every layer's grammar renders as BNF with at least one production.
-        let bnf = stack.model(layer).grammar().to_bnf();
+        let bnf = layer.grammar().to_bnf();
         assert!(bnf.contains("::="), "{}", layer.name());
     }
 

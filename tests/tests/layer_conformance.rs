@@ -1,19 +1,18 @@
 //! The formal-specification pillar: live runtime state at every layer
 //! parses under that layer's H-graph grammar.
 
+use fem2_core::layers::design_document;
 use fem2_core::spec;
-use fem2_core::{Layer, LayerStack};
+use fem2_core::Layer;
 use fem2_fem::cantilever_plate;
 use fem2_kernel::{CodeBlock, KernelSim, TaskId, WindowDescriptor, WorkProfile};
 use fem2_machine::{Machine, MachineConfig, Topology};
 
 #[test]
 fn application_layer_state_conforms() {
-    let stack = LayerStack::fem2();
     let model = cantilever_plate(6, 4, -1e4);
     let h = spec::model_to_hgraph(&model);
-    stack
-        .model(Layer::ApplicationUser)
+    Layer::ApplicationUser
         .grammar()
         .graph_conforms(&h, h.root().unwrap(), "Model")
         .unwrap();
@@ -21,11 +20,9 @@ fn application_layer_state_conforms() {
 
 #[test]
 fn numerical_analyst_layer_state_conforms() {
-    let stack = LayerStack::fem2();
     let w = WindowDescriptor::row(2, 7, 0, 64, TaskId(3), 1);
     let h = spec::window_to_hgraph(&w);
-    stack
-        .model(Layer::NumericalAnalyst)
+    Layer::NumericalAnalyst
         .grammar()
         .graph_conforms(&h, h.root().unwrap(), "Window")
         .unwrap();
@@ -33,7 +30,6 @@ fn numerical_analyst_layer_state_conforms() {
 
 #[test]
 fn system_programmer_layer_state_conforms_mid_run() {
-    let stack = LayerStack::fem2();
     let machine = Machine::new(MachineConfig::clustered(2, 4, Topology::Crossbar));
     let mut k = KernelSim::new(machine);
     let code = k.register_code(CodeBlock::new("w", 32, WorkProfile::flops(1000), 8));
@@ -41,8 +37,7 @@ fn system_programmer_layer_state_conforms_mid_run() {
     k.initiate(0, 1, code, 6, Some(TaskId(0)), 0);
     k.run();
     let h = spec::kernel_tasks_to_hgraph(&k);
-    stack
-        .model(Layer::SystemProgrammer)
+    Layer::SystemProgrammer
         .grammar()
         .graph_conforms(&h, h.root().unwrap(), "Tasks")
         .unwrap();
@@ -50,15 +45,13 @@ fn system_programmer_layer_state_conforms_mid_run() {
 
 #[test]
 fn hardware_layer_state_conforms_for_all_presets() {
-    let stack = LayerStack::fem2();
     for cfg in [
         MachineConfig::fem2_default(),
         MachineConfig::fem1_style(16),
         MachineConfig::clustered(6, 3, Topology::Mesh2D { width: 3 }),
     ] {
         let h = spec::machine_to_hgraph(&cfg);
-        stack
-            .model(Layer::Hardware)
+        Layer::Hardware
             .grammar()
             .graph_conforms(&h, h.root().unwrap(), "Machine")
             .unwrap();
@@ -67,7 +60,6 @@ fn hardware_layer_state_conforms_for_all_presets() {
 
 #[test]
 fn layer_models_catalog_the_whole_design() {
-    let stack = LayerStack::fem2();
     // Each layer is implemented on the next one down, ending at hardware.
     let mut layer = Layer::ApplicationUser;
     let mut chain = vec![layer];
@@ -78,7 +70,7 @@ fn layer_models_catalog_the_whole_design() {
     assert_eq!(chain.len(), 4);
     assert_eq!(chain.last(), Some(&Layer::Hardware));
     // The design document names all four crates.
-    let doc = stack.design_document();
+    let doc = design_document();
     for l in Layer::ALL {
         assert!(doc.contains(l.crate_name()), "missing {}", l.crate_name());
     }
@@ -89,10 +81,9 @@ fn design_document_matches_committed_golden_file() {
     // The design document followed by every layer's grammar as BNF, byte
     // for byte: the catalog and the grammars are the formal design.
     let golden = include_str!("../golden/design_document.txt");
-    let stack = LayerStack::fem2();
-    let mut rendered = stack.design_document();
+    let mut rendered = design_document();
     for layer in Layer::ALL {
-        rendered.push_str(&stack.model(layer).grammar().to_bnf());
+        rendered.push_str(&layer.grammar().to_bnf());
     }
     assert_eq!(
         rendered, golden,
