@@ -20,16 +20,16 @@ use std::fmt::Write as _;
 
 /// A deterministic pseudo-random stream (xorshift), so "irregular" traffic
 /// patterns are reproducible without pulling `rand` into the tables.
-pub struct XorShift(u64);
+struct XorShift(u64);
 
 impl XorShift {
     /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         XorShift(seed.max(1))
     }
 
     /// Next value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
@@ -39,7 +39,7 @@ impl XorShift {
     }
 
     /// Uniform in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
+    fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
 }
@@ -663,8 +663,8 @@ pub fn e9_solvers(sizes: &[usize]) -> String {
     out
 }
 
-/// The 5-point Laplacian test matrix (shared with the solver unit tests).
-pub fn solver_testmat(nx: usize) -> fem2_core::fem::Csr {
+/// The 5-point Laplacian on an `nx` × `nx` grid: E9's test system.
+fn solver_testmat(nx: usize) -> fem2_core::fem::Csr {
     let n = nx * nx;
     let mut coo = fem2_core::fem::Coo::new(n);
     for j in 0..nx {
@@ -968,13 +968,6 @@ pub fn a6_weak_scaling() -> (String, Vec<WeakScalingRow>, ScenarioReport) {
         plate.elapsed, plate.engine_events, plate.alloc_link_records, plate.alloc_cluster_records
     );
     (out, rows, plate)
-}
-
-/// A quick NA-VM simulated CG probe shared by a couple of benches.
-pub fn quick_sim_cg(n: usize, tasks: u32) -> u64 {
-    let mut vm = NaVm::simulated(MachineConfig::fem2_default(), tasks);
-    let _ = plate_cg(&mut vm, n, n, 1e-6, 2000);
-    vm.elapsed()
 }
 
 #[cfg(test)]

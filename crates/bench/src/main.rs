@@ -19,8 +19,8 @@
 #![forbid(unsafe_code)]
 
 use fem2_bench::experiments as ex;
+use fem2_core::machine::MachineConfig;
 use fem2_core::scenario::PlateScenario;
-use fem2_machine::MachineConfig;
 use fem2_trace::{chrome, TraceHandle};
 
 /// An experiment id and the function that renders its table.
@@ -114,7 +114,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    println!("FEM-2 experiment report (deterministic simulated plane + host wall times)\n");
+    println!("FEM-2 experiment report (deterministic simulated plane)\n");
 
     for (id, table) in TABLES {
         if ids.is_empty() || ids.iter().any(|a| a == id) {

@@ -43,7 +43,8 @@ pub use design::{DesignCandidate, DesignSpace, DesignTrace};
 pub use layers::Layer;
 pub use scenario::{plate_cg, PlateScenario, ScenarioReport};
 
-// The full stack, re-exported for downstream users (examples, benches).
+// The full stack, re-exported for downstream users (the examples and
+// `fem2-report`).
 pub use fem2_appvm as appvm;
 pub use fem2_fem as fem;
 pub use fem2_hgraph as hgraph;

@@ -341,10 +341,6 @@ pub struct KernelSim {
 }
 
 impl KernelSim {
-    /// Bytes of one kernel DES event as the queue stores it (the calendar
-    /// queue moves whole entries when it inserts into a bucket).
-    pub const EVENT_BYTES: usize = std::mem::size_of::<KEvent>();
-
     /// A kernel over `machine` with default policy.
     pub fn new(machine: Machine) -> Self {
         let clusters = (0..machine.config.clusters)

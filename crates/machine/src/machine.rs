@@ -88,9 +88,9 @@ pub struct Machine {
     /// Number of fault-isolation reconfigurations performed.
     pub reconfigurations: u64,
     /// Monotone count of machine-level events: every successful charge and
-    /// every remote transfer. The engine-throughput counter benches report
-    /// as events/sec for plate scenarios (kernel scenarios additionally
-    /// count DES dispatches).
+    /// every remote transfer. The engine-throughput counter `benchmark/`
+    /// reports as `machine.events` (kernel scenarios additionally count DES
+    /// dispatches).
     pub events: u64,
     /// Event tracing. Disabled by default: instrumentation is observation
     /// only and costs a single branch when off.

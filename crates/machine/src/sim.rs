@@ -643,6 +643,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn steady_churn_on_deep_queues_matches_heap_oracle() {
+        // The DES inner loop at steady state: hold `depth` events pending,
+        // pop the earliest and reschedule it a short LCG-drawn delay later,
+        // up to the ~8 900 pending events `kernel_storm` peaks at.
+        for depth in [64u64, 4096, 8192] {
+            let mut cal = EventQueue::with_backend(DesQueue::Calendar);
+            let mut heap = EventQueue::with_backend(DesQueue::Heap);
+            for i in 0..depth {
+                cal.schedule(i, i);
+                heap.schedule(i, i);
+            }
+            let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+            for round in 0..10_000 {
+                let popped = cal.pop();
+                assert_eq!(popped, heap.pop(), "depth {depth}, round {round}");
+                let (at, ev) = popped.expect("queue is kept non-empty");
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let next = at + 1 + (lcg >> 58);
+                cal.schedule(next, ev);
+                heap.schedule(next, ev);
+                assert_eq!(cal.now(), heap.now(), "depth {depth}, round {round}");
+                assert_eq!(cal.len(), heap.len(), "depth {depth}, round {round}");
+            }
+        }
+    }
+
     /// One scripted interleaving of schedules and pops, mirrored on both
     /// backends. `ops` drives the script; the pop streams must agree.
     fn oracle_run(ops: &[(u8, u64)]) {

@@ -619,23 +619,13 @@ impl JobSpec {
         }
     }
 
-    /// Execute under the job's run budget: a plate simulation that exceeds
-    /// its budget winds down and returns the structured [`RunAborted`]
-    /// instead of running away. Script jobs never simulate, so they are
-    /// unaffected by budgets and always complete.
-    pub fn execute_budgeted(&self) -> Result<JobOutcome, RunAborted> {
-        match self {
-            JobSpec::Plate(p) => Ok(JobOutcome {
-                value: plate_outcome(&p.scenario().run_budgeted()?),
-            }),
-            JobSpec::Script(_) => Ok(self.script_outcome()),
-        }
-    }
-
     /// Execute under an explicit budget (the supervisor's *effective*
     /// budget — see [`PlateJob::effective_budget`]) instead of the one
-    /// parsed from the submission. The budget is an execution harness, not
-    /// job identity: it never feeds the content hash.
+    /// parsed from the submission: a plate simulation that exceeds it winds
+    /// down and returns the structured [`RunAborted`] instead of running
+    /// away. Script jobs never simulate, so they always complete. The
+    /// budget is an execution harness, not job identity: it never feeds the
+    /// content hash.
     pub fn execute_with_budget(&self, budget: RunBudget) -> Result<JobOutcome, RunAborted> {
         match self {
             JobSpec::Plate(p) => {
@@ -962,15 +952,22 @@ mod tests {
 
     #[test]
     fn budgeted_execute_aborts_runaway_plates() {
+        // Each spec runs under the budget it was submitted with.
+        let run = |spec: &JobSpec| {
+            let JobSpec::Plate(p) = spec else {
+                unreachable!("a plate submission")
+            };
+            spec.execute_with_budget(p.budget())
+        };
         let spec =
             JobSpec::parse(r#"{"nx":24,"ny":24,"budget":{"max_sim_cycles":10000}}"#).unwrap();
-        let first = spec.execute_budgeted().expect_err("budget must fire");
-        let second = spec.execute_budgeted().expect_err("budget must fire");
+        let first = run(&spec).expect_err("budget must fire");
+        let second = run(&spec).expect_err("budget must fire");
         assert_eq!(first, second, "aborts repeat identically");
         assert_eq!(first.cause, fem2_machine::AbortCause::CyclesExceeded);
         // The same spec without supervision still completes.
         let unbudgeted = JobSpec::parse(r#"{"nx":24,"ny":24}"#).unwrap();
-        assert!(unbudgeted.execute_budgeted().is_ok());
+        assert!(run(&unbudgeted).is_ok());
     }
 
     #[test]
