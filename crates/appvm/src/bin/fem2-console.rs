@@ -13,8 +13,6 @@
 //! script on stdin for batch use. Errors never end the session (a console
 //! survives typos).
 
-#![forbid(unsafe_code)]
-
 use fem2_appvm::{Database, Session, SessionError};
 use std::io::{BufRead, IsTerminal, Write};
 

@@ -36,8 +36,6 @@
 //! assert!(out.contains("converged"));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod command;
 pub mod database;
 pub mod display;

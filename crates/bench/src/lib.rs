@@ -6,6 +6,4 @@
 //! simulated quantity, so two runs print the same bytes; host time is
 //! measured by `benchmark/` alone.
 
-#![forbid(unsafe_code)]
-
 pub mod experiments;

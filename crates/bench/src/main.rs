@@ -16,8 +16,6 @@
 //! the machine-readable catalog (the same diagnostic representation the
 //! `fem2-serve` HTTP rejection bodies use).
 
-#![forbid(unsafe_code)]
-
 use fem2_bench::experiments as ex;
 use fem2_core::machine::MachineConfig;
 use fem2_core::scenario::PlateScenario;

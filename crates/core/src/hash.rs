@@ -77,6 +77,10 @@ pub fn hash_hex(h: u64) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "tests hash a HashMap's sorted entries to prove order-independence of content_hash"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

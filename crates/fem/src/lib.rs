@@ -35,8 +35,6 @@
 //! * [`solver::ebe`] — element-by-element CG: matrix-free, assembling
 //!   nothing, the variant suited to small-memory PEs.
 
-#![forbid(unsafe_code)]
-
 pub mod assembly;
 pub mod bc;
 pub mod dense;

@@ -50,8 +50,6 @@
 //! assert!(gram.graph_conforms(&h, g, "LoadSet").is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod grammar;
 pub mod graph;
 pub mod hier;

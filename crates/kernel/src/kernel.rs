@@ -16,7 +16,7 @@
 //! * a PE failure re-queues the task that was running on it; the work
 //!   already charged to the dead PE is lost, and the task re-runs in full;
 //! * code blocks are auto-loaded on first use when
-//!   [`KernelConfig::auto_load_code`] is set (the default), otherwise an
+//!   [`KernelSim::auto_load_code`] is set (the default), otherwise an
 //!   explicit [`KernelMessage::LoadCode`] is required and initiating an
 //!   unloaded block drops the request.
 //!
@@ -33,7 +33,7 @@
 //! Acknowledgements are checked the same way on their way back. The timeout
 //! fires, and the sender retransmits (over the current —
 //! possibly rerouted — path) with exponential backoff, up to
-//! [`KernelConfig::max_retransmits`] attempts. Receivers deduplicate by
+//! [`KernelSim::MAX_RETRANSMITS`] attempts. Receivers deduplicate by
 //! sequence number, so a retried delivery is acknowledged but not
 //! re-processed. A message that exhausts its budget is dead-lettered: the
 //! drop is counted, traced, and — for a `RemoteCall` — the calling task is
@@ -49,38 +49,6 @@ use fem2_machine::{CostClass, Cycles, EventQueue, Flight, Machine, PeId, Words};
 use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
-
-/// Policy knobs for the kernel.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelConfig {
-    /// Auto-load code blocks on first initiate/call at a cluster.
-    pub auto_load_code: bool,
-    /// Payload of pause/terminate notifications and RPC results, in words.
-    pub notify_words: Words,
-    /// Cycles the cluster spends reconfiguring after a PE fault before its
-    /// re-queued work is redispatched.
-    pub reconfig_cycles: Cycles,
-    /// Retransmission attempts before a remote message is dead-lettered.
-    pub max_retransmits: u32,
-    /// Wire size of a reliable-delivery acknowledgement, in words.
-    pub ack_words: Words,
-    /// Slack added to the round-trip estimate when arming a retransmission
-    /// timeout (absorbs queueing the estimate cannot see).
-    pub rto_slack: Cycles,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            auto_load_code: true,
-            notify_words: 2,
-            reconfig_cycles: 500,
-            max_retransmits: 4,
-            ack_words: 2,
-            rto_slack: 500,
-        }
-    }
-}
 
 /// Requests dropped, by cause.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -305,8 +273,10 @@ pub struct KernelSim {
     /// The simulated hardware (public for inspection; mutate through the
     /// kernel API).
     pub machine: Machine,
-    /// Kernel policy.
-    pub config: KernelConfig,
+    /// Auto-load code blocks on first initiate/call at a cluster (the
+    /// default); when cleared, initiating an unloaded block drops the
+    /// request.
+    pub auto_load_code: bool,
     queue: EventQueue<KEvent>,
     clusters: Vec<ClusterState>,
     code: CodeStore,
@@ -341,7 +311,20 @@ pub struct KernelSim {
 }
 
 impl KernelSim {
-    /// A kernel over `machine` with default policy.
+    /// Retransmission attempts before a remote message is dead-lettered.
+    pub const MAX_RETRANSMITS: u32 = 4;
+    /// Payload of pause/terminate notifications and RPC results, in words.
+    const NOTIFY_WORDS: Words = 2;
+    /// Cycles the cluster spends reconfiguring after a PE fault before its
+    /// re-queued work is redispatched.
+    const RECONFIG_CYCLES: Cycles = 500;
+    /// Wire size of a reliable-delivery acknowledgement, in words.
+    const ACK_WORDS: Words = 2;
+    /// Slack added to the round-trip estimate when arming a retransmission
+    /// timeout (absorbs queueing the estimate cannot see).
+    const RTO_SLACK: Cycles = 500;
+
+    /// A kernel over `machine` with code auto-loading on.
     pub fn new(machine: Machine) -> Self {
         let clusters = (0..machine.config.clusters)
             .map(|_| ClusterState::default())
@@ -350,7 +333,7 @@ impl KernelSim {
         let running = RunningTable::new(machine.config.clusters, machine.config.pes_per_cluster);
         KernelSim {
             machine,
-            config: KernelConfig::default(),
+            auto_load_code: true,
             queue,
             clusters,
             code: CodeStore::new(),
@@ -472,11 +455,8 @@ impl KernelSim {
         // One route lookup carries the message and prices its forward leg;
         // a second prices the acknowledgement's way back.
         let sent = self.machine.transmit_tracked(send_done, from, to, wire);
-        let back = self
-            .machine
-            .network
-            .estimate(to, from, self.config.ack_words);
-        let rto = (sent.estimate + back) * 2 + self.config.rto_slack;
+        let back = self.machine.network.estimate(to, from, Self::ACK_WORDS);
+        let rto = (sent.estimate + back) * 2 + Self::RTO_SLACK;
         match sent.arrival {
             Some((arrival, flight)) => {
                 // No remote message beats the network's minimum delivery
@@ -644,10 +624,10 @@ impl KernelSim {
                     // Wire-level ack, sent on arrival before decode. It rides
                     // the raw network (no kernel message accounting) so
                     // healthy-path stats are untouched.
-                    let ack =
-                        self.machine
-                            .network
-                            .transmit_tracked(now, to, from, self.config.ack_words);
+                    let ack = self
+                        .machine
+                        .network
+                        .transmit_tracked(now, to, from, Self::ACK_WORDS);
                     match ack.arrival {
                         Some((t, flight)) => {
                             self.stats.acks += 1;
@@ -735,12 +715,11 @@ impl KernelSim {
     /// A reliable message's retransmission timeout fired: retransmit with
     /// backoff, or dead-letter it once the budget is spent.
     fn timeout(&mut self, now: Cycles, seq: u64) {
-        let max_retransmits = self.config.max_retransmits;
         let Some(p) = self.pending.get_mut(seq) else {
             return; // acknowledged; stale timer
         };
         let (from, to) = (p.from, p.to);
-        if p.attempts >= max_retransmits {
+        if p.attempts >= Self::MAX_RETRANSMITS {
             let p = self.pending.remove(seq).expect("checked present above");
             self.stats.drops.dead_letter += 1;
             let kind = p.msg.kind().trace_kind();
@@ -796,10 +775,8 @@ impl KernelSim {
                 let c = rec.cluster;
                 self.running.remove_task(task);
                 self.clusters[c as usize].ready.push_back(task);
-                self.queue.schedule(
-                    now + self.config.reconfig_cycles,
-                    KEvent::Dispatch { cluster: c },
-                );
+                self.queue
+                    .schedule(now + Self::RECONFIG_CYCLES, KEvent::Dispatch { cluster: c });
             }
             TaskState::Ready | TaskState::Done => {}
         }
@@ -871,7 +848,7 @@ impl KernelSim {
         if self.clusters[cluster as usize].loaded.contains(&code) {
             return true;
         }
-        if !self.config.auto_load_code {
+        if !self.auto_load_code {
             return false;
         }
         self.load_code(now, cluster, code)
@@ -1201,7 +1178,7 @@ impl KernelSim {
                     reply_cluster,
                     KernelMessage::RemoteReturn {
                         call_id,
-                        result_words: self.config.notify_words,
+                        result_words: Self::NOTIFY_WORDS,
                     },
                 );
             }
@@ -1235,10 +1212,8 @@ impl KernelSim {
                 rec.transition(TaskState::Ready);
                 let c = rec.cluster;
                 self.clusters[c as usize].ready.push_back(task);
-                self.queue.schedule(
-                    now + self.config.reconfig_cycles,
-                    KEvent::Dispatch { cluster: c },
-                );
+                self.queue
+                    .schedule(now + Self::RECONFIG_CYCLES, KEvent::Dispatch { cluster: c });
             }
         }
     }
@@ -1342,7 +1317,7 @@ mod tests {
     #[test]
     fn unloaded_code_dropped_without_autoload() {
         let mut k = sim(1, 2);
-        k.config.auto_load_code = false;
+        k.auto_load_code = false;
         let code = small_code(&mut k);
         k.initiate(0, 0, code, 1, None, 0);
         k.run();

@@ -33,8 +33,6 @@
 //! * [`protocol`] — the message protocol as a finite automaton, for static
 //!   conformance checking of scenario message sequences.
 
-#![forbid(unsafe_code)]
-
 pub mod activation;
 pub mod codeblock;
 pub mod heap;
@@ -46,7 +44,7 @@ pub mod window_desc;
 pub use activation::{ActivationRecord, TaskId, TaskState};
 pub use codeblock::{CodeBlock, CodeId, CodeStore, WorkProfile};
 pub use heap::{Block, Heap, HeapError};
-pub use kernel::{DropCounts, KernelConfig, KernelSim, KernelStats};
+pub use kernel::{DropCounts, KernelSim, KernelStats};
 pub use message::{KernelMessage, MessageKind};
 pub use protocol::{ProtocolAutomaton, ProtocolState, ProtocolViolation};
 pub use window_desc::{WindowDescriptor, WindowKind};

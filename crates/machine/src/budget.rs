@@ -111,6 +111,10 @@ impl RunBudget {
     }
 
     /// Start metering this budget now (captures the wall-clock anchor).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "RunBudget wall_limit is an operational deadline by design; hash-neutral and quarantine-exempt"
+    )]
     pub fn start(&self) -> BudgetMeter {
         BudgetMeter {
             budget: self.clone(),

@@ -33,8 +33,6 @@
 //! scheduling, no randomness. Two runs over the same inputs produce the same
 //! event trace (property-tested in `tests/`).
 
-#![forbid(unsafe_code)]
-
 pub mod budget;
 pub mod config;
 pub mod fault;

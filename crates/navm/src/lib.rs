@@ -41,8 +41,6 @@
 //! let _ = TaskHandle(0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod linalg;
 pub mod runtime;
 pub mod task;

@@ -60,8 +60,6 @@ pub(crate) struct SimState {
     pub(crate) pending_recoveries: Vec<(Cycles, PeId)>,
     /// Window exchanges retried after an in-flight loss.
     pub(crate) retransmits: u64,
-    /// Retries before a window exchange is declared undeliverable.
-    pub(crate) max_retransmits: u32,
     /// Scratch: words-per-cluster accumulator reused by every window
     /// exchange, so the hot traffic path allocates nothing per call.
     /// Indexed by cluster id; `None` = cluster not part of this exchange
@@ -73,6 +71,9 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
+    /// Retries before a window exchange is declared undeliverable.
+    const MAX_RETRANSMITS: u32 = 4;
+
     /// Apply every planned fault (and transient recovery) due at or before
     /// `t`, in time order. Returns true if any link died.
     pub(crate) fn apply_faults_through(&mut self, t: Cycles) -> bool {
@@ -171,7 +172,7 @@ impl SimState {
             }
             attempt += 1;
             assert!(
-                attempt <= self.max_retransmits,
+                attempt <= Self::MAX_RETRANSMITS,
                 "window exchange from {from} to {to} exhausted its retransmit budget"
             );
             self.retransmits += 1;
@@ -347,7 +348,6 @@ impl NaVm {
                 faults: FaultPlan::none(),
                 pending_recoveries: Vec::new(),
                 retransmits: 0,
-                max_retransmits: 4,
                 window_words_scratch: vec![None; clusters as usize],
                 budget: BudgetMeter::default(),
             })),

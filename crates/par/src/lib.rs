@@ -17,8 +17,6 @@
 //! assert_eq!(Pool::new(0).threads(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod pool;
 
 pub use pool::Pool;

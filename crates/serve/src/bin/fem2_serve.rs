@@ -13,8 +13,6 @@
 //!
 //! `serve` is the default subcommand when the first argument is a flag.
 
-#![forbid(unsafe_code)]
-
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::json::Value;
+use serde::Deserialize as _;
 
 /// Parsed fault plan; see the module docs for the document format.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -45,27 +46,14 @@ pub struct ChaosPlan {
     pub registry_error_on_write: Vec<u64>,
 }
 
-fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    match v {
-        Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
 fn u64_list(v: &Value, name: &str) -> Result<Vec<u64>, String> {
-    match field(v, name) {
+    match v.get_field(name).ok() {
         None | Some(Value::Null) => Ok(Vec::new()),
         Some(Value::Arr(items)) => items
             .iter()
-            .map(|i| as_u64(i).ok_or_else(|| format!("`{name}` entries must be non-negative")))
+            .map(|i| {
+                u64::from_value(i).map_err(|_| format!("`{name}` entries must be non-negative"))
+            })
             .collect(),
         Some(_) => Err(format!("`{name}` must be an array")),
     }
@@ -87,18 +75,19 @@ impl ChaosPlan {
                 return Err(format!("chaos plan: unknown field `{k}`"));
             }
         }
-        let seed = match field(&v, "seed") {
+        let seed = match v.get_field("seed").ok() {
             None | Some(Value::Null) => 0,
-            Some(s) => as_u64(s).ok_or("chaos plan: `seed` must be a non-negative integer")?,
+            Some(s) => u64::from_value(s)
+                .map_err(|_| "chaos plan: `seed` must be a non-negative integer")?,
         };
-        let stall_ms_on_run = match field(&v, "stall_ms_on_run") {
+        let stall_ms_on_run = match v.get_field("stall_ms_on_run").ok() {
             None | Some(Value::Null) => Vec::new(),
             Some(Value::Arr(items)) => items
                 .iter()
                 .map(|i| match i {
                     Value::Arr(pair) if pair.len() == 2 => {
-                        match (as_u64(&pair[0]), as_u64(&pair[1])) {
-                            (Some(run), Some(ms)) => Ok((run, ms)),
+                        match (u64::from_value(&pair[0]), u64::from_value(&pair[1])) {
+                            (Ok(run), Ok(ms)) => Ok((run, ms)),
                             _ => Err("`stall_ms_on_run` entries must be [run, ms]".to_string()),
                         }
                     }

@@ -52,23 +52,9 @@ pub fn request(
 /// Poll `/jobs/<id>` until the job completes, then return the outcome
 /// document from `/jobs/<id>/result`. Errors on job failure or timeout.
 pub fn wait_done(addr: SocketAddr, id: u64) -> Result<Value, String> {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), None)?;
-        if status != 200 {
-            return Err(format!("GET /jobs/{id} -> {status}: {body}"));
-        }
-        let v = serde_json::parse_value(&body).map_err(|e| format!("bad status body: {e}"))?;
-        match v.get_field("status").map_err(|e| e.to_string())? {
-            Value::Str(s) if s == "done" => break,
-            Value::Str(s) if s == "failed" => return Err(format!("job {id} failed: {body}")),
-            Value::Str(s) if s == "aborted" => return Err(format!("job {id} aborted: {body}")),
-            _ => {}
-        }
-        if Instant::now() > deadline {
-            return Err(format!("job {id} did not complete in time"));
-        }
-        thread::sleep(Duration::from_millis(20));
+    let (settled, body) = poll_settled(addr, id)?;
+    if settled != "done" {
+        return Err(format!("job {id} {settled}: {body}"));
     }
     let (status, body) = request(addr, "GET", &format!("/jobs/{id}/result"), None)?;
     if status != 200 {
@@ -83,6 +69,16 @@ pub fn wait_done(addr: SocketAddr, id: u64) -> Result<Value, String> {
 /// aborted job is a normal answer here, not an error — the supervision
 /// tests assert on exactly how jobs end.
 pub fn wait_settled(addr: SocketAddr, id: u64) -> Result<String, String> {
+    poll_settled(addr, id).map(|(settled, _)| settled)
+}
+
+/// The poll loop under [`wait_done`] and [`wait_settled`]: the terminal
+/// status name and the `/jobs/<id>` body that carried it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "client polling deadline is real time by definition"
+)]
+fn poll_settled(addr: SocketAddr, id: u64) -> Result<(String, String), String> {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), None)?;
@@ -92,7 +88,7 @@ pub fn wait_settled(addr: SocketAddr, id: u64) -> Result<String, String> {
         let v = serde_json::parse_value(&body).map_err(|e| format!("bad status body: {e}"))?;
         if let Value::Str(s) = v.get_field("status").map_err(|e| e.to_string())? {
             if matches!(s.as_str(), "done" | "failed" | "aborted") {
-                return Ok(s.clone());
+                return Ok((s.clone(), body));
             }
         }
         if Instant::now() > deadline {

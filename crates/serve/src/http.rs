@@ -10,6 +10,10 @@
 //! forever. The per-read timeout alone is not enough: a slowloris client
 //! dripping one byte per timeout window would keep every individual read
 //! "making progress" indefinitely — the total deadline closes that hole.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "socket read deadline against slow-loris peers is real time by definition"
+)]
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;

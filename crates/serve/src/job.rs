@@ -182,36 +182,29 @@ impl Admitted {
     }
 }
 
-fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    match v {
-        Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 fn opt_u64(v: &Value, name: &str, default: u64) -> Result<u64, String> {
-    match field(v, name) {
+    match v.get_field(name).ok() {
         None | Some(Value::Null) => Ok(default),
         Some(f) => u64::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
     }
 }
 
 fn opt_bool(v: &Value, name: &str, default: bool) -> Result<bool, String> {
-    match field(v, name) {
+    match v.get_field(name).ok() {
         None | Some(Value::Null) => Ok(default),
         Some(f) => bool::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
     }
 }
 
 fn opt_f64(v: &Value, name: &str, default: f64) -> Result<f64, String> {
-    match field(v, name) {
+    match v.get_field(name).ok() {
         None | Some(Value::Null) => Ok(default),
         Some(f) => f64::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
     }
 }
 
 fn opt_opt_u64(v: &Value, name: &str) -> Result<Option<u64>, String> {
-    match field(v, name) {
+    match v.get_field(name).ok() {
         None | Some(Value::Null) => Ok(None),
         Some(f) => u64::from_value(f)
             .map(Some)
@@ -227,7 +220,7 @@ type BudgetCaps = (Option<u64>, Option<u64>, Option<u64>);
 /// `{"max_sim_cycles":N,"max_des_events":M,"wall_ms":W}`, every field
 /// optional.
 fn opt_budget(v: &Value) -> Result<BudgetCaps, String> {
-    match field(v, "budget") {
+    match v.get_field("budget").ok() {
         None | Some(Value::Null) => Ok((None, None, None)),
         Some(b @ Value::Obj(_)) => {
             let cycles = opt_opt_u64(b, "max_sim_cycles").map_err(|e| format!("budget: {e}"))?;
@@ -252,8 +245,8 @@ fn opt_budget(v: &Value) -> Result<BudgetCaps, String> {
 }
 
 fn req_str(v: &Value, name: &str) -> Result<String, String> {
-    field(v, name)
-        .ok_or_else(|| format!("missing field `{name}`"))
+    v.get_field(name)
+        .map_err(|_| format!("missing field `{name}`"))
         .and_then(|f| String::from_value(f).map_err(|e| format!("field `{name}`: {e}")))
 }
 
@@ -265,7 +258,7 @@ fn req_str(v: &Value, name: &str) -> Result<String, String> {
 pub const INVALID_MACHINE_PREFIX: &str = "invalid field `machine`: ";
 
 fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
-    let machine = match field(v, "machine") {
+    let machine = match v.get_field("machine").ok() {
         None | Some(Value::Null) => MachineConfig::fem2_default(),
         Some(m) => MachineConfig::from_value(m).map_err(|e| format!("field `machine`: {e}"))?,
     };
@@ -412,7 +405,7 @@ impl JobSpec {
 
     /// Resolve a submission from its JSON tree; see [`JobSpec::parse`].
     pub fn from_value(v: &Value) -> Result<JobSpec, String> {
-        let kind = match field(v, "kind") {
+        let kind = match v.get_field("kind").ok() {
             None => "plate".to_string(),
             Some(f) => String::from_value(f).map_err(|e| format!("field `kind`: {e}"))?,
         };
@@ -431,7 +424,7 @@ impl JobSpec {
                     0 => machine.total_workers().max(1),
                     t => u32::try_from(t).map_err(|_| "tasks out of range")?,
                 };
-                let name = match field(v, "name") {
+                let name = match v.get_field("name").ok() {
                     None | Some(Value::Null) => format!("plate {nx}x{ny}"),
                     Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
                 };
@@ -457,7 +450,9 @@ impl JobSpec {
                 }))
             }
             "script" => {
-                let ops_value = field(v, "ops").ok_or("script jobs need an `ops` array")?;
+                let ops_value = v
+                    .get_field("ops")
+                    .map_err(|_| "script jobs need an `ops` array")?;
                 let raw_ops = match ops_value {
                     Value::Arr(items) => items,
                     other => return Err(format!("`ops` must be an array, found {}", other.kind())),
@@ -473,7 +468,7 @@ impl JobSpec {
                     .enumerate()
                     .map(|(i, op)| op_from_value(op).map_err(|e| format!("ops[{i}]: {e}")))
                     .collect::<Result<Vec<_>, _>>()?;
-                let name = match field(v, "name") {
+                let name = match v.get_field("name").ok() {
                     None | Some(Value::Null) => format!("script ({} ops)", ops.len()),
                     Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
                 };
@@ -883,7 +878,7 @@ mod tests {
         assert!(spec.verify().is_clean());
         let out = spec.execute();
         assert_eq!(
-            field(&out.value, "converged").unwrap(),
+            out.value.get_field("converged").unwrap(),
             &Value::Bool(true),
             "{:?}",
             out.value
@@ -911,7 +906,7 @@ mod tests {
         assert_eq!(spec.content_hash(), again.content_hash());
         let out = spec.execute();
         assert_eq!(
-            field(&out.value, "status").unwrap(),
+            out.value.get_field("status").unwrap(),
             &Value::Str("CLEAN".into())
         );
     }
@@ -920,13 +915,13 @@ mod tests {
     fn unbudgeted_spec_has_no_budget_key_and_wall_ms_is_hash_neutral() {
         let plain = JobSpec::parse(r#"{"nx":16,"ny":16}"#).unwrap();
         assert!(
-            field(&plain.to_value(), "budget").is_none(),
+            plain.to_value().get_field("budget").is_err(),
             "pre-budget specs must serialize unchanged"
         );
         // Wall-clock limits are operational, not identity.
         let with_wall = JobSpec::parse(r#"{"nx":16,"ny":16,"budget":{"wall_ms":5000}}"#).unwrap();
         assert_eq!(plain.content_hash(), with_wall.content_hash());
-        assert!(field(&with_wall.to_value(), "budget").is_none());
+        assert!(with_wall.to_value().get_field("budget").is_err());
     }
 
     #[test]
@@ -976,7 +971,7 @@ mod tests {
         let cost = spec.cost_report();
         assert!(cost.is_bounded());
         let out = spec.execute();
-        let Some(Value::UInt(actual)) = field(&out.value, "sim_cycles") else {
+        let Ok(Value::UInt(actual)) = out.value.get_field("sim_cycles") else {
             panic!("{:?}", out.value);
         };
         assert!(
@@ -1028,7 +1023,10 @@ mod tests {
         let out = spec
             .execute_with_budget(budget)
             .expect("auto budget must not fire on a healthy run");
-        assert_eq!(field(&out.value, "converged").unwrap(), &Value::Bool(true));
+        assert_eq!(
+            out.value.get_field("converged").unwrap(),
+            &Value::Bool(true)
+        );
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! harness ([`chaos`]) injects worker panics, stalls, and registry write
 //! errors to prove all of it under test.
 
-#![forbid(unsafe_code)]
-
 pub(crate) mod util {
     //! Two absorbers that keep call sites infallible: JSON text of an
     //! already-built `Value` tree (the vendored `serde_json` signatures

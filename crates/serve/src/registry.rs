@@ -44,6 +44,10 @@
 //! record still loads and the next append starts on a clean line instead
 //! of gluing onto the partial one. A malformed *interior* line (hand
 //! edits) is skipped with a warning as before.
+#![expect(
+    clippy::disallowed_types,
+    reason = "poisoned-hash set is membership-tested only; the journal, not the set, orders output"
+)]
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
@@ -51,6 +55,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use serde::json::Value;
+use serde::Deserialize as _;
 
 use crate::util::{json_compact, json_pretty};
 
@@ -158,28 +163,6 @@ fn repair_torn_tail(log_path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    match v {
-        Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn str_field(v: &Value, name: &str) -> Option<String> {
-    match field(v, name) {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn u64_field(v: &Value, name: &str) -> Option<u64> {
-    match field(v, name) {
-        Some(Value::UInt(u)) => Some(*u),
-        Some(Value::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
 impl Registry {
     /// Open (creating if absent) the registry under `dir`, replaying the
     /// log into memory and rebuilding `index.json`.
@@ -215,14 +198,17 @@ impl Registry {
                 // Every parsed line owns its `seq`, whether or not it is
                 // loaded below: the next append must not reuse the `seq`
                 // of a line this build skips.
-                let seq = u64_field(&v, "seq").unwrap_or(next_seq);
+                // A field that is absent or of another type reads as `None`.
+                let text = |name: &str| v.get_field(name).and_then(String::from_value).ok();
+                let number = |name: &str| v.get_field(name).and_then(u64::from_value).ok();
+                let seq = number("seq").unwrap_or(next_seq);
                 next_seq = next_seq.max(seq.saturating_add(1));
-                match str_field(&v, "kind").as_deref() {
+                match text("kind").as_deref() {
                     Some(kind @ ("plate" | "script")) => {
                         let (Some(hash), Some(spec), Some(outcome)) = (
-                            str_field(&v, "hash"),
-                            field(&v, "spec").cloned(),
-                            field(&v, "outcome").cloned(),
+                            text("hash"),
+                            v.get_field("spec").ok().cloned(),
+                            v.get_field("outcome").ok().cloned(),
                         ) else {
                             eprintln!(
                                 "fem2-serve: skipping incomplete run record at line {}",
@@ -232,15 +218,15 @@ impl Registry {
                         };
                         // Rev 1 records carry no status: they were only
                         // ever written for successful runs.
-                        let status = str_field(&v, "status")
+                        let status = text("status")
                             .and_then(|s| RunStatus::parse(&s))
                             .unwrap_or(RunStatus::Ok);
-                        let error = str_field(&v, "error");
+                        let error = text("error");
                         // Records written before `abort_cause` existed
                         // still carry the cause inside the error text
                         // ("run aborted (wall_deadline) at ..."); sniff it
                         // so old stores keep the same quarantine behavior.
-                        let abort_cause = str_field(&v, "abort_cause").or_else(|| {
+                        let abort_cause = text("abort_cause").or_else(|| {
                             let err = error.as_deref()?;
                             [
                                 "cycles_exceeded",
@@ -255,15 +241,17 @@ impl Registry {
                         let rec = RunRecord {
                             seq,
                             hash,
-                            name: str_field(&v, "name").unwrap_or_default(),
+                            name: text("name").unwrap_or_default(),
                             kind: kind.to_string(),
                             spec,
                             outcome,
-                            wall_ns: u64_field(&v, "wall_ns").unwrap_or(0),
+                            wall_ns: number("wall_ns").unwrap_or(0),
                             status,
                             error,
                             abort_cause,
-                            predicted: field(&v, "predicted")
+                            predicted: v
+                                .get_field("predicted")
+                                .ok()
                                 .filter(|p| matches!(p, Value::Obj(_)))
                                 .cloned(),
                         };
@@ -695,11 +683,21 @@ mod tests {
         let reg = Registry::open(&dir).unwrap();
         let rec = reg.lookup(&spec.content_hash()).unwrap();
         let pred = rec.predicted.as_ref().expect("plate runs carry bounds");
-        let bound = u64_field(pred, "sim_cycles").expect("predicted cycles");
-        let actual = u64_field(&rec.outcome, "sim_cycles").expect("actual cycles");
+        let bound = pred
+            .get_field("sim_cycles")
+            .and_then(u64::from_value)
+            .expect("predicted cycles");
+        let actual = rec
+            .outcome
+            .get_field("sim_cycles")
+            .and_then(u64::from_value)
+            .expect("actual cycles");
         assert!(bound >= actual, "bound {bound} < actual {actual}");
-        assert!(u64_field(pred, "des_events").is_some());
-        assert!(u64_field(pred, "peak_memory_words").is_some());
+        assert!(matches!(pred.get_field("des_events"), Ok(Value::UInt(_))));
+        assert!(matches!(
+            pred.get_field("peak_memory_words"),
+            Ok(Value::UInt(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -764,8 +762,8 @@ mod tests {
         let mut reg = Registry::open(&dir).unwrap();
         reg.record_run(&spec, &outcome, 1).unwrap();
         let v = index_on_disk(&dir);
-        assert_eq!(u64_field(&v, "run_count"), Some(1));
-        assert_eq!(str_field(&v, "schema").as_deref(), Some(SCHEMA));
+        assert_eq!(v.get_field("run_count").unwrap(), &Value::UInt(1));
+        assert_eq!(v.get_field("schema").unwrap(), &Value::Str(SCHEMA.into()));
         // The live index is rewritten when the record count reaches a
         // power of two: after five appends it covers four, and says so.
         for wall_ns in 2..=5 {
@@ -773,12 +771,18 @@ mod tests {
         }
         assert_eq!(reg.run_count(), 5);
         assert_eq!(reg.index_records(), 4);
-        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(4));
+        assert_eq!(
+            index_on_disk(&dir).get_field("run_count").unwrap(),
+            &Value::UInt(4)
+        );
         // Clean close catches it up, to exactly what a fresh open of the
         // same log writes.
         drop(reg);
         let closed = fs::read(dir.join("index.json")).unwrap();
-        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(5));
+        assert_eq!(
+            index_on_disk(&dir).get_field("run_count").unwrap(),
+            &Value::UInt(5)
+        );
         let reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.index_records(), 5);
         assert_eq!(fs::read(dir.join("index.json")).unwrap(), closed);
@@ -805,7 +809,10 @@ mod tests {
         let reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.run_count(), 2);
         assert_eq!(reg.index_records(), 2);
-        assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(2));
+        assert_eq!(
+            index_on_disk(&dir).get_field("run_count").unwrap(),
+            &Value::UInt(2)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1135,7 +1142,7 @@ mod tests {
                 proptest::prop_assert!(reg.lookup(&spec.content_hash()).is_some());
             }
             // index.json agrees with the replay.
-            proptest::prop_assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(complete as u64));
+            proptest::prop_assert_eq!(index_on_disk(&dir).get_field("run_count").cloned().unwrap(), Value::UInt(complete as u64));
             // And the repaired log accepts a fresh append that survives,
             // and that the index covers once the registry is closed —
             // whether or not the new count is one the live schedule writes.
@@ -1145,7 +1152,7 @@ mod tests {
                 let mut reg = Registry::open(&dir).unwrap();
                 reg.record_run(&extra, &outcome, 1).unwrap();
             }
-            proptest::prop_assert_eq!(u64_field(&index_on_disk(&dir), "run_count"), Some(complete as u64 + 1));
+            proptest::prop_assert_eq!(index_on_disk(&dir).get_field("run_count").cloned().unwrap(), Value::UInt(complete as u64 + 1));
             let reg = Registry::open(&dir).unwrap();
             proptest::prop_assert_eq!(reg.run_count(), complete + 1);
             proptest::prop_assert!(reg.lookup(&extra.content_hash()).is_some());
@@ -1200,7 +1207,7 @@ mod tests {
             let mut legible_seq = 0;
             for piece in pieces {
                 let v = std::str::from_utf8(piece).ok().and_then(|l| serde_json::parse_value(l).ok());
-                let Some(seq) = v.as_ref().and_then(|v| u64_field(v, "seq")) else { continue };
+                let Some(seq) = v.as_ref().and_then(|v| v.get_field("seq").and_then(u64::from_value).ok()) else { continue };
                 legible_seq = legible_seq.max(seq);
                 if clean_lines.contains(&piece) {
                     proptest::prop_assert!(reg.runs().iter().any(|r| r.seq == seq), "intact line seq {} not loaded", seq);

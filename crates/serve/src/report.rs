@@ -13,6 +13,7 @@ use std::fs;
 use std::path::Path;
 
 use serde::json::Value;
+use serde::Deserialize as _;
 
 use crate::registry::{Registry, RunRecord};
 use crate::util::json_compact;
@@ -53,20 +54,6 @@ fn value_lines(out: &mut String, v: &Value, indent: usize) {
     }
 }
 
-fn u64_of(v: &Value, name: &str) -> Option<u64> {
-    match v {
-        Value::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| match v {
-                Value::UInt(u) => Some(*u),
-                Value::Int(i) if *i >= 0 => Some(*i as u64),
-                _ => None,
-            }),
-        _ => None,
-    }
-}
-
 fn run_page(run: &RunRecord) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Run `{}`", run.hash);
@@ -79,9 +66,15 @@ fn run_page(run: &RunRecord) -> String {
     // (bound / actual, ≥ 1 by soundness) is fully deterministic and safe
     // to golden-diff.
     if let Some(pred) = &run.predicted {
-        if let Some(bound) = u64_of(pred, "sim_cycles") {
+        if let Ok(bound) = pred.get_field("sim_cycles").and_then(u64::from_value) {
             let _ = writeln!(out, "- predicted cycle bound: {bound}");
-            if let Some(actual) = u64_of(&run.outcome, "sim_cycles").filter(|&a| a > 0) {
+            if let Some(actual) = run
+                .outcome
+                .get_field("sim_cycles")
+                .and_then(u64::from_value)
+                .ok()
+                .filter(|&a| a > 0)
+            {
                 let _ = writeln!(
                     out,
                     "- cycle bound tightness: {:.2}x (bound / actual)",

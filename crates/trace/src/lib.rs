@@ -23,8 +23,6 @@
 //! Export with [`chrome::trace_json`] (loadable in `chrome://tracing` /
 //! Perfetto) or [`chrome::phase_table`] (plain text).
 
-#![forbid(unsafe_code)]
-
 pub mod chrome;
 pub mod event;
 pub mod metrics;

@@ -40,8 +40,6 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod cost;
 pub mod deadlock;
 pub mod diag;

@@ -1,3 +1,1 @@
 //! Integration test crate for the FEM-2 workspace (tests live in `tests/tests/`).
-
-#![forbid(unsafe_code)]

@@ -101,7 +101,8 @@ fn unreachable_cluster_dead_letters_after_bounded_retries() {
 
     assert_eq!(k.stats.drops.dead_letter, 1, "the call dead-lettered");
     assert_eq!(
-        k.stats.retransmits, k.config.max_retransmits as u64,
+        k.stats.retransmits,
+        u64::from(KernelSim::MAX_RETRANSMITS),
         "every retry in the budget was spent first"
     );
     assert!(!k.rpc_returns().contains_key(&7), "the call never returned");

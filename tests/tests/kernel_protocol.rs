@@ -149,7 +149,7 @@ fn workload_survives_cascading_faults() {
 #[test]
 fn all_seven_message_kinds_flow_in_one_run() {
     let mut k = sim(2, 4);
-    k.config.auto_load_code = false;
+    k.auto_load_code = false;
     let code = k.register_code(CodeBlock::new("w", 32, WorkProfile::flops(200_000), 8));
     // load (explicit), initiate, pause, resume, terminate(-notify via
     // completion), call, return.
