@@ -2,8 +2,8 @@
 //! H-graphs representing a class of data objects.
 //!
 //! A [`Grammar`] maps nonterminal names to alternatives of [`Shape`]s. A
-//! shape constrains one storage location (its atom kind or nested graph, and
-//! its labeled access paths) or one graph (via its entry node). Conformance
+//! shape constrains one storage location (its atom kind and its labeled
+//! access paths, no others) or one graph (via its entry node). Conformance
 //! checking is coinductive: cyclic data structures (rings, doubly-linked
 //! chains) conform as long as every unfolding matches, which is the greatest
 //! fixpoint reading of recursive productions.
@@ -33,14 +33,8 @@ use std::fmt;
 /// Constraint on the atomic value of a storage location.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AtomKind {
-    /// Any atom (but not a nested graph).
-    Any,
-    /// Specifically the empty atom.
-    Empty,
     /// Any integer.
     Int,
-    /// Any float.
-    Float,
     /// Any string.
     Str,
     /// Any symbol.
@@ -52,10 +46,7 @@ pub enum AtomKind {
 impl AtomKind {
     fn matches(&self, a: &Atom) -> bool {
         match (self, a) {
-            (AtomKind::Any, _) => true,
-            (AtomKind::Empty, Atom::Empty) => true,
             (AtomKind::Int, Atom::Int(_)) => true,
-            (AtomKind::Float, Atom::Float(_)) => true,
             (AtomKind::Str, Atom::Str(_)) => true,
             (AtomKind::Sym, Atom::Sym(_)) => true,
             (AtomKind::SymExact(want), Atom::Sym(got)) => want == got,
@@ -81,18 +72,6 @@ struct ArcSpec {
     mult: Multiplicity,
 }
 
-/// What a node's value must be.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum ValueSpec {
-    /// An atom of the given kind.
-    Atom(AtomKind),
-    /// A nested graph conforming to the named (graph) nonterminal.
-    Nested(String),
-    /// Either an atom of the given kind or a nested graph of the named
-    /// nonterminal.
-    Either(AtomKind, String),
-}
-
 /// One alternative of a production: the shape a node or graph must have.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Shape {
@@ -101,13 +80,13 @@ pub struct Shape {
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum ShapeKind {
+    /// A node holding an atom of the given kind. Closed: named arcs
+    /// beyond `arcs`, and indexed arcs without `indexed`, do not conform.
     Node {
-        value: ValueSpec,
+        value: AtomKind,
         arcs: Vec<ArcSpec>,
         /// Dense indexed arcs `[0..k)` each conforming to this nonterminal.
         indexed: Option<String>,
-        /// Permit named arcs not mentioned in `arcs`.
-        open: bool,
     },
     /// A graph whose entry node conforms to the named node nonterminal.
     GraphEntry(String),
@@ -118,35 +97,9 @@ impl Shape {
     pub fn node(k: AtomKind) -> Self {
         Shape {
             kind: ShapeKind::Node {
-                value: ValueSpec::Atom(k),
+                value: k,
                 arcs: Vec::new(),
                 indexed: None,
-                open: false,
-            },
-        }
-    }
-
-    /// A node whose value is a nested graph conforming to nonterminal `nt`.
-    pub fn nested(nt: impl Into<String>) -> Self {
-        Shape {
-            kind: ShapeKind::Node {
-                value: ValueSpec::Nested(nt.into()),
-                arcs: Vec::new(),
-                indexed: None,
-                open: false,
-            },
-        }
-    }
-
-    /// A node holding either an atom of kind `k` or a nested graph
-    /// conforming to `nt`.
-    pub fn atom_or_nested(k: AtomKind, nt: impl Into<String>) -> Self {
-        Shape {
-            kind: ShapeKind::Node {
-                value: ValueSpec::Either(k, nt.into()),
-                arcs: Vec::new(),
-                indexed: None,
-                open: false,
             },
         }
     }
@@ -181,16 +134,6 @@ impl Shape {
         self
     }
 
-    /// Permit named arcs beyond those specified (an "open" record).
-    pub fn open(mut self) -> Self {
-        if let ShapeKind::Node { open, .. } = &mut self.kind {
-            *open = true;
-        } else {
-            panic!("open applies to node shapes only");
-        }
-        self
-    }
-
     fn push_arc(
         &mut self,
         selector: impl Into<String>,
@@ -210,19 +153,10 @@ impl Shape {
 
     fn referenced(&self) -> Vec<&str> {
         match &self.kind {
-            ShapeKind::Node {
-                value,
-                arcs,
-                indexed,
-                ..
-            } => {
+            ShapeKind::Node { arcs, indexed, .. } => {
                 let mut v: Vec<&str> = arcs.iter().map(|a| a.target.as_str()).collect();
                 if let Some(nt) = indexed {
                     v.push(nt);
-                }
-                match value {
-                    ValueSpec::Nested(nt) | ValueSpec::Either(_, nt) => v.push(nt),
-                    ValueSpec::Atom(_) => {}
                 }
                 v
             }
@@ -234,17 +168,11 @@ impl Shape {
     /// satisfied by finite data (see [`Grammar::alternative_requires`]).
     fn required(&self) -> Vec<&str> {
         match &self.kind {
-            ShapeKind::Node { value, arcs, .. } => {
-                let mut v: Vec<&str> = arcs
-                    .iter()
-                    .filter(|a| a.mult == Multiplicity::One)
-                    .map(|a| a.target.as_str())
-                    .collect();
-                if let ValueSpec::Nested(nt) = value {
-                    v.push(nt);
-                }
-                v
-            }
+            ShapeKind::Node { arcs, .. } => arcs
+                .iter()
+                .filter(|a| a.mult == Multiplicity::One)
+                .map(|a| a.target.as_str())
+                .collect(),
             ShapeKind::GraphEntry(nt) => vec![nt.as_str()],
         }
     }
@@ -355,10 +283,10 @@ impl Grammar {
     }
 
     /// Nonterminals that alternative `alt` of `nt` *requires* for finite,
-    /// non-cyclic data: required arcs and nested/graph-entry values. An
-    /// alternative is inductively productive when every requirement is;
-    /// optional arcs, indexed sequences (which may be empty), and the atom
-    /// half of `atom_or_nested` require nothing. Empty when out of range.
+    /// non-cyclic data: required arcs and graph entries. An alternative is
+    /// inductively productive when every requirement is; optional arcs and
+    /// indexed sequences (which may be empty) require nothing. Empty when
+    /// out of range.
     pub fn alternative_requires(&self, nt: &str, alt: usize) -> Vec<&str> {
         self.rules
             .get(nt)
@@ -484,24 +412,12 @@ impl Grammar {
             value,
             arcs,
             indexed,
-            open,
         } = &shape.kind
         else {
             return Ok(false);
         };
         // 1. Value constraint.
-        let value_ok = match (value, h.value(n)) {
-            (ValueSpec::Atom(k), Value::Atom(a)) => k.matches(a),
-            (ValueSpec::Nested(nt), Value::Graph(child)) => {
-                self.check_graph(h, *child, nt, memo)?
-            }
-            (ValueSpec::Either(k, _), Value::Atom(a)) => k.matches(a),
-            (ValueSpec::Either(_, nt), Value::Graph(child)) => {
-                self.check_graph(h, *child, nt, memo)?
-            }
-            _ => false,
-        };
-        if !value_ok {
+        if !matches!(h.value(n), Value::Atom(a) if value.matches(a)) {
             return Ok(false);
         }
         // 2. Named-arc constraints.
@@ -540,18 +456,16 @@ impl Grammar {
                 }
             }
             None => {
-                if !index_arcs.is_empty() && !open {
+                if !index_arcs.is_empty() {
                     return Ok(false);
                 }
             }
         }
-        // 4. Closed shapes forbid unexpected named arcs.
-        if !open {
-            for a in h.out_arcs(g, n) {
-                if let Some(name) = a.selector.as_name() {
-                    if !matched.contains(name) && !arcs.iter().any(|s| s.selector == name) {
-                        return Ok(false);
-                    }
+        // 4. Shapes are closed: no unexpected named arcs.
+        for a in h.out_arcs(g, n) {
+            if let Some(name) = a.selector.as_name() {
+                if !matched.contains(name) && !arcs.iter().any(|s| s.selector == name) {
+                    return Ok(false);
                 }
             }
         }
@@ -595,10 +509,7 @@ impl GrammarBuilder {
 
 fn describe_atom(k: &AtomKind) -> String {
     match k {
-        AtomKind::Any => "atom".into(),
-        AtomKind::Empty => "empty".into(),
         AtomKind::Int => "int".into(),
-        AtomKind::Float => "float".into(),
         AtomKind::Str => "str".into(),
         AtomKind::Sym => "sym".into(),
         AtomKind::SymExact(s) => format!("'{s}'"),
@@ -612,13 +523,8 @@ fn describe_shape(shape: &Shape) -> String {
             value,
             arcs,
             indexed,
-            open,
         } => {
-            let v = match value {
-                ValueSpec::Atom(k) => describe_atom(k),
-                ValueSpec::Nested(nt) => format!("graph:{nt}"),
-                ValueSpec::Either(k, nt) => format!("{} | graph:{nt}", describe_atom(k)),
-            };
+            let v = describe_atom(value);
             let mut parts: Vec<String> = arcs
                 .iter()
                 .map(|a| match a.mult {
@@ -628,9 +534,6 @@ fn describe_shape(shape: &Shape) -> String {
                 .collect();
             if let Some(nt) = indexed {
                 parts.push(format!("[i] -> {nt} *"));
-            }
-            if *open {
-                parts.push("...".into());
             }
             if parts.is_empty() {
                 format!("node({v})")
@@ -729,21 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn open_shape_permits_extra_arcs() {
-        let g = Grammar::builder("open")
-            .rule("N", Shape::node(AtomKind::Int).open())
-            .build()
-            .unwrap();
-        let mut h = HGraph::new();
-        let gr = h.new_graph("l");
-        let a = h.add_node(gr, Value::int(1));
-        let b = h.add_node(gr, Value::int(2));
-        h.add_arc(gr, a, Selector::name("extra"), b).unwrap();
-        h.add_arc(gr, a, Selector::index(0), b).unwrap();
-        assert!(g.node_conforms(&h, gr, a, "N").is_ok());
-    }
-
-    #[test]
     fn cyclic_ring_conforms_coinductively() {
         // Ring ::= node(Int) [next -> Ring]  (required arc, cycle closes it)
         let g = Grammar::builder("ring")
@@ -774,7 +662,7 @@ mod tests {
         let gr = h.new_graph("v");
         let i = h.add_node(gr, Value::int(1));
         let s = h.add_node(gr, Value::sym("x"));
-        let f = h.add_node(gr, Value::float(1.0));
+        let f = h.add_node(gr, Value::str("x"));
         assert!(g.node_conforms(&h, gr, i, "Val").is_ok());
         assert!(g.node_conforms(&h, gr, s, "Val").is_ok());
         assert!(g.node_conforms(&h, gr, f, "Val").is_err());
@@ -798,14 +686,14 @@ mod tests {
     fn indexed_arcs_must_be_dense() {
         let g = Grammar::builder("vec")
             .rule("Vec", Shape::node(AtomKind::Sym).arcs_indexed("Elem"))
-            .rule("Elem", Shape::node(AtomKind::Float))
+            .rule("Elem", Shape::node(AtomKind::Int))
             .build()
             .unwrap();
         let mut h = HGraph::new();
         let gr = h.new_graph("v");
         let v = h.add_node(gr, Value::sym("vec"));
-        let e0 = h.add_node(gr, Value::float(0.0));
-        let e2 = h.add_node(gr, Value::float(2.0));
+        let e0 = h.add_node(gr, Value::int(0));
+        let e2 = h.add_node(gr, Value::int(2));
         h.add_arc(gr, v, Selector::index(0), e0).unwrap();
         assert!(g.node_conforms(&h, gr, v, "Vec").is_ok());
         // gap at index 1 -> not dense
@@ -817,36 +705,13 @@ mod tests {
     fn empty_indexed_sequence_conforms() {
         let g = Grammar::builder("vec")
             .rule("Vec", Shape::node(AtomKind::Sym).arcs_indexed("Elem"))
-            .rule("Elem", Shape::node(AtomKind::Float))
+            .rule("Elem", Shape::node(AtomKind::Int))
             .build()
             .unwrap();
         let mut h = HGraph::new();
         let gr = h.new_graph("v");
         let v = h.add_node(gr, Value::sym("vec"));
         assert!(g.node_conforms(&h, gr, v, "Vec").is_ok());
-    }
-
-    #[test]
-    fn nested_graph_conformance() {
-        // Model ::= node containing graph whose entry is a List.
-        let g = Grammar::builder("nested")
-            .rule("Model", Shape::nested("ListGraph"))
-            .rule("ListGraph", Shape::graph_entry("List"))
-            .rule("List", Shape::node(AtomKind::Int).arc_opt("next", "List"))
-            .build()
-            .unwrap();
-        let mut h = HGraph::new();
-        let top = h.new_graph("top");
-        let inner = h.new_graph("inner");
-        let holder = h.add_node(top, Value::graph(inner));
-        let n = h.add_node(inner, Value::int(5));
-        h.set_entry(inner, n).unwrap();
-        assert!(g.node_conforms(&h, top, holder, "Model").is_ok());
-        // Graph without entry node fails the graph_entry shape.
-        let inner2 = h.new_graph("noentry");
-        let _orphan = h.add_node(inner2, Value::int(0));
-        let holder2 = h.add_node(top, Value::graph(inner2));
-        assert!(g.node_conforms(&h, top, holder2, "Model").is_err());
     }
 
     #[test]
@@ -859,27 +724,6 @@ mod tests {
             g.node_conforms(&h, gr, a, "Nope"),
             Err(GrammarError::UnknownNonterminal(_))
         ));
-    }
-
-    #[test]
-    fn atom_or_nested_accepts_both() {
-        let g = Grammar::builder("e")
-            .rule("Cell", Shape::atom_or_nested(AtomKind::Int, "Sub"))
-            .rule("Sub", Shape::graph_entry("Leaf"))
-            .rule("Leaf", Shape::node(AtomKind::Sym))
-            .build()
-            .unwrap();
-        let mut h = HGraph::new();
-        let top = h.new_graph("top");
-        let atom_cell = h.add_node(top, Value::int(3));
-        let sub = h.new_graph("sub");
-        let leaf = h.add_node(sub, Value::sym("s"));
-        h.set_entry(sub, leaf).unwrap();
-        let graph_cell = h.add_node(top, Value::graph(sub));
-        assert!(g.node_conforms(&h, top, atom_cell, "Cell").is_ok());
-        assert!(g.node_conforms(&h, top, graph_cell, "Cell").is_ok());
-        let str_cell = h.add_node(top, Value::str("no"));
-        assert!(g.node_conforms(&h, top, str_cell, "Cell").is_err());
     }
 
     #[test]
@@ -934,7 +778,7 @@ mod tests {
         let g = Grammar::builder("unreach")
             .rule("Root", Shape::node(AtomKind::Sym).arc_opt("kid", "Kid"))
             .rule("Kid", Shape::node(AtomKind::Int))
-            .rule("Orphan", Shape::node(AtomKind::Float))
+            .rule("Orphan", Shape::node(AtomKind::Int))
             .build()
             .unwrap();
         assert_eq!(g.start(), Some("Root"));
@@ -958,14 +802,14 @@ mod tests {
     fn alternative_introspection_per_alternative() {
         let g = Grammar::builder("alts")
             .rule("Val", Shape::node(AtomKind::Int))
-            .rule("Val", Shape::nested("Sub"))
+            .rule("Val", Shape::node(AtomKind::Sym).arc("leaf", "Leaf"))
             .rule("Sub", Shape::graph_entry("Leaf"))
             .rule("Leaf", Shape::node(AtomKind::Sym))
             .build()
             .unwrap();
         assert_eq!(g.alternative_count("Val"), 2);
         assert!(g.alternative_requires("Val", 0).is_empty());
-        assert_eq!(g.alternative_requires("Val", 1), vec!["Sub"]);
+        assert_eq!(g.alternative_requires("Val", 1), vec!["Leaf"]);
         assert!(g.alternative_requires("Val", 2).is_empty());
         assert_eq!(g.alternative_requires("Sub", 0), vec!["Leaf"]);
     }

@@ -13,12 +13,8 @@ use std::fmt;
 /// An atomic (leaf) value stored in a node.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Atom {
-    /// The uninitialized / empty storage location.
-    Empty,
     /// A signed integer.
     Int(i64),
-    /// A floating-point number.
-    Float(f64),
     /// A character string.
     Str(String),
     /// A symbol: an interned identifier-like token, distinct from strings so
@@ -29,9 +25,7 @@ pub enum Atom {
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Atom::Empty => write!(f, "·"),
             Atom::Int(i) => write!(f, "{i}"),
-            Atom::Float(x) => write!(f, "{x}"),
             Atom::Str(s) => write!(f, "{s:?}"),
             Atom::Sym(s) => write!(f, "'{s}"),
         }
@@ -48,19 +42,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// An empty (uninitialized) value.
-    pub fn empty() -> Self {
-        Value::Atom(Atom::Empty)
-    }
-
     /// An integer value.
     pub fn int(i: i64) -> Self {
         Value::Atom(Atom::Int(i))
-    }
-
-    /// A float value.
-    pub fn float(x: f64) -> Self {
-        Value::Atom(Atom::Float(x))
     }
 
     /// A string value.
@@ -359,7 +343,7 @@ mod tests {
     fn arc_endpoints_must_be_members() {
         let (mut h, g, a, _) = pair();
         let g2 = h.new_graph("other");
-        let foreign = h.add_node(g2, Value::empty());
+        let foreign = h.add_node(g2, Value::int(0));
         let err = h.add_arc(g, a, Selector::name("x"), foreign).unwrap_err();
         assert!(matches!(err, HGraphError::NodeNotInGraph { .. }));
         let err = h.add_arc(g, foreign, Selector::name("x"), a).unwrap_err();

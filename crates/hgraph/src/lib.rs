@@ -36,15 +36,15 @@
 //! // Build an H-graph modeling a two-node load set.
 //! let mut h = HGraph::new();
 //! let g = h.new_graph("loadset");
-//! let a = h.add_node(g, Value::float(1.5));
-//! let b = h.add_node(g, Value::float(-2.0));
+//! let a = h.add_node(g, Value::int(15));
+//! let b = h.add_node(g, Value::int(-20));
 //! h.add_arc(g, a, Selector::name("next"), b).unwrap();
 //! h.set_entry(g, a).unwrap();
 //!
-//! // A grammar: a LoadSet is a chain of float nodes linked by `next`.
+//! // A grammar: a LoadSet is a chain of int nodes linked by `next`.
 //! let gram = Grammar::builder("loadset")
 //!     .rule("LoadSet", Shape::graph_entry("Entry"))
-//!     .rule("Entry", Shape::node(AtomKind::Float).arc_opt("next", "Entry"))
+//!     .rule("Entry", Shape::node(AtomKind::Int).arc_opt("next", "Entry"))
 //!     .build()
 //!     .unwrap();
 //! assert!(gram.graph_conforms(&h, g, "LoadSet").is_ok());

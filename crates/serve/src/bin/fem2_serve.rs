@@ -22,10 +22,8 @@ use fem2_serve::{client, report, ChaosPlan, ServeOptions};
 const USAGE: &str = "usage: fem2-serve <serve|report|submit|status|result|list|stats> ...
   serve        --data-dir DIR [--port N] [--workers N] [--queue N] [--chaos PLAN]
                [--quota-cycles N] [--quota-events N] [--quota-memory WORDS]
-               [--budget-slack PCT]
                PLAN is inline JSON ('{...}') or a file path; see chaos docs
-               quotas reject plates whose static cost bound exceeds them (422);
-               --budget-slack pads auto-derived run budgets (default 150 = x1.5)
+               quotas reject plates whose static cost bound exceeds them (422)
   report       --data-dir DIR --out DIR
   submit       --addr HOST:PORT [--wait] FILE
   status       --addr HOST:PORT ID
@@ -45,7 +43,6 @@ struct Args {
     quota_cycles: Option<u64>,
     quota_events: Option<u64>,
     quota_memory: Option<u64>,
-    budget_slack: u64,
     positional: Vec<String>,
 }
 
@@ -62,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         quota_cycles: None,
         quota_events: None,
         quota_memory: None,
-        budget_slack: 150,
         positional: Vec::new(),
     };
     let mut it = args.iter();
@@ -113,12 +109,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                         .map_err(|e| format!("--quota-memory {raw}: {e}"))?,
                 );
             }
-            "--budget-slack" => {
-                let raw = value("--budget-slack")?;
-                out.budget_slack = raw
-                    .parse()
-                    .map_err(|e| format!("--budget-slack {raw}: {e}"))?;
-            }
             "--wait" => out.wait = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => out.positional.push(other.to_string()),
@@ -154,7 +144,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     opts.quota_cycles = a.quota_cycles;
     opts.quota_events = a.quota_events;
     opts.quota_memory_words = a.quota_memory;
-    opts.budget_slack_percent = a.budget_slack;
     let mut handle = fem2_serve::start(&opts)?;
     let chaos = if opts.chaos.as_ref().is_some_and(ChaosPlan::is_armed) {
         ", CHAOS ARMED"

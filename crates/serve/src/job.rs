@@ -32,6 +32,16 @@ const DEFAULT_TOL: f64 = 1e-6;
 /// Default CG iteration cap for plate jobs.
 const DEFAULT_MAX_ITERS: usize = 5000;
 
+/// Run budgets auto-derived from the static cost bound are the bound × 1.5.
+const BUDGET_SLACK_PERCENT: u64 = 150;
+
+/// Caps on the sizes a body may ask for, given or defaulted. Lowering and
+/// the verifier work and allocate per task and per cluster before any
+/// simulation starts; the caps keep that admission work bounded.
+const MAX_TASKS: u32 = 65_536;
+const MAX_CLUSTERS: u32 = 1 << 20;
+const MAX_PES: u32 = 1024;
+
 /// How a supervised run ended, as persisted per registry record and served
 /// to clients. Absent in registry schema rev 1 records, which replay as
 /// [`RunStatus::Ok`] (rev 1 only ever persisted successful runs).
@@ -171,11 +181,11 @@ impl Admitted {
     /// The budget the supervisor arms for this job, plus whether any cap
     /// was auto-derived: [`PlateJob::effective_budget`] off the carried
     /// cost report for plates; scripts never simulate and run unlimited.
-    pub(crate) fn effective_budget(&mut self, slack_percent: u64) -> (RunBudget, bool) {
+    pub(crate) fn effective_budget(&mut self) -> (RunBudget, bool) {
         match &self.spec {
             JobSpec::Plate(p) => {
                 let cost = self.cost.get_or_insert_with(|| self.spec.cost_report());
-                p.effective_budget(cost, slack_percent)
+                p.effective_budget(cost)
             }
             JobSpec::Script(_) => (RunBudget::unlimited(), false),
         }
@@ -265,6 +275,16 @@ fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
     machine
         .validate()
         .map_err(|e| format!("{INVALID_MACHINE_PREFIX}{e}"))?;
+    for (field, value, cap) in [
+        ("clusters", machine.clusters, MAX_CLUSTERS),
+        ("pes_per_cluster", machine.pes_per_cluster, MAX_PES),
+    ] {
+        if value > cap {
+            return Err(format!(
+                "{INVALID_MACHINE_PREFIX}{field} {value} exceeds the cap of {cap}"
+            ));
+        }
+    }
     Ok(machine)
 }
 
@@ -421,9 +441,15 @@ impl JobSpec {
                 }
                 let machine = opt_machine(v)?;
                 let tasks = match opt_u64(v, "tasks", 0)? {
-                    0 => machine.total_workers().max(1),
-                    t => u32::try_from(t).map_err(|_| "tasks out of range")?,
+                    0 => machine
+                        .clusters
+                        .checked_mul(machine.worker_pes_per_cluster())
+                        .map(|workers| workers.max(1)),
+                    t => u32::try_from(t).ok(),
                 };
+                let tasks = tasks.filter(|&t| t <= MAX_TASKS).ok_or_else(|| {
+                    format!("field `tasks`: capped at {MAX_TASKS} (given, or one per worker PE)")
+                })?;
                 let name = match v.get_field("name").ok() {
                     None | Some(Value::Null) => format!("plate {nx}x{ny}"),
                     Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
@@ -702,7 +728,7 @@ impl PlateJob {
     /// The budget the supervisor actually arms, by the precedence rule of
     /// DESIGN.md §8.1: an explicitly submitted deterministic cap always
     /// wins; a *missing* cycle or event cap is auto-derived from the
-    /// static cost bound padded by `slack_percent` (clamped to ≥ 100).
+    /// static cost bound padded by `BUDGET_SLACK_PERCENT` (150 %).
     /// Soundness makes the derived cap safe: bound ≥ actual, so a healthy
     /// run can never trip it — only a run that exceeds its own static
     /// bound (a cost-model or simulator bug) aborts. On an `Unbounded`
@@ -710,14 +736,16 @@ impl PlateJob {
     /// operational and never auto-derived.
     ///
     /// Returns the armed budget plus whether any cap was auto-derived.
-    pub fn effective_budget(&self, cost: &CostReport, slack_percent: u64) -> (RunBudget, bool) {
+    pub fn effective_budget(&self, cost: &CostReport) -> (RunBudget, bool) {
         let mut budget = self.budget();
         let mut auto = false;
         if cost.is_bounded() {
-            let slack = slack_percent.max(100);
             // Saturate *up* on overflow: a cap too large is merely loose,
             // a cap rounded below the bound would abort sound runs.
-            let pad = |bound: u64| bound.checked_mul(slack).map_or(u64::MAX, |v| v / 100);
+            let pad = |b: u64| {
+                b.checked_mul(BUDGET_SLACK_PERCENT)
+                    .map_or(u64::MAX, |v| v / 100)
+            };
             if budget.max_sim_cycles.is_none() {
                 budget.max_sim_cycles = Some(pad(cost.sim_cycles).max(1));
                 auto = true;
@@ -988,7 +1016,7 @@ mod tests {
             panic!("expected plate job");
         };
         let cost = spec.cost_report();
-        let (budget, auto) = p.effective_budget(&cost, 150);
+        let (budget, auto) = p.effective_budget(&cost);
         assert!(auto, "missing event cap must be auto-derived");
         // The explicit cap survives untouched; the derived one carries
         // the slack.
@@ -1005,7 +1033,7 @@ mod tests {
         let JobSpec::Plate(p) = &spec else {
             panic!("expected plate job");
         };
-        let (budget, auto) = p.effective_budget(&spec.cost_report(), 150);
+        let (budget, auto) = p.effective_budget(&spec.cost_report());
         assert!(!auto);
         assert_eq!(budget.max_sim_cycles, Some(777));
         assert_eq!(budget.max_des_events, Some(888));
@@ -1017,11 +1045,16 @@ mod tests {
         let JobSpec::Plate(p) = &spec else {
             panic!("expected plate job");
         };
+        let cost = spec.cost_report();
+        assert!(p.effective_budget(&cost).1);
         // Even with zero slack the bound itself is ≥ the actual run.
-        let (budget, auto) = p.effective_budget(&spec.cost_report(), 100);
-        assert!(auto);
+        let bound = RunBudget {
+            max_sim_cycles: Some(cost.sim_cycles),
+            max_des_events: Some(cost.des_events),
+            ..p.budget()
+        };
         let out = spec
-            .execute_with_budget(budget)
+            .execute_with_budget(bound)
             .expect("auto budget must not fire on a healthy run");
         assert_eq!(
             out.value.get_field("converged").unwrap(),

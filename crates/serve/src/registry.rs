@@ -1,24 +1,12 @@
-//! The persistent run registry: an append-only JSONL log plus a derived
-//! index, both under the server's `--data-dir`.
+//! The persistent run registry: one append-only JSONL log, `runs.jsonl`,
+//! under the server's `--data-dir`, and nothing else on disk.
 //!
-//! Layout (schema `fem2-registry/4`, documented in DESIGN.md):
-//!
-//! * `runs.jsonl` — one JSON object per line, append-only, flushed after
-//!   every record: completed job runs, `"kind"` `"plate"` or `"script"`.
-//!   A line of any other kind (logs written before `fem2-serve
-//!   ingest-bench` was removed hold `"bench"` lines) is skipped on load
-//!   and left in the log as it is; its `seq` still counts, so appends
-//!   never reuse one.
-//! * `index.json` — a derived summary (counts, hashes, names, statuses)
-//!   for humans and shell tools; nothing in the repo reads it back. It is
-//!   rewritten via temp-file + rename on every open, whenever the run
-//!   count reaches a power of two, and on clean close — amortised O(1)
-//!   per append instead of O(registry). Between those points it lags the
-//!   log
-//!   ([`Registry::index_records`] says by how much), and after a kill it
-//!   stays behind until the next open. The log is the only source of
-//!   truth: a failed index write is reported, never fails the append, and
-//!   is made good at the next scheduled point or on close.
+//! Layout (schema `fem2-registry/4`, documented in DESIGN.md): one JSON
+//! object per line, flushed after every record: completed job runs,
+//! `"kind"` `"plate"` or `"script"`. A line of any other kind (logs
+//! written before `fem2-serve ingest-bench` was removed hold `"bench"`
+//! lines) is skipped on load and left in the log as it is; its `seq`
+//! still counts, so appends never reuse one.
 //!
 //! Schema rev 2 adds a `status` field (`ok` / `failed` / `aborted`), an
 //! optional `error` message, and (for aborted runs) a structured
@@ -52,26 +40,17 @@
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::json::Value;
 use serde::Deserialize as _;
 
-use crate::util::{json_compact, json_pretty};
+use crate::util::json_compact;
 
 use crate::job::{Admitted, JobOutcome, JobSpec, RunStatus};
 
 /// Registry log schema identifier, stamped on every record.
 pub const SCHEMA: &str = "fem2-registry/4";
-
-/// Rev 3: `predicted` cost bounds, no per-run `shards`.
-pub const SCHEMA_V3: &str = "fem2-registry/3";
-
-/// Rev 2: run endings (`status`/`error`/`abort_cause`), no `predicted`.
-pub const SCHEMA_V2: &str = "fem2-registry/2";
-
-/// Rev 1: no `status` field; records replay as `ok`.
-pub const SCHEMA_V1: &str = "fem2-registry/1";
 
 /// A completed job run, as replayed from the log.
 #[derive(Clone, Debug)]
@@ -124,7 +103,6 @@ impl RunRecord {
 
 /// The registry: in-memory replay of the log plus the open append handle.
 pub struct Registry {
-    dir: PathBuf,
     log: File,
     runs: Vec<RunRecord>,
     next_seq: u64,
@@ -136,8 +114,6 @@ pub struct Registry {
     /// Hashes whose *latest* record quarantines, maintained incrementally
     /// on load and append so `quarantine_size` is O(1) per probe.
     poisoned: HashSet<String>,
-    /// Runs the on-disk `index.json` covers.
-    index_records: usize,
 }
 
 /// Truncate a torn trailing record (no final newline) left by a crash
@@ -165,7 +141,7 @@ fn repair_torn_tail(log_path: &Path) -> Result<(), String> {
 
 impl Registry {
     /// Open (creating if absent) the registry under `dir`, replaying the
-    /// log into memory and rebuilding `index.json`.
+    /// log into memory.
     pub fn open(dir: &Path) -> Result<Registry, String> {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let log_path = dir.join("runs.jsonl");
@@ -279,23 +255,14 @@ impl Registry {
                 poisoned.remove(&r.hash);
             }
         }
-        let mut reg = Registry {
-            dir: dir.to_path_buf(),
+        Ok(Registry {
             log,
             runs,
             next_seq,
             writes: 0,
             fail_writes: Vec::new(),
             poisoned,
-            index_records: 0,
-        };
-        reg.write_index()?;
-        Ok(reg)
-    }
-
-    /// The registry's data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        })
     }
 
     /// The cached run for `hash`, if one was ever recorded. The *latest*
@@ -338,12 +305,6 @@ impl Registry {
     /// Number of job runs recorded.
     pub fn run_count(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Number of runs the on-disk `index.json` covers; equals
-    /// `run_count()` when the index is fresh.
-    pub fn index_records(&self) -> usize {
-        self.index_records
     }
 
     /// Record a successfully completed job run: append to the log
@@ -458,7 +419,6 @@ impl Registry {
         }
         self.next_seq += 1;
         self.runs.push(rec);
-        self.index_on_schedule();
         Ok(self.runs.last().expect("just pushed"))
     }
 
@@ -478,86 +438,12 @@ impl Registry {
             .and_then(|()| self.log.flush())
             .map_err(|e| format!("append runs.jsonl: {e}"))
     }
-
-    /// Bring `index.json` up to date if it is behind the log. Clean
-    /// shutdown calls this; `Drop` does too, but cannot report a failure.
-    pub fn flush_index(&mut self) -> Result<(), String> {
-        if self.index_records == self.runs.len() {
-            return Ok(());
-        }
-        self.write_index()
-    }
-
-    /// [`flush_index`](Self::flush_index) for the append path: the index
-    /// is derived, so a failed rewrite is reported and left for the next
-    /// scheduled point or close — it never fails the append that is
-    /// already durable in the log.
-    fn refresh_index(&mut self) {
-        if let Err(e) = self.flush_index() {
-            eprintln!(
-                "fem2-serve: index.json left at {} records: {e}",
-                self.index_records
-            );
-        }
-    }
-
-    /// After an append: rewrite the index when the record count reaches a
-    /// power of two, so the whole-file rewrite is amortised O(1) per
-    /// record however large the registry grows.
-    fn index_on_schedule(&mut self) {
-        if self.runs.len().is_power_of_two() {
-            self.refresh_index();
-        }
-    }
-
-    /// Rewrite `index.json` from the in-memory state, atomically
-    /// (temp file + rename) so readers never see a torn index.
-    fn write_index(&mut self) -> Result<(), String> {
-        let runs: Vec<Value> = self
-            .runs
-            .iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("seq".into(), Value::UInt(r.seq)),
-                    ("hash".into(), Value::Str(r.hash.clone())),
-                    ("name".into(), Value::Str(r.name.clone())),
-                    ("kind".into(), Value::Str(r.kind.clone())),
-                    ("status".into(), Value::Str(r.status.name().into())),
-                    ("wall_ns".into(), Value::UInt(r.wall_ns)),
-                ])
-            })
-            .collect();
-        let index = Value::Obj(vec![
-            ("schema".into(), Value::Str(SCHEMA.into())),
-            ("run_count".into(), Value::UInt(self.runs.len() as u64)),
-            (
-                "quarantine_size".into(),
-                Value::UInt(self.quarantine_size() as u64),
-            ),
-            ("runs".into(), Value::Arr(runs)),
-        ]);
-        let tmp = self.dir.join("index.json.tmp");
-        let final_path = self.dir.join("index.json");
-        let mut text = json_pretty(&index);
-        text.push('\n');
-        fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        fs::rename(&tmp, &final_path).map_err(|e| format!("rename index.json: {e}"))?;
-        self.index_records = self.runs.len();
-        Ok(())
-    }
-}
-
-impl Drop for Registry {
-    /// Clean close: leave `index.json` covering the whole log. Best
-    /// effort — after a kill the next open rebuilds it instead.
-    fn drop(&mut self) {
-        let _ = self.flush_index();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -648,7 +534,6 @@ mod tests {
         let before = fs::read_to_string(&log).unwrap();
         let mut reg = Registry::open(&dir).unwrap();
         assert_eq!(reg.run_count(), 1, "the run is served");
-        assert_eq!(reg.index_records(), 1);
         assert!(reg.lookup(&spec.content_hash()).is_some());
         let spec2 = JobSpec::parse(r#"{"nx":14,"ny":14}"#).unwrap();
         let outcome2 = spec2.execute();
@@ -750,72 +635,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn index_on_disk(dir: &Path) -> Value {
-        serde_json::parse_value(&fs::read_to_string(dir.join("index.json")).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn index_json_reflects_the_log() {
-        let dir = temp_dir("index");
-        let spec = sample_spec();
-        let outcome = spec.execute();
-        let mut reg = Registry::open(&dir).unwrap();
-        reg.record_run(&spec, &outcome, 1).unwrap();
-        let v = index_on_disk(&dir);
-        assert_eq!(v.get_field("run_count").unwrap(), &Value::UInt(1));
-        assert_eq!(v.get_field("schema").unwrap(), &Value::Str(SCHEMA.into()));
-        // The live index is rewritten when the record count reaches a
-        // power of two: after five appends it covers four, and says so.
-        for wall_ns in 2..=5 {
-            reg.record_run(&spec, &outcome, wall_ns).unwrap();
-        }
-        assert_eq!(reg.run_count(), 5);
-        assert_eq!(reg.index_records(), 4);
-        assert_eq!(
-            index_on_disk(&dir).get_field("run_count").unwrap(),
-            &Value::UInt(4)
-        );
-        // Clean close catches it up, to exactly what a fresh open of the
-        // same log writes.
-        drop(reg);
-        let closed = fs::read(dir.join("index.json")).unwrap();
-        assert_eq!(
-            index_on_disk(&dir).get_field("run_count").unwrap(),
-            &Value::UInt(5)
-        );
-        let reg = Registry::open(&dir).unwrap();
-        assert_eq!(reg.index_records(), 5);
-        assert_eq!(fs::read(dir.join("index.json")).unwrap(), closed);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_failed_index_rewrite_never_fails_or_duplicates_the_append() {
-        let dir = temp_dir("index-blocked");
-        let spec = sample_spec();
-        let outcome = spec.execute();
-        let mut reg = Registry::open(&dir).unwrap();
-        // A directory where the temp file goes: every rewrite fails.
-        fs::create_dir(dir.join("index.json.tmp")).unwrap();
-        reg.record_run(&spec, &outcome, 1).unwrap();
-        reg.record_run(&spec, &outcome, 2).unwrap();
-        assert_eq!(reg.run_count(), 2);
-        assert_eq!(reg.index_records(), 0, "the index is behind and says so");
-        assert!(reg.flush_index().is_err());
-        let log = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
-        assert_eq!(log.lines().count(), 2, "one line per run, no duplicate");
-        fs::remove_dir(dir.join("index.json.tmp")).unwrap();
-        drop(reg);
-        let reg = Registry::open(&dir).unwrap();
-        assert_eq!(reg.run_count(), 2);
-        assert_eq!(reg.index_records(), 2);
-        assert_eq!(
-            index_on_disk(&dir).get_field("run_count").unwrap(),
-            &Value::UInt(2)
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn carried_and_recomputing_paths_write_the_same_bytes() {
         let plate = sample_spec();
@@ -871,7 +690,7 @@ mod tests {
         let mut reg = Registry::open(&carried).unwrap();
         for (spec, status, outcome, error, cause, wall_ns) in calls {
             let mut job = Admitted::new(spec.clone());
-            job.effective_budget(150);
+            job.effective_budget();
             reg.record(&mut job, status, outcome, error, cause, wall_ns)
                 .unwrap();
         }
@@ -892,10 +711,6 @@ mod tests {
         assert_eq!(
             log,
             fs::read_to_string(recomputed.join("runs.jsonl")).unwrap()
-        );
-        assert_eq!(
-            fs::read(carried.join("index.json")).unwrap(),
-            fs::read(recomputed.join("index.json")).unwrap()
         );
         let lines: Vec<&str> = log.lines().collect();
         assert_eq!(lines.len(), 5);
@@ -1110,9 +925,8 @@ mod tests {
     proptest::proptest! {
         /// Crash-recovery invariant: truncating the log at *any* byte
         /// offset loses at most the torn record. Every record wholly
-        /// before the cut replays; no partial record is ever yielded; the
-        /// rebuilt index agrees with the replay; and the repaired log
-        /// accepts appends cleanly.
+        /// before the cut replays; no partial record is ever yielded; and
+        /// the repaired log accepts appends cleanly.
         #[test]
         fn torn_tail_recovery_at_any_offset(cut_back in 0usize..400, runs in 2usize..8) {
             let dir = temp_dir("prop-torn");
@@ -1141,18 +955,13 @@ mod tests {
             for spec in specs.iter().take(complete) {
                 proptest::prop_assert!(reg.lookup(&spec.content_hash()).is_some());
             }
-            // index.json agrees with the replay.
-            proptest::prop_assert_eq!(index_on_disk(&dir).get_field("run_count").cloned().unwrap(), Value::UInt(complete as u64));
-            // And the repaired log accepts a fresh append that survives,
-            // and that the index covers once the registry is closed —
-            // whether or not the new count is one the live schedule writes.
+            // And the repaired log accepts a fresh append that survives.
             drop(reg);
             let extra = JobSpec::parse(r#"{"nx":4,"ny":4,"seed":999}"#).unwrap();
             {
                 let mut reg = Registry::open(&dir).unwrap();
                 reg.record_run(&extra, &outcome, 1).unwrap();
             }
-            proptest::prop_assert_eq!(index_on_disk(&dir).get_field("run_count").cloned().unwrap(), Value::UInt(complete as u64 + 1));
             let reg = Registry::open(&dir).unwrap();
             proptest::prop_assert_eq!(reg.run_count(), complete + 1);
             proptest::prop_assert!(reg.lookup(&extra.content_hash()).is_some());
@@ -1164,15 +973,14 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// Damage anywhere, not only at the tail: 1–8 arbitrary bytes
-        /// written over any offset of the log, or of the index. The
-        /// registry opens, every line the damage missed is loaded, and the
-        /// next append's `seq` is above every `seq` still legible.
+        /// written over any offset of the log. The registry opens, every
+        /// line the damage missed is loaded, and the next append's `seq`
+        /// is above every `seq` still legible.
         #[test]
         fn overwritten_bytes_at_any_offset_never_brick_the_registry(
             runs in 2usize..9,
             at in 0usize..100_000,
             junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..9),
-            hit_index in proptest::prelude::any::<bool>(),
         ) {
             let dir = temp_dir("prop-overwrite");
             let outcome = JobOutcome { value: Value::Obj(vec![("kind".into(), Value::Str("plate".into()))]) };
@@ -1183,26 +991,19 @@ mod tests {
                     reg.record_run(&spec, &outcome, 1).unwrap();
                 }
             }
-            let clean_index = fs::read(dir.join("index.json")).unwrap();
-            let clean_log = fs::read(dir.join("runs.jsonl")).unwrap();
-            let target = dir.join(if hit_index { "index.json" } else { "runs.jsonl" });
-            let mut bytes = fs::read(&target).unwrap();
+            let log = dir.join("runs.jsonl");
+            let clean_log = fs::read(&log).unwrap();
+            let mut bytes = clean_log.clone();
             let at = at % bytes.len();
             let end = (at + junk.len()).min(bytes.len());
             bytes[at..end].copy_from_slice(&junk[..end - at]);
-            fs::write(&target, &bytes).unwrap();
+            fs::write(&log, &bytes).unwrap();
 
             let mut reg = Registry::open(&dir).unwrap();
-            if hit_index {
-                // The index is derived: rebuilt from the log, never read.
-                proptest::prop_assert_eq!(reg.run_count(), runs);
-                proptest::prop_assert_eq!(fs::read(dir.join("index.json")).unwrap(), clean_index);
-            }
             // Whole lines the damage missed (the piece after the last
             // newline is empty or torn, and is truncated away).
             let clean_lines: Vec<&[u8]> = clean_log.split(|&b| b == b'\n').collect();
-            let on_disk = if hit_index { clean_log.clone() } else { bytes };
-            let mut pieces: Vec<&[u8]> = on_disk.split(|&b| b == b'\n').collect();
+            let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
             pieces.pop();
             let mut legible_seq = 0;
             for piece in pieces {

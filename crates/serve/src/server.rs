@@ -94,15 +94,11 @@ pub struct ServeOptions {
     /// Reject plate submissions whose static peak-memory bound (words on
     /// the busiest cluster) exceeds this (`--quota-memory`).
     pub quota_memory_words: Option<u64>,
-    /// Slack applied when auto-deriving a run budget from the static
-    /// cost bound, in percent (150 = bound × 1.5); clamped to ≥ 100 so
-    /// the derived cap can never undercut the bound.
-    pub budget_slack_percent: u64,
 }
 
 impl ServeOptions {
     /// Defaults: ephemeral port, two workers, depth 16, no chaos, no
-    /// quotas, 150% budget slack.
+    /// quotas.
     pub fn new(data_dir: PathBuf) -> Self {
         ServeOptions {
             data_dir,
@@ -114,7 +110,6 @@ impl ServeOptions {
             quota_cycles: None,
             quota_events: None,
             quota_memory_words: None,
-            budget_slack_percent: 150,
         }
     }
 }
@@ -272,8 +267,6 @@ pub struct State {
     quota_cycles: Option<u64>,
     quota_events: Option<u64>,
     quota_memory_words: Option<u64>,
-    /// Slack (percent, ≥ 100) for budgets auto-derived from cost bounds.
-    budget_slack_percent: u64,
 }
 
 /// A running server: bound address plus its threads.
@@ -597,8 +590,8 @@ impl State {
     }
 
     /// One worker thread: run jobs in arrival order until [`next_job`]
-    /// says the server is done, so every admitted job is persisted before
-    /// `flush_index`.
+    /// says the server is done. Shutdown joins every worker, so every
+    /// admitted job is persisted before `stop` returns.
     ///
     /// [`next_job`]: Self::next_job
     fn worker_loop(self: &Arc<Self>) {
@@ -649,7 +642,7 @@ impl State {
         // Soundness (bound ≥ actual) means the derived cap only ever
         // fires on a run that violates its own static bound — a
         // cost-model or simulator bug, which *should* abort loudly.
-        let (budget, auto) = job.effective_budget(self.budget_slack_percent);
+        let (budget, auto) = job.effective_budget();
         if auto {
             self.auto_budgeted.fetch_add(1, Ordering::Relaxed);
         }
@@ -825,10 +818,6 @@ impl State {
                 Value::Bool(self.last_registry_write_ok.load(Ordering::Relaxed)),
             ),
             ("registry_runs", Value::UInt(registry.run_count() as u64)),
-            (
-                "index_records",
-                Value::UInt(registry.index_records() as u64),
-            ),
         ]);
         Response::json(200, json_pretty(&doc))
     }
@@ -992,13 +981,6 @@ impl ServerHandle {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        // Clean close: every admitted job has been persisted by now, so
-        // leave `index.json` covering the whole log. (`Drop for Registry`
-        // would, but only once the last connection thread lets go of the
-        // state.)
-        if let Err(e) = lock(&self.state.registry).flush_index() {
-            eprintln!("fem2-serve: index.json not rewritten at shutdown: {e}");
-        }
     }
 }
 
@@ -1053,7 +1035,6 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         quota_cycles: opts.quota_cycles,
         quota_events: opts.quota_events,
         quota_memory_words: opts.quota_memory_words,
-        budget_slack_percent: opts.budget_slack_percent.max(100),
     });
 
     // The handle exists before its threads do: if a spawn fails, dropping
@@ -1221,6 +1202,46 @@ mod tests {
         // The factoring variant of the same submission is admitted.
         let good = body.replace("[3,5]", "[4,4]");
         let (status, resp) = client::request(addr, "POST", "/jobs", Some(&good)).unwrap();
+        assert_eq!(status, 201, "{resp}");
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sizes taken from the body are capped before verification: lowering
+    /// and the cost pass do work per task and per cluster, so an uncapped
+    /// count could hold a connection thread for minutes or exhaust memory.
+    #[test]
+    fn oversized_tasks_and_machines_are_refused_before_verification() {
+        let dir = temp_dir("caps");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let addr = handle.addr();
+        let bus = |clusters: u32, pes: u32| {
+            format!(
+                r#"{{"nx":12,"ny":12,"machine":{{"clusters":{clusters},"pes_per_cluster":{pes},
+                "memory_per_cluster":4194304,"topology":"Bus","link_latency":20,
+                "words_per_cycle":1,"max_packet_words":256,"header_words":4,
+                "cost":{{"flop":4,"int_op":1,"mem_word":2,"msg_send":60,"msg_dispatch":80,
+                "task_create":120,"context_switch":40}},"dedicated_kernel_pe":true,
+                "route_cache":true,"des_queue":"Calendar"}}}}"#
+            )
+        };
+        let huge = r#"{"nx":2,"ny":2,"tasks":4000000000}"#;
+        for (body, code, says) in [
+            (huge.to_string(), 400, "field `tasks`"),
+            // Default tasks: one per worker PE, 400 000 × 7 of them.
+            (bus(400_000, 8), 400, "field `tasks`"),
+            (bus(2_000_000, 1), 422, "clusters 2000000 exceeds the cap"),
+            (bus(4, 5000), 422, "pes_per_cluster 5000 exceeds the cap"),
+        ] {
+            let (status, resp) = client::request(addr, "POST", "/jobs", Some(&body)).unwrap();
+            assert_eq!(status, code, "{resp}");
+            assert!(resp.contains(says), "{resp}");
+        }
+        assert_eq!(handle.state.verify_calls.load(Ordering::Relaxed), 0);
+        let (status, health) = client::request(addr, "GET", "/healthz", None).unwrap();
+        assert_eq!((status, health.as_str()), (200, "{\"ok\":true}"));
+        // The same machine at a sane size is admitted as before.
+        let (status, resp) = client::request(addr, "POST", "/jobs", Some(&bus(16, 2))).unwrap();
         assert_eq!(status, 201, "{resp}");
         handle.stop();
         fs::remove_dir_all(&dir).unwrap();
@@ -1541,7 +1562,7 @@ mod tests {
         let addr = handle.addr();
         let stats = "sims_run cache_hits shed queue_depth capacity workers shards panics aborts \
                      quarantine_hits cost_rejections auto_budgeted infra_retries quarantine_size \
-                     last_registry_write_ok registry_runs index_records";
+                     last_registry_write_ok registry_runs";
         let readyz = "ready queue_depth capacity shards in_flight quarantine_size \
                       cost_rejections auto_budgeted last_registry_write_ok";
         for (path, want) in [("/stats", stats), ("/readyz", readyz)] {
@@ -1909,7 +1930,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_every_admitted_job_before_the_index_flush() {
+    fn shutdown_drains_every_admitted_job() {
         let dir = temp_dir("drain");
         let mut opts = ServeOptions::new(dir.clone());
         opts.workers = 1;
@@ -1924,18 +1945,44 @@ mod tests {
         assert_eq!(stat(addr, "queue_depth"), 3);
         assert_eq!(stat(addr, "registry_runs"), 0);
         handle.stop();
-        // The index is rewritten at power-of-two counts and at clean
-        // shutdown only: one that covers three records was flushed after
-        // the third append.
-        let index = fs::read_to_string(dir.join("index.json")).unwrap();
-        let index = serde_json::parse_value(&index).unwrap();
-        assert_eq!(index.get_field("run_count").unwrap(), &Value::UInt(3));
         let reg = Registry::open(&dir).unwrap();
         let names: Vec<&str> = reg.runs().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["plate 8x8", "plate 10x10", "plate 12x12"], "FIFO");
         assert!(reg.runs().iter().all(|r| r.status.is_ok()));
         drop(reg);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The registry's whole on-disk state is `runs.jsonl`: open, append,
+    /// reopen, a server's clean stop and a report leave nothing beside it.
+    /// A directory named `index.json.tmp`, as an older build could leave
+    /// behind, stops none of them.
+    #[test]
+    fn the_data_dir_holds_runs_jsonl_and_nothing_else() {
+        let dir = temp_dir("one-file");
+        let site = temp_dir("one-file-site");
+        // Open and append, stop; reopen and append, stop.
+        for body in [r#"{"nx":8,"ny":8}"#, r#"{"nx":10,"ny":10}"#] {
+            let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+            let id = submit_id(handle.addr(), body);
+            assert_eq!(client::wait_settled(handle.addr(), id).unwrap(), "done");
+            handle.stop();
+        }
+        assert_eq!(crate::report::generate(&dir, &site).unwrap(), 4);
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["runs.jsonl"]);
+        fs::create_dir(dir.join("index.json.tmp")).unwrap();
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let (status, body) =
+            client::request(handle.addr(), "POST", "/jobs", Some(r#"{"nx":8,"ny":8}"#)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        handle.stop();
+        assert_eq!(crate::report::generate(&dir, &site).unwrap(), 4);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&site).unwrap();
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub fn solve_script(
     let tasks = tasks.max(1);
     let clusters = machine.clusters.max(1);
     let set = TaskSet::new(tasks, clusters);
+    let unknowns = shape.unknowns as usize;
     let task_name = |t: u32| format!("task{t}");
 
     // 1. Initiate the crew, one task per replication on its home cluster.
@@ -49,17 +50,22 @@ pub fn solve_script(
     }
 
     // 2. Worst-case vector storage per cluster: each task's row share times
-    //    the live vector count, exactly as `NaVm` row-block-allocates.
-    for c in 0..clusters {
-        let rows: u64 = set
-            .tasks_on(c)
-            .iter()
-            .map(|&t| set.share(shape.unknowns as usize, t).len() as u64)
-            .sum();
+    //    the live vector count, exactly as `NaVm` row-block-allocates. One
+    //    pass over the tasks: the block mapping is monotone, so each
+    //    cluster's tasks are one run and clusters come out ascending.
+    let mut cluster_rows: Vec<(u32, u64)> = Vec::new();
+    for t in set.iter() {
+        let (c, rows) = (set.cluster_of(t), set.share(unknowns, t).len() as u64);
+        match cluster_rows.last_mut() {
+            Some((last, sum)) if *last == c => *sum += rows,
+            _ => cluster_rows.push((c, rows)),
+        }
+    }
+    for (cluster, rows) in cluster_rows {
         let words = rows * shape.vectors;
         if words > 0 {
             s.push(Op::Alloc {
-                cluster: c,
+                cluster,
                 words,
                 what: format!(
                     "{} solver vectors of {} unknowns",
@@ -70,10 +76,7 @@ pub fn solve_script(
     }
 
     // 3. Halo windows between neighbouring tasks with non-empty shares.
-    let has_rows = |t: u32| {
-        !set.share(shape.unknowns as usize, fem2_navm::TaskHandle(t))
-            .is_empty()
-    };
+    let has_rows = |t: u32| !set.share(unknowns, fem2_navm::TaskHandle(t)).is_empty();
     let mut neighbours: Vec<(u32, u32)> = Vec::new();
     for t in 0..tasks.saturating_sub(1) {
         if has_rows(t) && has_rows(t + 1) {
@@ -173,23 +176,54 @@ mod tests {
         }
     }
 
+    /// `(cluster, words)` of every `Alloc` in `s`.
+    fn allocs(s: &ScenarioScript) -> Vec<(u32, u64)> {
+        s.ops()
+            .filter_map(|(op, _)| match op {
+                Op::Alloc { cluster, words, .. } => Some((*cluster, *words)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn storage_mirrors_row_block_distribution() {
         let m = MachineConfig::fem2_default();
-        let s = solve_script("alloc", &m, 8, shape(100));
-        let allocs: Vec<u64> = s
-            .ops()
-            .filter_map(|(op, _)| match op {
-                Op::Alloc { words, .. } => Some(*words),
-                _ => None,
-            })
-            .collect();
+        let allocs = allocs(&solve_script("alloc", &m, 8, shape(100)));
         // 8 tasks over 4 clusters, 2 tasks each. 100 rows split 8 ways is
         // 13 rows for tasks 0..4 and 12 for tasks 4..8 (earlier tasks take
         // the remainder), so clusters get 26/26/24/24 rows, times 5 vectors.
-        assert_eq!(allocs, vec![130, 130, 120, 120]);
-        let total: u64 = allocs.iter().sum();
-        assert_eq!(total, 100 * 5, "shares partition the unknowns exactly");
+        assert_eq!(allocs, vec![(0, 130), (1, 130), (2, 120), (3, 120)]);
+    }
+
+    /// The storage step as first written, one scan of every task per
+    /// cluster (O(clusters × tasks)), against the one-pass step.
+    #[test]
+    fn one_pass_storage_matches_the_per_cluster_scan() {
+        for tasks in [1u32, 2, 3, 7, 8, 28, 100, 257] {
+            for clusters in [1u32, 2, 3, 4, 5, 16, 64, 300] {
+                let m = MachineConfig::clustered(clusters, 8, fem2_machine::Topology::Crossbar);
+                let set = TaskSet::new(tasks, clusters);
+                for n in [0u64, 1, 3, 9, 100, 1024, 4099] {
+                    let oracle: Vec<(u32, u64)> = (0..clusters)
+                        .map(|c| {
+                            let rows: u64 = set
+                                .tasks_on(c)
+                                .iter()
+                                .map(|&t| set.share(n as usize, t).len() as u64)
+                                .sum();
+                            (c, rows * shape(n).vectors)
+                        })
+                        .filter(|&(_, words)| words > 0)
+                        .collect();
+                    let lowered = allocs(&solve_script("s", &m, tasks, shape(n)));
+                    assert_eq!(
+                        lowered, oracle,
+                        "{tasks} tasks, {clusters} clusters, {n} rows"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
