@@ -4,7 +4,8 @@
 
 use fem2_core::scenario::PlateScenario;
 use fem2_kernel::{CodeBlock, KernelMessage, KernelSim, TaskId, WorkProfile};
-use fem2_machine::{Machine, MachineConfig, Topology};
+use fem2_machine::fault::FaultPlan;
+use fem2_machine::{Machine, MachineConfig, PeId, Topology};
 use fem2_trace::{chrome, EventKind, TraceHandle};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -263,4 +264,81 @@ fn kernel_protocol_emits_des_message_and_task_events() {
     let table = chrome::phase_table(&r);
     assert!(table.contains("des: dispatches"), "{table}");
     assert!(table.contains("evt/Mcyc"), "{table}");
+}
+
+// ---------------------------------------------------------------------
+// Pinned exports
+// ---------------------------------------------------------------------
+
+/// FNV-1a digest and record count of a Chrome export. Every record, and
+/// nothing else in the document, carries one `"ph":` key.
+fn export_identity(rec: &fem2_trace::SharedRecorder) -> (u64, usize) {
+    let rec = rec.lock().expect("no other holder of the recorder lock");
+    let json = chrome::trace_json(&rec);
+    (
+        fem2_core::hash::fnv1a_64(json.as_bytes()),
+        json.matches("\"ph\":").count(),
+    )
+}
+
+/// The Chrome export of a traced 16×16 plate on the default machine is
+/// pinned byte for byte: every `PeBusy` span a dispatched task charges
+/// keeps its start, duration, lane and order.
+#[test]
+fn plate_chrome_export_is_pinned() {
+    let (handle, rec) = TraceHandle::ring(1 << 18);
+    let report = PlateScenario::square(16, MachineConfig::fem2_default())
+        .with_trace(handle)
+        .run();
+    assert!(report.converged);
+    let (digest, events) = export_identity(&rec);
+    assert_eq!(
+        (digest, events),
+        (0x57ed_c79f_9ca7_0b69, 27_710),
+        "got ({digest:#018x}, {events})"
+    );
+}
+
+/// The Chrome export of a traced kernel run is pinned byte for byte: task
+/// dispatches across PE faults (a transient worker fault, a kernel-PE
+/// kill), two fans of replications and one remote call.
+#[test]
+fn kernel_chrome_export_is_pinned() {
+    let machine = Machine::new(MachineConfig::clustered(2, 4, Topology::Crossbar));
+    let mut k = KernelSim::new(machine);
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    k.set_trace(handle);
+    let work = WorkProfile {
+        flops: 300,
+        int_ops: 40,
+        mem_words: 120,
+    };
+    let code = k.register_code(CodeBlock::new("worker", 32, work, 16));
+    k.inject_faults(
+        &FaultPlan::none()
+            .transient_pe(400, 3_000, PeId::new(0, 1))
+            .kill_pe(900, PeId::new(1, 0)),
+    );
+    k.initiate(0, 0, code, 6, None, 0);
+    k.initiate(0, 1, code, 5, None, 0);
+    k.send(
+        200,
+        0,
+        1,
+        KernelMessage::RemoteCall {
+            call_id: 7,
+            code,
+            args_words: 16,
+            caller: TaskId(0),
+            reply_cluster: 0,
+        },
+    );
+    k.run();
+    assert!(k.rpc_returns().contains_key(&7));
+    let (digest, events) = export_identity(&rec);
+    assert_eq!(
+        (digest, events),
+        (0x1db0_d43b_53fd_aa1d, 245),
+        "got ({digest:#018x}, {events})"
+    );
 }
