@@ -7,6 +7,7 @@
 //! scenario analyses size the profiles from real FEM operation counts.
 
 use fem2_machine::Words;
+pub use fem2_machine::WorkProfile;
 use std::fmt;
 
 /// Identifier of a registered code block.
@@ -16,45 +17,6 @@ pub struct CodeId(pub u32);
 impl fmt::Debug for CodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "code{}", self.0)
-    }
-}
-
-/// Abstract work performed by one activation of a code block.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WorkProfile {
-    /// Floating-point operations.
-    pub flops: u64,
-    /// Integer / control operations.
-    pub int_ops: u64,
-    /// Shared-memory words touched.
-    pub mem_words: u64,
-}
-
-impl WorkProfile {
-    /// A pure-flop profile.
-    pub fn flops(n: u64) -> Self {
-        WorkProfile {
-            flops: n,
-            ..Default::default()
-        }
-    }
-
-    /// Scale every component by `k` (e.g. per-element work × element count).
-    pub fn scaled(self, k: u64) -> Self {
-        WorkProfile {
-            flops: self.flops * k,
-            int_ops: self.int_ops * k,
-            mem_words: self.mem_words * k,
-        }
-    }
-
-    /// Component-wise sum.
-    pub fn plus(self, other: WorkProfile) -> Self {
-        WorkProfile {
-            flops: self.flops + other.flops,
-            int_ops: self.int_ops + other.int_ops,
-            mem_words: self.mem_words + other.mem_words,
-        }
     }
 }
 

@@ -1105,15 +1105,7 @@ impl KernelSim {
                     },
                 )
             });
-            let _ = self.machine.charge(now, pe, CostClass::ContextSwitch, 1);
-            let _ = self.machine.charge(now, pe, CostClass::IntOp, work.int_ops);
-            let _ = self
-                .machine
-                .charge(now, pe, CostClass::MemWord, work.mem_words);
-            let done = self
-                .machine
-                .charge(now, pe, CostClass::Flop, work.flops)
-                .unwrap_or(now);
+            let done = self.machine.run_task(now, pe, &work).unwrap_or(now);
             self.running.insert(pe, task);
             self.queue
                 .schedule(done, KEvent::TaskComplete { task, pe, epoch });

@@ -49,7 +49,7 @@ pub use config::{CostModel, DesQueue, MachineConfig, Topology};
 pub use machine::{trace_cost_kind, Machine, MachineError};
 pub use memory::ClusterMemory;
 pub use network::{Flight, Network, Tracked};
-pub use pe::{CostClass, Pe, PeId};
+pub use pe::{CostClass, Pe, PeId, WorkProfile};
 pub use sim::EventQueue;
 pub use stats::{PhaseCounters, Stats};
 

@@ -4,7 +4,7 @@
 use crate::config::MachineConfig;
 use crate::memory::{ClusterMemory, OutOfMemory};
 use crate::network::{Network, Tracked};
-use crate::pe::{best_worker, CostClass, Pe, PeId};
+use crate::pe::{best_worker, CostClass, Pe, PeId, WorkProfile};
 use crate::stats::Stats;
 use crate::{Cycles, Words};
 use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
@@ -253,11 +253,7 @@ impl Machine {
             CostClass::Flop => self.stats.flops(count),
             CostClass::IntOp => self.stats.int_ops(count),
             CostClass::MemWord => self.stats.mem_words(count),
-            CostClass::TaskCreate => {
-                for _ in 0..count {
-                    self.stats.task_created();
-                }
-            }
+            CostClass::TaskCreate => self.stats.tasks_created(count),
             _ => {}
         }
         let cost = self.config.cost;
@@ -278,6 +274,59 @@ impl Machine {
         });
         self.events += 1;
         Ok(done)
+    }
+
+    /// Run one dispatched task on `pe`, starting no earlier than `now`: one
+    /// context switch, then `work`'s integer ops, memory words and flops,
+    /// each interval starting where the previous one ends. Returns the
+    /// completion time.
+    ///
+    /// Exactly what four [`Machine::charge`] calls in that order record —
+    /// the same busy intervals, stats, `PeBusy` spans and event count — for
+    /// one range check, one failed check and one lane access. An `Err`
+    /// charges nothing.
+    pub fn run_task(
+        &mut self,
+        now: Cycles,
+        pe: PeId,
+        work: &WorkProfile,
+    ) -> Result<Cycles, MachineError> {
+        self.check(pe)?;
+        if self.pe_state(pe).failed {
+            return Err(MachineError::PeFailed(pe));
+        }
+        self.stats.task_work(work);
+        let cost = self.config.cost;
+        let steps = [
+            (CostClass::ContextSwitch, 1),
+            (CostClass::IntOp, work.int_ops),
+            (CostClass::MemWord, work.mem_words),
+            (CostClass::Flop, work.flops),
+        ];
+        let state = self.pe_state_mut(pe);
+        let mut spans = [(0, 0); 4];
+        for (span, &(class, count)) in spans.iter_mut().zip(&steps) {
+            let start = state.free_at.max(now);
+            *span = (start, state.charge(now, class, count, &cost));
+        }
+        if self.trace.is_enabled() {
+            for (&(start, done), &(class, count)) in spans.iter().zip(&steps) {
+                self.trace.emit(|| {
+                    TraceEvent::span(
+                        start,
+                        done - start,
+                        pe.cluster,
+                        pe.index,
+                        EventKind::PeBusy {
+                            cost: trace_cost_kind(class),
+                            count,
+                        },
+                    )
+                });
+            }
+        }
+        self.events += 4;
+        Ok(spans[3].1)
     }
 
     /// Allocate `words` in cluster `c`'s shared memory.
@@ -622,6 +671,85 @@ mod tests {
             m.charge(0, PeId::new(0, 9), CostClass::Flop, 1),
             Err(MachineError::NoSuchPe(_))
         ));
+    }
+
+    /// What `run_task` replaces: four `charge` calls on one PE.
+    fn four_charges(
+        m: &mut Machine,
+        now: Cycles,
+        pe: PeId,
+        work: &WorkProfile,
+    ) -> Result<Cycles, MachineError> {
+        m.charge(now, pe, CostClass::ContextSwitch, 1)?;
+        m.charge(now, pe, CostClass::IntOp, work.int_ops)?;
+        m.charge(now, pe, CostClass::MemWord, work.mem_words)?;
+        m.charge(now, pe, CostClass::Flop, work.flops)
+    }
+
+    /// Every PE's state, the stats table, the event count and the
+    /// recorded trace bytes.
+    fn observe(m: &Machine, rec: &fem2_trace::SharedRecorder) -> (Vec<Pe>, String, u64, Vec<u8>) {
+        let pes = (0..m.config.clusters)
+            .flat_map(|c| m.cluster_pes(c))
+            .map(|pe| *m.pe(pe).unwrap())
+            .collect();
+        let trace = rec.lock().unwrap().encode();
+        (pes, m.stats.table(), m.events, trace)
+    }
+
+    #[test]
+    fn run_task_records_what_four_charges_record() {
+        let work = WorkProfile {
+            flops: 7,
+            int_ops: 3,
+            mem_words: 5,
+        };
+        // Each case: setup on both twins, then (now, pe) of the task.
+        type Setup = fn(&mut Machine);
+        let cases: [(&str, Setup, u64, PeId); 4] = [
+            ("fresh lane", |_| {}, 40, PeId::new(1, 2)),
+            (
+                "busy PE",
+                |m| {
+                    m.charge(0, PeId::new(0, 1), CostClass::Flop, 100).unwrap();
+                },
+                10,
+                PeId::new(0, 1),
+            ),
+            (
+                "failed PE",
+                |m| m.fail_pe(PeId::new(0, 3)).unwrap(),
+                0,
+                PeId::new(0, 3),
+            ),
+            ("out of range", |_| {}, 0, PeId::new(0, 4)),
+        ];
+        for (name, setup, now, pe) in cases {
+            let twin = |run: &dyn Fn(&mut Machine) -> Result<Cycles, MachineError>| {
+                let mut m = machine();
+                let (trace, rec) = TraceHandle::ring(64);
+                m.set_trace(trace);
+                setup(&mut m);
+                (run(&mut m), observe(&m, &rec))
+            };
+            let fused = twin(&|m| m.run_task(now, pe, &work));
+            let oracle = twin(&|m| four_charges(m, now, pe, &work));
+            assert_eq!(fused, oracle, "{name}");
+        }
+        // The busy PE queues all four intervals behind its 400 cycles.
+        let mut m = machine();
+        m.charge(0, PeId::new(0, 1), CostClass::Flop, 100).unwrap();
+        let cost = m.config.cost;
+        let done = m.run_task(10, PeId::new(0, 1), &work).unwrap();
+        assert_eq!(
+            done,
+            400 + cost.context_switch + 3 * cost.int_op + 5 * cost.mem_word + 7 * cost.flop
+        );
+        assert_eq!(m.events, 5);
+        assert_eq!(
+            m.run_task(0, PeId::new(0, 4), &work),
+            Err(MachineError::NoSuchPe(PeId::new(0, 4)))
+        );
     }
 
     #[test]

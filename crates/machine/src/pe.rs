@@ -74,6 +74,46 @@ impl CostClass {
     }
 }
 
+/// Abstract work performed by one activation of a code block: what a
+/// dispatched task charges to the PE that runs it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WorkProfile {
+    /// Floating-point operations.
+    pub flops: u64,
+    /// Integer / control operations.
+    pub int_ops: u64,
+    /// Shared-memory words touched.
+    pub mem_words: u64,
+}
+
+impl WorkProfile {
+    /// A pure-flop profile.
+    pub fn flops(n: u64) -> Self {
+        WorkProfile {
+            flops: n,
+            ..Default::default()
+        }
+    }
+
+    /// Scale every component by `k` (e.g. per-element work × element count).
+    pub fn scaled(self, k: u64) -> Self {
+        WorkProfile {
+            flops: self.flops * k,
+            int_ops: self.int_ops * k,
+            mem_words: self.mem_words * k,
+        }
+    }
+
+    /// Component-wise sum.
+    pub fn plus(self, other: WorkProfile) -> Self {
+        WorkProfile {
+            flops: self.flops + other.flops,
+            int_ops: self.int_ops + other.int_ops,
+            mem_words: self.mem_words + other.mem_words,
+        }
+    }
+}
+
 /// State of one processing element.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Pe {

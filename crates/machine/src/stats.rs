@@ -9,6 +9,8 @@
 //! *phases* (e.g. `assembly`, `solve`, `stress`) so per-phase requirement
 //! tables can be printed.
 
+use crate::pe::WorkProfile;
+
 /// Counters for one phase of an application.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCounters {
@@ -121,9 +123,17 @@ impl Stats {
         c.msg_words += words;
     }
 
-    /// Record one task creation.
-    pub fn task_created(&mut self) {
-        self.cur().tasks_created += 1;
+    /// Record `n` task creations.
+    pub fn tasks_created(&mut self, n: u64) {
+        self.cur().tasks_created += n;
+    }
+
+    /// Record the integer ops, memory words and flops of one task's work.
+    pub(crate) fn task_work(&mut self, work: &WorkProfile) {
+        let c = self.cur();
+        c.int_ops += work.int_ops;
+        c.mem_words += work.mem_words;
+        c.flops += work.flops;
     }
 
     /// Record one kernel message processed.
@@ -231,7 +241,7 @@ mod tests {
         let mut s = Stats::new();
         s.phase("a");
         s.flops(1);
-        s.task_created();
+        s.tasks_created(1);
         s.kernel_msg();
         s.phase("b");
         s.flops(2);

@@ -1,7 +1,8 @@
 //! Property tests for the hardware simulator: conservation, determinism,
 //! and topology invariants under random traffic.
 
-use fem2_machine::{CostClass, Machine, MachineConfig, Network, PeId, Topology};
+use fem2_machine::{CostClass, Machine, MachineConfig, Network, Pe, PeId, Topology, WorkProfile};
+use fem2_trace::TraceHandle;
 use proptest::prelude::*;
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
@@ -550,6 +551,50 @@ proptest! {
         let cost = m.config.cost.flop;
         prop_assert!(m.makespan() <= total_flops * cost);
         prop_assert!(m.total_busy_cycles() == total_flops * cost);
+    }
+
+    /// `run_task` against the four `charge` calls it replaces, on twin
+    /// machines under random failures, PEs (some out of range), start
+    /// times and profiles: the same results, free times, busy cycles,
+    /// stats table, event count and recorded trace bytes.
+    #[test]
+    fn run_task_matches_four_charges(
+        kills in proptest::collection::vec((0u32..3, 0u32..4), 0..4),
+        tasks in proptest::collection::vec(
+            (0u32..3, 0u32..5, 0u64..2000, 0u64..500, 0u64..500, 0u64..500),
+            1..40,
+        ),
+    ) {
+        let twin = |fused: bool| {
+            let mut m = Machine::new(MachineConfig::clustered(3, 4, Topology::Crossbar));
+            let (trace, rec) = TraceHandle::ring(1 << 10);
+            m.set_trace(trace);
+            for &(c, p) in &kills {
+                let _ = m.fail_pe(PeId::new(c, p));
+            }
+            let mut results = Vec::new();
+            for (i, &(c, p, now, flops, int_ops, mem_words)) in tasks.iter().enumerate() {
+                if i == tasks.len() / 2 {
+                    m.phase("second half", now);
+                }
+                let (pe, work) = (PeId::new(c, p), WorkProfile { flops, int_ops, mem_words });
+                results.push(if fused {
+                    m.run_task(now, pe, &work)
+                } else {
+                    m.charge(now, pe, CostClass::ContextSwitch, 1)
+                        .and_then(|_| m.charge(now, pe, CostClass::IntOp, int_ops))
+                        .and_then(|_| m.charge(now, pe, CostClass::MemWord, mem_words))
+                        .and_then(|_| m.charge(now, pe, CostClass::Flop, flops))
+                });
+            }
+            let pes: Vec<Pe> = (0..3)
+                .flat_map(|c| (0..4).map(move |p| PeId::new(c, p)))
+                .map(|pe| *m.pe(pe).unwrap())
+                .collect();
+            let trace = rec.lock().unwrap().encode();
+            (results, pes, m.stats.table(), m.events, trace)
+        };
+        prop_assert_eq!(twin(true), twin(false));
     }
 
     /// Fault isolation never resurrects PEs and conserves the alive count.

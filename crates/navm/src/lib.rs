@@ -51,5 +51,5 @@ pub use task::{TaskHandle, TaskSet};
 pub use window::Window;
 
 // Re-exported so downstream users can size work profiles without importing
-// the kernel crate directly.
-pub use fem2_kernel::WorkProfile;
+// the machine crate directly.
+pub use fem2_machine::WorkProfile;

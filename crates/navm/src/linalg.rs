@@ -19,9 +19,7 @@
 //!   order, with the terms of out-of-grid neighbours skipped.
 
 use crate::runtime::{ArrayId, NaVm, Plane};
-use crate::task::TaskHandle;
-use fem2_kernel::WorkProfile;
-use fem2_machine::Words;
+use fem2_machine::{Words, WorkProfile};
 use fem2_trace::{EventKind, TraceEvent, WindowStage, NO_PE};
 
 /// Chunk size for deterministic reductions, elements.
@@ -165,15 +163,12 @@ impl NaVm {
     }
 
     fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
-        if let Plane::Sim(_) = self.plane {
-            let work: Vec<(TaskHandle, WorkProfile)> = self
-                .tasks
+        if let Plane::Sim(s) = &mut self.plane {
+            let tasks = self.tasks;
+            let work = tasks
                 .iter()
-                .map(|t| (t, per_elem.scaled(self.tasks.share(n, t).len() as u64)))
-                .collect();
-            if let Plane::Sim(s) = &mut self.plane {
-                s.parallel_section(&self.tasks, &work);
-            }
+                .map(|t| (t, per_elem.scaled(tasks.share(n, t).len() as u64)));
+            s.parallel_section(&tasks, work);
         }
     }
 
@@ -349,77 +344,74 @@ impl NaVm {
         assert_eq!(self.len(x), nx * ny, "x length mismatch");
         assert_eq!(self.len(y), nx * ny, "y length mismatch");
         // Halo exchange charges.
-        if let Plane::Sim(_) = self.plane {
+        if let Plane::Sim(s) = &mut self.plane {
             let tasks = self.tasks;
-            let pairs: Vec<(u32, u32)> = tasks
+            let pairs = tasks
                 .iter()
                 .zip(tasks.iter().skip(1))
                 .filter(|(a, b)| {
                     // Only adjacent tasks with non-empty shares exchange.
                     !tasks.share(ny, *a).is_empty() && !tasks.share(ny, *b).is_empty()
                 })
-                .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)))
-                .collect();
-            if let Plane::Sim(s) = &mut self.plane {
-                let start = s.now;
-                let mut barrier = start;
-                for (ca, cb) in pairs {
-                    if ca == cb {
-                        // The MemWord charge records the words; counting
-                        // them again here would double-book the pass.
-                        let pe = s.machine.kernel_pe(ca);
-                        let done = s
-                            .machine
-                            .charge(start, pe, fem2_machine::CostClass::MemWord, 2 * nx as u64)
-                            .unwrap_or(start);
-                        s.machine.trace.emit(|| {
-                            TraceEvent::span(
-                                start,
-                                done - start,
-                                ca,
-                                NO_PE,
-                                EventKind::Window {
-                                    stage: WindowStage::Gather,
-                                    peer_cluster: cb,
-                                    words: 2 * nx as u64,
-                                },
-                            )
-                        });
-                        barrier = barrier.max(done);
-                    } else {
-                        let a1 = s.machine.transmit(start, ca, cb, nx as Words);
-                        let a2 = s.machine.transmit(start, cb, ca, nx as Words);
-                        s.machine.trace.emit(|| {
-                            TraceEvent::span(
-                                start,
-                                a1 - start,
-                                ca,
-                                NO_PE,
-                                EventKind::Window {
-                                    stage: WindowStage::Transit,
-                                    peer_cluster: cb,
-                                    words: nx as u64,
-                                },
-                            )
-                        });
-                        s.machine.trace.emit(|| {
-                            TraceEvent::span(
-                                start,
-                                a2 - start,
-                                cb,
-                                NO_PE,
-                                EventKind::Window {
-                                    stage: WindowStage::Transit,
-                                    peer_cluster: ca,
-                                    words: nx as u64,
-                                },
-                            )
-                        });
-                        barrier = barrier.max(a1).max(a2);
-                    }
+                .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)));
+            let start = s.now;
+            let mut barrier = start;
+            for (ca, cb) in pairs {
+                if ca == cb {
+                    // The MemWord charge records the words; counting
+                    // them again here would double-book the pass.
+                    let pe = s.machine.kernel_pe(ca);
+                    let done = s
+                        .machine
+                        .charge(start, pe, fem2_machine::CostClass::MemWord, 2 * nx as u64)
+                        .unwrap_or(start);
+                    s.machine.trace.emit(|| {
+                        TraceEvent::span(
+                            start,
+                            done - start,
+                            ca,
+                            NO_PE,
+                            EventKind::Window {
+                                stage: WindowStage::Gather,
+                                peer_cluster: cb,
+                                words: 2 * nx as u64,
+                            },
+                        )
+                    });
+                    barrier = barrier.max(done);
+                } else {
+                    let a1 = s.machine.transmit(start, ca, cb, nx as Words);
+                    let a2 = s.machine.transmit(start, cb, ca, nx as Words);
+                    s.machine.trace.emit(|| {
+                        TraceEvent::span(
+                            start,
+                            a1 - start,
+                            ca,
+                            NO_PE,
+                            EventKind::Window {
+                                stage: WindowStage::Transit,
+                                peer_cluster: cb,
+                                words: nx as u64,
+                            },
+                        )
+                    });
+                    s.machine.trace.emit(|| {
+                        TraceEvent::span(
+                            start,
+                            a2 - start,
+                            cb,
+                            NO_PE,
+                            EventKind::Window {
+                                stage: WindowStage::Transit,
+                                peer_cluster: ca,
+                                words: nx as u64,
+                            },
+                        )
+                    });
+                    barrier = barrier.max(a1).max(a2);
                 }
-                s.now = barrier;
             }
+            s.now = barrier;
         }
         // Compute.
         {

@@ -10,10 +10,10 @@
 //! advances simulated time to the latest completion.
 
 use crate::task::{TaskHandle, TaskSet};
-use fem2_kernel::WorkProfile;
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
     BudgetMeter, CostClass, Cycles, Machine, MachineConfig, PeId, RunAborted, RunBudget, Words,
+    WorkProfile,
 };
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::BTreeSet;
@@ -191,12 +191,13 @@ impl SimState {
             t = arrive;
         }
     }
-    /// Charge one parallel section: `work[t]` is executed by task `t`.
-    /// Returns the barrier time.
+    /// Charge one parallel section: each `(t, w)` of `work` is executed by
+    /// task `t`. Returns the barrier time. Callers pass an iterator, so
+    /// charging a section allocates nothing.
     pub(crate) fn parallel_section(
         &mut self,
         tasks: &TaskSet,
-        work: &[(TaskHandle, WorkProfile)],
+        work: impl IntoIterator<Item = (TaskHandle, WorkProfile)>,
     ) -> Cycles {
         // Budget-aborted runs wind down instead of charging further work:
         // the caller polls `NaVm::budget_exceeded` and stops issuing ops,
@@ -209,7 +210,7 @@ impl SimState {
         let mut barrier = start;
         let charge_spawn = self.spawn_overhead && !self.spawned;
         self.spawned = true;
-        for &(t, w) in work {
+        for (t, w) in work {
             let c = tasks.cluster_of(t);
             let mut ready_at = start;
             if charge_spawn {
@@ -278,19 +279,7 @@ impl SimState {
                     },
                 )
             });
-            let _ = self
-                .machine
-                .charge(ready_at, pe, CostClass::ContextSwitch, 1);
-            let _ = self
-                .machine
-                .charge(ready_at, pe, CostClass::IntOp, w.int_ops);
-            let _ = self
-                .machine
-                .charge(ready_at, pe, CostClass::MemWord, w.mem_words);
-            let done = self
-                .machine
-                .charge(ready_at, pe, CostClass::Flop, w.flops)
-                .unwrap_or(ready_at);
+            let done = self.machine.run_task(ready_at, pe, &w).unwrap_or(ready_at);
             self.machine.trace.emit(|| {
                 TraceEvent::instant(
                     done,
@@ -595,15 +584,11 @@ impl NaVm {
             f(r, row);
         }
         if let Plane::Sim(s) = &mut self.plane {
-            let work: Vec<(TaskHandle, WorkProfile)> = self
-                .tasks
+            let tasks = self.tasks;
+            let work = tasks
                 .iter()
-                .map(|t| {
-                    let share = self.tasks.share(rows, t);
-                    (t, cost_per_row.scaled(share.len() as u64))
-                })
-                .collect();
-            s.parallel_section(&self.tasks, &work);
+                .map(|t| (t, cost_per_row.scaled(tasks.share(rows, t).len() as u64)));
+            s.parallel_section(&tasks, work);
         }
     }
 
@@ -614,7 +599,7 @@ impl NaVm {
     pub fn pardo(&mut self, statements: &[(TaskHandle, WorkProfile)]) -> Cycles {
         match &mut self.plane {
             Plane::Native => 0,
-            Plane::Sim(s) => s.parallel_section(&self.tasks, statements),
+            Plane::Sim(s) => s.parallel_section(&self.tasks, statements.iter().copied()),
         }
     }
 

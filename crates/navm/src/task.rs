@@ -58,13 +58,6 @@ impl TaskSet {
         (0..self.n).map(TaskHandle)
     }
 
-    /// Tasks hosted on `cluster`.
-    pub fn tasks_on(&self, cluster: u32) -> Vec<TaskHandle> {
-        self.iter()
-            .filter(|&t| self.cluster_of(t) == cluster)
-            .collect()
-    }
-
     /// Split `items` items into per-task contiguous shares: task `t` owns
     /// `[share_start(t), share_start(t+1))`. Earlier tasks take the
     /// remainder.
@@ -124,18 +117,6 @@ mod tests {
         let ts = TaskSet::new(2, 8);
         assert_eq!(ts.cluster_of(TaskHandle(0)), 0);
         assert_eq!(ts.cluster_of(TaskHandle(1)), 4);
-    }
-
-    #[test]
-    fn tasks_on_inverts_mapping() {
-        let ts = TaskSet::new(6, 3);
-        for c in 0..3 {
-            for t in ts.tasks_on(c) {
-                assert_eq!(ts.cluster_of(t), c);
-            }
-        }
-        let total: usize = (0..3).map(|c| ts.tasks_on(c).len()).sum();
-        assert_eq!(total, 6);
     }
 
     #[test]

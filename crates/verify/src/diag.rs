@@ -97,7 +97,8 @@ impl Serialize for Diagnostic {
 pub struct Report {
     /// What was analyzed (scenario or grammar name).
     pub subject: String,
-    /// The scenario description the spans index into (empty for grammars).
+    /// The scenario description the spans index into: empty for grammars,
+    /// and left empty by `check_script` when no diagnostic has a span.
     pub source: String,
     /// All findings, in pass order then discovery order. Deterministic.
     pub diagnostics: Vec<Diagnostic>,
@@ -152,11 +153,6 @@ impl Report {
     /// warnings block unless `allow_warnings`.
     pub fn blocks(&self, allow_warnings: bool) -> bool {
         self.error_count() > 0 || (!allow_warnings && self.warning_count() > 0)
-    }
-
-    /// Merge another report's findings (used to combine passes).
-    pub fn absorb(&mut self, other: Report) {
-        self.diagnostics.extend(other.diagnostics);
     }
 
     /// Render compiler-style, excerpting the scenario line each spanned

@@ -57,11 +57,16 @@ use fem2_hgraph::Grammar;
 use fem2_machine::MachineConfig;
 
 /// Run passes 1–3 (protocol, deadlock, storage) over one scenario script.
+/// The report carries the script's description only when a diagnostic
+/// points into it, since rendering those excerpts is its one use.
 pub fn check_script(script: &ScenarioScript, machine: &MachineConfig) -> Report {
-    let mut report = Report::new(script.name.clone(), script.source());
+    let mut report = Report::new(script.name.clone(), String::new());
     protocol::check(script, machine, &mut report);
     deadlock::check(script, &mut report);
     storage::check(script, machine, &mut report);
+    if report.diagnostics.iter().any(|d| d.span.is_some()) {
+        report.source = script.source();
+    }
     report
 }
 

@@ -38,7 +38,10 @@ pub fn solve_script(
     let clusters = machine.clusters.max(1);
     let set = TaskSet::new(tasks, clusters);
     let unknowns = shape.unknowns as usize;
-    let task_name = |t: u32| format!("task{t}");
+    // Every name is formatted once; each op takes a copy.
+    let names: Vec<String> = set.iter().map(|t| format!("task{}", t.0)).collect();
+    let task_name = |t: u32| names[t as usize].clone();
+    let halo = String::from("halo");
 
     // 1. Initiate the crew, one task per replication on its home cluster.
     for t in set.iter() {
@@ -61,16 +64,17 @@ pub fn solve_script(
             _ => cluster_rows.push((c, rows)),
         }
     }
+    let what = format!(
+        "{} solver vectors of {} unknowns",
+        shape.vectors, shape.unknowns
+    );
     for (cluster, rows) in cluster_rows {
         let words = rows * shape.vectors;
         if words > 0 {
             s.push(Op::Alloc {
                 cluster,
                 words,
-                what: format!(
-                    "{} solver vectors of {} unknowns",
-                    shape.vectors, shape.unknowns
-                ),
+                what: what.clone(),
             });
         }
     }
@@ -92,7 +96,7 @@ pub fn solve_script(
     for &t in &exchanging {
         s.push(Op::WindowOpen {
             task: task_name(t),
-            window: "halo".into(),
+            window: halo.clone(),
         });
     }
     // Red-black phasing: pairs starting at an even task, then the odd ones.
@@ -103,31 +107,31 @@ pub fn solve_script(
             s.push(Op::WindowSend {
                 from: task_name(a),
                 to: task_name(b),
-                window: "halo".into(),
+                window: halo.clone(),
                 words: shape.halo_words,
             });
             s.push(Op::WindowRecv {
                 task: task_name(b),
                 from: task_name(a),
-                window: "halo".into(),
+                window: halo.clone(),
             });
             s.push(Op::WindowSend {
                 from: task_name(b),
                 to: task_name(a),
-                window: "halo".into(),
+                window: halo.clone(),
                 words: shape.halo_words,
             });
             s.push(Op::WindowRecv {
                 task: task_name(a),
                 from: task_name(b),
-                window: "halo".into(),
+                window: halo.clone(),
             });
         }
     }
     for &t in &exchanging {
         s.push(Op::WindowClose {
             task: task_name(t),
-            window: "halo".into(),
+            window: halo.clone(),
         });
     }
 
@@ -208,9 +212,9 @@ mod tests {
                     let oracle: Vec<(u32, u64)> = (0..clusters)
                         .map(|c| {
                             let rows: u64 = set
-                                .tasks_on(c)
                                 .iter()
-                                .map(|&t| set.share(n as usize, t).len() as u64)
+                                .filter(|&t| set.cluster_of(t) == c)
+                                .map(|t| set.share(n as usize, t).len() as u64)
                                 .sum();
                             (c, rows * shape(n).vectors)
                         })
@@ -219,6 +223,115 @@ mod tests {
                     let lowered = allocs(&solve_script("s", &m, tasks, shape(n)));
                     assert_eq!(
                         lowered, oracle,
+                        "{tasks} tasks, {clusters} clusters, {n} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The lowering as first written, formatting every task name and the
+    /// window name afresh for each op.
+    fn solve_script_oracle(
+        name: &str,
+        machine: &MachineConfig,
+        tasks: u32,
+        shape: SolveShape,
+    ) -> ScenarioScript {
+        let mut s = ScenarioScript::new(name);
+        let tasks = tasks.max(1);
+        let clusters = machine.clusters.max(1);
+        let set = TaskSet::new(tasks, clusters);
+        let unknowns = shape.unknowns as usize;
+        let task_name = |t: u32| format!("task{t}");
+        for t in set.iter() {
+            s.push(Op::Initiate {
+                task: task_name(t.0),
+                cluster: set.cluster_of(t),
+                replications: 1,
+            });
+        }
+        let mut cluster_rows: Vec<(u32, u64)> = Vec::new();
+        for t in set.iter() {
+            let (c, rows) = (set.cluster_of(t), set.share(unknowns, t).len() as u64);
+            match cluster_rows.last_mut() {
+                Some((last, sum)) if *last == c => *sum += rows,
+                _ => cluster_rows.push((c, rows)),
+            }
+        }
+        for (cluster, rows) in cluster_rows {
+            let words = rows * shape.vectors;
+            if words > 0 {
+                s.push(Op::Alloc {
+                    cluster,
+                    words,
+                    what: format!(
+                        "{} solver vectors of {} unknowns",
+                        shape.vectors, shape.unknowns
+                    ),
+                });
+            }
+        }
+        let has_rows = |t: u32| !set.share(unknowns, fem2_navm::TaskHandle(t)).is_empty();
+        let mut neighbours: Vec<(u32, u32)> = Vec::new();
+        for t in 0..tasks.saturating_sub(1) {
+            if has_rows(t) && has_rows(t + 1) {
+                neighbours.push((t, t + 1));
+            }
+        }
+        let exchanging: Vec<u32> = {
+            let mut v: Vec<u32> = neighbours.iter().flat_map(|&(a, b)| [a, b]).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for &t in &exchanging {
+            s.push(Op::WindowOpen {
+                task: task_name(t),
+                window: "halo".into(),
+            });
+        }
+        for parity in [0, 1] {
+            for &(a, b) in neighbours.iter().filter(|(a, _)| a % 2 == parity) {
+                for (from, to) in [(a, b), (b, a)] {
+                    s.push(Op::WindowSend {
+                        from: task_name(from),
+                        to: task_name(to),
+                        window: "halo".into(),
+                        words: shape.halo_words,
+                    });
+                    s.push(Op::WindowRecv {
+                        task: task_name(to),
+                        from: task_name(from),
+                        window: "halo".into(),
+                    });
+                }
+            }
+        }
+        for &t in &exchanging {
+            s.push(Op::WindowClose {
+                task: task_name(t),
+                window: "halo".into(),
+            });
+        }
+        for t in set.iter() {
+            s.push(Op::Terminate {
+                task: task_name(t.0),
+            });
+        }
+        s
+    }
+
+    #[test]
+    fn lowering_matches_the_per_op_format_oracle() {
+        for tasks in [1u32, 2, 3, 7, 8, 28, 100, 257] {
+            for clusters in [1u32, 2, 3, 4, 5, 16, 64, 300] {
+                let m = MachineConfig::clustered(clusters, 8, fem2_machine::Topology::Crossbar);
+                for n in [0u64, 1, 3, 9, 100, 1024, 4099] {
+                    let lowered = solve_script("s", &m, tasks, shape(n));
+                    let oracle = solve_script_oracle("s", &m, tasks, shape(n));
+                    assert!(
+                        lowered.ops().eq(oracle.ops()),
                         "{tasks} tasks, {clusters} clusters, {n} rows"
                     );
                 }

@@ -12,6 +12,7 @@ use crate::diag::{Report, Severity, Span};
 use crate::script::{Op, ScenarioScript};
 use fem2_machine::MachineConfig;
 use std::collections::BTreeMap;
+use std::fmt;
 
 const PASS: &str = "storage";
 
@@ -23,8 +24,27 @@ pub const ACTIVATION_RECORD_WORDS: u64 = 64;
 const WARN_NUM: u64 = 7;
 const WARN_DEN: u64 = 8;
 
+/// What one contribution to a cluster's demand is for, borrowed from the
+/// script and rendered only when an over-arena diagnostic quotes it.
+#[derive(Clone, Copy)]
+enum Claim<'s> {
+    /// An `Alloc`'s own description.
+    Alloc(&'s str),
+    /// The activation records of an initiated task.
+    Activation(&'s str),
+}
+
+impl fmt::Display for Claim<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Claim::Alloc(what) => f.write_str(what),
+            Claim::Activation(task) => write!(f, "activation record of '{task}'"),
+        }
+    }
+}
+
 /// Run the storage pass, appending findings to `report`.
-pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Report) {
+pub fn check<'s>(script: &'s ScenarioScript, machine: &MachineConfig, report: &mut Report) {
     if let Err(e) = machine.validate() {
         report.push(
             Severity::Error,
@@ -38,10 +58,12 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
     // Per-cluster demand, plus the span of the largest single contribution
     // so the diagnostic has a line to point at.
     let mut demand: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut biggest: BTreeMap<u32, (u64, Span, String)> = BTreeMap::new();
-    let mut note = |cluster: u32, words: u64, span: Span, what: String| {
+    let mut biggest: BTreeMap<u32, (u64, Span, Claim<'s>)> = BTreeMap::new();
+    let mut note = |cluster: u32, words: u64, span: Span, what: Claim<'s>| {
         *demand.entry(cluster).or_insert(0) += words;
-        let e = biggest.entry(cluster).or_insert((0, span, String::new()));
+        let e = biggest
+            .entry(cluster)
+            .or_insert((0, span, Claim::Alloc("")));
         if words > e.0 {
             *e = (words, span, what);
         }
@@ -66,7 +88,7 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
                         ),
                     );
                 } else {
-                    note(*cluster, *words, span, what.clone());
+                    note(*cluster, *words, span, Claim::Alloc(what));
                 }
             }
             Op::Initiate {
@@ -78,7 +100,7 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
                     *cluster,
                     ACTIVATION_RECORD_WORDS * u64::from(*replications),
                     span,
-                    format!("activation record of '{task}'"),
+                    Claim::Activation(task),
                 );
             }
             _ => {}
