@@ -33,7 +33,8 @@
 //! Acknowledgements are checked the same way on their way back. The timeout
 //! fires, and the sender retransmits (over the current —
 //! possibly rerouted — path) with exponential backoff, up to
-//! [`KernelSim::MAX_RETRANSMITS`] attempts. Receivers deduplicate by
+//! [`fem2_machine::MAX_RETRANSMITS`] attempts (the budget the NA-VM's
+//! window exchanges share). Receivers deduplicate by
 //! sequence number, so a retried delivery is acknowledged but not
 //! re-processed. A message that exhausts its budget is dead-lettered: the
 //! drop is counted, traced, and — for a `RemoteCall` — the calling task is
@@ -45,7 +46,7 @@ use crate::activation::{ActivationRecord, TaskId, TaskState};
 use crate::codeblock::{CodeBlock, CodeId, CodeStore};
 use crate::message::{KernelMessage, MessageKind};
 use fem2_machine::fault::{FaultKind, FaultPlan};
-use fem2_machine::{CostClass, Cycles, EventQueue, Flight, Machine, PeId, Words};
+use fem2_machine::{CostClass, Cycles, EventQueue, Flight, Machine, PeId, Words, MAX_RETRANSMITS};
 use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -114,16 +115,8 @@ enum KEvent {
     TaskComplete { task: TaskId, pe: PeId, epoch: u32 },
     /// Try to hand ready tasks to available PEs.
     Dispatch { cluster: u32 },
-    /// A planned PE fault fires.
-    Fault { pe: PeId },
-    /// A transiently failed PE recovers.
-    Recover { pe: PeId },
-    /// A link dies (`degrade` 0) or degrades (factor ≥ 1).
-    LinkFault { link: usize, degrade: u32 },
-    /// A link is repaired: revived and un-degraded.
-    LinkRecover { link: usize },
-    /// A memory bank of `words` capacity fails in `cluster`.
-    MemFault { cluster: u32, words: Words },
+    /// A step of the injected fault plan is due.
+    Fault(FaultKind),
 }
 
 /// A remote message awaiting acknowledgement. The payload is shared (not
@@ -311,8 +304,6 @@ pub struct KernelSim {
 }
 
 impl KernelSim {
-    /// Retransmission attempts before a remote message is dead-lettered.
-    pub const MAX_RETRANSMITS: u32 = 4;
     /// Payload of pause/terminate notifications and RPC results, in words.
     const NOTIFY_WORDS: Words = 2;
     /// Cycles the cluster spends reconfiguring after a PE fault before its
@@ -528,35 +519,18 @@ impl KernelSim {
         );
     }
 
-    /// Schedule a fault plan: each planned PE, link, or memory fault becomes
-    /// an event (and a transient PE fault also schedules its recovery).
+    /// Schedule a fault plan: every step becomes an event now. Steps go on
+    /// the queue in plan order with each PE recovery right behind the fault
+    /// it ends, so steps due at one cycle pop recoveries first, then faults
+    /// in kind order — the order [`FaultPlan::due`] returns them in.
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        let mut p = plan.clone();
-        for f in p.due(u64::MAX) {
-            match f.kind {
-                FaultKind::Pe { pe, recover_at } => {
-                    self.queue.schedule(f.at, KEvent::Fault { pe });
-                    if let Some(back) = recover_at {
-                        self.queue.schedule(back, KEvent::Recover { pe });
-                    }
-                }
-                FaultKind::Link { link, degrade } => {
-                    self.queue.schedule(
-                        f.at,
-                        KEvent::LinkFault {
-                            link,
-                            degrade: degrade.unwrap_or(0),
-                        },
-                    );
-                }
-                FaultKind::LinkRecover { link } => {
-                    self.queue.schedule(f.at, KEvent::LinkRecover { link });
-                }
-                FaultKind::Memory { cluster, words } => {
-                    self.queue
-                        .schedule(f.at, KEvent::MemFault { cluster, words });
-                }
-            }
+        let mut steps = plan.clone().due(Cycles::MAX).to_vec();
+        steps.sort_by_key(|step| match step.kind {
+            FaultKind::PeRecover { failed_at, pe } => (failed_at, FaultKind::Pe { pe }, true),
+            kind => (step.at, kind, false),
+        });
+        for step in steps {
+            self.queue.schedule(step.at, KEvent::Fault(step.kind));
         }
     }
 
@@ -684,30 +658,21 @@ impl KernelSim {
             KEvent::Dispatch { cluster } => {
                 self.dispatch(now, cluster);
             }
-            KEvent::Fault { pe } => {
-                self.fault(now, pe);
-            }
-            KEvent::Recover { pe } => {
-                let _ = self.machine.recover_pe(now, pe);
-                self.queue.schedule(
-                    now,
-                    KEvent::Dispatch {
-                        cluster: pe.cluster,
-                    },
-                );
-            }
-            KEvent::LinkFault { link, degrade } => {
-                if degrade == 0 {
-                    self.machine.fail_link(now, link);
-                } else {
-                    self.machine.degrade_link(now, link, degrade);
+            KEvent::Fault(kind) => {
+                let applied = self.machine.apply_fault(now, kind);
+                match kind {
+                    FaultKind::Pe { pe } => self.fault(now, pe, applied.is_err()),
+                    FaultKind::PeRecover { pe, .. } => self.queue.schedule(
+                        now,
+                        KEvent::Dispatch {
+                            cluster: pe.cluster,
+                        },
+                    ),
+                    FaultKind::Memory { cluster, .. } => {
+                        self.mem_fault(now, cluster, applied.unwrap_or(0));
+                    }
+                    FaultKind::Link { .. } | FaultKind::LinkRecover { .. } => {}
                 }
-            }
-            KEvent::LinkRecover { link } => {
-                self.machine.recover_link(now, link);
-            }
-            KEvent::MemFault { cluster, words } => {
-                self.mem_fault(now, cluster, words);
             }
         }
     }
@@ -719,7 +684,7 @@ impl KernelSim {
             return; // acknowledged; stale timer
         };
         let (from, to) = (p.from, p.to);
-        if p.attempts >= Self::MAX_RETRANSMITS {
+        if p.attempts >= MAX_RETRANSMITS {
             let p = self.pending.remove(seq).expect("checked present above");
             self.stats.drops.dead_letter += 1;
             let kind = p.msg.kind().trace_kind();
@@ -782,13 +747,13 @@ impl KernelSim {
         }
     }
 
-    /// A memory bank failed: shrink the arena, then invalidate victim
-    /// allocations — running tasks first (in PE order), then queued and
-    /// paused holders — until the surviving arena fits what remains. Victims
-    /// lose their locals (`locals_held` cleared) and re-queue; the
-    /// dispatcher re-allocates before they run again.
-    fn mem_fault(&mut self, now: Cycles, cluster: u32, words: Words) {
-        let lost = self.machine.fail_memory_bank(now, cluster, words);
+    /// A memory bank of `cluster` failed and `lost` words of live
+    /// allocations no longer fit: invalidate victim allocations — running
+    /// tasks first (in PE order), then queued and paused holders — until
+    /// the surviving arena fits what remains. Victims lose their locals
+    /// (`locals_held` cleared) and re-queue; the dispatcher re-allocates
+    /// before they run again.
+    fn mem_fault(&mut self, now: Cycles, cluster: u32, lost: Words) {
         if lost == 0 {
             return;
         }
@@ -1178,13 +1143,12 @@ impl KernelSim {
         self.queue.schedule(now, KEvent::Dispatch { cluster });
     }
 
-    fn fault(&mut self, now: Cycles, pe: PeId) {
-        match self.machine.fail_pe(pe) {
-            Ok(()) => {}
-            Err(_) => {
-                // Cluster dead: any running/ready work there is lost; drop it.
-                self.stats.drops.dead_pe += 1;
-            }
+    /// `pe` failed; `cluster_lost` when the machine could not isolate it
+    /// (the cluster has no PE left, or never had this one).
+    fn fault(&mut self, now: Cycles, pe: PeId, cluster_lost: bool) {
+        if cluster_lost {
+            // Any running/ready work there is lost; drop it.
+            self.stats.drops.dead_pe += 1;
         }
         if let Some(task) = self.running.remove(pe) {
             self.machine.trace.emit(|| {
@@ -1594,6 +1558,13 @@ mod tests {
                 proptest::prop_assert_eq!(table.slots.len() as u64, next_seq - oldest);
             }
         }
+    }
+
+    /// `kernel_storm` pops about a million events a run: one fault variant
+    /// carrying a whole plan step must not make every event bigger.
+    #[test]
+    fn kevent_stays_56_bytes() {
+        assert_eq!(std::mem::size_of::<KEvent>(), 56);
     }
 
     /// A memory-bank fault sheds running tasks in PE order — the order the

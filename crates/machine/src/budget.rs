@@ -34,6 +34,9 @@ pub enum AbortCause {
     WallDeadline,
     /// The cooperative cancel flag was raised.
     Cancelled,
+    /// A fault cut off a cluster the run needs: a message had no live
+    /// route, exhausted its retransmit budget, or found no surviving PE.
+    Unreachable,
 }
 
 impl AbortCause {
@@ -44,6 +47,7 @@ impl AbortCause {
             AbortCause::EventsExceeded => "events_exceeded",
             AbortCause::WallDeadline => "wall_deadline",
             AbortCause::Cancelled => "cancelled",
+            AbortCause::Unreachable => "unreachable",
         }
     }
 }

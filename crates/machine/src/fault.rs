@@ -4,33 +4,43 @@
 //! faulty hardware components". The fault plane models three hardware
 //! failure surfaces:
 //!
-//! * **PEs** — permanent kills, or transient faults with a `recover_at`
-//!   time after which the PE rejoins the free pool (a recovered PE never
-//!   reclaims kernel duty it was promoted away from);
+//! * **PEs** — permanent kills, or transient faults whose recovery is a
+//!   step of its own (a recovered PE never reclaims kernel duty it was
+//!   promoted away from);
 //! * **links** — dead links force a deterministic reroute where the
 //!   topology allows one, degraded links multiply occupancy;
 //! * **memory banks** — a failed bank shrinks the cluster heap arena and
 //!   invalidates in-flight allocations that no longer fit.
 //!
-//! The [`FaultPlan`] carries the schedule; the [`crate::Machine`] and the
-//! kernel simulation apply it.
+//! The [`FaultPlan`] carries the schedule, one step per machine mutation;
+//! [`crate::Machine::apply_fault`] performs each step for every layer.
+//!
+//! Steps due at the same cycle apply in [`FaultKind`] order: PE recoveries
+//! first, in the order of the faults they end, then faults by kind.
 
 use crate::pe::PeId;
 use crate::{Cycles, Words};
 
-/// What fails.
+/// What one step of a plan does to the machine. The variant order is the
+/// order steps due at the same cycle apply in.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum FaultKind {
-    /// A PE fails; with `recover_at` it is transient and rejoins the free
-    /// pool at that time.
+    /// A transiently failed PE rejoins the free pool.
+    PeRecover {
+        /// When the fault this recovery ends struck: recoveries due at the
+        /// same cycle apply in the order of their faults.
+        failed_at: Cycles,
+        /// Which PE recovers.
+        pe: PeId,
+    },
+    /// A PE fails.
     Pe {
         /// Which PE fails.
         pe: PeId,
-        /// Recovery time for a transient fault; `None` is permanent.
-        recover_at: Option<Cycles>,
     },
     /// A network link fails; `degrade` of `None` kills it outright, while
-    /// `Some(f)` multiplies its occupancy by `f` (a slow, flaky link).
+    /// `Some(f)` multiplies its occupancy by `f` (a slow, flaky link; a
+    /// factor below 1 counts as 1).
     Link {
         /// Link id in the topology's link-id scheme.
         link: usize,
@@ -65,10 +75,7 @@ impl FaultEvent {
     pub fn kill_pe(at: Cycles, pe: PeId) -> Self {
         FaultEvent {
             at,
-            kind: FaultKind::Pe {
-                pe,
-                recover_at: None,
-            },
+            kind: FaultKind::Pe { pe },
         }
     }
 }
@@ -114,15 +121,13 @@ impl FaultPlan {
     }
 
     /// Add a transient PE fault: fails at `at`, rejoins the free pool at
-    /// `recover_at`.
+    /// `recover_at`. Two steps, the way [`FaultPlan::kill_link`] and
+    /// [`FaultPlan::recover_link`] are.
     pub fn transient_pe(self, at: Cycles, recover_at: Cycles, pe: PeId) -> Self {
         debug_assert!(recover_at > at, "recovery must follow the fault");
-        self.push(FaultEvent {
-            at,
-            kind: FaultKind::Pe {
-                pe,
-                recover_at: Some(recover_at),
-            },
+        self.kill_pe(at, pe).push(FaultEvent {
+            at: recover_at,
+            kind: FaultKind::PeRecover { failed_at: at, pe },
         })
     }
 
@@ -167,7 +172,7 @@ impl FaultPlan {
         })
     }
 
-    /// Total planned failures.
+    /// Total planned steps (a transient PE fault is two).
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -177,8 +182,8 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Failures that have become due by time `now` and have not yet been
-    /// returned. Call repeatedly as the clock advances; returns a borrowed
+    /// Steps that have become due by time `now` and have not yet been
+    /// returned, in the order they apply. Call repeatedly as the clock advances; returns a borrowed
     /// slice (empty in the common nothing-due case) without allocating.
     pub fn due(&mut self, now: Cycles) -> &[FaultEvent] {
         let start = self.cursor;
@@ -188,7 +193,7 @@ impl FaultPlan {
         &self.events[start..self.cursor]
     }
 
-    /// The time of the next pending failure, if any.
+    /// The time of the next pending step, if any.
     pub fn next_at(&self) -> Option<Cycles> {
         self.events.get(self.cursor).map(|e| e.at)
     }
@@ -219,8 +224,7 @@ mod tests {
         assert_eq!(
             due[0].kind,
             FaultKind::Pe {
-                pe: PeId::new(1, 0),
-                recover_at: None
+                pe: PeId::new(1, 0)
             }
         );
         assert_eq!(p.next_at(), Some(50));
@@ -248,36 +252,62 @@ mod tests {
             .degrade_link(200, 0, 4)
             .fail_memory(50, 1, 1024)
             .kill_pe(400, PeId::new(1, 2));
-        assert_eq!(p.len(), 5);
+        assert_eq!(p.len(), 6, "the transient fault is two steps");
         assert_eq!(p.next_at(), Some(50));
-        let due: Vec<FaultEvent> = p.due(u64::MAX).to_vec();
+        let due: Vec<FaultKind> = p.due(u64::MAX).iter().map(|e| e.kind).collect();
+        let pe = PeId::new(0, 1);
         assert_eq!(
-            due[0].kind,
-            FaultKind::Memory {
-                cluster: 1,
-                words: 1024
-            }
+            due,
+            [
+                FaultKind::Memory {
+                    cluster: 1,
+                    words: 1024
+                },
+                FaultKind::Pe { pe },
+                FaultKind::Link {
+                    link: 0,
+                    degrade: Some(4)
+                },
+                FaultKind::Link {
+                    link: 2,
+                    degrade: None
+                },
+                FaultKind::Pe {
+                    pe: PeId::new(1, 2)
+                },
+                FaultKind::PeRecover { failed_at: 100, pe },
+            ]
         );
+    }
+
+    /// At one cycle, PE recoveries apply first, in the order of the faults
+    /// they end (not of the PE ids), then faults in kind order.
+    #[test]
+    fn recoveries_lead_their_cycle_in_fault_order() {
+        let (a, b) = (PeId::new(0, 1), PeId::new(0, 2));
+        let mut p = FaultPlan::none()
+            .kill_link(500, 3)
+            .transient_pe(200, 500, b)
+            .kill_pe(500, a)
+            .transient_pe(300, 500, a);
+        let at_500: Vec<FaultKind> = p.due(500).iter().skip(2).map(|e| e.kind).collect();
         assert_eq!(
-            due[1].kind,
-            FaultKind::Pe {
-                pe: PeId::new(0, 1),
-                recover_at: Some(900)
-            }
-        );
-        assert_eq!(
-            due[2].kind,
-            FaultKind::Link {
-                link: 0,
-                degrade: Some(4)
-            }
-        );
-        assert_eq!(
-            due[3].kind,
-            FaultKind::Link {
-                link: 2,
-                degrade: None
-            }
+            at_500,
+            [
+                FaultKind::PeRecover {
+                    failed_at: 200,
+                    pe: b
+                },
+                FaultKind::PeRecover {
+                    failed_at: 300,
+                    pe: a
+                },
+                FaultKind::Pe { pe: a },
+                FaultKind::Link {
+                    link: 3,
+                    degrade: None
+                },
+            ]
         );
     }
 }

@@ -23,8 +23,9 @@
 //!   segmentation;
 //! * [`sim`] — a generic discrete-event engine with deterministic
 //!   tie-breaking;
-//! * [`fault`] — PE fault injection and isolation ("reconfigurability to
-//!   isolate faulty hardware components");
+//! * [`fault`] — the fault plan: PE, link and memory-bank faults and their
+//!   repairs, applied through [`Machine::apply_fault`] ("reconfigurability
+//!   to isolate faulty hardware components");
 //! * [`stats`] — cycle/flop/message/byte/storage counters, grouped into
 //!   named phases, which feed the design method's processing / storage /
 //!   communication requirement tables.
@@ -58,3 +59,8 @@ pub type Cycles = u64;
 
 /// Storage quantities, in 64-bit words (the machine's allocation unit).
 pub type Words = u64;
+
+/// Retransmissions a reliable layer — the kernel's and the NA-VM's alike —
+/// makes of a message lost in flight before it gives the message up as a
+/// dead letter.
+pub const MAX_RETRANSMITS: u32 = 4;

@@ -2,6 +2,7 @@
 //! handling behind one facade.
 
 use crate::config::MachineConfig;
+use crate::fault::FaultKind;
 use crate::memory::{ClusterMemory, OutOfMemory};
 use crate::network::{Network, Tracked};
 use crate::pe::{best_worker, CostClass, Pe, PeId, WorkProfile};
@@ -497,67 +498,54 @@ impl Machine {
         Ok(())
     }
 
-    /// Kill a network link at time `at`.
-    pub fn fail_link(&mut self, at: Cycles, link: usize) {
-        self.network.fail_link(link);
-        self.reconfigurations += 1;
-        self.trace.emit(|| {
-            TraceEvent::instant(
-                at,
-                NO_CLUSTER,
-                NO_PE,
+    /// Apply one fault-plan step at time `at`: the one place a
+    /// [`FaultKind`] becomes a machine mutation, for every layer that runs
+    /// a plan. Returns the words of live allocations a failed memory bank
+    /// no longer holds (0 for every other step; the caller invalidates or
+    /// rebuilds them), or the error of a PE step — [`MachineError::ClusterDead`]
+    /// when a kill leaves the cluster no PE.
+    pub fn apply_fault(&mut self, at: Cycles, kind: FaultKind) -> Result<Words, MachineError> {
+        let traced = match kind {
+            FaultKind::Pe { pe } => return self.fail_pe(pe).map(|()| 0),
+            FaultKind::PeRecover { pe, .. } => return self.recover_pe(at, pe).map(|()| 0),
+            FaultKind::Memory { cluster, words } => {
+                let lost = self.memories[cluster as usize].fail_bank(words);
+                self.reconfigurations += 1;
+                self.trace.emit(|| {
+                    TraceEvent::instant(at, cluster, NO_PE, EventKind::MemFault { words, lost })
+                });
+                return Ok(lost);
+            }
+            FaultKind::Link {
+                link,
+                degrade: None,
+            } => {
+                self.network.fail_link(link);
                 EventKind::LinkFault {
                     link: link as u32,
                     degrade: 0,
-                },
-            )
-        });
-    }
-
-    /// Degrade a network link at time `at`: occupancy multiplied by
-    /// `factor`.
-    pub fn degrade_link(&mut self, at: Cycles, link: usize, factor: u32) {
-        self.network.degrade_link(link, factor);
-        self.reconfigurations += 1;
-        self.trace.emit(|| {
-            TraceEvent::instant(
-                at,
-                NO_CLUSTER,
-                NO_PE,
+                }
+            }
+            FaultKind::Link {
+                link,
+                degrade: Some(factor),
+            } => {
+                self.network.degrade_link(link, factor);
                 EventKind::LinkFault {
                     link: link as u32,
                     degrade: factor.max(1),
-                },
-            )
-        });
-    }
-
-    /// Restore a network link to full health at time `at`: a dead link is
-    /// revived and any degradation cleared, so detoured routes snap back
-    /// to the primary path.
-    pub fn recover_link(&mut self, at: Cycles, link: usize) {
-        self.network.recover_link(link);
-        self.reconfigurations += 1;
-        self.trace.emit(|| {
-            TraceEvent::instant(
-                at,
-                NO_CLUSTER,
-                NO_PE,
-                EventKind::LinkRecover { link: link as u32 },
-            )
-        });
-    }
-
-    /// A memory bank of `words` capacity fails in cluster `c` at time `at`.
-    /// Returns the words of live allocations that no longer fit; the caller
-    /// (the kernel) must invalidate victims to bring usage back within
-    /// capacity.
-    pub fn fail_memory_bank(&mut self, at: Cycles, c: u32, words: Words) -> Words {
-        let lost = self.memories[c as usize].fail_bank(words);
+                }
+            }
+            FaultKind::LinkRecover { link } => {
+                // Detoured routes snap back to the primary path.
+                self.network.recover_link(link);
+                EventKind::LinkRecover { link: link as u32 }
+            }
+        };
         self.reconfigurations += 1;
         self.trace
-            .emit(|| TraceEvent::instant(at, c, NO_PE, EventKind::MemFault { words, lost }));
-        lost
+            .emit(|| TraceEvent::instant(at, NO_CLUSTER, NO_PE, traced));
+        Ok(0)
     }
 
     /// Aggregate busy cycles over all PEs (for machine utilization).
@@ -870,7 +858,11 @@ mod tests {
         let mut m = machine();
         // 2-cluster crossbar: direct link 0 -> 1 is id 1; no intermediate
         // cluster exists, so the pair is unreachable.
-        m.fail_link(100, 1);
+        let dead = FaultKind::Link {
+            link: 1,
+            degrade: None,
+        };
+        assert_eq!(m.apply_fault(100, dead), Ok(0));
         assert_eq!(
             m.try_transmit(100, 0, 1, 16),
             Err(MachineError::ClusterUnreachable { from: 0, to: 1 })
@@ -885,8 +877,11 @@ mod tests {
         let mut m = machine();
         let cap = m.memory(0).capacity();
         m.alloc(0, cap - 100).unwrap();
-        let lost = m.fail_memory_bank(500, 0, 200);
-        assert_eq!(lost, 100);
+        let bank = FaultKind::Memory {
+            cluster: 0,
+            words: 200,
+        };
+        assert_eq!(m.apply_fault(500, bank), Ok(100));
         assert_eq!(m.memory(0).capacity(), cap - 200);
         assert_eq!(m.reconfigurations, 1);
     }

@@ -20,7 +20,7 @@
 
 use crate::runtime::{ArrayId, NaVm, Plane};
 use fem2_machine::{Words, WorkProfile};
-use fem2_trace::{EventKind, TraceEvent, WindowStage, NO_PE};
+use fem2_trace::{EventKind, MsgKind, TraceEvent, WindowStage, NO_PE};
 
 /// Chunk size for deterministic reductions, elements.
 pub const REDUCE_GRAIN: usize = 1024;
@@ -179,11 +179,11 @@ impl NaVm {
             let start = s.now;
             let mut barrier = start;
             for c in 1..self.tasks.clusters() {
-                let arrive = s.machine.transmit(start, c, 0, 2);
+                let arrive = s.transmit(start, c, 0, 2, MsgKind::RemoteCall);
                 barrier = barrier.max(arrive);
             }
             for c in 1..self.tasks.clusters() {
-                let arrive = s.machine.transmit(barrier, 0, c, 2);
+                let arrive = s.transmit(barrier, 0, c, 2, MsgKind::RemoteReturn);
                 barrier = barrier.max(arrive);
             }
             s.now = barrier;
@@ -301,7 +301,8 @@ impl NaVm {
                 for from in 0..clusters {
                     for to in 0..clusters {
                         if from != to {
-                            let arrive = s.machine.transmit(start, from, to, share_words as Words);
+                            let arrive =
+                                s.transmit(start, from, to, share_words, MsgKind::RemoteCall);
                             barrier = barrier.max(arrive);
                         }
                     }
@@ -380,8 +381,8 @@ impl NaVm {
                     });
                     barrier = barrier.max(done);
                 } else {
-                    let a1 = s.machine.transmit(start, ca, cb, nx as Words);
-                    let a2 = s.machine.transmit(start, cb, ca, nx as Words);
+                    let a1 = s.transmit(start, ca, cb, nx as Words, MsgKind::RemoteCall);
+                    let a2 = s.transmit(start, cb, ca, nx as Words, MsgKind::RemoteCall);
                     s.machine.trace.emit(|| {
                         TraceEvent::span(
                             start,

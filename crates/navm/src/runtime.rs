@@ -12,11 +12,10 @@
 use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
-    BudgetMeter, CostClass, Cycles, Machine, MachineConfig, PeId, RunAborted, RunBudget, Words,
-    WorkProfile,
+    AbortCause, BudgetMeter, CostClass, Cycles, Machine, MachineConfig, RunAborted, RunBudget,
+    Words, WorkProfile, MAX_RETRANSMITS,
 };
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
-use std::collections::BTreeSet;
 
 /// Identifier of an array owned by a [`NaVm`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -54,10 +53,11 @@ pub(crate) struct SimState {
     /// only for the first parallel section — or again after
     /// [`NaVm::respawn_tasks`].
     pub(crate) spawned: bool,
-    /// Planned faults, applied as simulated time passes each event.
+    /// Planned faults, applied as simulated time passes each step.
     pub(crate) faults: FaultPlan,
-    /// Transient-PE recoveries scheduled by applied faults, kept sorted.
-    pub(crate) pending_recoveries: Vec<(Cycles, PeId)>,
+    /// Set when a cluster the program needs became unreachable; sticky, and
+    /// reported by [`NaVm::budget_exceeded`] like a fired budget.
+    pub(crate) unreachable: Option<RunAborted>,
     /// Window exchanges retried after an in-flight loss.
     pub(crate) retransmits: u64,
     /// Scratch: words-per-cluster accumulator reused by every window
@@ -71,75 +71,77 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    /// Retries before a window exchange is declared undeliverable.
-    const MAX_RETRANSMITS: u32 = 4;
-
-    /// Apply every planned fault (and transient recovery) due at or before
-    /// `t`, in time order. Returns true if any link died.
-    pub(crate) fn apply_faults_through(&mut self, t: Cycles) -> bool {
-        let mut link_died = false;
-        loop {
-            let next_fault = self.faults.next_at().filter(|&a| a <= t);
-            let next_rec = self
-                .pending_recoveries
-                .first()
-                .map(|&(a, _)| a)
-                .filter(|&a| a <= t);
-            match (next_fault, next_rec) {
-                (None, None) => break,
-                (Some(fa), r) if r.is_none_or(|ra| fa <= ra) => {
-                    let batch: Vec<_> = self.faults.due(fa).to_vec();
-                    for ev in batch {
-                        match ev.kind {
-                            FaultKind::Pe { pe, recover_at } => {
-                                let _ = self.machine.fail_pe(pe);
-                                if let Some(back) = recover_at {
-                                    self.pending_recoveries.push((back, pe));
-                                    self.pending_recoveries.sort_unstable();
-                                }
-                            }
-                            FaultKind::Link { link, degrade } => match degrade {
-                                None => {
-                                    self.machine.fail_link(ev.at, link);
-                                    link_died = true;
-                                }
-                                Some(f) => self.machine.degrade_link(ev.at, link, f),
-                            },
-                            FaultKind::LinkRecover { link } => {
-                                // Repair never loses in-flight packets, so
-                                // `link_died` stays untouched.
-                                self.machine.recover_link(ev.at, link);
-                            }
-                            FaultKind::Memory { cluster, words } => {
-                                let lost = self.machine.fail_memory_bank(ev.at, cluster, words);
-                                if lost > 0 {
-                                    // Re-materialize the invalidated words
-                                    // from the owner's host image: a
-                                    // shared-memory rebuild on that cluster.
-                                    let kpe = self.machine.kernel_pe(cluster);
-                                    let _ =
-                                        self.machine.charge(ev.at, kpe, CostClass::MemWord, lost);
-                                }
-                            }
-                        }
-                    }
-                }
-                (_, Some(ra)) => {
-                    let (at, pe) = self.pending_recoveries.remove(0);
-                    debug_assert_eq!(at, ra);
-                    let _ = self.machine.recover_pe(at, pe);
-                }
-                (Some(_), None) => unreachable!("covered by the guarded arm"),
-            }
-        }
-        link_died
+    /// Why the run stopped, if it has: a sticky [`AbortCause::Unreachable`]
+    /// first, else the armed budget.
+    pub(crate) fn stopped(&self) -> Option<RunAborted> {
+        self.unreachable
+            .clone()
+            .or_else(|| self.budget.exceeded(self.now, 0))
     }
 
-    /// Transmit with in-flight loss detection: a planned fault that fires
-    /// while the packet is on the wire and kills a link it traversed loses
-    /// the packet; the sender retries over the (possibly rerouted) network,
-    /// with the lost flight time standing in for the retransmission
-    /// timeout. `kind` labels the retransmission in the trace.
+    /// Stop the run: a message from `from` to `to` cannot be delivered.
+    /// Traces the dead letter and makes the first such abort sticky.
+    pub(crate) fn dead_letter(&mut self, at: Cycles, from: u32, to: u32, msg: MsgKind) {
+        self.machine.trace.emit(|| {
+            TraceEvent::instant(
+                at,
+                from,
+                NO_PE,
+                EventKind::DeadLetter {
+                    msg,
+                    to_cluster: to,
+                },
+            )
+        });
+        self.unreachable.get_or_insert(RunAborted {
+            cause: AbortCause::Unreachable,
+            sim_cycles: at,
+            des_events: 0,
+        });
+    }
+
+    /// [`Machine::try_transmit`] for traffic with no reliable layer (halos,
+    /// reductions, task initiation): a dead route dead-letters the message
+    /// and stops the run instead of panicking. Returns the arrival time, or
+    /// `at` for a dead letter.
+    pub(crate) fn transmit(
+        &mut self,
+        at: Cycles,
+        from: u32,
+        to: u32,
+        words: Words,
+        msg: MsgKind,
+    ) -> Cycles {
+        self.machine
+            .try_transmit(at, from, to, words)
+            .unwrap_or_else(|_| {
+                self.dead_letter(at, from, to, msg);
+                at
+            })
+    }
+
+    /// Apply every planned fault step due at or before `t`, in plan order.
+    pub(crate) fn apply_faults_through(&mut self, t: Cycles) {
+        for step in self.faults.due(t) {
+            let lost = self.machine.apply_fault(step.at, step.kind);
+            if let (FaultKind::Memory { cluster, .. }, Ok(lost @ 1..)) = (step.kind, lost) {
+                // Re-materialize the invalidated words from the owner's
+                // host image: a shared-memory rebuild on that cluster.
+                let kpe = self.machine.kernel_pe(cluster);
+                let _ = self.machine.charge(step.at, kpe, CostClass::MemWord, lost);
+            }
+        }
+    }
+
+    /// Transmit a remote message with in-flight loss detection, the
+    /// kernel's rule: the packet is lost when a planned fault due during
+    /// the flight kills a link it traversed ([`fem2_machine::Network::flight_lost`]).
+    /// The sender retries over the (possibly rerouted) network, the lost
+    /// flight time standing in for the retransmission timeout, up to
+    /// [`MAX_RETRANSMITS`] times. A retry re-charges time and never
+    /// re-applies values. No live route, or a spent budget, dead-letters
+    /// the message and stops the run. `kind` labels the message in the
+    /// trace. Returns the arrival time.
     pub(crate) fn reliable_transmit(
         &mut self,
         at: Cycles,
@@ -149,32 +151,22 @@ impl SimState {
         kind: MsgKind,
     ) -> Cycles {
         let mut t = at;
-        let mut attempt = 0u32;
+        let mut attempt = 0;
         loop {
-            let arrive = self
-                .machine
-                .try_transmit(t, from, to, words)
-                .expect("no live route for window exchange");
-            // Only a planned fault due during the flight can lose the
-            // packet, so the links it crossed are looked up just then; the
-            // fault state, and with it the route, has not changed since
-            // the transmit.
-            let route = self
-                .faults
-                .next_at()
-                .filter(|&due| due <= arrive)
-                .and_then(|_| self.machine.network.route_links(from, to));
-            let fired = self.apply_faults_through(arrive);
-            let lost = fired
-                && route.is_some_and(|ls| ls.iter().any(|&l| self.machine.network.link_is_dead(l)));
-            if !lost {
+            let Some((arrive, flight)) = self.machine.transmit_tracked(t, from, to, words).arrival
+            else {
+                self.dead_letter(t, from, to, kind);
+                return t;
+            };
+            self.apply_faults_through(arrive);
+            if !self.machine.network.flight_lost(&flight) {
                 return arrive;
             }
             attempt += 1;
-            assert!(
-                attempt <= Self::MAX_RETRANSMITS,
-                "window exchange from {from} to {to} exhausted its retransmit budget"
-            );
+            if attempt > MAX_RETRANSMITS {
+                self.dead_letter(arrive, from, to, kind);
+                return arrive;
+            }
             self.retransmits += 1;
             self.machine.trace.emit(|| {
                 TraceEvent::instant(
@@ -191,6 +183,7 @@ impl SimState {
             t = arrive;
         }
     }
+
     /// Charge one parallel section: each `(t, w)` of `work` is executed by
     /// task `t`. Returns the barrier time. Callers pass an iterator, so
     /// charging a section allocates nothing.
@@ -199,10 +192,10 @@ impl SimState {
         tasks: &TaskSet,
         work: impl IntoIterator<Item = (TaskHandle, WorkProfile)>,
     ) -> Cycles {
-        // Budget-aborted runs wind down instead of charging further work:
-        // the caller polls `NaVm::budget_exceeded` and stops issuing ops,
-        // but any ops already in flight become no-ops here.
-        if self.budget.exceeded(self.now, 0).is_some() {
+        // Aborted runs wind down instead of charging further work: the
+        // caller polls `NaVm::budget_exceeded` and stops issuing ops, but
+        // any ops already in flight become no-ops here.
+        if self.stopped().is_some() {
             return self.now;
         }
         let start = self.now;
@@ -221,7 +214,7 @@ impl SimState {
                     .machine
                     .charge(start, kpe0, CostClass::MsgSend, 1)
                     .unwrap_or(start);
-                let arrive = self.machine.transmit(sent, 0, c, 8);
+                let arrive = self.transmit(sent, 0, c, 8, MsgKind::InitiateTask);
                 self.machine.trace.emit(|| {
                     TraceEvent::span(
                         sent,
@@ -266,7 +259,9 @@ impl SimState {
             }
             // Hand the body to the earliest-free worker PE of the cluster.
             let Some(pe) = self.machine.pick_worker(c) else {
-                continue; // dead cluster: work is lost
+                // Every PE of the cluster is dead: its work cannot run.
+                self.dead_letter(ready_at, 0, c, MsgKind::InitiateTask);
+                continue;
             };
             self.machine.trace.emit(|| {
                 TraceEvent::instant(
@@ -303,11 +298,6 @@ pub struct NaVm {
     pub(crate) plane: Plane,
     pub(crate) tasks: TaskSet,
     pub(crate) arrays: Vec<DArray>,
-    /// Next window-exchange sequence number (reliable window protocol).
-    pub(crate) window_seq: u64,
-    /// Exchanges already applied (receiver-side dedup, so a retried
-    /// delivery never double-applies boundary values).
-    pub(crate) applied_windows: BTreeSet<u64>,
 }
 
 impl NaVm {
@@ -318,8 +308,6 @@ impl NaVm {
             plane: Plane::Native,
             tasks: TaskSet::new(ntasks, 1),
             arrays: Vec::new(),
-            window_seq: 0,
-            applied_windows: BTreeSet::new(),
         }
     }
 
@@ -335,15 +323,13 @@ impl NaVm {
                 spawn_overhead: true,
                 spawned: false,
                 faults: FaultPlan::none(),
-                pending_recoveries: Vec::new(),
+                unreachable: None,
                 retransmits: 0,
                 window_words_scratch: vec![None; clusters as usize],
                 budget: BudgetMeter::default(),
             })),
             tasks: TaskSet::new(ntasks, clusters),
             arrays: Vec::new(),
-            window_seq: 0,
-            applied_windows: BTreeSet::new(),
         }
     }
 
@@ -413,7 +399,9 @@ impl NaVm {
     /// as simulated time passes them, at primitive boundaries: parallel
     /// sections, window exchanges, broadcasts, and remote calls. Numerical
     /// results are unaffected — only costs, routes, and the retransmission
-    /// count change.
+    /// count change — unless a fault cuts off a cluster the program needs:
+    /// then the run stops with [`AbortCause::Unreachable`] (see
+    /// [`NaVm::budget_exceeded`]).
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
         if let Plane::Sim(s) = &mut self.plane {
             s.faults = plan.clone();
@@ -431,14 +419,16 @@ impl NaVm {
         }
     }
 
-    /// Whether the armed budget has fired, and how (simulated plane; always
-    /// `None` on native). Purely a check against the current clock — calling
+    /// Whether the run has stopped, and why (simulated plane; always `None`
+    /// on native): the armed budget fired, or a fault made a cluster the
+    /// program needs unreachable ([`AbortCause::Unreachable`], sticky, and
+    /// reported first). Purely a check against the current clock — calling
     /// it does not advance time, so repeated polls are free and
     /// deterministic for the cycle/event limits.
     pub fn budget_exceeded(&self) -> Option<RunAborted> {
         match &self.plane {
             Plane::Native => None,
-            Plane::Sim(s) => s.budget.exceeded(s.now, 0),
+            Plane::Sim(s) => s.stopped(),
         }
     }
 
@@ -652,7 +642,7 @@ impl NaVm {
                     .charge(start, kpe, CostClass::MsgSend, 1)
                     .unwrap_or(start);
                 let arrive = if cc == oc {
-                    s.machine.transmit(sent, cc, oc, 7 + args_words)
+                    s.transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall)
                 } else {
                     s.reliable_transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall)
                 };
@@ -674,11 +664,15 @@ impl NaVm {
                             .charge(dispatched, pe, CostClass::Flop, profile.flops)
                             .unwrap_or(dispatched)
                     }
-                    None => dispatched,
+                    None => {
+                        // Every PE of the owner's cluster is dead.
+                        s.dead_letter(dispatched, cc, oc, MsgKind::RemoteCall);
+                        dispatched
+                    }
                 };
                 // Ship the result back.
                 let back = if cc == oc {
-                    s.machine.transmit(done, oc, cc, result_words)
+                    s.transmit(done, oc, cc, result_words, MsgKind::RemoteReturn)
                 } else {
                     s.reliable_transmit(done, oc, cc, result_words, MsgKind::RemoteReturn)
                 };

@@ -307,9 +307,8 @@ impl NaVm {
     }
 
     /// Write `values` (row-major, exactly `w.len()` of them) through the
-    /// window as task `accessor`. Plain writes are naturally idempotent
-    /// (assignment), so they carry no sequence number; for accumulating
-    /// boundary exchange use [`NaVm::add_window`].
+    /// window as task `accessor`. A retried exchange re-charges its traffic
+    /// but the values are applied once, here.
     pub fn write_window(&mut self, accessor: TaskHandle, w: &Window, values: &[f64]) {
         assert_eq!(values.len() as u64, w.len(), "value count mismatch");
         self.charge_window_traffic(w, accessor, false);
@@ -318,49 +317,6 @@ impl NaVm {
         for r in w.desc.row0..w.desc.row1 {
             for c in w.desc.col0..w.desc.col1 {
                 a.data[r as usize * a.cols + c as usize] =
-                    *it.next().expect("asserted values.len() == w.len()");
-            }
-        }
-    }
-
-    /// Accumulate `values` into the window (`+=`, the boundary exchange of
-    /// a domain-decomposed assembly) as one sequenced exchange. Returns the
-    /// exchange's sequence number. The owner applies each sequence exactly
-    /// once, so a retried delivery of the same exchange (see
-    /// [`NaVm::redeliver_window_add`]) is charged but not re-applied —
-    /// boundary values are never double-added.
-    pub fn add_window(&mut self, accessor: TaskHandle, w: &Window, values: &[f64]) -> u64 {
-        self.window_seq += 1;
-        let seq = self.window_seq;
-        self.deliver_window_add(accessor, w, values, seq);
-        seq
-    }
-
-    /// Deliver (or re-deliver) the sequenced accumulate `seq`. Models the
-    /// reliable layer handing the receiver a retried copy of an exchange
-    /// whose ack was lost: the traffic is charged again, but a sequence
-    /// already applied is deduplicated, not re-added.
-    pub fn redeliver_window_add(
-        &mut self,
-        accessor: TaskHandle,
-        w: &Window,
-        values: &[f64],
-        seq: u64,
-    ) {
-        self.deliver_window_add(accessor, w, values, seq);
-    }
-
-    fn deliver_window_add(&mut self, accessor: TaskHandle, w: &Window, values: &[f64], seq: u64) {
-        assert_eq!(values.len() as u64, w.len(), "value count mismatch");
-        self.charge_window_traffic(w, accessor, false);
-        if !self.applied_windows.insert(seq) {
-            return; // duplicate delivery of a retried exchange
-        }
-        let a = &mut self.arrays[w.array.0 as usize];
-        let mut it = values.iter();
-        for r in w.desc.row0..w.desc.row1 {
-            for c in w.desc.col0..w.desc.col1 {
-                a.data[r as usize * a.cols + c as usize] +=
                     *it.next().expect("asserted values.len() == w.len()");
             }
         }
@@ -533,22 +489,6 @@ mod tests {
             t_remote > t_local,
             "remote {t_remote} should cost more than local {t_local}"
         );
-    }
-
-    #[test]
-    fn retried_window_add_applies_once() {
-        let mut vm = sim(8);
-        let a = vm.array(16, 1);
-        let w = vm.window(a, 14, 16, 0, 1);
-        let seq = vm.add_window(TaskHandle(0), &w, &[1.5, 2.5]);
-        // The reliable layer re-delivers the same exchange (lost ack): the
-        // traffic is charged again but the values are not double-added.
-        vm.redeliver_window_add(TaskHandle(0), &w, &[1.5, 2.5], seq);
-        assert_eq!(vm.get(a, 14, 0), 1.5, "boundary value added exactly once");
-        assert_eq!(vm.get(a, 15, 0), 2.5);
-        // A fresh exchange still applies.
-        vm.add_window(TaskHandle(0), &w, &[1.0, 1.0]);
-        assert_eq!(vm.get(a, 14, 0), 2.5);
     }
 
     #[test]

@@ -309,8 +309,9 @@ pub enum EventKind {
         /// Words of live allocations invalidated by the failure.
         lost: u64,
     },
-    /// A budgeted run was aborted by its supervisor. `cause` is the abort
-    /// cause code (0 cycles, 1 events, 2 wall deadline, 3 cancelled).
+    /// A run was aborted: by its supervisor's budget, or because a fault
+    /// made a cluster unreachable. `cause` is the abort cause code (0
+    /// cycles, 1 events, 2 wall deadline, 3 cancelled, 4 unreachable).
     RunAbort {
         /// Abort cause code.
         cause: u8,

@@ -1,13 +1,15 @@
-//! Hot-path perf integration: the route cache and the calendar DES queue
-//! must be invisible optimizations (bitwise-identical reports, solutions,
-//! and trace bytes against their reference paths, including under link
-//! faults and repair), and the O(nnz) counting CSR build must match the
-//! sort-based construction it replaced.
+//! Hot-path perf integration: the route cache must be an invisible
+//! optimization (bitwise-identical reports, solutions, and trace bytes
+//! against the reference recompute path, including under link faults and
+//! repair), and the O(nnz) counting CSR build must match the sort-based
+//! construction it replaced. The calendar DES queue against the heap is
+//! covered where a DES queue runs: `crates/machine/src/sim.rs` and
+//! `crates/kernel/tests/prop.rs`.
 
 use fem2_core::scenario::{plate_cg, PlateScenario, ScenarioReport};
 use fem2_fem::Coo;
 use fem2_machine::fault::FaultPlan;
-use fem2_machine::{DesQueue, MachineConfig};
+use fem2_machine::MachineConfig;
 use fem2_navm::NaVm;
 use fem2_trace::TraceHandle;
 use proptest::prelude::*;
@@ -79,105 +81,6 @@ fn route_cache_is_invisible_under_link_fault_and_repair() {
     assert_eq!(crec, rrec, "recovery activity diverged");
     assert!(crec >= 1, "the dead link forced a retransmit or reroute");
     assert_eq!(cbytes, rbytes, "trace streams diverged");
-}
-
-// ---------------------------------------------------------------------
-// Calendar DES queue vs reference heap path
-// ---------------------------------------------------------------------
-
-/// One traced plate run with the DES queue backend selected.
-fn plate_run_queue(q: DesQueue) -> (ScenarioReport, Vec<u8>) {
-    let mut cfg = MachineConfig::fem2_default();
-    cfg.des_queue = q;
-    let (handle, rec) = TraceHandle::ring(1 << 16);
-    let report = PlateScenario::square(16, cfg)
-        .with_trace(handle)
-        .run_unchecked();
-    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
-    (report, bytes)
-}
-
-/// Calendar and heap runs of the full plate scenario produce the same
-/// report (down to the residual's bits) and byte-identical traces: the
-/// calendar queue's bucketed pop order reproduces the heap's `(time, seq)`
-/// order exactly.
-#[test]
-fn calendar_queue_is_invisible_to_plate_scenario() {
-    let (cal, cal_bytes) = plate_run_queue(DesQueue::Calendar);
-    let (heap, heap_bytes) = plate_run_queue(DesQueue::Heap);
-
-    assert_eq!(cal.elapsed, heap.elapsed);
-    assert_eq!(cal.iterations, heap.iterations);
-    assert_eq!(cal.residual.to_bits(), heap.residual.to_bits());
-    assert_eq!(cal.total_messages, heap.total_messages);
-    assert_eq!(cal.total_words_moved, heap.total_words_moved);
-    assert_eq!(cal.total_flops, heap.total_flops);
-    assert_eq!(cal.table, heap.table);
-    assert!(!cal_bytes.is_empty(), "the traced run recorded nothing");
-    assert_eq!(cal_bytes, heap_bytes, "trace streams diverged");
-}
-
-/// One traced CG solve on the simulated plane with a link dying mid-solve
-/// and recovering later, DES queue backend selected.
-fn faulted_cg_queue(q: DesQueue) -> (usize, u64, Vec<u64>, u64, Vec<u8>) {
-    let mut cfg = MachineConfig::fem2_default();
-    cfg.des_queue = q;
-    let mut vm = NaVm::simulated(cfg, 8);
-    let (handle, rec) = TraceHandle::ring(1 << 16);
-    vm.set_trace(handle);
-    let plan = FaultPlan::none()
-        .kill_link(2_000, 1)
-        .recover_link(40_000, 1);
-    vm.inject_faults(&plan);
-    let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
-    let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
-    let recovery = vm.retransmits() + vm.machine().map_or(0, |m| m.network.rerouted_packets);
-    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
-    (iters, res.to_bits(), bits, recovery, bytes)
-}
-
-/// Mid-run link death and repair schedule retransmission timeouts far into
-/// the future (the overflow ladder) and clamped past events; the calendar
-/// run must still match the heap run bitwise — iteration count, residual,
-/// solution, recovery activity, and every trace byte.
-#[test]
-fn calendar_queue_is_invisible_under_link_fault_and_repair() {
-    let (ci, cres, cx, crec, cbytes) = faulted_cg_queue(DesQueue::Calendar);
-    let (hi, hres, hx, hrec, hbytes) = faulted_cg_queue(DesQueue::Heap);
-
-    assert_eq!(ci, hi, "iteration count diverged");
-    assert_eq!(cres, hres, "residual bits diverged");
-    assert_eq!(cx, hx, "solution bits diverged");
-    assert_eq!(crec, hrec, "recovery activity diverged");
-    assert!(crec >= 1, "the dead link forced a retransmit or reroute");
-    assert_eq!(cbytes, hbytes, "trace streams diverged");
-}
-
-proptest! {
-    /// Any plate size and any (kill, recover) fault timing: the calendar
-    /// and heap backends agree on the scenario report bit for bit. Sizes
-    /// and times are small so the property stays fast, but span the
-    /// clamp-to-now, same-cycle tie, and overflow-ladder regimes.
-    #[test]
-    fn calendar_matches_heap_for_faulted_plates(
-        n in 6usize..12,
-        kill_at in 1_000u64..6_000,
-        repair_delta in 1_000u64..50_000,
-    ) {
-        let run = |q: DesQueue| {
-            let mut cfg = MachineConfig::fem2_default();
-            cfg.des_queue = q;
-            let mut vm = NaVm::simulated(cfg, 8);
-            let plan = FaultPlan::none()
-                .kill_link(kill_at, 1)
-                .recover_link(kill_at + repair_delta, 1);
-            vm.inject_faults(&plan);
-            let (iters, res, x) = plate_cg(&mut vm, n, n, 1e-8, 300);
-            let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
-            (iters, res.to_bits(), bits, vm.elapsed())
-        };
-        prop_assert_eq!(run(DesQueue::Calendar), run(DesQueue::Heap));
-    }
 }
 
 // ---------------------------------------------------------------------
