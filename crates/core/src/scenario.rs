@@ -178,7 +178,7 @@ impl PlateScenario {
     /// Run without the pre-dispatch verification gate.
     pub fn run_unchecked(&self) -> ScenarioReport {
         self.run_supervised(&RunBudget::unlimited())
-            .expect("an unlimited budget never aborts")
+            .expect("an unlimited budget never aborts, and a scenario injects no faults")
     }
 
     /// Run under the scenario's armed [`budget`](Self::budget): the same

@@ -61,12 +61,12 @@ pub enum FaultKind {
     },
 }
 
-/// A scheduled hardware failure.
+/// One scheduled step of a fault plan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultEvent {
-    /// When the fault strikes.
+    /// When the step takes effect.
     pub at: Cycles,
-    /// What fails.
+    /// What it does to the machine.
     pub kind: FaultKind,
 }
 
@@ -142,9 +142,9 @@ impl FaultPlan {
         })
     }
 
-    /// Add a degraded-link fault: occupancy multiplied by `factor`.
+    /// Add a degraded-link fault: occupancy multiplied by `factor` (0
+    /// counts as 1: the link stays alive at full speed).
     pub fn degrade_link(self, at: Cycles, link: usize, factor: u32) -> Self {
-        debug_assert!(factor >= 1);
         self.push(FaultEvent {
             at,
             kind: FaultKind::Link {
