@@ -170,3 +170,66 @@ fn fault_traces_are_byte_stable_across_runs() {
     assert_eq!(len_a, len_b);
     assert_eq!(bytes_a, bytes_b);
 }
+
+/// The (from, to) cluster pair of every dead letter in a trace.
+fn dead_letters(rec: &fem2_trace::SharedRecorder) -> Vec<(u32, u32)> {
+    let r = rec.lock().expect("no other holder of the recorder lock");
+    r.events()
+        .filter_map(|ev| match ev.kind {
+            fem2_trace::EventKind::DeadLetter { to_cluster, .. } => Some((ev.cluster, to_cluster)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A traced 8-task NA-VM on the default 4-cluster crossbar.
+fn traced_vm() -> (NaVm, fem2_trace::SharedRecorder) {
+    let mut vm = NaVm::simulated(MachineConfig::fem2_default(), 8);
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    vm.set_trace(handle);
+    (vm, rec)
+}
+
+/// A window read from a cluster whose inbound links (0->3, 1->3, 2->3:
+/// ids 3, 7, 11) are all dead has no route for its request: the read
+/// dead-letters and the run stops instead of panicking.
+#[test]
+fn window_read_from_a_cut_off_cluster_stops_the_run() {
+    let (mut vm, rec) = traced_vm();
+    let a = vm.array(16, 4);
+    vm.fill(a, |r, c| (r * 10 + c) as f64);
+    let w = vm.window(a, 14, 16, 0, 4); // cluster 3's rows
+    let t = vm.elapsed();
+    vm.inject_faults(
+        &FaultPlan::none()
+            .kill_link(t, 3)
+            .kill_link(t, 7)
+            .kill_link(t, 11),
+    );
+    let _ = vm.read_window(fem2_navm::TaskHandle(0), &w);
+    let abort = vm.budget_exceeded().expect("the run stopped");
+    assert_eq!(abort.cause, fem2_machine::AbortCause::Unreachable);
+    assert_eq!(dead_letters(&rec), [(0, 3)]);
+}
+
+/// A pardo statement on a cluster with no surviving PE cannot run: its
+/// work used to be dropped silently; now it dead-letters and the run
+/// stops. Every PE dies, the kernel PE too: a lone survivor takes work.
+#[test]
+fn pardo_on_a_cluster_without_a_live_pe_stops_the_run() {
+    let (mut vm, rec) = traced_vm();
+    vm.inject_faults(&FaultPlan::at(0, (0..8).map(|i| PeId::new(2, i))));
+    let stmts: Vec<_> = vm
+        .tasks()
+        .iter()
+        .map(|t| (t, WorkProfile::flops(1_000)))
+        .collect();
+    vm.pardo(&stmts);
+    let abort = vm.budget_exceeded().expect("the run stopped");
+    assert_eq!(abort.cause, fem2_machine::AbortCause::Unreachable);
+    assert_eq!(
+        dead_letters(&rec),
+        [(0, 2), (0, 2)],
+        "one per task on cluster 2"
+    );
+}
