@@ -902,7 +902,7 @@ fn ws_cell(topology: &'static str, n: u32) -> WeakScalingRow {
     }
 }
 
-/// A6: the weak-scaling sweep ([`ws_cell`] per topology per cluster count,
+/// A6: the weak-scaling sweep (`ws_cell` per topology per cluster count,
 /// each row stamped with its topology's saturation point) and the 32×32
 /// plate as 128 tasks on a 1024-cluster torus. The allocation columns are
 /// the footprint proxy: a dense machine would grow them with the id space,

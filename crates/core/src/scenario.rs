@@ -2,7 +2,7 @@
 //! method, run end-to-end through the numerical analyst's VM.
 //!
 //! The workload is the one the paper's applications imply (and that
-//! Adams–Voigt analyze in reference [8]): a plate model — assemble element
+//! Adams–Voigt analyze in reference \[8\]): a plate model — assemble element
 //! stiffnesses, solve the resulting SPD system by conjugate gradients with a
 //! 5-point-stencil operator, recover stresses. On the simulated plane the
 //! run produces the paper's three requirement families per phase:
@@ -178,7 +178,7 @@ impl PlateScenario {
     /// Run without the pre-dispatch verification gate.
     pub fn run_unchecked(&self) -> ScenarioReport {
         self.run_supervised(&RunBudget::unlimited())
-            .expect("an unlimited budget never aborts, and a scenario injects no faults")
+            .unwrap_or_else(|abort| panic!("an unbudgeted plate run stopped: {abort}"))
     }
 
     /// Run under the scenario's armed [`budget`](Self::budget): the same

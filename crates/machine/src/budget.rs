@@ -37,6 +37,9 @@ pub enum AbortCause {
     /// A fault cut off a cluster the run needs: a message had no live
     /// route, exhausted its retransmit budget, or found no surviving PE.
     Unreachable,
+    /// A memory-bank fault left a cluster's arena too small for an
+    /// allocation the run needs.
+    MemoryExhausted,
 }
 
 impl AbortCause {
@@ -48,6 +51,7 @@ impl AbortCause {
             AbortCause::WallDeadline => "wall_deadline",
             AbortCause::Cancelled => "cancelled",
             AbortCause::Unreachable => "unreachable",
+            AbortCause::MemoryExhausted => "memory_exhausted",
         }
     }
 }
@@ -170,7 +174,7 @@ impl BudgetMeter {
     /// Check every limit against the given progress counters. Deterministic
     /// limits (cycles, events) are checked first and on every call, so runs
     /// that abort on them abort identically across repeats; the wall clock
-    /// is only consulted every [`WALL_CHECK_PERIOD`] calls (keyed off the
+    /// is only consulted every `WALL_CHECK_PERIOD` calls (keyed off the
     /// meter's own call counter) and the cancel flag on every call.
     pub fn check(&self, sim_cycles: Cycles, des_events: u64) -> Result<(), RunAborted> {
         if self.budget.is_unlimited() {

@@ -27,13 +27,15 @@
 //! table (`RouteTable`) holds *touched* pairs, not `n²`, and is reached by
 //! key only. A cached route starts as link ids; the first *transmit* of the
 //! pair rewrites it in place to slab slots, so every later message walks
-//! link records directly with no per-hop lookup (see [`Route`]). A fresh
+//! link records directly with no per-hop lookup (see `Route`). A fresh
 //! machine sees only first transmits, so one stays within a few times a
 //! later one: with no dead link (a count the fault calls maintain) route
 //! selection checks no hop, resolving a hop is two loads, and filing the
 //! route is one probe of a flat table. Cached and uncached runs are bitwise
-//! identical: the cache stores exactly what [`Network::compute_route`]
-//! would return.
+//! identical: the cache stores exactly what `Network::compute_route`
+//! would return. A read-only route probe on a network with no dead link
+//! ([`Network::visit_route`], which the static cost pass uses) walks the
+//! primary path itself: it allocates nothing and files no route.
 //!
 //! A reliable layer that must know, at arrival time, whether a message's
 //! route lost a link while it was in flight sends through
@@ -246,16 +248,16 @@ impl Route {
         }
     }
 
-    fn link_ids(&self, slab: &LinkSlab) -> Vec<usize> {
+    /// Visit the hops' link ids in route order.
+    fn visit_ids(&self, slab: &LinkSlab, mut visit: impl FnMut(usize)) {
         let resolved = self.resolved();
-        let id = |&hop: &u32| {
-            if resolved {
+        for &hop in self.hops() {
+            visit(if resolved {
                 slab.links[hop as usize].id as usize
             } else {
                 hop as usize
-            }
-        };
-        self.hops().iter().map(id).collect()
+            });
+        }
     }
 }
 
@@ -528,73 +530,78 @@ impl Network {
         }
     }
 
-    /// Forward ring path from `from` to `to` (link out of `cur` has id
+    /// Forward ring walk from `from` to `to` (link out of `cur` has id
     /// `cur`); backward uses ids `n + cur`.
-    fn ring_path(&self, from: u32, to: u32, forward: bool) -> Vec<u32> {
+    fn ring_walk(&self, from: u32, to: u32, forward: bool, visit: &mut impl FnMut(u32)) {
         let nc = self.clusters;
-        let mut path = Vec::new();
         let mut cur = from;
         if forward {
             while cur != to {
-                path.push(cur);
+                visit(cur);
                 cur = (cur + 1) % nc;
             }
         } else {
             while cur != to {
-                path.push(nc + cur);
+                visit(nc + cur);
                 cur = (cur + nc - 1) % nc;
             }
         }
-        path
     }
 
-    /// Mesh path with dimension order: x-then-y (XY routing) or y-then-x.
+    /// Mesh walk with dimension order: x-then-y (XY routing) or y-then-x.
     /// Link ids: node*4 + {0:+x, 1:-x, 2:+y, 3:-y}.
-    fn mesh_path(&self, width: u32, from: u32, to: u32, x_first: bool) -> Vec<u32> {
-        let mut path = Vec::new();
+    fn mesh_walk(
+        &self,
+        width: u32,
+        from: u32,
+        to: u32,
+        x_first: bool,
+        visit: &mut impl FnMut(u32),
+    ) {
         let (mut cx, mut cy) = (from % width, from / width);
         let (tx, ty) = (to % width, to / width);
-        let step_x = |path: &mut Vec<u32>, cx: &mut u32, cy: u32| {
-            while *cx != tx {
-                let node = cy * width + *cx;
-                if *cx < tx {
-                    path.push(node * 4);
-                    *cx += 1;
-                } else {
-                    path.push(node * 4 + 1);
-                    *cx -= 1;
+        for along_x in [x_first, !x_first] {
+            if along_x {
+                while cx != tx {
+                    let node = cy * width + cx;
+                    if cx < tx {
+                        visit(node * 4);
+                        cx += 1;
+                    } else {
+                        visit(node * 4 + 1);
+                        cx -= 1;
+                    }
+                }
+            } else {
+                while cy != ty {
+                    let node = cy * width + cx;
+                    if cy < ty {
+                        visit(node * 4 + 2);
+                        cy += 1;
+                    } else {
+                        visit(node * 4 + 3);
+                        cy -= 1;
+                    }
                 }
             }
-        };
-        let step_y = |path: &mut Vec<u32>, cx: u32, cy: &mut u32| {
-            while *cy != ty {
-                let node = *cy * width + cx;
-                if *cy < ty {
-                    path.push(node * 4 + 2);
-                    *cy += 1;
-                } else {
-                    path.push(node * 4 + 3);
-                    *cy -= 1;
-                }
-            }
-        };
-        if x_first {
-            step_x(&mut path, &mut cx, cy);
-            step_y(&mut path, cx, &mut cy);
-        } else {
-            step_y(&mut path, cx, &mut cy);
-            step_x(&mut path, &mut cx, cy);
         }
-        path
     }
 
-    /// Torus path with dimension-order routing. Link ids:
+    /// Torus walk with dimension-order routing. Link ids:
     /// `node * 2·ndims + 2·d + {0:+, 1:-}` in dimension `d`. `rev` reverses
     /// the dimension order; `anti` takes the long way around each
     /// dimension. The primary route is `(rev: false, anti: false)`: lowest
     /// dimension first, shorter wrap direction (ties go forward), which is
     /// hop-minimal.
-    fn torus_path(&self, dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<u32> {
+    fn torus_walk(
+        &self,
+        dims: &[u32],
+        from: u32,
+        to: u32,
+        rev: bool,
+        anti: bool,
+        visit: &mut impl FnMut(u32),
+    ) {
         let nd = dims.len();
         let cur = torus_coords(dims, from);
         let tgt = torus_coords(dims, to);
@@ -602,13 +609,6 @@ impl Network {
         for d in 1..nd {
             strides[d] = strides[d - 1] * dims[d - 1];
         }
-        // Shortest-wrap paths are hop-minimal in either dimension order, so
-        // their length is known up front: allocate once, at the final size.
-        let mut path = Vec::with_capacity(if anti {
-            0
-        } else {
-            self.hops(from, to) as usize
-        });
         // The node index is carried along the walk: one stride per step,
         // back across the whole dimension at a wrap.
         let mut node = from;
@@ -626,7 +626,7 @@ impl Network {
             let wrap = (dim - 1) * stride;
             let mut at = cur[d];
             for _ in 0..steps {
-                path.push(node * 2 * nd as u32 + port);
+                visit(node * 2 * nd as u32 + port);
                 if forward {
                     at = if at + 1 == dim { 0 } else { at + 1 };
                     node = if at == 0 { node - wrap } else { node + stride };
@@ -636,54 +636,82 @@ impl Network {
                 }
             }
         }
+    }
+
+    /// [`Network::torus_walk`] collected. Shortest-wrap paths are
+    /// hop-minimal in either dimension order, so their length is known up
+    /// front: they allocate once, at the final size.
+    fn torus_path(&self, dims: &[u32], from: u32, to: u32, rev: bool, anti: bool) -> Vec<u32> {
+        let mut path = Vec::with_capacity(if anti {
+            0
+        } else {
+            self.hops(from, to) as usize
+        });
+        self.torus_walk(dims, from, to, rev, anti, &mut |link| path.push(link));
         path
     }
 
-    /// Fat-tree up/down path through core switch `core` (ignored for
+    /// Fat-tree up/down walk through core switch `core` (ignored for
     /// same-pod pairs, which turn around at the edge switch). Link ids for
     /// `n` leaves, radix `r`, `p = n/r` pods: leaf-up = `node`, leaf-down =
     /// `n + node`, edge-up(pod, core) = `2n + pod·r + core`, core-down(core,
     /// pod) = `2n + p·r + pod·r + core`.
-    fn fat_tree_path(&self, radix: u32, from: u32, to: u32, core: u32) -> Vec<u32> {
+    fn fat_tree_walk(
+        &self,
+        radix: u32,
+        from: u32,
+        to: u32,
+        core: u32,
+        visit: &mut impl FnMut(u32),
+    ) {
         let n = self.clusters;
         let (pod_a, pod_b) = (from / radix, to / radix);
-        let up = from;
-        let down = n + to;
-        if pod_a == pod_b {
-            return vec![up, down];
+        visit(from);
+        if pod_a != pod_b {
+            let pods = n / radix;
+            visit(2 * n + pod_a * radix + core);
+            visit(2 * n + pods * radix + pod_b * radix + core);
         }
-        let pods = n / radix;
-        let edge_up = 2 * n + pod_a * radix + core;
-        let core_down = 2 * n + pods * radix + pod_b * radix + core;
-        vec![up, edge_up, core_down, down]
+        visit(n + to);
     }
 
-    /// The healthy-path route (ignores link faults).
-    fn primary_route(&self, from: u32, to: u32) -> Vec<u32> {
+    /// Walk the healthy-path route (ignores link faults), visiting each
+    /// link id in order; nothing for `from == to`.
+    fn primary_walk(&self, from: u32, to: u32, visit: &mut impl FnMut(u32)) {
         if from == to {
-            return Vec::new();
+            return;
         }
         let n = self.clusters;
         match &self.topology {
-            Topology::Bus => vec![0],
-            Topology::Crossbar => vec![from * n + to],
+            Topology::Bus => visit(0),
+            Topology::Crossbar => visit(from * n + to),
             Topology::Ring => {
-                let nc = self.clusters;
-                let fwd = (to + nc - from) % nc;
-                let bwd = (from + nc - to) % nc;
-                self.ring_path(from, to, fwd <= bwd)
+                let fwd = (to + n - from) % n;
+                let bwd = (from + n - to) % n;
+                self.ring_walk(from, to, fwd <= bwd, visit);
             }
-            Topology::Mesh2D { width } => self.mesh_path(*width, from, to, true),
-            Topology::Torus { dims } => self.torus_path(dims, from, to, false, false),
-            Topology::FatTree { radix } => self.fat_tree_path(*radix, from, to, to % radix),
+            Topology::Mesh2D { width } => self.mesh_walk(*width, from, to, true, visit),
+            Topology::Torus { dims } => self.torus_walk(dims, from, to, false, false, visit),
+            Topology::FatTree { radix } => {
+                self.fat_tree_walk(*radix, from, to, to % radix, visit);
+            }
         }
+    }
+
+    /// The healthy-path route (ignores link faults), collected from
+    /// [`Network::primary_walk`]. Every topology's primary route is
+    /// hop-minimal, so [`Network::hops`] sizes it exactly.
+    fn primary_route(&self, from: u32, to: u32) -> Vec<u32> {
+        let mut path = Vec::with_capacity(self.hops(from, to) as usize);
+        self.primary_walk(from, to, &mut |link| path.push(link));
+        path
     }
 
     /// Pick a live route: the primary path when intact, otherwise the
     /// topology's deterministic detour. Returns the path and whether it is
     /// a detour; `None` when every candidate crosses a dead link. This is
     /// the uncached reference computation; hot paths go through
-    /// [`Network::route_into`] which memoizes its result per fault epoch.
+    /// `Network::with_route`, which memoizes its result per fault epoch.
     ///
     /// Detour candidates are checked whole (`path_alive`), in a fixed
     /// order, so a chosen detour never crosses — and never revisits — a
@@ -698,21 +726,22 @@ impl Network {
             Topology::Bus => None,
             Topology::Crossbar => {
                 // Two-hop detour via the lowest-indexed live intermediate.
-                (0..self.clusters)
+                (0..n)
                     .filter(|&k| k != from && k != to)
                     .map(|k| vec![from * n + k, k * n + to])
                     .find(|p| self.path_alive(p))
             }
             Topology::Ring => {
-                let nc = self.clusters;
-                let fwd = (to + nc - from) % nc;
-                let bwd = (from + nc - to) % nc;
+                let fwd = (to + n - from) % n;
+                let bwd = (from + n - to) % n;
                 // The non-preferred direction.
-                let other = self.ring_path(from, to, fwd > bwd);
+                let mut other = Vec::new();
+                self.ring_walk(from, to, fwd > bwd, &mut |link| other.push(link));
                 self.path_alive(&other).then_some(other)
             }
             Topology::Mesh2D { width } => {
-                let yx = self.mesh_path(*width, from, to, false);
+                let mut yx = Vec::new();
+                self.mesh_walk(*width, from, to, false, &mut |link| yx.push(link));
                 self.path_alive(&yx).then_some(yx)
             }
             Topology::Torus { dims } => {
@@ -730,7 +759,11 @@ impl Network {
                 let radix = *radix;
                 (0..radix)
                     .filter(|&c| c != to % radix)
-                    .map(|c| self.fat_tree_path(radix, from, to, c))
+                    .map(|c| {
+                        let mut path = Vec::with_capacity(4);
+                        self.fat_tree_walk(radix, from, to, c, &mut |link| path.push(link));
+                        path
+                    })
                     .find(|p| self.path_alive(p))
             }
         };
@@ -750,14 +783,36 @@ impl Network {
         f(route.as_ref())
     }
 
-    /// The link ids a message from `from` to `to` would traverse right now,
-    /// or `None` when no live route exists (reliable layers use this both
-    /// to detect unreachable clusters and to loss-check in-flight packets).
-    pub fn route_links(&self, from: u32, to: u32) -> Option<Vec<usize>> {
+    /// Visit, in order, the link ids a message from `from` to `to` would
+    /// traverse right now; `false` (nothing visited) when no live route
+    /// exists. With no dead link the route is the primary path, walked
+    /// directly: no route is allocated and the route table is not touched,
+    /// so a caller that never faults the network (the static cost pass)
+    /// pays one walk per probe and leaves no state behind.
+    pub fn visit_route(&self, from: u32, to: u32, mut visit: impl FnMut(usize)) -> bool {
         if from == to {
-            return Some(Vec::new());
+            return true;
         }
-        self.with_route(from, to, |route| Some(route?.link_ids(&self.slab)))
+        if self.slab.dead_links == 0 {
+            self.primary_walk(from, to, &mut |link| visit(link as usize));
+            return true;
+        }
+        self.with_route(from, to, |route| match route {
+            Some(route) => {
+                route.visit_ids(&self.slab, visit);
+                true
+            }
+            None => false,
+        })
+    }
+
+    /// The link ids a message from `from` to `to` would traverse right now,
+    /// or `None` when no live route exists: [`Network::visit_route`],
+    /// collected.
+    pub fn route_links(&self, from: u32, to: u32) -> Option<Vec<usize>> {
+        let mut links = Vec::new();
+        self.visit_route(from, to, |link| links.push(link))
+            .then_some(links)
     }
 
     /// Transmit `words` of payload from cluster `from` to cluster `to`,
@@ -1163,6 +1218,51 @@ mod tests {
                 n.torus_path(&dims, from, to, rev, anti),
                 torus_path_by_coords(&dims, from, to, rev, anti)
             );
+        }
+    }
+
+    /// The route probe against the route a transmit would file: on every
+    /// topology, healthy (the primary walk, no table entry) and with a
+    /// dead link (the cached detour), every pair visits exactly the link
+    /// ids of `compute_route`, and the primary route is sized by `hops`.
+    #[test]
+    fn route_probe_visits_the_computed_route() {
+        for (topology, clusters) in [
+            (Topology::Bus, 4),
+            (Topology::Crossbar, 6),
+            (Topology::Ring, 7),
+            (Topology::Mesh2D { width: 3 }, 9),
+            (Topology::Torus { dims: vec![3, 4] }, 12),
+            (
+                Topology::Torus {
+                    dims: vec![2, 3, 2],
+                },
+                12,
+            ),
+            (Topology::FatTree { radix: 3 }, 9),
+        ] {
+            let mut n = Network::new(&cfg(topology, clusters));
+            for dead in [None, Some(n.link_count() / 2)] {
+                if let Some(link) = dead {
+                    n.fail_link(link);
+                }
+                for from in 0..clusters {
+                    for to in 0..clusters {
+                        let want = n
+                            .compute_route(from, to)
+                            .map(|r| r.hops().iter().map(|&l| l as usize).collect::<Vec<_>>());
+                        assert_eq!(n.route_links(from, to), want, "{from}->{to}, dead {dead:?}");
+                        if dead.is_none() {
+                            let primary = n.primary_route(from, to);
+                            assert_eq!(primary.capacity(), primary.len());
+                            assert_eq!(primary.len() as u32, n.hops(from, to));
+                        }
+                    }
+                }
+                if dead.is_none() {
+                    assert_eq!(table(&n).0, 0, "healthy probes file no route");
+                }
+            }
         }
     }
 

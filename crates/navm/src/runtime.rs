@@ -55,9 +55,11 @@ pub(crate) struct SimState {
     pub(crate) spawned: bool,
     /// Planned faults, applied as simulated time passes each step.
     pub(crate) faults: FaultPlan,
-    /// Set when a cluster the program needs became unreachable; sticky, and
-    /// reported by [`NaVm::budget_exceeded`] like a fired budget.
-    pub(crate) unreachable: Option<RunAborted>,
+    /// Set when a fault stopped the run — a cluster the program needs
+    /// became unreachable, or an array no longer fits its cluster's
+    /// memory; sticky, and reported by [`NaVm::budget_exceeded`] like a
+    /// fired budget.
+    pub(crate) halted: Option<RunAborted>,
     /// Window exchanges retried after an in-flight loss.
     pub(crate) retransmits: u64,
     /// Scratch: words-per-cluster accumulator reused by every window
@@ -71,12 +73,22 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    /// Why the run stopped, if it has: a sticky [`AbortCause::Unreachable`]
+    /// Why the run stopped, if it has: a sticky fault abort
+    /// ([`AbortCause::Unreachable`], [`AbortCause::MemoryExhausted`])
     /// first, else the armed budget.
     pub(crate) fn stopped(&self) -> Option<RunAborted> {
-        self.unreachable
+        self.halted
             .clone()
             .or_else(|| self.budget.exceeded(self.now, 0))
+    }
+
+    /// Stop the run for `cause` at `at`; the first such abort sticks.
+    fn halt(&mut self, at: Cycles, cause: AbortCause) {
+        self.halted.get_or_insert(RunAborted {
+            cause,
+            sim_cycles: at,
+            des_events: 0,
+        });
     }
 
     /// Stop the run: a message from `from` to `to` cannot be delivered.
@@ -93,11 +105,7 @@ impl SimState {
                 },
             )
         });
-        self.unreachable.get_or_insert(RunAborted {
-            cause: AbortCause::Unreachable,
-            sim_cycles: at,
-            des_events: 0,
-        });
+        self.halt(at, AbortCause::Unreachable);
     }
 
     /// [`Machine::try_transmit`] for traffic with no reliable layer (halos,
@@ -323,7 +331,7 @@ impl NaVm {
                 spawn_overhead: true,
                 spawned: false,
                 faults: FaultPlan::none(),
-                unreachable: None,
+                halted: None,
                 retransmits: 0,
                 window_words_scratch: vec![None; clusters as usize],
                 budget: BudgetMeter::default(),
@@ -410,9 +418,10 @@ impl NaVm {
 
     /// Arm a run budget (simulated plane; no-op on native). The meter's
     /// wall-clock anchor starts here; limits are checked as simulated time
-    /// advances. Programs should poll [`budget_exceeded`]
-    /// (Self::budget_exceeded) between operations and stop issuing work
-    /// once it fires — operations after that point are charged as no-ops.
+    /// advances. Programs should poll
+    /// [`budget_exceeded`](Self::budget_exceeded) between operations and
+    /// stop issuing work once it fires — operations after that point are
+    /// charged as no-ops.
     pub fn set_budget(&mut self, budget: RunBudget) {
         if let Plane::Sim(s) = &mut self.plane {
             s.budget = budget.start();
@@ -463,18 +472,37 @@ impl NaVm {
                     .map_err(|e| format!("array allocation failed: {e}"))?;
             }
         }
+        Ok(self.host_array(rows, cols))
+    }
+
+    /// Like [`NaVm::try_array`], for programs that poll
+    /// [`NaVm::budget_exceeded`]: a cluster memory too small for the array
+    /// (a memory-bank fault can shrink one mid-run) stops the run with a
+    /// sticky [`AbortCause::MemoryExhausted`] instead of failing. The
+    /// array still exists on the host, so the program's later operations
+    /// stay valid; they are charged as no-ops.
+    pub fn array(&mut self, rows: usize, cols: usize) -> ArrayId {
+        match self.try_array(rows, cols) {
+            Ok(id) => id,
+            Err(_) => {
+                if let Plane::Sim(s) = &mut self.plane {
+                    let now = s.now;
+                    s.halt(now, AbortCause::MemoryExhausted);
+                }
+                self.host_array(rows, cols)
+            }
+        }
+    }
+
+    /// The host storage of a new array.
+    fn host_array(&mut self, rows: usize, cols: usize) -> ArrayId {
         let id = ArrayId(self.arrays.len() as u32);
         self.arrays.push(DArray {
             rows,
             cols,
             data: vec![0.0; rows * cols],
         });
-        Ok(id)
-    }
-
-    /// Like [`NaVm::try_array`] but panics on allocation failure.
-    pub fn array(&mut self, rows: usize, cols: usize) -> ArrayId {
-        self.try_array(rows, cols).expect("array allocation")
+        id
     }
 
     /// A length-`n` vector (an `n × 1` array).

@@ -22,7 +22,9 @@
 use fem2_core::hash::{content_hash_value, hash_hex};
 use fem2_core::PlateScenario;
 use fem2_machine::{MachineConfig, RunAborted, RunBudget};
-use fem2_verify::{check_cost, check_script, CostParams, CostReport, Op, Report, ScenarioScript};
+use fem2_verify::{
+    check_cost, check_script, CostParams, CostReport, NameId, Op, Report, ScenarioScript,
+};
 use serde::json::Value;
 use serde::{Deserialize as _, Serialize as _};
 use std::time::Duration;
@@ -123,10 +125,9 @@ pub struct PlateJob {
 /// A fully resolved raw-script job (analysis only).
 #[derive(Clone, Debug)]
 pub struct ScriptJob {
-    /// Display name.
-    pub name: String,
-    /// The script ops, in global program order.
-    pub ops: Vec<Op>,
+    /// The script as submitted: its display name, and its ops in global
+    /// program order over one name table. Admission analyses it in place.
+    pub script: ScenarioScript,
     /// Machine the storage pass bounds against.
     pub machine: MachineConfig,
     /// Cache-key seed (see [`PlateJob::seed`]).
@@ -289,10 +290,11 @@ fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
 }
 
 /// Parse one script op from its JSON form, e.g.
-/// `{"op":"window_send","from":"a","to":"b","window":"w","words":8}`.
-fn op_from_value(v: &Value) -> Result<Op, String> {
+/// `{"op":"window_send","from":"a","to":"b","window":"w","words":8}`,
+/// interning its names into `script`'s table.
+fn op_from_value(v: &Value, script: &mut ScenarioScript) -> Result<Op, String> {
     let kind = req_str(v, "op")?;
-    let s = |name: &str| req_str(v, name);
+    let mut s = |name: &str| req_str(v, name).map(|text| script.intern(&text));
     let n = |name: &str, default: u64| opt_u64(v, name, default);
     Ok(match kind.as_str() {
         "initiate" => Op::Initiate {
@@ -339,44 +341,46 @@ fn op_from_value(v: &Value) -> Result<Op, String> {
     })
 }
 
-fn op_to_value(op: &Op) -> Value {
+/// The JSON form of `op`, its names looked up in `script`.
+fn op_to_value(script: &ScenarioScript, op: &Op) -> Value {
     let obj = |pairs: Vec<(&str, Value)>| {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     };
     let s = |s: &str| Value::Str(s.to_string());
-    match op {
+    let name = |id: NameId| s(script.name(id));
+    match *op {
         Op::Initiate {
             task,
             cluster,
             replications,
         } => obj(vec![
             ("op", s("initiate")),
-            ("task", s(task)),
-            ("cluster", Value::UInt(u64::from(*cluster))),
-            ("replications", Value::UInt(u64::from(*replications))),
+            ("task", name(task)),
+            ("cluster", Value::UInt(u64::from(cluster))),
+            ("replications", Value::UInt(u64::from(replications))),
         ]),
-        Op::Pause { task } => obj(vec![("op", s("pause")), ("task", s(task))]),
-        Op::Resume { task } => obj(vec![("op", s("resume")), ("task", s(task))]),
-        Op::Terminate { task } => obj(vec![("op", s("terminate")), ("task", s(task))]),
+        Op::Pause { task } => obj(vec![("op", s("pause")), ("task", name(task))]),
+        Op::Resume { task } => obj(vec![("op", s("resume")), ("task", name(task))]),
+        Op::Terminate { task } => obj(vec![("op", s("terminate")), ("task", name(task))]),
         Op::Message { from, to, kind } => obj(vec![
             ("op", s("message")),
-            ("from", s(from)),
-            ("to", s(to)),
+            ("from", name(from)),
+            ("to", name(to)),
             ("kind", s(kind.name())),
         ]),
         Op::RemoteCall { caller, call_id } => obj(vec![
             ("op", s("remote_call")),
-            ("caller", s(caller)),
-            ("call_id", Value::UInt(*call_id)),
+            ("caller", name(caller)),
+            ("call_id", Value::UInt(call_id)),
         ]),
         Op::RemoteReturn { call_id } => obj(vec![
             ("op", s("remote_return")),
-            ("call_id", Value::UInt(*call_id)),
+            ("call_id", Value::UInt(call_id)),
         ]),
         Op::WindowOpen { task, window } => obj(vec![
             ("op", s("window_open")),
-            ("task", s(task)),
-            ("window", s(window)),
+            ("task", name(task)),
+            ("window", name(window)),
         ]),
         Op::WindowSend {
             from,
@@ -385,21 +389,21 @@ fn op_to_value(op: &Op) -> Value {
             words,
         } => obj(vec![
             ("op", s("window_send")),
-            ("from", s(from)),
-            ("to", s(to)),
-            ("window", s(window)),
-            ("words", Value::UInt(*words)),
+            ("from", name(from)),
+            ("to", name(to)),
+            ("window", name(window)),
+            ("words", Value::UInt(words)),
         ]),
         Op::WindowRecv { task, from, window } => obj(vec![
             ("op", s("window_recv")),
-            ("task", s(task)),
-            ("from", s(from)),
-            ("window", s(window)),
+            ("task", name(task)),
+            ("from", name(from)),
+            ("window", name(window)),
         ]),
         Op::WindowClose { task, window } => obj(vec![
             ("op", s("window_close")),
-            ("task", s(task)),
-            ("window", s(window)),
+            ("task", name(task)),
+            ("window", name(window)),
         ]),
         Op::Alloc {
             cluster,
@@ -407,9 +411,9 @@ fn op_to_value(op: &Op) -> Value {
             what,
         } => obj(vec![
             ("op", s("alloc")),
-            ("cluster", Value::UInt(u64::from(*cluster))),
-            ("words", Value::UInt(*words)),
-            ("what", s(what)),
+            ("cluster", Value::UInt(u64::from(cluster))),
+            ("words", Value::UInt(words)),
+            ("what", name(what)),
         ]),
     }
 }
@@ -489,18 +493,18 @@ impl JobSpec {
                 if raw_ops.len() > 10_000 {
                     return Err("script jobs are capped at 10000 ops".into());
                 }
-                let ops = raw_ops
-                    .iter()
-                    .enumerate()
-                    .map(|(i, op)| op_from_value(op).map_err(|e| format!("ops[{i}]: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let name = match v.get_field("name").ok() {
-                    None | Some(Value::Null) => format!("script ({} ops)", ops.len()),
+                let mut script = ScenarioScript::new(String::new());
+                for (i, op) in raw_ops.iter().enumerate() {
+                    let op =
+                        op_from_value(op, &mut script).map_err(|e| format!("ops[{i}]: {e}"))?;
+                    script.push(op);
+                }
+                script.name = match v.get_field("name").ok() {
+                    None | Some(Value::Null) => format!("script ({} ops)", script.len()),
                     Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
                 };
                 Ok(JobSpec::Script(ScriptJob {
-                    name,
-                    ops,
+                    script,
                     machine: opt_machine(v)?,
                     seed: opt_u64(v, "seed", 0)?,
                     allow_warnings: opt_bool(v, "allow_warnings", false)?,
@@ -546,10 +550,15 @@ impl JobSpec {
             }
             JobSpec::Script(s) => Value::Obj(vec![
                 ("kind".into(), Value::Str("script".into())),
-                ("name".into(), Value::Str(s.name.clone())),
+                ("name".into(), Value::Str(s.script.name.clone())),
                 (
                     "ops".into(),
-                    Value::Arr(s.ops.iter().map(op_to_value).collect()),
+                    Value::Arr(
+                        s.script
+                            .ops()
+                            .map(|(op, _)| op_to_value(&s.script, op))
+                            .collect(),
+                    ),
                 ),
                 ("machine".into(), s.machine.to_value()),
                 ("seed".into(), Value::UInt(s.seed)),
@@ -573,7 +582,7 @@ impl JobSpec {
     pub fn name(&self) -> &str {
         match self {
             JobSpec::Plate(p) => &p.name,
-            JobSpec::Script(s) => &s.name,
+            JobSpec::Script(s) => &s.script.name,
         }
     }
 
@@ -598,13 +607,7 @@ impl JobSpec {
     pub fn verify(&self) -> Report {
         match self {
             JobSpec::Plate(p) => p.scenario().verify(),
-            JobSpec::Script(s) => {
-                let mut script = ScenarioScript::new(s.name.clone());
-                for op in &s.ops {
-                    script.push(op.clone());
-                }
-                check_script(&script, &s.machine)
-            }
+            JobSpec::Script(s) => check_script(&s.script, &s.machine),
         }
     }
 
@@ -618,13 +621,7 @@ impl JobSpec {
     pub fn cost_report(&self) -> CostReport {
         match self {
             JobSpec::Plate(p) => fem2_core::verify::scenario_cost(&p.scenario()),
-            JobSpec::Script(s) => {
-                let mut script = ScenarioScript::new(s.name.clone());
-                for op in &s.ops {
-                    script.push(op.clone());
-                }
-                check_cost(&script, &s.machine, &CostParams::single_sweep())
-            }
+            JobSpec::Script(s) => check_cost(&s.script, &s.machine, &CostParams::single_sweep()),
         }
     }
 
@@ -668,7 +665,7 @@ impl JobSpec {
         JobOutcome {
             value: Value::Obj(vec![
                 ("kind".into(), Value::Str("script".into())),
-                ("ops".into(), Value::UInt(s.ops.len() as u64)),
+                ("ops".into(), Value::UInt(s.script.len() as u64)),
                 ("status".into(), Value::Str(report.status().into())),
                 (
                     "warnings".into(),

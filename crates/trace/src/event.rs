@@ -310,8 +310,9 @@ pub enum EventKind {
         lost: u64,
     },
     /// A run was aborted: by its supervisor's budget, or because a fault
-    /// made a cluster unreachable. `cause` is the abort cause code (0
-    /// cycles, 1 events, 2 wall deadline, 3 cancelled, 4 unreachable).
+    /// made a cluster unreachable or its memory too small. `cause` is the
+    /// abort cause code (0 cycles, 1 events, 2 wall deadline, 3 cancelled,
+    /// 4 unreachable, 5 memory exhausted).
     RunAbort {
         /// Abort cause code.
         cause: u8,

@@ -34,8 +34,6 @@
 //! analysis of the script can see (fault plans are runtime inputs), and
 //! none of the statically admitted job kinds carry one.
 
-use std::collections::BTreeMap;
-
 use fem2_machine::{CostClass, MachineConfig, Network, Topology};
 use serde::json::Value;
 use serde::Serialize;
@@ -237,18 +235,57 @@ impl Serialize for CostReport {
     }
 }
 
+/// Link ids per page of [`LinkTraffic`]'s index.
+const PAGE: usize = 256;
+
+/// Payload words per touched link: entries in first-touch order, found
+/// through a two-level index — `pages[id / 256][id % 256]` holds the entry
+/// number + 1, 0 for a link with no entry — so adding to a link is two
+/// loads and memory follows the links a script touches, not the id space
+/// (quadratic on a crossbar).
+#[derive(Default)]
+struct LinkTraffic {
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+    entries: Vec<(usize, u64)>,
+}
+
+impl LinkTraffic {
+    fn add(&mut self, link: usize, words: u64) {
+        let page = link / PAGE;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let cell = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[link % PAGE];
+        if *cell == 0 {
+            self.entries.push((link, 0));
+            // A network's link ids fit `u32`, so the entry count does too.
+            *cell = self.entries.len() as u32;
+        }
+        let w = &mut self.entries[*cell as usize - 1].1;
+        *w = w.saturating_add(words);
+    }
+
+    /// The entries sorted by link id.
+    fn into_sorted(mut self) -> Vec<(usize, u64)> {
+        self.entries.sort_unstable_by_key(|&(link, _)| link);
+        self.entries
+    }
+}
+
 /// Accumulates the serial-sum bound. Layers above the script IR (the plate
 /// lowering in `fem2-core`) use this directly to add numeric work the
 /// script does not carry (elementwise profiles, reduction trees).
 pub struct CostModeler {
     subject: String,
     machine: MachineConfig,
+    /// Never faulted, so every route is the primary path and probing it
+    /// allocates nothing (see [`Network::visit_route`]).
     network: Network,
     worst_hops: u64,
     phases: Vec<PhaseCost>,
     current: usize,
     cluster_memory_words: Vec<u64>,
-    link_traffic_words: BTreeMap<usize, u64>,
+    link_traffic: LinkTraffic,
     link_id_space: usize,
     verdict: CostVerdict,
 }
@@ -267,7 +304,7 @@ impl CostModeler {
             phases: Vec::new(),
             current: 0,
             cluster_memory_words: vec![0; machine.clusters as usize],
-            link_traffic_words: BTreeMap::new(),
+            link_traffic: LinkTraffic::default(),
             link_id_space: links,
             verdict: CostVerdict::Bounded,
         };
@@ -325,12 +362,9 @@ impl CostModeler {
         p.sim_cycles = p.sim_cycles.saturating_add(tx.saturating_mul(count));
         p.messages = p.messages.saturating_add(count);
         p.des_events = p.des_events.saturating_add(2 * count);
-        if let Some(route) = self.network.route_links(from, to) {
-            for link in route {
-                let w = self.link_traffic_words.entry(link).or_insert(0);
-                *w = w.saturating_add(words.saturating_mul(count));
-            }
-        }
+        let (traffic, payload) = (&mut self.link_traffic, words.saturating_mul(count));
+        self.network
+            .visit_route(from, to, |link| traffic.add(link, payload));
     }
 
     /// Worst-case cycles for one isolated `words`-word cross-cluster
@@ -373,37 +407,43 @@ impl CostModeler {
     /// cross-cluster (the protocol pass reports the script error).
     pub fn walk_script(&mut self, script: &ScenarioScript, params: &CostParams) {
         let sweeps = params.sweep_iters.max(1);
-        let mut cluster_of: BTreeMap<&str, u32> = BTreeMap::new();
+        // Hosting cluster per task name, from its `Initiate`.
+        let mut cluster_of: Vec<Option<u32>> = vec![None; script.name_count()];
         let far = self.machine.clusters.saturating_sub(1);
+        let on = |cluster_of: &[Option<u32>], task: u32, unknown: u32| {
+            cluster_of[task as usize].unwrap_or(unknown)
+        };
+        // Each phase's index once created: phases appear in first-charge
+        // order, so they are created on first use, not up front.
+        let (mut spawn, mut control, mut exchange) = (None, None, None);
         for (op, span) in script.ops() {
-            match op {
+            match *op {
                 Op::Initiate {
                     task,
                     cluster,
                     replications,
                 } => {
-                    cluster_of.insert(task.as_str(), *cluster);
-                    self.begin_phase("spawn");
-                    let reps = u64::from((*replications).max(1));
+                    cluster_of[task as usize] = Some(cluster);
+                    self.enter_phase(&mut spawn, "spawn");
+                    let reps = u64::from(replications.max(1));
                     // Coordinator formats the initiate, the wire carries an
                     // 8-word activation record, the hosting kernel PE
                     // creates the task.
                     self.charge(CostClass::MsgSend, reps);
-                    self.message_times(0, *cluster, 8, reps);
+                    self.message_times(0, cluster, 8, reps);
                     self.charge(CostClass::TaskCreate, reps);
                 }
                 Op::Pause { task } | Op::Resume { task } | Op::Terminate { task } => {
-                    let c = cluster_of.get(task.as_str()).copied().unwrap_or(far);
-                    self.begin_phase("control");
+                    let c = on(&cluster_of, task, far);
+                    self.enter_phase(&mut control, "control");
                     self.charge(CostClass::MsgSend, 1);
                     self.message(0, c, 1);
                     self.charge(CostClass::MsgDispatch, 1);
                     self.charge(CostClass::ContextSwitch, 1);
                 }
                 Op::Message { from, to, .. } => {
-                    let cf = cluster_of.get(from.as_str()).copied().unwrap_or(0);
-                    let ct = cluster_of.get(to.as_str()).copied().unwrap_or(far);
-                    self.begin_phase("control");
+                    let (cf, ct) = (on(&cluster_of, from, 0), on(&cluster_of, to, far));
+                    self.enter_phase(&mut control, "control");
                     self.charge(CostClass::MsgSend, 1);
                     self.message(cf, ct, 1);
                     self.charge(CostClass::MsgDispatch, 1);
@@ -411,8 +451,9 @@ impl CostModeler {
                 Op::RemoteCall { caller, .. } => {
                     self.unbounded(
                         format!(
-                            "remote call by '{caller}' carries no static work profile; \
-                             the callee's cost cannot be bounded from the script"
+                            "remote call by '{}' carries no static work profile; \
+                             the callee's cost cannot be bounded from the script",
+                            script.name(caller)
                         ),
                         span,
                     );
@@ -425,31 +466,42 @@ impl CostModeler {
                     );
                 }
                 Op::WindowOpen { .. } | Op::WindowClose { .. } => {
-                    self.begin_phase("exchange");
+                    self.enter_phase(&mut exchange, "exchange");
                     self.charge(CostClass::IntOp, 1);
                 }
                 Op::WindowSend {
                     from, to, words, ..
                 } => {
-                    let cf = cluster_of.get(from.as_str()).copied().unwrap_or(0);
-                    let ct = cluster_of.get(to.as_str()).copied().unwrap_or(far);
-                    self.begin_phase("exchange");
+                    let (cf, ct) = (on(&cluster_of, from, 0), on(&cluster_of, to, far));
+                    self.enter_phase(&mut exchange, "exchange");
                     if cf == ct {
                         // Same-cluster exchange is a shared-memory copy on
                         // the hosting cluster's kernel PE.
                         self.charge(CostClass::MemWord, words.saturating_mul(sweeps));
                     } else {
                         self.charge(CostClass::MsgSend, sweeps);
-                        self.message_times(cf, ct, *words, sweeps);
+                        self.message_times(cf, ct, words, sweeps);
                     }
                 }
                 Op::WindowRecv { .. } => {
-                    self.begin_phase("exchange");
+                    self.enter_phase(&mut exchange, "exchange");
                     self.charge(CostClass::MsgDispatch, sweeps);
                 }
                 Op::Alloc { cluster, words, .. } => {
-                    self.alloc(*cluster, *words);
+                    self.alloc(cluster, words);
                 }
+            }
+        }
+    }
+
+    /// [`begin_phase`](Self::begin_phase) with the phase's index cached in
+    /// `slot`, so only the first entry searches by name.
+    fn enter_phase(&mut self, slot: &mut Option<usize>, name: &str) {
+        match *slot {
+            Some(i) => self.current = i,
+            None => {
+                self.begin_phase(name);
+                *slot = Some(self.current);
             }
         }
     }
@@ -470,7 +522,7 @@ impl CostModeler {
             subject: self.subject,
             peak_memory_words: self.cluster_memory_words.iter().copied().max().unwrap_or(0),
             cluster_memory_words: self.cluster_memory_words,
-            link_traffic_words: self.link_traffic_words.into_iter().collect(),
+            link_traffic_words: self.link_traffic.into_sorted(),
             link_id_space: self.link_id_space,
             sim_cycles: totals.0,
             des_events: totals.1,
@@ -535,9 +587,19 @@ pub fn check_cost(
 mod tests {
     use super::*;
     use fem2_kernel::MessageKind;
+    use proptest::prelude::*;
 
     fn machine() -> MachineConfig {
         MachineConfig::fem2_default()
+    }
+
+    fn initiate(s: &mut ScenarioScript, task: &str, cluster: u32) {
+        let task = s.intern(task);
+        s.push(Op::Initiate {
+            task,
+            cluster,
+            replications: 1,
+        });
     }
 
     #[test]
@@ -558,15 +620,9 @@ mod tests {
     #[test]
     fn remote_call_defeats_the_bound() {
         let mut s = ScenarioScript::new("rpc");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
-        s.push(Op::RemoteCall {
-            caller: "a".into(),
-            call_id: 1,
-        });
+        initiate(&mut s, "a", 0);
+        let caller = s.intern("a");
+        s.push(Op::RemoteCall { caller, call_id: 1 });
         let r = check_cost(&s, &machine(), &CostParams::single_sweep());
         assert!(!r.is_bounded());
         let CostVerdict::Unbounded { reason, span } = &r.verdict else {
@@ -580,27 +636,23 @@ mod tests {
     #[test]
     fn sweeps_multiply_window_traffic_only() {
         let mut s = ScenarioScript::new("sweepy");
+        let w = s.intern("w");
         for (t, c) in [("a", 0u32), ("b", 1u32)] {
-            s.push(Op::Initiate {
-                task: t.into(),
-                cluster: c,
-                replications: 1,
-            });
-            s.push(Op::WindowOpen {
-                task: t.into(),
-                window: "w".into(),
-            });
+            initiate(&mut s, t, c);
+            let task = s.intern(t);
+            s.push(Op::WindowOpen { task, window: w });
         }
+        let [a, b] = ["a", "b"].map(|n| s.intern(n));
         s.push(Op::WindowSend {
-            from: "a".into(),
-            to: "b".into(),
-            window: "w".into(),
+            from: a,
+            to: b,
+            window: w,
             words: 16,
         });
         s.push(Op::WindowRecv {
-            task: "b".into(),
-            from: "a".into(),
-            window: "w".into(),
+            task: b,
+            from: a,
+            window: w,
         });
         let one = check_cost(&s, &machine(), &CostParams { sweep_iters: 1 });
         let ten = check_cost(&s, &machine(), &CostParams { sweep_iters: 10 });
@@ -620,16 +672,13 @@ mod tests {
     fn same_cluster_exchange_is_not_a_message() {
         let mut s = ScenarioScript::new("local");
         for t in ["a", "b"] {
-            s.push(Op::Initiate {
-                task: t.into(),
-                cluster: 0,
-                replications: 1,
-            });
+            initiate(&mut s, t, 0);
         }
+        let [a, b, w] = ["a", "b", "w"].map(|n| s.intern(n));
         s.push(Op::WindowSend {
-            from: "a".into(),
-            to: "b".into(),
-            window: "w".into(),
+            from: a,
+            to: b,
+            window: w,
             words: 64,
         });
         let r = check_cost(&s, &machine(), &CostParams::single_sweep());
@@ -641,21 +690,14 @@ mod tests {
     #[test]
     fn allocations_accumulate_per_cluster() {
         let mut s = ScenarioScript::new("mem");
-        s.push(Op::Alloc {
-            cluster: 1,
-            words: 100,
-            what: "x".into(),
-        });
-        s.push(Op::Alloc {
-            cluster: 1,
-            words: 50,
-            what: "y".into(),
-        });
-        s.push(Op::Alloc {
-            cluster: 2,
-            words: 120,
-            what: "z".into(),
-        });
+        for (cluster, words, what) in [(1, 100, "x"), (1, 50, "y"), (2, 120, "z")] {
+            let what = s.intern(what);
+            s.push(Op::Alloc {
+                cluster,
+                words,
+                what,
+            });
+        }
         let r = check_cost(&s, &machine(), &CostParams::single_sweep());
         assert_eq!(r.cluster_memory_words, vec![0, 150, 120, 0]);
         assert_eq!(r.peak_memory_words, 150);
@@ -665,15 +707,12 @@ mod tests {
     fn cross_cluster_traffic_lands_on_links() {
         let mut s = ScenarioScript::new("wire");
         for (t, c) in [("a", 0u32), ("b", 3u32)] {
-            s.push(Op::Initiate {
-                task: t.into(),
-                cluster: c,
-                replications: 1,
-            });
+            initiate(&mut s, t, c);
         }
+        let [a, b] = ["a", "b"].map(|n| s.intern(n));
         s.push(Op::Message {
-            from: "a".into(),
-            to: "b".into(),
+            from: a,
+            to: b,
             kind: MessageKind::Resume,
         });
         let r = check_cost(&s, &machine(), &CostParams::single_sweep());
@@ -735,11 +774,7 @@ mod tests {
         cfg.validate().unwrap();
         let mut s = ScenarioScript::new("sparse");
         for (t, c) in [("a", 0u32), ("b", 63u32)] {
-            s.push(Op::Initiate {
-                task: t.into(),
-                cluster: c,
-                replications: 1,
-            });
+            initiate(&mut s, t, c);
         }
         let r = check_cost(&s, &cfg, &CostParams::single_sweep());
         assert_eq!(r.link_id_space, 64 * 64);
@@ -755,11 +790,7 @@ mod tests {
     #[test]
     fn report_json_shape() {
         let mut s = ScenarioScript::new("json");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 1,
-            replications: 1,
-        });
+        initiate(&mut s, "a", 1);
         let v = check_cost(&s, &machine(), &CostParams::single_sweep()).to_value();
         assert_eq!(v.get_field("subject").unwrap(), &Value::Str("json".into()));
         assert_eq!(
@@ -771,6 +802,325 @@ mod tests {
                 matches!(v.get_field(key), Ok(Value::UInt(_))),
                 "{key} must serialize as an unsigned integer"
             );
+        }
+    }
+
+    /// The modeler as it was before its link accounting went flat, kept as
+    /// the oracle: a `&str`-keyed task map and a phase search by name per
+    /// op, and per-link traffic in a `BTreeMap` filled from
+    /// [`Network::route_links`], one `Vec` per message.
+    mod oracle {
+        use super::super::{worst_hops, CostReport, CostVerdict, PhaseCost};
+        use crate::diag::Span;
+        use crate::script::{Op, ScenarioScript};
+        use fem2_machine::{CostClass, MachineConfig, Network};
+        use std::collections::BTreeMap;
+
+        pub struct Modeler {
+            subject: String,
+            machine: MachineConfig,
+            network: Network,
+            worst_hops: u64,
+            phases: Vec<PhaseCost>,
+            current: usize,
+            cluster_memory_words: Vec<u64>,
+            link_traffic_words: BTreeMap<usize, u64>,
+            verdict: CostVerdict,
+        }
+
+        impl Modeler {
+            pub fn new(subject: &str, machine: &MachineConfig) -> Self {
+                let mut m = Modeler {
+                    subject: subject.into(),
+                    machine: machine.clone(),
+                    network: Network::new(machine),
+                    worst_hops: worst_hops(machine),
+                    phases: Vec::new(),
+                    current: 0,
+                    cluster_memory_words: vec![0; machine.clusters as usize],
+                    link_traffic_words: BTreeMap::new(),
+                    verdict: CostVerdict::Bounded,
+                };
+                m.begin_phase("total");
+                m
+            }
+
+            pub fn begin_phase(&mut self, name: &str) {
+                if let Some(i) = self.phases.iter().position(|p| p.name == name) {
+                    self.current = i;
+                    return;
+                }
+                self.phases.push(PhaseCost {
+                    name: name.into(),
+                    sim_cycles: 0,
+                    des_events: 0,
+                    messages: 0,
+                });
+                self.current = self.phases.len() - 1;
+            }
+
+            fn charge(&mut self, class: CostClass, count: u64) {
+                let unit = class.cycles(&self.machine.cost);
+                let p = &mut self.phases[self.current];
+                p.sim_cycles = p.sim_cycles.saturating_add(unit.saturating_mul(count));
+            }
+
+            pub fn message_times(&mut self, from: u32, to: u32, words: u64, count: u64) {
+                if count == 0 {
+                    return;
+                }
+                if from == to {
+                    let wpc = u64::from(self.machine.words_per_cycle.max(1));
+                    let copy = words.div_ceil(wpc).max(1);
+                    let p = &mut self.phases[self.current];
+                    p.sim_cycles = p.sim_cycles.saturating_add(copy.saturating_mul(count));
+                    return;
+                }
+                let mpw = self.machine.max_packet_words.max(1);
+                let wpc = u64::from(self.machine.words_per_cycle.max(1));
+                let packets = words.div_ceil(mpw).max(1);
+                let occ = (words.min(mpw) + self.machine.header_words)
+                    .div_ceil(wpc)
+                    .max(1);
+                let tx = packets.saturating_mul(occ).saturating_add(
+                    self.worst_hops
+                        .saturating_mul(occ + self.machine.link_latency),
+                );
+                let p = &mut self.phases[self.current];
+                p.sim_cycles = p.sim_cycles.saturating_add(tx.saturating_mul(count));
+                p.messages = p.messages.saturating_add(count);
+                p.des_events = p.des_events.saturating_add(2 * count);
+                if let Some(route) = self.network.route_links(from, to) {
+                    for link in route {
+                        let w = self.link_traffic_words.entry(link).or_insert(0);
+                        *w = w.saturating_add(words.saturating_mul(count));
+                    }
+                }
+            }
+
+            fn unbounded(&mut self, reason: String, span: Span) {
+                if self.verdict == CostVerdict::Bounded {
+                    self.verdict = CostVerdict::Unbounded { reason, span };
+                }
+            }
+
+            pub fn walk_script(&mut self, script: &ScenarioScript, sweeps: u64) {
+                let sweeps = sweeps.max(1);
+                let mut cluster_of: BTreeMap<&str, u32> = BTreeMap::new();
+                let far = self.machine.clusters.saturating_sub(1);
+                let name = |id: u32| script.name(id);
+                for (op, span) in script.ops() {
+                    match *op {
+                        Op::Initiate {
+                            task,
+                            cluster,
+                            replications,
+                        } => {
+                            cluster_of.insert(name(task), cluster);
+                            self.begin_phase("spawn");
+                            let reps = u64::from(replications.max(1));
+                            self.charge(CostClass::MsgSend, reps);
+                            self.message_times(0, cluster, 8, reps);
+                            self.charge(CostClass::TaskCreate, reps);
+                        }
+                        Op::Pause { task } | Op::Resume { task } | Op::Terminate { task } => {
+                            let c = cluster_of.get(name(task)).copied().unwrap_or(far);
+                            self.begin_phase("control");
+                            self.charge(CostClass::MsgSend, 1);
+                            self.message_times(0, c, 1, 1);
+                            self.charge(CostClass::MsgDispatch, 1);
+                            self.charge(CostClass::ContextSwitch, 1);
+                        }
+                        Op::Message { from, to, .. } => {
+                            let cf = cluster_of.get(name(from)).copied().unwrap_or(0);
+                            let ct = cluster_of.get(name(to)).copied().unwrap_or(far);
+                            self.begin_phase("control");
+                            self.charge(CostClass::MsgSend, 1);
+                            self.message_times(cf, ct, 1, 1);
+                            self.charge(CostClass::MsgDispatch, 1);
+                        }
+                        Op::RemoteCall { caller, .. } => self.unbounded(
+                            format!(
+                                "remote call by '{}' carries no static work profile; \
+                                 the callee's cost cannot be bounded from the script",
+                                name(caller)
+                            ),
+                            span,
+                        ),
+                        Op::RemoteReturn { .. } => self.unbounded(
+                            "remote return resumes a caller whose remaining cost \
+                             cannot be bounded from the script"
+                                .into(),
+                            span,
+                        ),
+                        Op::WindowOpen { .. } | Op::WindowClose { .. } => {
+                            self.begin_phase("exchange");
+                            self.charge(CostClass::IntOp, 1);
+                        }
+                        Op::WindowSend {
+                            from, to, words, ..
+                        } => {
+                            let cf = cluster_of.get(name(from)).copied().unwrap_or(0);
+                            let ct = cluster_of.get(name(to)).copied().unwrap_or(far);
+                            self.begin_phase("exchange");
+                            if cf == ct {
+                                self.charge(CostClass::MemWord, words.saturating_mul(sweeps));
+                            } else {
+                                self.charge(CostClass::MsgSend, sweeps);
+                                self.message_times(cf, ct, words, sweeps);
+                            }
+                        }
+                        Op::WindowRecv { .. } => {
+                            self.begin_phase("exchange");
+                            self.charge(CostClass::MsgDispatch, sweeps);
+                        }
+                        Op::Alloc { cluster, words, .. } => {
+                            if let Some(w) = self.cluster_memory_words.get_mut(cluster as usize) {
+                                *w = w.saturating_add(words);
+                            }
+                        }
+                    }
+                }
+            }
+
+            pub fn finish(mut self) -> CostReport {
+                self.phases.retain(|p| {
+                    p.name != "total" || p.sim_cycles > 0 || p.des_events > 0 || p.messages > 0
+                });
+                let totals = self.phases.iter().fold((0u64, 0u64, 0u64), |acc, p| {
+                    (
+                        acc.0.saturating_add(p.sim_cycles),
+                        acc.1.saturating_add(p.des_events),
+                        acc.2.saturating_add(p.messages),
+                    )
+                });
+                CostReport {
+                    subject: self.subject,
+                    peak_memory_words: self.cluster_memory_words.iter().copied().max().unwrap_or(0),
+                    cluster_memory_words: self.cluster_memory_words,
+                    link_traffic_words: self.link_traffic_words.into_iter().collect(),
+                    link_id_space: self.network.link_count(),
+                    sim_cycles: totals.0,
+                    des_events: totals.1,
+                    messages: totals.2,
+                    verdict: self.verdict,
+                    phases: self.phases,
+                }
+            }
+        }
+    }
+
+    /// A machine of each of the six topologies, small enough that random
+    /// scripts share links.
+    fn arb_machine() -> impl Strategy<Value = MachineConfig> {
+        prop_oneof![
+            (1u32..6).prop_map(|n| (n, Topology::Bus)),
+            (1u32..9).prop_map(|n| (n, Topology::Crossbar)),
+            (2u32..9).prop_map(|n| (n, Topology::Ring)),
+            (1u32..5).prop_map(|rows| (2 * rows, Topology::Mesh2D { width: 2 })),
+            (2u32..5, 2u32..5).prop_map(|(a, b)| (a * b, Topology::Torus { dims: vec![a, b] })),
+            (2u32..4).prop_map(|c| (
+                4 * c,
+                Topology::Torus {
+                    dims: vec![2, 2, c]
+                }
+            )),
+            (2u32..5, 1u32..4)
+                .prop_map(|(radix, pods)| (radix * pods, Topology::FatTree { radix })),
+        ]
+        .prop_map(|(clusters, topology)| {
+            let m = MachineConfig::clustered(clusters, 2, topology);
+            m.validate().expect("drawn machines are valid");
+            m
+        })
+    }
+
+    /// One drawn script op: kind, two task indices, a cluster (taken
+    /// modulo the machine's), a payload and a replication count.
+    type Item = (u8, u32, u32, u32, u64, u32);
+
+    /// A script over up to six tasks from drawn items: every op kind,
+    /// tasks initiated on random clusters (and some never initiated),
+    /// payloads from empty to several packets.
+    fn script_of(items: &[Item], clusters: u32) -> ScenarioScript {
+        let mut s = ScenarioScript::new("random");
+        let w = s.intern("w");
+        for &(kind, a, b, cluster, words, reps) in items {
+            let [a, b] = [a, b].map(|t| s.intern(&format!("t{t}")));
+            let cluster = cluster % clusters;
+            s.push(match kind {
+                0 | 1 => Op::Initiate {
+                    task: a,
+                    cluster,
+                    replications: reps,
+                },
+                2 => Op::Pause { task: a },
+                3 => Op::Terminate { task: a },
+                4 => Op::Message {
+                    from: a,
+                    to: b,
+                    kind: MessageKind::Resume,
+                },
+                5 => Op::WindowOpen { task: a, window: w },
+                6 | 7 => Op::WindowSend {
+                    from: a,
+                    to: b,
+                    window: w,
+                    words,
+                },
+                8 => Op::WindowRecv {
+                    task: b,
+                    from: a,
+                    window: w,
+                },
+                _ if words % 16 == 0 => Op::RemoteCall {
+                    caller: a,
+                    call_id: words,
+                },
+                _ => Op::Alloc {
+                    cluster,
+                    words,
+                    what: w,
+                },
+            });
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat link accounting and the indexed walk report exactly
+        /// what the oracle reports, field for field, for a random script
+        /// plus the direct `message_times` calls a plate's reduction tree
+        /// makes, on every topology.
+        #[test]
+        fn report_matches_the_btreemap_oracle(
+            machine in arb_machine(),
+            items in proptest::collection::vec(
+                (0u8..10, 0u32..6, 0u32..6, any::<u32>(), 0u64..1_000, 0u32..3),
+                0..40,
+            ),
+            extra in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), 0u64..600, 0u64..4),
+                0..12,
+            ),
+            sweeps in 1u64..5,
+        ) {
+            let n = machine.clusters;
+            let script = script_of(&items, n);
+            let mut new = CostModeler::new(script.name.clone(), &machine);
+            new.walk_script(&script, &CostParams { sweep_iters: sweeps });
+            let mut old = oracle::Modeler::new(&script.name, &machine);
+            old.walk_script(&script, sweeps);
+            new.begin_phase("solve");
+            old.begin_phase("solve");
+            for &(from, to, words, count) in &extra {
+                let (from, to) = (from % n, to % n);
+                new.message_times(from, to, words, count);
+                old.message_times(from, to, words, count);
+            }
+            prop_assert_eq!(format!("{:?}", new.finish()), format!("{:?}", old.finish()));
         }
     }
 }

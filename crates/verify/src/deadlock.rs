@@ -15,14 +15,15 @@
 //! other — a guaranteed deadlock — and the diagnostic spells out the
 //! shortest such cycle as a wait chain naming the tasks involved.
 //!
-//! The pass builds no string per op: task and window names are interned
-//! to dense indices, borrowed from the script, in one map lookup each. A
+//! The pass builds no string per op: the script's names are already
+//! interned, so program order and participation live in vectors indexed
+//! by [`NameId`], and names are looked up only for the diagnostics. A
 //! linear Kahn pass decides whether the event graph is acyclic; the
 //! shortest-cycle search, O(events × edges), runs only on a graph that has
 //! a cycle — a script the pass rejects.
 
 use crate::diag::{Report, Severity, Span};
-use crate::script::{Op, ScenarioScript};
+use crate::script::{NameId, Op, ScenarioScript};
 use std::collections::{BTreeMap, VecDeque};
 
 const PASS: &str = "deadlock";
@@ -35,8 +36,8 @@ struct Half {
     span: Span,
 }
 
-/// Interned `(from, to, window)` a rendezvous's two halves match under.
-type Channel = (usize, usize, usize);
+/// `(from, to, window)` a rendezvous's two halves match under.
+type Channel = (NameId, NameId, NameId);
 
 /// A matched rendezvous event: its channel and the line of its send.
 #[derive(Clone, Copy, Debug)]
@@ -45,82 +46,55 @@ struct Event {
     send: Span,
 }
 
-/// Names interned to dense indices in first-seen order. The map iterates
-/// in name order, the order the pass reports in.
-#[derive(Default)]
-struct Names<'s> {
-    ids: BTreeMap<&'s str, usize>,
-    names: Vec<&'s str>,
-}
-
-impl<'s> Names<'s> {
-    fn intern(&mut self, name: &'s str) -> usize {
-        let next = self.names.len();
-        let id = *self.ids.entry(name).or_insert(next);
-        if id == next {
-            self.names.push(name);
-        }
-        id
-    }
-}
-
-/// Tasks: their names, and per task the ops seen so far (the next op's
+/// Per task, indexed by [`NameId`]: the ops seen so far (the next op's
 /// position in its program order) and its `(seq, event)` participations.
-#[derive(Default)]
-struct Tasks<'s> {
-    names: Names<'s>,
+struct Tasks {
     next_seq: Vec<usize>,
     participation: Vec<Vec<(usize, usize)>>,
 }
 
-impl<'s> Tasks<'s> {
-    /// `task`'s id, interning it on first sight.
-    fn id(&mut self, task: &'s str) -> usize {
-        let id = self.names.intern(task);
-        if id == self.next_seq.len() {
-            self.next_seq.push(0);
-            self.participation.push(Vec::new());
-        }
-        id
-    }
-
-    /// Advance `task`'s program order: `(id, seq)` of this op.
-    fn bump(&mut self, task: &'s str) -> (usize, usize) {
-        let id = self.id(task);
-        let seq = self.next_seq[id];
-        self.next_seq[id] += 1;
-        (id, seq)
+impl Tasks {
+    /// Advance `task`'s program order: the position of this op.
+    fn bump(&mut self, task: NameId) -> usize {
+        let seq = &mut self.next_seq[task as usize];
+        *seq += 1;
+        *seq - 1
     }
 }
 
 /// Run the deadlock pass, appending findings to `report`.
 pub fn check(script: &ScenarioScript, report: &mut Report) {
-    let mut tasks = Tasks::default();
-    let mut windows = Names::default();
+    let name = |id: NameId| script.name(id);
+    let mut tasks = Tasks {
+        next_seq: vec![0; script.name_count()],
+        participation: vec![Vec::new(); script.name_count()],
+    };
     // Channel -> FIFO of unmatched halves.
     let mut sends: BTreeMap<Channel, VecDeque<Half>> = BTreeMap::new();
     let mut recvs: BTreeMap<Channel, VecDeque<Half>> = BTreeMap::new();
     let mut events: Vec<Event> = Vec::new();
 
     for (op, span) in script.ops() {
-        match op {
+        match *op {
             Op::WindowSend {
                 from, to, window, ..
             } => {
-                let (f, seq) = tasks.bump(from);
+                let seq = tasks.bump(from);
                 if from == to {
                     report.push(
                         Severity::Error,
                         PASS,
                         Some(span),
                         format!(
-                            "task '{from}' exchanges with itself through window '{window}': \
-                             the rendezvous can never complete"
+                            "task '{}' exchanges with itself through window '{}': \
+                             the rendezvous can never complete",
+                            name(from),
+                            name(window)
                         ),
                     );
                     continue;
                 }
-                let channel = (f, tasks.id(to), windows.intern(window));
+                let channel = (from, to, window);
                 let send = Half { seq, span };
                 match recvs.get_mut(&channel).and_then(VecDeque::pop_front) {
                     Some(recv) => push_event(&mut events, &mut tasks, channel, send, recv),
@@ -128,20 +102,22 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
                 }
             }
             Op::WindowRecv { task, from, window } => {
-                let (t, seq) = tasks.bump(task);
+                let seq = tasks.bump(task);
                 if task == from {
                     report.push(
                         Severity::Error,
                         PASS,
                         Some(span),
                         format!(
-                            "task '{task}' receives from itself through window '{window}': \
-                             the rendezvous can never complete"
+                            "task '{}' receives from itself through window '{}': \
+                             the rendezvous can never complete",
+                            name(task),
+                            name(window)
                         ),
                     );
                     continue;
                 }
-                let channel = (tasks.id(from), t, windows.intern(window));
+                let channel = (from, task, window);
                 let recv = Half { seq, span };
                 match sends.get_mut(&channel).and_then(VecDeque::pop_front) {
                     Some(send) => push_event(&mut events, &mut tasks, channel, send, recv),
@@ -155,14 +131,10 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
             | Op::Terminate { task }
             | Op::WindowOpen { task, .. }
             | Op::WindowClose { task, .. }
-            | Op::Initiate { task, .. } => {
+            | Op::Initiate { task, .. }
+            | Op::Message { from: task, .. }
+            | Op::RemoteCall { caller: task, .. } => {
                 tasks.bump(task);
-            }
-            Op::Message { from, .. } => {
-                tasks.bump(from);
-            }
-            Op::RemoteCall { caller, .. } => {
-                tasks.bump(caller);
             }
             Op::RemoteReturn { .. } | Op::Alloc { .. } => {}
         }
@@ -171,22 +143,24 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
     // Wait-for edges between events sharing a participant, tasks taken in
     // name order.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); events.len()];
-    for &t in tasks.names.ids.values() {
-        let parts = &mut tasks.participation[t];
-        parts.sort_unstable();
-        for w in parts.windows(2) {
-            adj[w[0].1].push(w[1].1);
+    if !events.is_empty() {
+        for t in script.ids_by_name() {
+            let parts = &mut tasks.participation[t as usize];
+            parts.sort_unstable();
+            for w in parts.windows(2) {
+                adj[w[0].1].push(w[1].1);
+            }
         }
     }
 
     // Unmatched halves: the blocked task can never proceed. Reported in
     // (from, to, window) name order.
-    let name = |(f, t, w): Channel| (tasks.names.names[f], tasks.names.names[t], windows.names[w]);
+    let names = |(f, t, w): Channel| (name(f), name(t), name(w));
     for (fifos, sent) in [(&sends, true), (&recvs, false)] {
         let mut pending: Vec<_> = fifos
             .iter()
             .filter(|(_, halves)| !halves.is_empty())
-            .map(|(&channel, halves)| (name(channel), halves))
+            .map(|(&channel, halves)| (names(channel), halves))
             .collect();
         pending.sort_unstable_by_key(|&(names, _)| names);
         for ((from, to, window), halves) in pending {
@@ -217,7 +191,7 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
         let mut chain = String::new();
         for (i, &e) in cycle.iter().enumerate() {
             let ev = &events[e];
-            let (from, to, window) = name(ev.channel);
+            let (from, to, window) = names(ev.channel);
             if i > 0 {
                 chain.push_str(", then ");
             }
@@ -226,12 +200,12 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
                 ev.send.line
             ));
         }
-        let names: Vec<&str> = {
+        let involved: Vec<&str> = {
             let mut t: Vec<&str> = cycle
                 .iter()
                 .flat_map(|&e| {
-                    let (from, to, _) = name(events[e].channel);
-                    [from, to]
+                    let (from, to, _) = events[e].channel;
+                    [name(from), name(to)]
                 })
                 .collect();
             t.sort_unstable();
@@ -245,7 +219,7 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
             format!(
                 "window-exchange deadlock among tasks {}: each rendezvous waits on the \
                  next: {chain}, which waits on the first",
-                names
+                involved
                     .iter()
                     .map(|t| format!("'{t}'"))
                     .collect::<Vec<_>>()
@@ -257,15 +231,15 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
 
 fn push_event(
     events: &mut Vec<Event>,
-    tasks: &mut Tasks<'_>,
+    tasks: &mut Tasks,
     channel: Channel,
     send: Half,
     recv: Half,
 ) {
     let idx = events.len();
     let (from, to, _) = channel;
-    tasks.participation[from].push((send.seq, idx));
-    tasks.participation[to].push((recv.seq, idx));
+    tasks.participation[from as usize].push((send.seq, idx));
+    tasks.participation[to as usize].push((recv.seq, idx));
     events.push(Event {
         channel,
         send: send.span,
@@ -347,20 +321,18 @@ mod tests {
     }
 
     fn send(s: &mut ScenarioScript, from: &str, to: &str) {
+        let [from, to, window] = [from, to, "w"].map(|n| s.intern(n));
         s.push(Op::WindowSend {
-            from: from.into(),
-            to: to.into(),
-            window: "w".into(),
+            from,
+            to,
+            window,
             words: 1,
         });
     }
 
     fn recv(s: &mut ScenarioScript, task: &str, from: &str) {
-        s.push(Op::WindowRecv {
-            task: task.into(),
-            from: from.into(),
-            window: "w".into(),
-        });
+        let [task, from, window] = [task, from, "w"].map(|n| s.intern(n));
+        s.push(Op::WindowRecv { task, from, window });
     }
 
     #[test]
@@ -455,7 +427,9 @@ mod tests {
 
     /// The pass as first written, kept as the oracle: `String` keys cloned
     /// per op and per half, `Vec` FIFOs popped from the front, and the
-    /// all-sources BFS run on every event graph.
+    /// all-sources BFS run on every event graph. It reads each op's names
+    /// back as owned strings, as the ops carried them before the script
+    /// interned its names.
     mod oracle {
         use super::super::{shortest_cycle, Half, PASS};
         use crate::diag::{Report, Severity};
@@ -483,11 +457,13 @@ mod tests {
             };
             let mut counters: BTreeMap<String, usize> = BTreeMap::new();
 
+            let name = |id: u32| script.name(id).to_string();
             for (op, span) in script.ops() {
-                match op {
+                match *op {
                     Op::WindowSend {
                         from, to, window, ..
                     } => {
+                        let (from, to, window) = (&name(from), &name(to), &name(window));
                         let seq = bump(from, &mut counters);
                         if from == to {
                             report.push(
@@ -520,6 +496,7 @@ mod tests {
                         }
                     }
                     Op::WindowRecv { task, from, window } => {
+                        let (task, from, window) = (&name(task), &name(from), &name(window));
                         let seq = bump(task, &mut counters);
                         if task == from {
                             report.push(
@@ -556,16 +533,16 @@ mod tests {
                     | Op::Terminate { task }
                     | Op::WindowOpen { task, .. }
                     | Op::WindowClose { task, .. } => {
-                        bump(task, &mut counters);
+                        bump(&name(task), &mut counters);
                     }
                     Op::Initiate { task, .. } => {
-                        bump(task, &mut counters);
+                        bump(&name(task), &mut counters);
                     }
                     Op::Message { from, .. } => {
-                        bump(from, &mut counters);
+                        bump(&name(from), &mut counters);
                     }
                     Op::RemoteCall { caller, .. } => {
-                        bump(caller, &mut counters);
+                        bump(&name(caller), &mut counters);
                     }
                     Op::RemoteReturn { .. } | Op::Alloc { .. } => {}
                 }
@@ -676,7 +653,8 @@ mod tests {
     /// drawn item is an exchange (both halves), an orphaned send or
     /// receive, or an op that only advances a task's program order (or,
     /// for an alloc, not even that); the ops are then shuffled, so a
-    /// task's halves land in random order.
+    /// task's halves land in random order. Names are interned in drawing
+    /// order, so their ids are not in name order.
     fn random_script() -> impl Strategy<Value = ScenarioScript> {
         let item = (
             0u8..8,
@@ -687,31 +665,35 @@ mod tests {
             any::<u64>(),
         );
         (1u32..=8, proptest::collection::vec(item, 0..33)).prop_map(|(tasks, items)| {
-            let name = |t: u32| format!("t{}", t % tasks);
+            let mut s = ScenarioScript::new("random");
             let mut keyed: Vec<(u64, Op)> = Vec::new();
             for (kind, a, b, w, send_key, recv_key) in items {
-                let window = format!("w{w}");
+                let [a, b] = [a, b].map(|t| s.intern(&format!("t{}", t % tasks)));
+                let window = s.intern(&format!("w{w}"));
                 let send = Op::WindowSend {
-                    from: name(a),
-                    to: name(b),
-                    window: window.clone(),
+                    from: a,
+                    to: b,
+                    window,
                     words: 1,
                 };
                 let recv = Op::WindowRecv {
-                    task: name(b),
-                    from: name(a),
+                    task: b,
+                    from: a,
                     window,
                 };
                 match kind {
-                    0 if w == 0 => keyed.push((send_key, Op::Pause { task: name(a) })),
-                    0 => keyed.push((
-                        send_key,
-                        Op::Alloc {
-                            cluster: 0,
-                            words: 1,
-                            what: "scratch".into(),
-                        },
-                    )),
+                    0 if w == 0 => keyed.push((send_key, Op::Pause { task: a })),
+                    0 => {
+                        let what = s.intern("scratch");
+                        keyed.push((
+                            send_key,
+                            Op::Alloc {
+                                cluster: 0,
+                                words: 1,
+                                what,
+                            },
+                        ));
+                    }
                     1 => keyed.push((send_key, send)),
                     2 => keyed.push((recv_key, recv)),
                     _ => {
@@ -721,7 +703,6 @@ mod tests {
                 }
             }
             keyed.sort_by_key(|(key, _)| *key);
-            let mut s = ScenarioScript::new("random");
             for (_, op) in keyed {
                 s.push(op);
             }
@@ -732,7 +713,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The borrowed-key pass renders every report byte for byte as the
+        /// The id-keyed pass renders every report byte for byte as the
         /// oracle does: the same unmatched halves in the same order, and
         /// the same shortest cycle.
         #[test]

@@ -51,7 +51,7 @@ pub mod storage;
 
 pub use cost::{check_cost, CostModeler, CostParams, CostReport, CostVerdict, PhaseCost};
 pub use diag::{Diagnostic, Report, Severity, Span};
-pub use script::{Op, ScenarioScript};
+pub use script::{NameId, Op, ScenarioScript};
 
 use fem2_hgraph::Grammar;
 use fem2_machine::MachineConfig;
@@ -83,18 +83,19 @@ mod tests {
     #[test]
     fn check_script_runs_all_three_passes() {
         let mut s = ScenarioScript::new("multi");
+        let [a, w, moon] = ["a", "w", "the moon"].map(|n| s.intern(n));
         // Protocol error (never initiated), deadlock error (self-exchange
         // needs an open window too), storage error (oversized alloc).
         s.push(Op::WindowSend {
-            from: "a".into(),
-            to: "a".into(),
-            window: "w".into(),
+            from: a,
+            to: a,
+            window: w,
             words: 1,
         });
         s.push(Op::Alloc {
             cluster: 0,
             words: u64::MAX / 2,
-            what: "the moon".into(),
+            what: moon,
         });
         let r = check_script(&s, &MachineConfig::fem2_default());
         let passes: std::collections::BTreeSet<&str> =

@@ -10,7 +10,7 @@
 //! rendezvous order is provably acyclic), window close, terminations — so
 //! the analyzer checks the same structure the runtime will execute.
 
-use crate::script::{Op, ScenarioScript};
+use crate::script::{NameId, Op, ScenarioScript};
 use fem2_machine::MachineConfig;
 use fem2_navm::TaskSet;
 
@@ -38,15 +38,17 @@ pub fn solve_script(
     let clusters = machine.clusters.max(1);
     let set = TaskSet::new(tasks, clusters);
     let unknowns = shape.unknowns as usize;
-    // Every name is formatted once; each op takes a copy.
-    let names: Vec<String> = set.iter().map(|t| format!("task{}", t.0)).collect();
-    let task_name = |t: u32| names[t as usize].clone();
-    let halo = String::from("halo");
+    // Every name is formatted and interned once, in first-use order: the
+    // tasks, then the allocation label, then the window.
+    let task: Vec<NameId> = set
+        .iter()
+        .map(|t| s.intern(&format!("task{}", t.0)))
+        .collect();
 
     // 1. Initiate the crew, one task per replication on its home cluster.
     for t in set.iter() {
         s.push(Op::Initiate {
-            task: task_name(t.0),
+            task: task[t.0 as usize],
             cluster: set.cluster_of(t),
             replications: 1,
         });
@@ -64,17 +66,20 @@ pub fn solve_script(
             _ => cluster_rows.push((c, rows)),
         }
     }
-    let what = format!(
-        "{} solver vectors of {} unknowns",
-        shape.vectors, shape.unknowns
-    );
+    let mut label = None;
     for (cluster, rows) in cluster_rows {
         let words = rows * shape.vectors;
         if words > 0 {
+            let what = *label.get_or_insert_with(|| {
+                s.intern(&format!(
+                    "{} solver vectors of {} unknowns",
+                    shape.vectors, shape.unknowns
+                ))
+            });
             s.push(Op::Alloc {
                 cluster,
                 words,
-                what: what.clone(),
+                what,
             });
         }
     }
@@ -87,59 +92,52 @@ pub fn solve_script(
             neighbours.push((t, t + 1));
         }
     }
-    let exchanging: Vec<u32> = {
-        let mut v: Vec<u32> = neighbours.iter().flat_map(|&(a, b)| [a, b]).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    for &t in &exchanging {
-        s.push(Op::WindowOpen {
-            task: task_name(t),
-            window: halo.clone(),
-        });
-    }
-    // Red-black phasing: pairs starting at an even task, then the odd ones.
-    // Within a pair, the lower task sends first and the upper replies, so
-    // no task's rendezvous order can close a cycle.
-    for parity in [0, 1] {
-        for &(a, b) in neighbours.iter().filter(|(a, _)| a % 2 == parity) {
-            s.push(Op::WindowSend {
-                from: task_name(a),
-                to: task_name(b),
-                window: halo.clone(),
-                words: shape.halo_words,
+    if !neighbours.is_empty() {
+        let halo = s.intern("halo");
+        let exchanging: Vec<u32> = {
+            let mut v: Vec<u32> = neighbours.iter().flat_map(|&(a, b)| [a, b]).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for &t in &exchanging {
+            s.push(Op::WindowOpen {
+                task: task[t as usize],
+                window: halo,
             });
-            s.push(Op::WindowRecv {
-                task: task_name(b),
-                from: task_name(a),
-                window: halo.clone(),
-            });
-            s.push(Op::WindowSend {
-                from: task_name(b),
-                to: task_name(a),
-                window: halo.clone(),
-                words: shape.halo_words,
-            });
-            s.push(Op::WindowRecv {
-                task: task_name(a),
-                from: task_name(b),
-                window: halo.clone(),
+        }
+        // Red-black phasing: pairs starting at an even task, then the odd
+        // ones. Within a pair, the lower task sends first and the upper
+        // replies, so no task's rendezvous order can close a cycle.
+        for parity in [0, 1] {
+            for &(a, b) in neighbours.iter().filter(|(a, _)| a % 2 == parity) {
+                let (a, b) = (task[a as usize], task[b as usize]);
+                for (from, to) in [(a, b), (b, a)] {
+                    s.push(Op::WindowSend {
+                        from,
+                        to,
+                        window: halo,
+                        words: shape.halo_words,
+                    });
+                    s.push(Op::WindowRecv {
+                        task: to,
+                        from,
+                        window: halo,
+                    });
+                }
+            }
+        }
+        for &t in &exchanging {
+            s.push(Op::WindowClose {
+                task: task[t as usize],
+                window: halo,
             });
         }
     }
-    for &t in &exchanging {
-        s.push(Op::WindowClose {
-            task: task_name(t),
-            window: halo.clone(),
-        });
-    }
 
     // 4. Orderly shutdown.
-    for t in set.iter() {
-        s.push(Op::Terminate {
-            task: task_name(t.0),
-        });
+    for &t in &task {
+        s.push(Op::Terminate { task: t });
     }
     s
 }
@@ -231,7 +229,8 @@ mod tests {
     }
 
     /// The lowering as first written, formatting every task name and the
-    /// window name afresh for each op.
+    /// window name afresh for each op (and interning it, now that ops
+    /// carry name ids).
     fn solve_script_oracle(
         name: &str,
         machine: &MachineConfig,
@@ -243,10 +242,11 @@ mod tests {
         let clusters = machine.clusters.max(1);
         let set = TaskSet::new(tasks, clusters);
         let unknowns = shape.unknowns as usize;
-        let task_name = |t: u32| format!("task{t}");
+        let task_name = |s: &mut ScenarioScript, t: u32| s.intern(&format!("task{t}"));
         for t in set.iter() {
+            let task = task_name(&mut s, t.0);
             s.push(Op::Initiate {
-                task: task_name(t.0),
+                task,
                 cluster: set.cluster_of(t),
                 replications: 1,
             });
@@ -262,13 +262,14 @@ mod tests {
         for (cluster, rows) in cluster_rows {
             let words = rows * shape.vectors;
             if words > 0 {
+                let what = s.intern(&format!(
+                    "{} solver vectors of {} unknowns",
+                    shape.vectors, shape.unknowns
+                ));
                 s.push(Op::Alloc {
                     cluster,
                     words,
-                    what: format!(
-                        "{} solver vectors of {} unknowns",
-                        shape.vectors, shape.unknowns
-                    ),
+                    what,
                 });
             }
         }
@@ -286,38 +287,35 @@ mod tests {
             v
         };
         for &t in &exchanging {
-            s.push(Op::WindowOpen {
-                task: task_name(t),
-                window: "halo".into(),
-            });
+            let (task, window) = (task_name(&mut s, t), s.intern("halo"));
+            s.push(Op::WindowOpen { task, window });
         }
         for parity in [0, 1] {
             for &(a, b) in neighbours.iter().filter(|(a, _)| a % 2 == parity) {
                 for (from, to) in [(a, b), (b, a)] {
+                    let (from, to) = (task_name(&mut s, from), task_name(&mut s, to));
+                    let window = s.intern("halo");
                     s.push(Op::WindowSend {
-                        from: task_name(from),
-                        to: task_name(to),
-                        window: "halo".into(),
+                        from,
+                        to,
+                        window,
                         words: shape.halo_words,
                     });
                     s.push(Op::WindowRecv {
-                        task: task_name(to),
-                        from: task_name(from),
-                        window: "halo".into(),
+                        task: to,
+                        from,
+                        window,
                     });
                 }
             }
         }
         for &t in &exchanging {
-            s.push(Op::WindowClose {
-                task: task_name(t),
-                window: "halo".into(),
-            });
+            let (task, window) = (task_name(&mut s, t), s.intern("halo"));
+            s.push(Op::WindowClose { task, window });
         }
         for t in set.iter() {
-            s.push(Op::Terminate {
-                task: task_name(t.0),
-            });
+            let task = task_name(&mut s, t.0);
+            s.push(Op::Terminate { task });
         }
         s
     }
@@ -330,10 +328,10 @@ mod tests {
                 for n in [0u64, 1, 3, 9, 100, 1024, 4099] {
                     let lowered = solve_script("s", &m, tasks, shape(n));
                     let oracle = solve_script_oracle("s", &m, tasks, shape(n));
-                    assert!(
-                        lowered.ops().eq(oracle.ops()),
-                        "{tasks} tasks, {clusters} clusters, {n} rows"
-                    );
+                    let case = format!("{tasks} tasks, {clusters} clusters, {n} rows");
+                    assert!(lowered.ops().eq(oracle.ops()), "{case}");
+                    assert_eq!(lowered.name_count(), oracle.name_count(), "{case}");
+                    assert_eq!(lowered.source(), oracle.source(), "{case}");
                 }
             }
         }

@@ -8,83 +8,91 @@
 //! correlation ids must pair exactly.
 
 use crate::diag::{Report, Severity, Span};
-use crate::script::{Op, ScenarioScript};
+use crate::script::{NameId, Op, ScenarioScript};
 use fem2_kernel::{MessageKind, ProtocolAutomaton, ProtocolState};
 use fem2_machine::MachineConfig;
 use std::collections::BTreeMap;
 
 const PASS: &str = "protocol";
 
+/// Per-name state of the replay, in vectors indexed by [`NameId`].
+struct Replay<'s> {
+    script: &'s ScenarioScript,
+    /// Automaton state per task; `None` for a task never stepped, which
+    /// reads as [`ProtocolState::Uninitiated`].
+    states: Vec<Option<ProtocolState>>,
+    /// Open windows per task, each with the line it was opened on.
+    windows: Vec<Vec<(NameId, Span)>>,
+}
+
 /// Run the protocol pass, appending findings to `report`.
 pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Report) {
-    let mut states: BTreeMap<&str, ProtocolState> = BTreeMap::new();
-    // (task, window) -> line the window was opened on.
-    let mut windows: BTreeMap<(&str, &str), Span> = BTreeMap::new();
+    let mut r = Replay {
+        script,
+        states: vec![None; script.name_count()],
+        windows: vec![Vec::new(); script.name_count()],
+    };
     // call_id -> (caller, line) of the open remote call.
-    let mut calls: BTreeMap<u64, (&str, Span)> = BTreeMap::new();
+    let mut calls: BTreeMap<u64, (NameId, Span)> = BTreeMap::new();
+    let name = |id: NameId| script.name(id);
 
     for (op, span) in script.ops() {
-        match op {
+        match *op {
             Op::Initiate {
                 task,
                 cluster,
                 replications,
             } => {
-                if *cluster >= machine.clusters {
+                if cluster >= machine.clusters {
                     report.push(
                         Severity::Error,
                         PASS,
                         Some(span),
                         format!(
-                            "task '{task}' initiated on cluster {cluster}, but the machine \
+                            "task '{}' initiated on cluster {cluster}, but the machine \
                              has only clusters 0..{}",
+                            name(task),
                             machine.clusters
                         ),
                     );
                 }
-                if *replications == 0 {
+                if replications == 0 {
                     report.push(
                         Severity::Warning,
                         PASS,
                         Some(span),
-                        format!("task '{task}' initiated with zero replications"),
+                        format!("task '{}' initiated with zero replications", name(task)),
                     );
                 }
-                step(&mut states, task, MessageKind::InitiateTask, span, report);
+                r.step(task, MessageKind::InitiateTask, span, report);
             }
-            Op::Pause { task } => step(&mut states, task, MessageKind::PauseNotify, span, report),
-            Op::Resume { task } => step(&mut states, task, MessageKind::Resume, span, report),
-            Op::Terminate { task } => {
-                step(
-                    &mut states,
-                    task,
-                    MessageKind::TerminateNotify,
-                    span,
-                    report,
-                );
-            }
+            Op::Pause { task } => r.step(task, MessageKind::PauseNotify, span, report),
+            Op::Resume { task } => r.step(task, MessageKind::Resume, span, report),
+            Op::Terminate { task } => r.step(task, MessageKind::TerminateNotify, span, report),
             Op::Message { from, to, kind } => {
-                require_active(&states, from, "send a message", span, report);
-                step(&mut states, to, *kind, span, report);
+                r.require_active(from, "send a message", span, report);
+                r.step(to, kind, span, report);
             }
             Op::RemoteCall { caller, call_id } => {
-                step(&mut states, caller, MessageKind::RemoteCall, span, report);
-                if let Some((prev_caller, prev)) = calls.insert(*call_id, (caller, span)) {
+                r.step(caller, MessageKind::RemoteCall, span, report);
+                if let Some((prev_caller, prev)) = calls.insert(call_id, (caller, span)) {
                     report.push(
                         Severity::Error,
                         PASS,
                         Some(span),
                         format!(
-                            "remote call #{call_id} by '{caller}' reuses a correlation id \
-                             still open from '{prev_caller}' (line {})",
+                            "remote call #{call_id} by '{}' reuses a correlation id \
+                             still open from '{}' (line {})",
+                            name(caller),
+                            name(prev_caller),
                             prev.line
                         ),
                     );
                 }
             }
-            Op::RemoteReturn { call_id } => match calls.remove(call_id) {
+            Op::RemoteReturn { call_id } => match calls.remove(&call_id) {
                 Some((caller, _)) => {
-                    step(&mut states, caller, MessageKind::RemoteReturn, span, report);
+                    r.step(caller, MessageKind::RemoteReturn, span, report);
                 }
                 None => report.push(
                     Severity::Error,
@@ -94,132 +102,151 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
                 ),
             },
             Op::WindowOpen { task, window } => {
-                require_active(&states, task, "open a window", span, report);
-                if windows.insert((task, window), span).is_some() {
-                    report.push(
-                        Severity::Error,
-                        PASS,
-                        Some(span),
-                        format!("task '{task}' opens window '{window}' twice"),
-                    );
+                r.require_active(task, "open a window", span, report);
+                let open = &mut r.windows[task as usize];
+                match open.iter_mut().find(|(w, _)| *w == window) {
+                    // The later open's line is the one a leak warning cites.
+                    Some(opened) => {
+                        opened.1 = span;
+                        report.push(
+                            Severity::Error,
+                            PASS,
+                            Some(span),
+                            format!(
+                                "task '{}' opens window '{}' twice",
+                                name(task),
+                                name(window)
+                            ),
+                        );
+                    }
+                    None => open.push((window, span)),
                 }
             }
             Op::WindowSend {
                 from, to, window, ..
             } => {
-                require_active(&states, from, "exchange through a window", span, report);
-                require_open(&windows, from, window, span, report);
-                require_open(&windows, to, window, span, report);
+                r.require_active(from, "exchange through a window", span, report);
+                r.require_open(from, window, span, report);
+                r.require_open(to, window, span, report);
             }
             Op::WindowRecv { task, from, window } => {
-                require_active(&states, task, "exchange through a window", span, report);
-                require_open(&windows, task, window, span, report);
-                require_open(&windows, from, window, span, report);
+                r.require_active(task, "exchange through a window", span, report);
+                r.require_open(task, window, span, report);
+                r.require_open(from, window, span, report);
             }
             Op::WindowClose { task, window } => {
-                if windows.remove(&(task.as_str(), window.as_str())).is_none() {
-                    report.push(
+                let open = &mut r.windows[task as usize];
+                match open.iter().position(|&(w, _)| w == window) {
+                    Some(at) => {
+                        open.swap_remove(at);
+                    }
+                    None => report.push(
                         Severity::Error,
                         PASS,
                         Some(span),
-                        format!("task '{task}' closes window '{window}' it never opened"),
-                    );
+                        format!(
+                            "task '{}' closes window '{}' it never opened",
+                            name(task),
+                            name(window)
+                        ),
+                    ),
                 }
             }
             Op::Alloc { .. } => {}
         }
     }
 
-    // End-of-scenario hygiene.
-    for ((task, window), span) in &windows {
-        report.push(
-            Severity::Warning,
-            PASS,
-            Some(*span),
-            format!("task '{task}' leaves window '{window}' open at scenario end"),
-        );
+    // End-of-scenario hygiene, in (task, window) name order.
+    for task in script.ids_by_name() {
+        let open = &mut r.windows[task as usize];
+        open.sort_unstable_by_key(|&(w, _)| name(w));
+        for &(window, span) in open.iter() {
+            report.push(
+                Severity::Warning,
+                PASS,
+                Some(span),
+                format!(
+                    "task '{}' leaves window '{}' open at scenario end",
+                    name(task),
+                    name(window)
+                ),
+            );
+        }
     }
     for (call_id, (caller, span)) in &calls {
         report.push(
             Severity::Warning,
             PASS,
             Some(*span),
-            format!("remote call #{call_id} by '{caller}' is never returned"),
+            format!(
+                "remote call #{call_id} by '{}' is never returned",
+                name(*caller)
+            ),
         );
     }
-    for (task, st) in &states {
-        if matches!(st, ProtocolState::Active | ProtocolState::Paused) {
+    for task in script.ids_by_name() {
+        if let Some(st @ (ProtocolState::Active | ProtocolState::Paused)) = r.states[task as usize]
+        {
             report.push(
                 Severity::Warning,
                 PASS,
                 None,
-                format!("task '{task}' is never terminated (ends the scenario {st})"),
+                format!(
+                    "task '{}' is never terminated (ends the scenario {st})",
+                    name(task)
+                ),
             );
         }
     }
 }
 
-/// Apply `kind` to the automaton state of `task`, reporting a violation as
-/// an error that names the task.
-fn step<'s>(
-    states: &mut BTreeMap<&'s str, ProtocolState>,
-    task: &'s str,
-    kind: MessageKind,
-    span: Span,
-    report: &mut Report,
-) {
-    let cur = states
-        .get(task)
-        .copied()
-        .unwrap_or(ProtocolState::Uninitiated);
-    match ProtocolAutomaton::step(cur, kind) {
-        Ok(next) => {
-            states.insert(task, next);
+impl Replay<'_> {
+    fn state(&self, task: NameId) -> ProtocolState {
+        self.states[task as usize].unwrap_or(ProtocolState::Uninitiated)
+    }
+
+    /// Apply `kind` to the automaton state of `task`, reporting a violation
+    /// as an error that names the task.
+    fn step(&mut self, task: NameId, kind: MessageKind, span: Span, report: &mut Report) {
+        match ProtocolAutomaton::step(self.state(task), kind) {
+            Ok(next) => self.states[task as usize] = Some(next),
+            Err(v) => report.push(
+                Severity::Error,
+                PASS,
+                Some(span),
+                format!("task '{}': {v}", self.script.name(task)),
+            ),
         }
-        Err(v) => report.push(
-            Severity::Error,
-            PASS,
-            Some(span),
-            format!("task '{task}': {v}"),
-        ),
     }
-}
 
-fn require_active(
-    states: &BTreeMap<&str, ProtocolState>,
-    task: &str,
-    what: &str,
-    span: Span,
-    report: &mut Report,
-) {
-    let st = states
-        .get(task)
-        .copied()
-        .unwrap_or(ProtocolState::Uninitiated);
-    if st != ProtocolState::Active {
-        report.push(
-            Severity::Error,
-            PASS,
-            Some(span),
-            format!("task '{task}' cannot {what} while {st}"),
-        );
+    fn require_active(&self, task: NameId, what: &str, span: Span, report: &mut Report) {
+        let st = self.state(task);
+        if st != ProtocolState::Active {
+            report.push(
+                Severity::Error,
+                PASS,
+                Some(span),
+                format!("task '{}' cannot {what} while {st}", self.script.name(task)),
+            );
+        }
     }
-}
 
-fn require_open(
-    windows: &BTreeMap<(&str, &str), Span>,
-    task: &str,
-    window: &str,
-    span: Span,
-    report: &mut Report,
-) {
-    if !windows.contains_key(&(task, window)) {
-        report.push(
-            Severity::Error,
-            PASS,
-            Some(span),
-            format!("task '{task}' exchanges through window '{window}' without opening it"),
-        );
+    fn require_open(&self, task: NameId, window: NameId, span: Span, report: &mut Report) {
+        if !self.windows[task as usize]
+            .iter()
+            .any(|&(w, _)| w == window)
+        {
+            report.push(
+                Severity::Error,
+                PASS,
+                Some(span),
+                format!(
+                    "task '{}' exchanges through window '{}' without opening it",
+                    self.script.name(task),
+                    self.script.name(window)
+                ),
+            );
+        }
     }
 }
 
@@ -237,39 +264,38 @@ mod tests {
         r.diagnostics.iter().map(|d| d.message.as_str()).collect()
     }
 
+    fn initiate(s: &mut ScenarioScript, task: NameId, cluster: u32) {
+        s.push(Op::Initiate {
+            task,
+            cluster,
+            replications: 1,
+        });
+    }
+
     #[test]
     fn clean_lifecycle_with_window() {
         let mut s = ScenarioScript::new("ok");
-        for t in ["a", "b"] {
-            s.push(Op::Initiate {
-                task: t.into(),
-                cluster: 0,
-                replications: 1,
-            });
+        let [a, b, w] = ["a", "b", "w"].map(|n| s.intern(n));
+        for t in [a, b] {
+            initiate(&mut s, t, 0);
         }
-        for t in ["a", "b"] {
-            s.push(Op::WindowOpen {
-                task: t.into(),
-                window: "w".into(),
-            });
+        for t in [a, b] {
+            s.push(Op::WindowOpen { task: t, window: w });
         }
         s.push(Op::WindowSend {
-            from: "a".into(),
-            to: "b".into(),
-            window: "w".into(),
+            from: a,
+            to: b,
+            window: w,
             words: 4,
         });
         s.push(Op::WindowRecv {
-            task: "b".into(),
-            from: "a".into(),
-            window: "w".into(),
+            task: b,
+            from: a,
+            window: w,
         });
-        for t in ["a", "b"] {
-            s.push(Op::WindowClose {
-                task: t.into(),
-                window: "w".into(),
-            });
-            s.push(Op::Terminate { task: t.into() });
+        for t in [a, b] {
+            s.push(Op::WindowClose { task: t, window: w });
+            s.push(Op::Terminate { task: t });
         }
         let r = run(&s);
         assert!(r.is_clean(), "{}", r.render());
@@ -278,17 +304,14 @@ mod tests {
     #[test]
     fn send_to_never_initiated_task_is_an_error() {
         let mut s = ScenarioScript::new("ghost");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
+        let [a, ghost] = ["a", "ghost"].map(|n| s.intern(n));
+        initiate(&mut s, a, 0);
         s.push(Op::Message {
-            from: "a".into(),
-            to: "ghost".into(),
+            from: a,
+            to: ghost,
             kind: MessageKind::Resume,
         });
-        s.push(Op::Terminate { task: "a".into() });
+        s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert_eq!(r.error_count(), 1);
         assert!(msgs(&r)[0].contains("ghost"), "{}", r.render());
@@ -298,15 +321,12 @@ mod tests {
     #[test]
     fn double_initiate_and_double_terminate_rejected() {
         let mut s = ScenarioScript::new("dup");
+        let a = s.intern("a");
         for _ in 0..2 {
-            s.push(Op::Initiate {
-                task: "a".into(),
-                cluster: 0,
-                replications: 1,
-            });
+            initiate(&mut s, a, 0);
         }
         for _ in 0..2 {
-            s.push(Op::Terminate { task: "a".into() });
+            s.push(Op::Terminate { task: a });
         }
         let r = run(&s);
         assert_eq!(r.error_count(), 2, "{}", r.render());
@@ -315,15 +335,12 @@ mod tests {
     #[test]
     fn pause_resume_ordering_enforced() {
         let mut s = ScenarioScript::new("pr");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
-        s.push(Op::Resume { task: "a".into() }); // not paused: error
-        s.push(Op::Pause { task: "a".into() });
-        s.push(Op::Resume { task: "a".into() }); // fine
-        s.push(Op::Terminate { task: "a".into() });
+        let a = s.intern("a");
+        initiate(&mut s, a, 0);
+        s.push(Op::Resume { task: a }); // not paused: error
+        s.push(Op::Pause { task: a });
+        s.push(Op::Resume { task: a }); // fine
+        s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.diagnostics[0].span, Some(Span::line(2)));
@@ -332,22 +349,16 @@ mod tests {
     #[test]
     fn window_ordering_enforced() {
         let mut s = ScenarioScript::new("w");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
+        let [a, w] = ["a", "w"].map(|n| s.intern(n));
+        initiate(&mut s, a, 0);
         s.push(Op::WindowSend {
-            from: "a".into(),
-            to: "a".into(),
-            window: "w".into(),
+            from: a,
+            to: a,
+            window: w,
             words: 1,
         }); // never opened (2 findings: from + to are the same closed window)
-        s.push(Op::WindowClose {
-            task: "a".into(),
-            window: "w".into(),
-        }); // never opened
-        s.push(Op::Terminate { task: "a".into() });
+        s.push(Op::WindowClose { task: a, window: w }); // never opened
+        s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert!(r.error_count() >= 2, "{}", r.render());
     }
@@ -355,39 +366,66 @@ mod tests {
     #[test]
     fn unterminated_task_and_open_window_warn() {
         let mut s = ScenarioScript::new("leak");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
-        s.push(Op::WindowOpen {
-            task: "a".into(),
-            window: "w".into(),
-        });
+        let [a, w] = ["a", "w"].map(|n| s.intern(n));
+        initiate(&mut s, a, 0);
+        s.push(Op::WindowOpen { task: a, window: w });
         let r = run(&s);
         assert_eq!(r.error_count(), 0);
         assert_eq!(r.warning_count(), 2, "{}", r.render());
     }
 
+    /// End-of-scenario warnings come in name order, whatever order the
+    /// names were interned or the windows opened in, and a window opened
+    /// twice is reported at its later open.
+    #[test]
+    fn end_of_scenario_warnings_are_in_name_order() {
+        let mut s = ScenarioScript::new("order");
+        let [zed, amy, w2, w1] = ["zed", "amy", "w2", "w1"].map(|n| s.intern(n));
+        for t in [zed, amy] {
+            initiate(&mut s, t, 0);
+            for w in [w2, w1] {
+                s.push(Op::WindowOpen { task: t, window: w });
+            }
+        }
+        let reopen = s.push(Op::WindowOpen {
+            task: amy,
+            window: w2,
+        });
+        s.push(Op::WindowClose {
+            task: zed,
+            window: w2,
+        });
+        let r = run(&s);
+        assert_eq!(
+            msgs(&r),
+            [
+                "task 'amy' opens window 'w2' twice",
+                "task 'amy' leaves window 'w1' open at scenario end",
+                "task 'amy' leaves window 'w2' open at scenario end",
+                "task 'zed' leaves window 'w1' open at scenario end",
+                "task 'amy' is never terminated (ends the scenario active)",
+                "task 'zed' is never terminated (ends the scenario active)",
+            ]
+        );
+        assert_eq!(r.diagnostics[2].span, Some(reopen));
+    }
+
     #[test]
     fn remote_call_return_pairing() {
         let mut s = ScenarioScript::new("rpc");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 0,
-            replications: 1,
-        });
+        let a = s.intern("a");
+        initiate(&mut s, a, 0);
         s.push(Op::RemoteCall {
-            caller: "a".into(),
+            caller: a,
             call_id: 1,
         });
         s.push(Op::RemoteReturn { call_id: 1 });
         s.push(Op::RemoteReturn { call_id: 9 }); // no matching call
         s.push(Op::RemoteCall {
-            caller: "a".into(),
+            caller: a,
             call_id: 2,
         }); // never returned
-        s.push(Op::Terminate { task: "a".into() });
+        s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert_eq!(r.error_count(), 1, "{}", r.render());
         assert_eq!(r.warning_count(), 1);
@@ -396,12 +434,9 @@ mod tests {
     #[test]
     fn initiate_on_missing_cluster_rejected() {
         let mut s = ScenarioScript::new("cluster");
-        s.push(Op::Initiate {
-            task: "a".into(),
-            cluster: 99,
-            replications: 1,
-        });
-        s.push(Op::Terminate { task: "a".into() });
+        let a = s.intern("a");
+        initiate(&mut s, a, 99);
+        s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert_eq!(r.error_count(), 1);
         assert!(msgs(&r)[0].contains("cluster 99"));

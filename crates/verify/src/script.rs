@@ -3,7 +3,9 @@
 //!
 //! Scenarios in this repository are Rust code, so they cannot be analyzed
 //! directly; instead each scenario *lowers* to a [`ScenarioScript`] — a flat
-//! list of [`Op`]s in global program order, one textual line per op. The
+//! list of [`Op`]s in global program order, one textual line per op. Ops
+//! name tasks, windows and allocations by [`NameId`] into the script's one
+//! name table, so building and analyzing a script copies no string. The
 //! text is the scenario description the analyzer's diagnostics span into
 //! (line N of the rendered description is op N), so a finding always points
 //! at a concrete, human-readable step.
@@ -14,14 +16,22 @@
 
 use crate::diag::Span;
 use fem2_kernel::MessageKind;
+use std::collections::BTreeMap;
 
-/// One step of a scenario, as seen by the kernel/machine layers.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A name in a script's name table: an index into it (see
+/// [`ScenarioScript::intern`] and [`ScenarioScript::name`]). Task names,
+/// window names and allocation labels share the one table, so two ops name
+/// the same thing exactly when their ids are equal.
+pub type NameId = u32;
+
+/// One step of a scenario, as seen by the kernel/machine layers. Names are
+/// [`NameId`]s into the owning [`ScenarioScript`]'s name table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Op {
     /// Initiate `replications` replications of `task` on `cluster`.
     Initiate {
         /// Task name (unique per script).
-        task: String,
+        task: NameId,
         /// Hosting cluster.
         cluster: u32,
         /// Replication count K of the initiate message.
@@ -30,32 +40,32 @@ pub enum Op {
     /// `task` pauses itself (parent notified).
     Pause {
         /// The pausing task.
-        task: String,
+        task: NameId,
     },
     /// Resume the paused `task`.
     Resume {
         /// The resumed task.
-        task: String,
+        task: NameId,
     },
     /// `task` terminates (parent notified, activation record reclaimed).
     Terminate {
         /// The terminating task.
-        task: String,
+        task: NameId,
     },
     /// A raw kernel message from `from` to `to` (for protocol checking of
     /// arbitrary sequences; the lowered scenarios use the typed ops above).
     Message {
         /// Sending task.
-        from: String,
+        from: NameId,
         /// Subject/recipient task.
-        to: String,
+        to: NameId,
         /// Which of the seven kinds.
         kind: MessageKind,
     },
     /// `caller` issues a remote procedure call with correlation `call_id`.
     RemoteCall {
         /// The calling task.
-        caller: String,
+        caller: NameId,
         /// Correlation id; must be returned exactly once.
         call_id: u64,
     },
@@ -67,19 +77,19 @@ pub enum Op {
     /// `task` opens window `window` over some array.
     WindowOpen {
         /// The opening task.
-        task: String,
+        task: NameId,
         /// Window name.
-        window: String,
+        window: NameId,
     },
     /// `from` sends `words` through `window` to `to` and blocks until the
     /// matching receive (rendezvous).
     WindowSend {
         /// Sending task.
-        from: String,
+        from: NameId,
         /// Receiving task.
-        to: String,
+        to: NameId,
         /// Window name.
-        window: String,
+        window: NameId,
         /// Payload size.
         words: u64,
     },
@@ -87,18 +97,18 @@ pub enum Op {
     /// matching send (rendezvous).
     WindowRecv {
         /// Receiving task.
-        task: String,
+        task: NameId,
         /// Expected sender.
-        from: String,
+        from: NameId,
         /// Window name.
-        window: String,
+        window: NameId,
     },
     /// `task` closes `window`.
     WindowClose {
         /// The closing task.
-        task: String,
+        task: NameId,
         /// Window name.
-        window: String,
+        window: NameId,
     },
     /// Allocate `words` words of heap on `cluster` (live for the rest of
     /// the scenario: the analyzer's worst-case storage model).
@@ -108,55 +118,21 @@ pub enum Op {
         /// Demand in words.
         words: u64,
         /// What the storage is for (named in diagnostics).
-        what: String,
+        what: NameId,
     },
 }
 
-impl Op {
-    /// The one-line scenario-description rendering of this op.
-    pub fn describe(&self) -> String {
-        match self {
-            Op::Initiate {
-                task,
-                cluster,
-                replications,
-            } => format!("initiate {task} x{replications} on cluster {cluster}"),
-            Op::Pause { task } => format!("pause {task}"),
-            Op::Resume { task } => format!("resume {task}"),
-            Op::Terminate { task } => format!("terminate {task}"),
-            Op::Message { from, to, kind } => {
-                format!("message '{}' from {from} to {to}", kind.name())
-            }
-            Op::RemoteCall { caller, call_id } => {
-                format!("remote call #{call_id} by {caller}")
-            }
-            Op::RemoteReturn { call_id } => format!("remote return #{call_id}"),
-            Op::WindowOpen { task, window } => format!("{task} opens window {window}"),
-            Op::WindowSend {
-                from,
-                to,
-                window,
-                words,
-            } => format!("window {window}: {from} -> {to} ({words} words)"),
-            Op::WindowRecv { task, from, window } => {
-                format!("window {window}: {task} <- {from}")
-            }
-            Op::WindowClose { task, window } => format!("{task} closes window {window}"),
-            Op::Alloc {
-                cluster,
-                words,
-                what,
-            } => format!("alloc {words} words on cluster {cluster} for {what}"),
-        }
-    }
-}
-
-/// A lowered scenario: named ops plus the description text diagnostics
-/// span into.
+/// A lowered scenario: ops over one name table, plus the description text
+/// diagnostics span into. Names are text only where text is produced:
+/// [`describe`](Self::describe), [`source`](Self::source) and the
+/// diagnostics that quote them.
 #[derive(Clone, Debug)]
 pub struct ScenarioScript {
     /// Scenario name (shown in diagnostics as the "file" of a span).
     pub name: String,
+    names: Vec<String>,
+    /// Name -> id; iterates in name order, the order passes report in.
+    ids: BTreeMap<String, NameId>,
     ops: Vec<Op>,
 }
 
@@ -165,11 +141,44 @@ impl ScenarioScript {
     pub fn new(name: impl Into<String>) -> Self {
         ScenarioScript {
             name: name.into(),
+            names: Vec::new(),
+            ids: BTreeMap::new(),
             ops: Vec::new(),
         }
     }
 
-    /// Append an op; returns the span of its description line.
+    /// The id of `name`, added to the name table on first sight.
+    pub fn intern(&mut self, name: &str) -> NameId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = NameId::try_from(self.names.len()).expect("name table exceeds u32 ids");
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        id
+    }
+
+    /// The text of name `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` did not come from this script's [`intern`](Self::intern).
+    pub fn name(&self, id: NameId) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// Size of the name table: every [`NameId`] in the script is below it,
+    /// so passes keep per-name state in vectors of this length.
+    pub fn name_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Every name id, in name order.
+    pub fn ids_by_name(&self) -> impl Iterator<Item = NameId> + '_ {
+        self.ids.values().copied()
+    }
+
+    /// Append an op whose names come from this script's
+    /// [`intern`](Self::intern); returns the span of its description line.
     pub fn push(&mut self, op: Op) -> Span {
         self.ops.push(op);
         Span::line(self.ops.len() as u32)
@@ -193,12 +202,59 @@ impl ScenarioScript {
         self.ops.is_empty()
     }
 
+    /// The one-line scenario-description rendering of `op`.
+    pub fn describe(&self, op: &Op) -> String {
+        let n = |id: NameId| self.name(id);
+        match *op {
+            Op::Initiate {
+                task,
+                cluster,
+                replications,
+            } => format!("initiate {} x{replications} on cluster {cluster}", n(task)),
+            Op::Pause { task } => format!("pause {}", n(task)),
+            Op::Resume { task } => format!("resume {}", n(task)),
+            Op::Terminate { task } => format!("terminate {}", n(task)),
+            Op::Message { from, to, kind } => {
+                format!("message '{}' from {} to {}", kind.name(), n(from), n(to))
+            }
+            Op::RemoteCall { caller, call_id } => {
+                format!("remote call #{call_id} by {}", n(caller))
+            }
+            Op::RemoteReturn { call_id } => format!("remote return #{call_id}"),
+            Op::WindowOpen { task, window } => {
+                format!("{} opens window {}", n(task), n(window))
+            }
+            Op::WindowSend {
+                from,
+                to,
+                window,
+                words,
+            } => format!(
+                "window {}: {} -> {} ({words} words)",
+                n(window),
+                n(from),
+                n(to)
+            ),
+            Op::WindowRecv { task, from, window } => {
+                format!("window {}: {} <- {}", n(window), n(task), n(from))
+            }
+            Op::WindowClose { task, window } => {
+                format!("{} closes window {}", n(task), n(window))
+            }
+            Op::Alloc {
+                cluster,
+                words,
+                what,
+            } => format!("alloc {words} words on cluster {cluster} for {}", n(what)),
+        }
+    }
+
     /// The scenario description: one line per op, in order. Line `n`
     /// (1-based) describes op `n`, which is what diagnostic spans index.
     pub fn source(&self) -> String {
         let mut out = String::new();
         for op in &self.ops {
-            out.push_str(&op.describe());
+            out.push_str(&self.describe(op));
             out.push('\n');
         }
         out
@@ -212,12 +268,13 @@ mod tests {
     #[test]
     fn spans_match_source_lines() {
         let mut s = ScenarioScript::new("t");
+        let w0 = s.intern("w0");
         let a = s.push(Op::Initiate {
-            task: "w0".into(),
+            task: w0,
             cluster: 0,
             replications: 1,
         });
-        let b = s.push(Op::Terminate { task: "w0".into() });
+        let b = s.push(Op::Terminate { task: w0 });
         assert_eq!(a, Span::line(1));
         assert_eq!(b, Span::line(2));
         let src = s.source();
@@ -229,47 +286,82 @@ mod tests {
     }
 
     #[test]
+    fn names_are_interned_once_and_listed_in_name_order() {
+        let mut s = ScenarioScript::new("t");
+        let b = s.intern("b");
+        let a = s.intern("a");
+        assert_eq!((b, a), (0, 1));
+        assert_eq!(s.intern("b"), b, "a second sight returns the first id");
+        assert_eq!((s.name(a), s.name(b)), ("a", "b"));
+        assert_eq!(s.name_count(), 2);
+        assert_eq!(s.ids_by_name().collect::<Vec<_>>(), [a, b]);
+    }
+
+    #[test]
     fn describe_covers_all_ops() {
+        let mut s = ScenarioScript::new("t");
+        let [a, b, halo, vectors] = ["a", "b", "halo", "vectors"].map(|n| s.intern(n));
         let ops = [
-            Op::Pause { task: "a".into() },
-            Op::Resume { task: "a".into() },
-            Op::Message {
-                from: "a".into(),
-                to: "b".into(),
-                kind: MessageKind::Resume,
-            },
-            Op::RemoteCall {
-                caller: "a".into(),
-                call_id: 7,
-            },
-            Op::RemoteReturn { call_id: 7 },
-            Op::WindowOpen {
-                task: "a".into(),
-                window: "halo".into(),
-            },
-            Op::WindowSend {
-                from: "a".into(),
-                to: "b".into(),
-                window: "halo".into(),
-                words: 8,
-            },
-            Op::WindowRecv {
-                task: "b".into(),
-                from: "a".into(),
-                window: "halo".into(),
-            },
-            Op::WindowClose {
-                task: "a".into(),
-                window: "halo".into(),
-            },
-            Op::Alloc {
-                cluster: 1,
-                words: 100,
-                what: "vectors".into(),
-            },
+            (Op::Pause { task: a }, "pause a"),
+            (Op::Resume { task: a }, "resume a"),
+            (
+                Op::Message {
+                    from: a,
+                    to: b,
+                    kind: MessageKind::Resume,
+                },
+                "message 'resume' from a to b",
+            ),
+            (
+                Op::RemoteCall {
+                    caller: a,
+                    call_id: 7,
+                },
+                "remote call #7 by a",
+            ),
+            (Op::RemoteReturn { call_id: 7 }, "remote return #7"),
+            (
+                Op::WindowOpen {
+                    task: a,
+                    window: halo,
+                },
+                "a opens window halo",
+            ),
+            (
+                Op::WindowSend {
+                    from: a,
+                    to: b,
+                    window: halo,
+                    words: 8,
+                },
+                "window halo: a -> b (8 words)",
+            ),
+            (
+                Op::WindowRecv {
+                    task: b,
+                    from: a,
+                    window: halo,
+                },
+                "window halo: b <- a",
+            ),
+            (
+                Op::WindowClose {
+                    task: a,
+                    window: halo,
+                },
+                "a closes window halo",
+            ),
+            (
+                Op::Alloc {
+                    cluster: 1,
+                    words: 100,
+                    what: vectors,
+                },
+                "alloc 100 words on cluster 1 for vectors",
+            ),
         ];
-        for op in ops {
-            assert!(!op.describe().is_empty());
+        for (op, line) in ops {
+            assert_eq!(s.describe(&op), line);
         }
     }
 }

@@ -70,13 +70,13 @@ pub fn check<'s>(script: &'s ScenarioScript, machine: &MachineConfig, report: &m
     };
 
     for (op, span) in script.ops() {
-        match op {
+        match *op {
             Op::Alloc {
                 cluster,
                 words,
                 what,
             } => {
-                if *cluster >= machine.clusters {
+                if cluster >= machine.clusters {
                     report.push(
                         Severity::Error,
                         PASS,
@@ -88,19 +88,19 @@ pub fn check<'s>(script: &'s ScenarioScript, machine: &MachineConfig, report: &m
                         ),
                     );
                 } else {
-                    note(*cluster, *words, span, Claim::Alloc(what));
+                    note(cluster, words, span, Claim::Alloc(script.name(what)));
                 }
             }
             Op::Initiate {
                 task,
                 cluster,
                 replications,
-            } if *cluster < machine.clusters => {
+            } if cluster < machine.clusters => {
                 note(
-                    *cluster,
-                    ACTIVATION_RECORD_WORDS * u64::from(*replications),
+                    cluster,
+                    ACTIVATION_RECORD_WORDS * u64::from(replications),
                     span,
-                    Claim::Activation(task),
+                    Claim::Activation(script.name(task)),
                 );
             }
             _ => {}
@@ -166,10 +166,20 @@ mod tests {
     }
 
     fn alloc(s: &mut ScenarioScript, cluster: u32, words: u64) {
+        let what = s.intern("test block");
         s.push(Op::Alloc {
             cluster,
             words,
-            what: "test block".into(),
+            what,
+        });
+    }
+
+    fn initiate(s: &mut ScenarioScript, task: &str, replications: u32) {
+        let task = s.intern(task);
+        s.push(Op::Initiate {
+            task,
+            cluster: 0,
+            replications,
         });
     }
 
@@ -202,20 +212,12 @@ mod tests {
         let m = MachineConfig::fem1_style(1); // one 64 Kword cluster
         let cap = 64 << 10;
         let mut s = ScenarioScript::new("sum");
-        s.push(Op::Initiate {
-            task: "t".into(),
-            cluster: 0,
-            replications: 1,
-        });
+        initiate(&mut s, "t", 1);
         alloc(&mut s, 0, cap - ACTIVATION_RECORD_WORDS); // exactly fills
         let r = run(&s, &m);
         assert_eq!(r.error_count(), 0, "{}", r.render());
         let mut s2 = ScenarioScript::new("sum2");
-        s2.push(Op::Initiate {
-            task: "t".into(),
-            cluster: 0,
-            replications: 1,
-        });
+        initiate(&mut s2, "t", 1);
         alloc(&mut s2, 0, cap - ACTIVATION_RECORD_WORDS + 1); // one word over
         let r2 = run(&s2, &m);
         assert_eq!(r2.error_count(), 1, "{}", r2.render());
@@ -258,11 +260,7 @@ mod tests {
         let cap: u64 = 64 << 10;
         let k = (cap / ACTIVATION_RECORD_WORDS) as u32 + 1;
         let mut s = ScenarioScript::new("many");
-        s.push(Op::Initiate {
-            task: "swarm".into(),
-            cluster: 0,
-            replications: k,
-        });
+        initiate(&mut s, "swarm", k);
         let r = run(&s, &m);
         assert_eq!(r.error_count(), 1, "{}", r.render());
         assert!(r.diagnostics[0].message.contains("swarm"));

@@ -233,3 +233,162 @@ fn pardo_on_a_cluster_without_a_live_pe_stops_the_run() {
         "one per task on cluster 2"
     );
 }
+
+/// `plate_cg` allocates `b`, fills it (the section that applies due
+/// faults), then allocates `x`, `r`, `p` and `ap`. A memory-bank fault due
+/// at the fill that leaves cluster 0 room for `b` alone makes the next
+/// allocation fail: the run stops with a sticky `MemoryExhausted` instead
+/// of panicking, before any CG iteration.
+#[test]
+fn array_after_a_memory_bank_fault_stops_the_run() {
+    let (mut vm, rec) = traced_vm();
+    let capacity = vm.machine().expect("simulated").memory(0).capacity();
+    // 144 rows over 8 tasks, two tasks per cluster: `b` takes 36 words of
+    // cluster 0, and the bank fault leaves 40.
+    vm.inject_faults(&FaultPlan::none().fail_memory(0, 0, capacity - 40));
+    let (iters, _, _) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    let abort = vm.budget_exceeded().expect("the run stopped");
+    assert_eq!(abort.cause, fem2_machine::AbortCause::MemoryExhausted);
+    assert_eq!(abort.cause.name(), "memory_exhausted");
+    assert_eq!(iters, 0, "no CG iteration ran");
+    let machine = vm.machine().expect("simulated");
+    assert_eq!(machine.memory(0).used(), 36, "only `b` holds cluster 0");
+    assert!(
+        rec.lock()
+            .unwrap()
+            .events()
+            .any(|ev| matches!(ev.kind, fem2_trace::EventKind::MemFault { lost: 0, .. })),
+        "the bank fault fired and lost no live word"
+    );
+}
+
+/// The fault-plane steps a traced run applied, in order: time, target and
+/// kind of every link, PE-recovery and memory-bank record (a bank's lost
+/// words depend on what the layer had allocated, so they are left out).
+fn fault_steps(rec: &fem2_trace::SharedRecorder) -> Vec<(u64, u32, u32, String)> {
+    use fem2_trace::EventKind;
+    let r = rec.lock().expect("no other holder of the recorder lock");
+    r.events()
+        .filter_map(|ev| {
+            let kind = match ev.kind {
+                EventKind::MemFault { words, .. } => format!("mem_fault {words}"),
+                EventKind::LinkFault { .. } | EventKind::LinkRecover { .. } => {
+                    format!("{:?}", ev.kind)
+                }
+                EventKind::PeRecover => "pe_recover".to_string(),
+                _ => return None,
+            };
+            Some((ev.at, ev.cluster, ev.pe, kind))
+        })
+        .collect()
+}
+
+/// One plan through both system layers: the kernel (events on its DES
+/// queue) and the NA-VM (steps applied at primitive boundaries) apply the
+/// same steps, at the same times, in the same order, through the one
+/// `Machine::apply_fault`.
+#[test]
+fn one_plan_drives_the_kernel_and_the_na_vm_alike() {
+    let plan = FaultPlan::none()
+        .kill_link(1_000, 1)
+        .degrade_link(2_000, 6, 3)
+        .transient_pe(3_000, 9_000, PeId::new(2, 1))
+        .fail_memory(4_000, 3, 128)
+        .recover_link(5_000, 1)
+        .kill_pe(6_000, PeId::new(1, 2));
+
+    let mut k = KernelSim::new(Machine::new(MachineConfig::fem2_default()));
+    let (handle, kernel_rec) = TraceHandle::ring(1 << 16);
+    k.set_trace(handle);
+    let code = k.register_code(CodeBlock::new("w", 32, WorkProfile::flops(20_000), 16));
+    for c in 0..4 {
+        k.initiate(0, c, code, 6, None, 0);
+    }
+    k.inject_faults(&plan);
+    k.run();
+    assert!(k.now() > 9_000, "the kernel run outlasts the plan");
+
+    let (mut vm, navm_rec) = traced_vm();
+    vm.inject_faults(&plan);
+    plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    assert!(vm.elapsed() > 9_000, "the NA-VM run outlasts the plan");
+    assert!(vm.budget_exceeded().is_none());
+
+    let steps = fault_steps(&kernel_rec);
+    assert_eq!(steps.len(), 5, "every traced step fired: {steps:?}");
+    assert_eq!(steps, fault_steps(&navm_rec));
+    let reconfigurations = |m: &Machine| m.reconfigurations;
+    assert_eq!(reconfigurations(&k.machine), plan.len() as u64);
+    assert_eq!(
+        reconfigurations(vm.machine().expect("simulated")),
+        plan.len() as u64
+    );
+    assert_eq!(k.machine.kernel_pe(1), PeId::new(1, 0));
+    assert_eq!(
+        vm.machine().expect("simulated").kernel_pe(2),
+        k.machine.kernel_pe(2)
+    );
+}
+
+/// A remote call whose every flight loses a link under it: the direct
+/// 0 -> 1 link (id 1) and the detour through cluster 2 (ids 2 and 9) die
+/// by turns, each while a copy is on the wire and each repaired in time to
+/// carry the next one, 100 000-cycle links making every flight land well
+/// inside its window. The fifth loss exhausts the one `MAX_RETRANSMITS`
+/// budget: the call dead-letters and the run stops with `Unreachable`.
+#[test]
+fn a_route_that_loses_every_retry_ends_unreachable() {
+    const L: u64 = 100_000;
+    let mut cfg = MachineConfig::fem2_default();
+    cfg.link_latency = L;
+    let mut vm = NaVm::simulated(cfg, 8);
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    vm.set_trace(handle);
+    // Flights leave at about 0, L, 3L, 4L and 6L (a detour takes two hops).
+    let plan = FaultPlan::none()
+        .kill_link(L / 2, 1)
+        .kill_link(2 * L, 2)
+        .recover_link(2 * L, 1)
+        .kill_link(3 * L + L / 2, 1)
+        .recover_link(3 * L + L / 2, 2)
+        .kill_link(5 * L, 2)
+        .recover_link(5 * L, 1)
+        .kill_link(6 * L + L / 2, 1);
+    vm.inject_faults(&plan);
+    let (caller, owner) = (fem2_navm::TaskHandle(0), fem2_navm::TaskHandle(2));
+    assert_eq!(vm.tasks().cluster_of(owner), 1);
+    vm.remote_call(caller, owner, WorkProfile::flops(10), 4, 4);
+
+    let abort = vm.budget_exceeded().expect("the run stopped");
+    assert_eq!(abort.cause, fem2_machine::AbortCause::Unreachable);
+    assert_eq!(vm.retransmits(), u64::from(fem2_machine::MAX_RETRANSMITS));
+    assert_eq!(dead_letters(&rec), [(0, 1)]);
+}
+
+/// A 12x12 CG whose partner cluster is cut off mid-solve: every link into
+/// cluster 3 (0->3, 1->3, 2->3: ids 3, 7, 11) dies after the solve has
+/// started, the next exchange with it dead-letters, and the solve stops at
+/// an iteration boundary with `Unreachable`.
+#[test]
+fn cg_with_a_cut_off_partner_cluster_ends_unreachable() {
+    let (healthy_iters, _, _) = plate_cg(&mut traced_vm().0, 12, 12, 1e-8, 300);
+    let (mut vm, rec) = traced_vm();
+    vm.inject_faults(
+        &FaultPlan::none()
+            .kill_link(20_000, 3)
+            .kill_link(20_000, 7)
+            .kill_link(20_000, 11),
+    );
+    let (iters, _, _) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    let abort = vm.budget_exceeded().expect("the run stopped");
+    assert_eq!(abort.cause, fem2_machine::AbortCause::Unreachable);
+    assert!(
+        0 < iters && iters < healthy_iters,
+        "stopped mid-solve: {iters} of {healthy_iters} iterations"
+    );
+    assert!(
+        dead_letters(&rec).iter().all(|&(_, to)| to == 3),
+        "{:?}",
+        dead_letters(&rec)
+    );
+}

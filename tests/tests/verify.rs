@@ -8,44 +8,44 @@ use fem2_machine::MachineConfig;
 use fem2_verify::{check_grammar, check_script, Op, ScenarioScript, Severity};
 
 fn initiate(s: &mut ScenarioScript, task: &str) {
+    let task = s.intern(task);
     s.push(Op::Initiate {
-        task: task.into(),
+        task,
         cluster: 0,
         replications: 1,
     });
 }
 
 fn open(s: &mut ScenarioScript, task: &str) {
-    s.push(Op::WindowOpen {
-        task: task.into(),
-        window: "halo".into(),
-    });
+    let [task, window] = [task, "halo"].map(|n| s.intern(n));
+    s.push(Op::WindowOpen { task, window });
 }
 
 fn send(s: &mut ScenarioScript, from: &str, to: &str) {
+    let [from, to, window] = [from, to, "halo"].map(|n| s.intern(n));
     s.push(Op::WindowSend {
-        from: from.into(),
-        to: to.into(),
-        window: "halo".into(),
+        from,
+        to,
+        window,
         words: 8,
     });
 }
 
 fn recv(s: &mut ScenarioScript, task: &str, from: &str) {
-    s.push(Op::WindowRecv {
-        task: task.into(),
-        from: from.into(),
-        window: "halo".into(),
-    });
+    let [task, from, window] = [task, from, "halo"].map(|n| s.intern(n));
+    s.push(Op::WindowRecv { task, from, window });
+}
+
+fn terminate(s: &mut ScenarioScript, task: &str) {
+    let task = s.intern(task);
+    s.push(Op::Terminate { task });
 }
 
 fn shutdown(s: &mut ScenarioScript, tasks: &[&str]) {
     for t in tasks {
-        s.push(Op::WindowClose {
-            task: (*t).into(),
-            window: "halo".into(),
-        });
-        s.push(Op::Terminate { task: (*t).into() });
+        let [task, window] = [t, "halo"].map(|n| s.intern(n));
+        s.push(Op::WindowClose { task, window });
+        terminate(s, t);
     }
 }
 
@@ -212,14 +212,13 @@ fn all_four_layer_grammars_verify_clean() {
 fn traffic_to_never_initiated_task_rejected() {
     let mut s = ScenarioScript::new("ghost");
     initiate(&mut s, "real");
+    let [from, to] = ["real", "phantom"].map(|n| s.intern(n));
     s.push(Op::Message {
-        from: "real".into(),
-        to: "phantom".into(),
+        from,
+        to,
         kind: fem2_kernel::MessageKind::TerminateNotify,
     });
-    s.push(Op::Terminate {
-        task: "real".into(),
-    });
+    terminate(&mut s, "real");
     let report = check_script(&s, &MachineConfig::fem2_default());
     assert!(report.error_count() > 0, "{report}");
     assert!(
@@ -238,8 +237,8 @@ fn window_exchange_before_open_rejected() {
     initiate(&mut s, "b");
     send(&mut s, "a", "b"); // neither side opened the window
     recv(&mut s, "b", "a");
-    s.push(Op::Terminate { task: "a".into() });
-    s.push(Op::Terminate { task: "b".into() });
+    terminate(&mut s, "a");
+    terminate(&mut s, "b");
     let report = check_script(&s, &MachineConfig::fem2_default());
     assert!(
         report
@@ -254,8 +253,9 @@ fn window_exchange_before_open_rejected() {
 fn diagnostics_span_into_the_scenario_description() {
     let mut s = ScenarioScript::new("spans");
     initiate(&mut s, "a"); // line 1
-    s.push(Op::Resume { task: "a".into() }); // line 2: not paused
-    s.push(Op::Terminate { task: "a".into() }); // line 3
+    let a = s.intern("a");
+    s.push(Op::Resume { task: a }); // line 2: not paused
+    terminate(&mut s, "a"); // line 3
     let report = check_script(&s, &MachineConfig::fem2_default());
     assert_eq!(report.error_count(), 1, "{report}");
     let d = &report.diagnostics[0];
@@ -376,12 +376,20 @@ mod cost_soundness {
     use fem2_machine::{RunBudget, Topology};
     use proptest::prelude::*;
 
+    /// Every topology the cost pass bounds. Torus and fat-tree draws fix
+    /// their own cluster count (see the test body): 2-D tori of 4 to 9
+    /// clusters, 3-D tori of 8 or 12, fat trees of radix 2 or 3.
     fn arb_topology() -> impl Strategy<Value = Topology> {
         prop_oneof![
             Just(Topology::Crossbar),
             Just(Topology::Bus),
             Just(Topology::Ring),
             (2u32..4).prop_map(|width| Topology::Mesh2D { width }),
+            (2u32..4, 2u32..4).prop_map(|(a, b)| Topology::Torus { dims: vec![a, b] }),
+            (2u32..4).prop_map(|c| Topology::Torus {
+                dims: vec![2, 2, c]
+            }),
+            (2u32..4).prop_map(|radix| Topology::FatTree { radix }),
         ]
     }
 
@@ -410,11 +418,15 @@ mod cost_soundness {
         ) {
             // A mesh width must divide the cluster count; degrade invalid
             // draws to a 1-wide (column) mesh rather than rejecting them.
-            let topology = match topology {
+            // A torus has as many clusters as its dims multiply to; a fat
+            // tree takes the drawn count as its number of pods.
+            let (clusters, topology) = match topology {
                 Topology::Mesh2D { width } if !clusters.is_multiple_of(width) => {
-                    Topology::Mesh2D { width: 1 }
+                    (clusters, Topology::Mesh2D { width: 1 })
                 }
-                t => t,
+                Topology::Torus { dims } => (dims.iter().product(), Topology::Torus { dims }),
+                Topology::FatTree { radix } => (radix * clusters, Topology::FatTree { radix }),
+                t => (clusters, t),
             };
             let machine = MachineConfig::clustered(clusters, pes, topology);
             let mut s = PlateScenario::square(nx, machine);
