@@ -39,6 +39,13 @@ struct Half {
 /// `(from, to, window)` a rendezvous's two halves match under.
 type Channel = (NameId, NameId, NameId);
 
+/// A channel's unmatched halves, oldest first: all sends or all receives,
+/// since a send and a receive on one channel match as soon as both exist.
+struct Pending {
+    sends: bool,
+    halves: VecDeque<Half>,
+}
+
 /// A matched rendezvous event: its channel and the line of its send.
 #[derive(Clone, Copy, Debug)]
 struct Event {
@@ -69,10 +76,23 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
         next_seq: vec![0; script.name_count()],
         participation: vec![Vec::new(); script.name_count()],
     };
-    // Channel -> FIFO of unmatched halves.
-    let mut sends: BTreeMap<Channel, VecDeque<Half>> = BTreeMap::new();
-    let mut recvs: BTreeMap<Channel, VecDeque<Half>> = BTreeMap::new();
+    let mut pending: BTreeMap<Channel, Pending> = BTreeMap::new();
     let mut events: Vec<Event> = Vec::new();
+    let mut meet = |channel: Channel, half: Half, sends: bool, tasks: &mut Tasks| {
+        let fifo = pending.entry(channel).or_insert(Pending {
+            sends,
+            halves: VecDeque::new(),
+        });
+        if fifo.sends != sends {
+            if let Some(other) = fifo.halves.pop_front() {
+                let (send, recv) = if sends { (half, other) } else { (other, half) };
+                push_event(&mut events, tasks, channel, send, recv);
+                return;
+            }
+            fifo.sends = sends;
+        }
+        fifo.halves.push_back(half);
+    };
 
     for (op, span) in script.ops() {
         match *op {
@@ -94,12 +114,7 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
                     );
                     continue;
                 }
-                let channel = (from, to, window);
-                let send = Half { seq, span };
-                match recvs.get_mut(&channel).and_then(VecDeque::pop_front) {
-                    Some(recv) => push_event(&mut events, &mut tasks, channel, send, recv),
-                    None => sends.entry(channel).or_default().push_back(send),
-                }
+                meet((from, to, window), Half { seq, span }, true, &mut tasks);
             }
             Op::WindowRecv { task, from, window } => {
                 let seq = tasks.bump(task);
@@ -117,12 +132,7 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
                     );
                     continue;
                 }
-                let channel = (from, task, window);
-                let recv = Half { seq, span };
-                match sends.get_mut(&channel).and_then(VecDeque::pop_front) {
-                    Some(send) => push_event(&mut events, &mut tasks, channel, send, recv),
-                    None => recvs.entry(channel).or_default().push_back(recv),
-                }
+                meet((from, task, window), Half { seq, span }, false, &mut tasks);
             }
             // Every other op advances its task's program order so that
             // rendezvous positions stay comparable.
@@ -140,30 +150,24 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
         }
     }
 
-    // Wait-for edges between events sharing a participant, tasks taken in
-    // name order.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); events.len()];
-    if !events.is_empty() {
-        for t in script.ids_by_name() {
-            let parts = &mut tasks.participation[t as usize];
-            parts.sort_unstable();
-            for w in parts.windows(2) {
-                adj[w[0].1].push(w[1].1);
-            }
-        }
+    // Wait-for edges between events sharing a participant.
+    for parts in &mut tasks.participation {
+        parts.sort_unstable();
     }
+    let ids = 0..script.name_count() as NameId;
+    let acyclic = is_acyclic(&wait_for(&tasks, ids.clone(), events.len()));
 
-    // Unmatched halves: the blocked task can never proceed. Reported in
-    // (from, to, window) name order.
+    // Unmatched halves: the blocked task can never proceed. Sends first,
+    // then receives, each in (from, to, window) name order.
     let names = |(f, t, w): Channel| (name(f), name(t), name(w));
-    for (fifos, sent) in [(&sends, true), (&recvs, false)] {
-        let mut pending: Vec<_> = fifos
+    for sent in [true, false] {
+        let mut unmatched: Vec<_> = pending
             .iter()
-            .filter(|(_, halves)| !halves.is_empty())
-            .map(|(&channel, halves)| (names(channel), halves))
+            .filter(|(_, fifo)| fifo.sends == sent && !fifo.halves.is_empty())
+            .map(|(&channel, fifo)| (names(channel), &fifo.halves))
             .collect();
-        pending.sort_unstable_by_key(|&(names, _)| names);
-        for ((from, to, window), halves) in pending {
+        unmatched.sort_unstable_by_key(|&(names, _)| names);
+        for ((from, to, window), halves) in unmatched {
             for h in halves {
                 let message = if sent {
                     format!(
@@ -181,10 +185,14 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
         }
     }
 
-    let cycle = if is_acyclic(&adj) {
+    // Which shortest cycle the search finds depends on edge order: it
+    // takes the tasks' edges in name order.
+    let cycle = if acyclic {
         None
     } else {
-        shortest_cycle(&adj)
+        let mut by_name: Vec<NameId> = ids.collect();
+        by_name.sort_unstable_by_key(|&t| name(t));
+        shortest_cycle(&wait_for(&tasks, by_name, events.len()))
     };
     if let Some(cycle) = cycle {
         let first = &events[cycle[0]];
@@ -244,6 +252,22 @@ fn push_event(
         channel,
         send: send.span,
     });
+}
+
+/// The wait-for graph over `events` rendezvous: an edge from each of a
+/// task's events to its next, the tasks taken in `order`.
+fn wait_for(
+    tasks: &Tasks,
+    order: impl IntoIterator<Item = NameId>,
+    events: usize,
+) -> Vec<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); events];
+    for t in order {
+        for w in tasks.participation[t as usize].windows(2) {
+            adj[w[0].1].push(w[1].1);
+        }
+    }
+    adj
 }
 
 /// Whether `adj` has no directed cycle: Kahn's algorithm, O(nodes + edges).

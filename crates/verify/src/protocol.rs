@@ -156,22 +156,23 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
         }
     }
 
-    // End-of-scenario hygiene, in (task, window) name order.
-    for task in script.ids_by_name() {
-        let open = &mut r.windows[task as usize];
-        open.sort_unstable_by_key(|&(w, _)| name(w));
-        for &(window, span) in open.iter() {
-            report.push(
-                Severity::Warning,
-                PASS,
-                Some(span),
-                format!(
-                    "task '{}' leaves window '{}' open at scenario end",
-                    name(task),
-                    name(window)
-                ),
-            );
-        }
+    // End-of-scenario hygiene, in name order.
+    let mut open: Vec<(NameId, NameId, Span)> = (0..)
+        .zip(&r.windows)
+        .flat_map(|(task, open)| open.iter().map(move |&(window, span)| (task, window, span)))
+        .collect();
+    open.sort_unstable_by_key(|&(task, window, _)| (name(task), name(window)));
+    for (task, window, span) in open {
+        report.push(
+            Severity::Warning,
+            PASS,
+            Some(span),
+            format!(
+                "task '{}' leaves window '{}' open at scenario end",
+                name(task),
+                name(window)
+            ),
+        );
     }
     for (call_id, (caller, span)) in &calls {
         report.push(
@@ -184,19 +185,24 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
             ),
         );
     }
-    for task in script.ids_by_name() {
-        if let Some(st @ (ProtocolState::Active | ProtocolState::Paused)) = r.states[task as usize]
-        {
-            report.push(
-                Severity::Warning,
-                PASS,
-                None,
-                format!(
-                    "task '{}' is never terminated (ends the scenario {st})",
-                    name(task)
-                ),
-            );
-        }
+    let mut live: Vec<(NameId, ProtocolState)> = (0..)
+        .zip(&r.states)
+        .filter_map(|(task, st)| match st {
+            Some(st @ (ProtocolState::Active | ProtocolState::Paused)) => Some((task, *st)),
+            _ => None,
+        })
+        .collect();
+    live.sort_unstable_by_key(|&(task, _)| name(task));
+    for (task, st) in live {
+        report.push(
+            Severity::Warning,
+            PASS,
+            None,
+            format!(
+                "task '{}' is never terminated (ends the scenario {st})",
+                name(task)
+            ),
+        );
     }
 }
 

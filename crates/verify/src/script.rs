@@ -16,7 +16,6 @@
 
 use crate::diag::Span;
 use fem2_kernel::MessageKind;
-use std::collections::BTreeMap;
 
 /// A name in a script's name table: an index into it (see
 /// [`ScenarioScript::intern`] and [`ScenarioScript::name`]). Task names,
@@ -130,9 +129,14 @@ pub enum Op {
 pub struct ScenarioScript {
     /// Scenario name (shown in diagnostics as the "file" of a span).
     pub name: String,
-    names: Vec<String>,
-    /// Name -> id; iterates in name order, the order passes report in.
-    ids: BTreeMap<String, NameId>,
+    /// Every name's text back to back: name `i` ends at byte `ends[i]`.
+    text: String,
+    ends: Vec<u32>,
+    /// Name -> id: an open-addressed table of id + 1 (0 = free), a power
+    /// of two long and at most half full, probed linearly from a fixed
+    /// hash of the text. Reached by name only, so its layout reaches no
+    /// output.
+    index: Vec<u32>,
     ops: Vec<Op>,
 }
 
@@ -141,21 +145,45 @@ impl ScenarioScript {
     pub fn new(name: impl Into<String>) -> Self {
         ScenarioScript {
             name: name.into(),
-            names: Vec::new(),
-            ids: BTreeMap::new(),
+            text: String::new(),
+            ends: Vec::new(),
+            index: Vec::new(),
             ops: Vec::new(),
         }
     }
 
     /// The id of `name`, added to the name table on first sight.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+        if (self.ends.len() + 1) * 2 > self.index.len() {
+            self.grow();
         }
-        let id = NameId::try_from(self.names.len()).expect("name table exceeds u32 ids");
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
-        id
+        let mask = self.index.len() - 1;
+        let mut at = name_hash(name) as usize & mask;
+        while let Some(id) = self.index[at].checked_sub(1) {
+            if self.name(id) == name {
+                return id;
+            }
+            at = (at + 1) & mask;
+        }
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("name table exceeds 4 GiB");
+        self.ends.push(end);
+        self.index[at] = self.ends.len() as u32;
+        self.ends.len() as NameId - 1
+    }
+
+    /// Double the index (16 cells at first) and re-file every name.
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(16);
+        self.index.clear();
+        self.index.resize(len, 0);
+        for id in 0..self.ends.len() as NameId {
+            let mut at = name_hash(self.name(id)) as usize & (len - 1);
+            while self.index[at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            self.index[at] = id + 1;
+        }
     }
 
     /// The text of name `id`.
@@ -163,18 +191,18 @@ impl ScenarioScript {
     /// # Panics
     /// Panics if `id` did not come from this script's [`intern`](Self::intern).
     pub fn name(&self, id: NameId) -> &str {
-        &self.names[id as usize]
+        let end = self.ends[id as usize] as usize;
+        let start = match id {
+            0 => 0,
+            _ => self.ends[id as usize - 1] as usize,
+        };
+        &self.text[start..end]
     }
 
     /// Size of the name table: every [`NameId`] in the script is below it,
     /// so passes keep per-name state in vectors of this length.
     pub fn name_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Every name id, in name order.
-    pub fn ids_by_name(&self) -> impl Iterator<Item = NameId> + '_ {
-        self.ids.values().copied()
+        self.ends.len()
     }
 
     /// Append an op whose names come from this script's
@@ -261,6 +289,14 @@ impl ScenarioScript {
     }
 }
 
+/// FNV-1a over the name's bytes: fixed, so the index repeats from run to
+/// run.
+fn name_hash(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,16 +321,26 @@ mod tests {
         assert!(!s.is_empty());
     }
 
+    /// Ids are dense in first-sight order and stable across the index
+    /// growing under them, and each name is stored once.
     #[test]
-    fn names_are_interned_once_and_listed_in_name_order() {
+    fn names_are_interned_once_in_first_sight_order() {
         let mut s = ScenarioScript::new("t");
-        let b = s.intern("b");
-        let a = s.intern("a");
-        assert_eq!((b, a), (0, 1));
-        assert_eq!(s.intern("b"), b, "a second sight returns the first id");
-        assert_eq!((s.name(a), s.name(b)), ("a", "b"));
-        assert_eq!(s.name_count(), 2);
-        assert_eq!(s.ids_by_name().collect::<Vec<_>>(), [a, b]);
+        let names: Vec<String> = (0..1000).rev().map(|i| format!("n{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(s.intern(name), i as NameId);
+        }
+        s.intern("");
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(
+                s.intern(name),
+                i as NameId,
+                "a second sight returns the first id"
+            );
+            assert_eq!(s.name(i as NameId), name);
+        }
+        assert_eq!(s.name(1000), "");
+        assert_eq!(s.name_count(), 1001);
     }
 
     #[test]
