@@ -39,7 +39,7 @@ use serde::json::Value;
 use serde::Serialize;
 
 use crate::diag::Span;
-use crate::script::{Op, ScenarioScript};
+use crate::script::{NameId, Op, ScenarioScript};
 
 /// Parameters the script itself cannot carry: how many sweeps the window
 /// traffic repeats. The lowered solve script describes one red-black sweep;
@@ -410,7 +410,7 @@ impl CostModeler {
         // Hosting cluster per task name, from its `Initiate`.
         let mut cluster_of: Vec<Option<u32>> = vec![None; script.name_count()];
         let far = self.machine.clusters.saturating_sub(1);
-        let on = |cluster_of: &[Option<u32>], task: u32, unknown: u32| {
+        let on = |cluster_of: &[Option<u32>], task: NameId, unknown: u32| {
             cluster_of[task as usize].unwrap_or(unknown)
         };
         // Each phase's index once created: phases appear in first-charge
