@@ -443,6 +443,28 @@ mod tests {
     }
 
     #[test]
+    fn cg_and_pcg_match_skyline_across_plate_shapes() {
+        // Tall, long, odd-by-odd and the 40×12 reference: CG and
+        // Jacobi-PCG at 1e-8 land within a relative ℓ2 1e-6 of the
+        // direct solve, the bound `fem_native` applies.
+        let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let tol = 1e-8;
+        for (nx, ny) in [(8, 64), (64, 8), (33, 17), (40, 12)] {
+            let m = cantilever_plate(nx, ny, -1e4);
+            let direct = m.analyze(0, SolverChoice::Skyline).unwrap().displacements;
+            for choice in [
+                SolverChoice::Cg { tol },
+                SolverChoice::PreconditionedCg { tol },
+            ] {
+                let u = m.analyze(0, choice).unwrap().displacements;
+                let delta: Vec<f64> = u.iter().zip(&direct).map(|(a, b)| a - b).collect();
+                let relerr = norm(&delta) / norm(&direct);
+                assert!(relerr <= 1e-6, "{nx}×{ny} {choice:?}: {relerr:e}");
+            }
+        }
+    }
+
+    #[test]
     fn ebe_cg_matches_assembled_cg_through_analyze() {
         // The matrix-free arm assembles no global K, yet walks the path
         // the assembled CG walks: the same operator summed in another

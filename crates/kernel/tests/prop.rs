@@ -121,7 +121,7 @@ proptest! {
     }
 
     /// Two different executions of one simulation: the default engine
-    /// (route cache, calendar queue — flights loss-checked by fault epoch
+    /// (route cache, radix-heap queue — flights loss-checked by fault epoch
     /// out of cached, slot-resolved routes) against the oracle configuration
     /// (every route recomputed, binary-heap queue), on every topology, with
     /// remote calls and returns in flight while links are killed, degraded

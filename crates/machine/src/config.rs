@@ -63,12 +63,15 @@ impl Topology {
 ///
 /// Both backends pop events in exactly the same `(time, scheduling
 /// order)` sequence, so the choice is invisible to results — it only
-/// moves wall time. The calendar queue is the default; the binary heap
-/// is kept as the reference path for determinism tests and the A4
-/// ablation, mirroring the `route_cache` toggle.
+/// moves wall time. The radix heap is the default; the binary heap is
+/// kept as the reference path for determinism tests and the A4 ablation,
+/// mirroring the `route_cache` toggle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum DesQueue {
-    /// Two-level bucketed calendar queue with an overflow ladder.
+    /// The monotone radix heap (`sim.rs`). The name, and its serialized
+    /// spelling `"Calendar"`, are from the calendar queue it replaced:
+    /// both are in every content hash and in the serve report golden, so
+    /// they stay until the field leaves `MachineConfig` (ROADMAP 2(c)).
     #[default]
     Calendar,
     /// The reference `BinaryHeap` path.

@@ -6,332 +6,105 @@
 //! `KernelSim`, runs the loop itself: pop, advance the clock, handle the
 //! event, which may schedule more.
 //!
-//! Two interchangeable backends implement the queue (selected by
-//! [`DesQueue`], see `MachineConfig::des_queue`):
+//! The queue keeps payloads in a slab and orders `(time, slot)` keys on one
+//! of two interchangeable backends (selected by [`DesQueue`], see
+//! `MachineConfig::des_queue`), so ordering moves 16 or 24 bytes per event
+//! whatever the payload:
 //!
-//! * **Calendar** (default) — a two-level bucketed calendar queue. Level 0
-//!   is a ring of "day" buckets, each covering a power-of-two span of
-//!   cycles; events beyond the level-0 window wait in an overflow ladder (a
-//!   binary heap) and migrate into the ring as the cursor approaches their
-//!   day. The day width is auto-tuned from observed inter-event gaps, so a
-//!   bucket holds O(1) events and schedule/pop are O(1) amortized instead
-//!   of the heap's O(log n).
-//! * **Heap** — the reference `BinaryHeap` path, kept for determinism tests
-//!   and the A4 ablation.
+//! * **Radix heap** (default, selected by [`DesQueue::Calendar`]) — a
+//!   monotone radix heap keyed by time alone. Bucket `b > 0` holds the keys
+//!   whose time first differs from `last`, the time of the last pop, in
+//!   bit `b - 1`; bucket 0 holds the keys at `last` itself and is a FIFO,
+//!   read from a cursor and cleared once read out. A pop from an
+//!   empty bucket 0 finds the lowest non-empty bucket, sets `last` to its
+//!   minimum time and redistributes its keys, in order, into the lower
+//!   buckets. Schedule is O(1), and a pop O(1) amortized: a key only ever
+//!   moves to a strictly lower bucket, so it moves at most 64 times.
+//! * **Heap** — the reference `BinaryHeap` on `(time, sequence)`, kept for
+//!   the oracle tests and the A4 ablation.
 //!
-//! Both backends pop in exactly `(time, sequence)` order. Every entry
-//! carries a monotone sequence number stamped at schedule time, and the
-//! calendar's bucket scan and overflow ladder compare full `(at, seq)`
-//! keys, so same-cycle FIFO ties and cross-bucket ordering reproduce the
-//! heap bit for bit — the property the oracle tests check.
+//! Both backends pop in exactly `(time, sequence)` order. The radix heap
+//! needs monotone keys, and has them: `schedule` clamps every event to
+//! `at ≥ now`, and `now == last` after every pop. Its order is exact
+//! because inserts append, so every bucket stays in scheduling order, and a
+//! redistribution keeps that order because every lower bucket is empty
+//! when it runs. Bucket 0 therefore pops same-cycle ties FIFO, which the
+//! oracle tests check against the heap.
 
 use crate::config::DesQueue;
 use crate::Cycles;
 use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// A pending event: time, a monotone sequence number for FIFO ties, payload.
-struct Entry<E> {
-    at: Cycles,
-    seq: u64,
-    ev: E,
+/// The monotone radix heap backend; see the module doc.
+struct Radix {
+    /// Bucket `b` holds `(at, slot)` keys in scheduling order, where `b` is
+    /// [`Radix::bucket`] of `at`.
+    buckets: [Vec<(Cycles, usize)>; 65],
+    /// Bucket 0's read cursor: the keys before it have popped. Bucket 0
+    /// is cleared when read out, so it holds at most one cycle's events.
+    head: usize,
+    /// The time of the last pop; no pending key is earlier.
+    last: Cycles,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Initial day width: 2^6 = 64 cycles.
-const INITIAL_WIDTH_LOG2: u32 = 6;
-/// Initial level-0 ring size (buckets). Must be a power of two.
-const INITIAL_DAYS: usize = 64;
-/// Ring size bounds for retunes.
-const MIN_DAYS: usize = 64;
-const MAX_DAYS: usize = 4096;
-/// Pops between tune checks: a short warmup, then long steady intervals.
-const FIRST_TUNE_POPS: u32 = 64;
-const TUNE_INTERVAL_POPS: u32 = 4096;
-
-/// The two-level bucketed calendar queue backend.
-///
-/// Level 0 is `days`, a power-of-two ring of buckets; absolute day `d`
-/// (`at >> width_log2`) lives in slot `d & (days.len() - 1)`. The cursor
-/// tracks the earliest day that may still hold events; it only moves
-/// forward during pops and rewinds when an insert lands on an earlier day,
-/// so no pending event is ever behind it. Days at or beyond
-/// `cursor_day + days.len()` sit in the `overflow` ladder and migrate into
-/// the ring when the cursor reaches them.
-///
-/// Each bucket is kept sorted ascending by `(at, seq)`, so a pop is a
-/// front-pop: window wrap-around aliases later days into the same slot, but
-/// those entries have strictly larger times and therefore sort behind the
-/// cursor's day. Inserts binary-search for their slot; the common cascade
-/// pattern (schedule a bit ahead of now) lands at or near the back, and
-/// same-cycle ties always append because sequence numbers are monotone.
-struct Calendar<E> {
-    /// log2 of the day width in cycles.
-    width_log2: u32,
-    /// The level-0 ring. Length is a power of two; buckets sorted by
-    /// `(at, seq)`.
-    days: Vec<VecDeque<Entry<E>>>,
-    /// Absolute day index the cursor is serving.
-    cursor_day: u64,
-    /// Far-future events (day ≥ cursor_day + days.len() at insert time).
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
-    /// Entries currently in the ring.
-    level0_len: usize,
-    /// Total pending entries (ring + overflow).
-    len: usize,
-    // --- day-width auto-tuning from observed inter-event gaps ---
-    last_pop_at: Cycles,
-    gap_sum: u64,
-    pops_since_tune: u32,
-    tune_budget: u32,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
-            width_log2: INITIAL_WIDTH_LOG2,
-            days: (0..INITIAL_DAYS).map(|_| VecDeque::new()).collect(),
-            cursor_day: 0,
-            overflow: BinaryHeap::new(),
-            level0_len: 0,
-            len: 0,
-            last_pop_at: 0,
-            gap_sum: 0,
-            pops_since_tune: 0,
-            tune_budget: FIRST_TUNE_POPS,
-        }
-    }
-
+impl Radix {
+    /// 0 if `at == last`, else one more than the highest differing bit.
     #[inline]
-    fn day(&self, at: Cycles) -> u64 {
-        at >> self.width_log2
+    fn bucket(&self, at: Cycles) -> usize {
+        (Cycles::BITS - (at ^ self.last).leading_zeros()) as usize
     }
 
-    #[inline]
-    fn slot(&self, day: u64) -> usize {
-        (day as usize) & (self.days.len() - 1)
+    fn push(&mut self, at: Cycles, slot: usize) {
+        debug_assert!(
+            at >= self.last,
+            "key {at} precedes the last pop {}",
+            self.last
+        );
+        let b = self.bucket(at);
+        self.buckets[b].push((at, slot));
     }
 
-    /// First day beyond the level-0 window.
-    #[inline]
-    fn window_end(&self) -> u64 {
-        self.cursor_day.saturating_add(self.days.len() as u64)
-    }
-
-    /// Sorted insert into one bucket. The search runs back to front in
-    /// spirit: `partition_point` is O(log k), and the memmove it implies is
-    /// empty for the dominant patterns — appends (future times, or
-    /// same-cycle ties whose monotone `seq` sorts last).
-    fn bucket_insert(bucket: &mut VecDeque<Entry<E>>, e: Entry<E>) {
-        if bucket.back().is_none_or(|b| (b.at, b.seq) < (e.at, e.seq)) {
-            bucket.push_back(e);
-            return;
-        }
-        let pos = bucket.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
-        bucket.insert(pos, e);
-    }
-
-    fn insert(&mut self, e: Entry<E>) {
-        let d = self.day(e.at);
-        // An insert on an earlier day than the cursor rewinds it: the
-        // cursor may have advanced past `now`'s day while searching, and
-        // clamped schedules can land there. Rewinding keeps the invariant
-        // that no pending event is behind the cursor.
-        if d < self.cursor_day {
-            self.cursor_day = d;
-        }
-        if d < self.window_end() {
-            let s = self.slot(d);
-            Self::bucket_insert(&mut self.days[s], e);
-            self.level0_len += 1;
-        } else {
-            self.overflow.push(Reverse(e));
-        }
-        self.len += 1;
-        // Degenerate occupancy: far more events than buckets. Grow the
-        // ring (deterministic: depends only on the event sequence).
-        if self.len > self.days.len() * 8 && self.days.len() < MAX_DAYS {
-            let days = (self.days.len() * 2).min(MAX_DAYS);
-            self.rebuild(self.width_log2, days);
-        }
-    }
-
-    /// Move every overflow entry whose day is inside the current level-0
-    /// window into the ring.
-    fn migrate_window(&mut self) {
-        let end = self.window_end();
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if self.day(top.at) >= end {
-                break;
+    fn pop(&mut self) -> Option<(Cycles, usize)> {
+        if self.head == self.buckets[0].len() {
+            self.buckets[0].clear();
+            self.head = 0;
+            let b = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            self.last = moved
+                .iter()
+                .map(|&(at, _)| at)
+                .min()
+                .expect("bucket is non-empty");
+            for (at, slot) in moved.drain(..) {
+                let to = self.bucket(at);
+                self.buckets[to].push((at, slot));
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry exists");
-            let s = self.slot(self.day(e.at));
-            Self::bucket_insert(&mut self.days[s], e);
-            self.level0_len += 1;
+            // Keep the drained bucket's allocation for its next fill.
+            self.buckets[b] = moved;
         }
-    }
-
-    /// The minimum day held in the ring. Bucket fronts are bucket minima,
-    /// so only fronts are scanned. Caller guarantees the ring is non-empty.
-    fn min_level0_day(&self) -> u64 {
-        self.days
-            .iter()
-            .filter_map(|b| b.front())
-            .map(|e| self.day(e.at))
-            .min()
-            .expect("ring has entries")
-    }
-
-    /// Remove and return the earliest `(at, seq)` entry.
-    fn pop_min(&mut self) -> Option<Entry<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        // Bounded cursor advance: after a full lap over the ring without
-        // finding anything, jump straight to the earliest populated day
-        // instead of stepping through a sparse stretch day by day.
-        let mut empty_steps = 0usize;
-        loop {
-            if self.level0_len == 0 {
-                // Everything pending is far-future: jump the cursor to the
-                // ladder's earliest day and pull the window in.
-                let Reverse(top) = self.overflow.peek().expect("len > 0 and ring empty");
-                self.cursor_day = self.day(top.at);
-                self.migrate_window();
-                continue;
-            }
-            if let Some(Reverse(top)) = self.overflow.peek() {
-                // The cursor caught up with days the ladder still holds;
-                // fold them in before serving.
-                if self.day(top.at) <= self.cursor_day {
-                    self.migrate_window();
-                    continue;
-                }
-            }
-            // Serve the cursor's day. The bucket is sorted, so its front
-            // is the minimum `(at, seq)`; if the front belongs to a later
-            // aliased day (window wrap-around), the whole bucket does, and
-            // the cursor reaches it later.
-            let s = self.slot(self.cursor_day);
-            let front_is_today = self.days[s]
-                .front()
-                .is_some_and(|e| self.day(e.at) == self.cursor_day);
-            if front_is_today {
-                let e = self.days[s].pop_front().expect("front checked above");
-                self.level0_len -= 1;
-                self.len -= 1;
-                self.observe_pop(e.at);
-                return Some(e);
-            }
-            self.cursor_day += 1;
-            empty_steps += 1;
-            if empty_steps >= self.days.len() {
-                self.cursor_day = self.min_level0_day();
-                empty_steps = 0;
-            }
-        }
-    }
-
-    /// Track inter-event gaps and retune the day width when the observed
-    /// scale disagrees with the current one. Deterministic: driven purely
-    /// by popped event times.
-    fn observe_pop(&mut self, at: Cycles) {
-        self.gap_sum += at.saturating_sub(self.last_pop_at);
-        self.last_pop_at = at;
-        self.pops_since_tune += 1;
-        if self.pops_since_tune < self.tune_budget {
-            return;
-        }
-        // Aim for a day ≈ 4 average gaps, so a bucket holds a handful of
-        // events: wide enough to amortize cursor steps, narrow enough that
-        // inserts land near the back of their sorted bucket. The ×4 also
-        // gives quarter-cycle resolution: deep queues see sub-cycle average
-        // gaps, which should tune to 1-cycle days (w = 0) where same-cycle
-        // ties append in pure seq order.
-        let four_gaps = (self.gap_sum * 4 / u64::from(self.pops_since_tune)).max(1);
-        let desired_w = (63 - four_gaps.leading_zeros()).min(32);
-        let desired_days = self.len.next_power_of_two().clamp(MIN_DAYS, MAX_DAYS);
-        let w_delta = desired_w.abs_diff(self.width_log2);
-        if w_delta >= 2 || desired_days > self.days.len() * 4 {
-            self.rebuild(desired_w, desired_days.max(self.days.len()));
-        }
-        self.gap_sum = 0;
-        self.pops_since_tune = 0;
-        self.tune_budget = TUNE_INTERVAL_POPS;
-    }
-
-    /// Re-bucket every pending entry under new parameters. Order is
-    /// untouched: entries keep their `(at, seq)` keys, and both levels
-    /// compare full keys.
-    fn rebuild(&mut self, width_log2: u32, days: usize) {
-        let days = days.next_power_of_two().clamp(MIN_DAYS, MAX_DAYS);
-        let mut pending: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.days {
-            pending.extend(bucket.drain(..));
-        }
-        pending.extend(self.overflow.drain().map(|Reverse(e)| e));
-        self.width_log2 = width_log2;
-        if days != self.days.len() {
-            self.days = (0..days).map(|_| VecDeque::new()).collect();
-        }
-        self.level0_len = 0;
-        self.len = 0;
-        self.cursor_day = pending
-            .iter()
-            .map(|e| self.day(e.at))
-            .min()
-            .unwrap_or(self.day(self.last_pop_at));
-        for e in pending {
-            // Plain re-bucketing: growth checks cannot re-trigger here
-            // because `days` was just sized from `len`.
-            let d = self.day(e.at);
-            if d < self.window_end() {
-                let s = self.slot(d);
-                Self::bucket_insert(&mut self.days[s], e);
-                self.level0_len += 1;
-            } else {
-                self.overflow.push(Reverse(e));
-            }
-            self.len += 1;
-        }
+        let key = self.buckets[0][self.head];
+        self.head += 1;
+        Some(key)
     }
 }
 
-/// The queue's backing store; see [`DesQueue`].
-enum Backend<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Calendar(Calendar<E>),
-}
-
-impl<E> Backend<E> {
-    fn len(&self) -> usize {
-        match self {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
-    }
+/// The key order; see [`DesQueue`].
+enum Backend {
+    /// `(at, seq, slot)`; `seq` breaks ties in scheduling order.
+    Heap(BinaryHeap<Reverse<(Cycles, u64, usize)>>),
+    Radix(Box<Radix>),
 }
 
 /// Time-ordered event queue with FIFO tie-breaking.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    backend: Backend,
+    /// Pending payloads, indexed by the slot in their key.
+    slab: Vec<Option<E>>,
+    /// Slots of `slab` free for reuse.
+    free: Vec<usize>,
+    /// Events scheduled so far: the heap's tie-breaker.
     seq: u64,
     now: Cycles,
     events_processed: u64,
@@ -345,7 +118,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero on the default (calendar) backend.
+    /// An empty queue at time zero on the default (radix heap) backend.
     pub fn new() -> Self {
         Self::with_backend(DesQueue::Calendar)
     }
@@ -354,10 +127,16 @@ impl<E> EventQueue<E> {
     pub fn with_backend(kind: DesQueue) -> Self {
         let backend = match kind {
             DesQueue::Heap => Backend::Heap(BinaryHeap::new()),
-            DesQueue::Calendar => Backend::Calendar(Calendar::new()),
+            DesQueue::Calendar => Backend::Radix(Box::new(Radix {
+                buckets: std::array::from_fn(|_| Vec::new()),
+                head: 0,
+                last: 0,
+            })),
         };
         EventQueue {
             backend,
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: 0,
             events_processed: 0,
@@ -383,28 +162,34 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.slab.len() - self.free.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.len() == 0
     }
 
     /// Schedule `ev` at absolute time `at`. Scheduling in the past clamps
     /// to `now` (events cannot rewind the clock).
     pub fn schedule(&mut self, at: Cycles, ev: E) {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let entry = Entry { at, seq, ev };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(ev);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev));
+                self.slab.len() - 1
+            }
+        };
         match &mut self.backend {
-            Backend::Heap(h) => h.push(Reverse(entry)),
-            Backend::Calendar(c) => c.insert(entry),
+            Backend::Heap(h) => h.push(Reverse((at, self.seq, slot))),
+            Backend::Radix(r) => r.push(at, slot),
         }
-        // Read the depth inside the closure so the untraced hot path pays
-        // nothing for the observation.
-        let backend = &self.backend;
+        self.seq += 1;
+        let queue_depth = self.len() as u32;
         let events_processed = self.events_processed;
         self.trace.emit(|| {
             TraceEvent::instant(
@@ -412,42 +197,45 @@ impl<E> EventQueue<E> {
                 NO_CLUSTER,
                 NO_PE,
                 EventKind::DesSchedule {
-                    queue_depth: backend.len() as u32,
+                    queue_depth,
                     events_processed,
                 },
             )
         });
     }
 
-    /// Schedule `ev` `delay` cycles from now.
+    /// Schedule `ev` `delay` cycles from now; a sum past `Cycles::MAX`
+    /// saturates, so such an event pops after every finite one.
     pub fn schedule_in(&mut self, delay: Cycles, ev: E) {
-        self.schedule(self.now + delay, ev);
+        self.schedule(self.now.saturating_add(delay), ev);
     }
 
     /// Pop the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let entry = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|Reverse(e)| e),
-            Backend::Calendar(c) => c.pop_min(),
-        };
-        entry.map(|e| {
-            self.now = e.at;
-            self.events_processed += 1;
-            let backend = &self.backend;
-            let events_processed = self.events_processed;
-            self.trace.emit(|| {
-                TraceEvent::instant(
-                    e.at,
-                    NO_CLUSTER,
-                    NO_PE,
-                    EventKind::DesDispatch {
-                        queue_depth: backend.len() as u32,
-                        events_processed,
-                    },
-                )
-            });
-            (e.at, e.ev)
-        })
+        let (at, slot) = match &mut self.backend {
+            Backend::Heap(h) => h.pop().map(|Reverse((at, _, slot))| (at, slot)),
+            Backend::Radix(r) => r.pop(),
+        }?;
+        let ev = self.slab[slot]
+            .take()
+            .expect("a queued slot holds its event");
+        self.free.push(slot);
+        self.now = at;
+        self.events_processed += 1;
+        let queue_depth = self.len() as u32;
+        let events_processed = self.events_processed;
+        self.trace.emit(|| {
+            TraceEvent::instant(
+                at,
+                NO_CLUSTER,
+                NO_PE,
+                EventKind::DesDispatch {
+                    queue_depth,
+                    events_processed,
+                },
+            )
+        });
+        Some((at, ev))
     }
 }
 
@@ -456,8 +244,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Every behavioral test runs on both backends: the calendar queue
-    /// must be indistinguishable from the reference heap.
+    /// Every behavioral test runs on both backends: the radix heap must be
+    /// indistinguishable from the reference heap.
     const BACKENDS: [DesQueue; 2] = [DesQueue::Calendar, DesQueue::Heap];
 
     #[test]
@@ -524,6 +312,40 @@ mod tests {
     }
 
     #[test]
+    fn schedule_in_saturates_past_the_last_cycle() {
+        for kind in BACKENDS {
+            let mut q = EventQueue::with_backend(kind);
+            q.schedule(10, "first");
+            q.pop();
+            q.schedule_in(Cycles::MAX, "never");
+            q.schedule(Cycles::MAX - 1, "last finite");
+            q.schedule_in(5, "soon");
+            assert_eq!(q.pop(), Some((15, "soon")));
+            assert_eq!(q.pop(), Some((Cycles::MAX - 1, "last finite")));
+            assert_eq!(q.pop(), Some((Cycles::MAX, "never")));
+        }
+    }
+
+    #[test]
+    fn same_cycle_tie_after_a_redistribution_pops_fifo() {
+        for kind in BACKENDS {
+            let mut q = EventQueue::with_backend(kind);
+            q.schedule(100, "a");
+            q.schedule(100, "b");
+            q.schedule(101, "c");
+            // Popping "a" redistributes bucket 7: "b" into bucket 0 and
+            // "c" into bucket 1. "d" ties with "b" and must queue behind it.
+            assert_eq!(q.pop(), Some((100, "a")));
+            q.schedule(100, "d");
+            q.schedule(101, "e");
+            assert_eq!(q.pop(), Some((100, "b")));
+            assert_eq!(q.pop(), Some((100, "d")));
+            assert_eq!(q.pop(), Some((101, "c")));
+            assert_eq!(q.pop(), Some((101, "e")));
+        }
+    }
+
+    #[test]
     fn len_and_empty() {
         for kind in BACKENDS {
             let mut q = EventQueue::with_backend(kind);
@@ -535,9 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_ride_the_overflow_ladder() {
+    fn far_future_events_pop_after_near_ones() {
         let mut q = EventQueue::with_backend(DesQueue::Calendar);
-        // Beyond the initial 64-day × 64-cycle window: lands in overflow.
+        // "far" and "farther" share bucket 31 until "near" is popped.
         q.schedule(1 << 30, "far");
         q.schedule(10, "near");
         q.schedule((1 << 30) + 1, "farther");
@@ -550,8 +372,8 @@ mod tests {
     #[test]
     fn interleaved_near_and_far_schedules_stay_ordered() {
         let mut q = EventQueue::with_backend(DesQueue::Calendar);
-        // Repeatedly pop and schedule around the window edge so the cursor
-        // advances, rewinds, and migrates from the ladder.
+        // Near and far times interleaved, so pops redistribute high
+        // buckets into low ones many times over.
         let mut expect = Vec::new();
         for i in 0..50u64 {
             q.schedule(i * 3, ("n", i));
@@ -620,10 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn retune_survives_large_volumes_in_order() {
-        // Enough events to trip the warmup tune, interval tunes, and the
-        // ring-growth rebuild; the pop order must match the heap oracle.
-        let mut cal = EventQueue::with_backend(DesQueue::Calendar);
+    fn large_random_volumes_pop_in_heap_order() {
+        // 20 000 random times over 20 bits: every bucket up to 20 fills and
+        // drains; the pop order must match the heap oracle.
+        let mut radix = EventQueue::with_backend(DesQueue::Calendar);
         let mut heap = EventQueue::with_backend(DesQueue::Heap);
         let mut x = 0x2545f4914f6cdd1du64;
         for i in 0..20_000u64 {
@@ -631,11 +453,11 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let at = x % 1_000_000;
-            cal.schedule(at, i);
+            radix.schedule(at, i);
             heap.schedule(at, i);
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (radix.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -647,25 +469,25 @@ mod tests {
     fn steady_churn_on_deep_queues_matches_heap_oracle() {
         // The DES inner loop at steady state: hold `depth` events pending,
         // pop the earliest and reschedule it a short LCG-drawn delay later,
-        // up to the ~8 900 pending events `kernel_storm` peaks at.
-        for depth in [64u64, 4096, 8192] {
-            let mut cal = EventQueue::with_backend(DesQueue::Calendar);
+        // past the ~8 900 pending events `kernel_storm` peaks at.
+        for depth in [64u64, 4096, 8192, 1 << 15] {
+            let mut radix = EventQueue::with_backend(DesQueue::Calendar);
             let mut heap = EventQueue::with_backend(DesQueue::Heap);
             for i in 0..depth {
-                cal.schedule(i, i);
+                radix.schedule(i, i);
                 heap.schedule(i, i);
             }
             let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
             for round in 0..10_000 {
-                let popped = cal.pop();
+                let popped = radix.pop();
                 assert_eq!(popped, heap.pop(), "depth {depth}, round {round}");
                 let (at, ev) = popped.expect("queue is kept non-empty");
                 lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let next = at + 1 + (lcg >> 58);
-                cal.schedule(next, ev);
+                radix.schedule(next, ev);
                 heap.schedule(next, ev);
-                assert_eq!(cal.now(), heap.now(), "depth {depth}, round {round}");
-                assert_eq!(cal.len(), heap.len(), "depth {depth}, round {round}");
+                assert_eq!(radix.now(), heap.now(), "depth {depth}, round {round}");
+                assert_eq!(radix.len(), heap.len(), "depth {depth}, round {round}");
             }
         }
     }
@@ -673,24 +495,24 @@ mod tests {
     /// One scripted interleaving of schedules and pops, mirrored on both
     /// backends. `ops` drives the script; the pop streams must agree.
     fn oracle_run(ops: &[(u8, u64)]) {
-        let mut cal = EventQueue::with_backend(DesQueue::Calendar);
+        let mut radix = EventQueue::with_backend(DesQueue::Calendar);
         let mut heap = EventQueue::with_backend(DesQueue::Heap);
         let mut payload = 0u64;
         for &(op, t) in ops {
             if op % 3 == 0 {
                 // Pop on both; streams must match (including clocks).
-                assert_eq!(cal.pop(), heap.pop());
-                assert_eq!(cal.now(), heap.now());
+                assert_eq!(radix.pop(), heap.pop());
+                assert_eq!(radix.now(), heap.now());
             } else {
                 // Absolute schedule; past times exercise clamp-to-now.
-                cal.schedule(t, payload);
+                radix.schedule(t, payload);
                 heap.schedule(t, payload);
                 payload += 1;
-                assert_eq!(cal.len(), heap.len());
+                assert_eq!(radix.len(), heap.len());
             }
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (radix.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -701,15 +523,20 @@ mod tests {
     proptest! {
         /// Random schedule/pop interleavings (with heavy ties, past
         /// schedules, and far-future outliers) pop identically on the
-        /// calendar and heap backends: time order, same-cycle FIFO,
-        /// clamp-to-now, clock and depths all agree.
+        /// `DesQueue::Calendar` (radix heap) and heap backends: time
+        /// order, same-cycle FIFO, clamp-to-now, clock and depths all
+        /// agree. Keys at `2^k - 1` and `2^k` land in every one of the 65
+        /// buckets, and keys next to `Cycles::MAX` in the top one.
         #[test]
         fn calendar_matches_heap_oracle(
             ops in proptest::collection::vec(
                 (0u8..6, prop_oneof![
                     0u64..50,              // dense ties near the origin
-                    0u64..5_000,           // in-window spread
-                    1_000_000u64..1_100_000, // far future: overflow ladder
+                    0u64..5_000,           // spread over the low buckets
+                    1_000_000u64..1_100_000, // far future
+                    (0u32..64).prop_map(|k| (1u64 << k) - 1),
+                    (0u32..64).prop_map(|k| 1u64 << k),
+                    (Cycles::MAX - 1_000)..=Cycles::MAX,
                 ]),
                 0..400,
             )

@@ -2,7 +2,7 @@
 //! optimization (bitwise-identical reports, solutions, and trace bytes
 //! against the reference recompute path, including under link faults and
 //! repair), and the O(nnz) counting CSR build must match the sort-based
-//! construction it replaced. The calendar DES queue against the heap is
+//! construction it replaced. The radix-heap DES queue against the heap is
 //! covered where a DES queue runs: `crates/machine/src/sim.rs` and
 //! `crates/kernel/tests/prop.rs`.
 
