@@ -19,20 +19,8 @@
 use serde::json::Value;
 use serde::Serialize;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`: the reference 64-bit fold (xor then multiply).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The workspace's one FNV-1a, beside the engine's keyed indexes.
+pub use fem2_machine::index::fnv1a_64;
 
 /// Return `v` with every object's fields sorted by key, recursively.
 /// Arrays keep their order (position is meaning); duplicate keys keep

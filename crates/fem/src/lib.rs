@@ -22,7 +22,6 @@
 //!
 //! ## Solvers
 //!
-//! * [`solver::dense`] — dense Cholesky (reference);
 //! * [`solver::skyline`] — skyline (envelope) Cholesky, the direct method of
 //!   choice on 1983-era FEM systems;
 //! * [`solver::jacobi`], [`solver::sor`] — classic stationary iterations

@@ -5,7 +5,6 @@
 //! Adams–Voigt solver scenario).
 
 pub mod cg;
-pub mod dense;
 pub mod ebe;
 pub mod eigen;
 pub mod jacobi;

@@ -193,7 +193,8 @@ proptest! {
             }
             k.inject_faults(&plan);
             let makespan = k.run();
-            let bytes = recorder.lock().expect("recorder lock").encode();
+            let r = recorder.lock().expect("recorder lock");
+            let trace = (r.len(), r.dropped(), r.events().copied().collect::<Vec<_>>());
             (
                 makespan,
                 k.completions().to_vec(),
@@ -202,11 +203,11 @@ proptest! {
                 k.machine.stats.total(),
                 k.machine.events,
                 k.events_processed(),
-                bytes,
+                trace,
             )
         };
         let (default, oracle) = (run(false), run(true));
-        prop_assert!(default.7.len() > 16, "the run was traced");
+        prop_assert!(default.7.0 > 0, "the run was traced");
         prop_assert_eq!(default, oracle);
     }
 

@@ -23,6 +23,8 @@
 //!   segmentation;
 //! * [`sim`] — a generic discrete-event engine with deterministic
 //!   tie-breaking;
+//! * [`index`] — the fixed-hash and paged indexes behind every keyed
+//!   table the engine holds, and the one FNV-1a;
 //! * [`fault`] — the fault plan: PE, link and memory-bank faults and their
 //!   repairs, applied through [`Machine::apply_fault`] ("reconfigurability
 //!   to isolate faulty hardware components");
@@ -37,6 +39,7 @@
 pub mod budget;
 pub mod config;
 pub mod fault;
+pub mod index;
 pub mod memory;
 pub mod network;
 pub mod pe;

@@ -674,14 +674,17 @@ mod tests {
         m.charge(now, pe, CostClass::Flop, work.flops)
     }
 
-    /// Every PE's state, the stats table, the event count and the
-    /// recorded trace bytes.
-    fn observe(m: &Machine, rec: &fem2_trace::SharedRecorder) -> (Vec<Pe>, String, u64, Vec<u8>) {
+    /// A recorder's retained count, dropped count and events.
+    type Trace = (usize, u64, Vec<fem2_trace::TraceEvent>);
+
+    /// Every PE's state, the stats table, the event count and the trace.
+    fn observe(m: &Machine, rec: &fem2_trace::SharedRecorder) -> (Vec<Pe>, String, u64, Trace) {
         let pes = (0..m.config.clusters)
             .flat_map(|c| m.cluster_pes(c))
             .map(|pe| *m.pe(pe).unwrap())
             .collect();
-        let trace = rec.lock().unwrap().encode();
+        let r = rec.lock().unwrap();
+        let trace = (r.len(), r.dropped(), r.events().copied().collect());
         (pes, m.stats.table(), m.events, trace)
     }
 

@@ -13,21 +13,19 @@
 //!
 //! Link state is *sparse*: the topology defines a link-id space (up to
 //! `n²` ids for a crossbar), but per-link records (reservation time, busy
-//! cycles, fault state) live in a slab allocated on first touch and found
-//! through a paged index (see `LinkSlab`), so memory scales with the
-//! links that carry traffic or a fault, not with the topology. Links
-//! without a record behave as healthy and idle. Slab order never influences
-//! results: every behavior is keyed by link id, and the aggregate reports
-//! (max/total busy) are order-independent.
+//! cycles, fault state) live in a slab allocated on first touch (see
+//! `LinkSlab`), so memory scales with the links that carry traffic or a
+//! fault, not with the topology. Links without a record behave as healthy
+//! and idle; the aggregate reports (max/total busy) are order-independent.
 //!
 //! Route selection is cached: the route for a `(from, to)` pair is computed
 //! once and reused until the link-fault state changes
 //! ([`Network::fail_link`], [`Network::degrade_link`] and
 //! [`Network::recover_link`] empty the table, which keeps its memory). The
-//! table (`RouteTable`) holds *touched* pairs, not `n²`, and is reached by
-//! key only. A cached route starts as link ids; the first *transmit* of the
-//! pair rewrites it in place to slab slots, so every later message walks
-//! link records directly with no per-hop lookup (see `Route`). A fresh
+//! table (`RouteTable`) holds *touched* pairs, not `n²`. A cached route
+//! starts as link ids; the first *transmit* of the pair rewrites it in
+//! place to slab slots, so every later message walks link records
+//! directly with no per-hop lookup (see `Route`). A fresh
 //! machine sees only first transmits, so one stays within a few times a
 //! later one: with no dead link (a count the fault calls maintain) route
 //! selection checks no hop, resolving a hop is two loads, and filing the
@@ -45,6 +43,7 @@
 //! checks without touching the cache or the link-id index.
 
 use crate::config::{MachineConfig, Topology};
+use crate::index::{OpenIndex, PagedIndex};
 use crate::{Cycles, Words};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -63,25 +62,18 @@ struct Link {
     id: u32,
 }
 
-/// Link ids per page of the slab's index.
-const PAGE: usize = 256;
-
 /// Per-link state, allocated on first touch (traffic or fault).
 ///
 /// Slots are never freed or reordered, which is what lets a cached
 /// [`Route`] hold slots instead of ids for as long as it lives.
 ///
-/// Link id → slot is a two-level table: `pages[id / 256][id % 256]` holds
-/// `slot + 1`, 0 for a link with no record, so a lookup is two loads. A
-/// page exists once a link on it has a record and the directory reaches
-/// the highest such page, so the index is O(touched) — a fully swept
-/// 4096-cluster torus or fat tree is 64–128 one-KiB pages — except on a
-/// crossbar, the one `n²` id space: a source that talks to everyone
-/// touches ⌈n/256⌉ pages, each mostly empty. Crossbars here stop at 64
-/// clusters (16 pages in all).
+/// Link id → slot goes through a [`PagedIndex`]: 64–128 pages for a fully
+/// swept 4096-cluster torus or fat tree. A crossbar, the one `n²` id
+/// space, costs ⌈n/256⌉ mostly empty pages per source that talks to
+/// everyone; crossbars here stop at 64 clusters (16 pages in all).
 #[derive(Clone, Debug, Default)]
 struct LinkSlab {
-    pages: Vec<Option<Box<[u32; PAGE]>>>,
+    index: PagedIndex,
     links: Vec<Link>,
     /// Dead links (packets cannot traverse; routes detour where possible).
     /// Beside `links`, not in it: only route selection reads it.
@@ -94,13 +86,7 @@ struct LinkSlab {
 impl LinkSlab {
     /// Slot for `link`, allocating a healthy idle record on first touch.
     fn ensure(&mut self, link: u32) -> u32 {
-        let page = link as usize / PAGE;
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let cell =
-            &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[link as usize % PAGE];
-        if *cell == 0 {
+        let slot = self.index.entry(link as usize).unwrap_or_else(|slot| {
             self.links.push(Link {
                 free: 0,
                 busy: 0,
@@ -108,24 +94,21 @@ impl LinkSlab {
                 id: link,
             });
             self.dead.push(false);
-            // At most `u32::MAX` ids, so `slot + 1` fits.
-            *cell = self.links.len() as u32;
-        }
-        *cell - 1
-    }
-
-    fn slot(&self, link: u32) -> Option<usize> {
-        let page = self.pages.get(link as usize / PAGE)?.as_ref()?;
-        (page[link as usize % PAGE] as usize).checked_sub(1)
+            slot
+        });
+        // At most `u32::MAX` ids, so a slot fits.
+        slot as u32
     }
 
     /// Read-only probes: untouched links are healthy and idle.
     fn is_dead(&self, link: u32) -> bool {
-        self.slot(link).is_some_and(|s| self.dead[s])
+        self.index.get(link as usize).is_some_and(|s| self.dead[s])
     }
 
     fn degrade_of(&self, link: u32) -> u32 {
-        self.slot(link).map_or(1, |s| self.links[s].degrade)
+        self.index
+            .get(link as usize)
+            .map_or(1, |s| self.links[s].degrade)
     }
 
     /// Kill or revive the link in `slot`; a link already in that state
@@ -262,71 +245,33 @@ impl Route {
 }
 
 /// The routes of touched `(from, to)` pairs: entries in first-touch order
-/// and an open-addressed index over them (entry number + 1, 0 = free; a
-/// power of two long, at most half full, linear probing). Lookup by key is
-/// the only access — nothing iterates it — so its layout cannot reach an
-/// outcome, and the hash is fixed, so the layout itself repeats from run to
-/// run.
+/// under an [`OpenIndex`] keyed by the packed pair (see [`crate::index`]
+/// for why its layout cannot reach an outcome).
 #[derive(Clone, Debug, Default)]
 struct RouteTable {
     /// `None` = no live route under the current fault state.
     entries: Vec<(u64, Option<Route>)>,
-    index: Vec<u32>,
+    index: OpenIndex,
 }
 
 impl RouteTable {
-    /// The entry number of `key`, or else the free index cell its probe
-    /// sequence ends at.
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        if self.index.is_empty() {
-            return Err(0);
-        }
-        let bits = self.index.len().trailing_zeros();
-        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
-        loop {
-            match self.index[at] as usize {
-                0 => return Err(at),
-                e if self.entries[e - 1].0 == key => return Ok(e - 1),
-                _ => at = (at + 1) & (self.index.len() - 1),
-            }
-        }
-    }
-
     /// The entry for `key`, filled by `compute` on first touch.
     fn entry(&mut self, key: u64, compute: impl FnOnce() -> Option<Route>) -> &mut Option<Route> {
-        let entry = match self.find(key) {
-            Ok(entry) => entry,
-            Err(mut free) => {
-                if (self.entries.len() + 1) * 2 > self.index.len() {
-                    self.grow();
-                    free = self.find(key).expect_err("growing adds no key");
-                }
+        let entries = &self.entries;
+        let entry = self
+            .index
+            .entry(key, |e| entries[e].0 == key, |e| entries[e].0)
+            .unwrap_or_else(|entry| {
                 self.entries.push((key, compute()));
-                self.index[free] = self.entries.len() as u32;
-                self.entries.len() - 1
-            }
-        };
+                entry
+            });
         &mut self.entries[entry].1
-    }
-
-    fn grow(&mut self) {
-        let len = (self.index.len() * 2).max(16);
-        self.index.clear();
-        self.index.resize(len, 0);
-        for entry in 0..self.entries.len() {
-            let free = self
-                .find(self.entries[entry].0)
-                .expect_err("keys are distinct");
-            self.index[free] = entry as u32 + 1;
-        }
     }
 
     /// Drop every route, keeping the memory.
     fn clear(&mut self) {
-        if !self.entries.is_empty() {
-            self.entries.clear();
-            self.index.fill(0);
-        }
+        self.entries.clear();
+        self.index.clear();
     }
 }
 
@@ -1122,13 +1067,13 @@ mod tests {
     }
 
     fn pages(n: &Network) -> usize {
-        n.slab.pages.iter().flatten().count()
+        n.slab.index.pages().iter().flatten().count()
     }
 
     /// (entries, entry capacity, index length) of the route table.
     fn table(n: &Network) -> (usize, usize, usize) {
         let t = n.cache.borrow();
-        (t.entries.len(), t.entries.capacity(), t.index.len())
+        (t.entries.len(), t.entries.capacity(), t.index.cells().len())
     }
 
     /// The memory contract of the link index and the route table on a
@@ -1137,9 +1082,9 @@ mod tests {
     fn index_pages_and_route_table_follow_the_traffic() {
         let c = torus(&[64, 64]);
         let mut n = Network::new(&c);
-        assert_eq!((pages(&n), n.slab.pages.capacity()), (0, 0));
+        assert_eq!((pages(&n), n.slab.index.pages().capacity()), (0, 0));
         assert_eq!(
-            (table(&n), n.cache.borrow().index.capacity()),
+            (table(&n), n.cache.borrow().index.cells().capacity()),
             ((0, 0, 0), 0)
         );
 
@@ -1159,7 +1104,7 @@ mod tests {
         }
         // Every cluster's +dim0 and +dim1 link, and no other.
         assert_eq!(n.allocated_link_records(), 8192);
-        assert!(pages(&n) <= n.link_count() / PAGE);
+        assert!(pages(&n) <= n.link_count() / 256);
         let swept = table(&n);
         assert_eq!(swept, (8192, 8192, 16384), "at most half full");
 
@@ -1174,7 +1119,7 @@ mod tests {
         // if need be.
         let mut xbar = Network::new(&cfg(Topology::Crossbar, 64));
         xbar.fail_link(4095);
-        assert_eq!((pages(&xbar), xbar.slab.pages.len()), (1, 16));
+        assert_eq!((pages(&xbar), xbar.slab.index.pages().len()), (1, 16));
         assert_eq!(xbar.allocated_link_records(), 1);
     }
 

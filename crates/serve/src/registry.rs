@@ -32,12 +32,8 @@
 //! record still loads and the next append starts on a clean line instead
 //! of gluing onto the partial one. A malformed *interior* line (hand
 //! edits) is skipped with a warning as before.
-#![expect(
-    clippy::disallowed_types,
-    reason = "poisoned-hash set is membership-tested only; the journal, not the set, orders output"
-)]
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -105,7 +101,9 @@ impl RunRecord {
 pub struct Registry {
     log: File,
     runs: Vec<RunRecord>,
-    next_seq: u64,
+    /// Above every `seq` in the log; `None` once one is `u64::MAX`, after
+    /// which every append fails rather than reuse a `seq`.
+    next_seq: Option<u64>,
     /// Appends attempted so far (1-based counter for fault injection).
     writes: u64,
     /// Chaos hook: append indices (1-based) that fail with a simulated
@@ -113,7 +111,7 @@ pub struct Registry {
     fail_writes: Vec<u64>,
     /// Hashes whose *latest* record quarantines, maintained incrementally
     /// on load and append so `quarantine_size` is O(1) per probe.
-    poisoned: HashSet<String>,
+    poisoned: BTreeSet<String>,
 }
 
 /// Truncate a torn trailing record (no final newline) left by a crash
@@ -146,7 +144,7 @@ impl Registry {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let log_path = dir.join("runs.jsonl");
         let mut runs = Vec::new();
-        let mut next_seq = 0u64;
+        let mut next_seq = Some(0u64);
         if log_path.exists() {
             repair_torn_tail(&log_path)?;
             let bytes =
@@ -177,8 +175,8 @@ impl Registry {
                 // A field that is absent or of another type reads as `None`.
                 let text = |name: &str| v.get_field(name).and_then(String::from_value).ok();
                 let number = |name: &str| v.get_field(name).and_then(u64::from_value).ok();
-                let seq = number("seq").unwrap_or(next_seq);
-                next_seq = next_seq.max(seq.saturating_add(1));
+                let seq = number("seq").or(next_seq).unwrap_or(u64::MAX);
+                next_seq = next_seq.zip(seq.checked_add(1)).map(|(n, s)| n.max(s));
                 match text("kind").as_deref() {
                     Some(kind @ ("plate" | "script")) => {
                         let (Some(hash), Some(spec), Some(outcome)) = (
@@ -247,7 +245,7 @@ impl Registry {
             .append(true)
             .open(&log_path)
             .map_err(|e| format!("append {}: {e}", log_path.display()))?;
-        let mut poisoned = HashSet::new();
+        let mut poisoned = BTreeSet::new();
         for r in &runs {
             if r.quarantines() {
                 poisoned.insert(r.hash.clone());
@@ -355,6 +353,9 @@ impl Registry {
         abort_cause: Option<&str>,
         wall_ns: u64,
     ) -> Result<&RunRecord, String> {
+        let seq = self
+            .next_seq
+            .ok_or("append runs.jsonl: every seq is taken (the log holds u64::MAX)")?;
         // Rev 3: stamp plate records with the static cost bounds the
         // admission pass predicted, so the report site can plot
         // predicted-vs-actual tightness. Scripts never simulate, so a
@@ -377,7 +378,7 @@ impl Registry {
         };
         let spec = &job.spec;
         let rec = RunRecord {
-            seq: self.next_seq,
+            seq,
             hash: job.hash.clone(),
             name: spec.name().to_string(),
             kind: spec.kind().to_string(),
@@ -417,7 +418,7 @@ impl Registry {
         } else {
             self.poisoned.remove(&rec.hash);
         }
-        self.next_seq += 1;
+        self.next_seq = seq.checked_add(1);
         self.runs.push(rec);
         Ok(self.runs.last().expect("just pushed"))
     }
@@ -553,6 +554,41 @@ mod tests {
         let outcome3 = spec3.execute();
         assert_eq!(reg.record_run(&spec3, &outcome3, 3).unwrap().seq, 4);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A damaged line carrying `u64::MAX - 1` leaves one fresh `seq`, and
+    /// one carrying `u64::MAX` none: past that, an append fails like an IO
+    /// error and writes nothing, rather than reuse a `seq` or overflow.
+    #[test]
+    fn a_seq_near_u64_max_is_never_reused_and_never_panics() {
+        let spec = sample_spec();
+        let outcome = spec.execute();
+        for last in [u64::MAX - 1, u64::MAX] {
+            let dir = temp_dir("seq-max");
+            let mut reg = Registry::open(&dir).unwrap();
+            reg.record_run(&spec, &outcome, 1).unwrap();
+            drop(reg);
+            let log = dir.join("runs.jsonl");
+            let mut f = OpenOptions::new().append(true).open(&log).unwrap();
+            writeln!(f, "{{\"kind\":\"bench\",\"seq\":{last}}}").unwrap();
+            drop(f);
+            let mut reg = Registry::open(&dir).unwrap();
+            let appended = [(); 2].map(|()| reg.record_run(&spec, &outcome, 2).is_ok());
+            assert_eq!(appended, [last < u64::MAX, false], "seq {last}");
+            drop(reg);
+            let seqs: Vec<u64> = fs::read_to_string(&log)
+                .unwrap()
+                .lines()
+                .map(|l| {
+                    let v = serde_json::parse_value(l).unwrap();
+                    v.get_field("seq").and_then(u64::from_value).unwrap()
+                })
+                .collect();
+            let distinct: BTreeSet<u64> = seqs.iter().copied().collect();
+            assert_eq!(seqs.len(), 2 + usize::from(last < u64::MAX), "{seqs:?}");
+            assert_eq!(distinct.len(), seqs.len(), "a seq was reused: {seqs:?}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -41,12 +41,8 @@
     clippy::disallowed_methods,
     reason = "serve measures job wall time for registry provenance; recorded outside content hashes"
 )]
-#![expect(
-    clippy::disallowed_types,
-    reason = "in_flight dedup map is keyed lookup only; responses never iterate it"
-)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -162,7 +158,7 @@ struct Tables {
     /// Every submission ever tracked; job `id` lives at `jobs[id - 1]`.
     jobs: Vec<JobEntry>,
     /// hash → job id for submitted-but-unfinished work.
-    in_flight: HashMap<String, u64>,
+    in_flight: BTreeMap<String, u64>,
 }
 
 impl Tables {

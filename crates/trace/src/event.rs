@@ -45,18 +45,6 @@ impl MsgKind {
             MsgKind::LoadCode => "load_code",
         }
     }
-
-    fn code(self) -> u8 {
-        match self {
-            MsgKind::InitiateTask => 0,
-            MsgKind::PauseNotify => 1,
-            MsgKind::Resume => 2,
-            MsgKind::TerminateNotify => 3,
-            MsgKind::RemoteCall => 4,
-            MsgKind::RemoteReturn => 5,
-            MsgKind::LoadCode => 6,
-        }
-    }
 }
 
 /// PE work classes (mirrors `fem2_machine::CostClass`).
@@ -89,18 +77,6 @@ impl CostKind {
             CostKind::MsgDispatch => "msg_dispatch",
             CostKind::TaskCreate => "task_create",
             CostKind::ContextSwitch => "context_switch",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            CostKind::Flop => 0,
-            CostKind::IntOp => 1,
-            CostKind::MemWord => 2,
-            CostKind::MsgSend => 3,
-            CostKind::MsgDispatch => 4,
-            CostKind::TaskCreate => 5,
-            CostKind::ContextSwitch => 6,
         }
     }
 }
@@ -165,16 +141,6 @@ impl TaskStage {
             TaskStage::Completed => "completed",
             TaskStage::Faulted => "faulted",
             TaskStage::Stale => "stale",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            TaskStage::Created => 0,
-            TaskStage::Dispatched => 1,
-            TaskStage::Completed => 2,
-            TaskStage::Faulted => 3,
-            TaskStage::Stale => 4,
         }
     }
 }
@@ -387,109 +353,11 @@ impl TraceEvent {
             EventKind::RunAbort { .. } => "run_abort",
         }
     }
-
-    /// Append a fixed-width little-endian encoding to `out`.
-    ///
-    /// The encoding is a pure function of the event, so two runs recording
-    /// the same events produce byte-identical streams — the property the
-    /// trace determinism test checks.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.at.to_le_bytes());
-        out.extend_from_slice(&self.dur.to_le_bytes());
-        out.extend_from_slice(&self.cluster.to_le_bytes());
-        out.extend_from_slice(&self.pe.to_le_bytes());
-        out.extend_from_slice(&self.phase.to_le_bytes());
-        let (tag, a, b, c): (u8, u64, u64, u64) = match self.kind {
-            EventKind::DesSchedule {
-                queue_depth,
-                events_processed,
-            } => (0, queue_depth as u64, events_processed, 0),
-            EventKind::DesDispatch {
-                queue_depth,
-                events_processed,
-            } => (1, queue_depth as u64, events_processed, 0),
-            EventKind::PeBusy { cost, count } => (2, cost.code() as u64, count, 0),
-            EventKind::MsgSend {
-                msg,
-                to_cluster,
-                words,
-            } => (3, msg.code() as u64, to_cluster as u64, words),
-            EventKind::MsgRecv {
-                msg,
-                from_cluster,
-                words,
-            } => (4, msg.code() as u64, from_cluster as u64, words),
-            EventKind::Window {
-                stage,
-                peer_cluster,
-                words,
-            } => (5, stage.index() as u64, peer_cluster as u64, words),
-            EventKind::Alloc { words, in_use } => (6, words, in_use, 0),
-            EventKind::Free { words, in_use } => (7, words, in_use, 0),
-            EventKind::LinkTransfer {
-                to_cluster,
-                words,
-                packets,
-            } => (8, to_cluster as u64, words, packets as u64),
-            EventKind::Task { task, stage } => (9, task as u64, stage.code() as u64, 0),
-            EventKind::AppCommand { seq } => (10, seq as u64, 0, 0),
-            EventKind::LinkFault { link, degrade } => (11, link as u64, degrade as u64, 0),
-            EventKind::Retransmit {
-                msg,
-                to_cluster,
-                attempt,
-            } => (12, msg.code() as u64, to_cluster as u64, attempt as u64),
-            EventKind::DeadLetter { msg, to_cluster } => {
-                (13, msg.code() as u64, to_cluster as u64, 0)
-            }
-            EventKind::PeRecover => (14, 0, 0, 0),
-            EventKind::MemFault { words, lost } => (15, words, lost, 0),
-            EventKind::LinkRecover { link } => (16, link as u64, 0, 0),
-            EventKind::RunAbort { cause } => (17, cause as u64, 0, 0),
-        };
-        out.push(tag);
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-        out.extend_from_slice(&c.to_le_bytes());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encoding_is_stable_and_distinguishes_events() {
-        let a = TraceEvent::span(
-            10,
-            5,
-            1,
-            2,
-            EventKind::PeBusy {
-                cost: CostKind::Flop,
-                count: 3,
-            },
-        );
-        let b = TraceEvent::span(
-            10,
-            5,
-            1,
-            2,
-            EventKind::PeBusy {
-                cost: CostKind::IntOp,
-                count: 3,
-            },
-        );
-        let mut ea = Vec::new();
-        let mut ea2 = Vec::new();
-        let mut eb = Vec::new();
-        a.encode_into(&mut ea);
-        a.encode_into(&mut ea2);
-        b.encode_into(&mut eb);
-        assert_eq!(ea, ea2);
-        assert_ne!(ea, eb);
-        assert_eq!(ea.len(), 8 + 8 + 4 + 4 + 2 + 1 + 24);
-    }
 
     #[test]
     fn names_cover_all_message_kinds() {

@@ -18,7 +18,7 @@
 //!   events and counts what it dropped; per-phase metrics are aggregated
 //!   from *every* event, including dropped ones.
 //! - **Deterministic.** Recording is in simulation order; identical runs
-//!   produce byte-identical [`RingRecorder::encode`] streams.
+//!   retain equal [`RingRecorder::events`] and drop the same count.
 //!
 //! Export with [`chrome::trace_json`] (loadable in `chrome://tracing` /
 //! Perfetto) or [`chrome::phase_table`] (plain text).

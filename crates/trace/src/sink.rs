@@ -100,19 +100,6 @@ impl RingRecorder {
         self.high_water
     }
 
-    /// Byte-serialize the retained event stream (fixed little-endian
-    /// layout). Two runs recording identical events produce identical
-    /// bytes — the determinism property the integration tests check.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.events.len() * 51 + 16);
-        out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        for ev in &self.events {
-            ev.encode_into(&mut out);
-        }
-        out
-    }
-
     /// Enter a (possibly already-interned) scenario phase at simulated
     /// time `at`; returns the phase's interned id.
     fn begin_phase(&mut self, name: &str, at: Cycles) -> u16 {
@@ -317,9 +304,13 @@ mod tests {
                 h.emit(|| busy(i * 3, i));
             }
             let r = rec.lock().unwrap();
-            r.encode()
+            (
+                r.len(),
+                r.dropped(),
+                r.events().copied().collect::<Vec<_>>(),
+            )
         };
         assert_eq!(run(), run());
-        assert!(!run().is_empty());
+        assert!(!run().2.is_empty());
     }
 }

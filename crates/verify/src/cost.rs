@@ -34,6 +34,7 @@
 //! analysis of the script can see (fault plans are runtime inputs), and
 //! none of the statically admitted job kinds carry one.
 
+use fem2_machine::index::PagedIndex;
 use fem2_machine::{CostClass, MachineConfig, Network, Topology};
 use serde::json::Value;
 use serde::Serialize;
@@ -235,43 +236,6 @@ impl Serialize for CostReport {
     }
 }
 
-/// Link ids per page of [`LinkTraffic`]'s index.
-const PAGE: usize = 256;
-
-/// Payload words per touched link: entries in first-touch order, found
-/// through a two-level index — `pages[id / 256][id % 256]` holds the entry
-/// number + 1, 0 for a link with no entry — so adding to a link is two
-/// loads and memory follows the links a script touches, not the id space
-/// (quadratic on a crossbar).
-#[derive(Default)]
-struct LinkTraffic {
-    pages: Vec<Option<Box<[u32; PAGE]>>>,
-    entries: Vec<(usize, u64)>,
-}
-
-impl LinkTraffic {
-    fn add(&mut self, link: usize, words: u64) {
-        let page = link / PAGE;
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let cell = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[link % PAGE];
-        if *cell == 0 {
-            self.entries.push((link, 0));
-            // A network's link ids fit `u32`, so the entry count does too.
-            *cell = self.entries.len() as u32;
-        }
-        let w = &mut self.entries[*cell as usize - 1].1;
-        *w = w.saturating_add(words);
-    }
-
-    /// The entries sorted by link id.
-    fn into_sorted(mut self) -> Vec<(usize, u64)> {
-        self.entries.sort_unstable_by_key(|&(link, _)| link);
-        self.entries
-    }
-}
-
 /// Accumulates the serial-sum bound. Layers above the script IR (the plate
 /// lowering in `fem2-core`) use this directly to add numeric work the
 /// script does not carry (elementwise profiles, reduction trees).
@@ -285,7 +249,11 @@ pub struct CostModeler {
     phases: Vec<PhaseCost>,
     current: usize,
     cluster_memory_words: Vec<u64>,
-    link_traffic: LinkTraffic,
+    /// Payload words per touched link, in first-touch order: memory
+    /// follows the links a script touches, not the id space (quadratic on
+    /// a crossbar).
+    link_traffic: Vec<(usize, u64)>,
+    link_index: PagedIndex,
     link_id_space: usize,
     verdict: CostVerdict,
 }
@@ -304,7 +272,8 @@ impl CostModeler {
             phases: Vec::new(),
             current: 0,
             cluster_memory_words: vec![0; machine.clusters as usize],
-            link_traffic: LinkTraffic::default(),
+            link_traffic: Vec::new(),
+            link_index: PagedIndex::default(),
             link_id_space: links,
             verdict: CostVerdict::Bounded,
         };
@@ -362,9 +331,15 @@ impl CostModeler {
         p.sim_cycles = p.sim_cycles.saturating_add(tx.saturating_mul(count));
         p.messages = p.messages.saturating_add(count);
         p.des_events = p.des_events.saturating_add(2 * count);
-        let (traffic, payload) = (&mut self.link_traffic, words.saturating_mul(count));
-        self.network
-            .visit_route(from, to, |link| traffic.add(link, payload));
+        let (traffic, index) = (&mut self.link_traffic, &mut self.link_index);
+        let payload = words.saturating_mul(count);
+        self.network.visit_route(from, to, |link| {
+            let entry = index.entry(link).unwrap_or_else(|entry| {
+                traffic.push((link, 0));
+                entry
+            });
+            traffic[entry].1 = traffic[entry].1.saturating_add(payload);
+        });
     }
 
     /// Worst-case cycles for one isolated `words`-word cross-cluster
@@ -511,6 +486,7 @@ impl CostModeler {
         self.phases.retain(|p| {
             p.name != "total" || p.sim_cycles > 0 || p.des_events > 0 || p.messages > 0
         });
+        self.link_traffic.sort_unstable_by_key(|&(link, _)| link);
         let totals = self.phases.iter().fold((0u64, 0u64, 0u64), |acc, p| {
             (
                 acc.0.saturating_add(p.sim_cycles),
@@ -522,7 +498,7 @@ impl CostModeler {
             subject: self.subject,
             peak_memory_words: self.cluster_memory_words.iter().copied().max().unwrap_or(0),
             cluster_memory_words: self.cluster_memory_words,
-            link_traffic_words: self.link_traffic.into_sorted(),
+            link_traffic_words: self.link_traffic,
             link_id_space: self.link_id_space,
             sim_cycles: totals.0,
             des_events: totals.1,

@@ -16,6 +16,7 @@
 
 use crate::diag::Span;
 use fem2_kernel::MessageKind;
+use fem2_machine::index::{fnv1a_64, OpenIndex};
 
 /// A name in a script's name table: an index into it (see
 /// [`ScenarioScript::intern`] and [`ScenarioScript::name`]). Task names,
@@ -132,11 +133,8 @@ pub struct ScenarioScript {
     /// Every name's text back to back: name `i` ends at byte `ends[i]`.
     text: String,
     ends: Vec<u32>,
-    /// Name -> id: an open-addressed table of id + 1 (0 = free), a power
-    /// of two long and at most half full, probed linearly from a fixed
-    /// hash of the text. Reached by name only, so its layout reaches no
-    /// output.
-    index: Vec<u32>,
+    /// Name -> id, from the FNV-1a of the text.
+    index: OpenIndex,
     ops: Vec<Op>,
 }
 
@@ -147,43 +145,28 @@ impl ScenarioScript {
             name: name.into(),
             text: String::new(),
             ends: Vec::new(),
-            index: Vec::new(),
+            index: OpenIndex::default(),
             ops: Vec::new(),
         }
     }
 
     /// The id of `name`, added to the name table on first sight.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if (self.ends.len() + 1) * 2 > self.index.len() {
-            self.grow();
-        }
-        let mask = self.index.len() - 1;
-        let mut at = name_hash(name) as usize & mask;
-        while let Some(id) = self.index[at].checked_sub(1) {
-            if self.name(id) == name {
-                return id;
-            }
-            at = (at + 1) & mask;
-        }
-        self.text.push_str(name);
-        let end = u32::try_from(self.text.len()).expect("name table exceeds 4 GiB");
-        self.ends.push(end);
-        self.index[at] = self.ends.len() as u32;
-        self.ends.len() as NameId - 1
-    }
-
-    /// Double the index (16 cells at first) and re-file every name.
-    fn grow(&mut self) {
-        let len = (self.index.len() * 2).max(16);
-        self.index.clear();
-        self.index.resize(len, 0);
-        for id in 0..self.ends.len() as NameId {
-            let mut at = name_hash(self.name(id)) as usize & (len - 1);
-            while self.index[at] != 0 {
-                at = (at + 1) & (len - 1);
-            }
-            self.index[at] = id + 1;
-        }
+        let (text, ends) = (&self.text, &self.ends);
+        let id = self
+            .index
+            .entry(
+                fnv1a_64(name.as_bytes()),
+                |id| name_in(text, ends, id) == name,
+                |id| fnv1a_64(name_in(text, ends, id).as_bytes()),
+            )
+            .unwrap_or_else(|id| {
+                self.text.push_str(name);
+                let end = u32::try_from(self.text.len()).expect("name table exceeds 4 GiB");
+                self.ends.push(end);
+                id
+            });
+        id as NameId
     }
 
     /// The text of name `id`.
@@ -191,12 +174,7 @@ impl ScenarioScript {
     /// # Panics
     /// Panics if `id` did not come from this script's [`intern`](Self::intern).
     pub fn name(&self, id: NameId) -> &str {
-        let end = self.ends[id as usize] as usize;
-        let start = match id {
-            0 => 0,
-            _ => self.ends[id as usize - 1] as usize,
-        };
-        &self.text[start..end]
+        name_in(&self.text, &self.ends, id as usize)
     }
 
     /// Size of the name table: every [`NameId`] in the script is below it,
@@ -289,12 +267,11 @@ impl ScenarioScript {
     }
 }
 
-/// FNV-1a over the name's bytes: fixed, so the index repeats from run to
-/// run.
-fn name_hash(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// Name `id` of a table whose names sit back to back in `text`, name `i`
+/// ending at byte `ends[i]`.
+fn name_in<'a>(text: &'a str, ends: &[u32], id: usize) -> &'a str {
+    let start = id.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
+    &text[start..ends[id] as usize]
 }
 
 #[cfg(test)]

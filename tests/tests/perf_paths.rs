@@ -1,5 +1,5 @@
 //! Hot-path perf integration: the route cache must be an invisible
-//! optimization (bitwise-identical reports, solutions, and trace bytes
+//! optimization (bitwise-identical reports, solutions, and trace events
 //! against the reference recompute path, including under link faults and
 //! repair), and the O(nnz) counting CSR build must match the sort-based
 //! construction it replaced. The radix-heap DES queue against the heap is
@@ -11,31 +11,38 @@ use fem2_fem::Coo;
 use fem2_machine::fault::FaultPlan;
 use fem2_machine::MachineConfig;
 use fem2_navm::NaVm;
-use fem2_trace::TraceHandle;
+use fem2_trace::{SharedRecorder, TraceEvent, TraceHandle};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
 // Route cache vs reference recompute path
 // ---------------------------------------------------------------------
 
+/// A recorder's retained count, dropped count and events.
+type Trace = (usize, u64, Vec<TraceEvent>);
+
+fn trace_of(rec: &SharedRecorder) -> Trace {
+    let r = rec.lock().unwrap_or_else(|e| e.into_inner());
+    (r.len(), r.dropped(), r.events().copied().collect())
+}
+
 /// One traced plate run with the route cache toggled.
-fn plate_run(route_cache: bool) -> (ScenarioReport, Vec<u8>) {
+fn plate_run(route_cache: bool) -> (ScenarioReport, Trace) {
     let mut cfg = MachineConfig::fem2_default();
     cfg.route_cache = route_cache;
     let (handle, rec) = TraceHandle::ring(1 << 16);
     let report = PlateScenario::square(16, cfg)
         .with_trace(handle)
         .run_unchecked();
-    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
-    (report, bytes)
+    (report, trace_of(&rec))
 }
 
 /// Cached and recompute runs of the full plate scenario produce the same
-/// report (down to the residual's bits) and byte-identical traces.
+/// report (down to the residual's bits) and identical traces.
 #[test]
 fn route_cache_is_invisible_to_plate_scenario() {
-    let (cached, cached_bytes) = plate_run(true);
-    let (reference, reference_bytes) = plate_run(false);
+    let (cached, cached_trace) = plate_run(true);
+    let (reference, reference_trace) = plate_run(false);
 
     assert_eq!(cached.elapsed, reference.elapsed);
     assert_eq!(cached.iterations, reference.iterations);
@@ -44,13 +51,13 @@ fn route_cache_is_invisible_to_plate_scenario() {
     assert_eq!(cached.total_words_moved, reference.total_words_moved);
     assert_eq!(cached.total_flops, reference.total_flops);
     assert_eq!(cached.table, reference.table);
-    assert!(!cached_bytes.is_empty(), "the traced run recorded nothing");
-    assert_eq!(cached_bytes, reference_bytes, "trace streams diverged");
+    assert!(cached_trace.0 > 0, "the traced run recorded nothing");
+    assert_eq!(cached_trace, reference_trace, "trace streams diverged");
 }
 
 /// One traced CG solve on the simulated plane with a link dying mid-solve
 /// and recovering later, route cache toggled.
-fn faulted_cg(route_cache: bool) -> (usize, u64, Vec<u64>, u64, Vec<u8>) {
+fn faulted_cg(route_cache: bool) -> (usize, u64, Vec<u64>, u64, Trace) {
     let mut cfg = MachineConfig::fem2_default();
     cfg.route_cache = route_cache;
     let mut vm = NaVm::simulated(cfg, 8);
@@ -63,24 +70,23 @@ fn faulted_cg(route_cache: bool) -> (usize, u64, Vec<u64>, u64, Vec<u8>) {
     let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
     let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
     let recovery = vm.retransmits() + vm.machine().map_or(0, |m| m.network.rerouted_packets);
-    let bytes = rec.lock().unwrap_or_else(|e| e.into_inner()).encode();
-    (iters, res.to_bits(), bits, recovery, bytes)
+    (iters, res.to_bits(), bits, recovery, trace_of(&rec))
 }
 
 /// A mid-run `fail_link` + recovery invalidates the cache twice; the
 /// cached run must still match the recompute run bitwise — iteration
-/// count, residual, solution, recovery activity, and every trace byte.
+/// count, residual, solution, recovery activity, and every trace event.
 #[test]
 fn route_cache_is_invisible_under_link_fault_and_repair() {
-    let (ci, cres, cx, crec, cbytes) = faulted_cg(true);
-    let (ri, rres, rx, rrec, rbytes) = faulted_cg(false);
+    let (ci, cres, cx, crec, ctrace) = faulted_cg(true);
+    let (ri, rres, rx, rrec, rtrace) = faulted_cg(false);
 
     assert_eq!(ci, ri, "iteration count diverged");
     assert_eq!(cres, rres, "residual bits diverged");
     assert_eq!(cx, rx, "solution bits diverged");
     assert_eq!(crec, rrec, "recovery activity diverged");
     assert!(crec >= 1, "the dead link forced a retransmit or reroute");
-    assert_eq!(cbytes, rbytes, "trace streams diverged");
+    assert_eq!(ctrace, rtrace, "trace streams diverged");
 }
 
 // ---------------------------------------------------------------------
