@@ -6,10 +6,12 @@
 //! Limits are deliberate: request lines and headers are capped, bodies are
 //! capped at [`MAX_BODY`], sockets carry per-read timeouts, and the whole
 //! request must arrive within a total deadline ([`REQUEST_DEADLINE`] by
-//! default), so one slow or abusive client cannot pin a connection thread
-//! forever. The per-read timeout alone is not enough: a slowloris client
-//! dripping one byte per timeout window would keep every individual read
-//! "making progress" indefinitely — the total deadline closes that hole.
+//! default), so one slow or abusive client holds the connection handler
+//! serving it for at most that long, and no other connection waits for it
+//! (the server starts another handler). The per-read timeout alone is not
+//! enough: a slowloris client dripping one byte per timeout window would
+//! keep every individual read "making progress" indefinitely — the total
+//! deadline closes that hole.
 #![expect(
     clippy::disallowed_methods,
     reason = "socket read deadline against slow-loris peers is real time by definition"
@@ -122,7 +124,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Read and parse one request from `stream` under the default
 /// [`REQUEST_DEADLINE`]. Returns `Ok(None)` on a clean immediate close
 /// (no bytes).
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ParseError> {
+pub fn read_request(stream: &TcpStream) -> Result<Option<Request>, ParseError> {
     read_request_deadline(stream, REQUEST_DEADLINE)
 }
 
@@ -133,14 +135,14 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ParseErro
 /// bytes are drained without re-arming), so neither a silent client nor a
 /// byte-dripping one can hold the thread past the deadline.
 pub fn read_request_deadline(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     deadline: Duration,
 ) -> Result<Option<Request>, ParseError> {
     let started = Instant::now();
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    // The reader owns a clone of the socket handle; timeouts set through
-    // either handle apply to the shared underlying socket.
-    let mut reader = BufReader::new(stream.try_clone().map_err(ParseError::Io)?);
+    // The reader borrows the socket (`Read for &TcpStream`); a
+    // `try_clone` would cost a `dup` and a `close` per request.
+    let mut reader = BufReader::new(stream);
     let arm = |sock: &TcpStream| -> Result<(), ParseError> {
         let left = deadline
             .checked_sub(started.elapsed())
@@ -153,7 +155,7 @@ pub fn read_request_deadline(
     // to find `\n`, with the timeout armed only once — a byte-dripping
     // client could stretch a single line far past the deadline. Reading
     // byte-wise out of the buffer re-arms before every underlying read.
-    let read_line = |reader: &mut BufReader<TcpStream>, buf: &mut String| {
+    let read_line = |reader: &mut BufReader<&TcpStream>, buf: &mut String| {
         let mut bytes = Vec::new();
         loop {
             // Re-arming costs an `Instant::elapsed` plus a setsockopt
@@ -254,19 +256,18 @@ pub fn read_request_deadline(
     Ok(Some(Request { method, path, body }))
 }
 
-/// Serialize `resp` onto `stream` and flush. The connection is one-shot
-/// (`Connection: close`).
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+/// Serialize `resp` onto `stream` in one `write_all`, head and body
+/// together. The connection is one-shot (`Connection: close`).
+pub fn write_response(mut stream: &TcpStream, resp: &Response) -> io::Result<()> {
+    let message = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         resp.status,
         reason(resp.status),
         resp.content_type,
-        resp.body.len()
+        resp.body.len(),
+        resp.body
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
-    stream.flush()
+    stream.write_all(message.as_bytes())
 }
 
 #[cfg(test)]
@@ -289,8 +290,8 @@ mod tests {
             let mut sink = Vec::new();
             let _ = s.read_to_end(&mut sink);
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        let out = read_request(&mut stream);
+        let (stream, _) = listener.accept().unwrap();
+        let out = read_request(&stream);
         drop(stream);
         client.join().unwrap();
         out
@@ -341,10 +342,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap().unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let req = read_request(&stream).unwrap().unwrap();
             assert_eq!(req.path, "/healthz");
-            write_response(&mut stream, &Response::json(200, "{\"ok\":true}")).unwrap();
+            write_response(&stream, &Response::json(200, "{\"ok\":true}")).unwrap();
         });
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
@@ -379,9 +380,9 @@ mod tests {
                 thread::sleep(Duration::from_millis(20));
             }
         });
-        let (mut stream, _) = listener.accept().unwrap();
+        let (stream, _) = listener.accept().unwrap();
         let started = Instant::now();
-        let out = read_request_deadline(&mut stream, Duration::from_millis(300));
+        let out = read_request_deadline(&stream, Duration::from_millis(300));
         assert!(
             matches!(out, Err(ParseError::Timeout)),
             "expected timeout, got {out:?}"
@@ -405,8 +406,8 @@ mod tests {
             thread::sleep(Duration::from_millis(600));
             drop(s);
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        let out = read_request_deadline(&mut stream, Duration::from_millis(150));
+        let (stream, _) = listener.accept().unwrap();
+        let out = read_request_deadline(&stream, Duration::from_millis(150));
         assert!(
             matches!(out, Err(ParseError::Timeout)),
             "expected timeout, got {out:?}"
@@ -448,9 +449,9 @@ mod tests {
                 // Hold the socket until the server side has returned.
                 let _ = wait.recv();
             });
-            let (mut stream, _) = listener.accept().unwrap();
+            let (stream, _) = listener.accept().unwrap();
             let started = Instant::now();
-            let out = read_request_deadline(&mut stream, DEADLINE);
+            let out = read_request_deadline(&stream, DEADLINE);
             let waited = started.elapsed();
             drop(answered);
             client.join().unwrap();

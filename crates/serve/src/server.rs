@@ -65,6 +65,14 @@ use crate::util::{json_compact, json_pretty, lock};
 /// Backoff before the single registry-write retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(50);
 
+/// Most connection handlers left parked at once. A parked handler is an
+/// idle thread whose touched stack pages stay resident; four give each of
+/// a few closed-loop clients (`submit --wait`, a `/stats` scraper) a
+/// parked handler on every request. A handler that would be the fifth
+/// ends instead, so a burst of connections leaves no more threads behind
+/// than this; a connection that finds none parked pays one thread spawn.
+const MAX_PARKED: usize = 4;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
@@ -199,6 +207,18 @@ impl Tables {
     }
 }
 
+/// Connection handlers parked between connections, and the connections
+/// the acceptor has handed to them.
+#[derive(Default)]
+struct Handlers {
+    /// Handlers waiting in [`State::park`], handed a connection or not.
+    parked: usize,
+    /// Connections handed over but not yet picked up, with their accept
+    /// times. Each is owed to one parked handler, so there are never more
+    /// than `parked`.
+    handoff: VecDeque<(TcpStream, Instant)>,
+}
+
 /// One admitted miss waiting for a worker.
 struct Queued {
     id: u64,
@@ -249,9 +269,19 @@ pub struct State {
     /// Armed chaos plan, if any.
     chaos: Option<Arc<ChaosState>>,
     request_deadline: Duration,
+    /// Parked connection handlers. A leaf lock, like `queue`.
+    handlers: Mutex<Handlers>,
+    /// Signalled once per handoff, and to every parked handler at
+    /// shutdown; shutdown waits on it for the last one to leave.
+    handlers_cv: Condvar,
     /// Test hook: how many submissions ran the verifier.
     #[cfg(test)]
     verify_calls: AtomicU64,
+    /// Test hook: connection handlers started, and ended.
+    #[cfg(test)]
+    handler_spawns: AtomicU64,
+    #[cfg(test)]
+    handler_exits: AtomicU64,
     /// Test hook: the next job panics in `run_job` *before* its own
     /// unwind boundary, which only the worker loop can absorb.
     #[cfg(test)]
@@ -917,6 +947,83 @@ impl State {
         Response::json(200, json_pretty(&doc))
     }
 
+    /// Hand an accepted connection to a parked handler, or start a new
+    /// handler when none is free: no connection waits behind another's
+    /// request deadline.
+    fn accept(self: &Arc<Self>, stream: TcpStream, accepted: Instant) {
+        let mut handlers = lock(&self.handlers);
+        if handlers.handoff.len() < handlers.parked {
+            handlers.handoff.push_back((stream, accepted));
+            drop(handlers);
+            self.handlers_cv.notify_one();
+            return;
+        }
+        drop(handlers);
+        #[cfg(test)]
+        self.handler_spawns.fetch_add(1, Ordering::SeqCst);
+        let state = Arc::clone(self);
+        // A failed spawn drops the closure and with it the connection,
+        // which the client sees as a reset.
+        let _ = thread::Builder::new()
+            .name("fem2-serve-conn".into())
+            .spawn(move || state.handler_loop(stream, accepted));
+    }
+
+    /// One connection handler: answer a connection, park, and answer the
+    /// next one handed over, until [`park`](Self::park) ends it.
+    fn handler_loop(self: &Arc<Self>, stream: TcpStream, accepted: Instant) {
+        let mut next = Some((stream, accepted));
+        while let Some((stream, accepted)) = next {
+            let resp = match read_request_deadline(&stream, self.request_deadline) {
+                Ok(Some(req)) => Some(self.dispatch(&req, accepted)),
+                Ok(None) | Err(ParseError::Io(_)) => None,
+                Err(ParseError::TooLarge) => Some(Response::text(413, "body too large")),
+                Err(ParseError::Malformed(m)) => Some(Response::text(400, m)),
+                Err(ParseError::Timeout) => Some(Response::text(408, "request timed out")),
+            };
+            if let Some(resp) = resp {
+                let _ = write_response(&stream, &resp);
+            }
+            next = self.park(stream);
+        }
+    }
+
+    /// Count the handler of the answered connection as parked *before*
+    /// closing that connection, so a closed-loop client's next connect
+    /// finds it; then wait for a handoff. `None` ends the handler: at
+    /// shutdown, or when [`MAX_PARKED`] others are parked already.
+    fn park(&self, answered: TcpStream) -> Option<(TcpStream, Instant)> {
+        let mut handlers = lock(&self.handlers);
+        if self.stop.load(Ordering::SeqCst) || handlers.parked >= MAX_PARKED {
+            #[cfg(test)]
+            self.handler_exits.fetch_add(1, Ordering::SeqCst);
+            return None;
+        }
+        handlers.parked += 1;
+        drop(handlers);
+        drop(answered);
+        let mut handlers = lock(&self.handlers);
+        loop {
+            if let Some(next) = handlers.handoff.pop_front() {
+                handlers.parked -= 1;
+                return Some(next);
+            }
+            // `stop` is set before shutdown takes this lock to notify, so
+            // a handler that read `false` here is already waiting then.
+            if self.stop.load(Ordering::SeqCst) {
+                handlers.parked -= 1;
+                #[cfg(test)]
+                self.handler_exits.fetch_add(1, Ordering::SeqCst);
+                self.handlers_cv.notify_all();
+                return None;
+            }
+            handlers = self
+                .handlers_cv
+                .wait(handlers)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
     /// Route one parsed request; `accepted` is when its connection was.
     fn dispatch(self: &Arc<Self>, req: &Request, accepted: Instant) -> Response {
         let path = req.path.split('?').next().unwrap_or("");
@@ -974,6 +1081,19 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        // With the acceptor gone nothing is handed off any more: wake the
+        // parked handlers and wait until the last has left. A handler
+        // still answering a connection ends when it is done with it.
+        let mut handlers = lock(&self.state.handlers);
+        self.state.handlers_cv.notify_all();
+        while handlers.parked > 0 {
+            handlers = self
+                .state
+                .handlers_cv
+                .wait(handlers)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(handlers);
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
@@ -1021,8 +1141,14 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         last_registry_write_ok: AtomicBool::new(true),
         chaos,
         request_deadline: opts.request_deadline,
+        handlers: Mutex::new(Handlers::default()),
+        handlers_cv: Condvar::new(),
         #[cfg(test)]
         verify_calls: AtomicU64::new(0),
+        #[cfg(test)]
+        handler_spawns: AtomicU64::new(0),
+        #[cfg(test)]
+        handler_exits: AtomicU64::new(0),
         #[cfg(test)]
         panic_before_run: AtomicBool::new(false),
         stop: AtomicBool::new(false),
@@ -1050,28 +1176,15 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         handle.workers.push(worker);
     }
 
-    // Acceptor: one short-lived thread per connection — the API is
-    // one-shot request/response and job submissions are small.
-    let accept_state = state;
+    // Acceptor: each connection goes to a connection handler — the API
+    // is one-shot request/response and job submissions are small.
     handle.accept_thread = Some(thread::spawn(move || {
         for stream in listener.incoming() {
-            if accept_state.stop.load(Ordering::SeqCst) {
+            if state.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(mut stream) = stream else { continue };
-            let accepted = Instant::now();
-            let state = Arc::clone(&accept_state);
-            thread::spawn(move || {
-                let resp = match read_request_deadline(&mut stream, state.request_deadline) {
-                    Ok(Some(req)) => state.dispatch(&req, accepted),
-                    Ok(None) => return,
-                    Err(ParseError::TooLarge) => Response::text(413, "body too large"),
-                    Err(ParseError::Malformed(m)) => Response::text(400, m),
-                    Err(ParseError::Timeout) => Response::text(408, "request timed out"),
-                    Err(ParseError::Io(_)) => return,
-                };
-                let _ = write_response(&mut stream, &resp);
-            });
+            let Ok(stream) = stream else { continue };
+            state.accept(stream, Instant::now());
         }
     }));
     Ok(handle)
@@ -1082,6 +1195,7 @@ mod tests {
     use super::*;
     use crate::client;
     use std::fs;
+    use std::io::Read as _;
     use std::sync::atomic::AtomicU64 as TestSeq;
 
     static DIR_SEQ: TestSeq = TestSeq::new(0);
@@ -2032,6 +2146,85 @@ mod tests {
         assert_eq!(client::wait_settled(addr, id2).unwrap(), "done");
         assert_eq!(stat(addr, "queue_depth"), 0);
         handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Read a silent connection to its end: the server's 408.
+    fn expect_408(mut silent: TcpStream) {
+        let mut reply = String::new();
+        silent.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{reply}"
+        );
+    }
+
+    /// DESIGN.md §8.1's slow / silent client row at the server: each
+    /// silent connection holds only its own handler until the deadline.
+    #[test]
+    fn silent_clients_do_not_delay_others() {
+        let dir = temp_dir("silent");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.request_deadline = Duration::from_secs(2);
+        let handle = start(&opts).unwrap();
+        let addr = handle.addr();
+        let silent: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let asked = Instant::now();
+        let (status, body) = client::request(addr, "GET", "/healthz", None).unwrap();
+        let waited = asked.elapsed();
+        assert_eq!((status, body.as_str()), (200, r#"{"ok":true}"#));
+        assert!(
+            waited < opts.request_deadline / 4,
+            "/healthz waited {waited:?} behind silent clients"
+        );
+        silent.into_iter().for_each(expect_408);
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sequential_requests_reuse_one_handler() {
+        let dir = temp_dir("reuse");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        for _ in 0..200 {
+            let (status, _) = client::request(handle.addr(), "GET", "/healthz", None).unwrap();
+            assert_eq!(status, 200);
+        }
+        let spawns = handle.state.handler_spawns.load(Ordering::SeqCst);
+        assert!(spawns <= 2, "{spawns} handlers for 200 sequential requests");
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A burst wider than `MAX_PARKED` leaves that many handlers parked
+    /// and ends the rest; shutdown ends the parked ones at once.
+    #[test]
+    fn a_burst_leaves_at_most_max_parked_handlers_and_shutdown_ends_them() {
+        let dir = temp_dir("burst");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.request_deadline = Duration::from_secs(1);
+        let handle = start(&opts).unwrap();
+        let state = Arc::clone(&handle.state);
+        let silent: Vec<TcpStream> = (0..16)
+            .map(|_| TcpStream::connect(handle.addr()).unwrap())
+            .collect();
+        // A handler parks or ends before it closes its connection, so
+        // each 408 read to its end has been counted.
+        silent.into_iter().for_each(expect_408);
+        let spawns = state.handler_spawns.load(Ordering::SeqCst);
+        let exits = state.handler_exits.load(Ordering::SeqCst);
+        let parked = lock(&state.handlers).parked;
+        assert_eq!(parked, MAX_PARKED, "{spawns} started, {exits} ended");
+        assert_eq!(spawns - exits, MAX_PARKED as u64);
+        let asked = Instant::now();
+        handle.stop();
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            asked.elapsed()
+        );
+        assert_eq!(lock(&state.handlers).parked, 0);
+        assert_eq!(state.handler_exits.load(Ordering::SeqCst), spawns);
         fs::remove_dir_all(&dir).unwrap();
     }
 }
