@@ -65,12 +65,15 @@ use crate::util::{json_compact, json_pretty, lock};
 /// Backoff before the single registry-write retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Most connection handlers left parked at once. A parked handler is an
-/// idle thread whose touched stack pages stay resident; four give each of
-/// a few closed-loop clients (`submit --wait`, a `/stats` scraper) a
-/// parked handler on every request. A handler that would be the fifth
-/// ends instead, so a burst of connections leaves no more threads behind
-/// than this; a connection that finds none parked pays one thread spawn.
+/// Most connection handlers left parked at once. A handler that would be
+/// one more ends instead, so a burst leaves at most this many idle threads
+/// behind; a connection that finds none parked pays one thread spawn.
+/// Sized with 1 to 8 closed-loop clients on a 2-vCPU host (EXPERIMENTS.md
+/// A7, "Sizing `MAX_PARKED`"): a cap below the client count raised the
+/// median request by 16–65 %, and a parked handler held about 30 KiB
+/// resident. Four serves four clients spawn-free, where that host's
+/// request rate is within 9 % of its rate at eight. More than eight
+/// clients, and larger hosts, were not measured.
 const MAX_PARKED: usize = 4;
 
 /// Server configuration.
@@ -282,6 +285,13 @@ pub struct State {
     handler_spawns: AtomicU64,
     #[cfg(test)]
     handler_exits: AtomicU64,
+    /// Test hook: while set, a handler that has just counted itself
+    /// parked waits before it looks for a handoff.
+    #[cfg(test)]
+    hold_parked: AtomicBool,
+    /// Test hook: shutdown has waited for parked handlers to leave.
+    #[cfg(test)]
+    shutdown_waiting: AtomicBool,
     /// Test hook: the next job panics in `run_job` *before* its own
     /// unwind boundary, which only the worker loop can absorb.
     #[cfg(test)]
@@ -1002,20 +1012,29 @@ impl State {
         handlers.parked += 1;
         drop(handlers);
         drop(answered);
+        #[cfg(test)]
+        while self.hold_parked.load(Ordering::SeqCst) {
+            thread::sleep(Duration::from_millis(1));
+        }
         let mut handlers = lock(&self.handlers);
         loop {
-            if let Some(next) = handlers.handoff.pop_front() {
-                handlers.parked -= 1;
-                return Some(next);
-            }
             // `stop` is set before shutdown takes this lock to notify, so
             // a handler that read `false` here is already waiting then.
-            if self.stop.load(Ordering::SeqCst) {
+            let stop = self.stop.load(Ordering::SeqCst);
+            let next = handlers.handoff.pop_front();
+            if next.is_some() || stop {
                 handlers.parked -= 1;
+                // Shutdown waits, with `stop` set, for `parked` to reach
+                // zero: a handler that leaves the count then wakes it,
+                // with a connection handed over before the stop or not.
+                if stop {
+                    self.handlers_cv.notify_all();
+                }
                 #[cfg(test)]
-                self.handler_exits.fetch_add(1, Ordering::SeqCst);
-                self.handlers_cv.notify_all();
-                return None;
+                if next.is_none() {
+                    self.handler_exits.fetch_add(1, Ordering::SeqCst);
+                }
+                return next;
             }
             handlers = self
                 .handlers_cv
@@ -1087,6 +1106,8 @@ impl ServerHandle {
         let mut handlers = lock(&self.state.handlers);
         self.state.handlers_cv.notify_all();
         while handlers.parked > 0 {
+            #[cfg(test)]
+            self.state.shutdown_waiting.store(true, Ordering::SeqCst);
             handlers = self
                 .state
                 .handlers_cv
@@ -1150,6 +1171,10 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         #[cfg(test)]
         handler_exits: AtomicU64::new(0),
         #[cfg(test)]
+        hold_parked: AtomicBool::new(false),
+        #[cfg(test)]
+        shutdown_waiting: AtomicBool::new(false),
+        #[cfg(test)]
         panic_before_run: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         capacity: opts.queue_capacity.max(1),
@@ -1195,7 +1220,7 @@ mod tests {
     use super::*;
     use crate::client;
     use std::fs;
-    use std::io::Read as _;
+    use std::io::{Read as _, Write as _};
     use std::sync::atomic::AtomicU64 as TestSeq;
 
     static DIR_SEQ: TestSeq = TestSeq::new(0);
@@ -2225,6 +2250,53 @@ mod tests {
         );
         assert_eq!(lock(&state.handlers).parked, 0);
         assert_eq!(state.handler_exits.load(Ordering::SeqCst), spawns);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Poll `done` until it holds; fail after five seconds.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let asked = Instant::now();
+        while !done() {
+            assert!(asked.elapsed() < Duration::from_secs(5), "never: {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A connection handed to a parked handler just before `stop`, and
+    /// picked up only once shutdown waits for the parked handlers: the
+    /// handler that picks it up wakes shutdown, then answers it.
+    #[test]
+    fn shutdown_returns_when_a_handoff_is_picked_up_during_it() {
+        let dir = temp_dir("handoff-stop");
+        let handle = start(&ServeOptions::new(dir.clone())).unwrap();
+        let state = Arc::clone(&handle.state);
+        let addr = handle.addr();
+        state.hold_parked.store(true, Ordering::SeqCst);
+        let (status, _) = client::request(addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        let mut handed = TcpStream::connect(addr).unwrap();
+        handed
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        eventually("the connection is handed off", || {
+            lock(&state.handlers).handoff.len() == 1
+        });
+        let (stopped_tx, stopped) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            handle.stop();
+            let _ = stopped_tx.send(());
+        });
+        eventually("shutdown waits for the parked handler", || {
+            state.shutdown_waiting.load(Ordering::SeqCst)
+        });
+        state.hold_parked.store(false, Ordering::SeqCst);
+        stopped
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown hung after the handoff was picked up");
+        assert_eq!(lock(&state.handlers).parked, 0);
+        let mut reply = String::new();
+        handed.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }
