@@ -115,6 +115,49 @@ mod tests {
         assert!((d33 - 0.35 * f).abs() / f < 1e-12);
     }
 
+    /// `plane_stress_d` against an independent route to the same law:
+    /// the Lamé parameters λ = Eν/((1+ν)(1−2ν)) and μ = E/(2(1+ν)) of
+    /// the 3-D isotropic law, reduced to plane stress by λ* = 2λμ/(λ+2μ),
+    /// give d11 = λ* + 2μ, d12 = λ* and d33 = μ.
+    #[test]
+    fn plane_stress_d_matches_reduced_lame_parameters() {
+        // Three (E, ν) pairs from a seeded xorshift: E log-uniform over
+        // 1e3..1e12 Pa, ν uniform over 0..0.49.
+        let mut state = 1983u64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let seeded: Vec<Material> = (0..3)
+            .map(|_| Material {
+                e: 10f64.powf(3.0 + 9.0 * unit()),
+                nu: 0.49 * unit(),
+                ..Material::unit()
+            })
+            .collect();
+        let presets = [Material::steel(), Material::aluminum(), Material::unit()];
+        for m in presets.into_iter().chain(seeded) {
+            let (e, nu) = (m.e, m.nu);
+            let lambda = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu));
+            let mu = e / (2.0 * (1.0 + nu));
+            let lambda_star = 2.0 * lambda * mu / (lambda + 2.0 * mu);
+            let want = [lambda_star + 2.0 * mu, lambda_star, mu];
+            let (d11, d12, d33) = m.plane_stress_d();
+            for (name, got, want) in [
+                ("d11", d11, want[0]),
+                ("d12", d12, want[1]),
+                ("d33", d33, want[2]),
+            ] {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "E {e} ν {nu}: {name} {got} against Lamé {want}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn validate_rejects_nonsense() {
         let mut m = Material::steel();

@@ -169,7 +169,9 @@ impl Pe {
 
 /// The eligible worker PE of one cluster with the smallest `key`, found in
 /// one allocation-free pass over the cluster's lane; ties go to the lowest
-/// index. This runs once per dispatched task.
+/// index. [`crate::Machine::run_tasks`] applies the same rule in a loop of
+/// its own over a lane it already holds; the NA-VM's per-cluster oracle
+/// proptest holds the two equal.
 ///
 /// A PE is eligible when it is alive and is not the kernel PE — unless the
 /// configuration dedicates none, or the kernel PE is the only survivor and

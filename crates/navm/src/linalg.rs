@@ -18,8 +18,9 @@
 //! * **Stencil.** Every point is `4·c − l − r − u − d`, subtracted in that
 //!   order, with the terms of out-of-grid neighbours skipped.
 
-use crate::runtime::{ArrayId, NaVm, Plane};
-use fem2_machine::{Words, WorkProfile};
+use crate::runtime::{ArrayId, NaVm, Plane, SimState};
+use crate::task::TaskHandle;
+use fem2_machine::{CostClass, Cycles, Words, WorkProfile};
 use fem2_trace::{EventKind, MsgKind, TraceEvent, WindowStage, NO_PE};
 
 /// Chunk size for deterministic reductions, elements.
@@ -152,6 +153,76 @@ fn stencil_row(out: &mut [f64], c: &[f64], up: Option<&[f64]>, down: Option<&[f6
     }
 }
 
+impl SimState {
+    /// One halo exchange of `nx` words each way between adjacent
+    /// row-holding tasks on clusters `ca` and `cb`, from `start`: a memory
+    /// pass on the kernel PE when they share a cluster, two messages
+    /// otherwise. Returns when the exchange is done.
+    fn halo_pair(&mut self, start: Cycles, ca: u32, cb: u32, nx: usize) -> Cycles {
+        if ca == cb {
+            // The MemWord charge records the words; counting them again
+            // here would double-book the pass.
+            let pe = self.machine.kernel_pe(ca);
+            let done = self
+                .machine
+                .charge(start, pe, CostClass::MemWord, 2 * nx as u64)
+                .unwrap_or(start);
+            self.machine.trace.emit(|| {
+                TraceEvent::span(
+                    start,
+                    done - start,
+                    ca,
+                    NO_PE,
+                    EventKind::Window {
+                        stage: WindowStage::Gather,
+                        peer_cluster: cb,
+                        words: 2 * nx as u64,
+                    },
+                )
+            });
+            return done;
+        }
+        let a1 = self.transmit(start, ca, cb, nx as Words, MsgKind::RemoteCall);
+        let a2 = self.transmit(start, cb, ca, nx as Words, MsgKind::RemoteCall);
+        for (from, to, arrive) in [(ca, cb, a1), (cb, ca, a2)] {
+            self.machine.trace.emit(|| {
+                TraceEvent::span(
+                    start,
+                    arrive - start,
+                    from,
+                    NO_PE,
+                    EventKind::Window {
+                        stage: WindowStage::Transit,
+                        peer_cluster: to,
+                        words: nx as u64,
+                    },
+                )
+            });
+        }
+        a1.max(a2)
+    }
+}
+
+#[cfg(test)]
+impl SimState {
+    /// The oracle of [`NaVm::stencil5`]'s halo charges: every adjacent
+    /// task pair, filtered on both shares of `ny` rows being non-empty,
+    /// with one division per task for its cluster.
+    pub(crate) fn halo_per_task(&mut self, tasks: &crate::TaskSet, nx: usize, ny: usize) {
+        let pairs = tasks
+            .iter()
+            .zip(tasks.iter().skip(1))
+            .filter(|(a, b)| !tasks.share(ny, *a).is_empty() && !tasks.share(ny, *b).is_empty())
+            .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)));
+        let start = self.now;
+        let mut barrier = start;
+        for (ca, cb) in pairs {
+            barrier = barrier.max(self.halo_pair(start, ca, cb, nx));
+        }
+        self.now = barrier;
+    }
+}
+
 impl NaVm {
     /// The elements of `src` (shared) beside those of `dst` (mutable).
     fn src_dst(&mut self, src: ArrayId, dst: ArrayId) -> (&[f64], &mut [f64]) {
@@ -162,13 +233,21 @@ impl NaVm {
         (&s.data, &mut d.data)
     }
 
-    fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
+    /// Charge a forall over `n` items block-split over the task crew
+    /// ([`TaskSet::share`](crate::TaskSet::share)): task `i` does
+    /// `per_elem` for each of its `base + (i < extra)` items.
+    pub(crate) fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
         if let Plane::Sim(s) = &mut self.plane {
             let tasks = self.tasks;
-            let work = tasks
-                .iter()
-                .map(|t| (t, per_elem.scaled(tasks.share(n, t).len() as u64)));
-            s.parallel_section(&tasks, work);
+            let (base, extra) = (n / tasks.len() as usize, n % tasks.len() as usize);
+            let runs = tasks.by_cluster().map(|(c, run)| {
+                let work = run.map(move |i| {
+                    let items = base + usize::from((i as usize) < extra);
+                    (TaskHandle(i), per_elem.scaled(items as u64))
+                });
+                (c, work)
+            });
+            s.parallel_section(runs);
         }
     }
 
@@ -197,10 +276,17 @@ impl NaVm {
         let result = {
             let xd = &self.arrays[x.0 as usize].data;
             let yd = &self.arrays[y.0 as usize].data;
-            let mut partials = vec![0.0; n.div_ceil(REDUCE_GRAIN)];
-            dot_partials(xd, yd, &mut partials);
-            // Folded in chunk order.
-            partials.iter().fold(0.0, |total, p| total + p)
+            // Each block's partials fold into the total in chunk order as
+            // they come, so the sum needs no buffer beyond one block's.
+            let block = REDUCE_SPAN * REDUCE_GRAIN;
+            let mut partials = [0.0; REDUCE_SPAN];
+            xd.chunks(block)
+                .zip(yd.chunks(block))
+                .fold(0.0, |total, (xb, yb)| {
+                    let out = &mut partials[..xb.len().div_ceil(REDUCE_GRAIN)];
+                    dot_partials(xb, yb, out);
+                    out.iter().fold(total, |total, p| total + p)
+                })
         };
         self.charge_elementwise(
             n,
@@ -344,72 +430,25 @@ impl NaVm {
     pub fn stencil5(&mut self, x: ArrayId, y: ArrayId, nx: usize, ny: usize) {
         assert_eq!(self.len(x), nx * ny, "x length mismatch");
         assert_eq!(self.len(y), nx * ny, "y length mismatch");
-        // Halo exchange charges.
+        // Halo exchange charges: between each pair of adjacent tasks that
+        // hold grid rows (the first `min(tasks, ny)`), in task order.
         if let Plane::Sim(s) = &mut self.plane {
-            let tasks = self.tasks;
-            let pairs = tasks
-                .iter()
-                .zip(tasks.iter().skip(1))
-                .filter(|(a, b)| {
-                    // Only adjacent tasks with non-empty shares exchange.
-                    !tasks.share(ny, *a).is_empty() && !tasks.share(ny, *b).is_empty()
+            let held = self.tasks.len().min(u32::try_from(ny).unwrap_or(u32::MAX));
+            let mut hosts = self
+                .tasks
+                .by_cluster()
+                .map_while(|(c, run)| {
+                    (run.start < held).then(|| (c, run.end.min(held) - run.start))
                 })
-                .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)));
+                .peekable();
             let start = s.now;
             let mut barrier = start;
-            for (ca, cb) in pairs {
-                if ca == cb {
-                    // The MemWord charge records the words; counting
-                    // them again here would double-book the pass.
-                    let pe = s.machine.kernel_pe(ca);
-                    let done = s
-                        .machine
-                        .charge(start, pe, fem2_machine::CostClass::MemWord, 2 * nx as u64)
-                        .unwrap_or(start);
-                    s.machine.trace.emit(|| {
-                        TraceEvent::span(
-                            start,
-                            done - start,
-                            ca,
-                            NO_PE,
-                            EventKind::Window {
-                                stage: WindowStage::Gather,
-                                peer_cluster: cb,
-                                words: 2 * nx as u64,
-                            },
-                        )
-                    });
-                    barrier = barrier.max(done);
-                } else {
-                    let a1 = s.transmit(start, ca, cb, nx as Words, MsgKind::RemoteCall);
-                    let a2 = s.transmit(start, cb, ca, nx as Words, MsgKind::RemoteCall);
-                    s.machine.trace.emit(|| {
-                        TraceEvent::span(
-                            start,
-                            a1 - start,
-                            ca,
-                            NO_PE,
-                            EventKind::Window {
-                                stage: WindowStage::Transit,
-                                peer_cluster: cb,
-                                words: nx as u64,
-                            },
-                        )
-                    });
-                    s.machine.trace.emit(|| {
-                        TraceEvent::span(
-                            start,
-                            a2 - start,
-                            cb,
-                            NO_PE,
-                            EventKind::Window {
-                                stage: WindowStage::Transit,
-                                peer_cluster: ca,
-                                words: nx as u64,
-                            },
-                        )
-                    });
-                    barrier = barrier.max(a1).max(a2);
+            while let Some((ca, k)) = hosts.next() {
+                for _ in 1..k {
+                    barrier = barrier.max(s.halo_pair(start, ca, ca, nx));
+                }
+                if let Some(&(cb, _)) = hosts.peek() {
+                    barrier = barrier.max(s.halo_pair(start, ca, cb, nx));
                 }
             }
             s.now = barrier;

@@ -192,14 +192,20 @@ impl SimState {
         }
     }
 
-    /// Charge one parallel section: each `(t, w)` of `work` is executed by
-    /// task `t`. Returns the barrier time. Callers pass an iterator, so
-    /// charging a section allocates nothing.
-    pub(crate) fn parallel_section(
-        &mut self,
-        tasks: &TaskSet,
-        work: impl IntoIterator<Item = (TaskHandle, WorkProfile)>,
-    ) -> Cycles {
+    /// Charge one parallel section: each `(c, run)` of `runs` is a run of
+    /// consecutive work items on cluster `c`, and each `(t, w)` of `run`
+    /// is executed by task `t`. Returns the barrier time. Callers pass
+    /// iterators, so charging a section allocates nothing.
+    ///
+    /// A run is one [`Machine::run_tasks`] call, which hands each task in
+    /// turn to the earliest-free worker PE: the same charges as one pick
+    /// and one dispatch per task. A section that initiates the crew
+    /// charges each task's initiation before its body, so there each task
+    /// is a call of its own.
+    pub(crate) fn parallel_section<R>(&mut self, runs: impl IntoIterator<Item = (u32, R)>) -> Cycles
+    where
+        R: IntoIterator<Item = (TaskHandle, WorkProfile)>,
+    {
         // Aborted runs wind down instead of charging further work: the
         // caller polls `NaVm::budget_exceeded` and stops issuing ops, but
         // any ops already in flight become no-ops here.
@@ -211,89 +217,136 @@ impl SimState {
         let mut barrier = start;
         let charge_spawn = self.spawn_overhead && !self.spawned;
         self.spawned = true;
+        for (c, run) in runs {
+            let mut run = run.into_iter();
+            if charge_spawn {
+                for (t, w) in run {
+                    let ready = self.initiate(start, c, t);
+                    match self.machine.run_tasks(c, [(t.0, ready, w)]) {
+                        Ok(done) => barrier = barrier.max(done),
+                        // Every PE of the cluster is dead: the work
+                        // cannot run.
+                        Err(_) => self.dead_letter(ready, 0, c, MsgKind::InitiateTask),
+                    }
+                }
+                continue;
+            }
+            let tasks = run.by_ref().map(|(t, w)| (t.0, start, w));
+            match self.machine.run_tasks(c, tasks) {
+                Ok(done) => barrier = barrier.max(done),
+                // Every PE of the cluster is dead: `run_tasks` took none
+                // of the run, and each of its tasks dead-letters.
+                Err(_) => {
+                    for _ in run {
+                        self.dead_letter(start, 0, c, MsgKind::InitiateTask);
+                    }
+                }
+            }
+        }
+        self.now = barrier;
+        barrier
+    }
+
+    /// Initiate task `t` on cluster `c` for a section starting at `start`:
+    /// the coordinator (cluster 0's kernel PE) sends an initiate message,
+    /// and the hosting kernel PE creates the activation. Returns when the
+    /// task is ready to run.
+    fn initiate(&mut self, start: Cycles, c: u32, t: TaskHandle) -> Cycles {
+        let kpe0 = self.machine.kernel_pe(0);
+        let sent = self
+            .machine
+            .charge(start, kpe0, CostClass::MsgSend, 1)
+            .unwrap_or(start);
+        let arrive = self.transmit(sent, 0, c, 8, MsgKind::InitiateTask);
+        self.machine.trace.emit(|| {
+            TraceEvent::span(
+                sent,
+                arrive - sent,
+                0,
+                NO_PE,
+                EventKind::MsgSend {
+                    msg: MsgKind::InitiateTask,
+                    to_cluster: c,
+                    words: 8,
+                },
+            )
+        });
+        self.machine.trace.emit(|| {
+            TraceEvent::instant(
+                arrive,
+                c,
+                NO_PE,
+                EventKind::MsgRecv {
+                    msg: MsgKind::InitiateTask,
+                    from_cluster: 0,
+                    words: 8,
+                },
+            )
+        });
+        let kpe = self.machine.kernel_pe(c);
+        let ready = self
+            .machine
+            .charge(arrive, kpe, CostClass::TaskCreate, 1)
+            .unwrap_or(arrive);
+        self.machine.trace.emit(|| {
+            TraceEvent::instant(
+                ready,
+                c,
+                NO_PE,
+                EventKind::Task {
+                    task: t.0,
+                    stage: TaskStage::Created,
+                },
+            )
+        });
+        ready
+    }
+}
+
+#[cfg(test)]
+impl SimState {
+    /// The oracle of [`SimState::parallel_section`]: every task dispatched
+    /// on its own, with one division to find its cluster, one
+    /// [`Machine::pick_worker`] and one [`Machine::run_task`].
+    pub(crate) fn parallel_section_per_task(
+        &mut self,
+        tasks: &TaskSet,
+        work: impl IntoIterator<Item = (TaskHandle, WorkProfile)>,
+    ) -> Cycles {
+        if self.stopped().is_some() {
+            return self.now;
+        }
+        let start = self.now;
+        self.apply_faults_through(start);
+        let mut barrier = start;
+        let charge_spawn = self.spawn_overhead && !self.spawned;
+        self.spawned = true;
         for (t, w) in work {
             let c = tasks.cluster_of(t);
-            let mut ready_at = start;
-            if charge_spawn {
-                // The coordinator (cluster 0's kernel PE) sends an initiate
-                // message; the hosting kernel PE creates the activation.
-                let kpe0 = self.machine.kernel_pe(0);
-                let sent = self
-                    .machine
-                    .charge(start, kpe0, CostClass::MsgSend, 1)
-                    .unwrap_or(start);
-                let arrive = self.transmit(sent, 0, c, 8, MsgKind::InitiateTask);
-                self.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        sent,
-                        arrive - sent,
-                        0,
-                        NO_PE,
-                        EventKind::MsgSend {
-                            msg: MsgKind::InitiateTask,
-                            to_cluster: c,
-                            words: 8,
-                        },
-                    )
-                });
-                self.machine.trace.emit(|| {
-                    TraceEvent::instant(
-                        arrive,
-                        c,
-                        NO_PE,
-                        EventKind::MsgRecv {
-                            msg: MsgKind::InitiateTask,
-                            from_cluster: 0,
-                            words: 8,
-                        },
-                    )
-                });
-                let kpe = self.machine.kernel_pe(c);
-                ready_at = self
-                    .machine
-                    .charge(arrive, kpe, CostClass::TaskCreate, 1)
-                    .unwrap_or(arrive);
-                self.machine.trace.emit(|| {
-                    TraceEvent::instant(
-                        ready_at,
-                        c,
-                        NO_PE,
-                        EventKind::Task {
-                            task: t.0,
-                            stage: TaskStage::Created,
-                        },
-                    )
-                });
-            }
-            // Hand the body to the earliest-free worker PE of the cluster.
+            let ready_at = if charge_spawn {
+                self.initiate(start, c, t)
+            } else {
+                start
+            };
             let Some(pe) = self.machine.pick_worker(c) else {
-                // Every PE of the cluster is dead: its work cannot run.
                 self.dead_letter(ready_at, 0, c, MsgKind::InitiateTask);
                 continue;
             };
-            self.machine.trace.emit(|| {
+            let stage = |at, stage| {
                 TraceEvent::instant(
-                    ready_at,
+                    at,
                     pe.cluster,
                     pe.index,
-                    EventKind::Task {
-                        task: t.0,
-                        stage: TaskStage::Dispatched,
-                    },
+                    EventKind::Task { task: t.0, stage },
                 )
-            });
+            };
+            self.machine
+                .trace
+                .emit(|| stage(ready_at, TaskStage::Dispatched));
             let done = self.machine.run_task(ready_at, pe, &w).unwrap_or(ready_at);
-            self.machine.trace.emit(|| {
-                TraceEvent::instant(
-                    done,
-                    pe.cluster,
-                    pe.index,
-                    EventKind::Task {
-                        task: t.0,
-                        stage: TaskStage::Completed,
-                    },
-                )
-            });
+            self.machine
+                .trace
+                .emit(|| stage(done, TaskStage::Completed));
             barrier = barrier.max(done);
         }
         self.now = barrier;
@@ -601,13 +654,7 @@ impl NaVm {
         for (r, row) in a.data.chunks_mut(cols).enumerate() {
             f(r, row);
         }
-        if let Plane::Sim(s) = &mut self.plane {
-            let tasks = self.tasks;
-            let work = tasks
-                .iter()
-                .map(|t| (t, cost_per_row.scaled(tasks.share(rows, t).len() as u64)));
-            s.parallel_section(&tasks, work);
-        }
+        self.charge_elementwise(rows, cost_per_row);
     }
 
     /// Pardo: a set of independent statements, one per entry, each with a
@@ -617,7 +664,14 @@ impl NaVm {
     pub fn pardo(&mut self, statements: &[(TaskHandle, WorkProfile)]) -> Cycles {
         match &mut self.plane {
             Plane::Native => 0,
-            Plane::Sim(s) => s.parallel_section(&self.tasks, statements.iter().copied()),
+            Plane::Sim(s) => {
+                let tasks = self.tasks;
+                let cluster = |&(t, _): &(TaskHandle, WorkProfile)| tasks.cluster_of(t);
+                let runs = statements
+                    .chunk_by(|a, b| cluster(a) == cluster(b))
+                    .map(|run| (cluster(&run[0]), run.iter().copied()));
+                s.parallel_section(runs)
+            }
         }
     }
 
@@ -714,6 +768,7 @@ impl NaVm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fem2_machine::{PeId, Topology};
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
@@ -921,5 +976,181 @@ mod tests {
         vm.broadcast(TaskHandle(0), 64);
         let t2 = vm.elapsed();
         assert!(t0 <= t1 && t1 <= t2);
+    }
+
+    /// One charged operation of [`per_cluster_section_matches_per_task_oracle`].
+    #[derive(Clone, Copy, Debug)]
+    enum Section {
+        /// A forall over `n` items (`charge_elementwise`).
+        Forall { n: usize, per: WorkProfile },
+        /// A pardo of `m` statements on tasks drawn from `seed`: out of
+        /// task order, some tasks twice, some not at all.
+        Pardo {
+            m: usize,
+            per: WorkProfile,
+            seed: u64,
+        },
+        /// The crew is re-initiated, then a forall.
+        Respawn { n: usize, per: WorkProfile },
+        /// The halo exchange of a `nx × ny` stencil.
+        Halo { nx: usize, ny: usize },
+    }
+
+    /// A machine, a crew and a fault plan on twin VMs: the per-cluster
+    /// path on one, the per-task oracle on the other. Returns each
+    /// section's barrier, then every PE, the stats table, `events`, the
+    /// sticky abort, the retransmits and the recorded trace.
+    fn run_twin(
+        oracle: bool,
+        cfg: &MachineConfig,
+        ntasks: u32,
+        spawn: bool,
+        faults: &FaultPlan,
+        sections: &[Section],
+    ) -> impl PartialEq + std::fmt::Debug {
+        let mut vm = NaVm::simulated(cfg.clone(), ntasks);
+        let (trace, rec) = TraceHandle::ring(1 << 16);
+        vm.set_trace(trace);
+        vm.set_spawn_overhead(spawn);
+        vm.inject_faults(faults);
+        let tasks = vm.tasks();
+        let mut barriers = Vec::new();
+        for &section in sections {
+            let (n, per) = match section {
+                Section::Forall { n, per } => (n, per),
+                Section::Respawn { n, per } => {
+                    vm.respawn_tasks();
+                    (n, per)
+                }
+                Section::Pardo { m, per, seed } => {
+                    let stmts: Vec<(TaskHandle, WorkProfile)> = (0..m as u64)
+                        .map(|i| {
+                            let h = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+                            (
+                                TaskHandle((h % ntasks as u64) as u32),
+                                per.scaled(1 + h % 3),
+                            )
+                        })
+                        .collect();
+                    barriers.push(match &mut vm.plane {
+                        Plane::Sim(s) if oracle => {
+                            s.parallel_section_per_task(&tasks, stmts.iter().copied())
+                        }
+                        _ => vm.pardo(&stmts),
+                    });
+                    continue;
+                }
+                Section::Halo { nx, ny } => {
+                    let (x, y) = (vm.vector(nx * ny), vm.vector(nx * ny));
+                    let Plane::Sim(s) = &mut vm.plane else {
+                        unreachable!("simulated plane")
+                    };
+                    if !oracle {
+                        vm.stencil5(x, y, nx, ny);
+                        barriers.push(vm.elapsed());
+                        continue;
+                    }
+                    // The halo, then the forall `stencil5` charges.
+                    s.halo_per_task(&tasks, nx, ny);
+                    let per = WorkProfile {
+                        flops: 8,
+                        int_ops: 6,
+                        mem_words: 6,
+                    };
+                    (nx * ny, per)
+                }
+            };
+            match &mut vm.plane {
+                Plane::Sim(s) if oracle => {
+                    let work = tasks
+                        .iter()
+                        .map(|t| (t, per.scaled(tasks.share(n, t).len() as u64)));
+                    s.parallel_section_per_task(&tasks, work);
+                }
+                _ => vm.charge_elementwise(n, per),
+            }
+            barriers.push(vm.elapsed());
+        }
+        let Plane::Sim(s) = &vm.plane else {
+            unreachable!("simulated plane")
+        };
+        let m = &s.machine;
+        let pes: Vec<_> = (0..cfg.clusters)
+            .flat_map(|c| m.cluster_pes(c))
+            .map(|pe| *m.pe(pe).unwrap())
+            .collect();
+        let r = rec.lock().unwrap();
+        let events: Vec<_> = r.events().copied().collect();
+        let trace = (r.len(), r.dropped(), events);
+        (
+            barriers,
+            pes,
+            m.stats.table(),
+            m.events,
+            (s.halted.clone(), s.retransmits, m.network.messages),
+            trace,
+        )
+    }
+
+    fn profile((flops, int_ops, mem_words): (u64, u64, u64)) -> WorkProfile {
+        WorkProfile {
+            flops,
+            int_ops,
+            mem_words,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        /// The per-cluster section against its per-task oracle,
+        /// on twin VMs: crossbar, torus and fat tree; a dedicated kernel PE
+        /// or none; killed PEs, dead clusters and transient PE faults;
+        /// fewer tasks than clusters and more than a cluster's workers;
+        /// spawn overhead; pardo statements out of task order; and the
+        /// stencil's halo pairs.
+        #[test]
+        fn per_cluster_section_matches_per_task_oracle(
+            machine in (0u32..3, 1u32..=4, proptest::arbitrary::any::<bool>()),
+            ntasks in 1u32..=40,
+            spawn in proptest::arbitrary::any::<bool>(),
+            faults in proptest::collection::vec((0u32..3, 0u32..8, 0u32..4, 0u64..4000), 0..5),
+            sections in proptest::collection::vec(
+                (0u32..4, 1usize..300, (0u64..40, 0u64..40, 0u64..40), proptest::arbitrary::any::<u64>()),
+                1..7,
+            ),
+        ) {
+            let (topo, pes, dedicated) = machine;
+            let topology = match topo {
+                0 => Topology::Crossbar,
+                1 => Topology::Torus { dims: vec![4, 2] },
+                _ => Topology::FatTree { radix: 4 },
+            };
+            let mut cfg = MachineConfig::clustered(8, pes, topology);
+            cfg.dedicated_kernel_pe = dedicated;
+            let plan = faults.iter().fold(FaultPlan::none(), |plan, &(kind, c, p, at)| {
+                let pe = PeId::new(c, p % pes);
+                match kind {
+                    0 => plan.kill_pe(at, pe),
+                    1 => plan.transient_pe(at, at + 1 + at / 2, pe),
+                    // A dead cluster: every PE of `c` fails.
+                    _ => (0..pes).fold(plan, |plan, i| plan.kill_pe(at, PeId::new(c, i))),
+                }
+            });
+            let sections: Vec<Section> = sections
+                .iter()
+                .map(|&(kind, n, per, seed)| {
+                    let per = profile(per);
+                    match kind {
+                        0 => Section::Forall { n, per },
+                        1 => Section::Pardo { m: n % 50 + 1, per, seed },
+                        2 => Section::Respawn { n, per },
+                        _ => Section::Halo { nx: n % 17 + 1, ny: (seed % 60) as usize + 1 },
+                    }
+                })
+                .collect();
+            let twin = |oracle| run_twin(oracle, &cfg, ntasks, spawn, &plan, &sections);
+            proptest::prop_assert_eq!(twin(false), twin(true));
+        }
     }
 }

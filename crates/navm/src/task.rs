@@ -53,6 +53,26 @@ impl TaskSet {
         ((t.0 as u64 * self.clusters as u64) / self.n as u64) as u32
     }
 
+    /// Each cluster that hosts a task, in order, with its tasks: block
+    /// mapping gives every such cluster one contiguous run of task ids.
+    /// Two divisions per cluster, none per task; a cluster that hosts no
+    /// task (more clusters than tasks) is never visited.
+    pub fn by_cluster(&self) -> impl Iterator<Item = (u32, std::ops::Range<u32>)> {
+        let (n, clusters) = (self.n as u64, self.clusters as u64);
+        let mut first = 0;
+        std::iter::from_fn(move || {
+            if first == n {
+                return None;
+            }
+            let c = first * clusters / n;
+            // The first task of cluster `c + 1`: ⌈(c+1)·n / clusters⌉.
+            let end = ((c + 1) * n).div_ceil(clusters);
+            let tasks = first as u32..end as u32;
+            first = end;
+            Some((c as u32, tasks))
+        })
+    }
+
     /// All tasks, in order.
     pub fn iter(&self) -> impl Iterator<Item = TaskHandle> {
         (0..self.n).map(TaskHandle)
@@ -117,6 +137,30 @@ mod tests {
         let ts = TaskSet::new(2, 8);
         assert_eq!(ts.cluster_of(TaskHandle(0)), 0);
         assert_eq!(ts.cluster_of(TaskHandle(1)), 4);
+    }
+
+    #[test]
+    fn by_cluster_groups_what_cluster_of_maps() {
+        for (n, clusters) in [
+            (8u32, 4u32),
+            (5, 2),
+            (2, 8),
+            (128, 1024),
+            (7, 3),
+            (1, 1),
+            (9, 9),
+        ] {
+            let ts = TaskSet::new(n, clusters);
+            let grouped: Vec<(u32, u32)> = ts
+                .by_cluster()
+                .flat_map(|(c, tasks)| tasks.map(move |t| (c, t)))
+                .collect();
+            let mapped: Vec<(u32, u32)> = ts.iter().map(|t| (ts.cluster_of(t), t.0)).collect();
+            assert_eq!(grouped, mapped, "{n} tasks on {clusters} clusters");
+            assert!(ts.by_cluster().all(|(_, tasks)| !tasks.is_empty()));
+            let hosts = ts.by_cluster().count() as u32;
+            assert_eq!(hosts, n.min(clusters), "one group per hosting cluster");
+        }
     }
 
     #[test]

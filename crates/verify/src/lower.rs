@@ -55,19 +55,13 @@ pub fn solve_script(
     }
 
     // 2. Worst-case vector storage per cluster: each task's row share times
-    //    the live vector count, exactly as `NaVm` row-block-allocates. One
-    //    pass over the tasks: the block mapping is monotone, so each
-    //    cluster's tasks are one run and clusters come out ascending.
-    let mut cluster_rows: Vec<(u32, u64)> = Vec::new();
-    for t in set.iter() {
-        let (c, rows) = (set.cluster_of(t), set.share(unknowns, t).len() as u64);
-        match cluster_rows.last_mut() {
-            Some((last, sum)) if *last == c => *sum += rows,
-            _ => cluster_rows.push((c, rows)),
-        }
-    }
+    //    the live vector count, exactly as `NaVm` row-block-allocates, for
+    //    each cluster that hosts a task, ascending.
     let mut label = None;
-    for (cluster, rows) in cluster_rows {
+    for (cluster, run) in set.by_cluster() {
+        let rows: u64 = run
+            .map(|t| set.share(unknowns, fem2_navm::TaskHandle(t)).len() as u64)
+            .sum();
         let words = rows * shape.vectors;
         if words > 0 {
             let what = *label.get_or_insert_with(|| {
