@@ -6,6 +6,7 @@ use fem2_core::scenario::PlateScenario;
 use fem2_kernel::{CodeBlock, KernelMessage, KernelSim, TaskId, WorkProfile};
 use fem2_machine::fault::FaultPlan;
 use fem2_machine::{Machine, MachineConfig, PeId, Topology};
+use fem2_navm::{NaVm, TaskHandle};
 use fem2_trace::{chrome, EventKind, TraceHandle};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -339,6 +340,42 @@ fn kernel_chrome_export_is_pinned() {
     assert_eq!(
         (digest, events),
         (0x1db0_d43b_53fd_aa1d, 245),
+        "got ({digest:#018x}, {events})"
+    );
+}
+
+/// The Chrome export of the NA-VM's window protocol is pinned byte for
+/// byte: local, remote-read and remote-write exchanges over row, column
+/// and block windows, a local and a remote call, and a read retried after
+/// a link dies under it.
+#[test]
+fn window_chrome_export_is_pinned() {
+    let mut vm = NaVm::simulated(MachineConfig::fem2_default(), 8);
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    vm.set_trace(handle);
+    let a = vm.array(64, 16);
+    vm.fill(a, |r, c| (r * 16 + c) as f64);
+    let me = TaskHandle(0);
+    for w in [
+        vm.row_window(a, 2),
+        vm.row_window(a, 60),
+        vm.col_window(a, 3),
+        vm.window(a, 8, 40, 0, 8),
+    ] {
+        let values = vm.read_window(me, &w);
+        vm.write_window(me, &w, &values);
+    }
+    vm.remote_call(me, TaskHandle(1), WorkProfile::flops(50), 16, 4);
+    vm.remote_call(me, TaskHandle(7), WorkProfile::flops(50), 16, 4);
+    vm.inject_faults(&FaultPlan::none().kill_link(vm.elapsed() + 1, 3));
+    let w = vm.row_window(a, 60);
+    let _ = vm.read_window(me, &w);
+    assert!(vm.retransmits() >= 1, "the lost packet was retried");
+    assert!(vm.budget_exceeded().is_none());
+    let (digest, events) = export_identity(&rec);
+    assert_eq!(
+        (digest, events),
+        (0xd205_d48c_9806_3aca, 247),
         "got ({digest:#018x}, {events})"
     );
 }
