@@ -1,9 +1,8 @@
 //! Linear-algebra operations of the NA-VM.
 //!
-//! Inner products, vector updates, dense matrix–vector products, and the
-//! 5-point-stencil operator the FEM scenarios lean on. Every operation
-//! computes real values *and* charges the simulated machine when the VM
-//! runs on the simulated plane.
+//! Inner products, vector updates, and the 5-point-stencil operator the FEM
+//! scenarios lean on. Every operation computes real values *and* charges
+//! the simulated machine when the VM runs on the simulated plane.
 //!
 //! The host arithmetic of each operation is **one slice kernel** (the free
 //! functions below) that both planes call, so they round the same way —
@@ -20,8 +19,8 @@
 
 use crate::runtime::{ArrayId, NaVm, Plane, SimState};
 use crate::task::TaskHandle;
-use fem2_machine::{CostClass, Cycles, Words, WorkProfile};
-use fem2_trace::{EventKind, MsgKind, TraceEvent, WindowStage, NO_PE};
+use fem2_machine::{Cycles, Words, WorkProfile};
+use fem2_trace::{MsgKind, WindowStage};
 
 /// Chunk size for deterministic reductions, elements.
 pub const REDUCE_GRAIN: usize = 1024;
@@ -159,46 +158,16 @@ impl SimState {
     /// pass on the kernel PE when they share a cluster, two messages
     /// otherwise. Returns when the exchange is done.
     fn halo_pair(&mut self, start: Cycles, ca: u32, cb: u32, nx: usize) -> Cycles {
+        let words = nx as Words;
         if ca == cb {
-            // The MemWord charge records the words; counting them again
-            // here would double-book the pass.
-            let pe = self.machine.kernel_pe(ca);
-            let done = self
-                .machine
-                .charge(start, pe, CostClass::MemWord, 2 * nx as u64)
-                .unwrap_or(start);
-            self.machine.trace.emit(|| {
-                TraceEvent::span(
-                    start,
-                    done - start,
-                    ca,
-                    NO_PE,
-                    EventKind::Window {
-                        stage: WindowStage::Gather,
-                        peer_cluster: cb,
-                        words: 2 * nx as u64,
-                    },
-                )
-            });
-            return done;
+            return self.memory_stage(start, ca, cb, WindowStage::Gather, 2 * words);
         }
-        let a1 = self.transmit(start, ca, cb, nx as Words, MsgKind::RemoteCall);
-        let a2 = self.transmit(start, cb, ca, nx as Words, MsgKind::RemoteCall);
-        for (from, to, arrive) in [(ca, cb, a1), (cb, ca, a2)] {
-            self.machine.trace.emit(|| {
-                TraceEvent::span(
-                    start,
-                    arrive - start,
-                    from,
-                    NO_PE,
-                    EventKind::Window {
-                        stage: WindowStage::Transit,
-                        peer_cluster: to,
-                        words: nx as u64,
-                    },
-                )
-            });
-        }
+        // Halo messages have no reliable layer, and both leave before
+        // either is traced: the plate's pinned trace fixes that order.
+        let a1 = self.transmit(start, ca, cb, words, MsgKind::RemoteCall);
+        let a2 = self.transmit(start, cb, ca, words, MsgKind::RemoteCall);
+        self.window_span(start, a1, ca, cb, WindowStage::Transit, words);
+        self.window_span(start, a2, cb, ca, WindowStage::Transit, words);
         a1.max(a2)
     }
 }
@@ -365,54 +334,6 @@ impl NaVm {
                 flops: 0,
                 int_ops: 0,
                 mem_words: 2,
-            },
-        );
-    }
-
-    /// Dense matrix–vector product `y ← A·x` with `A` row-block
-    /// distributed. On the simulated plane the full `x` is allgathered
-    /// (each cluster ships its share to every other) before the local rows
-    /// multiply.
-    pub fn matvec_dense(&mut self, a: ArrayId, x: ArrayId, y: ArrayId) {
-        let (m, ncols) = (self.rows(a), self.cols(a));
-        assert_eq!(self.len(x), ncols, "x length mismatch");
-        assert_eq!(self.len(y), m, "y length mismatch");
-        // Charge the allgather of x.
-        if let Plane::Sim(_) = self.plane {
-            let clusters = self.tasks.clusters();
-            let share_words = (ncols as u64 / clusters.max(1) as u64).max(1);
-            if let Plane::Sim(s) = &mut self.plane {
-                let start = s.now;
-                let mut barrier = start;
-                for from in 0..clusters {
-                    for to in 0..clusters {
-                        if from != to {
-                            let arrive =
-                                s.transmit(start, from, to, share_words, MsgKind::RemoteCall);
-                            barrier = barrier.max(arrive);
-                        }
-                    }
-                }
-                s.now = barrier;
-            }
-        }
-        // Compute: y[r] = Σ_c A[r][c] x[c].
-        {
-            let [aa, xa, ya] = self
-                .arrays
-                .get_disjoint_mut([a.0 as usize, x.0 as usize, y.0 as usize])
-                .expect("aliasing arrays");
-            let (ad, xd, yd) = (&aa.data, &xa.data, &mut ya.data);
-            for (r, out) in yd.iter_mut().enumerate() {
-                *out = dot_row(&ad[r * ncols..(r + 1) * ncols], xd);
-            }
-        }
-        self.charge_elementwise(
-            m,
-            WorkProfile {
-                flops: 2 * ncols as u64,
-                int_ops: ncols as u64,
-                mem_words: ncols as u64 + 1,
             },
         );
     }
@@ -733,32 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_dense_identity() {
-        for mut vm in [sim(4), native()] {
-            let a = vm.array(5, 5);
-            vm.fill(a, |r, c| if r == c { 1.0 } else { 0.0 });
-            let x = vm.vector(5);
-            vm.fill(x, |i, _| (i + 1) as f64);
-            let y = vm.vector(5);
-            vm.matvec_dense(a, x, y);
-            assert_eq!(vm.snapshot(y), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        }
-    }
-
-    #[test]
-    fn matvec_dense_general() {
-        for mut vm in [sim(4), native()] {
-            let a = vm.array(2, 3);
-            vm.fill(a, |r, c| (r * 3 + c + 1) as f64); // [[1,2,3],[4,5,6]]
-            let x = vm.vector(3);
-            vm.fill(x, |i, _| (i + 1) as f64); // [1,2,3]
-            let y = vm.vector(2);
-            vm.matvec_dense(a, x, y);
-            assert_eq!(vm.snapshot(y), vec![14.0, 32.0]);
-        }
-    }
-
-    #[test]
     fn stencil5_constant_interior() {
         // x ≡ 1: interior points give 0; edges lose missing neighbours.
         for mut vm in [sim(4), native()] {
@@ -780,10 +675,8 @@ mod tests {
     fn stencil5_matches_dense_laplacian() {
         let (nx, ny) = (4, 3);
         let n = nx * ny;
-        let mut vm = sim(4);
-        // Build the dense 5-point matrix and compare products.
-        let a = vm.array(n, n);
-        vm.fill(a, |r, c| {
+        // The dense 5-point matrix, multiplied on the host.
+        let entry = |r: usize, c: usize| {
             let (ri, rj) = (r % nx, r / nx);
             let (ci, cj) = (c % nx, c / nx);
             if r == c {
@@ -793,14 +686,16 @@ mod tests {
             } else {
                 0.0
             }
-        });
-        let x = vm.vector(n);
-        vm.fill(x, |i, _| ((i * 7) % 5) as f64 - 2.0);
-        let y_dense = vm.vector(n);
-        vm.matvec_dense(a, x, y_dense);
+        };
+        let xs: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        let y_dense: Vec<f64> = (0..n)
+            .map(|r| dot_row(&(0..n).map(|c| entry(r, c)).collect::<Vec<_>>(), &xs))
+            .collect();
+        let mut vm = sim(4);
+        let x = vector_of(&mut vm, &xs);
         let y_sten = vm.vector(n);
         vm.stencil5(x, y_sten, nx, ny);
-        assert_eq!(vm.snapshot(y_dense), vm.snapshot(y_sten));
+        assert_eq!(y_dense, vm.snapshot(y_sten));
     }
 
     #[test]

@@ -62,12 +62,6 @@ pub(crate) struct SimState {
     pub(crate) halted: Option<RunAborted>,
     /// Window exchanges retried after an in-flight loss.
     pub(crate) retransmits: u64,
-    /// Scratch: words-per-cluster accumulator reused by every window
-    /// exchange, so the hot traffic path allocates nothing per call.
-    /// Indexed by cluster id; `None` = cluster not part of this exchange
-    /// (distinct from an empty window's `Some(0)`, which still pays the
-    /// descriptor round trip). Reset to all-`None` after use.
-    pub(crate) window_words_scratch: Vec<Option<u64>>,
     /// Started run budget, checked as `now` advances. Unlimited by default.
     pub(crate) budget: BudgetMeter,
 }
@@ -141,15 +135,16 @@ impl SimState {
         }
     }
 
-    /// Transmit a remote message with in-flight loss detection, the
-    /// kernel's rule: the packet is lost when a planned fault due during
-    /// the flight kills a link it traversed ([`fem2_machine::Network::flight_lost`]).
+    /// Transmit a message with in-flight loss detection, the kernel's
+    /// rule: the packet is lost when a planned fault due during the flight
+    /// kills a link it traversed ([`fem2_machine::Network::flight_lost`]).
     /// The sender retries over the (possibly rerouted) network, the lost
     /// flight time standing in for the retransmission timeout, up to
     /// [`MAX_RETRANSMITS`] times. A retry re-charges time and never
     /// re-applies values. No live route, or a spent budget, dead-letters
-    /// the message and stops the run. `kind` labels the message in the
-    /// trace. Returns the arrival time.
+    /// the message and stops the run. A same-cluster message crosses no
+    /// link, so it is a plain local transfer that cannot be lost. `kind`
+    /// labels the message in the trace. Returns the arrival time.
     pub(crate) fn reliable_transmit(
         &mut self,
         at: Cycles,
@@ -158,6 +153,9 @@ impl SimState {
         words: Words,
         kind: MsgKind,
     ) -> Cycles {
+        if from == to {
+            return self.transmit(at, from, to, words, kind);
+        }
         let mut t = at;
         let mut attempt = 0;
         loop {
@@ -386,7 +384,6 @@ impl NaVm {
                 faults: FaultPlan::none(),
                 halted: None,
                 retransmits: 0,
-                window_words_scratch: vec![None; clusters as usize],
                 budget: BudgetMeter::default(),
             })),
             tasks: TaskSet::new(ntasks, clusters),
@@ -723,11 +720,7 @@ impl NaVm {
                     .machine
                     .charge(start, kpe, CostClass::MsgSend, 1)
                     .unwrap_or(start);
-                let arrive = if cc == oc {
-                    s.transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall)
-                } else {
-                    s.reliable_transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall)
-                };
+                let arrive = s.reliable_transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall);
                 // Dispatch + execute at the owner.
                 let okpe = s.machine.kernel_pe(oc);
                 let dispatched = s
@@ -753,11 +746,7 @@ impl NaVm {
                     }
                 };
                 // Ship the result back.
-                let back = if cc == oc {
-                    s.transmit(done, oc, cc, result_words, MsgKind::RemoteReturn)
-                } else {
-                    s.reliable_transmit(done, oc, cc, result_words, MsgKind::RemoteReturn)
-                };
+                let back = s.reliable_transmit(done, oc, cc, result_words, MsgKind::RemoteReturn);
                 s.now = s.now.max(back);
                 back - start
             }

@@ -9,11 +9,15 @@
 //! operational: "All data owned by a single task; data accessible
 //! non-locally only via windows."
 
-use crate::runtime::{ArrayId, NaVm, Plane};
-use crate::task::TaskHandle;
+use crate::runtime::{ArrayId, NaVm, Plane, SimState};
+use crate::task::{TaskHandle, TaskSet};
 use fem2_kernel::window_desc::WindowDescriptor;
-use fem2_machine::Words;
-use fem2_trace::{EventKind, MsgKind, TraceEvent, WindowStage, NO_PE};
+use fem2_machine::{CostClass, Cycles, Words};
+use fem2_trace::WindowStage::{self, Gather, Request, Scatter, Transit};
+use fem2_trace::{EventKind, MsgKind, TraceEvent, NO_PE};
+
+/// Words of the descriptor that heads every window message.
+const WIRE_WORDS: Words = WindowDescriptor::WIRE_WORDS;
 
 /// A window over a rectangular region of a distributed array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,6 +53,96 @@ impl Window {
                 desc: d,
             })
             .collect()
+    }
+}
+
+/// The clusters holding rows of the window `desc` over an array of `rows`
+/// rows, ascending, each with the words it holds. Block mapping gives each
+/// cluster one contiguous band of rows, the shares of its tasks; a cluster
+/// whose band misses the window is skipped, and a zero-column window still
+/// yields its owners, with 0 words: each pays the descriptor round trip.
+fn cluster_words(
+    tasks: TaskSet,
+    rows: usize,
+    desc: &WindowDescriptor,
+) -> impl Iterator<Item = (u32, Words)> {
+    let (row0, row1) = (desc.row0 as usize, desc.row1 as usize);
+    let cols = Words::from(desc.col1 - desc.col0);
+    tasks
+        .by_cluster()
+        .map(move |(c, run)| {
+            let first = tasks.share(rows, TaskHandle(run.start)).start;
+            let end = tasks.share(rows, TaskHandle(run.end - 1)).end;
+            (c, first.max(row0)..end.min(row1))
+        })
+        .take_while(move |(_, band)| band.start < row1)
+        .filter(|(_, band)| !band.is_empty())
+        .map(move |(c, band)| (c, band.len() as Words * cols))
+}
+
+impl SimState {
+    /// A memory stage of the window protocol: `words` shared-memory words
+    /// on cluster `c`'s kernel PE from `at`, traced as one `stage` span on
+    /// `c` toward `peer`. The charge records the words; counting them again
+    /// here would double-book the pass. Returns when the pass is done.
+    pub(crate) fn memory_stage(
+        &mut self,
+        at: Cycles,
+        c: u32,
+        peer: u32,
+        stage: WindowStage,
+        words: Words,
+    ) -> Cycles {
+        let pe = self.machine.kernel_pe(c);
+        let done = self
+            .machine
+            .charge(at, pe, CostClass::MemWord, words)
+            .unwrap_or(at);
+        self.window_span(at, done, c, peer, stage, words);
+        done
+    }
+
+    /// A network stage of the window protocol: a
+    /// [reliable transfer](SimState::reliable_transmit) of `words` from
+    /// `from` to `to`, labelled `kind`, traced as one `stage` span on
+    /// `from`. Returns the arrival time.
+    pub(crate) fn network_stage(
+        &mut self,
+        at: Cycles,
+        from: u32,
+        to: u32,
+        stage: WindowStage,
+        words: Words,
+        kind: MsgKind,
+    ) -> Cycles {
+        let arrive = self.reliable_transmit(at, from, to, words, kind);
+        self.window_span(at, arrive, from, to, stage, words);
+        arrive
+    }
+
+    /// Trace one window stage on cluster `c` over `[at, end)`.
+    pub(crate) fn window_span(
+        &self,
+        at: Cycles,
+        end: Cycles,
+        c: u32,
+        peer: u32,
+        stage: WindowStage,
+        words: Words,
+    ) {
+        self.machine.trace.emit(|| {
+            TraceEvent::span(
+                at,
+                end - at,
+                c,
+                NO_PE,
+                EventKind::Window {
+                    stage,
+                    peer_cluster: peer,
+                    words,
+                },
+            )
+        });
     }
 }
 
@@ -95,188 +189,39 @@ impl NaVm {
     /// owning clusters and `accessor`'s cluster. `inbound` selects read
     /// (owner → accessor) vs write (accessor → owner) direction.
     fn charge_window_traffic(&mut self, w: &Window, accessor: TaskHandle, inbound: bool) {
-        let rows_total = self.rows(w.array);
-        let cols = (w.desc.col1 - w.desc.col0) as u64;
+        let rows = self.rows(w.array);
+        let tasks = self.tasks;
         let Plane::Sim(s) = &mut self.plane else {
             return;
         };
-        let ac = self.tasks.cluster_of(accessor);
-        let t0 = s.now;
-        s.apply_faults_through(t0);
-        // Group the window's rows by owning cluster, into the reusable
-        // per-cluster scratch (no allocation per exchange). Scanning the
-        // scratch in index order visits clusters ascending, exactly like
-        // the BTreeMap this replaced.
-        for r in w.desc.row0..w.desc.row1 {
-            let owner = self.tasks.owner_of(rows_total, r as usize);
-            let c = self.tasks.cluster_of(owner);
-            let slot = &mut s.window_words_scratch[c as usize];
-            *slot = Some(slot.unwrap_or(0) + cols);
-        }
+        let ac = tasks.cluster_of(accessor);
         let start = s.now;
+        s.apply_faults_through(start);
         let mut barrier = start;
-        for c in 0..s.window_words_scratch.len() as u32 {
-            // `take` reads the entry and resets it to `None`, so the
-            // scratch is clean for the next exchange.
-            let Some(words) = s.window_words_scratch[c as usize].take() else {
-                continue;
-            };
-            if c == ac {
-                // Local segment: a shared-memory pass (the charge records
-                // the mem_words; counting them again here would double-book).
-                let pe = s.machine.kernel_pe(ac);
-                let done = s
-                    .machine
-                    .charge(start, pe, fem2_machine::CostClass::MemWord, words)
-                    .unwrap_or(start);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        start,
-                        done - start,
-                        ac,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Gather,
-                            peer_cluster: c,
-                            words,
-                        },
-                    )
-                });
-                barrier = barrier.max(done);
+        for (c, words) in cluster_words(tasks, rows, &w.desc) {
+            let done = if c == ac {
+                // Local segment: a shared-memory pass.
+                s.memory_stage(start, ac, c, Gather, words)
             } else if inbound {
                 // Remote read: request descriptor upstream, the owner
                 // gathers from its shared memory, ships descriptor + data,
                 // and the accessor scatters into its memory.
-                let req = s.reliable_transmit(
-                    start,
-                    ac,
-                    c,
-                    WindowDescriptor::WIRE_WORDS,
-                    MsgKind::RemoteCall,
-                );
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        start,
-                        req - start,
-                        ac,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Request,
-                            peer_cluster: c,
-                            words: WindowDescriptor::WIRE_WORDS,
-                        },
-                    )
-                });
-                let owner_pe = s.machine.kernel_pe(c);
-                let gathered = s
-                    .machine
-                    .charge(req, owner_pe, fem2_machine::CostClass::MemWord, words)
-                    .unwrap_or(req);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        req,
-                        gathered - req,
-                        c,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Gather,
-                            peer_cluster: ac,
-                            words,
-                        },
-                    )
-                });
-                let payload = words + WindowDescriptor::WIRE_WORDS;
+                let req = s.network_stage(start, ac, c, Request, WIRE_WORDS, MsgKind::RemoteCall);
+                let gathered = s.memory_stage(req, c, ac, Gather, words);
+                let payload = words + WIRE_WORDS;
                 let arrive =
-                    s.reliable_transmit(gathered, c, ac, payload as Words, MsgKind::RemoteReturn);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        gathered,
-                        arrive - gathered,
-                        c,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Transit,
-                            peer_cluster: ac,
-                            words: payload,
-                        },
-                    )
-                });
-                let my_pe = s.machine.kernel_pe(ac);
-                let done = s
-                    .machine
-                    .charge(arrive, my_pe, fem2_machine::CostClass::MemWord, words)
-                    .unwrap_or(arrive);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        arrive,
-                        done - arrive,
-                        ac,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Scatter,
-                            peer_cluster: c,
-                            words,
-                        },
-                    )
-                });
-                barrier = barrier.max(done);
+                    s.network_stage(gathered, c, ac, Transit, payload, MsgKind::RemoteReturn);
+                s.memory_stage(arrive, ac, c, Scatter, words)
             } else {
                 // Remote write: gather locally, ship descriptor + data, the
                 // owner scatters into its shared memory.
-                let my_pe = s.machine.kernel_pe(ac);
-                let gathered = s
-                    .machine
-                    .charge(start, my_pe, fem2_machine::CostClass::MemWord, words)
-                    .unwrap_or(start);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        start,
-                        gathered - start,
-                        ac,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Gather,
-                            peer_cluster: c,
-                            words,
-                        },
-                    )
-                });
-                let payload = words + WindowDescriptor::WIRE_WORDS;
+                let gathered = s.memory_stage(start, ac, c, Gather, words);
+                let payload = words + WIRE_WORDS;
                 let arrive =
-                    s.reliable_transmit(gathered, ac, c, payload as Words, MsgKind::RemoteCall);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        gathered,
-                        arrive - gathered,
-                        ac,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Transit,
-                            peer_cluster: c,
-                            words: payload,
-                        },
-                    )
-                });
-                let owner_pe = s.machine.kernel_pe(c);
-                let done = s
-                    .machine
-                    .charge(arrive, owner_pe, fem2_machine::CostClass::MemWord, words)
-                    .unwrap_or(arrive);
-                s.machine.trace.emit(|| {
-                    TraceEvent::span(
-                        arrive,
-                        done - arrive,
-                        c,
-                        NO_PE,
-                        EventKind::Window {
-                            stage: WindowStage::Scatter,
-                            peer_cluster: ac,
-                            words,
-                        },
-                    )
-                });
-                barrier = barrier.max(done);
-            }
+                    s.network_stage(gathered, ac, c, Transit, payload, MsgKind::RemoteCall);
+                s.memory_stage(arrive, c, ac, Scatter, words)
+            };
+            barrier = barrier.max(done);
         }
         s.now = barrier;
     }
@@ -512,6 +457,75 @@ mod tests {
         assert_eq!(got, want, "rerouted exchange returns identical values");
         assert!(faulted.retransmits() >= 1, "the lost packet was retried");
         assert!(faulted.machine().unwrap().network.rerouted_packets > 0);
+    }
+
+    /// The per-row grouping [`cluster_words`] replaced: each row of the
+    /// window mapped to its owning task, then to that task's cluster.
+    fn cluster_words_per_row(
+        tasks: TaskSet,
+        rows: usize,
+        desc: &WindowDescriptor,
+    ) -> Vec<(u32, u64)> {
+        let cols = u64::from(desc.col1 - desc.col0);
+        let mut words = std::collections::BTreeMap::new();
+        for r in desc.row0..desc.row1 {
+            let c = tasks.cluster_of(tasks.owner_of(rows, r as usize));
+            *words.entry(c).or_insert(0) += cols;
+        }
+        words.into_iter().collect()
+    }
+
+    /// Each cluster's words come from its one row band, exactly as from
+    /// per-row ownership: more clusters than tasks, more tasks than rows,
+    /// zero-row windows (no cluster) and zero-column windows (every
+    /// owning cluster, with 0 words).
+    #[test]
+    fn cluster_bands_match_per_row_ownership() {
+        for n in 1..=40 {
+            for clusters in 1..=16 {
+                let tasks = TaskSet::new(n, clusters);
+                for rows in 1..=100u32 {
+                    let spans = [
+                        (0, rows, 0),
+                        (0, rows, 3),
+                        (rows / 2, rows / 2, 3),
+                        (rows / 3, 2 * rows / 3 + 1, 3),
+                        (rows - 1, rows, 0),
+                    ];
+                    for (row0, row1, cols) in spans {
+                        let desc = WindowDescriptor::block(
+                            0,
+                            row0,
+                            row1,
+                            1,
+                            1 + cols,
+                            fem2_kernel::TaskId(0),
+                            0,
+                        );
+                        let got: Vec<_> = cluster_words(tasks, rows as usize, &desc).collect();
+                        assert_eq!(
+                            got,
+                            cluster_words_per_row(tasks, rows as usize, &desc),
+                            "{n} tasks on {clusters} clusters, rows {row0}..{row1} of {rows}"
+                        );
+                        assert_eq!(got.is_empty(), row0 == row1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_column_window_pays_the_descriptor_round_trip() {
+        let mut vm = sim(8);
+        let a = vm.array(16, 4);
+        let before = vm.machine().unwrap().network.messages;
+        let _ = vm.read_window(TaskHandle(0), &vm.window(a, 14, 16, 2, 2));
+        let mid = vm.machine().unwrap().network.messages;
+        assert_eq!(mid - before, 2, "request + descriptor from cluster 3");
+        let _ = vm.read_window(TaskHandle(0), &vm.window(a, 9, 9, 0, 4));
+        let after = vm.machine().unwrap().network.messages;
+        assert_eq!(after, mid, "a zero-row window touches no cluster");
     }
 
     #[test]

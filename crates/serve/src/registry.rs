@@ -400,7 +400,7 @@ impl Registry {
             ("outcome".into(), rec.outcome.clone()),
             ("wall_ns".into(), Value::UInt(rec.wall_ns)),
             ("status".into(), Value::Str(rec.status.name().into())),
-            // One engine; the field leaves with the revision ROADMAP 3(c) cuts.
+            // One engine; the field leaves with the revision ROADMAP 2(c) cuts.
             ("shards".into(), Value::UInt(1)),
         ];
         if let Some(e) = &rec.error {

@@ -825,7 +825,7 @@ impl State {
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
             ("workers", Value::UInt(self.workers as u64)),
-            // One engine; the key stays until ROADMAP 3(c) re-pins this body.
+            // One engine; the key stays until ROADMAP 2(c) re-pins this body.
             ("shards", Value::UInt(1)),
             ("panics", Value::UInt(self.panics.load(Ordering::Relaxed))),
             ("aborts", Value::UInt(self.aborts.load(Ordering::Relaxed))),
@@ -876,7 +876,7 @@ impl State {
                 Value::UInt(self.queue_depth.load(Ordering::Relaxed)),
             ),
             ("capacity", Value::UInt(self.capacity as u64)),
-            // One engine; the key stays until ROADMAP 3(c) re-pins this body.
+            // One engine; the key stays until ROADMAP 2(c) re-pins this body.
             ("shards", Value::UInt(1)),
             ("in_flight", Value::UInt(in_flight as u64)),
             ("quarantine_size", Value::UInt(quarantine as u64)),
