@@ -379,3 +379,122 @@ fn window_chrome_export_is_pinned() {
         "got ({digest:#018x}, {events})"
     );
 }
+
+/// The Chrome export of a kernel run through every task transition is
+/// pinned byte for byte: pause and resume of a parentless task, a pause
+/// notified to a same-cluster parent, forced termination of a ready and of
+/// a paused task, a memory-bank fault that sheds running and queued
+/// holders, an RPC worker whose PE faults mid-run, a link that dies under
+/// the reply to it, and a remote call dead-lettered with its caller
+/// re-queued. Each stage runs to quiescence before the next starts, so
+/// task ids follow the stages.
+#[test]
+fn kernel_lifecycle_chrome_export_is_pinned() {
+    let mut cfg = MachineConfig::clustered(2, 4, Topology::Crossbar);
+    cfg.memory_per_cluster = 2_000;
+    let mut k = KernelSim::new(Machine::new(cfg));
+    let (handle, rec) = TraceHandle::ring(1 << 16);
+    k.set_trace(handle);
+    let work = WorkProfile {
+        flops: 500,
+        int_ops: 40,
+        mem_words: 120,
+    };
+    let code = k.register_code(CodeBlock::new("worker", 32, work, 100));
+    let long = k.register_code(CodeBlock::new("long", 32, WorkProfile::flops(20_000), 100));
+    let local = |k: &mut KernelSim, at, msg| k.send(at, 0, 0, msg);
+
+    // Cluster 0: task 0 and its four children 1..=4; 3 and 4 wait.
+    k.initiate(0, 0, code, 1, None, 0);
+    k.initiate(1, 0, code, 4, Some(TaskId(0)), 0);
+    local(&mut k, 600, KernelMessage::PauseNotify { task: TaskId(0) });
+    local(&mut k, 650, KernelMessage::PauseNotify { task: TaskId(1) });
+    local(
+        &mut k,
+        700,
+        KernelMessage::TerminateNotify { task: TaskId(4) },
+    );
+    local(
+        &mut k,
+        2_000,
+        KernelMessage::TerminateNotify { task: TaskId(1) },
+    );
+    local(&mut k, 2_500, KernelMessage::Resume { task: TaskId(0) });
+    k.run();
+    assert_eq!(k.notifications().len(), 5, "all five notices stay local");
+
+    // Cluster 1: tasks 5..=9, children of task 0. The bank fault leaves
+    // 300 words: three running holders and one queued holder are shed.
+    let t = k.now();
+    k.send(
+        t,
+        0,
+        1,
+        KernelMessage::InitiateTask {
+            code,
+            replications: 5,
+            parent: Some(TaskId(0)),
+            args_words: 0,
+        },
+    );
+    k.inject_faults(&FaultPlan::none().fail_memory(t + 1_200, 1, 1_700));
+    k.run();
+
+    // RPC worker 10 loses its PE mid-run and re-runs; link 1 -> 0 dies
+    // while its reply is on the wire and comes back before the budget is
+    // spent.
+    let t = k.now();
+    k.send(
+        t,
+        0,
+        1,
+        KernelMessage::RemoteCall {
+            call_id: 1,
+            code,
+            args_words: 8,
+            caller: TaskId(3),
+            reply_cluster: 0,
+        },
+    );
+    k.inject_faults(
+        &FaultPlan::none()
+            .transient_pe(t + 1_000, t + 4_000, PeId::new(1, 1))
+            .kill_link(t + 3_886, 2)
+            .recover_link(t + 5_000, 2),
+    );
+    k.run();
+
+    // Link 0 -> 1 dies for good: the call from running task 11 is
+    // dead-lettered and task 11 re-runs.
+    let t = k.now();
+    k.initiate(t, 0, long, 1, None, 0);
+    k.inject_faults(&FaultPlan::none().kill_link(t + 1_000, 1));
+    k.send(
+        t + 1_500,
+        0,
+        1,
+        KernelMessage::RemoteCall {
+            call_id: 2,
+            code,
+            args_words: 8,
+            caller: TaskId(11),
+            reply_cluster: 0,
+        },
+    );
+    k.run();
+
+    assert!(k.all_done());
+    assert_eq!(k.task_count(), 12);
+    assert_eq!(k.rpc_returns().keys().copied().collect::<Vec<_>>(), [1]);
+    assert_eq!(k.stats.drops.dead_letter, 1);
+    assert_eq!(k.stats.drops.bad_state, 0);
+    assert_eq!(k.stats.stale_completions, 7);
+    assert_eq!(k.stats.retransmits, 6);
+    assert_eq!(k.stats.lost_in_flight, 7);
+    let (digest, events) = export_identity(&rec);
+    assert_eq!(
+        (digest, events),
+        (0x9776_29a8_01e0_a0ca, 494),
+        "got ({digest:#018x}, {events})"
+    );
+}
