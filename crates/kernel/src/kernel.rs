@@ -917,11 +917,11 @@ impl KernelSim {
             KernelMessage::TerminateNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
                 match rec.state {
-                    TaskState::Done => {
-                        // Notification of an already-completed child: record
-                        // its delivery to the parent.
-                        self.notifications.push((task, now));
-                    }
+                    // A notice of a child that terminated, or of one on
+                    // another cluster (the parent hears of a pause this
+                    // way): record its delivery to the parent.
+                    TaskState::Done => self.notifications.push((task, now)),
+                    _ if rec.cluster != cluster => self.notifications.push((task, now)),
                     TaskState::Running | TaskState::Ready | TaskState::Paused => {
                         // Forced termination.
                         rec.epoch += 1;
@@ -1330,6 +1330,42 @@ mod tests {
         k.run();
         assert_eq!(k.task(TaskId(0)).state, TaskState::Done);
         assert_eq!(k.completions().len(), 1);
+    }
+
+    /// A paused child whose parent lives on another cluster stays paused:
+    /// the `TerminateNotify` that tells the parent is a notice there, not a
+    /// kill, so the child keeps its locals and a resume runs it to the end.
+    #[test]
+    fn pause_of_child_with_remote_parent_keeps_it_paused() {
+        let mut k = sim(2, 4);
+        let code = small_code(&mut k);
+        let long = k.register_code(CodeBlock::new("long", 16, WorkProfile::flops(1_000_000), 8));
+        k.initiate(0, 0, code, 1, None, 0);
+        k.send(
+            0,
+            0,
+            1,
+            KernelMessage::InitiateTask {
+                code: long,
+                replications: 1,
+                parent: Some(TaskId(0)),
+                args_words: 0,
+            },
+        );
+        let child = TaskId(1);
+        k.send(2_000, 1, 1, KernelMessage::PauseNotify { task: child });
+        k.run();
+        assert_eq!(k.task(child).cluster, 1);
+        assert_eq!(k.task(child).state, TaskState::Paused);
+        assert!(k.task(child).locals_held);
+        assert_eq!(k.completions().len(), 1, "only the parent completed");
+        assert_eq!(k.notifications().len(), 1, "the parent heard of the pause");
+        k.send(k.now(), 1, 1, KernelMessage::Resume { task: child });
+        k.run();
+        assert_eq!(k.task(child).state, TaskState::Done);
+        assert_eq!(k.stats.drops.bad_state, 0);
+        assert_eq!(k.completions().len(), 2);
+        assert_eq!(k.notifications().len(), 2, "and then of its termination");
     }
 
     #[test]
