@@ -13,7 +13,7 @@ use fem2_appvm as _; // layer realized by the appvm crate; models come from fem
 use fem2_fem::StructuralModel;
 use fem2_hgraph::{AtomKind, Grammar, HGraph, Selector, Shape, Value};
 use fem2_kernel::window_desc::WindowDescriptor;
-use fem2_kernel::{KernelSim, TaskState};
+use fem2_kernel::{KernelSim, ReplyTo, TaskState};
 use fem2_machine::MachineConfig;
 use std::sync::Arc;
 
@@ -171,7 +171,7 @@ pub fn kernel_tasks_to_hgraph(k: &KernelSim) -> HGraph {
         let cl = h.add_node(g, Value::int(rec.cluster as i64));
         h.add_arc(g, tn, Selector::name("cluster"), cl)
             .expect("fresh graph construction cannot collide");
-        if let Some(p) = rec.parent {
+        if let ReplyTo::Parent(p) = rec.reply_to {
             let pn = h.add_node(g, Value::int(p.0 as i64));
             h.add_arc(g, tn, Selector::name("parent"), pn)
                 .expect("fresh graph construction cannot collide");

@@ -1,7 +1,7 @@
 //! Task and procedure activation records.
 //!
 //! An [`ActivationRecord`] is the run-time representation of one task: its
-//! code, its cluster, its parent, its local storage, and its state. The
+//! code, its cluster, whom it answers to, its local storage, and its state. The
 //! state machine follows the paper's task control vocabulary: initiate,
 //! pause, resume, terminate — with "local data of a task retained over
 //! pause/resume" (locals are freed only at termination).
@@ -18,6 +18,24 @@ impl fmt::Debug for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "task{}", self.0)
     }
+}
+
+/// Whom a task answers to when it pauses or terminates: a parent receives
+/// a notification, a remote caller a `RemoteReturn`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReplyTo {
+    /// Nobody is told.
+    Nobody,
+    /// The parent task, notified of a pause or a termination.
+    Parent(TaskId),
+    /// The remote call this task serves: its reply goes to `cluster`
+    /// tagged `call_id` when the task completes.
+    Caller {
+        /// Correlation id of the call.
+        call_id: u64,
+        /// Cluster the reply is delivered to.
+        cluster: u32,
+    },
 }
 
 /// Task lifecycle states.
@@ -62,8 +80,8 @@ pub struct ActivationRecord {
     pub code: CodeId,
     /// Cluster whose ready queue owns it.
     pub cluster: u32,
-    /// Parent task to notify, if any.
-    pub parent: Option<TaskId>,
+    /// Whom the task notifies or replies to.
+    pub reply_to: ReplyTo,
     /// Current lifecycle state.
     pub state: TaskState,
     /// Local storage (activation record body), in words.
@@ -88,7 +106,7 @@ impl ActivationRecord {
         id: TaskId,
         code: CodeId,
         cluster: u32,
-        parent: Option<TaskId>,
+        reply_to: ReplyTo,
         locals_words: Words,
         created_at: Cycles,
     ) -> Self {
@@ -96,7 +114,7 @@ impl ActivationRecord {
             id,
             code,
             cluster,
-            parent,
+            reply_to,
             state: TaskState::Ready,
             locals_words,
             created_at,
@@ -130,7 +148,7 @@ mod tests {
     use super::*;
 
     fn record() -> ActivationRecord {
-        ActivationRecord::new(TaskId(1), CodeId(0), 0, None, 16, 100)
+        ActivationRecord::new(TaskId(1), CodeId(0), 0, ReplyTo::Nobody, 16, 100)
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! messages bypass the sub-layer entirely; with no faults injected the
 //! reliable layer adds no retransmissions and healthy timing is unchanged.
 
-use crate::activation::{ActivationRecord, TaskId, TaskState};
+use crate::activation::{ActivationRecord, ReplyTo, TaskId, TaskState};
 use crate::codeblock::{CodeBlock, CodeId, CodeStore};
 use crate::message::{KernelMessage, MessageKind};
 use fem2_machine::fault::{FaultKind, FaultPlan};
@@ -225,8 +225,8 @@ impl PendingTable {
     }
 }
 
-/// A set of densely numbered ids (sequence numbers, task ids), one bit
-/// each, growing to the largest id inserted.
+/// A set of densely numbered sequence numbers, one bit each, growing to
+/// the largest one inserted.
 #[derive(Debug, Default)]
 struct DenseBits {
     words: Vec<u64>,
@@ -242,11 +242,6 @@ impl DenseBits {
         let fresh = self.words[word] & bit == 0;
         self.words[word] |= bit;
         fresh
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        let word = self.words.get((id / 64) as usize);
-        word.is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
 }
 
@@ -282,11 +277,6 @@ pub struct KernelSim {
     notifications: Vec<(TaskId, Cycles)>,
     /// RPC returns received: call_id -> arrival time.
     rpc_returns: BTreeMap<u64, Cycles>,
-    /// RPC worker tasks: task -> (call_id, reply cluster).
-    rpc_tasks: BTreeMap<TaskId, (u64, u32)>,
-    /// Every task that was ever an RPC worker: the one-bit answer that
-    /// spares each ordinary completion a search of `rpc_tasks`.
-    rpc_workers: DenseBits,
     /// Messages processed, by kind.
     msg_counts: BTreeMap<MessageKind, u64>,
     /// Next reliable-delivery sequence number (0 is reserved for local
@@ -333,8 +323,6 @@ impl KernelSim {
             completions: Vec::new(),
             notifications: Vec::new(),
             rpc_returns: BTreeMap::new(),
-            rpc_tasks: BTreeMap::new(),
-            rpc_workers: DenseBits::default(),
             msg_counts: BTreeMap::new(),
             next_seq: 1,
             pending: PendingTable::new(1),
@@ -415,48 +403,31 @@ impl KernelSim {
             .unwrap_or(at);
         let code = &self.code;
         let wire = msg.wire_words(|c| code.get(c).words);
-        if seq == 0 {
+        let (sent, timeout) = if seq == 0 {
             let arrival = self.machine.transmit(send_done, from, to, wire);
-            let kind = msg.kind().trace_kind();
-            self.machine.trace.emit(|| {
-                TraceEvent::span(
-                    at,
-                    arrival - at,
-                    from,
-                    NO_PE,
-                    EventKind::MsgSend {
-                        msg: kind,
-                        to_cluster: to,
-                        words: wire,
-                    },
-                )
-            });
-            self.queue.schedule(
-                arrival,
-                KEvent::Arrive {
-                    from,
-                    to,
-                    msg,
-                    seq: 0,
-                    flight: None,
-                },
-            );
-            return;
-        }
-        // One route lookup carries the message and prices its forward leg;
-        // a second prices the acknowledgement's way back.
-        let sent = self.machine.transmit_tracked(send_done, from, to, wire);
-        let back = self.machine.network.estimate(to, from, Self::ACK_WORDS);
-        let rto = (sent.estimate + back) * 2 + Self::RTO_SLACK;
-        match sent.arrival {
+            (Some((arrival, None)), None)
+        } else {
+            // One route lookup carries the message and prices its forward
+            // leg; a second prices the acknowledgement's way back.
+            let sent = self.machine.transmit_tracked(send_done, from, to, wire);
+            let back = self.machine.network.estimate(to, from, Self::ACK_WORDS);
+            let rto = (sent.estimate + back) * 2 + Self::RTO_SLACK;
+            let sent = sent
+                .arrival
+                .map(|(arrival, flight)| (arrival, Some(flight)));
+            (sent, Some(send_done + (rto << attempt)))
+        };
+        match sent {
             Some((arrival, flight)) => {
                 // No remote message beats the network's minimum delivery
                 // latency for its route.
                 debug_assert!(
-                    self.machine
-                        .network
-                        .min_delivery_latency(from, to)
-                        .is_none_or(|bound| arrival >= send_done + bound),
+                    flight.is_none()
+                        || self
+                            .machine
+                            .network
+                            .min_delivery_latency(from, to)
+                            .is_none_or(|bound| arrival >= send_done + bound),
                     "remote delivery beat the minimum delivery latency"
                 );
                 let kind = msg.kind().trace_kind();
@@ -473,25 +444,24 @@ impl KernelSim {
                         },
                     )
                 });
-                self.queue.schedule(
-                    arrival,
-                    KEvent::Arrive {
-                        from,
-                        to,
-                        msg,
-                        seq,
-                        flight: Some(flight),
-                    },
-                );
+                let arrive = KEvent::Arrive {
+                    from,
+                    to,
+                    msg,
+                    seq,
+                    flight,
+                };
+                self.queue.schedule(arrival, arrive);
             }
-            None => {
-                // No live route right now; the timeout below retries (a
-                // detour may appear) or eventually dead-letters.
-                self.stats.lost_in_flight += 1;
-            }
+            // No live route right now; the timeout retries (a detour may
+            // appear) or eventually dead-letters.
+            None => self.stats.lost_in_flight += 1,
         }
-        self.queue
-            .schedule(send_done + (rto << attempt), KEvent::Timeout { seq });
+        // The arrival goes on the queue first: the queue traces each
+        // schedule in order.
+        if let Some(at) = timeout {
+            self.queue.schedule(at, KEvent::Timeout { seq });
+        }
     }
 
     /// Convenience: initiate `k` replications of `code` on `cluster`,
@@ -634,21 +604,13 @@ impl KernelSim {
                 self.clusters[cluster as usize].kernel_busy = false;
                 *self.msg_counts.entry(msg.kind()).or_insert(0) += 1;
                 self.machine.stats.kernel_msg();
-                let kind = msg.kind().trace_kind();
                 let code = &self.code;
-                let wire = msg.wire_words(|c| code.get(c).words);
-                self.machine.trace.emit(|| {
-                    TraceEvent::instant(
-                        now,
-                        cluster,
-                        NO_PE,
-                        EventKind::MsgRecv {
-                            msg: kind,
-                            from_cluster: from,
-                            words: wire,
-                        },
-                    )
-                });
+                let kind = EventKind::MsgRecv {
+                    msg: msg.kind().trace_kind(),
+                    from_cluster: from,
+                    words: msg.wire_words(|c| code.get(c).words),
+                };
+                self.instant(now, cluster, NO_PE, kind);
                 self.execute(now, cluster, &msg);
                 self.pump(now, cluster);
             }
@@ -662,12 +624,10 @@ impl KernelSim {
                 let applied = self.machine.apply_fault(now, kind);
                 match kind {
                     FaultKind::Pe { pe } => self.fault(now, pe, applied.is_err()),
-                    FaultKind::PeRecover { pe, .. } => self.queue.schedule(
-                        now,
-                        KEvent::Dispatch {
-                            cluster: pe.cluster,
-                        },
-                    ),
+                    FaultKind::PeRecover { pe, .. } => {
+                        let cluster = pe.cluster;
+                        self.queue.schedule(now, KEvent::Dispatch { cluster });
+                    }
                     FaultKind::Memory { cluster, .. } => {
                         self.mem_fault(now, cluster, applied.unwrap_or(0));
                     }
@@ -687,18 +647,11 @@ impl KernelSim {
         if p.attempts >= MAX_RETRANSMITS {
             let p = self.pending.remove(seq).expect("checked present above");
             self.stats.drops.dead_letter += 1;
-            let kind = p.msg.kind().trace_kind();
-            self.machine.trace.emit(|| {
-                TraceEvent::instant(
-                    now,
-                    from,
-                    NO_PE,
-                    EventKind::DeadLetter {
-                        msg: kind,
-                        to_cluster: to,
-                    },
-                )
-            });
+            let kind = EventKind::DeadLetter {
+                msg: p.msg.kind().trace_kind(),
+                to_cluster: to,
+            };
+            self.instant(now, from, NO_PE, kind);
             // Re-queue the originating task so the work re-runs instead of
             // hanging on a reply that will never come.
             if let KernelMessage::RemoteCall { caller, .. } = *p.msg {
@@ -710,25 +663,18 @@ impl KernelSim {
         let attempt = p.attempts;
         let msg = Rc::clone(&p.msg); // shares the pending slot's allocation
         self.stats.retransmits += 1;
-        let kind = msg.kind().trace_kind();
-        self.machine.trace.emit(|| {
-            TraceEvent::instant(
-                now,
-                from,
-                NO_PE,
-                EventKind::Retransmit {
-                    msg: kind,
-                    to_cluster: to,
-                    attempt,
-                },
-            )
-        });
+        let kind = EventKind::Retransmit {
+            msg: msg.kind().trace_kind(),
+            to_cluster: to,
+            attempt,
+        };
+        self.instant(now, from, NO_PE, kind);
         self.transmit_message(now, from, to, msg, seq, attempt);
     }
 
-    /// Send a live task back to its cluster's ready queue (dead-letter and
-    /// memory-fault paths). The epoch bump invalidates any in-flight
-    /// completion.
+    /// Send a live task back to its cluster's ready queue (PE-fault,
+    /// dead-letter and memory-fault paths). The epoch bump invalidates any
+    /// in-flight completion.
     fn requeue_task(&mut self, now: Cycles, task: TaskId) {
         let Some(rec) = self.tasks.get_mut(task.0 as usize) else {
             return;
@@ -783,13 +729,8 @@ impl KernelSim {
             if mem.used() <= mem.capacity() && mem.available() >= realloc_need {
                 break;
             }
-            let locals = {
-                let rec = &mut self.tasks[t.0 as usize];
-                rec.locals_held = false;
-                rec.locals_words
-            };
-            realloc_need = realloc_need.max(locals);
-            self.machine.free_at(now, cluster, locals);
+            realloc_need = realloc_need.max(self.tasks[t.0 as usize].locals_words);
+            self.release_locals(now, t);
             self.requeue_task(now, t);
         }
     }
@@ -809,14 +750,23 @@ impl KernelSim {
         self.queue.schedule(done, KEvent::Decoded { cluster });
     }
 
-    fn ensure_loaded(&mut self, now: Cycles, cluster: u32, code: CodeId) -> bool {
-        if self.clusters[cluster as usize].loaded.contains(&code) {
-            return true;
+    /// Words of locals a task of `code` with `args_words` of arguments
+    /// takes on `cluster`, loading `code` there first when auto-loading is
+    /// on; `None`, counted as an `unloaded_code` drop, if it is not loaded.
+    fn task_locals(
+        &mut self,
+        now: Cycles,
+        cluster: u32,
+        code: CodeId,
+        args_words: Words,
+    ) -> Option<Words> {
+        let loaded = self.clusters[cluster as usize].loaded.contains(&code)
+            || (self.auto_load_code && self.load_code(now, cluster, code));
+        if !loaded {
+            self.stats.drops.unloaded_code += 1;
+            return None;
         }
-        if !self.auto_load_code {
-            return false;
-        }
-        self.load_code(now, cluster, code)
+        Some(self.code.get(code).locals_words + args_words)
     }
 
     fn load_code(&mut self, now: Cycles, cluster: u32, code: CodeId) -> bool {
@@ -830,6 +780,72 @@ impl KernelSim {
         true
     }
 
+    /// Create a task of `code` on `cluster` holding `locals` words and
+    /// queue it ready. Returns when the kernel PE finished creating it, or
+    /// `None`, counted as an `oom` drop, when the locals do not fit.
+    fn create_task(
+        &mut self,
+        now: Cycles,
+        cluster: u32,
+        code: CodeId,
+        reply_to: ReplyTo,
+        locals: Words,
+    ) -> Option<Cycles> {
+        if self.machine.alloc_at(now, cluster, locals).is_err() {
+            self.stats.drops.oom += 1;
+            return None;
+        }
+        let kpe = self.machine.kernel_pe(cluster);
+        let created = self
+            .machine
+            .charge(now, kpe, CostClass::TaskCreate, 1)
+            .unwrap_or(now);
+        let id = TaskId(self.tasks.len() as u64);
+        let rec = ActivationRecord::new(id, code, cluster, reply_to, locals, created);
+        self.tasks.push(rec);
+        self.trace_task(created, cluster, NO_PE, id, TaskStage::Created);
+        self.clusters[cluster as usize].ready.push_back(id);
+        Some(created)
+    }
+
+    /// Record an instant event on PE `pe` of `cluster` (`NO_PE` for one on
+    /// no particular PE).
+    fn instant(&self, at: Cycles, cluster: u32, pe: u32, kind: EventKind) {
+        self.machine
+            .trace
+            .emit(|| TraceEvent::instant(at, cluster, pe, kind));
+    }
+
+    /// Record a lifecycle transition of `task` on PE `pe` of `cluster`.
+    fn trace_task(&self, at: Cycles, cluster: u32, pe: u32, task: TaskId, stage: TaskStage) {
+        let task = task.0 as u32;
+        self.instant(at, cluster, pe, EventKind::Task { task, stage });
+    }
+
+    /// Give `task`'s locals back to its cluster's heap if it still holds
+    /// them.
+    fn release_locals(&mut self, now: Cycles, task: TaskId) {
+        let rec = &mut self.tasks[task.0 as usize];
+        if std::mem::take(&mut rec.locals_held) {
+            self.machine.free_at(now, rec.cluster, rec.locals_words);
+        }
+    }
+
+    /// `task` terminated at `now` — on `pe` when it ran to completion:
+    /// record it, reclaim its locals and notify its parent.
+    fn finish_task(&mut self, now: Cycles, task: TaskId, pe: Option<PeId>) {
+        let rec = &mut self.tasks[task.0 as usize];
+        rec.transition(TaskState::Done);
+        rec.completed_at = Some(now);
+        let cluster = rec.cluster;
+        self.release_locals(now, task);
+        if let Some(pe) = pe {
+            self.trace_task(now, pe.cluster, pe.index, task, TaskStage::Completed);
+        }
+        self.completions.push((task, now));
+        self.notify_parent(now, cluster, task);
+    }
+
     fn execute(&mut self, now: Cycles, cluster: u32, msg: &KernelMessage) {
         // All message fields are `Copy`; matching on `*msg` copies the
         // scalars out and leaves the shared allocation untouched.
@@ -840,44 +856,15 @@ impl KernelSim {
                 parent,
                 args_words,
             } => {
-                if !self.ensure_loaded(now, cluster, code) {
-                    self.stats.drops.unloaded_code += 1;
+                let Some(locals) = self.task_locals(now, cluster, code, args_words) else {
                     return;
-                }
-                let kpe = self.machine.kernel_pe(cluster);
-                let locals = self.code.get(code).locals_words + args_words;
+                };
+                let reply_to = parent.map_or(ReplyTo::Nobody, ReplyTo::Parent);
                 let mut created_any = false;
                 for _ in 0..replications {
-                    if self.machine.alloc_at(now, cluster, locals).is_err() {
-                        self.stats.drops.oom += 1;
-                        continue;
-                    }
-                    let create_done = self
-                        .machine
-                        .charge(now, kpe, CostClass::TaskCreate, 1)
-                        .unwrap_or(now);
-                    let id = TaskId(self.tasks.len() as u64);
-                    self.tasks.push(ActivationRecord::new(
-                        id,
-                        code,
-                        cluster,
-                        parent,
-                        locals,
-                        create_done,
-                    ));
-                    self.machine.trace.emit(|| {
-                        TraceEvent::instant(
-                            create_done,
-                            cluster,
-                            NO_PE,
-                            EventKind::Task {
-                                task: id.0 as u32,
-                                stage: TaskStage::Created,
-                            },
-                        )
-                    });
-                    self.clusters[cluster as usize].ready.push_back(id);
-                    created_any = true;
+                    created_any |= self
+                        .create_task(now, cluster, code, reply_to, locals)
+                        .is_some();
                 }
                 if created_any {
                     // Dispatch once the kernel PE has finished creating the
@@ -892,102 +879,62 @@ impl KernelSim {
             }
             KernelMessage::PauseNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                if rec.state == TaskState::Running {
-                    rec.epoch += 1; // invalidate the in-flight completion
-                    rec.transition(TaskState::Paused);
-                    // Free the PE's association (its charged time stands).
-                    self.running.remove_task(task);
-                    let parent = rec.parent;
-                    self.notify_parent(now, cluster, task, parent);
-                } else {
+                if rec.state != TaskState::Running {
                     self.stats.drops.bad_state += 1;
+                    return;
                 }
+                rec.epoch += 1; // invalidate the in-flight completion
+                rec.transition(TaskState::Paused);
+                // Free the PE's association (its charged time stands).
+                self.running.remove_task(task);
+                self.notify_parent(now, cluster, task);
             }
             KernelMessage::Resume { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                if rec.state == TaskState::Paused {
-                    rec.transition(TaskState::Ready);
-                    let c = rec.cluster;
-                    self.clusters[c as usize].ready.push_back(task);
-                    self.queue.schedule(now, KEvent::Dispatch { cluster: c });
-                } else {
+                if rec.state != TaskState::Paused {
                     self.stats.drops.bad_state += 1;
+                    return;
                 }
+                rec.transition(TaskState::Ready);
+                let c = rec.cluster;
+                self.clusters[c as usize].ready.push_back(task);
+                self.queue.schedule(now, KEvent::Dispatch { cluster: c });
             }
             KernelMessage::TerminateNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                match rec.state {
-                    // A notice of a child that terminated, or of one on
-                    // another cluster (the parent hears of a pause this
+                if rec.state == TaskState::Done || rec.cluster != cluster {
+                    // A notice that a child terminated, or one about a child
+                    // on another cluster (a parent hears of a pause this
                     // way): record its delivery to the parent.
-                    TaskState::Done => self.notifications.push((task, now)),
-                    _ if rec.cluster != cluster => self.notifications.push((task, now)),
-                    TaskState::Running | TaskState::Ready | TaskState::Paused => {
-                        // Forced termination.
-                        rec.epoch += 1;
-                        let state = rec.state;
-                        rec.transition(TaskState::Done);
-                        rec.completed_at = Some(now);
-                        let c = rec.cluster;
-                        let locals = rec.locals_words;
-                        let parent = rec.parent;
-                        let held = rec.locals_held;
-                        rec.locals_held = false;
-                        if state == TaskState::Ready {
-                            self.clusters[c as usize].ready.retain(|t| *t != task);
-                        }
-                        self.running.remove_task(task);
-                        if held {
-                            self.machine.free_at(now, c, locals);
-                        }
-                        self.completions.push((task, now));
-                        self.notify_parent(now, cluster, task, parent);
-                    }
+                    self.notifications.push((task, now));
+                    return;
                 }
+                // Forced termination.
+                rec.epoch += 1;
+                if rec.state == TaskState::Ready {
+                    self.clusters[cluster as usize].ready.retain(|t| *t != task);
+                }
+                self.running.remove_task(task);
+                self.finish_task(now, task, None);
             }
             KernelMessage::RemoteCall {
                 call_id,
                 code,
                 args_words,
-                caller,
                 reply_cluster,
+                ..
             } => {
-                if !self.ensure_loaded(now, cluster, code) {
-                    self.stats.drops.unloaded_code += 1;
+                let Some(locals) = self.task_locals(now, cluster, code, args_words) else {
                     return;
+                };
+                // RPC workers do not notify a parent; they reply.
+                let reply_to = ReplyTo::Caller {
+                    call_id,
+                    cluster: reply_cluster,
+                };
+                if let Some(created) = self.create_task(now, cluster, code, reply_to, locals) {
+                    self.queue.schedule(created, KEvent::Dispatch { cluster });
                 }
-                let locals = self.code.get(code).locals_words + args_words;
-                if self.machine.alloc_at(now, cluster, locals).is_err() {
-                    self.stats.drops.oom += 1;
-                    return;
-                }
-                let kpe = self.machine.kernel_pe(cluster);
-                let create_done = self
-                    .machine
-                    .charge(now, kpe, CostClass::TaskCreate, 1)
-                    .unwrap_or(now);
-                let id = TaskId(self.tasks.len() as u64);
-                let mut rec =
-                    ActivationRecord::new(id, code, cluster, Some(caller), locals, create_done);
-                // RPC workers do not send TerminateNotify; they reply.
-                rec.parent = None;
-                self.tasks.push(rec);
-                self.machine.trace.emit(|| {
-                    TraceEvent::instant(
-                        create_done,
-                        cluster,
-                        NO_PE,
-                        EventKind::Task {
-                            task: id.0 as u32,
-                            stage: TaskStage::Created,
-                        },
-                    )
-                });
-                self.rpc_tasks.insert(id, (call_id, reply_cluster));
-                self.rpc_workers.insert(id.0);
-                self.clusters[cluster as usize].ready.push_back(id);
-                self.queue
-                    .schedule(create_done, KEvent::Dispatch { cluster });
             }
             KernelMessage::RemoteReturn { call_id, .. } => {
                 self.rpc_returns.insert(call_id, now);
@@ -1000,37 +947,28 @@ impl KernelSim {
         }
     }
 
-    fn notify_parent(
-        &mut self,
-        now: Cycles,
-        from_cluster: u32,
-        child: TaskId,
-        parent: Option<TaskId>,
-    ) {
-        if let Some(p) = parent {
-            let pc = self.tasks.get(p.0 as usize).map(|r| r.cluster);
-            if let Some(pc) = pc {
-                if pc == from_cluster {
-                    // Local notification: no network message.
-                    self.notifications.push((child, now));
-                } else {
-                    self.send(
-                        now,
-                        from_cluster,
-                        pc,
-                        KernelMessage::TerminateNotify { task: child },
-                    );
-                }
-            }
+    /// Tell `child`'s parent, if it has one, that `child` paused or
+    /// terminated: directly when the parent is on `from_cluster`, otherwise
+    /// with a `TerminateNotify` to the parent's cluster.
+    fn notify_parent(&mut self, now: Cycles, from_cluster: u32, child: TaskId) {
+        let ReplyTo::Parent(parent) = self.tasks[child.0 as usize].reply_to else {
+            return;
+        };
+        let Some(pc) = self.tasks.get(parent.0 as usize).map(|r| r.cluster) else {
+            return;
+        };
+        if pc == from_cluster {
+            // Local notification: no network message.
+            self.notifications.push((child, now));
+        } else {
+            let notice = KernelMessage::TerminateNotify { task: child };
+            self.send(now, from_cluster, pc, notice);
         }
     }
 
     /// Hand ready tasks to available worker PEs.
     fn dispatch(&mut self, now: Cycles, cluster: u32) {
-        loop {
-            if self.clusters[cluster as usize].ready.is_empty() {
-                return;
-            }
+        while !self.clusters[cluster as usize].ready.is_empty() {
             // An eligible worker that is free *now*.
             let Some(pe) = self.machine.free_worker(cluster, now) else {
                 return;
@@ -1039,16 +977,17 @@ impl KernelSim {
                 .ready
                 .pop_front()
                 .expect("ready checked non-empty above");
-            let (needs_alloc, locals) = {
-                let rec = &self.tasks[task.0 as usize];
-                (!rec.locals_held, rec.locals_words)
-            };
-            if needs_alloc {
+            let rec = &self.tasks[task.0 as usize];
+            if !rec.locals_held {
                 // A memory-bank fault invalidated this task's locals;
                 // re-home them before it runs again. If the shrunken arena
                 // has no room yet, leave the task queued — the next
                 // completion frees space and re-triggers dispatch.
-                if self.machine.alloc_at(now, cluster, locals).is_err() {
+                if self
+                    .machine
+                    .alloc_at(now, cluster, rec.locals_words)
+                    .is_err()
+                {
                     self.clusters[cluster as usize].ready.push_front(task);
                     return;
                 }
@@ -1059,17 +998,7 @@ impl KernelSim {
             rec.epoch += 1;
             let epoch = rec.epoch;
             let work = self.code.get(rec.code).work;
-            self.machine.trace.emit(|| {
-                TraceEvent::instant(
-                    now,
-                    pe.cluster,
-                    pe.index,
-                    EventKind::Task {
-                        task: task.0 as u32,
-                        stage: TaskStage::Dispatched,
-                    },
-                )
-            });
+            self.trace_task(now, pe.cluster, pe.index, task, TaskStage::Dispatched);
             let done = self.machine.run_task(now, pe, &work).unwrap_or(now);
             self.running.insert(pe, task);
             self.queue
@@ -1078,67 +1007,35 @@ impl KernelSim {
     }
 
     fn task_complete(&mut self, now: Cycles, task: TaskId, pe: PeId, epoch: u32) {
-        let rec = &mut self.tasks[task.0 as usize];
+        let rec = &self.tasks[task.0 as usize];
         if rec.epoch != epoch || rec.state != TaskState::Running {
             // Stale completion: a pause, kill, or fault superseded this
             // assignment. Count and trace it instead of vanishing silently.
             self.stats.stale_completions += 1;
-            self.machine.trace.emit(|| {
-                TraceEvent::instant(
-                    now,
-                    pe.cluster,
-                    pe.index,
-                    EventKind::Task {
-                        task: task.0 as u32,
-                        stage: TaskStage::Stale,
-                    },
-                )
-            });
+            self.trace_task(now, pe.cluster, pe.index, task, TaskStage::Stale);
             // The PE's charge has drained; it can take re-queued work now.
-            self.queue.schedule(
-                now,
-                KEvent::Dispatch {
-                    cluster: pe.cluster,
-                },
-            );
+            let cluster = pe.cluster;
+            self.queue.schedule(now, KEvent::Dispatch { cluster });
             return;
         }
-        rec.transition(TaskState::Done);
-        rec.completed_at = Some(now);
-        let cluster = rec.cluster;
-        let locals = rec.locals_words;
-        let parent = rec.parent;
-        let held = rec.locals_held;
-        rec.locals_held = false;
+        let (cluster, reply_to) = (rec.cluster, rec.reply_to);
         self.running.remove(pe);
-        if held {
-            self.machine.free_at(now, cluster, locals);
-        }
-        self.machine.trace.emit(|| {
-            TraceEvent::instant(
+        self.finish_task(now, task, Some(pe));
+        if let ReplyTo::Caller {
+            call_id,
+            cluster: to,
+        } = reply_to
+        {
+            let result_words = Self::NOTIFY_WORDS;
+            self.send(
                 now,
-                pe.cluster,
-                pe.index,
-                EventKind::Task {
-                    task: task.0 as u32,
-                    stage: TaskStage::Completed,
+                cluster,
+                to,
+                KernelMessage::RemoteReturn {
+                    call_id,
+                    result_words,
                 },
-            )
-        });
-        self.completions.push((task, now));
-        self.notify_parent(now, cluster, task, parent);
-        if self.rpc_workers.contains(task.0) {
-            if let Some((call_id, reply_cluster)) = self.rpc_tasks.remove(&task) {
-                self.send(
-                    now,
-                    cluster,
-                    reply_cluster,
-                    KernelMessage::RemoteReturn {
-                        call_id,
-                        result_words: Self::NOTIFY_WORDS,
-                    },
-                );
-            }
+            );
         }
         self.queue.schedule(now, KEvent::Dispatch { cluster });
     }
@@ -1151,26 +1048,8 @@ impl KernelSim {
             self.stats.drops.dead_pe += 1;
         }
         if let Some(task) = self.running.remove(pe) {
-            self.machine.trace.emit(|| {
-                TraceEvent::instant(
-                    now,
-                    pe.cluster,
-                    pe.index,
-                    EventKind::Task {
-                        task: task.0 as u32,
-                        stage: TaskStage::Faulted,
-                    },
-                )
-            });
-            let rec = &mut self.tasks[task.0 as usize];
-            if rec.state == TaskState::Running {
-                rec.epoch += 1; // invalidate in-flight completion
-                rec.transition(TaskState::Ready);
-                let c = rec.cluster;
-                self.clusters[c as usize].ready.push_back(task);
-                self.queue
-                    .schedule(now + Self::RECONFIG_CYCLES, KEvent::Dispatch { cluster: c });
-            }
+            self.trace_task(now, pe.cluster, pe.index, task, TaskStage::Faulted);
+            self.requeue_task(now, task);
         }
     }
 }
@@ -1582,9 +1461,8 @@ mod tests {
                         proptest::prop_assert_eq!(got, want);
                     }
                     _ => {
-                        proptest::prop_assert_eq!(bits.contains(seq), set.contains(&seq));
                         proptest::prop_assert_eq!(bits.insert(seq), set.insert(seq));
-                        proptest::prop_assert!(bits.contains(seq));
+                        proptest::prop_assert!(!bits.insert(seq), "now a member");
                     }
                 }
                 // The window never outgrows what is unacknowledged plus the

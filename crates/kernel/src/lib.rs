@@ -41,7 +41,7 @@ pub mod message;
 pub mod protocol;
 pub mod window_desc;
 
-pub use activation::{ActivationRecord, TaskId, TaskState};
+pub use activation::{ActivationRecord, ReplyTo, TaskId, TaskState};
 pub use codeblock::{CodeBlock, CodeId, CodeStore, WorkProfile};
 pub use heap::{Block, Heap, HeapError};
 pub use kernel::{DropCounts, KernelSim, KernelStats};
