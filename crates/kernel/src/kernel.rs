@@ -1193,6 +1193,60 @@ mod tests {
         assert_eq!(k.notifications().len(), 0);
     }
 
+    fn long_call(k: &mut KernelSim, call_id: u64) {
+        let code = k.register_code(CodeBlock::new("long", 16, WorkProfile::flops(10_000), 8));
+        k.send(
+            0,
+            0,
+            1,
+            KernelMessage::RemoteCall {
+                call_id,
+                code,
+                args_words: 4,
+                caller: TaskId(999),
+                reply_cluster: 0,
+            },
+        );
+    }
+
+    /// An RPC worker whose PE fails mid-run re-runs elsewhere and replies
+    /// once; the faulted run's completion is discarded.
+    #[test]
+    fn rpc_worker_rerun_after_pe_fault_replies_once() {
+        let mut k = sim(2, 4);
+        long_call(&mut k, 5);
+        k.inject_faults(&FaultPlan::at(5_000, [PeId::new(1, 1)]));
+        k.run();
+        assert!(k.all_done());
+        assert_eq!(k.machine.reconfigurations, 1);
+        assert_eq!(k.stats.stale_completions, 1);
+        assert_eq!(k.completions().len(), 1);
+        assert_eq!(k.msg_counts()[&MessageKind::RemoteReturn], 1);
+        assert_eq!(k.rpc_returns().keys().copied().collect::<Vec<_>>(), [5]);
+        assert!(k.notifications().is_empty());
+    }
+
+    /// A force-terminated RPC worker answers nobody: no `RemoteReturn`
+    /// and no notification.
+    #[test]
+    fn force_terminated_rpc_worker_neither_replies_nor_notifies() {
+        let mut k = sim(2, 4);
+        long_call(&mut k, 6);
+        k.send(
+            500,
+            1,
+            1,
+            KernelMessage::TerminateNotify { task: TaskId(0) },
+        );
+        k.run();
+        assert_eq!(k.task(TaskId(0)).state, TaskState::Done);
+        assert_eq!(k.completions().len(), 1);
+        assert_eq!(k.msg_counts()[&MessageKind::TerminateNotify], 1);
+        assert!(!k.msg_counts().contains_key(&MessageKind::RemoteReturn));
+        assert!(k.rpc_returns().is_empty());
+        assert!(k.notifications().is_empty());
+    }
+
     #[test]
     fn pause_then_resume_reruns_task() {
         let mut k = sim(1, 4);
@@ -1479,6 +1533,14 @@ mod tests {
     #[test]
     fn kevent_stays_56_bytes() {
         assert_eq!(std::mem::size_of::<KEvent>(), 56);
+    }
+
+    /// `kernel_storm` holds 66 000 records: an RPC worker's reply address
+    /// shares the 16 bytes a parent id takes, not a field of its own.
+    #[test]
+    fn activation_record_stays_72_bytes() {
+        assert_eq!(std::mem::size_of::<ReplyTo>(), 16);
+        assert_eq!(std::mem::size_of::<ActivationRecord>(), 72);
     }
 
     /// A memory-bank fault sheds running tasks in PE order — the order the
