@@ -47,4 +47,4 @@ pub use heap::{Block, Heap, HeapError};
 pub use kernel::{DropCounts, KernelSim, KernelStats};
 pub use message::{KernelMessage, MessageKind};
 pub use protocol::{ProtocolAutomaton, ProtocolState, ProtocolViolation};
-pub use window_desc::{WindowDescriptor, WindowKind};
+pub use window_desc::WindowDescriptor;

@@ -12,18 +12,6 @@
 use crate::activation::TaskId;
 use fem2_machine::Words;
 
-/// The shape of a window, following the paper's "row, column, block
-/// descriptors".
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WindowKind {
-    /// One full or partial row.
-    Row,
-    /// One full or partial column.
-    Column,
-    /// A general rectangular block.
-    Block,
-}
-
 /// A descriptor of a rectangular region `[row0, row1) × [col0, col1)` of a
 /// named 2-D array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,22 +102,6 @@ impl WindowDescriptor {
         self.len() == 0
     }
 
-    /// The window's kind, derived from its shape.
-    pub fn kind(&self) -> WindowKind {
-        if self.rows() == 1 && self.cols() != 1 {
-            WindowKind::Row
-        } else if self.cols() == 1 && self.rows() != 1 {
-            WindowKind::Column
-        } else {
-            WindowKind::Block
-        }
-    }
-
-    /// True if `(r, c)` is visible through the window (absolute indices).
-    pub fn contains(&self, r: u32, c: u32) -> bool {
-        r >= self.row0 && r < self.row1 && c >= self.col0 && c < self.col1
-    }
-
     /// Partition into `parts` row-wise sub-windows of near-equal size
     /// ("windows … further partitioned"). Earlier parts get the remainder.
     pub fn partition_rows(&self, parts: u32) -> Vec<WindowDescriptor> {
@@ -151,30 +123,6 @@ impl WindowDescriptor {
         }
         out
     }
-
-    /// Intersection of two windows on the same array, if non-empty.
-    pub fn intersect(&self, other: &WindowDescriptor) -> Option<WindowDescriptor> {
-        if self.array != other.array {
-            return None;
-        }
-        let row0 = self.row0.max(other.row0);
-        let row1 = self.row1.min(other.row1);
-        let col0 = self.col0.max(other.col0);
-        let col1 = self.col1.min(other.col1);
-        if row0 < row1 && col0 < col1 {
-            Some(WindowDescriptor {
-                array: self.array,
-                row0,
-                row1,
-                col0,
-                col1,
-                owner: self.owner,
-                owner_cluster: self.owner_cluster,
-            })
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,24 +136,22 @@ mod tests {
     #[test]
     fn constructors_and_shape() {
         let r = WindowDescriptor::row(0, 5, 0, 10, t(), 0);
-        assert_eq!(r.kind(), WindowKind::Row);
         assert_eq!(r.rows(), 1);
         assert_eq!(r.cols(), 10);
         assert_eq!(r.len(), 10);
 
         let c = WindowDescriptor::column(0, 3, 0, 8, t(), 0);
-        assert_eq!(c.kind(), WindowKind::Column);
+        assert_eq!((c.rows(), c.cols(), c.col0), (8, 1, 3));
         assert_eq!(c.len(), 8);
 
         let b = WindowDescriptor::block(0, 0, 4, 0, 4, t(), 0);
-        assert_eq!(b.kind(), WindowKind::Block);
         assert_eq!(b.len(), 16);
     }
 
     #[test]
     fn single_element_is_block() {
         let w = WindowDescriptor::block(0, 2, 3, 2, 3, t(), 0);
-        assert_eq!(w.kind(), WindowKind::Block);
+        assert_eq!((w.rows(), w.cols()), (1, 1));
         assert_eq!(w.len(), 1);
     }
 
@@ -220,16 +166,6 @@ mod tests {
     #[should_panic(expected = "degenerate window bounds")]
     fn inverted_bounds_panic() {
         WindowDescriptor::block(0, 5, 2, 0, 5, t(), 0);
-    }
-
-    #[test]
-    fn contains_absolute_indices() {
-        let w = WindowDescriptor::block(0, 2, 5, 10, 20, t(), 0);
-        assert!(w.contains(2, 10));
-        assert!(w.contains(4, 19));
-        assert!(!w.contains(5, 10));
-        assert!(!w.contains(2, 20));
-        assert!(!w.contains(0, 0));
     }
 
     #[test]
@@ -255,23 +191,6 @@ mod tests {
         let parts = w.partition_rows(10);
         assert_eq!(parts.len(), 2);
         assert!(parts.iter().all(|p| p.rows() == 1));
-    }
-
-    #[test]
-    fn intersect_overlapping() {
-        let a = WindowDescriptor::block(0, 0, 10, 0, 10, t(), 0);
-        let b = WindowDescriptor::block(0, 5, 15, 5, 15, t(), 0);
-        let i = a.intersect(&b).unwrap();
-        assert_eq!((i.row0, i.row1, i.col0, i.col1), (5, 10, 5, 10));
-    }
-
-    #[test]
-    fn intersect_disjoint_or_cross_array() {
-        let a = WindowDescriptor::block(0, 0, 5, 0, 5, t(), 0);
-        let b = WindowDescriptor::block(0, 5, 10, 0, 5, t(), 0);
-        assert_eq!(a.intersect(&b), None);
-        let c = WindowDescriptor::block(1, 0, 5, 0, 5, t(), 0);
-        assert_eq!(a.intersect(&c), None);
     }
 
     #[test]
