@@ -15,6 +15,9 @@
 //!   inside a profile are not modeled);
 //! * a PE failure re-queues the task that was running on it; the work
 //!   already charged to the dead PE is lost, and the task re-runs in full;
+//! * a parent on another cluster hears of a child's pause or termination
+//!   through a `TerminateNotify`; decoded off the child's own cluster, that
+//!   message is recorded as a notification and terminates nothing;
 //! * code blocks are auto-loaded on first use when
 //!   [`KernelSim::auto_load_code`] is set (the default), otherwise an
 //!   explicit [`KernelMessage::LoadCode`] is required and initiating an
@@ -610,7 +613,9 @@ impl KernelSim {
                     from_cluster: from,
                     words: msg.wire_words(|c| code.get(c).words),
                 };
-                self.instant(now, cluster, NO_PE, kind);
+                self.machine
+                    .trace
+                    .emit(|| TraceEvent::instant(now, cluster, NO_PE, kind));
                 self.execute(now, cluster, &msg);
                 self.pump(now, cluster);
             }
@@ -651,7 +656,9 @@ impl KernelSim {
                 msg: p.msg.kind().trace_kind(),
                 to_cluster: to,
             };
-            self.instant(now, from, NO_PE, kind);
+            self.machine
+                .trace
+                .emit(|| TraceEvent::instant(now, from, NO_PE, kind));
             // Re-queue the originating task so the work re-runs instead of
             // hanging on a reply that will never come.
             if let KernelMessage::RemoteCall { caller, .. } = *p.msg {
@@ -668,7 +675,9 @@ impl KernelSim {
             to_cluster: to,
             attempt,
         };
-        self.instant(now, from, NO_PE, kind);
+        self.machine
+            .trace
+            .emit(|| TraceEvent::instant(now, from, NO_PE, kind));
         self.transmit_message(now, from, to, msg, seq, attempt);
     }
 
@@ -808,18 +817,15 @@ impl KernelSim {
         Some(created)
     }
 
-    /// Record an instant event on PE `pe` of `cluster` (`NO_PE` for one on
-    /// no particular PE).
-    fn instant(&self, at: Cycles, cluster: u32, pe: u32, kind: EventKind) {
+    /// Record a lifecycle transition of `task` on PE `pe` of `cluster`.
+    fn trace_task(&self, at: Cycles, cluster: u32, pe: u32, task: TaskId, stage: TaskStage) {
+        let kind = EventKind::Task {
+            task: task.0 as u32,
+            stage,
+        };
         self.machine
             .trace
             .emit(|| TraceEvent::instant(at, cluster, pe, kind));
-    }
-
-    /// Record a lifecycle transition of `task` on PE `pe` of `cluster`.
-    fn trace_task(&self, at: Cycles, cluster: u32, pe: u32, task: TaskId, stage: TaskStage) {
-        let task = task.0 as u32;
-        self.instant(at, cluster, pe, EventKind::Task { task, stage });
     }
 
     /// Give `task`'s locals back to its cluster's heap if it still holds
