@@ -820,7 +820,7 @@ impl KernelSim {
     /// Record a lifecycle transition of `task` on PE `pe` of `cluster`.
     /// Inlined, like `TraceHandle::emit`, so an untraced run pays no call
     /// per transition: out of line, this and `release_locals` cost
-    /// `kernel_storm` about 5 % of its run time.
+    /// `kernel_storm` about 5 % of its run time (2-vCPU x86-64 host).
     #[inline]
     fn trace_task(&self, at: Cycles, cluster: u32, pe: u32, task: TaskId, stage: TaskStage) {
         let kind = EventKind::Task {
@@ -890,26 +890,26 @@ impl KernelSim {
             }
             KernelMessage::PauseNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                if rec.state != TaskState::Running {
+                if rec.state == TaskState::Running {
+                    rec.epoch += 1; // invalidate the in-flight completion
+                    rec.transition(TaskState::Paused);
+                    // Free the PE's association (its charged time stands).
+                    self.running.remove_task(task);
+                    self.notify_parent(now, cluster, task);
+                } else {
                     self.stats.drops.bad_state += 1;
-                    return;
                 }
-                rec.epoch += 1; // invalidate the in-flight completion
-                rec.transition(TaskState::Paused);
-                // Free the PE's association (its charged time stands).
-                self.running.remove_task(task);
-                self.notify_parent(now, cluster, task);
             }
             KernelMessage::Resume { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                if rec.state != TaskState::Paused {
+                if rec.state == TaskState::Paused {
+                    rec.transition(TaskState::Ready);
+                    let c = rec.cluster;
+                    self.clusters[c as usize].ready.push_back(task);
+                    self.queue.schedule(now, KEvent::Dispatch { cluster: c });
+                } else {
                     self.stats.drops.bad_state += 1;
-                    return;
                 }
-                rec.transition(TaskState::Ready);
-                let c = rec.cluster;
-                self.clusters[c as usize].ready.push_back(task);
-                self.queue.schedule(now, KEvent::Dispatch { cluster: c });
             }
             KernelMessage::TerminateNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
@@ -979,7 +979,10 @@ impl KernelSim {
 
     /// Hand ready tasks to available worker PEs.
     fn dispatch(&mut self, now: Cycles, cluster: u32) {
-        while !self.clusters[cluster as usize].ready.is_empty() {
+        loop {
+            if self.clusters[cluster as usize].ready.is_empty() {
+                return;
+            }
             // An eligible worker that is free *now*.
             let Some(pe) = self.machine.free_worker(cluster, now) else {
                 return;
@@ -988,17 +991,16 @@ impl KernelSim {
                 .ready
                 .pop_front()
                 .expect("ready checked non-empty above");
-            let rec = &self.tasks[task.0 as usize];
-            if !rec.locals_held {
+            let (needs_alloc, locals) = {
+                let rec = &self.tasks[task.0 as usize];
+                (!rec.locals_held, rec.locals_words)
+            };
+            if needs_alloc {
                 // A memory-bank fault invalidated this task's locals;
                 // re-home them before it runs again. If the shrunken arena
                 // has no room yet, leave the task queued — the next
                 // completion frees space and re-triggers dispatch.
-                if self
-                    .machine
-                    .alloc_at(now, cluster, rec.locals_words)
-                    .is_err()
-                {
+                if self.machine.alloc_at(now, cluster, locals).is_err() {
                     self.clusters[cluster as usize].ready.push_front(task);
                     return;
                 }
