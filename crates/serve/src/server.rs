@@ -2299,4 +2299,132 @@ mod tests {
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// `body` with the value of every `*_ns` field replaced by `#`: host
+    /// times, the only bytes of a reply that differ from run to run.
+    fn mask_ns(body: &str) -> String {
+        let mut out = String::new();
+        let mut rest = body;
+        while let Some(at) = rest.find("_ns\":") {
+            let (head, tail) = rest.split_at(at + "_ns\":".len());
+            let value = tail.trim_start_matches(' ');
+            out.push_str(head);
+            out.push_str(&tail[..tail.len() - value.len()]);
+            out.push('#');
+            rest = value.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out + rest
+    }
+
+    /// Every reply shape, in one server's life, byte for byte against
+    /// `tests/golden/serve_reply_shapes.txt`: each entry is the request,
+    /// the status and the body with `*_ns` values masked. Run 1 stalls in
+    /// its worker so it can be seen running and fill the one-slot queue;
+    /// run 2 panics; run 3 overruns its cycle budget. The 400 bodies
+    /// cover each field reader's error and each op-table error.
+    #[test]
+    fn every_reply_shape_answers_the_pinned_bytes() {
+        let dir = temp_dir("shapes");
+        let mut opts = ServeOptions::new(dir.clone());
+        opts.queue_capacity = 1;
+        opts.quota_memory_words = Some(1_000);
+        opts.chaos =
+            Some(ChaosPlan::parse(r#"{"panic_on_run":[2],"stall_ms_on_run":[[1,1500]]}"#).unwrap());
+        let handle = start(&opts).unwrap();
+        let addr = handle.addr();
+        let mut transcript = String::new();
+        let mut exchange = |method: &str, path: &str, body: Option<&str>| {
+            let (status, reply) = client::request(addr, method, path, body).unwrap();
+            let sent = body.map_or(String::new(), |b| format!(" {b}"));
+            transcript += &format!("{method} {path}{sent}\n{status}\n{}\n\n", mask_ns(&reply));
+        };
+        let post = |body| ("POST", "/jobs", Some(body));
+        let get = |path| ("GET", path, None);
+
+        let (m, p, b) = post(r#"{"nx":8,"ny":8}"#);
+        exchange(m, p, b);
+        loop {
+            let (_, state) = client::request(addr, "GET", "/jobs/1", None).unwrap();
+            if state.contains(r#""status":"running""#) {
+                break;
+            }
+            assert!(state.contains(r#""status":"queued""#), "{state}");
+            thread::yield_now();
+        }
+        for (m, p, b) in [get("/jobs/1/result"), post(r#"{"nx":10,"ny":10}"#)] {
+            exchange(m, p, b);
+        }
+        assert_eq!(client::wait_settled(addr, 1).unwrap(), "done");
+        let (m, p, b) = post(r#"{"nx":10,"ny":10}"#);
+        exchange(m, p, b);
+        assert_eq!(client::wait_settled(addr, 2).unwrap(), "failed");
+        let budgeted = r#"{"nx":12,"ny":12,"budget":{"max_sim_cycles":10000}}"#;
+        for (m, p, b) in [
+            get("/jobs/2/result"),
+            post(r#"{"nx":10,"ny":10}"#),
+            post(budgeted),
+        ] {
+            exchange(m, p, b);
+        }
+        assert_eq!(client::wait_settled(addr, 4).unwrap(), "aborted");
+        let torus = r#"{"nx":12,"ny":12,"machine":{"clusters":16,"pes_per_cluster":2,"memory_per_cluster":4194304,"topology":{"Torus":{"dims":[3,5]}},"link_latency":20,"words_per_cycle":1,"max_packet_words":256,"header_words":4,"cost":{"flop":4,"int_op":1,"mem_word":2,"msg_send":60,"msg_dispatch":80,"task_create":120,"context_switch":40},"dedicated_kernel_pe":true,"route_cache":true,"des_queue":"Calendar"}}"#;
+        for (m, p, b) in [
+            get("/jobs/1"),
+            get("/jobs/1/result"),
+            get("/jobs/4/result"),
+            post(budgeted),
+            post(r#"{"ny":8,"nx":8}"#),
+            get("/jobs/99"),
+            get("/jobs/99/result"),
+            get("/nope"),
+            get("/jobs/1/bogus"),
+            ("DELETE", "/jobs", None),
+            post(OVERFLOW),
+            post(r#"{"nx":64,"ny":64}"#),
+            post(torus),
+            post("{nope"),
+            post(r#"{"kind":7}"#),
+            post(r#"{"kind":null}"#),
+            post(r#"{"kind":"wat"}"#),
+            post(r#"{"nx":"8","ny":8}"#),
+            post(r#"{"nx":8,"ny":8,"tol":"tight"}"#),
+            post(r#"{"nx":8,"ny":8,"allow_warnings":1}"#),
+            post(r#"{"nx":8,"ny":8,"name":5}"#),
+            post(r#"{"nx":8,"ny":8,"seed":-1}"#),
+            post(r#"{"nx":8,"ny":8,"tasks":4000000000}"#),
+            post(r#"{"nx":8,"ny":8,"budget":{"max_des_events":"x"}}"#),
+            post(r#"{"nx":8,"ny":8,"machine":{"clusters":16}}"#),
+            post(r#"{"kind":"script","ops":[7]}"#),
+            post(r#"{"kind":"script","ops":[{"task":"a"}]}"#),
+            post(r#"{"kind":"script","ops":[{"op":"pause"}]}"#),
+            post(r#"{"kind":"script","ops":[{"op":"pause","task":null}]}"#),
+            post(r#"{"kind":"script","ops":[{"op":"initiate","task":"a","cluster":4294967296}]}"#),
+            post(r#"{"kind":"script","ops":[{"op":"initiate","task":"a","replications":"x"}]}"#),
+            post(r#"{"kind":"script","ops":[{"op":"alloc","what":"m","words":-1}]}"#),
+            post(
+                r#"{"kind":"script","ops":[{"op":"message","from":"a","to":"b","kind":"pause"}]}"#,
+            ),
+            post(r#"{"kind":"script","name":3,"ops":[{"op":"initiate","task":"a"}]}"#),
+            get("/jobs"),
+            get("/stats"),
+            get("/readyz"),
+        ] {
+            exchange(m, p, b);
+        }
+        handle.stop();
+        fs::remove_dir_all(&dir).unwrap();
+        let want = include_str!("../../../tests/golden/serve_reply_shapes.txt");
+        if let Some((n, (got, want))) = transcript
+            .lines()
+            .zip(want.lines())
+            .enumerate()
+            .find(|(_, (g, w))| g != w)
+        {
+            panic!(
+                "line {}: got\n{got}\nwant\n{want}\nwhole transcript:\n{transcript}",
+                n + 1
+            );
+        }
+        assert!(transcript == want, "trailing lines differ:\n{transcript}");
+    }
 }
