@@ -15,9 +15,10 @@
 //!   inside a profile are not modeled);
 //! * a PE failure re-queues the task that was running on it; the work
 //!   already charged to the dead PE is lost, and the task re-runs in full;
-//! * a parent on another cluster hears of a child's pause or termination
-//!   through a `TerminateNotify`; decoded off the child's own cluster, that
-//!   message is recorded as a notification and terminates nothing;
+//! * a parent on another cluster hears of a child's pause through a
+//!   `PauseNotify` and of its termination through a `TerminateNotify`;
+//!   decoded off the child's own cluster, either message is recorded as a
+//!   notification and pauses or terminates nothing;
 //! * code blocks are auto-loaded on first use when
 //!   [`KernelSim::auto_load_code`] is set (the default), otherwise an
 //!   explicit [`KernelMessage::LoadCode`] is required and initiating an
@@ -276,8 +277,9 @@ pub struct KernelSim {
     running: RunningTable,
     /// (task, completion time) in completion order.
     completions: Vec<(TaskId, Cycles)>,
-    /// Parent notifications delivered: (child task, arrival time).
-    notifications: Vec<(TaskId, Cycles)>,
+    /// Parent notifications delivered: (child task, `PauseNotify` or
+    /// `TerminateNotify`, arrival time).
+    notifications: Vec<(TaskId, MessageKind, Cycles)>,
     /// RPC returns received: call_id -> arrival time.
     rpc_returns: BTreeMap<u64, Cycles>,
     /// Messages processed, by kind.
@@ -520,8 +522,9 @@ impl KernelSim {
         &self.completions
     }
 
-    /// Parent notifications in arrival order.
-    pub fn notifications(&self) -> &[(TaskId, Cycles)] {
+    /// Parent notifications in arrival order, each with the kind of
+    /// notice: `PauseNotify` or `TerminateNotify`.
+    pub fn notifications(&self) -> &[(TaskId, MessageKind, Cycles)] {
         &self.notifications
     }
 
@@ -854,7 +857,7 @@ impl KernelSim {
             self.trace_task(now, pe.cluster, pe.index, task, TaskStage::Completed);
         }
         self.completions.push((task, now));
-        self.notify_parent(now, cluster, task);
+        self.notify_parent(now, cluster, task, KernelMessage::TerminateNotify { task });
     }
 
     fn execute(&mut self, now: Cycles, cluster: u32, msg: &KernelMessage) {
@@ -890,12 +893,15 @@ impl KernelSim {
             }
             KernelMessage::PauseNotify { task } => {
                 let rec = &mut self.tasks[task.0 as usize];
-                if rec.state == TaskState::Running {
+                if rec.cluster != cluster {
+                    // A notice to the parent of a child on another cluster.
+                    self.notifications.push((task, msg.kind(), now));
+                } else if rec.state == TaskState::Running {
                     rec.epoch += 1; // invalidate the in-flight completion
                     rec.transition(TaskState::Paused);
                     // Free the PE's association (its charged time stands).
                     self.running.remove_task(task);
-                    self.notify_parent(now, cluster, task);
+                    self.notify_parent(now, cluster, task, KernelMessage::PauseNotify { task });
                 } else {
                     self.stats.drops.bad_state += 1;
                 }
@@ -915,9 +921,8 @@ impl KernelSim {
                 let rec = &mut self.tasks[task.0 as usize];
                 if rec.state == TaskState::Done || rec.cluster != cluster {
                     // A notice that a child terminated, or one about a child
-                    // on another cluster (a parent hears of a pause this
-                    // way): record its delivery to the parent.
-                    self.notifications.push((task, now));
+                    // on another cluster: record its delivery to the parent.
+                    self.notifications.push((task, msg.kind(), now));
                     return;
                 }
                 // Forced termination.
@@ -958,10 +963,16 @@ impl KernelSim {
         }
     }
 
-    /// Tell `child`'s parent, if it has one, that `child` paused or
-    /// terminated: directly when the parent is on `from_cluster`, otherwise
-    /// with a `TerminateNotify` to the parent's cluster.
-    fn notify_parent(&mut self, now: Cycles, from_cluster: u32, child: TaskId) {
+    /// Give `child`'s parent, if it has one, `notice` (the child's
+    /// `PauseNotify` or `TerminateNotify`): directly when the parent is on
+    /// `from_cluster`, otherwise as a message to the parent's cluster.
+    fn notify_parent(
+        &mut self,
+        now: Cycles,
+        from_cluster: u32,
+        child: TaskId,
+        notice: KernelMessage,
+    ) {
         let ReplyTo::Parent(parent) = self.tasks[child.0 as usize].reply_to else {
             return;
         };
@@ -970,9 +981,8 @@ impl KernelSim {
         };
         if pc == from_cluster {
             // Local notification: no network message.
-            self.notifications.push((child, now));
+            self.notifications.push((child, notice.kind(), now));
         } else {
-            let notice = KernelMessage::TerminateNotify { task: child };
             self.send(now, from_cluster, pc, notice);
         }
     }
@@ -1279,8 +1289,9 @@ mod tests {
     }
 
     /// A paused child whose parent lives on another cluster stays paused:
-    /// the `TerminateNotify` that tells the parent is a notice there, not a
-    /// kill, so the child keeps its locals and a resume runs it to the end.
+    /// the `PauseNotify` that tells the parent is a notice there, not a
+    /// pause, so the child keeps its locals and a resume runs it to the end.
+    /// The parent is told which notice each was.
     #[test]
     fn pause_of_child_with_remote_parent_keeps_it_paused() {
         let mut k = sim(2, 4);
@@ -1311,7 +1322,23 @@ mod tests {
         assert_eq!(k.task(child).state, TaskState::Done);
         assert_eq!(k.stats.drops.bad_state, 0);
         assert_eq!(k.completions().len(), 2);
-        assert_eq!(k.notifications().len(), 2, "and then of its termination");
+        let notices: Vec<_> = k
+            .notifications()
+            .iter()
+            .map(|&(t, kind, _)| (t, kind))
+            .collect();
+        assert_eq!(
+            notices,
+            [
+                (child, MessageKind::PauseNotify),
+                (child, MessageKind::TerminateNotify)
+            ],
+            "the parent heard of the pause, then of the end"
+        );
+        // The pause asked for on cluster 1, and the notice of it that
+        // crossed to cluster 0.
+        assert_eq!(k.msg_counts()[&MessageKind::PauseNotify], 2);
+        assert_eq!(k.msg_counts()[&MessageKind::TerminateNotify], 1);
     }
 
     #[test]
