@@ -26,7 +26,7 @@ use fem2_verify::{
     check_cost, check_script, CostParams, CostReport, NameId, Op, Report, ScenarioScript,
 };
 use serde::json::Value;
-use serde::{Deserialize as _, Serialize as _};
+use serde::{Deserialize, Serialize as _};
 use std::time::Duration;
 
 /// Default CG relative tolerance for plate jobs.
@@ -193,72 +193,44 @@ impl Admitted {
     }
 }
 
-fn opt_u64(v: &Value, name: &str, default: u64) -> Result<u64, String> {
-    match v.get_field(name).ok() {
-        None | Some(Value::Null) => Ok(default),
-        Some(f) => u64::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
-    }
+/// Field `name` of the object `v`, or `None` when it has no such field.
+/// A field that may also be `null` is read as an `Option`.
+fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, String> {
+    v.get_field(name)
+        .ok()
+        .map(|f| T::from_value(f).map_err(|e| format!("field `{name}`: {e}")))
+        .transpose()
 }
 
-fn opt_bool(v: &Value, name: &str, default: bool) -> Result<bool, String> {
-    match v.get_field(name).ok() {
-        None | Some(Value::Null) => Ok(default),
-        Some(f) => bool::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
-    }
-}
-
-fn opt_f64(v: &Value, name: &str, default: f64) -> Result<f64, String> {
-    match v.get_field(name).ok() {
-        None | Some(Value::Null) => Ok(default),
-        Some(f) => f64::from_value(f).map_err(|e| format!("field `{name}`: {e}")),
-    }
-}
-
-fn opt_opt_u64(v: &Value, name: &str) -> Result<Option<u64>, String> {
-    match v.get_field(name).ok() {
-        None | Some(Value::Null) => Ok(None),
-        Some(f) => u64::from_value(f)
-            .map(Some)
-            .map_err(|e| format!("field `{name}`: {e}")),
-    }
-}
-
-/// The three optional caps of a parsed `budget` object, in declaration
-/// order: `(max_sim_cycles, max_des_events, wall_ms)`.
-type BudgetCaps = (Option<u64>, Option<u64>, Option<u64>);
+/// The fields of a `budget` object, in the order its caps are returned.
+const BUDGET_CAPS: [&str; 3] = ["max_sim_cycles", "max_des_events", "wall_ms"];
 
 /// Parse the optional nested `budget` object of a plate submission:
 /// `{"max_sim_cycles":N,"max_des_events":M,"wall_ms":W}`, every field
 /// optional.
-fn opt_budget(v: &Value) -> Result<BudgetCaps, String> {
+fn opt_budget(v: &Value) -> Result<[Option<u64>; 3], String> {
     match v.get_field("budget").ok() {
-        None | Some(Value::Null) => Ok((None, None, None)),
+        None | Some(Value::Null) => Ok([None; 3]),
         Some(b @ Value::Obj(_)) => {
-            let cycles = opt_opt_u64(b, "max_sim_cycles").map_err(|e| format!("budget: {e}"))?;
-            let events = opt_opt_u64(b, "max_des_events").map_err(|e| format!("budget: {e}"))?;
-            let wall = opt_opt_u64(b, "wall_ms").map_err(|e| format!("budget: {e}"))?;
-            for (name, limit) in [
-                ("max_sim_cycles", cycles),
-                ("max_des_events", events),
-                ("wall_ms", wall),
-            ] {
-                if limit == Some(0) {
-                    return Err(format!("budget: `{name}` must be positive when set"));
-                }
+            let mut caps = [None; 3];
+            for (cap, name) in caps.iter_mut().zip(BUDGET_CAPS) {
+                *cap = field::<Option<u64>>(b, name)
+                    .map_err(|e| format!("budget: {e}"))?
+                    .flatten();
             }
-            Ok((cycles, events, wall))
+            if let Some(i) = caps.iter().position(|&cap| cap == Some(0)) {
+                return Err(format!(
+                    "budget: `{}` must be positive when set",
+                    BUDGET_CAPS[i]
+                ));
+            }
+            Ok(caps)
         }
         Some(other) => Err(format!(
             "field `budget` must be an object, found {}",
             other.kind()
         )),
     }
-}
-
-fn req_str(v: &Value, name: &str) -> Result<String, String> {
-    v.get_field(name)
-        .map_err(|_| format!("missing field `{name}`"))
-        .and_then(|f| String::from_value(f).map_err(|e| format!("field `{name}`: {e}")))
 }
 
 /// Error-message prefix of a machine configuration that parsed but failed
@@ -269,10 +241,9 @@ fn req_str(v: &Value, name: &str) -> Result<String, String> {
 pub const INVALID_MACHINE_PREFIX: &str = "invalid field `machine`: ";
 
 fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
-    let machine = match v.get_field("machine").ok() {
-        None | Some(Value::Null) => MachineConfig::fem2_default(),
-        Some(m) => MachineConfig::from_value(m).map_err(|e| format!("field `machine`: {e}"))?,
-    };
+    let machine = field::<Option<MachineConfig>>(v, "machine")?
+        .flatten()
+        .unwrap_or_else(MachineConfig::fem2_default);
     machine
         .validate()
         .map_err(|e| format!("{INVALID_MACHINE_PREFIX}{e}"))?;
@@ -289,133 +260,69 @@ fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
     Ok(machine)
 }
 
-/// Parse one script op from its JSON form, e.g.
-/// `{"op":"window_send","from":"a","to":"b","window":"w","words":8}`,
-/// interning its names into `script`'s table.
-fn op_from_value(v: &Value, script: &mut ScenarioScript) -> Result<Op, String> {
-    let kind = req_str(v, "op")?;
-    let mut s = |name: &str| req_str(v, name).map(|text| script.intern(&text));
-    let n = |name: &str, default: u64| opt_u64(v, name, default);
-    Ok(match kind.as_str() {
-        "initiate" => Op::Initiate {
-            task: s("task")?,
-            cluster: u32::try_from(n("cluster", 0)?).map_err(|_| "cluster out of range")?,
-            replications: u32::try_from(n("replications", 1)?)
-                .map_err(|_| "replications out of range")?,
-        },
-        "pause" => Op::Pause { task: s("task")? },
-        "resume" => Op::Resume { task: s("task")? },
-        "terminate" => Op::Terminate { task: s("task")? },
-        "remote_call" => Op::RemoteCall {
-            caller: s("caller")?,
-            call_id: n("call_id", 0)?,
-        },
-        "remote_return" => Op::RemoteReturn {
-            call_id: n("call_id", 0)?,
-        },
-        "window_open" => Op::WindowOpen {
-            task: s("task")?,
-            window: s("window")?,
-        },
-        "window_send" => Op::WindowSend {
-            from: s("from")?,
-            to: s("to")?,
-            window: s("window")?,
-            words: n("words", 1)?,
-        },
-        "window_recv" => Op::WindowRecv {
-            task: s("task")?,
-            from: s("from")?,
-            window: s("window")?,
-        },
-        "window_close" => Op::WindowClose {
-            task: s("task")?,
-            window: s("window")?,
-        },
-        "alloc" => Op::Alloc {
-            cluster: u32::try_from(n("cluster", 0)?).map_err(|_| "cluster out of range")?,
-            words: n("words", 0)?,
-            what: s("what")?,
-        },
-        other => return Err(format!("unknown op `{other}`")),
-    })
+/// The script-op wire format: one row per op the service accepts, with
+/// the `Op` variant, its `"op"` name and its fields in wire order. A field
+/// is a `name` (a required string, interned into the script's name table)
+/// or an integer given with the default an absent or `null` value takes.
+/// Both directions, `op_from_value` and `op_to_value`, are generated from
+/// the rows.
+macro_rules! script_ops {
+    ($($variant:ident $wire:literal { $($field:ident: $spec:tt),* })*) => {
+        /// Parse one script op from its JSON form, e.g.
+        /// `{"op":"window_send","from":"a","to":"b","window":"w","words":8}`,
+        /// interning its names into `script`'s table.
+        fn op_from_value(v: &Value, script: &mut ScenarioScript) -> Result<Op, String> {
+            let op = field::<String>(v, "op")?.ok_or("missing field `op`")?;
+            Ok(match op.as_str() {
+                $($wire => Op::$variant { $($field: script_ops!(@read v, script, $field, $spec)),* },)*
+                other => return Err(format!("unknown op `{other}`")),
+            })
+        }
+
+        /// The JSON form of `op`, its names looked up in `script`. No row
+        /// parses `message`, but one built in code still serializes.
+        fn op_to_value(script: &ScenarioScript, op: &Op) -> Value {
+            let name = |id: NameId| Value::Str(script.name(id).to_string());
+            let pairs = match *op {
+                $(Op::$variant { $($field),* } => vec![
+                    ("op", Value::Str($wire.into())),
+                    $((stringify!($field), script_ops!(@write name, $field, $spec))),*
+                ],)*
+                Op::Message { from, to, kind } => vec![
+                    ("op", Value::Str("message".into())),
+                    ("from", name(from)),
+                    ("to", name(to)),
+                    ("kind", Value::Str(kind.name().into())),
+                ],
+            };
+            Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        }
+    };
+    (@read $v:ident, $script:ident, $field:ident, name) => {{
+        let text = field::<String>($v, stringify!($field))?
+            .ok_or(concat!("missing field `", stringify!($field), "`"))?;
+        $script.intern(&text)
+    }};
+    (@read $v:ident, $script:ident, $field:ident, $default:literal) => {{
+        let n = field::<Option<u64>>($v, stringify!($field))?.flatten().unwrap_or($default);
+        TryFrom::try_from(n).map_err(|_| concat!(stringify!($field), " out of range"))?
+    }};
+    (@write $name:ident, $field:ident, name) => { $name($field) };
+    (@write $name:ident, $field:ident, $default:literal) => { Value::UInt(u64::from($field)) };
 }
 
-/// The JSON form of `op`, its names looked up in `script`.
-fn op_to_value(script: &ScenarioScript, op: &Op) -> Value {
-    let obj = |pairs: Vec<(&str, Value)>| {
-        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    };
-    let s = |s: &str| Value::Str(s.to_string());
-    let name = |id: NameId| s(script.name(id));
-    match *op {
-        Op::Initiate {
-            task,
-            cluster,
-            replications,
-        } => obj(vec![
-            ("op", s("initiate")),
-            ("task", name(task)),
-            ("cluster", Value::UInt(u64::from(cluster))),
-            ("replications", Value::UInt(u64::from(replications))),
-        ]),
-        Op::Pause { task } => obj(vec![("op", s("pause")), ("task", name(task))]),
-        Op::Resume { task } => obj(vec![("op", s("resume")), ("task", name(task))]),
-        Op::Terminate { task } => obj(vec![("op", s("terminate")), ("task", name(task))]),
-        Op::Message { from, to, kind } => obj(vec![
-            ("op", s("message")),
-            ("from", name(from)),
-            ("to", name(to)),
-            ("kind", s(kind.name())),
-        ]),
-        Op::RemoteCall { caller, call_id } => obj(vec![
-            ("op", s("remote_call")),
-            ("caller", name(caller)),
-            ("call_id", Value::UInt(call_id)),
-        ]),
-        Op::RemoteReturn { call_id } => obj(vec![
-            ("op", s("remote_return")),
-            ("call_id", Value::UInt(call_id)),
-        ]),
-        Op::WindowOpen { task, window } => obj(vec![
-            ("op", s("window_open")),
-            ("task", name(task)),
-            ("window", name(window)),
-        ]),
-        Op::WindowSend {
-            from,
-            to,
-            window,
-            words,
-        } => obj(vec![
-            ("op", s("window_send")),
-            ("from", name(from)),
-            ("to", name(to)),
-            ("window", name(window)),
-            ("words", Value::UInt(words)),
-        ]),
-        Op::WindowRecv { task, from, window } => obj(vec![
-            ("op", s("window_recv")),
-            ("task", name(task)),
-            ("from", name(from)),
-            ("window", name(window)),
-        ]),
-        Op::WindowClose { task, window } => obj(vec![
-            ("op", s("window_close")),
-            ("task", name(task)),
-            ("window", name(window)),
-        ]),
-        Op::Alloc {
-            cluster,
-            words,
-            what,
-        } => obj(vec![
-            ("op", s("alloc")),
-            ("cluster", Value::UInt(u64::from(cluster))),
-            ("words", Value::UInt(words)),
-            ("what", name(what)),
-        ]),
-    }
+script_ops! {
+    Initiate "initiate" { task: name, cluster: 0, replications: 1 }
+    Pause "pause" { task: name }
+    Resume "resume" { task: name }
+    Terminate "terminate" { task: name }
+    RemoteCall "remote_call" { caller: name, call_id: 0 }
+    RemoteReturn "remote_return" { call_id: 0 }
+    WindowOpen "window_open" { task: name, window: name }
+    WindowSend "window_send" { from: name, to: name, window: name, words: 1 }
+    WindowRecv "window_recv" { task: name, from: name, window: name }
+    WindowClose "window_close" { task: name, window: name }
+    Alloc "alloc" { cluster: 0, words: 0, what: name }
 }
 
 impl JobSpec {
@@ -429,14 +336,17 @@ impl JobSpec {
 
     /// Resolve a submission from its JSON tree; see [`JobSpec::parse`].
     pub fn from_value(v: &Value) -> Result<JobSpec, String> {
-        let kind = match v.get_field("kind").ok() {
-            None => "plate".to_string(),
-            Some(f) => String::from_value(f).map_err(|e| format!("field `kind`: {e}"))?,
-        };
-        match kind.as_str() {
+        // Optional fields: absent or `null` takes the default.
+        let num =
+            |name, default| field::<Option<u64>>(v, name).map(|n| n.flatten().unwrap_or(default));
+        let allow_warnings =
+            || field::<Option<bool>>(v, "allow_warnings").map(|b| b.flatten().unwrap_or(false));
+        let name = || field::<Option<String>>(v, "name").map(Option::flatten);
+        let kind = field::<String>(v, "kind")?;
+        match kind.as_deref().unwrap_or("plate") {
             "plate" => {
-                let nx = opt_u64(v, "nx", 0)? as usize;
-                let ny = opt_u64(v, "ny", 0)? as usize;
+                let nx = num("nx", 0)? as usize;
+                let ny = num("ny", 0)? as usize;
                 if nx < 2 || ny < 2 {
                     return Err("plate jobs need nx >= 2 and ny >= 2".into());
                 }
@@ -444,7 +354,7 @@ impl JobSpec {
                     return Err("plate grids are capped at 4096 points per side".into());
                 }
                 let machine = opt_machine(v)?;
-                let tasks = match opt_u64(v, "tasks", 0)? {
+                let tasks = match num("tasks", 0)? {
                     0 => machine
                         .clusters
                         .checked_mul(machine.worker_pes_per_cluster())
@@ -454,16 +364,15 @@ impl JobSpec {
                 let tasks = tasks.filter(|&t| t <= MAX_TASKS).ok_or_else(|| {
                     format!("field `tasks`: capped at {MAX_TASKS} (given, or one per worker PE)")
                 })?;
-                let name = match v.get_field("name").ok() {
-                    None | Some(Value::Null) => format!("plate {nx}x{ny}"),
-                    Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
-                };
-                let max_iters = opt_u64(v, "max_iters", DEFAULT_MAX_ITERS as u64)? as usize;
-                let tol = opt_f64(v, "tol", DEFAULT_TOL)?;
+                let name = name()?.unwrap_or_else(|| format!("plate {nx}x{ny}"));
+                let max_iters = num("max_iters", DEFAULT_MAX_ITERS as u64)? as usize;
+                let tol = field::<Option<f64>>(v, "tol")?
+                    .flatten()
+                    .unwrap_or(DEFAULT_TOL);
                 if !(tol.is_finite() && tol > 0.0) {
                     return Err("tol must be a positive finite number".into());
                 }
-                let (budget_cycles, budget_events, budget_wall_ms) = opt_budget(v)?;
+                let [budget_cycles, budget_events, budget_wall_ms] = opt_budget(v)?;
                 Ok(JobSpec::Plate(PlateJob {
                     name,
                     nx,
@@ -472,8 +381,8 @@ impl JobSpec {
                     machine,
                     tol,
                     max_iters,
-                    seed: opt_u64(v, "seed", 0)?,
-                    allow_warnings: opt_bool(v, "allow_warnings", false)?,
+                    seed: num("seed", 0)?,
+                    allow_warnings: allow_warnings()?,
                     budget_cycles,
                     budget_events,
                     budget_wall_ms,
@@ -499,15 +408,12 @@ impl JobSpec {
                         op_from_value(op, &mut script).map_err(|e| format!("ops[{i}]: {e}"))?;
                     script.push(op);
                 }
-                script.name = match v.get_field("name").ok() {
-                    None | Some(Value::Null) => format!("script ({} ops)", script.len()),
-                    Some(f) => String::from_value(f).map_err(|e| format!("field `name`: {e}"))?,
-                };
+                script.name = name()?.unwrap_or_else(|| format!("script ({} ops)", script.len()));
                 Ok(JobSpec::Script(ScriptJob {
                     script,
                     machine: opt_machine(v)?,
-                    seed: opt_u64(v, "seed", 0)?,
-                    allow_warnings: opt_bool(v, "allow_warnings", false)?,
+                    seed: num("seed", 0)?,
+                    allow_warnings: allow_warnings()?,
                 }))
             }
             other => Err(format!("unknown job kind `{other}` (plate|script)")),
@@ -895,6 +801,17 @@ mod tests {
         assert!(JobSpec::parse(r#"{"kind":"script","ops":[]}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"wat"}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"script","ops":[{"op":"conjure"}]}"#).is_err());
+        // Serve has never parsed a raw `message` op.
+        let err = JobSpec::parse(
+            r#"{"kind":"script","ops":[{"op":"message","from":"a","to":"b","kind":"pause"}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err, "ops[0]: unknown op `message`");
+        let err = JobSpec::parse(
+            r#"{"kind":"script","ops":[{"op":"alloc","cluster":4294967296,"what":"m"}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err, "ops[0]: cluster out of range");
     }
 
     #[test]
@@ -934,6 +851,31 @@ mod tests {
             out.value.get_field("status").unwrap(),
             &Value::Str("CLEAN".into())
         );
+
+        // The other five ops, with every default omitted (or `null`), then
+        // spelled out, then set otherwise: each resolves to the ops below,
+        // in wire order, and survives the registry's round trip.
+        let omitted = r#"{"kind":"script","ops":[
+            {"op":"initiate","task":"a"},
+            {"op":"pause","task":"a"},
+            {"op":"resume","task":"a"},
+            {"op":"remote_call","caller":"a"},
+            {"op":"remote_return","call_id":null},
+            {"op":"alloc","what":"m"},
+            {"op":"terminate","task":"a"}]}"#;
+        let defaults = r#"[{"op":"initiate","task":"a","cluster":0,"replications":1},{"op":"pause","task":"a"},{"op":"resume","task":"a"},{"op":"remote_call","caller":"a","call_id":0},{"op":"remote_return","call_id":0},{"op":"alloc","cluster":0,"words":0,"what":"m"},{"op":"terminate","task":"a"}]"#;
+        let set = r#"[{"op":"initiate","task":"a","cluster":3,"replications":4},{"op":"remote_call","caller":"a","call_id":9},{"op":"remote_return","call_id":9},{"op":"alloc","cluster":2,"words":64,"what":"m"}]"#;
+        let script = |ops: &str| format!(r#"{{"kind":"script","ops":{ops}}}"#);
+        for (body, ops) in [
+            (omitted.to_string(), defaults),
+            (script(defaults), defaults),
+            (script(set), set),
+        ] {
+            let doc = JobSpec::parse(&body).unwrap().to_value();
+            let wire = serde_json::to_string(doc.get_field("ops").unwrap()).unwrap();
+            assert_eq!(wire, ops);
+            assert_eq!(JobSpec::from_value(&doc).unwrap().to_value(), doc);
+        }
     }
 
     #[test]
