@@ -141,6 +141,15 @@ impl JobStatus {
             JobStatus::Aborted => "aborted",
         }
     }
+
+    /// The status of a job whose run ended `status`.
+    fn ended(status: RunStatus) -> JobStatus {
+        match status {
+            RunStatus::Ok => JobStatus::Done,
+            RunStatus::Failed => JobStatus::Failed,
+            RunStatus::Aborted => JobStatus::Aborted,
+        }
+    }
 }
 
 /// One tracked submission (including cache hits, which are born done).
@@ -168,7 +177,9 @@ struct JobEntry {
 struct Tables {
     /// Every submission ever tracked; job `id` lives at `jobs[id - 1]`.
     jobs: Vec<JobEntry>,
-    /// hash → job id for submitted-but-unfinished work.
+    /// hash → job id for submitted-but-unfinished work: every job queued
+    /// or running, so its length is the `queue_depth` that sheds and that
+    /// `/stats` and `/readyz` report.
     in_flight: BTreeMap<String, u64>,
 }
 
@@ -251,8 +262,6 @@ pub struct State {
     cache_hits: AtomicU64,
     /// Submissions refused with 503.
     shed: AtomicU64,
-    /// Jobs queued or running right now.
-    queue_depth: AtomicU64,
     /// Jobs that panicked in a worker (isolated, recorded as failed).
     panics: AtomicU64,
     /// Jobs aborted by their run budget.
@@ -454,25 +463,14 @@ impl State {
             // burned on a known-poisonous job.
             if !rec.status.is_ok() {
                 self.quarantine_hits.fetch_add(1, Ordering::Relaxed);
-                let (code, entry_status) = match rec.status {
-                    RunStatus::Aborted => (504, JobStatus::Aborted),
-                    _ => (500, JobStatus::Failed),
-                };
-                let err = rec
-                    .error
-                    .clone()
-                    .unwrap_or_else(|| format!("job previously {}", rec.status.name()));
-                let entry = tables.push(&job, entry_status, true);
+                let entry = tables.push(&job, JobStatus::ended(rec.status), true);
                 entry.wall_ns = rec.wall_ns;
-                entry.error = Some(err.clone());
-                let body = obj(vec![
-                    ("error", Value::Str(err)),
-                    ("status", Value::Str(rec.status.name().to_string())),
-                    ("quarantined", Value::Bool(true)),
-                    ("id", Value::UInt(entry.id)),
-                    ("hash", Value::Str(job.hash)),
-                ]);
-                return Response::json(code, json_compact(&body));
+                entry.error = Some(
+                    rec.error
+                        .clone()
+                        .unwrap_or_else(|| format!("job previously {}", rec.status.name())),
+                );
+                return Self::ending_reply(entry, true);
             }
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             let entry = tables.push(&job, JobStatus::Done, true);
@@ -491,20 +489,20 @@ impl State {
             return Response::json(200, json_compact(&v));
         }
 
-        // Station 4: bounded scheduling with shedding.
-        let depth = self.queue_depth.load(Ordering::Acquire);
-        if depth as usize >= self.capacity {
+        // Station 4: bounded scheduling with shedding. The in-flight
+        // table holds every job queued or running: it is the queue depth.
+        let depth = tables.in_flight.len();
+        if depth >= self.capacity {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Response::json(
                 503,
                 json_compact(&obj(vec![
                     ("error", Value::Str("queue full, submission shed".into())),
-                    ("queue_depth", Value::UInt(depth)),
+                    ("queue_depth", Value::UInt(depth as u64)),
                     ("capacity", Value::UInt(self.capacity as u64)),
                 ])),
             );
         }
-        self.queue_depth.fetch_add(1, Ordering::AcqRel);
         let enqueued = Instant::now();
         let entry = tables.push(&job, JobStatus::Queued, false);
         entry.admit_ns = ns(enqueued.duration_since(accepted));
@@ -733,12 +731,10 @@ impl State {
         );
         let persist_ns = ns(t_persist.elapsed());
         let (status, outcome, error) = match (status, persisted) {
-            (RunStatus::Ok, Ok(())) => (JobStatus::Done, outcome.map(|o| o.value), None),
             (RunStatus::Ok, Err(e)) => (JobStatus::Failed, None, Some(e)),
             // If even the failure record fails, the in-memory entry still
             // tells the truth.
-            (RunStatus::Aborted, _) => (JobStatus::Aborted, None, error),
-            (RunStatus::Failed, _) => (JobStatus::Failed, None, error),
+            (status, _) => (JobStatus::ended(status), outcome.map(|o| o.value), error),
         };
         self.finish(id, status, outcome, wall_ns, persist_ns, error);
     }
@@ -804,11 +800,11 @@ impl State {
             let hash = e.hash.clone();
             tables.in_flight.remove(&hash);
         }
-        self.queue_depth.fetch_sub(1, Ordering::AcqRel);
     }
 
     fn stats(&self) -> Response {
         let registry = lock(&self.registry);
+        let depth = lock(&self.tables).in_flight.len();
         let doc = obj(vec![
             (
                 "sims_run",
@@ -819,10 +815,7 @@ impl State {
                 Value::UInt(self.cache_hits.load(Ordering::Relaxed)),
             ),
             ("shed", Value::UInt(self.shed.load(Ordering::Relaxed))),
-            (
-                "queue_depth",
-                Value::UInt(self.queue_depth.load(Ordering::Relaxed)),
-            ),
+            ("queue_depth", Value::UInt(depth as u64)),
             ("capacity", Value::UInt(self.capacity as u64)),
             ("workers", Value::UInt(self.workers as u64)),
             // One engine; the key stays until ROADMAP 2(c) re-pins this body.
@@ -871,10 +864,7 @@ impl State {
         let ready = write_ok && !self.stop.load(Ordering::SeqCst);
         let doc = obj(vec![
             ("ready", Value::Bool(ready)),
-            (
-                "queue_depth",
-                Value::UInt(self.queue_depth.load(Ordering::Relaxed)),
-            ),
+            ("queue_depth", Value::UInt(in_flight as u64)),
             ("capacity", Value::UInt(self.capacity as u64)),
             // One engine; the key stays until ROADMAP 2(c) re-pins this body.
             ("shards", Value::UInt(1)),
@@ -915,32 +905,36 @@ impl State {
                     ]);
                     Response::json(200, json_pretty(&doc))
                 }
-                (JobStatus::Failed, _) => Response::json(
-                    500,
-                    json_compact(&obj(vec![
-                        (
-                            "error",
-                            Value::Str(e.error.clone().unwrap_or_else(|| "job failed".into())),
-                        ),
-                        ("status", Value::Str("failed".into())),
-                        ("id", Value::UInt(e.id)),
-                    ])),
-                ),
-                (JobStatus::Aborted, _) => Response::json(
-                    504,
-                    json_compact(&obj(vec![
-                        (
-                            "error",
-                            Value::Str(e.error.clone().unwrap_or_else(|| "job aborted".into())),
-                        ),
-                        ("status", Value::Str("aborted".into())),
-                        ("id", Value::UInt(e.id)),
-                    ])),
-                ),
+                (JobStatus::Failed | JobStatus::Aborted, _) => Self::ending_reply(e, false),
                 _ => Response::json(409, error_body(&format!("job {id} is {}", e.status.name()))),
             },
             None => Response::json(404, error_body(&format!("no job {id}"))),
         }
+    }
+
+    /// The reply about a job that ended without an outcome: 500 when it
+    /// failed, 504 when it was aborted. A quarantine replay says so and
+    /// names the hash it replayed.
+    fn ending_reply(e: &JobEntry, quarantined: bool) -> Response {
+        let status = e.status.name();
+        let error = e.error.clone().unwrap_or_else(|| format!("job {status}"));
+        let mut pairs = vec![
+            ("error", Value::Str(error)),
+            ("status", Value::Str(status.into())),
+        ];
+        if quarantined {
+            pairs.push(("quarantined", Value::Bool(true)));
+        }
+        pairs.push(("id", Value::UInt(e.id)));
+        if quarantined {
+            pairs.push(("hash", Value::Str(e.hash.clone())));
+        }
+        let code = if e.status == JobStatus::Aborted {
+            504
+        } else {
+            500
+        };
+        Response::json(code, json_compact(&obj(pairs)))
     }
 
     fn job_list(&self) -> Response {
@@ -1152,7 +1146,6 @@ pub fn start(opts: &ServeOptions) -> Result<ServerHandle, String> {
         sims_run: AtomicU64::new(0),
         cache_hits: AtomicU64::new(0),
         shed: AtomicU64::new(0),
-        queue_depth: AtomicU64::new(0),
         panics: AtomicU64::new(0),
         aborts: AtomicU64::new(0),
         quarantine_hits: AtomicU64::new(0),
@@ -2135,7 +2128,6 @@ mod tests {
         assert_eq!(entry.status, JobStatus::Failed);
         assert_eq!(entry.error.as_deref(), Some("scheduler stopped"));
         assert!(tables.in_flight.is_empty());
-        assert_eq!(state.queue_depth.load(Ordering::SeqCst), 0);
         assert!(lock(&state.queue).is_empty());
         drop(tables);
         fs::remove_dir_all(&dir).unwrap();
