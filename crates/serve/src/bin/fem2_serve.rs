@@ -13,9 +13,12 @@
 //!
 //! `serve` is the default subcommand when the first argument is a flag.
 
+use std::fmt::Display;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::slice;
+use std::str::FromStr;
 
 use fem2_serve::{client, report, ChaosPlan, ServeOptions};
 
@@ -35,15 +38,20 @@ struct Args {
     data_dir: Option<PathBuf>,
     out: Option<PathBuf>,
     addr: Option<SocketAddr>,
-    port: u16,
-    workers: usize,
-    queue: usize,
     wait: bool,
-    chaos: Option<ChaosPlan>,
-    quota_cycles: Option<u64>,
-    quota_events: Option<u64>,
-    quota_memory: Option<u64>,
+    /// The `serve` flags, over the defaults of [`ServeOptions::new`] and
+    /// port 7299; `--data-dir` is filled in by `cmd_serve`.
+    serve: ServeOptions,
     positional: Vec<String>,
+}
+
+/// The value after `flag`, parsed; an error names the flag and the value.
+fn flag_value<T: FromStr>(it: &mut slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag} {raw}: {e}"))
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -51,64 +59,27 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         data_dir: None,
         out: None,
         addr: None,
-        port: 7299,
-        workers: 2,
-        queue: 16,
         wait: false,
-        chaos: None,
-        quota_cycles: None,
-        quota_events: None,
-        quota_memory: None,
+        serve: ServeOptions {
+            port: 7299,
+            ..ServeOptions::new(PathBuf::new())
+        },
         positional: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--data-dir" => out.data_dir = Some(PathBuf::from(value("--data-dir")?)),
-            "--out" => out.out = Some(PathBuf::from(value("--out")?)),
-            "--addr" => {
-                let raw = value("--addr")?;
-                out.addr = Some(raw.parse().map_err(|e| format!("--addr {raw}: {e}"))?);
-            }
-            "--port" => {
-                let raw = value("--port")?;
-                out.port = raw.parse().map_err(|e| format!("--port {raw}: {e}"))?;
-            }
-            "--workers" => {
-                let raw = value("--workers")?;
-                out.workers = raw.parse().map_err(|e| format!("--workers {raw}: {e}"))?;
-            }
-            "--queue" => {
-                let raw = value("--queue")?;
-                out.queue = raw.parse().map_err(|e| format!("--queue {raw}: {e}"))?;
-            }
-            "--chaos" => out.chaos = Some(ChaosPlan::load(&value("--chaos")?)?),
-            "--quota-cycles" => {
-                let raw = value("--quota-cycles")?;
-                out.quota_cycles = Some(
-                    raw.parse()
-                        .map_err(|e| format!("--quota-cycles {raw}: {e}"))?,
-                );
-            }
-            "--quota-events" => {
-                let raw = value("--quota-events")?;
-                out.quota_events = Some(
-                    raw.parse()
-                        .map_err(|e| format!("--quota-events {raw}: {e}"))?,
-                );
-            }
-            "--quota-memory" => {
-                let raw = value("--quota-memory")?;
-                out.quota_memory = Some(
-                    raw.parse()
-                        .map_err(|e| format!("--quota-memory {raw}: {e}"))?,
-                );
-            }
+        let (flag, it) = (arg.as_str(), &mut it);
+        match flag {
+            "--data-dir" => out.data_dir = Some(flag_value(it, flag)?),
+            "--out" => out.out = Some(flag_value(it, flag)?),
+            "--addr" => out.addr = Some(flag_value(it, flag)?),
+            "--port" => out.serve.port = flag_value(it, flag)?,
+            "--workers" => out.serve.workers = flag_value(it, flag)?,
+            "--queue" => out.serve.queue_capacity = flag_value(it, flag)?,
+            "--chaos" => out.serve.chaos = Some(ChaosPlan::load(&flag_value::<String>(it, flag)?)?),
+            "--quota-cycles" => out.serve.quota_cycles = Some(flag_value(it, flag)?),
+            "--quota-events" => out.serve.quota_events = Some(flag_value(it, flag)?),
+            "--quota-memory" => out.serve.quota_memory_words = Some(flag_value(it, flag)?),
             "--wait" => out.wait = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => out.positional.push(other.to_string()),
@@ -135,15 +106,11 @@ fn job_id(a: &Args) -> Result<u64, String> {
     raw.parse().map_err(|e| format!("job id {raw}: {e}"))
 }
 
-fn cmd_serve(a: &Args) -> Result<(), String> {
-    let mut opts = ServeOptions::new(data_dir(a)?);
-    opts.port = a.port;
-    opts.workers = a.workers;
-    opts.queue_capacity = a.queue;
-    opts.chaos = a.chaos.clone();
-    opts.quota_cycles = a.quota_cycles;
-    opts.quota_events = a.quota_events;
-    opts.quota_memory_words = a.quota_memory;
+fn cmd_serve(a: Args) -> Result<(), String> {
+    let opts = ServeOptions {
+        data_dir: data_dir(&a)?,
+        ..a.serve
+    };
     let mut handle = fem2_serve::start(&opts)?;
     let chaos = if opts.chaos.as_ref().is_some_and(ChaosPlan::is_armed) {
         ", CHAOS ARMED"
@@ -216,7 +183,7 @@ fn main() -> ExitCode {
         Some(cmd) => (cmd, &argv[1..]),
     };
     let run = parse_args(rest).and_then(|args| match cmd {
-        "serve" => cmd_serve(&args),
+        "serve" => cmd_serve(args),
         "report" => cmd_report(&args),
         "submit" => cmd_submit(&args),
         "status" => {

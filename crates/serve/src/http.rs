@@ -1,7 +1,7 @@
 //! A minimal HTTP/1.1 layer over `std::net` — just enough protocol for the
 //! job API: request-line + headers + `Content-Length` bodies in,
 //! `Connection: close` JSON responses out. No external dependencies; the
-//! build environment is offline and the API surface is four endpoints.
+//! build environment is offline and the API surface is seven routes.
 //!
 //! Limits are deliberate: request lines and headers are capped, bodies are
 //! capped at [`MAX_BODY`], sockets carry per-read timeouts, and the whole
@@ -121,15 +121,9 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Read and parse one request from `stream` under the default
-/// [`REQUEST_DEADLINE`]. Returns `Ok(None)` on a clean immediate close
-/// (no bytes).
-pub fn read_request(stream: &TcpStream) -> Result<Option<Request>, ParseError> {
-    read_request_deadline(stream, REQUEST_DEADLINE)
-}
-
 /// Read and parse one request, requiring the whole request to arrive
-/// within `deadline`. Each individual read also keeps the idle
+/// within `deadline` ([`REQUEST_DEADLINE`] unless the server was given
+/// another). Returns `Ok(None)` on a clean immediate close (no bytes). Each individual read also keeps the idle
 /// [`IO_TIMEOUT`]; the socket read timeout is re-armed with the smaller of
 /// the two before every read that reaches the socket (already-buffered
 /// bytes are drained without re-arming), so neither a silent client nor a
@@ -291,7 +285,7 @@ mod tests {
             let _ = s.read_to_end(&mut sink);
         });
         let (stream, _) = listener.accept().unwrap();
-        let out = read_request(&stream);
+        let out = read_request_deadline(&stream, REQUEST_DEADLINE);
         drop(stream);
         client.join().unwrap();
         out
@@ -343,7 +337,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap().unwrap();
+            let req = read_request_deadline(&stream, REQUEST_DEADLINE)
+                .unwrap()
+                .unwrap();
             assert_eq!(req.path, "/healthz");
             write_response(&stream, &Response::json(200, "{\"ok\":true}")).unwrap();
         });

@@ -18,7 +18,7 @@
 //!
 //! The HTTP layer ([`http`]) is a deliberate minimum over
 //! `std::net::TcpListener`: the build is offline, so there is no server
-//! framework to lean on — and none needed for four endpoints.
+//! framework to lean on — and none needed for seven routes.
 //!
 //! Job execution is **supervised** ([`server`]): panics are isolated with
 //! `catch_unwind` and recorded as failures, run budgets
