@@ -52,7 +52,7 @@ pub use budget::{AbortCause, BudgetMeter, RunAborted, RunBudget};
 pub use config::{CostModel, DesQueue, MachineConfig, Topology};
 pub use machine::{trace_cost_kind, Machine, MachineError};
 pub use memory::ClusterMemory;
-pub use network::{Flight, Network, Tracked};
+pub use network::{Flight, Network, Recorder, Tracked, TransferRecord};
 pub use pe::{CostClass, Pe, PeId, WorkProfile};
 pub use sim::EventQueue;
 pub use stats::{PhaseCounters, Stats};

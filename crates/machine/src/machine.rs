@@ -445,7 +445,7 @@ impl Machine {
     }
 
     /// Account one remote transfer that arrived at `t`.
-    fn record_transfer(
+    pub(crate) fn record_transfer(
         &mut self,
         now: Cycles,
         t: Cycles,

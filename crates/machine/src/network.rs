@@ -48,6 +48,9 @@ use crate::{Cycles, Words};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+mod replay;
+pub use replay::{Recorder, TransferRecord};
+
 /// One allocated link: everything the contention loop reads or writes for
 /// a hop, so a hop touches one record.
 #[derive(Clone, Copy, Debug)]

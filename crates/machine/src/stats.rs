@@ -118,8 +118,13 @@ impl Stats {
 
     /// Record one remote message carrying `words` of payload.
     pub fn message(&mut self, words: u64) {
+        self.messages(1, words);
+    }
+
+    /// Record `n` remote messages carrying `words` of payload in all.
+    pub(crate) fn messages(&mut self, n: u64, words: u64) {
         let c = self.cur();
-        c.messages += 1;
+        c.messages += n;
         c.msg_words += words;
     }
 
