@@ -19,7 +19,7 @@
 
 use crate::runtime::{ArrayId, NaVm, Plane, SimState};
 use crate::task::TaskHandle;
-use fem2_machine::{Cycles, Words, WorkProfile};
+use fem2_machine::{Cycles, Recorder, Words, WorkProfile};
 use fem2_trace::{MsgKind, WindowStage};
 
 /// Chunk size for deterministic reductions, elements.
@@ -152,6 +152,9 @@ fn stencil_row(out: &mut [f64], c: &[f64], up: Option<&[f64]>, down: Option<&[f6
     }
 }
 
+/// Payload words of each message of a reduction.
+const REDUCTION_WORDS: Words = 2;
+
 impl SimState {
     /// One halo exchange of `nx` words each way between adjacent
     /// row-holding tasks on clusters `ca` and `cb`, from `start`: a memory
@@ -170,10 +173,79 @@ impl SimState {
         self.window_span(start, a2, cb, ca, WindowStage::Transit, words);
         a1.max(a2)
     }
+
+    /// The tree reduction that combines per-task partials over `clusters`
+    /// clusters: one small message per cluster toward cluster 0, all sent
+    /// at the start, then a broadcast of the result, each of whose
+    /// messages leaves once every message before it has arrived.
+    ///
+    /// The messages are the same every time, so the run is recorded and
+    /// replayed ([`Machine::replay`](fem2_machine::Machine::replay)) while
+    /// the fault epoch, `clusters` and the word count stay the same and
+    /// every recorded link is free by the start (a traced machine also
+    /// needs the record's spans). Otherwise each message is routed, and
+    /// the run is recorded again if its links were idle and nothing
+    /// dead-lettered.
+    pub(crate) fn reduction(&mut self, clusters: u32) {
+        let start = self.now;
+        let key = (clusters, REDUCTION_WORDS);
+        if let Some((_, record)) = self.reduction.as_ref().filter(|(k, _)| *k == key) {
+            if let Some(end) = self.machine.replay(record, start) {
+                self.now = end;
+                return;
+            }
+        }
+        let mut rec = self.machine.recorder(start);
+        let mut barrier = start;
+        for c in 1..clusters {
+            let arrive = self.recorded(&mut rec, start, c, 0, MsgKind::RemoteCall);
+            barrier = barrier.max(arrive);
+        }
+        for c in 1..clusters {
+            let arrive = self.recorded(&mut rec, barrier, 0, c, MsgKind::RemoteReturn);
+            barrier = barrier.max(arrive);
+        }
+        if let Some(record) = rec.finish(&self.machine, barrier) {
+            self.reduction = Some((key, record));
+        }
+        self.now = barrier;
+    }
+
+    /// [`SimState::transmit`] of one reduction message through `rec`.
+    fn recorded(
+        &mut self,
+        rec: &mut Recorder,
+        at: Cycles,
+        from: u32,
+        to: u32,
+        msg: MsgKind,
+    ) -> Cycles {
+        rec.transmit(&mut self.machine, at, from, to, REDUCTION_WORDS)
+            .unwrap_or_else(|_| {
+                self.dead_letter(at, from, to, msg);
+                at
+            })
+    }
 }
 
 #[cfg(test)]
 impl SimState {
+    /// The oracle of [`SimState::reduction`]: every message routed, none
+    /// recorded.
+    pub(crate) fn reduction_per_message(&mut self, clusters: u32) {
+        let start = self.now;
+        let mut barrier = start;
+        for c in 1..clusters {
+            let arrive = self.transmit(start, c, 0, REDUCTION_WORDS, MsgKind::RemoteCall);
+            barrier = barrier.max(arrive);
+        }
+        for c in 1..clusters {
+            let arrive = self.transmit(barrier, 0, c, REDUCTION_WORDS, MsgKind::RemoteReturn);
+            barrier = barrier.max(arrive);
+        }
+        self.now = barrier;
+    }
+
     /// The oracle of [`NaVm::stencil5`]'s halo charges: every adjacent
     /// task pair, filtered on both shares of `ny` rows being non-empty,
     /// with one division per task for its cluster.
@@ -220,21 +292,11 @@ impl NaVm {
         }
     }
 
-    /// Charge the tree reduction that combines per-task partials: one small
-    /// message per cluster toward cluster 0, then a broadcast of the result.
+    /// Charge the tree reduction that combines per-task partials
+    /// ([`SimState::reduction`]).
     fn charge_reduction(&mut self) {
         if let Plane::Sim(s) = &mut self.plane {
-            let start = s.now;
-            let mut barrier = start;
-            for c in 1..self.tasks.clusters() {
-                let arrive = s.transmit(start, c, 0, 2, MsgKind::RemoteCall);
-                barrier = barrier.max(arrive);
-            }
-            for c in 1..self.tasks.clusters() {
-                let arrive = s.transmit(barrier, 0, c, 2, MsgKind::RemoteReturn);
-                barrier = barrier.max(arrive);
-            }
-            s.now = barrier;
+            s.reduction(self.tasks.clusters());
         }
     }
 
@@ -742,5 +804,85 @@ mod tests {
         vm.stencil5(x, y, nx, ny);
         let m1 = vm.machine().unwrap().network.messages;
         assert_eq!(m1 - m0, 0);
+    }
+
+    fn sim_state(vm: &mut NaVm) -> &mut SimState {
+        match &mut vm.plane {
+            Plane::Sim(s) => s,
+            Plane::Native => unreachable!("simulated plane"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// [`SimState::reduction`], which replays its record whenever it
+        /// may, against routing every message
+        /// ([`SimState::reduction_per_message`]) on twin VMs over all six
+        /// topologies. Before each reduction: an idle gap, a halo
+        /// exchange, traffic left busy past the start, or a link kill,
+        /// degrade or recovery (a kill can cut a cluster off, which
+        /// dead-letters and halts both alike). Compared: `now`, the whole
+        /// network (every link's `free` and `busy`, the counters, the
+        /// routes), the stats, the events, the halt and the trace.
+        #[test]
+        fn reduction_replay_matches_per_message_oracle(
+            topology in 0usize..6,
+            ntasks in 1u32..=24,
+            ops in proptest::collection::vec((0u8..6, any::<u32>(), 0u64..2000), 1..8),
+        ) {
+            use fem2_machine::Topology;
+            let topology = [
+                Topology::Bus,
+                Topology::Ring,
+                Topology::Mesh2D { width: 4 },
+                Topology::Crossbar,
+                Topology::Torus { dims: vec![4, 4] },
+                Topology::FatTree { radix: 4 },
+            ][topology]
+                .clone();
+            let twin = |oracle: bool| {
+                let cfg = MachineConfig::clustered(16, 2, topology.clone());
+                let mut vm = NaVm::simulated(cfg, ntasks);
+                let (trace, rec) = fem2_trace::TraceHandle::ring(1 << 16);
+                vm.set_trace(trace);
+                let (x, y) = (vm.vector(64), vm.vector(64));
+                for &(op, a, w) in &ops {
+                    if op == 1 {
+                        vm.stencil5(x, y, 8, 8);
+                    }
+                    let s = sim_state(&mut vm);
+                    let link = a as usize % s.machine.network.link_count();
+                    match op {
+                        0 => s.now += w,
+                        2 => {
+                            let (from, to) = (a % 16, (a >> 8) % 16);
+                            s.transmit(s.now, from, to, w, MsgKind::RemoteCall);
+                        }
+                        3 => s.machine.network.fail_link(link),
+                        4 => s.machine.network.degrade_link(link, 2 + (w % 3) as u32),
+                        5 => s.machine.network.recover_link(link),
+                        _ => {}
+                    }
+                    if oracle {
+                        s.reduction_per_message(16);
+                    } else {
+                        vm.charge_reduction();
+                    }
+                }
+                let s = sim_state(&mut vm);
+                let r = rec.lock().unwrap();
+                let trace: Vec<_> = r.events().copied().collect();
+                (
+                    s.now,
+                    format!("{:?}", s.machine.network),
+                    s.machine.stats.table(),
+                    s.machine.events,
+                    s.halted.clone(),
+                    trace,
+                )
+            };
+            prop_assert_eq!(twin(false), twin(true));
+        }
     }
 }

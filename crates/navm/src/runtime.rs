@@ -13,7 +13,7 @@ use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
     AbortCause, BudgetMeter, CostClass, Cycles, Machine, MachineConfig, RunAborted, RunBudget,
-    Words, WorkProfile, MAX_RETRANSMITS,
+    TransferRecord, Words, WorkProfile, MAX_RETRANSMITS,
 };
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 
@@ -64,6 +64,9 @@ pub(crate) struct SimState {
     pub(crate) retransmits: u64,
     /// Started run budget, checked as `now` advances. Unlimited by default.
     pub(crate) budget: BudgetMeter,
+    /// The last replayable reduction, keyed by its cluster and word counts
+    /// ([`SimState::reduction`]).
+    pub(crate) reduction: Option<((u32, Words), TransferRecord)>,
 }
 
 impl SimState {
@@ -385,6 +388,7 @@ impl NaVm {
                 halted: None,
                 retransmits: 0,
                 budget: BudgetMeter::default(),
+                reduction: None,
             })),
             tasks: TaskSet::new(ntasks, clusters),
             arrays: Vec::new(),
