@@ -12,8 +12,12 @@
 //! ```
 //!
 //! `serve` is the default subcommand when the first argument is a flag.
+//! Output goes through one locked `stdout`. A reader that closes early
+//! (`fem2-serve submit --wait job.json | head -1`) ends the command with
+//! status 0 and nothing on stderr.
 
 use std::fmt::Display;
+use std::io::{self, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -88,6 +92,25 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(out)
 }
 
+/// Why a subcommand stopped: a message for stderr, or a failed write to
+/// stdout.
+enum Failure {
+    Msg(String),
+    Write(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Msg(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Write(e)
+    }
+}
+
 fn data_dir(a: &Args) -> Result<PathBuf, String> {
     a.data_dir
         .clone()
@@ -106,7 +129,7 @@ fn job_id(a: &Args) -> Result<u64, String> {
     raw.parse().map_err(|e| format!("job id {raw}: {e}"))
 }
 
-fn cmd_serve(a: Args) -> Result<(), String> {
+fn cmd_serve(a: Args, out: &mut impl Write) -> Result<(), Failure> {
     let opts = ServeOptions {
         data_dir: data_dir(&a)?,
         ..a.serve
@@ -117,28 +140,31 @@ fn cmd_serve(a: Args) -> Result<(), String> {
     } else {
         ""
     };
-    println!(
+    // The library writes nothing to stdout, so holding its lock while
+    // the server runs blocks no one.
+    writeln!(
+        out,
         "fem2-serve listening on http://{} (data-dir {}, {} workers, queue {}{chaos})",
         handle.addr(),
         opts.data_dir.display(),
         opts.workers,
         opts.queue_capacity
-    );
+    )?;
     handle.wait();
     Ok(())
 }
 
-fn cmd_report(a: &Args) -> Result<(), String> {
-    let out = a
+fn cmd_report(a: &Args, out: &mut impl Write) -> Result<(), Failure> {
+    let dir = a
         .out
         .clone()
         .ok_or_else(|| "--out is required".to_string())?;
-    let pages = report::generate(&data_dir(a)?, &out)?;
-    println!("wrote {pages} pages under {}", out.display());
+    let pages = report::generate(&data_dir(a)?, &dir)?;
+    writeln!(out, "wrote {pages} pages under {}", dir.display())?;
     Ok(())
 }
 
-fn cmd_submit(a: &Args) -> Result<(), String> {
+fn cmd_submit(a: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let addr = addr(a)?;
     let file = a
         .positional
@@ -146,28 +172,28 @@ fn cmd_submit(a: &Args) -> Result<(), String> {
         .ok_or_else(|| "submit needs a job-spec JSON file".to_string())?;
     let body = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
     let (status, resp) = client::request(addr, "POST", "/jobs", Some(&body))?;
-    println!("{status}: {resp}");
+    writeln!(out, "{status}: {resp}")?;
     if status >= 400 {
-        return Err(format!("submission refused with {status}"));
+        return Err(format!("submission refused with {status}").into());
     }
     if a.wait {
         let v = serde_json::parse_value(&resp).map_err(|e| format!("bad response: {e}"))?;
         let id = match v.get_field("id").map_err(|e| e.to_string())? {
             serde_json::Value::UInt(id) => *id,
-            other => return Err(format!("bad id field: {other:?}")),
+            other => return Err(format!("bad id field: {other:?}").into()),
         };
         let outcome = client::wait_done(addr, id)?;
         let text = serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?;
-        println!("{text}");
+        writeln!(out, "{text}")?;
     }
     Ok(())
 }
 
-fn cmd_get(a: &Args, path: String) -> Result<(), String> {
+fn cmd_get(a: &Args, path: String, out: &mut impl Write) -> Result<(), Failure> {
     let (status, resp) = client::request(addr(a)?, "GET", &path, None)?;
-    println!("{resp}");
+    writeln!(out, "{resp}")?;
     if status >= 400 {
-        return Err(format!("GET {path} -> {status}"));
+        return Err(format!("GET {path} -> {status}").into());
     }
     Ok(())
 }
@@ -182,25 +208,36 @@ fn main() -> ExitCode {
         Some(flag) if flag.starts_with("--") => ("serve", &argv[..]),
         Some(cmd) => (cmd, &argv[1..]),
     };
-    let run = parse_args(rest).and_then(|args| match cmd {
-        "serve" => cmd_serve(args),
-        "report" => cmd_report(&args),
-        "submit" => cmd_submit(&args),
-        "status" => {
-            let id = job_id(&args)?;
-            cmd_get(&args, format!("/jobs/{id}"))
-        }
-        "result" => {
-            let id = job_id(&args)?;
-            cmd_get(&args, format!("/jobs/{id}/result"))
-        }
-        "list" => cmd_get(&args, "/jobs".to_string()),
-        "stats" => cmd_get(&args, "/stats".to_string()),
-        other => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
-    });
+    let mut out = io::stdout().lock();
+    let out = &mut out;
+    let run = parse_args(rest)
+        .map_err(Failure::from)
+        .and_then(|args| match cmd {
+            "serve" => cmd_serve(args, out),
+            "report" => cmd_report(&args, out),
+            "submit" => cmd_submit(&args, out),
+            "status" => {
+                let id = job_id(&args)?;
+                cmd_get(&args, format!("/jobs/{id}"), out)
+            }
+            "result" => {
+                let id = job_id(&args)?;
+                cmd_get(&args, format!("/jobs/{id}/result"), out)
+            }
+            "list" => cmd_get(&args, "/jobs".to_string(), out),
+            "stats" => cmd_get(&args, "/stats".to_string(), out),
+            other => Err(format!("unknown subcommand `{other}`\n{USAGE}").into()),
+        })
+        .and_then(|()| out.flush().map_err(Failure::from));
     match run {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader has gone: whatever it wanted, it has read.
+        Err(Failure::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Write(e)) => {
+            eprintln!("fem2-serve: write stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(e)) => {
             eprintln!("fem2-serve: {e}");
             ExitCode::FAILURE
         }
