@@ -4,7 +4,7 @@
 //! No product path calls this. It stays, with `fem2-par` under it, solely
 //! because the repo benchmark's `par.cg_s` / `par.cg_speedup` probe
 //! (`benchmark/src/fem.rs`) calls [`solve`]; both go once that probe
-//! moves (ROADMAP 1(c), (e)). Against the sequential [`crate::solver::cg`]
+//! moves (ROADMAP 1(a)). Against the sequential [`crate::solver::cg`]
 //! at two threads it shows the 1.3× a parallel path must reach in the
 //! median on `fem_native`'s 8 450-dof system, not run for run, and about
 //! 2× on systems that leave the cache (EXPERIMENTS.md A7).

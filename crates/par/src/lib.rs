@@ -6,7 +6,7 @@
 //! path; both stay because the repo benchmark's `par.cg_*` probe
 //! (`benchmark/src/fem.rs`) names `fem2_par::Pool::new(threads)` and
 //! `parallel_cg::solve(&pool, …)`, and they leave together when that probe
-//! moves (ROADMAP 1(c), (e)). Every other host-parallel path measured
+//! moves (ROADMAP 1(a)). Every other host-parallel path measured
 //! slower than the sequential code beside it and was deleted
 //! (EXPERIMENTS.md A5, A7).
 //!
