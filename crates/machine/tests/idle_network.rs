@@ -195,7 +195,8 @@ proptest! {
 
     /// A recorded sequence replayed leaves the machine exactly as routing
     /// every message would, at any later start: six topologies over 1–64
-    /// clusters, traced or not. Between rounds: an idle gap (the record
+    /// clusters, traced or not, with the route cache or the uncached
+    /// reference router. Between rounds: an idle gap (the record
     /// must replay), traffic that leaves links busy past the next start,
     /// a link kill, degrade or recovery (the epoch moves, so it must not
     /// replay; the per-message run records again), a network reset, or
@@ -206,10 +207,12 @@ proptest! {
         machine in machine_strategy(),
         words in (0u64..=8, prop_oneof![Just(0u64), 1u64..=600]),
         traced in any::<bool>(),
+        route_cache in any::<bool>(),
         ops in proptest::collection::vec((0u8..7, 0u32..64, 0u32..64, 0u64..=3000), 1..10),
     ) {
         let (n, topology) = machine;
-        let cfg = MachineConfig::clustered(n, 2, topology);
+        let mut cfg = MachineConfig::clustered(n, 2, topology);
+        cfg.route_cache = route_cache;
         let mut replay = Twin::new(&cfg, traced);
         let mut oracle = Twin::new(&cfg, traced);
         let messages = || sequence(n, words.0, words.1);
