@@ -4,7 +4,7 @@
 //! The workload is the one the paper's applications imply (and that
 //! Adams–Voigt analyze in reference \[8\]): a plate model — assemble element
 //! stiffnesses, solve the resulting SPD system by conjugate gradients with a
-//! 5-point-stencil operator, recover stresses. On the simulated plane the
+//! 5-point-stencil operator, recover stresses. On the simulated machine the
 //! run produces the paper's three requirement families per phase:
 //! processing (flops), storage (allocation high-water), and communication
 //! (messages, words).
@@ -17,7 +17,7 @@ use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
 
 /// Per-element assembly work of a Quad4 plane-stress element (four Gauss
 /// points of `BᵀDB` products plus bookkeeping), as charged on the simulated
-/// plane.
+/// machine.
 pub const ASSEMBLY_PROFILE_PER_ELEMENT: WorkProfile = WorkProfile {
     flops: 1200,
     int_ops: 300,
@@ -32,9 +32,9 @@ pub const STRESS_PROFILE_PER_ELEMENT: WorkProfile = WorkProfile {
 };
 
 /// Conjugate gradients on the 5-point-stencil operator, written entirely in
-/// NA-VM operations, so the same function runs on the native plane (no
-/// charges) and the simulated plane (cost accounting). Solves `A·x = b`
-/// with `b ≡ 1`, `x₀ = 0`. Returns `(iterations, final residual, x)`.
+/// NA-VM operations, so every step of the solve is charged to the simulated
+/// machine. Solves `A·x = b` with `b ≡ 1`, `x₀ = 0`. Returns
+/// `(iterations, final residual, x)`.
 pub fn plate_cg(
     vm: &mut NaVm,
     nx: usize,
@@ -56,9 +56,9 @@ pub fn plate_cg(
     let mut iters = 0;
     let mut res = rr.sqrt();
     // The budget poll makes CG cooperatively abortable at iteration
-    // granularity: on the simulated plane an armed budget stops the loop at
-    // the first iteration boundary past the limit (deterministically for
-    // the cycle budget); unbudgeted and native-plane runs never see it.
+    // granularity: an armed budget stops the loop at the first iteration
+    // boundary past the limit (deterministically for the cycle budget);
+    // unbudgeted runs never see it.
     while iters < max_iters && res > target && vm.budget_exceeded().is_none() {
         vm.stencil5(p, ap, nx, ny);
         let pap = vm.inner(p, ap);
@@ -150,7 +150,7 @@ impl PlateScenario {
         fem2_verify::check_script(&script, &self.machine)
     }
 
-    /// Verify, then run on the simulated plane. Scenarios the analyzer
+    /// Verify, then run on the simulated machine. Scenarios the analyzer
     /// rejects are returned as `Err` with the full diagnostic report;
     /// warnings also reject unless [`allow_warnings`](Self::allow_warnings)
     /// is set.
@@ -162,7 +162,7 @@ impl PlateScenario {
         Ok(self.run_unchecked())
     }
 
-    /// Run on the simulated plane and collect the requirement tables.
+    /// Run on the simulated machine and collect the requirement tables.
     /// The static verifier runs first and a rejected scenario panics with
     /// its diagnostics; use [`try_run`](Self::try_run) to handle rejection,
     /// or [`run_unchecked`](Self::run_unchecked) to skip the gate.
@@ -230,7 +230,7 @@ impl PlateScenario {
         vm.pardo(&stmts);
         self.check_abort(&vm)?;
 
-        let machine = vm.machine().expect("simulated plane");
+        let machine = vm.machine();
         let stats = &machine.stats;
         let phases: Vec<(String, PhaseCounters)> = stats
             .phase_names()
@@ -405,23 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn plate_cg_identical_on_both_planes() {
-        let mut sim = NaVm::simulated(MachineConfig::fem2_default(), 8);
-        let (it_s, res_s, xs) = plate_cg(&mut sim, 12, 12, 1e-8, 2000);
-        let mut native = NaVm::native(8);
-        let (it_n, res_n, xn) = plate_cg(&mut native, 12, 12, 1e-8, 2000);
-        assert_eq!(it_s, it_n, "same iteration path");
-        assert_eq!(res_s.to_bits(), res_n.to_bits(), "bitwise-equal residuals");
-        let a = sim.snapshot(xs);
-        let b = native.snapshot(xn);
-        for (p, q) in a.iter().zip(&b) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-    }
-
-    #[test]
     fn plate_cg_actually_solves_the_system() {
-        let mut vm = NaVm::native(4);
+        let mut vm = NaVm::simulated(MachineConfig::fem2_default(), 4);
         let (_, res, x) = plate_cg(&mut vm, 10, 10, 1e-10, 5000);
         assert!(res < 1e-8);
         // Verify A·x ≈ 1 directly.

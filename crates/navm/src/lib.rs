@@ -14,17 +14,16 @@
 //! * *storage management*: dynamic creation of data objects by tasks, data
 //!   lifetime = owner-task lifetime.
 //!
-//! ## Two execution planes
+//! ## One execution: the simulated FEM-2
 //!
-//! Every program runs on either plane with **identical numerical results**:
-//!
-//! * [`NaVm::native`] — the same program on the calling thread with no
-//!   cost accounting: the second, charge-free execution the plane-identity
-//!   tests compare the simulated plane against;
-//! * [`NaVm::simulated`] — the `fem2-machine` cost model: every forall,
-//!   window access, broadcast, and RPC charges cycles, messages, and words
-//!   to the simulated FEM-2 hardware, producing the processing / storage /
-//!   communication requirement numbers the design method calls for.
+//! A VM ([`NaVm::simulated`]) runs on the `fem2-machine` cost model: every
+//! forall, window access, broadcast, and RPC computes its values on the
+//! host and charges cycles, messages, and words to the simulated FEM-2
+//! hardware, producing the processing / storage / communication
+//! requirement numbers the design method calls for. The charges never
+//! change a value: the integration tests check the plate CG against
+//! `fem2-fem`'s direct solve of the same operator, across task counts and
+//! machines.
 //!
 //! ```
 //! use fem2_navm::{NaVm, TaskHandle};
@@ -37,7 +36,7 @@
 //! vm.fill(y, |_, _| 2.0);
 //! let dot = vm.inner(x, y);
 //! assert_eq!(dot, 2.0 * (999.0 * 1000.0 / 2.0));
-//! assert!(vm.elapsed() > 0, "simulated plane charged cycles");
+//! assert!(vm.elapsed() > 0, "the operations charged cycles");
 //! let _ = TaskHandle(0);
 //! ```
 
@@ -46,7 +45,7 @@ pub mod runtime;
 pub mod task;
 pub mod window;
 
-pub use runtime::{ArrayId, NaVm, PlaneKind};
+pub use runtime::{ArrayId, NaVm};
 pub use task::{TaskHandle, TaskSet};
 pub use window::Window;
 

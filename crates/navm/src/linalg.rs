@@ -2,12 +2,13 @@
 //!
 //! Inner products, vector updates, and the 5-point-stencil operator the FEM
 //! scenarios lean on. Every operation computes real values *and* charges
-//! the simulated machine when the VM runs on the simulated plane.
+//! the simulated machine.
 //!
 //! The host arithmetic of each operation is **one slice kernel** (the free
-//! functions below) that both planes call, so they round the same way —
-//! the plane-equivalence property the integration tests check. Two
-//! contracts fix the bits:
+//! functions below), and the charges never touch a value, so the answers
+//! depend neither on the machine nor on the task count. The integration
+//! tests check the plate CG built from these operations against a direct
+//! solve. Two contracts fix the bits:
 //!
 //! * **Reductions.** One partial per [`REDUCE_GRAIN`] chunk, each summed
 //!   left to right from `0.0`; partials are folded in chunk order from
@@ -17,8 +18,8 @@
 //! * **Stencil.** Every point is `4·c − l − r − u − d`, subtracted in that
 //!   order, with the terms of out-of-grid neighbours skipped.
 
-use crate::runtime::{ArrayId, NaVm, Plane, SimState};
-use crate::task::TaskHandle;
+use crate::runtime::{ArrayId, NaVm, SimState};
+use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::{Cycles, Recorder, Words, WorkProfile};
 use fem2_trace::{MsgKind, WindowStage};
 
@@ -187,6 +188,9 @@ impl SimState {
     /// the run is recorded again if its links were idle and nothing
     /// dead-lettered.
     pub(crate) fn reduction(&mut self, clusters: u32) {
+        if self.stopped().is_some() {
+            return;
+        }
         let start = self.now;
         let key = (clusters, REDUCTION_WORDS);
         if let Some((_, record)) = self.reduction.as_ref().filter(|(k, _)| *k == key) {
@@ -207,6 +211,31 @@ impl SimState {
         }
         if let Some(record) = rec.finish(&self.machine, barrier) {
             self.reduction = Some((key, record));
+        }
+        self.now = barrier;
+    }
+
+    /// The halo exchanges of [`NaVm::stencil5`] on an `nx × ny` grid:
+    /// between each pair of adjacent tasks that hold grid rows (the first
+    /// `min(tasks, ny)`), in task order, all from the start.
+    fn halo(&mut self, tasks: TaskSet, nx: usize, ny: usize) {
+        if self.stopped().is_some() {
+            return;
+        }
+        let held = tasks.len().min(u32::try_from(ny).unwrap_or(u32::MAX));
+        let mut hosts = tasks
+            .by_cluster()
+            .map_while(|(c, run)| (run.start < held).then(|| (c, run.end.min(held) - run.start)))
+            .peekable();
+        let start = self.now;
+        let mut barrier = start;
+        while let Some((ca, k)) = hosts.next() {
+            for _ in 1..k {
+                barrier = barrier.max(self.halo_pair(start, ca, ca, nx));
+            }
+            if let Some(&(cb, _)) = hosts.peek() {
+                barrier = barrier.max(self.halo_pair(start, ca, cb, nx));
+            }
         }
         self.now = barrier;
     }
@@ -233,6 +262,9 @@ impl SimState {
     /// The oracle of [`SimState::reduction`]: every message routed, none
     /// recorded.
     pub(crate) fn reduction_per_message(&mut self, clusters: u32) {
+        if self.stopped().is_some() {
+            return;
+        }
         let start = self.now;
         let mut barrier = start;
         for c in 1..clusters {
@@ -249,12 +281,15 @@ impl SimState {
     /// The oracle of [`NaVm::stencil5`]'s halo charges: every adjacent
     /// task pair, filtered on both shares of `ny` rows being non-empty,
     /// with one division per task for its cluster.
-    pub(crate) fn halo_per_task(&mut self, tasks: &crate::TaskSet, nx: usize, ny: usize) {
+    pub(crate) fn halo_per_task(&mut self, tasks: &TaskSet, nx: usize, ny: usize) {
         let pairs = tasks
             .iter()
             .zip(tasks.iter().skip(1))
             .filter(|(a, b)| !tasks.share(ny, *a).is_empty() && !tasks.share(ny, *b).is_empty())
             .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)));
+        if self.stopped().is_some() {
+            return;
+        }
         let start = self.now;
         let mut barrier = start;
         for (ca, cb) in pairs {
@@ -278,29 +313,27 @@ impl NaVm {
     /// ([`TaskSet::share`](crate::TaskSet::share)): task `i` does
     /// `per_elem` for each of its `base + (i < extra)` items.
     pub(crate) fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
-        if let Plane::Sim(s) = &mut self.plane {
-            let tasks = self.tasks;
-            let (base, extra) = (n / tasks.len() as usize, n % tasks.len() as usize);
-            let runs = tasks.by_cluster().map(|(c, run)| {
-                let work = run.map(move |i| {
-                    let items = base + usize::from((i as usize) < extra);
-                    (TaskHandle(i), per_elem.scaled(items as u64))
-                });
-                (c, work)
+        let tasks = self.tasks;
+        let (base, extra) = (n / tasks.len() as usize, n % tasks.len() as usize);
+        let runs = tasks.by_cluster().map(|(c, run)| {
+            let work = run.map(move |i| {
+                let items = base + usize::from((i as usize) < extra);
+                (TaskHandle(i), per_elem.scaled(items as u64))
             });
-            s.parallel_section(runs);
-        }
+            (c, work)
+        });
+        self.sim.parallel_section(runs);
     }
 
     /// Charge the tree reduction that combines per-task partials
     /// ([`SimState::reduction`]).
     fn charge_reduction(&mut self) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.reduction(self.tasks.clusters());
-        }
+        self.sim.reduction(self.tasks.clusters());
     }
 
-    /// Inner product `xᵀy`. Identical rounding on both planes.
+    /// Inner product `xᵀy`, rounded by the reduction contract: the
+    /// combination tree depends on the length alone, not on the task count
+    /// or the machine.
     pub fn inner(&mut self, x: ArrayId, y: ArrayId) -> f64 {
         let n = self.len(x);
         assert_eq!(n, self.len(y), "length mismatch");
@@ -329,11 +362,6 @@ impl NaVm {
         );
         self.charge_reduction();
         result
-    }
-
-    /// Euclidean norm `‖x‖₂`.
-    pub fn norm2(&mut self, x: ArrayId) -> f64 {
-        self.inner(x, x).sqrt()
     }
 
     /// `y ← y + alpha·x`.
@@ -406,36 +434,14 @@ impl NaVm {
     /// with out-of-grid neighbours treated as zero (homogeneous Dirichlet).
     /// `x` and `y` are `nx·ny` vectors, grid row-major.
     ///
-    /// On the simulated plane each task owning a band of grid rows
-    /// exchanges one halo row (`nx` words) with each neighbouring task:
-    /// intra-cluster neighbours cost memory passes, inter-cluster ones cost
-    /// messages — the nearest-neighbour pattern of E5.
+    /// Each task owning a band of grid rows exchanges one halo row (`nx`
+    /// words) with each neighbouring task: intra-cluster neighbours cost
+    /// memory passes, inter-cluster ones cost messages — the
+    /// nearest-neighbour pattern of E5.
     pub fn stencil5(&mut self, x: ArrayId, y: ArrayId, nx: usize, ny: usize) {
         assert_eq!(self.len(x), nx * ny, "x length mismatch");
         assert_eq!(self.len(y), nx * ny, "y length mismatch");
-        // Halo exchange charges: between each pair of adjacent tasks that
-        // hold grid rows (the first `min(tasks, ny)`), in task order.
-        if let Plane::Sim(s) = &mut self.plane {
-            let held = self.tasks.len().min(u32::try_from(ny).unwrap_or(u32::MAX));
-            let mut hosts = self
-                .tasks
-                .by_cluster()
-                .map_while(|(c, run)| {
-                    (run.start < held).then(|| (c, run.end.min(held) - run.start))
-                })
-                .peekable();
-            let start = s.now;
-            let mut barrier = start;
-            while let Some((ca, k)) = hosts.next() {
-                for _ in 1..k {
-                    barrier = barrier.max(s.halo_pair(start, ca, ca, nx));
-                }
-                if let Some(&(cb, _)) = hosts.peek() {
-                    barrier = barrier.max(s.halo_pair(start, ca, cb, nx));
-                }
-            }
-            s.now = barrier;
-        }
+        self.sim.halo(self.tasks, nx, ny);
         // Compute.
         {
             let (xd, yd) = self.src_dst(x, y);
@@ -465,10 +471,6 @@ mod tests {
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
-    }
-
-    fn native() -> NaVm {
-        NaVm::native(4)
     }
 
     fn vector_of(vm: &mut NaVm, data: &[f64]) -> ArrayId {
@@ -554,16 +556,16 @@ mod tests {
         let y = mixed_values(seed ^ 0x5bd1_e995, n);
         let want = inner_oracle(&x, &y);
         let want_norm = inner_oracle(&x, &x);
-        for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
+        for (p, mut vm) in [sim(1), sim(4)].into_iter().enumerate() {
             let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
             let got = vm.inner(xa, ya);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "n {n} plane {p}: {got} vs {want}"
+                "n {n} crew {p}: {got} vs {want}"
             );
             let got = vm.inner(xa, xa);
-            assert_eq!(got.to_bits(), want_norm.to_bits(), "n {n} plane {p}: x·x");
+            assert_eq!(got.to_bits(), want_norm.to_bits(), "n {n} crew {p}: x·x");
         }
     }
 
@@ -604,11 +606,11 @@ mod tests {
         for (nx, ny) in grids {
             let x = mixed_values((nx * 1000 + ny) as u64, nx * ny);
             let want = stencil_oracle(&x, nx, ny);
-            for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
+            for (p, mut vm) in [sim(1), sim(4)].into_iter().enumerate() {
                 let xa = vector_of(&mut vm, &x);
                 let ya = vm.vector(nx * ny);
                 vm.stencil5(xa, ya, nx, ny);
-                assert_bits_eq(&vm.snapshot(ya), &want, &format!("{nx}x{ny} plane {p}"));
+                assert_bits_eq(&vm.snapshot(ya), &want, &format!("{nx}x{ny} crew {p}"));
             }
         }
     }
@@ -622,20 +624,20 @@ mod tests {
         let axpy: Vec<f64> = x.iter().zip(&y).map(|(x, y)| y + alpha * x).collect();
         let xpby: Vec<f64> = x.iter().zip(&axpy).map(|(x, y)| x + beta * y).collect();
         let scaled: Vec<f64> = xpby.iter().map(|y| y * alpha).collect();
-        for (p, mut vm) in [sim(4), native()].into_iter().enumerate() {
+        for (p, mut vm) in [sim(1), sim(4)].into_iter().enumerate() {
             let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
             vm.axpy(alpha, xa, ya);
-            assert_bits_eq(&vm.snapshot(ya), &axpy, &format!("axpy plane {p}"));
+            assert_bits_eq(&vm.snapshot(ya), &axpy, &format!("axpy crew {p}"));
             vm.xpby(xa, beta, ya);
-            assert_bits_eq(&vm.snapshot(ya), &xpby, &format!("xpby plane {p}"));
+            assert_bits_eq(&vm.snapshot(ya), &xpby, &format!("xpby crew {p}"));
             vm.scale(ya, alpha);
-            assert_bits_eq(&vm.snapshot(ya), &scaled, &format!("scale plane {p}"));
+            assert_bits_eq(&vm.snapshot(ya), &scaled, &format!("scale crew {p}"));
         }
     }
 
     #[test]
     fn inner_product_exact() {
-        for mut vm in [sim(4), native()] {
+        for mut vm in [sim(1), sim(4)] {
             let x = vm.vector(100);
             let y = vm.vector(100);
             vm.fill(x, |i, _| i as f64);
@@ -645,26 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn inner_bitwise_identical_across_planes() {
-        let n = 5000; // spans multiple reduce chunks
-        let mut vs = sim(4);
-        let mut vn = native();
-        let (xs, ys) = (vs.vector(n), vs.vector(n));
-        let (xn, yn) = (vn.vector(n), vn.vector(n));
-        let f = |i: usize, _: usize| ((i * 2654435761) % 1000) as f64 * 1e-3 + 0.1;
-        let g = |i: usize, _: usize| ((i * 40503) % 777) as f64 * 1e-2 - 3.0;
-        vs.fill(xs, f);
-        vs.fill(ys, g);
-        vn.fill(xn, f);
-        vn.fill(yn, g);
-        let a = vs.inner(xs, ys);
-        let b = vn.inner(xn, yn);
-        assert_eq!(a.to_bits(), b.to_bits(), "sim {a} vs native {b}");
-    }
-
-    #[test]
     fn axpy_and_xpby() {
-        for mut vm in [sim(4), native()] {
+        for mut vm in [sim(1), sim(4)] {
             let x = vm.vector(10);
             let y = vm.vector(10);
             vm.fill(x, |i, _| i as f64);
@@ -678,7 +662,7 @@ mod tests {
 
     #[test]
     fn scale_and_copy_and_norm() {
-        for mut vm in [sim(4), native()] {
+        for mut vm in [sim(1), sim(4)] {
             let x = vm.vector(4);
             vm.fill(x, |_, _| 2.0);
             vm.scale(x, 1.5);
@@ -686,7 +670,7 @@ mod tests {
             let y = vm.vector(4);
             vm.copy(x, y);
             assert_eq!(vm.snapshot(y), vec![3.0; 4]);
-            assert_eq!(vm.norm2(y), (4.0f64 * 9.0).sqrt());
+            assert_eq!(vm.inner(y, y).sqrt(), (4.0f64 * 9.0).sqrt());
         }
     }
 
@@ -718,7 +702,7 @@ mod tests {
     #[test]
     fn stencil5_constant_interior() {
         // x ≡ 1: interior points give 0; edges lose missing neighbours.
-        for mut vm in [sim(4), native()] {
+        for mut vm in [sim(1), sim(4)] {
             let (nx, ny) = (5, 5);
             let x = vm.vector(nx * ny);
             vm.fill(x, |_, _| 1.0);
@@ -767,9 +751,9 @@ mod tests {
         let y = vm.vector(1000);
         vm.fill(x, |_, _| 1.0);
         vm.fill(y, |_, _| 1.0);
-        let f0 = vm.machine().unwrap().stats.total().flops;
+        let f0 = vm.machine().stats.total().flops;
         let _ = vm.inner(x, y);
-        let f1 = vm.machine().unwrap().stats.total().flops;
+        let f1 = vm.machine().stats.total().flops;
         assert_eq!(f1 - f0, 2000, "2 flops per element");
     }
 
@@ -784,9 +768,9 @@ mod tests {
         let x = vm.vector(nx * ny);
         let y = vm.vector(nx * ny);
         vm.fill(x, |_, _| 1.0);
-        let m0 = vm.machine().unwrap().network.messages;
+        let m0 = vm.machine().network.messages;
         vm.stencil5(x, y, nx, ny);
-        let m1 = vm.machine().unwrap().network.messages;
+        let m1 = vm.machine().network.messages;
         assert_eq!(m1 - m0, 6, "3 task boundaries × 2 directions");
     }
 
@@ -800,17 +784,10 @@ mod tests {
         let x = vm.vector(nx * ny);
         let y = vm.vector(nx * ny);
         vm.fill(x, |_, _| 1.0);
-        let m0 = vm.machine().unwrap().network.messages;
+        let m0 = vm.machine().network.messages;
         vm.stencil5(x, y, nx, ny);
-        let m1 = vm.machine().unwrap().network.messages;
+        let m1 = vm.machine().network.messages;
         assert_eq!(m1 - m0, 0);
-    }
-
-    fn sim_state(vm: &mut NaVm) -> &mut SimState {
-        match &mut vm.plane {
-            Plane::Sim(s) => s,
-            Plane::Native => unreachable!("simulated plane"),
-        }
     }
 
     proptest! {
@@ -851,7 +828,7 @@ mod tests {
                     if op == 1 {
                         vm.stencil5(x, y, 8, 8);
                     }
-                    let s = sim_state(&mut vm);
+                    let s = &mut vm.sim;
                     let link = a as usize % s.machine.network.link_count();
                     match op {
                         0 => s.now += w,
@@ -870,7 +847,7 @@ mod tests {
                         vm.charge_reduction();
                     }
                 }
-                let s = sim_state(&mut vm);
+                let s = &mut vm.sim;
                 let r = rec.lock().unwrap();
                 let trace: Vec<_> = r.events().copied().collect();
                 (

@@ -1,9 +1,9 @@
-//! The NA-VM runtime: arrays, forall/pardo, broadcast, and the two
-//! execution planes.
+//! The NA-VM runtime: arrays, forall/pardo, broadcast and remote calls on
+//! the simulated FEM-2 machine.
 //!
 //! Arrays are two-dimensional, row-block distributed over the task set, and
 //! owned by their creating VM ("data lifetime — lifetime of owner task").
-//! On the simulated plane every operation charges the machine: parallel
+//! Every operation charges the machine: parallel
 //! sections spawn one task per [`TaskHandle`] (kernel task-create plus an
 //! initiate message to the hosting cluster), the per-task work is charged to
 //! the earliest-free worker PE of that cluster, and the section barrier
@@ -21,26 +21,13 @@ use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArrayId(pub(crate) u32);
 
-/// Which execution plane a VM runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PlaneKind {
-    /// The calling host thread: the same program, no cost accounting.
-    Native,
-    /// The `fem2-machine` cost model: deterministic cycle/message charging.
-    Simulated,
-}
-
 pub(crate) struct DArray {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) data: Vec<f64>,
 }
 
-pub(crate) enum Plane {
-    Native,
-    Sim(Box<SimState>),
-}
-
+/// The simulated machine and the NA-VM's clock, faults and budget on it.
 pub(crate) struct SimState {
     pub(crate) machine: Machine,
     pub(crate) now: Cycles,
@@ -357,29 +344,19 @@ impl SimState {
 
 /// The numerical analyst's virtual machine.
 pub struct NaVm {
-    pub(crate) plane: Plane,
+    pub(crate) sim: SimState,
     pub(crate) tasks: TaskSet,
     pub(crate) arrays: Vec<DArray>,
 }
 
 impl NaVm {
-    /// A VM on the native plane: `ntasks` logical tasks executed on the
-    /// calling thread.
-    pub fn native(ntasks: u32) -> Self {
-        NaVm {
-            plane: Plane::Native,
-            tasks: TaskSet::new(ntasks, 1),
-            arrays: Vec::new(),
-        }
-    }
-
-    /// A VM on the simulated plane: `ntasks` logical tasks over the machine
-    /// described by `config`.
+    /// A VM of `ntasks` logical tasks over the machine described by
+    /// `config`.
     pub fn simulated(config: MachineConfig, ntasks: u32) -> Self {
         let machine = Machine::new(config);
         let clusters = machine.config.clusters;
         NaVm {
-            plane: Plane::Sim(Box::new(SimState {
+            sim: SimState {
                 machine,
                 now: 0,
                 spawn_overhead: true,
@@ -389,17 +366,9 @@ impl NaVm {
                 retransmits: 0,
                 budget: BudgetMeter::default(),
                 reduction: None,
-            })),
+            },
             tasks: TaskSet::new(ntasks, clusters),
             arrays: Vec::new(),
-        }
-    }
-
-    /// Which plane this VM runs on.
-    pub fn kind(&self) -> PlaneKind {
-        match self.plane {
-            Plane::Native => PlaneKind::Native,
-            Plane::Sim(_) => PlaneKind::Simulated,
         }
     }
 
@@ -408,56 +377,40 @@ impl NaVm {
         self.tasks
     }
 
-    /// Simulated cycles elapsed (0 on the native plane).
+    /// Simulated cycles elapsed.
     pub fn elapsed(&self) -> Cycles {
-        match &self.plane {
-            Plane::Native => 0,
-            Plane::Sim(s) => s.now,
-        }
+        self.sim.now
     }
 
-    /// The simulated machine, if on the simulated plane.
-    pub fn machine(&self) -> Option<&Machine> {
-        match &self.plane {
-            Plane::Native => None,
-            Plane::Sim(s) => Some(&s.machine),
-        }
+    /// The simulated machine.
+    pub fn machine(&self) -> &Machine {
+        &self.sim.machine
     }
 
-    /// Begin a named measurement phase (simulated plane; no-op on native).
+    /// Begin a named measurement phase.
     pub fn phase(&mut self, name: &str) {
-        if let Plane::Sim(s) = &mut self.plane {
-            let now = s.now;
-            s.machine.phase(name, now);
-        }
+        self.sim.machine.phase(name, self.sim.now);
     }
 
-    /// Attach a trace sink to the simulated machine (no-op on the native
-    /// plane). Tracing is observation-only: it never changes costs.
+    /// Attach a trace sink to the simulated machine. Tracing is
+    /// observation-only: it never changes costs.
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.machine.set_trace(trace);
-        }
+        self.sim.machine.set_trace(trace);
     }
 
-    /// Enable or disable task-spawn overhead charging for parallel sections
-    /// (simulated plane).
+    /// Enable or disable task-spawn overhead charging for parallel sections.
     pub fn set_spawn_overhead(&mut self, on: bool) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.spawn_overhead = on;
-        }
+        self.sim.spawn_overhead = on;
     }
 
     /// Terminate the task crew: the next parallel section charges task
-    /// initiation again (simulated plane). Use to model per-section task
+    /// initiation again. Use to model per-section task
     /// creation instead of the default initiate-once/pause-resume runtime.
     pub fn respawn_tasks(&mut self) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.spawned = false;
-        }
+        self.sim.spawned = false;
     }
 
-    /// Inject a fault plan (simulated plane; no-op on native). Faults fire
+    /// Inject a fault plan. Faults fire
     /// as simulated time passes them, at primitive boundaries: parallel
     /// sections, window exchanges, broadcasts, and remote calls. Numerical
     /// results are unaffected — only costs, routes, and the retransmission
@@ -465,42 +418,32 @@ impl NaVm {
     /// then the run stops with [`AbortCause::Unreachable`] (see
     /// [`NaVm::budget_exceeded`]).
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.faults = plan.clone();
-        }
+        self.sim.faults = plan.clone();
     }
 
-    /// Arm a run budget (simulated plane; no-op on native). The meter's
+    /// Arm a run budget. The meter's
     /// wall-clock anchor starts here; limits are checked as simulated time
     /// advances. Programs should poll
     /// [`budget_exceeded`](Self::budget_exceeded) between operations and
     /// stop issuing work once it fires — operations after that point are
     /// charged as no-ops.
     pub fn set_budget(&mut self, budget: RunBudget) {
-        if let Plane::Sim(s) = &mut self.plane {
-            s.budget = budget.start();
-        }
+        self.sim.budget = budget.start();
     }
 
-    /// Whether the run has stopped, and why (simulated plane; always `None`
-    /// on native): the armed budget fired, or a fault made a cluster the
+    /// Whether the run has stopped, and why: the armed budget fired, or a
+    /// fault made a cluster the
     /// program needs unreachable ([`AbortCause::Unreachable`], sticky, and
     /// reported first). Purely a check against the current clock — calling
     /// it does not advance time, so repeated polls are free and
     /// deterministic for the cycle/event limits.
     pub fn budget_exceeded(&self) -> Option<RunAborted> {
-        match &self.plane {
-            Plane::Native => None,
-            Plane::Sim(s) => s.stopped(),
-        }
+        self.sim.stopped()
     }
 
-    /// Window exchanges retried after an in-flight loss (simulated plane).
+    /// Window exchanges retried after an in-flight loss.
     pub fn retransmits(&self) -> u64 {
-        match &self.plane {
-            Plane::Native => 0,
-            Plane::Sim(s) => s.retransmits,
-        }
+        self.sim.retransmits
     }
 
     // ------------------------------------------------------------------
@@ -508,23 +451,24 @@ impl NaVm {
     // ------------------------------------------------------------------
 
     /// Create a `rows × cols` array of zeros, row-block distributed over the
-    /// task set. On the simulated plane the owning clusters allocate the
-    /// storage. Errors if a cluster memory is exhausted.
+    /// task set; the owning clusters allocate the storage. Errors if a
+    /// cluster memory is exhausted, and then holds none of the array.
     pub fn try_array(&mut self, rows: usize, cols: usize) -> Result<ArrayId, String> {
         assert!(rows > 0 && cols > 0, "degenerate array shape");
-        if let Plane::Sim(s) = &mut self.plane {
-            for t in self.tasks.iter() {
-                let share = self.tasks.share(rows, t);
-                let words = (share.len() * cols) as Words;
-                if words == 0 {
-                    continue;
+        let s = &mut self.sim;
+        let shares = self.tasks.iter().map(|t| {
+            let words = (self.tasks.share(rows, t).len() * cols) as Words;
+            (self.tasks.cluster_of(t), words)
+        });
+        let mut placed = Vec::new();
+        for (c, words) in shares.filter(|&(_, words)| words > 0) {
+            if let Err(e) = s.machine.alloc_at(s.now, c, words) {
+                for (c, words) in placed {
+                    s.machine.free_at(s.now, c, words);
                 }
-                let c = self.tasks.cluster_of(t);
-                let now = s.now;
-                s.machine
-                    .alloc_at(now, c, words)
-                    .map_err(|e| format!("array allocation failed: {e}"))?;
+                return Err(format!("array allocation failed: {e}"));
             }
+            placed.push((c, words));
         }
         Ok(self.host_array(rows, cols))
     }
@@ -539,10 +483,7 @@ impl NaVm {
         match self.try_array(rows, cols) {
             Ok(id) => id,
             Err(_) => {
-                if let Plane::Sim(s) = &mut self.plane {
-                    let now = s.now;
-                    s.halt(now, AbortCause::MemoryExhausted);
-                }
+                self.sim.halt(self.sim.now, AbortCause::MemoryExhausted);
                 self.host_array(rows, cols)
             }
         }
@@ -585,36 +526,24 @@ impl NaVm {
         self.len(id) == 0
     }
 
-    /// The task owning row `r` of array `id`.
-    pub fn owner_of_row(&self, id: ArrayId, r: usize) -> TaskHandle {
-        self.tasks.owner_of(self.rows(id), r)
-    }
-
-    /// Read one element (setup/diagnostics; charges one memory word on the
-    /// simulated plane).
+    /// Read one element (setup/diagnostics; charges one memory word).
     pub fn get(&mut self, id: ArrayId, r: usize, c: usize) -> f64 {
         let a = &self.arrays[id.0 as usize];
         assert!(r < a.rows && c < a.cols, "index out of bounds");
-        let v = a.data[r * a.cols + c];
-        if let Plane::Sim(s) = &mut self.plane {
-            s.machine.stats.mem_words(1);
-        }
-        v
+        self.sim.machine.stats.mem_words(1);
+        a.data[r * a.cols + c]
     }
 
-    /// Write one element (setup/diagnostics; charges one memory word on the
-    /// simulated plane).
+    /// Write one element (setup/diagnostics; charges one memory word).
     pub fn set(&mut self, id: ArrayId, r: usize, c: usize, v: f64) {
         let a = &mut self.arrays[id.0 as usize];
         assert!(r < a.rows && c < a.cols, "index out of bounds");
         a.data[r * a.cols + c] = v;
-        if let Plane::Sim(s) = &mut self.plane {
-            s.machine.stats.mem_words(1);
-        }
+        self.sim.machine.stats.mem_words(1);
     }
 
-    /// Initialize every element: `a[r][c] = f(r, c)`. Runs as a forall over
-    /// rows (charged on the simulated plane).
+    /// Initialize every element: `a[r][c] = f(r, c)`. Runs as a charged
+    /// forall over rows.
     pub fn fill(&mut self, id: ArrayId, f: impl Fn(usize, usize) -> f64) {
         let cols = self.cols(id);
         self.forall_rows(
@@ -643,7 +572,7 @@ impl NaVm {
     // ------------------------------------------------------------------
 
     /// Forall over the rows of `id`: `f(r, row_slice)` for every row.
-    /// `cost_per_row` is what one row charges on the simulated plane.
+    /// `cost_per_row` is what one row charges.
     pub fn forall_rows(
         &mut self,
         id: ArrayId,
@@ -659,50 +588,40 @@ impl NaVm {
     }
 
     /// Pardo: a set of independent statements, one per entry, each with a
-    /// declared cost. On the simulated plane each statement is a task on its
-    /// handle's cluster; on the native plane this is a no-op (the statements
-    /// carry no host computation).
+    /// declared cost. Each statement is a task on its handle's cluster; the
+    /// statements carry no host computation.
     pub fn pardo(&mut self, statements: &[(TaskHandle, WorkProfile)]) -> Cycles {
-        match &mut self.plane {
-            Plane::Native => 0,
-            Plane::Sim(s) => {
-                let tasks = self.tasks;
-                let cluster = |&(t, _): &(TaskHandle, WorkProfile)| tasks.cluster_of(t);
-                let runs = statements
-                    .chunk_by(|a, b| cluster(a) == cluster(b))
-                    .map(|run| (cluster(&run[0]), run.iter().copied()));
-                s.parallel_section(runs)
-            }
-        }
+        let tasks = self.tasks;
+        let cluster = |&(t, _): &(TaskHandle, WorkProfile)| tasks.cluster_of(t);
+        let runs = statements
+            .chunk_by(|a, b| cluster(a) == cluster(b))
+            .map(|run| (cluster(&run[0]), run.iter().copied()));
+        self.sim.parallel_section(runs)
     }
 
     /// Broadcast `words` of data from `from` to every other task's cluster.
-    /// Returns the barrier time (simulated plane) or 0 (native: tasks share
-    /// the host address space).
+    /// Returns the barrier time.
     pub fn broadcast(&mut self, from: TaskHandle, words: Words) -> Cycles {
-        match &mut self.plane {
-            Plane::Native => 0,
-            Plane::Sim(s) => {
-                let fc = self.tasks.cluster_of(from);
-                let start = s.now;
-                s.apply_faults_through(start);
-                let mut barrier = start;
-                for c in 0..self.tasks.clusters() {
-                    if c != fc {
-                        let arrive = s.reliable_transmit(start, fc, c, words, MsgKind::LoadCode);
-                        barrier = barrier.max(arrive);
-                    }
-                }
-                s.now = barrier;
-                barrier
-            }
+        let s = &mut self.sim;
+        let start = s.now;
+        if s.stopped().is_some() {
+            return start;
         }
+        s.apply_faults_through(start);
+        let fc = self.tasks.cluster_of(from);
+        let mut barrier = start;
+        for c in (0..self.tasks.clusters()).filter(|&c| c != fc) {
+            let arrive = s.reliable_transmit(start, fc, c, words, MsgKind::LoadCode);
+            barrier = barrier.max(arrive);
+        }
+        s.now = barrier;
+        barrier
     }
 
     /// Remote procedure call routed by data location: execute `profile` on
     /// the cluster owning `window_owner`'s data, shipping `args_words` there
     /// and `result_words` back to `caller`. Returns the round-trip latency
-    /// in cycles (0 on the native plane).
+    /// in cycles.
     pub fn remote_call(
         &mut self,
         caller: TaskHandle,
@@ -711,50 +630,49 @@ impl NaVm {
         args_words: Words,
         result_words: Words,
     ) -> Cycles {
-        match &mut self.plane {
-            Plane::Native => 0,
-            Plane::Sim(s) => {
-                let start = s.now;
-                s.apply_faults_through(start);
-                let cc = self.tasks.cluster_of(caller);
-                let oc = self.tasks.cluster_of(window_owner);
-                // Ship the call (descriptor + args).
-                let kpe = s.machine.kernel_pe(cc);
-                let sent = s
-                    .machine
-                    .charge(start, kpe, CostClass::MsgSend, 1)
-                    .unwrap_or(start);
-                let arrive = s.reliable_transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall);
-                // Dispatch + execute at the owner.
-                let okpe = s.machine.kernel_pe(oc);
-                let dispatched = s
-                    .machine
-                    .charge(arrive, okpe, CostClass::MsgDispatch, 1)
-                    .unwrap_or(arrive);
-                let done = match s.machine.pick_worker(oc) {
-                    Some(pe) => {
-                        let _ = s
-                            .machine
-                            .charge(dispatched, pe, CostClass::IntOp, profile.int_ops);
-                        let _ =
-                            s.machine
-                                .charge(dispatched, pe, CostClass::MemWord, profile.mem_words);
-                        s.machine
-                            .charge(dispatched, pe, CostClass::Flop, profile.flops)
-                            .unwrap_or(dispatched)
-                    }
-                    None => {
-                        // Every PE of the owner's cluster is dead.
-                        s.dead_letter(dispatched, cc, oc, MsgKind::RemoteCall);
-                        dispatched
-                    }
-                };
-                // Ship the result back.
-                let back = s.reliable_transmit(done, oc, cc, result_words, MsgKind::RemoteReturn);
-                s.now = s.now.max(back);
-                back - start
-            }
+        let s = &mut self.sim;
+        if s.stopped().is_some() {
+            return 0;
         }
+        let start = s.now;
+        s.apply_faults_through(start);
+        let cc = self.tasks.cluster_of(caller);
+        let oc = self.tasks.cluster_of(window_owner);
+        // Ship the call (descriptor + args).
+        let kpe = s.machine.kernel_pe(cc);
+        let sent = s
+            .machine
+            .charge(start, kpe, CostClass::MsgSend, 1)
+            .unwrap_or(start);
+        let arrive = s.reliable_transmit(sent, cc, oc, 7 + args_words, MsgKind::RemoteCall);
+        // Dispatch + execute at the owner.
+        let okpe = s.machine.kernel_pe(oc);
+        let dispatched = s
+            .machine
+            .charge(arrive, okpe, CostClass::MsgDispatch, 1)
+            .unwrap_or(arrive);
+        let done = match s.machine.pick_worker(oc) {
+            Some(pe) => {
+                let _ = s
+                    .machine
+                    .charge(dispatched, pe, CostClass::IntOp, profile.int_ops);
+                let _ = s
+                    .machine
+                    .charge(dispatched, pe, CostClass::MemWord, profile.mem_words);
+                s.machine
+                    .charge(dispatched, pe, CostClass::Flop, profile.flops)
+                    .unwrap_or(dispatched)
+            }
+            None => {
+                // Every PE of the owner's cluster is dead.
+                s.dead_letter(dispatched, cc, oc, MsgKind::RemoteCall);
+                dispatched
+            }
+        };
+        // Ship the result back.
+        let back = s.reliable_transmit(done, oc, cc, result_words, MsgKind::RemoteReturn);
+        s.now = s.now.max(back);
+        back - start
     }
 }
 
@@ -765,14 +683,6 @@ mod tests {
 
     fn sim(ntasks: u32) -> NaVm {
         NaVm::simulated(MachineConfig::fem2_default(), ntasks)
-    }
-
-    #[test]
-    fn plane_kinds() {
-        assert_eq!(sim(4).kind(), PlaneKind::Simulated);
-        assert_eq!(NaVm::native(4).kind(), PlaneKind::Native);
-        assert!(sim(4).machine().is_some());
-        assert!(NaVm::native(4).machine().is_none());
     }
 
     #[test]
@@ -790,14 +700,14 @@ mod tests {
     #[test]
     fn array_allocation_charges_cluster_memory() {
         let mut vm = sim(8);
-        let before: u64 = (0..4).map(|c| vm.machine().unwrap().memory(c).used()).sum();
+        let before: u64 = (0..4).map(|c| vm.machine().memory(c).used()).sum();
         assert_eq!(before, 0);
         let _a = vm.array(100, 10);
-        let after: u64 = (0..4).map(|c| vm.machine().unwrap().memory(c).used()).sum();
+        let after: u64 = (0..4).map(|c| vm.machine().memory(c).used()).sum();
         assert_eq!(after, 1000, "1000 words distributed over clusters");
         // Every cluster holds a share (8 tasks over 4 clusters, 100 rows).
         for c in 0..4 {
-            assert!(vm.machine().unwrap().memory(c).used() > 0, "cluster {c}");
+            assert!(vm.machine().memory(c).used() > 0, "cluster {c}");
         }
     }
 
@@ -807,6 +717,68 @@ mod tests {
         cfg.memory_per_cluster = 100;
         let mut vm = NaVm::simulated(cfg, 4);
         assert!(vm.try_array(1000, 10).is_err());
+    }
+
+    /// A refused array holds no cluster memory: the shares placed on the
+    /// clusters before the one that refuses are freed again.
+    #[test]
+    fn refused_array_holds_no_cluster_memory() {
+        let mut vm = sim(8); // 8 tasks over 4 clusters
+        let capacity = vm.machine().memory(1).capacity();
+        vm.inject_faults(&FaultPlan::none().fail_memory(0, 1, capacity - 10));
+        vm.sim.apply_faults_through(0);
+        let used = |vm: &NaVm| {
+            (0..4)
+                .map(|c| vm.machine().memory(c).used())
+                .collect::<Vec<_>>()
+        };
+        let before = used(&vm);
+        assert!(
+            vm.try_array(800, 1).is_err(),
+            "cluster 1 has no room for 200"
+        );
+        assert_eq!(used(&vm), before);
+    }
+
+    /// Once a budget fires, every operation is a no-op on the machine: it
+    /// moves no clock, sends no message and charges nothing.
+    #[test]
+    fn operations_after_a_fired_budget_charge_nothing() {
+        let mut vm = sim(8);
+        let (x, y) = (vm.vector(64), vm.vector(64));
+        vm.fill(x, |i, _| i as f64);
+        vm.set_budget(RunBudget::max_cycles(1));
+        assert!(vm.budget_exceeded().is_some());
+        let state = |vm: &NaVm| {
+            let m = vm.machine();
+            (vm.elapsed(), m.network.messages, m.stats.table())
+        };
+        let before = state(&vm);
+        type Op = fn(&mut NaVm, ArrayId, ArrayId);
+        let ops: [(&str, Op); 7] = [
+            ("inner", |vm, x, y| {
+                vm.inner(x, y);
+            }),
+            ("axpy", |vm, x, y| vm.axpy(2.0, x, y)),
+            ("stencil5", |vm, x, y| vm.stencil5(x, y, 8, 8)),
+            ("read_window", |vm, x, _| {
+                vm.read_window(TaskHandle(0), &vm.window(x, 56, 64, 0, 1));
+            }),
+            ("write_window", |vm, x, _| {
+                let w = vm.window(x, 56, 64, 0, 1);
+                vm.write_window(TaskHandle(0), &w, &[1.0; 8]);
+            }),
+            ("broadcast", |vm, _, _| {
+                vm.broadcast(TaskHandle(0), 64);
+            }),
+            ("remote_call", |vm, _, _| {
+                vm.remote_call(TaskHandle(0), TaskHandle(7), WorkProfile::flops(50), 16, 4);
+            }),
+        ];
+        for (name, op) in ops {
+            op(&mut vm, x, y);
+            assert_eq!(state(&vm), before, "{name} after the budget fired");
+        }
     }
 
     #[test]
@@ -833,34 +805,22 @@ mod tests {
         vm.fill(a, |r, c| (r * 10 + c) as f64);
         assert_eq!(vm.get(a, 3, 1), 31.0);
         assert!(vm.elapsed() > 0, "fill charged simulated time");
-        let t = vm.machine().unwrap().stats.total();
+        let t = vm.machine().stats.total();
         assert!(t.mem_words >= 16);
     }
 
     #[test]
-    fn fill_native_matches_sim() {
-        let mut vs = sim(4);
-        let mut vn = NaVm::native(4);
-        let a = vs.array(13, 5);
-        let b = vn.array(13, 5);
-        vs.fill(a, |r, c| (r * 31 + c) as f64 * 0.25);
-        vn.fill(b, |r, c| (r * 31 + c) as f64 * 0.25);
-        assert_eq!(vs.snapshot(a), vn.snapshot(b));
-    }
-
-    #[test]
     fn forall_rows_visits_every_row_once() {
-        for mut vm in [sim(3), NaVm::native(3)] {
-            let a = vm.array(17, 2);
-            vm.forall_rows(a, WorkProfile::default(), |r, row| {
-                for x in row.iter_mut() {
-                    *x += (r + 1) as f64;
-                }
-            });
-            for r in 0..17 {
-                assert_eq!(vm.get(a, r, 0), (r + 1) as f64);
-                assert_eq!(vm.get(a, r, 1), (r + 1) as f64);
+        let mut vm = sim(3);
+        let a = vm.array(17, 2);
+        vm.forall_rows(a, WorkProfile::default(), |r, row| {
+            for x in row.iter_mut() {
+                *x += (r + 1) as f64;
             }
+        });
+        for r in 0..17 {
+            assert_eq!(vm.get(a, r, 0), (r + 1) as f64);
+            assert_eq!(vm.get(a, r, 1), (r + 1) as f64);
         }
     }
 
@@ -890,18 +850,15 @@ mod tests {
             .collect();
         let barrier = vm.pardo(&stmts);
         assert!(barrier > 0);
-        assert_eq!(vm.machine().unwrap().stats.total().flops, 400);
-        // Native pardo is free.
-        let mut vn = NaVm::native(4);
-        assert_eq!(vn.pardo(&[(TaskHandle(0), WorkProfile::flops(5))]), 0);
+        assert_eq!(vm.machine().stats.total().flops, 400);
     }
 
     #[test]
     fn broadcast_reaches_every_other_cluster() {
         let mut vm = sim(8); // 8 tasks over 4 clusters
-        let before = vm.machine().unwrap().network.messages;
+        let before = vm.machine().network.messages;
         vm.broadcast(TaskHandle(0), 128);
-        let after = vm.machine().unwrap().network.messages;
+        let after = vm.machine().network.messages;
         assert_eq!(after - before, 3, "3 remote clusters");
         assert!(vm.elapsed() > 0);
     }
@@ -915,12 +872,6 @@ mod tests {
         // A local call (same cluster) is cheaper.
         let lat_local = vm.remote_call(TaskHandle(0), TaskHandle(1), WorkProfile::flops(50), 16, 4);
         assert!(lat_local < lat, "local {lat_local} < remote {lat}");
-        // Native plane: free.
-        let mut vn = NaVm::native(8);
-        assert_eq!(
-            vn.remote_call(TaskHandle(0), TaskHandle(7), WorkProfile::flops(50), 16, 4),
-            0
-        );
     }
 
     #[test]
@@ -946,17 +897,9 @@ mod tests {
         vm.fill(a, |_, _| 1.0);
         vm.phase("solve");
         vm.forall_rows(a, WorkProfile::flops(10), |_, _| {});
-        let st = &vm.machine().unwrap().stats;
+        let st = &vm.machine().stats;
         assert!(st.get("assembly").unwrap().mem_words > 0);
         assert!(st.get("solve").unwrap().flops > 0);
-    }
-
-    #[test]
-    fn owner_of_row_follows_block_distribution() {
-        let mut vm = sim(4);
-        let a = vm.array(8, 1);
-        assert_eq!(vm.owner_of_row(a, 0), TaskHandle(0));
-        assert_eq!(vm.owner_of_row(a, 7), TaskHandle(3));
     }
 
     #[test]
@@ -1025,26 +968,23 @@ mod tests {
                             )
                         })
                         .collect();
-                    barriers.push(match &mut vm.plane {
-                        Plane::Sim(s) if oracle => {
-                            s.parallel_section_per_task(&tasks, stmts.iter().copied())
-                        }
-                        _ => vm.pardo(&stmts),
+                    barriers.push(if oracle {
+                        vm.sim
+                            .parallel_section_per_task(&tasks, stmts.iter().copied())
+                    } else {
+                        vm.pardo(&stmts)
                     });
                     continue;
                 }
                 Section::Halo { nx, ny } => {
                     let (x, y) = (vm.vector(nx * ny), vm.vector(nx * ny));
-                    let Plane::Sim(s) = &mut vm.plane else {
-                        unreachable!("simulated plane")
-                    };
                     if !oracle {
                         vm.stencil5(x, y, nx, ny);
                         barriers.push(vm.elapsed());
                         continue;
                     }
                     // The halo, then the forall `stencil5` charges.
-                    s.halo_per_task(&tasks, nx, ny);
+                    vm.sim.halo_per_task(&tasks, nx, ny);
                     let per = WorkProfile {
                         flops: 8,
                         int_ops: 6,
@@ -1053,20 +993,17 @@ mod tests {
                     (nx * ny, per)
                 }
             };
-            match &mut vm.plane {
-                Plane::Sim(s) if oracle => {
-                    let work = tasks
-                        .iter()
-                        .map(|t| (t, per.scaled(tasks.share(n, t).len() as u64)));
-                    s.parallel_section_per_task(&tasks, work);
-                }
-                _ => vm.charge_elementwise(n, per),
+            if oracle {
+                let work = tasks
+                    .iter()
+                    .map(|t| (t, per.scaled(tasks.share(n, t).len() as u64)));
+                vm.sim.parallel_section_per_task(&tasks, work);
+            } else {
+                vm.charge_elementwise(n, per);
             }
             barriers.push(vm.elapsed());
         }
-        let Plane::Sim(s) = &vm.plane else {
-            unreachable!("simulated plane")
-        };
+        let s = &vm.sim;
         let m = &s.machine;
         let pes: Vec<_> = (0..cfg.clusters)
             .flat_map(|c| m.cluster_pes(c))

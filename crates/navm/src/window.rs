@@ -2,14 +2,14 @@
 //!
 //! A [`Window`] pairs a kernel-level [`WindowDescriptor`] with the VM's
 //! array registry. Reading or writing through a window always works (the
-//! host data is shared), but on the simulated plane the charge depends on
-//! locality: segments owned by the accessor's cluster cost shared-memory
-//! words, segments owned by other clusters cost a descriptor-plus-data
-//! message per owning cluster. This is the paper's data-control rule made
+//! host data is shared), but the charge depends on locality: segments
+//! owned by the accessor's cluster cost shared-memory words, segments owned
+//! by other clusters cost a descriptor-plus-data message per owning
+//! cluster. This is the paper's data-control rule made
 //! operational: "All data owned by a single task; data accessible
 //! non-locally only via windows."
 
-use crate::runtime::{ArrayId, NaVm, Plane, SimState};
+use crate::runtime::{ArrayId, NaVm, SimState};
 use crate::task::{TaskHandle, TaskSet};
 use fem2_kernel::window_desc::WindowDescriptor;
 use fem2_machine::{CostClass, Cycles, Words};
@@ -191,9 +191,10 @@ impl NaVm {
     fn charge_window_traffic(&mut self, w: &Window, accessor: TaskHandle, inbound: bool) {
         let rows = self.rows(w.array);
         let tasks = self.tasks;
-        let Plane::Sim(s) = &mut self.plane else {
+        let s = &mut self.sim;
+        if s.stopped().is_some() {
             return;
-        };
+        }
         let ac = tasks.cluster_of(accessor);
         let start = s.now;
         s.apply_faults_through(start);
@@ -226,29 +227,18 @@ impl NaVm {
         s.now = barrier;
     }
 
-    /// Read the window's contents (row-major) as task `accessor`. Values
-    /// are exact on both planes; the simulated plane charges locality-aware
-    /// traffic.
+    /// Read the window's contents (row-major) as task `accessor`. The
+    /// values are exact; the charge is locality-aware traffic.
     pub fn read_window(&mut self, accessor: TaskHandle, w: &Window) -> Vec<f64> {
-        let mut out = Vec::with_capacity(w.len() as usize);
-        self.read_window_into(accessor, w, &mut out);
-        out
-    }
-
-    /// [`NaVm::read_window`] into a caller-provided buffer: the buffer is
-    /// cleared and refilled, so a loop that reads windows repeatedly reuses
-    /// one allocation instead of creating a fresh `Vec` per read. Charges
-    /// and values are identical to `read_window`.
-    pub fn read_window_into(&mut self, accessor: TaskHandle, w: &Window, out: &mut Vec<f64>) {
         self.charge_window_traffic(w, accessor, true);
         let a = &self.arrays[w.array.0 as usize];
-        out.clear();
-        out.reserve(w.len() as usize);
+        let mut out = Vec::with_capacity(w.len() as usize);
         for r in w.desc.row0..w.desc.row1 {
             for c in w.desc.col0..w.desc.col1 {
                 out.push(a.data[r as usize * a.cols + c as usize]);
             }
         }
+        out
     }
 
     /// Write `values` (row-major, exactly `w.len()` of them) through the
@@ -307,22 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn read_window_into_reuses_buffer_and_matches_read() {
-        let mut vm = sim(4);
-        let a = vm.array(6, 3);
-        vm.fill(a, |r, c| (r * 10 + c) as f64);
-        let w = vm.window(a, 1, 3, 1, 3);
-        let want = vm.read_window(TaskHandle(0), &w);
-        let mut buf = Vec::with_capacity(64);
-        let cap = buf.capacity();
-        for _ in 0..3 {
-            vm.read_window_into(TaskHandle(0), &w, &mut buf);
-            assert_eq!(buf, want);
-            assert_eq!(buf.capacity(), cap, "no reallocation across reads");
-        }
-    }
-
-    #[test]
     fn write_window_updates_array() {
         let mut vm = sim(4);
         let a = vm.array(4, 2);
@@ -348,12 +322,12 @@ mod tests {
         let a = vm.array(16, 4);
         // Rows 14..16 are owned by task 7 -> cluster 3.
         let w = vm.window(a, 14, 16, 0, 4);
-        let before = vm.machine().unwrap().network.messages;
+        let before = vm.machine().network.messages;
         let _ = vm.read_window(TaskHandle(0), &w); // cluster 0 reads cluster 3
-        let mid = vm.machine().unwrap().network.messages;
+        let mid = vm.machine().network.messages;
         assert_eq!(mid - before, 2, "request + data for one remote segment");
         let _ = vm.read_window(TaskHandle(7), &w); // cluster 3 reads locally
-        let after = vm.machine().unwrap().network.messages;
+        let after = vm.machine().network.messages;
         assert_eq!(after, mid, "local read is message-free");
     }
 
@@ -363,9 +337,9 @@ mod tests {
         let a = vm.array(16, 1);
         // The whole vector: segments on all 4 clusters.
         let w = vm.window(a, 0, 16, 0, 1);
-        let before = vm.machine().unwrap().network.messages;
+        let before = vm.machine().network.messages;
         let _ = vm.read_window(TaskHandle(0), &w);
-        let after = vm.machine().unwrap().network.messages;
+        let after = vm.machine().network.messages;
         assert_eq!(
             after - before,
             6,
@@ -403,17 +377,6 @@ mod tests {
             gathered.extend(vm.read_window(TaskHandle(0), p));
         }
         assert_eq!(gathered, vm.read_window(TaskHandle(0), &w));
-    }
-
-    #[test]
-    fn native_plane_windows_work_without_charges() {
-        let mut vm = NaVm::native(4);
-        let a = vm.array(8, 2);
-        vm.fill(a, |r, _| r as f64);
-        let w = vm.window(a, 0, 8, 0, 2);
-        let vals = vm.read_window(TaskHandle(3), &w);
-        assert_eq!(vals.len(), 16);
-        assert_eq!(vm.elapsed(), 0);
     }
 
     #[test]
@@ -456,7 +419,7 @@ mod tests {
         let got = faulted.read_window(TaskHandle(0), &wf);
         assert_eq!(got, want, "rerouted exchange returns identical values");
         assert!(faulted.retransmits() >= 1, "the lost packet was retried");
-        assert!(faulted.machine().unwrap().network.rerouted_packets > 0);
+        assert!(faulted.machine().network.rerouted_packets > 0);
     }
 
     /// The per-row grouping [`cluster_words`] replaced: each row of the
@@ -519,12 +482,12 @@ mod tests {
     fn zero_column_window_pays_the_descriptor_round_trip() {
         let mut vm = sim(8);
         let a = vm.array(16, 4);
-        let before = vm.machine().unwrap().network.messages;
+        let before = vm.machine().network.messages;
         let _ = vm.read_window(TaskHandle(0), &vm.window(a, 14, 16, 2, 2));
-        let mid = vm.machine().unwrap().network.messages;
+        let mid = vm.machine().network.messages;
         assert_eq!(mid - before, 2, "request + descriptor from cluster 3");
         let _ = vm.read_window(TaskHandle(0), &vm.window(a, 9, 9, 0, 4));
-        let after = vm.machine().unwrap().network.messages;
+        let after = vm.machine().network.messages;
         assert_eq!(after, mid, "a zero-row window touches no cluster");
     }
 

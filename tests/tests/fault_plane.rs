@@ -121,7 +121,7 @@ fn mid_window_faults_keep_solver_bitwise_identical() {
             vm.inject_faults(p);
         }
         let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
-        let rerouted = vm.machine().map_or(0, |m| m.network.rerouted_packets);
+        let rerouted = vm.machine().network.rerouted_packets;
         (iters, res, vm.snapshot(x), vm.retransmits() + rerouted)
     };
     let (hi, hres, hx, _) = run(None);
@@ -246,7 +246,7 @@ fn pardo_on_a_cluster_without_a_live_pe_stops_the_run() {
 #[test]
 fn array_after_a_memory_bank_fault_stops_the_run() {
     let (mut vm, rec) = traced_vm();
-    let capacity = vm.machine().expect("simulated").memory(0).capacity();
+    let capacity = vm.machine().memory(0).capacity();
     // 144 rows over 8 tasks, two tasks per cluster: `b` takes 36 words of
     // cluster 0, and the bank fault leaves 40.
     vm.inject_faults(&FaultPlan::none().fail_memory(0, 0, capacity - 40));
@@ -255,7 +255,7 @@ fn array_after_a_memory_bank_fault_stops_the_run() {
     assert_eq!(abort.cause, fem2_machine::AbortCause::MemoryExhausted);
     assert_eq!(abort.cause.name(), "memory_exhausted");
     assert_eq!(iters, 0, "no CG iteration ran");
-    let machine = vm.machine().expect("simulated");
+    let machine = vm.machine();
     assert_eq!(machine.memory(0).used(), 36, "only `b` holds cluster 0");
     assert!(
         rec.lock()
@@ -323,15 +323,9 @@ fn one_plan_drives_the_kernel_and_the_na_vm_alike() {
     assert_eq!(steps, fault_steps(&navm_rec));
     let reconfigurations = |m: &Machine| m.reconfigurations;
     assert_eq!(reconfigurations(&k.machine), plan.len() as u64);
-    assert_eq!(
-        reconfigurations(vm.machine().expect("simulated")),
-        plan.len() as u64
-    );
+    assert_eq!(reconfigurations(vm.machine()), plan.len() as u64);
     assert_eq!(k.machine.kernel_pe(1), PeId::new(1, 0));
-    assert_eq!(
-        vm.machine().expect("simulated").kernel_pe(2),
-        k.machine.kernel_pe(2)
-    );
+    assert_eq!(vm.machine().kernel_pe(2), k.machine.kernel_pe(2));
 }
 
 /// A remote call whose every flight loses a link under it: the direct

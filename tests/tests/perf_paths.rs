@@ -69,7 +69,7 @@ fn faulted_cg(route_cache: bool) -> (usize, u64, Vec<u64>, u64, Trace) {
     vm.inject_faults(&plan);
     let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
     let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
-    let recovery = vm.retransmits() + vm.machine().map_or(0, |m| m.network.rerouted_packets);
+    let recovery = vm.retransmits() + vm.machine().network.rerouted_packets;
     (iters, res.to_bits(), bits, recovery, trace_of(&rec))
 }
 
