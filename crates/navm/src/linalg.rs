@@ -282,14 +282,14 @@ impl SimState {
     /// task pair, filtered on both shares of `ny` rows being non-empty,
     /// with one division per task for its cluster.
     pub(crate) fn halo_per_task(&mut self, tasks: &TaskSet, nx: usize, ny: usize) {
+        if self.stopped().is_some() {
+            return;
+        }
         let pairs = tasks
             .iter()
             .zip(tasks.iter().skip(1))
             .filter(|(a, b)| !tasks.share(ny, *a).is_empty() && !tasks.share(ny, *b).is_empty())
             .map(|(a, b)| (tasks.cluster_of(a), tasks.cluster_of(b)));
-        if self.stopped().is_some() {
-            return;
-        }
         let start = self.now;
         let mut barrier = start;
         for (ca, cb) in pairs {
@@ -325,12 +325,6 @@ impl NaVm {
         self.sim.parallel_section(runs);
     }
 
-    /// Charge the tree reduction that combines per-task partials
-    /// ([`SimState::reduction`]).
-    fn charge_reduction(&mut self) {
-        self.sim.reduction(self.tasks.clusters());
-    }
-
     /// Inner product `xᵀy`, rounded by the reduction contract: the
     /// combination tree depends on the length alone, not on the task count
     /// or the machine.
@@ -360,7 +354,7 @@ impl NaVm {
                 mem_words: 2,
             },
         );
-        self.charge_reduction();
+        self.sim.reduction(self.tasks.clusters());
         result
     }
 
@@ -844,7 +838,7 @@ mod tests {
                     if oracle {
                         s.reduction_per_message(16);
                     } else {
-                        vm.charge_reduction();
+                        vm.sim.reduction(16);
                     }
                 }
                 let s = &mut vm.sim;

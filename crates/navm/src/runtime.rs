@@ -3,11 +3,11 @@
 //!
 //! Arrays are two-dimensional, row-block distributed over the task set, and
 //! owned by their creating VM ("data lifetime — lifetime of owner task").
-//! Every operation charges the machine: parallel
-//! sections spawn one task per [`TaskHandle`] (kernel task-create plus an
-//! initiate message to the hosting cluster), the per-task work is charged to
-//! the earliest-free worker PE of that cluster, and the section barrier
-//! advances simulated time to the latest completion.
+//! Every operation charges the machine: parallel sections spawn one task
+//! per [`TaskHandle`] (kernel task-create plus an initiate message to the
+//! hosting cluster), the per-task work is charged to the earliest-free
+//! worker PE of that cluster, and the section barrier advances simulated
+//! time to the latest completion.
 
 use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
@@ -404,15 +404,15 @@ impl NaVm {
     }
 
     /// Terminate the task crew: the next parallel section charges task
-    /// initiation again. Use to model per-section task
-    /// creation instead of the default initiate-once/pause-resume runtime.
+    /// initiation again. Use to model per-section task creation instead of
+    /// the default initiate-once/pause-resume runtime.
     pub fn respawn_tasks(&mut self) {
         self.sim.spawned = false;
     }
 
-    /// Inject a fault plan. Faults fire
-    /// as simulated time passes them, at primitive boundaries: parallel
-    /// sections, window exchanges, broadcasts, and remote calls. Numerical
+    /// Inject a fault plan. Faults fire as simulated time passes them, at
+    /// primitive boundaries: parallel sections, window exchanges,
+    /// broadcasts, and remote calls. Numerical
     /// results are unaffected — only costs, routes, and the retransmission
     /// count change — unless a fault cuts off a cluster the program needs:
     /// then the run stops with [`AbortCause::Unreachable`] (see
@@ -421,9 +421,8 @@ impl NaVm {
         self.sim.faults = plan.clone();
     }
 
-    /// Arm a run budget. The meter's
-    /// wall-clock anchor starts here; limits are checked as simulated time
-    /// advances. Programs should poll
+    /// Arm a run budget. The meter's wall-clock anchor starts here; limits
+    /// are checked as simulated time advances. Programs should poll
     /// [`budget_exceeded`](Self::budget_exceeded) between operations and
     /// stop issuing work once it fires — operations after that point are
     /// charged as no-ops.
@@ -432,9 +431,8 @@ impl NaVm {
     }
 
     /// Whether the run has stopped, and why: the armed budget fired, or a
-    /// fault made a cluster the
-    /// program needs unreachable ([`AbortCause::Unreachable`], sticky, and
-    /// reported first). Purely a check against the current clock — calling
+    /// fault made a cluster the program needs unreachable
+    /// ([`AbortCause::Unreachable`], sticky, and reported first). Purely a check against the current clock — calling
     /// it does not advance time, so repeated polls are free and
     /// deterministic for the cycle/event limits.
     pub fn budget_exceeded(&self) -> Option<RunAborted> {
