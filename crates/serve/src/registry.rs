@@ -766,6 +766,60 @@ mod tests {
         fs::remove_dir_all(&recomputed).unwrap();
     }
 
+    /// One record of each kind, written through `record_result` with a
+    /// fixed `wall_ns`, against `tests/golden/registry_lines.jsonl` byte
+    /// for byte: an ok plate with `predicted`, a failed plate, an aborted
+    /// plate with `abort_cause`, and an ok script.
+    #[test]
+    fn every_record_kind_writes_the_pinned_bytes() {
+        let dir = temp_dir("golden");
+        let plate = sample_spec();
+        let outcome = plate.execute();
+        let capped =
+            JobSpec::parse(r#"{"nx":12,"ny":12,"budget":{"max_sim_cycles":10000}}"#).unwrap();
+        let script = JobSpec::parse(
+            r#"{"kind":"script","ops":[
+                {"op":"initiate","task":"a"},{"op":"terminate","task":"a"}]}"#,
+        )
+        .unwrap();
+        let script_outcome = script.execute();
+        let mut reg = Registry::open(&dir).unwrap();
+        reg.record_result(&plate, RunStatus::Ok, Some(&outcome), None, None, 1000)
+            .unwrap();
+        reg.record_result(
+            &plate,
+            RunStatus::Failed,
+            None,
+            Some("job panicked: boom"),
+            None,
+            2000,
+        )
+        .unwrap();
+        reg.record_result(
+            &capped,
+            RunStatus::Aborted,
+            None,
+            Some("run aborted (cycles_exceeded) at 10020 sim cycles, 0 DES events"),
+            Some("cycles_exceeded"),
+            3000,
+        )
+        .unwrap();
+        reg.record_result(
+            &script,
+            RunStatus::Ok,
+            Some(&script_outcome),
+            None,
+            None,
+            4000,
+        )
+        .unwrap();
+        drop(reg);
+        let log = fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let want = include_str!("../../../tests/golden/registry_lines.jsonl");
+        assert!(log == want, "runs.jsonl drifted from the golden:\n{log}");
+    }
+
     #[test]
     fn failure_records_persist_and_latest_record_wins() {
         let dir = temp_dir("failrec");
