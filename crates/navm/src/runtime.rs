@@ -451,8 +451,12 @@ impl NaVm {
     /// Create a `rows × cols` array of zeros, row-block distributed over the
     /// task set; the owning clusters allocate the storage. Errors if a
     /// cluster memory is exhausted, and then holds none of the array.
+    /// After a stop the array exists on the host only.
     pub fn try_array(&mut self, rows: usize, cols: usize) -> Result<ArrayId, String> {
         assert!(rows > 0 && cols > 0, "degenerate array shape");
+        if self.sim.stopped().is_some() {
+            return Ok(self.host_array(rows, cols));
+        }
         let s = &mut self.sim;
         let shares = self.tasks.iter().map(|t| {
             let words = (self.tasks.share(rows, t).len() * cols) as Words;
@@ -524,20 +528,26 @@ impl NaVm {
         self.len(id) == 0
     }
 
-    /// Read one element (setup/diagnostics; charges one memory word).
+    /// Read one element (setup/diagnostics; charges one memory word
+    /// until the run stops).
     pub fn get(&mut self, id: ArrayId, r: usize, c: usize) -> f64 {
         let a = &self.arrays[id.0 as usize];
         assert!(r < a.rows && c < a.cols, "index out of bounds");
-        self.sim.machine.stats.mem_words(1);
+        if self.sim.stopped().is_none() {
+            self.sim.machine.stats.mem_words(1);
+        }
         a.data[r * a.cols + c]
     }
 
-    /// Write one element (setup/diagnostics; charges one memory word).
+    /// Write one element (setup/diagnostics; charges one memory word
+    /// until the run stops).
     pub fn set(&mut self, id: ArrayId, r: usize, c: usize, v: f64) {
         let a = &mut self.arrays[id.0 as usize];
         assert!(r < a.rows && c < a.cols, "index out of bounds");
         a.data[r * a.cols + c] = v;
-        self.sim.machine.stats.mem_words(1);
+        if self.sim.stopped().is_none() {
+            self.sim.machine.stats.mem_words(1);
+        }
     }
 
     /// Initialize every element: `a[r][c] = f(r, c)`. Runs as a charged
@@ -749,11 +759,19 @@ mod tests {
         assert!(vm.budget_exceeded().is_some());
         let state = |vm: &NaVm| {
             let m = vm.machine();
-            (vm.elapsed(), m.network.messages, m.stats.table())
+            let allocated: Vec<u64> = (0..m.config.clusters).map(|c| m.memory(c).used()).collect();
+            (vm.elapsed(), m.network.messages, m.stats.table(), allocated)
         };
         let before = state(&vm);
         type Op = fn(&mut NaVm, ArrayId, ArrayId);
-        let ops: [(&str, Op); 7] = [
+        let ops: [(&str, Op); 10] = [
+            ("get", |vm, x, _| {
+                vm.get(x, 3, 0);
+            }),
+            ("set", |vm, x, _| vm.set(x, 3, 0, 1.0)),
+            ("vector", |vm, _, _| {
+                vm.vector(64);
+            }),
             ("inner", |vm, x, y| {
                 vm.inner(x, y);
             }),
