@@ -31,7 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::json::Value;
-use serde::Deserialize as _;
+use serde::Deserialize;
+
+use crate::job::field;
 
 /// Parsed fault plan; see the module docs for the document format.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -46,17 +48,10 @@ pub struct ChaosPlan {
     pub registry_error_on_write: Vec<u64>,
 }
 
-fn u64_list(v: &Value, name: &str) -> Result<Vec<u64>, String> {
-    match v.get_field(name).ok() {
-        None | Some(Value::Null) => Ok(Vec::new()),
-        Some(Value::Arr(items)) => items
-            .iter()
-            .map(|i| {
-                u64::from_value(i).map_err(|_| format!("`{name}` entries must be non-negative"))
-            })
-            .collect(),
-        Some(_) => Err(format!("`{name}` must be an array")),
-    }
+/// Plan field `name`; absent or `null` arms nothing.
+fn optional<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, String> {
+    let value = field::<Option<T>>(v, name).map_err(|e| format!("chaos plan: {e}"))?;
+    Ok(value.flatten().unwrap_or_default())
 }
 
 impl ChaosPlan {
@@ -75,32 +70,11 @@ impl ChaosPlan {
                 return Err(format!("chaos plan: unknown field `{k}`"));
             }
         }
-        let seed = match v.get_field("seed").ok() {
-            None | Some(Value::Null) => 0,
-            Some(s) => u64::from_value(s)
-                .map_err(|_| "chaos plan: `seed` must be a non-negative integer")?,
-        };
-        let stall_ms_on_run = match v.get_field("stall_ms_on_run").ok() {
-            None | Some(Value::Null) => Vec::new(),
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(|i| match i {
-                    Value::Arr(pair) if pair.len() == 2 => {
-                        match (u64::from_value(&pair[0]), u64::from_value(&pair[1])) {
-                            (Ok(run), Ok(ms)) => Ok((run, ms)),
-                            _ => Err("`stall_ms_on_run` entries must be [run, ms]".to_string()),
-                        }
-                    }
-                    _ => Err("`stall_ms_on_run` entries must be [run, ms] pairs".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-            Some(_) => return Err("`stall_ms_on_run` must be an array".into()),
-        };
         Ok(ChaosPlan {
-            seed,
-            panic_on_run: u64_list(&v, "panic_on_run")?,
-            stall_ms_on_run,
-            registry_error_on_write: u64_list(&v, "registry_error_on_write")?,
+            seed: optional(&v, "seed")?,
+            panic_on_run: optional(&v, "panic_on_run")?,
+            stall_ms_on_run: optional(&v, "stall_ms_on_run")?,
+            registry_error_on_write: optional(&v, "registry_error_on_write")?,
         })
     }
 

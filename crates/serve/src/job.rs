@@ -26,7 +26,7 @@ use fem2_verify::{
     check_cost, check_script, CostParams, CostReport, NameId, Op, Report, ScenarioScript,
 };
 use serde::json::Value;
-use serde::{Deserialize, Serialize as _};
+use serde::Deserialize;
 use std::time::Duration;
 
 /// Default CG relative tolerance for plate jobs.
@@ -45,8 +45,7 @@ const MAX_CLUSTERS: u32 = 1 << 20;
 const MAX_PES: u32 = 1024;
 
 /// How a supervised run ended, as persisted per registry record and served
-/// to clients. Absent in registry schema rev 1 records, which replay as
-/// [`RunStatus::Ok`] (rev 1 only ever persisted successful runs).
+/// to clients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunStatus {
     /// The job completed and produced its outcome.
@@ -71,12 +70,9 @@ impl RunStatus {
 
     /// Parse a wire name back; `None` for anything unknown.
     pub fn parse(s: &str) -> Option<RunStatus> {
-        match s {
-            "ok" => Some(RunStatus::Ok),
-            "failed" => Some(RunStatus::Failed),
-            "aborted" => Some(RunStatus::Aborted),
-            _ => None,
-        }
+        [RunStatus::Ok, RunStatus::Failed, RunStatus::Aborted]
+            .into_iter()
+            .find(|status| status.name() == s)
     }
 
     /// Whether this record carries a servable outcome.
@@ -195,7 +191,7 @@ impl Admitted {
 
 /// Field `name` of the object `v`, or `None` when it has no such field.
 /// A field that may also be `null` is read as an `Option`.
-fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, String> {
+pub(crate) fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, String> {
     v.get_field(name)
         .ok()
         .map(|f| T::from_value(f).map_err(|e| format!("field `{name}`: {e}")))
@@ -282,20 +278,19 @@ macro_rules! script_ops {
         /// The JSON form of `op`, its names looked up in `script`. No row
         /// parses `message`, but one built in code still serializes.
         fn op_to_value(script: &ScenarioScript, op: &Op) -> Value {
-            let name = |id: NameId| Value::Str(script.name(id).to_string());
-            let pairs = match *op {
-                $(Op::$variant { $($field),* } => vec![
-                    ("op", Value::Str($wire.into())),
-                    $((stringify!($field), script_ops!(@write name, $field, $spec))),*
-                ],)*
-                Op::Message { from, to, kind } => vec![
-                    ("op", Value::Str("message".into())),
-                    ("from", name(from)),
-                    ("to", name(to)),
-                    ("kind", Value::Str(kind.name().into())),
-                ],
-            };
-            Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+            let name = |id: NameId| script.name(id);
+            match *op {
+                $(Op::$variant { $($field),* } => doc! {
+                    "op": $wire,
+                    $((stringify!($field)): script_ops!(@write name, $field, $spec)),*
+                },)*
+                Op::Message { from, to, kind } => doc! {
+                    "op": "message",
+                    "from": name(from),
+                    "to": name(to),
+                    "kind": kind.name(),
+                },
+            }
         }
     };
     (@read $v:ident, $script:ident, $field:ident, name) => {{
@@ -308,7 +303,7 @@ macro_rules! script_ops {
         TryFrom::try_from(n).map_err(|_| concat!(stringify!($field), " out of range"))?
     }};
     (@write $name:ident, $field:ident, name) => { $name($field) };
-    (@write $name:ident, $field:ident, $default:literal) => { Value::UInt(u64::from($field)) };
+    (@write $name:ident, $field:ident, $default:literal) => { $field };
 }
 
 script_ops! {
@@ -424,52 +419,36 @@ impl JobSpec {
     /// hash covers and the registry stores.
     pub fn to_value(&self) -> Value {
         match self {
-            JobSpec::Plate(p) => {
-                let mut pairs = vec![
-                    ("kind".into(), Value::Str("plate".into())),
-                    ("name".into(), Value::Str(p.name.clone())),
-                    ("nx".into(), Value::UInt(p.nx as u64)),
-                    ("ny".into(), Value::UInt(p.ny as u64)),
-                    ("tasks".into(), Value::UInt(u64::from(p.tasks))),
-                    ("machine".into(), p.machine.to_value()),
-                    ("tol".into(), Value::Float(p.tol)),
-                    ("max_iters".into(), Value::UInt(p.max_iters as u64)),
-                    ("seed".into(), Value::UInt(p.seed)),
-                    ("allow_warnings".into(), Value::Bool(p.allow_warnings)),
-                ];
+            JobSpec::Plate(p) => doc! {
+                "kind": "plate",
+                "name": p.name,
+                "nx": p.nx,
+                "ny": p.ny,
+                "tasks": p.tasks,
+                "machine": p.machine,
+                "tol": p.tol,
+                "max_iters": p.max_iters,
+                "seed": p.seed,
+                "allow_warnings": p.allow_warnings,
                 // Deterministic budget limits are part of the job's
-                // identity, but the key is appended only when one is set so
-                // pre-budget specs (and their content hashes) are
-                // bit-identical to what rev 1 of the registry recorded.
-                // `wall_ms` is operational and never serialized.
-                let mut budget = Vec::new();
-                if let Some(c) = p.budget_cycles {
-                    budget.push(("max_sim_cycles".to_string(), Value::UInt(c)));
-                }
-                if let Some(e) = p.budget_events {
-                    budget.push(("max_des_events".to_string(), Value::UInt(e)));
-                }
-                if !budget.is_empty() {
-                    pairs.push(("budget".into(), Value::Obj(budget)));
-                }
-                Value::Obj(pairs)
-            }
-            JobSpec::Script(s) => Value::Obj(vec![
-                ("kind".into(), Value::Str("script".into())),
-                ("name".into(), Value::Str(s.script.name.clone())),
-                (
-                    "ops".into(),
-                    Value::Arr(
-                        s.script
-                            .ops()
-                            .map(|(op, _)| op_to_value(&s.script, op))
-                            .collect(),
-                    ),
-                ),
-                ("machine".into(), s.machine.to_value()),
-                ("seed".into(), Value::UInt(s.seed)),
-                ("allow_warnings".into(), Value::Bool(s.allow_warnings)),
-            ]),
+                // identity, but the key is written only when one is set,
+                // so an unbudgeted spec and its content hash stay what
+                // they were before budgets existed. `wall_ms` is
+                // operational and never serialized.
+                "budget"?: p.budget_cycles.or(p.budget_events).map(|_| doc! {
+                    "max_sim_cycles"?: p.budget_cycles,
+                    "max_des_events"?: p.budget_events,
+                }),
+            },
+            JobSpec::Script(s) => doc! {
+                "kind": "script",
+                "name": s.script.name,
+                "ops": s.script.ops().map(|(op, _)| op_to_value(&s.script, op))
+                    .collect::<Vec<_>>(),
+                "machine": s.machine,
+                "seed": s.seed,
+                "allow_warnings": s.allow_warnings,
+            },
         }
     }
 
@@ -569,40 +548,31 @@ impl JobSpec {
         };
         let report = self.verify();
         JobOutcome {
-            value: Value::Obj(vec![
-                ("kind".into(), Value::Str("script".into())),
-                ("ops".into(), Value::UInt(s.script.len() as u64)),
-                ("status".into(), Value::Str(report.status().into())),
-                (
-                    "warnings".into(),
-                    Value::UInt(report.warning_count() as u64),
-                ),
-            ]),
+            value: doc! {
+                "kind": "script",
+                "ops": s.script.len(),
+                "status": report.status(),
+                "warnings": report.warning_count(),
+            },
         }
     }
 }
 
 /// The outcome document of a completed plate simulation.
 fn plate_outcome(report: &fem2_core::ScenarioReport) -> Value {
-    Value::Obj(vec![
-        ("kind".into(), Value::Str("plate".into())),
-        ("unknowns".into(), Value::UInt(report.unknowns as u64)),
-        ("iterations".into(), Value::UInt(report.iterations as u64)),
-        ("residual".into(), Value::Float(report.residual)),
-        ("converged".into(), Value::Bool(report.converged)),
-        ("sim_cycles".into(), Value::UInt(report.elapsed)),
-        ("flops".into(), Value::UInt(report.total_flops)),
-        ("messages".into(), Value::UInt(report.total_messages)),
-        ("words_moved".into(), Value::UInt(report.total_words_moved)),
-        (
-            "peak_memory_words".into(),
-            Value::UInt(report.peak_memory_words),
-        ),
-        (
-            "total_memory_words".into(),
-            Value::UInt(report.total_memory_words),
-        ),
-    ])
+    doc! {
+        "kind": "plate",
+        "unknowns": report.unknowns,
+        "iterations": report.iterations,
+        "residual": report.residual,
+        "converged": report.converged,
+        "sim_cycles": report.elapsed,
+        "flops": report.total_flops,
+        "messages": report.total_messages,
+        "words_moved": report.total_words_moved,
+        "peak_memory_words": report.peak_memory_words,
+        "total_memory_words": report.total_memory_words,
+    }
 }
 
 impl PlateJob {

@@ -28,6 +28,34 @@
 //! harness ([`chaos`]) injects worker panics, stalls, and registry write
 //! errors to prove all of it under test.
 
+/// A JSON object, its fields in the order written: `"key": value` for
+/// any `Serialize` value, `"key"?: option` for a field present only when
+/// the option is `Some`, and `..object` for every field of another
+/// object. A key is a string literal or a parenthesised `&str`.
+macro_rules! doc {
+    (@chain $fields:expr;) => { $fields };
+    (@chain $fields:expr; .. $base:expr $(, $($rest:tt)*)?) => {
+        doc!(@chain $fields.chain(match $base {
+            ::serde::json::Value::Obj(pairs) => pairs,
+            _ => ::std::vec::Vec::new(),
+        }); $($($rest)*)?)
+    };
+    (@chain $fields:expr; $key:tt ?: $value:expr $(, $($rest:tt)*)?) => {
+        doc!(@chain $fields.chain(::std::iter::IntoIterator::into_iter($value).map(|value| {
+            ($key.to_string(), ::serde::Serialize::to_value(&value))
+        })); $($($rest)*)?)
+    };
+    (@chain $fields:expr; $key:tt : $value:expr $(, $($rest:tt)*)?) => {
+        doc!(@chain $fields.chain(::std::iter::once((
+            $key.to_string(),
+            ::serde::Serialize::to_value(&$value),
+        ))); $($($rest)*)?)
+    };
+    ($($body:tt)*) => {
+        ::serde::json::Value::Obj(doc!(@chain ::std::iter::empty(); $($body)*).collect())
+    };
+}
+
 pub(crate) mod util {
     //! Two absorbers that keep call sites infallible: JSON text of an
     //! already-built `Value` tree (the vendored `serde_json` signatures

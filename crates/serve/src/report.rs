@@ -13,43 +13,29 @@ use std::fs;
 use std::path::Path;
 
 use serde::json::Value;
-use serde::Deserialize as _;
 
-use crate::registry::{Registry, RunRecord};
+use crate::registry::{read, Registry, RunRecord};
 use crate::util::json_compact;
 
-/// Render `v` as nested markdown list items at `indent` levels.
+/// Render `v` as nested markdown list items at `indent` levels: an
+/// object's fields as `- key: value`, an array's items as `- value`, and
+/// a nested object or array under its own `- key:` or `-` line.
 fn value_lines(out: &mut String, v: &Value, indent: usize) {
     let pad = "  ".repeat(indent);
-    match v {
-        Value::Obj(pairs) => {
-            for (k, val) in pairs {
-                match val {
-                    Value::Obj(_) | Value::Arr(_) => {
-                        let _ = writeln!(out, "{pad}- {k}:");
-                        value_lines(out, val, indent + 1);
-                    }
-                    scalar => {
-                        let _ = writeln!(out, "{pad}- {k}: {}", json_compact(scalar));
-                    }
-                }
+    let items: Vec<(String, &Value)> = match v {
+        Value::Obj(pairs) => pairs.iter().map(|(k, v)| (format!(" {k}:"), v)).collect(),
+        Value::Arr(items) => items.iter().map(|v| (String::new(), v)).collect(),
+        scalar => vec![(String::new(), scalar)],
+    };
+    for (label, item) in items {
+        match item {
+            Value::Obj(_) | Value::Arr(_) => {
+                let _ = writeln!(out, "{pad}-{label}");
+                value_lines(out, item, indent + 1);
             }
-        }
-        Value::Arr(items) => {
-            for item in items {
-                match item {
-                    Value::Obj(_) | Value::Arr(_) => {
-                        let _ = writeln!(out, "{pad}-");
-                        value_lines(out, item, indent + 1);
-                    }
-                    scalar => {
-                        let _ = writeln!(out, "{pad}- {}", json_compact(scalar));
-                    }
-                }
+            scalar => {
+                let _ = writeln!(out, "{pad}-{label} {}", json_compact(scalar));
             }
-        }
-        scalar => {
-            let _ = writeln!(out, "{pad}- {}", json_compact(scalar));
         }
     }
 }
@@ -61,26 +47,22 @@ fn run_page(run: &RunRecord) -> String {
     let _ = writeln!(out, "- name: {}", run.name);
     let _ = writeln!(out, "- kind: {}", run.kind);
     let _ = writeln!(out, "- seq: {}", run.seq);
-    // Rev-3 records carry the static cost bound predicted at admission;
-    // with the actual cycle count in the outcome, the tightness ratio
-    // (bound / actual, ≥ 1 by soundness) is fully deterministic and safe
-    // to golden-diff.
-    if let Some(pred) = &run.predicted {
-        if let Ok(bound) = pred.get_field("sim_cycles").and_then(u64::from_value) {
-            let _ = writeln!(out, "- predicted cycle bound: {bound}");
-            if let Some(actual) = run
-                .outcome
-                .get_field("sim_cycles")
-                .and_then(u64::from_value)
-                .ok()
-                .filter(|&a| a > 0)
-            {
-                let _ = writeln!(
-                    out,
-                    "- cycle bound tightness: {:.2}x (bound / actual)",
-                    bound as f64 / actual as f64
-                );
-            }
+    // A plate record carries the static cost bound predicted at
+    // admission; with the actual cycle count in the outcome, the
+    // tightness ratio (bound / actual, ≥ 1 by soundness) is fully
+    // deterministic and safe to golden-diff.
+    let bound = run
+        .predicted
+        .as_ref()
+        .and_then(|p| read::<u64>(p, "sim_cycles"));
+    if let Some(bound) = bound {
+        let _ = writeln!(out, "- predicted cycle bound: {bound}");
+        if let Some(actual) = read::<u64>(&run.outcome, "sim_cycles").filter(|&a| a > 0) {
+            let _ = writeln!(
+                out,
+                "- cycle bound tightness: {:.2}x (bound / actual)",
+                bound as f64 / actual as f64
+            );
         }
     }
     // Ok is the overwhelmingly common case and the golden page predates

@@ -322,12 +322,8 @@ pub struct ServerHandle {
     workers: Vec<JoinHandle<()>>,
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 fn error_body(msg: &str) -> String {
-    json_compact(&obj(vec![("error", Value::Str(msg.to_string()))]))
+    json_compact(&doc! { "error": msg })
 }
 
 /// Best-effort text of a caught panic payload.
@@ -343,32 +339,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl State {
     fn entry_value(e: &JobEntry, detail: bool) -> Value {
-        let mut pairs = vec![
-            ("id", Value::UInt(e.id)),
-            ("hash", Value::Str(e.hash.clone())),
-            ("name", Value::Str(e.name.clone())),
-            ("kind", Value::Str(e.kind.to_string())),
-            ("status", Value::Str(e.status.name().to_string())),
-            ("cached", Value::Bool(e.cached)),
-        ];
-        if detail {
-            if e.status == JobStatus::Done {
-                pairs.push(("wall_ns", Value::UInt(e.wall_ns)));
-            }
-            if !e.cached {
-                pairs.push(("admit_ns", Value::UInt(e.admit_ns)));
-                if e.status != JobStatus::Queued {
-                    pairs.push(("queue_ns", Value::UInt(e.queue_ns)));
-                }
-                if !matches!(e.status, JobStatus::Queued | JobStatus::Running) {
-                    pairs.push(("persist_ns", Value::UInt(e.persist_ns)));
-                }
-            }
-            if let Some(err) = &e.error {
-                pairs.push(("error", Value::Str(err.clone())));
-            }
+        let timed = detail && !e.cached;
+        let ended = !matches!(e.status, JobStatus::Queued | JobStatus::Running);
+        doc! {
+            "id": e.id,
+            "hash": e.hash,
+            "name": e.name,
+            "kind": e.kind,
+            "status": e.status.name(),
+            "cached": e.cached,
+            "wall_ns"?: (detail && e.status == JobStatus::Done).then_some(e.wall_ns),
+            "admit_ns"?: timed.then_some(e.admit_ns),
+            "queue_ns"?: (timed && e.status != JobStatus::Queued).then_some(e.queue_ns),
+            "persist_ns"?: (timed && ended).then_some(e.persist_ns),
+            "error"?: e.error.as_ref().filter(|_| detail),
         }
-        obj(pairs)
     }
 
     /// The record a submission of `hash` is answered from, if any. Latest
@@ -421,16 +406,10 @@ impl State {
             self.verify_calls.fetch_add(1, Ordering::Relaxed);
             let report = job.spec.verify();
             if report.blocks(job.spec.allow_warnings()) {
-                let mut doc = report.to_value();
-                if let Value::Obj(pairs) = &mut doc {
-                    pairs.insert(
-                        0,
-                        (
-                            "error".into(),
-                            Value::Str("rejected by static verification".into()),
-                        ),
-                    );
-                }
+                let doc = doc! {
+                    "error": "rejected by static verification",
+                    ..report.to_value(),
+                };
                 return Response::json(422, json_pretty(&doc));
             }
         }
@@ -482,11 +461,8 @@ impl State {
         if let Some(&id) = tables.in_flight.get(&job.hash) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             let entry = tables.job(id).expect("in-flight ids index the job table");
-            let mut v = Self::entry_value(entry, false);
-            if let Value::Obj(pairs) = &mut v {
-                pairs.push(("coalesced".into(), Value::Bool(true)));
-            }
-            return Response::json(200, json_compact(&v));
+            let doc = doc! { ..Self::entry_value(entry, false), "coalesced": true };
+            return Response::json(200, json_compact(&doc));
         }
 
         // Station 4: bounded scheduling with shedding. The in-flight
@@ -494,14 +470,12 @@ impl State {
         let depth = tables.in_flight.len();
         if depth >= self.capacity {
             self.shed.fetch_add(1, Ordering::Relaxed);
-            return Response::json(
-                503,
-                json_compact(&obj(vec![
-                    ("error", Value::Str("queue full, submission shed".into())),
-                    ("queue_depth", Value::UInt(depth as u64)),
-                    ("capacity", Value::UInt(self.capacity as u64)),
-                ])),
-            );
+            let doc = doc! {
+                "error": "queue full, submission shed",
+                "queue_depth": depth,
+                "capacity": self.capacity,
+            };
+            return Response::json(503, json_compact(&doc));
         }
         let enqueued = Instant::now();
         let entry = tables.push(&job, JobStatus::Queued, false);
@@ -586,22 +560,14 @@ impl State {
         let diagnostics: Vec<Value> = violations
             .into_iter()
             .map(|(message, line)| {
-                let mut pairs = vec![
-                    ("kind".to_string(), Value::Str("error".into())),
-                    ("pass".to_string(), Value::Str("cost".into())),
-                    ("message".to_string(), Value::Str(message)),
-                ];
-                if let Some(line) = line {
-                    pairs.push(("line".to_string(), Value::UInt(u64::from(line))));
-                }
-                Value::Obj(pairs)
+                doc! { "kind": "error", "pass": "cost", "message": message, "line"?: line }
             })
             .collect();
-        let doc = obj(vec![
-            ("error", Value::Str("rejected by cost quota".into())),
-            ("diagnostics", Value::Arr(diagnostics)),
-            ("cost", cost.to_value()),
-        ]);
+        let doc = doc! {
+            "error": "rejected by cost quota",
+            "diagnostics": diagnostics,
+            "cost": cost,
+        };
         Some(Response::json(422, json_pretty(&doc)))
     }
 
@@ -805,49 +771,26 @@ impl State {
     fn stats(&self) -> Response {
         let registry = lock(&self.registry);
         let depth = lock(&self.tables).in_flight.len();
-        let doc = obj(vec![
-            (
-                "sims_run",
-                Value::UInt(self.sims_run.load(Ordering::Relaxed)),
-            ),
-            (
-                "cache_hits",
-                Value::UInt(self.cache_hits.load(Ordering::Relaxed)),
-            ),
-            ("shed", Value::UInt(self.shed.load(Ordering::Relaxed))),
-            ("queue_depth", Value::UInt(depth as u64)),
-            ("capacity", Value::UInt(self.capacity as u64)),
-            ("workers", Value::UInt(self.workers as u64)),
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let doc = doc! {
+            "sims_run": count(&self.sims_run),
+            "cache_hits": count(&self.cache_hits),
+            "shed": count(&self.shed),
+            "queue_depth": depth,
+            "capacity": self.capacity,
+            "workers": self.workers,
             // One engine; the key stays until ROADMAP 2(c) re-pins this body.
-            ("shards", Value::UInt(1)),
-            ("panics", Value::UInt(self.panics.load(Ordering::Relaxed))),
-            ("aborts", Value::UInt(self.aborts.load(Ordering::Relaxed))),
-            (
-                "quarantine_hits",
-                Value::UInt(self.quarantine_hits.load(Ordering::Relaxed)),
-            ),
-            (
-                "cost_rejections",
-                Value::UInt(self.cost_rejections.load(Ordering::Relaxed)),
-            ),
-            (
-                "auto_budgeted",
-                Value::UInt(self.auto_budgeted.load(Ordering::Relaxed)),
-            ),
-            (
-                "infra_retries",
-                Value::UInt(self.infra_retries.load(Ordering::Relaxed)),
-            ),
-            (
-                "quarantine_size",
-                Value::UInt(registry.quarantine_size() as u64),
-            ),
-            (
-                "last_registry_write_ok",
-                Value::Bool(self.last_registry_write_ok.load(Ordering::Relaxed)),
-            ),
-            ("registry_runs", Value::UInt(registry.run_count() as u64)),
-        ]);
+            "shards": 1,
+            "panics": count(&self.panics),
+            "aborts": count(&self.aborts),
+            "quarantine_hits": count(&self.quarantine_hits),
+            "cost_rejections": count(&self.cost_rejections),
+            "auto_budgeted": count(&self.auto_budgeted),
+            "infra_retries": count(&self.infra_retries),
+            "quarantine_size": registry.quarantine_size(),
+            "last_registry_write_ok": self.last_registry_write_ok.load(Ordering::Relaxed),
+            "registry_runs": registry.run_count(),
+        };
         Response::json(200, json_pretty(&doc))
     }
 
@@ -862,24 +805,18 @@ impl State {
         let in_flight = lock(&self.tables).in_flight.len();
         let write_ok = self.last_registry_write_ok.load(Ordering::Relaxed);
         let ready = write_ok && !self.stop.load(Ordering::SeqCst);
-        let doc = obj(vec![
-            ("ready", Value::Bool(ready)),
-            ("queue_depth", Value::UInt(in_flight as u64)),
-            ("capacity", Value::UInt(self.capacity as u64)),
+        let doc = doc! {
+            "ready": ready,
+            "queue_depth": in_flight,
+            "capacity": self.capacity,
             // One engine; the key stays until ROADMAP 2(c) re-pins this body.
-            ("shards", Value::UInt(1)),
-            ("in_flight", Value::UInt(in_flight as u64)),
-            ("quarantine_size", Value::UInt(quarantine as u64)),
-            (
-                "cost_rejections",
-                Value::UInt(self.cost_rejections.load(Ordering::Relaxed)),
-            ),
-            (
-                "auto_budgeted",
-                Value::UInt(self.auto_budgeted.load(Ordering::Relaxed)),
-            ),
-            ("last_registry_write_ok", Value::Bool(write_ok)),
-        ]);
+            "shards": 1,
+            "in_flight": in_flight,
+            "quarantine_size": quarantine,
+            "cost_rejections": self.cost_rejections.load(Ordering::Relaxed),
+            "auto_budgeted": self.auto_budgeted.load(Ordering::Relaxed),
+            "last_registry_write_ok": write_ok,
+        };
         Response::json(if ready { 200 } else { 503 }, json_pretty(&doc))
     }
 
@@ -896,13 +833,13 @@ impl State {
         match tables.job(id) {
             Some(e) => match (&e.status, &e.outcome) {
                 (JobStatus::Done, Some(outcome)) => {
-                    let doc = obj(vec![
-                        ("id", Value::UInt(e.id)),
-                        ("hash", Value::Str(e.hash.clone())),
-                        ("cached", Value::Bool(e.cached)),
-                        ("wall_ns", Value::UInt(e.wall_ns)),
-                        ("outcome", outcome.clone()),
-                    ]);
+                    let doc = doc! {
+                        "id": e.id,
+                        "hash": e.hash,
+                        "cached": e.cached,
+                        "wall_ns": e.wall_ns,
+                        "outcome": outcome,
+                    };
                     Response::json(200, json_pretty(&doc))
                 }
                 (JobStatus::Failed | JobStatus::Aborted, _) => Self::ending_reply(e, false),
@@ -917,24 +854,19 @@ impl State {
     /// names the hash it replayed.
     fn ending_reply(e: &JobEntry, quarantined: bool) -> Response {
         let status = e.status.name();
-        let error = e.error.clone().unwrap_or_else(|| format!("job {status}"));
-        let mut pairs = vec![
-            ("error", Value::Str(error)),
-            ("status", Value::Str(status.into())),
-        ];
-        if quarantined {
-            pairs.push(("quarantined", Value::Bool(true)));
-        }
-        pairs.push(("id", Value::UInt(e.id)));
-        if quarantined {
-            pairs.push(("hash", Value::Str(e.hash.clone())));
-        }
+        let doc = doc! {
+            "error": e.error.clone().unwrap_or_else(|| format!("job {status}")),
+            "status": status,
+            "quarantined"?: quarantined.then_some(true),
+            "id": e.id,
+            "hash"?: quarantined.then_some(&e.hash),
+        };
         let code = if e.status == JobStatus::Aborted {
             504
         } else {
             500
         };
-        Response::json(code, json_compact(&obj(pairs)))
+        Response::json(code, json_compact(&doc))
     }
 
     fn job_list(&self) -> Response {
@@ -944,10 +876,7 @@ impl State {
             .iter()
             .map(|e| Self::entry_value(e, false))
             .collect();
-        let doc = obj(vec![
-            ("count", Value::UInt(jobs.len() as u64)),
-            ("jobs", Value::Arr(jobs)),
-        ]);
+        let doc = doc! { "count": jobs.len(), "jobs": jobs };
         Response::json(200, json_pretty(&doc))
     }
 
