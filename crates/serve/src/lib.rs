@@ -41,7 +41,7 @@ macro_rules! doc {
         }); $($($rest)*)?)
     };
     (@chain $fields:expr; $key:tt ?: $value:expr $(, $($rest:tt)*)?) => {
-        doc!(@chain $fields.chain(::std::iter::IntoIterator::into_iter($value).map(|value| {
+        doc!(@chain $fields.chain(::std::option::Option::map($value, |value| {
             ($key.to_string(), ::serde::Serialize::to_value(&value))
         })); $($($rest)*)?)
     };

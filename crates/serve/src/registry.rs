@@ -122,9 +122,9 @@ impl RunRecord {
             "status": self.status.name(),
             // One engine; the field leaves with the revision ROADMAP 2(c) cuts.
             "shards": 1,
-            "error"?: &self.error,
-            "abort_cause"?: &self.abort_cause,
-            "predicted"?: &self.predicted,
+            "error"?: self.error.as_ref(),
+            "abort_cause"?: self.abort_cause.as_ref(),
+            "predicted"?: self.predicted.as_ref(),
         }
     }
 }
