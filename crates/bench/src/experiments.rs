@@ -149,7 +149,6 @@ pub fn e3_windows() -> String {
         "window", "elements", "locality", "cycles", "cy/element"
     );
     let mut vm = NaVm::simulated(MachineConfig::fem2_default(), 8);
-    vm.set_spawn_overhead(false);
     let a = vm.array(256, 256);
     vm.fill(a, |r, c| (r + c) as f64);
 

@@ -129,19 +129,6 @@ impl PlateScenario {
         self
     }
 
-    /// The same scenario with a run budget armed.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The same scenario with warning-severity verification findings
-    /// allowed through the pre-dispatch gate.
-    pub fn with_allowed_warnings(mut self) -> Self {
-        self.allow_warnings = true;
-        self
-    }
-
     /// Statically verify this scenario without running it: protocol
     /// conformance, window-exchange deadlock freedom, and storage bounds
     /// over the lowered scenario script.
@@ -183,9 +170,9 @@ impl PlateScenario {
 
     /// Run under the scenario's armed [`budget`](Self::budget): the same
     /// execution as [`run_unchecked`](Self::run_unchecked), but a run that
-    /// exceeds a deterministic limit (sim cycles, DES events), blows its
-    /// wall-clock deadline, or is cooperatively cancelled winds down and
-    /// returns a structured [`RunAborted`] instead of a report.
+    /// exceeds a deterministic limit (sim cycles, DES events) or blows its
+    /// wall-clock deadline winds down and returns a structured
+    /// [`RunAborted`] instead of a report.
     ///
     /// Abort points are checked at phase and solver-iteration granularity,
     /// so for the deterministic limits the abort (cause and observed
@@ -352,7 +339,6 @@ impl ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn scenario_produces_all_three_requirement_families() {
@@ -477,8 +463,8 @@ mod tests {
     fn cycle_budget_aborts_deterministically() {
         let full = PlateScenario::square(16, MachineConfig::fem2_default()).run_unchecked();
         let limit = full.elapsed / 4;
-        let scenario = PlateScenario::square(16, MachineConfig::fem2_default())
-            .with_budget(RunBudget::max_cycles(limit));
+        let mut scenario = PlateScenario::square(16, MachineConfig::fem2_default());
+        scenario.budget = RunBudget::max_cycles(limit);
         let first = scenario.run_budgeted().expect_err("budget must fire");
         let second = scenario.run_budgeted().expect_err("budget must fire");
         assert_eq!(first, second, "aborts are bitwise-repeatable");
@@ -489,19 +475,5 @@ mod tests {
             first.sim_cycles,
             limit
         );
-    }
-
-    #[test]
-    fn cancelled_run_surfaces_the_cancel_cause() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let cancel = Arc::new(AtomicBool::new(false));
-        cancel.store(true, Ordering::Relaxed);
-        let mut budget = RunBudget::unlimited();
-        budget.cancel = Some(cancel);
-        let err = PlateScenario::square(12, MachineConfig::fem2_default())
-            .with_budget(budget)
-            .run_budgeted()
-            .expect_err("pre-cancelled run aborts");
-        assert_eq!(err.cause, crate::machine::AbortCause::Cancelled);
     }
 }

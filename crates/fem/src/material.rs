@@ -58,12 +58,6 @@ impl Material {
         self
     }
 
-    /// Override the section area.
-    pub fn with_area(mut self, a: f64) -> Self {
-        self.area = a;
-        self
-    }
-
     /// The plane-stress constitutive matrix entries `(d11, d12, d33)` where
     /// `D = E/(1-ν²) · [[1, ν, 0], [ν, 1, 0], [0, 0, (1-ν)/2]]`.
     pub fn plane_stress_d(&self) -> (f64, f64, f64) {
@@ -173,8 +167,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let m = Material::steel().with_thickness(0.02).with_area(3e-4);
+        let m = Material::steel().with_thickness(0.02);
         assert_eq!(m.thickness, 0.02);
-        assert_eq!(m.area, 3e-4);
     }
 }

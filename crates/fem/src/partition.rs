@@ -87,21 +87,6 @@ impl Partition {
         self.interface_nodes(mesh).len() * crate::DOF_PER_NODE
     }
 
-    /// Load balance: max part element count over mean.
-    pub fn imbalance(&self) -> f64 {
-        let mut counts = vec![0usize; self.parts];
-        for &p in &self.element_part {
-            counts[p] += 1;
-        }
-        let max = *counts.iter().max().unwrap_or(&0) as f64;
-        let mean = self.element_part.len() as f64 / self.parts as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
     /// Sanity: every element assigned to a valid part.
     pub fn validate(&self) -> Result<(), String> {
         for (e, &p) in self.element_part.iter().enumerate() {
@@ -130,7 +115,6 @@ mod tests {
     fn strips_are_balanced_on_structured_grids() {
         let mesh = Mesh::grid_quad(8, 4, 8.0, 4.0);
         let p = Partition::strips_x(&mesh, 4);
-        assert!((p.imbalance() - 1.0).abs() < 1e-9, "{}", p.imbalance());
         for q in 0..4 {
             assert_eq!(p.elements_of(q).len(), 8);
         }
@@ -162,7 +146,6 @@ mod tests {
         let mesh = Mesh::grid_quad(4, 4, 1.0, 1.0);
         let p = Partition::strips_x(&mesh, 1);
         assert!(p.interface_nodes(&mesh).is_empty());
-        assert_eq!(p.imbalance(), 1.0);
     }
 
     #[test]

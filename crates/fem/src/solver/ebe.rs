@@ -56,14 +56,6 @@ impl EbeOperator {
         self.elements.len()
     }
 
-    /// Words of storage for the element blocks (vs a CSR assembly).
-    pub fn storage_words(&self) -> usize {
-        self.elements
-            .iter()
-            .map(|e| e.k.rows() * e.k.cols() + e.dofs.len())
-            .sum()
-    }
-
     /// `y ← K·x` on the reduced dofs, element by element.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.reduced_dofs, "x length");
@@ -209,13 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn storage_words_reported() {
+    fn one_block_per_element() {
         let (mesh, mat, c) = cantilever();
         let full = mesh.node_count() * crate::DOF_PER_NODE;
         let free = c.free_dofs(full);
         let op = EbeOperator::new(&mesh, &mat, &free);
         assert_eq!(op.element_count(), 12);
-        // 12 quads × (64 + 8) words.
-        assert_eq!(op.storage_words(), 12 * 72);
     }
 }

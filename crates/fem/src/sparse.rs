@@ -33,11 +33,6 @@ impl Coo {
         self.n
     }
 
-    /// Number of (possibly duplicate) triplets.
-    pub fn triplet_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Accumulate `a[r][c] += v`.
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.n && c < self.n, "triplet out of range");
@@ -509,7 +504,7 @@ mod tests {
         let mut coo = Coo::new(2);
         coo.add(0, 0, 0.0);
         coo.add(1, 0, 1.0);
-        assert_eq!(coo.triplet_count(), 1);
+        assert_eq!(coo.entries.len(), 1);
     }
 
     #[test]

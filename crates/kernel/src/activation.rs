@@ -136,11 +136,6 @@ impl ActivationRecord {
         );
         self.state = next;
     }
-
-    /// Turnaround time, if the task has completed.
-    pub fn turnaround(&self) -> Option<Cycles> {
-        self.completed_at.map(|t| t - self.created_at)
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,7 @@ mod tests {
         let r = record();
         assert_eq!(r.state, TaskState::Ready);
         assert_eq!(r.created_at, 100);
-        assert_eq!(r.turnaround(), None);
+        assert_eq!(r.completed_at, None);
         assert_eq!(r.epoch, 0);
     }
 
@@ -195,15 +190,6 @@ mod tests {
         r.transition(TaskState::Running);
         r.transition(TaskState::Paused);
         r.transition(TaskState::Running); // must go through Ready
-    }
-
-    #[test]
-    fn turnaround_after_completion() {
-        let mut r = record();
-        r.transition(TaskState::Running);
-        r.transition(TaskState::Done);
-        r.completed_at = Some(350);
-        assert_eq!(r.turnaround(), Some(250));
     }
 
     #[test]

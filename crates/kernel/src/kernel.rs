@@ -19,10 +19,10 @@
 //!   `PauseNotify` and of its termination through a `TerminateNotify`;
 //!   decoded off the child's own cluster, either message is recorded as a
 //!   notification and pauses or terminates nothing;
-//! * code blocks are auto-loaded on first use when
-//!   [`KernelSim::auto_load_code`] is set (the default), otherwise an
-//!   explicit [`KernelMessage::LoadCode`] is required and initiating an
-//!   unloaded block drops the request.
+//! * a code block is loaded on a cluster on its first use there (an
+//!   explicit [`KernelMessage::LoadCode`] loads it ahead of time);
+//!   initiating or calling a block whose image does not fit the cluster
+//!   drops the request.
 //!
 //! **Reliable delivery.** Remote kernel messages ride a reliable sub-layer:
 //! each gets a sequence number, the receiver acknowledges on arrival (a
@@ -58,8 +58,8 @@ use std::rc::Rc;
 /// Requests dropped, by cause.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DropCounts {
-    /// Initiate/call for a code block not loaded at the cluster (with
-    /// auto-load off, or whose load failed).
+    /// Initiate/call for a code block whose image could not be loaded at
+    /// the cluster.
     pub unloaded_code: u64,
     /// Activation-record or code-image allocation failed.
     pub oom: u64,
@@ -265,10 +265,6 @@ pub struct KernelSim {
     /// The simulated hardware (public for inspection; mutate through the
     /// kernel API).
     pub machine: Machine,
-    /// Auto-load code blocks on first initiate/call at a cluster (the
-    /// default); when cleared, initiating an unloaded block drops the
-    /// request.
-    pub auto_load_code: bool,
     queue: EventQueue<KEvent>,
     clusters: Vec<ClusterState>,
     code: CodeStore,
@@ -310,7 +306,7 @@ impl KernelSim {
     /// timeout (absorbs queueing the estimate cannot see).
     const RTO_SLACK: Cycles = 500;
 
-    /// A kernel over `machine` with code auto-loading on.
+    /// A kernel over `machine`.
     pub fn new(machine: Machine) -> Self {
         let clusters = (0..machine.config.clusters)
             .map(|_| ClusterState::default())
@@ -319,7 +315,6 @@ impl KernelSim {
         let running = RunningTable::new(machine.config.clusters, machine.config.pes_per_cluster);
         KernelSim {
             machine,
-            auto_load_code: true,
             queue,
             clusters,
             code: CodeStore::new(),
@@ -763,8 +758,8 @@ impl KernelSim {
     }
 
     /// Words of locals a task of `code` with `args_words` of arguments
-    /// takes on `cluster`, loading `code` there first when auto-loading is
-    /// on; `None`, counted as an `unloaded_code` drop, if it is not loaded.
+    /// takes on `cluster`, loading `code` there first if needed; `None`,
+    /// counted as an `unloaded_code` drop, if its image does not fit.
     fn task_locals(
         &mut self,
         now: Cycles,
@@ -773,7 +768,7 @@ impl KernelSim {
         args_words: Words,
     ) -> Option<Words> {
         let loaded = self.clusters[cluster as usize].loaded.contains(&code)
-            || (self.auto_load_code && self.load_code(now, cluster, code));
+            || self.load_code(now, cluster, code);
         if !loaded {
             self.stats.drops.unloaded_code += 1;
             return None;
@@ -1173,17 +1168,19 @@ mod tests {
     }
 
     #[test]
-    fn unloaded_code_dropped_without_autoload() {
+    fn code_that_does_not_fit_is_dropped_as_unloaded() {
         let mut k = sim(1, 2);
-        k.auto_load_code = false;
-        let code = small_code(&mut k);
-        k.initiate(0, 0, code, 1, None, 0);
+        let words = k.machine.config.memory_per_cluster + 1;
+        let big = k.register_code(CodeBlock::new("big", words, WorkProfile::flops(1), 8));
+        k.initiate(0, 0, big, 1, None, 0);
         k.run();
         assert_eq!(k.completions().len(), 0);
         assert_eq!(k.stats.drops.unloaded_code, 1);
         assert_eq!(k.stats.drops.total(), 1);
-        // Explicit load then initiate works (staggered so the load's larger
-        // wire size does not reorder it behind the initiate).
+        // An explicit load is accepted and counted, then initiate works
+        // (staggered so the load's larger wire size does not reorder it
+        // behind the initiate).
+        let code = small_code(&mut k);
         k.send(k.now(), 0, 0, KernelMessage::LoadCode { code });
         k.initiate(k.now() + 10_000, 0, code, 1, None, 0);
         k.run();

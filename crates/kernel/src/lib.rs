@@ -24,7 +24,9 @@
 //! * [`codeblock`] — code/constants blocks and per-activation work profiles;
 //! * [`activation`] — task activation records and the task state machine;
 //! * [`heap`] — the variable-size-block heap (first-fit free list with
-//!   coalescing and fragmentation statistics);
+//!   coalescing and fragmentation statistics), a standalone model that
+//!   experiment E8 measures: [`kernel::KernelSim`] charges activation
+//!   records and code images to the machine's cluster memories directly;
 //! * [`window_desc`] — window descriptors, the storage representation of the
 //!   numerical analyst's windows;
 //! * [`kernel`] — [`kernel::KernelSim`]: the per-cluster kernel loop over

@@ -1,45 +1,42 @@
 //! Run budgets: bounds a supervisor can place on a simulation before it
 //! starts, checked cooperatively as simulated time advances.
 //!
-//! A budget carries up to four limits:
+//! A budget carries up to three limits:
 //!
 //! * **max simulated cycles** — deterministic: the same scenario with the
 //!   same cycle budget aborts at the same simulated time on every run;
 //! * **max DES events** — deterministic: bounds the discrete-event loop by
 //!   pop count, independent of how far the clock has advanced;
 //! * **wall-clock deadline** — operational only: protects the host from a
-//!   runaway simulation at the price of nondeterministic abort points;
-//! * **cooperative cancel flag** — operational only: lets a supervisor
-//!   (e.g. a shutting-down server) ask an in-flight run to stop.
+//!   runaway simulation at the price of nondeterministic abort points.
 //!
 //! The deterministic limits are part of a job's identity and may be hashed;
-//! the operational ones never are. `MachineConfig` deliberately does *not*
+//! the wall-clock deadline never is. `MachineConfig` deliberately does *not*
 //! carry a budget: its serialized form participates in content hashes, so
 //! budgets thread through scenario/run APIs as runtime parameters instead.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::Cycles;
 
-/// Why a budgeted run stopped early.
+/// Why a budgeted run stopped early. The discriminant is the cause code a
+/// trace's `RunAbort` event carries; 3 is retired and never reused, so a
+/// recorded code keeps its meaning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbortCause {
     /// The simulated clock passed the cycle budget.
-    CyclesExceeded,
+    CyclesExceeded = 0,
     /// The DES loop popped more events than the budget allows.
-    EventsExceeded,
+    EventsExceeded = 1,
     /// The host wall-clock deadline passed.
-    WallDeadline,
-    /// The cooperative cancel flag was raised.
-    Cancelled,
+    WallDeadline = 2,
     /// A fault cut off a cluster the run needs: a message had no live
     /// route, exhausted its retransmit budget, or found no surviving PE.
-    Unreachable,
+    Unreachable = 4,
     /// A memory-bank fault left a cluster's arena too small for an
     /// allocation the run needs.
-    MemoryExhausted,
+    MemoryExhausted = 5,
 }
 
 impl AbortCause {
@@ -49,7 +46,6 @@ impl AbortCause {
             AbortCause::CyclesExceeded => "cycles_exceeded",
             AbortCause::EventsExceeded => "events_exceeded",
             AbortCause::WallDeadline => "wall_deadline",
-            AbortCause::Cancelled => "cancelled",
             AbortCause::Unreachable => "unreachable",
             AbortCause::MemoryExhausted => "memory_exhausted",
         }
@@ -92,8 +88,6 @@ pub struct RunBudget {
     /// Abort once this much host wall-clock time has elapsed since the
     /// meter was started.
     pub wall_limit: Option<Duration>,
-    /// Abort when this flag is raised (checked cooperatively).
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl RunBudget {
@@ -112,10 +106,7 @@ impl RunBudget {
 
     /// True if no limit is set (the common case; checks short-circuit).
     pub fn is_unlimited(&self) -> bool {
-        self.max_sim_cycles.is_none()
-            && self.max_des_events.is_none()
-            && self.wall_limit.is_none()
-            && self.cancel.is_none()
+        self.max_sim_cycles.is_none() && self.max_des_events.is_none() && self.wall_limit.is_none()
     }
 
     /// Start metering this budget now (captures the wall-clock anchor).
@@ -175,7 +166,7 @@ impl BudgetMeter {
     /// limits (cycles, events) are checked first and on every call, so runs
     /// that abort on them abort identically across repeats; the wall clock
     /// is only consulted every `WALL_CHECK_PERIOD` calls (keyed off the
-    /// meter's own call counter) and the cancel flag on every call.
+    /// meter's own call counter).
     pub fn check(&self, sim_cycles: Cycles, des_events: u64) -> Result<(), RunAborted> {
         if self.budget.is_unlimited() {
             return Ok(());
@@ -193,11 +184,6 @@ impl BudgetMeter {
         if let Some(max) = self.budget.max_des_events {
             if des_events > max {
                 return Err(abort(AbortCause::EventsExceeded));
-            }
-        }
-        if let Some(flag) = &self.budget.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Err(abort(AbortCause::Cancelled));
             }
         }
         if let Some(limit) = self.budget.wall_limit {
@@ -252,17 +238,20 @@ mod tests {
         );
     }
 
+    /// The names are the registry's `abort_cause` vocabulary and the codes
+    /// are a Chrome trace's `RunAbort` args: neither may drift.
     #[test]
-    fn cancel_flag_aborts_cooperatively() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let budget = RunBudget {
-            cancel: Some(Arc::clone(&flag)),
-            ..RunBudget::default()
-        };
-        let meter = budget.start();
-        assert!(meter.check(5, 5).is_ok());
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(meter.check(5, 5).unwrap_err().cause, AbortCause::Cancelled);
+    fn every_cause_keeps_its_name_and_trace_code() {
+        let pinned = [
+            (AbortCause::CyclesExceeded, "cycles_exceeded", 0),
+            (AbortCause::EventsExceeded, "events_exceeded", 1),
+            (AbortCause::WallDeadline, "wall_deadline", 2),
+            (AbortCause::Unreachable, "unreachable", 4),
+            (AbortCause::MemoryExhausted, "memory_exhausted", 5),
+        ];
+        for (cause, name, code) in pinned {
+            assert_eq!((cause.name(), cause as u8), (name, code), "{cause:?}");
+        }
     }
 
     #[test]

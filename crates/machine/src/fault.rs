@@ -192,11 +192,6 @@ impl FaultPlan {
         }
         &self.events[start..self.cursor]
     }
-
-    /// The time of the next pending step, if any.
-    pub fn next_at(&self) -> Option<Cycles> {
-        self.events.get(self.cursor).map(|e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +203,6 @@ mod tests {
         let mut p = FaultPlan::none();
         assert!(p.is_empty());
         assert!(p.due(u64::MAX).is_empty());
-        assert_eq!(p.next_at(), None);
     }
 
     #[test]
@@ -218,7 +212,7 @@ mod tests {
             FaultEvent::kill_pe(10, PeId::new(1, 0)),
         ]);
         assert_eq!(p.len(), 2);
-        assert_eq!(p.next_at(), Some(10));
+        assert!(p.due(9).is_empty());
         let due = p.due(10);
         assert_eq!(due.len(), 1);
         assert_eq!(
@@ -227,7 +221,8 @@ mod tests {
                 pe: PeId::new(1, 0)
             }
         );
-        assert_eq!(p.next_at(), Some(50));
+        assert!(p.due(49).is_empty());
+        assert_eq!(p.due(50).len(), 1);
     }
 
     #[test]
@@ -253,7 +248,7 @@ mod tests {
             .fail_memory(50, 1, 1024)
             .kill_pe(400, PeId::new(1, 2));
         assert_eq!(p.len(), 6, "the transient fault is two steps");
-        assert_eq!(p.next_at(), Some(50));
+        assert_eq!(p.events[0].at, 50);
         let due: Vec<FaultKind> = p.due(u64::MAX).iter().map(|e| e.kind).collect();
         let pe = PeId::new(0, 1);
         assert_eq!(

@@ -1,10 +1,12 @@
 //! Per-cluster shared memories.
 //!
 //! The machine level tracks *capacity*: how many words each cluster's shared
-//! memory has, how many are allocated, and the high-water mark. (The
-//! variable-size-block free list — the system programmer's "general heap" —
-//! lives one layer up, in `fem2-kernel`; this module is the hardware it
-//! draws from.)
+//! memory has, how many are allocated, and the high-water mark. The kernel
+//! (`fem2-kernel`'s `KernelSim`) charges its activation records and code
+//! images here directly, as does the NA-VM its arrays. The kernel's
+//! variable-size-block heap (`fem2_kernel::Heap`, the system programmer's
+//! "general heap") is a standalone model that experiment E8 measures; it
+//! draws nothing from this module.
 
 use crate::Words;
 use std::fmt;
@@ -39,8 +41,6 @@ pub struct ClusterMemory {
     capacity: Words,
     used: Words,
     high_water: Words,
-    allocs: u64,
-    frees: u64,
 }
 
 impl ClusterMemory {
@@ -51,8 +51,6 @@ impl ClusterMemory {
             capacity,
             used: 0,
             high_water: 0,
-            allocs: 0,
-            frees: 0,
         }
     }
 
@@ -77,16 +75,6 @@ impl ClusterMemory {
         self.high_water
     }
 
-    /// Number of successful allocations.
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Number of frees.
-    pub fn free_count(&self) -> u64 {
-        self.frees
-    }
-
     /// Allocate `words`; fails with [`OutOfMemory`] if capacity would be
     /// exceeded.
     pub fn alloc(&mut self, words: Words) -> Result<(), OutOfMemory> {
@@ -99,7 +87,6 @@ impl ClusterMemory {
         }
         self.used += words;
         self.high_water = self.high_water.max(self.used);
-        self.allocs += 1;
         Ok(())
     }
 
@@ -108,7 +95,6 @@ impl ClusterMemory {
     pub fn free(&mut self, words: Words) {
         debug_assert!(words <= self.used, "freeing more than allocated");
         self.used = self.used.saturating_sub(words);
-        self.frees += 1;
     }
 
     /// A memory bank of `words` capacity fails: the arena shrinks. Returns
@@ -118,15 +104,6 @@ impl ClusterMemory {
     pub fn fail_bank(&mut self, words: Words) -> Words {
         self.capacity = self.capacity.saturating_sub(words);
         self.used.saturating_sub(self.capacity)
-    }
-
-    /// Fraction of capacity in use, in `[0, 1]`.
-    pub fn load_factor(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.used as f64 / self.capacity as f64
-        }
     }
 }
 
@@ -141,7 +118,6 @@ mod tests {
         assert_eq!(m.used(), 0);
         assert_eq!(m.available(), 1000);
         assert_eq!(m.high_water(), 0);
-        assert_eq!(m.load_factor(), 0.0);
     }
 
     #[test]
@@ -152,8 +128,6 @@ mod tests {
         assert_eq!(m.used(), 500);
         m.free(300);
         assert_eq!(m.used(), 200);
-        assert_eq!(m.alloc_count(), 2);
-        assert_eq!(m.free_count(), 1);
     }
 
     #[test]
@@ -177,7 +151,6 @@ mod tests {
         assert!(err.to_string().contains("cluster 3"));
         // Failed alloc does not change state.
         assert_eq!(m.used(), 90);
-        assert_eq!(m.alloc_count(), 1);
     }
 
     #[test]
@@ -185,13 +158,6 @@ mod tests {
         let mut m = ClusterMemory::new(0, 100);
         m.alloc(100).unwrap();
         assert_eq!(m.available(), 0);
-        assert_eq!(m.load_factor(), 1.0);
-    }
-
-    #[test]
-    fn zero_capacity_load_factor() {
-        let m = ClusterMemory::new(0, 0);
-        assert_eq!(m.load_factor(), 0.0);
     }
 
     #[test]

@@ -204,12 +204,6 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedule `ev` `delay` cycles from now; a sum past `Cycles::MAX`
-    /// saturates, so such an event pops after every finite one.
-    pub fn schedule_in(&mut self, delay: Cycles, ev: E) {
-        self.schedule(self.now.saturating_add(delay), ev);
-    }
-
     /// Pop the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
         let (at, slot) = match &mut self.backend {
@@ -301,32 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        for kind in BACKENDS {
-            let mut q = EventQueue::with_backend(kind);
-            q.schedule(10, "first");
-            q.pop();
-            q.schedule_in(7, "second");
-            assert_eq!(q.pop(), Some((17, "second")));
-        }
-    }
-
-    #[test]
-    fn schedule_in_saturates_past_the_last_cycle() {
-        for kind in BACKENDS {
-            let mut q = EventQueue::with_backend(kind);
-            q.schedule(10, "first");
-            q.pop();
-            q.schedule_in(Cycles::MAX, "never");
-            q.schedule(Cycles::MAX - 1, "last finite");
-            q.schedule_in(5, "soon");
-            assert_eq!(q.pop(), Some((15, "soon")));
-            assert_eq!(q.pop(), Some((Cycles::MAX - 1, "last finite")));
-            assert_eq!(q.pop(), Some((Cycles::MAX, "never")));
-        }
-    }
-
-    #[test]
     fn same_cycle_tie_after_a_redistribution_pops_fifo() {
         for kind in BACKENDS {
             let mut q = EventQueue::with_backend(kind);
@@ -411,7 +379,7 @@ mod tests {
             while let Some((at, depth)) = q.pop() {
                 log.push((at, depth));
                 if depth > 0 {
-                    q.schedule_in(10, depth - 1);
+                    q.schedule(at + 10, depth - 1);
                 }
             }
             assert_eq!(log, vec![(0, 3), (10, 2), (20, 1), (30, 0)]);
@@ -432,7 +400,7 @@ mod tests {
                 while let Some((_, ev)) = q.pop() {
                     order.push(ev);
                     if ev < 1000 && ev % 5 == 0 {
-                        q.schedule_in(3, ev + 1000);
+                        q.schedule(q.now() + 3, ev + 1000);
                     }
                 }
                 order

@@ -757,7 +757,6 @@ mod tests {
         let mut cfg = MachineConfig::fem2_default();
         cfg.clusters = 4;
         let mut vm = NaVm::simulated(cfg, 4);
-        vm.set_spawn_overhead(false); // isolate halo traffic from spawn messages
         let (nx, ny) = (8, 8);
         let x = vm.vector(nx * ny);
         let y = vm.vector(nx * ny);

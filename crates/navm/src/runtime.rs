@@ -3,11 +3,11 @@
 //!
 //! Arrays are two-dimensional, row-block distributed over the task set, and
 //! owned by their creating VM ("data lifetime — lifetime of owner task").
-//! Every operation charges the machine: parallel sections spawn one task
-//! per [`TaskHandle`] (kernel task-create plus an initiate message to the
-//! hosting cluster), the per-task work is charged to the earliest-free
-//! worker PE of that cluster, and the section barrier advances simulated
-//! time to the latest completion.
+//! Every operation charges the machine: the first parallel section
+//! initiates one task per [`TaskHandle`] (kernel task-create plus an
+//! initiate message to the hosting cluster), the per-task work is charged
+//! to the earliest-free worker PE of that cluster, and the section barrier
+//! advances simulated time to the latest completion.
 
 use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
@@ -31,14 +31,11 @@ pub(crate) struct DArray {
 pub(crate) struct SimState {
     pub(crate) machine: Machine,
     pub(crate) now: Cycles,
-    /// Charge task-spawn overhead (kernel task creation + initiate message)
-    /// for parallel sections.
-    pub(crate) spawn_overhead: bool,
     /// Whether the task crew has already been initiated. The FEM-2 runtime
     /// initiates K task replications once and thereafter drives them with
-    /// forall/pardo (pausing between sections), so spawn overhead is charged
-    /// only for the first parallel section — or again after
-    /// [`NaVm::respawn_tasks`].
+    /// forall/pardo (pausing between sections), so initiation (kernel task
+    /// creation + initiate message) is charged only for the first parallel
+    /// section — or again after [`NaVm::respawn_tasks`].
     pub(crate) spawned: bool,
     /// Planned faults, applied as simulated time passes each step.
     pub(crate) faults: FaultPlan,
@@ -203,7 +200,7 @@ impl SimState {
         let start = self.now;
         self.apply_faults_through(start);
         let mut barrier = start;
-        let charge_spawn = self.spawn_overhead && !self.spawned;
+        let charge_spawn = !self.spawned;
         self.spawned = true;
         for (c, run) in runs {
             let mut run = run.into_iter();
@@ -307,7 +304,7 @@ impl SimState {
         let start = self.now;
         self.apply_faults_through(start);
         let mut barrier = start;
-        let charge_spawn = self.spawn_overhead && !self.spawned;
+        let charge_spawn = !self.spawned;
         self.spawned = true;
         for (t, w) in work {
             let c = tasks.cluster_of(t);
@@ -359,7 +356,6 @@ impl NaVm {
             sim: SimState {
                 machine,
                 now: 0,
-                spawn_overhead: true,
                 spawned: false,
                 faults: FaultPlan::none(),
                 halted: None,
@@ -396,11 +392,6 @@ impl NaVm {
     /// observation-only: it never changes costs.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.sim.machine.set_trace(trace);
-    }
-
-    /// Enable or disable task-spawn overhead charging for parallel sections.
-    pub fn set_spawn_overhead(&mut self, on: bool) {
-        self.sim.spawn_overhead = on;
     }
 
     /// Terminate the task crew: the next parallel section charges task
@@ -890,19 +881,23 @@ mod tests {
         assert!(lat_local < lat, "local {lat_local} < remote {lat}");
     }
 
+    /// The first section initiates the crew and a later one does not; a
+    /// respawn makes the next section initiate it again.
     #[test]
-    fn spawn_overhead_toggle() {
-        let mut with = sim(4);
-        let a = with.array(4, 1);
-        with.forall_rows(a, WorkProfile::flops(1), |_, _| {});
-        let t_with = with.elapsed();
-
-        let mut without = sim(4);
-        without.set_spawn_overhead(false);
-        let b = without.array(4, 1);
-        without.forall_rows(b, WorkProfile::flops(1), |_, _| {});
-        let t_without = without.elapsed();
-        assert!(t_without < t_with, "{t_without} < {t_with}");
+    fn only_the_first_section_and_a_respawn_initiate_the_crew() {
+        let mut vm = sim(4);
+        let a = vm.array(4, 1);
+        let section = |vm: &mut NaVm| {
+            let t0 = vm.elapsed();
+            vm.forall_rows(a, WorkProfile::flops(1), |_, _| {});
+            vm.elapsed() - t0
+        };
+        let first = section(&mut vm);
+        let driven = section(&mut vm);
+        vm.respawn_tasks();
+        let respawned = section(&mut vm);
+        assert!(driven < first, "{driven} < {first}");
+        assert_eq!(respawned, first);
     }
 
     #[test]
@@ -956,14 +951,12 @@ mod tests {
         oracle: bool,
         cfg: &MachineConfig,
         ntasks: u32,
-        spawn: bool,
         faults: &FaultPlan,
         sections: &[Section],
     ) -> impl PartialEq + std::fmt::Debug {
         let mut vm = NaVm::simulated(cfg.clone(), ntasks);
         let (trace, rec) = TraceHandle::ring(1 << 16);
         vm.set_trace(trace);
-        vm.set_spawn_overhead(spawn);
         vm.inject_faults(faults);
         let tasks = vm.tasks();
         let mut barriers = Vec::new();
@@ -1053,13 +1046,12 @@ mod tests {
         /// on twin VMs: crossbar, torus and fat tree; a dedicated kernel PE
         /// or none; killed PEs, dead clusters and transient PE faults;
         /// fewer tasks than clusters and more than a cluster's workers;
-        /// spawn overhead; pardo statements out of task order; and the
-        /// stencil's halo pairs.
+        /// crew initiation and respawns; pardo statements out of task
+        /// order; and the stencil's halo pairs.
         #[test]
         fn per_cluster_section_matches_per_task_oracle(
             machine in (0u32..3, 1u32..=4, proptest::arbitrary::any::<bool>()),
             ntasks in 1u32..=40,
-            spawn in proptest::arbitrary::any::<bool>(),
             faults in proptest::collection::vec((0u32..3, 0u32..8, 0u32..4, 0u64..4000), 0..5),
             sections in proptest::collection::vec(
                 (0u32..4, 1usize..300, (0u64..40, 0u64..40, 0u64..40), proptest::arbitrary::any::<u64>()),
@@ -1095,7 +1087,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let twin = |oracle| run_twin(oracle, &cfg, ntasks, spawn, &plan, &sections);
+            let twin = |oracle| run_twin(oracle, &cfg, ntasks, &plan, &sections);
             proptest::prop_assert_eq!(twin(false), twin(true));
         }
     }

@@ -382,7 +382,6 @@ mod tests {
     #[test]
     fn remote_read_costs_more_than_local() {
         let mut vm = sim(8);
-        vm.set_spawn_overhead(false);
         let a = vm.array(16, 64);
         vm.fill(a, |_, _| 1.0);
         let local = vm.window(a, 0, 2, 0, 64); // cluster 0 rows

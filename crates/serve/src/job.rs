@@ -53,8 +53,8 @@ pub enum RunStatus {
     /// The job panicked (or infrastructure failed it permanently); the
     /// record carries the failure message instead of an outcome.
     Failed,
-    /// The job exceeded its run budget or was cancelled; the record
-    /// carries the structured abort cause.
+    /// The job exceeded its run budget, or a fault stopped it; the
+    /// record carries the structured abort cause.
     Aborted,
 }
 
@@ -275,8 +275,7 @@ macro_rules! script_ops {
             })
         }
 
-        /// The JSON form of `op`, its names looked up in `script`. No row
-        /// parses `message`, but one built in code still serializes.
+        /// The JSON form of `op`, its names looked up in `script`.
         fn op_to_value(script: &ScenarioScript, op: &Op) -> Value {
             let name = |id: NameId| script.name(id);
             match *op {
@@ -284,12 +283,6 @@ macro_rules! script_ops {
                     "op": $wire,
                     $((stringify!($field)): script_ops!(@write name, $field, $spec)),*
                 },)*
-                Op::Message { from, to, kind } => doc! {
-                    "op": "message",
-                    "from": name(from),
-                    "to": name(to),
-                    "kind": kind.name(),
-                },
             }
         }
     };
@@ -594,7 +587,6 @@ impl PlateJob {
             max_sim_cycles: self.budget_cycles,
             max_des_events: self.budget_events,
             wall_limit: self.budget_wall_ms.map(Duration::from_millis),
-            cancel: None,
         }
     }
 
@@ -771,7 +763,7 @@ mod tests {
         assert!(JobSpec::parse(r#"{"kind":"script","ops":[]}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"wat"}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"script","ops":[{"op":"conjure"}]}"#).is_err());
-        // Serve has never parsed a raw `message` op.
+        // A raw `message` op is not in the vocabulary.
         let err = JobSpec::parse(
             r#"{"kind":"script","ops":[{"op":"message","from":"a","to":"b","kind":"pause"}]}"#,
         )

@@ -21,7 +21,9 @@
 //! away on open — before the append handle is created — so every earlier
 //! record still loads and the next append starts on a clean line instead
 //! of gluing onto the partial one. A malformed *interior* line (hand
-//! edits) is skipped with a warning as before.
+//! edits) is skipped with a warning as before. `fem2-serve report` reads
+//! the log without opening the registry: it creates nothing, and leaves
+//! a torn tail (perhaps a live server's append) in place, unread.
 
 use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
@@ -59,7 +61,8 @@ pub struct RunRecord {
     /// Failure or abort detail for non-`ok` runs.
     pub error: Option<String>,
     /// Structured abort cause for `aborted` runs (`cycles_exceeded`,
-    /// `events_exceeded`, `wall_deadline`, `cancelled`).
+    /// `events_exceeded`, `wall_deadline`, `unreachable`,
+    /// `memory_exhausted`).
     pub abort_cause: Option<String>,
     /// Static cost bounds predicted at admission (plate runs with a
     /// bounded verdict only): an object with `sim_cycles`,
@@ -77,7 +80,7 @@ impl RunRecord {
     /// Whether this record poisons its content hash: only *deterministic*
     /// endings quarantine. A panic or a cycle/event-budget abort is a
     /// property of the spec and will repeat identically; a wall-deadline
-    /// or cancel abort is a host fact — and `wall_ms` is deliberately
+    /// abort is a host fact — and `wall_ms` is deliberately
     /// hash-neutral, so quarantining it would poison the unbudgeted spec
     /// for every tenant. Those re-run instead of replaying.
     pub fn quarantines(&self) -> bool {
@@ -146,11 +149,17 @@ pub struct Registry {
     poisoned: BTreeSet<String>,
 }
 
-/// Truncate a torn trailing record (no final newline) left by a crash
-/// mid-append, so the next append starts on a fresh line, and return the
-/// length of the complete lines in `bytes`, which are never touched.
+/// Length of the complete lines in `bytes`: a torn trailing record (no
+/// final newline) left by a crash mid-append is not counted.
+fn complete_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1)
+}
+
+/// Truncate a torn trailing record, so the next append starts on a fresh
+/// line, and return the length of the complete lines in `bytes`, which
+/// are never touched.
 fn repair_torn_tail(log_path: &Path, bytes: &[u8]) -> Result<usize, String> {
-    let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let keep = complete_len(bytes);
     if keep == bytes.len() {
         return Ok(keep);
     }
@@ -168,63 +177,82 @@ fn repair_torn_tail(log_path: &Path, bytes: &[u8]) -> Result<usize, String> {
     Ok(keep)
 }
 
+/// Replay the complete lines `lines` of the log at `log_path` (named in
+/// warnings): the run records they hold, and the next free `seq` (`None`
+/// once `u64::MAX` is taken).
+fn replay(log_path: &Path, lines: &[u8]) -> (Vec<RunRecord>, Option<u64>) {
+    let mut runs = Vec::new();
+    let mut next_seq = Some(0u64);
+    for (lineno, line) in lines.split(|&b| b == b'\n').enumerate() {
+        if line.trim_ascii().is_empty() {
+            continue;
+        }
+        // Bytes that are not UTF-8 are one more way for a line to
+        // be malformed, not a reason to refuse the whole log.
+        let parsed = std::str::from_utf8(line)
+            .ok()
+            .and_then(|l| serde_json::parse_value(l).ok());
+        let Some(v) = parsed else {
+            // A line torn by a crash mid-append, or damaged on
+            // disk. Every other line is intact; keep going so
+            // neither bricks the registry.
+            eprintln!(
+                "fem2-serve: skipping malformed registry line {} in {}",
+                lineno + 1,
+                log_path.display()
+            );
+            continue;
+        };
+        // Every parsed line owns its `seq`, whether or not it is
+        // loaded below: the next append must not reuse the `seq`
+        // of a line this build skips.
+        let seq = read(&v, "seq").or(next_seq).unwrap_or(u64::MAX);
+        next_seq = next_seq.zip(seq.checked_add(1)).map(|(n, s)| n.max(s));
+        let run = matches!(
+            read::<String>(&v, "kind").as_deref(),
+            Some("plate" | "script")
+        );
+        if !run || read::<String>(&v, "schema").as_deref() != Some(SCHEMA) {
+            eprintln!(
+                "fem2-serve: skipping unknown registry record at line {}",
+                lineno + 1
+            );
+            continue;
+        }
+        match RunRecord::from_line(&v, seq) {
+            Some(rec) => runs.push(rec),
+            None => eprintln!(
+                "fem2-serve: skipping incomplete run record at line {}",
+                lineno + 1
+            ),
+        }
+    }
+    (runs, next_seq)
+}
+
+/// The run records of the registry under `dir`, read without writing:
+/// nothing is created, and a torn trailing record (perhaps one a live
+/// server is still appending) is left out, not truncated. A missing
+/// directory or log is an error that names the path.
+pub(crate) fn read_runs(dir: &Path) -> Result<Vec<RunRecord>, String> {
+    let log_path = dir.join("runs.jsonl");
+    let bytes = fs::read(&log_path).map_err(|e| format!("read {}: {e}", log_path.display()))?;
+    Ok(replay(&log_path, &bytes[..complete_len(&bytes)]).0)
+}
+
 impl Registry {
     /// Open (creating if absent) the registry under `dir`, replaying the
     /// log into memory.
     pub fn open(dir: &Path) -> Result<Registry, String> {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let log_path = dir.join("runs.jsonl");
-        let mut runs = Vec::new();
-        let mut next_seq = Some(0u64);
-        if log_path.exists() {
-            let bytes =
-                fs::read(&log_path).map_err(|e| format!("read {}: {e}", log_path.display()))?;
-            let complete = repair_torn_tail(&log_path, &bytes)?;
-            for (lineno, line) in bytes[..complete].split(|&b| b == b'\n').enumerate() {
-                if line.trim_ascii().is_empty() {
-                    continue;
-                }
-                // Bytes that are not UTF-8 are one more way for a line to
-                // be malformed, not a reason to refuse the whole log.
-                let parsed = std::str::from_utf8(line)
-                    .ok()
-                    .and_then(|l| serde_json::parse_value(l).ok());
-                let Some(v) = parsed else {
-                    // A line torn by a crash mid-append, or damaged on
-                    // disk. Every other line is intact; keep going so
-                    // neither bricks the registry.
-                    eprintln!(
-                        "fem2-serve: skipping malformed registry line {} in {}",
-                        lineno + 1,
-                        log_path.display()
-                    );
-                    continue;
-                };
-                // Every parsed line owns its `seq`, whether or not it is
-                // loaded below: the next append must not reuse the `seq`
-                // of a line this build skips.
-                let seq = read(&v, "seq").or(next_seq).unwrap_or(u64::MAX);
-                next_seq = next_seq.zip(seq.checked_add(1)).map(|(n, s)| n.max(s));
-                let run = matches!(
-                    read::<String>(&v, "kind").as_deref(),
-                    Some("plate" | "script")
-                );
-                if !run || read::<String>(&v, "schema").as_deref() != Some(SCHEMA) {
-                    eprintln!(
-                        "fem2-serve: skipping unknown registry record at line {}",
-                        lineno + 1
-                    );
-                    continue;
-                }
-                match RunRecord::from_line(&v, seq) {
-                    Some(rec) => runs.push(rec),
-                    None => eprintln!(
-                        "fem2-serve: skipping incomplete run record at line {}",
-                        lineno + 1
-                    ),
-                }
-            }
-        }
+        let bytes = if log_path.exists() {
+            fs::read(&log_path).map_err(|e| format!("read {}: {e}", log_path.display()))?
+        } else {
+            Vec::new()
+        };
+        let complete = repair_torn_tail(&log_path, &bytes)?;
+        let (runs, next_seq) = replay(&log_path, &bytes[..complete]);
         let log = OpenOptions::new()
             .create(true)
             .append(true)
@@ -257,7 +285,7 @@ impl Registry {
 
     /// The latest *successful* run for `hash`, if any — what submission
     /// serves when the latest record overall is a non-quarantining abort
-    /// (wall deadline, cancel) that a completed run already answered.
+    /// (a wall deadline) that a completed run already answered.
     pub fn lookup_ok(&self, hash: &str) -> Option<&RunRecord> {
         self.runs
             .iter()

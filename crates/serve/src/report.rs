@@ -14,7 +14,7 @@ use std::path::Path;
 
 use serde::json::Value;
 
-use crate::registry::{read, Registry, RunRecord};
+use crate::registry::{read, read_runs, RunRecord};
 use crate::util::json_compact;
 
 /// Render `v` as nested markdown list items at `indent` levels: an
@@ -86,20 +86,20 @@ fn run_page(run: &RunRecord) -> String {
     out
 }
 
-fn index_page(reg: &Registry) -> String {
+fn index_page(runs: &[RunRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# fem2-serve run registry");
     let _ = writeln!(out);
-    let _ = writeln!(out, "{} completed runs.", reg.run_count());
+    let _ = writeln!(out, "{} completed runs.", runs.len());
     let _ = writeln!(out);
     let _ = writeln!(out, "## Runs");
     let _ = writeln!(out);
-    if reg.runs().is_empty() {
+    if runs.is_empty() {
         let _ = writeln!(out, "No runs recorded.");
     } else {
         let _ = writeln!(out, "| seq | name | kind | status | hash |");
         let _ = writeln!(out, "|---|---|---|---|---|");
-        for r in reg.runs() {
+        for r in runs {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | [`{}`](runs/{}.md) |",
@@ -132,18 +132,18 @@ fn index_html(markdown: &str) -> String {
     )
 }
 
-/// Generate the report site for the registry under `data_dir` into `out`.
-/// Returns the number of pages written.
+/// Generate the report site for the registry under `data_dir` into `out`,
+/// writing nothing under `data_dir`. Returns the number of pages written.
 pub fn generate(data_dir: &Path, out: &Path) -> Result<usize, String> {
-    let reg = Registry::open(data_dir)?;
+    let runs = read_runs(data_dir)?;
     let runs_dir = out.join("runs");
     fs::create_dir_all(&runs_dir).map_err(|e| format!("create {}: {e}", runs_dir.display()))?;
-    let index = index_page(&reg);
+    let index = index_page(&runs);
     fs::write(out.join("index.md"), &index).map_err(|e| format!("write index.md: {e}"))?;
     fs::write(out.join("index.html"), index_html(&index))
         .map_err(|e| format!("write index.html: {e}"))?;
     let mut pages = 2;
-    for run in reg.runs() {
+    for run in &runs {
         let page = run_page(run);
         fs::write(runs_dir.join(format!("{}.md", run.hash)), page)
             .map_err(|e| format!("write run page {}: {e}", run.hash))?;
@@ -156,6 +156,7 @@ pub fn generate(data_dir: &Path, out: &Path) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::registry::Registry;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -239,6 +240,40 @@ mod tests {
             .parse()
             .unwrap();
         assert!(ratio >= 1.0, "sound bound implies tightness >= 1: {line}");
+        fs::remove_dir_all(&data).unwrap();
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn a_missing_data_dir_is_an_error_and_is_not_created() {
+        let data = temp_dir("missing-data");
+        let out = temp_dir("missing-out");
+        let err = generate(&data, &out).unwrap_err();
+        assert!(
+            err.contains(&data.join("runs.jsonl").display().to_string()),
+            "{err}"
+        );
+        assert!(!data.exists(), "the report created {}", data.display());
+        assert!(!out.exists());
+    }
+
+    /// A torn tail, such as a live server's append in progress, is left
+    /// out of the report and left in the log: not one byte changes.
+    #[test]
+    fn a_torn_tail_is_skipped_and_left_in_place() {
+        let data = temp_dir("torn-data");
+        let out = temp_dir("torn-out");
+        let spec = seeded_registry(&data);
+        let log = data.join("runs.jsonl");
+        let mut bytes = fs::read(&log).unwrap();
+        bytes.extend_from_slice(br#"{"schema":"fem2-registry/4","seq":1,"kind":"pla"#);
+        fs::write(&log, &bytes).unwrap();
+        assert_eq!(generate(&data, &out).unwrap(), 3);
+        let index = fs::read_to_string(out.join("index.md")).unwrap();
+        assert!(index.contains("1 completed runs."), "{index}");
+        assert!(index.contains(&spec.content_hash()), "{index}");
+        assert_eq!(fs::read(&log).unwrap(), bytes);
+        assert_eq!(fs::read_dir(&data).unwrap().count(), 1, "runs.jsonl only");
         fs::remove_dir_all(&data).unwrap();
         fs::remove_dir_all(&out).unwrap();
     }

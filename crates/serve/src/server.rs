@@ -35,8 +35,8 @@
 //! latest registry record ended *deterministically* badly (panic,
 //! cycle/event budget) is *quarantined* — submitting it again replays the
 //! recorded failure instead of burning a worker on a known-poisonous job.
-//! Operational endings (wall deadline, cancel) never quarantine: they are
-//! host facts, not spec facts, so those specs re-run.
+//! An operational ending (a wall deadline) never quarantines: it is a
+//! host fact, not a spec fact, so that spec re-runs.
 #![expect(
     clippy::disallowed_methods,
     reason = "serve measures job wall time for registry provenance; recorded outside content hashes"
@@ -357,8 +357,8 @@ impl State {
     }
 
     /// The record a submission of `hash` is answered from, if any. Latest
-    /// record wins, with one carve-out: an *operational* ending (wall
-    /// deadline, cancel) is a host fact, not a spec fact — and `wall_ms`
+    /// record wins, with one carve-out: an *operational* ending (a wall
+    /// deadline) is a host fact, not a spec fact — and `wall_ms`
     /// is hash-neutral, so replaying it would poison the identical
     /// unbudgeted spec for every tenant, permanently. Such a record never
     /// quarantines: an earlier ok record (same hash) still serves, and

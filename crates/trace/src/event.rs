@@ -277,8 +277,8 @@ pub enum EventKind {
     },
     /// A run was aborted: by its supervisor's budget, or because a fault
     /// made a cluster unreachable or its memory too small. `cause` is the
-    /// abort cause code (0 cycles, 1 events, 2 wall deadline, 3 cancelled,
-    /// 4 unreachable, 5 memory exhausted).
+    /// abort cause code (0 cycles, 1 events, 2 wall deadline,
+    /// 4 unreachable, 5 memory exhausted; 3 is retired).
     RunAbort {
         /// Abort cause code.
         cause: u8,

@@ -114,7 +114,7 @@ pub struct PhaseMetrics {
     pub mem_faults: u64,
     /// Stale task completions discarded by the kernel.
     pub stale_tasks: u64,
-    /// Supervisor-initiated run aborts (budget exceeded / cancelled).
+    /// Run aborts: a budget exceeded, or a fault that stopped the run.
     pub run_aborts: u64,
     /// DES dispatches (event pops) observed in this phase.
     pub des_dispatches: u64,

@@ -416,13 +416,6 @@ impl CostModeler {
                     self.charge(CostClass::MsgDispatch, 1);
                     self.charge(CostClass::ContextSwitch, 1);
                 }
-                Op::Message { from, to, .. } => {
-                    let (cf, ct) = (on(&cluster_of, from, 0), on(&cluster_of, to, far));
-                    self.enter_phase(&mut control, "control");
-                    self.charge(CostClass::MsgSend, 1);
-                    self.message(cf, ct, 1);
-                    self.charge(CostClass::MsgDispatch, 1);
-                }
                 Op::RemoteCall { caller, .. } => {
                     self.unbounded(
                         format!(
@@ -562,7 +555,6 @@ pub fn check_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fem2_kernel::MessageKind;
     use proptest::prelude::*;
 
     fn machine() -> MachineConfig {
@@ -685,14 +677,15 @@ mod tests {
         for (t, c) in [("a", 0u32), ("b", 3u32)] {
             initiate(&mut s, t, c);
         }
-        let [a, b] = ["a", "b"].map(|n| s.intern(n));
-        s.push(Op::Message {
+        let [a, b, w] = ["a", "b", "w"].map(|n| s.intern(n));
+        s.push(Op::WindowSend {
             from: a,
             to: b,
-            kind: MessageKind::Resume,
+            window: w,
+            words: 1,
         });
         let r = check_cost(&s, &machine(), &CostParams::single_sweep());
-        // Spawn of b (0->3, 8 words) plus the 1-word data message.
+        // Spawn of b (0->3, 8 words) plus the 1-word window exchange.
         assert!(r.messages >= 2);
         assert_eq!(r.des_events, 2 * r.messages);
         let (link, words) = r.busiest_link().expect("traffic was attributed");
@@ -907,14 +900,6 @@ mod tests {
                             self.charge(CostClass::MsgDispatch, 1);
                             self.charge(CostClass::ContextSwitch, 1);
                         }
-                        Op::Message { from, to, .. } => {
-                            let cf = cluster_of.get(name(from)).copied().unwrap_or(0);
-                            let ct = cluster_of.get(name(to)).copied().unwrap_or(far);
-                            self.begin_phase("control");
-                            self.charge(CostClass::MsgSend, 1);
-                            self.message_times(cf, ct, 1, 1);
-                            self.charge(CostClass::MsgDispatch, 1);
-                        }
                         Op::RemoteCall { caller, .. } => self.unbounded(
                             format!(
                                 "remote call by '{}' carries no static work profile; \
@@ -1032,11 +1017,7 @@ mod tests {
                 },
                 2 => Op::Pause { task: a },
                 3 => Op::Terminate { task: a },
-                4 => Op::Message {
-                    from: a,
-                    to: b,
-                    kind: MessageKind::Resume,
-                },
+                4 => Op::Resume { task: a },
                 5 => Op::WindowOpen { task: a, window: w },
                 6 | 7 => Op::WindowSend {
                     from: a,

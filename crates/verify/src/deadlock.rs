@@ -142,7 +142,6 @@ pub fn check(script: &ScenarioScript, report: &mut Report) {
             | Op::WindowOpen { task, .. }
             | Op::WindowClose { task, .. }
             | Op::Initiate { task, .. }
-            | Op::Message { from: task, .. }
             | Op::RemoteCall { caller: task, .. } => {
                 tasks.bump(task);
             }
@@ -561,9 +560,6 @@ mod tests {
                     }
                     Op::Initiate { task, .. } => {
                         bump(&name(task), &mut counters);
-                    }
-                    Op::Message { from, .. } => {
-                        bump(&name(from), &mut counters);
                     }
                     Op::RemoteCall { caller, .. } => {
                         bump(&name(caller), &mut counters);

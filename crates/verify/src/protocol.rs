@@ -69,10 +69,6 @@ pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Repo
             Op::Pause { task } => r.step(task, MessageKind::PauseNotify, span, report),
             Op::Resume { task } => r.step(task, MessageKind::Resume, span, report),
             Op::Terminate { task } => r.step(task, MessageKind::TerminateNotify, span, report),
-            Op::Message { from, to, kind } => {
-                r.require_active(from, "send a message", span, report);
-                r.step(to, kind, span, report);
-            }
             Op::RemoteCall { caller, call_id } => {
                 r.step(caller, MessageKind::RemoteCall, span, report);
                 if let Some((prev_caller, prev)) = calls.insert(call_id, (caller, span)) {
@@ -312,11 +308,7 @@ mod tests {
         let mut s = ScenarioScript::new("ghost");
         let [a, ghost] = ["a", "ghost"].map(|n| s.intern(n));
         initiate(&mut s, a, 0);
-        s.push(Op::Message {
-            from: a,
-            to: ghost,
-            kind: MessageKind::Resume,
-        });
+        s.push(Op::Resume { task: ghost });
         s.push(Op::Terminate { task: a });
         let r = run(&s);
         assert_eq!(r.error_count(), 1);

@@ -15,7 +15,6 @@
 //! them.
 
 use crate::diag::Span;
-use fem2_kernel::MessageKind;
 use fem2_machine::index::{fnv1a_64, OpenIndex};
 
 /// A name in a script's name table: an index into it (see
@@ -51,16 +50,6 @@ pub enum Op {
     Terminate {
         /// The terminating task.
         task: NameId,
-    },
-    /// A raw kernel message from `from` to `to` (for protocol checking of
-    /// arbitrary sequences; the lowered scenarios use the typed ops above).
-    Message {
-        /// Sending task.
-        from: NameId,
-        /// Subject/recipient task.
-        to: NameId,
-        /// Which of the seven kinds.
-        kind: MessageKind,
     },
     /// `caller` issues a remote procedure call with correlation `call_id`.
     RemoteCall {
@@ -220,9 +209,6 @@ impl ScenarioScript {
             Op::Pause { task } => format!("pause {}", n(task)),
             Op::Resume { task } => format!("resume {}", n(task)),
             Op::Terminate { task } => format!("terminate {}", n(task)),
-            Op::Message { from, to, kind } => {
-                format!("message '{}' from {} to {}", kind.name(), n(from), n(to))
-            }
             Op::RemoteCall { caller, call_id } => {
                 format!("remote call #{call_id} by {}", n(caller))
             }
@@ -327,14 +313,6 @@ mod tests {
         let ops = [
             (Op::Pause { task: a }, "pause a"),
             (Op::Resume { task: a }, "resume a"),
-            (
-                Op::Message {
-                    from: a,
-                    to: b,
-                    kind: MessageKind::Resume,
-                },
-                "message 'resume' from a to b",
-            ),
             (
                 Op::RemoteCall {
                     caller: a,

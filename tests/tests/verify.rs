@@ -175,8 +175,8 @@ fn allow_warnings_lets_warning_only_scenarios_through() {
     assert!(r.blocks(false));
     assert!(!r.blocks(true));
     // And the scenario knob wires through to the gate.
-    let s = PlateScenario::square(12, MachineConfig::fem2_default()).with_allowed_warnings();
-    assert!(s.allow_warnings);
+    let mut s = PlateScenario::square(12, MachineConfig::fem2_default());
+    s.allow_warnings = true;
     assert!(s.try_run().is_ok());
 }
 
@@ -212,12 +212,8 @@ fn all_four_layer_grammars_verify_clean() {
 fn traffic_to_never_initiated_task_rejected() {
     let mut s = ScenarioScript::new("ghost");
     initiate(&mut s, "real");
-    let [from, to] = ["real", "phantom"].map(|n| s.intern(n));
-    s.push(Op::Message {
-        from,
-        to,
-        kind: fem2_kernel::MessageKind::TerminateNotify,
-    });
+    let phantom = s.intern("phantom");
+    s.push(Op::Resume { task: phantom });
     terminate(&mut s, "real");
     let report = check_script(&s, &MachineConfig::fem2_default());
     assert!(report.error_count() > 0, "{report}");
