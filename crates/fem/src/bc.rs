@@ -21,11 +21,6 @@ impl Constraints {
         Self::default()
     }
 
-    /// Fix one dof.
-    pub fn fix_dof(&mut self, dof: usize) {
-        self.fixed.insert(dof);
-    }
-
     /// Fix both dofs of a node (pinned support).
     pub fn fix_node(&mut self, node: usize) {
         self.fixed.insert(crate::DOF_PER_NODE * node);
@@ -135,7 +130,7 @@ mod tests {
     fn fixing_dofs_and_nodes() {
         let mut c = Constraints::new();
         c.fix_node(1); // dofs 2, 3
-        c.fix_dof(7);
+        c.fix_component(3, 1); // dof 7
         c.fix_component(4, 1); // dof 9
         assert!(c.is_fixed(2));
         assert!(c.is_fixed(3));
@@ -155,8 +150,8 @@ mod tests {
     #[test]
     fn restrict_expand_roundtrip() {
         let mut c = Constraints::new();
-        c.fix_dof(1);
-        c.fix_dof(3);
+        c.fix_component(0, 1); // dof 1
+        c.fix_component(1, 1); // dof 3
         let full = vec![10.0, 0.0, 20.0, 0.0, 30.0];
         let reduced = c.restrict(&full);
         assert_eq!(reduced, vec![10.0, 20.0, 30.0]);

@@ -48,7 +48,7 @@ pub mod sparse;
 pub mod stress;
 pub mod substructure;
 
-pub use assembly::assemble;
+pub use assembly::{assemble, assemble_free};
 pub use bc::{Constraints, LoadSet};
 pub use dense::DenseMatrix;
 pub use element::{ElementKind, ElementMatrix};

@@ -65,6 +65,47 @@ impl Mesh {
         (buf, nodes.len())
     }
 
+    /// Each node's neighbours (itself included, every node sharing an element
+    /// with it), sorted: node `a`'s are `adj[ptr[a]..ptr[a + 1]]`.
+    pub(crate) fn node_graph(&self) -> (Vec<usize>, Vec<usize>) {
+        let nn = self.node_count();
+        let mut ptr = vec![0usize; nn + 1];
+        for e in &self.elements {
+            for &a in &e.nodes {
+                ptr[a + 1] += e.nodes.len();
+            }
+        }
+        for a in 0..nn {
+            ptr[a + 1] += ptr[a];
+        }
+        let mut adj = vec![0usize; ptr[nn]];
+        let mut cursor = ptr.clone();
+        for e in &self.elements {
+            for &a in &e.nodes {
+                adj[cursor[a]..][..e.nodes.len()].copy_from_slice(&e.nodes);
+                cursor[a] += e.nodes.len();
+            }
+        }
+        // Sort each node's list and drop repeats, compacting behind a write
+        // cursor that never passes the list being read.
+        let (mut w, mut lo) = (0, 0);
+        for a in 0..nn {
+            let hi = ptr[a + 1];
+            adj[lo..hi].sort_unstable();
+            let start = w;
+            for k in lo..hi {
+                if w == start || adj[w - 1] != adj[k] {
+                    adj[w] = adj[k];
+                    w += 1;
+                }
+            }
+            ptr[a + 1] = w;
+            lo = hi;
+        }
+        adj.truncate(w);
+        (ptr, adj)
+    }
+
     /// A chain of `n ≥ 1` bar elements along the x axis, total length
     /// `length`: `n + 1` nodes, node 0 at the origin.
     pub fn bar_chain(n: usize, length: f64) -> Self {

@@ -1,7 +1,7 @@
 //! Structural models: the application user's top-level data object, tying a
 //! grid, a material, supports, and load sets into one analyzable unit.
 
-use crate::assembly::assemble;
+use crate::assembly::assemble_free;
 use crate::bc::{Constraints, LoadSet};
 use crate::material::Material;
 use crate::mesh::Mesh;
@@ -161,9 +161,9 @@ impl StructuralModel {
         let f_full = ls.to_vector(self.dof_count());
         let free = self.constraints.free_dofs(self.dof_count());
         let fr = self.constraints.restrict(&f_full);
-        // The reduced stiffness, for the solvers that read one; the
-        // unreduced K is dropped as soon as it has been reduced.
-        let reduced = || assemble(&self.mesh, &self.material).submatrix(&free);
+        // The reduced stiffness, for the solvers that read one, assembled
+        // straight into the free dofs.
+        let reduced = || assemble_free(&self.mesh, &self.material, &free);
         let (ur, log) = match choice {
             SolverChoice::Skyline => {
                 let kr = reduced();
@@ -256,9 +256,8 @@ impl StructuralModel {
             &part,
             &f,
         );
-        let k = assemble(&self.mesh, &self.material);
         let free = self.constraints.free_dofs(self.dof_count());
-        let kr = k.submatrix(&free);
+        let kr = assemble_free(&self.mesh, &self.material, &free);
         let fr = self.constraints.restrict(&f);
         let ur = self.constraints.restrict(&sol.displacements);
         let res = solver::residual_norm(&kr, &ur, &fr);
@@ -281,9 +280,8 @@ impl StructuralModel {
     /// units.
     pub fn fundamental_mode(&self) -> Result<(f64, Vec<f64>), String> {
         self.validate()?;
-        let k = assemble(&self.mesh, &self.material);
         let free = self.constraints.free_dofs(self.dof_count());
-        let kr = k.submatrix(&free);
+        let kr = assemble_free(&self.mesh, &self.material, &free);
         let r = solver::eigen::smallest_eigenpair(&kr, 1e-10, 1000)?;
         Ok((r.lambda, self.constraints.expand(&r.mode, self.dof_count())))
     }

@@ -10,22 +10,20 @@
 use crate::mesh::Mesh;
 use std::collections::VecDeque;
 
-/// Node adjacency lists from element connectivity.
+/// Node adjacency lists from element connectivity: each node's
+/// neighbours, sorted, itself left out.
 pub fn adjacency(mesh: &Mesh) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); mesh.node_count()];
-    for e in &mesh.elements {
-        for (i, &a) in e.nodes.iter().enumerate() {
-            for &b in &e.nodes[i + 1..] {
-                adj[a].push(b);
-                adj[b].push(a);
-            }
-        }
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    adj
+    let (ptr, adj) = mesh.node_graph();
+    ptr.windows(2)
+        .enumerate()
+        .map(|(a, p)| {
+            adj[p[0]..p[1]]
+                .iter()
+                .copied()
+                .filter(|&b| b != a)
+                .collect()
+        })
+        .collect()
 }
 
 /// The Reverse Cuthill–McKee ordering: returns `perm` with
@@ -94,7 +92,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::assemble;
+    use crate::assembly::{assemble, assemble_free};
     use crate::bc::Constraints;
     use crate::material::Material;
     use crate::solver::skyline::{self, Skyline};
@@ -205,12 +203,11 @@ mod tests {
         f[2 * right] = 1000.0;
 
         let solve_mesh = |m: &Mesh, cons: &Constraints, f: &[f64]| {
-            let k = assemble(m, &mat);
-            let free = cons.free_dofs(k.order());
-            let kr = k.submatrix(&free);
+            let free = cons.free_dofs(f.len());
+            let kr = assemble_free(m, &mat, &free);
             let fr = cons.restrict(f);
             let ur = skyline::solve(&kr, &fr).unwrap();
-            cons.expand(&ur, k.order())
+            cons.expand(&ur, f.len())
         };
         let u_orig = solve_mesh(&mesh, &cons, &f);
 

@@ -142,7 +142,7 @@ pub fn solve(op: &EbeOperator, f: &[f64], ctl: IterControls) -> (Vec<f64>, Solve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::assemble;
+    use crate::assembly::assemble_free;
     use crate::bc::Constraints;
     use crate::mesh::Mesh;
 
@@ -162,7 +162,7 @@ mod tests {
         let full = mesh.node_count() * crate::DOF_PER_NODE;
         let free = c.free_dofs(full);
         let op = EbeOperator::new(&mesh, &mat, &free);
-        let k = assemble(&mesh, &mat).submatrix(&free);
+        let k = assemble_free(&mesh, &mat, &free);
         let x: Vec<f64> = (0..op.order())
             .map(|i| ((i * 11) % 7) as f64 - 3.0)
             .collect();
@@ -181,7 +181,7 @@ mod tests {
         let full = mesh.node_count() * crate::DOF_PER_NODE;
         let free = c.free_dofs(full);
         let op = EbeOperator::new(&mesh, &mat, &free);
-        let k = assemble(&mesh, &mat).submatrix(&free);
+        let k = assemble_free(&mesh, &mat, &free);
         // Tip load.
         let tip = mesh.nearest_node(3.0, 0.5);
         let mut f_full = vec![0.0; full];

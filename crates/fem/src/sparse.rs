@@ -1,9 +1,12 @@
-//! Sparse matrix storage: a COO assembly builder and CSR for solves.
+//! Sparse matrix storage: a COO builder for tests and tables, and CSR for
+//! solves.
 
 use std::ops::Range;
 
-/// Coordinate-format builder: accumulate `(row, col, value)` triplets during
-/// assembly, then compress to CSR (duplicates summed).
+/// Coordinate-format builder: accumulate `(row, col, value)` triplets, then
+/// compress to CSR (duplicates summed). Stiffness assembly does not use it
+/// ([`crate::assembly`] scatters into the connectivity pattern); tests and
+/// table builders do.
 #[derive(Clone, Debug, Default)]
 pub struct Coo {
     n: usize,
@@ -19,8 +22,8 @@ impl Coo {
         }
     }
 
-    /// An empty `n × n` builder with room for `triplets` entries, so
-    /// assembly-sized scatters don't grow the vector incrementally.
+    /// An empty `n × n` builder with room for `triplets` entries, so a
+    /// scatter of known size doesn't grow the vector incrementally.
     pub fn with_capacity(n: usize, triplets: usize) -> Self {
         Coo {
             n,
@@ -306,28 +309,49 @@ impl Csr {
     }
 
     /// Extract the principal submatrix on `keep` (sorted, deduplicated
-    /// indices), renumbered densely — how boundary conditions reduce the
-    /// system.
+    /// indices), renumbered densely, keeping only its nonzero entries:
+    /// one O(nnz) filter. Rows keep their stored column order, so the rows
+    /// of a matrix [`Coo::to_csr`] or [`crate::assembly::assemble`] built
+    /// stay sorted.
     pub fn submatrix(&self, keep: &[usize]) -> Csr {
+        self.clone().retain(keep, |v| v != 0.0)
+    }
+
+    /// `self` restricted in place to the rows and columns `keep` (sorted,
+    /// deduplicated), renumbered densely, holding only the entries whose
+    /// value `survives`. Writes never overtake reads: entries only drop
+    /// out. The dropped entries' memory is given back, not held by the
+    /// result.
+    pub(crate) fn retain(mut self, keep: &[usize], survives: impl Fn(f64) -> bool) -> Csr {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep not sorted");
         let mut map = vec![usize::MAX; self.order()];
         for (new, &old) in keep.iter().enumerate() {
             map[old] = new;
         }
-        // Upper bound: everything stored in the kept rows survives.
-        let cap = keep
-            .iter()
-            .map(|&r| self.rowptr[r + 1] - self.rowptr[r])
-            .sum();
-        let mut coo = Coo::with_capacity(keep.len(), cap);
-        for (new_r, &old_r) in keep.iter().enumerate() {
-            for k in self.rowptr[old_r]..self.rowptr[old_r + 1] {
-                let old_c = self.colidx[k];
-                if map[old_c] != usize::MAX {
-                    coo.add(new_r, map[old_c], self.vals[k]);
+        let (mut w, mut rows, mut lo) = (0, 0, 0);
+        for (r, &kept) in map.iter().enumerate() {
+            let hi = self.rowptr[r + 1];
+            if kept != usize::MAX {
+                for k in lo..hi {
+                    let c = map[self.colidx[k]];
+                    if c != usize::MAX && survives(self.vals[k]) {
+                        self.colidx[w] = c;
+                        self.vals[w] = self.vals[k];
+                        w += 1;
+                    }
                 }
+                rows += 1;
+                self.rowptr[rows] = w;
             }
+            lo = hi;
         }
-        coo.to_csr()
+        self.rowptr.truncate(rows + 1);
+        self.colidx.truncate(w);
+        self.vals.truncate(w);
+        self.rowptr.shrink_to_fit();
+        self.colidx.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        self
     }
 }
 

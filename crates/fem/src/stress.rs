@@ -23,13 +23,6 @@ impl Stress {
         (self.sx * self.sx - self.sx * self.sy + self.sy * self.sy + 3.0 * self.txy * self.txy)
             .sqrt()
     }
-
-    /// Principal stresses `(σ₁, σ₂)` with `σ₁ ≥ σ₂`.
-    pub fn principal(&self) -> (f64, f64) {
-        let avg = (self.sx + self.sy) / 2.0;
-        let r = (((self.sx - self.sy) / 2.0).powi(2) + self.txy * self.txy).sqrt();
-        (avg + r, avg - r)
-    }
 }
 
 /// Gather an element's displacement vector from the global solution.
@@ -223,16 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn von_mises_and_principal() {
+    fn von_mises_of_uniaxial_and_pure_shear() {
         let s = Stress {
             sx: 100.0,
             sy: 0.0,
             txy: 0.0,
         };
         assert!((s.von_mises() - 100.0).abs() < 1e-12);
-        let (p1, p2) = s.principal();
-        assert!((p1 - 100.0).abs() < 1e-12);
-        assert!(p2.abs() < 1e-12);
 
         let pure_shear = Stress {
             sx: 0.0,
@@ -240,9 +230,6 @@ mod tests {
             txy: 50.0,
         };
         assert!((pure_shear.von_mises() - 50.0 * 3.0f64.sqrt()).abs() < 1e-9);
-        let (q1, q2) = pure_shear.principal();
-        assert!((q1 - 50.0).abs() < 1e-12);
-        assert!((q2 + 50.0).abs() < 1e-12);
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub struct ActivationRecord {
     pub locals_words: Words,
     /// Time the task was created.
     pub created_at: Cycles,
-    /// Time the task terminated (if done).
-    pub completed_at: Option<Cycles>,
     /// Assignment epoch: bumped each time the task is (re)assigned to a PE,
     /// so completion events from a pre-fault assignment can be recognized
     /// as stale.
@@ -118,7 +116,6 @@ impl ActivationRecord {
             state: TaskState::Ready,
             locals_words,
             created_at,
-            completed_at: None,
             epoch: 0,
             locals_held: true,
         }
@@ -151,7 +148,6 @@ mod tests {
         let r = record();
         assert_eq!(r.state, TaskState::Ready);
         assert_eq!(r.created_at, 100);
-        assert_eq!(r.completed_at, None);
         assert_eq!(r.epoch, 0);
     }
 

@@ -767,16 +767,19 @@ impl KernelSim {
         code: CodeId,
         args_words: Words,
     ) -> Option<Words> {
-        let loaded = self.clusters[cluster as usize].loaded.contains(&code)
-            || self.load_code(now, cluster, code);
-        if !loaded {
+        if !self.load_code(now, cluster, code) {
             self.stats.drops.unloaded_code += 1;
             return None;
         }
         Some(self.code.get(code).locals_words + args_words)
     }
 
+    /// Load `code`'s image on `cluster` unless it is there already; false
+    /// if it does not fit. An image is allocated and charged once.
     fn load_code(&mut self, now: Cycles, cluster: u32, code: CodeId) -> bool {
+        if self.clusters[cluster as usize].loaded.contains(&code) {
+            return true;
+        }
         let words = self.code.get(code).words;
         if self.machine.alloc_at(now, cluster, words).is_err() {
             return false;
@@ -845,7 +848,6 @@ impl KernelSim {
     fn finish_task(&mut self, now: Cycles, task: TaskId, pe: Option<PeId>) {
         let rec = &mut self.tasks[task.0 as usize];
         rec.transition(TaskState::Done);
-        rec.completed_at = Some(now);
         let cluster = rec.cluster;
         self.release_locals(now, task);
         if let Some(pe) = pe {
@@ -1186,6 +1188,28 @@ mod tests {
         k.run();
         assert_eq!(k.completions().len(), 1);
         assert_eq!(k.msg_counts()[&MessageKind::LoadCode], 1);
+    }
+
+    /// A second `LoadCode` of a loaded block allocates and charges nothing:
+    /// the cluster's heap reads what the first left, and its kernel PE
+    /// only adds the cost of sending and decoding the second message.
+    #[test]
+    fn second_load_code_keeps_the_loaded_image() {
+        let mut k = sim(1, 2);
+        let code = small_code(&mut k);
+        let kpe = k.machine.kernel_pe(0);
+        let busy = |k: &KernelSim| k.machine.pe(kpe).unwrap().busy_cycles;
+        k.send(0, 0, 0, KernelMessage::LoadCode { code });
+        k.run();
+        let (used, busy_once) = (k.machine.memory(0).used(), busy(&k));
+        assert_eq!(used, k.code_store().get(code).words);
+        k.send(k.now(), 0, 0, KernelMessage::LoadCode { code });
+        k.run();
+        assert_eq!(k.msg_counts()[&MessageKind::LoadCode], 2);
+        assert_eq!(k.machine.memory(0).used(), used);
+        let cost = &k.machine.config.cost;
+        let message = CostClass::MsgSend.cycles(cost) + CostClass::MsgDispatch.cycles(cost);
+        assert_eq!(busy(&k), busy_once + message);
     }
 
     #[test]
@@ -1575,9 +1599,9 @@ mod tests {
     /// `kernel_storm` holds 66 000 records: an RPC worker's reply address
     /// shares the 16 bytes a parent id takes, not a field of its own.
     #[test]
-    fn activation_record_stays_72_bytes() {
+    fn activation_record_stays_56_bytes() {
         assert_eq!(std::mem::size_of::<ReplyTo>(), 16);
-        assert_eq!(std::mem::size_of::<ActivationRecord>(), 72);
+        assert_eq!(std::mem::size_of::<ActivationRecord>(), 56);
     }
 
     /// A memory-bank fault sheds running tasks in PE order — the order the

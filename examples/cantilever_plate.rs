@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used)]
 
 use fem2_core::fem::solver::skyline;
-use fem2_core::fem::{assemble, cantilever_plate, SolverChoice};
+use fem2_core::fem::{assemble_free, cantilever_plate, SolverChoice};
 
 fn main() {
     let model = cantilever_plate(40, 12, -50e3);
@@ -58,9 +58,8 @@ fn main() {
         }
     }
 
-    let k = assemble(&model.mesh, &model.material);
     let free = model.constraints.free_dofs(model.dof_count());
-    let kr = k.submatrix(&free);
+    let kr = assemble_free(&model.mesh, &model.material, &free);
     let f = {
         let full = model.load_sets[0].to_vector(model.dof_count());
         model.constraints.restrict(&full)

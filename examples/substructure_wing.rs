@@ -16,7 +16,7 @@ use fem2_core::fem::bc::{Constraints, LoadSet};
 use fem2_core::fem::partition::Partition;
 use fem2_core::fem::solver::skyline;
 use fem2_core::fem::substructure::analyze_substructures;
-use fem2_core::fem::{assemble, Material, Mesh};
+use fem2_core::fem::{assemble_free, Material, Mesh};
 use std::time::Instant;
 
 #[expect(
@@ -47,9 +47,8 @@ fn main() {
 
     // ---- Monolithic direct reference ------------------------------------
     let t0 = Instant::now();
-    let k = assemble(&mesh, &mat);
     let free = cons.free_dofs(ndof);
-    let kr = k.submatrix(&free);
+    let kr = assemble_free(&mesh, &mat, &free);
     let fr = cons.restrict(&f);
     let ur = skyline::solve(&kr, &fr).expect("SPD");
     let u_ref = cons.expand(&ur, ndof);
