@@ -177,7 +177,7 @@ fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, ParseErro
 }
 
 /// Parse one command line. Empty lines and `#` comments yield `None`.
-pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
+pub(crate) fn parse(line: &str) -> Result<Option<Command>, ParseError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -370,7 +370,7 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
 }
 
 /// The HELP text.
-pub const HELP_TEXT: &str = "\
+pub(crate) const HELP_TEXT: &str = "\
 DEFINE MODEL <name>                 start a new model
 GENERATE GRID <nx> <ny> [QUAD|TRI]  generate a plate grid
 GENERATE BAR <n> LENGTH <l>         generate a bar chain

@@ -73,7 +73,7 @@ impl Database {
     }
 
     /// Store (insert or replace) a model under its own name.
-    pub fn store(&self, model: &StructuralModel) -> Result<(), String> {
+    pub(crate) fn store(&self, model: &StructuralModel) -> Result<(), String> {
         let mut g = self.lock();
         if let Some(dir) = g.dir.clone() {
             let path = dir.join(format!("{}.json", model.name));
@@ -85,12 +85,12 @@ impl Database {
     }
 
     /// Retrieve a model by name.
-    pub fn retrieve(&self, name: &str) -> Option<StructuralModel> {
+    pub(crate) fn retrieve(&self, name: &str) -> Option<StructuralModel> {
         self.lock().models.get(name).cloned()
     }
 
     /// Delete a model; true if it existed.
-    pub fn delete(&self, name: &str) -> bool {
+    pub(crate) fn delete(&self, name: &str) -> bool {
         let mut g = self.lock();
         let existed = g.models.remove(name).is_some();
         if existed {
@@ -102,7 +102,7 @@ impl Database {
     }
 
     /// Stored model names, sorted.
-    pub fn list(&self) -> Vec<String> {
+    pub(crate) fn list(&self) -> Vec<String> {
         self.lock().models.keys().cloned().collect()
     }
 

@@ -4,7 +4,7 @@ use fem2_fem::{Analysis, StructuralModel};
 use std::fmt::Write as _;
 
 /// One-paragraph model summary.
-pub fn model_summary(m: &StructuralModel) -> String {
+pub(crate) fn model_summary(m: &StructuralModel) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "model {}", m.name);
     let _ = writeln!(
@@ -32,7 +32,7 @@ pub fn model_summary(m: &StructuralModel) -> String {
 }
 
 /// Nodal displacement table (largest `max_rows` magnitudes first).
-pub fn displacement_table(m: &StructuralModel, a: &Analysis, max_rows: usize) -> String {
+pub(crate) fn displacement_table(m: &StructuralModel, a: &Analysis, max_rows: usize) -> String {
     let mut rows: Vec<(usize, f64, f64, f64)> = (0..m.mesh.node_count())
         .map(|n| {
             let (u, v) = a.node_displacement(n);
@@ -50,7 +50,7 @@ pub fn displacement_table(m: &StructuralModel, a: &Analysis, max_rows: usize) ->
 }
 
 /// Element stress table (largest `max_rows` von Mises first).
-pub fn stress_table(a: &Analysis, max_rows: usize) -> String {
+pub(crate) fn stress_table(a: &Analysis, max_rows: usize) -> String {
     let mut rows: Vec<(usize, f64, f64, f64, f64)> = a
         .stresses
         .iter()

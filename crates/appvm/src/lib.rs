@@ -13,7 +13,7 @@
 //! * *sequence control* — "direct interpretation of user commands":
 //!   [`command`] parses the command language, [`session::Session`] executes
 //!   one command at a time;
-//! * *data control* — [`workspace::Workspace`] (user-local data) and
+//! * *data control* — `workspace::Workspace` (user-local data) and
 //!   [`database::Database`] (long-term, shared storage);
 //! * *data objects & operations* — structure models, grids, load sets,
 //!   displacements, stresses, with define/generate/solve/display/store/
@@ -38,11 +38,10 @@
 
 pub mod command;
 pub mod database;
-pub mod display;
+pub(crate) mod display;
 pub mod session;
-pub mod workspace;
+pub(crate) mod workspace;
 
 pub use command::{Command, ParseError};
 pub use database::Database;
 pub use session::{Session, SessionError};
-pub use workspace::Workspace;

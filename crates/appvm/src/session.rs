@@ -1,6 +1,6 @@
 //! Interactive sessions: direct interpretation of user commands.
 //!
-//! A [`Session`] owns one [`Workspace`] and shares a [`Database`] with any
+//! A [`Session`] owns one `Workspace` and shares a [`Database`] with any
 //! number of other sessions (the multi-user requirement). `exec` interprets
 //! one command line and returns its console output; scripts are just
 //! sequences of lines.

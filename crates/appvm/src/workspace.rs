@@ -10,21 +10,21 @@ use fem2_fem::{Analysis, StructuralModel};
 #[derive(Default)]
 pub struct Workspace {
     /// The model being built/analyzed, if any.
-    pub model: Option<StructuralModel>,
+    pub(crate) model: Option<StructuralModel>,
     /// Index of the selected load set in the model.
-    pub current_load_set: Option<usize>,
+    pub(crate) current_load_set: Option<usize>,
     /// The most recent analysis result.
-    pub last_analysis: Option<Analysis>,
+    pub(crate) last_analysis: Option<Analysis>,
 }
 
 impl Workspace {
     /// An empty workspace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Install a fresh model, clearing load-set selection and results.
-    pub fn set_model(&mut self, m: StructuralModel) {
+    pub(crate) fn set_model(&mut self, m: StructuralModel) {
         self.current_load_set = if m.load_sets.is_empty() {
             None
         } else {
@@ -35,14 +35,14 @@ impl Workspace {
     }
 
     /// The current model, or a uniform "no model" error.
-    pub fn model(&self) -> Result<&StructuralModel, String> {
+    pub(crate) fn model(&self) -> Result<&StructuralModel, String> {
         self.model
             .as_ref()
             .ok_or_else(|| "no model in workspace (DEFINE MODEL first)".to_string())
     }
 
     /// Mutable access to the current model.
-    pub fn model_mut(&mut self) -> Result<&mut StructuralModel, String> {
+    pub(crate) fn model_mut(&mut self) -> Result<&mut StructuralModel, String> {
         self.model
             .as_mut()
             .ok_or_else(|| "no model in workspace (DEFINE MODEL first)".to_string())

@@ -79,18 +79,8 @@ pub fn e1_requirements(sizes: &[usize]) -> (String, Vec<ScenarioReport>) {
 // E2 — speedup: clustered FEM-2 vs FEM-1-style flat array
 // ---------------------------------------------------------------------
 
-/// One speedup row.
-pub struct SpeedupRow {
-    /// Total worker PEs.
-    pub workers: u32,
-    /// Clustered machine makespan.
-    pub clustered: u64,
-    /// Flat-array makespan.
-    pub flat: u64,
-}
-
 /// E2: fixed-size speedup of the plate solve on clustered vs flat machines.
-pub fn e2_speedup(n: usize) -> (String, Vec<SpeedupRow>) {
+pub fn e2_speedup(n: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "E2 — speedup on a {n}x{n} plate (fixed size)");
     let _ = writeln!(
@@ -105,7 +95,6 @@ pub fn e2_speedup(n: usize) -> (String, Vec<SpeedupRow>) {
         c
     };
     let t1 = PlateScenario::square(n, base_cfg).run().elapsed;
-    let mut rows = Vec::new();
     for &(clusters, pes) in &[(1u32, 1u32), (1, 2), (1, 4), (1, 8), (2, 8), (4, 8), (8, 8)] {
         let mut cfg = MachineConfig::clustered(clusters, pes, Topology::Crossbar);
         cfg.dedicated_kernel_pe = false;
@@ -123,13 +112,8 @@ pub fn e2_speedup(n: usize) -> (String, Vec<SpeedupRow>) {
             tf,
             t1 as f64 / tf as f64
         );
-        rows.push(SpeedupRow {
-            workers,
-            clustered: tc,
-            flat: tf,
-        });
     }
-    (out, rows)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -182,18 +166,8 @@ pub fn e3_windows() -> String {
 // E4 — large-scale dynamic task initiation
 // ---------------------------------------------------------------------
 
-/// One task-initiation row.
-pub struct TaskInitRow {
-    /// Replication count K.
-    pub k: u32,
-    /// Total makespan.
-    pub makespan: u64,
-    /// Cycles per task.
-    pub per_task: f64,
-}
-
 /// E4: initiate-K-replications scaling on the kernel.
-pub fn e4_task_init(ks: &[u32]) -> (String, Vec<TaskInitRow>) {
+pub fn e4_task_init(ks: &[u32]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -204,7 +178,6 @@ pub fn e4_task_init(ks: &[u32]) -> (String, Vec<TaskInitRow>) {
         "{:>8} {:>12} {:>12} {:>12} {:>10}",
         "K", "makespan", "cy/task", "completed", "kernelmsg"
     );
-    let mut rows = Vec::new();
     for &k in ks {
         let machine = Machine::new(MachineConfig::fem2_default());
         let mut sim = KernelSim::new(machine);
@@ -236,13 +209,8 @@ pub fn e4_task_init(ks: &[u32]) -> (String, Vec<TaskInitRow>) {
             "{:>8} {:>12} {:>12.1} {:>12} {:>10}",
             k, makespan, per_task, done, kernel_msgs
         );
-        rows.push(TaskInitRow {
-            k,
-            makespan,
-            per_task,
-        });
     }
-    (out, rows)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -839,21 +807,21 @@ const TORUS_PLATE_TASKS: u32 = 128;
 /// quantity.
 pub struct WeakScalingRow {
     /// `"torus"` or `"fattree"`.
-    pub topology: &'static str,
+    pub(crate) topology: &'static str,
     /// Clusters in the machine.
-    pub clusters: u32,
+    pub(crate) clusters: u32,
     /// Simulated cycles until the last charge or delivery completes.
-    pub makespan: u64,
+    pub(crate) makespan: u64,
     /// Machine events (charges and transfers).
-    pub events: u64,
+    pub(crate) events: u64,
     /// Link records the sparse network slab materialized.
-    pub alloc_links: u64,
+    pub(crate) alloc_links: u64,
     /// Cluster PE lanes materialized.
-    pub alloc_clusters: u64,
+    pub(crate) alloc_clusters: u64,
     /// The smallest cluster count at which this row's topology saturates
     /// its bisection (makespan more than doubles the 32-cluster one); 0
     /// when it never does within the sweep.
-    pub saturation_clusters: u64,
+    pub(crate) saturation_clusters: u64,
 }
 
 /// The topology of one weak-scaling cell. Both shapes factor every power
@@ -973,6 +941,16 @@ pub fn a6_weak_scaling() -> (String, Vec<WeakScalingRow>, ScenarioReport) {
 mod tests {
     use super::*;
 
+    /// The numeric cells of a rendered table, one `Vec` per row after the
+    /// `header` lines.
+    fn table_rows(table: &str, header: usize) -> Vec<Vec<f64>> {
+        table
+            .lines()
+            .skip(header)
+            .map(|l| l.split_whitespace().map(|c| c.parse().unwrap()).collect())
+            .collect()
+    }
+
     #[test]
     fn e1_rows_monotone_in_size() {
         let (_, reports) = e1_requirements(&[8, 16]);
@@ -982,19 +960,17 @@ mod tests {
 
     #[test]
     fn e2_parallel_beats_serial_and_clustered_beats_flat() {
-        let (_, rows) = e2_speedup(32);
-        let first = rows.first().unwrap();
-        let last = rows.last().unwrap();
-        assert!(
-            last.clustered < first.clustered,
-            "speedup with more workers"
-        );
+        let table = e2_speedup(32);
+        // Columns: workers, clustered(cy), speedup, eff, flat-bus(cy), speedup.
+        let rows = table_rows(&table, 2);
+        let (first, last) = (rows.first().unwrap(), rows.last().unwrap());
+        assert!(last[1] < first[1], "speedup with more workers");
         // At the largest machine, clustered beats the flat bus array.
         assert!(
-            last.clustered < last.flat,
+            last[1] < last[4],
             "clustered {} < flat {}",
-            last.clustered,
-            last.flat
+            last[1],
+            last[4]
         );
     }
 
@@ -1008,11 +984,9 @@ mod tests {
 
     #[test]
     fn e4_amortizes_initiation() {
-        let (_, rows) = e4_task_init(&[8, 512]);
-        assert!(
-            rows[1].per_task < rows[0].per_task * 4.0,
-            "per-task cost stays bounded"
-        );
+        // Columns: K, makespan, cy/task, completed, kernelmsg.
+        let rows = table_rows(&e4_task_init(&[8, 512]), 2);
+        assert!(rows[1][2] < rows[0][2] * 4.0, "per-task cost stays bounded");
     }
 
     #[test]

@@ -27,9 +27,9 @@ type Table = (&'static str, fn() -> String);
 /// Every experiment, in print order.
 const TABLES: [Table; 13] = [
     ("e1", || ex::e1_requirements(&[8, 16, 32, 48, 64]).0),
-    ("e2", || ex::e2_speedup(48).0),
+    ("e2", || ex::e2_speedup(48)),
     ("e3", ex::e3_windows),
-    ("e4", || ex::e4_task_init(&[1, 8, 64, 512, 4096]).0),
+    ("e4", || ex::e4_task_init(&[1, 8, 64, 512, 4096])),
     ("e5", ex::e5_network),
     ("e6", ex::e6_levels),
     ("e7", || ex::e7_fault().0),

@@ -20,13 +20,13 @@ use fem2_machine::{Cycles, MachineConfig, Topology};
 /// Hardware cost model (abstract units). PEs dominate; networks scale with
 /// their physical resource count.
 #[derive(Clone, Copy, Debug)]
-pub struct CostWeights {
+pub(crate) struct CostWeights {
     /// Cost per PE.
-    pub pe: f64,
+    pub(crate) pe: f64,
     /// Cost per cluster chassis (shared memory, kernel support).
-    pub cluster: f64,
+    pub(crate) cluster: f64,
     /// Cost per network link.
-    pub link: f64,
+    pub(crate) link: f64,
 }
 
 impl Default for CostWeights {
@@ -41,7 +41,7 @@ impl Default for CostWeights {
 
 impl CostWeights {
     /// The hardware cost of a configuration.
-    pub fn cost(&self, cfg: &MachineConfig) -> f64 {
+    pub(crate) fn cost(&self, cfg: &MachineConfig) -> f64 {
         let n = cfg.clusters as f64;
         let links = match &cfg.topology {
             Topology::Bus => 1.0,
@@ -89,9 +89,9 @@ pub struct DesignCandidate {
     /// Within budget?
     pub feasible: bool,
     /// Makespan of the user-problem batch (cycles).
-    pub batch_cycles: Cycles,
+    pub(crate) batch_cycles: Cycles,
     /// Makespan of the machine-wide large problem (cycles).
-    pub large_cycles: Cycles,
+    pub(crate) large_cycles: Cycles,
     /// Total workload makespan = batch + large (infeasible → `u64::MAX`).
     pub makespan: Cycles,
 }
@@ -113,7 +113,7 @@ pub struct DesignTrace {
     /// Every candidate, in evaluation order.
     pub evaluated: Vec<DesignCandidate>,
     /// Index of the best candidate in `evaluated`.
-    pub best: usize,
+    pub(crate) best: usize,
     /// Best-so-far score after each evaluation (the convergence curve).
     pub best_so_far: Vec<f64>,
 }
@@ -161,7 +161,7 @@ pub struct DesignSpace {
     /// The candidates to evaluate.
     pub candidates: Vec<MachineConfig>,
     /// The cost model.
-    pub weights: CostWeights,
+    pub(crate) weights: CostWeights,
     /// The requirements/workload mix.
     pub requirements: DesignRequirements,
 }

@@ -17,7 +17,6 @@
 //! results that trade-off is right: the hash is an index, not a proof.
 
 use serde::json::Value;
-use serde::Serialize;
 
 /// The workspace's one FNV-1a, beside the engine's keyed indexes.
 pub use fem2_machine::index::fnv1a_64;
@@ -26,7 +25,7 @@ pub use fem2_machine::index::fnv1a_64;
 /// Arrays keep their order (position is meaning); duplicate keys keep
 /// their relative order after the sort (first occurrence wins on lookup,
 /// and both occurrences still contribute to the hash).
-pub fn canonicalize(v: &Value) -> Value {
+pub(crate) fn canonicalize(v: &Value) -> Value {
     match v {
         Value::Arr(items) => Value::Arr(items.iter().map(canonicalize).collect()),
         Value::Obj(pairs) => {
@@ -44,7 +43,7 @@ pub fn canonicalize(v: &Value) -> Value {
 /// The canonical serialization of a value: compact JSON of the
 /// key-sorted tree. Two values that differ only in object field order
 /// canonicalize to identical bytes.
-pub fn canonical_json(v: &Value) -> String {
+pub(crate) fn canonical_json(v: &Value) -> String {
     let canon = canonicalize(v);
     serde_json::to_string(&canon).expect("canonical tree has no non-finite floats")
 }
@@ -52,11 +51,6 @@ pub fn canonical_json(v: &Value) -> String {
 /// Content hash of a JSON tree: FNV-1a over its canonical serialization.
 pub fn content_hash_value(v: &Value) -> u64 {
     fnv1a_64(canonical_json(v).as_bytes())
-}
-
-/// Content hash of any serializable value; see [`content_hash_value`].
-pub fn content_hash<T: Serialize>(value: &T) -> u64 {
-    content_hash_value(&value.to_value())
 }
 
 /// The 16-hex-digit rendering used wherever a hash is shown or stored.
@@ -67,10 +61,11 @@ pub fn hash_hex(h: u64) -> String {
 #[cfg(test)]
 #[expect(
     clippy::disallowed_types,
-    reason = "tests hash a HashMap's sorted entries to prove order-independence of content_hash"
+    reason = "tests hash a HashMap's sorted entries to prove order-independence of content_hash_value"
 )]
 mod tests {
     use super::*;
+    use serde::Serialize;
     use std::collections::HashMap;
 
     #[test]
@@ -170,9 +165,10 @@ mod tests {
     fn machine_configs_hash_through_serialize() {
         let a = fem2_machine::MachineConfig::fem2_default();
         let mut b = a.clone();
-        assert_eq!(content_hash(&a), content_hash(&b));
+        let hash = |c: &fem2_machine::MachineConfig| content_hash_value(&c.to_value());
+        assert_eq!(hash(&a), hash(&b));
         b.clusters = 8;
-        assert_ne!(content_hash(&a), content_hash(&b));
+        assert_ne!(hash(&a), hash(&b));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Each [`Layer`] carries its formal specification: the data-object grammar
 //! (from [`crate::spec`]) and its feature catalog under the five
-//! [`VmComponent`]s. Each layer knows the layer it is implemented on — the
+//! `VmComponent`s. Each layer knows the layer it is implemented on — the
 //! top-down refinement chain the design method walks — and
 //! [`design_document`] writes the whole design out.
 
@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// > control mechanisms …, (4) various data control mechanisms …, and (5)
 /// > storage management mechanisms …"
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum VmComponent {
+pub(crate) enum VmComponent {
     /// Types of data objects.
     DataObjects,
     /// Operations on those data objects.
@@ -39,7 +39,7 @@ pub enum VmComponent {
 
 impl VmComponent {
     /// All five components, in the paper's order.
-    pub const ALL: [VmComponent; 5] = [
+    pub(crate) const ALL: [VmComponent; 5] = [
         VmComponent::DataObjects,
         VmComponent::Operations,
         VmComponent::SequenceControl,
@@ -125,7 +125,7 @@ impl Layer {
 
     /// The features the paper lists for this layer under `component`,
     /// sorted by name.
-    pub fn features(self, component: VmComponent) -> Vec<&'static str> {
+    pub(crate) fn features(self, component: VmComponent) -> Vec<&'static str> {
         let catalog = match self {
             Layer::ApplicationUser => APP_USER_CATALOG,
             Layer::NumericalAnalyst => NUMERICAL_ANALYST_CATALOG,

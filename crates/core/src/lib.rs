@@ -37,7 +37,7 @@ pub mod scenario;
 pub mod spec;
 pub mod verify;
 
-pub use design::{DesignCandidate, DesignSpace, DesignTrace};
+pub use design::DesignSpace;
 pub use layers::Layer;
 pub use scenario::{plate_cg, PlateScenario, ScenarioReport};
 

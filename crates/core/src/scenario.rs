@@ -95,7 +95,7 @@ pub struct PlateScenario {
     pub max_iters: usize,
     /// Trace sink threaded into the simulated machine (disabled by
     /// default; tracing is observation-only and never changes results).
-    pub trace: TraceHandle,
+    pub(crate) trace: TraceHandle,
     /// Let warning-severity verification findings through the pre-dispatch
     /// gate ([`PlateScenario::run`] still hard-fails on errors).
     pub allow_warnings: bool,
@@ -307,11 +307,6 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Counters of a named phase.
-    pub fn phase(&self, name: &str) -> Option<&PhaseCounters> {
-        self.phases.iter().find(|(n, _)| n == name).map(|(_, c)| c)
-    }
-
     /// One summary row: problem size, cycles, flops, messages, words,
     /// memory.
     pub fn row(&self) -> String {
@@ -350,7 +345,8 @@ mod tests {
         );
         // Processing.
         assert!(r.total_flops > 0);
-        assert!(r.phase("solve").unwrap().flops > r.phase("stress").unwrap().flops);
+        let flops = |name: &str| r.phases.iter().find(|(n, _)| n == name).unwrap().1.flops;
+        assert!(flops("solve") > flops("stress"));
         // Storage.
         assert!(r.peak_memory_words > 0);
         // Communication.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// Grammar of the application user's data objects: the structural model as
 /// stored in the workspace/database.
-pub fn app_grammar() -> Arc<Grammar> {
+pub(crate) fn app_grammar() -> Arc<Grammar> {
     Arc::new(
         Grammar::builder("app-user data objects")
             .rule("Model", Shape::graph_entry("ModelNode"))
@@ -81,7 +81,7 @@ pub fn model_to_hgraph(m: &StructuralModel) -> HGraph {
 }
 
 /// Grammar of the numerical analyst's data objects: window descriptors.
-pub fn navm_grammar() -> Arc<Grammar> {
+pub(crate) fn navm_grammar() -> Arc<Grammar> {
     Arc::new(
         Grammar::builder("numerical-analyst data objects")
             .rule("Window", Shape::graph_entry("WinNode"))
@@ -128,7 +128,7 @@ pub fn window_to_hgraph(w: &WindowDescriptor) -> HGraph {
 
 /// Grammar of the system programmer's data objects: the task population
 /// (activation records with legal states).
-pub fn kernel_grammar() -> Arc<Grammar> {
+pub(crate) fn kernel_grammar() -> Arc<Grammar> {
     Arc::new(
         Grammar::builder("system-programmer data objects")
             .rule("Tasks", Shape::graph_entry("TaskHub"))
@@ -183,7 +183,7 @@ pub fn kernel_tasks_to_hgraph(k: &KernelSim) -> HGraph {
 }
 
 /// Grammar of the hardware layer: the machine organization.
-pub fn hw_grammar() -> Arc<Grammar> {
+pub(crate) fn hw_grammar() -> Arc<Grammar> {
     Arc::new(
         Grammar::builder("hardware organization")
             .rule("Machine", Shape::graph_entry("MachineNode"))

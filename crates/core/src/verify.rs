@@ -20,7 +20,7 @@ use fem2_verify::{
 };
 
 /// Number of solver vectors a plate CG run keeps live: b, x, r, p, Ap.
-pub const CG_LIVE_VECTORS: u64 = 5;
+pub(crate) const CG_LIVE_VECTORS: u64 = 5;
 
 /// Lower a plate scenario to the analyzer's script IR. The script mirrors
 /// what [`PlateScenario::run`] will ask of the kernel: one task per worker
@@ -195,7 +195,7 @@ pub fn check_catalog() -> Vec<Report> {
 
 /// Static cost bounds for every example scenario, in catalog order, each
 /// at its CG iteration cap.
-pub fn catalog_costs() -> Vec<(&'static str, CostReport)> {
+pub(crate) fn catalog_costs() -> Vec<(&'static str, CostReport)> {
     example_scenarios()
         .iter()
         .map(|(name, scenario)| (*name, scenario_cost(scenario)))
@@ -203,7 +203,7 @@ pub fn catalog_costs() -> Vec<(&'static str, CostReport)> {
 }
 
 /// Render the catalog's cost bounds as the `fem2-report --check` table.
-pub fn render_cost_table(costs: &[(&str, CostReport)]) -> String {
+pub(crate) fn render_cost_table(costs: &[(&str, CostReport)]) -> String {
     let mut out = String::from(
         "COST BOUNDS (sound upper bounds per example scenario, at the CG iteration cap)\n\n",
     );

@@ -13,7 +13,7 @@ use crate::sparse::Csr;
 use crate::DOF_PER_NODE;
 
 /// Global dof indices of an element (2 per node, `[u, v]` interleaved).
-pub fn element_dofs(nodes: &[usize]) -> Vec<usize> {
+pub(crate) fn element_dofs(nodes: &[usize]) -> Vec<usize> {
     let mut dofs = Vec::with_capacity(nodes.len() * DOF_PER_NODE);
     for &n in nodes {
         dofs.push(DOF_PER_NODE * n);
@@ -23,7 +23,7 @@ pub fn element_dofs(nodes: &[usize]) -> Vec<usize> {
 }
 
 /// Compute one element's stiffness and dof map.
-pub fn element_matrix(mesh: &Mesh, elem: usize, mat: &Material) -> ElementMatrix {
+pub(crate) fn element_matrix(mesh: &Mesh, elem: usize, mat: &Material) -> ElementMatrix {
     let e = &mesh.elements[elem];
     let (coords, nodes) = mesh.element_coords(elem);
     ElementMatrix {

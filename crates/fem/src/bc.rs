@@ -28,13 +28,13 @@ impl Constraints {
     }
 
     /// Fix the `component`-th dof of a node (0 = u, 1 = v): a roller.
-    pub fn fix_component(&mut self, node: usize, component: usize) {
+    pub(crate) fn fix_component(&mut self, node: usize, component: usize) {
         assert!(component < crate::DOF_PER_NODE, "bad component");
         self.fixed.insert(crate::DOF_PER_NODE * node + component);
     }
 
     /// True if `dof` is fixed.
-    pub fn is_fixed(&self, dof: usize) -> bool {
+    pub(crate) fn is_fixed(&self, dof: usize) -> bool {
         self.fixed.contains(&dof)
     }
 
@@ -87,7 +87,7 @@ impl LoadSet {
     }
 
     /// Add a force on a dof.
-    pub fn add_dof(&mut self, dof: usize, force: f64) {
+    pub(crate) fn add_dof(&mut self, dof: usize, force: f64) {
         self.loads.push((dof, force));
     }
 

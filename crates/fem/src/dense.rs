@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A row-major dense matrix of `f64`.
 #[derive(Clone, PartialEq, Debug)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -13,7 +13,7 @@ pub struct DenseMatrix {
 
 impl DenseMatrix {
     /// An all-zero `rows × cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         DenseMatrix {
             rows,
             cols,
@@ -21,17 +21,8 @@ impl DenseMatrix {
         }
     }
 
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build from a row-major slice.
-    pub fn from_rows(rows: usize, cols: usize, vals: &[f64]) -> Self {
+    pub(crate) fn from_rows(rows: usize, cols: usize, vals: &[f64]) -> Self {
         assert_eq!(vals.len(), rows * cols, "value count mismatch");
         DenseMatrix {
             rows,
@@ -40,23 +31,13 @@ impl DenseMatrix {
         }
     }
 
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Raw row-major data.
-    pub fn data(&self) -> &[f64] {
+    pub(crate) fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Matrix–vector product `A·x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         let mut y = vec![0.0; self.rows];
         for (r, yr) in y.iter_mut().enumerate() {
@@ -71,7 +52,7 @@ impl DenseMatrix {
     }
 
     /// Matrix–matrix product `A·B`.
-    pub fn matmul(&self, b: &DenseMatrix) -> DenseMatrix {
+    pub(crate) fn matmul(&self, b: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, b.rows, "inner dimension mismatch");
         let mut out = DenseMatrix::zeros(self.rows, b.cols);
         for i in 0..self.rows {
@@ -89,7 +70,7 @@ impl DenseMatrix {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> DenseMatrix {
+    pub(crate) fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -100,7 +81,8 @@ impl DenseMatrix {
     }
 
     /// Maximum absolute asymmetry `max |A - Aᵀ|` (diagnostics).
-    pub fn asymmetry(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn asymmetry(&self) -> f64 {
         assert_eq!(self.rows, self.cols);
         let mut worst = 0.0f64;
         for i in 0..self.rows {
@@ -114,7 +96,7 @@ impl DenseMatrix {
     /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
     /// matrix. Returns the lower factor, or `None` if a pivot is not
     /// positive (A not SPD to working precision).
-    pub fn cholesky(&self) -> Option<DenseMatrix> {
+    pub(crate) fn cholesky(&self) -> Option<DenseMatrix> {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
         let n = self.rows;
         let mut l = DenseMatrix::zeros(n, n);
@@ -140,13 +122,13 @@ impl DenseMatrix {
     }
 
     /// Solve `A·x = b` via Cholesky. `None` if A is not SPD.
-    pub fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
+    pub(crate) fn solve_spd(&self, b: &[f64]) -> Option<Vec<f64>> {
         let l = self.cholesky()?;
         Some(l.cholesky_solve(b))
     }
 
     /// Given `self = L` (lower triangular), solve `L Lᵀ x = b`.
-    pub fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.rows;
         assert_eq!(b.len(), n, "b length mismatch");
         // Forward: L y = b.
@@ -172,7 +154,7 @@ impl DenseMatrix {
 
     /// Invert an SPD matrix (used by static condensation on small interior
     /// blocks). `None` if not SPD.
-    pub fn inverse_spd(&self) -> Option<DenseMatrix> {
+    pub(crate) fn inverse_spd(&self) -> Option<DenseMatrix> {
         let l = self.cholesky()?;
         let n = self.rows;
         let mut inv = DenseMatrix::zeros(n, n);
@@ -227,7 +209,10 @@ mod tests {
 
     #[test]
     fn identity_matvec() {
-        let i = DenseMatrix::identity(4);
+        let mut i = DenseMatrix::zeros(4, 4);
+        for d in 0..4 {
+            i[(d, d)] = 1.0;
+        }
         let x = vec![1.0, -2.0, 3.5, 0.0];
         assert_eq!(i.matvec(&x), x);
     }
@@ -306,7 +291,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let a = DenseMatrix::identity(2);
+        let a = DenseMatrix::from_rows(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         let s = a.to_string();
         assert!(s.lines().count() == 2);
     }

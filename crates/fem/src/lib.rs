@@ -12,7 +12,7 @@
 //! |-----------------------------|-------------------------------|
 //! | structure/substructure model| [`model::StructuralModel`], [`substructure`] |
 //! | grid description            | [`mesh::Mesh`] generators     |
-//! | node/element description    | [`mesh::Node`], [`element`]   |
+//! | node/element description    | [`mesh::Node`], `element`     |
 //! | load set                    | [`bc::LoadSet`]               |
 //! | displacements of nodes      | [`model::Analysis::displacements`] |
 //! | stresses on elements        | [`stress`]                    |
@@ -31,18 +31,18 @@
 //! * [`solver::parallel_cg`] — CG with matvec, dots and updates on a
 //!   `fem2-par` pool; no solver choice reaches it, it stays for the repo
 //!   benchmark's `par.cg_*` probe;
-//! * [`solver::ebe`] — element-by-element CG: matrix-free, assembling
+//! * `solver::ebe` — element-by-element CG: matrix-free, assembling
 //!   nothing, the variant suited to small-memory PEs.
 
 pub mod assembly;
 pub mod bc;
-pub mod dense;
-pub mod element;
+pub(crate) mod dense;
+pub(crate) mod element;
 pub mod material;
 pub mod mesh;
 pub mod model;
 pub mod partition;
-pub mod renumber;
+pub(crate) mod renumber;
 pub mod solver;
 pub mod sparse;
 pub mod stress;
@@ -50,14 +50,12 @@ pub mod substructure;
 
 pub use assembly::{assemble, assemble_free};
 pub use bc::{Constraints, LoadSet};
-pub use dense::DenseMatrix;
-pub use element::{ElementKind, ElementMatrix};
 pub use material::Material;
-pub use mesh::{Element, Mesh, Node};
+pub use mesh::{Mesh, Node};
 pub use model::{
     cantilever_plate, Analysis, SolverChoice, StructuralModel, JACOBI_ON_PLANE_STRESS,
 };
 pub use sparse::{Coo, Csr};
 
 /// Degrees of freedom per node in the plane problems this crate solves.
-pub const DOF_PER_NODE: usize = 2;
+pub(crate) const DOF_PER_NODE: usize = 2;

@@ -12,9 +12,9 @@ pub struct Material {
     /// Plate thickness (areal elements), m.
     pub thickness: f64,
     /// Cross-section area (bar elements), m².
-    pub area: f64,
+    pub(crate) area: f64,
     /// Mass density, kg/m³ (reserved for dynamics extensions).
-    pub rho: f64,
+    pub(crate) rho: f64,
 }
 
 impl Material {
@@ -60,13 +60,13 @@ impl Material {
 
     /// The plane-stress constitutive matrix entries `(d11, d12, d33)` where
     /// `D = E/(1-ν²) · [[1, ν, 0], [ν, 1, 0], [0, 0, (1-ν)/2]]`.
-    pub fn plane_stress_d(&self) -> (f64, f64, f64) {
+    pub(crate) fn plane_stress_d(&self) -> (f64, f64, f64) {
         let f = self.e / (1.0 - self.nu * self.nu);
         (f, f * self.nu, f * (1.0 - self.nu) / 2.0)
     }
 
     /// Physical plausibility check.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.e <= 0.0 {
             return Err("Young's modulus must be positive".into());
         }

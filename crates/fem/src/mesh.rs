@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Node {
     /// x coordinate.
-    pub x: f64,
+    pub(crate) x: f64,
     /// y coordinate.
-    pub y: f64,
+    pub(crate) y: f64,
 }
 
 /// The most nodes any [`ElementKind`] connects.
@@ -22,25 +22,25 @@ pub(crate) const MAX_ELEMENT_NODES: usize = 4;
 /// An element: a kind plus its node connectivity (indices into the mesh's
 /// node list, counter-clockwise for areal elements).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct Element {
+pub(crate) struct Element {
     /// The element formulation.
-    pub kind: ElementKind,
+    pub(crate) kind: ElementKind,
     /// Connected node indices.
-    pub nodes: Vec<usize>,
+    pub(crate) nodes: Vec<usize>,
 }
 
 /// A grid description: nodes plus elements.
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct Mesh {
     /// Node coordinates.
-    pub nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
     /// Element connectivity.
-    pub elements: Vec<Element>,
+    pub(crate) elements: Vec<Element>,
 }
 
 impl Mesh {
     /// An empty mesh.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -229,7 +229,7 @@ impl Mesh {
 
     /// Validate connectivity: every element references existing nodes and
     /// has the arity its kind requires.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (idx, e) in self.elements.iter().enumerate() {
             if e.nodes.len() != e.kind.node_count() {
                 return Err(format!(

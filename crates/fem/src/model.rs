@@ -131,14 +131,9 @@ impl StructuralModel {
         self.load_sets.len() - 1
     }
 
-    /// Look up a load set by name.
-    pub fn load_set(&self, name: &str) -> Option<&LoadSet> {
-        self.load_sets.iter().find(|ls| ls.name == name)
-    }
-
     /// Structural validity: mesh connectivity, material, and at least one
     /// support (otherwise the stiffness is singular).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.mesh.validate()?;
         self.material.validate()?;
         if self.mesh.element_count() == 0 {
@@ -418,13 +413,6 @@ mod tests {
     fn missing_load_set_rejected() {
         let m = cantilever_plate(2, 2, -1.0);
         assert!(m.analyze(5, SolverChoice::Skyline).is_err());
-    }
-
-    #[test]
-    fn load_set_lookup_by_name() {
-        let m = cantilever_plate(2, 2, -1.0);
-        assert!(m.load_set("tip").is_some());
-        assert!(m.load_set("gust").is_none());
     }
 
     #[test]

@@ -15,9 +15,9 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Part index of each element.
-    pub element_part: Vec<usize>,
+    pub(crate) element_part: Vec<usize>,
     /// Number of parts.
-    pub parts: usize,
+    pub(crate) parts: usize,
 }
 
 impl Partition {
@@ -54,7 +54,7 @@ impl Partition {
     }
 
     /// Nodes referenced by part `p`.
-    pub fn nodes_of(&self, mesh: &Mesh, p: usize) -> BTreeSet<usize> {
+    pub(crate) fn nodes_of(&self, mesh: &Mesh, p: usize) -> BTreeSet<usize> {
         let mut s = BTreeSet::new();
         for e in self.elements_of(p) {
             s.extend(mesh.elements[e].nodes.iter().copied());
@@ -64,7 +64,7 @@ impl Partition {
 
     /// Interface nodes: nodes shared by two or more parts. These are the
     /// dofs that must be communicated (or condensed) between substructures.
-    pub fn interface_nodes(&self, mesh: &Mesh) -> BTreeSet<usize> {
+    pub(crate) fn interface_nodes(&self, mesh: &Mesh) -> BTreeSet<usize> {
         let mut owner: Vec<Option<usize>> = vec![None; mesh.node_count()];
         let mut interface = BTreeSet::new();
         for (e, &p) in self.element_part.iter().enumerate() {
@@ -79,12 +79,6 @@ impl Partition {
             }
         }
         interface
-    }
-
-    /// Communication volume estimate: interface dof count × 1 word per
-    /// solver sweep direction.
-    pub fn interface_dofs(&self, mesh: &Mesh) -> usize {
-        self.interface_nodes(mesh).len() * crate::DOF_PER_NODE
     }
 
     /// Sanity: every element assigned to a valid part.
@@ -130,7 +124,6 @@ mod tests {
         for &n in &iface {
             assert!((mesh.nodes[n].x - 2.0).abs() < 1e-9);
         }
-        assert_eq!(p.interface_dofs(&mesh), 6);
     }
 
     #[test]
@@ -138,7 +131,7 @@ mod tests {
         let mesh = Mesh::grid_quad(16, 4, 16.0, 4.0);
         let p2 = Partition::strips_x(&mesh, 2);
         let p8 = Partition::strips_x(&mesh, 8);
-        assert!(p8.interface_dofs(&mesh) > p2.interface_dofs(&mesh));
+        assert!(p8.interface_nodes(&mesh).len() > p2.interface_nodes(&mesh).len());
     }
 
     #[test]

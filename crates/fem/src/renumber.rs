@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 /// Node adjacency lists from element connectivity: each node's
 /// neighbours, sorted, itself left out.
-pub fn adjacency(mesh: &Mesh) -> Vec<Vec<usize>> {
+pub(crate) fn adjacency(mesh: &Mesh) -> Vec<Vec<usize>> {
     let (ptr, adj) = mesh.node_graph();
     ptr.windows(2)
         .enumerate()
@@ -29,7 +29,7 @@ pub fn adjacency(mesh: &Mesh) -> Vec<Vec<usize>> {
 /// The Reverse Cuthill–McKee ordering: returns `perm` with
 /// `perm[new] = old`. Disconnected components are ordered one after the
 /// other, each seeded from a minimum-degree node.
-pub fn rcm_order(mesh: &Mesh) -> Vec<usize> {
+pub(crate) fn rcm_order(mesh: &Mesh) -> Vec<usize> {
     let n = mesh.node_count();
     let adj = adjacency(mesh);
     let mut visited = vec![false; n];

@@ -15,7 +15,7 @@ use crate::DOF_PER_NODE;
 
 /// The element-by-element operator: element matrices plus the constraint
 /// map from reduced (free) dofs to full dofs.
-pub struct EbeOperator {
+pub(crate) struct EbeOperator {
     elements: Vec<ElementMatrix>,
     /// Full dof count.
     full_dofs: usize,
@@ -29,7 +29,7 @@ impl EbeOperator {
     /// Build the operator from a mesh, material, and a set of fixed dofs
     /// (ascending `free` list as produced by
     /// [`crate::bc::Constraints::free_dofs`]).
-    pub fn new(mesh: &Mesh, mat: &Material, free: &[usize]) -> Self {
+    pub(crate) fn new(mesh: &Mesh, mat: &Material, free: &[usize]) -> Self {
         let full = mesh.node_count() * DOF_PER_NODE;
         let mut to_reduced = vec![usize::MAX; full];
         for (newi, &old) in free.iter().enumerate() {
@@ -47,17 +47,12 @@ impl EbeOperator {
     }
 
     /// Reduced system order.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.reduced_dofs
     }
 
-    /// Number of element blocks held.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     /// `y ← K·x` on the reduced dofs, element by element.
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.reduced_dofs, "x length");
         assert_eq!(y.len(), self.reduced_dofs, "y length");
         // Expand to full, multiply per element, contract.
@@ -87,7 +82,7 @@ impl EbeOperator {
 }
 
 /// Solve the constrained system by CG with the EBE operator.
-pub fn solve(op: &EbeOperator, f: &[f64], ctl: IterControls) -> (Vec<f64>, SolveLog) {
+pub(crate) fn solve(op: &EbeOperator, f: &[f64], ctl: IterControls) -> (Vec<f64>, SolveLog) {
     let n = op.order();
     assert_eq!(f.len(), n, "f length");
     let fnorm = f.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -206,6 +201,6 @@ mod tests {
         let full = mesh.node_count() * crate::DOF_PER_NODE;
         let free = c.free_dofs(full);
         let op = EbeOperator::new(&mesh, &mat, &free);
-        assert_eq!(op.element_count(), 12);
+        assert_eq!(op.elements.len(), 12);
     }
 }

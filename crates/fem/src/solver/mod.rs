@@ -5,8 +5,8 @@
 //! Adams–Voigt solver scenario).
 
 pub mod cg;
-pub mod ebe;
-pub mod eigen;
+pub(crate) mod ebe;
+pub(crate) mod eigen;
 pub mod jacobi;
 pub mod parallel_cg;
 pub mod skyline;
@@ -61,7 +61,7 @@ pub(crate) mod testmat {
     use crate::sparse::{Coo, Csr};
 
     /// The 2-D 5-point Laplacian on an `nx × nx` grid (SPD).
-    pub fn laplacian_2d(nx: usize) -> Csr {
+    pub(crate) fn laplacian_2d(nx: usize) -> Csr {
         let n = nx * nx;
         let mut coo = Coo::new(n);
         for j in 0..nx {
@@ -86,12 +86,12 @@ pub(crate) mod testmat {
     }
 
     /// A right-hand side with a known-ish rough shape.
-    pub fn rhs(n: usize) -> Vec<f64> {
+    pub(crate) fn rhs(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 31 + 7) % 17) as f64 - 8.0).collect()
     }
 
     /// SplitMix64: the generator behind the bitwise-oracle tests' inputs.
-    pub fn splitmix(state: &mut u64) -> u64 {
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -101,7 +101,7 @@ pub(crate) mod testmat {
 
     /// `n` values of either sign with full mantissas and exponents spread
     /// over 2⁻⁶…2⁶, so that a sum taken in another order rounds differently.
-    pub fn values(seed: u64, n: usize) -> Vec<f64> {
+    pub(crate) fn values(seed: u64, n: usize) -> Vec<f64> {
         let mut state = seed;
         (0..n)
             .map(|_| {
@@ -115,7 +115,7 @@ pub(crate) mod testmat {
     }
 
     /// `got` and `want` equal bit for bit, entry by entry.
-    pub fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+    pub(crate) fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(
@@ -128,7 +128,7 @@ pub(crate) mod testmat {
 
     /// The reduced stiffness and load vector of `cantilever_plate(nx, ny)`:
     /// the plane-stress system `analyze` hands its solvers.
-    pub fn reduced_cantilever(nx: usize, ny: usize) -> (Csr, Vec<f64>) {
+    pub(crate) fn reduced_cantilever(nx: usize, ny: usize) -> (Csr, Vec<f64>) {
         let m = crate::model::cantilever_plate(nx, ny, -1e4);
         let free = m.constraints.free_dofs(m.dof_count());
         let kr = crate::assembly::assemble_free(&m.mesh, &m.material, &free);

@@ -10,7 +10,7 @@
 //! `u[i][j] = (a[i][j] − Σₖ u[k][i]·u[k][j]) / u[i][i]`, the sum taken over
 //! the rows `k < i` both columns store, starting from `a[i][j]` and
 //! subtracting one product at a time in ascending `k`; the diagonal is
-//! `√(a[j][j] − Σₖ u[k][j]²)` in the same order. [`Skyline::factorize`]
+//! `√(a[j][j] − Σₖ u[k][j]²)` in the same order. `Skyline::factorize`
 //! advances four such rows of a column side by side — four independent
 //! chains — and never reorders a chain, so how many rows share a pass is
 //! invisible in the result.
@@ -72,11 +72,6 @@ impl Skyline {
         }
     }
 
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Envelope size (stored entries).
     pub fn envelope(&self) -> usize {
         self.vals.len()
@@ -85,7 +80,7 @@ impl Skyline {
     /// In-place Cholesky within the envelope: produces `U` with `A = UᵀU`
     /// (upper factor stored in the same skyline). Returns `Err` if a pivot
     /// is non-positive.
-    pub fn factorize(&mut self) -> Result<(), String> {
+    pub(crate) fn factorize(&mut self) -> Result<(), String> {
         let Skyline {
             n,
             colptr,
@@ -165,7 +160,7 @@ impl Skyline {
     }
 
     /// Solve `A·x = b` given a factorized skyline (`UᵀU x = b`).
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.n;
         assert_eq!(b.len(), n, "b length");
         // Forward: Uᵀ y = b.
@@ -434,7 +429,7 @@ mod tests {
     fn envelope_of_tridiagonal_is_2n_minus_1() {
         let a = laplacian_1d(10);
         let s = Skyline::from_csr(&a);
-        assert_eq!(s.order(), 10);
+        assert_eq!(s.n, 10);
         assert_eq!(s.envelope(), 19);
     }
 

@@ -22,20 +22,6 @@ impl Coo {
         }
     }
 
-    /// An empty `n × n` builder with room for `triplets` entries, so a
-    /// scatter of known size doesn't grow the vector incrementally.
-    pub fn with_capacity(n: usize, triplets: usize) -> Self {
-        Coo {
-            n,
-            entries: Vec::with_capacity(triplets),
-        }
-    }
-
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Accumulate `a[r][c] += v`.
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.n && c < self.n, "triplet out of range");
@@ -138,7 +124,8 @@ impl Csr {
     }
 
     /// Entry `a[r][c]` (zero if not stored).
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         let range = self.rowptr[r]..self.rowptr[r + 1];
         for k in range {
             if self.colidx[k] == c {
@@ -150,7 +137,7 @@ impl Csr {
 
     /// The diagonal, as a vector (zeros where unstored). Single pass over
     /// stored entries, early-exiting each row at the sorted column order.
-    pub fn diagonal(&self) -> Vec<f64> {
+    pub(crate) fn diagonal(&self) -> Vec<f64> {
         let n = self.order();
         let mut d = vec![0.0; n];
         for (r, dr) in d.iter_mut().enumerate() {
@@ -179,7 +166,7 @@ impl Csr {
     /// `y ← A·x` as [`Csr::matvec`] computes it, returning `x·y` summed
     /// from 0.0 in row order — CG's `p·Kp` without a second walk over
     /// both vectors.
-    pub fn matvec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+    pub(crate) fn matvec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         let n = self.order();
         assert_eq!(x.len(), n, "x length");
         assert_eq!(y.len(), n, "y length");
@@ -252,7 +239,8 @@ impl Csr {
     /// the transpose with a counting pass, then merge-compares each row of
     /// `A` against the matching row of `Aᵀ`, treating unstored entries as
     /// zero (no per-entry `get` scans).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_symmetric(&self, tol: f64) -> bool {
         let n = self.order();
         let nnz = self.nnz();
         let mut tptr = vec![0usize; n + 1];

@@ -41,7 +41,7 @@ fn gather(u: &[f64], nodes: &[usize]) -> Vec<f64> {
 ///   axis), `sy = txy = 0`;
 /// * Tri3 — the element's constant stress;
 /// * Quad4 — stress at the element centre (ξ = η = 0).
-pub fn element_stress(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> Stress {
+pub(crate) fn element_stress(mesh: &Mesh, elem: usize, mat: &Material, u: &[f64]) -> Stress {
     let e = &mesh.elements[elem];
     let (coords, nodes) = mesh.element_coords(elem);
     let coords = &coords[..nodes];

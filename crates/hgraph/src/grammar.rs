@@ -57,7 +57,7 @@ impl AtomKind {
 
 /// Whether a named access path must be present.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Multiplicity {
+pub(crate) enum Multiplicity {
     /// The arc must exist.
     One,
     /// The arc may be absent; if present it must conform.
@@ -249,7 +249,7 @@ impl Grammar {
     }
 
     /// The defined nonterminal names (sorted).
-    pub fn nonterminals(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn nonterminals(&self) -> impl Iterator<Item = &str> {
         self.rules.keys().map(|s| s.as_str())
     }
 

@@ -4,7 +4,7 @@
 //! A [`GraphId`]/[`NodeId`] pair addresses a storage location inside an
 //! [`crate::hier::HGraph`] arena. This module defines the identifier types,
 //! the [`Selector`] arc labels, and the per-graph adjacency structure; the
-//! arena that owns node *values* lives in [`crate::hier`].
+//! arena that owns node *values* lives in `crate::hier`.
 
 use std::fmt;
 
@@ -23,14 +23,14 @@ pub struct NodeId(pub(crate) u32);
 
 impl GraphId {
     /// Raw index of this graph in its arena.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
 
 impl NodeId {
     /// Raw index of this node in its arena.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -74,7 +74,7 @@ impl Selector {
     }
 
     /// The name, if this is a named selector.
-    pub fn as_name(&self) -> Option<&str> {
+    pub(crate) fn as_name(&self) -> Option<&str> {
         match self {
             Selector::Name(s) => Some(s),
             Selector::Index(_) => None,
@@ -82,7 +82,7 @@ impl Selector {
     }
 
     /// The index, if this is an indexed selector.
-    pub fn as_index(&self) -> Option<u64> {
+    pub(crate) fn as_index(&self) -> Option<u64> {
         match self {
             Selector::Name(_) => None,
             Selector::Index(i) => Some(*i),
@@ -115,11 +115,11 @@ impl From<u64> for Selector {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Arc {
     /// Source node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Access-path label.
-    pub selector: Selector,
+    pub(crate) selector: Selector,
     /// Destination node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
 }
 
 /// The structure of one graph: its member nodes, its arcs, and its entry

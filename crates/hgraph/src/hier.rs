@@ -63,7 +63,7 @@ impl Value {
     }
 
     /// The contained graph id, if any.
-    pub fn as_graph(&self) -> Option<GraphId> {
+    pub(crate) fn as_graph(&self) -> Option<GraphId> {
         match self {
             Value::Atom(_) => None,
             Value::Graph(g) => Some(*g),
@@ -110,7 +110,7 @@ impl fmt::Display for HGraphError {
 impl std::error::Error for HGraphError {}
 
 /// Result alias for H-graph operations.
-pub type Result<T> = std::result::Result<T, HGraphError>;
+pub(crate) type Result<T> = std::result::Result<T, HGraphError>;
 
 /// An H-graph arena: every graph and node of one model, plus the root graph.
 ///
@@ -127,11 +127,6 @@ impl HGraph {
     /// An empty arena with no graphs.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of nodes (storage locations) in the arena.
-    pub fn node_count(&self) -> usize {
-        self.values.len()
     }
 
     /// Create a new, empty graph with a debugging label. The first graph
@@ -154,7 +149,7 @@ impl HGraph {
     }
 
     /// The debugging label of a graph.
-    pub fn label(&self, g: GraphId) -> &str {
+    pub(crate) fn label(&self, g: GraphId) -> &str {
         &self.graphs[g.index()].label
     }
 
@@ -183,12 +178,12 @@ impl HGraph {
     }
 
     /// Arcs of graph `g`, in insertion order.
-    pub fn arcs(&self, g: GraphId) -> &[Arc] {
+    pub(crate) fn arcs(&self, g: GraphId) -> &[Arc] {
         &self.graphs[g.index()].arcs
     }
 
     /// True if `n` is a member of `g`.
-    pub fn contains(&self, g: GraphId, n: NodeId) -> bool {
+    pub(crate) fn contains(&self, g: GraphId, n: NodeId) -> bool {
         self.graphs[g.index()].nodes.contains(&n)
     }
 
@@ -262,7 +257,7 @@ impl HGraph {
 
     /// All graphs reachable from `g` through nested-graph values, including
     /// `g` itself, in breadth-first order.
-    pub fn reachable_graphs(&self, g: GraphId) -> Vec<GraphId> {
+    pub(crate) fn reachable_graphs(&self, g: GraphId) -> Vec<GraphId> {
         let mut seen = BTreeSet::new();
         let mut queue = std::collections::VecDeque::new();
         let mut order = Vec::new();
@@ -423,7 +418,6 @@ mod tests {
     fn counts() {
         let (mut h, g, a, b) = pair();
         h.add_arc(g, a, Selector::name("x"), b).unwrap();
-        assert_eq!(h.node_count(), 2);
         assert_eq!(h.arcs(g).len(), 1);
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! * [`graph`] — directed graphs whose nodes are abstract storage locations
 //!   and whose arcs are selector-labeled access paths;
-//! * [`hier`] — the hierarchy: an [`hier::HGraph`] arena in which a node's
+//! * `hier` — the hierarchy: an [`hier::HGraph`] arena in which a node's
 //!   *value* may itself be a graph;
 //! * [`grammar`] — H-graph grammars: BNF-style productions whose language is
 //!   a set of H-graphs, with a membership (conformance) checker;
@@ -52,20 +52,20 @@
 
 pub mod grammar;
 pub mod graph;
-pub mod hier;
+pub(crate) mod hier;
 pub mod render;
 pub mod transform;
 
 /// Commonly used types, re-exported for glob import.
 pub mod prelude {
-    pub use crate::grammar::{AtomKind, Grammar, GrammarError, Multiplicity, Shape};
+    pub use crate::grammar::{AtomKind, Grammar, Shape};
     pub use crate::graph::{Arc, GraphId, NodeId, Selector};
     pub use crate::hier::{Atom, HGraph, Value};
-    pub use crate::transform::{Transform, TransformError};
+    pub use crate::transform::Transform;
 }
 
-pub use grammar::{AtomKind, Grammar, GrammarError, Multiplicity, Shape};
+pub use grammar::{AtomKind, Grammar, Shape};
 pub use graph::{Arc, GraphId, NodeId, Selector};
 pub use hier::{Atom, HGraph, Value};
 pub use render::to_dot;
-pub use transform::{Transform, TransformError};
+pub use transform::Transform;

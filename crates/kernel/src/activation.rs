@@ -53,7 +53,7 @@ pub enum TaskState {
 
 impl TaskState {
     /// Whether `self -> next` is a legal lifecycle transition.
-    pub fn can_transition_to(self, next: TaskState) -> bool {
+    pub(crate) fn can_transition_to(self, next: TaskState) -> bool {
         use TaskState::*;
         matches!(
             (self, next),
@@ -75,9 +75,9 @@ impl TaskState {
 #[derive(Clone, Debug)]
 pub struct ActivationRecord {
     /// This task's id.
-    pub id: TaskId,
+    pub(crate) id: TaskId,
     /// The code block it executes.
-    pub code: CodeId,
+    pub(crate) code: CodeId,
     /// Cluster whose ready queue owns it.
     pub cluster: u32,
     /// Whom the task notifies or replies to.
@@ -85,22 +85,22 @@ pub struct ActivationRecord {
     /// Current lifecycle state.
     pub state: TaskState,
     /// Local storage (activation record body), in words.
-    pub locals_words: Words,
+    pub(crate) locals_words: Words,
     /// Time the task was created.
     pub created_at: Cycles,
     /// Assignment epoch: bumped each time the task is (re)assigned to a PE,
     /// so completion events from a pre-fault assignment can be recognized
     /// as stale.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Whether the task's locals allocation is live in cluster memory.
     /// Cleared when a memory-bank fault invalidates the allocation; the
     /// dispatcher re-allocates before the task runs again.
-    pub locals_held: bool,
+    pub(crate) locals_held: bool,
 }
 
 impl ActivationRecord {
     /// A fresh record in the `Ready` state.
-    pub fn new(
+    pub(crate) fn new(
         id: TaskId,
         code: CodeId,
         cluster: u32,
@@ -123,7 +123,7 @@ impl ActivationRecord {
 
     /// Transition to `next`, panicking on an illegal transition (kernel
     /// logic errors, not user errors).
-    pub fn transition(&mut self, next: TaskState) {
+    pub(crate) fn transition(&mut self, next: TaskState) {
         assert!(
             self.state.can_transition_to(next),
             "illegal task transition {:?} -> {:?} for {:?}",

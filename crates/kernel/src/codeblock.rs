@@ -24,14 +24,14 @@ impl fmt::Debug for CodeId {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CodeBlock {
     /// Human-readable name ("cg_iteration", "assemble_element").
-    pub name: String,
+    pub(crate) name: String,
     /// Size of the code + constants, in words (what LoadCode transmits and
     /// what loading allocates in cluster memory).
     pub words: Words,
     /// Work per activation.
-    pub work: WorkProfile,
+    pub(crate) work: WorkProfile,
     /// Local (activation-record) storage per activation, in words.
-    pub locals_words: Words,
+    pub(crate) locals_words: Words,
 }
 
 impl CodeBlock {
@@ -61,12 +61,12 @@ pub struct CodeStore {
 
 impl CodeStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a block, returning its id.
-    pub fn register(&mut self, block: CodeBlock) -> CodeId {
+    pub(crate) fn register(&mut self, block: CodeBlock) -> CodeId {
         let id = CodeId(self.blocks.len() as u32);
         self.blocks.push(block);
         id
@@ -75,24 +75,6 @@ impl CodeStore {
     /// Look up a block.
     pub fn get(&self, id: CodeId) -> &CodeBlock {
         &self.blocks[id.0 as usize]
-    }
-
-    /// Number of registered blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True if no blocks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Find a block id by name (linear scan; registration-time use only).
-    pub fn find(&self, name: &str) -> Option<CodeId> {
-        self.blocks
-            .iter()
-            .position(|b| b.name == name)
-            .map(|i| CodeId(i as u32))
     }
 }
 
@@ -103,22 +85,12 @@ mod tests {
     #[test]
     fn register_and_get() {
         let mut s = CodeStore::new();
-        assert!(s.is_empty());
+        assert!(s.blocks.is_empty());
         let id = s.register(CodeBlock::new("f", 100, WorkProfile::flops(50), 8));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.blocks.len(), 1);
         assert_eq!(s.get(id).name, "f");
         assert_eq!(s.get(id).words, 100);
         assert_eq!(s.get(id).work.flops, 50);
-    }
-
-    #[test]
-    fn find_by_name() {
-        let mut s = CodeStore::new();
-        let a = s.register(CodeBlock::new("a", 1, WorkProfile::default(), 0));
-        let b = s.register(CodeBlock::new("b", 1, WorkProfile::default(), 0));
-        assert_eq!(s.find("a"), Some(a));
-        assert_eq!(s.find("b"), Some(b));
-        assert_eq!(s.find("c"), None);
     }
 
     #[test]

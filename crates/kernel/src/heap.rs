@@ -10,7 +10,6 @@
 //! abstract, as everywhere in the simulated plane.
 
 use fem2_machine::Words;
-use fem2_trace::{EventKind, TraceEvent, TraceHandle, NO_CLUSTER, NO_PE};
 use std::fmt;
 
 /// An allocated block: offset and length in words.
@@ -70,13 +69,9 @@ pub struct Heap {
     /// Successful allocations.
     pub allocs: u64,
     /// Frees.
-    pub frees: u64,
+    pub(crate) frees: u64,
     /// Allocations that failed for lack of a large-enough block.
     pub failed_allocs: u64,
-    /// Trace sink; alloc/free emit heap events stamped with an op sequence
-    /// number (the heap has no clock of its own).
-    trace: TraceHandle,
-    ops: u64,
 }
 
 impl Heap {
@@ -94,20 +89,7 @@ impl Heap {
             allocs: 0,
             frees: 0,
             failed_allocs: 0,
-            trace: TraceHandle::disabled(),
-            ops: 0,
         }
-    }
-
-    /// Attach a trace sink: every successful alloc/free emits a heap event
-    /// (observation only; placement is unaffected).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Arena capacity in words.
-    pub fn capacity(&self) -> Words {
-        self.capacity
     }
 
     /// Words currently allocated.
@@ -116,7 +98,7 @@ impl Heap {
     }
 
     /// Words currently free.
-    pub fn free_words(&self) -> Words {
+    pub(crate) fn free_words(&self) -> Words {
         self.capacity - self.used
     }
 
@@ -131,7 +113,7 @@ impl Heap {
     }
 
     /// Largest contiguous free block.
-    pub fn largest_free(&self) -> Words {
+    pub(crate) fn largest_free(&self) -> Words {
         self.free_list.iter().map(|&(_, l)| l).max().unwrap_or(0)
     }
 
@@ -162,16 +144,6 @@ impl Heap {
                 self.used += len;
                 self.high_water = self.high_water.max(self.used);
                 self.allocs += 1;
-                self.ops += 1;
-                let (seq, in_use) = (self.ops, self.used);
-                self.trace.emit(|| {
-                    TraceEvent::instant(
-                        seq,
-                        NO_CLUSTER,
-                        NO_PE,
-                        EventKind::Alloc { words: len, in_use },
-                    )
-                });
                 return Ok(Block { offset: off, len });
             }
         }
@@ -224,19 +196,6 @@ impl Heap {
         }
         self.used -= block.len;
         self.frees += 1;
-        self.ops += 1;
-        let (seq, in_use) = (self.ops, self.used);
-        self.trace.emit(|| {
-            TraceEvent::instant(
-                seq,
-                NO_CLUSTER,
-                NO_PE,
-                EventKind::Free {
-                    words: block.len,
-                    in_use,
-                },
-            )
-        });
         Ok(())
     }
 

@@ -21,7 +21,7 @@
 //! Modules:
 //!
 //! * [`message`] — the seven kernel message types and their wire sizes;
-//! * [`codeblock`] — code/constants blocks and per-activation work profiles;
+//! * `codeblock` — code/constants blocks and per-activation work profiles;
 //! * [`activation`] — task activation records and the task state machine;
 //! * [`heap`] — the variable-size-block heap (first-fit free list with
 //!   coalescing and fragmentation statistics), a standalone model that
@@ -36,17 +36,17 @@
 //!   conformance checking of scenario message sequences.
 
 pub mod activation;
-pub mod codeblock;
+pub(crate) mod codeblock;
 pub mod heap;
 pub mod kernel;
 pub mod message;
 pub mod protocol;
 pub mod window_desc;
 
-pub use activation::{ActivationRecord, ReplyTo, TaskId, TaskState};
-pub use codeblock::{CodeBlock, CodeId, CodeStore, WorkProfile};
-pub use heap::{Block, Heap, HeapError};
-pub use kernel::{DropCounts, KernelSim, KernelStats};
+pub use activation::{ReplyTo, TaskId, TaskState};
+pub use codeblock::{CodeBlock, WorkProfile};
+pub use heap::{Block, Heap};
+pub use kernel::KernelSim;
 pub use message::{KernelMessage, MessageKind};
-pub use protocol::{ProtocolAutomaton, ProtocolState, ProtocolViolation};
+pub use protocol::{ProtocolAutomaton, ProtocolState};
 pub use window_desc::WindowDescriptor;

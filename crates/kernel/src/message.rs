@@ -46,7 +46,7 @@ impl MessageKind {
     ];
 
     /// The trace-vocabulary equivalent of this message kind.
-    pub fn trace_kind(self) -> fem2_trace::MsgKind {
+    pub(crate) fn trace_kind(self) -> fem2_trace::MsgKind {
         use fem2_trace::MsgKind as T;
         match self {
             MessageKind::InitiateTask => T::InitiateTask,
@@ -60,7 +60,7 @@ impl MessageKind {
     }
 
     /// Short name for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MessageKind::InitiateTask => "initiate",
             MessageKind::PauseNotify => "pause",
@@ -135,10 +135,10 @@ pub enum KernelMessage {
 
 impl KernelMessage {
     /// Fixed header size of every kernel message, in words.
-    pub const HEADER_WORDS: Words = 4;
+    pub(crate) const HEADER_WORDS: Words = 4;
 
     /// The message's kind.
-    pub fn kind(&self) -> MessageKind {
+    pub(crate) fn kind(&self) -> MessageKind {
         match self {
             KernelMessage::InitiateTask { .. } => MessageKind::InitiateTask,
             KernelMessage::PauseNotify { .. } => MessageKind::PauseNotify,
@@ -152,7 +152,7 @@ impl KernelMessage {
 
     /// Wire size in words: header plus payload. This is what the network
     /// transfer is charged for.
-    pub fn wire_words(&self, code_words: impl Fn(CodeId) -> Words) -> Words {
+    pub(crate) fn wire_words(&self, code_words: impl Fn(CodeId) -> Words) -> Words {
         let payload = match self {
             KernelMessage::InitiateTask { args_words, .. } => 3 + args_words,
             KernelMessage::PauseNotify { .. } => 1,

@@ -31,7 +31,7 @@ pub enum ProtocolState {
 
 impl ProtocolState {
     /// Short name for diagnostics.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ProtocolState::Uninitiated => "uninitiated",
             ProtocolState::Active => "active",
@@ -52,11 +52,11 @@ impl fmt::Display for ProtocolState {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProtocolViolation {
     /// The offending message kind.
-    pub kind: MessageKind,
+    pub(crate) kind: MessageKind,
     /// The state the subject task was actually in.
-    pub state: ProtocolState,
+    pub(crate) state: ProtocolState,
     /// States in which `kind` would have been legal.
-    pub expected: Vec<ProtocolState>,
+    pub(crate) expected: Vec<ProtocolState>,
 }
 
 impl fmt::Display for ProtocolViolation {
@@ -79,7 +79,7 @@ impl std::error::Error for ProtocolViolation {}
 /// A zero-sized rule table: [`step`](ProtocolAutomaton::step) is the
 /// transition function for the task a message *concerns* (the initiated,
 /// paused, resumed, or terminated task; the caller for RPC traffic), and
-/// [`accepts`](ProtocolAutomaton::accepts) / [`successor`](ProtocolAutomaton::successor)
+/// `accepts` / `successor`
 /// expose the table for exhaustive checks.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct ProtocolAutomaton;
@@ -87,7 +87,7 @@ pub struct ProtocolAutomaton;
 impl ProtocolAutomaton {
     /// States in which a message of `kind` is acceptable for its subject
     /// task, mirroring the kernel loop's dispatch rules.
-    pub fn accepting_states(kind: MessageKind) -> &'static [ProtocolState] {
+    pub(crate) fn accepting_states(kind: MessageKind) -> &'static [ProtocolState] {
         use ProtocolState::*;
         match kind {
             MessageKind::InitiateTask => &[Uninitiated],
@@ -104,12 +104,12 @@ impl ProtocolAutomaton {
     }
 
     /// Whether `kind` is acceptable when the subject task is in `state`.
-    pub fn accepts(state: ProtocolState, kind: MessageKind) -> bool {
+    pub(crate) fn accepts(state: ProtocolState, kind: MessageKind) -> bool {
         Self::accepting_states(kind).contains(&state)
     }
 
     /// The state the subject task ends in after an accepted `kind`.
-    pub fn successor(state: ProtocolState, kind: MessageKind) -> ProtocolState {
+    pub(crate) fn successor(state: ProtocolState, kind: MessageKind) -> ProtocolState {
         match kind {
             MessageKind::InitiateTask => ProtocolState::Active,
             MessageKind::PauseNotify => ProtocolState::Paused,

@@ -70,25 +70,13 @@ impl WindowDescriptor {
         Self::block(array, r, r + 1, col0, col1, owner, owner_cluster)
     }
 
-    /// A window over column `c`, rows `[row0, row1)`.
-    pub fn column(
-        array: u32,
-        c: u32,
-        row0: u32,
-        row1: u32,
-        owner: TaskId,
-        owner_cluster: u32,
-    ) -> Self {
-        Self::block(array, row0, row1, c, c + 1, owner, owner_cluster)
-    }
-
     /// Number of rows visible.
-    pub fn rows(&self) -> u32 {
+    pub(crate) fn rows(&self) -> u32 {
         self.row1 - self.row0
     }
 
     /// Number of columns visible.
-    pub fn cols(&self) -> u32 {
+    pub(crate) fn cols(&self) -> u32 {
         self.col1 - self.col0
     }
 
@@ -139,10 +127,6 @@ mod tests {
         assert_eq!(r.rows(), 1);
         assert_eq!(r.cols(), 10);
         assert_eq!(r.len(), 10);
-
-        let c = WindowDescriptor::column(0, 3, 0, 8, t(), 0);
-        assert_eq!((c.rows(), c.cols(), c.col0), (8, 1, 3));
-        assert_eq!(c.len(), 8);
 
         let b = WindowDescriptor::block(0, 0, 4, 0, 4, t(), 0);
         assert_eq!(b.len(), 16);

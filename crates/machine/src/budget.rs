@@ -105,7 +105,7 @@ impl RunBudget {
     }
 
     /// True if no limit is set (the common case; checks short-circuit).
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.max_sim_cycles.is_none() && self.max_des_events.is_none() && self.wall_limit.is_none()
     }
 
@@ -167,7 +167,7 @@ impl BudgetMeter {
     /// that abort on them abort identically across repeats; the wall clock
     /// is only consulted every `WALL_CHECK_PERIOD` calls (keyed off the
     /// meter's own call counter).
-    pub fn check(&self, sim_cycles: Cycles, des_events: u64) -> Result<(), RunAborted> {
+    pub(crate) fn check(&self, sim_cycles: Cycles, des_events: u64) -> Result<(), RunAborted> {
         if self.budget.is_unlimited() {
             return Ok(());
         }
@@ -195,7 +195,7 @@ impl BudgetMeter {
         Ok(())
     }
 
-    /// [`check`](Self::check) as an `Option`, for call sites that poll
+    /// `check` as an `Option`, for call sites that poll
     /// rather than propagate.
     pub fn exceeded(&self, sim_cycles: Cycles, des_events: u64) -> Option<RunAborted> {
         self.check(sim_cycles, des_events).err()

@@ -78,16 +78,6 @@ pub enum DesQueue {
     Heap,
 }
 
-impl DesQueue {
-    /// A short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DesQueue::Calendar => "calendar",
-            DesQueue::Heap => "heap",
-        }
-    }
-}
-
 /// Abstract instruction costs, in cycles, for the PE model.
 ///
 /// These are deliberately coarse (the 1983 design method worked with
@@ -98,17 +88,17 @@ pub struct CostModel {
     /// One floating-point operation.
     pub flop: Cycles,
     /// One integer/control operation.
-    pub int_op: Cycles,
+    pub(crate) int_op: Cycles,
     /// One shared-memory word access from a PE in the same cluster.
-    pub mem_word: Cycles,
+    pub(crate) mem_word: Cycles,
     /// Fixed kernel overhead to format-and-send one message.
-    pub msg_send: Cycles,
+    pub(crate) msg_send: Cycles,
     /// Fixed kernel overhead to decode-and-dispatch one received message.
-    pub msg_dispatch: Cycles,
+    pub(crate) msg_dispatch: Cycles,
     /// Cost to create one task activation record (allocate + initialize).
-    pub task_create: Cycles,
+    pub(crate) task_create: Cycles,
     /// Cost of one context switch (assign a PE to a ready task).
-    pub context_switch: Cycles,
+    pub(crate) context_switch: Cycles,
 }
 
 impl Default for CostModel {
@@ -531,8 +521,6 @@ mod tests {
         assert_eq!(MachineConfig::fem2_default().des_queue, DesQueue::Calendar);
         assert_eq!(MachineConfig::fem1_style(4).des_queue, DesQueue::Calendar);
         assert_eq!(DesQueue::default(), DesQueue::Calendar);
-        assert_eq!(DesQueue::Calendar.name(), "calendar");
-        assert_eq!(DesQueue::Heap.name(), "heap");
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl OpenIndex {
     }
 
     /// Forget every entry, keeping the memory.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         if mem::take(&mut self.len) != 0 {
             self.cells.fill(0);
         }
@@ -116,7 +116,7 @@ pub struct PagedIndex {
 impl PagedIndex {
     /// The entry of `id`, if it has one.
     #[inline]
-    pub fn get(&self, id: usize) -> Option<usize> {
+    pub(crate) fn get(&self, id: usize) -> Option<usize> {
         let page = self.pages.get(id / PAGE)?.as_ref()?;
         (page[id % PAGE] as usize).checked_sub(1)
     }

@@ -16,7 +16,7 @@
 //!   memory, network topology, instruction cost model), including the
 //!   clustered FEM-2 default and a flat FEM-1-style array baseline;
 //! * [`pe`] — processing elements with an abstract instruction cost model;
-//! * [`memory`] — per-cluster shared memories with capacity accounting and
+//! * `memory` — per-cluster shared memories with capacity accounting and
 //!   high-water tracking;
 //! * [`network`] — the common communication network: bus, ring, 2-D mesh and
 //!   crossbar topologies with per-link contention and large-message
@@ -40,7 +40,7 @@ pub mod budget;
 pub mod config;
 pub mod fault;
 pub mod index;
-pub mod memory;
+pub(crate) mod memory;
 pub mod network;
 pub mod pe;
 pub mod sim;
@@ -49,13 +49,12 @@ pub mod stats;
 mod machine;
 
 pub use budget::{AbortCause, BudgetMeter, RunAborted, RunBudget};
-pub use config::{CostModel, DesQueue, MachineConfig, Topology};
-pub use machine::{trace_cost_kind, Machine, MachineError};
-pub use memory::ClusterMemory;
-pub use network::{Flight, Network, Recorder, Tracked, TransferRecord};
+pub use config::{DesQueue, MachineConfig, Topology};
+pub use machine::Machine;
+pub use network::{Flight, Network, Recorder, TransferRecord};
 pub use pe::{CostClass, Pe, PeId, WorkProfile};
 pub use sim::EventQueue;
-pub use stats::{PhaseCounters, Stats};
+pub use stats::PhaseCounters;
 
 /// Simulation time, in PE clock cycles.
 pub type Cycles = u64;

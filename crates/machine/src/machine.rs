@@ -12,7 +12,7 @@ use fem2_trace::{EventKind, TaskStage, TraceEvent, TraceHandle, NO_CLUSTER, NO_P
 use std::fmt;
 
 /// The trace-vocabulary equivalent of a [`CostClass`].
-pub fn trace_cost_kind(class: CostClass) -> fem2_trace::CostKind {
+pub(crate) fn trace_cost_kind(class: CostClass) -> fem2_trace::CostKind {
     use fem2_trace::CostKind as K;
     match class {
         CostClass::Flop => K::Flop,
@@ -365,13 +365,8 @@ impl Machine {
         Ok(latest)
     }
 
-    /// Allocate `words` in cluster `c`'s shared memory.
-    pub fn alloc(&mut self, c: u32, words: Words) -> Result<(), MachineError> {
-        self.alloc_at(0, c, words)
-    }
-
-    /// Like [`Machine::alloc`], stamping the trace event with simulated time
-    /// `now` (callers that know the clock should prefer this).
+    /// Allocate `words` in cluster `c`'s shared memory, stamping the trace
+    /// event with simulated time `now`.
     pub fn alloc_at(&mut self, now: Cycles, c: u32, words: Words) -> Result<(), MachineError> {
         self.memories[c as usize].alloc(words)?;
         let in_use = self.memories[c as usize].used();
@@ -380,13 +375,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Free `words` in cluster `c`'s shared memory.
-    pub fn free(&mut self, c: u32, words: Words) {
-        self.free_at(0, c, words);
-    }
-
-    /// Like [`Machine::free`], stamping the trace event with simulated time
-    /// `now`.
+    /// Free `words` in cluster `c`'s shared memory, stamping the trace
+    /// event with simulated time `now`.
     pub fn free_at(&mut self, now: Cycles, c: u32, words: Words) {
         self.memories[c as usize].free(words);
         let in_use = self.memories[c as usize].used();
@@ -410,7 +400,7 @@ impl Machine {
     }
 
     /// Fallible [`Machine::transmit`]: charges nothing and returns
-    /// [`MachineError::ClusterUnreachable`] when no live route exists.
+    /// `MachineError::ClusterUnreachable` when no live route exists.
     pub fn try_transmit(
         &mut self,
         now: Cycles,
@@ -487,7 +477,7 @@ impl Machine {
     }
 
     /// Isolate a failed PE. If it was the cluster's kernel PE, promote the
-    /// lowest-indexed survivor. Returns [`MachineError::ClusterDead`] if no
+    /// lowest-indexed survivor. Returns `MachineError::ClusterDead` if no
     /// PE survives.
     pub fn fail_pe(&mut self, pe: PeId) -> Result<(), MachineError> {
         self.check(pe)?;
@@ -514,7 +504,7 @@ impl Machine {
     /// A transiently failed PE recovers at time `at`: it rejoins the free
     /// pool but does **not** reclaim kernel duty it was promoted away from
     /// (unless the cluster has no live kernel PE, i.e. it was dead).
-    pub fn recover_pe(&mut self, at: Cycles, pe: PeId) -> Result<(), MachineError> {
+    pub(crate) fn recover_pe(&mut self, at: Cycles, pe: PeId) -> Result<(), MachineError> {
         self.check(pe)?;
         if !self.pe_state(pe).failed {
             return Ok(()); // never failed, or already recovered
@@ -537,7 +527,7 @@ impl Machine {
     /// [`FaultKind`] becomes a machine mutation, for every layer that runs
     /// a plan. Returns the words of live allocations a failed memory bank
     /// no longer holds (0 for every other step; the caller invalidates or
-    /// rebuilds them), or the error of a PE step — [`MachineError::ClusterDead`]
+    /// rebuilds them), or the error of a PE step — `MachineError::ClusterDead`
     /// when a kill leaves the cluster no PE.
     pub fn apply_fault(&mut self, at: Cycles, kind: FaultKind) -> Result<Words, MachineError> {
         let traced = match kind {
@@ -604,31 +594,6 @@ impl Machine {
             .map(|p| p.free_at)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Machine utilization over `[0, horizon]`: mean PE busy fraction,
-    /// counting only surviving PEs. PEs in untouched clusters are alive
-    /// and idle, so they dilute the mean exactly as dense state did.
-    pub fn utilization(&self, horizon: Cycles) -> f64 {
-        if horizon == 0 {
-            return 0.0;
-        }
-        let mut failed = 0u64;
-        let mut sum = 0.0;
-        for lane in self.lanes.iter().flatten() {
-            for p in lane.iter() {
-                if p.failed {
-                    failed += 1;
-                } else {
-                    sum += p.utilization(horizon);
-                }
-            }
-        }
-        let alive = u64::from(self.config.total_pes()) - failed;
-        if alive == 0 {
-            return 0.0;
-        }
-        sum / alive as f64
     }
 }
 
@@ -931,14 +896,17 @@ mod tests {
     #[test]
     fn memory_alloc_free_via_machine() {
         let mut m = machine();
-        m.alloc(0, 1000).unwrap();
-        m.alloc(1, 500).unwrap();
-        m.free(0, 400);
+        m.alloc_at(0, 0, 1000).unwrap();
+        m.alloc_at(0, 1, 500).unwrap();
+        m.free_at(0, 0, 400);
         assert_eq!(m.memory(0).used(), 600);
         assert_eq!(m.peak_memory(), 1000);
         assert_eq!(m.total_memory_high_water(), 1500);
         let cap = m.memory(0).capacity();
-        assert!(matches!(m.alloc(0, cap), Err(MachineError::OutOfMemory(_))));
+        assert!(matches!(
+            m.alloc_at(0, 0, cap),
+            Err(MachineError::OutOfMemory(_))
+        ));
     }
 
     #[test]
@@ -983,10 +951,6 @@ mod tests {
         m.charge(0, PeId::new(0, 1), CostClass::Flop, 25).unwrap(); // 100 cycles
         assert_eq!(m.makespan(), 100);
         assert_eq!(m.total_busy_cycles(), 100);
-        // 1 of 8 PEs busy half of a 200-cycle horizon.
-        let u = m.utilization(200);
-        assert!((u - 0.5 / 8.0).abs() < 1e-12, "u = {u}");
-        assert_eq!(m.utilization(0), 0.0);
     }
 
     #[test]
@@ -1039,7 +1003,7 @@ mod tests {
     fn memory_bank_fault_reports_invalidated_words() {
         let mut m = machine();
         let cap = m.memory(0).capacity();
-        m.alloc(0, cap - 100).unwrap();
+        m.alloc_at(0, 0, cap - 100).unwrap();
         let bank = FaultKind::Memory {
             cluster: 0,
             words: 200,

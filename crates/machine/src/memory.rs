@@ -15,11 +15,11 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OutOfMemory {
     /// The cluster whose memory was exhausted.
-    pub cluster: u32,
+    pub(crate) cluster: u32,
     /// The request that failed, in words.
-    pub requested: Words,
+    pub(crate) requested: Words,
     /// Words still unallocated at the time of the request.
-    pub available: Words,
+    pub(crate) available: Words,
 }
 
 impl fmt::Display for OutOfMemory {
@@ -45,7 +45,7 @@ pub struct ClusterMemory {
 
 impl ClusterMemory {
     /// A memory of `capacity` words for cluster `cluster`.
-    pub fn new(cluster: u32, capacity: Words) -> Self {
+    pub(crate) fn new(cluster: u32, capacity: Words) -> Self {
         ClusterMemory {
             cluster,
             capacity,
@@ -71,13 +71,13 @@ impl ClusterMemory {
     }
 
     /// Peak allocation over the memory's lifetime.
-    pub fn high_water(&self) -> Words {
+    pub(crate) fn high_water(&self) -> Words {
         self.high_water
     }
 
     /// Allocate `words`; fails with [`OutOfMemory`] if capacity would be
     /// exceeded.
-    pub fn alloc(&mut self, words: Words) -> Result<(), OutOfMemory> {
+    pub(crate) fn alloc(&mut self, words: Words) -> Result<(), OutOfMemory> {
         if words > self.available() {
             return Err(OutOfMemory {
                 cluster: self.cluster,
@@ -92,7 +92,7 @@ impl ClusterMemory {
 
     /// Release `words`. Releasing more than is allocated is a logic error
     /// upstream and panics in debug builds; in release it saturates.
-    pub fn free(&mut self, words: Words) {
+    pub(crate) fn free(&mut self, words: Words) {
         debug_assert!(words <= self.used, "freeing more than allocated");
         self.used = self.used.saturating_sub(words);
     }
@@ -101,7 +101,7 @@ impl ClusterMemory {
     /// the words of live allocations that no longer fit — the caller must
     /// invalidate victims (free their allocations) until `used()` is back
     /// within `capacity()`.
-    pub fn fail_bank(&mut self, words: Words) -> Words {
+    pub(crate) fn fail_bank(&mut self, words: Words) -> Words {
         self.capacity = self.capacity.saturating_sub(words);
         self.used.saturating_sub(self.capacity)
     }

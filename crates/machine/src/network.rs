@@ -1010,11 +1010,6 @@ impl Network {
         self.payload_words = 0;
         self.header_words_moved = 0;
     }
-
-    /// The network's topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
 }
 
 /// Route-cache key of an ordered cluster pair.

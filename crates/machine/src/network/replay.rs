@@ -104,7 +104,7 @@ impl Recorder {
     /// recorder's start.
     ///
     /// # Errors
-    /// [`MachineError::ClusterUnreachable`] when dead links leave no
+    /// `MachineError::ClusterUnreachable` when dead links leave no
     /// route; nothing is charged, and the run will not be kept.
     ///
     /// # Panics

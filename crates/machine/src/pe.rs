@@ -122,27 +122,27 @@ pub struct Pe {
     /// Total cycles of charged work (for utilization).
     pub busy_cycles: Cycles,
     /// Whether the PE has been isolated by fault reconfiguration.
-    pub failed: bool,
+    pub(crate) failed: bool,
 }
 
 impl Pe {
     /// The state of a PE that has never been touched: free, idle, healthy.
     /// Sparse machine state reads untouched PEs as this value.
-    pub const IDLE: Pe = Pe {
+    pub(crate) const IDLE: Pe = Pe {
         free_at: 0,
         busy_cycles: 0,
         failed: false,
     };
 
     /// True if the PE can accept work at time `now` (free and not failed).
-    pub fn available(&self, now: Cycles) -> bool {
+    pub(crate) fn available(&self, now: Cycles) -> bool {
         !self.failed && self.free_at <= now
     }
 
     /// Charge `count` units of `class` starting no earlier than `now`.
     /// Returns the completion time. Work on a busy PE queues behind the
     /// current work (the PE is serial).
-    pub fn charge(
+    pub(crate) fn charge(
         &mut self,
         now: Cycles,
         class: CostClass,
@@ -155,15 +155,6 @@ impl Pe {
         self.free_at = start + dur;
         self.busy_cycles += dur;
         self.free_at
-    }
-
-    /// Utilization over `[0, horizon]`: busy cycles divided by the horizon.
-    pub fn utilization(&self, horizon: Cycles) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / horizon as f64
-        }
     }
 }
 
@@ -272,8 +263,7 @@ mod tests {
         let model = CostModel::default();
         let mut pe = Pe::default();
         pe.charge(0, CostClass::Flop, 25, &model); // 100 cycles at flop=4
-        assert!((pe.utilization(200) - 0.5).abs() < 1e-12);
-        assert_eq!(pe.utilization(0), 0.0);
+        assert_eq!(pe.busy_cycles, 100);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue at time zero on the default (radix heap) backend.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_backend(DesQueue::Calendar)
     }
 
@@ -161,13 +161,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slab.len() - self.free.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Schedule `ev` at absolute time `at`. Scheduling in the past clamps
@@ -317,10 +312,9 @@ mod tests {
     fn len_and_empty() {
         for kind in BACKENDS {
             let mut q = EventQueue::with_backend(kind);
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
             q.schedule(1, ());
             assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
         }
     }
 

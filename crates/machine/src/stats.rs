@@ -5,7 +5,7 @@
 //! communication patterns in typical FEM-2 applications". [`Stats`] gathers
 //! exactly those three families — processing (flops, integer ops, memory
 //! words), communication (messages, words), and storage (allocation
-//! high-water, via [`crate::ClusterMemory`]) — and groups them into named
+//! high-water, via `crate::ClusterMemory`) — and groups them into named
 //! *phases* (e.g. `assembly`, `solve`, `stress`) so per-phase requirement
 //! tables can be printed.
 
@@ -17,15 +17,15 @@ pub struct PhaseCounters {
     /// Floating-point operations charged.
     pub flops: u64,
     /// Integer / control operations charged.
-    pub int_ops: u64,
+    pub(crate) int_ops: u64,
     /// Shared-memory words read or written.
     pub mem_words: u64,
     /// Remote (inter-cluster) messages sent.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Payload words carried by remote messages.
-    pub msg_words: u64,
+    pub(crate) msg_words: u64,
     /// Task activations created.
-    pub tasks_created: u64,
+    pub(crate) tasks_created: u64,
     /// Kernel messages of any type processed.
     pub kernel_msgs: u64,
 }
@@ -44,7 +44,7 @@ impl PhaseCounters {
 
 /// Name of the implicit phase active before the first [`Stats::phase`]
 /// call (matches `fem2_trace`'s startup phase).
-pub const STARTUP_PHASE: &str = "startup";
+pub(crate) const STARTUP_PHASE: &str = "startup";
 
 /// Phase-grouped measurement counters for one run.
 #[derive(Clone, Debug, Default)]
@@ -61,7 +61,7 @@ pub struct Stats {
 impl Stats {
     /// Fresh stats; counts accrue to the implicit [`STARTUP_PHASE`] until
     /// [`Stats::phase`] is called.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -78,13 +78,8 @@ impl Stats {
     }
 
     /// Switch the current phase; counters accrue to it until the next call.
-    pub fn phase(&mut self, name: impl Into<String>) {
+    pub(crate) fn phase(&mut self, name: impl Into<String>) {
         self.current = Some(self.index_of(&name.into()));
-    }
-
-    /// The current phase name.
-    pub fn current_phase(&self) -> &str {
-        self.current.map_or(STARTUP_PHASE, |i| &self.order[i])
     }
 
     /// Counters of the current phase. Every charge and message lands
@@ -102,12 +97,12 @@ impl Stats {
     }
 
     /// Record `n` floating-point operations.
-    pub fn flops(&mut self, n: u64) {
+    pub(crate) fn flops(&mut self, n: u64) {
         self.cur().flops += n;
     }
 
     /// Record `n` integer operations.
-    pub fn int_ops(&mut self, n: u64) {
+    pub(crate) fn int_ops(&mut self, n: u64) {
         self.cur().int_ops += n;
     }
 
@@ -117,7 +112,7 @@ impl Stats {
     }
 
     /// Record one remote message carrying `words` of payload.
-    pub fn message(&mut self, words: u64) {
+    pub(crate) fn message(&mut self, words: u64) {
         self.messages(1, words);
     }
 
@@ -129,7 +124,7 @@ impl Stats {
     }
 
     /// Record `n` task creations.
-    pub fn tasks_created(&mut self, n: u64) {
+    pub(crate) fn tasks_created(&mut self, n: u64) {
         self.cur().tasks_created += n;
     }
 
@@ -273,8 +268,8 @@ mod tests {
     #[test]
     fn current_phase_reports_name() {
         let mut s = Stats::new();
-        assert_eq!(s.current_phase(), STARTUP_PHASE);
+        assert_eq!(s.current, None);
         s.phase("x");
-        assert_eq!(s.current_phase(), "x");
+        assert_eq!(s.current.map(|i| s.order[i].as_str()), Some("x"));
     }
 }

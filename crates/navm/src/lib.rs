@@ -40,8 +40,8 @@
 //! let _ = TaskHandle(0);
 //! ```
 
-pub mod linalg;
-pub mod runtime;
+pub(crate) mod linalg;
+pub(crate) mod runtime;
 pub mod task;
 pub mod window;
 

@@ -24,7 +24,7 @@ use fem2_machine::{Cycles, Recorder, Words, WorkProfile};
 use fem2_trace::{MsgKind, WindowStage};
 
 /// Chunk size for deterministic reductions, elements.
-pub const REDUCE_GRAIN: usize = 1024;
+pub(crate) const REDUCE_GRAIN: usize = 1024;
 
 /// Chunks the widest step of [`dot_partials`] advances together.
 const REDUCE_SPAN: usize = 8;
@@ -83,13 +83,6 @@ fn axpy_slice(alpha: f64, x: &[f64], y: &mut [f64]) {
 fn xpby_slice(x: &[f64], beta: f64, y: &mut [f64]) {
     for (y, x) in y.iter_mut().zip(x) {
         *y = x + beta * *y;
-    }
-}
-
-/// `x ← alpha·x`.
-fn scale_slice(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
     }
 }
 
@@ -390,20 +383,6 @@ impl NaVm {
         );
     }
 
-    /// `x ← alpha·x`.
-    pub fn scale(&mut self, x: ArrayId, alpha: f64) {
-        let n = self.len(x);
-        scale_slice(alpha, &mut self.arrays[x.0 as usize].data);
-        self.charge_elementwise(
-            n,
-            WorkProfile {
-                flops: 1,
-                int_ops: 0,
-                mem_words: 2,
-            },
-        );
-    }
-
     /// `y ← x`.
     pub fn copy(&mut self, x: ArrayId, y: ArrayId) {
         let n = self.len(x);
@@ -617,15 +596,12 @@ mod tests {
         let (alpha, beta) = (-1.375e-3, 0.8125);
         let axpy: Vec<f64> = x.iter().zip(&y).map(|(x, y)| y + alpha * x).collect();
         let xpby: Vec<f64> = x.iter().zip(&axpy).map(|(x, y)| x + beta * y).collect();
-        let scaled: Vec<f64> = xpby.iter().map(|y| y * alpha).collect();
         for (p, mut vm) in [sim(1), sim(4)].into_iter().enumerate() {
             let (xa, ya) = (vector_of(&mut vm, &x), vector_of(&mut vm, &y));
             vm.axpy(alpha, xa, ya);
             assert_bits_eq(&vm.snapshot(ya), &axpy, &format!("axpy crew {p}"));
             vm.xpby(xa, beta, ya);
             assert_bits_eq(&vm.snapshot(ya), &xpby, &format!("xpby crew {p}"));
-            vm.scale(ya, alpha);
-            assert_bits_eq(&vm.snapshot(ya), &scaled, &format!("scale crew {p}"));
         }
     }
 
@@ -658,9 +634,7 @@ mod tests {
     fn scale_and_copy_and_norm() {
         for mut vm in [sim(1), sim(4)] {
             let x = vm.vector(4);
-            vm.fill(x, |_, _| 2.0);
-            vm.scale(x, 1.5);
-            assert_eq!(vm.get(x, 0, 0), 3.0);
+            vm.fill(x, |_, _| 3.0);
             let y = vm.vector(4);
             vm.copy(x, y);
             assert_eq!(vm.snapshot(y), vec![3.0; 4]);

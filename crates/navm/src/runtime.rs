@@ -443,7 +443,7 @@ impl NaVm {
     /// task set; the owning clusters allocate the storage. Errors if a
     /// cluster memory is exhausted, and then holds none of the array.
     /// After a stop the array exists on the host only.
-    pub fn try_array(&mut self, rows: usize, cols: usize) -> Result<ArrayId, String> {
+    pub(crate) fn try_array(&mut self, rows: usize, cols: usize) -> Result<ArrayId, String> {
         assert!(rows > 0 && cols > 0, "degenerate array shape");
         if self.sim.stopped().is_some() {
             return Ok(self.host_array(rows, cols));
@@ -466,7 +466,7 @@ impl NaVm {
         Ok(self.host_array(rows, cols))
     }
 
-    /// Like [`NaVm::try_array`], for programs that poll
+    /// Like `NaVm::try_array`, for programs that poll
     /// [`NaVm::budget_exceeded`]: a cluster memory too small for the array
     /// (a memory-bank fault can shrink one mid-run) stops the run with a
     /// sticky [`AbortCause::MemoryExhausted`] instead of failing. The
@@ -499,24 +499,19 @@ impl NaVm {
     }
 
     /// Row count of an array.
-    pub fn rows(&self, id: ArrayId) -> usize {
+    pub(crate) fn rows(&self, id: ArrayId) -> usize {
         self.arrays[id.0 as usize].rows
     }
 
     /// Column count of an array.
-    pub fn cols(&self, id: ArrayId) -> usize {
+    pub(crate) fn cols(&self, id: ArrayId) -> usize {
         self.arrays[id.0 as usize].cols
     }
 
     /// Element count of an array.
-    pub fn len(&self, id: ArrayId) -> usize {
+    pub(crate) fn len(&self, id: ArrayId) -> usize {
         let a = &self.arrays[id.0 as usize];
         a.rows * a.cols
-    }
-
-    /// True if the array has no elements (never, by construction).
-    pub fn is_empty(&self, id: ArrayId) -> bool {
-        self.len(id) == 0
     }
 
     /// Read one element (setup/diagnostics; charges one memory word
@@ -572,7 +567,7 @@ impl NaVm {
 
     /// Forall over the rows of `id`: `f(r, row_slice)` for every row.
     /// `cost_per_row` is what one row charges.
-    pub fn forall_rows(
+    pub(crate) fn forall_rows(
         &mut self,
         id: ArrayId,
         cost_per_row: WorkProfile,
@@ -691,7 +686,6 @@ mod tests {
         assert_eq!(vm.rows(a), 10);
         assert_eq!(vm.cols(a), 3);
         assert_eq!(vm.len(a), 30);
-        assert!(!vm.is_empty(a));
         let v = vm.vector(7);
         assert_eq!(vm.cols(v), 1);
     }

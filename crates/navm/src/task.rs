@@ -33,17 +33,12 @@ impl TaskSet {
     }
 
     /// Number of tasks.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.n
     }
 
-    /// Always false (a task set has at least one task).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Number of clusters tasks are mapped onto.
-    pub fn clusters(&self) -> u32 {
+    pub(crate) fn clusters(&self) -> u32 {
         self.clusters
     }
 
@@ -93,7 +88,7 @@ impl TaskSet {
     }
 
     /// The task owning item `i` of `items` under the block split.
-    pub fn owner_of(&self, items: usize, i: usize) -> TaskHandle {
+    pub(crate) fn owner_of(&self, items: usize, i: usize) -> TaskHandle {
         assert!(i < items, "item out of range");
         // Invert `share`: earlier `extra` tasks have base+1 items.
         let n = self.n as usize;
@@ -208,7 +203,6 @@ mod tests {
     fn len_and_is_empty() {
         let ts = TaskSet::new(3, 2);
         assert_eq!(ts.len(), 3);
-        assert!(!ts.is_empty());
         assert_eq!(ts.clusters(), 2);
     }
 }

@@ -27,19 +27,9 @@ pub struct Window {
 }
 
 impl Window {
-    /// The kernel-level descriptor (what travels as a parameter).
-    pub fn descriptor(&self) -> &WindowDescriptor {
-        &self.desc
-    }
-
     /// Elements visible through the window.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.desc.len()
-    }
-
-    /// True if the window exposes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.desc.is_empty()
     }
 
     /// Partition row-wise into sub-windows ("windows may be … further
@@ -273,9 +263,9 @@ mod tests {
         let a = vm.array(16, 4);
         let w = vm.window(a, 0, 4, 0, 4);
         assert_eq!(w.len(), 16);
-        assert_eq!(w.descriptor().owner_cluster, 0);
+        assert_eq!(w.desc.owner_cluster, 0);
         let w_tail = vm.window(a, 14, 16, 0, 4);
-        assert_eq!(w_tail.descriptor().owner_cluster, 3);
+        assert_eq!(w_tail.desc.owner_cluster, 3);
     }
 
     #[test]

@@ -39,13 +39,13 @@ use crate::job::field;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Label for the plan (reserved for stochastic extensions).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// 1-based run ordinals that panic in the worker.
-    pub panic_on_run: Vec<u64>,
+    pub(crate) panic_on_run: Vec<u64>,
     /// `(run ordinal, milliseconds)` pairs: stall before executing.
-    pub stall_ms_on_run: Vec<(u64, u64)>,
+    pub(crate) stall_ms_on_run: Vec<(u64, u64)>,
     /// 1-based registry append ordinals that fail.
-    pub registry_error_on_write: Vec<u64>,
+    pub(crate) registry_error_on_write: Vec<u64>,
 }
 
 /// Plan field `name`; absent or `null` arms nothing.
@@ -101,14 +101,14 @@ impl ChaosPlan {
 /// Runtime state of an armed plan: the dispatch counter plus the faults
 /// not yet fired. Shared by every worker thread.
 #[derive(Debug, Default)]
-pub struct ChaosState {
+pub(crate) struct ChaosState {
     plan: Mutex<ChaosPlan>,
     dispatched: AtomicU64,
 }
 
 impl ChaosState {
     /// Arm `plan`.
-    pub fn new(plan: ChaosPlan) -> ChaosState {
+    pub(crate) fn new(plan: ChaosPlan) -> ChaosState {
         ChaosState {
             plan: Mutex::new(plan),
             dispatched: AtomicU64::new(0),
@@ -117,7 +117,7 @@ impl ChaosState {
 
     /// Count one job dispatch and return the faults armed for it:
     /// `(panic, stall_ms)`. Each fault fires at most once.
-    pub fn on_dispatch(&self) -> (bool, Option<u64>) {
+    pub(crate) fn on_dispatch(&self) -> (bool, Option<u64>) {
         let run = self.dispatched.fetch_add(1, Ordering::Relaxed) + 1;
         let mut plan = self.plan.lock().expect("chaos plan lock");
         let panic = match plan.panic_on_run.iter().position(|&r| r == run) {

@@ -23,40 +23,40 @@ use std::time::{Duration, Instant};
 
 /// Largest accepted request body, bytes. Scenario specs are small; a
 /// 10k-op script is well under this.
-pub const MAX_BODY: usize = 1 << 20;
+pub(crate) const MAX_BODY: usize = 1 << 20;
 /// Largest accepted header section, bytes.
 const MAX_HEADER_BYTES: usize = 16 << 10;
 /// Per-socket read/write timeout (one idle gap, not the whole request).
-pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default total per-request deadline: request line + headers + body must
 /// all arrive within this window, however steadily the bytes drip.
-pub const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
 /// A parsed request: method, path, body.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, ... (uppercased).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target, e.g. `/jobs/3/result` (query strings are kept).
-    pub path: String,
+    pub(crate) path: String,
     /// The body (empty when there was no `Content-Length`).
-    pub body: String,
+    pub(crate) body: String,
 }
 
 /// A response to serialize: status code plus JSON (or text) body.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Body text.
-    pub body: String,
+    pub(crate) body: String,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
 }
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             body: body.into(),
@@ -65,7 +65,7 @@ impl Response {
     }
 
     /// A plain-text response (errors before a body can be formed).
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             body: body.into(),
@@ -75,7 +75,7 @@ impl Response {
 }
 
 /// The reason phrase for the status codes this server emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -95,7 +95,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Errors that end a connection with a 4xx before dispatch.
 #[derive(Debug)]
-pub enum ParseError {
+pub(crate) enum ParseError {
     /// Malformed request line or headers.
     Malformed(String),
     /// Body longer than [`MAX_BODY`].
@@ -104,12 +104,12 @@ pub enum ParseError {
     /// total request deadline (answered with 408).
     Timeout,
     /// Socket error / early close.
-    Io(io::Error),
+    Io,
 }
 
 impl From<io::Error> for ParseError {
-    fn from(e: io::Error) -> Self {
-        ParseError::Io(e)
+    fn from(_: io::Error) -> Self {
+        ParseError::Io
     }
 }
 
@@ -128,7 +128,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// the two before every read that reaches the socket (already-buffered
 /// bytes are drained without re-arming), so neither a silent client nor a
 /// byte-dripping one can hold the thread past the deadline.
-pub fn read_request_deadline(
+pub(crate) fn read_request_deadline(
     stream: &TcpStream,
     deadline: Duration,
 ) -> Result<Option<Request>, ParseError> {
@@ -163,7 +163,7 @@ pub fn read_request_deadline(
                 if is_timeout(&e) {
                     ParseError::Timeout
                 } else {
-                    ParseError::Io(e)
+                    ParseError::Io
                 }
             })?;
             if n == 0 {
@@ -237,7 +237,7 @@ pub fn read_request_deadline(
             if is_timeout(&e) {
                 ParseError::Timeout
             } else {
-                ParseError::Io(e)
+                ParseError::Io
             }
         })?;
         if n == 0 {
@@ -252,7 +252,7 @@ pub fn read_request_deadline(
 
 /// Serialize `resp` onto `stream` in one `write_all`, head and body
 /// together. The connection is one-shot (`Connection: close`).
-pub fn write_response(mut stream: &TcpStream, resp: &Response) -> io::Result<()> {
+pub(crate) fn write_response(mut stream: &TcpStream, resp: &Response) -> io::Result<()> {
     let message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         resp.status,

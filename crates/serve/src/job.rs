@@ -60,7 +60,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Stable wire name (`ok` / `failed` / `aborted`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Failed => "failed",
@@ -69,14 +69,14 @@ impl RunStatus {
     }
 
     /// Parse a wire name back; `None` for anything unknown.
-    pub fn parse(s: &str) -> Option<RunStatus> {
+    pub(crate) fn parse(s: &str) -> Option<RunStatus> {
         [RunStatus::Ok, RunStatus::Failed, RunStatus::Aborted]
             .into_iter()
             .find(|status| status.name() == s)
     }
 
     /// Whether this record carries a servable outcome.
-    pub fn is_ok(self) -> bool {
+    pub(crate) fn is_ok(self) -> bool {
         matches!(self, RunStatus::Ok)
     }
 }
@@ -85,37 +85,37 @@ impl RunStatus {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlateJob {
     /// Display name (defaults to `plate {nx}x{ny}`).
-    pub name: String,
+    pub(crate) name: String,
     /// Grid points in x.
-    pub nx: usize,
+    pub(crate) nx: usize,
     /// Grid points in y.
-    pub ny: usize,
+    pub(crate) ny: usize,
     /// NA-VM task count (defaults to the machine's worker count).
-    pub tasks: u32,
+    pub(crate) tasks: u32,
     /// Machine organization to simulate on.
-    pub machine: MachineConfig,
+    pub(crate) machine: MachineConfig,
     /// CG relative tolerance.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// CG iteration cap.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// Replication seed. Simulations are deterministic today, so the seed
     /// only partitions the cache key — reserved for stochastic fault
     /// plans; distinct seeds are distinct jobs.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Let warning-severity findings through the admission gate.
-    pub allow_warnings: bool,
+    pub(crate) allow_warnings: bool,
     /// Abort the simulation once its clock passes this many cycles.
     /// Deterministic, so it partitions the cache key: a budgeted run and
     /// an unbudgeted run of the same plate are different jobs.
-    pub budget_cycles: Option<u64>,
+    pub(crate) budget_cycles: Option<u64>,
     /// Abort after this many DES events. Deterministic; partitions the
     /// cache key like [`budget_cycles`](Self::budget_cycles).
-    pub budget_events: Option<u64>,
+    pub(crate) budget_events: Option<u64>,
     /// Wall-clock deadline in milliseconds. Operational only: it depends
     /// on host speed, so it is *excluded* from the resolved spec and the
     /// content hash — two submissions differing only in `wall_ms` are the
     /// same job.
-    pub budget_wall_ms: Option<u64>,
+    pub(crate) budget_wall_ms: Option<u64>,
 }
 
 /// A fully resolved raw-script job (analysis only).
@@ -123,13 +123,13 @@ pub struct PlateJob {
 pub struct ScriptJob {
     /// The script as submitted: its display name, and its ops in global
     /// program order over one name table. Admission analyses it in place.
-    pub script: ScenarioScript,
+    pub(crate) script: ScenarioScript,
     /// Machine the storage pass bounds against.
-    pub machine: MachineConfig,
+    pub(crate) machine: MachineConfig,
     /// Cache-key seed (see [`PlateJob::seed`]).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Let warning-severity findings through the admission gate.
-    pub allow_warnings: bool,
+    pub(crate) allow_warnings: bool,
 }
 
 /// One resolved submission.
@@ -234,7 +234,7 @@ fn opt_budget(v: &Value) -> Result<[Option<u64>; 3], String> {
 /// count). The server maps these to 422 — the submission was well-formed,
 /// the configuration it describes is impossible — versus 400 for shape
 /// errors.
-pub const INVALID_MACHINE_PREFIX: &str = "invalid field `machine`: ";
+pub(crate) const INVALID_MACHINE_PREFIX: &str = "invalid field `machine`: ";
 
 fn opt_machine(v: &Value) -> Result<MachineConfig, String> {
     let machine = field::<Option<MachineConfig>>(v, "machine")?
@@ -323,7 +323,7 @@ impl JobSpec {
     }
 
     /// Resolve a submission from its JSON tree; see [`JobSpec::parse`].
-    pub fn from_value(v: &Value) -> Result<JobSpec, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<JobSpec, String> {
         // Optional fields: absent or `null` takes the default.
         let num =
             |name, default| field::<Option<u64>>(v, name).map(|n| n.flatten().unwrap_or(default));
@@ -410,7 +410,7 @@ impl JobSpec {
 
     /// The resolved spec as a JSON tree — the exact document the content
     /// hash covers and the registry stores.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         match self {
             JobSpec::Plate(p) => doc! {
                 "kind": "plate",
@@ -457,7 +457,7 @@ impl JobSpec {
     }
 
     /// Display name of the job.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             JobSpec::Plate(p) => &p.name,
             JobSpec::Script(s) => &s.script.name,
@@ -465,7 +465,7 @@ impl JobSpec {
     }
 
     /// Wire name of the job kind (`plate` / `script`).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             JobSpec::Plate(_) => "plate",
             JobSpec::Script(_) => "script",
@@ -473,7 +473,7 @@ impl JobSpec {
     }
 
     /// Whether warning-severity findings are allowed through admission.
-    pub fn allow_warnings(&self) -> bool {
+    pub(crate) fn allow_warnings(&self) -> bool {
         match self {
             JobSpec::Plate(p) => p.allow_warnings,
             JobSpec::Script(s) => s.allow_warnings,
@@ -522,7 +522,7 @@ impl JobSpec {
     /// away. Script jobs never simulate, so they always complete. The
     /// budget is an execution harness, not job identity: it never feeds the
     /// content hash.
-    pub fn execute_with_budget(&self, budget: RunBudget) -> Result<JobOutcome, RunAborted> {
+    pub(crate) fn execute_with_budget(&self, budget: RunBudget) -> Result<JobOutcome, RunAborted> {
         match self {
             JobSpec::Plate(p) => {
                 let mut s = p.scenario();
@@ -582,7 +582,7 @@ impl PlateJob {
     }
 
     /// The budget exactly as submitted (unlimited when no field is set).
-    pub fn budget(&self) -> RunBudget {
+    pub(crate) fn budget(&self) -> RunBudget {
         RunBudget {
             max_sim_cycles: self.budget_cycles,
             max_des_events: self.budget_events,
@@ -601,7 +601,7 @@ impl PlateJob {
     /// operational and never auto-derived.
     ///
     /// Returns the armed budget plus whether any cap was auto-derived.
-    pub fn effective_budget(&self, cost: &CostReport) -> (RunBudget, bool) {
+    pub(crate) fn effective_budget(&self, cost: &CostReport) -> (RunBudget, bool) {
         let mut budget = self.budget();
         let mut auto = false;
         if cost.is_bounded() {

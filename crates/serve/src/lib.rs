@@ -16,7 +16,7 @@
 //!    ([`registry`]) that survives restarts and feeds the static report
 //!    site ([`report`]).
 //!
-//! The HTTP layer ([`http`]) is a deliberate minimum over
+//! The HTTP layer (`http`) is a deliberate minimum over
 //! `std::net::TcpListener`: the build is offline, so there is no server
 //! framework to lean on — and none needed for seven routes.
 //!
@@ -85,13 +85,13 @@ pub(crate) mod util {
 
 pub mod chaos;
 pub mod client;
-pub mod http;
+pub(crate) mod http;
 pub mod job;
 pub mod registry;
 pub mod report;
 pub mod server;
 
-pub use chaos::{ChaosPlan, ChaosState};
-pub use job::{JobOutcome, JobSpec, RunStatus};
-pub use registry::{Registry, RunRecord};
+pub use chaos::ChaosPlan;
+pub use job::{JobSpec, RunStatus};
+pub use registry::Registry;
 pub use server::{start, ServeOptions, ServerHandle};

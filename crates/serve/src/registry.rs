@@ -7,7 +7,7 @@
 //! (`status` `ok` / `failed` / `aborted`, with the `error` text and, for
 //! an abort, the structured `abort_cause`), which is what poison
 //! quarantine replays from; only *deterministic* endings quarantine —
-//! see [`RunRecord::quarantines`]. A plate record carries the static
+//! see `RunRecord::quarantines`. A plate record carries the static
 //! cost bounds admission `predicted` for it, so the report site can set
 //! them against the actual run. Every record is written with
 //! `"shards":1`, a literal of the one engine, and the loader ignores it.
@@ -37,25 +37,25 @@ use crate::job::{field, Admitted, JobOutcome, JobSpec, RunStatus};
 use crate::util::json_compact;
 
 /// Registry log schema identifier, stamped on every record.
-pub const SCHEMA: &str = "fem2-registry/4";
+pub(crate) const SCHEMA: &str = "fem2-registry/4";
 
 /// A completed job run, as replayed from the log.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Total order of the record in the log.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Content hash of the resolved spec (cache key).
-    pub hash: String,
+    pub(crate) hash: String,
     /// Display name at first submission.
-    pub name: String,
+    pub(crate) name: String,
     /// `"plate"` or `"script"`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// The resolved spec document.
-    pub spec: Value,
+    pub(crate) spec: Value,
     /// The outcome document (`null` for failed / aborted runs).
-    pub outcome: Value,
+    pub(crate) outcome: Value,
     /// Wall-clock execution time, nanoseconds.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
     /// How the run ended.
     pub status: RunStatus,
     /// Failure or abort detail for non-`ok` runs.
@@ -63,11 +63,11 @@ pub struct RunRecord {
     /// Structured abort cause for `aborted` runs (`cycles_exceeded`,
     /// `events_exceeded`, `wall_deadline`, `unreachable`,
     /// `memory_exhausted`).
-    pub abort_cause: Option<String>,
+    pub(crate) abort_cause: Option<String>,
     /// Static cost bounds predicted at admission (plate runs with a
     /// bounded verdict only): an object with `sim_cycles`,
     /// `des_events`, `messages`, and `peak_memory_words`.
-    pub predicted: Option<Value>,
+    pub(crate) predicted: Option<Value>,
 }
 
 /// Field `name` of a stored document; absent or of another type reads
@@ -83,7 +83,7 @@ impl RunRecord {
     /// abort is a host fact — and `wall_ms` is deliberately
     /// hash-neutral, so quarantining it would poison the unbudgeted spec
     /// for every tenant. Those re-run instead of replaying.
-    pub fn quarantines(&self) -> bool {
+    pub(crate) fn quarantines(&self) -> bool {
         match self.status {
             RunStatus::Ok => false,
             RunStatus::Failed => true,
@@ -286,7 +286,7 @@ impl Registry {
     /// The latest *successful* run for `hash`, if any — what submission
     /// serves when the latest record overall is a non-quarantining abort
     /// (a wall deadline) that a completed run already answered.
-    pub fn lookup_ok(&self, hash: &str) -> Option<&RunRecord> {
+    pub(crate) fn lookup_ok(&self, hash: &str) -> Option<&RunRecord> {
         self.runs
             .iter()
             .rev()
@@ -296,7 +296,7 @@ impl Registry {
     /// Number of quarantined specs: distinct hashes whose latest record
     /// [`quarantines`](RunRecord::quarantines). Re-submissions of these
     /// replay the recorded failure instead of burning a worker.
-    pub fn quarantine_size(&self) -> usize {
+    pub(crate) fn quarantine_size(&self) -> usize {
         self.poisoned.len()
     }
 
@@ -304,12 +304,13 @@ impl Registry {
     /// the registry's lifetime) fail with a simulated IO error. Used by
     /// the fault-injection harness to exercise the server's registry
     /// retry and failure paths; each listed index fires at most once.
-    pub fn inject_write_errors(&mut self, appends: Vec<u64>) {
+    pub(crate) fn inject_write_errors(&mut self, appends: Vec<u64>) {
         self.fail_writes = appends;
     }
 
     /// All job runs, in log order.
-    pub fn runs(&self) -> &[RunRecord] {
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> &[RunRecord] {
         &self.runs
     }
 
@@ -334,7 +335,7 @@ impl Registry {
     /// the failure detail in `error`; aborted records additionally carry
     /// the structured `abort_cause`, which decides whether poison
     /// quarantine replays them to later submitters of the same spec.
-    pub fn record_result(
+    pub(crate) fn record_result(
         &mut self,
         spec: &JobSpec,
         status: RunStatus,

@@ -88,7 +88,7 @@ pub struct ServeOptions {
     /// Maximum queued-or-running jobs before submissions shed with 503.
     pub queue_capacity: usize,
     /// Total per-request read deadline (tests shrink this; production
-    /// keeps [`REQUEST_DEADLINE`]).
+    /// keeps `REQUEST_DEADLINE`).
     pub request_deadline: Duration,
     /// Deterministic fault plan (`--chaos`); `None` in production.
     pub chaos: Option<ChaosPlan>,
@@ -245,7 +245,7 @@ fn ns(d: Duration) -> u64 {
 }
 
 /// Shared server state.
-pub struct State {
+pub(crate) struct State {
     registry: Mutex<Registry>,
     tables: Mutex<Tables>,
     /// Station 4's FIFO. A leaf lock: never held together with
@@ -909,7 +909,7 @@ impl State {
         while let Some((stream, accepted)) = next {
             let resp = match read_request_deadline(&stream, self.request_deadline) {
                 Ok(Some(req)) => Some(self.dispatch(&req, accepted)),
-                Ok(None) | Err(ParseError::Io(_)) => None,
+                Ok(None) | Err(ParseError::Io) => None,
                 Err(ParseError::TooLarge) => Some(Response::text(413, "body too large")),
                 Err(ParseError::Malformed(m)) => Some(Response::text(400, m)),
                 Err(ParseError::Timeout) => Some(Response::text(408, "request timed out")),

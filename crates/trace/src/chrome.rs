@@ -2,10 +2,10 @@
 //!
 //! The JSON loads in `chrome://tracing` and Perfetto. Mapping:
 //! - **pid** = cluster id (process-name metadata labels it `cluster N`);
-//!   machine-level events (no cluster) use [`SIM_PID`], scenario phase
-//!   spans use [`PHASE_PID`].
+//!   machine-level events (no cluster) use `SIM_PID`, scenario phase
+//!   spans use `PHASE_PID`.
 //! - **tid** = PE index within the cluster; cluster-level activity
-//!   (kernel protocol, network, heap) rides the [`CONTROL_TID`] lane.
+//!   (kernel protocol, network, heap) rides the `CONTROL_TID` lane.
 //! - **ts/dur** are simulated cycles, exported 1 cycle = 1 µs.
 //!
 //! Only activity that is serialized by the model becomes `X` (complete)
@@ -17,13 +17,13 @@ use crate::event::{EventKind, TraceEvent, NO_CLUSTER, NO_PE};
 use crate::sink::RingRecorder;
 
 /// `pid` for machine-level events not tied to a cluster (DES queue).
-pub const SIM_PID: u32 = 1_000_000;
+pub(crate) const SIM_PID: u32 = 1_000_000;
 
 /// `pid` for scenario phase spans.
-pub const PHASE_PID: u32 = 1_000_001;
+pub(crate) const PHASE_PID: u32 = 1_000_001;
 
 /// `tid` for cluster-level (non-PE) activity within a cluster `pid`.
-pub const CONTROL_TID: u32 = 999;
+pub(crate) const CONTROL_TID: u32 = 999;
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

@@ -34,7 +34,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MsgKind::InitiateTask => "initiate_task",
             MsgKind::PauseNotify => "pause_notify",
@@ -68,7 +68,7 @@ pub enum CostKind {
 
 impl CostKind {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CostKind::Flop => "flop",
             CostKind::IntOp => "int_op",
@@ -97,7 +97,7 @@ pub enum WindowStage {
 
 impl WindowStage {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             WindowStage::Request => "request",
             WindowStage::Gather => "gather",
@@ -107,7 +107,7 @@ impl WindowStage {
     }
 
     /// Stable index, usable as an array offset.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             WindowStage::Request => 0,
             WindowStage::Gather => 1,
@@ -134,7 +134,7 @@ pub enum TaskStage {
 
 impl TaskStage {
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TaskStage::Created => "created",
             TaskStage::Dispatched => "dispatched",
@@ -294,13 +294,13 @@ pub struct TraceEvent {
     /// Simulated cycle the event starts at.
     pub at: Cycles,
     /// Span length in cycles; 0 for instantaneous events.
-    pub dur: Cycles,
+    pub(crate) dur: Cycles,
     /// Cluster id, or [`NO_CLUSTER`].
     pub cluster: u32,
     /// PE index within the cluster, or [`NO_PE`].
     pub pe: u32,
     /// Interned phase id (stamped by the recorder).
-    pub phase: u16,
+    pub(crate) phase: u16,
     /// What happened.
     pub kind: EventKind,
 }
@@ -331,7 +331,7 @@ impl TraceEvent {
     }
 
     /// Short display name of the event kind.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match &self.kind {
             EventKind::DesSchedule { .. } => "des_schedule",
             EventKind::DesDispatch { .. } => "des_dispatch",

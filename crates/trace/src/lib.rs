@@ -25,17 +25,16 @@
 
 pub mod chrome;
 pub mod event;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod report;
 pub mod sink;
 
 pub use event::{
     CostKind, EventKind, MsgKind, TaskStage, TraceEvent, WindowStage, NO_CLUSTER, NO_PE,
 };
-pub use metrics::{Histogram, Metrics, PhaseMetrics};
 pub use report::DegradationReport;
 pub use sink::{RingRecorder, SharedRecorder, TraceHandle};
 
 /// Simulated time in machine cycles (mirrors `fem2_machine::Cycles`; this
 /// crate sits below the machine crate so it declares its own alias).
-pub type Cycles = u64;
+pub(crate) type Cycles = u64;

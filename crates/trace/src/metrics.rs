@@ -8,21 +8,21 @@ use crate::event::{EventKind, TaskStage, TraceEvent};
 
 /// Number of log2 buckets: values up to 2^47 − 1 resolve exactly, larger
 /// ones land in the last bucket.
-pub const BUCKETS: usize = 48;
+pub(crate) const BUCKETS: usize = 48;
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
 /// Bucket `0` holds the value 0; bucket `b ≥ 1` holds `[2^(b−1), 2^b)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     /// Per-bucket sample counts.
-    pub buckets: [u64; BUCKETS],
+    pub(crate) buckets: [u64; BUCKETS],
     /// Total samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of samples.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Largest sample.
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
 impl Default for Histogram {
@@ -38,7 +38,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Record one sample.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let b = if v == 0 {
             0
         } else {
@@ -51,13 +51,13 @@ impl Histogram {
     }
 
     /// Mean sample, or 0 with no samples.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Render as `lo..hi:count` pairs for non-empty buckets, e.g.
     /// `0:3 1:10 2..3:4 8..15:1`.
-    pub fn summarize(&self) -> String {
+    pub(crate) fn summarize(&self) -> String {
         if self.count == 0 {
             return "-".to_string();
         }
@@ -79,64 +79,64 @@ impl Histogram {
 
 /// Aggregates for one scenario phase.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct PhaseMetrics {
+pub(crate) struct PhaseMetrics {
     /// Events observed (all kinds).
-    pub events: u64,
+    pub(crate) events: u64,
     /// PE busy cycles (sum of `PeBusy` durations).
-    pub busy_cycles: u64,
+    pub(crate) busy_cycles: u64,
     /// Kernel messages sent.
-    pub msgs_sent: u64,
+    pub(crate) msgs_sent: u64,
     /// Kernel messages received.
-    pub msgs_recv: u64,
+    pub(crate) msgs_recv: u64,
     /// Wire words of sent kernel messages.
-    pub msg_words: u64,
+    pub(crate) msg_words: u64,
     /// Heap/cluster-memory allocations.
-    pub allocs: u64,
+    pub(crate) allocs: u64,
     /// Heap/cluster-memory frees.
-    pub frees: u64,
+    pub(crate) frees: u64,
     /// Network transfers (post-segmentation messages).
-    pub transfers: u64,
+    pub(crate) transfers: u64,
     /// Network packets moved.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Words moved per window-protocol stage (request/gather/transit/scatter).
-    pub window_words: [u64; 4],
+    pub(crate) window_words: [u64; 4],
     /// Link dead/degrade faults observed.
-    pub link_faults: u64,
+    pub(crate) link_faults: u64,
     /// Links restored to full health.
-    pub link_recoveries: u64,
+    pub(crate) link_recoveries: u64,
     /// Reliable-layer retransmits.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Messages dead-lettered after exhausting retransmits.
-    pub dead_letters: u64,
+    pub(crate) dead_letters: u64,
     /// Transient PE recoveries.
-    pub pe_recoveries: u64,
+    pub(crate) pe_recoveries: u64,
     /// Cluster-memory bank faults.
-    pub mem_faults: u64,
+    pub(crate) mem_faults: u64,
     /// Stale task completions discarded by the kernel.
-    pub stale_tasks: u64,
+    pub(crate) stale_tasks: u64,
     /// Run aborts: a budget exceeded, or a fault that stopped the run.
-    pub run_aborts: u64,
+    pub(crate) run_aborts: u64,
     /// DES dispatches (event pops) observed in this phase.
-    pub des_dispatches: u64,
+    pub(crate) des_dispatches: u64,
     /// Highest engine lifetime pop count seen in this phase (schedule or
     /// dispatch events both carry it).
-    pub des_events_processed: u64,
+    pub(crate) des_events_processed: u64,
     /// Simulated time of the first DES dispatch seen in this phase.
-    pub des_first_dispatch_at: u64,
+    pub(crate) des_first_dispatch_at: u64,
     /// Simulated time of the last DES dispatch seen in this phase.
-    pub des_last_dispatch_at: u64,
+    pub(crate) des_last_dispatch_at: u64,
     /// Histogram of kernel message wire sizes, words.
-    pub msg_size: Histogram,
+    pub(crate) msg_size: Histogram,
     /// Histogram of DES queue depths at schedule/dispatch.
-    pub queue_depth: Histogram,
+    pub(crate) queue_depth: Histogram,
     /// Histogram of task latencies (creation → completion), cycles.
-    pub task_latency: Histogram,
+    pub(crate) task_latency: Histogram,
 }
 
 impl PhaseMetrics {
     /// Fold one event in. `task_latency` is fed separately by the recorder
     /// (it needs cross-event pairing).
-    pub fn observe(&mut self, ev: &TraceEvent) {
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) {
         self.events += 1;
         match ev.kind {
             EventKind::DesSchedule {
@@ -214,7 +214,7 @@ impl PhaseMetrics {
 
     /// True if any fault/reliability counter is nonzero (gates the extra
     /// per-phase table line so healthy reports stay unchanged).
-    pub fn any_fault_activity(&self) -> bool {
+    pub(crate) fn any_fault_activity(&self) -> bool {
         self.link_faults != 0
             || self.link_recoveries != 0
             || self.retransmits != 0
@@ -227,7 +227,7 @@ impl PhaseMetrics {
     /// Trace-based DES throughput for this phase: dispatches per million
     /// simulated cycles over the phase's dispatch span. 0 when the phase
     /// saw fewer than two dispatches (no span to divide by).
-    pub fn des_throughput_per_mcycle(&self) -> u64 {
+    pub(crate) fn des_throughput_per_mcycle(&self) -> u64 {
         if self.des_dispatches < 2 {
             return 0;
         }
@@ -244,12 +244,12 @@ impl PhaseMetrics {
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// One entry per interned phase id.
-    pub phases: Vec<PhaseMetrics>,
+    pub(crate) phases: Vec<PhaseMetrics>,
 }
 
 impl Metrics {
     /// The metrics slot for `phase`, growing the table as needed.
-    pub fn phase_mut(&mut self, phase: u16) -> &mut PhaseMetrics {
+    pub(crate) fn phase_mut(&mut self, phase: u16) -> &mut PhaseMetrics {
         let idx = phase as usize;
         if idx >= self.phases.len() {
             self.phases.resize(idx + 1, PhaseMetrics::default());

@@ -35,7 +35,7 @@ pub struct DegradationReport {
 impl DegradationReport {
     /// Makespan as permille of the healthy baseline (1000 = no slowdown).
     /// Integer arithmetic keeps the rendering byte-stable.
-    pub fn slowdown_permille(&self) -> u64 {
+    pub(crate) fn slowdown_permille(&self) -> u64 {
         if self.healthy_makespan == 0 {
             return 1000;
         }
@@ -43,7 +43,7 @@ impl DegradationReport {
     }
 
     /// Column header matching [`DegradationReport::row`].
-    pub fn header() -> String {
+    pub(crate) fn header() -> String {
         format!(
             "{:<12} {:>10} {:>9} {:>9} {:>7} {:>8} {:>8} {:>9}\n{}",
             "fault mix",
@@ -59,7 +59,7 @@ impl DegradationReport {
     }
 
     /// One table row; stable width-aligned rendering.
-    pub fn row(&self) -> String {
+    pub(crate) fn row(&self) -> String {
         let pm = self.slowdown_permille();
         format!(
             "{:<12} {:>10} {:>5}.{:03} {:>5}/{:<3} {:>7} {:>8} {:>8} {:>9}",

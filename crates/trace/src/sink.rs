@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Name of the implicit phase active before any `begin_phase` call.
-pub const STARTUP_PHASE: &str = "startup";
+pub(crate) const STARTUP_PHASE: &str = "startup";
 
 /// Bounded ring-buffer recorder with per-phase metrics.
 ///
@@ -38,7 +38,7 @@ pub struct RingRecorder {
 
 impl RingRecorder {
     /// A recorder retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RingRecorder {
             capacity: capacity.max(1),
             events: VecDeque::new(),
@@ -72,13 +72,8 @@ impl RingRecorder {
         self.dropped
     }
 
-    /// Interned phase names; index = phase id.
-    pub fn phases(&self) -> &[String] {
-        &self.phases
-    }
-
     /// Name of a phase id (or `"?"` for an unknown id).
-    pub fn phase_name(&self, id: u16) -> &str {
+    pub(crate) fn phase_name(&self, id: u16) -> &str {
         self.phases
             .get(id as usize)
             .map(String::as_str)
@@ -86,7 +81,7 @@ impl RingRecorder {
     }
 
     /// Phase entry marks: (phase id, entry time), in entry order.
-    pub fn phase_marks(&self) -> &[(u16, Cycles)] {
+    pub(crate) fn phase_marks(&self) -> &[(u16, Cycles)] {
         &self.phase_marks
     }
 
@@ -96,7 +91,7 @@ impl RingRecorder {
     }
 
     /// Largest timestamp observed (span ends included).
-    pub fn high_water(&self) -> Cycles {
+    pub(crate) fn high_water(&self) -> Cycles {
         self.high_water
     }
 
@@ -258,7 +253,7 @@ mod tests {
         h.begin_phase("solve", 20);
         h.emit(|| busy(20, 1));
         let r = rec.lock().unwrap();
-        assert_eq!(r.phases(), &["startup".to_string(), "solve".to_string()]);
+        assert_eq!(r.phases, ["startup".to_string(), "solve".to_string()]);
         let phases: Vec<u16> = r.events().map(|e| e.phase).collect();
         assert_eq!(phases, vec![0, 1, 1]);
         assert_eq!(r.phase_marks(), &[(0, 0), (1, 10), (1, 20)]);

@@ -82,24 +82,24 @@ pub enum CostVerdict {
 
 /// Upper bounds attributed to one named phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseCost {
+pub(crate) struct PhaseCost {
     /// Phase name (`spawn`, `exchange`, `solve`, …).
-    pub name: String,
+    pub(crate) name: String,
     /// Simulated-cycle bound for work charged in this phase.
-    pub sim_cycles: u64,
+    pub(crate) sim_cycles: u64,
     /// DES-event bound for this phase.
-    pub des_events: u64,
+    pub(crate) des_events: u64,
     /// Kernel-message bound for this phase.
-    pub messages: u64,
+    pub(crate) messages: u64,
 }
 
 /// Sound upper bounds for one scenario, with per-phase breakdown.
 #[derive(Clone, Debug)]
 pub struct CostReport {
     /// What was analyzed.
-    pub subject: String,
+    pub(crate) subject: String,
     /// Per-phase bounds, in first-charge order.
-    pub phases: Vec<PhaseCost>,
+    pub(crate) phases: Vec<PhaseCost>,
     /// Total DES-event bound (two events — schedule and dispatch — per
     /// kernel message; plate runs drive the machine directly and process
     /// zero DES events, so this is trivially sound for them).
@@ -111,13 +111,13 @@ pub struct CostReport {
     /// Peak per-cluster memory bound: the busiest cluster's words.
     pub peak_memory_words: u64,
     /// Per-cluster memory words, indexed by cluster.
-    pub cluster_memory_words: Vec<u64>,
+    pub(crate) cluster_memory_words: Vec<u64>,
     /// Payload words per link that carries traffic, as `(link id, words)`
     /// pairs sorted by link id. Sparse: the link id space can be quadratic
     /// in clusters (crossbar), but a script touches O(routes used) links.
-    pub link_traffic_words: Vec<(usize, u64)>,
+    pub(crate) link_traffic_words: Vec<(usize, u64)>,
     /// Size of the link id space (dense rendering upper bound).
-    pub link_id_space: usize,
+    pub(crate) link_id_space: usize,
     /// Whether the bounds are sound or the script defeated the analysis.
     pub verdict: CostVerdict,
 }
@@ -129,7 +129,7 @@ impl CostReport {
     }
 
     /// The most-trafficked link, as `(link id, payload words)`.
-    pub fn busiest_link(&self) -> Option<(usize, u64)> {
+    pub(crate) fn busiest_link(&self) -> Option<(usize, u64)> {
         self.link_traffic_words
             .iter()
             .copied()
@@ -310,11 +310,11 @@ impl CostModeler {
     /// cluster transfers add a kernel message, two DES events, the worst-
     /// case transmit duration, and payload attribution along the healthy
     /// route.
-    pub fn message(&mut self, from: u32, to: u32, words: u64) {
+    pub(crate) fn message(&mut self, from: u32, to: u32, words: u64) {
         self.message_times(from, to, words, 1);
     }
 
-    /// [`message`](Self::message), `count` times.
+    /// `message`, `count` times.
     pub fn message_times(&mut self, from: u32, to: u32, words: u64, count: u64) {
         if count == 0 {
             return;
@@ -345,7 +345,7 @@ impl CostModeler {
     /// Worst-case cycles for one isolated `words`-word cross-cluster
     /// transmit: packet count times worst occupancy, plus per-hop
     /// store-and-forward latency over the topology's worst route.
-    pub fn tx_bound(&self, words: u64) -> u64 {
+    pub(crate) fn tx_bound(&self, words: u64) -> u64 {
         let mpw = self.machine.max_packet_words.max(1);
         let wpc = u64::from(self.machine.words_per_cycle.max(1));
         let packets = words.div_ceil(mpw).max(1);
@@ -359,14 +359,14 @@ impl CostModeler {
 
     /// Record `words` allocated on `cluster` (allocations are exact, not
     /// bounds: the lowering emits one `Alloc` per actual arena claim).
-    pub fn alloc(&mut self, cluster: u32, words: u64) {
+    pub(crate) fn alloc(&mut self, cluster: u32, words: u64) {
         if let Some(w) = self.cluster_memory_words.get_mut(cluster as usize) {
             *w = w.saturating_add(words);
         }
     }
 
     /// Give up: record why no bound exists. First reason wins.
-    pub fn unbounded(&mut self, reason: impl Into<String>, span: Span) {
+    pub(crate) fn unbounded(&mut self, reason: impl Into<String>, span: Span) {
         if self.verdict == CostVerdict::Bounded {
             self.verdict = CostVerdict::Unbounded {
                 reason: reason.into(),
@@ -785,7 +785,7 @@ mod tests {
         use fem2_machine::{CostClass, MachineConfig, Network};
         use std::collections::BTreeMap;
 
-        pub struct Modeler {
+        pub(super) struct Modeler {
             subject: String,
             machine: MachineConfig,
             network: Network,
@@ -798,7 +798,7 @@ mod tests {
         }
 
         impl Modeler {
-            pub fn new(subject: &str, machine: &MachineConfig) -> Self {
+            pub(super) fn new(subject: &str, machine: &MachineConfig) -> Self {
                 let mut m = Modeler {
                     subject: subject.into(),
                     machine: machine.clone(),
@@ -814,7 +814,7 @@ mod tests {
                 m
             }
 
-            pub fn begin_phase(&mut self, name: &str) {
+            pub(super) fn begin_phase(&mut self, name: &str) {
                 if let Some(i) = self.phases.iter().position(|p| p.name == name) {
                     self.current = i;
                     return;
@@ -834,7 +834,7 @@ mod tests {
                 p.sim_cycles = p.sim_cycles.saturating_add(unit.saturating_mul(count));
             }
 
-            pub fn message_times(&mut self, from: u32, to: u32, words: u64, count: u64) {
+            pub(super) fn message_times(&mut self, from: u32, to: u32, words: u64, count: u64) {
                 if count == 0 {
                     return;
                 }
@@ -873,7 +873,7 @@ mod tests {
                 }
             }
 
-            pub fn walk_script(&mut self, script: &ScenarioScript, sweeps: u64) {
+            pub(super) fn walk_script(&mut self, script: &ScenarioScript, sweeps: u64) {
                 let sweeps = sweeps.max(1);
                 let mut cluster_of: BTreeMap<&str, u32> = BTreeMap::new();
                 let far = self.machine.clusters.saturating_sub(1);
@@ -944,7 +944,7 @@ mod tests {
                 }
             }
 
-            pub fn finish(mut self) -> CostReport {
+            pub(super) fn finish(mut self) -> CostReport {
                 self.phases.retain(|p| {
                     p.name != "total" || p.sim_cycles > 0 || p.des_events > 0 || p.messages > 0
                 });

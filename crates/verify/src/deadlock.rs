@@ -70,7 +70,7 @@ impl Tasks {
 }
 
 /// Run the deadlock pass, appending findings to `report`.
-pub fn check(script: &ScenarioScript, report: &mut Report) {
+pub(crate) fn check(script: &ScenarioScript, report: &mut Report) {
     let name = |id: NameId| script.name(id);
     let mut tasks = Tasks {
         next_seq: vec![0; script.name_count()],
@@ -467,7 +467,7 @@ mod tests {
             recv: Half,
         }
 
-        pub fn check(script: &ScenarioScript, report: &mut Report) {
+        pub(super) fn check(script: &ScenarioScript, report: &mut Report) {
             let mut sends: BTreeMap<(String, String, String), Vec<Half>> = BTreeMap::new();
             let mut recvs: BTreeMap<(String, String, String), Vec<Half>> = BTreeMap::new();
             let mut events: Vec<Event> = Vec::new();

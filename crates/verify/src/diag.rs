@@ -23,7 +23,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lowercase name, as rendered.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -47,13 +47,13 @@ impl Serialize for Severity {
 /// A source span: a 1-based line of the scenario description.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Span {
-    /// 1-based line number into [`Report::source`].
+    /// 1-based line number into `Report::source`.
     pub line: u32,
 }
 
 impl Span {
     /// Span covering line `line` (1-based).
-    pub fn line(line: u32) -> Self {
+    pub(crate) fn line(line: u32) -> Self {
         Span { line }
     }
 }
@@ -96,10 +96,10 @@ impl Serialize for Diagnostic {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// What was analyzed (scenario or grammar name).
-    pub subject: String,
+    pub(crate) subject: String,
     /// The scenario description the spans index into: empty for grammars,
     /// and left empty by `check_script` when no diagnostic has a span.
-    pub source: String,
+    pub(crate) source: String,
     /// All findings, in pass order then discovery order. Deterministic.
     pub diagnostics: Vec<Diagnostic>,
 }

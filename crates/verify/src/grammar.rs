@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 const PASS: &str = "grammar";
 
 /// Analyze one grammar, returning its report.
-pub fn check(grammar: &Grammar) -> Report {
+pub(crate) fn check(grammar: &Grammar) -> Report {
     let mut report = Report::new(format!("grammar '{}'", grammar.name()), String::new());
 
     let Some(start) = grammar.start() else {

@@ -10,18 +10,18 @@
 //!
 //! Four passes:
 //!
-//! 1. [`protocol`] — kernel-protocol conformance: every message sequence is
+//! 1. `protocol` — kernel-protocol conformance: every message sequence is
 //!    replayed through the finite automaton `fem2-kernel` exports next to
 //!    its message types (initiate/terminate pairing, pause/resume legality,
 //!    no traffic to never-initiated tasks, window open → exchange → close);
-//! 2. [`deadlock`] — static wait-for analysis of window exchanges: sends
+//! 2. `deadlock` — static wait-for analysis of window exchanges: sends
 //!    and receives are matched pairwise, unmatched halves are reported, and
 //!    a cycle in the rendezvous event graph is reported with the shortest
 //!    counterexample wait chain;
-//! 3. [`storage`] — worst-case per-cluster heap and activation-record
+//! 3. `storage` — worst-case per-cluster heap and activation-record
 //!    demand versus the configured arena (the `MemFault` class, caught
 //!    before any cycle is simulated);
-//! 4. [`grammar`] — well-formedness of the layer grammars themselves:
+//! 4. `grammar` — well-formedness of the layer grammars themselves:
 //!    unreachable nonterminals, duplicate (unused) productions, and
 //!    non-productive rules.
 //!
@@ -41,16 +41,16 @@
 //! ```
 
 pub mod cost;
-pub mod deadlock;
+pub(crate) mod deadlock;
 pub mod diag;
-pub mod grammar;
+pub(crate) mod grammar;
 pub mod lower;
-pub mod protocol;
+pub(crate) mod protocol;
 pub mod script;
-pub mod storage;
+pub(crate) mod storage;
 
-pub use cost::{check_cost, CostModeler, CostParams, CostReport, CostVerdict, PhaseCost};
-pub use diag::{Diagnostic, Report, Severity, Span};
+pub use cost::{check_cost, CostModeler, CostParams, CostReport, CostVerdict};
+pub use diag::{Report, Severity};
 pub use script::{NameId, Op, ScenarioScript};
 
 use fem2_hgraph::Grammar;

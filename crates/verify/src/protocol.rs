@@ -26,7 +26,7 @@ struct Replay<'s> {
 }
 
 /// Run the protocol pass, appending findings to `report`.
-pub fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Report) {
+pub(crate) fn check(script: &ScenarioScript, machine: &MachineConfig, report: &mut Report) {
     let mut r = Replay {
         script,
         states: vec![None; script.name_count()],

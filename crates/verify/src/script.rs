@@ -113,7 +113,7 @@ pub enum Op {
 
 /// A lowered scenario: ops over one name table, plus the description text
 /// diagnostics span into. Names are text only where text is produced:
-/// [`describe`](Self::describe), [`source`](Self::source) and the
+/// `describe`, `source` and the
 /// diagnostics that quote them.
 #[derive(Clone, Debug)]
 pub struct ScenarioScript {
@@ -168,7 +168,7 @@ impl ScenarioScript {
 
     /// Size of the name table: every [`NameId`] in the script is below it,
     /// so passes keep per-name state in vectors of this length.
-    pub fn name_count(&self) -> usize {
+    pub(crate) fn name_count(&self) -> usize {
         self.ends.len()
     }
 
@@ -198,7 +198,7 @@ impl ScenarioScript {
     }
 
     /// The one-line scenario-description rendering of `op`.
-    pub fn describe(&self, op: &Op) -> String {
+    pub(crate) fn describe(&self, op: &Op) -> String {
         let n = |id: NameId| self.name(id);
         match *op {
             Op::Initiate {
@@ -243,7 +243,7 @@ impl ScenarioScript {
 
     /// The scenario description: one line per op, in order. Line `n`
     /// (1-based) describes op `n`, which is what diagnostic spans index.
-    pub fn source(&self) -> String {
+    pub(crate) fn source(&self) -> String {
         let mut out = String::new();
         for op in &self.ops {
             out.push_str(&self.describe(op));

@@ -18,7 +18,7 @@ const PASS: &str = "storage";
 
 /// Modeled size of one task activation record, in words: header, saved
 /// registers, and the argument area the kernel copies in on initiate.
-pub const ACTIVATION_RECORD_WORDS: u64 = 64;
+pub(crate) const ACTIVATION_RECORD_WORDS: u64 = 64;
 
 /// Fraction of the arena above which demand draws a warning (7/8).
 const WARN_NUM: u64 = 7;
@@ -44,7 +44,7 @@ impl fmt::Display for Claim<'_> {
 }
 
 /// Run the storage pass, appending findings to `report`.
-pub fn check<'s>(script: &'s ScenarioScript, machine: &MachineConfig, report: &mut Report) {
+pub(crate) fn check<'s>(script: &'s ScenarioScript, machine: &MachineConfig, report: &mut Report) {
     if let Err(e) = machine.validate() {
         report.push(
             Severity::Error,

@@ -1,14 +1,16 @@
 //! Property tests on cross-crate invariants: the heap never corrupts, the
 //! solvers solve, substructuring equals the direct method, partitions
-//! cover, and window reads equal direct reads.
+//! cover, window reads equal direct reads, and PEs beyond the crew change
+//! nothing.
 
+use fem2_core::PlateScenario;
 use fem2_fem::bc::Constraints;
 use fem2_fem::partition::Partition;
 use fem2_fem::solver::{cg, skyline, IterControls};
 use fem2_fem::substructure::analyze_substructures;
 use fem2_fem::{assemble_free, cantilever_plate, Coo, Material, Mesh, SolverChoice};
 use fem2_kernel::{Block, Heap};
-use fem2_machine::MachineConfig;
+use fem2_machine::{MachineConfig, Topology};
 use fem2_navm::{NaVm, TaskHandle};
 use proptest::prelude::*;
 
@@ -16,7 +18,7 @@ fn norm(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// The answers, not only the bits (ROADMAP 4b): on a non-square plane-stress
+/// The answers, not only the bits: on a non-square plane-stress
 /// cantilever the direct solve leaves a residual at rounding level, and
 /// every `SolverChoice` that converges lands on it to a stated tolerance.
 #[test]
@@ -83,6 +85,41 @@ fn every_solver_choice_agrees_with_skyline_on_a_cantilever() {
 enum HeapOp {
     Alloc(u64),
     FreeIdx(usize),
+}
+
+/// Idle PEs: on every topology, a cluster with more PEs than the crew
+/// places on it runs the plate exactly as one with fewer. A 16×16 plate on
+/// 4 clusters, crews of 3, 4 and 7 tasks, 4, 8 or 16 PEs per cluster.
+#[test]
+fn idle_pes_change_nothing() {
+    let topologies = [
+        Topology::Bus,
+        Topology::Ring,
+        Topology::Mesh2D { width: 2 },
+        Topology::Crossbar,
+        Topology::Torus { dims: vec![2, 2] },
+        Topology::FatTree { radix: 2 },
+    ];
+    for topology in topologies {
+        for tasks in [3, 4, 7] {
+            let run = |pes: u32| {
+                let machine = MachineConfig::clustered(4, pes, topology.clone());
+                let mut plate = PlateScenario::square(16, machine);
+                plate.tasks = tasks;
+                let r = plate.run();
+                (
+                    r.elapsed,
+                    r.total_messages,
+                    r.total_words_moved,
+                    r.iterations,
+                )
+            };
+            let base = run(4);
+            for pes in [8, 16] {
+                assert_eq!(run(pes), base, "{topology:?}, {tasks} tasks, {pes} PEs");
+            }
+        }
+    }
 }
 
 fn heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {

@@ -138,7 +138,7 @@ proptest! {
             .filter(|&(_, _, v)| v != 0)
             .map(|(r, c, v)| (r % n, c % n, v as f64))
             .collect();
-        let mut coo = Coo::with_capacity(n, triplets.len());
+        let mut coo = Coo::new(n);
         for &(r, c, v) in &triplets {
             coo.add(r, c, v);
         }
@@ -155,26 +155,5 @@ proptest! {
             let row = &csr.colidx[csr.rowptr[r]..csr.rowptr[r + 1]];
             prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    /// The capacity hint is behavior-neutral: any hint (including zero)
-    /// yields the identical matrix.
-    #[test]
-    fn with_capacity_is_behavior_neutral(
-        cap in 0usize..512,
-        raw in proptest::collection::vec((0usize..8, 0usize..8, -4i32..=4), 0..40),
-    ) {
-        let n = 8;
-        let mut hinted = Coo::with_capacity(n, cap);
-        let mut plain = Coo::new(n);
-        for &(r, c, v) in &raw {
-            hinted.add(r, c, v as f64);
-            plain.add(r, c, v as f64);
-        }
-        let a = hinted.to_csr();
-        let b = plain.to_csr();
-        prop_assert_eq!(a.rowptr, b.rowptr);
-        prop_assert_eq!(a.colidx, b.colidx);
-        prop_assert_eq!(a.vals, b.vals);
     }
 }
