@@ -183,7 +183,14 @@ impl PlateScenario {
     }
 
     fn run_supervised(&self, budget: &RunBudget) -> Result<ScenarioReport, RunAborted> {
-        let mut vm = NaVm::simulated(self.machine.clone(), self.tasks);
+        self.run_on(
+            &mut NaVm::simulated(self.machine.clone(), self.tasks),
+            budget,
+        )
+    }
+
+    /// [`run_supervised`](Self::run_supervised) on a VM the caller made.
+    fn run_on(&self, vm: &mut NaVm, budget: &RunBudget) -> Result<ScenarioReport, RunAborted> {
         vm.set_trace(self.trace.clone());
         vm.set_budget(budget.clone());
         let elements = (self.nx - 1).max(1) * (self.ny - 1).max(1);
@@ -198,12 +205,11 @@ impl PlateScenario {
             })
             .collect();
         vm.pardo(&stmts);
-        self.check_abort(&vm)?;
+        self.check_abort(vm)?;
 
         vm.phase("solve");
-        let (iterations, residual, _x) =
-            plate_cg(&mut vm, self.nx, self.ny, self.tol, self.max_iters);
-        self.check_abort(&vm)?;
+        let (iterations, residual, _x) = plate_cg(vm, self.nx, self.ny, self.tol, self.max_iters);
+        self.check_abort(vm)?;
 
         vm.phase("stress");
         let stmts: Vec<_> = vm
@@ -215,8 +221,9 @@ impl PlateScenario {
             })
             .collect();
         vm.pardo(&stmts);
-        self.check_abort(&vm)?;
+        self.check_abort(vm)?;
 
+        let elapsed = vm.elapsed();
         let machine = vm.machine();
         let stats = &machine.stats;
         let phases: Vec<(String, PhaseCounters)> = stats
@@ -231,7 +238,7 @@ impl PlateScenario {
             .collect();
         let total = stats.total();
         Ok(ScenarioReport {
-            elapsed: vm.elapsed(),
+            elapsed,
             engine_events: machine.events,
             iterations,
             residual,
@@ -251,17 +258,12 @@ impl PlateScenario {
 
     /// If the VM's budget has been exceeded, record a [`EventKind::RunAbort`]
     /// instant in the trace and surface the structured abort.
-    fn check_abort(&self, vm: &NaVm) -> Result<(), RunAborted> {
+    fn check_abort(&self, vm: &mut NaVm) -> Result<(), RunAborted> {
         if let Some(abort) = vm.budget_exceeded() {
             let cause = abort.cause as u8;
-            self.trace.emit(|| {
-                TraceEvent::instant(
-                    vm.elapsed(),
-                    NO_CLUSTER,
-                    NO_PE,
-                    EventKind::RunAbort { cause },
-                )
-            });
+            let at = vm.elapsed();
+            self.trace
+                .emit(|| TraceEvent::instant(at, NO_CLUSTER, NO_PE, EventKind::RunAbort { cause }));
             return Err(abort);
         }
         Ok(())
@@ -453,6 +455,51 @@ mod tests {
         assert_eq!(plain.iterations, budgeted.iterations);
         assert_eq!(plain.residual.to_bits(), budgeted.residual.to_bits());
         assert_eq!(plain.total_flops, budgeted.total_flops);
+    }
+
+    /// The replay of a settled CG iteration fires, and only where it may:
+    /// on the 32×32 torus (128 tasks) and on the default machine, every
+    /// iteration after the first two settles by replaying the one before;
+    /// the same plates traced replay nothing and report the same figures.
+    #[test]
+    fn plate_iterations_settle_by_replay_and_traced_runs_agree() {
+        let torus = MachineConfig::clustered(
+            1024,
+            2,
+            fem2_machine::Topology::Torus { dims: vec![32, 32] },
+        );
+        let mut on_torus = PlateScenario::square(48, torus);
+        (on_torus.ny, on_torus.tasks) = (44, 128);
+        let mut on_default = PlateScenario::square(64, MachineConfig::fem2_default());
+        on_default.ny = 60;
+        for plate in [on_torus, on_default] {
+            let run = |plate: &PlateScenario| {
+                let mut vm = NaVm::simulated(plate.machine.clone(), plate.tasks);
+                let r = plate.run_on(&mut vm, &RunBudget::unlimited()).unwrap();
+                let figures = (
+                    r.elapsed,
+                    r.engine_events,
+                    r.total_messages,
+                    r.total_words_moved,
+                    r.iterations,
+                    r.residual.to_bits(),
+                    r.table,
+                );
+                (figures, vm.replayed_settles())
+            };
+            let (untraced, replays) = run(&plate);
+            let iterations = untraced.4 as u64;
+            assert!(
+                replays + 2 >= iterations && replays <= iterations,
+                "{}x{}: {replays} of {iterations} iterations replayed",
+                plate.nx,
+                plate.ny
+            );
+            let (trace, _ring) = TraceHandle::ring(1 << 10);
+            let (traced, replays) = run(&plate.clone().with_trace(trace));
+            assert_eq!(replays, 0, "a traced run replays no settle");
+            assert_eq!(traced, untraced, "{}x{}", plate.nx, plate.ny);
+        }
     }
 
     #[test]

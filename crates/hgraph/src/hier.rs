@@ -61,14 +61,6 @@ impl Value {
     pub fn graph(g: GraphId) -> Self {
         Value::Graph(g)
     }
-
-    /// The contained graph id, if any.
-    pub(crate) fn as_graph(&self) -> Option<GraphId> {
-        match self {
-            Value::Atom(_) => None,
-            Value::Graph(g) => Some(*g),
-        }
-    }
 }
 
 /// Errors raised by [`HGraph`] mutation and navigation.
@@ -81,8 +73,6 @@ pub enum HGraphError {
     DuplicateAccessPath { from: NodeId, selector: Selector },
     /// Navigation followed a selector that has no arc.
     NoSuchPath { from: NodeId, selector: Selector },
-    /// A value was expected to be a nested graph but was an atom.
-    NotAGraph { node: NodeId },
     /// The graph has no entry node.
     NoEntry { graph: GraphId },
 }
@@ -98,9 +88,6 @@ impl fmt::Display for HGraphError {
             }
             HGraphError::NoSuchPath { from, selector } => {
                 write!(f, "no access path {selector} from {from:?}")
-            }
-            HGraphError::NotAGraph { node } => {
-                write!(f, "node {node:?} does not contain a nested graph")
             }
             HGraphError::NoEntry { graph } => write!(f, "graph {graph:?} has no entry node"),
         }
@@ -243,13 +230,6 @@ impl HGraph {
             })
     }
 
-    /// The nested graph held at node `n`, or an error if `n` holds an atom.
-    pub fn nested(&self, n: NodeId) -> Result<GraphId> {
-        self.value(n)
-            .as_graph()
-            .ok_or(HGraphError::NotAGraph { node: n })
-    }
-
     /// Outgoing arcs of `from` within `g`.
     pub fn out_arcs(&self, g: GraphId, from: NodeId) -> impl Iterator<Item = &Arc> {
         self.graphs[g.index()].out_arcs(from)
@@ -381,15 +361,9 @@ mod tests {
         let n1 = h.add_node(top, Value::graph(child));
         let _n2 = h.add_node(child, Value::graph(grand));
         let _n3 = h.add_node(grand, Value::int(42));
-        assert_eq!(h.nested(n1).unwrap(), child);
+        assert_eq!(h.value(n1), &Value::graph(child));
         let reach = h.reachable_graphs(top);
         assert_eq!(reach, vec![top, child, grand]);
-    }
-
-    #[test]
-    fn nested_on_atom_errors() {
-        let (h, _, a, _) = pair();
-        assert!(matches!(h.nested(a), Err(HGraphError::NotAGraph { .. })));
     }
 
     #[test]

@@ -89,28 +89,6 @@ impl WindowDescriptor {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Partition into `parts` row-wise sub-windows of near-equal size
-    /// ("windows … further partitioned"). Earlier parts get the remainder.
-    pub fn partition_rows(&self, parts: u32) -> Vec<WindowDescriptor> {
-        assert!(parts > 0, "cannot partition into zero parts");
-        let n = self.rows();
-        let parts = parts.min(n.max(1));
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts as usize);
-        let mut r = self.row0;
-        for p in 0..parts {
-            let take = base + u32::from(p < extra);
-            out.push(WindowDescriptor {
-                row0: r,
-                row1: r + take,
-                ..*self
-            });
-            r += take;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -150,31 +128,6 @@ mod tests {
     #[should_panic(expected = "degenerate window bounds")]
     fn inverted_bounds_panic() {
         WindowDescriptor::block(0, 5, 2, 0, 5, t(), 0);
-    }
-
-    #[test]
-    fn partition_rows_covers_exactly() {
-        let w = WindowDescriptor::block(0, 0, 10, 0, 4, t(), 0);
-        let parts = w.partition_rows(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].rows(), 4); // 10 = 4 + 3 + 3
-        assert_eq!(parts[1].rows(), 3);
-        assert_eq!(parts[2].rows(), 3);
-        assert_eq!(parts[0].row0, 0);
-        assert_eq!(parts[2].row1, 10);
-        // Contiguous, disjoint.
-        assert_eq!(parts[0].row1, parts[1].row0);
-        assert_eq!(parts[1].row1, parts[2].row0);
-        // Columns inherited.
-        assert!(parts.iter().all(|p| p.col0 == 0 && p.col1 == 4));
-    }
-
-    #[test]
-    fn partition_more_parts_than_rows_clamps() {
-        let w = WindowDescriptor::block(0, 0, 2, 0, 4, t(), 0);
-        let parts = w.partition_rows(10);
-        assert_eq!(parts.len(), 2);
-        assert!(parts.iter().all(|p| p.rows() == 1));
     }
 
     #[test]

@@ -182,6 +182,12 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
+    /// When the next step not yet returned by [`FaultPlan::due`] takes
+    /// effect, if any is left.
+    pub fn next_at(&self) -> Option<Cycles> {
+        self.events.get(self.cursor).map(|e| e.at)
+    }
+
     /// Steps that have become due by time `now` and have not yet been
     /// returned, in the order they apply. Call repeatedly as the clock advances; returns a borrowed
     /// slice (empty in the common nothing-due case) without allocating.

@@ -51,7 +51,7 @@ mod machine;
 pub use budget::{AbortCause, BudgetMeter, RunAborted, RunBudget};
 pub use config::{DesQueue, MachineConfig, Topology};
 pub use machine::Machine;
-pub use network::{Flight, Network, Recorder, TransferRecord};
+pub use network::{Flight, Network, Record};
 pub use pe::{CostClass, Pe, PeId, WorkProfile};
 pub use sim::EventQueue;
 pub use stats::PhaseCounters;

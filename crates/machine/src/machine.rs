@@ -4,7 +4,7 @@
 use crate::config::{CostModel, MachineConfig};
 use crate::fault::FaultKind;
 use crate::memory::{ClusterMemory, OutOfMemory};
-use crate::network::{Network, Tracked};
+use crate::network::{Network, Recorder, Tracked};
 use crate::pe::{best_worker, CostClass, Pe, PeId, WorkProfile};
 use crate::stats::Stats;
 use crate::{Cycles, Words};
@@ -77,7 +77,7 @@ pub struct Machine {
     /// Per-cluster PE state, allocated on first touch (charge or fault).
     /// `None` reads as a cluster of [`Pe::IDLE`]: on large machines only
     /// the clusters that actually run work pay for PE records.
-    lanes: Vec<Option<Box<[Pe]>>>,
+    pub(crate) lanes: Vec<Option<Box<[Pe]>>>,
     memories: Vec<ClusterMemory>,
     /// The inter-cluster network.
     pub network: Network,
@@ -96,6 +96,9 @@ pub struct Machine {
     /// Event tracing. Disabled by default: instrumentation is observation
     /// only and costs a single branch when off.
     pub trace: TraceHandle,
+    /// The active recordings of charge sequences, innermost last
+    /// ([`Machine::begin_record`]).
+    pub(crate) recorders: Vec<Recorder>,
 }
 
 impl Machine {
@@ -122,6 +125,7 @@ impl Machine {
             reconfigurations: 0,
             events: 0,
             trace: TraceHandle::disabled(),
+            recorders: Vec::new(),
         }
     }
 
@@ -137,6 +141,13 @@ impl Machine {
     pub fn phase(&mut self, name: &str, at: Cycles) {
         self.stats.phase(name);
         self.trace.begin_phase(name, at);
+    }
+
+    /// Count of fault transitions so far: the network's link transitions
+    /// plus every PE, memory-bank and link reconfiguration. Both only
+    /// grow, so the sum moves whenever either does.
+    pub(crate) fn fault_epoch(&self) -> u64 {
+        self.network.fault_epoch + self.reconfigurations
     }
 
     fn check(&self, pe: PeId) -> Result<(), MachineError> {
@@ -254,6 +265,9 @@ impl Machine {
             CostClass::TaskCreate => self.stats.tasks_created(count),
             _ => {}
         }
+        for rec in &mut self.recorders {
+            rec.note_charge(&self.lanes, self.config.pes_per_cluster, now, pe);
+        }
         let cost = self.config.cost;
         let state = self.pe_state_mut(pe);
         let start = state.free_at.max(now);
@@ -294,6 +308,18 @@ impl Machine {
         if self.pe_state(pe).failed {
             return Err(MachineError::PeFailed(pe));
         }
+        if !self.recorders.is_empty() {
+            // The caller picked `pe` from the cluster's workers.
+            let c = pe.cluster;
+            let (pes, reserved) = (
+                self.config.pes_per_cluster,
+                self.reserved(c, self.alive_count(c)),
+            );
+            for rec in &mut self.recorders {
+                rec.note_workers(&self.lanes, pes, c, reserved);
+                rec.note_charge(&self.lanes, pes, now, pe);
+            }
+        }
         self.stats.task_work(work);
         self.events += 4;
         let cost = self.config.cost;
@@ -327,14 +353,14 @@ impl Machine {
         if alive == 0 {
             return Err(MachineError::ClusterDead(c));
         }
-        // The one PE no task may take: the kernel PE, when the cluster
-        // dedicates one and it is not the last survivor.
-        let reserved = if self.config.dedicated_kernel_pe && alive > 1 {
-            self.kernel_pe[c as usize] as usize
-        } else {
-            usize::MAX
-        };
+        let reserved = self.reserved(c, alive);
         let (pes, cost) = (self.config.pes_per_cluster, self.config.cost);
+        for rec in &mut self.recorders {
+            // Every pick compares all of them. Each task is ready at or
+            // after the recording's start, the caller's side of the shift
+            // a replay rests on.
+            rec.note_workers(&self.lanes, pes, c, reserved);
+        }
         let mut total = WorkProfile::default();
         let (mut k, mut latest) = (0, 0);
         for (task, ready, work) in tasks {
@@ -363,6 +389,17 @@ impl Machine {
             self.events += 4 * k;
         }
         Ok(latest)
+    }
+
+    /// The index of the one PE of cluster `c`, with `alive` survivors, that
+    /// no task may take: the kernel PE, when the cluster dedicates one and
+    /// it is not the last survivor; `usize::MAX` (none) otherwise.
+    fn reserved(&self, c: u32, alive: u32) -> usize {
+        if self.config.dedicated_kernel_pe && alive > 1 {
+            self.kernel_pe[c as usize] as usize
+        } else {
+            usize::MAX
+        }
     }
 
     /// Allocate `words` in cluster `c`'s shared memory, stamping the trace
@@ -408,6 +445,9 @@ impl Machine {
         to: u32,
         words: Words,
     ) -> Result<Cycles, MachineError> {
+        if !self.recorders.is_empty() {
+            return self.try_transmit_recorded(now, from, to, words);
+        }
         let packets_before = self.network.packets;
         let t = self
             .network
@@ -426,6 +466,10 @@ impl Machine {
     /// # Panics
     /// Panics if `from == to` (see [`Network::transmit_tracked`]).
     pub fn transmit_tracked(&mut self, now: Cycles, from: u32, to: u32, words: Words) -> Tracked {
+        debug_assert!(
+            self.recorders.is_empty(),
+            "a recording covers untracked transfers only"
+        );
         let packets_before = self.network.packets;
         let sent = self.network.transmit_tracked(now, from, to, words);
         if let Some((t, _)) = sent.arrival {

@@ -49,7 +49,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 mod replay;
-pub use replay::{Recorder, TransferRecord};
+pub use replay::Record;
+pub(crate) use replay::Recorder;
 
 /// One allocated link: everything the contention loop reads or writes for
 /// a hop, so a hop touches one record.
@@ -324,7 +325,10 @@ pub struct Network {
     cache: RefCell<RouteTable>,
     /// Count of link-fault transitions (kill, degrade, recover) so far: the
     /// cache generation, and the stamp a [`Flight`] is checked against.
-    fault_epoch: u64,
+    pub(crate) fault_epoch: u64,
+    /// The latest `free` any link has been given: every link is free by
+    /// then, so a replay that starts no earlier checks no link.
+    pub(crate) free_high_water: Cycles,
     /// Remote messages transmitted.
     pub messages: u64,
     /// Packets transmitted (after segmentation).
@@ -375,6 +379,7 @@ impl Network {
             cache_enabled: cfg.route_cache,
             cache: RefCell::default(),
             fault_epoch: 0,
+            free_high_water: 0,
             messages: 0,
             packets: 0,
             rerouted_packets: 0,
@@ -911,6 +916,14 @@ impl Network {
                 }
             }
             arrival = arrival.max(t);
+        }
+        // A packet leaves each link free no earlier than the link before
+        // it, and a later packet leaves the last link free after an
+        // earlier one: the last hop's `free` is the latest this message
+        // set.
+        if let Some(&last) = hops.last() {
+            let free = self.slab.links[last as usize].free;
+            self.free_high_water = self.free_high_water.max(free);
         }
         Some((arrival, tracked))
     }

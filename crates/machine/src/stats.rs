@@ -40,6 +40,19 @@ impl PhaseCounters {
         self.tasks_created += other.tasks_created;
         self.kernel_msgs += other.kernel_msgs;
     }
+
+    /// What was added to `before` to make `self`, field by field.
+    pub(crate) fn since(&self, before: &PhaseCounters) -> PhaseCounters {
+        PhaseCounters {
+            flops: self.flops - before.flops,
+            int_ops: self.int_ops - before.int_ops,
+            mem_words: self.mem_words - before.mem_words,
+            messages: self.messages - before.messages,
+            msg_words: self.msg_words - before.msg_words,
+            tasks_created: self.tasks_created - before.tasks_created,
+            kernel_msgs: self.kernel_msgs - before.kernel_msgs,
+        }
+    }
 }
 
 /// Name of the implicit phase active before the first [`Stats::phase`]
@@ -96,6 +109,17 @@ impl Stats {
         &mut self.counters[i]
     }
 
+    /// The current phase's index and counters; `None` before anything has
+    /// been counted in the implicit startup phase.
+    pub(crate) fn current(&self) -> Option<(usize, PhaseCounters)> {
+        self.current.map(|i| (i, self.counters[i]))
+    }
+
+    /// Add `delta` to the current phase, as the charges it sums would.
+    pub(crate) fn add_current(&mut self, delta: &PhaseCounters) {
+        self.cur().add(delta);
+    }
+
     /// Record `n` floating-point operations.
     pub(crate) fn flops(&mut self, n: u64) {
         self.cur().flops += n;
@@ -113,13 +137,8 @@ impl Stats {
 
     /// Record one remote message carrying `words` of payload.
     pub(crate) fn message(&mut self, words: u64) {
-        self.messages(1, words);
-    }
-
-    /// Record `n` remote messages carrying `words` of payload in all.
-    pub(crate) fn messages(&mut self, n: u64, words: u64) {
         let c = self.cur();
-        c.messages += n;
+        c.messages += 1;
         c.msg_words += words;
     }
 

@@ -2,7 +2,7 @@
 //! its shift invariance, and the record-and-replay of a transfer sequence
 //! that rests on it ([`Machine::replay`]).
 
-use fem2_machine::{Cycles, Machine, MachineConfig, Network, Recorder, Topology, TransferRecord};
+use fem2_machine::{Cycles, Machine, MachineConfig, Network, Record, Topology};
 use fem2_trace::TraceHandle;
 use proptest::prelude::*;
 
@@ -88,21 +88,17 @@ fn sequence(n: u32, words: u64, extra: u64) -> impl Iterator<Item = (u32, u32, u
 
 /// Run the sequence from `start` the way the NA-VM's reduction does: the
 /// first half all at `start`, each message of the second half when every
-/// earlier message has arrived. Through `rec` when recording, else per
-/// message; a dead letter costs nothing. Returns the sequence's end.
+/// earlier message has arrived. A dead letter costs nothing. Returns the
+/// sequence's end.
 fn run_sequence(
     m: &mut Machine,
-    mut rec: Option<&mut Recorder>,
     start: Cycles,
     messages: impl Iterator<Item = (u32, u32, u64)>,
 ) -> Cycles {
     let mut barrier = start;
     for (from, to, words) in messages {
         let at = if from == 0 { barrier } else { start };
-        let sent = match rec.as_deref_mut() {
-            Some(rec) => rec.transmit(m, at, from, to, words),
-            None => m.try_transmit(at, from, to, words),
-        };
+        let sent = m.try_transmit(at, from, to, words);
         barrier = barrier.max(sent.unwrap_or(at));
     }
     barrier
@@ -114,7 +110,7 @@ struct Twin {
     m: Machine,
     trace: TraceHandle,
     rec: fem2_trace::SharedRecorder,
-    record: Option<TransferRecord>,
+    record: Option<Record>,
 }
 
 impl Twin {
@@ -244,15 +240,15 @@ proptest! {
             let (end, kept) = match replayed {
                 Some(end) => (end, true),
                 None => {
-                    let mut rec = replay.m.recorder(start);
-                    let end = run_sequence(&mut replay.m, Some(&mut rec), start, messages());
-                    let record = rec.finish(&replay.m, end);
+                    replay.m.begin_record(start);
+                    let end = run_sequence(&mut replay.m, start, messages());
+                    let record = replay.m.end_record(end);
                     let kept = record.is_some();
                     replay.record = record.or(replay.record.take());
                     (end, kept)
                 }
             };
-            now = run_sequence(&mut oracle.m, None, start, messages());
+            now = run_sequence(&mut oracle.m, start, messages());
             prop_assert_eq!(end, now, "round {}", round);
             prop_assert_eq!(replay.observe(), oracle.observe(), "round {}", round);
             if op == 0 && clean {

@@ -1,8 +1,8 @@
 //! # fem2-navm — the numerical analyst's virtual machine
 //!
 //! The high-level machine a research user programs: tasks, **windows on
-//! arrays**, broadcast, forall/pardo parallel loops, remote procedure calls
-//! routed by data location, and linear-algebra operations. From the paper:
+//! arrays**, forall/pardo parallel loops, remote procedure calls routed by
+//! data location, and linear-algebra operations. From the paper:
 //!
 //! * *data objects*: windows on arrays (row, column, block descriptors, for
 //!   remote access to non-local data);
@@ -17,9 +17,9 @@
 //! ## One execution: the simulated FEM-2
 //!
 //! A VM ([`NaVm::simulated`]) runs on the `fem2-machine` cost model: every
-//! forall, window access, broadcast, and RPC computes its values on the
-//! host and charges cycles, messages, and words to the simulated FEM-2
-//! hardware, producing the processing / storage / communication
+//! forall, window access, linear-algebra operation and RPC computes its
+//! values on the host and charges cycles, messages, and words to the
+//! simulated FEM-2 hardware, producing the processing / storage / communication
 //! requirement numbers the design method calls for. The charges never
 //! change a value: the integration tests check the plate CG against
 //! `fem2-fem`'s direct solve of the same operator, across task counts and

@@ -17,10 +17,19 @@
 //!   on.
 //! * **Stencil.** Every point is `4·c − l − r − u − d`, subtracted in that
 //!   order, with the terms of out-of-grid neighbours skipped.
+//!
+//! `inner`, `axpy`, `xpby` and `stencil5` compute their values at once and
+//! queue their charges as one [`Charge`] each. [`SimState::settle`] applies
+//! the queue before anything reads simulated state, in op order, so no
+//! charge moves: values never read a charge and charges never read a
+//! value. A CG loop that polls [`NaVm::budget_exceeded`] once per
+//! iteration settles one iteration at a time, and an iteration whose queue
+//! and machine state repeat the last recorded one is applied whole
+//! ([`Machine::replay`](fem2_machine::Machine::replay)).
 
 use crate::runtime::{ArrayId, NaVm, SimState};
 use crate::task::{TaskHandle, TaskSet};
-use fem2_machine::{Cycles, Recorder, Words, WorkProfile};
+use fem2_machine::{Cycles, Words, WorkProfile};
 use fem2_trace::{MsgKind, WindowStage};
 
 /// Chunk size for deterministic reductions, elements.
@@ -149,7 +158,144 @@ fn stencil_row(out: &mut [f64], c: &[f64], up: Option<&[f64]>, down: Option<&[f6
 /// Payload words of each message of a reduction.
 const REDUCTION_WORDS: Words = 2;
 
+/// Per-element work of an inner product.
+const INNER_WORK: WorkProfile = WorkProfile {
+    flops: 2,
+    int_ops: 0,
+    mem_words: 2,
+};
+
+/// Per-element work of `axpy` and `xpby`.
+const UPDATE_WORK: WorkProfile = WorkProfile {
+    flops: 2,
+    int_ops: 0,
+    mem_words: 3,
+};
+
+/// Per-point work of the 5-point stencil.
+const STENCIL_WORK: WorkProfile = WorkProfile {
+    flops: 8,
+    int_ops: 6,
+    mem_words: 6,
+};
+
+/// The queued charges of one linear-algebra operation: its kind, its sizes
+/// and its per-item work.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Charge {
+    /// `inner`: a forall over `n` items, then the reduction.
+    Inner { n: usize, per: WorkProfile },
+    /// `axpy` or `xpby`: a forall over `n` items.
+    Update { n: usize, per: WorkProfile },
+    /// `stencil5`: the halo exchanges of an `nx × ny` grid, then a forall
+    /// over its points.
+    Stencil {
+        nx: usize,
+        ny: usize,
+        per: WorkProfile,
+    },
+}
+
 impl SimState {
+    /// Apply the queued charges to the machine, in op order, through the
+    /// same bodies an unqueued operation runs: every `stopped` check stays
+    /// where it was.
+    ///
+    /// When the queue equals the last one that left a record, that record
+    /// is applied whole ([`Machine::replay`](fem2_machine::Machine::replay))
+    /// if, besides the machine's own checks, the crew is initiated, the
+    /// run has not stopped, the budget admits the record's end and no
+    /// fault step is due by then. Otherwise the entries run one by one
+    /// under a recording, kept if the run is still going at its end.
+    pub(crate) fn settle(&mut self, tasks: TaskSet) {
+        if self.queue.is_empty() {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.queue);
+        if self.replay_settle(&queue) {
+            self.replays += 1;
+        } else {
+            // A traced machine replays no settle, so it records none.
+            let traced = self.machine.trace.is_enabled();
+            let recording = self.replaying() && self.spawned && !traced;
+            if recording {
+                self.machine.begin_record(self.now);
+            }
+            for &charge in &queue {
+                match charge {
+                    Charge::Inner { n, per } => {
+                        self.elementwise(tasks, n, per);
+                        self.reduction(tasks.clusters());
+                    }
+                    Charge::Update { n, per } => self.elementwise(tasks, n, per),
+                    Charge::Stencil { nx, ny, per } => {
+                        self.halo(tasks, nx, ny);
+                        self.elementwise(tasks, nx * ny, per);
+                    }
+                }
+            }
+            if recording {
+                let record = self.machine.end_record(self.now);
+                if let Some(record) = record.filter(|_| self.stopped().is_none()) {
+                    self.settled = Some((queue, record));
+                    return;
+                }
+            }
+        }
+        queue.clear();
+        self.queue = queue;
+    }
+
+    /// Whether this state replays records at all: false only for the
+    /// entry-by-entry oracle.
+    fn replaying(&self) -> bool {
+        #[cfg(test)]
+        if self.per_entry {
+            return false;
+        }
+        true
+    }
+
+    /// Apply the last settle's record if `queue` repeats it and every
+    /// precondition holds; `false`, with nothing charged, otherwise.
+    fn replay_settle(&mut self, queue: &[Charge]) -> bool {
+        let Some((last, record)) = &self.settled else {
+            return false;
+        };
+        let end = self.now + record.end();
+        if last != queue
+            || !self.replaying()
+            || !self.spawned
+            || self.stopped().is_some()
+            || self.budget.exceeded(end, 0).is_some()
+            || self.faults.next_at().is_some_and(|at| at <= end)
+        {
+            return false;
+        }
+        match self.machine.replay(record, self.now) {
+            Some(end) => {
+                self.now = end;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Charge a forall over `n` items block-split over `tasks`
+    /// ([`TaskSet::share`](crate::TaskSet::share)): task `i` does
+    /// `per_elem` for each of its `base + (i < extra)` items.
+    pub(crate) fn elementwise(&mut self, tasks: TaskSet, n: usize, per_elem: WorkProfile) {
+        let (base, extra) = (n / tasks.len() as usize, n % tasks.len() as usize);
+        let runs = tasks.by_cluster().map(|(c, run)| {
+            let work = run.map(move |i| {
+                let items = base + usize::from((i as usize) < extra);
+                (TaskHandle(i), per_elem.scaled(items as u64))
+            });
+            (c, work)
+        });
+        self.parallel_section(runs);
+    }
+
     /// One halo exchange of `nx` words each way between adjacent
     /// row-holding tasks on clusters `ca` and `cb`, from `start`: a memory
     /// pass on the kernel PE when they share a cluster, two messages
@@ -179,7 +325,7 @@ impl SimState {
     /// every recorded link is free by the start (a traced machine also
     /// needs the record's spans). Otherwise each message is routed, and
     /// the run is recorded again if its links were idle and nothing
-    /// dead-lettered.
+    /// dead-lettered. A settle being recorded sees either.
     pub(crate) fn reduction(&mut self, clusters: u32) {
         if self.stopped().is_some() {
             return;
@@ -192,18 +338,23 @@ impl SimState {
                 return;
             }
         }
-        let mut rec = self.machine.recorder(start);
+        let recording = self.replaying();
+        if recording {
+            self.machine.begin_record(start);
+        }
         let mut barrier = start;
         for c in 1..clusters {
-            let arrive = self.recorded(&mut rec, start, c, 0, MsgKind::RemoteCall);
+            let arrive = self.transmit(start, c, 0, REDUCTION_WORDS, MsgKind::RemoteCall);
             barrier = barrier.max(arrive);
         }
         for c in 1..clusters {
-            let arrive = self.recorded(&mut rec, barrier, 0, c, MsgKind::RemoteReturn);
+            let arrive = self.transmit(barrier, 0, c, REDUCTION_WORDS, MsgKind::RemoteReturn);
             barrier = barrier.max(arrive);
         }
-        if let Some(record) = rec.finish(&self.machine, barrier) {
-            self.reduction = Some((key, record));
+        if recording {
+            if let Some(record) = self.machine.end_record(barrier) {
+                self.reduction = Some((key, record));
+            }
         }
         self.now = barrier;
     }
@@ -231,22 +382,6 @@ impl SimState {
             }
         }
         self.now = barrier;
-    }
-
-    /// [`SimState::transmit`] of one reduction message through `rec`.
-    fn recorded(
-        &mut self,
-        rec: &mut Recorder,
-        at: Cycles,
-        from: u32,
-        to: u32,
-        msg: MsgKind,
-    ) -> Cycles {
-        rec.transmit(&mut self.machine, at, from, to, REDUCTION_WORDS)
-            .unwrap_or_else(|_| {
-                self.dead_letter(at, from, to, msg);
-                at
-            })
     }
 }
 
@@ -302,20 +437,11 @@ impl NaVm {
         (&s.data, &mut d.data)
     }
 
-    /// Charge a forall over `n` items block-split over the task crew
-    /// ([`TaskSet::share`](crate::TaskSet::share)): task `i` does
-    /// `per_elem` for each of its `base + (i < extra)` items.
+    /// Settle, then charge a forall over `n` items block-split over the
+    /// task crew ([`SimState::elementwise`]).
     pub(crate) fn charge_elementwise(&mut self, n: usize, per_elem: WorkProfile) {
-        let tasks = self.tasks;
-        let (base, extra) = (n / tasks.len() as usize, n % tasks.len() as usize);
-        let runs = tasks.by_cluster().map(|(c, run)| {
-            let work = run.map(move |i| {
-                let items = base + usize::from((i as usize) < extra);
-                (TaskHandle(i), per_elem.scaled(items as u64))
-            });
-            (c, work)
-        });
-        self.sim.parallel_section(runs);
+        self.settle();
+        self.sim.elementwise(self.tasks, n, per_elem);
     }
 
     /// Inner product `xᵀy`, rounded by the reduction contract: the
@@ -339,15 +465,7 @@ impl NaVm {
                     out.iter().fold(total, |total, p| total + p)
                 })
         };
-        self.charge_elementwise(
-            n,
-            WorkProfile {
-                flops: 2,
-                int_ops: 0,
-                mem_words: 2,
-            },
-        );
-        self.sim.reduction(self.tasks.clusters());
+        self.sim.queue.push(Charge::Inner { n, per: INNER_WORK });
         result
     }
 
@@ -357,14 +475,10 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         let (xd, yd) = self.src_dst(x, y);
         axpy_slice(alpha, xd, yd);
-        self.charge_elementwise(
+        self.sim.queue.push(Charge::Update {
             n,
-            WorkProfile {
-                flops: 2,
-                int_ops: 0,
-                mem_words: 3,
-            },
-        );
+            per: UPDATE_WORK,
+        });
     }
 
     /// `y ← x + beta·y` (the CG direction update).
@@ -373,14 +487,10 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         let (xd, yd) = self.src_dst(x, y);
         xpby_slice(xd, beta, yd);
-        self.charge_elementwise(
+        self.sim.queue.push(Charge::Update {
             n,
-            WorkProfile {
-                flops: 2,
-                int_ops: 0,
-                mem_words: 3,
-            },
-        );
+            per: UPDATE_WORK,
+        });
     }
 
     /// `y ← x`.
@@ -414,8 +524,6 @@ impl NaVm {
     pub fn stencil5(&mut self, x: ArrayId, y: ArrayId, nx: usize, ny: usize) {
         assert_eq!(self.len(x), nx * ny, "x length mismatch");
         assert_eq!(self.len(y), nx * ny, "y length mismatch");
-        self.sim.halo(self.tasks, nx, ny);
-        // Compute.
         {
             let (xd, yd) = self.src_dst(x, y);
             let grid_row = |j: usize| &xd[j * nx..(j + 1) * nx];
@@ -425,14 +533,8 @@ impl NaVm {
                 stencil_row(out, grid_row(j), up, down);
             }
         }
-        self.charge_elementwise(
-            nx * ny,
-            WorkProfile {
-                flops: 8,
-                int_ops: 6,
-                mem_words: 6,
-            },
-        );
+        let per = STENCIL_WORK;
+        self.sim.queue.push(Charge::Stencil { nx, ny, per });
     }
 }
 
@@ -624,9 +726,9 @@ mod tests {
             vm.fill(x, |i, _| i as f64);
             vm.fill(y, |_, _| 1.0);
             vm.axpy(2.0, x, y); // y = 1 + 2i
-            assert_eq!(vm.get(y, 3, 0), 7.0);
+            assert_eq!(vm.snapshot(y)[3], 7.0);
             vm.xpby(x, 0.5, y); // y = i + 0.5(1 + 2i) = 2i + 0.5
-            assert_eq!(vm.get(y, 3, 0), 6.5);
+            assert_eq!(vm.snapshot(y)[3], 6.5);
         }
     }
 
@@ -676,12 +778,13 @@ mod tests {
             vm.fill(x, |_, _| 1.0);
             let y = vm.vector(nx * ny);
             vm.stencil5(x, y, nx, ny);
+            let y = vm.snapshot(y);
             // Interior (2,2): 4 - 4 = 0.
-            assert_eq!(vm.get(y, 2 * nx + 2, 0), 0.0);
+            assert_eq!(y[2 * nx + 2], 0.0);
             // Corner (0,0): 4 - 2 = 2.
-            assert_eq!(vm.get(y, 0, 0), 2.0);
+            assert_eq!(y[0], 2.0);
             // Edge (2,0): 4 - 3 = 1.
-            assert_eq!(vm.get(y, 2, 0), 1.0);
+            assert_eq!(y[2], 1.0);
         }
     }
 
@@ -757,14 +860,219 @@ mod tests {
         assert_eq!(m1 - m0, 0);
     }
 
+    /// `fem2-core`'s `plate_cg`, restated here: the plate CG in NA-VM
+    /// operations, polling the budget at the top of each iteration, capped
+    /// at `max_iters`. Returns the iterations, the residual and `x`.
+    fn plate_cg(vm: &mut NaVm, nx: usize, ny: usize, max_iters: usize) -> (usize, f64, Vec<f64>) {
+        let n = nx * ny;
+        let b = vm.vector(n);
+        vm.fill(b, |_, _| 1.0);
+        let x = vm.vector(n);
+        let r = vm.vector(n);
+        vm.copy(b, r);
+        let p = vm.vector(n);
+        vm.copy(r, p);
+        let ap = vm.vector(n);
+        let mut rr = vm.inner(r, r);
+        let target = 1e-6 * rr.sqrt();
+        let (mut iters, mut res) = (0, rr.sqrt());
+        while iters < max_iters && res > target && vm.budget_exceeded().is_none() {
+            vm.stencil5(p, ap, nx, ny);
+            let pap = vm.inner(p, ap);
+            if pap <= 0.0 {
+                break;
+            }
+            let alpha = rr / pap;
+            vm.axpy(alpha, p, x);
+            vm.axpy(-alpha, ap, r);
+            let rr_new = vm.inner(r, r);
+            res = rr_new.sqrt();
+            let beta = rr_new / rr;
+            rr = rr_new;
+            vm.xpby(r, beta, p);
+            iters += 1;
+        }
+        (iters, res, vm.snapshot(x))
+    }
+
+    /// One plate run for [`settle_replay_matches_per_entry_oracle`].
+    struct PlateRun<'a> {
+        cfg: &'a MachineConfig,
+        ntasks: u32,
+        grid: (usize, usize),
+        max_iters: usize,
+        faults: &'a fem2_machine::fault::FaultPlan,
+        budget: Option<Cycles>,
+        traced: bool,
+    }
+
+    impl PlateRun<'_> {
+        /// Run the plate on a VM that replays (`per_entry` false) or on the
+        /// entry-by-entry oracle. Returns the replayed settles and what
+        /// the two must agree on: the CG's iterations, residual and
+        /// solution bits, the clock, the abort, the stats table, the
+        /// events, the whole network, every PE, the allocated record
+        /// counts and the trace.
+        fn run(&self, per_entry: bool) -> (u64, impl PartialEq + std::fmt::Debug) {
+            let cfg = self.cfg.clone();
+            let mut vm = if per_entry {
+                NaVm::simulated_per_entry(cfg, self.ntasks)
+            } else {
+                NaVm::simulated(cfg, self.ntasks)
+            };
+            let (trace, rec) = fem2_trace::TraceHandle::ring(1 << 16);
+            if self.traced {
+                vm.set_trace(trace);
+            }
+            vm.inject_faults(self.faults);
+            if let Some(cycles) = self.budget {
+                vm.set_budget(fem2_machine::RunBudget::max_cycles(cycles));
+            }
+            let (nx, ny) = self.grid;
+            let (iters, res, x) = plate_cg(&mut vm, nx, ny, self.max_iters);
+            let x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            let cg = (iters, res.to_bits(), x, vm.budget_exceeded(), vm.elapsed());
+            let m = vm.machine();
+            let pes: Vec<_> = (0..m.config.clusters)
+                .flat_map(|c| m.cluster_pes(c))
+                .map(|pe| *m.pe(pe).unwrap())
+                .collect();
+            let records = (
+                m.network.allocated_link_records(),
+                m.allocated_cluster_records(),
+            );
+            let machine = (m.stats.table(), m.events, format!("{:?}", m.network));
+            let r = rec.lock().unwrap();
+            let trace = (
+                r.len(),
+                r.dropped(),
+                r.events().copied().collect::<Vec<_>>(),
+            );
+            (vm.replayed_settles(), (cg, machine, pes, records, trace))
+        }
+
+        /// The replaying run against the oracle; returns the replays.
+        fn check(&self) -> Result<u64, TestCaseError> {
+            let (replays, got) = self.run(false);
+            let (none, want) = self.run(true);
+            prop_assert_eq!(none, 0);
+            prop_assert_eq!(got, want);
+            Ok(replays)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// [`SimState::settle`], which replays the last recorded iteration
+        /// whenever it may, against settling every queue entry by entry and
+        /// routing every reduction message (`NaVm::simulated_per_entry`),
+        /// over a plate CG on all six topologies of 16 clusters: crews of
+        /// 1–24 tasks on 2–6 PEs per cluster with a dedicated kernel PE or
+        /// none (where a cluster's tasks leave workers over, the order in
+        /// which its workers free up changes from one iteration to the
+        /// next, so a replay must check it), non-square grids, 0–3 fault
+        /// steps inside the loop (link kill, degrade, recovery; PE kill or
+        /// transient; memory bank), a cycle budget that may expire inside
+        /// an iteration, traced or not.
+        #[test]
+        fn settle_replay_matches_per_entry_oracle(
+            topology in 0usize..6,
+            machine in (2u32..=6, any::<bool>()),
+            ntasks in 1u32..=24,
+            grid in (2usize..=24, 2usize..=24),
+            faults in proptest::collection::vec((0u8..6, any::<u32>(), 0u64..1000), 0..4),
+            budget in (any::<bool>(), 1u64..1000),
+            traced in any::<bool>(),
+        ) {
+            use fem2_machine::{fault::FaultPlan, PeId, Topology};
+            let (pes, dedicated) = machine;
+            let topology = [
+                Topology::Bus,
+                Topology::Ring,
+                Topology::Mesh2D { width: 4 },
+                Topology::Crossbar,
+                Topology::Torus { dims: vec![4, 4] },
+                Topology::FatTree { radix: 4 },
+            ][topology]
+                .clone();
+            let mut cfg = MachineConfig::clustered(16, pes, topology);
+            cfg.dedicated_kernel_pe = dedicated;
+            let healthy = PlateRun {
+                cfg: &cfg,
+                ntasks,
+                grid,
+                max_iters: 40,
+                faults: &FaultPlan::none(),
+                budget: None,
+                traced: false,
+            };
+            // Steps and budgets fall at thousandths of the healthy run.
+            let mut vm = NaVm::simulated(cfg.clone(), ntasks);
+            let full = {
+                let (nx, ny) = grid;
+                plate_cg(&mut vm, nx, ny, 40);
+                vm.elapsed()
+            };
+            let at = |k: u64| full * k / 1000;
+            let links = vm.machine().network.link_count();
+            let plan = faults.iter().fold(FaultPlan::none(), |plan, &(kind, a, k)| {
+                let pe = PeId::new(a % 16, (a >> 8) % pes);
+                let link = a as usize % links;
+                match kind {
+                    0 => plan.kill_link(at(k), link),
+                    1 => plan.degrade_link(at(k), link, 2 + a % 3),
+                    2 => plan.recover_link(at(k), link),
+                    3 => plan.kill_pe(at(k), pe),
+                    4 => plan.transient_pe(at(k), at(k) + 1 + at(k) / 2, pe),
+                    _ => plan.fail_memory(at(k), a % 16, u64::from(a >> 4) % cfg.memory_per_cluster),
+                }
+            });
+            let run = PlateRun {
+                faults: &plan,
+                budget: budget.0.then(|| at(budget.1)),
+                traced,
+                ..healthy
+            };
+            run.check()?;
+        }
+    }
+
+    /// The settle oracle on the benchmark's machine: 128 tasks on the
+    /// 1024-cluster 32×32 torus, every task holding rows, with a link on
+    /// the reduction's routes killed mid-run. The replaying run replays.
+    #[test]
+    fn settle_replay_matches_per_entry_on_the_1024_cluster_torus() {
+        use fem2_machine::{fault::FaultPlan, Topology};
+        let cfg = MachineConfig::clustered(1024, 2, Topology::Torus { dims: vec![32, 32] });
+        let mut vm = NaVm::simulated(cfg.clone(), 128);
+        plate_cg(&mut vm, 6, 130, 12);
+        let mid = vm.elapsed() / 2;
+        let link = vm.machine().network.route_links(5, 0).unwrap()[0];
+        let plan = FaultPlan::none().kill_link(mid, link);
+        for faults in [FaultPlan::none(), plan] {
+            let run = PlateRun {
+                cfg: &cfg,
+                ntasks: 128,
+                grid: (6, 130),
+                max_iters: 12,
+                faults: &faults,
+                budget: None,
+                traced: false,
+            };
+            let replays = run.check().unwrap();
+            assert!(replays >= 6, "{replays} of 12 iterations replayed");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// [`SimState::reduction`], which replays its record whenever it
         /// may, against routing every message
         /// ([`SimState::reduction_per_message`]) on twin VMs over all six
-        /// topologies. Before each reduction: an idle gap, a halo
-        /// exchange, traffic left busy past the start, or a link kill,
+        /// topologies, traced or not. Before each reduction: an idle gap, a
+        /// halo exchange, traffic left busy past the start, or a link kill,
         /// degrade or recovery (a kill can cut a cluster off, which
         /// dead-letters and halts both alike). Compared: `now`, the whole
         /// network (every link's `free` and `busy`, the counters, the
@@ -773,6 +1081,7 @@ mod tests {
         fn reduction_replay_matches_per_message_oracle(
             topology in 0usize..6,
             ntasks in 1u32..=24,
+            traced in any::<bool>(),
             ops in proptest::collection::vec((0u8..6, any::<u32>(), 0u64..2000), 1..8),
         ) {
             use fem2_machine::Topology;
@@ -789,11 +1098,14 @@ mod tests {
                 let cfg = MachineConfig::clustered(16, 2, topology.clone());
                 let mut vm = NaVm::simulated(cfg, ntasks);
                 let (trace, rec) = fem2_trace::TraceHandle::ring(1 << 16);
-                vm.set_trace(trace);
+                if traced {
+                    vm.set_trace(trace);
+                }
                 let (x, y) = (vm.vector(64), vm.vector(64));
                 for &(op, a, w) in &ops {
                     if op == 1 {
                         vm.stencil5(x, y, 8, 8);
+                        vm.settle();
                     }
                     let s = &mut vm.sim;
                     let link = a as usize % s.machine.network.link_count();

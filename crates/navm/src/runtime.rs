@@ -1,4 +1,4 @@
-//! The NA-VM runtime: arrays, forall/pardo, broadcast and remote calls on
+//! The NA-VM runtime: arrays, forall/pardo and remote calls on
 //! the simulated FEM-2 machine.
 //!
 //! Arrays are two-dimensional, row-block distributed over the task set, and
@@ -8,12 +8,18 @@
 //! initiate message to the hosting cluster), the per-task work is charged
 //! to the earliest-free worker PE of that cluster, and the section barrier
 //! advances simulated time to the latest completion.
+//!
+//! The linear-algebra operations `inner`, `axpy`, `xpby` and `stencil5`
+//! queue their charges, and every other operation and every read of
+//! simulated state settles the queue first ([`SimState::settle`]): the
+//! charges land in op order either way.
 
+use crate::linalg::Charge;
 use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
-    AbortCause, BudgetMeter, CostClass, Cycles, Machine, MachineConfig, RunAborted, RunBudget,
-    TransferRecord, Words, WorkProfile, MAX_RETRANSMITS,
+    AbortCause, BudgetMeter, CostClass, Cycles, Machine, MachineConfig, Record, RunAborted,
+    RunBudget, Words, WorkProfile, MAX_RETRANSMITS,
 };
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
 
@@ -50,7 +56,17 @@ pub(crate) struct SimState {
     pub(crate) budget: BudgetMeter,
     /// The last replayable reduction, keyed by its cluster and word counts
     /// ([`SimState::reduction`]).
-    pub(crate) reduction: Option<((u32, Words), TransferRecord)>,
+    pub(crate) reduction: Option<((u32, Words), Record)>,
+    /// Charges queued and not yet applied to the machine, in op order.
+    pub(crate) queue: Vec<Charge>,
+    /// The last settled queue that left a record, with that record.
+    pub(crate) settled: Option<(Vec<Charge>, Record)>,
+    /// Settles that applied a record instead of charging entry by entry.
+    pub(crate) replays: u64,
+    /// Settle every queue entry by entry and every reduction message by
+    /// message: the oracle of the replaying paths.
+    #[cfg(test)]
+    pub(crate) per_entry: bool,
 }
 
 impl SimState {
@@ -362,10 +378,29 @@ impl NaVm {
                 retransmits: 0,
                 budget: BudgetMeter::default(),
                 reduction: None,
+                queue: Vec::new(),
+                settled: None,
+                replays: 0,
+                #[cfg(test)]
+                per_entry: false,
             },
             tasks: TaskSet::new(ntasks, clusters),
             arrays: Vec::new(),
         }
+    }
+
+    /// [`NaVm::simulated`] that charges every settle entry by entry and
+    /// every reduction message by message, replaying nothing.
+    #[cfg(test)]
+    pub(crate) fn simulated_per_entry(config: MachineConfig, ntasks: u32) -> Self {
+        let mut vm = Self::simulated(config, ntasks);
+        vm.sim.per_entry = true;
+        vm
+    }
+
+    /// Apply every queued charge to the machine ([`SimState::settle`]).
+    pub(crate) fn settle(&mut self) {
+        self.sim.settle(self.tasks);
     }
 
     /// The task set programs are written against.
@@ -374,23 +409,34 @@ impl NaVm {
     }
 
     /// Simulated cycles elapsed.
-    pub fn elapsed(&self) -> Cycles {
+    pub fn elapsed(&mut self) -> Cycles {
+        self.settle();
         self.sim.now
     }
 
     /// The simulated machine.
-    pub fn machine(&self) -> &Machine {
+    pub fn machine(&mut self) -> &Machine {
+        self.settle();
         &self.sim.machine
+    }
+
+    /// How many settles applied a recorded iteration whole instead of
+    /// charging entry by entry. Host-side only: no simulated figure
+    /// depends on it.
+    pub fn replayed_settles(&self) -> u64 {
+        self.sim.replays
     }
 
     /// Begin a named measurement phase.
     pub fn phase(&mut self, name: &str) {
+        self.settle();
         self.sim.machine.phase(name, self.sim.now);
     }
 
     /// Attach a trace sink to the simulated machine. Tracing is
     /// observation-only: it never changes costs.
     pub fn set_trace(&mut self, trace: TraceHandle) {
+        self.settle();
         self.sim.machine.set_trace(trace);
     }
 
@@ -398,17 +444,19 @@ impl NaVm {
     /// initiation again. Use to model per-section task creation instead of
     /// the default initiate-once/pause-resume runtime.
     pub fn respawn_tasks(&mut self) {
+        self.settle();
         self.sim.spawned = false;
     }
 
     /// Inject a fault plan. Faults fire as simulated time passes them, at
-    /// primitive boundaries: parallel sections, window exchanges,
-    /// broadcasts, and remote calls. Numerical
-    /// results are unaffected — only costs, routes, and the retransmission
-    /// count change — unless a fault cuts off a cluster the program needs:
+    /// primitive boundaries: parallel sections, window exchanges and
+    /// remote calls. Numerical results are unaffected — only costs, routes,
+    /// and the retransmission count change — unless a fault cuts off a
+    /// cluster the program needs:
     /// then the run stops with [`AbortCause::Unreachable`] (see
     /// [`NaVm::budget_exceeded`]).
     pub fn inject_faults(&mut self, plan: &FaultPlan) {
+        self.settle();
         self.sim.faults = plan.clone();
     }
 
@@ -418,20 +466,24 @@ impl NaVm {
     /// stop issuing work once it fires — operations after that point are
     /// charged as no-ops.
     pub fn set_budget(&mut self, budget: RunBudget) {
+        self.settle();
         self.sim.budget = budget.start();
     }
 
     /// Whether the run has stopped, and why: the armed budget fired, or a
     /// fault made a cluster the program needs unreachable
-    /// ([`AbortCause::Unreachable`], sticky, and reported first). Purely a check against the current clock — calling
-    /// it does not advance time, so repeated polls are free and
-    /// deterministic for the cycle/event limits.
-    pub fn budget_exceeded(&self) -> Option<RunAborted> {
+    /// ([`AbortCause::Unreachable`], sticky, and reported first). It
+    /// settles the queued charges, then checks against the clock; it does
+    /// not advance time past them, so repeated polls are deterministic for
+    /// the cycle/event limits.
+    pub fn budget_exceeded(&mut self) -> Option<RunAborted> {
+        self.settle();
         self.sim.stopped()
     }
 
     /// Window exchanges retried after an in-flight loss.
-    pub fn retransmits(&self) -> u64 {
+    pub fn retransmits(&mut self) -> u64 {
+        self.settle();
         self.sim.retransmits
     }
 
@@ -445,6 +497,7 @@ impl NaVm {
     /// After a stop the array exists on the host only.
     pub(crate) fn try_array(&mut self, rows: usize, cols: usize) -> Result<ArrayId, String> {
         assert!(rows > 0 && cols > 0, "degenerate array shape");
+        self.settle();
         if self.sim.stopped().is_some() {
             return Ok(self.host_array(rows, cols));
         }
@@ -514,28 +567,6 @@ impl NaVm {
         a.rows * a.cols
     }
 
-    /// Read one element (setup/diagnostics; charges one memory word
-    /// until the run stops).
-    pub fn get(&mut self, id: ArrayId, r: usize, c: usize) -> f64 {
-        let a = &self.arrays[id.0 as usize];
-        assert!(r < a.rows && c < a.cols, "index out of bounds");
-        if self.sim.stopped().is_none() {
-            self.sim.machine.stats.mem_words(1);
-        }
-        a.data[r * a.cols + c]
-    }
-
-    /// Write one element (setup/diagnostics; charges one memory word
-    /// until the run stops).
-    pub fn set(&mut self, id: ArrayId, r: usize, c: usize, v: f64) {
-        let a = &mut self.arrays[id.0 as usize];
-        assert!(r < a.rows && c < a.cols, "index out of bounds");
-        a.data[r * a.cols + c] = v;
-        if self.sim.stopped().is_none() {
-            self.sim.machine.stats.mem_words(1);
-        }
-    }
-
     /// Initialize every element: `a[r][c] = f(r, c)`. Runs as a charged
     /// forall over rows.
     pub fn fill(&mut self, id: ArrayId, f: impl Fn(usize, usize) -> f64) {
@@ -585,31 +616,13 @@ impl NaVm {
     /// declared cost. Each statement is a task on its handle's cluster; the
     /// statements carry no host computation.
     pub fn pardo(&mut self, statements: &[(TaskHandle, WorkProfile)]) -> Cycles {
+        self.settle();
         let tasks = self.tasks;
         let cluster = |&(t, _): &(TaskHandle, WorkProfile)| tasks.cluster_of(t);
         let runs = statements
             .chunk_by(|a, b| cluster(a) == cluster(b))
             .map(|run| (cluster(&run[0]), run.iter().copied()));
         self.sim.parallel_section(runs)
-    }
-
-    /// Broadcast `words` of data from `from` to every other task's cluster.
-    /// Returns the barrier time.
-    pub fn broadcast(&mut self, from: TaskHandle, words: Words) -> Cycles {
-        let s = &mut self.sim;
-        let start = s.now;
-        if s.stopped().is_some() {
-            return start;
-        }
-        s.apply_faults_through(start);
-        let fc = self.tasks.cluster_of(from);
-        let mut barrier = start;
-        for c in (0..self.tasks.clusters()).filter(|&c| c != fc) {
-            let arrive = s.reliable_transmit(start, fc, c, words, MsgKind::LoadCode);
-            barrier = barrier.max(arrive);
-        }
-        s.now = barrier;
-        barrier
     }
 
     /// Remote procedure call routed by data location: execute `profile` on
@@ -624,6 +637,7 @@ impl NaVm {
         args_words: Words,
         result_words: Words,
     ) -> Cycles {
+        self.settle();
         let s = &mut self.sim;
         if s.stopped().is_some() {
             return 0;
@@ -720,17 +734,16 @@ mod tests {
         let capacity = vm.machine().memory(1).capacity();
         vm.inject_faults(&FaultPlan::none().fail_memory(0, 1, capacity - 10));
         vm.sim.apply_faults_through(0);
-        let used = |vm: &NaVm| {
-            (0..4)
-                .map(|c| vm.machine().memory(c).used())
-                .collect::<Vec<_>>()
+        let used = |vm: &mut NaVm| {
+            let m = vm.machine();
+            (0..4).map(|c| m.memory(c).used()).collect::<Vec<_>>()
         };
-        let before = used(&vm);
+        let before = used(&mut vm);
         assert!(
             vm.try_array(800, 1).is_err(),
             "cluster 1 has no room for 200"
         );
-        assert_eq!(used(&vm), before);
+        assert_eq!(used(&mut vm), before);
     }
 
     /// Once a budget fires, every operation is a no-op on the machine: it
@@ -742,18 +755,15 @@ mod tests {
         vm.fill(x, |i, _| i as f64);
         vm.set_budget(RunBudget::max_cycles(1));
         assert!(vm.budget_exceeded().is_some());
-        let state = |vm: &NaVm| {
+        let state = |vm: &mut NaVm| {
+            let now = vm.elapsed();
             let m = vm.machine();
             let allocated: Vec<u64> = (0..m.config.clusters).map(|c| m.memory(c).used()).collect();
-            (vm.elapsed(), m.network.messages, m.stats.table(), allocated)
+            (now, m.network.messages, m.stats.table(), allocated)
         };
-        let before = state(&vm);
+        let before = state(&mut vm);
         type Op = fn(&mut NaVm, ArrayId, ArrayId);
-        let ops: [(&str, Op); 10] = [
-            ("get", |vm, x, _| {
-                vm.get(x, 3, 0);
-            }),
-            ("set", |vm, x, _| vm.set(x, 3, 0, 1.0)),
+        let ops: [(&str, Op); 7] = [
             ("vector", |vm, _, _| {
                 vm.vector(64);
             }),
@@ -769,34 +779,14 @@ mod tests {
                 let w = vm.window(x, 56, 64, 0, 1);
                 vm.write_window(TaskHandle(0), &w, &[1.0; 8]);
             }),
-            ("broadcast", |vm, _, _| {
-                vm.broadcast(TaskHandle(0), 64);
-            }),
             ("remote_call", |vm, _, _| {
                 vm.remote_call(TaskHandle(0), TaskHandle(7), WorkProfile::flops(50), 16, 4);
             }),
         ];
         for (name, op) in ops {
             op(&mut vm, x, y);
-            assert_eq!(state(&vm), before, "{name} after the budget fired");
+            assert_eq!(state(&mut vm), before, "{name} after the budget fired");
         }
-    }
-
-    #[test]
-    fn get_set_roundtrip() {
-        let mut vm = sim(2);
-        let a = vm.array(4, 4);
-        vm.set(a, 2, 3, 7.5);
-        assert_eq!(vm.get(a, 2, 3), 7.5);
-        assert_eq!(vm.get(a, 0, 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn get_bounds_checked() {
-        let mut vm = sim(2);
-        let a = vm.array(4, 4);
-        vm.get(a, 4, 0);
     }
 
     #[test]
@@ -804,7 +794,7 @@ mod tests {
         let mut vm = sim(4);
         let a = vm.array(8, 2);
         vm.fill(a, |r, c| (r * 10 + c) as f64);
-        assert_eq!(vm.get(a, 3, 1), 31.0);
+        assert_eq!(vm.snapshot(a)[3 * 2 + 1], 31.0);
         assert!(vm.elapsed() > 0, "fill charged simulated time");
         let t = vm.machine().stats.total();
         assert!(t.mem_words >= 16);
@@ -819,9 +809,10 @@ mod tests {
                 *x += (r + 1) as f64;
             }
         });
+        let data = vm.snapshot(a);
         for r in 0..17 {
-            assert_eq!(vm.get(a, r, 0), (r + 1) as f64);
-            assert_eq!(vm.get(a, r, 1), (r + 1) as f64);
+            assert_eq!(data[2 * r], (r + 1) as f64);
+            assert_eq!(data[2 * r + 1], (r + 1) as f64);
         }
     }
 
@@ -852,16 +843,6 @@ mod tests {
         let barrier = vm.pardo(&stmts);
         assert!(barrier > 0);
         assert_eq!(vm.machine().stats.total().flops, 400);
-    }
-
-    #[test]
-    fn broadcast_reaches_every_other_cluster() {
-        let mut vm = sim(8); // 8 tasks over 4 clusters
-        let before = vm.machine().network.messages;
-        vm.broadcast(TaskHandle(0), 128);
-        let after = vm.machine().network.messages;
-        assert_eq!(after - before, 3, "3 remote clusters");
-        assert!(vm.elapsed() > 0);
     }
 
     #[test]
@@ -914,7 +895,7 @@ mod tests {
         let t0 = vm.elapsed();
         vm.fill(a, |_, _| 1.0);
         let t1 = vm.elapsed();
-        vm.broadcast(TaskHandle(0), 64);
+        vm.remote_call(TaskHandle(0), TaskHandle(3), WorkProfile::flops(50), 64, 4);
         let t2 = vm.elapsed();
         assert!(t0 <= t1 && t1 <= t2);
     }

@@ -31,19 +31,6 @@ impl Window {
     pub(crate) fn len(&self) -> u64 {
         self.desc.len()
     }
-
-    /// Partition row-wise into sub-windows ("windows may be … further
-    /// partitioned").
-    pub fn partition_rows(&self, parts: u32) -> Vec<Window> {
-        self.desc
-            .partition_rows(parts)
-            .into_iter()
-            .map(|d| Window {
-                array: self.array,
-                desc: d,
-            })
-            .collect()
-    }
 }
 
 /// The clusters holding rows of the window `desc` over an array of `rows`
@@ -179,6 +166,7 @@ impl NaVm {
     /// owning clusters and `accessor`'s cluster. `inbound` selects read
     /// (owner → accessor) vs write (accessor → owner) direction.
     fn charge_window_traffic(&mut self, w: &Window, accessor: TaskHandle, inbound: bool) {
+        self.settle();
         let rows = self.rows(w.array);
         let tasks = self.tasks;
         let s = &mut self.sim;
@@ -292,9 +280,10 @@ mod tests {
         let a = vm.array(4, 2);
         let w = vm.window(a, 2, 4, 0, 2);
         vm.write_window(TaskHandle(0), &w, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(vm.get(a, 2, 0), 1.0);
-        assert_eq!(vm.get(a, 3, 1), 4.0);
-        assert_eq!(vm.get(a, 0, 0), 0.0, "outside the window untouched");
+        let data = vm.snapshot(a);
+        assert_eq!(data[2 * 2], 1.0);
+        assert_eq!(data[3 * 2 + 1], 4.0);
+        assert_eq!(data[0], 0.0, "outside the window untouched");
     }
 
     #[test]
@@ -355,21 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_windows_tile_the_parent() {
-        let mut vm = sim(4);
-        let a = vm.array(12, 2);
-        vm.fill(a, |r, c| (r * 2 + c) as f64);
-        let w = vm.window(a, 0, 12, 0, 2);
-        let parts = w.partition_rows(3);
-        assert_eq!(parts.len(), 3);
-        let mut gathered = Vec::new();
-        for p in &parts {
-            gathered.extend(vm.read_window(TaskHandle(0), p));
-        }
-        assert_eq!(gathered, vm.read_window(TaskHandle(0), &w));
-    }
-
-    #[test]
     fn remote_read_costs_more_than_local() {
         let mut vm = sim(8);
         let a = vm.array(16, 64);
@@ -404,7 +378,8 @@ mod tests {
         // Kill the direct 0->3 link (crossbar link 3) while the window
         // request is on the wire: the packet is lost, the retransmission
         // fires, and the retry detours via an intermediate cluster.
-        faulted.inject_faults(&FaultPlan::none().kill_link(faulted.elapsed() + 1, 3));
+        let at = faulted.elapsed() + 1;
+        faulted.inject_faults(&FaultPlan::none().kill_link(at, 3));
         let got = faulted.read_window(TaskHandle(0), &wf);
         assert_eq!(got, want, "rerouted exchange returns identical values");
         assert!(faulted.retransmits() >= 1, "the lost packet was retried");

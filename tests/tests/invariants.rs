@@ -1,16 +1,17 @@
 //! Property tests on cross-crate invariants: the heap never corrupts, the
 //! solvers solve, substructuring equals the direct method, partitions
-//! cover, window reads equal direct reads, and PEs beyond the crew change
-//! nothing.
+//! cover, window reads equal direct reads, and PEs beyond the crew and
+//! faults on hardware the run never uses change nothing.
 
-use fem2_core::PlateScenario;
+use fem2_core::{plate_cg, PlateScenario};
 use fem2_fem::bc::Constraints;
 use fem2_fem::partition::Partition;
 use fem2_fem::solver::{cg, skyline, IterControls};
 use fem2_fem::substructure::analyze_substructures;
 use fem2_fem::{assemble_free, cantilever_plate, Coo, Material, Mesh, SolverChoice};
 use fem2_kernel::{Block, Heap};
-use fem2_machine::{MachineConfig, Topology};
+use fem2_machine::fault::FaultPlan;
+use fem2_machine::{MachineConfig, PeId, Topology};
 use fem2_navm::{NaVm, TaskHandle};
 use proptest::prelude::*;
 
@@ -118,6 +119,71 @@ fn idle_pes_change_nothing() {
             for pes in [8, 16] {
                 assert_eq!(run(pes), base, "{topology:?}, {tasks} tasks, {pes} PEs");
             }
+        }
+    }
+}
+
+/// Untouched faults (ROADMAP 19(d)): a fault, injected mid-run, on a link
+/// no route of the plate uses, on a PE of a cluster that hosts no task, or
+/// on that cluster's memory leaves the plate's cycles, messages, words,
+/// iterations and residual bits where the healthy run has them. A 16×16
+/// plate of 4 tasks on 16 clusters of 3 PEs, on all six topologies, with
+/// every such link, PE and memory bank: 300 links (the bus and the ring
+/// have none), 216 PEs and 72 banks. Each fault moves the fault
+/// epoch, so the iteration it lands in is charged entry by entry and not
+/// replayed, and the one after it records again.
+#[test]
+fn untouched_faults_change_nothing() {
+    let topologies = [
+        Topology::Bus,
+        Topology::Ring,
+        Topology::Mesh2D { width: 4 },
+        Topology::Crossbar,
+        Topology::Torus { dims: vec![4, 4] },
+        Topology::FatTree { radix: 4 },
+    ];
+    for topology in topologies {
+        let cfg = MachineConfig::clustered(16, 3, topology.clone());
+        let run = |plan: &FaultPlan| {
+            let mut vm = NaVm::simulated(cfg.clone(), 4);
+            vm.inject_faults(plan);
+            let (iterations, residual, _) = plate_cg(&mut vm, 16, 16, 1e-6, 5000);
+            let elapsed = vm.elapsed();
+            let net = &vm.machine().network;
+            let words = net.total_words_moved();
+            (elapsed, net.messages, words, iterations, residual.to_bits())
+        };
+        let healthy = run(&FaultPlan::none());
+        let mid = healthy.0 / 2;
+
+        // What the plate uses: the routes between cluster 0 and every
+        // cluster (initiation, the reduction) and between neighbouring
+        // task clusters (halos), and the PEs and memory of those.
+        let mut vm = NaVm::simulated(cfg.clone(), 4);
+        let hosts: Vec<u32> = vm.tasks().by_cluster().map(|(c, _)| c).collect();
+        let net = &vm.machine().network;
+        let pairs = (0..16).flat_map(|c| [(c, 0), (0, c)]);
+        let halos = hosts.windows(2).flat_map(|w| [(w[0], w[1]), (w[1], w[0])]);
+        let used: std::collections::BTreeSet<usize> = pairs
+            .chain(halos)
+            .flat_map(|(a, b)| net.route_links(a, b).expect("a healthy route"))
+            .collect();
+        let links = (0..net.link_count()).filter(|l| !used.contains(l));
+        let idle: Vec<u32> = (0..16).filter(|c| !hosts.contains(c)).collect();
+        let pes = idle
+            .iter()
+            .flat_map(|&c| (0..3).map(move |i| PeId::new(c, i)));
+        let words = cfg.memory_per_cluster / 2;
+        let cases: Vec<(String, FaultPlan)> = links
+            .map(|l| (format!("link {l}"), FaultPlan::none().kill_link(mid, l)))
+            .chain(pes.map(|pe| (format!("{pe}"), FaultPlan::none().kill_pe(mid, pe))))
+            .chain(idle.iter().map(|&c| {
+                let plan = FaultPlan::none().fail_memory(mid, c, words);
+                (format!("memory of cluster {c}"), plan)
+            }))
+            .collect();
+        for (what, plan) in cases {
+            assert_eq!(run(&plan), healthy, "{topology:?}: {what} killed mid-run");
         }
     }
 }

@@ -367,7 +367,8 @@ fn window_chrome_export_is_pinned() {
     }
     vm.remote_call(me, TaskHandle(1), WorkProfile::flops(50), 16, 4);
     vm.remote_call(me, TaskHandle(7), WorkProfile::flops(50), 16, 4);
-    vm.inject_faults(&FaultPlan::none().kill_link(vm.elapsed() + 1, 3));
+    let at = vm.elapsed() + 1;
+    vm.inject_faults(&FaultPlan::none().kill_link(at, 3));
     let w = vm.row_window(a, 60);
     let _ = vm.read_window(me, &w);
     assert!(vm.retransmits() >= 1, "the lost packet was retried");
