@@ -322,54 +322,13 @@ impl Session {
                 }
             }
             Command::Verify { tasks } => {
-                let m = self.workspace.model()?;
-                let dofs = m.dof_count() as u64;
-                if dofs == 0 {
-                    return Err("no unknowns to verify (GENERATE first)".into());
-                }
-                let machine = fem2_machine::MachineConfig::fem2_default();
-                let tasks = tasks.unwrap_or_else(|| machine.total_workers());
-                let script = fem2_verify::lower::solve_script(
-                    format!("{} ({dofs} unknowns, {tasks} tasks)", m.name),
-                    &machine,
-                    tasks,
-                    fem2_verify::lower::SolveShape {
-                        unknowns: dofs,
-                        // CG keeps five vectors live: b, x, r, p, Ap.
-                        vectors: 5,
-                        // One boundary row of unknowns crosses each halo.
-                        halo_words: dofs.isqrt().max(1),
-                    },
-                );
-                let report = fem2_verify::check_script(&script, &machine);
-                Ok(report.render())
+                let (script, machine) = self.lowered_solve(tasks, "verify")?;
+                Ok(fem2_verify::check_script(&script, &machine).render())
             }
             Command::Cost { tasks } => {
-                let m = self.workspace.model()?;
-                let dofs = m.dof_count() as u64;
-                if dofs == 0 {
-                    return Err("no unknowns to bound (GENERATE first)".into());
-                }
-                let machine = fem2_machine::MachineConfig::fem2_default();
-                let tasks = tasks.unwrap_or_else(|| machine.total_workers());
-                let script = fem2_verify::lower::solve_script(
-                    format!("{} ({dofs} unknowns, {tasks} tasks)", m.name),
-                    &machine,
-                    tasks,
-                    fem2_verify::lower::SolveShape {
-                        unknowns: dofs,
-                        // CG keeps five vectors live: b, x, r, p, Ap.
-                        vectors: 5,
-                        // One boundary row of unknowns crosses each halo.
-                        halo_words: dofs.isqrt().max(1),
-                    },
-                );
-                let report = fem2_verify::check_cost(
-                    &script,
-                    &machine,
-                    &fem2_verify::CostParams::single_sweep(),
-                );
-                Ok(report.render())
+                let (script, machine) = self.lowered_solve(tasks, "bound")?;
+                let params = fem2_verify::CostParams::single_sweep();
+                Ok(fem2_verify::check_cost(&script, &machine, &params).render())
             }
             Command::Trace(action) => match action {
                 TraceAction::On => {
@@ -400,6 +359,35 @@ impl Session {
                 Ok("goodbye".into())
             }
         }
+    }
+
+    /// The current model's distributed CG solve on the default machine,
+    /// lowered for the analyzer with `tasks` tasks (one per worker PE by
+    /// default). `verb` names what `VERIFY` or `COST` would have done with
+    /// a model that has no unknowns.
+    fn lowered_solve(
+        &self,
+        tasks: Option<u32>,
+        verb: &str,
+    ) -> Result<(fem2_verify::ScenarioScript, fem2_machine::MachineConfig), String> {
+        let m = self.workspace.model()?;
+        let dofs = m.dof_count() as u64;
+        if dofs == 0 {
+            return Err(format!("no unknowns to {verb} (GENERATE first)"));
+        }
+        let machine = fem2_machine::MachineConfig::fem2_default();
+        let tasks = tasks.unwrap_or_else(|| machine.total_workers());
+        let script = fem2_verify::lower::solve_script(
+            format!("{} ({dofs} unknowns, {tasks} tasks)", m.name),
+            &machine,
+            tasks,
+            fem2_verify::lower::SolveShape {
+                unknowns: dofs,
+                // One boundary row of unknowns crosses each halo.
+                halo_words: dofs.isqrt().max(1),
+            },
+        );
+        Ok((script, machine))
     }
 }
 

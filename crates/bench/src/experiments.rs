@@ -12,8 +12,8 @@ use fem2_core::fem::{Material, Mesh};
 use fem2_core::kernel::{CodeBlock, Heap, KernelMessage, KernelSim, TaskId, WorkProfile};
 use fem2_core::machine::fault::FaultPlan;
 use fem2_core::machine::{CostClass, Machine, MachineConfig, Network, PeId, Topology};
-use fem2_core::navm::{NaVm, TaskHandle};
-use fem2_core::scenario::{plate_cg, PlateScenario, ScenarioReport};
+use fem2_core::navm::{plate_cg, NaVm, TaskHandle};
+use fem2_core::scenario::{PlateScenario, ScenarioReport};
 use fem2_core::DesignSpace;
 use fem2_trace::DegradationReport;
 use std::fmt::Write as _;
@@ -492,8 +492,15 @@ pub fn e7_fault() -> (String, Vec<DegradationReport>) {
         if let Some(p) = plan {
             vm.inject_faults(p);
         }
-        let (iters, res, x) = plate_cg(&mut vm, 16, 16, 1e-8, 400);
-        (iters, res, vm.snapshot(x), vm.retransmits(), vm.elapsed())
+        let cg = plate_cg(&mut vm, 16, 16, 1e-8, 400);
+        let x = vm.snapshot(cg.x);
+        (
+            cg.iterations,
+            cg.residual,
+            x,
+            vm.retransmits(),
+            vm.elapsed(),
+        )
     };
     let (hi, hres, hx, _, ht) = cg(None);
     let plan = FaultPlan::none()

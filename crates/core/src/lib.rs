@@ -39,7 +39,7 @@ pub mod verify;
 
 pub use design::DesignSpace;
 pub use layers::Layer;
-pub use scenario::{plate_cg, PlateScenario, ScenarioReport};
+pub use scenario::{PlateScenario, ScenarioReport};
 
 // The full stack, re-exported for downstream users (the examples and
 // `fem2-report`).

@@ -14,27 +14,23 @@ use crate::layers::Layer;
 use crate::scenario::{PlateScenario, ASSEMBLY_PROFILE_PER_ELEMENT, STRESS_PROFILE_PER_ELEMENT};
 use fem2_kernel::WorkProfile;
 use fem2_machine::{CostClass, MachineConfig, Topology};
+use fem2_navm::{reduction_messages, TaskSet, PLATE_CG_ITERATION, PLATE_CG_SETUP};
 use fem2_verify::lower::{solve_script, SolveShape};
 use fem2_verify::{
     check_grammar, check_script, CostModeler, CostParams, CostReport, Report, ScenarioScript,
 };
-
-/// Number of solver vectors a plate CG run keeps live: b, x, r, p, Ap.
-pub(crate) const CG_LIVE_VECTORS: u64 = 5;
 
 /// Lower a plate scenario to the analyzer's script IR. The script mirrors
 /// what [`PlateScenario::run`] will ask of the kernel: one task per worker
 /// block-mapped over the clusters, row-block vector storage, and red-black
 /// halo exchanges between neighbouring tasks.
 pub fn scenario_script(s: &PlateScenario) -> ScenarioScript {
-    let unknowns = (s.nx * s.ny) as u64;
     solve_script(
         format!("plate {}x{} on {}", s.nx, s.ny, s.machine.describe()),
         &s.machine,
         s.tasks,
         SolveShape {
-            unknowns,
-            vectors: CG_LIVE_VECTORS,
+            unknowns: (s.nx * s.ny) as u64,
             // One boundary row of the grid crosses each halo.
             halo_words: s.nx as u64,
         },
@@ -67,50 +63,42 @@ pub fn scenario_cost(s: &PlateScenario) -> CostReport {
     let elements = ((s.nx - 1).max(1) * (s.ny - 1).max(1)) as u64;
     let tasks = u64::from(s.tasks);
     let iters = s.max_iters.max(1) as u64;
-    let clusters = s.machine.clusters;
-    let charge_profile = |m: &mut CostModeler, p: &WorkProfile, count: u64| {
-        m.charge(CostClass::Flop, p.flops.saturating_mul(count));
-        m.charge(CostClass::IntOp, p.int_ops.saturating_mul(count));
-        m.charge(CostClass::MemWord, p.mem_words.saturating_mul(count));
+    // A parallel section, `times` over: a context switch per task, and
+    // `per` work on each of `items` items.
+    let section = |m: &mut CostModeler, per: WorkProfile, items: u64, times: u64| {
+        let count = times.saturating_mul(items);
+        m.charge(CostClass::ContextSwitch, times.saturating_mul(tasks));
+        m.charge(CostClass::Flop, per.flops.saturating_mul(count));
+        m.charge(CostClass::IntOp, per.int_ops.saturating_mul(count));
+        m.charge(CostClass::MemWord, per.mem_words.saturating_mul(count));
     };
 
     m.begin_phase("assembly");
-    charge_profile(&mut m, &ASSEMBLY_PROFILE_PER_ELEMENT, elements);
-    m.charge(CostClass::ContextSwitch, tasks);
+    section(&mut m, ASSEMBLY_PROFILE_PER_ELEMENT, elements, 1);
 
     m.begin_phase("solve");
-    // Parallel sections context-switch every task: the fill, two copies,
-    // and first inner product before the loop, then per iteration one
-    // stencil, two inners, two axpys, and one xpby.
-    let sections = 4 + 6 * iters;
-    m.charge(CostClass::ContextSwitch, sections.saturating_mul(tasks));
-    // fill(b): one int op and one stored word per element.
-    m.charge(CostClass::IntOp, n);
-    m.charge(CostClass::MemWord, n);
-    // copy(b, r) and copy(r, p): two words moved per element each.
-    m.charge(CostClass::MemWord, 4 * n);
-    // Inner products — one before the loop, two per iteration — at two
-    // flops and two words per element, each ending in a tree reduction of
-    // 2-word transfers to and from cluster 0.
-    let inners = 1 + 2 * iters;
-    m.charge(CostClass::Flop, inners.saturating_mul(2 * n));
-    m.charge(CostClass::MemWord, inners.saturating_mul(2 * n));
-    for c in 1..clusters {
-        m.message_times(c, 0, 2, inners);
-        m.message_times(0, c, 2, inners);
+    // `plate_cg`'s operations over the `n` unknowns, the setup once and
+    // the iteration at its cap. The reductions' messages are routed once,
+    // `reductions` times over; the stencil's halo exchange is the
+    // script's window sweep above.
+    let mut reductions = 0u64;
+    for (ops, times) in [(&PLATE_CG_SETUP[..], 1), (&PLATE_CG_ITERATION[..], iters)] {
+        for op in ops {
+            section(&mut m, op.work(), n, times);
+            if op.reduces() {
+                reductions = reductions.saturating_add(times);
+            }
+        }
     }
-    // axpy twice and xpby once per iteration: 2 flops, 3 words per element.
-    m.charge(CostClass::Flop, (3 * iters).saturating_mul(2 * n));
-    m.charge(CostClass::MemWord, (3 * iters).saturating_mul(3 * n));
-    // Stencil elementwise work per iteration; its halo exchange is already
-    // covered by the script's window sweeps above.
-    m.charge(CostClass::Flop, iters.saturating_mul(8 * n));
-    m.charge(CostClass::IntOp, iters.saturating_mul(6 * n));
-    m.charge(CostClass::MemWord, iters.saturating_mul(6 * n));
+    let crew = TaskSet::new(s.tasks.max(1), s.machine.clusters.max(1));
+    let (peers, words) = reduction_messages(crew);
+    for c in peers {
+        m.message_times(c, 0, words, reductions);
+        m.message_times(0, c, words, reductions);
+    }
 
     m.begin_phase("stress");
-    charge_profile(&mut m, &STRESS_PROFILE_PER_ELEMENT, elements);
-    m.charge(CostClass::ContextSwitch, tasks);
+    section(&mut m, STRESS_PROFILE_PER_ELEMENT, elements, 1);
 
     m.finish()
 }

@@ -40,12 +40,15 @@
 //! let _ = TaskHandle(0);
 //! ```
 
+pub(crate) mod cg;
 pub(crate) mod linalg;
 pub(crate) mod runtime;
 pub mod task;
 pub mod window;
 
-pub use runtime::{ArrayId, NaVm};
+pub use cg::{plate_cg, CgOutcome, PLATE_CG_ITERATION, PLATE_CG_SETUP, PLATE_CG_VECTORS};
+pub use linalg::{reduction_messages, VectorOp};
+pub use runtime::{ArrayId, NaVm, INITIATE_WORDS};
 pub use task::{TaskHandle, TaskSet};
 pub use window::Window;
 

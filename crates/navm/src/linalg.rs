@@ -155,45 +155,66 @@ fn stencil_row(out: &mut [f64], c: &[f64], up: Option<&[f64]>, down: Option<&[f6
     }
 }
 
-/// Payload words of each message of a reduction.
-const REDUCTION_WORDS: Words = 2;
+/// A vector operation of the NA-VM, by what it charges per item. The
+/// runtime charges each through [`VectorOp::work`], and the static bound
+/// of the plate CG walks [`PLATE_CG_SETUP`](crate::PLATE_CG_SETUP) and
+/// [`PLATE_CG_ITERATION`](crate::PLATE_CG_ITERATION) through the same.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VectorOp {
+    /// `fill`: one element computed and stored.
+    Fill,
+    /// `copy`: one element read and one written.
+    Copy,
+    /// `inner`: two elements read and multiplied into the partial, then
+    /// the reduction of the partials ([`reduction_messages`]).
+    Inner,
+    /// `axpy` or `xpby`: two elements read, one written.
+    Update,
+    /// `stencil5`: one grid point, after the halo exchange.
+    Stencil,
+}
 
-/// Per-element work of an inner product.
-const INNER_WORK: WorkProfile = WorkProfile {
-    flops: 2,
-    int_ops: 0,
-    mem_words: 2,
-};
+impl VectorOp {
+    /// The work of one item.
+    pub const fn work(self) -> WorkProfile {
+        let (flops, int_ops, mem_words) = match self {
+            VectorOp::Fill => (0, 1, 1),
+            VectorOp::Copy => (0, 0, 2),
+            VectorOp::Inner => (2, 0, 2),
+            VectorOp::Update => (2, 0, 3),
+            VectorOp::Stencil => (8, 6, 6),
+        };
+        WorkProfile {
+            flops,
+            int_ops,
+            mem_words,
+        }
+    }
 
-/// Per-element work of `axpy` and `xpby`.
-const UPDATE_WORK: WorkProfile = WorkProfile {
-    flops: 2,
-    int_ops: 0,
-    mem_words: 3,
-};
+    /// Whether the op ends in a reduction.
+    pub fn reduces(self) -> bool {
+        self == VectorOp::Inner
+    }
+}
 
-/// Per-point work of the 5-point stencil.
-const STENCIL_WORK: WorkProfile = WorkProfile {
-    flops: 8,
-    int_ops: 6,
-    mem_words: 6,
-};
+/// The messages of one reduction by the crew `tasks`: each cluster of the
+/// iterator sends its partial to cluster 0 and gets the result back, and
+/// every message carries the returned number of words.
+pub fn reduction_messages(tasks: TaskSet) -> (impl Iterator<Item = u32> + Clone, Words) {
+    (1..tasks.clusters(), 2)
+}
 
-/// The queued charges of one linear-algebra operation: its kind, its sizes
-/// and its per-item work.
+/// The queued charges of one linear-algebra operation: its kind and its
+/// sizes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Charge {
     /// `inner`: a forall over `n` items, then the reduction.
-    Inner { n: usize, per: WorkProfile },
+    Inner { n: usize },
     /// `axpy` or `xpby`: a forall over `n` items.
-    Update { n: usize, per: WorkProfile },
+    Update { n: usize },
     /// `stencil5`: the halo exchanges of an `nx × ny` grid, then a forall
     /// over its points.
-    Stencil {
-        nx: usize,
-        ny: usize,
-        per: WorkProfile,
-    },
+    Stencil { nx: usize, ny: usize },
 }
 
 impl SimState {
@@ -223,14 +244,14 @@ impl SimState {
             }
             for &charge in &queue {
                 match charge {
-                    Charge::Inner { n, per } => {
-                        self.elementwise(tasks, n, per);
-                        self.reduction(tasks.clusters());
+                    Charge::Inner { n } => {
+                        self.elementwise(tasks, n, VectorOp::Inner.work());
+                        self.reduction(tasks);
                     }
-                    Charge::Update { n, per } => self.elementwise(tasks, n, per),
-                    Charge::Stencil { nx, ny, per } => {
+                    Charge::Update { n } => self.elementwise(tasks, n, VectorOp::Update.work()),
+                    Charge::Stencil { nx, ny } => {
                         self.halo(tasks, nx, ny);
-                        self.elementwise(tasks, nx * ny, per);
+                        self.elementwise(tasks, nx * ny, VectorOp::Stencil.work());
                     }
                 }
             }
@@ -314,25 +335,24 @@ impl SimState {
         a1.max(a2)
     }
 
-    /// The tree reduction that combines per-task partials over `clusters`
-    /// clusters: one small message per cluster toward cluster 0, all sent
-    /// at the start, then a broadcast of the result, each of whose
-    /// messages leaves once every message before it has arrived.
+    /// The tree reduction that combines the per-task partials of `tasks`
+    /// ([`reduction_messages`]): every message toward cluster 0 sent at
+    /// the start, then a broadcast of the result, each of whose messages
+    /// leaves once every message before it has arrived.
     ///
     /// The messages are the same every time, so the run is recorded and
     /// replayed ([`Machine::replay`](fem2_machine::Machine::replay)) while
-    /// the fault epoch, `clusters` and the word count stay the same and
-    /// every recorded link is free by the start (a traced machine also
-    /// needs the record's spans). Otherwise each message is routed, and
-    /// the run is recorded again if its links were idle and nothing
-    /// dead-lettered. A settle being recorded sees either.
-    pub(crate) fn reduction(&mut self, clusters: u32) {
+    /// the fault epoch and the crew stay the same and every recorded link
+    /// is free by the start (a traced machine also needs the record's
+    /// spans). Otherwise each message is routed, and the run is recorded
+    /// again if its links were idle and nothing dead-lettered. A settle
+    /// being recorded sees either.
+    pub(crate) fn reduction(&mut self, tasks: TaskSet) {
         if self.stopped().is_some() {
             return;
         }
         let start = self.now;
-        let key = (clusters, REDUCTION_WORDS);
-        if let Some((_, record)) = self.reduction.as_ref().filter(|(k, _)| *k == key) {
+        if let Some((_, record)) = self.reduction.as_ref().filter(|(k, _)| *k == tasks) {
             if let Some(end) = self.machine.replay(record, start) {
                 self.now = end;
                 return;
@@ -342,18 +362,19 @@ impl SimState {
         if recording {
             self.machine.begin_record(start);
         }
+        let (peers, words) = reduction_messages(tasks);
         let mut barrier = start;
-        for c in 1..clusters {
-            let arrive = self.transmit(start, c, 0, REDUCTION_WORDS, MsgKind::RemoteCall);
+        for c in peers.clone() {
+            let arrive = self.transmit(start, c, 0, words, MsgKind::RemoteCall);
             barrier = barrier.max(arrive);
         }
-        for c in 1..clusters {
-            let arrive = self.transmit(barrier, 0, c, REDUCTION_WORDS, MsgKind::RemoteReturn);
+        for c in peers {
+            let arrive = self.transmit(barrier, 0, c, words, MsgKind::RemoteReturn);
             barrier = barrier.max(arrive);
         }
         if recording {
             if let Some(record) = self.machine.end_record(barrier) {
-                self.reduction = Some((key, record));
+                self.reduction = Some((tasks, record));
             }
         }
         self.now = barrier;
@@ -387,25 +408,6 @@ impl SimState {
 
 #[cfg(test)]
 impl SimState {
-    /// The oracle of [`SimState::reduction`]: every message routed, none
-    /// recorded.
-    pub(crate) fn reduction_per_message(&mut self, clusters: u32) {
-        if self.stopped().is_some() {
-            return;
-        }
-        let start = self.now;
-        let mut barrier = start;
-        for c in 1..clusters {
-            let arrive = self.transmit(start, c, 0, REDUCTION_WORDS, MsgKind::RemoteCall);
-            barrier = barrier.max(arrive);
-        }
-        for c in 1..clusters {
-            let arrive = self.transmit(barrier, 0, c, REDUCTION_WORDS, MsgKind::RemoteReturn);
-            barrier = barrier.max(arrive);
-        }
-        self.now = barrier;
-    }
-
     /// The oracle of [`NaVm::stencil5`]'s halo charges: every adjacent
     /// task pair, filtered on both shares of `ny` rows being non-empty,
     /// with one division per task for its cluster.
@@ -465,7 +467,7 @@ impl NaVm {
                     out.iter().fold(total, |total, p| total + p)
                 })
         };
-        self.sim.queue.push(Charge::Inner { n, per: INNER_WORK });
+        self.sim.queue.push(Charge::Inner { n });
         result
     }
 
@@ -475,10 +477,7 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         let (xd, yd) = self.src_dst(x, y);
         axpy_slice(alpha, xd, yd);
-        self.sim.queue.push(Charge::Update {
-            n,
-            per: UPDATE_WORK,
-        });
+        self.sim.queue.push(Charge::Update { n });
     }
 
     /// `y ← x + beta·y` (the CG direction update).
@@ -487,10 +486,7 @@ impl NaVm {
         assert_eq!(n, self.len(y), "length mismatch");
         let (xd, yd) = self.src_dst(x, y);
         xpby_slice(xd, beta, yd);
-        self.sim.queue.push(Charge::Update {
-            n,
-            per: UPDATE_WORK,
-        });
+        self.sim.queue.push(Charge::Update { n });
     }
 
     /// `y ← x`.
@@ -501,14 +497,7 @@ impl NaVm {
             let (xd, yd) = self.src_dst(x, y);
             yd.copy_from_slice(xd);
         }
-        self.charge_elementwise(
-            n,
-            WorkProfile {
-                flops: 0,
-                int_ops: 0,
-                mem_words: 2,
-            },
-        );
+        self.charge_elementwise(n, VectorOp::Copy.work());
     }
 
     /// 5-point-stencil operator on an `nx × ny` grid: for interior and
@@ -533,14 +522,14 @@ impl NaVm {
                 stencil_row(out, grid_row(j), up, down);
             }
         }
-        let per = STENCIL_WORK;
-        self.sim.queue.push(Charge::Stencil { nx, ny, per });
+        self.sim.queue.push(Charge::Stencil { nx, ny });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plate_cg;
     use fem2_machine::MachineConfig;
     use proptest::prelude::*;
 
@@ -860,41 +849,6 @@ mod tests {
         assert_eq!(m1 - m0, 0);
     }
 
-    /// `fem2-core`'s `plate_cg`, restated here: the plate CG in NA-VM
-    /// operations, polling the budget at the top of each iteration, capped
-    /// at `max_iters`. Returns the iterations, the residual and `x`.
-    fn plate_cg(vm: &mut NaVm, nx: usize, ny: usize, max_iters: usize) -> (usize, f64, Vec<f64>) {
-        let n = nx * ny;
-        let b = vm.vector(n);
-        vm.fill(b, |_, _| 1.0);
-        let x = vm.vector(n);
-        let r = vm.vector(n);
-        vm.copy(b, r);
-        let p = vm.vector(n);
-        vm.copy(r, p);
-        let ap = vm.vector(n);
-        let mut rr = vm.inner(r, r);
-        let target = 1e-6 * rr.sqrt();
-        let (mut iters, mut res) = (0, rr.sqrt());
-        while iters < max_iters && res > target && vm.budget_exceeded().is_none() {
-            vm.stencil5(p, ap, nx, ny);
-            let pap = vm.inner(p, ap);
-            if pap <= 0.0 {
-                break;
-            }
-            let alpha = rr / pap;
-            vm.axpy(alpha, p, x);
-            vm.axpy(-alpha, ap, r);
-            let rr_new = vm.inner(r, r);
-            res = rr_new.sqrt();
-            let beta = rr_new / rr;
-            rr = rr_new;
-            vm.xpby(r, beta, p);
-            iters += 1;
-        }
-        (iters, res, vm.snapshot(x))
-    }
-
     /// One plate run for [`settle_replay_matches_per_entry_oracle`].
     struct PlateRun<'a> {
         cfg: &'a MachineConfig,
@@ -929,9 +883,10 @@ mod tests {
                 vm.set_budget(fem2_machine::RunBudget::max_cycles(cycles));
             }
             let (nx, ny) = self.grid;
-            let (iters, res, x) = plate_cg(&mut vm, nx, ny, self.max_iters);
-            let x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            let cg = (iters, res.to_bits(), x, vm.budget_exceeded(), vm.elapsed());
+            let cg = plate_cg(&mut vm, nx, ny, 1e-6, self.max_iters);
+            let x: Vec<u64> = vm.snapshot(cg.x).iter().map(|v| v.to_bits()).collect();
+            let (iters, res) = (cg.iterations, cg.residual.to_bits());
+            let cg = (iters, res, x, vm.budget_exceeded(), vm.elapsed());
             let m = vm.machine();
             let pes: Vec<_> = (0..m.config.clusters)
                 .flat_map(|c| m.cluster_pes(c))
@@ -948,7 +903,7 @@ mod tests {
                 r.dropped(),
                 r.events().copied().collect::<Vec<_>>(),
             );
-            (vm.replayed_settles(), (cg, machine, pes, records, trace))
+            (vm.sim.replays, (cg, machine, pes, records, trace))
         }
 
         /// The replaying run against the oracle; returns the replays.
@@ -1011,7 +966,7 @@ mod tests {
             let mut vm = NaVm::simulated(cfg.clone(), ntasks);
             let full = {
                 let (nx, ny) = grid;
-                plate_cg(&mut vm, nx, ny, 40);
+                plate_cg(&mut vm, nx, ny, 1e-6, 40);
                 vm.elapsed()
             };
             let at = |k: u64| full * k / 1000;
@@ -1046,7 +1001,7 @@ mod tests {
         use fem2_machine::{fault::FaultPlan, Topology};
         let cfg = MachineConfig::clustered(1024, 2, Topology::Torus { dims: vec![32, 32] });
         let mut vm = NaVm::simulated(cfg.clone(), 128);
-        plate_cg(&mut vm, 6, 130, 12);
+        plate_cg(&mut vm, 6, 130, 1e-6, 12);
         let mid = vm.elapsed() / 2;
         let link = vm.machine().network.route_links(5, 0).unwrap()[0];
         let plan = FaultPlan::none().kill_link(mid, link);
@@ -1069,8 +1024,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// [`SimState::reduction`], which replays its record whenever it
-        /// may, against routing every message
-        /// ([`SimState::reduction_per_message`]) on twin VMs over all six
+        /// may, against routing every message (`NaVm::simulated_per_entry`,
+        /// which never records) on twin VMs over all six
         /// topologies, traced or not. Before each reduction: an idle gap, a
         /// halo exchange, traffic left busy past the start, or a link kill,
         /// degrade or recovery (a kill can cut a cluster off, which
@@ -1096,7 +1051,11 @@ mod tests {
                 .clone();
             let twin = |oracle: bool| {
                 let cfg = MachineConfig::clustered(16, 2, topology.clone());
-                let mut vm = NaVm::simulated(cfg, ntasks);
+                let mut vm = if oracle {
+                    NaVm::simulated_per_entry(cfg, ntasks)
+                } else {
+                    NaVm::simulated(cfg, ntasks)
+                };
                 let (trace, rec) = fem2_trace::TraceHandle::ring(1 << 16);
                 if traced {
                     vm.set_trace(trace);
@@ -1120,11 +1079,7 @@ mod tests {
                         5 => s.machine.network.recover_link(link),
                         _ => {}
                     }
-                    if oracle {
-                        s.reduction_per_message(16);
-                    } else {
-                        vm.sim.reduction(16);
-                    }
+                    s.reduction(vm.tasks);
                 }
                 let s = &mut vm.sim;
                 let r = rec.lock().unwrap();

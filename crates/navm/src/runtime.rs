@@ -14,7 +14,7 @@
 //! simulated state settles the queue first ([`SimState::settle`]): the
 //! charges land in op order either way.
 
-use crate::linalg::Charge;
+use crate::linalg::{Charge, VectorOp};
 use crate::task::{TaskHandle, TaskSet};
 use fem2_machine::fault::{FaultKind, FaultPlan};
 use fem2_machine::{
@@ -22,6 +22,10 @@ use fem2_machine::{
     RunBudget, Words, WorkProfile, MAX_RETRANSMITS,
 };
 use fem2_trace::{EventKind, MsgKind, TaskStage, TraceEvent, TraceHandle, NO_PE};
+
+/// Payload words of the message that initiates a task on its cluster: the
+/// task's activation record.
+pub const INITIATE_WORDS: Words = 8;
 
 /// Identifier of an array owned by a [`NaVm`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -54,14 +58,15 @@ pub(crate) struct SimState {
     pub(crate) retransmits: u64,
     /// Started run budget, checked as `now` advances. Unlimited by default.
     pub(crate) budget: BudgetMeter,
-    /// The last replayable reduction, keyed by its cluster and word counts
+    /// The last replayable reduction, keyed by its crew
     /// ([`SimState::reduction`]).
-    pub(crate) reduction: Option<((u32, Words), Record)>,
+    pub(crate) reduction: Option<(TaskSet, Record)>,
     /// Charges queued and not yet applied to the machine, in op order.
     pub(crate) queue: Vec<Charge>,
     /// The last settled queue that left a record, with that record.
     pub(crate) settled: Option<(Vec<Charge>, Record)>,
     /// Settles that applied a record instead of charging entry by entry.
+    /// Host-side only: no simulated figure depends on it.
     pub(crate) replays: u64,
     /// Settle every queue entry by entry and every reduction message by
     /// message: the oracle of the replaying paths.
@@ -258,7 +263,7 @@ impl SimState {
             .machine
             .charge(start, kpe0, CostClass::MsgSend, 1)
             .unwrap_or(start);
-        let arrive = self.transmit(sent, 0, c, 8, MsgKind::InitiateTask);
+        let arrive = self.transmit(sent, 0, c, INITIATE_WORDS, MsgKind::InitiateTask);
         self.machine.trace.emit(|| {
             TraceEvent::span(
                 sent,
@@ -268,7 +273,7 @@ impl SimState {
                 EventKind::MsgSend {
                     msg: MsgKind::InitiateTask,
                     to_cluster: c,
-                    words: 8,
+                    words: INITIATE_WORDS,
                 },
             )
         });
@@ -280,7 +285,7 @@ impl SimState {
                 EventKind::MsgRecv {
                     msg: MsgKind::InitiateTask,
                     from_cluster: 0,
-                    words: 8,
+                    words: INITIATE_WORDS,
                 },
             )
         });
@@ -418,13 +423,6 @@ impl NaVm {
     pub fn machine(&mut self) -> &Machine {
         self.settle();
         &self.sim.machine
-    }
-
-    /// How many settles applied a recorded iteration whole instead of
-    /// charging entry by entry. Host-side only: no simulated figure
-    /// depends on it.
-    pub fn replayed_settles(&self) -> u64 {
-        self.sim.replays
     }
 
     /// Begin a named measurement phase.
@@ -571,19 +569,11 @@ impl NaVm {
     /// forall over rows.
     pub fn fill(&mut self, id: ArrayId, f: impl Fn(usize, usize) -> f64) {
         let cols = self.cols(id);
-        self.forall_rows(
-            id,
-            WorkProfile {
-                flops: 0,
-                int_ops: cols as u64,
-                mem_words: cols as u64,
-            },
-            |r, row| {
-                for (c, x) in row.iter_mut().enumerate() {
-                    *x = f(r, c);
-                }
-            },
-        );
+        self.forall_rows(id, VectorOp::Fill.work().scaled(cols as u64), |r, row| {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = f(r, c);
+            }
+        });
     }
 
     /// A snapshot of the array contents in row-major order (diagnostics; no
@@ -969,12 +959,7 @@ mod tests {
                     }
                     // The halo, then the forall `stencil5` charges.
                     vm.sim.halo_per_task(&tasks, nx, ny);
-                    let per = WorkProfile {
-                        flops: 8,
-                        int_ops: 6,
-                        mem_words: 6,
-                    };
-                    (nx * ny, per)
+                    (nx * ny, VectorOp::Stencil.work())
                 }
             };
             if oracle {

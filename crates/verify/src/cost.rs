@@ -36,6 +36,7 @@
 
 use fem2_machine::index::PagedIndex;
 use fem2_machine::{CostClass, MachineConfig, Network, Topology};
+use fem2_navm::INITIATE_WORDS;
 use serde::json::Value;
 use serde::Serialize;
 
@@ -401,11 +402,11 @@ impl CostModeler {
                     cluster_of[task as usize] = Some(cluster);
                     self.enter_phase(&mut spawn, "spawn");
                     let reps = u64::from(replications.max(1));
-                    // Coordinator formats the initiate, the wire carries an
-                    // 8-word activation record, the hosting kernel PE
+                    // Coordinator formats the initiate, the wire carries the
+                    // task's activation record, the hosting kernel PE
                     // creates the task.
                     self.charge(CostClass::MsgSend, reps);
-                    self.message_times(0, cluster, 8, reps);
+                    self.message_times(0, cluster, INITIATE_WORDS, reps);
                     self.charge(CostClass::TaskCreate, reps);
                 }
                 Op::Pause { task } | Op::Resume { task } | Op::Terminate { task } => {
@@ -779,7 +780,7 @@ mod tests {
     /// op, and per-link traffic in a `BTreeMap` filled from
     /// [`Network::route_links`], one `Vec` per message.
     mod oracle {
-        use super::super::{worst_hops, CostReport, CostVerdict, PhaseCost};
+        use super::super::{worst_hops, CostReport, CostVerdict, PhaseCost, INITIATE_WORDS};
         use crate::diag::Span;
         use crate::script::{Op, ScenarioScript};
         use fem2_machine::{CostClass, MachineConfig, Network};
@@ -889,7 +890,7 @@ mod tests {
                             self.begin_phase("spawn");
                             let reps = u64::from(replications.max(1));
                             self.charge(CostClass::MsgSend, reps);
-                            self.message_times(0, cluster, 8, reps);
+                            self.message_times(0, cluster, INITIATE_WORDS, reps);
                             self.charge(CostClass::TaskCreate, reps);
                         }
                         Op::Pause { task } | Op::Resume { task } | Op::Terminate { task } => {

@@ -34,7 +34,7 @@
 //!     "plate 32x32",
 //!     &machine,
 //!     machine.total_workers(),
-//!     SolveShape { unknowns: 32 * 32, vectors: 5, halo_words: 32 },
+//!     SolveShape { unknowns: 32 * 32, halo_words: 32 },
 //! );
 //! let report = check_script(&script, &machine);
 //! assert!(report.is_clean(), "{report}");

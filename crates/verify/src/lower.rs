@@ -12,16 +12,14 @@
 
 use crate::script::{NameId, Op, ScenarioScript};
 use fem2_machine::MachineConfig;
-use fem2_navm::TaskSet;
+use fem2_navm::{TaskSet, PLATE_CG_VECTORS};
 
-/// The shape of a distributed solve, for lowering.
+/// The shape of a distributed solve, for lowering. The solve keeps the
+/// plate CG's [`PLATE_CG_VECTORS`] vectors live.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveShape {
     /// Unknowns in the system (rows of the distributed vectors).
     pub unknowns: u64,
-    /// Number of solver vectors simultaneously live (CG keeps five:
-    /// b, x, r, p, Ap).
-    pub vectors: u64,
     /// Words exchanged per halo (one boundary row).
     pub halo_words: u64,
 }
@@ -62,12 +60,12 @@ pub fn solve_script(
         let rows: u64 = run
             .map(|t| set.share(unknowns, fem2_navm::TaskHandle(t)).len() as u64)
             .sum();
-        let words = rows * shape.vectors;
+        let words = rows * PLATE_CG_VECTORS;
         if words > 0 {
             let what = *label.get_or_insert_with(|| {
                 s.intern(&format!(
-                    "{} solver vectors of {} unknowns",
-                    shape.vectors, shape.unknowns
+                    "{PLATE_CG_VECTORS} solver vectors of {} unknowns",
+                    shape.unknowns
                 ))
             });
             s.push(Op::Alloc {
@@ -144,7 +142,6 @@ mod tests {
     fn shape(n: u64) -> SolveShape {
         SolveShape {
             unknowns: n,
-            vectors: 5,
             halo_words: 32,
         }
     }
@@ -208,7 +205,7 @@ mod tests {
                                 .filter(|&t| set.cluster_of(t) == c)
                                 .map(|t| set.share(n as usize, t).len() as u64)
                                 .sum();
-                            (c, rows * shape(n).vectors)
+                            (c, rows * PLATE_CG_VECTORS)
                         })
                         .filter(|&(_, words)| words > 0)
                         .collect();
@@ -254,11 +251,11 @@ mod tests {
             }
         }
         for (cluster, rows) in cluster_rows {
-            let words = rows * shape.vectors;
+            let words = rows * PLATE_CG_VECTORS;
             if words > 0 {
                 let what = s.intern(&format!(
-                    "{} solver vectors of {} unknowns",
-                    shape.vectors, shape.unknowns
+                    "{PLATE_CG_VECTORS} solver vectors of {} unknowns",
+                    shape.unknowns
                 ));
                 s.push(Op::Alloc {
                     cluster,

@@ -2,11 +2,10 @@
 //! an in-flight RemoteCall, unreachable clusters dead-lettering, bitwise
 //! solver equivalence under faults, and repeatable fault traces.
 
-use fem2_core::scenario::plate_cg;
 use fem2_kernel::{CodeBlock, KernelMessage, KernelSim, TaskId, WorkProfile};
 use fem2_machine::fault::FaultPlan;
 use fem2_machine::{Machine, MachineConfig, PeId, Topology};
-use fem2_navm::NaVm;
+use fem2_navm::{plate_cg, NaVm};
 use fem2_trace::TraceHandle;
 
 /// A 4x4 crossbar with slow links so a message is in flight long enough
@@ -120,9 +119,10 @@ fn mid_window_faults_keep_solver_bitwise_identical() {
         if let Some(p) = plan {
             vm.inject_faults(p);
         }
-        let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+        let cg = plate_cg(&mut vm, 12, 12, 1e-8, 300);
         let rerouted = vm.machine().network.rerouted_packets;
-        (iters, res, vm.snapshot(x), vm.retransmits() + rerouted)
+        let x = vm.snapshot(cg.x);
+        (cg.iterations, cg.residual, x, vm.retransmits() + rerouted)
     };
     let (hi, hres, hx, _) = run(None);
     let plan = FaultPlan::none()
@@ -250,7 +250,7 @@ fn array_after_a_memory_bank_fault_stops_the_run() {
     // 144 rows over 8 tasks, two tasks per cluster: `b` takes 36 words of
     // cluster 0, and the bank fault leaves 40.
     vm.inject_faults(&FaultPlan::none().fail_memory(0, 0, capacity - 40));
-    let (iters, _, _) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    let iters = plate_cg(&mut vm, 12, 12, 1e-8, 300).iterations;
     let abort = vm.budget_exceeded().expect("the run stopped");
     assert_eq!(abort.cause, fem2_machine::AbortCause::MemoryExhausted);
     assert_eq!(abort.cause.name(), "memory_exhausted");
@@ -369,7 +369,7 @@ fn a_route_that_loses_every_retry_ends_unreachable() {
 /// an iteration boundary with `Unreachable`.
 #[test]
 fn cg_with_a_cut_off_partner_cluster_ends_unreachable() {
-    let (healthy_iters, _, _) = plate_cg(&mut traced_vm().0, 12, 12, 1e-8, 300);
+    let healthy_iters = plate_cg(&mut traced_vm().0, 12, 12, 1e-8, 300).iterations;
     let (mut vm, rec) = traced_vm();
     vm.inject_faults(
         &FaultPlan::none()
@@ -377,7 +377,7 @@ fn cg_with_a_cut_off_partner_cluster_ends_unreachable() {
             .kill_link(20_000, 7)
             .kill_link(20_000, 11),
     );
-    let (iters, _, _) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    let iters = plate_cg(&mut vm, 12, 12, 1e-8, 300).iterations;
     let abort = vm.budget_exceeded().expect("the run stopped");
     assert_eq!(abort.cause, fem2_machine::AbortCause::Unreachable);
     assert!(

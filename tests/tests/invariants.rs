@@ -3,7 +3,7 @@
 //! cover, window reads equal direct reads, and PEs beyond the crew and
 //! faults on hardware the run never uses change nothing.
 
-use fem2_core::{plate_cg, PlateScenario};
+use fem2_core::PlateScenario;
 use fem2_fem::bc::Constraints;
 use fem2_fem::partition::Partition;
 use fem2_fem::solver::{cg, skyline, IterControls};
@@ -12,7 +12,7 @@ use fem2_fem::{assemble_free, cantilever_plate, Coo, Material, Mesh, SolverChoic
 use fem2_kernel::{Block, Heap};
 use fem2_machine::fault::FaultPlan;
 use fem2_machine::{MachineConfig, PeId, Topology};
-use fem2_navm::{NaVm, TaskHandle};
+use fem2_navm::{plate_cg, NaVm, TaskHandle};
 use proptest::prelude::*;
 
 fn norm(v: &[f64]) -> f64 {
@@ -147,11 +147,12 @@ fn untouched_faults_change_nothing() {
         let run = |plan: &FaultPlan| {
             let mut vm = NaVm::simulated(cfg.clone(), 4);
             vm.inject_faults(plan);
-            let (iterations, residual, _) = plate_cg(&mut vm, 16, 16, 1e-6, 5000);
+            let cg = plate_cg(&mut vm, 16, 16, 1e-6, 5000);
             let elapsed = vm.elapsed();
             let net = &vm.machine().network;
             let words = net.total_words_moved();
-            (elapsed, net.messages, words, iterations, residual.to_bits())
+            let residual = cg.residual.to_bits();
+            (elapsed, net.messages, words, cg.iterations, residual)
         };
         let healthy = run(&FaultPlan::none());
         let mid = healthy.0 / 2;
@@ -184,6 +185,61 @@ fn untouched_faults_change_nothing() {
             .collect();
         for (what, plan) in cases {
             assert_eq!(run(&plan), healthy, "{topology:?}: {what} killed mid-run");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Monotone resources (ROADMAP 19(e)): halving the link latency,
+    /// doubling the words per cycle or doubling each cluster's memory
+    /// never raises a plate's elapsed cycles. Grids up to 24×24 and crews
+    /// of 1–24 tasks on 16 clusters of 3 PEs, each case on all six
+    /// topologies.
+    #[test]
+    fn more_resources_never_slow_a_plate(
+        nx in 1usize..=24,
+        ny in 1usize..=24,
+        tasks in 1u32..=24,
+    ) {
+        let topologies = [
+            Topology::Bus,
+            Topology::Ring,
+            Topology::Mesh2D { width: 4 },
+            Topology::Crossbar,
+            Topology::Torus { dims: vec![4, 4] },
+            Topology::FatTree { radix: 4 },
+        ];
+        for topology in topologies {
+            let base = MachineConfig::clustered(16, 3, topology.clone());
+            let elapsed = |machine: MachineConfig| {
+                let mut plate = PlateScenario::square(nx, machine);
+                (plate.ny, plate.tasks) = (ny, tasks);
+                plate.run().elapsed
+            };
+            let before = elapsed(base.clone());
+            let richer = [
+                ("half the link latency", MachineConfig {
+                    link_latency: base.link_latency / 2,
+                    ..base.clone()
+                }),
+                ("twice the words per cycle", MachineConfig {
+                    words_per_cycle: base.words_per_cycle * 2,
+                    ..base.clone()
+                }),
+                ("twice the memory", MachineConfig {
+                    memory_per_cluster: base.memory_per_cluster * 2,
+                    ..base.clone()
+                }),
+            ];
+            for (what, machine) in richer {
+                let after = elapsed(machine);
+                prop_assert!(
+                    after <= before,
+                    "{nx}x{ny}, {tasks} tasks, {topology:?}: {what} took {after} cycles, not {before}"
+                );
+            }
         }
     }
 }

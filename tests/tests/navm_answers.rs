@@ -4,11 +4,10 @@
 //! slice kernels under the reduction contract; the direct solve is a sparse
 //! assembly and an envelope factorization.
 
-use fem2_core::scenario::plate_cg;
 use fem2_fem::solver::skyline;
 use fem2_fem::{Coo, Csr};
 use fem2_machine::{MachineConfig, Topology};
-use fem2_navm::{NaVm, TaskHandle, WorkProfile};
+use fem2_navm::{plate_cg, NaVm, TaskHandle, WorkProfile};
 use proptest::prelude::*;
 
 /// The 5-point operator of an `nx × ny` grid, row-major, with homogeneous
@@ -70,9 +69,9 @@ fn plate_cg_matches_the_skyline_solve() {
             for ntasks in [1, 3, 8, 40] {
                 let what = format!("{nx}x{ny} on {ntasks} tasks of {name}");
                 let mut vm = NaVm::simulated(cfg.clone(), ntasks);
-                let (iters, res, x) = plate_cg(&mut vm, nx, ny, 1e-8, 5000);
-                let x = vm.snapshot(x);
-                assert!(iters < 5000, "{what}: CG did not converge");
+                let cg = plate_cg(&mut vm, nx, ny, 1e-8, 5000);
+                let (iters, res, x) = (cg.iterations, cg.residual, vm.snapshot(cg.x));
+                assert!(cg.converged, "{what}: CG did not converge");
                 let err = x
                     .iter()
                     .zip(&direct)

@@ -6,11 +6,11 @@
 //! covered where a DES queue runs: `crates/machine/src/sim.rs` and
 //! `crates/kernel/tests/prop.rs`.
 
-use fem2_core::scenario::{plate_cg, PlateScenario, ScenarioReport};
+use fem2_core::scenario::{PlateScenario, ScenarioReport};
 use fem2_fem::Coo;
 use fem2_machine::fault::FaultPlan;
 use fem2_machine::MachineConfig;
-use fem2_navm::NaVm;
+use fem2_navm::{plate_cg, NaVm};
 use fem2_trace::{SharedRecorder, TraceEvent, TraceHandle};
 use proptest::prelude::*;
 
@@ -67,10 +67,11 @@ fn faulted_cg(route_cache: bool) -> (usize, u64, Vec<u64>, u64, Trace) {
         .kill_link(2_000, 1)
         .recover_link(40_000, 1);
     vm.inject_faults(&plan);
-    let (iters, res, x) = plate_cg(&mut vm, 12, 12, 1e-8, 300);
-    let bits: Vec<u64> = vm.snapshot(x).iter().map(|v| v.to_bits()).collect();
+    let cg = plate_cg(&mut vm, 12, 12, 1e-8, 300);
+    let bits: Vec<u64> = vm.snapshot(cg.x).iter().map(|v| v.to_bits()).collect();
     let recovery = vm.retransmits() + vm.machine().network.rerouted_packets;
-    (iters, res.to_bits(), bits, recovery, trace_of(&rec))
+    let res = cg.residual.to_bits();
+    (cg.iterations, res, bits, recovery, trace_of(&rec))
 }
 
 /// A mid-run `fail_link` + recovery invalidates the cache twice; the
